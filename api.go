@@ -199,21 +199,12 @@ func WithFullRefold() Option { return core.WithFullRefold() }
 // itself cold-starts from whatever an earlier incarnation left in dir.
 func WithDurability(dir string) Option { return core.WithDurability(dir) }
 
-// WithFsyncEvery tunes WithDurability's group-commit fsync loop
-// (§3.2's city-bus economics): d > 0 holds each flush up to d so more
-// commits board it; 0 (default) departs adaptively — immediately when
-// the staged backlog is shallow, coalescing under load, with the hold
-// ceiling steered by an EWMA of recent fsync cost; d < 0 pays one fsync
-// per operation — the car-per-driver baseline kept for measuring what
-// group commit saves.
-func WithFsyncEvery(d time.Duration) Option { return core.WithFsyncEvery(d) }
-
-// WithFsyncDelay injects d of extra latency before every journal fsync
-// — the slow-disk fault for chaos scenarios. Timing stretches, outcomes
-// do not: accepted sets, final states, and apology ledgers stay equal
-// to an undelayed run of the same operations. No effect without
-// WithDurability.
-func WithFsyncDelay(d time.Duration) Option { return core.WithFsyncDelay(d) }
+// WithFsyncPerOp replaces WithDurability's adaptive group commit
+// (§3.2's city-bus economics: depart immediately when the staged backlog
+// is shallow, coalesce under load, with the hold ceiling steered by an
+// EWMA of recent fsync cost) with one fsync per operation — the
+// car-per-driver baseline kept for measuring what group commit saves.
+func WithFsyncPerOp() Option { return core.WithFsyncPerOp() }
 
 // WithIngestBatch routes asynchronous submits through a per-replica
 // single-writer ingest pipeline draining a bounded ring in batches of at
@@ -250,9 +241,6 @@ func WithSnapshotChain(k int) Option { return core.WithSnapshotChain(k) }
 // WithPolicy routes one submit with p instead of the cluster's default
 // risk policy — the per-operation "stomach for risk" dial of §5.5.
 func WithPolicy(p Policy) SubmitOption { return core.WithPolicy(p) }
-
-// WithNote attaches a free-form annotation to the operation.
-func WithNote(note string) SubmitOption { return core.WithNote(note) }
 
 // ContentID derives an operation ID from the request body itself — the
 // MD5 trick of §2.1: retries of a byte-identical request map to the same

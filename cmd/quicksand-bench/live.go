@@ -115,47 +115,34 @@ func runLiveRow(tab *stats.Table, c *quicksand.Cluster[int64], label string, dur
 	return liveRowResult(tab, c, label, duration, total.Load(), allocs, flush)
 }
 
-// flushStats is the per-arm flush-stall telemetry of a durable arm: how
-// many fsyncs ran, what a single fsync cost at the median and the tail,
-// and the worst stall the journal writer ever took on one flush.
-type flushStats struct {
-	fsyncs     int64
-	p50, p99   float64
-	maxStallNs int64
-}
-
-// flushTelemetry samples the cluster's durability counters and latency
-// distributions; all zeros on volatile arms. Must run before Close.
-func flushTelemetry(c *quicksand.Cluster[int64]) flushStats {
+// flushTelemetry starts an arm's result with its flush-stall telemetry:
+// how many fsyncs ran, what a single fsync cost at the median and the
+// tail (every shard's fsync histogram merged), and the worst stall the
+// journal writer ever took on one flush; all zeros on volatile arms.
+// Must run before Close.
+func flushTelemetry(c *quicksand.Cluster[int64]) benchResult {
 	st := c.DurabilityStats()
-	fsync, _ := c.DurabilityLatencies()
-	return flushStats{
-		fsyncs:     st.Fsyncs,
-		p50:        fsync.P50(),
-		p99:        fsync.P99(),
-		maxStallNs: st.MaxStallNs,
+	var fsync stats.LatHist
+	for s := 0; s < c.Shards(); s++ {
+		h, _ := c.ShardDurabilityHists(s)
+		fsync.Merge(h)
 	}
+	return benchResult{Fsyncs: st.Fsyncs, FsyncP50Ns: fsync.P50(), FsyncP99Ns: fsync.P99(), MaxStallNs: st.MaxStallNs}
 }
 
-// liveRowResult renders one measured arm into the table and the JSON
-// result.
-func liveRowResult(tab *stats.Table, c *quicksand.Cluster[int64], label string, duration time.Duration, accepted int64, allocs uint64, flush flushStats) benchResult {
-	res := benchResult{
-		Arm:        label,
-		Accepted:   accepted,
-		OpsPerSec:  float64(accepted) / duration.Seconds(),
-		P50Ns:      c.M.AsyncLat.P50(),
-		P99Ns:      c.M.AsyncLat.P99(),
-		Fsyncs:     flush.fsyncs,
-		FsyncP50Ns: flush.p50,
-		FsyncP99Ns: flush.p99,
-		MaxStallNs: flush.maxStallNs,
-		Converged:  c.Converged(),
-	}
+// liveRowResult completes one measured arm's result, started by
+// flushTelemetry, and renders it into the table.
+func liveRowResult(tab *stats.Table, c *quicksand.Cluster[int64], label string, duration time.Duration, accepted int64, allocs uint64, res benchResult) benchResult {
+	res.Arm = label
+	res.Accepted = accepted
+	res.OpsPerSec = float64(accepted) / duration.Seconds()
+	res.P50Ns = c.M.AsyncLat.P50()
+	res.P99Ns = c.M.AsyncLat.P99()
+	res.Converged = c.Converged()
 	if accepted > 0 {
 		res.NsPerOp = float64(duration.Nanoseconds()) / float64(accepted)
 		res.AllocsPerOp = float64(allocs) / float64(accepted)
-		res.FsyncsPerOp = float64(flush.fsyncs) / float64(accepted)
+		res.FsyncsPerOp = float64(res.Fsyncs) / float64(accepted)
 	}
 	tab.AddRow(label, fmt.Sprint(accepted),
 		fmt.Sprintf("%.0f", res.OpsPerSec),
@@ -207,7 +194,7 @@ func runLiveDurableBench(duration time.Duration, dir string, report *benchReport
 		{"group-commit ingest=256 shards=4", 32, []quicksand.Option{
 			quicksand.WithDurability(filepath.Join(dir, "group-ingest-4")),
 			quicksand.WithIngestBatch(256), quicksand.WithShards(4)}},
-		{"fsync-per-op", 0, []quicksand.Option{quicksand.WithDurability(filepath.Join(dir, "everyop")), quicksand.WithFsyncEvery(-1)}},
+		{"fsync-per-op", 0, []quicksand.Option{quicksand.WithDurability(filepath.Join(dir, "everyop")), quicksand.WithFsyncPerOp()}},
 	}
 	for _, m := range modes {
 		for _, sub := range []string{"group", "group-batch", "group-ingest", "group-ingest-4", "everyop"} {

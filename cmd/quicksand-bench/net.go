@@ -102,8 +102,7 @@ func runNetArm(label string, batch int, duration time.Duration, workers int, key
 	cb := client.New("http://" + daemons[1].HTTPAddr())
 
 	var total atomic.Int64
-	var lat stats.Histogram
-	var latMu sync.Mutex
+	var lat stats.LatHist
 	var wg sync.WaitGroup
 	m0 := mallocs()
 	stop := time.Now().Add(duration)
@@ -139,10 +138,7 @@ func runNetArm(label string, batch int, duration time.Duration, workers int, key
 						accepted = 1
 					}
 				}
-				rtt := time.Since(t0)
-				latMu.Lock()
-				lat.AddDur(rtt)
-				latMu.Unlock()
+				lat.AddDur(time.Since(t0))
 				total.Add(accepted)
 			}
 		}(w)

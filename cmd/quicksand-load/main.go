@@ -165,7 +165,7 @@ func runRaw(ctx context.Context, rc rawConfig) error {
 		}
 		tgt = loadgen.WrapClients(clients...)
 	} else {
-		tgt, cleanup, err = buildStack(rc.stack, rc.dataDir, rc.replicas, rc.shards, rc.ingest, 0)
+		tgt, cleanup, err = buildStack(rc.stack, rc.dataDir, rc.replicas, rc.shards, rc.ingest)
 		if err != nil {
 			return err
 		}
@@ -208,7 +208,7 @@ func runRaw(ctx context.Context, rc rawConfig) error {
 
 // buildStack realizes a self-hosted target for raw and matrix runs.
 // The returned cleanup removes any temp data dir.
-func buildStack(stack, dataDir string, replicas, shards, ingest int, fsyncDelay time.Duration) (loadgen.Target, func(), error) {
+func buildStack(stack, dataDir string, replicas, shards, ingest int) (loadgen.Target, func(), error) {
 	switch stack {
 	case scenario.StackNet:
 		var cleanup func()
@@ -229,9 +229,6 @@ func buildStack(stack, dataDir string, replicas, shards, ingest int, fsyncDelay 
 		}
 		opts := clusterOpts(replicas, shards, ingest)
 		opts = append(opts, core.WithDurability(dataDir))
-		if fsyncDelay > 0 {
-			opts = append(opts, core.WithFsyncDelay(fsyncDelay))
-		}
 		return loadgen.NewAccountsCluster(opts...), cleanup, nil
 	case scenario.StackLive, "":
 		return loadgen.NewAccountsCluster(clusterOpts(replicas, shards, ingest)...), nil, nil

@@ -79,7 +79,7 @@ func runMatrix(ctx context.Context, stack string, window time.Duration, seed int
 // runMatrixArm measures one grid cell: fresh deployment, closed-loop
 // uniform 80/20 traffic, converge, report.
 func runMatrixArm(ctx context.Context, stack string, shards, ingest int, window time.Duration, seed int64) (loadgen.Row, error) {
-	tgt, cleanup, err := buildStack(stack, "", 3, shards, ingest, 0)
+	tgt, cleanup, err := buildStack(stack, "", 3, shards, ingest)
 	if err != nil {
 		return loadgen.Row{}, err
 	}

@@ -155,8 +155,7 @@ type config struct {
 	foldEvery   int           // folded entries between periodic fold checkpoints
 	fullRefold  bool          // disable checkpointed folds; replay from genesis
 	durableDir  string        // root of per-replica durable stores ("" = in-memory only)
-	fsyncEvery  time.Duration // >0 timer group commit, 0 immediate coalescing, <0 fsync per op
-	fsyncDelay  time.Duration // injected latency before every journal fsync (slow-disk fault)
+	fsyncPerOp  bool          // one fsync per operation instead of adaptive group commit
 	snapEvery   int           // journaled entries between durable snapshots
 	snapChain   int           // snapshot cuts per full snapshot (delta chaining; 1 = every cut full)
 	ingestBatch int           // max ops per ingest-pipeline batch (0 = per-op path)
@@ -239,22 +238,12 @@ func WithFullRefold() Option { return func(c *config) { c.fullRefold = true } }
 // error should be loud, like WithLatency on the wrong transport).
 func WithDurability(dir string) Option { return func(c *config) { c.durableDir = dir } }
 
-// WithFsyncEvery tunes the group-commit economics of WithDurability's
-// fsync loop (§3.2's city bus): d > 0 holds each flush for up to d so
-// more commits board it; 0 (the default) flushes as soon as the disk is
-// free, coalescing everything that arrived during the previous flush;
-// d < 0 is the car-per-driver baseline — one fsync per operation — kept
-// for measuring what group commit saves.
-func WithFsyncEvery(d time.Duration) Option { return func(c *config) { c.fsyncEvery = d } }
-
-// WithFsyncDelay injects d of extra latency before every journal fsync
-// on every replica's durable store — the slow-disk fault for chaos
-// scenarios. Commit timing stretches (group commit absorbs more work
-// per flush, acks arrive later) but outcomes must not change: accepted
-// sets, final states, and apology ledgers stay equal to an undelayed
-// run of the same operations, which the slow-disk differential test
-// pins. No effect without WithDurability.
-func WithFsyncDelay(d time.Duration) Option { return func(c *config) { c.fsyncDelay = d } }
+// WithFsyncPerOp replaces WithDurability's adaptive group commit (§3.2's
+// city bus: flush at once when the staged backlog is shallow, coalesce
+// under load, with the hold ceiling steered by an EWMA of real fsync
+// cost) with the car-per-driver baseline — one fsync per operation —
+// kept for measuring what group commit saves.
+func WithFsyncPerOp() Option { return func(c *config) { c.fsyncPerOp = true } }
 
 // WithIngestBatch routes asynchronous submits through a per-replica
 // single-writer ingest pipeline that drains them in batches of at most n:
@@ -677,19 +666,9 @@ func New[S any](app App[S], rules []Rule[S], opts ...Option) *Cluster[S] {
 func (c *Cluster[S]) storeOptions() store.Options {
 	opt := store.Options{}
 	_, opt.Inline = c.tr.(*SimTransport)
-	switch {
-	case c.cfg.fsyncEvery > 0:
-		opt.Mode = store.ModeTimer
-		opt.Interval = c.cfg.fsyncEvery
-	case c.cfg.fsyncEvery < 0:
+	if c.cfg.fsyncPerOp {
 		opt.Mode = store.ModeEveryOp
-	case !opt.Inline:
-		// The live default: adaptive group commit — flush at once when the
-		// staged backlog is shallow, coalesce under load, with the hold
-		// ceiling steered by an EWMA of real fsync cost.
-		opt.Mode = store.ModeAdaptive
 	}
-	opt.FsyncDelay = c.cfg.fsyncDelay
 	// Preallocated (and recycled) segments trade exact file sizes for
 	// flush latency; the simulator keeps exact sizes — its tests poke at
 	// them, and inline runs are not latency-sensitive anyway.
@@ -820,20 +799,7 @@ func (c *Cluster[S]) DurabilityStats() store.Stats {
 	return out
 }
 
-// DurabilityLatencies folds every live store's sampled fsync and
-// snapshot-cut latency distributions into two cluster-level histograms.
-// Both are empty without WithDurability.
-func (c *Cluster[S]) DurabilityLatencies() (fsync, snapCut *stats.Histogram) {
-	fsync, snapCut = &stats.Histogram{}, &stats.Histogram{}
-	for _, g := range c.groups {
-		for _, r := range g.reps {
-			r.SpillStoreLatencies(fsync, snapCut)
-		}
-	}
-	return fsync, snapCut
-}
-
-// ShardDurabilityHists merges the full log-bucketed fsync and
+// ShardDurabilityHists merges the log-bucketed fsync and
 // snapshot-cut latency histograms of one shard's locally hosted
 // replicas — the per-shard durability series behind /metrics. Both are
 // empty without WithDurability.
@@ -906,8 +872,7 @@ func (c *Cluster[S]) GossipInterval() time.Duration { return c.cfg.gossipEvery }
 
 // submitConfig collects per-submit options.
 type submitConfig struct {
-	pol  policy.Policy
-	note string
+	pol policy.Policy
 }
 
 // SubmitOption configures one Submit, SubmitBatch, or SubmitAsync call.
@@ -916,10 +881,6 @@ type SubmitOption func(*submitConfig)
 // WithPolicy routes this submit with p instead of the cluster's default
 // risk policy — the per-operation "stomach for risk" dial of §5.5.
 func WithPolicy(p policy.Policy) SubmitOption { return func(sc *submitConfig) { sc.pol = p } }
-
-// WithNote attaches a free-form annotation to the operation (ignored when
-// the op already carries one).
-func WithNote(note string) SubmitOption { return func(sc *submitConfig) { sc.note = note } }
 
 func (c *Cluster[S]) submitConfig(opts []SubmitOption) submitConfig {
 	sc := submitConfig{pol: c.cfg.defPolicy}
@@ -1040,7 +1001,7 @@ func (c *Cluster[S]) dispatchBatch(rep *Replica[S], ops []Op, idxs []int, sc sub
 	now := c.tr.Now()
 	for k := 0; k < n; k++ {
 		i := nth(k)
-		op := c.stampIngress(rep, ops[i], sc)
+		op := c.stampIngress(rep, ops[i])
 		it := ingestItem{op: op, sink: sink, idx: int32(i), start: now,
 			sync: sc.pol.Decide(op) == policy.Sync}
 		if rep.node.Crashed() {
@@ -1102,7 +1063,7 @@ func (c *Cluster[S]) dispatch(rep *Replica[S], op Op, sc submitConfig, done func
 		done(Result{Op: op, Reason: "replica " + rep.id + " is not hosted by this process"})
 		return
 	}
-	op = c.stampIngress(rep, op, sc)
+	op = c.stampIngress(rep, op)
 	if rep.node.Crashed() {
 		done(Result{Op: op, Reason: "replica down"})
 		return
@@ -1124,17 +1085,13 @@ func (c *Cluster[S]) dispatch(rep *Replica[S], op Op, sc submitConfig, done func
 
 // stampIngress fills an operation's ingress identity — the one place
 // every submit entry point (dispatch and the pipeline's dispatchBatch)
-// assigns uniquifiers, timestamps, and notes, so the two can never
-// drift.
-func (c *Cluster[S]) stampIngress(rep *Replica[S], op Op, sc submitConfig) Op {
+// assigns uniquifiers and timestamps, so the two can never drift.
+func (c *Cluster[S]) stampIngress(rep *Replica[S], op Op) Op {
 	if op.ID == "" {
 		op.ID = rep.gen.Next()
 	}
 	if op.At == 0 {
 		op.At = c.tr.Now()
-	}
-	if op.Note == "" {
-		op.Note = sc.note
 	}
 	if t := c.cfg.tracer; t != nil {
 		t.Submitted(string(op.ID), op.Key, rep.id, int64(op.At))

@@ -494,7 +494,7 @@ func TestKillRecoverChurn(t *testing.T) {
 // ingest over the group-committing store must complete with far fewer
 // fsyncs than operations — staging is microseconds while an fsync is
 // not, so the bus fills while the disk is busy. (One fsync per op is
-// exactly what WithFsyncEvery(-1) would pay.)
+// exactly what WithFsyncPerOp would pay.)
 func TestGroupCommitAmortizes(t *testing.T) {
 	const n = 2000
 	c := New[counterState](counterApp{}, nil,
@@ -528,7 +528,7 @@ func TestGroupCommitAmortizes(t *testing.T) {
 func TestEveryOpFsyncBaseline(t *testing.T) {
 	const n = 50
 	c := New[counterState](counterApp{}, nil,
-		WithReplicas(1), WithDurability(t.TempDir()), WithFsyncEvery(-1))
+		WithReplicas(1), WithDurability(t.TempDir()), WithFsyncPerOp())
 	defer c.Close()
 	ctx := context.Background()
 	for i := 0; i < n; i++ {

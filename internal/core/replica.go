@@ -1236,21 +1236,7 @@ func (r *Replica[S]) StoreStats() (store.Stats, bool) {
 	return st.Stats(), true
 }
 
-// SpillStoreLatencies folds the replica's sampled fsync and snapshot-cut
-// latency distributions into the given histograms; a no-op when the
-// replica has no live store.
-func (r *Replica[S]) SpillStoreLatencies(fsync, snapCut *stats.Histogram) {
-	r.mu.Lock()
-	st := r.store
-	r.mu.Unlock()
-	if st == nil {
-		return
-	}
-	st.FsyncLatency().Spill(fsync)
-	st.SnapshotCutLatency().Spill(snapCut)
-}
-
-// MergeStoreHists merges the replica's full log-bucketed fsync and
+// MergeStoreHists merges the replica's log-bucketed fsync and
 // snapshot-cut histograms into the given accumulators; a no-op when the
 // replica has no live store.
 func (r *Replica[S]) MergeStoreHists(fsync, snapCut *stats.LatHist) {

@@ -26,7 +26,6 @@ func ParseServeFlags(args []string) (Config, error) {
 		apiToken   = fs.String("api-token", "", "bearer token required on /v1 endpoints")
 		dataDir    = fs.String("data", "", "durable store directory (empty = memory only)")
 		gossip     = fs.Duration("gossip-every", 50*time.Millisecond, "anti-entropy interval")
-		fsyncEvery = fs.Duration("fsync-every", 0, "journal group-commit interval (0 = immediate coalescing)")
 		callTO     = fs.Duration("call-timeout", 500*time.Millisecond, "replica-to-replica call timeout")
 		batch      = fs.Int("ingest-batch", 0, "max ops per ingest batch (0 = engine default)")
 		traceN     = fs.Int("trace-sample", 0, "trace 1-in-N op lifecycles (0 = default 64, negative = off)")
@@ -83,9 +82,6 @@ func ParseServeFlags(args []string) (Config, error) {
 	}
 	if set["gossip-every"] || cfg.GossipEvery == 0 {
 		cfg.GossipEvery = *gossip
-	}
-	if set["fsync-every"] {
-		cfg.FsyncEvery = *fsyncEvery
 	}
 	if set["call-timeout"] || cfg.CallTimeout == 0 {
 		cfg.CallTimeout = *callTO

@@ -40,8 +40,6 @@ type Config struct {
 	DataDir string
 	// GossipEvery is the anti-entropy interval (default 50ms).
 	GossipEvery time.Duration
-	// FsyncEvery tunes journal group commit (0 = immediate coalescing).
-	FsyncEvery time.Duration
 	// CallTimeout bounds replica-to-replica calls (default 500ms).
 	CallTimeout time.Duration
 	// IngestBatch caps ops per ingest batch (0 = engine default).
@@ -199,8 +197,6 @@ func ParseConfig(text string) (Config, error) {
 			cfg.DataDir = val
 		case "gossip_every":
 			cfg.GossipEvery, err = time.ParseDuration(val)
-		case "fsync_every":
-			cfg.FsyncEvery, err = time.ParseDuration(val)
 		case "call_timeout":
 			cfg.CallTimeout, err = time.ParseDuration(val)
 		case "ingest_batch":

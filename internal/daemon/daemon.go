@@ -73,9 +73,6 @@ func New(cfg Config) (*Daemon, error) {
 	}
 	if cfg.DataDir != "" {
 		opts = append(opts, core.WithDurability(cfg.DataDir))
-		if cfg.FsyncEvery != 0 {
-			opts = append(opts, core.WithFsyncEvery(cfg.FsyncEvery))
-		}
 		if cfg.SnapshotEvery > 0 {
 			opts = append(opts, core.WithSnapshotEvery(cfg.SnapshotEvery))
 		}

@@ -24,7 +24,6 @@ peer_token: s3cret
 api_token: hunter2
 data_dir: /var/lib/quicksand/n0
 gossip_every: 25ms
-fsync_every: 2ms
 call_timeout: 250ms
 ingest_batch: 64
 snapshot_every: 2048
@@ -38,7 +37,7 @@ snapshot_every: 2048
 	if cfg.Peers[1] != "127.0.0.1:7001" {
 		t.Fatalf("peers misparsed: %v", cfg.Peers)
 	}
-	if cfg.GossipEvery != 25*time.Millisecond || cfg.FsyncEvery != 2*time.Millisecond {
+	if cfg.GossipEvery != 25*time.Millisecond || cfg.CallTimeout != 250*time.Millisecond {
 		t.Fatalf("durations misparsed: %+v", cfg)
 	}
 	if cfg.APIToken != "hunter2" || cfg.PeerToken != "s3cret" {
@@ -224,7 +223,7 @@ func TestDaemonMetricsExposition(t *testing.T) {
 	body := string(buf[:n])
 	for _, want := range []string{
 		"quicksand_submits_accepted_total 1",
-		"# TYPE quicksand_async_submit_seconds summary",
+		"# TYPE quicksand_submit_duration_seconds histogram",
 		"quicksand_journal_fsyncs_total",
 		"quicksand_apologies_total 0",
 		"quicksand_goroutines",

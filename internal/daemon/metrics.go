@@ -73,12 +73,7 @@ func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.gauge("quicksand_ingest_backlog", "Occupied ingest-ring slots across local shards.", float64(depth))
 	p.gauge("quicksand_ingest_capacity", "Total ingest-ring capacity across local shards.", float64(capacity))
 
-	// Legacy p50/p99 summaries, kept for dashboards scripted against the
-	// pre-histogram surface.
-	p.summary("quicksand_async_submit_seconds", "Latency of async (guess) submits.", &m.AsyncLat)
-	p.summary("quicksand_sync_submit_seconds", "Latency of coordinated submits.", &m.SyncLat)
-
-	// Full submit-latency histograms, per shard and path.
+	// Submit-latency histograms, per shard and path.
 	p.family("quicksand_submit_duration_seconds", "histogram", "Submit latency distribution, by shard and path (async = guess, sync = coordinated).")
 	for s := 0; s < shards; s++ {
 		p.histogram("quicksand_submit_duration_seconds", `path="async",`+shardLabel(s), &shardMetrics[s].AsyncLat)
@@ -214,15 +209,6 @@ func (p *promWriter) sample(name, labels string, v float64) {
 		return
 	}
 	fmt.Fprintf(&p.b, "%s{%s} %s\n", name, labels, formatFloat(v))
-}
-
-// summary emits the legacy p50/p99 quantile form.
-func (p *promWriter) summary(name, help string, h *stats.LatHist) {
-	p.family(name, "summary", help)
-	fmt.Fprintf(&p.b, "%s{quantile=\"0.5\"} %s\n", name, formatFloat(h.QuantileDur(0.50).Seconds()))
-	fmt.Fprintf(&p.b, "%s{quantile=\"0.99\"} %s\n", name, formatFloat(h.QuantileDur(0.99).Seconds()))
-	fmt.Fprintf(&p.b, "%s_sum %s\n", name, formatFloat(float64(h.Sum())/1e9))
-	fmt.Fprintf(&p.b, "%s_count %d\n", name, h.Count())
 }
 
 // histLeBoundsNs are the exported histogram bucket bounds: powers of two

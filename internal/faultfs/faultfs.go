@@ -5,11 +5,11 @@
 // *os.File itself satisfies File, so the happy path is plain interface
 // dispatch, no wrapping, no allocation. Injector wraps any FS with a
 // deterministic, seeded fault script: EIO on the k-th write, ENOSPC,
-// short writes, fsyncs that report success while dropping data, and a
-// crash switch that kills every operation after the k-th mutation and
-// then *tears* the files — reverting each one to its last-fsynced
-// content plus a seeded prefix of the unsynced tail, the way a lost
-// page cache does.
+// short writes, slow fsyncs, fsyncs that report success while dropping
+// data, and a crash switch that kills every operation after the k-th
+// mutation and then *tears* the files — reverting each one to its
+// last-fsynced content plus a seeded prefix of the unsynced tail, the
+// way a lost page cache does.
 //
 // Building on Quicksand's §2–3 premise is that the substrate lies, and
 // fault tolerance is only real if it is tested against the lies. The
@@ -49,6 +49,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"time"
 )
 
 // File is the slice of *os.File the store needs. *os.File satisfies it
@@ -166,6 +167,12 @@ type Decision struct {
 	// mirror's durable image does not advance, so the "durable" bytes
 	// still vanish at the next Tear. Meaningful only on OpSync.
 	LieSync bool
+	// Delay makes a sync take this much longer to land — the slow-disk
+	// fault. It is slept off outside the injector's lock, so operations
+	// on other files are not serialized behind it, and before the sync
+	// itself, so a crash mid-delay loses exactly what a crash mid-fsync
+	// would. Meaningful only on OpSync.
+	Delay time.Duration
 }
 
 // Script decides the fate of each mutating operation. It runs under
@@ -545,6 +552,7 @@ func (f *faultFile) Sync() error {
 	if d.Err != nil {
 		return pathErr("sync", f.path, d.Err)
 	}
+	time.Sleep(d.Delay)
 	if d.LieSync {
 		// Report success, honor nothing: the durable image stays where
 		// it was, so these bytes still vanish at the next Tear.

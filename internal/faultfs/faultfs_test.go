@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"syscall"
 	"testing"
+	"time"
 )
 
 func TestPassthroughIsOSFile(t *testing.T) {
@@ -186,5 +187,54 @@ func TestRenameMovesMirror(t *testing.T) {
 	got, err := os.ReadFile(newp)
 	if err != nil || string(got) != "payload" {
 		t.Fatalf("renamed synced file = %q, %v; want full payload", got, err)
+	}
+}
+
+// TestSyncDelayIsSleptOutsideTheLock: a scripted Decision.Delay stretches
+// the sync it lands on, and only that sync — the sleep happens with the
+// injector's lock released, so a write to another file completes while
+// the slow sync is still in flight.
+func TestSyncDelayIsSleptOutsideTheLock(t *testing.T) {
+	const delay = 100 * time.Millisecond
+	dir := t.TempDir()
+	slow, fast := filepath.Join(dir, "slow"), filepath.Join(dir, "fast")
+	admitted := make(chan struct{})
+	inj := New(OS, 1, func(op Op) Decision {
+		if op.Kind == OpSync && op.Path == slow {
+			close(admitted)
+			return Decision{Delay: delay}
+		}
+		return Decision{}
+	})
+	a, err := inj.OpenFile(slow, os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := inj.OpenFile(fast, os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+
+	synced := make(chan time.Duration, 1)
+	go func() {
+		began := time.Now()
+		if err := a.Sync(); err != nil {
+			t.Error(err)
+		}
+		synced <- time.Since(began)
+	}()
+	<-admitted
+	if _, err := b.Write([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-synced:
+		t.Fatal("a write to another file waited out the delayed sync")
+	default:
+	}
+	if took := <-synced; took < delay {
+		t.Fatalf("delayed sync returned after %v, want at least %v", took, delay)
 	}
 }

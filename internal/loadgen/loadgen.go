@@ -24,6 +24,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -206,7 +207,7 @@ func Run(ctx context.Context, tgt Target, spec Spec) (*Report, error) {
 
 	var (
 		cts  counters
-		hist LatHist
+		hist stats.LatHist
 		wg   sync.WaitGroup
 	)
 	runCtx, cancel := context.WithTimeout(ctx, spec.Duration)
@@ -294,7 +295,7 @@ func Run(ctx context.Context, tgt Target, spec Spec) (*Report, error) {
 }
 
 // submitOne offers one op and tallies the outcome.
-func submitOne(ctx context.Context, tgt Target, entry int, op Op, cts *counters, hist *LatHist) {
+func submitOne(ctx context.Context, tgt Target, entry int, op Op, cts *counters, hist *stats.LatHist) {
 	cts.offered.Add(1)
 	t0 := time.Now()
 	out, err := tgt.Submit(ctx, entry, op)
@@ -304,7 +305,7 @@ func submitOne(ctx context.Context, tgt Target, entry int, op Op, cts *counters,
 
 // submitBatch offers a batch through one request and tallies each
 // outcome; the request latency is recorded once (it covers the batch).
-func submitBatch(ctx context.Context, tgt Target, entry int, ops []Op, cts *counters, hist *LatHist) {
+func submitBatch(ctx context.Context, tgt Target, entry int, ops []Op, cts *counters, hist *stats.LatHist) {
 	cts.offered.Add(int64(len(ops)))
 	t0 := time.Now()
 	outs, err := tgt.SubmitBatch(ctx, entry, ops)
@@ -339,7 +340,7 @@ func tally(op Op, out Outcome, err error, cts *counters) {
 // window latency quantiles, cumulative decline count, and the target's
 // current apology total — the live view that makes a chaos run legible
 // while it happens. Returns a stop function.
-func startReporter(out io.Writer, cts *counters, hist *LatHist, tgt Target, start time.Time) func() {
+func startReporter(out io.Writer, cts *counters, hist *stats.LatHist, tgt Target, start time.Time) func() {
 	if out == nil {
 		return func() {}
 	}
@@ -358,34 +359,19 @@ func startReporter(out io.Writer, cts *counters, hist *LatHist, tgt Target, star
 			case <-ticker.C:
 			}
 			snap := hist.Snapshot()
-			window := histDiff(snap, prevSnap)
+			window := stats.HistDiff(snap, prevSnap)
 			prevSnap = snap
 			acc := cts.accepted.Load()
 			accWindow := acc - prevAccepted
 			prevAccepted = acc
 			fmt.Fprintf(out, "[%3ds] %7d ops/s  p50 %-9s p99 %-9s declines %d  errors %d  apologies %d\n",
 				int(time.Since(start).Seconds()), accWindow,
-				durStr(quantileOf(window, 0.50)), durStr(quantileOf(window, 0.99)),
+				stats.Dur(stats.QuantileOf(window, 0.50)), stats.Dur(stats.QuantileOf(window, 0.99)),
 				cts.declined.Load(), cts.errors.Load(), tgt.Apologies())
 		}
 	}()
 	return func() {
 		close(quit)
 		<-done
-	}
-}
-
-// durStr renders a float nanosecond quantity compactly.
-func durStr(ns float64) string {
-	d := time.Duration(ns)
-	switch {
-	case d >= time.Second:
-		return fmt.Sprintf("%.2fs", d.Seconds())
-	case d >= time.Millisecond:
-		return fmt.Sprintf("%.2fms", float64(d)/1e6)
-	case d >= time.Microsecond:
-		return fmt.Sprintf("%.1fµs", float64(d)/1e3)
-	default:
-		return fmt.Sprintf("%dns", d.Nanoseconds())
 	}
 }

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/daemon"
+	"repro/internal/faultfs"
 )
 
 func newTestRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
@@ -223,10 +224,11 @@ func TestLoadgenRaceSoak(t *testing.T) {
 	}
 }
 
-// TestSlowDiskDifferential pins the WithFsyncDelay contract: injected
-// fsync latency changes timing only. A seeded, sequential script run
-// with and without the delay must produce identical per-op outcomes,
-// identical final states, and identical apology ledgers.
+// TestSlowDiskDifferential pins the slow-disk contract: fsync latency
+// injected through the store's filesystem seam changes timing only. A
+// seeded, sequential script run with and without the delay must produce
+// identical per-op outcomes, identical final states, and identical
+// apology ledgers.
 func TestSlowDiskDifferential(t *testing.T) {
 	control := runDiffScript(t, t.TempDir(), 0)
 	slowed := runDiffScript(t, t.TempDir(), time.Millisecond)
@@ -272,7 +274,12 @@ func runDiffScript(t *testing.T, dir string, delay time.Duration) diffResult {
 	t.Helper()
 	opts := []core.Option{core.WithReplicas(3), core.WithDurability(dir)}
 	if delay > 0 {
-		opts = append(opts, core.WithFsyncDelay(delay))
+		opts = append(opts, core.WithStoreFS(faultfs.New(faultfs.OS, 1, func(op faultfs.Op) faultfs.Decision {
+			if op.Kind == faultfs.OpSync {
+				return faultfs.Decision{Delay: delay}
+			}
+			return faultfs.Decision{}
+		})))
 	}
 	tgt := NewAccountsCluster(opts...)
 	defer tgt.Close()

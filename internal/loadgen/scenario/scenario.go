@@ -41,7 +41,7 @@ type Config struct {
 	Replicas    int
 	Shards      int
 	IngestBatch int
-	FsyncDelay  time.Duration // slow-disk injection (durable stacks)
+	FsyncDelay  time.Duration // slow-disk scenario: latency added to every fsync
 	Seed        int64
 	Out         io.Writer // per-second progress stream (nil = silent)
 
@@ -85,7 +85,7 @@ type Scenario struct {
 	Desc  string
 	Stack string // default stack
 	Keys  int    // default key-space size
-	// FsyncDelay is the default slow-disk injection (0 = none).
+	// FsyncDelay is the default Config.FsyncDelay (0 = none).
 	FsyncDelay time.Duration
 	// NeedsDurability rejects volatile stacks (kill/recover, slow disk).
 	NeedsDurability bool
@@ -231,9 +231,6 @@ func buildTarget(cfg Config) (loadgen.ChaosTarget, error) {
 		}
 		if cfg.Stack == StackDurable {
 			opts = append(opts, core.WithDurability(cfg.DataDir))
-			if cfg.FsyncDelay > 0 {
-				opts = append(opts, core.WithFsyncDelay(cfg.FsyncDelay))
-			}
 		}
 		opts = append(opts, cfg.extraOpts...)
 		return loadgen.NewAccountsCluster(opts...), nil

@@ -173,7 +173,7 @@ var PartitionStorm = register(&Scenario{
 	},
 })
 
-// SlowDisk: every journal fsync takes an extra beat. Group commit is
+// SlowDisk: every fsync takes an extra beat. Group commit is
 // supposed to absorb exactly this — more commits board each (slower)
 // bus — so throughput degrades gracefully and nothing else changes.
 // The differential test in the loadgen suite pins the stronger claim
@@ -181,11 +181,14 @@ var PartitionStorm = register(&Scenario{
 // operational one: durable, converged, nothing lost.
 var SlowDisk = register(&Scenario{
 	Name:            "slow-disk",
-	Desc:            "injected fsync latency on every journal flush",
+	Desc:            "injected latency on every fsync",
 	Stack:           StackDurable,
 	Keys:            256,
 	FsyncDelay:      DefaultSlowDiskDelay,
 	NeedsDurability: true,
+	prepare: func(c *Config) {
+		c.extraOpts = []core.Option{core.WithStoreFS(slowSyncFS(c.FsyncDelay))}
+	},
 	run: func(ctx context.Context, cfg Config, tgt loadgen.ChaosTarget) (*loadgen.Report, []loadgen.Check, error) {
 		spec := baseSpec(cfg)
 		rep, err := loadgen.Run(ctx, tgt, spec)
@@ -211,6 +214,16 @@ var SlowDisk = register(&Scenario{
 // DefaultSlowDiskDelay is the fsync latency injected when the config
 // does not choose one.
 const DefaultSlowDiskDelay = 2 * time.Millisecond
+
+// slowSyncFS is the real disk with every fsync stretched by delay.
+func slowSyncFS(delay time.Duration) faultfs.FS {
+	return faultfs.New(faultfs.OS, 1, func(op faultfs.Op) faultfs.Decision {
+		if op.Kind == faultfs.OpSync {
+			return faultfs.Decision{Delay: delay}
+		}
+		return faultfs.Decision{}
+	})
+}
 
 // RollingChurn: kill and recover each replica in sequence while traffic
 // continues — a rolling restart with no drain step. Because "accepted"

@@ -1,4 +1,4 @@
-package loadgen
+package stats
 
 import (
 	"math/rand"
@@ -12,22 +12,22 @@ func TestBucketMapping(t *testing.T) {
 	values := []int64{0, 1, 2, 15, 16, 17, 31, 32, 33, 63, 64, 100, 1000, 12345,
 		1 << 20, (1 << 20) + 7, 1<<40 + 12345, 1<<62 + 999}
 	for _, v := range values {
-		idx := bucketOf(v)
-		lo := bucketValue(idx)
+		idx := BucketOf(v)
+		lo := BucketBound(idx)
 		want := v
 		if want < 1 {
 			want = 1
 		}
 		if lo > want {
-			t.Fatalf("bucketOf(%d)=%d has lower bound %d > value", v, idx, lo)
+			t.Fatalf("BucketOf(%d)=%d has lower bound %d > value", v, idx, lo)
 		}
-		if idx+1 < histBuckets {
-			hi := bucketValue(idx + 1)
+		if idx+1 < HistBuckets {
+			hi := BucketBound(idx + 1)
 			if hi <= want {
-				t.Fatalf("bucketOf(%d)=%d: next bucket starts at %d, value should be below it", v, idx, hi)
+				t.Fatalf("BucketOf(%d)=%d: next bucket starts at %d, value should be below it", v, idx, hi)
 			}
 			// Relative width bound: one sub-bucket is 1/16 of the octave.
-			if want >= histSub*2 && float64(hi-lo) > float64(want)/8 {
+			if want >= HistSub*2 && float64(hi-lo) > float64(want)/8 {
 				t.Fatalf("bucket %d for value %d too wide: [%d,%d)", idx, v, lo, hi)
 			}
 		}
@@ -37,9 +37,9 @@ func TestBucketMapping(t *testing.T) {
 func TestBucketMonotonic(t *testing.T) {
 	prev := -1
 	for v := int64(1); v < 1<<20; v = v*9/8 + 1 {
-		idx := bucketOf(v)
+		idx := BucketOf(v)
 		if idx < prev {
-			t.Fatalf("bucketOf not monotonic at %d: %d < %d", v, idx, prev)
+			t.Fatalf("BucketOf not monotonic at %d: %d < %d", v, idx, prev)
 		}
 		prev = idx
 	}
@@ -78,11 +78,11 @@ func TestSnapshotDiff(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		h.Record(1000)
 	}
-	window := histDiff(h.Snapshot(), snap1)
-	if n := histCount(window); n != 50 {
+	window := HistDiff(h.Snapshot(), snap1)
+	if n := HistCount(window); n != 50 {
 		t.Fatalf("window holds %d samples, want 50", n)
 	}
-	if q := quantileOf(window, 0.5); q < 900 || q > 1100 {
+	if q := QuantileOf(window, 0.5); q < 900 || q > 1100 {
 		t.Fatalf("window p50 = %v, want ≈1000", q)
 	}
 }
@@ -107,7 +107,7 @@ func TestConcurrentRecord(t *testing.T) {
 	if n := h.Count(); n != workers*per {
 		t.Fatalf("count = %d, want %d", n, workers*per)
 	}
-	if n := histCount(h.Snapshot()); n != workers*per {
+	if n := HistCount(h.Snapshot()); n != workers*per {
 		t.Fatalf("bucket sum = %d, want %d", n, workers*per)
 	}
 }

@@ -179,113 +179,6 @@ func (h *Histogram) Merge(o *Histogram) {
 // QuantileDur interprets the q-quantile as nanoseconds.
 func (h *Histogram) QuantileDur(q float64) time.Duration { return time.Duration(h.Quantile(q)) }
 
-// Reservoir is a bounded-memory sample set: uniform reservoir sampling
-// (algorithm R) over an unbounded stream, plus exact count and max.
-// Long-lived recorders — a store's fsync latencies over days of uptime —
-// use it where Histogram's keep-everything policy would leak. Quantiles
-// are approximate (computed over the reservoir), Count and Max exact.
-type Reservoir struct {
-	mu      sync.Mutex
-	size    int
-	samples []float64
-	n       int64 // total observations
-	max     float64
-	rnd     uint64 // xorshift state; deterministic, no clock involved
-}
-
-// NewReservoir returns a reservoir keeping at most size samples
-// (minimum 16).
-func NewReservoir(size int) *Reservoir {
-	if size < 16 {
-		size = 16
-	}
-	return &Reservoir{size: size, rnd: 0x9E3779B97F4A7C15}
-}
-
-// Add records one observation.
-func (r *Reservoir) Add(v float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.n++
-	if v > r.max {
-		r.max = v
-	}
-	if len(r.samples) < r.size {
-		r.samples = append(r.samples, v)
-		return
-	}
-	// xorshift64* — cheap, seedable, and clock-free.
-	x := r.rnd
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	r.rnd = x
-	if idx := x % uint64(r.n); idx < uint64(r.size) {
-		r.samples[idx] = v
-	}
-}
-
-// AddDur records a duration observation in nanoseconds.
-func (r *Reservoir) AddDur(d time.Duration) { r.Add(float64(d)) }
-
-// Count reports the total number of observations (not the reservoir size).
-func (r *Reservoir) Count() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.n
-}
-
-// Max reports the largest observation ever seen.
-func (r *Reservoir) Max() float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.max
-}
-
-// Quantile reports the q-quantile estimated from the retained samples.
-func (r *Reservoir) Quantile(q float64) float64 {
-	r.mu.Lock()
-	samples := append([]float64(nil), r.samples...)
-	r.mu.Unlock()
-	n := len(samples)
-	if n == 0 {
-		return 0
-	}
-	sort.Float64s(samples)
-	if q <= 0 {
-		return samples[0]
-	}
-	if q >= 1 {
-		return samples[n-1]
-	}
-	idx := int(math.Ceil(q*float64(n))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	return samples[idx]
-}
-
-// QuantileDur interprets the q-quantile as nanoseconds.
-func (r *Reservoir) QuantileDur(q float64) time.Duration { return time.Duration(r.Quantile(q)) }
-
-// Samples returns a copy of the retained samples.
-func (r *Reservoir) Samples() []float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]float64(nil), r.samples...)
-}
-
-// Spill folds the retained samples into a Histogram — the join point for
-// aggregating many reservoirs into one distribution.
-func (r *Reservoir) Spill(h *Histogram) {
-	for _, v := range r.Samples() {
-		h.Add(v)
-	}
-}
-
 // Counter is a named monotonically increasing tally, safe for concurrent
 // use.
 type Counter struct {

@@ -12,9 +12,10 @@
 // re-derives the fold checkpoint by replaying — the log *is* the
 // checkpoint. And commits board a shared fsync the way §3.2's riders
 // board a city bus [Group Commit Timers, Helland et al. 1987]: a flush
-// departs on a timer or when full, so N concurrent commits cost far
-// fewer than N disk flushes (internal/wal models the same economics on
-// the simulator; this package pays them against real files).
+// departs after a load-shaped hold or when full, so N concurrent commits
+// cost far fewer than N disk flushes (internal/wal models the same
+// economics on the simulator; this package pays them against real
+// files).
 //
 // # On-disk layout
 //
@@ -27,7 +28,8 @@
 //	delta-0000012400.snap    delta snapshot: entries [parent, 12400) + chain link
 //
 // A segment header is the 6-byte magic "QSEG2\n" plus the segment's
-// start position (uint64 LE); legacy "QSEG1\n" segments are still read.
+// start position (uint64 LE); a pre-salt "QSEG1\n" segment is refused
+// with ErrLegacySegment, never truncated.
 // Every journal record is [uint32 length][uint32 CRC-32C][entry bytes]
 // (little-endian, oplog.AppendEntry payload), with the CRC salted by a
 // seed derived from the segment's start position — see seedFor. Appends
@@ -83,7 +85,7 @@ import (
 
 // Filenames and framing constants.
 const (
-	segMagic   = "QSEG1\n" // legacy journal segment header (records CRC'd with seed 0)
+	segMagicV1 = "QSEG1\n" // pre-salt journal segment header: refused, see ErrLegacySegment
 	segMagicV2 = "QSEG2\n" // salted journal segment header: magic + uint64 LE start position
 	snapMagic  = "QSNP1\n" // full snapshot header
 	deltaMagic = "QSND1\n" // delta snapshot header: adds a parent-position chain link
@@ -101,6 +103,14 @@ const (
 	// has effectively disabled snapshots; the buffer is dropped and the
 	// next cut is forced full rather than holding the memory hostage.
 	maxDeltaPending = 1 << 16
+
+	// The adaptive flush curve (see adaptiveHold). maxWait caps the
+	// coalescing hold regardless of fsync cost; kneeBytes is the load at
+	// which the hold saturates — roughly a hundred typical entries, enough
+	// riders that the fsync is well amortized. At 4× kneeBytes of staged
+	// backlog the flusher departs early.
+	maxWait   = 2 * time.Millisecond
+	kneeBytes = 8 << 10
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -111,8 +121,6 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // is recycled as a new segment, the old life's records (valid CRCs under
 // the old seed) can never verify under the new one. Recovery sees them as
 // a torn tail, exactly like any other stale bytes past the real end.
-// Legacy v1 segments use seed 0; crc32.Update(0, t, p) == crc32.Checksum(p, t),
-// so v1 records keep verifying unchanged.
 func seedFor(start int) uint32 {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], uint64(start))
@@ -124,63 +132,37 @@ func seedFor(start int) uint32 {
 // torn write cannot explain, which recovery must not paper over.
 var ErrCorrupt = errors.New("store: corrupt journal record before the tail")
 
+// ErrLegacySegment reports a journal segment in the pre-salt "QSEG1\n"
+// format, which this store no longer reads. Open fails and leaves the
+// file byte-identical: treating it as a torn header would truncate
+// acknowledged records away.
+var ErrLegacySegment = errors.New("store: QSEG1 journal segment (unsalted record CRCs) is no longer readable")
+
 // Mode selects how commits reach the platter.
 type Mode int
 
 const (
-	// ModeGroup (the default) flushes as soon as the device is free,
-	// coalescing every commit that arrives while a flush is in flight —
-	// no added latency when idle, natural batching under load.
-	ModeGroup Mode = iota
-	// ModeTimer holds the bus for Options.Interval (departing early once
-	// Options.MaxBatch commits are waiting), trading bounded latency for
-	// bigger batches.
-	ModeTimer
+	// ModeAdaptive (the default) is group commit with a load-shaped
+	// coalescing hold: when the staged backlog is shallow the flush departs
+	// immediately (the latency-optimal choice when the disk is keeping up),
+	// and as load grows the flusher holds the bus for up to min(maxWait,
+	// EWMA of recent fsync cost) — so saturated periods buy bigger batches
+	// and fewer fsyncs without taxing the idle path. Under Options.Inline
+	// there is no flusher to hold: each Commit drains at once.
+	ModeAdaptive Mode = iota
 	// ModeEveryOp is the car-per-driver baseline of 1984: one fsync per
 	// staged batch, no coalescing. Kept so benchmarks can measure what
 	// group commit saves.
 	ModeEveryOp
-	// ModeAdaptive is ModeGroup with a load-shaped coalescing hold: when
-	// the staged backlog is shallow the flush departs immediately (the
-	// latency-optimal choice when the disk is keeping up), and as backlog
-	// grows the flusher holds the bus for up to the Options.AdaptiveDeadline
-	// curve's deadline — itself steered by an EWMA of recent fsync cost —
-	// so saturated periods buy bigger batches and fewer fsyncs without
-	// taxing the idle path.
-	ModeAdaptive
 )
-
-// AdaptiveCurve shapes ModeAdaptive's flush deadline. The hold before a
-// flush grows linearly with load, from zero at an empty ring up to
-// min(MaxWait, EWMA of recent fsync cost) at KneeBytes — holding for
-// about one fsync's cost doubles the batch a saturated flusher boards
-// while bounding the added latency to what the disk was already
-// charging. Load is max(staged backlog, EWMA of recent flush sizes):
-// the instantaneous backlog alone is misleading, because the flusher
-// wakes on a burst's first rider, before the rest have staged.
-type AdaptiveCurve struct {
-	// MaxWait caps the coalescing hold regardless of fsync cost
-	// (default 2ms).
-	MaxWait time.Duration
-	// KneeBytes is the load at which the hold saturates (default
-	// 8 KiB — roughly a hundred typical entries, enough riders that the
-	// fsync is well amortized). At 4× this staged backlog the flusher
-	// departs early.
-	KneeBytes int
-}
 
 // Options tunes a Store. The zero value selects the defaults.
 type Options struct {
 	// SegmentBytes rotates the active journal segment once it exceeds
 	// this size (default 4 MiB).
 	SegmentBytes int
-	// Mode picks the commit economics (default ModeGroup).
+	// Mode picks the commit economics (default ModeAdaptive).
 	Mode Mode
-	// Interval is ModeTimer's departure timer (default 2ms).
-	Interval time.Duration
-	// MaxBatch departs a ModeTimer flush early once this many staged
-	// batches are waiting (default 512).
-	MaxBatch int
 	// KeepSnapshots bounds how many snapshot files survive pruning
 	// (default 2; the newest is recovery's source, the runner-up is
 	// insurance against a torn newest).
@@ -191,15 +173,6 @@ type Options struct {
 	// economics disappear (each Commit pays its own fsync); correctness
 	// is identical.
 	Inline bool
-	// FsyncDelay injects extra latency before every journal fsync — the
-	// slow-disk fault. It stretches commit timing (more commits board
-	// each flush, acks arrive later) but must never change outcomes:
-	// the slow-disk differential suite pins accepted ops, final states,
-	// and apology ledgers equal to an undelayed run of the same script.
-	FsyncDelay time.Duration
-	// AdaptiveDeadline shapes ModeAdaptive's coalescing hold; zero fields
-	// take the curve's defaults. Ignored by the other modes.
-	AdaptiveDeadline AdaptiveCurve
 	// Preallocate reserves each journal segment's full SegmentBytes when
 	// the segment is created and recycles retired segments through a free
 	// pool instead of deleting them, so steady-state appends never pay
@@ -218,8 +191,8 @@ type Options struct {
 	SnapshotChain int
 	// FS is the filesystem seam every disk operation goes through
 	// (default faultfs.OS, the passthrough). Fault-injection tests hand
-	// in a faultfs.Injector to script EIO/ENOSPC/short writes/lying
-	// fsyncs and to enumerate crash points deterministically.
+	// in a faultfs.Injector to script EIO/ENOSPC/short writes/lying or
+	// slow fsyncs and to enumerate crash points deterministically.
 	FS faultfs.FS
 }
 
@@ -227,20 +200,8 @@ func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 4 << 20
 	}
-	if o.Interval <= 0 {
-		o.Interval = 2 * time.Millisecond
-	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 512
-	}
 	if o.KeepSnapshots <= 0 {
 		o.KeepSnapshots = 2
-	}
-	if o.AdaptiveDeadline.MaxWait <= 0 {
-		o.AdaptiveDeadline.MaxWait = 2 * time.Millisecond
-	}
-	if o.AdaptiveDeadline.KneeBytes <= 0 {
-		o.AdaptiveDeadline.KneeBytes = 8 << 10
 	}
 	if o.FS == nil {
 		o.FS = faultfs.OS
@@ -286,11 +247,11 @@ type Recovery struct {
 }
 
 // chunk is one Stage call's worth of staged entries; ModeEveryOp fsyncs
-// chunk-at-a-time, the group modes drain every chunk into one flush.
+// chunk-at-a-time, ModeAdaptive drains every chunk into one flush.
 type chunk struct {
 	entries []oplog.Entry
 	end     int // position just past the last entry
-	bytes   int // framed size on disk (tracked only in ModeAdaptive)
+	bytes   int // framed size on disk
 }
 
 type waiter struct {
@@ -316,7 +277,7 @@ type Store struct {
 
 	mu           sync.Mutex
 	pending      []chunk
-	pendingBytes int // framed bytes staged but not flushed (ModeAdaptive)
+	pendingBytes int // framed bytes staged but not flushed
 	waiters      []waiter
 	end          int // next position to assign
 	flushed      int // positions below this are fsynced
@@ -349,7 +310,7 @@ type Store struct {
 	scratch  []byte
 
 	kick     chan struct{} // wake the flusher (buffered, coalescing)
-	full     chan struct{} // ModeTimer/ModeAdaptive early departure
+	full     chan struct{} // early departure: 4× kneeBytes staged
 	quit     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
@@ -362,16 +323,13 @@ type Store struct {
 	deltaSnaps atomic.Int64
 	recycled   atomic.Int64
 	maxStall   atomic.Int64 // longest single flush (write+fsync), ns
-	ewmaFsync  atomic.Int64 // EWMA of recent fsync cost, ns (steers ModeAdaptive's knee)
-	ewmaTook   atomic.Int64 // EWMA of framed bytes per flush (ModeAdaptive's load signal)
+	ewmaFsync  atomic.Int64 // EWMA of recent fsync cost, ns (the adaptive hold's ceiling)
+	ewmaTook   atomic.Int64 // EWMA of framed bytes per flush (the adaptive hold's load signal)
 	tornBytes  int64
 
-	fsyncLat *stats.Reservoir // fsync durations, ns (bounded sample, bench tables)
-	snapLat  *stats.Reservoir // snapshot-cut durations, ns
-
-	// Full log-bucketed distributions of the same events, for the
-	// daemon's Prometheus histogram series. Fixed memory, so a
-	// long-lived store records every fsync instead of a sample.
+	// Log-bucketed distributions of every journal fsync and snapshot cut
+	// (serialize + write + fsync + rename, full and delta alike). Fixed
+	// memory, so a long-lived store records every event, not a sample.
 	fsyncHist stats.LatHist
 	snapHist  stats.LatHist
 }
@@ -386,14 +344,12 @@ func Open(dir string, opt Options) (*Store, Recovery, error) {
 		return nil, Recovery{}, err
 	}
 	s := &Store{
-		dir:      dir,
-		opt:      opt,
-		fs:       opt.FS,
-		kick:     make(chan struct{}, 1),
-		full:     make(chan struct{}, 1),
-		quit:     make(chan struct{}),
-		fsyncLat: stats.NewReservoir(4096),
-		snapLat:  stats.NewReservoir(1024),
+		dir:  dir,
+		opt:  opt,
+		fs:   opt.FS,
+		kick: make(chan struct{}, 1),
+		full: make(chan struct{}, 1),
+		quit: make(chan struct{}),
 	}
 	rec, err := s.replay()
 	if err != nil {
@@ -474,17 +430,10 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// FsyncLatency exposes the sampled distribution of journal fsync costs.
-func (s *Store) FsyncLatency() *stats.Reservoir { return s.fsyncLat }
-
-// SnapshotCutLatency exposes the sampled distribution of snapshot-cut
-// durations (serialize + write + fsync + rename), full and delta alike.
-func (s *Store) SnapshotCutLatency() *stats.Reservoir { return s.snapLat }
-
-// FsyncHist exposes the full log-bucketed fsync-cost histogram.
+// FsyncHist exposes the log-bucketed journal fsync-cost histogram.
 func (s *Store) FsyncHist() *stats.LatHist { return &s.fsyncHist }
 
-// SnapshotCutHist exposes the full log-bucketed snapshot-cut histogram.
+// SnapshotCutHist exposes the log-bucketed snapshot-cut histogram.
 func (s *Store) SnapshotCutHist() *stats.LatHist { return &s.snapHist }
 
 // NextSnapshotIsFull reports whether the next WriteSnapshot cut must
@@ -517,10 +466,8 @@ func (s *Store) nextFullLocked() bool {
 // process is gone; there is nowhere for the bytes to go).
 func (s *Store) Stage(entries []oplog.Entry) int {
 	var bytes int
-	if s.opt.Mode == ModeAdaptive {
-		for _, e := range entries {
-			bytes += recHdrLen + oplog.EntrySize(e)
-		}
+	for _, e := range entries {
+		bytes += recHdrLen + oplog.EntrySize(e)
 	}
 	s.mu.Lock()
 	if s.closed || len(entries) == 0 {
@@ -541,8 +488,7 @@ func (s *Store) Stage(entries []oplog.Entry) int {
 	end := s.end
 	s.pending = append(s.pending, chunk{entries: entries, end: end, bytes: bytes})
 	s.pendingBytes += bytes
-	batchFull := s.opt.Mode == ModeTimer && len(s.pending) >= s.opt.MaxBatch ||
-		s.opt.Mode == ModeAdaptive && s.pendingBytes >= 4*s.opt.AdaptiveDeadline.KneeBytes
+	batchFull := s.pendingBytes >= 4*kneeBytes
 	s.mu.Unlock()
 	s.appended.Add(int64(len(entries)))
 	if batchFull {
@@ -730,11 +676,10 @@ func signal(ch chan struct{}) {
 	}
 }
 
-// flushLoop is the city bus: it departs when kicked (ModeGroup: at
-// once; ModeTimer: after the interval or a full batch), flushes
-// everything aboard with one fsync, fires the satisfied commit waiters,
-// and compacts any segment the snapshot and ack watermarks have both
-// passed.
+// flushLoop is the city bus: kicked, it waits out the adaptive hold (or
+// departs early on a full backlog), flushes everything aboard with one
+// fsync, fires the satisfied commit waiters, and compacts any segment
+// the snapshot and ack watermarks have both passed.
 func (s *Store) flushLoop() {
 	defer s.wg.Done()
 	for {
@@ -743,14 +688,16 @@ func (s *Store) flushLoop() {
 			return
 		case <-s.kick:
 		}
-		hold := time.Duration(0)
-		switch s.opt.Mode {
-		case ModeTimer:
-			hold = s.opt.Interval
-		case ModeAdaptive:
-			hold = s.adaptiveHold()
+		// An early-departure token left by a burst that boarded while the
+		// previous flush was already under way is spent: the drain loop
+		// took those riders without a hold. Discard it before reading the
+		// backlog — a bus that is full now zeroes the hold by itself, and
+		// one that fills during the hold deposits a fresh token.
+		select {
+		case <-s.full:
+		default:
 		}
-		if hold > 0 {
+		if hold := s.adaptiveHold(); hold > 0 {
 			timer := time.NewTimer(hold)
 			select {
 			case <-timer.C:
@@ -766,41 +713,44 @@ func (s *Store) flushLoop() {
 	}
 }
 
-// adaptiveHold maps the store's load onto the AdaptiveDeadline curve:
-// zero when the ring is shallow (flush now — nothing worth waiting for),
-// rising linearly to min(MaxWait, fsync-cost EWMA) at KneeBytes. Load is
-// max(staged backlog, EWMA of recent flush size): the flusher usually
-// wakes on the FIRST rider of a burst, when the instantaneous backlog
-// still looks shallow, so the recent-flush EWMA is what keeps the bus at
-// the stop while the rest of a sustained stream boards. Until the first
-// fsync lands there is no cost estimate and no hold.
+// adaptiveHold maps the store's load onto the coalescing-hold curve:
+// zero when nothing is staged (and in ModeEveryOp, which never waits for
+// company), rising linearly to min(maxWait, fsync-cost EWMA) at
+// kneeBytes — holding for about one fsync's cost doubles the batch a
+// saturated flusher boards while bounding the added latency to what the
+// disk was already charging — and zero again once 4× kneeBytes are
+// staged: the bus is full. Load is max(staged backlog, EWMA of recent
+// flush size): the flusher usually wakes on the FIRST rider of a burst,
+// when the instantaneous backlog still looks shallow, so the
+// recent-flush EWMA is what keeps the bus at the stop while the rest of
+// a sustained stream boards. Until the first fsync lands there is no
+// cost estimate and no hold.
 func (s *Store) adaptiveHold() time.Duration {
 	s.mu.Lock()
 	backlog := s.pendingBytes
 	s.mu.Unlock()
-	if backlog == 0 {
+	if backlog == 0 || backlog >= 4*kneeBytes || s.opt.Mode == ModeEveryOp {
 		return 0
 	}
 	ceil := time.Duration(s.ewmaFsync.Load())
 	if ceil <= 0 {
 		return 0
 	}
-	if max := s.opt.AdaptiveDeadline.MaxWait; ceil > max {
-		ceil = max
+	if ceil > maxWait {
+		ceil = maxWait
 	}
 	load := int64(backlog)
 	if recent := s.ewmaTook.Load(); recent > load {
 		load = recent
 	}
-	knee := int64(s.opt.AdaptiveDeadline.KneeBytes)
-	if load >= knee {
+	if load >= kneeBytes {
 		return ceil
 	}
-	return ceil * time.Duration(load) / time.Duration(knee)
+	return ceil * time.Duration(load) / kneeBytes
 }
 
 // drain flushes staged chunks until none remain: one fsync for the lot
-// in the group modes, one fsync per chunk in ModeEveryOp.
+// in ModeAdaptive, one fsync per chunk in ModeEveryOp.
 func (s *Store) drain() {
 	for {
 		limit := -1
@@ -960,8 +910,8 @@ func (s *Store) writeChunks(chunks []chunk) error {
 // after a reserved header, then the header is filled in — no intermediate
 // per-entry allocation, so a reused scratch buffer makes the whole flush
 // path allocation-free at steady state. The CRC is salted with the
-// segment's seed (0 for snapshots and legacy segments; crc32.Update with
-// seed 0 equals plain crc32.Checksum).
+// segment's seed (0 for snapshot records; crc32.Update with seed 0
+// equals plain crc32.Checksum).
 func appendRecord(buf []byte, e oplog.Entry, seed uint32) []byte {
 	hdr := len(buf)
 	buf = append(buf, make([]byte, recHdrLen)...) // header placeholder, backfilled below
@@ -974,21 +924,14 @@ func appendRecord(buf []byte, e oplog.Entry, seed uint32) []byte {
 
 func (s *Store) syncSeg() error {
 	start := time.Now()
-	if d := s.opt.FsyncDelay; d > 0 {
-		// The slow-disk fault: the flush takes this much longer to land.
-		// Sleeping before Sync keeps the failure semantics identical — a
-		// crash mid-delay loses exactly what a crash mid-fsync would.
-		time.Sleep(d)
-	}
 	if err := s.seg.Sync(); err != nil {
 		return err
 	}
 	cost := time.Since(start)
 	s.fsyncs.Add(1)
-	s.fsyncLat.AddDur(cost)
 	s.fsyncHist.AddDur(cost)
-	// EWMA (α = 1/8) of fsync cost: ModeAdaptive's estimate of what one
-	// more flush would charge, i.e. what a coalescing hold is worth.
+	// EWMA (α = 1/8) of fsync cost: the adaptive hold's estimate of what
+	// one more flush would charge, i.e. what coalescing is worth.
 	old := s.ewmaFsync.Load()
 	if old == 0 {
 		s.ewmaFsync.Store(int64(cost))
@@ -998,9 +941,8 @@ func (s *Store) syncSeg() error {
 	return nil
 }
 
-// openSegLocked opens (or creates) the active segment for appending,
-// detecting the header version to pick the record-CRC seed. Caller holds
-// flushMu.
+// openSegLocked opens (or creates) the active segment for appending.
+// Caller holds flushMu.
 func (s *Store) openSegLocked() error {
 	s.mu.Lock()
 	if len(s.segs) == 0 {
@@ -1020,14 +962,10 @@ func (s *Store) openSegLocked() error {
 		return err
 	}
 	size := info.Size()
-	seed := seedFor(active.start)
-	switch {
-	case size >= int64(segHdrV2) && magicAt(f, segMagicV2):
-		// Salted segment resumed; replay already trimmed it to its data.
-	case size >= int64(len(segMagic)) && magicAt(f, segMagic):
-		seed = 0 // legacy segment: records carry unsalted CRCs
-	default:
-		// Fresh segment (or a header torn by a crash at creation): start it over.
+	if size < int64(segHdrV2) || !magicAt(f, segMagicV2) {
+		// Fresh segment (or a header torn by a crash at creation): start it
+		// over. Otherwise a segment is being resumed, and replay — which
+		// has already refused any QSEG1 file — trimmed it to its data.
 		if err := f.Truncate(0); err != nil {
 			f.Close()
 			return err
@@ -1051,7 +989,7 @@ func (s *Store) openSegLocked() error {
 	}
 	s.seg = f
 	s.segBytes = size
-	s.segSeed = seed
+	s.segSeed = seedFor(active.start)
 	return nil
 }
 
@@ -1263,9 +1201,7 @@ func (s *Store) writeSnapshot(entries []oplog.Entry, pos int, mark oplog.Waterma
 	}
 	s.syncDir()
 	s.snapshots.Add(1)
-	cut := time.Since(began)
-	s.snapLat.AddDur(cut)
-	s.snapHist.AddDur(cut)
+	s.snapHist.AddDur(time.Since(began))
 
 	s.mu.Lock()
 	if pos > s.snapPos {
@@ -1366,9 +1302,7 @@ func (s *Store) writeDelta(pos int, mark oplog.Watermark) {
 	s.syncDir()
 	s.snapshots.Add(1)
 	s.deltaSnaps.Add(1)
-	cut := time.Since(began)
-	s.snapLat.AddDur(cut)
-	s.snapHist.AddDur(cut)
+	s.snapHist.AddDur(time.Since(began))
 
 	s.mu.Lock()
 	if pos > s.snapPos {
@@ -1633,13 +1567,12 @@ func (s *Store) scanSegment(path string, start int, final bool) (entries []oplog
 	if err != nil {
 		return nil, 0, err
 	}
-	var off int
-	var seed uint32
 	switch {
 	case len(data) >= segHdrV2 && string(data[:len(segMagicV2)]) == segMagicV2:
-		off, seed = segHdrV2, seedFor(start)
-	case len(data) >= len(segMagic) && string(data[:len(segMagic)]) == segMagic:
-		off = len(segMagic) // legacy segment: seed 0
+	case len(data) >= len(segMagicV1) && string(data[:len(segMagicV1)]) == segMagicV1:
+		// Not a torn header: falling through to the truncation below would
+		// destroy a journal an older build acknowledged.
+		return nil, 0, fmt.Errorf("store: %s: %w", filepath.Base(path), ErrLegacySegment)
 	default:
 		if final {
 			// A crash before the header finished; openSegLocked rewrites it.
@@ -1647,6 +1580,7 @@ func (s *Store) scanSegment(path string, start int, final bool) (entries []oplog
 		}
 		return nil, 0, fmt.Errorf("store: %s: %w", filepath.Base(path), ErrCorrupt)
 	}
+	off, seed := segHdrV2, seedFor(start)
 	for off < len(data) {
 		rest := data[off:]
 		ok, size, e := parseRecord(rest, seed)

@@ -1,14 +1,16 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
-	"time"
 
+	"repro/internal/faultfs"
 	"repro/internal/oplog"
 	"repro/internal/sim"
 	"repro/internal/uniq"
@@ -86,9 +88,10 @@ func TestCrashDropsVolatileTailOnly(t *testing.T) {
 }
 
 func TestCrashFailsPendingCommits(t *testing.T) {
-	// An hour-long departure timer: the flush can never happen in-test,
-	// so the commit's only way out is the crash failing it.
-	s, _ := mustOpen(t, t.TempDir(), Options{Mode: ModeTimer, Interval: time.Hour})
+	// The journal fsync is held at the device until the crash is under
+	// way, so the commit's only way out is the crash failing it.
+	var s *Store
+	s, _ = mustOpen(t, t.TempDir(), Options{FS: gateFS{faultfs.OS, func() { <-s.quit }}})
 	end := s.Stage([]oplog.Entry{entry(0)})
 	got := make(chan bool, 1)
 	s.Commit(end, func(ok bool) { got <- ok })
@@ -383,7 +386,7 @@ func TestSnapshotOutrunningJournalRejected(t *testing.T) {
 }
 
 func TestGroupCommitCoalesces(t *testing.T) {
-	s, _ := mustOpen(t, t.TempDir(), Options{}) // ModeGroup, background flusher
+	s, _ := mustOpen(t, t.TempDir(), Options{}) // the zero value: adaptive, background flusher
 	const n = 400
 	var wg sync.WaitGroup
 	var mu sync.Mutex
@@ -408,6 +411,14 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	if st.Fsyncs >= n/10 {
 		t.Fatalf("group commit did not amortize: %d fsyncs for %d commits", st.Fsyncs, n)
 	}
+	// The zero-value policy is the adaptive one: it has learned an fsync
+	// cost to steer by, and with nothing staged it holds nobody.
+	if s.opt.Mode != ModeAdaptive || s.ewmaFsync.Load() <= 0 {
+		t.Fatalf("zero-value Options did not run the adaptive policy: mode %d, fsync EWMA %d", s.opt.Mode, s.ewmaFsync.Load())
+	}
+	if hold := s.adaptiveHold(); hold != 0 {
+		t.Fatalf("idle store holds flushes for %v", hold)
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -429,6 +440,61 @@ func TestEveryOpModePaysPerCommit(t *testing.T) {
 		t.Fatalf("every-op mode must fsync per commit: %d fsyncs for %d commits", st.Fsyncs, n)
 	}
 	s.Close()
+}
+
+// TestLegacySegmentRefusedUntouched: a QSEG1 segment — final or sealed —
+// fails Open with ErrLegacySegment and keeps every byte. The final
+// position is the dangerous one: an unrecognized header there reads as a
+// torn creation and is truncated to nothing.
+func TestLegacySegmentRefusedUntouched(t *testing.T) {
+	opt := inlineOpts()
+	opt.SegmentBytes = 128
+	for _, pos := range []string{"final", "sealed"} {
+		t.Run(pos, func(t *testing.T) {
+			dir := t.TempDir()
+			s, _ := mustOpen(t, dir, opt)
+			for i := 0; i < 20; i++ {
+				commitAll(t, s, []oplog.Entry{entry(i)})
+			}
+			s.Close()
+			segs, _ := filepath.Glob(filepath.Join(dir, "journal-*.seg"))
+			if len(segs) < 2 {
+				t.Fatalf("need ≥2 segments, got %d", len(segs))
+			}
+			path := segs[0]
+			if pos == "final" {
+				path = segs[len(segs)-1]
+			}
+			// A v1 file: the old magic, then unsalted records.
+			legacy := []byte(segMagicV1)
+			for i := 0; i < 3; i++ {
+				legacy = appendRecord(legacy, entry(i), 0)
+			}
+			if err := os.WriteFile(path, legacy, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := Open(dir, opt); !errors.Is(err, ErrLegacySegment) {
+				t.Fatalf("Open on a QSEG1 %s segment: want ErrLegacySegment, got %v", pos, err)
+			}
+			if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, legacy) {
+				t.Fatalf("refused segment was modified: %d bytes before, %d after (err %v)", len(legacy), len(after), err)
+			}
+		})
+	}
+}
+
+// TestOptionsFieldsPinned makes the next store knob a conscious diff:
+// every field here multiplies the configurations the suites must cover.
+func TestOptionsFieldsPinned(t *testing.T) {
+	want := []string{"SegmentBytes", "Mode", "KeepSnapshots", "Inline", "Preallocate", "SnapshotChain", "FS"}
+	typ := reflect.TypeOf(Options{})
+	var got []string
+	for i := 0; i < typ.NumField(); i++ {
+		got = append(got, typ.Field(i).Name)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("store.Options fields changed:\n got %v\nwant %v", got, want)
+	}
 }
 
 func fileSize(t *testing.T, path string) int64 {

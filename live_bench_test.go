@@ -214,7 +214,7 @@ func BenchmarkLiveDurable(b *testing.B) {
 			return []quicksand.Option{quicksand.WithDurability(b.TempDir()), quicksand.WithIngestBatch(256)}
 		}},
 		{"fsync-per-op", func(b *testing.B) []quicksand.Option {
-			return []quicksand.Option{quicksand.WithDurability(b.TempDir()), quicksand.WithFsyncEvery(-1)}
+			return []quicksand.Option{quicksand.WithDurability(b.TempDir()), quicksand.WithFsyncPerOp()}
 		}},
 	}
 	for _, arm := range arms {
