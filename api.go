@@ -206,22 +206,6 @@ func WithDurability(dir string) Option { return core.WithDurability(dir) }
 // car-per-driver baseline kept for measuring what group commit saves.
 func WithFsyncPerOp() Option { return core.WithFsyncPerOp() }
 
-// WithIngestBatch routes asynchronous submits through a per-replica
-// single-writer ingest pipeline draining a bounded ring in batches of at
-// most n: the replica lock is taken once per batch, admission and fold
-// steps run across the whole batch, accepted entries reach the journal
-// and the durable store in one vectorized append (one flush covers the
-// batch), and all results resolve in one commit fan-out — group-commit
-// economics applied to the lock and the fold, not just the fsync.
-// Results are observationally identical to the per-op default: same
-// acceptances, declines, apologies, and final states. n < 1 (the
-// default) keeps the direct per-op path; on the simulator the ring is
-// drained inline so runs stay deterministic. Policy-coordinated (Sync)
-// submits ride the same queue — initiated in arrival order, so they
-// never overtake an earlier guess on their key — and a full ring
-// briefly blocks submitters (backpressure) until the writer drains.
-func WithIngestBatch(n int) Option { return core.WithIngestBatch(n) }
-
 // WithSnapshotEvery sets how many journaled operations separate durable
 // snapshots (default 4096) — the ledger prefix serialized at a
 // fold-checkpoint boundary, which bounds recovery replay and lets

@@ -1,9 +1,7 @@
 package main
 
 // The -live mode: wall-clock throughput of the ACID 2.0 engine on the
-// goroutine transport, swept across shard counts and across the two
-// ingest paths (per-op dispatch and the batched single-writer pipeline).
-// Unlike the experiment tables, these numbers are NOT deterministic —
+// goroutine transport, swept across shard counts. Unlike the experiment tables, these numbers are NOT deterministic —
 // they measure this machine, not the protocol. With -json FILE every row
 // is also recorded machine-readably.
 
@@ -46,7 +44,7 @@ func runLiveBench(duration time.Duration, maxShards int, report *benchReport) {
 	fmt.Println("\nLIVE: engine throughput on the goroutine transport (wall clock, this machine, not deterministic)")
 	tab := stats.NewTable(
 		fmt.Sprintf("live — rule-checked submits for %v per row, %d workers, 3 replicas/shard, gossip every 1ms", duration, workers),
-		"Every worker loops Submit(ctx, ...) at replica index 0 over 256 keys: unsharded, one replica mutex serializes them all; sharded, each shard's group folds and gossips only its own keys. The ingest=256 rows route the same stream through the batched single-writer pipeline (WithIngestBatch). The 1→N curve is the scaling sharding buys on this machine.",
+		"Every worker loops Submit(ctx, ...) at replica index 0 over 256 keys: unsharded, one replica mutex serializes them all; sharded, each shard's group folds and gossips only its own keys. The 1→N curve is the scaling sharding buys on this machine.",
 		"arm", "accepted", "ops/sec", "allocs/op", "submit p50", "submit p99", "converged after quiesce")
 	keys := make([]string, 256)
 	for i := range keys {
@@ -61,16 +59,10 @@ func runLiveBench(duration time.Duration, maxShards int, report *benchReport) {
 		label string
 		opts  []quicksand.Option
 	}
-	arms := make([]liveArm, 0, len(counts)+2)
+	arms := make([]liveArm, 0, len(counts))
 	for _, shards := range counts {
 		arms = append(arms, liveArm{fmt.Sprintf("shards=%d", shards),
 			[]quicksand.Option{quicksand.WithShards(shards)}})
-	}
-	// The pipeline arms: same workload, batched single-writer ingest.
-	arms = append(arms, liveArm{"shards=1 ingest=256", []quicksand.Option{quicksand.WithIngestBatch(256)}})
-	if maxShards > 1 {
-		arms = append(arms, liveArm{fmt.Sprintf("shards=%d ingest=256", maxShards),
-			[]quicksand.Option{quicksand.WithShards(maxShards), quicksand.WithIngestBatch(256)}})
 	}
 	for _, arm := range arms {
 		c := quicksand.New[int64](liveApp{}, []quicksand.Rule[int64]{admitAll()},
@@ -167,7 +159,7 @@ func runLiveDurableBench(duration time.Duration, dir string, report *benchReport
 	fmt.Println("\nLIVE DURABLE: fsync cost and group-commit amortization (wall clock, this machine)")
 	tab := stats.NewTable(
 		fmt.Sprintf("live durable — rule-checked submits for %v per row, %d workers, 3 replicas, gossip every 1ms, stores under %s", duration, workers, dir),
-		"volatile keeps everything in RAM; group-commit fsyncs every accepted op but lets in-flight submits share flushes (§3.2's city bus, adaptive departure); the batch row ingests through SubmitBatch, where a whole batch boards one flush; the ingest rows add the single-writer pipeline, so the replica lock and journal append amortize too — the shards=4 ingest row runs one journal + flush loop per shard in parallel; fsync-per-op pays one flush per op — the car-per-driver baseline group commit was invented to beat. Accepted results are never acknowledged before they are durable in any disk mode. The last three columns are the flush-stall telemetry: what one fsync cost at the median and the tail, and the worst single stall the journal writer took.",
+		"volatile keeps everything in RAM; group-commit fsyncs every accepted op but lets in-flight submits share flushes (§3.2's city bus, adaptive departure); the batch row ingests through SubmitBatch, where a whole batch boards one flush and one replica-lock acquisition; fsync-per-op pays one flush per op — the car-per-driver baseline group commit was invented to beat. Accepted results are never acknowledged before they are durable in any disk mode. The last three columns are the flush-stall telemetry: what one fsync cost at the median and the tail, and the worst single stall the journal writer took.",
 		"mode", "accepted", "ops/sec", "allocs/op", "submit p50", "submit p99", "converged after quiesce", "fsyncs", "ops/fsync", "fsync p50", "fsync p99", "max stall")
 	keys := make([]string, 256)
 	for i := range keys {
@@ -181,23 +173,10 @@ func runLiveDurableBench(duration time.Duration, dir string, report *benchReport
 		{"volatile", 0, nil},
 		{"group-commit", 0, []quicksand.Option{quicksand.WithDurability(filepath.Join(dir, "group"))}},
 		{"group-commit batch=256", 256, []quicksand.Option{quicksand.WithDurability(filepath.Join(dir, "group-batch"))}},
-		{"group-commit ingest=256", 256, []quicksand.Option{
-			quicksand.WithDurability(filepath.Join(dir, "group-ingest")), quicksand.WithIngestBatch(256)}},
-		// The tail-latency acceptance arm: four parallel per-shard journals,
-		// adaptive flush deadlines, delta snapshots, recycled segments. The
-		// submit-side batch is deliberately small (32, not 256): p99 here is
-		// bounded below by Little's law — in-flight ops / throughput — so a
-		// row that queues 2048 ops can never show a low tail no matter how
-		// fast the store is. 256 in flight keeps the pipeline's coalescing
-		// window full (it batches across workers up to the ingest cap) while
-		// leaving the tail to measure the journal, not the queue.
-		{"group-commit ingest=256 shards=4", 32, []quicksand.Option{
-			quicksand.WithDurability(filepath.Join(dir, "group-ingest-4")),
-			quicksand.WithIngestBatch(256), quicksand.WithShards(4)}},
 		{"fsync-per-op", 0, []quicksand.Option{quicksand.WithDurability(filepath.Join(dir, "everyop")), quicksand.WithFsyncPerOp()}},
 	}
 	for _, m := range modes {
-		for _, sub := range []string{"group", "group-batch", "group-ingest", "group-ingest-4", "everyop"} {
+		for _, sub := range []string{"group", "group-batch", "everyop"} {
 			os.RemoveAll(filepath.Join(dir, sub))
 		}
 		c := quicksand.New[int64](liveApp{}, []quicksand.Rule[int64]{admitAll()},

@@ -33,7 +33,7 @@ func main() {
 	var (
 		list     = flag.Bool("list", false, "list named scenarios and exit")
 		scen     = flag.String("scenario", "", "run a named scenario (see -list)")
-		matrix   = flag.Bool("matrix", false, "run the GOMAXPROCS × shards × ingest bench matrix")
+		matrix   = flag.Bool("matrix", false, "run the GOMAXPROCS × shards bench matrix")
 		stack    = flag.String("stack", "", "target stack: live, durable, or net (scenario default otherwise)")
 		addrs    = flag.String("addrs", "", "comma-separated daemon HTTP addresses (external net stack)")
 		token    = flag.String("token", "", "API bearer token for -addrs daemons")
@@ -50,7 +50,6 @@ func main() {
 		batch    = flag.Int("batch", 0, "ops per submit request (<=1 = one at a time)")
 		replicas = flag.Int("replicas", 3, "replicas per shard")
 		shards   = flag.Int("shards", 1, "shard count")
-		ingest   = flag.Int("ingest", 0, "ingest pipeline batch cap (0 = per-op path)")
 		seed     = flag.Int64("seed", 1, "workload seed")
 		jsonPath = flag.String("json", "BENCH_scenarios.json", "result JSON path (empty = don't write)")
 		quiet    = flag.Bool("q", false, "suppress the per-second stream")
@@ -83,16 +82,15 @@ func main() {
 			fatal(err)
 		}
 		cfg := scenario.Config{
-			Stack:       *stack,
-			DataDir:     *dataDir,
-			Duration:    *duration,
-			Workers:     *workers,
-			Rate:        *rate,
-			Keys:        *keys,
-			Replicas:    *replicas,
-			Shards:      *shards,
-			IngestBatch: *ingest,
-			Seed:        *seed,
+			Stack:    *stack,
+			DataDir:  *dataDir,
+			Duration: *duration,
+			Workers:  *workers,
+			Rate:     *rate,
+			Keys:     *keys,
+			Replicas: *replicas,
+			Shards:   *shards,
+			Seed:     *seed,
 		}
 		if out != nil {
 			cfg.Out = out
@@ -119,7 +117,7 @@ func main() {
 				HotFrac: *hotFrac, DepositFrac: *deposit, SyncFrac: *syncFrac,
 				Batch: *batch, Seed: *seed,
 			},
-			replicas: *replicas, shards: *shards, ingest: *ingest,
+			replicas: *replicas, shards: *shards,
 			jsonPath: *jsonPath, out: out,
 		}); err != nil {
 			fatal(err)
@@ -135,7 +133,6 @@ type rawConfig struct {
 	spec     loadgen.Spec
 	replicas int
 	shards   int
-	ingest   int
 	jsonPath string
 	out      *os.File
 }
@@ -165,7 +162,7 @@ func runRaw(ctx context.Context, rc rawConfig) error {
 		}
 		tgt = loadgen.WrapClients(clients...)
 	} else {
-		tgt, cleanup, err = buildStack(rc.stack, rc.dataDir, rc.replicas, rc.shards, rc.ingest)
+		tgt, cleanup, err = buildStack(rc.stack, rc.dataDir, rc.replicas, rc.shards)
 		if err != nil {
 			return err
 		}
@@ -196,7 +193,6 @@ func runRaw(ctx context.Context, rc rawConfig) error {
 	row.Seed = rc.spec.Seed
 	row.Shards = rc.shards
 	row.Replicas = rc.replicas
-	row.IngestBatch = rc.ingest
 	row.Passed = cv == ""
 	printRow(row)
 	if cv != "" {
@@ -208,14 +204,14 @@ func runRaw(ctx context.Context, rc rawConfig) error {
 
 // buildStack realizes a self-hosted target for raw and matrix runs.
 // The returned cleanup removes any temp data dir.
-func buildStack(stack, dataDir string, replicas, shards, ingest int) (loadgen.Target, func(), error) {
+func buildStack(stack, dataDir string, replicas, shards int) (loadgen.Target, func(), error) {
 	switch stack {
 	case scenario.StackNet:
 		var cleanup func()
 		if dataDir == "" {
 			dataDir = "" // volatile daemons
 		}
-		t, err := loadgen.NewNetTarget(replicas, shards, ingest, dataDir, 10*time.Millisecond)
+		t, err := loadgen.NewNetTarget(replicas, shards, dataDir, 10*time.Millisecond)
 		return t, cleanup, err
 	case scenario.StackDurable:
 		cleanup := func() {}
@@ -227,26 +223,23 @@ func buildStack(stack, dataDir string, replicas, shards, ingest int) (loadgen.Ta
 			dataDir = dir
 			cleanup = func() { os.RemoveAll(dir) }
 		}
-		opts := clusterOpts(replicas, shards, ingest)
+		opts := clusterOpts(replicas, shards)
 		opts = append(opts, core.WithDurability(dataDir))
 		return loadgen.NewAccountsCluster(opts...), cleanup, nil
 	case scenario.StackLive, "":
-		return loadgen.NewAccountsCluster(clusterOpts(replicas, shards, ingest)...), nil, nil
+		return loadgen.NewAccountsCluster(clusterOpts(replicas, shards)...), nil, nil
 	default:
 		return nil, nil, fmt.Errorf("unknown stack %q", stack)
 	}
 }
 
-func clusterOpts(replicas, shards, ingest int) []core.Option {
+func clusterOpts(replicas, shards int) []core.Option {
 	opts := []core.Option{
 		core.WithReplicas(replicas),
 		core.WithGossipEvery(5 * time.Millisecond),
 	}
 	if shards > 1 {
 		opts = append(opts, core.WithShards(shards))
-	}
-	if ingest > 0 {
-		opts = append(opts, core.WithIngestBatch(ingest))
 	}
 	return opts
 }

@@ -1,10 +1,9 @@
 package main
 
 // The multi-core bench matrix the ROADMAP asks for: BENCH_live.json was
-// recorded on a 1-CPU box where shards=4 showed no scaling and small
-// ingest batches lost — numbers that say nothing about what the
-// sharding and pipelining PRs bought on real hardware. The matrix
-// sweeps effective GOMAXPROCS × shard count × ingest batch, setting
+// recorded on a 1-CPU box where shards=4 showed no scaling — numbers
+// that say nothing about what the sharding PR bought on real hardware.
+// The matrix sweeps effective GOMAXPROCS × shard count, setting
 // runtime.GOMAXPROCS per arm, so one run on a many-core machine
 // produces the whole scaling grid. Each row records the GOMAXPROCS in
 // effect while it ran.
@@ -50,22 +49,20 @@ func runMatrix(ctx context.Context, stack string, window time.Duration, seed int
 	var rows []loadgen.Row
 	for _, procs := range matrixProcs() {
 		for _, shards := range []int{1, 4} {
-			for _, ingest := range []int{0, 256} {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				runtime.GOMAXPROCS(procs)
-				arm := fmt.Sprintf("procs=%d shards=%d ingest=%d", procs, shards, ingest)
-				row, err := runMatrixArm(ctx, stack, shards, ingest, window, seed)
-				if err != nil {
-					return fmt.Errorf("matrix arm %s: %w", arm, err)
-				}
-				row.Arm = arm
-				rows = append(rows, row)
-				if out != nil {
-					fmt.Fprintf(out, "%-28s %9.0f ops/s  p50 %6.2fms  p99 %6.2fms\n",
-						arm, row.OpsPerSec, row.P50Ns/1e6, row.P99Ns/1e6)
-				}
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			runtime.GOMAXPROCS(procs)
+			arm := fmt.Sprintf("procs=%d shards=%d", procs, shards)
+			row, err := runMatrixArm(ctx, stack, shards, window, seed)
+			if err != nil {
+				return fmt.Errorf("matrix arm %s: %w", arm, err)
+			}
+			row.Arm = arm
+			rows = append(rows, row)
+			if out != nil {
+				fmt.Fprintf(out, "%-28s %9.0f ops/s  p50 %6.2fms  p99 %6.2fms\n",
+					arm, row.OpsPerSec, row.P50Ns/1e6, row.P99Ns/1e6)
 			}
 		}
 	}
@@ -78,8 +75,8 @@ func runMatrix(ctx context.Context, stack string, window time.Duration, seed int
 
 // runMatrixArm measures one grid cell: fresh deployment, closed-loop
 // uniform 80/20 traffic, converge, report.
-func runMatrixArm(ctx context.Context, stack string, shards, ingest int, window time.Duration, seed int64) (loadgen.Row, error) {
-	tgt, cleanup, err := buildStack(stack, "", 3, shards, ingest)
+func runMatrixArm(ctx context.Context, stack string, shards int, window time.Duration, seed int64) (loadgen.Row, error) {
+	tgt, cleanup, err := buildStack(stack, "", 3, shards)
 	if err != nil {
 		return loadgen.Row{}, err
 	}
@@ -106,7 +103,6 @@ func runMatrixArm(ctx context.Context, stack string, shards, ingest int, window 
 	row.Seed = seed
 	row.Shards = shards
 	row.Replicas = 3
-	row.IngestBatch = ingest
 	row.Passed = converged
 	return row, nil
 }

@@ -158,7 +158,7 @@ type config struct {
 	fsyncPerOp  bool          // one fsync per operation instead of adaptive group commit
 	snapEvery   int           // journaled entries between durable snapshots
 	snapChain   int           // snapshot cuts per full snapshot (delta chaining; 1 = every cut full)
-	ingestBatch int           // max ops per ingest-pipeline batch (0 = per-op path)
+	ingestCap   int           // max ops per ingest drain pass (ingestBatchCap; tests lower and raise it)
 	local       map[int]bool  // replica indices hosted by this process (nil = all)
 	tracer      *trace.Tracer // sampled op-lifecycle tracing (nil = off, zero-cost)
 	storeFS     faultfs.FS    // durable-store filesystem seam (nil = the real disk)
@@ -244,30 +244,6 @@ func WithDurability(dir string) Option { return func(c *config) { c.durableDir =
 // cost) with the car-per-driver baseline — one fsync per operation —
 // kept for measuring what group commit saves.
 func WithFsyncPerOp() Option { return func(c *config) { c.fsyncPerOp = true } }
-
-// WithIngestBatch routes asynchronous submits through a per-replica
-// single-writer ingest pipeline that drains them in batches of at most n:
-// submitters enqueue into a bounded ring (backpressure, never unbounded
-// buffering) and a dedicated writer takes the replica lock once per
-// batch, admission-checks and folds the whole batch, appends every
-// accepted entry to the journal and the durable store in one vectorized
-// call, and resolves all results with one group-commit fan-out — the
-// §3.2 bus economics applied to the lock and the fold, not just the
-// fsync. Results are observationally identical to the per-op path: same
-// acceptances, same declines, same apologies, same final states (the
-// differential suite pins this at n = 1, 64, and 1024).
-//
-// n < 1 (the default) keeps the direct per-op path. On the deterministic
-// simulator the enqueueing goroutine drains the ring inline, so runs
-// stay bit-for-bit reproducible; real pipelining needs the live
-// transport. Synchronously coordinated submits (policy.Sync) ride the
-// same queue so they can never overtake an earlier guess on their key:
-// the writer initiates each one's coordination exactly where it sat in
-// arrival order (the round trips themselves stay asynchronous). The
-// ring is the pipeline's backpressure: when it is full, submitters —
-// including SubmitAsync callers — block briefly until the writer drains
-// a batch. After Close, pipeline submits resolve as declined.
-func WithIngestBatch(n int) Option { return func(c *config) { c.ingestBatch = n } }
 
 // WithLocalReplicas declares that this process hosts only the given
 // replica indices (of every shard); the rest of the cluster lives in
@@ -391,8 +367,7 @@ type Cluster[S any] struct {
 	smap       *shard.Map
 	groups     []*shardGroup[S]
 	stopGossip []func()
-	ingestWG   sync.WaitGroup // live ingest-loop goroutines, joined by Close
-	done       chan struct{}  // closed by Close; stops degraded re-probe loops
+	done       chan struct{} // closed by Close; stops degraded re-probe loops
 	closeOnce  sync.Once
 
 	Apologies *apology.Queue
@@ -532,6 +507,7 @@ func New[S any](app App[S], rules []Rule[S], opts ...Option) *Cluster[S] {
 		defPolicy:   policy.AlwaysAsync(),
 		foldEvery:   1024,
 		snapEvery:   4096,
+		ingestCap:   ingestBatchCap,
 	}
 	for _, o := range opts {
 		o(&cfg)
@@ -550,9 +526,6 @@ func New[S any](app App[S], rules []Rule[S], opts ...Option) *Cluster[S] {
 	}
 	if cfg.snapChain < 1 {
 		cfg.snapChain = 8
-	}
-	if cfg.ingestBatch < 0 {
-		cfg.ingestBatch = 0
 	}
 	tr := cfg.transport
 	if tr == nil {
@@ -617,35 +590,6 @@ func New[S any](app App[S], rules []Rule[S], opts ...Option) *Cluster[S] {
 			}
 		}
 		c.groups = append(c.groups, g)
-	}
-	if cfg.ingestBatch > 0 {
-		// The batched single-writer pipeline: one bounded ring and one
-		// writer per replica. Real pipelining (a drain goroutine) needs the
-		// live transport; every other world drains inline on the submitting
-		// goroutine, which keeps the simulator deterministic.
-		live := wallClocked(tr)
-		capacity := 4 * cfg.ingestBatch
-		if capacity < 16 {
-			capacity = 16
-		}
-		for _, g := range c.groups {
-			for _, r := range g.reps {
-				if r.remote {
-					// Remote replicas ingest in their own process; a local
-					// writer goroutine would drain a queue nothing fills.
-					continue
-				}
-				// Inline replicas drain on the enqueueing goroutine, so
-				// their queue grows instead of exerting backpressure (see
-				// ingestQueue); only the live pipeline bounds producers.
-				r.ingest = newIngestQueue(capacity, !live)
-				r.ingestInline = !live
-				if live {
-					c.ingestWG.Add(1)
-					go r.ingestLoop()
-				}
-			}
-		}
 	}
 	if cfg.gossipEvery > 0 {
 		// One anti-entropy schedule per shard: on the live transport each
@@ -746,11 +690,11 @@ func (c *Cluster[S]) ShardDegraded(shard int) (detail string, degraded bool) {
 	return b.String(), degraded
 }
 
-// IngestBacklog sums the ingest-ring occupancy and capacity of replica
-// i across every shard. The ratio is the cluster slice's saturation:
-// near 1.0, submits are riding backpressure and an ingress should shed
-// load instead of queueing callers invisibly. (0, 0) when no local
-// replica runs the pipelined ingest path.
+// IngestBacklog sums the ingest-ring depth and nominal capacity of
+// replica i across every shard. The ratio is the cluster slice's
+// saturation: near 1.0, far more callers are parked behind the drain than
+// it absorbs per pass, and an ingress should shed load instead of queueing
+// them invisibly. (0, 0) when replica i is hosted by another process.
 func (c *Cluster[S]) IngestBacklog(i int) (depth, capacity int) {
 	for _, g := range c.groups {
 		d, cp := g.reps[i].IngestBacklog()
@@ -977,12 +921,9 @@ func (c *Cluster[S]) SubmitBatch(ctx context.Context, replica int, ops []Op, opt
 }
 
 // dispatchBatch routes the ops selected by idxs (nil = all of them, in
-// order) at rep, delivering every Result into the sink. Without the
-// ingest pipeline each op takes the ordinary dispatch path; with it, the
-// asynchronous ops are stamped with their ingress identity here and
-// enqueued as one contiguous run — no per-operation closure, no
-// per-operation lock — while policy-coordinated ops fall back to
-// dispatch individually.
+// order) at rep, delivering every Result into the sink: each op is
+// stamped with its ingress identity here and the lot is enqueued as one
+// contiguous run — no per-operation closure, no per-operation lock.
 func (c *Cluster[S]) dispatchBatch(rep *Replica[S], ops []Op, idxs []int, sc submitConfig, sink *ingestSink) {
 	nth := func(k int) int { return k }
 	n := len(ops)
@@ -990,10 +931,10 @@ func (c *Cluster[S]) dispatchBatch(rep *Replica[S], ops []Op, idxs []int, sc sub
 		nth = func(k int) int { return idxs[k] }
 		n = len(idxs)
 	}
-	if rep.ingest == nil {
+	if rep.remote {
 		for k := 0; k < n; k++ {
 			i := nth(k)
-			c.dispatch(rep, ops[i], sc, func(res Result) { sink.deliver(int32(i), res) })
+			sink.deliver(int32(i), rep.notHosted(ops[i]))
 		}
 		return
 	}
@@ -1010,11 +951,10 @@ func (c *Cluster[S]) dispatchBatch(rep *Replica[S], ops []Op, idxs []int, sc sub
 		}
 		items = append(items, it)
 	}
-	// A short enqueue means the queue closed mid-call: the consumer
-	// drains and resolves the taken prefix, so only the untaken suffix is
-	// ours to decline — resolving more would double-deliver into the sink.
-	for j := rep.enqueueIngestAll(items); j < len(items); j++ {
-		items[j].finish(Result{Op: items[j].op, Reason: "replica shut down"})
+	if len(items) > 0 && !rep.enqueueIngest(items...) {
+		for j := range items {
+			items[j].finish(Result{Op: items[j].op, Reason: "replica shut down"})
+		}
 	}
 }
 
@@ -1049,18 +989,16 @@ func (c *Cluster[S]) SubmitAsync(replica int, op Op, done func(Result), opts ...
 	c.dispatch(c.route(replica, op), op, c.submitConfig(opts), done)
 }
 
-// dispatch routes one operation at rep: fill in ingress identity, check
-// idempotency, then take the guess path or the coordinated path as the
-// policy decides. done fires exactly once — on a durable replica, only
-// after the operation's journal record is fsynced (an accepted result
-// is a durable result).
+// dispatch routes one operation at rep: fill in ingress identity, then
+// enqueue it for the drain, which processes in strict arrival order —
+// guesses absorbed in batches, coordinated ops initiated exactly where
+// they sat in the queue. done fires exactly once — on a durable replica,
+// only after the operation's journal record is fsynced (an accepted
+// result is a durable result). Metrics and latency are accounted
+// downstream.
 func (c *Cluster[S]) dispatch(rep *Replica[S], op Op, sc submitConfig, done func(Result)) {
 	if rep.remote {
-		// The submit was routed at a replica another process hosts. The
-		// engine never proxies ingest across the transport — a client talks
-		// to the daemon that owns its target replica (the SDK's job) — so
-		// this is a routing error, reported as a decline.
-		done(Result{Op: op, Reason: "replica " + rep.id + " is not hosted by this process"})
+		done(rep.notHosted(op))
 		return
 	}
 	op = c.stampIngress(rep, op)
@@ -1068,24 +1006,15 @@ func (c *Cluster[S]) dispatch(rep *Replica[S], op Op, sc submitConfig, done func
 		done(Result{Op: op, Reason: "replica down"})
 		return
 	}
-	decision := sc.pol.Decide(op)
-	if rep.ingest != nil {
-		// The pipeline path: enqueue and let the single writer process in
-		// strict arrival order — async ops absorbed in batches, sync ops
-		// initiated exactly where they sat in the queue, so a coordinated
-		// op never overtakes an earlier guess on the same key. Metrics and
-		// latency are accounted downstream.
-		if !rep.enqueueIngest(ingestItem{op: op, emit: done, start: c.tr.Now(), sync: decision == policy.Sync}) {
-			done(Result{Op: op, Reason: "replica shut down"})
-		}
-		return
+	it := ingestItem{op: op, emit: done, start: c.tr.Now(), sync: sc.pol.Decide(op) == policy.Sync}
+	if !rep.enqueueIngest(it) {
+		done(Result{Op: op, Reason: "replica shut down"})
 	}
-	c.dispatchDirect(rep, op, decision, done)
 }
 
 // stampIngress fills an operation's ingress identity — the one place
-// every submit entry point (dispatch and the pipeline's dispatchBatch)
-// assigns uniquifiers and timestamps, so the two can never drift.
+// both submit entry points (dispatch and dispatchBatch) assign
+// uniquifiers and timestamps, so the two can never drift.
 func (c *Cluster[S]) stampIngress(rep *Replica[S], op Op) Op {
 	if op.ID == "" {
 		op.ID = rep.gen.Next()
@@ -1097,96 +1026,6 @@ func (c *Cluster[S]) stampIngress(rep *Replica[S], op Op) Op {
 		t.Submitted(string(op.ID), op.Key, rep.id, int64(op.At))
 	}
 	return op
-}
-
-// dispatchDirect is the per-op path: idempotency check under the
-// replica lock, then the guess or coordination route the already-made
-// policy decision selects.
-func (c *Cluster[S]) dispatchDirect(rep *Replica[S], op Op, decision policy.Decision, done func(Result)) {
-	rep.mu.Lock()
-	if op.Lam == 0 {
-		// Lamport ingress stamp: the new op sorts after everything this
-		// replica has seen, so causes fold before their effects.
-		op.Lam = rep.lamport + 1
-	}
-	seen := rep.ops.Contains(op.ID)
-	degraded := rep.degraded.Load()
-	var dupEnd int
-	st := rep.store
-	if seen && st != nil {
-		dupEnd = st.End()
-	}
-	rep.mu.Unlock()
-	g := rep.g
-	if seen {
-		if degraded {
-			// The original may be a phantom the degraded disk never
-			// accepted; re-accepting the retry would promise durability a
-			// read-only shard cannot hold.
-			c.M.Declined.Inc()
-			g.M.Declined.Inc()
-			done(Result{Op: op, Reason: ReasonDegraded, Retryable: true})
-			return
-		}
-		// A retry of work this replica already did: idempotent accept —
-		// but "accepted" still means "durable", and the original's
-		// journal record may be aboard a flush that has not landed yet,
-		// so the retry waits for the commit covering it too.
-		ackDup := func(ok bool) {
-			if !ok {
-				res := Result{Op: op, Reason: "replica crashed before the write was durable"}
-				if rep.storeFailed() {
-					res.Reason, res.Retryable = ReasonDegraded, true
-				}
-				c.M.Declined.Inc()
-				g.M.Declined.Inc()
-				done(res)
-				return
-			}
-			c.M.Accepted.Inc()
-			g.M.Accepted.Inc()
-			done(Result{Accepted: true, Op: op, Decision: policy.Async})
-		}
-		if st == nil {
-			ackDup(true)
-			return
-		}
-		st.Commit(dupEnd, ackDup)
-		return
-	}
-	start := c.tr.Now()
-	switch decision {
-	case policy.Async:
-		rep.submitLocal(op, func(res Result) {
-			res.Latency = c.tr.Now().Sub(start)
-			if res.Accepted {
-				c.M.Accepted.Inc()
-				g.M.Accepted.Inc()
-				c.M.AsyncLat.AddDur(res.Latency)
-				g.M.AsyncLat.AddDur(res.Latency)
-			} else {
-				c.M.Declined.Inc()
-				g.M.Declined.Inc()
-			}
-			done(res)
-		})
-	case policy.Sync:
-		rep.submitSync(op, func(res Result) {
-			res.Latency = c.tr.Now().Sub(start)
-			if res.Accepted {
-				c.M.Accepted.Inc()
-				g.M.Accepted.Inc()
-				c.M.SyncAccepted.Inc()
-				g.M.SyncAccepted.Inc()
-				c.M.SyncLat.AddDur(res.Latency)
-				g.M.SyncLat.AddDur(res.Latency)
-			} else {
-				c.M.SyncDeclined.Inc()
-				g.M.SyncDeclined.Inc()
-			}
-			done(res)
-		})
-	}
 }
 
 // GossipRound runs one anti-entropy round on every shard: each live
@@ -1225,10 +1064,11 @@ func (c *Cluster[S]) StopGossip() {
 }
 
 // Close releases the cluster's background resources: gossip started by
-// WithGossipEvery, and every replica's durable store — flushed,
-// fsynced, and closed gracefully, so a later New with the same
-// WithDurability directory cold-starts from exactly this state.
-// Replicas and their in-memory state remain readable.
+// WithGossipEvery, every replica's ingest ring — what is already queued
+// is drained and resolved, later submits decline — and every replica's
+// durable store — flushed, fsynced, and closed gracefully, so a later
+// New with the same WithDurability directory cold-starts from exactly
+// this state. Replicas and their in-memory state remain readable.
 //
 // The returned error joins every replica's store-close failure: a final
 // flush that could not land means the directory does NOT hold everything
@@ -1239,14 +1079,11 @@ func (c *Cluster[S]) Close() error {
 	c.StopGossip()
 	for _, g := range c.groups {
 		for _, r := range g.reps {
-			if r.ingest != nil {
-				// Close the ring: the writer drains what is queued, resolves
-				// it, and exits; later pipeline submits decline.
-				r.ingest.close()
+			if !r.remote {
+				r.closeIngest()
 			}
 		}
 	}
-	c.ingestWG.Wait()
 	var errs []error
 	for _, g := range c.groups {
 		for _, r := range g.reps {

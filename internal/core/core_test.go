@@ -884,9 +884,8 @@ func TestShardRoutingAndIsolation(t *testing.T) {
 }
 
 // TestDuplicateLocalSubmitRecordsNoSecondGuess pins the ledger fix: a
-// duplicate reaching submitLocal (a retry that raced past dispatch's
-// idempotency check) must not record a second Guess for work that was
-// only recorded once.
+// duplicate guess (a retry of work the replica already holds) must not
+// record a second Guess for work that was only recorded once.
 func TestDuplicateLocalSubmitRecordsNoSecondGuess(t *testing.T) {
 	s := sim.New(5)
 	c := New[counterState](snapshotApp{}, nil, WithSim(s), WithReplicas(1))
@@ -894,9 +893,9 @@ func TestDuplicateLocalSubmitRecordsNoSecondGuess(t *testing.T) {
 	op := oplog.Entry{ID: "check-7", Kind: "credit", Key: "a", Arg: 1, Lam: 1}
 	for i := 0; i < 2; i++ {
 		var res Result
-		rep.submitLocal(op, func(r Result) { res = r })
+		c.SubmitAsync(0, op, func(r Result) { res = r })
 		if !res.Accepted {
-			t.Fatalf("submitLocal #%d declined", i)
+			t.Fatalf("submit #%d declined", i)
 		}
 	}
 	if got := rep.Ledger.Count(1); got != 1 { // apology.Guess

@@ -1,27 +1,23 @@
 package core
 
-// The batched single-writer ingest pipeline (WithIngestBatch).
+// The write path. Every guess — single Submit, SubmitAsync, SubmitBatch —
+// is stamped at ingress, enqueued on its replica's ring, and admitted by
+// ingestSegment; there is no other way in. The submitting goroutine is
+// also the drain: after enqueueing it takes drainMu if it can and
+// processes everything queued, so a lone submitter is a batch of one
+// under one replica-lock acquisition, and concurrent submitters coalesce
+// behind whoever holds the drain — the §3.2 city bus applied to the lock
+// and the fold, with no goroutine between a caller and its ack.
 //
-// The per-operation submit path pays one mutex acquisition, one fold
-// step, one store chunk, and one commit callback per operation, all
-// serialized behind the replica's mu. The pipeline amortizes every one of
-// those: submitters enqueue into a bounded MPSC ring and a dedicated
-// drain — a goroutine per replica on the live transport, the calling
-// goroutine on the deterministic simulator — takes the replica lock once
-// per batch, runs admission and fold steps across the whole batch,
-// appends every accepted entry to the in-memory journal and the durable
-// store in one vectorized call (one journal write, one flush cover), and
-// resolves all the batch's results with one commit callback fan-out.
-// Group commit for the lock, in exactly the §3.2 city-bus sense the
-// store already applies to fsync.
-//
-// Observational equivalence with the per-op path is the contract: the
-// batch is processed in enqueue order, each operation admission-checked
+// A batch is processed in enqueue order, each operation admission-checked
 // against the state including every earlier acceptance (the fold
-// checkpoint advances inside the batch), duplicates re-accepted only
-// once the covering flush lands, declines resolved immediately, accepted
-// results resolved only after durability. The differential tests (E16,
-// TestBatchedIngestMatchesPerOp) pin this.
+// checkpoint advances inside the batch), all accepted entries appended to
+// the in-memory journal and the durable store in one vectorized call,
+// duplicates re-accepted only once the covering flush lands, declines
+// resolved immediately, accepted results resolved only after durability.
+// Outcomes must not depend on how submits happened to be batched; the
+// batch-size-invariance differential pins that against a sequential
+// oracle.
 
 import (
 	"sync"
@@ -33,16 +29,36 @@ import (
 	"repro/internal/sim"
 )
 
+// ingestBatchCap is the most operations one drain pass absorbs under a
+// single replica-lock acquisition, and the unacknowledged-suffix length
+// at which ingest pushes gossip without waiting for the ticker.
+// ingestNominalCap is the depth IngestBacklog reports as "full": the
+// load-shedding denominator, not an allocation — the ring itself grows
+// as needed.
+const (
+	ingestBatchCap   = 256
+	ingestNominalCap = 4 * ingestBatchCap
+)
+
+// Outcome of one item within a segment.
+const (
+	outAccepted int8 = iota // entry absorbed; resolves with the batch commit
+	outDup                  // idempotent re-accept; resolves with the batch commit
+	outDeclined             // refused by a rule; resolves immediately
+)
+
 // ingestItem is one queued submit: the operation (ingress identity
 // already assigned by dispatch) plus where its Result goes — either a
 // single-submit callback or a slot in a shared batch sink.
 type ingestItem struct {
-	op    oplog.Entry
-	emit  func(Result) // single-submit completion; nil when sink is set
-	sink  *ingestSink
-	idx   int32
-	start sim.Time
-	sync  bool // policy-coordinated: initiated in queue order, never batch-absorbed
+	op      oplog.Entry
+	emit    func(Result) // single-submit completion; nil when sink is set
+	sink    *ingestSink
+	idx     int32
+	start   sim.Time
+	sync    bool   // policy-coordinated: initiated in queue order, never batch-absorbed
+	outcome int8   // set by ingestSegment
+	reason  string // why, when outcome is outDeclined
 }
 
 // finish resolves the item with res, exactly once.
@@ -54,37 +70,24 @@ func (it *ingestItem) finish(res Result) {
 	it.emit(res)
 }
 
-// ingestQueue is a bounded multi-producer single-consumer ring buffer.
-// Producers block when the ring is full — backpressure, so a burst of
-// submitters cannot outrun the drain by more than the ring — and the
-// consumer pops up to a whole batch under one lock acquisition.
-//
-// Inline replicas (no dedicated writer goroutine) use the unbounded
-// variant instead: the enqueueing goroutine is itself the drainer, so
-// blocking it for backpressure could only deadlock — in particular when
-// a completion callback re-enters Submit while its own outer drain is
-// already on the stack. There the ring grows as needed; it only ever
-// accumulates what one call chain submits before draining.
+// ingestQueue is a multi-producer FIFO ring drained by whichever
+// submitter holds the replica's drainMu. It never blocks a producer: the
+// enqueueing goroutine is itself the drainer, so blocking it for
+// backpressure could only deadlock — in particular when a completion
+// callback re-enters SubmitAsync while its own outer drain is already on
+// the stack. The ring grows instead, and stays small because every
+// caller that enqueues then drains or blocks for its result: depth is
+// bounded by the operations of callers currently inside a submit call.
 type ingestQueue struct {
-	mu        sync.Mutex
-	notEmpty  sync.Cond
-	notFull   sync.Cond
-	buf       []ingestItem
-	head      int // next position to pop
-	n         int // occupied slots
-	closed    bool
-	unbounded bool // grow instead of refusing/blocking when full
-}
-
-func newIngestQueue(capacity int, unbounded bool) *ingestQueue {
-	q := &ingestQueue{buf: make([]ingestItem, capacity), unbounded: unbounded}
-	q.notEmpty.L = &q.mu
-	q.notFull.L = &q.mu
-	return q
+	mu     sync.Mutex
+	buf    []ingestItem
+	head   int // next position to pop
+	n      int // occupied slots
+	closed bool
 }
 
 // growLocked widens the ring to hold at least need items, preserving
-// order. Caller holds mu; only unbounded queues grow.
+// order. Caller holds mu.
 func (q *ingestQueue) growLocked(need int) {
 	newCap := 2 * len(q.buf)
 	if newCap < need {
@@ -98,89 +101,30 @@ func (q *ingestQueue) growLocked(need int) {
 	q.head = 0
 }
 
-// putAll enqueues the items in order, blocking while the ring is full,
-// and reports how many it enqueued — fewer than len(items) only when
-// the queue was closed mid-call. The consumer still drains and resolves
-// everything enqueued before the close, so the caller owns exactly the
-// untaken suffix items[taken:]; resolving more would double-deliver.
-// One call's items are contiguous in the ring per chunk and never
-// reordered, which is what preserves per-key submission order through
-// the pipeline.
-func (q *ingestQueue) putAll(items []ingestItem) (taken int) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for taken < len(items) {
-		for q.n == len(q.buf) && !q.closed {
-			q.notFull.Wait()
-		}
-		if q.closed {
-			return taken
-		}
-		take := len(q.buf) - q.n
-		if take > len(items)-taken {
-			take = len(items) - taken
-		}
-		for _, it := range items[taken : taken+take] {
-			q.buf[(q.head+q.n)%len(q.buf)] = it
-			q.n++
-		}
-		taken += take
-		q.notEmpty.Signal()
-	}
-	return taken
-}
-
-// tryPutAll enqueues as many leading items as fit right now, without
-// blocking, and reports how many it took (0 when full or closed). The
-// inline drain uses it: a single-goroutine world must interleave filling
-// and draining rather than wait for a consumer that does not exist.
-func (q *ingestQueue) tryPutAll(items []ingestItem) int {
+// putAll enqueues the items in order — all of them, contiguously, which
+// is what preserves per-key submission order through the ring — and
+// reports false, taking none, once the queue is closed.
+func (q *ingestQueue) putAll(items []ingestItem) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
-		return -1
+		return false
 	}
-	if q.unbounded && q.n+len(items) > len(q.buf) {
+	if q.n+len(items) > len(q.buf) {
 		q.growLocked(q.n + len(items))
 	}
-	take := len(q.buf) - q.n
-	if take > len(items) {
-		take = len(items)
-	}
-	for _, it := range items[:take] {
+	for _, it := range items {
 		q.buf[(q.head+q.n)%len(q.buf)] = it
 		q.n++
 	}
-	return take
+	return true
 }
 
-// drain blocks until at least one item is queued (or the queue closes),
-// then moves up to max items into dst and returns it. ok is false once
-// the queue is closed AND empty — the consumer's signal to exit.
-func (q *ingestQueue) drain(dst []ingestItem, max int) (_ []ingestItem, ok bool) {
+// popAll moves up to max queued items into dst and returns it,
+// immediately — an empty queue yields dst unchanged.
+func (q *ingestQueue) popAll(dst []ingestItem, max int) []ingestItem {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for q.n == 0 {
-		if q.closed {
-			return dst, false
-		}
-		q.notEmpty.Wait()
-	}
-	return q.popLocked(dst, max), true
-}
-
-// tryDrain is drain without the wait: it pops whatever is queued, up to
-// max, and returns immediately.
-func (q *ingestQueue) tryDrain(dst []ingestItem, max int) []ingestItem {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.n == 0 {
-		return dst
-	}
-	return q.popLocked(dst, max)
-}
-
-func (q *ingestQueue) popLocked(dst []ingestItem, max int) []ingestItem {
 	take := q.n
 	if take > max {
 		take = max
@@ -190,36 +134,25 @@ func (q *ingestQueue) popLocked(dst []ingestItem, max int) []ingestItem {
 		dst = append(dst, *slot)
 		*slot = ingestItem{} // release references
 	}
-	q.head = (q.head + take) % len(q.buf)
-	q.n -= take
-	q.notFull.Broadcast()
+	if take > 0 {
+		q.head = (q.head + take) % len(q.buf)
+		q.n -= take
+	}
 	return dst
 }
 
-// backlog reports occupancy and capacity right now — the load-shedding
-// signal: a ring that stays near capacity means submitters are being
-// blocked for backpressure, and an ingress should start refusing work
-// (429) before callers discover it through timeouts.
-func (q *ingestQueue) backlog() (depth, capacity int) {
+// depth reports how many items are queued right now.
+func (q *ingestQueue) depth() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.n, len(q.buf)
+	return q.n
 }
 
-// empty reports whether nothing is currently queued.
-func (q *ingestQueue) empty() bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.n == 0
-}
-
-// close wakes every producer and the consumer; the consumer drains what
-// remains and exits.
+// close refuses every later put; what is already queued stays for the
+// drain.
 func (q *ingestQueue) close() {
 	q.mu.Lock()
 	q.closed = true
-	q.notEmpty.Broadcast()
-	q.notFull.Broadcast()
 	q.mu.Unlock()
 }
 
@@ -242,87 +175,61 @@ func (s *ingestSink) deliver(i int32, res Result) {
 	}
 }
 
-// enqueueIngest hands one stamped operation to the replica's pipeline.
-// On an inline replica (any non-live transport) the calling goroutine
-// immediately drains the queue, so the submit's effects — and, with an
-// inline store, its completion — happen before enqueueIngest returns,
-// keeping the simulator deterministic. It reports false when the queue
-// has been closed (the cluster shut down) and the item was not taken.
-func (r *Replica[S]) enqueueIngest(it ingestItem) bool {
-	return r.enqueueIngestAll([]ingestItem{it}) == 1
-}
-
-// enqueueIngestAll hands a slice of stamped operations to the pipeline,
-// preserving order, and reports how many items it handed over — fewer
-// than all of them only when the queue closed mid-call, in which case
-// the caller must resolve exactly the untaken suffix (the taken prefix
-// is drained and resolved by the consumer). Inline replicas interleave
-// filling and draining so arbitrarily large batches cannot deadlock the
-// single goroutine.
-func (r *Replica[S]) enqueueIngestAll(items []ingestItem) (taken int) {
-	if r.ingestInline {
-		// The inline queue is unbounded, so this takes everything (or
-		// nothing, once closed) — no blocking, no spin, even when a
-		// completion callback re-enters with its own bulk submit while
-		// the outer drain holds drainMu.
-		taken = r.ingest.tryPutAll(items)
-		if taken < 0 {
-			return 0
-		}
-		r.drainInline()
-		return taken
+// enqueueIngest hands stamped operations to the replica's ring, in
+// order, and then drains it on the calling goroutine — so on the
+// simulator the submit's effects (and, with an inline store, its
+// completion) happen before enqueueIngest returns, keeping runs
+// deterministic. It reports false, having taken nothing, when the ring
+// has been closed (the cluster shut down).
+func (r *Replica[S]) enqueueIngest(items ...ingestItem) bool {
+	if !r.ingest.putAll(items) {
+		return false
 	}
-	return r.ingest.putAll(items)
+	r.drainIngest()
+	return true
 }
 
-// ingestLoop is the single writer: it drains the ring in batches of at
-// most the configured size and ingests each batch under one lock
-// acquisition. One goroutine per replica on the live transport; exits
-// when the queue is closed and empty.
-func (r *Replica[S]) ingestLoop() {
-	defer r.c.ingestWG.Done()
-	max := r.c.cfg.ingestBatch
-	batch := make([]ingestItem, 0, max)
-	for {
-		var ok bool
-		batch, ok = r.ingest.drain(batch[:0], max)
-		if len(batch) > 0 {
-			r.ingestBatch(batch)
-		}
-		if !ok {
-			return
-		}
-	}
-}
-
-// drainInline is the simulator's (and any custom transport's) drain:
-// the enqueueing goroutine processes everything queued, in batches,
-// before returning. At most one drainer is ever active per replica
-// (drainMu), so a concurrent custom transport cannot interleave two
-// goroutines' segments and invert queue order; a goroutine that loses
-// the TryLock race — or that re-enters from a completion callback while
-// its own outer drain holds the lock — simply leaves its items to the
-// active drainer, which re-checks the ring after releasing so nothing
-// is ever stranded.
-func (r *Replica[S]) drainInline() {
-	max := r.c.cfg.ingestBatch
-	var batch []ingestItem
+// drainIngest processes everything queued, in batches, before returning.
+// At most one drainer is ever active per replica (drainMu), so concurrent
+// submitters cannot interleave segments and invert queue order; a
+// goroutine that loses the TryLock race — or that re-enters from a
+// completion callback while its own outer drain holds the lock — simply
+// leaves its items to the active drainer, which re-checks the ring after
+// releasing so nothing is ever stranded.
+func (r *Replica[S]) drainIngest() {
 	for {
 		if !r.drainMu.TryLock() {
 			return // the active drainer's post-release re-check covers us
 		}
-		for {
-			batch = r.ingest.tryDrain(batch[:0], max)
-			if len(batch) == 0 {
-				break
-			}
-			r.ingestBatch(batch)
-		}
+		r.drainLocked()
 		r.drainMu.Unlock()
-		if r.ingest.empty() {
+		if r.ingest.depth() == 0 {
 			return
 		}
 	}
+}
+
+// drainLocked empties the ring batch by batch. The caller holds drainMu,
+// which also guards the batch buffer it reuses across drains.
+func (r *Replica[S]) drainLocked() {
+	for {
+		r.drainBuf = r.ingest.popAll(r.drainBuf[:0], r.c.cfg.ingestCap)
+		if len(r.drainBuf) == 0 {
+			return
+		}
+		r.ingestBatch(r.drainBuf)
+		clear(r.drainBuf) // drop the callers' callbacks and sinks
+	}
+}
+
+// closeIngest shuts the ring and drains what was enqueued before the
+// close, so Close never closes a store under a submit that was already
+// admitted to the queue; later submits decline.
+func (r *Replica[S]) closeIngest() {
+	r.drainMu.Lock()
+	r.ingest.close()
+	r.drainLocked()
+	r.drainMu.Unlock()
 }
 
 // ingestBatch processes one drained batch in strict queue order,
@@ -330,9 +237,9 @@ func (r *Replica[S]) drainInline() {
 // absorbed as vectorized segments, and each sync item is initiated (its
 // local admission taken, its coordination round fired) exactly where it
 // sat between them — so a coordinated op observes every earlier
-// acceptance and never overtakes a queued guess on the same key, just
-// as sequential per-op dispatch behaves. Coordination itself is
-// asynchronous; the writer never blocks on its round trips.
+// acceptance and never overtakes a queued guess on the same key.
+// Coordination itself is asynchronous; the drain never blocks on its
+// round trips.
 func (r *Replica[S]) ingestBatch(items []ingestItem) {
 	for len(items) > 0 {
 		k := 0
@@ -343,12 +250,49 @@ func (r *Replica[S]) ingestBatch(items []ingestItem) {
 			r.ingestSegment(items[:k])
 		}
 		if k < len(items) {
-			it := items[k]
-			r.c.dispatchDirect(r, it.op, policy.Sync, it.finish)
+			r.coordinate(items[k : k+1])
 			k++
 		}
 		items = items[k:]
 	}
+}
+
+// coordinate initiates the policy-coordinated submit one[0] — a one-item
+// window of the drained batch — where it sat in the queue: Lamport stamp
+// and idempotency check under the replica lock, then §5.8's coordination
+// round. A retry of work this replica already holds needs no round; it
+// is re-accepted in place like any duplicate guess, by ingestSegment,
+// once the original's record is durable.
+func (r *Replica[S]) coordinate(one []ingestItem) {
+	c, g := r.c, r.g
+	r.mu.Lock()
+	if one[0].op.Lam == 0 {
+		// Lamport ingress stamp: the new op sorts after everything this
+		// replica has seen, so causes fold before their effects.
+		one[0].op.Lam = r.lamport + 1
+	}
+	seen := r.ops.Contains(one[0].op.ID)
+	r.mu.Unlock()
+	if seen {
+		r.ingestSegment(one)
+		return
+	}
+	it := one[0] // the round outlives the drain's batch buffer
+	r.submitSync(it.op, func(res Result) {
+		res.Latency = c.tr.Now().Sub(it.start)
+		if res.Accepted {
+			c.M.Accepted.Inc()
+			g.M.Accepted.Inc()
+			c.M.SyncAccepted.Inc()
+			g.M.SyncAccepted.Inc()
+			c.M.SyncLat.AddDur(res.Latency)
+			g.M.SyncLat.AddDur(res.Latency)
+		} else {
+			c.M.SyncDeclined.Inc()
+			g.M.SyncDeclined.Inc()
+		}
+		it.finish(res)
+	})
 }
 
 // ingestSegment absorbs one run of asynchronous submits under a single
@@ -356,13 +300,12 @@ func (r *Replica[S]) ingestBatch(items []ingestItem) {
 // admission against the advancing fold, set/journal/store appends — the
 // store staged once for the whole segment — then one snapshot decision,
 // one fold-snapshot publication, and one commit fan-out resolving every
-// result.
+// result. The caller holds drainMu.
 func (r *Replica[S]) ingestSegment(items []ingestItem) {
 	c, g := r.c, r.g
 	r.mu.Lock()
 	if r.node.Crashed() {
-		// A dead process absorbs nothing. No metrics, matching the per-op
-		// dispatch path's early "replica down" return.
+		// A dead process absorbs nothing, and counts nothing.
 		r.mu.Unlock()
 		for i := range items {
 			items[i].finish(Result{Op: items[i].op, Reason: "replica down"})
@@ -381,59 +324,57 @@ func (r *Replica[S]) ingestSegment(items []ingestItem) {
 		}
 		return
 	}
-	if r.store != nil {
-		// The commit fan-out runs on the store's flusher after this call
-		// returns, but the caller (the ingest loop) reuses its batch buffer
-		// for the next drain. Give the fan-out its own copy of the items.
+	// accepted collects the entries this segment adds, for the journal and
+	// the store. A volatile replica reuses a scratch slice (drainMu guards
+	// it; the journal copies out of it). A store keeps the slice until its
+	// flush lands and runs the commit fan-out on its flusher after this
+	// call returns — while the drain reuses its buffers for the next batch
+	// — so a durable segment gets its own copy of both.
+	accepted := r.acceptBuf[:0]
+	st := r.store
+	if st != nil {
 		items = append([]ingestItem(nil), items...)
+		accepted = make([]oplog.Entry, 0, len(items))
 	}
-	const (
-		outAccepted = iota // entry absorbed; resolves with the batch commit
-		outDup             // idempotent re-accept; resolves with the batch commit
-		outDeclined        // refused by a rule; resolves immediately
-	)
-	outcomes := make([]int8, len(items))
-	var reasons []string
-	accepted := make([]oplog.Entry, 0, len(items))
+	dups, declined := false, false
 	for i := range items {
-		op := items[i].op
-		if op.Lam == 0 {
-			// Lamport ingress stamp, exactly as the per-op path: the new op
-			// sorts after everything this replica has seen — including the
-			// entries accepted earlier in this same batch.
-			op.Lam = r.lamport + 1
+		it := &items[i]
+		if it.op.Lam == 0 {
+			// Lamport ingress stamp: the new op sorts after everything this
+			// replica has seen — including the entries accepted earlier in
+			// this same batch — and the Result carries it.
+			it.op.Lam = r.lamport + 1
 		}
-		items[i].op = op // carry the stamp into the Result, as dispatch does
-		if r.ops.Contains(op.ID) {
-			outcomes[i] = outDup
+		if r.ops.Contains(it.op.ID) {
+			it.outcome, dups = outDup, true
 			continue
 		}
 		if c.hasAdmit {
+			// Deriving state is the expensive part of admission; rule-free
+			// clusters skip it and ingest in O(1).
 			state := r.stateLocked() // folds earlier batch acceptances in
-			declined := false
 			for _, rule := range c.rules {
-				if rule.Admit != nil && !rule.Admit(state, op) {
-					outcomes[i] = outDeclined
-					reasons = append(reasons, "declined by rule "+rule.Name)
-					declined = true
+				if rule.Admit != nil && !rule.Admit(state, it.op) {
+					it.outcome, it.reason = outDeclined, "declined by rule "+rule.Name
 					break
 				}
 			}
-			if declined {
+			if it.outcome == outDeclined {
+				declined = true
 				continue
 			}
 		}
-		r.addLocked(op)
-		accepted = append(accepted, op)
+		r.addLocked(it.op)
+		accepted = append(accepted, it.op)
 	}
+	nAccepted := len(accepted)
 	if len(r.gossipPeers) > 0 {
 		// One vectorized append covers the whole batch; positions stay in
 		// lockstep with the store staging below.
 		r.journal.AppendAll(accepted)
 	}
 	var end int
-	st := r.store
-	if len(accepted) > 0 {
+	if nAccepted > 0 {
 		end = r.stageLocked(accepted)
 	} else if st != nil {
 		// Only duplicates (if any): their originals may still be aboard an
@@ -441,23 +382,29 @@ func (r *Replica[S]) ingestSegment(items []ingestItem) {
 		end = st.End()
 	}
 	var snap func()
-	if len(accepted) > 0 {
+	var due [2]string
+	nDue := 0
+	if nAccepted > 0 {
 		snap = r.maybeSnapshotLocked()
 		if c.snapFn != nil {
 			// Fold the batch in and publish the immutable snapshot before
 			// any result resolves, so lock-free readers observe every write
-			// that has been acknowledged to its submitter. One Step per
-			// entry — the same amortized cost the per-op path pays, minus
-			// the per-op locking around it.
+			// that has been acknowledged to its submitter.
 			r.foldLocked()
 			r.publishLocked()
 		}
+		if c.cfg.gossipEvery > 0 {
+			due, nDue = r.gossipDueLocked()
+		}
+	}
+	if st == nil {
+		r.acceptBuf = accepted[:0] // keep the capacity the appends grew
 	}
 	r.mu.Unlock()
 	if snap != nil {
 		snap()
 	}
-	if t := c.cfg.tracer; t != nil && len(accepted) > 0 {
+	if t := c.cfg.tracer; t != nil && nAccepted > 0 {
 		// The batch was admitted, folded, and published above in one
 		// critical section; both stages share its exit timestamp.
 		now := int64(c.tr.Now())
@@ -466,144 +413,125 @@ func (r *Replica[S]) ingestSegment(items []ingestItem) {
 			t.Folded(string(accepted[i].ID), r.id, now)
 		}
 	}
-	// Declines carry no recorded work: resolve them immediately, like the
-	// per-op path — which also stamps a latency on declined Results.
-	if len(reasons) > 0 {
+	if declined {
+		// Declines carry no recorded work: resolve them immediately.
 		now := c.tr.Now()
-		reasonIdx := 0
 		for i := range items {
-			if outcomes[i] == outDeclined {
-				c.M.Declined.Inc()
-				g.M.Declined.Inc()
-				if t := c.cfg.tracer; t != nil {
-					t.Declined(string(items[i].op.ID), items[i].op.Key, r.id, reasons[reasonIdx], int64(now))
-				}
-				items[i].finish(Result{Op: items[i].op, Reason: reasons[reasonIdx],
-					Latency: now.Sub(items[i].start)})
-				reasonIdx++
+			it := &items[i]
+			if it.outcome != outDeclined {
+				continue
 			}
+			c.M.Declined.Inc()
+			g.M.Declined.Inc()
+			if t := c.cfg.tracer; t != nil {
+				t.Declined(string(it.op.ID), it.op.Key, r.id, it.reason, int64(now))
+			}
+			it.finish(Result{Op: it.op, Reason: it.reason, Latency: now.Sub(it.start)})
 		}
 	}
-	if len(accepted) == 0 && !hasOutcome(outcomes, outDup) {
+	if nAccepted == 0 && !dups {
 		return // every item was declined; nothing awaits durability
 	}
-	finish := func(ok bool) {
-		if !ok {
-			// The batch never became durable: the replica crashed (or its
-			// disk broke the durability contract) first. Crash or degrade;
-			// nothing was recorded, nothing may be acknowledged.
-			reason, retry := "replica crashed before the write was durable", false
-			if r.storeFailed() {
-				reason, retry = ReasonDegraded, true
-			}
-			for i := range items {
-				if outcomes[i] == outDeclined {
-					continue
-				}
-				c.M.Declined.Inc()
-				g.M.Declined.Inc()
-				items[i].finish(Result{Op: items[i].op, Reason: reason, Retryable: retry})
-			}
-			return
-		}
-		now := c.tr.Now()
-		// Ledger descriptions are memoized across runs of the same
-		// (kind, key): a bulk batch of like operations builds its two
-		// What strings once instead of twice per op.
-		var memo whatMemo
-		var memoWhat, guessWhat string
-		for i := range items {
-			if outcomes[i] != outAccepted {
-				continue
-			}
-			op := items[i].op
-			if memo.fresh(op.Kind, op.Key) {
-				memoWhat = "local " + op.Kind + " " + op.Key
-				guessWhat = "accepted " + op.Kind + " " + op.Key + " on local knowledge"
-			}
-			r.Ledger.Record(now, apology.Memory, r.id, memoWhat, op.ID)
-			r.Ledger.Record(now, apology.Guess, r.id, guessWhat, op.ID)
-		}
-		if t := c.cfg.tracer; t != nil {
-			for i := range items {
-				if outcomes[i] == outAccepted {
-					t.Durable(string(items[i].op.ID), r.id, int64(now))
-				}
-			}
-		}
-		if len(accepted) > 0 {
-			r.sweepViolations()
-		}
-		for i := range items {
-			if outcomes[i] == outDeclined {
-				continue
-			}
-			res := Result{Accepted: true, Op: items[i].op, Decision: policy.Async}
-			c.M.Accepted.Inc()
-			g.M.Accepted.Inc()
-			if outcomes[i] == outAccepted {
-				// Duplicates carry no latency and are not sampled, matching
-				// the per-op idempotent re-accept path.
-				res.Latency = now.Sub(items[i].start)
-				c.M.AsyncLat.AddDur(res.Latency)
-				g.M.AsyncLat.AddDur(res.Latency)
-			}
-			items[i].finish(res)
-		}
-	}
 	if st == nil {
-		finish(true)
+		r.resolveSegment(items, nAccepted, true)
 	} else {
-		st.Commit(end, finish)
+		st.Commit(end, func(ok bool) { r.resolveSegment(items, nAccepted, ok) })
 	}
-	if len(accepted) > 0 && c.cfg.gossipEvery > 0 {
-		// Coalesced gossip wake: at most one nudge per batch, and only for
-		// peers whose unacknowledged suffix has grown to a full batch —
-		// the nudge is a backlog limiter, not a latency path. Light load
-		// leaves gossip entirely to the ticker; heavy ingest ships a
-		// batch-sized suffix as soon as one exists, so per-nudge cost is
-		// amortized over at least ingestBatch entries.
-		r.nudgeGossip()
-	}
-}
-
-func hasOutcome(outcomes []int8, want int8) bool {
-	for _, o := range outcomes {
-		if o == want {
-			return true
+	// Coalesced gossip wake: at most one nudge per batch, and only toward
+	// peers whose unacknowledged suffix has grown to a full batch — the
+	// nudge is a backlog limiter, not a latency path. Light load leaves
+	// gossip entirely to the ticker; heavy ingest ships a batch-sized
+	// suffix as soon as one exists.
+	for _, id := range due[:nDue] {
+		if c.tr.Reachable(r.id, id) {
+			r.pushTo(id)
 		}
 	}
-	return false
 }
 
-// nudgeGossip pushes the journal suffix toward any ring peer whose
-// unacknowledged backlog has reached a full ingest batch, without
-// waiting for the next scheduled round. Peers below the threshold (and
-// peers with a push already in flight) are left to the ticker.
-func (r *Replica[S]) nudgeGossip() {
-	threshold := r.c.cfg.ingestBatch
-	var due [2]string // a ring replica has at most two gossip peers
-	nDue := 0
-	r.mu.Lock()
+// resolveSegment is the commit fan-out of one segment: once its accepted
+// entries are durable (ok; immediately on a volatile replica) it records
+// them in the ledger, sweeps for violations, and resolves every accepted
+// and duplicate item. ok=false means the batch never became durable —
+// the replica crashed, or its disk broke the durability contract, first:
+// nothing was recorded and nothing may be acknowledged.
+func (r *Replica[S]) resolveSegment(items []ingestItem, nAccepted int, ok bool) {
+	c, g := r.c, r.g
+	if !ok {
+		reason, retry := "replica crashed before the write was durable", false
+		if r.storeFailed() {
+			reason, retry = ReasonDegraded, true
+		}
+		for i := range items {
+			if items[i].outcome == outDeclined {
+				continue
+			}
+			c.M.Declined.Inc()
+			g.M.Declined.Inc()
+			items[i].finish(Result{Op: items[i].op, Reason: reason, Retryable: retry})
+		}
+		return
+	}
+	now := c.tr.Now()
+	// Ledger descriptions are memoized across runs of the same
+	// (kind, key): a bulk batch of like operations builds its two
+	// What strings once instead of twice per op.
+	var memo whatMemo
+	var memoWhat, guessWhat string
+	t := c.cfg.tracer
+	for i := range items {
+		if items[i].outcome != outAccepted {
+			continue
+		}
+		op := items[i].op
+		if memo.fresh(op.Kind, op.Key) {
+			memoWhat = "local " + op.Kind + " " + op.Key
+			guessWhat = "accepted " + op.Kind + " " + op.Key + " on local knowledge"
+		}
+		r.Ledger.Record(now, apology.Memory, r.id, memoWhat, op.ID)
+		r.Ledger.Record(now, apology.Guess, r.id, guessWhat, op.ID)
+		if t != nil {
+			t.Durable(string(op.ID), r.id, int64(now))
+		}
+	}
+	if nAccepted > 0 {
+		r.sweepViolations()
+	}
+	for i := range items {
+		it := &items[i]
+		if it.outcome == outDeclined {
+			continue
+		}
+		res := Result{Accepted: true, Op: it.op, Decision: policy.Async}
+		c.M.Accepted.Inc()
+		g.M.Accepted.Inc()
+		if it.outcome == outAccepted {
+			// Duplicates carry no latency and are not sampled.
+			res.Latency = now.Sub(it.start)
+			c.M.AsyncLat.AddDur(res.Latency)
+			g.M.AsyncLat.AddDur(res.Latency)
+		}
+		it.finish(res)
+	}
+}
+
+// gossipDueLocked lists the ring peers whose unacknowledged journal
+// suffix has reached a full ingest batch and that have no push in flight
+// — the ones ingest pushes to without waiting for the next scheduled
+// round. Everyone else is left to the ticker. A ring replica has at most
+// two gossip peers. The caller holds r.mu.
+func (r *Replica[S]) gossipDueLocked() (due [2]string, n int) {
 	jlen := r.journal.Len()
 	base := r.journal.Base()
 	for _, peer := range r.gossipPeers {
-		if nDue == len(due) {
-			break
-		}
 		from := r.sentTo[peer.id]
 		if from < base {
 			from = base
 		}
-		if jlen-from >= threshold && !r.pushing[peer.id] {
-			due[nDue] = peer.id
-			nDue++
+		if jlen-from >= r.c.cfg.ingestCap && !r.pushing[peer.id] {
+			due[n] = peer.id
+			n++
 		}
 	}
-	r.mu.Unlock()
-	for _, id := range due[:nDue] {
-		if r.c.tr.Reachable(r.id, id) {
-			r.pushTo(id)
-		}
-	}
+	return due, n
 }

@@ -99,22 +99,22 @@ type Replica[S any] struct {
 	// version it derives — and version counts set mutations (bumped under
 	// mu). A reader whose loaded publication matches the current version
 	// returns it without ever touching mu; anything newer falls back to
-	// the locked fold. The batched ingest loop republishes once per batch
-	// before resolving results, so under pipeline ingest a reader observes
-	// every acknowledged write on the fast path.
+	// the locked fold. Ingest republishes once per batch before resolving
+	// results, so a reader observes every acknowledged write on the fast
+	// path.
 	pub     atomic.Pointer[foldPub[S]]
 	version atomic.Uint64
 
-	// The batched ingest pipeline (WithIngestBatch): submits enqueue into
-	// the ring, a single writer drains it. Nil when batching is off.
-	// ingestInline marks worlds without a dedicated writer goroutine (the
-	// simulator, custom transports), where the enqueueing goroutine
-	// drains the queue itself — serialized by drainMu so concurrent
-	// enqueuers never interleave segments — keeping the simulator
-	// deterministic and queue order intact everywhere.
-	ingest       *ingestQueue
-	ingestInline bool
-	drainMu      sync.Mutex
+	// The write path (ingest.go): submits enqueue into the ring and
+	// whichever submitter holds drainMu drains it — one drainer at a
+	// time, so concurrent enqueuers never interleave segments. drainMu
+	// also guards the drain's two reused buffers: the batch popped off the
+	// ring and the entries a volatile segment accepted. Nil ring on a
+	// remote stub.
+	ingest    *ingestQueue
+	drainMu   sync.Mutex
+	drainBuf  []ingestItem
+	acceptBuf []oplog.Entry
 
 	Ledger apology.Ledger // this replica's memories, guesses, apologies
 }
@@ -150,6 +150,7 @@ func newReplica[S any](c *Cluster[S], g *shardGroup[S], id string) *Replica[S] {
 		sentTo:  make(map[string]int),
 		pushing: make(map[string]bool),
 		state:   c.app.Init(),
+		ingest:  &ingestQueue{},
 	}
 	if c.cfg.durableDir != "" {
 		// Cold start: open (or create) the durable store and replay
@@ -208,6 +209,14 @@ func (n *remoteNode) Call(to, method string, req any, done func(any, bool)) {
 }
 func (n *remoteNode) Broadcast(to []string, method string, req any, done func([]any, int)) {
 	panic(fmt.Sprintf("quicksand: Broadcast from remote replica %s", n.id))
+}
+
+// notHosted is the decline for a submit routed at a replica another
+// process hosts. The engine never proxies ingest across the transport —
+// a client talks to the daemon that owns its target replica (the SDK's
+// job) — so this is a routing error, reported as a decline.
+func (r *Replica[S]) notHosted(op Op) Result {
+	return Result{Op: op, Reason: "replica " + r.id + " is not hosted by this process"}
 }
 
 // seedFromDisk rebuilds the replica's in-memory world from a store
@@ -311,9 +320,9 @@ func (r *Replica[S]) sameOps(o *Replica[S]) bool {
 // derivation.
 //
 // Reads are lock-free whenever the atomically published fold snapshot is
-// current — always on a quiescent replica, and between batches under
-// pipeline ingest, which republishes before acknowledging each batch.
-// Only a reader racing an in-flight mutation falls back to the lock.
+// current — always on a quiescent replica, and between ingest batches,
+// each of which republishes before it is acknowledged. Only a reader
+// racing an in-flight mutation falls back to the lock.
 func (r *Replica[S]) State() S {
 	if p := r.pub.Load(); p != nil && p.version == r.version.Load() {
 		return p.state
@@ -427,8 +436,8 @@ func (r *Replica[S]) rewindLocked(m oplog.Watermark) {
 }
 
 // addLocked unions one entry into the set — Lamport clock, rewind
-// detection — without journaling or store staging; the batched ingest
-// loop batches those through Journal.AppendAll and stageLocked. It
+// detection — without journaling or store staging; ingestSegment
+// batches those through Journal.AppendAll and stageLocked. It
 // reports whether the entry was new. The caller holds r.mu.
 func (r *Replica[S]) addLocked(e oplog.Entry) bool {
 	if !r.ops.Add(e) {
@@ -757,15 +766,18 @@ func (r *Replica[S]) reprobeLoop() {
 // succeeds.
 func (r *Replica[S]) Degraded() bool { return r.degraded.Load() }
 
-// IngestBacklog reports the replica's ingest-ring occupancy and
-// capacity ((0, 0) for remote replicas and replicas without the
-// pipelined ingest path). A ring pinned at capacity means submitters
-// are blocking on backpressure — the ingress-side load-shedding signal.
+// IngestBacklog reports how many submits are queued on the replica's
+// ingest ring right now, against its fixed nominal capacity ((0, 0) for
+// a remote replica). Depth is bounded by the operations of callers
+// currently inside a submit call, so a depth near capacity means that
+// many are parked behind the drain — the ingress-side load-shedding
+// signal. The ring itself grows past the nominal figure rather than
+// block; the denominator does not move.
 func (r *Replica[S]) IngestBacklog() (depth, capacity int) {
-	if r.remote || r.ingest == nil {
+	if r.remote {
 		return 0, 0
 	}
-	return r.ingest.backlog()
+	return r.ingest.depth(), ingestNominalCap
 }
 
 // DegradedReason returns the store failure that degraded the replica,
@@ -842,110 +854,6 @@ func (r *Replica[S]) sweepViolations() {
 			}
 		}
 	}
-}
-
-// submitLocal is the async path: admit against the local guess, record,
-// move on. The guess is remembered in the ledger. emit fires exactly
-// once — on a durable replica only after the op's journal record is
-// group-committed, so an accepted guess survives a hard crash.
-func (r *Replica[S]) submitLocal(op oplog.Entry, emit func(Result)) {
-	r.mu.Lock()
-	if r.node.Crashed() {
-		r.mu.Unlock()
-		emit(Result{Op: op, Reason: "replica down"})
-		return
-	}
-	if r.degraded.Load() {
-		// Read-only: the disk cannot back a new guess. Decline with the
-		// typed retryable reason so callers back off instead of giving up.
-		r.mu.Unlock()
-		emit(Result{Op: op, Reason: ReasonDegraded, Retryable: true})
-		return
-	}
-	if r.c.hasAdmit {
-		// Deriving state is the expensive part of admission; rule-free
-		// clusters skip it and ingest in O(1).
-		state := r.stateLocked()
-		for _, rule := range r.c.rules {
-			if rule.Admit != nil && !rule.Admit(state, op) {
-				r.mu.Unlock()
-				if t := r.c.cfg.tracer; t != nil {
-					t.Declined(string(op.ID), op.Key, r.id, "rule "+rule.Name, int64(r.c.tr.Now()))
-				}
-				emit(Result{Op: op, Reason: "declined by rule " + rule.Name})
-				return
-			}
-		}
-	}
-	added, end := r.absorbLocked([]oplog.Entry{op}, "")
-	snap := r.maybeSnapshotLocked()
-	st := r.store
-	if len(added) == 0 && st != nil {
-		// A duplicate's original entry may still be aboard an unlanded
-		// flush; accepting the retry before that flush covers it would
-		// promise durability the disk does not yet hold.
-		end = st.End()
-	}
-	r.mu.Unlock()
-	if snap != nil {
-		snap()
-	}
-	if t := r.c.cfg.tracer; t != nil && len(added) > 0 {
-		// On the per-op path the fold is lazy (the next read derives it),
-		// so admitted and folded share the admission timestamp.
-		now := int64(r.c.tr.Now())
-		t.Admitted(string(op.ID), op.Key, r.id, now)
-		t.Folded(string(op.ID), r.id, now)
-	}
-	if len(added) == 0 {
-		// A duplicate: a retry that raced past dispatch's idempotency
-		// check, or an op gossip already delivered. Accept it once the
-		// first recording is durable.
-		ack := func(ok bool) {
-			if !ok {
-				res := Result{Op: op, Reason: "replica crashed before the write was durable"}
-				if r.storeFailed() {
-					res.Reason, res.Retryable = ReasonDegraded, true
-				}
-				emit(res)
-				return
-			}
-			emit(Result{Accepted: true, Op: op, Decision: policy.Async})
-		}
-		if st == nil {
-			ack(true)
-			return
-		}
-		st.Commit(end, ack)
-		return
-	}
-	finish := func(ok bool) {
-		if !ok {
-			// The replica crashed — or its disk stopped honouring the
-			// durability contract — before the write landed: the guess
-			// dies with the replica (or with the degraded incarnation's
-			// phantoms), and the caller must not be told otherwise.
-			res := Result{Op: op, Reason: "replica crashed before the write was durable"}
-			if r.storeFailed() {
-				res.Reason, res.Retryable = ReasonDegraded, true
-			}
-			emit(res)
-			return
-		}
-		now := r.c.tr.Now()
-		r.Ledger.Record(now, apology.Memory, r.id, "local "+op.Kind+" "+op.Key, op.ID)
-		r.Ledger.Record(now, apology.Guess, r.id, "accepted "+op.Kind+" "+op.Key+" on local knowledge", op.ID)
-		if t := r.c.cfg.tracer; t != nil {
-			t.Durable(string(op.ID), r.id, int64(now))
-		}
-		r.sweepViolations()
-		emit(Result{Accepted: true, Op: op, Decision: policy.Async})
-	}
-	if st == nil {
-		finish(true)
-		return
-	}
-	st.Commit(end, finish)
 }
 
 // submitSync is the coordinated path of §5.8: ask every replica to admit

@@ -74,25 +74,6 @@ type Scatterer interface {
 	Scatter(fns []func())
 }
 
-// WallClocked is an optional Transport capability: implementations
-// return true when they run on real time with real goroutines (as
-// LiveTransport does), rather than on the deterministic simulator. The
-// ingest pipeline consults it to decide whether background writer
-// goroutines are safe; external transports (e.g. the TCP one) implement
-// it to opt in to true pipelining.
-type WallClocked interface {
-	WallClocked() bool
-}
-
-// wallClocked reports whether tr runs on real time.
-func wallClocked(tr Transport) bool {
-	if _, ok := tr.(*LiveTransport); ok {
-		return true
-	}
-	w, ok := tr.(WallClocked)
-	return ok && w.WallClocked()
-}
-
 // ErrStalled reports that a blocking Submit can never resolve because the
 // transport ran out of work to do — on the simulator, the event queue
 // drained with the submit still pending.

@@ -27,7 +27,6 @@ func ParseServeFlags(args []string) (Config, error) {
 		dataDir    = fs.String("data", "", "durable store directory (empty = memory only)")
 		gossip     = fs.Duration("gossip-every", 50*time.Millisecond, "anti-entropy interval")
 		callTO     = fs.Duration("call-timeout", 500*time.Millisecond, "replica-to-replica call timeout")
-		batch      = fs.Int("ingest-batch", 0, "max ops per ingest batch (0 = engine default)")
 		traceN     = fs.Int("trace-sample", 0, "trace 1-in-N op lifecycles (0 = default 64, negative = off)")
 		debugAddr  = fs.String("debug-addr", "", "serve net/http/pprof on this private address (empty = off)")
 		shed       = fs.Float64("shed-backlog", 0, "ingest-ring occupancy fraction above which submits get 429 (0 = default 0.9)")
@@ -85,9 +84,6 @@ func ParseServeFlags(args []string) (Config, error) {
 	}
 	if set["call-timeout"] || cfg.CallTimeout == 0 {
 		cfg.CallTimeout = *callTO
-	}
-	if set["ingest-batch"] {
-		cfg.IngestBatch = *batch
 	}
 	if set["trace-sample"] {
 		cfg.TraceSample = *traceN

@@ -42,15 +42,13 @@ type Config struct {
 	GossipEvery time.Duration
 	// CallTimeout bounds replica-to-replica calls (default 500ms).
 	CallTimeout time.Duration
-	// IngestBatch caps ops per ingest batch (0 = engine default).
-	IngestBatch int
 	// SnapshotEvery sets journaled entries between durable snapshots
 	// (0 = engine default).
 	SnapshotEvery int
 	// ShedBacklog is the ingest-ring occupancy fraction above which the
-	// HTTP edge sheds submits with 429 + Retry-After instead of queueing
-	// callers on backpressure (default 0.9; >= that fraction of ring
-	// capacity occupied means overloaded).
+	// HTTP edge sheds submits with 429 + Retry-After instead of parking
+	// more callers behind the drain (default 0.9; >= that fraction of the
+	// ring's nominal capacity queued means overloaded).
 	ShedBacklog float64
 	// MinFreeDisk is the free-space floor (bytes) the doctor requires on
 	// the data dir's filesystem (default 256 MiB). A disk below it will
@@ -199,8 +197,6 @@ func ParseConfig(text string) (Config, error) {
 			cfg.GossipEvery, err = time.ParseDuration(val)
 		case "call_timeout":
 			cfg.CallTimeout, err = time.ParseDuration(val)
-		case "ingest_batch":
-			cfg.IngestBatch, err = strconv.Atoi(val)
 		case "snapshot_every":
 			cfg.SnapshotEvery, err = strconv.Atoi(val)
 		case "shed_backlog":

@@ -34,6 +34,10 @@ type Daemon struct {
 	debugSrv   *http.Server
 	stopGossip func()
 	started    time.Time
+	// backlog reads the local replicas' ingest-ring depth against its
+	// nominal capacity — the load-shedding signal. A field so tests can
+	// present a saturated ring without racing a thousand callers into it.
+	backlog func() (depth, capacity int)
 }
 
 // New wires a daemon up and starts serving: the peer TCP listener, the
@@ -80,9 +84,6 @@ func New(cfg Config) (*Daemon, error) {
 			opts = append(opts, core.WithStoreFS(cfg.storeFS))
 		}
 	}
-	if cfg.IngestBatch > 0 {
-		opts = append(opts, core.WithIngestBatch(cfg.IngestBatch))
-	}
 	var tracer *trace.Tracer
 	if cfg.TraceSample > 0 {
 		tracer = trace.New(trace.Options{
@@ -98,6 +99,7 @@ func New(cfg Config) (*Daemon, error) {
 		cluster: cluster,
 		tracer:  tracer,
 		started: time.Now(),
+		backlog: func() (int, int) { return cluster.IngestBacklog(cfg.Node) },
 	}
 	d.stopGossip = cluster.StartGossip(cfg.GossipEvery)
 	ln, err := net.Listen("tcp", cfg.HTTPListen)

@@ -25,7 +25,6 @@ api_token: hunter2
 data_dir: /var/lib/quicksand/n0
 gossip_every: 25ms
 call_timeout: 250ms
-ingest_batch: 64
 snapshot_every: 2048
 `)
 	if err != nil {

@@ -129,3 +129,60 @@ func TestParseSize(t *testing.T) {
 		}
 	}
 }
+
+// TestDaemonShedsOnSaturatedIngestRing: a default-config daemon has an
+// ingest ring, so the overload surface is live — while the ring reports
+// saturation past shed_backlog, POST /v1/submit and /v1/batch answer 429
+// with a Retry-After hint and touch nothing, reads keep serving, and the
+// moment the ring drains the same requests are admitted.
+func TestDaemonShedsOnSaturatedIngestRing(t *testing.T) {
+	d := soloDaemon(t, nil)
+	c := client.New("http://"+d.HTTPAddr(), client.WithRetries(0))
+	ctx := context.Background()
+
+	// The real signal on an idle default daemon: an empty ring with a
+	// non-zero nominal capacity (capacity 0 would mean "never shed").
+	depth, capacity := d.backlog()
+	if depth != 0 || capacity == 0 {
+		t.Fatalf("idle default daemon backlog = %d/%d, want 0 of a non-zero capacity", depth, capacity)
+	}
+	if res, err := c.Submit(ctx, client.Op{Kind: "deposit", Key: "acct", Arg: 100}, false); err != nil || !res.Accepted {
+		t.Fatalf("submit on an idle ring: %+v, %v", res, err)
+	}
+
+	// Saturate: one op short of the threshold still admits, at it sheds.
+	drained := d.backlog
+	threshold := int(d.cfg.ShedBacklog * float64(capacity))
+	queued := threshold - 1
+	d.backlog = func() (int, int) { return queued, capacity }
+	if res, err := c.Submit(ctx, client.Op{Kind: "deposit", Key: "acct", Arg: 1}, false); err != nil || !res.Accepted {
+		t.Fatalf("submit just under the shed threshold: %+v, %v", res, err)
+	}
+	queued = capacity
+	wantShed := func(what string, err error) {
+		t.Helper()
+		var ae *client.APIError
+		if !errors.As(err, &ae) || ae.Status != http.StatusTooManyRequests || ae.Code != "overloaded" {
+			t.Fatalf("%s on a saturated ring: err = %v, want 429 overloaded", what, err)
+		}
+		if ae.RetryAfter <= 0 {
+			t.Fatalf("%s: 429 without a Retry-After hint: %+v", what, ae)
+		}
+	}
+	_, err := c.Submit(ctx, client.Op{Kind: "deposit", Key: "acct", Arg: 1000}, false)
+	wantShed("submit", err)
+	_, err = c.SubmitBatch(ctx, []client.Op{{Kind: "deposit", Key: "acct", Arg: 1000}}, false)
+	wantShed("batch", err)
+	if st, err := c.State(ctx); err != nil || st.Keys["acct"] != 101 {
+		t.Fatalf("read while shedding: %+v, %v — want acct=101 (shed submits must not apply)", st, err)
+	}
+
+	// Drained: the real, empty ring admits again.
+	d.backlog = drained
+	if res, err := c.Submit(ctx, client.Op{Kind: "deposit", Key: "acct", Arg: 1}, false); err != nil || !res.Accepted {
+		t.Fatalf("submit after the ring drained: %+v, %v", res, err)
+	}
+	if _, err := c.SubmitBatch(ctx, []client.Op{{Kind: "deposit", Key: "acct", Arg: 1}}, false); err != nil {
+		t.Fatalf("batch after the ring drained: %v", err)
+	}
+}

@@ -77,12 +77,12 @@ func writeRetryError(w http.ResponseWriter, status int, code, msg string, retryA
 }
 
 // shedding reports whether the ingest ring is saturated past the
-// configured threshold. Refusing new work at the HTTP edge with a 429
-// keeps the (bounded, backpressuring) ring from silently turning every
-// caller into a blocked goroutine: fail the request fast and let the
-// client's jittered backoff spread the load out.
+// configured threshold. The ring never refuses a submit, so refusing at
+// the HTTP edge with a 429 is what keeps overload from silently turning
+// every caller into a goroutine parked behind the drain: fail the
+// request fast and let the client's jittered backoff spread the load out.
 func (d *Daemon) shedding() bool {
-	depth, capacity := d.cluster.IngestBacklog(d.cfg.Node)
+	depth, capacity := d.backlog()
 	return capacity > 0 && float64(depth) >= d.cfg.ShedBacklog*float64(capacity)
 }
 

@@ -69,9 +69,9 @@ func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		p.sample("quicksand_shard_degraded", shardLabel(s), v)
 	}
-	depth, capacity := d.cluster.IngestBacklog(d.cfg.Node)
-	p.gauge("quicksand_ingest_backlog", "Occupied ingest-ring slots across local shards.", float64(depth))
-	p.gauge("quicksand_ingest_capacity", "Total ingest-ring capacity across local shards.", float64(capacity))
+	depth, capacity := d.backlog()
+	p.gauge("quicksand_ingest_backlog", "Submits queued on the ingest rings of the local shards.", float64(depth))
+	p.gauge("quicksand_ingest_capacity", "Nominal ingest-ring capacity across local shards (the shed denominator).", float64(capacity))
 
 	// Submit-latency histograms, per shard and path.
 	p.family("quicksand_submit_duration_seconds", "histogram", "Submit latency distribution, by shard and path (async = guess, sync = coordinated).")

@@ -166,6 +166,19 @@ func TestTraceEndpointAndDash(t *testing.T) {
 		t.Fatalf("op timeline = %+v, want submitted-first lifecycle", tl.Events)
 	}
 
+	// A rule decline ends its timeline with the reason the caller was given.
+	dec, err := c.Submit(ctx, client.Op{Kind: "withdraw", Key: "acct", Arg: 900}, false)
+	if err != nil || dec.Accepted || dec.Reason == "" {
+		t.Fatalf("overdraft: %+v, %v; want a rule decline", dec, err)
+	}
+	tl, err = c.Trace(ctx, dec.ID)
+	if err != nil {
+		t.Fatalf("trace declined op: %v", err)
+	}
+	if last := tl.Events[len(tl.Events)-1]; last.Kind != "declined" || last.Note != dec.Reason {
+		t.Fatalf("declined op's timeline ends %+v, want a declined event noting %q", last, dec.Reason)
+	}
+
 	if _, err := c.Trace(ctx, "no-such-op"); err == nil {
 		t.Error("unknown op id did not 404")
 	}

@@ -57,8 +57,8 @@ func TestRegistryCompleteAndUnique(t *testing.T) {
 		}
 		seen[e.ID] = true
 	}
-	if len(seen) != 20 {
-		t.Fatalf("expected 20 experiments, have %d", len(seen))
+	if len(seen) != 19 {
+		t.Fatalf("expected 19 experiments, have %d", len(seen))
 	}
 	if _, err := ByID("nope"); err == nil {
 		t.Fatal("ByID accepted an unknown id")

@@ -13,7 +13,7 @@ import (
 
 // Experiment is one runnable claim-check.
 type Experiment struct {
-	ID    string // E1..E16, A1..A4
+	ID    string // E1..E15, A1..A4
 	Title string
 	Claim string // the paper text this experiment tests, with section
 	Run   func(seed int64) *stats.Table
@@ -37,7 +37,6 @@ func All() []Experiment {
 		E13IncrementalFold(),
 		E14ShardedHotKey(),
 		E15DurableRecovery(),
-		E16BatchedIngest(),
 		A1OpVsStateMerge(),
 		A2GroupCommit(),
 		A3QuorumSweep(),

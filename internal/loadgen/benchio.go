@@ -45,10 +45,9 @@ type Row struct {
 	// GOMAXPROCS is the parallelism in effect while THIS row ran — a
 	// matrix sweep changes it between arms, so it is per-row, not only
 	// part of the document fingerprint.
-	GOMAXPROCS  int `json:"gomaxprocs"`
-	Shards      int `json:"shards"`
-	Replicas    int `json:"replicas"`
-	IngestBatch int `json:"ingest_batch"`
+	GOMAXPROCS int `json:"gomaxprocs"`
+	Shards     int `json:"shards"`
+	Replicas   int `json:"replicas"`
 
 	Invariants []Check `json:"invariants,omitempty"`
 	Passed     bool    `json:"passed"`

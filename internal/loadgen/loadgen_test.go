@@ -128,9 +128,9 @@ func TestGeneratorDeterminism(t *testing.T) {
 }
 
 // TestLoadgenRaceSoak drives the loadgen against a live durable cluster
-// with the ingest pipeline on, while a churn goroutine hard-kills and
-// recovers replicas and readers poll snapshots — the reader-snapshot /
-// ingest-pipeline / crash-recovery interleavings all at once. Run it
+// while a churn goroutine hard-kills and recovers replicas and readers
+// poll snapshots — the reader-snapshot / ingest-drain / crash-recovery
+// interleavings all at once. Run it
 // under -race; skip under -short.
 func TestLoadgenRaceSoak(t *testing.T) {
 	if testing.Short() {
@@ -139,7 +139,6 @@ func TestLoadgenRaceSoak(t *testing.T) {
 	tgt := NewAccountsCluster(
 		core.WithReplicas(3),
 		core.WithDurability(t.TempDir()),
-		core.WithIngestBatch(64),
 		core.WithGossipEvery(2*time.Millisecond),
 	)
 	defer tgt.Close()

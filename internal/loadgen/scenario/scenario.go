@@ -32,18 +32,17 @@ const (
 // Config sizes one scenario run. Zero values take the scenario's
 // full-scale defaults; the test suite passes reduced scale.
 type Config struct {
-	Stack       string        // "", StackLive, StackDurable, StackNet
-	DataDir     string        // durable root; empty = a fresh temp dir
-	Duration    time.Duration // traffic window
-	Workers     int
-	Rate        float64 // offered ops/s; 0 = closed loop
-	Keys        int
-	Replicas    int
-	Shards      int
-	IngestBatch int
-	FsyncDelay  time.Duration // slow-disk scenario: latency added to every fsync
-	Seed        int64
-	Out         io.Writer // per-second progress stream (nil = silent)
+	Stack      string        // "", StackLive, StackDurable, StackNet
+	DataDir    string        // durable root; empty = a fresh temp dir
+	Duration   time.Duration // traffic window
+	Workers    int
+	Rate       float64 // offered ops/s; 0 = closed loop
+	Keys       int
+	Replicas   int
+	Shards     int
+	FsyncDelay time.Duration // slow-disk scenario: latency added to every fsync
+	Seed       int64
+	Out        io.Writer // per-second progress stream (nil = silent)
 
 	// extraOpts and state are populated by a scenario's prepare hook, once
 	// per run: extraOpts joins the engine options when an in-process
@@ -201,7 +200,6 @@ func (s *Scenario) Run(ctx context.Context, cfg Config) (*Result, error) {
 	row.Seed = cfg.Seed
 	row.Shards = cfg.Shards
 	row.Replicas = cfg.Replicas
-	row.IngestBatch = cfg.IngestBatch
 	row.Invariants = checks
 	row.Passed = true
 	for _, c := range checks {
@@ -214,7 +212,7 @@ func (s *Scenario) Run(ctx context.Context, cfg Config) (*Result, error) {
 func buildTarget(cfg Config) (loadgen.ChaosTarget, error) {
 	switch cfg.Stack {
 	case StackNet:
-		return loadgen.NewNetTarget(cfg.Replicas, cfg.Shards, cfg.IngestBatch, cfg.DataDir, 10*time.Millisecond)
+		return loadgen.NewNetTarget(cfg.Replicas, cfg.Shards, cfg.DataDir, 10*time.Millisecond)
 	case StackLive, StackDurable:
 		opts := []core.Option{
 			core.WithReplicas(cfg.Replicas),
@@ -225,9 +223,6 @@ func buildTarget(cfg Config) (loadgen.ChaosTarget, error) {
 		}
 		if cfg.Shards > 1 {
 			opts = append(opts, core.WithShards(cfg.Shards))
-		}
-		if cfg.IngestBatch > 0 {
-			opts = append(opts, core.WithIngestBatch(cfg.IngestBatch))
 		}
 		if cfg.Stack == StackDurable {
 			opts = append(opts, core.WithDurability(cfg.DataDir))

@@ -222,7 +222,7 @@ type NetTarget struct {
 
 // NewNetTarget boots n in-process daemons on loopback — real TCP gossip,
 // real HTTP submits — forming one cluster of n replicas per shard.
-func NewNetTarget(n, shards, ingestBatch int, dataDir string, gossipEvery time.Duration) (*NetTarget, error) {
+func NewNetTarget(n, shards int, dataDir string, gossipEvery time.Duration) (*NetTarget, error) {
 	if n < 2 {
 		n = 2
 	}
@@ -244,7 +244,6 @@ func NewNetTarget(n, shards, ingestBatch int, dataDir string, gossipEvery time.D
 			PeerListen:  peerAddrs[i],
 			Peers:       peers,
 			GossipEvery: gossipEvery,
-			IngestBatch: ingestBatch,
 		}
 		if dataDir != "" {
 			cfg.DataDir = fmt.Sprintf("%s/node%d", dataDir, i)

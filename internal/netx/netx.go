@@ -308,10 +308,6 @@ func (t *Transport) Every(interval time.Duration, fn func()) (stop func()) {
 // of the Scatterer capability, same as LiveTransport.
 func (t *Transport) Scatter(fns []func()) { t.local.Scatter(fns) }
 
-// WallClocked opts in to the engine's pipelined (goroutine-backed)
-// ingest path: this transport runs on real time.
-func (t *Transport) WallClocked() bool { return true }
-
 // Await blocks until ready closes or ctx is done; real goroutines make
 // their own progress.
 func (t *Transport) Await(ctx context.Context, ready <-chan struct{}) error {

@@ -28,13 +28,15 @@ type sumApp struct{}
 func (sumApp) Init() int64                         { return 0 }
 func (sumApp) Step(s int64, op quicksand.Op) int64 { return s + op.Arg }
 
-// benchLiveSubmit measures single-op blocking submits spread across the
-// replicas from parallel goroutines, with background gossip running.
-func benchLiveSubmit(b *testing.B, opts ...quicksand.Option) {
-	b.Helper()
+// BenchmarkLiveSubmit is the engine's submit hot path: single-op
+// blocking submits spread across the replicas from parallel goroutines,
+// with background gossip running. Each submitter enqueues into its
+// replica's ring and drains it; submitters that arrive while a drain is
+// running ride that drain's batch, so the replica lock, the fold advance,
+// and the journal append are paid once per batch.
+func BenchmarkLiveSubmit(b *testing.B) {
 	b.ReportAllocs()
-	c := quicksand.New[int64](sumApp{}, nil,
-		append([]quicksand.Option{quicksand.WithGossipEvery(time.Millisecond)}, opts...)...)
+	c := quicksand.New[int64](sumApp{}, nil, quicksand.WithGossipEvery(time.Millisecond))
 	defer c.Close()
 	ctx := context.Background()
 	var next atomic.Int64
@@ -49,23 +51,6 @@ func benchLiveSubmit(b *testing.B, opts ...quicksand.Option) {
 		}
 	})
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")
-}
-
-// BenchmarkLiveSubmit is the engine's submit hot path as shipped: the
-// batched single-writer ingest pipeline. Concurrent submitters enqueue
-// into each replica's ring; the per-replica writer drains them in
-// batches, so the replica lock, the fold advance, and the journal append
-// are paid once per batch instead of once per op. Compare against
-// BenchmarkLiveSubmitDirect for what the pipeline buys.
-func BenchmarkLiveSubmit(b *testing.B) {
-	benchLiveSubmit(b, quicksand.WithIngestBatch(256))
-}
-
-// BenchmarkLiveSubmitDirect is the per-op baseline: every submit takes
-// the replica lock itself. Kept as the measured evidence of the
-// pipeline's amortization.
-func BenchmarkLiveSubmitDirect(b *testing.B) {
-	benchLiveSubmit(b)
 }
 
 // admitAll is a rule whose Admit always passes: it forces every submit to
@@ -207,12 +192,6 @@ func BenchmarkLiveDurable(b *testing.B) {
 		{"group-commit", func(b *testing.B) []quicksand.Option {
 			return []quicksand.Option{quicksand.WithDurability(b.TempDir())}
 		}},
-		{"group-commit-ingest", func(b *testing.B) []quicksand.Option {
-			// The pipeline on top of group commit: a whole ingest batch is
-			// staged as one chunk and boards one flush, so fsyncs/op drops
-			// further and the commit fan-out resolves the batch together.
-			return []quicksand.Option{quicksand.WithDurability(b.TempDir()), quicksand.WithIngestBatch(256)}
-		}},
 		{"fsync-per-op", func(b *testing.B) []quicksand.Option {
 			return []quicksand.Option{quicksand.WithDurability(b.TempDir()), quicksand.WithFsyncPerOp()}
 		}},
@@ -245,42 +224,29 @@ func BenchmarkLiveDurable(b *testing.B) {
 }
 
 // BenchmarkLiveSubmitBatch measures bulk ingest through SubmitBatch —
-// the throughput path. The pipeline arm enqueues each 100-op batch as
-// one contiguous run with no per-op closure and resolves it with one
-// commit fan-out; direct is the per-op dispatch baseline. Allocations
-// per op (reported by -benchmem, divided by 100) are part of the
-// acceptance: the pipeline must at least halve them.
+// the throughput path: each 100-op batch is enqueued as one contiguous
+// run with no per-op closure and resolved with one commit fan-out.
+// Allocations per op are -benchmem's figure divided by 100.
 func BenchmarkLiveSubmitBatch(b *testing.B) {
 	const batchSize = 100
-	for _, arm := range []struct {
-		name string
-		opts []quicksand.Option
-	}{
-		{"direct", nil},
-		{"pipeline", []quicksand.Option{quicksand.WithIngestBatch(256)}},
-	} {
-		b.Run(arm.name, func(b *testing.B) {
-			b.ReportAllocs()
-			c := quicksand.New[int64](sumApp{}, nil,
-				append([]quicksand.Option{quicksand.WithGossipEvery(time.Millisecond)}, arm.opts...)...)
-			defer c.Close()
-			ctx := context.Background()
-			var next atomic.Int64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				rep := int(next.Add(1)) % c.Replicas()
-				batch := make([]quicksand.Op, batchSize)
-				for pb.Next() {
-					for i := range batch {
-						batch[i] = quicksand.NewOp("add", "k", 1)
-					}
-					if _, err := c.SubmitBatch(ctx, rep, batch); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-			b.ReportMetric(float64(b.N*batchSize)/b.Elapsed().Seconds(), "ops/s")
-		})
-	}
+	b.ReportAllocs()
+	c := quicksand.New[int64](sumApp{}, nil, quicksand.WithGossipEvery(time.Millisecond))
+	defer c.Close()
+	ctx := context.Background()
+	var next atomic.Int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		rep := int(next.Add(1)) % c.Replicas()
+		batch := make([]quicksand.Op, batchSize)
+		for pb.Next() {
+			for i := range batch {
+				batch[i] = quicksand.NewOp("add", "k", 1)
+			}
+			if _, err := c.SubmitBatch(ctx, rep, batch); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	b.ReportMetric(float64(b.N*batchSize)/b.Elapsed().Seconds(), "ops/s")
 }
