@@ -1,6 +1,7 @@
 // Command quicksand-bench runs the full experiment suite — the derived
 // evaluation section of the Building on Quicksand reproduction — and
-// prints every table.
+// prints every table. The tables are deterministic per seed; wall-clock
+// measurement is `go run ./bench`, not this command.
 //
 // Usage:
 //
@@ -8,90 +9,75 @@
 //	quicksand-bench -run E6      # one experiment
 //	quicksand-bench -list        # list experiments and claims
 //	quicksand-bench -seed 7      # change the deterministic seed
-//	quicksand-bench -live        # wall-clock engine throughput on real goroutines
-//	quicksand-bench -shards 8    # shard count: the -live scaling curve's top end,
-//	                             # and the sharded arm of E14 on the simulator
-//	quicksand-bench -live -durable DIR
-//	                             # add the durability arm: ops/sec, fsyncs, and
-//	                             # group-commit amortization against real files in DIR
-//	quicksand-bench -live -json FILE
-//	                             # additionally write every measured arm (ops/s,
-//	                             # ns/op, allocs/op, fsyncs/op) as JSON to FILE —
-//	                             # the format BENCH_live.json and the CI artifact use
+//	quicksand-bench -shards 8    # shard count of E14's sharded arm
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"repro/internal/experiment"
 )
 
-func main() {
-	var (
-		run     = flag.String("run", "", "run only the experiment with this ID (e.g. E6, A1)")
-		list    = flag.Bool("list", false, "list experiments without running")
-		seed    = flag.Int64("seed", 1, "deterministic seed for every experiment")
-		live    = flag.Bool("live", false, "run only the live-transport throughput measurement (real goroutines, wall clock)")
-		liveDur = flag.Duration("liveduration", 500*time.Millisecond, "sampling window per row of the -live table")
-		shards  = flag.Int("shards", 4, "max shard count for the -live scaling curve, and the sharded arm of E14 in sim mode")
-		durable = flag.String("durable", "", "with -live: directory for per-replica disk stores; adds the durability/group-commit table")
-		netArm  = flag.Bool("net", false, "measure the networked stack: SDK → HTTP → daemon with TCP gossip between two loopback daemons")
-		jsonOut = flag.String("json", "", "with -live/-net: also write machine-readable results (ops/s, ns/op, allocs/op, fsyncs/op per arm) to this file")
-	)
-	flag.Parse()
+type options struct {
+	run    string
+	list   bool
+	seed   int64
+	shards int
+}
 
-	experiment.SetShards(*shards)
+// newFlagSet declares every flag the command accepts, bound to o.
+func newFlagSet(o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet("quicksand-bench", flag.ContinueOnError)
+	fs.StringVar(&o.run, "run", "", "run only the experiment with this ID (e.g. E6, A1)")
+	fs.BoolVar(&o.list, "list", false, "list experiments without running")
+	fs.Int64Var(&o.seed, "seed", 1, "deterministic seed for every experiment")
+	fs.IntVar(&o.shards, "shards", 4, "shard count of the sharded arm of E14")
+	return fs
+}
 
-	if *live || *netArm {
-		report := newBenchReport(*liveDur)
-		if *live {
-			runLiveBench(*liveDur, *shards, report)
-			if *durable != "" {
-				runLiveDurableBench(*liveDur, *durable, report)
-			}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	var o options
+	fs := newFlagSet(&o)
+	fs.SetOutput(stderr)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		if *netArm {
-			if err := runNetBench(*liveDur, report); err != nil {
-				fmt.Fprintln(os.Stderr, "net bench failed:", err)
-				os.Exit(1)
-			}
-		}
-		if *jsonOut != "" {
-			if err := report.write(*jsonOut); err != nil {
-				fmt.Fprintln(os.Stderr, "writing", *jsonOut, "failed:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("\nwrote %d results to %s\n", len(report.Results), *jsonOut)
-		}
-		return
+		return 2
 	}
+	experiment.SetShards(o.shards)
 
 	exps := experiment.All()
-	if *run != "" {
-		e, err := experiment.ByID(*run)
+	if o.run != "" {
+		e, err := experiment.ByID(o.run)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, err)
+			return 2
 		}
 		exps = []experiment.Experiment{e}
 	}
 
-	if *list {
+	if o.list {
 		for _, e := range exps {
-			fmt.Printf("%-4s %s\n     claim: %s\n", e.ID, e.Title, e.Claim)
+			fmt.Fprintf(stdout, "%-4s %s\n     claim: %s\n", e.ID, e.Title, e.Claim)
 		}
-		return
+		return 0
 	}
 
 	for _, e := range exps {
-		fmt.Printf("\n%s: %s\n", e.ID, e.Title)
-		fmt.Printf("claim — %s\n\n", e.Claim)
+		fmt.Fprintf(stdout, "\n%s: %s\n", e.ID, e.Title)
+		fmt.Fprintf(stdout, "claim — %s\n\n", e.Claim)
 		start := time.Now()
-		tab := e.Run(*seed)
-		fmt.Print(tab.String())
-		fmt.Printf("(%s in %v wall time)\n", e.ID, time.Since(start).Round(time.Millisecond))
+		tab := e.Run(o.seed)
+		fmt.Fprint(stdout, tab.String())
+		fmt.Fprintf(stdout, "(%s in %v wall time)\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
+	return 0
 }

@@ -1,8 +1,8 @@
 // Package experiment holds the derived evaluation suite of this
 // reproduction. Building on Quicksand has no tables or figures, so each
 // experiment here operationalizes one falsifiable claim from the paper's
-// prose (quoted in Claim) and regenerates one table. The bench harness at
-// the repository root and cmd/quicksand-bench both run these.
+// prose (quoted in Claim) and regenerates one table; cmd/quicksand-bench
+// prints them and this package's tests assert them.
 package experiment
 
 import (

@@ -105,9 +105,7 @@ func (s Spec) withDefaults() Spec {
 	if s.HotFrac <= 0 || s.HotFrac > 1 {
 		s.HotFrac = 0.5
 	}
-	if s.DepositFrac < 0 || s.DepositFrac > 1 {
-		s.DepositFrac = 0.8
-	} else if s.DepositFrac == 0 {
+	if s.DepositFrac <= 0 || s.DepositFrac > 1 {
 		s.DepositFrac = 0.8
 	}
 	if s.MaxArg <= 0 {

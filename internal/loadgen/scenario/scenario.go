@@ -3,9 +3,8 @@
 // spikes, skewed key spaces, partition storms, slow disks, rolling
 // kill/recover churn — against any of the three stacks. Every scenario
 // asserts its end-state invariants (convergence, no lost accepted ops,
-// apologies bounded and attributed) and emits one machine-readable row
-// for BENCH_scenarios.json, so a chaos experiment is a reproducible
-// measurement, not an anecdote.
+// apologies bounded and attributed; vocabulary in docs/failure-model.md),
+// so a chaos experiment is a reproducible verdict, not an anecdote.
 package scenario
 
 import (
@@ -32,17 +31,16 @@ const (
 // Config sizes one scenario run. Zero values take the scenario's
 // full-scale defaults; the test suite passes reduced scale.
 type Config struct {
-	Stack      string        // "", StackLive, StackDurable, StackNet
-	DataDir    string        // durable root; empty = a fresh temp dir
-	Duration   time.Duration // traffic window
-	Workers    int
-	Rate       float64 // offered ops/s; 0 = closed loop
-	Keys       int
-	Replicas   int
-	Shards     int
-	FsyncDelay time.Duration // slow-disk scenario: latency added to every fsync
-	Seed       int64
-	Out        io.Writer // per-second progress stream (nil = silent)
+	Stack    string        // "", StackLive, StackDurable, StackNet
+	DataDir  string        // durable root; empty = a fresh temp dir
+	Duration time.Duration // traffic window
+	Workers  int
+	Rate     float64 // offered ops/s; 0 = closed loop
+	Keys     int
+	Replicas int
+	Shards   int
+	Seed     int64
+	Out      io.Writer // per-second progress stream (nil = silent)
 
 	// extraOpts and state are populated by a scenario's prepare hook, once
 	// per run: extraOpts joins the engine options when an in-process
@@ -72,9 +70,6 @@ func (c Config) withDefaults(s *Scenario) Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.FsyncDelay == 0 {
-		c.FsyncDelay = s.FsyncDelay
-	}
 	return c
 }
 
@@ -84,8 +79,6 @@ type Scenario struct {
 	Desc  string
 	Stack string // default stack
 	Keys  int    // default key-space size
-	// FsyncDelay is the default Config.FsyncDelay (0 = none).
-	FsyncDelay time.Duration
 	// NeedsDurability rejects volatile stacks (kill/recover, slow disk).
 	NeedsDurability bool
 	// prepare, when set, runs once per Run — after defaults, before the
@@ -95,25 +88,22 @@ type Scenario struct {
 	prepare func(c *Config)
 	// run drives the experiment against a built target and returns the
 	// driver report plus the scenario's invariant checks.
-	run func(ctx context.Context, cfg Config, tgt loadgen.ChaosTarget) (*loadgen.Report, []loadgen.Check, error)
+	run func(ctx context.Context, cfg Config, tgt loadgen.ChaosTarget) (*loadgen.Report, []Check, error)
 }
 
-// Result is one completed scenario run: the measured row (including the
-// invariant verdicts) ready for BENCH_scenarios.json.
+// Check is one asserted end-state invariant of a scenario run.
+type Check struct {
+	Name   string
+	OK     bool
+	Detail string
+}
+
+// Result is one completed scenario run: the driver's measurements and
+// the invariant verdicts.
 type Result struct {
-	Row    loadgen.Row
 	Report *loadgen.Report
-}
-
-// Failed lists the invariant checks that did not hold.
-func (r *Result) Failed() []loadgen.Check {
-	var out []loadgen.Check
-	for _, c := range r.Row.Invariants {
-		if !c.OK {
-			out = append(out, c)
-		}
-	}
-	return out
+	Checks []Check
+	Passed bool // every check held
 }
 
 // All returns every registered scenario, name-sorted.
@@ -154,8 +144,7 @@ func names() string {
 }
 
 // Run executes the scenario at the configured scale: build the target,
-// drive traffic and faults, heal, converge, check invariants, and fold
-// everything into one Row.
+// drive traffic and faults, heal, converge, check invariants.
 func (s *Scenario) Run(ctx context.Context, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults(s)
 	if s.NeedsDurability && cfg.Stack != StackDurable {
@@ -164,25 +153,11 @@ func (s *Scenario) Run(ctx context.Context, cfg Config) (*Result, error) {
 	if s.prepare != nil {
 		s.prepare(&cfg)
 	}
-	cleanupDir := ""
-	if (cfg.Stack == StackDurable || s.NeedsDurability) && cfg.DataDir == "" {
-		dir, err := os.MkdirTemp("", "quicksand-"+s.Name+"-*")
-		if err != nil {
-			return nil, err
-		}
-		cfg.DataDir = dir
-		cleanupDir = dir
-	}
-	tgt, err := buildTarget(cfg)
+	tgt, closeTarget, err := BuildTarget(cfg)
 	if err != nil {
 		return nil, err
 	}
-	defer func() {
-		tgt.Close()
-		if cleanupDir != "" {
-			os.RemoveAll(cleanupDir)
-		}
-	}()
+	defer closeTarget()
 
 	// Phase markers ride the same trace stream as the op lifecycles, so
 	// a dashboard (or /v1/trace) shows what the scenario was doing when
@@ -194,25 +169,34 @@ func (s *Scenario) Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	tgt.Annotate(fmt.Sprintf("scenario %s: complete", s.Name))
 
-	row := loadgen.FromReport(rep)
-	row.Scenario = s.Name
-	row.Stack = cfg.Stack
-	row.Seed = cfg.Seed
-	row.Shards = cfg.Shards
-	row.Replicas = cfg.Replicas
-	row.Invariants = checks
-	row.Passed = true
+	res := &Result{Report: rep, Checks: checks, Passed: true}
 	for _, c := range checks {
-		row.Passed = row.Passed && c.OK
+		res.Passed = res.Passed && c.OK
 	}
-	return &Result{Row: row, Report: rep}, nil
+	return res, nil
 }
 
-// buildTarget realizes the configured stack.
-func buildTarget(cfg Config) (loadgen.ChaosTarget, error) {
+// BuildTarget boots the stack cfg names (Stack, Replicas, Shards,
+// DataDir) — the one place outside bench/ that does. A durable stack
+// with no DataDir gets a fresh temp dir; the returned func closes the
+// target and removes that dir.
+func BuildTarget(cfg Config) (loadgen.ChaosTarget, func(), error) {
+	tempDir := ""
+	if cfg.Stack == StackDurable && cfg.DataDir == "" {
+		dir, err := os.MkdirTemp("", "quicksand-load-*")
+		if err != nil {
+			return nil, nil, err
+		}
+		cfg.DataDir, tempDir = dir, dir
+	}
+	var tgt loadgen.ChaosTarget
 	switch cfg.Stack {
 	case StackNet:
-		return loadgen.NewNetTarget(cfg.Replicas, cfg.Shards, cfg.DataDir, 10*time.Millisecond)
+		nt, err := loadgen.NewNetTarget(cfg.Replicas, cfg.Shards, cfg.DataDir, 10*time.Millisecond)
+		if err != nil {
+			return nil, nil, err
+		}
+		tgt = nt
 	case StackLive, StackDurable:
 		opts := []core.Option{
 			core.WithReplicas(cfg.Replicas),
@@ -227,11 +211,16 @@ func buildTarget(cfg Config) (loadgen.ChaosTarget, error) {
 		if cfg.Stack == StackDurable {
 			opts = append(opts, core.WithDurability(cfg.DataDir))
 		}
-		opts = append(opts, cfg.extraOpts...)
-		return loadgen.NewAccountsCluster(opts...), nil
+		tgt = loadgen.NewAccountsCluster(append(opts, cfg.extraOpts...)...)
 	default:
-		return nil, fmt.Errorf("scenario: unknown stack %q", cfg.Stack)
+		return nil, nil, fmt.Errorf("scenario: unknown stack %q", cfg.Stack)
 	}
+	return tgt, func() {
+		tgt.Close()
+		if tempDir != "" {
+			os.RemoveAll(tempDir)
+		}
+	}, nil
 }
 
 // baseSpec translates the scenario config into a driver spec. Workers
@@ -256,7 +245,7 @@ func baseSpec(cfg Config) loadgen.Spec {
 
 // converge heals everything and drives anti-entropy with a generous
 // deadline scaled off the traffic window.
-func converge(ctx context.Context, tgt loadgen.Target, window time.Duration) loadgen.Check {
+func converge(ctx context.Context, tgt loadgen.Target, window time.Duration) Check {
 	deadline := 30 * time.Second
 	if window > deadline {
 		deadline = window
@@ -264,9 +253,9 @@ func converge(ctx context.Context, tgt loadgen.Target, window time.Duration) loa
 	cctx, cancel := context.WithTimeout(ctx, deadline)
 	defer cancel()
 	if err := tgt.Converge(cctx); err != nil {
-		return loadgen.Check{Name: "converged", Detail: err.Error()}
+		return Check{Name: "converged", Detail: err.Error()}
 	}
-	return loadgen.Check{Name: "converged", OK: true}
+	return Check{Name: "converged", OK: true}
 }
 
 // checkNoLostOps asserts the durability/availability contract: after
@@ -280,49 +269,49 @@ func converge(ctx context.Context, tgt loadgen.Target, window time.Duration) loa
 // plus whatever extra the scenario's fault model justifies — a hard
 // kill can journal an in-flight op and destroy its acknowledgment, so
 // kill/recover scenarios pass kills × in-flight-per-kill as extra.
-func checkNoLostOps(rep *loadgen.Report, tgt loadgen.Target, seeded, extraSurplus int64) loadgen.Check {
+func checkNoLostOps(rep *loadgen.Report, tgt loadgen.Target, seeded, extraSurplus int64) Check {
 	counts := tgt.OpCounts()
 	if counts == nil {
-		return loadgen.Check{Name: "no-lost-ops", OK: true, Detail: "op counts unobservable on this stack"}
+		return Check{Name: "no-lost-ops", OK: true, Detail: "op counts unobservable on this stack"}
 	}
 	expected := rep.Accepted + seeded
 	allowedSurplus := rep.SyncDeclined + rep.Errors + extraSurplus
 	for i, n := range counts {
 		if int64(n) < expected {
-			return loadgen.Check{Name: "no-lost-ops",
+			return Check{Name: "no-lost-ops",
 				Detail: fmt.Sprintf("entry %d holds %d ops, %d accepted: %d lost", i, n, expected, expected-int64(n))}
 		}
 		if surplus := int64(n) - expected; surplus > allowedSurplus {
-			return loadgen.Check{Name: "no-lost-ops",
+			return Check{Name: "no-lost-ops",
 				Detail: fmt.Sprintf("entry %d holds %d ops, %d accepted: surplus %d exceeds allowance %d", i, n, expected, surplus, allowedSurplus)}
 		}
 	}
-	return loadgen.Check{Name: "no-lost-ops", OK: true,
+	return Check{Name: "no-lost-ops", OK: true,
 		Detail: fmt.Sprintf("%d accepted ops present at all %d entries", expected, len(counts))}
 }
 
 // checkApologiesAttributed asserts every apology names its rule and the
 // key it concerns — an apology nobody can act on is not an apology
 // (§5.7: "the apology must identify the work").
-func checkApologiesAttributed(tgt loadgen.Target) loadgen.Check {
+func checkApologiesAttributed(tgt loadgen.Target) Check {
 	for _, a := range tgt.ApologyList() {
 		if a.Rule == "" || a.Key == "" {
-			return loadgen.Check{Name: "apologies-attributed",
+			return Check{Name: "apologies-attributed",
 				Detail: fmt.Sprintf("apology %s lacks attribution (rule=%q key=%q)", a.ID, a.Rule, a.Key)}
 		}
 	}
-	return loadgen.Check{Name: "apologies-attributed", OK: true}
+	return Check{Name: "apologies-attributed", OK: true}
 }
 
 // checkApologiesBounded asserts the deduped apology count stays at or
 // under limit.
-func checkApologiesBounded(tgt loadgen.Target, limit int) loadgen.Check {
+func checkApologiesBounded(tgt loadgen.Target, limit int) Check {
 	n := tgt.Apologies()
 	if n > limit {
-		return loadgen.Check{Name: "apologies-bounded",
+		return Check{Name: "apologies-bounded",
 			Detail: fmt.Sprintf("%d apologies, bound %d", n, limit)}
 	}
-	return loadgen.Check{Name: "apologies-bounded", OK: true,
+	return Check{Name: "apologies-bounded", OK: true,
 		Detail: fmt.Sprintf("%d apologies within bound %d", n, limit)}
 }
 

@@ -55,12 +55,12 @@ func runAndCheck(t *testing.T, s *Scenario, cfg Config) {
 	if res.Report.Accepted == 0 {
 		t.Fatalf("%s accepted no traffic: %+v", s.Name, res.Report)
 	}
-	for _, c := range res.Row.Invariants {
+	for _, c := range res.Checks {
 		if !c.OK {
 			t.Errorf("invariant %s failed: %s", c.Name, c.Detail)
 		}
 	}
-	if !res.Row.Passed {
+	if !res.Passed {
 		t.Fatalf("%s did not pass", s.Name)
 	}
 }

@@ -29,7 +29,7 @@ var FlashSale = register(&Scenario{
 	Desc:  "hot-key withdrawal spike against seeded stock mid-run",
 	Stack: StackLive,
 	Keys:  256,
-	run: func(ctx context.Context, cfg Config, tgt loadgen.ChaosTarget) (*loadgen.Report, []loadgen.Check, error) {
+	run: func(ctx context.Context, cfg Config, tgt loadgen.ChaosTarget) (*loadgen.Report, []Check, error) {
 		spec := baseSpec(cfg)
 		hot := spec.HotKeyName()
 		seeded, err := seedDeposit(ctx, tgt, hot, 10_000)
@@ -64,7 +64,7 @@ var FlashSale = register(&Scenario{
 		if err != nil {
 			return nil, nil, err
 		}
-		checks := []loadgen.Check{
+		checks := []Check{
 			converge(ctx, tgt, cfg.Duration),
 			checkNoLostOps(rep, tgt, seeded, 0),
 			// The spike must exhaust the stock: a flash sale where nothing
@@ -81,14 +81,14 @@ var FlashSale = register(&Scenario{
 })
 
 // checkHotKeyOnly asserts every apology concerns the flash-sale SKU.
-func checkHotKeyOnly(tgt loadgen.Target, hot string) loadgen.Check {
+func checkHotKeyOnly(tgt loadgen.Target, hot string) Check {
 	for _, a := range tgt.ApologyList() {
 		if a.Key != hot {
-			return loadgen.Check{Name: "apologies-hot-key-only",
+			return Check{Name: "apologies-hot-key-only",
 				Detail: fmt.Sprintf("apology for %q, expected only %q", a.Key, hot)}
 		}
 	}
-	return loadgen.Check{Name: "apologies-hot-key-only", OK: true}
+	return Check{Name: "apologies-hot-key-only", OK: true}
 }
 
 // ZipfMillions: a large, heavily skewed key space — the
@@ -99,7 +99,7 @@ var ZipfMillions = register(&Scenario{
 	Desc:  "large Zipf-skewed key space, 80/20 deposit/withdraw mix",
 	Stack: StackLive,
 	Keys:  1_000_000,
-	run: func(ctx context.Context, cfg Config, tgt loadgen.ChaosTarget) (*loadgen.Report, []loadgen.Check, error) {
+	run: func(ctx context.Context, cfg Config, tgt loadgen.ChaosTarget) (*loadgen.Report, []Check, error) {
 		spec := baseSpec(cfg)
 		spec.Dist = loadgen.Zipf
 		spec.ZipfSkew = 1.1
@@ -107,7 +107,7 @@ var ZipfMillions = register(&Scenario{
 		if err != nil {
 			return nil, nil, err
 		}
-		checks := []loadgen.Check{
+		checks := []Check{
 			converge(ctx, tgt, cfg.Duration),
 			checkNoLostOps(rep, tgt, 0, 0),
 			checkApologiesAttributed(tgt),
@@ -128,7 +128,7 @@ var PartitionStorm = register(&Scenario{
 	Desc:  "rotating replica silences mid-ingest, strict accounting after heal",
 	Stack: StackLive,
 	Keys:  256,
-	run: func(ctx context.Context, cfg Config, tgt loadgen.ChaosTarget) (*loadgen.Report, []loadgen.Check, error) {
+	run: func(ctx context.Context, cfg Config, tgt loadgen.ChaosTarget) (*loadgen.Report, []Check, error) {
 		spec := baseSpec(cfg)
 		spec.SyncFrac = 0
 		stormCtx, stopStorm := context.WithCancel(ctx)
@@ -164,7 +164,7 @@ var PartitionStorm = register(&Scenario{
 		if err != nil {
 			return nil, nil, err
 		}
-		checks := []loadgen.Check{
+		checks := []Check{
 			converge(ctx, tgt, cfg.Duration),
 			checkNoLostOps(rep, tgt, 0, 0),
 			checkApologiesAttributed(tgt),
@@ -184,25 +184,24 @@ var SlowDisk = register(&Scenario{
 	Desc:            "injected latency on every fsync",
 	Stack:           StackDurable,
 	Keys:            256,
-	FsyncDelay:      DefaultSlowDiskDelay,
 	NeedsDurability: true,
 	prepare: func(c *Config) {
-		c.extraOpts = []core.Option{core.WithStoreFS(slowSyncFS(c.FsyncDelay))}
+		c.extraOpts = []core.Option{core.WithStoreFS(slowSyncFS(DefaultSlowDiskDelay))}
 	},
-	run: func(ctx context.Context, cfg Config, tgt loadgen.ChaosTarget) (*loadgen.Report, []loadgen.Check, error) {
+	run: func(ctx context.Context, cfg Config, tgt loadgen.ChaosTarget) (*loadgen.Report, []Check, error) {
 		spec := baseSpec(cfg)
 		rep, err := loadgen.Run(ctx, tgt, spec)
 		if err != nil {
 			return nil, nil, err
 		}
-		checks := []loadgen.Check{
+		checks := []Check{
 			converge(ctx, tgt, cfg.Duration),
 			checkNoLostOps(rep, tgt, 0, 0),
 			checkApologiesAttributed(tgt),
 		}
 		if ct, ok := tgt.(*loadgen.ClusterTarget); ok {
 			st := ct.C.DurabilityStats()
-			checks = append(checks, loadgen.Check{Name: "disk-was-exercised",
+			checks = append(checks, Check{Name: "disk-was-exercised",
 				OK: st.Fsyncs > 0 && st.Appended > 0,
 				Detail: fmt.Sprintf("%d fsyncs, %d entries journaled, %d delta snapshots, %d segments recycled, max stall %v",
 					st.Fsyncs, st.Appended, st.DeltaSnapshots, st.Recycled, time.Duration(st.MaxStallNs))})
@@ -211,8 +210,7 @@ var SlowDisk = register(&Scenario{
 	},
 })
 
-// DefaultSlowDiskDelay is the fsync latency injected when the config
-// does not choose one.
+// DefaultSlowDiskDelay is the latency slow-disk adds to every fsync.
 const DefaultSlowDiskDelay = 2 * time.Millisecond
 
 // slowSyncFS is the real disk with every fsync stretched by delay.
@@ -235,7 +233,7 @@ var RollingChurn = register(&Scenario{
 	Stack:           StackDurable,
 	Keys:            256,
 	NeedsDurability: true,
-	run: func(ctx context.Context, cfg Config, tgt loadgen.ChaosTarget) (*loadgen.Report, []loadgen.Check, error) {
+	run: func(ctx context.Context, cfg Config, tgt loadgen.ChaosTarget) (*loadgen.Report, []Check, error) {
 		spec := baseSpec(cfg)
 		spec.SyncFrac = 0
 		churnCtx, stopChurn := context.WithCancel(ctx)
@@ -288,7 +286,7 @@ var RollingChurn = register(&Scenario{
 		// acknowledgments — durable-but-unacknowledged surplus, the
 		// at-least-once face of "accepted means fsynced". Never loss.
 		inFlightPerKill := int64(rep.Workers) * int64(rep.Batch)
-		checks := []loadgen.Check{
+		checks := []Check{
 			converge(ctx, tgt, cfg.Duration),
 			checkNoLostOps(rep, tgt, 0, kills.Load()*inFlightPerKill),
 			checkApologiesAttributed(tgt),
@@ -314,7 +312,7 @@ var DiskFull = register(&Scenario{
 		c.state = full
 		c.extraOpts = []core.Option{core.WithStoreFS(enospcFS("r1", full))}
 	},
-	run: func(ctx context.Context, cfg Config, tgt loadgen.ChaosTarget) (*loadgen.Report, []loadgen.Check, error) {
+	run: func(ctx context.Context, cfg Config, tgt loadgen.ChaosTarget) (*loadgen.Report, []Check, error) {
 		full := cfg.state.(*atomic.Bool)
 		ct, ok := tgt.(*loadgen.ClusterTarget)
 		if !ok {
@@ -363,10 +361,10 @@ var DiskFull = register(&Scenario{
 
 		// The degraded replica re-probes its store on its own; give it a
 		// deadline to rejoin before demanding convergence.
-		healed := loadgen.Check{Name: "self-healed", Detail: "replica never rejoined after space returned"}
+		healed := Check{Name: "self-healed", Detail: "replica never rejoined after space returned"}
 		for deadline := time.Now().Add(20 * time.Second); ; {
 			if !anyDegraded() {
-				healed = loadgen.Check{Name: "self-healed", OK: true,
+				healed = Check{Name: "self-healed", OK: true,
 					Detail: "degraded replica rejoined without operator action"}
 				break
 			}
@@ -383,7 +381,7 @@ var DiskFull = register(&Scenario{
 		// but-recorded surplus, bounded by the retryable declines; loss is
 		// never tolerated.
 		degradations := ct.C.M.Degraded.Value()
-		checks := []loadgen.Check{
+		checks := []Check{
 			{Name: "degraded-entered", OK: sawDegraded.Load() && degradations >= 1,
 				Detail: fmt.Sprintf("%d degradation(s) recorded", degradations)},
 			{Name: "declines-retryable",
@@ -427,7 +425,7 @@ var FrameMangler = register(&Scenario{
 	Desc:  "seeded frame corruption on every peer link under load, convergence after cleanup",
 	Stack: StackNet,
 	Keys:  256,
-	run: func(ctx context.Context, cfg Config, tgt loadgen.ChaosTarget) (*loadgen.Report, []loadgen.Check, error) {
+	run: func(ctx context.Context, cfg Config, tgt loadgen.ChaosTarget) (*loadgen.Report, []Check, error) {
 		nt, ok := tgt.(*loadgen.NetTarget)
 		if !ok {
 			return nil, nil, fmt.Errorf("frame-mangler needs the net stack (the daemons own the peer links)")
@@ -470,7 +468,7 @@ var FrameMangler = register(&Scenario{
 				reconnects += ps.Reconnects
 			}
 		}
-		checks := []loadgen.Check{
+		checks := []Check{
 			{Name: "corruption-observed", OK: mangled > 0 && corrupt > 0,
 				Detail: fmt.Sprintf("%d frames mangled, %d rejected by checksum, %d link reconnects",
 					mangled, corrupt, reconnects)},
