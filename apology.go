@@ -1,9 +1,9 @@
 package quicksand
 
 // The memories/guesses/apologies machinery of §5.7, re-exported from
-// internal/apology: ledgers record what each replica remembered, guessed,
-// and regretted; the queue routes discovered violations to automated
-// compensation handlers first and humans last (§5.6).
+// internal/apology: ledgers account for what each replica remembered,
+// guessed, and regretted; the queue routes discovered violations to
+// automated compensation handlers first and humans last (§5.6).
 
 import "repro/internal/apology"
 
@@ -17,10 +17,13 @@ type (
 	// ApologyQueue routes apologies to handlers, then to humans. A
 	// Cluster's Apologies field holds one shared by all replicas.
 	ApologyQueue = apology.Queue
-	// Ledger is one replica's append-only record of memories, guesses,
-	// and apologies.
+	// Ledger is one replica's account of memories, guesses, and
+	// apologies. Memories and guesses are tallied, not stored — the
+	// operation set holds every one of them — so Count and Len include
+	// them while Entries returns only the lines: regrets and lifecycle
+	// events (degraded, rejoined, recovered).
 	Ledger = apology.Ledger
-	// LedgerEntry is one ledger line.
+	// LedgerEntry is one ledger line: a regret or a lifecycle event.
 	LedgerEntry = apology.Entry
 	// LedgerKind classifies a ledger entry.
 	LedgerKind = apology.Kind

@@ -2,8 +2,10 @@
 // computing really falls into three categories: memories, guesses, and
 // apologies."
 //
-// A Ledger records what a replica remembered (operations it saw), what it
-// guessed (actions taken on local knowledge), and what it apologized for.
+// A Ledger accounts for what a replica remembered (operations it saw),
+// what it guessed (actions taken on local knowledge), and what it
+// apologized for: memories and guesses are counted, because the operation
+// set already holds them; regrets and lifecycle events are lines.
 // A Queue routes apologies the way §5.6 prescribes: try
 // business-specific compensation code first, and "send the problem to a
 // human" when no handler claims it.
@@ -39,78 +41,72 @@ func (k Kind) String() string {
 	}
 }
 
-// Entry is one ledger line.
+// Entry is one ledger line: a regret, or a lifecycle event of the
+// replica itself (degraded, rejoined, recovered) — the things the
+// operation set cannot reproduce.
 type Entry struct {
 	At   sim.Time
 	Kind Kind
 	Who  string  // replica that wrote the line
 	What string  // human-readable description
-	Ref  uniq.ID // operation or apology this line concerns
+	Ref  uniq.ID // apology this line concerns ("" for a lifecycle event)
 }
 
-// ledgerBlock is the entry capacity of one ledger storage block.
-const ledgerBlock = 4096
-
-// Ledger is an append-only record of memories, guesses, and apologies for
-// one replica. The zero value is ready to use; Ledgers are safe for
-// concurrent use.
-//
-// Entries live in fixed-size blocks rather than one growing slice: a
-// replica under sustained ingest records several lines per operation
-// forever, and doubling a multi-megabyte slice re-zeroes and re-copies
-// everything it ever remembered. Blocks make Record amortized O(1) with
-// no large copies, at the price of a concatenating Entries().
+// Ledger is one replica's account of its memories, guesses, and
+// apologies. The operation set is the memory — every op the replica saw
+// is there, once, with its uniquifier — so the ledger only counts per-op
+// memories and guesses (Tally) and keeps lines (Record) for regrets and
+// lifecycle events, which are few. When and how one op arrived is the
+// tracer's question. The zero value is ready to use; Ledgers are safe
+// for concurrent use.
 type Ledger struct {
 	mu     sync.Mutex
-	blocks [][]Entry
-	n      int
-	counts [3]int
+	lines  []Entry
+	counts [3]int // lines + tallies, by kind
 }
 
 // Record appends a line.
 func (l *Ledger) Record(at sim.Time, kind Kind, who, what string, ref uniq.ID) {
 	l.mu.Lock()
-	if len(l.blocks) == 0 || len(l.blocks[len(l.blocks)-1]) == ledgerBlock {
-		l.blocks = append(l.blocks, make([]Entry, 0, ledgerBlock))
-	}
-	last := len(l.blocks) - 1
-	l.blocks[last] = append(l.blocks[last], Entry{At: at, Kind: kind, Who: who, What: what, Ref: ref})
-	l.n++
+	l.lines = append(l.lines, Entry{At: at, Kind: kind, Who: who, What: what, Ref: ref})
 	l.counts[kind]++
 	l.mu.Unlock()
 }
 
-// Count reports how many entries of the kind exist.
+// Tally counts n memories or guesses whose record is the operation set
+// itself, without storing a line for any of them.
+func (l *Ledger) Tally(kind Kind, n int) {
+	l.mu.Lock()
+	l.counts[kind] += n
+	l.mu.Unlock()
+}
+
+// Count reports how many entries of the kind exist, recorded or tallied.
 func (l *Ledger) Count(kind Kind) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.counts[kind]
 }
 
-// Entries returns a copy of all lines, in record order.
+// Entries returns a copy of the recorded lines, in record order.
 func (l *Ledger) Entries() []Entry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Entry, 0, l.n)
-	for _, b := range l.blocks {
-		out = append(out, b...)
-	}
-	return out
+	return append([]Entry(nil), l.lines...)
 }
 
-// Len reports the total number of lines.
+// Len reports the total across kinds, recorded or tallied.
 func (l *Ledger) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.n
+	return l.counts[Memory] + l.counts[Guess] + l.counts[Regret]
 }
 
 // Reset wipes the ledger. A ledger is per-replica RAM: a hard crash of
 // its replica destroys it, and recovery starts a fresh one.
 func (l *Ledger) Reset() {
 	l.mu.Lock()
-	l.blocks = nil
-	l.n = 0
+	l.lines = nil
 	l.counts = [3]int{}
 	l.mu.Unlock()
 }

@@ -23,6 +23,19 @@ func TestLedgerCountsByKind(t *testing.T) {
 	if len(es) != 4 || es[0].What != "saw op" || es[2].At != sim.Time(2) {
 		t.Fatalf("entries = %+v", es)
 	}
+	// Tallied memories and guesses count like recorded ones and store no line.
+	l.Tally(Memory, 1000)
+	l.Tally(Guess, 10)
+	if l.Count(Memory) != 1002 || l.Count(Guess) != 11 || l.Count(Regret) != 1 || l.Len() != 1014 {
+		t.Fatalf("after Tally: counts = %d/%d/%d, Len = %d", l.Count(Memory), l.Count(Guess), l.Count(Regret), l.Len())
+	}
+	if len(l.Entries()) != 4 {
+		t.Fatalf("Tally stored lines: %d entries, want 4", len(l.Entries()))
+	}
+	l.Reset()
+	if l.Len() != 0 || l.Count(Memory) != 0 || len(l.Entries()) != 0 {
+		t.Fatal("Reset left something behind")
+	}
 }
 
 func TestKindString(t *testing.T) {

@@ -450,7 +450,7 @@ func (r *Replica[S]) ingestSegment(items []ingestItem) {
 }
 
 // resolveSegment is the commit fan-out of one segment: once its accepted
-// entries are durable (ok; immediately on a volatile replica) it records
+// entries are durable (ok; immediately on a volatile replica) it tallies
 // them in the ledger, sweeps for violations, and resolves every accepted
 // and duplicate item. ok=false means the batch never became durable —
 // the replica crashed, or its disk broke the durability contract, first:
@@ -473,28 +473,17 @@ func (r *Replica[S]) resolveSegment(items []ingestItem, nAccepted int, ok bool) 
 		return
 	}
 	now := c.tr.Now()
-	// Ledger descriptions are memoized across runs of the same
-	// (kind, key): a bulk batch of like operations builds its two
-	// What strings once instead of twice per op.
-	var memo whatMemo
-	var memoWhat, guessWhat string
-	t := c.cfg.tracer
-	for i := range items {
-		if items[i].outcome != outAccepted {
-			continue
-		}
-		op := items[i].op
-		if memo.fresh(op.Kind, op.Key) {
-			memoWhat = "local " + op.Kind + " " + op.Key
-			guessWhat = "accepted " + op.Kind + " " + op.Key + " on local knowledge"
-		}
-		r.Ledger.Record(now, apology.Memory, r.id, memoWhat, op.ID)
-		r.Ledger.Record(now, apology.Guess, r.id, guessWhat, op.ID)
-		if t != nil {
-			t.Durable(string(op.ID), r.id, int64(now))
+	if t := c.cfg.tracer; t != nil {
+		for i := range items {
+			if items[i].outcome == outAccepted {
+				t.Durable(string(items[i].op.ID), r.id, int64(now))
+			}
 		}
 	}
 	if nAccepted > 0 {
+		// The accepted entries are in the op set; the ledger counts them.
+		r.Ledger.Tally(apology.Memory, nAccepted)
+		r.Ledger.Tally(apology.Guess, nAccepted)
 		r.sweepViolations()
 	}
 	for i := range items {

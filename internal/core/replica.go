@@ -374,7 +374,7 @@ func (r *Replica[S]) foldLocked() {
 		r.g.M.FoldSteps.Addn(int64(r.ops.Len()))
 		return
 	}
-	pending := r.ops.EntriesAfter(r.stateMark)
+	pending := r.ops.ViewAfter(r.stateMark) // no copy: mu guards the set for the whole fold
 	if len(pending) == 0 {
 		return
 	}
@@ -558,27 +558,8 @@ func (r *Replica[S]) maybeSnapshotLocked() func() {
 	return func() { st.WriteSnapshot(entries, pos, mark) }
 }
 
-// whatMemo tracks runs of like (kind, key) pairs so ledger fan-outs
-// build their description strings once per run instead of once per
-// entry. fresh reports whether the pair changed — the caller rebuilds
-// its strings exactly then. Shared by the batch-ingest commit fan-out
-// and the gossip-absorb fan-out, so the memoization key can never drift
-// between them.
-type whatMemo struct {
-	kind, key string
-	seen      bool
-}
-
-func (m *whatMemo) fresh(kind, key string) bool {
-	if m.seen && kind == m.kind && key == m.key {
-		return false
-	}
-	m.kind, m.key, m.seen = kind, key, true
-	return true
-}
-
 // absorb unions entries into the set and — once they are durable, on a
-// replica that owns a store — updates the ledger, sweeps for newly
+// replica that owns a store — tallies them in the ledger, sweeps for newly
 // exposed rule violations, and fires then(added, ok). A false ok means
 // the entries never became durable (the replica crashed mid-write) and
 // nothing was recorded: callers must not acknowledge the work. from
@@ -614,23 +595,15 @@ func (r *Replica[S]) absorb(entries []oplog.Entry, how, from string, then func(a
 	}
 	finish := func(ok bool) {
 		if ok {
-			now := r.c.tr.Now()
-			// Memoized across runs of the same (kind, key): a bulk gossip
-			// push of like operations builds its description once.
-			var memo whatMemo
-			var what string
-			for _, e := range added {
-				if memo.fresh(e.Kind, e.Key) {
-					what = how + " " + e.Kind + " " + e.Key
-				}
-				r.Ledger.Record(now, apology.Memory, r.id, what, e.ID)
-			}
 			if t := r.c.cfg.tracer; t != nil && how == "gossip" {
+				now := int64(r.c.tr.Now())
 				for _, e := range added {
-					t.Absorbed(string(e.ID), r.id, int64(now))
+					t.Absorbed(string(e.ID), r.id, now)
 				}
 			}
 			if len(added) > 0 {
+				// The added entries are in the op set; the ledger counts them.
+				r.Ledger.Tally(apology.Memory, len(added))
 				r.sweepViolations()
 			}
 		} else {

@@ -12,18 +12,19 @@
 // # Canonical order and incremental derivation
 //
 // The canonical order is (Lam, At, ID): ascending Lamport timestamp, then
-// ingress time, ties broken by uniquifier. A Set maintains this order as
-// an index alongside the ID map, kept current on every Add — an O(1)
-// append when the new entry sorts after everything present (the common
-// case: ingress stamps Lamport max+1, so local submits and in-order
-// gossip are pure appends), an O(n) insertion only when gossip delivers
-// an entry that sorts into the past.
+// ingress time, ties broken by uniquifier. A Set holds its entries once,
+// in this order, kept current on every Add — an O(1) append when the new
+// entry sorts after everything present (the common case: ingress stamps
+// Lamport max+1, so local submits and in-order gossip are pure appends),
+// an O(n) insertion only when gossip delivers an entry that sorts into
+// the past. Beside the entries sits only a set of their IDs, the §5.4
+// "have I seen this uniquifier" index.
 //
-// The index makes state derivation incremental. A Watermark names a
-// position in the canonical order; EntriesAfter(w) returns only the
-// entries beyond it, so a consumer that remembers the watermark of its
-// last fold can advance its derived state by folding just the new suffix
-// instead of replaying the whole ledger. Consumers detect the rare
+// The maintained order makes state derivation incremental. A Watermark
+// names a position in the canonical order; EntriesAfter(w) returns only
+// the entries beyond it, so a consumer that remembers the watermark of
+// its last fold can advance its derived state by folding just the new
+// suffix instead of replaying the whole ledger. Consumers detect the rare
 // sorts-into-the-past insertion by comparing the new entry's Mark against
 // their watermark (see Entry.Mark and Watermark.Before) and only then
 // fall back to replaying from an older checkpoint. internal/core's
@@ -32,6 +33,7 @@ package oplog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/sim"
@@ -87,17 +89,16 @@ func (w Watermark) Less(o Watermark) bool {
 // !w.Before(e) as sorting into its already-folded past.
 func (w Watermark) Before(e Entry) bool { return w.Less(e.Mark()) }
 
-// Set is a mergeable set of entries keyed by uniquifier, with a
-// canonically ordered index maintained on every Add. The zero value is
-// not usable; construct with NewSet.
+// Set is a mergeable set of entries keyed by uniquifier, held once in
+// canonical order. The zero value is not usable; construct with NewSet.
 type Set struct {
-	byID    map[uniq.ID]Entry
-	ordered []Entry // canonical (Lam, At, ID) order, kept current by Add
+	ordered []Entry              // the entries, in canonical (Lam, At, ID) order
+	byID    map[uniq.ID]struct{} // dedup index; keys share their bytes with ordered's IDs
 }
 
 // NewSet returns an empty set, optionally seeded with entries.
 func NewSet(entries ...Entry) *Set {
-	s := &Set{byID: make(map[uniq.ID]Entry)}
+	s := &Set{byID: make(map[uniq.ID]struct{})}
 	for _, e := range entries {
 		s.Add(e)
 	}
@@ -116,7 +117,7 @@ func (s *Set) Add(e Entry) bool {
 	if _, ok := s.byID[e.ID]; ok {
 		return false
 	}
-	s.byID[e.ID] = e
+	s.byID[e.ID] = struct{}{}
 	if n := len(s.ordered); n == 0 || s.ordered[n-1].Mark().Before(e) {
 		s.ordered = append(s.ordered, e)
 	} else {
@@ -139,7 +140,7 @@ func (s *Set) AddAll(entries []Entry) (added []Entry) {
 		if _, ok := s.byID[e.ID]; ok {
 			continue
 		}
-		s.byID[e.ID] = e
+		s.byID[e.ID] = struct{}{}
 		added = append(added, e)
 	}
 	if len(added) == 0 {
@@ -213,27 +214,13 @@ func (s *Set) Contains(id uniq.ID) bool {
 	return ok
 }
 
-// Get returns the entry with the given ID, if present.
-func (s *Set) Get(id uniq.ID) (Entry, bool) {
-	e, ok := s.byID[id]
-	return e, ok
-}
-
 // Len reports the number of distinct operations.
-func (s *Set) Len() int { return len(s.byID) }
+func (s *Set) Len() int { return len(s.ordered) }
 
 // Union absorbs every entry of o into s, returning how many were new.
 // Union is the gossip primitive: "when the work flows together, a new,
 // more accurate answer is created" (§7.6).
-func (s *Set) Union(o *Set) int {
-	added := 0
-	for _, e := range o.byID {
-		if s.Add(e) {
-			added++
-		}
-	}
-	return added
-}
+func (s *Set) Union(o *Set) int { return len(s.AddAll(o.ordered)) }
 
 // Diff returns the entries present in s but absent from o, in canonical
 // order. Replicas exchange diffs during anti-entropy.
@@ -250,28 +237,19 @@ func (s *Set) Diff(o *Set) []Entry {
 // Copy returns an independent copy.
 func (s *Set) Copy() *Set {
 	c := &Set{
-		byID:    make(map[uniq.ID]Entry, len(s.byID)),
 		ordered: append([]Entry(nil), s.ordered...),
+		byID:    make(map[uniq.ID]struct{}, len(s.ordered)),
 	}
-	for id, e := range s.byID {
-		c.byID[id] = e
+	for i := range c.ordered {
+		c.byID[c.ordered[i].ID] = struct{}{}
 	}
 	return c
 }
 
-// Equal reports whether both sets hold exactly the same entries.
-func (s *Set) Equal(o *Set) bool {
-	if s.Len() != o.Len() {
-		return false
-	}
-	for id, e := range s.byID {
-		oe, ok := o.byID[id]
-		if !ok || oe != e {
-			return false
-		}
-	}
-	return true
-}
+// Equal reports whether both sets hold exactly the same entries. Each
+// set's entries are in the one canonical order, so equal sets are equal
+// slices.
+func (s *Set) Equal(o *Set) bool { return slices.Equal(s.ordered, o.ordered) }
 
 // Entries returns all operations in canonical order: ascending Lamport
 // timestamp, then ingress time, ties broken by ID. Lamport assignment at
@@ -293,14 +271,19 @@ func (s *Set) Entries() []Entry {
 // to apply. The genesis (zero) watermark yields every entry. Cost is
 // O(log n) to locate the suffix plus a copy of just that suffix.
 func (s *Set) EntriesAfter(w Watermark) []Entry {
+	return append([]Entry(nil), s.ViewAfter(w)...)
+}
+
+// ViewAfter is EntriesAfter without the copy: a read-only window onto the
+// set's own storage, valid only until the next Add, AddAll or Grow. It is
+// for a caller that holds whatever lock guards the set for as long as it
+// reads the view.
+func (s *Set) ViewAfter(w Watermark) []Entry {
 	i := 0
 	if !w.IsZero() {
 		i = s.searchAfter(w)
 	}
-	if i == len(s.ordered) {
-		return nil
-	}
-	return append([]Entry(nil), s.ordered[i:]...)
+	return slices.Clip(s.ordered[i:]) // an append by the caller must not land in the set
 }
 
 // MaxLam returns the highest Lamport timestamp in the set (0 when empty).

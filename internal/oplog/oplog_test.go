@@ -1,7 +1,10 @@
 package oplog
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -27,17 +30,10 @@ func TestAddIdempotent(t *testing.T) {
 	}
 }
 
-func TestContainsAndGet(t *testing.T) {
+func TestContains(t *testing.T) {
 	s := NewSet(e("a", 1))
 	if !s.Contains("a") || s.Contains("b") {
 		t.Fatal("Contains wrong")
-	}
-	got, ok := s.Get("a")
-	if !ok || got.ID != "a" {
-		t.Fatalf("Get = %+v, %v", got, ok)
-	}
-	if _, ok := s.Get("b"); ok {
-		t.Fatal("Get of absent ID returned ok")
 	}
 }
 
@@ -200,32 +196,88 @@ func TestPropFoldOrderInsensitive(t *testing.T) {
 	}
 }
 
-// TestOrderedIndexMatchesSort feeds entries in adversarial orders and
-// checks the incrementally maintained index always equals a from-scratch
-// canonical sort — the invariant every checkpointed fold depends on.
-func TestOrderedIndexMatchesSort(t *testing.T) {
+// canonical returns the reference's entries sorted from scratch.
+func canonical(ref map[uniq.ID]Entry) []Entry {
+	all := make([]Entry, 0, len(ref))
+	for _, e := range ref {
+		all = append(all, e)
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].Mark().Less(all[j].Mark()) })
+	return all
+}
+
+// TestSetMatchesMapAndSortModel drives Add and AddAll with duplicates and
+// out-of-order batches against the obvious reference — a map keyed by ID
+// (first write wins) sorted from scratch — and checks every read the set
+// offers after each step. The set holds its entries once, in canonical
+// order, beside a bare ID index; this is the invariant every checkpointed
+// fold, Converged and Copy depend on.
+func TestSetMatchesMapAndSortModel(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		s := NewSet()
-		var all []Entry
-		for i := 0; i < 40; i++ {
-			e := Entry{
+		draw := func() Entry {
+			return Entry{
 				ID:  uniq.ID(string(rune('a' + r.Intn(26)))),
 				Lam: uint64(r.Intn(5)),
 				At:  sim.Time(r.Intn(5)),
 			}
-			if s.Add(e) {
-				all = append(all, e)
+		}
+		s := NewSet()
+		ref := map[uniq.ID]Entry{}
+		for step := 0; step < 12; step++ {
+			if r.Intn(2) == 0 {
+				e := draw()
+				_, dup := ref[e.ID]
+				if s.Add(e) == dup {
+					return false
+				}
+				if !dup {
+					ref[e.ID] = e
+				}
+			} else {
+				batch := make([]Entry, r.Intn(8))
+				var fresh []Entry
+				for i := range batch {
+					batch[i] = draw()
+					if _, dup := ref[batch[i].ID]; !dup {
+						ref[batch[i].ID] = batch[i]
+						fresh = append(fresh, batch[i])
+					}
+				}
+				// AddAll returns the new entries in arrival order.
+				if added := s.AddAll(batch); !slices.Equal(added, fresh) {
+					return false
+				}
 			}
-		}
-		sort.Slice(all, func(i, j int) bool { return all[i].Mark().Less(all[j].Mark()) })
-		got := s.Entries()
-		if len(got) != len(all) {
-			return false
-		}
-		for i := range all {
-			if got[i] != all[i] {
+			want := canonical(ref)
+			if s.Len() != len(want) || !slices.Equal(s.Entries(), want) {
 				return false
+			}
+			for c := 'a'; c <= 'z'; c++ {
+				id := uniq.ID(string(c))
+				if _, in := ref[id]; s.Contains(id) != in {
+					return false
+				}
+			}
+			// Suffixes: from genesis, from a mark that may fall between
+			// entries, and from a present entry's own mark.
+			marks := []Watermark{{}, draw().Mark()}
+			if len(want) > 0 {
+				marks = append(marks, want[r.Intn(len(want))].Mark())
+			}
+			for _, w := range marks {
+				i := sort.Search(len(want), func(i int) bool { return w.Less(want[i].Mark()) })
+				if !slices.Equal(s.EntriesAfter(w), want[i:]) || !slices.Equal(s.ViewAfter(w), want[i:]) {
+					return false
+				}
+			}
+			c := s.Copy()
+			if !c.Equal(s) || !s.Equal(c) || !slices.Equal(c.Entries(), want) {
+				return false
+			}
+			extra := Entry{ID: "copy-only", Lam: 2}
+			if !c.Add(extra) || c.Add(extra) || s.Contains(extra.ID) || c.Equal(s) || s.Len() != len(want) {
+				return false // the copy's index and entries are its own
 			}
 		}
 		return true
@@ -454,4 +506,67 @@ func TestCanonicalOrderLamportFirst(t *testing.T) {
 	if es[0].ID != "z-first" || es[1].ID != "a-second" {
 		t.Fatalf("order = %v", []uniq.ID{es[0].ID, es[1].ID})
 	}
+}
+
+// TestUnionInterleavedStaysCanonical unions two large sets whose entries
+// interleave in canonical order — the worst case for inserting one entry
+// at a time — and checks the result against the sort-from-scratch oracle.
+func TestUnionInterleavedStaysCanonical(t *testing.T) {
+	const n = 20000
+	a, b := NewSet(), NewSet()
+	ref := map[uniq.ID]Entry{}
+	for i := 0; i < 2*n; i++ {
+		e := Entry{ID: uniq.ID(fmt.Sprintf("op-%06d", i)), Kind: "k", Lam: uint64(i / 3), At: sim.Time(i % 7)}
+		ref[e.ID] = e
+		if i%2 == 0 {
+			a.Add(e)
+		} else {
+			b.Add(e)
+		}
+	}
+	if got := a.Union(b); got != n {
+		t.Fatalf("Union added %d, want %d", got, n)
+	}
+	if got := a.Union(b); got != 0 {
+		t.Fatalf("second Union added %d, want 0", got)
+	}
+	if b.Len() != n {
+		t.Fatalf("Union changed its argument: Len = %d, want %d", b.Len(), n)
+	}
+	if !slices.Equal(a.Entries(), canonical(ref)) {
+		t.Fatal("Entries() after an interleaved union is not the canonical sort of the union")
+	}
+}
+
+// TestSetBytesPerEntry budgets the heap a Set holds per entry, measured
+// the way bench/micro.go measures oplog.set_bytes_per_entry: HeapAlloc
+// across NewSet over entries whose strings already live elsewhere. One
+// 88-byte Entry in the canonical slice plus one string header in the ID
+// index fit in 160 B with room for both containers' growth slack; a
+// second copy of the entry anywhere does not.
+func TestSetBytesPerEntry(t *testing.T) {
+	const n = 100000
+	entries := make([]Entry, n)
+	for i := range entries {
+		entries[i] = Entry{
+			ID:   uniq.ID(fmt.Sprintf("r%d-%06d", i%3, i)),
+			Kind: "deposit",
+			Key:  fmt.Sprintf("acct-%d", i%1024),
+			Arg:  int64(1 + i%100),
+			Lam:  uint64(i + 1),
+			At:   sim.Time(i),
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s := NewSet(entries...)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perEntry := float64(after.HeapAlloc-before.HeapAlloc) / float64(s.Len())
+	t.Logf("%.1f B/entry over %d entries", perEntry, s.Len())
+	if perEntry > 160 {
+		t.Fatalf("Set holds %.1f B/entry, budget 160", perEntry)
+	}
+	runtime.KeepAlive(entries)
 }
