@@ -1,6 +1,10 @@
 // Package client is the Go SDK for a quicksandd daemon's versioned HTTP
 // API (/v1). It also defines the API's wire types — the daemon imports
-// them from here, so the two cannot drift.
+// them from here, so the two cannot drift. The JSON codec of the types a
+// guess, a batch and a state read are made of lives beside them, in
+// wire.go, and both ends call it: the bytes are encoding/json's, the
+// struct tags below are what they are tested against, and neither end can
+// come to read or write a field differently from the other.
 //
 // The API speaks the engine's vocabulary: a submit is a guess admitted
 // against local knowledge (or a coordinated commit when Sync is set),

@@ -1,10 +1,16 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -145,5 +151,158 @@ func TestRetryDelayJitters(t *testing.T) {
 	ae := &APIError{Status: 503, Code: "degraded", RetryAfter: 42 * time.Second}
 	if d := c.retryDelay(1, ae); d != 42*time.Second {
 		t.Fatalf("Retry-After floor ignored: %v", d)
+	}
+}
+
+// TestOversizeResponseIsNamed: a reply over the limit used to be cut at
+// the limit and reported as "unexpected end of JSON input". Now the error
+// says what happened, before any decoding, and the download is not
+// retried.
+func TestOversizeResponseIsNamed(t *testing.T) {
+	var calls atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		// A syntactically fine state reply, one byte over: streamed, so
+		// no Content-Length gives it away.
+		io.WriteString(w, `{"node":0,"shards":1,"keys":{"k":1}}`)
+		pad := bytes.Repeat([]byte{' '}, 1<<20)
+		for sent := len(`{"node":0,"shards":1,"keys":{"k":1}}`); sent < maxReply+1; {
+			n := min(len(pad), maxReply+1-sent)
+			w.Write(pad[:n])
+			sent += n
+		}
+	}))
+	defer srv.Close()
+
+	_, err := New(srv.URL, WithRetries(3)).State(context.Background())
+	if !errors.Is(err, ErrTooLarge) || !strings.Contains(err.Error(), "8388608-byte limit") {
+		t.Fatalf("err = %v, want one that names the %d-byte limit", err, maxReply)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("the oversize reply was fetched %d times", n)
+	}
+}
+
+// cannedRT answers every request with one fixed 200 — a body and nothing
+// else, no headers, no ContentLength — so what Submit allocates is the
+// SDK's alone (plus the three objects of the canned response).
+type cannedRT struct{}
+
+var cannedBody = []byte(`{"accepted":true,"id":"cli-0123456789abcdef01234567","lamport":123456,"latency_ns":45678}` + "\n")
+
+func (cannedRT) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Body != nil {
+		req.Body.Close()
+	}
+	return &http.Response{StatusCode: http.StatusOK, Body: io.NopCloser(bytes.NewReader(cannedBody)), Request: req}, nil
+}
+
+// TestSubmitAllocations pins the SDK's own cost of one Submit. With
+// encoding/json on both halves, http.NewRequest and io.ReadAll it was 29
+// against this RoundTripper; the codec, the pooled buffers and the
+// hand-built request leave 15, and the pin allows 17.
+func TestSubmitAllocations(t *testing.T) {
+	skipUnderRace(t)
+	cl := New("http://stub", WithHTTPClient(&http.Client{Transport: cannedRT{}}))
+	op := Op{Kind: "deposit", Key: "acct-0001", Arg: 1}
+	ctx := context.Background()
+	got := testing.AllocsPerRun(500, func() {
+		if res, err := cl.Submit(ctx, op, false); err != nil || !res.Accepted || res.Lamport != 123456 {
+			t.Fatalf("Submit = %+v, %v", res, err)
+		}
+	})
+	t.Logf("client.Submit: %.0f allocations", got)
+	if got > 17 {
+		t.Errorf("client.Submit allocates %.0f times, want at most 17", got)
+	}
+}
+
+// TestConcurrentCallsShareBuffers drives one Client from several
+// goroutines, so request and reply buffers cycle through the pool under
+// load, while a second endpoint answers large batches without reading
+// them — the case where net/http's write loop can still hold a request
+// body when the call returns and the buffer goes back to the pool. Every
+// submit must get its own op's ID back. Run with -race.
+func TestConcurrentCallsShareBuffers(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/batch" {
+			w.WriteHeader(http.StatusBadRequest) // before a byte of the body is read
+			w.Write(AppendErrorEnvelope(nil, &ErrorEnvelope{Error: Error{Code: "bad_request", Message: "unread"}}))
+			return
+		}
+		body, _ := io.ReadAll(r.Body)
+		var req SubmitRequest
+		if err := ScanSubmitRequest(body, &req); err != nil {
+			t.Errorf("server got a mangled body %q: %v", body, err)
+		}
+		w.Write(AppendResult(nil, &Result{Accepted: true, ID: req.ID, Reason: req.Key}))
+	}))
+	defer srv.Close()
+	c := New(srv.URL, WithRetries(0))
+	ctx := context.Background()
+	big := make([]Op, 4000)
+	for i := range big {
+		big[i] = Op{Kind: "deposit", Key: strings.Repeat("k", 200), Arg: int64(i)}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				if g == 0 {
+					var ae *APIError
+					if _, err := c.SubmitBatch(ctx, big, false); !errors.As(err, &ae) || ae.Message != "unread" {
+						t.Errorf("batch: %v", err)
+					}
+					continue
+				}
+				id, key := fmt.Sprintf("g%d-%d", g, i), strings.Repeat("x", i)
+				res, err := c.Submit(ctx, Op{Kind: "deposit", Key: key, Arg: 1, ID: id}, false)
+				if err != nil || res.ID != id || res.Reason != key {
+					t.Errorf("submit %s: got %+v, %v", id, res, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestRedirectResendsTheBody: the request is built by hand, so its
+// GetBody is ours — a 307 must deliver the same op to where it points.
+func TestRedirectResendsTheBody(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/v1/submit", func(w http.ResponseWriter, r *http.Request) {
+		http.Redirect(w, r, "/moved", http.StatusTemporaryRedirect)
+	})
+	mux.HandleFunc("/moved", func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		var req SubmitRequest
+		if err := ScanSubmitRequest(body, &req); err != nil || r.Header.Get("Content-Type") != "application/json" {
+			t.Errorf("redirected request: body %q (%v), headers %v", body, err, r.Header)
+		}
+		w.Write(AppendResult(nil, &Result{Accepted: true, ID: req.ID}))
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	res, err := New(srv.URL, WithRetries(0)).Submit(context.Background(), Op{Kind: "deposit", Key: "k", Arg: 1, ID: "op-1"}, false)
+	if err != nil || !res.Accepted || res.ID != "op-1" {
+		t.Fatalf("Submit through a 307 = %+v, %v", res, err)
+	}
+}
+
+// TestBadBaseURLIsAnError: New cannot fail, so a base that does not parse
+// comes back from every call instead.
+func TestBadBaseURLIsAnError(t *testing.T) {
+	c := New("http://[::1")
+	ctx := context.Background()
+	if _, err := c.Submit(ctx, Op{Kind: "deposit"}, false); err == nil {
+		t.Error("Submit on an unparsable base succeeded")
+	}
+	if _, _, err := c.StateOf(ctx, "k"); err == nil {
+		t.Error("StateOf on an unparsable base succeeded")
+	}
+	if _, err := c.Health(ctx); err == nil {
+		t.Error("Health on an unparsable base succeeded")
 	}
 }

@@ -5,6 +5,7 @@
 //	quicksand ps     -addr http://127.0.0.1:8080,http://127.0.0.1:8081
 //	quicksand submit -addr http://127.0.0.1:8080 deposit acct-1 500
 //	quicksand submit -addr http://127.0.0.1:8080 -sync withdraw acct-1 200
+//	quicksand state  -addr http://127.0.0.1:8080 acct-1   # one key; no key prints the whole map
 package main
 
 import (
@@ -41,6 +42,8 @@ func main() {
 		err = cmdPS(os.Args[2:])
 	case "submit":
 		err = cmdSubmit(os.Args[2:])
+	case "state":
+		err = cmdState(os.Args[2:])
 	case "scrape":
 		err = cmdScrape(os.Args[2:])
 	case "-h", "-help", "--help", "help":
@@ -67,6 +70,7 @@ commands:
   doctor   preflight a config: data dir, fsync, ports, peer reachability
   ps       show status of running daemons over their HTTP APIs
   submit   submit one operation through a daemon
+  state    print a daemon's derived state: the whole map, or one key's value
   scrape   fetch /metrics, strictly validate the exposition format
 
 run "quicksand <command> -h" for the command's flags.
@@ -243,5 +247,47 @@ func cmdSubmit(args []string) error {
 	if !res.Accepted {
 		return fmt.Errorf("declined: %s", res.Reason)
 	}
+	return nil
+}
+
+// cmdState prints the daemon's locally derived state — a guess, not a
+// global truth. With a key it asks for that key alone, which costs the
+// same however large the state is.
+func cmdState(args []string) error {
+	fs := flag.NewFlagSet("state", flag.ContinueOnError)
+	addr := fs.String("addr", "http://127.0.0.1:8080", "daemon base URL")
+	token := fs.String("token", "", "API bearer token")
+	fs.Usage = func() {
+		fmt.Fprintln(os.Stderr, "usage: quicksand state [flags] [key]\nexample: quicksand state acct-1")
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	rest := fs.Args()
+	if len(rest) > 1 {
+		fs.Usage()
+		return fmt.Errorf("want at most one key, got %d arguments", len(rest))
+	}
+	c := client.New(*addr, client.WithToken(*token))
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if len(rest) == 1 {
+		v, ok, err := c.StateOf(ctx, rest[0])
+		if err != nil {
+			return err
+		}
+		if !ok {
+			return fmt.Errorf("no key %q at this replica", rest[0])
+		}
+		fmt.Println(v)
+		return nil
+	}
+	st, err := c.State(ctx)
+	if err != nil {
+		return err
+	}
+	out, _ := json.MarshalIndent(st, "", "  ")
+	fmt.Println(string(out))
 	return nil
 }

@@ -2,13 +2,20 @@ package daemon
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
+	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/client"
+	"repro/internal/core"
 )
 
 func TestParseConfig(t *testing.T) {
@@ -135,6 +142,23 @@ func TestDaemonHTTPRoundTrip(t *testing.T) {
 		t.Fatalf("state = %v, want acct=500 (dedup must not double-apply)", st.Keys)
 	}
 
+	// The keyed read answers for one key and sends no other.
+	if v, ok, err := c.StateOf(ctx, "acct"); err != nil || !ok || v != 500 {
+		t.Fatalf("StateOf(acct) = %d, %v, %v; want 500, true", v, ok, err)
+	}
+	if v, ok, err := c.StateOf(ctx, "no such key & co"); err != nil || ok || v != 0 {
+		t.Fatalf("StateOf(absent) = %d, %v, %v; want 0, false", v, ok, err)
+	}
+	resp, err := http.Get("http://" + d.HTTPAddr() + "/v1/state?key=nobody")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || string(raw) != `{"node":0,"shards":1,"keys":{}}`+"\n" {
+		t.Fatalf("absent key: %d %s, want 200 with empty keys", resp.StatusCode, raw)
+	}
+
 	batch := []client.Op{
 		{Kind: "deposit", Key: "a", Arg: 1},
 		{Kind: "deposit", Key: "b", Arg: 2},
@@ -196,6 +220,50 @@ func TestDaemonRejectsUnknownFieldsAndBadOps(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown field got %d, want 400", resp.StatusCode)
+	}
+
+	// One value per body: a second value, or garbage, after the first
+	// used to be ignored (json.Decoder stops where the value ends). The
+	// cold endpoints' decoder checks the same.
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/submit", `{"kind":"deposit","key":"a","arg":1}{"kind":"withdraw","key":"a","arg":1}`},
+		{"/v1/submit", `{"kind":"deposit","key":"a","arg":1} garbage`},
+		{"/v1/batch", `{"ops":[{"kind":"deposit","key":"a","arg":1}]}]`},
+		{"/v1/annotate", `{"note":"n"}{"note":"m"}`},
+	} {
+		resp, err := http.Post("http://"+d.HTTPAddr()+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env client.ErrorEnvelope
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || client.ScanErrorEnvelope(raw, &env) != nil || env.Error.Code != "bad_request" {
+			t.Errorf("%s with trailing data got %d %s, want 400 bad_request", tc.path, resp.StatusCode, raw)
+		}
+	}
+	if st, err := c.State(ctx); err != nil || len(st.Keys) != 0 {
+		t.Fatalf("a refused body left state behind: %v, %v", st.Keys, err)
+	}
+	// The 8 MiB cap holds whatever the body is made of.
+	resp, err = http.Post("http://"+d.HTTPAddr()+"/v1/submit", "application/json",
+		io.MultiReader(strings.NewReader(`{"kind":"deposit","key":"k","arg":1}`), strings.NewReader(strings.Repeat(" ", maxBody))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("a body over the cap got %d, want 400", resp.StatusCode)
+	}
+	// Trailing whitespace is not data.
+	resp, err = http.Post("http://"+d.HTTPAddr()+"/v1/submit", "application/json",
+		strings.NewReader(`{"kind":"deposit","key":"k","arg":1}`+" \r\n\t"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("trailing whitespace got %d, want 200", resp.StatusCode)
 	}
 
 	if _, err := c.Submit(ctx, client.Op{Key: "k", Arg: 1}, false); err == nil {
@@ -397,5 +465,105 @@ func TestDaemonGracefulRestartKeepsState(t *testing.T) {
 	}
 	if st.Keys["k"] != 41 {
 		t.Fatalf("state after restart = %v, want k=41", st.Keys)
+	}
+}
+
+// quietWriter is an in-memory ResponseWriter that keeps nothing but the
+// status, so what a handler allocates through it is the handler's own.
+type quietWriter struct {
+	h      http.Header
+	status int
+}
+
+func (w *quietWriter) Header() http.Header         { return w.h }
+func (w *quietWriter) WriteHeader(status int)      { w.status = status }
+func (w *quietWriter) Write(b []byte) (int, error) { return len(b), nil }
+
+// TestHandleSubmitAllocations pins what the HTTP edge adds to a guess
+// inside the daemon — handleSubmit through a reused ResponseWriter, minus
+// the same op made straight on the cluster. With json.NewDecoder,
+// MaxBytesReader and json.NewEncoder it was 13; scanning and appending
+// through one pooled buffer leaves 2 (one copy of the body for the
+// scanner, one of the op's strings for the op set), and the pin allows 4.
+func TestHandleSubmitAllocations(t *testing.T) {
+	skipUnderRace(t)
+	d := soloDaemon(t, func(c *Config) { c.TraceSample = -1 })
+	ctx := context.Background()
+	body := strings.NewReader("")
+	req := httptest.NewRequest(http.MethodPost, "/v1/submit", nil)
+	req.Body = io.NopCloser(body)
+	w := &quietWriter{h: http.Header{}}
+	edge := func() {
+		body.Reset(`{"kind":"deposit","key":"acct-0001","arg":1}`)
+		w.status = 0
+		d.handleSubmit(w, req)
+		if w.status != http.StatusOK {
+			t.Fatalf("status %d", w.status)
+		}
+	}
+	direct := func() {
+		if res, err := d.cluster.Submit(ctx, 0, core.NewOp("deposit", "acct-0001", 1)); err != nil || !res.Accepted {
+			t.Fatalf("direct submit = %+v, %v", res, err)
+		}
+	}
+	for i := 0; i < 2048; i++ { // grow the op set, the ring and the pooled buffers first
+		edge()
+		direct()
+	}
+	got := testing.AllocsPerRun(1000, edge) - testing.AllocsPerRun(1000, direct)
+	t.Logf("handleSubmit adds %.1f allocations to a guess", got)
+	if got > 4 {
+		t.Errorf("handleSubmit adds %.1f allocations to a guess, want at most 4", got)
+	}
+}
+
+// skipUnderRace skips an allocation pin in a -race build, where sync.Pool
+// drops a quarter of its Puts on purpose and the counts mean nothing.
+func skipUnderRace(t *testing.T) {
+	t.Helper()
+	bi, _ := debug.ReadBuildInfo()
+	for _, s := range bi.Settings {
+		if s.Key == "-race" && s.Value == "true" {
+			t.Skip("allocation counts are pinned without -race")
+		}
+	}
+}
+
+// TestDaemonStateAcrossShards: the state reply is assembled from the
+// shards' folds without merging them, so with several shards it must
+// still be the bytes encoding/json writes for the merged map, and a keyed
+// read must find its key in whichever shard owns it.
+func TestDaemonStateAcrossShards(t *testing.T) {
+	d := soloDaemon(t, func(c *Config) { c.Shards = 4 })
+	c := client.New("http://" + d.HTTPAddr())
+	ctx := context.Background()
+	want := client.StateResponse{Node: 0, Shards: 4, Keys: map[string]int64{}}
+	for i := 0; i < 200; i++ { // enough for a reply net/http would chunk if its length went undeclared
+		key := fmt.Sprintf("k<%d>&", i) // HTML characters: escaped on the wire
+		if _, err := c.Submit(ctx, client.Op{Kind: "deposit", Key: key, Arg: int64(i)}, false); err != nil {
+			t.Fatal(err)
+		}
+		want.Keys[key] = int64(i)
+	}
+	resp, err := http.Get("http://" + d.HTTPAddr() + "/v1/state")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	wantRaw, _ := json.Marshal(want)
+	if string(raw) != string(wantRaw)+"\n" {
+		t.Fatalf("state over 4 shards:\n got %s\nwant %s", raw, wantRaw)
+	}
+	if resp.ContentLength != int64(len(raw)) || len(raw) <= selfDeclared {
+		t.Fatalf("a %d-byte state declared Content-Length %d", len(raw), resp.ContentLength)
+	}
+	if got, err := c.State(ctx); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("State = %+v, %v", got, err)
+	}
+	for key, v := range want.Keys {
+		if got, ok, err := c.StateOf(ctx, key); err != nil || !ok || got != v {
+			t.Fatalf("StateOf(%q) = %d, %v, %v; want %d", key, got, ok, err, v)
+		}
 	}
 }

@@ -3,7 +3,9 @@ package daemon
 import (
 	"crypto/subtle"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -58,14 +60,39 @@ func (d *Daemon) auth(next http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
+// writeJSON answers a cold endpoint through encoding/json.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
 }
 
+var jsonContentType = []string{"application/json"}
+
+// selfDeclared is the longest body net/http declares the length of by
+// itself (its bufferBeforeChunkingSize), from a buffer it already owns.
+const selfDeclared = 2048
+
+// writeWire answers with a body one of the client package's Append
+// functions encoded, ended by the newline json.Encoder ends a value with.
+// A body net/http would send chunked has its length declared here, so a
+// state of any size goes out as one plain body.
+func writeWire(w http.ResponseWriter, status int, buf *client.Buffer) {
+	buf.B = append(buf.B, '\n')
+	h := w.Header()
+	h["Content-Type"] = jsonContentType
+	if len(buf.B) > selfDeclared {
+		h["Content-Length"] = []string{strconv.Itoa(len(buf.B))}
+	}
+	w.WriteHeader(status)
+	w.Write(buf.B)
+}
+
 func writeError(w http.ResponseWriter, status int, code, msg string) {
-	writeJSON(w, status, client.ErrorEnvelope{Error: client.Error{Code: code, Message: msg}})
+	buf := client.GetBuffer()
+	defer buf.Free()
+	buf.B = client.AppendErrorEnvelope(buf.B, &client.ErrorEnvelope{Error: client.Error{Code: code, Message: msg}})
+	writeWire(w, status, buf)
 }
 
 // writeRetryError is writeError plus a Retry-After hint — the shape of
@@ -98,27 +125,56 @@ func degradedDecline(results []core.Result) bool {
 	return len(results) > 0
 }
 
-// decodeBody parses a JSON body into v, rejecting unknown fields so a
-// typo'd request fails loudly instead of silently taking defaults.
+// decodeBody parses a cold endpoint's JSON body into v, rejecting unknown
+// fields so a typo'd request fails loudly instead of silently taking
+// defaults, and anything after the value.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	err := dec.Decode(v)
+	if err == nil {
+		if _, more := dec.Token(); more != io.EOF {
+			err = errors.New("data after the top-level value")
+		}
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", "invalid request body: "+err.Error())
 		return false
 	}
 	return true
 }
 
-// toOp lifts an API op into an engine op.
-func toOp(op client.Op) core.Op {
-	return core.Op{
-		ID:   uniq.ID(op.ID),
-		Kind: op.Kind,
-		Key:  op.Key,
-		Arg:  op.Arg,
-		Note: op.Note,
+// readBody reads a hot endpoint's body, whatever length it declares, into
+// buf and hands it to scan — a client package Scan function, as strict
+// as decodeBody.
+func readBody(w http.ResponseWriter, r *http.Request, buf *client.Buffer, scan func(b []byte) error) bool {
+	err := buf.ReadAll(r.Body, maxBody)
+	if err == nil {
+		err = scan(buf.B)
 	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "bad_request", "invalid request body: "+err.Error())
+		return false
+	}
+	return true
+}
+
+// toOp lifts an API op into an engine op. A scanned op's strings are
+// substrings of one copy of its whole request body, and the op set keeps
+// an op for good, so they are copied out first — into one allocation, cut
+// four ways — or every op would keep its body's JSON alive with it.
+func toOp(op client.Op) core.Op {
+	all := op.ID + op.Kind + op.Key + op.Note
+	cut := func(n int) (s string) {
+		s, all = all[:n], all[n:]
+		return s
+	}
+	out := core.Op{Arg: op.Arg}
+	out.ID = uniq.ID(cut(len(op.ID)))
+	out.Kind = cut(len(op.Kind))
+	out.Key = cut(len(op.Key))
+	out.Note = cut(len(op.Note))
+	return out
 }
 
 // toResult lowers an engine result into the API shape.
@@ -150,8 +206,10 @@ func validOp(w http.ResponseWriter, op client.Op) bool {
 }
 
 func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	buf := client.GetBuffer()
+	defer buf.Free()
 	var req client.SubmitRequest
-	if !decodeBody(w, r, &req) {
+	if !readBody(w, r, buf, func(b []byte) error { return client.ScanSubmitRequest(b, &req) }) {
 		return
 	}
 	if !validOp(w, req.Op) {
@@ -171,12 +229,16 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeRetryError(w, http.StatusServiceUnavailable, "degraded", res.Reason, retryAfterDegraded)
 		return
 	}
-	writeJSON(w, http.StatusOK, toResult(res))
+	out := toResult(res)
+	buf.B = client.AppendResult(buf.B[:0], &out)
+	writeWire(w, http.StatusOK, buf)
 }
 
 func (d *Daemon) handleBatch(w http.ResponseWriter, r *http.Request) {
+	buf := client.GetBuffer()
+	defer buf.Free()
 	var req client.BatchRequest
-	if !decodeBody(w, r, &req) {
+	if !readBody(w, r, buf, func(b []byte) error { return client.ScanBatchRequest(b, &req) }) {
 		return
 	}
 	if len(req.Ops) == 0 {
@@ -212,23 +274,34 @@ func (d *Daemon) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for i, res := range results {
 		out.Results[i] = toResult(res)
 	}
-	writeJSON(w, http.StatusOK, out)
+	buf.B = client.AppendBatchResponse(buf.B[:0], &out)
+	writeWire(w, http.StatusOK, buf)
 }
 
+// handleState answers the hosted replica's derived state from each
+// shard's published fold: the maps go to the encoder as they are (shards
+// own disjoint keys, so their union is the whole state), and ?key=K
+// answers from the one shard that owns K with K alone.
 func (d *Daemon) handleState(w http.ResponseWriter, r *http.Request) {
-	// Merge the hosted replica's per-shard states; each shard owns a
-	// disjoint key range, so a plain union reconstructs the full map.
-	keys := make(map[string]int64)
-	for s := 0; s < d.cluster.Shards(); s++ {
-		for k, v := range d.cluster.ShardReplica(s, d.cfg.Node).State() {
-			keys[k] = v
+	shards := d.cluster.Shards()
+	var folds []map[string]int64
+	if q := r.URL.Query(); q.Has("key") {
+		key := q.Get("key")
+		one := map[string]int64{}
+		if v, ok := d.cluster.ShardReplica(d.cluster.ShardOf(key), d.cfg.Node).State()[key]; ok {
+			one[key] = v
+		}
+		folds = append(folds, one)
+	} else {
+		folds = make([]map[string]int64, shards)
+		for s := range folds {
+			folds[s] = d.cluster.ShardReplica(s, d.cfg.Node).State()
 		}
 	}
-	writeJSON(w, http.StatusOK, client.StateResponse{
-		Node:   d.cfg.Node,
-		Shards: d.cluster.Shards(),
-		Keys:   keys,
-	})
+	buf := client.GetBuffer()
+	defer buf.Free()
+	buf.B = client.AppendState(buf.B, d.cfg.Node, shards, folds...)
+	writeWire(w, http.StatusOK, buf)
 }
 
 func toApologies(in []apology.Apology) []client.Apology {
