@@ -28,12 +28,19 @@ type (
 	// deep copy. Value-typed states (no pointers, maps, slices, channels,
 	// funcs, or interfaces reachable) get this for free; an App with a
 	// reference-typed state that skips Snapshotter falls back to replaying
-	// the ledger from genesis on every change.
+	// the ledger from genesis on every change. Writes fold in place: the
+	// engine takes a Snapshot for checkpoints, rewinds, and the first
+	// write after a Replica.State read — not per write.
 	Snapshotter[S any] = core.Snapshotter[S]
 	// Rule is a probabilistically enforced business rule: Admit gates
 	// submits against the local guess, Violated sweeps merged state.
+	// Both see the live fold in place under the replica lock: valid only
+	// for the duration of the call — do not retain it, mutate it, or call
+	// back into the replica.
 	Rule[S any] = core.Rule[S]
 	// Replica is one eventually consistent copy of the application.
+	// State returns a stable snapshot, forever; View lends the current
+	// state to a callback without taking one.
 	Replica[S any] = core.Replica[S]
 )
 

@@ -189,7 +189,9 @@ func TestFoldEnginesAgreeUnderBatchedIngest(t *testing.T) {
 // kill/recover churned. Readers must never observe a torn fold snapshot
 // (the race detector would flag a map read racing a fold) and never
 // observe a state the engine later mutates in place — every snapshot
-// must still sum consistently after the fact.
+// must still sum consistently after the fact. Each writer also reads its
+// own acknowledged write back at once: an ack is visible to the next
+// State() on that replica.
 func TestConcurrentReadersDuringIngest(t *testing.T) {
 	dir := t.TempDir()
 	c := quicksand.New[balances](exampleApp{}, nil,
@@ -248,18 +250,30 @@ func TestConcurrentReadersDuringIngest(t *testing.T) {
 	}()
 
 	// Writers: deposits with fixed IDs so kills can never double-apply.
+	// The first op of every batch goes to an account only this writer
+	// touches, and the writer reads it back through State() the moment the
+	// batch is acknowledged: ack ⇒ visible. Nothing publishes on the write
+	// path any more, so this read is the one that takes the locked
+	// fallback — it must never be served a publication that predates the
+	// ack.
 	for w := 0; w < writers; w++ {
 		writeWG.Add(1)
 		go func(w int) {
 			defer writeWG.Done()
+			own := fmt.Sprintf("own-%d", w)
 			for i := 0; i < perWriter; i++ {
 				batch := make([]quicksand.Op, batchSize)
 				for j := range batch {
 					batch[j] = quicksand.NewOp("deposit", fmt.Sprintf("acct-%d", j%7), 1)
 					batch[j].ID = quicksand.OpID(fmt.Sprintf("w%d-%d-%d", w, i, j))
 				}
+				batch[0].Key = own
 				if _, err := c.SubmitBatch(ctx, w%2, batch); err != nil {
 					t.Errorf("writer %d: %v", w, err)
+					return
+				}
+				if got := c.Replica(w % 2).State()[own]; got != int64(i+1) {
+					t.Errorf("writer %d: acknowledged batch %d not visible: %s = %d, want %d", w, i, own, got, i+1)
 					return
 				}
 			}

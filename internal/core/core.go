@@ -92,23 +92,28 @@ func NewOp(kind, key string, arg int64) Op {
 // the operations must commute (or the App must make them commute, e.g. by
 // last-ingress-wins tie-breaks, which canonical order makes deterministic).
 //
-// Step may mutate and return the accumulator in place; previously
-// returned states remain valid snapshots regardless. The engine
-// guarantees this by cloning the accumulator before folding new entries
-// into a state it has handed out — via the App's Snapshot method when it
-// implements Snapshotter, by plain assignment when S is a pure value type
-// (no pointers, maps, slices, channels, funcs, or interfaces reachable),
-// and otherwise by giving up on incremental folding entirely and
-// re-deriving from a fresh Init() on every change (the pre-checkpoint
-// behaviour). Implement Snapshotter on any App whose state holds
-// reference types: it is what keeps admission O(new entries) instead of
-// O(ledger).
+// Step may mutate and return the accumulator in place; states returned
+// by Replica.State remain valid snapshots regardless, forever. The
+// engine guarantees this by cloning the accumulator before folding new
+// entries into a state a State caller took — via the App's Snapshot
+// method when it implements Snapshotter, by plain assignment when S is a
+// pure value type (no pointers, maps, slices, channels, funcs, or
+// interfaces reachable), and otherwise by giving up on incremental
+// folding entirely and re-deriving from a fresh Init() on every change
+// (the pre-checkpoint behaviour). Implement Snapshotter on any App whose
+// state holds reference types: it is what keeps admission O(new entries)
+// instead of O(ledger). A clone is something only a reader causes: the
+// write path — admission, the fold, the violation sweep — works on the
+// accumulator in place and never hands it out, so a stream of writes
+// nobody reads between pays no Snapshot beyond fold checkpoints and
+// rewinds (Metrics.FoldClones counts the rest).
 //
 // The guarantee is one-directional: callers must treat states returned
-// by Replica.State (and passed to Rule callbacks) as read-only. The
-// engine folds forward from the accumulator it handed out, so a caller
-// mutation through a reference-typed state would be folded into every
-// subsequent derivation instead of being healed by the next replay.
+// by Replica.State as read-only. The engine folds forward from the
+// accumulator it handed out, so a caller mutation through a
+// reference-typed state would be folded into every subsequent derivation
+// instead of being healed by the next replay. Rule callbacks and
+// Replica.View get less than a snapshot — see Rule.
 type App[S any] interface {
 	// Init returns the empty state.
 	Init() S
@@ -119,7 +124,9 @@ type App[S any] interface {
 // Snapshotter is the optional App extension that unlocks checkpointed
 // incremental folds for reference-typed states. Snapshot must return a
 // deep copy: folding further operations into the original must never be
-// observable through the copy, and vice versa.
+// observable through the copy, and vice versa. The engine calls it for
+// fold checkpoints, for rewinds, and once per write that follows a
+// Replica.State read — never for a write nobody read before.
 type Snapshotter[S any] interface {
 	Snapshot(state S) S
 }
@@ -132,6 +139,15 @@ type Violation struct {
 }
 
 // Rule is a probabilistically enforced business rule (§5.2).
+//
+// Both callbacks are handed the replica's live fold accumulator, in
+// place, usually under the replica lock — not a snapshot. The state is
+// valid only for the duration of the call: a callback must not retain it
+// (or anything reachable from it) past its return, must not mutate it,
+// and must not call back into the replica or cluster (State, Submit, ...
+// would deadlock on the lock it is running under). Copy out what the
+// verdict needs — a Violation carries values, not references. A state
+// to keep is what Replica.State is for.
 type Rule[S any] struct {
 	Name string
 	// Admit, if non-nil, gates an operation against the replica's local
@@ -338,11 +354,16 @@ type Metrics struct {
 	// across all replicas — the true cost of state derivation. With
 	// checkpointed folds it grows O(new entries) per submit; under
 	// WithFullRefold it grows O(ledger). FoldRewinds counts checkpoint
-	// rewinds forced by gossip merges sorting behind a watermark, and
-	// FoldCheckpoints the periodic snapshots taken.
+	// rewinds forced by gossip merges sorting behind a watermark,
+	// FoldCheckpoints the periodic snapshots taken, and FoldClones the
+	// whole-state clones a write paid because a reader had taken the
+	// accumulator through State() since the previous write — zero on a
+	// write-only stream; about one per write means something polls
+	// State() between every two writes.
 	FoldSteps       stats.Counter
 	FoldRewinds     stats.Counter
 	FoldCheckpoints stats.Counter
+	FoldClones      stats.Counter
 
 	// Degraded counts replicas entering degraded read-only mode — a
 	// recoverable disk failure (ENOSPC, EIO) that paused writes without
@@ -827,6 +848,11 @@ type SubmitOption func(*submitConfig)
 func WithPolicy(p policy.Policy) SubmitOption { return func(sc *submitConfig) { sc.pol = p } }
 
 func (c *Cluster[S]) submitConfig(opts []SubmitOption) submitConfig {
+	if len(opts) == 0 {
+		// The common call carries no options; applying them takes sc's
+		// address, which would move it to the heap on every submit.
+		return submitConfig{pol: c.cfg.defPolicy}
+	}
 	sc := submitConfig{pol: c.cfg.defPolicy}
 	for _, o := range opts {
 		o(&sc)

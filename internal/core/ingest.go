@@ -299,7 +299,7 @@ func (r *Replica[S]) coordinate(one []ingestItem) {
 // replica-lock acquisition: Lamport stamping, duplicate detection,
 // admission against the advancing fold, set/journal/store appends — the
 // store staged once for the whole segment — then one snapshot decision,
-// one fold-snapshot publication, and one commit fan-out resolving every
+// one in-place fold of the batch, and one commit fan-out resolving every
 // result. The caller holds drainMu.
 func (r *Replica[S]) ingestSegment(items []ingestItem) {
 	c, g := r.c, r.g
@@ -349,20 +349,11 @@ func (r *Replica[S]) ingestSegment(items []ingestItem) {
 			it.outcome, dups = outDup, true
 			continue
 		}
-		if c.hasAdmit {
-			// Deriving state is the expensive part of admission; rule-free
-			// clusters skip it and ingest in O(1).
-			state := r.stateLocked() // folds earlier batch acceptances in
-			for _, rule := range c.rules {
-				if rule.Admit != nil && !rule.Admit(state, it.op) {
-					it.outcome, it.reason = outDeclined, "declined by rule "+rule.Name
-					break
-				}
-			}
-			if it.outcome == outDeclined {
-				declined = true
-				continue
-			}
+		// The guess: admission folds earlier batch acceptances in first.
+		if rule, ok := r.admitLocked(it.op); !ok {
+			it.outcome, it.reason = outDeclined, "declined by rule "+rule
+			declined = true
+			continue
 		}
 		r.addLocked(it.op)
 		accepted = append(accepted, it.op)
@@ -387,11 +378,11 @@ func (r *Replica[S]) ingestSegment(items []ingestItem) {
 	if nAccepted > 0 {
 		snap = r.maybeSnapshotLocked()
 		if c.snapFn != nil {
-			// Fold the batch in and publish the immutable snapshot before
-			// any result resolves, so lock-free readers observe every write
-			// that has been acknowledged to its submitter.
+			// Fold the batch in, in place, while the lock is already held
+			// — but publish nothing: stageLocked bumped the version, which
+			// sends the first reader after this ack to the locked fallback,
+			// and only a reader taking the state makes the next fold clone.
 			r.foldLocked()
-			r.publishLocked()
 		}
 		if c.cfg.gossipEvery > 0 {
 			due, nDue = r.gossipDueLocked()
@@ -405,8 +396,8 @@ func (r *Replica[S]) ingestSegment(items []ingestItem) {
 		snap()
 	}
 	if t := c.cfg.tracer; t != nil && nAccepted > 0 {
-		// The batch was admitted, folded, and published above in one
-		// critical section; both stages share its exit timestamp.
+		// The batch was admitted and folded above in one critical
+		// section; both stages share its exit timestamp.
 		now := int64(c.tr.Now())
 		for i := range accepted {
 			t.Admitted(string(accepted[i].ID), accepted[i].Key, r.id, now)

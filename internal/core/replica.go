@@ -90,18 +90,21 @@ type Replica[S any] struct {
 	state       S
 	stateMark   oplog.Watermark
 	stateN      int
-	stateShared bool // state escaped to a caller; clone before folding in place
+	stateShared bool // a State() caller holds the accumulator; clone before folding in place
 	stateDirty  bool
 	snaps       []foldSnap[S]
 
 	// The lock-free read path: pub holds the newest published fold
 	// snapshot — an immutable {state, op count} pair stamped with the set
 	// version it derives — and version counts set mutations (bumped under
-	// mu). A reader whose loaded publication matches the current version
-	// returns it without ever touching mu; anything newer falls back to
-	// the locked fold. Ingest republishes once per batch before resolving
-	// results, so a reader observes every acknowledged write on the fast
-	// path.
+	// mu, before any result of the mutation resolves). A reader whose
+	// loaded publication matches the current version returns it without
+	// ever touching mu; anything newer falls back to the locked fold,
+	// which publishes. Publication is on demand: only that fallback (and
+	// Kill) writes pub, so the writers never share the accumulator and a
+	// clone is something a reader causes — the first State() after a
+	// write pays the lock, the next write pays one clone, and a
+	// write-only stream pays neither.
 	pub     atomic.Pointer[foldPub[S]]
 	version atomic.Uint64
 
@@ -320,9 +323,13 @@ func (r *Replica[S]) sameOps(o *Replica[S]) bool {
 // derivation.
 //
 // Reads are lock-free whenever the atomically published fold snapshot is
-// current — always on a quiescent replica, and between ingest batches,
-// each of which republishes before it is acknowledged. Only a reader
-// racing an in-flight mutation falls back to the lock.
+// current — every read after the first since the last write. That first
+// one takes the lock, folds what the writers left pending, and publishes;
+// every acknowledged write bumped the version before its result
+// resolved, so it can never be served a publication that misses one.
+// The price of a publication is paid by the next write, which clones the
+// accumulator before folding into it (Metrics.FoldClones); see View for
+// a read that never causes one.
 func (r *Replica[S]) State() S {
 	if p := r.pub.Load(); p != nil && p.version == r.version.Load() {
 		return p.state
@@ -332,14 +339,49 @@ func (r *Replica[S]) State() S {
 	return r.stateLocked()
 }
 
+// View calls fn with the current state without ever handing it out: the
+// published snapshot when it is current, otherwise the live accumulator
+// under the replica lock — folded up to date, not marked shared, so the
+// next write folds in place instead of cloning the world. The state is
+// valid only for the duration of the call: fn must not retain or mutate
+// it and must not call back into the replica (it may hold the lock).
+// This is the read for "look at one key"; State is the read for "keep
+// the whole thing".
+func (r *Replica[S]) View(fn func(S)) {
+	if p := r.pub.Load(); p != nil && p.version == r.version.Load() {
+		fn(p.state)
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.foldLocked()
+	fn(r.state)
+}
+
 func (r *Replica[S]) stateLocked() S {
 	r.foldLocked()
-	// The accumulator escapes to the caller (a rule, a test, an
-	// experiment); the next in-place fold must clone first so this
-	// snapshot stays valid — the contract App documents.
-	r.stateShared = true
 	r.publishLocked()
 	return r.state
+}
+
+// admitLocked is the one admission check: fold whatever is pending into
+// the accumulator and offer it, in place, to every rule's Admit. It
+// reports the first rule that declines. Nothing is shared or published —
+// the rules see the live accumulator for the duration of the call (the
+// contract Rule documents). The caller holds r.mu.
+func (r *Replica[S]) admitLocked(op oplog.Entry) (declinedBy string, ok bool) {
+	if !r.c.hasAdmit {
+		// Deriving state is the expensive part of admission; rule-free
+		// clusters skip it and ingest in O(1).
+		return "", true
+	}
+	r.foldLocked()
+	for _, rule := range r.c.rules {
+		if rule.Admit != nil && !rule.Admit(r.state, op) {
+			return rule.Name, false
+		}
+	}
+	return "", true
 }
 
 // publishLocked stores the current fold as the lock-free read snapshot.
@@ -348,15 +390,16 @@ func (r *Replica[S]) stateLocked() S {
 // in-place fold clones first, and the object behind the pointer is
 // immutable forever after. Version is captured under mu, which is what
 // lets readers validate a loaded publication with one atomic compare.
+// Exactly two callers: stateLocked (a reader asked) and Kill.
 func (r *Replica[S]) publishLocked() {
 	if r.stateDirty {
 		return
 	}
+	r.stateShared = true
 	v := r.version.Load()
 	if p := r.pub.Load(); p != nil && p.version == v {
 		return
 	}
-	r.stateShared = true
 	r.pub.Store(&foldPub[S]{state: r.state, n: r.ops.Len(), version: v})
 }
 
@@ -379,10 +422,13 @@ func (r *Replica[S]) foldLocked() {
 		return
 	}
 	if r.stateShared {
-		// A caller holds the accumulator; folding in place would mutate
-		// their snapshot. Clone once per fold batch, not per State call.
+		// A State() caller holds the accumulator; folding in place would
+		// mutate their snapshot. Clone once per fold batch, not per State
+		// call — and only here: a write nobody read between never clones.
 		r.state = r.c.snapFn(r.state)
 		r.stateShared = false
+		r.c.M.FoldClones.Inc()
+		r.g.M.FoldClones.Inc()
 	}
 	every := r.c.cfg.foldEvery
 	for _, e := range pending {
@@ -806,24 +852,35 @@ func (r *Replica[S]) Rejoin(ctx context.Context) error {
 // sweepViolations evaluates every rule's Violated check against the
 // current state; new violations become apologies. The queue dedupes by
 // content, so the same overdraft found at three replicas is one apology.
+// The rules read the state in place (View); apologies, ledger lines and
+// trace events are issued only after the replica lock is released.
 func (r *Replica[S]) sweepViolations() {
 	if !r.c.hasViolate {
 		return
 	}
-	state := r.State()
-	for _, rule := range r.c.rules {
-		if rule.Violated == nil {
-			continue
+	type found struct {
+		rule string
+		v    Violation
+	}
+	var all []found
+	r.View(func(state S) {
+		for _, rule := range r.c.rules {
+			if rule.Violated == nil {
+				continue
+			}
+			for _, v := range rule.Violated(state) {
+				all = append(all, found{rule.Name, v})
+			}
 		}
-		for _, v := range rule.Violated(state) {
-			a := apology.NewApology(rule.Name, v.Detail, v.Amount, r.id)
-			a.Key = v.Key
-			if r.c.Apologies.Submit(a) {
-				now := r.c.tr.Now()
-				r.Ledger.Record(now, apology.Regret, r.id, rule.Name+": "+v.Detail, a.ID)
-				if t := r.c.cfg.tracer; t != nil {
-					t.Apologized(v.Key, string(a.ID), r.id, int64(now))
-				}
+	})
+	for _, f := range all {
+		a := apology.NewApology(f.rule, f.v.Detail, f.v.Amount, r.id)
+		a.Key = f.v.Key
+		if r.c.Apologies.Submit(a) {
+			now := r.c.tr.Now()
+			r.Ledger.Record(now, apology.Regret, r.id, f.rule+": "+f.v.Detail, a.ID)
+			if t := r.c.cfg.tracer; t != nil {
+				t.Apologized(f.v.Key, string(a.ID), r.id, int64(now))
 			}
 		}
 	}
@@ -842,14 +899,12 @@ func (r *Replica[S]) submitSync(op oplog.Entry, done func(Result)) {
 		return
 	}
 	// Local admission first.
-	if r.c.hasAdmit {
-		state := r.State()
-		for _, rule := range r.c.rules {
-			if rule.Admit != nil && !rule.Admit(state, op) {
-				done(Result{Op: op, Reason: "declined by rule " + rule.Name, Decision: policy.Sync})
-				return
-			}
-		}
+	r.mu.Lock()
+	rule, ok := r.admitLocked(op)
+	r.mu.Unlock()
+	if !ok {
+		done(Result{Op: op, Reason: "declined by rule " + rule, Decision: policy.Sync})
+		return
 	}
 	var peers []string
 	for _, other := range r.g.reps {
@@ -980,16 +1035,10 @@ func (r *Replica[S]) handlePush(from string, req any, reply func(any)) {
 
 func (r *Replica[S]) handleAdmit(from string, req any, reply func(any)) {
 	a := req.(admitReq)
-	if r.c.hasAdmit {
-		state := r.State()
-		for _, rule := range r.c.rules {
-			if rule.Admit != nil && !rule.Admit(state, a.Op) {
-				reply(admitAck{OK: false})
-				return
-			}
-		}
-	}
-	reply(admitAck{OK: true})
+	r.mu.Lock()
+	_, ok := r.admitLocked(a.Op)
+	r.mu.Unlock()
+	reply(admitAck{OK: ok})
 }
 
 func (r *Replica[S]) handleApply(from string, req any, reply func(any)) {

@@ -301,6 +301,47 @@ func TestDaemonMetricsExposition(t *testing.T) {
 	}
 }
 
+// TestKeyedReadNeverMakesAWriteClone: GET /v1/state?key= looks the key
+// up in place, so polling it between writes costs the writes nothing;
+// the whole-state read takes a snapshot, which the next write pays one
+// clone for — and /metrics says so.
+func TestKeyedReadNeverMakesAWriteClone(t *testing.T) {
+	d := soloDaemon(t, nil)
+	c := client.New("http://" + d.HTTPAddr())
+	ctx := context.Background()
+	deposit := func() {
+		t.Helper()
+		if res, err := c.Submit(ctx, client.Op{Kind: "deposit", Key: "acct", Arg: 1}, false); err != nil || !res.Accepted {
+			t.Fatalf("deposit: %+v, %v", res, err)
+		}
+	}
+	for i := int64(1); i <= 20; i++ {
+		deposit()
+		if v, ok, err := c.StateOf(ctx, "acct"); err != nil || !ok || v != i {
+			t.Fatalf("StateOf after %d acknowledged deposits = %d, %v, %v", i, v, ok, err)
+		}
+	}
+	if n := d.cluster.M.FoldClones.Value(); n != 0 {
+		t.Fatalf("keyed reads between writes made the fold clone %d times", n)
+	}
+	if _, err := c.State(ctx); err != nil {
+		t.Fatal(err)
+	}
+	deposit()
+	deposit()
+	resp, err := http.Get("http://" + d.HTTPAddr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, want := range []string{"quicksand_fold_clones_total 1\n", "quicksand_shard_fold_clones_total{shard=\"0\"} 1\n"} {
+		if !strings.Contains(string(body), want) {
+			t.Errorf("metrics missing %q after one whole-state read between writes", want)
+		}
+	}
+}
+
 // freePorts reserves n distinct loopback ports by binding and releasing
 // them — the usual racy-but-reliable trick for wiring two daemons that
 // must know each other's address before either starts.

@@ -278,19 +278,23 @@ func (d *Daemon) handleBatch(w http.ResponseWriter, r *http.Request) {
 	writeWire(w, http.StatusOK, buf)
 }
 
-// handleState answers the hosted replica's derived state from each
-// shard's published fold: the maps go to the encoder as they are (shards
-// own disjoint keys, so their union is the whole state), and ?key=K
-// answers from the one shard that owns K with K alone.
+// handleState answers the hosted replica's derived state. The whole
+// state is each shard's published fold: the maps go to the encoder as
+// they are (shards own disjoint keys, so their union is the whole
+// state). ?key=K answers from the one shard that owns K with K alone,
+// looked up in place (View): a keyed read takes no snapshot, so it never
+// makes the next write clone the fold.
 func (d *Daemon) handleState(w http.ResponseWriter, r *http.Request) {
 	shards := d.cluster.Shards()
 	var folds []map[string]int64
 	if q := r.URL.Query(); q.Has("key") {
 		key := q.Get("key")
 		one := map[string]int64{}
-		if v, ok := d.cluster.ShardReplica(d.cluster.ShardOf(key), d.cfg.Node).State()[key]; ok {
-			one[key] = v
-		}
+		d.cluster.ShardReplica(d.cluster.ShardOf(key), d.cfg.Node).View(func(st Accounts) {
+			if v, ok := st[key]; ok {
+				one[key] = v
+			}
+		})
 		folds = append(folds, one)
 	} else {
 		folds = make([]map[string]int64, shards)

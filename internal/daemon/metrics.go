@@ -32,6 +32,7 @@ func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.counter("quicksand_fold_steps_total", "App.Step invocations (state derivation cost).", m.FoldSteps.Value())
 	p.counter("quicksand_fold_rewinds_total", "Checkpoint rewinds forced by out-of-order merges.", m.FoldRewinds.Value())
 	p.counter("quicksand_fold_checkpoints_total", "Periodic fold checkpoints taken.", m.FoldCheckpoints.Value())
+	p.counter("quicksand_fold_clones_total", "Whole-state clones a write paid because a reader had taken the fold (State) since the previous write.", m.FoldClones.Value())
 
 	// Per-shard views of the same engine counters: the cluster-wide
 	// aggregates above hide load imbalance; these expose it.
@@ -56,6 +57,8 @@ func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		func(m *core.Metrics) int64 { return m.FoldSteps.Value() })
 	perShard("quicksand_shard_fold_rewinds_total", "Checkpoint rewinds, by shard.",
 		func(m *core.Metrics) int64 { return m.FoldRewinds.Value() })
+	perShard("quicksand_shard_fold_clones_total", "Whole-state clones paid by writes after a State read, by shard.",
+		func(m *core.Metrics) int64 { return m.FoldClones.Value() })
 
 	// Fault posture: which shards are read-only right now, how many
 	// degradation events ever, and how loaded the ingest ring is (the
