@@ -9,7 +9,6 @@ package quicksand
 import (
 	"repro/internal/core"
 	"repro/internal/sim"
-	"repro/internal/simnet"
 	"repro/internal/store"
 	"repro/internal/uniq"
 	"time"
@@ -23,12 +22,11 @@ type (
 	// App folds operations into application state; Step must tolerate any
 	// canonical fold order (the operations must commute).
 	App[S any] = core.App[S]
-	// Snapshotter is the optional App extension that unlocks checkpointed
-	// incremental folds for reference-typed states: Snapshot must return a
-	// deep copy. Value-typed states (no pointers, maps, slices, channels,
-	// funcs, or interfaces reachable) get this for free; an App with a
-	// reference-typed state that skips Snapshotter falls back to replaying
-	// the ledger from genesis on every change. Writes fold in place: the
+	// Snapshotter is the App extension every reference-typed state needs:
+	// Snapshot must return a deep copy. Value-typed states (no pointers,
+	// maps, slices, channels, funcs, or interfaces reachable) are cloned
+	// by assignment and need none; New panics on an App with a
+	// reference-typed state and no Snapshot. Writes fold in place: the
 	// engine takes a Snapshot for checkpoints, rewinds, and the first
 	// write after a Replica.State read — not per write.
 	Snapshotter[S any] = core.Snapshotter[S]
@@ -84,19 +82,13 @@ type (
 	LiveTransport = core.LiveTransport
 )
 
-// Simulation and latency-model types, for configuring transports.
+// Simulation types, for configuring transports.
 type (
 	// Sim is the deterministic discrete-event simulator.
 	Sim = sim.Sim
 	// Time is a transport timestamp: virtual on the simulator, elapsed
 	// wall clock on the live transport.
 	Time = sim.Time
-	// Latency models per-message delivery delay.
-	Latency = simnet.Latency
-	// Fixed is a constant delivery delay.
-	Fixed = simnet.Fixed
-	// Jitter is a uniform delay in [Base, Base+Spread).
-	Jitter = simnet.Jitter
 )
 
 // ErrStalled reports that a blocking Submit can never resolve because the
@@ -106,9 +98,8 @@ var ErrStalled = core.ErrStalled
 // New builds a cluster of replicas named r0, r1, ... running app under
 // rules (which may be nil). By default the cluster runs three replicas on
 // a fresh live (goroutine) transport with the AlwaysAsync risk policy;
-// options select the simulator, tune timeouts and latency, start
-// background gossip, and shard the key space across independent replica
-// groups (WithShards).
+// options select the simulator, tune timeouts, start background gossip,
+// and shard the key space across independent replica groups (WithShards).
 func New[S any](app App[S], rules []Rule[S], opts ...Option) *Cluster[S] {
 	return core.New[S](app, rules, opts...)
 }
@@ -146,12 +137,6 @@ func WithReplicas(n int) Option { return core.WithReplicas(n) }
 // same operations.
 func WithShards(n int) Option { return core.WithShards(n) }
 
-// WithLatency sets the per-message delivery latency model. On the
-// simulator the default is 5ms ± 2ms; the live transport defaults to no
-// artificial delay. New panics if the chosen transport cannot honour an
-// explicit latency model.
-func WithLatency(l Latency) Option { return core.WithLatency(l) }
-
 // WithCallTimeout bounds every replica-to-replica call (default 100ms).
 func WithCallTimeout(d time.Duration) Option { return core.WithCallTimeout(d) }
 
@@ -186,17 +171,6 @@ func WithLocalReplicas(idxs ...int) Option { return core.WithLocalReplicas(idxs.
 // Networked transports use it to map peer processes to node names.
 func NodeID(shards, s, rep int) string { return core.NodeID(shards, s, rep) }
 
-// WithFoldCheckpointEvery sets how many folded entries separate the
-// periodic fold checkpoint snapshots (default 1024). Snapshots bound the
-// replay a behind-watermark gossip merge forces; 0 disables them.
-func WithFoldCheckpointEvery(n int) Option { return core.WithFoldCheckpointEvery(n) }
-
-// WithFullRefold disables checkpointed incremental folds: every state
-// derivation after a change replays the whole operation set from a fresh
-// Init — the O(ledger) baseline, kept for differential testing and
-// benchmarking.
-func WithFullRefold() Option { return core.WithFullRefold() }
-
 // WithDurability gives every replica a disk-backed store under dir: an
 // append-only CRC-checked journal of its operations plus periodic
 // atomic snapshot files. Submits and gossip pushes are acknowledged
@@ -206,28 +180,12 @@ func WithFullRefold() Option { return core.WithFullRefold() }
 // itself cold-starts from whatever an earlier incarnation left in dir.
 func WithDurability(dir string) Option { return core.WithDurability(dir) }
 
-// WithFsyncPerOp replaces WithDurability's adaptive group commit
-// (§3.2's city-bus economics: depart immediately when the staged backlog
-// is shallow, coalesce under load, with the hold ceiling steered by an
-// EWMA of recent fsync cost) with one fsync per operation — the
-// car-per-driver baseline kept for measuring what group commit saves.
-func WithFsyncPerOp() Option { return core.WithFsyncPerOp() }
-
 // WithSnapshotEvery sets how many journaled operations separate durable
 // snapshots (default 4096) — the ledger prefix serialized at a
 // fold-checkpoint boundary, which bounds recovery replay and lets
 // journal segments below both the snapshot and every gossip peer's
 // acknowledgement be deleted. 0 disables snapshots.
 func WithSnapshotEvery(n int) Option { return core.WithSnapshotEvery(n) }
-
-// WithSnapshotChain sets how many snapshot cuts share one full-ledger
-// snapshot (default 8): the cuts in between are incremental deltas
-// holding only the entries since the previous cut, chained to the full
-// root, so a steady-state cut costs the write rate rather than the
-// ledger size. Recovery folds the newest intact chain and falls back to
-// a chain prefix losslessly if the newest delta is torn. k = 1 makes
-// every cut full. No effect without WithDurability.
-func WithSnapshotChain(k int) Option { return core.WithSnapshotChain(k) }
 
 // WithPolicy routes one submit with p instead of the cluster's default
 // risk policy — the per-operation "stomach for risk" dial of §5.5.

@@ -11,10 +11,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"testing"
 	"time"
 
 	quicksand "repro"
+	"repro/internal/oplog"
 )
 
 // harness abstracts what the shared suite needs from a transport: build a
@@ -96,9 +98,6 @@ func TestOptionDefaults(t *testing.T) {
 		}
 		if got := c.CallTimeout(); got != 100*time.Millisecond {
 			t.Fatalf("default call timeout = %v, want 100ms", got)
-		}
-		if got := c.GossipInterval(); got != 0 {
-			t.Fatalf("default gossip interval = %v, want 0 (manual)", got)
 		}
 		// The default risk policy is AlwaysAsync: a submit with no options
 		// takes the guess path.
@@ -533,44 +532,43 @@ func TestShardedBatchScatterGather(t *testing.T) {
 	})
 }
 
+// assertGenesisReplay holds every replica's derived state to the
+// definition of state (§7.6): the canonical fold of its operation set,
+// replayed from a fresh Init — the oracle the checkpointed engine must
+// never disagree with.
+func assertGenesisReplay(t *testing.T, c *quicksand.Cluster[balances]) {
+	t.Helper()
+	app := exampleApp{}
+	for i := 0; i < c.Replicas(); i++ {
+		rep := c.Replica(i)
+		got, want := rep.State(), oplog.Fold(rep.Ops(), app.Init(), app.Step)
+		if !maps.Equal(got, want) {
+			t.Fatalf("replica %d: checkpointed fold %v, genesis replay %v", i, got, want)
+		}
+	}
+}
+
 // TestFoldEnginesAgree is the acceptance check for checkpointed state
-// derivation: the incremental engine and the WithFullRefold baseline must
-// derive identical final states from the same rule-checked workload — on
-// both transports. Deposits commute, so the final balances are a pure
-// function of the converged operation set no matter how gossip interleaved
-// the two runs.
+// derivation: after a rule-checked workload with gossip interleaved — so
+// merges sort behind watermarks and rewind — every replica's incremental
+// fold must equal a genesis replay of its operation set, on both
+// transports.
 func TestFoldEnginesAgree(t *testing.T) {
 	forEachTransport(t, func(t *testing.T, h harness) {
-		workload := func(opts ...quicksand.Option) []balances {
-			c, d := h.newCluster(t, opts...)
-			defer c.Close()
-			ctx := context.Background()
-			for i := 0; i < 60; i++ {
-				op := quicksand.NewOp("deposit", fmt.Sprintf("acct-%d", i%5), int64(10+i))
-				op.ID = quicksand.OpID(fmt.Sprintf("wk-%03d", i)) // same ops in both runs
-				if _, err := c.Submit(ctx, i%c.Replicas(), op); err != nil {
-					t.Fatal(err)
-				}
-				if i%7 == 0 {
-					c.GossipRound()
-					d.settle()
-				}
+		c, d := h.newCluster(t)
+		defer c.Close()
+		ctx := context.Background()
+		for i := 0; i < 60; i++ {
+			op := quicksand.NewOp("deposit", fmt.Sprintf("acct-%d", i%5), int64(10+i))
+			if _, err := c.Submit(ctx, i%c.Replicas(), op); err != nil {
+				t.Fatal(err)
 			}
-			d.converge(t, c)
-			return c.States()
-		}
-		checkpointed := workload()
-		baseline := workload(quicksand.WithFullRefold())
-		for i := range checkpointed {
-			if len(checkpointed[i]) != len(baseline[i]) {
-				t.Fatalf("replica %d: %v vs %v", i, checkpointed[i], baseline[i])
-			}
-			for acct, bal := range baseline[i] {
-				if checkpointed[i][acct] != bal {
-					t.Fatalf("replica %d diverged on %s: checkpointed %d, full refold %d",
-						i, acct, checkpointed[i][acct], bal)
-				}
+			if i%7 == 0 {
+				c.GossipRound()
+				d.settle()
 			}
 		}
+		d.converge(t, c)
+		assertGenesisReplay(t, c)
 	})
 }

@@ -152,34 +152,20 @@ func TestIngestWorkloadSurfacesApologies(t *testing.T) {
 
 // TestFoldEnginesAgreeUnderBatchedIngest extends TestFoldEnginesAgree
 // to bulk ingest: when a whole SubmitBatch is absorbed and folded as one
-// segment, the checkpointed fold engine must derive the same states as
-// the full-refold oracle.
+// segment, the checkpointed fold must still equal the genesis replay.
 func TestFoldEnginesAgreeUnderBatchedIngest(t *testing.T) {
 	forEachTransport(t, func(t *testing.T, h harness) {
-		workload := func(opts ...quicksand.Option) []balances {
-			c, d := h.newCluster(t, opts...)
-			defer c.Close()
-			ctx := context.Background()
-			batch := make([]quicksand.Op, 60)
-			for i := range batch {
-				batch[i] = quicksand.NewOp("deposit", fmt.Sprintf("acct-%d", i%5), int64(10+i))
-				batch[i].ID = quicksand.OpID(fmt.Sprintf("wk-%03d", i))
-			}
-			if _, err := c.SubmitBatch(ctx, 0, batch); err != nil {
-				t.Fatal(err)
-			}
-			d.converge(t, c)
-			return c.States()
+		c, d := h.newCluster(t)
+		defer c.Close()
+		batch := make([]quicksand.Op, 60)
+		for i := range batch {
+			batch[i] = quicksand.NewOp("deposit", fmt.Sprintf("acct-%d", i%5), int64(10+i))
 		}
-		want := workload(quicksand.WithFullRefold())
-		got := workload()
-		for i := range want {
-			for acct, bal := range want[i] {
-				if got[i][acct] != bal {
-					t.Fatalf("replica %d diverged on %s: %d, oracle %d", i, acct, got[i][acct], bal)
-				}
-			}
+		if _, err := c.SubmitBatch(context.Background(), 0, batch); err != nil {
+			t.Fatal(err)
 		}
+		d.converge(t, c)
+		assertGenesisReplay(t, c)
 	})
 }
 

@@ -3,7 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -12,11 +15,13 @@ import (
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/simnet"
+	"repro/internal/stats"
 	"repro/internal/uniq"
 )
 
 // counterApp is the simplest commutative application: per-key running
-// sums of credits and debits.
+// sums of credits and debits — map state, in-place Step, deep-copy
+// Snapshot, the shape real applications take.
 type counterApp struct{}
 
 type counterState map[string]int64
@@ -24,20 +29,16 @@ type counterState map[string]int64
 func (counterApp) Init() counterState { return counterState{} }
 
 func (counterApp) Step(s counterState, op oplog.Entry) counterState {
-	// Fold builds a fresh state each time, but Step receives the shared
-	// accumulator; copy-on-first-write keeps replicas independent.
-	ns := make(counterState, len(s)+1)
-	for k, v := range s {
-		ns[k] = v
-	}
 	switch op.Kind {
 	case "credit":
-		ns[op.Key] += op.Arg
+		s[op.Key] += op.Arg
 	case "debit":
-		ns[op.Key] -= op.Arg
+		s[op.Key] -= op.Arg
 	}
-	return ns
+	return s
 }
+
+func (counterApp) Snapshot(s counterState) counterState { return maps.Clone(s) }
 
 // noOverdraft declines debits the local guess can't cover and reports
 // accounts below zero after merges.
@@ -118,8 +119,8 @@ func TestSyncSubmitFailsWhenReplicaDown(t *testing.T) {
 	if res.Accepted {
 		t.Fatal("sync submit succeeded with a replica down; must be conservative")
 	}
-	if c.M.SyncDeclined.Value() != 1 {
-		t.Fatalf("SyncDeclined = %d", c.M.SyncDeclined.Value())
+	if c.Metrics().SyncDeclined.Value() != 1 {
+		t.Fatalf("SyncDeclined = %d", c.Metrics().SyncDeclined.Value())
 	}
 	// The async path keeps working — availability vs consistency.
 	res = submit(t, s, c, 0, "credit", "acct", 100, policy.AlwaysAsync())
@@ -184,8 +185,8 @@ func TestAdmitDeclinesLocally(t *testing.T) {
 	if res.Reason == "" {
 		t.Fatal("declined result must carry a reason")
 	}
-	if c.M.Declined.Value() != 1 {
-		t.Fatalf("Declined = %d", c.M.Declined.Value())
+	if c.Metrics().Declined.Value() != 1 {
+		t.Fatalf("Declined = %d", c.Metrics().Declined.Value())
 	}
 }
 
@@ -259,8 +260,8 @@ func TestThresholdPolicyRoutesByAmount(t *testing.T) {
 	if big.Latency == 0 {
 		t.Fatal("big check must pay coordination latency")
 	}
-	if c.M.SyncAccepted.Value() != 1 {
-		t.Fatalf("SyncAccepted = %d", c.M.SyncAccepted.Value())
+	if c.Metrics().SyncAccepted.Value() != 1 {
+		t.Fatalf("SyncAccepted = %d", c.Metrics().SyncAccepted.Value())
 	}
 }
 
@@ -346,12 +347,12 @@ func TestGossipIncrementalTransfer(t *testing.T) {
 	submit(t, s, c, 0, "credit", "a", 1, policy.AlwaysAsync())
 	c.GossipRound()
 	s.Run()
-	moved := c.M.OpsTransferred.Value()
+	moved := c.Metrics().OpsTransferred.Value()
 	// A second round with nothing new must not resend the op.
 	c.GossipRound()
 	s.Run()
-	if c.M.OpsTransferred.Value() != moved {
-		t.Fatalf("idle gossip re-transferred ops: %d -> %d", moved, c.M.OpsTransferred.Value())
+	if c.Metrics().OpsTransferred.Value() != moved {
+		t.Fatalf("idle gossip re-transferred ops: %d -> %d", moved, c.Metrics().OpsTransferred.Value())
 	}
 }
 
@@ -410,7 +411,7 @@ func TestStartGossipPeriodic(t *testing.T) {
 	if !c.Converged() {
 		t.Fatal("periodic gossip did not converge")
 	}
-	if c.M.GossipRounds.Value() == 0 {
+	if c.Metrics().GossipRounds.Value() == 0 {
 		t.Fatal("no gossip rounds counted")
 	}
 }
@@ -566,29 +567,12 @@ func TestFoldStepsLinearInNewEntries(t *testing.T) {
 		}
 		s.Run()
 	}
-	steps := c.M.FoldSteps.Value()
+	steps := c.Metrics().FoldSteps.Value()
 	if steps > 3*n {
 		t.Fatalf("FoldSteps = %d for %d submits; admission is replaying the ledger (O(n²))", steps, n)
 	}
 	if c.Replica(0).State() != oracle(c.Replica(0)) {
 		t.Fatal("cached state diverged from full refold")
-	}
-
-	// The same workload under WithFullRefold pays quadratically — the
-	// baseline the checkpoint engine exists to beat.
-	s2 := sim.New(1)
-	c2 := New[int64](hashApp{}, []Rule[int64]{admitAll[int64]()}, WithSim(s2), WithReplicas(1), WithFullRefold())
-	for i := 0; i < n; i++ {
-		if _, err := c2.Submit(context.Background(), 0, NewOp("op", "k", int64(i))); err != nil {
-			t.Fatal(err)
-		}
-		s2.Run()
-	}
-	if full := c2.M.FoldSteps.Value(); full < int64(n)*int64(n)/4 {
-		t.Fatalf("full-refold FoldSteps = %d; baseline unexpectedly cheap, benchmark claim is hollow", full)
-	}
-	if c.Replica(0).State() != c2.Replica(0).State() {
-		t.Fatal("incremental and full-refold clusters disagree on the same workload")
 	}
 }
 
@@ -608,7 +592,7 @@ func TestRewindOnBehindWatermarkMerge(t *testing.T) {
 	// replica whose clock lagged).
 	c.SubmitAsync(0, oplog.Entry{ID: "early", Kind: "op", Arg: 3, Lam: 1}, nil, WithPolicy(policy.AlwaysAsync()))
 	s.Run()
-	if c.M.FoldRewinds.Value() == 0 {
+	if c.Metrics().FoldRewinds.Value() == 0 {
 		t.Fatal("behind-watermark entry did not rewind the checkpoint")
 	}
 	if got, want := rep.State(), oracle(rep); got != want {
@@ -625,17 +609,17 @@ func TestRewindOnBehindWatermarkMerge(t *testing.T) {
 func TestPeriodicCheckpointsBoundReplay(t *testing.T) {
 	const n = 100
 	s := sim.New(3)
-	c := New[int64](hashApp{}, nil, WithSim(s), WithReplicas(1), WithFoldCheckpointEvery(10))
+	c := New[int64](hashApp{}, nil, WithSim(s), WithReplicas(1), withFoldCheckpointEvery(10))
 	rep := c.Replica(0)
 	for i := 0; i < n; i++ {
 		c.SubmitAsync(0, oplog.Entry{ID: uniq.ID(fmt.Sprintf("op-%03d", i)), Kind: "op", Arg: 1, Lam: uint64(10 + 2*i)}, nil, WithPolicy(policy.AlwaysAsync()))
 		s.Run()
 		rep.State() // fold as we go, taking periodic snapshots
 	}
-	if c.M.FoldCheckpoints.Value() == 0 {
+	if c.Metrics().FoldCheckpoints.Value() == 0 {
 		t.Fatal("no periodic checkpoints taken")
 	}
-	before := c.M.FoldSteps.Value()
+	before := c.Metrics().FoldSteps.Value()
 	// Land an entry between the last two ops: behind the watermark, but
 	// far after the second-newest snapshot.
 	c.SubmitAsync(0, oplog.Entry{ID: "late", Kind: "op", Arg: 5, Lam: uint64(10 + 2*(n-1) - 1)}, nil, WithPolicy(policy.AlwaysAsync()))
@@ -643,32 +627,10 @@ func TestPeriodicCheckpointsBoundReplay(t *testing.T) {
 	if got, want := rep.State(), oracle(rep); got != want {
 		t.Fatalf("state = %d, oracle %d", got, want)
 	}
-	replay := c.M.FoldSteps.Value() - before
+	replay := c.Metrics().FoldSteps.Value() - before
 	if replay > 25 {
 		t.Fatalf("rewind replayed %d steps; snapshots are not bounding the replay (cadence 10)", replay)
 	}
-}
-
-// snapshotApp is counterApp plus the Snapshotter extension: map state,
-// in-place Step, deep-copy Snapshot — the shape real applications take.
-type snapshotApp struct{}
-
-func (snapshotApp) Init() counterState { return counterState{} }
-func (snapshotApp) Step(s counterState, op oplog.Entry) counterState {
-	switch op.Kind {
-	case "credit":
-		s[op.Key] += op.Arg
-	case "debit":
-		s[op.Key] -= op.Arg
-	}
-	return s
-}
-func (snapshotApp) Snapshot(s counterState) counterState {
-	c := make(counterState, len(s))
-	for k, v := range s {
-		c[k] = v
-	}
-	return c
 }
 
 // TestSnapshotterKeepsReturnedStatesStable: with an in-place-mutating
@@ -676,7 +638,7 @@ func (snapshotApp) Snapshot(s counterState) counterState {
 // later operations fold in.
 func TestSnapshotterKeepsReturnedStatesStable(t *testing.T) {
 	s := sim.New(4)
-	c := New[counterState](snapshotApp{}, nil, WithSim(s), WithReplicas(1))
+	c := New[counterState](counterApp{}, nil, WithSim(s), WithReplicas(1))
 	if _, err := c.Submit(context.Background(), 0, NewOp("credit", "a", 10)); err != nil {
 		t.Fatal(err)
 	}
@@ -697,6 +659,54 @@ func TestSnapshotterKeepsReturnedStatesStable(t *testing.T) {
 	}
 }
 
+// mapNoSnapshotApp folds into a map and offers no Snapshot: the one shape
+// the engine cannot checkpoint.
+type mapNoSnapshotApp struct{}
+
+func (mapNoSnapshotApp) Init() counterState                              { return counterState{} }
+func (mapNoSnapshotApp) Step(s counterState, _ oplog.Entry) counterState { return s }
+
+// TestCloningContract pins how the engine decides it can clone a state:
+// plainCopyable accepts exactly the types assignment copies in full, and
+// New builds on a Snapshotter or a plain value and panics — naming the
+// way out — on reference-typed state without Snapshot.
+func TestCloningContract(t *testing.T) {
+	type nested struct {
+		N    int64
+		Name string
+		Arr  [3]struct{ A, B float64 }
+	}
+	for _, tc := range []struct {
+		v    any
+		want bool
+	}{
+		{int64(0), true}, {false, true}, {uint8(0), true}, {3.5, true}, {complex(1, 2), true},
+		{"strings are immutable", true}, {[4]int{}, true}, {nested{}, true}, {struct{}{}, true},
+		{new(int), false}, {map[string]int{}, false}, {[]int{}, false}, {make(chan int), false},
+		{func() {}, false}, {[1]any{}, false}, {[2]*int{}, false},
+		{struct{ Err error }{}, false},
+		{struct {
+			N   int
+			Bal map[string]int64
+		}{}, false},
+		{struct{ In struct{ P *nested } }{}, false},
+	} {
+		if got := plainCopyable(reflect.TypeOf(tc.v)); got != tc.want {
+			t.Errorf("plainCopyable(%T) = %v, want %v", tc.v, got, tc.want)
+		}
+	}
+
+	New[counterState](counterApp{}, nil, WithSim(sim.New(1)), WithReplicas(1)) // Snapshotter
+	New[int64](hashApp{}, nil, WithSim(sim.New(1)), WithReplicas(1))           // plain value
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "Snapshotter") || !strings.Contains(msg, "mapNoSnapshotApp") {
+			t.Fatalf("New on map state without Snapshot: recovered %q, want a panic naming the App and Snapshotter", msg)
+		}
+	}()
+	New[counterState](mapNoSnapshotApp{}, nil, WithSim(sim.New(1)), WithReplicas(1))
+}
+
 // TestPropIncrementalFoldMatchesOracle is the engine's soundness
 // property: under random Lamport stamps (forcing behind-watermark merges),
 // random replicas, duplicate IDs, and random gossip, every replica's
@@ -705,7 +715,7 @@ func TestPropIncrementalFoldMatchesOracle(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		s := sim.New(seed)
-		c := New[int64](hashApp{}, nil, WithSim(s), WithReplicas(3), WithFoldCheckpointEvery(4))
+		c := New[int64](hashApp{}, nil, WithSim(s), WithReplicas(3), withFoldCheckpointEvery(4))
 		for i := 0; i < 60; i++ {
 			op := oplog.Entry{
 				ID:   uniq.ID(fmt.Sprintf("op-%02d", r.Intn(40))), // dup IDs happen
@@ -878,8 +888,42 @@ func TestShardRoutingAndIsolation(t *testing.T) {
 	for sh := 0; sh < c.Shards(); sh++ {
 		total += c.ShardMetrics(sh).Accepted.Value()
 	}
-	if total != c.M.Accepted.Value() || total != keys+1 {
-		t.Fatalf("shard metrics sum %d, cluster %d, want %d", total, c.M.Accepted.Value(), keys+1)
+	if total != c.Metrics().Accepted.Value() || total != keys+1 {
+		t.Fatalf("shard metrics sum %d, cluster %d, want %d", total, c.Metrics().Accepted.Value(), keys+1)
+	}
+}
+
+// TestClusterMetricsSumsEveryField: Cluster.Metrics is the sum over
+// shards of every field Metrics declares — a counter or histogram added
+// to the struct and forgotten in merge shows up here as a zero.
+func TestClusterMetricsSumsEveryField(t *testing.T) {
+	c := New[counterState](counterApp{}, nil, WithSim(sim.New(1)), WithShards(3), WithReplicas(1))
+	for sh := 0; sh < c.Shards(); sh++ {
+		m := reflect.ValueOf(c.ShardMetrics(sh)).Elem()
+		for i := 0; i < m.NumField(); i++ {
+			switch f := m.Field(i).Addr().Interface().(type) {
+			case *stats.Counter:
+				f.Addn(int64(sh + 1))
+			case *stats.LatHist:
+				f.Record(int64(sh + 1))
+			default:
+				t.Fatalf("Metrics.%s has type %T; teach this test (and merge) to sum it", m.Type().Field(i).Name, f)
+			}
+		}
+	}
+	sum := reflect.ValueOf(c.Metrics()).Elem()
+	for i := 0; i < sum.NumField(); i++ {
+		name := sum.Type().Field(i).Name
+		switch f := sum.Field(i).Addr().Interface().(type) {
+		case *stats.Counter:
+			if f.Value() != 1+2+3 {
+				t.Errorf("Metrics().%s = %d, want the shards' 1+2+3", name, f.Value())
+			}
+		case *stats.LatHist:
+			if f.Count() != 3 || f.Sum() != 1+2+3 {
+				t.Errorf("Metrics().%s holds %d samples summing %d, want 3 summing 6", name, f.Count(), f.Sum())
+			}
+		}
 	}
 }
 
@@ -888,7 +932,7 @@ func TestShardRoutingAndIsolation(t *testing.T) {
 // record a second Guess for work that was only recorded once.
 func TestDuplicateLocalSubmitRecordsNoSecondGuess(t *testing.T) {
 	s := sim.New(5)
-	c := New[counterState](snapshotApp{}, nil, WithSim(s), WithReplicas(1))
+	c := New[counterState](counterApp{}, nil, WithSim(s), WithReplicas(1))
 	rep := c.Replica(0)
 	op := oplog.Entry{ID: "check-7", Kind: "credit", Key: "a", Arg: 1, Lam: 1}
 	for i := 0; i < 2; i++ {

@@ -72,7 +72,7 @@ func TestDegradedReadOnlyMode(t *testing.T) {
 	if !deg || !strings.Contains(detail, "r1") {
 		t.Fatalf("ShardDegraded = (%q, %v), want r1 detail", detail, deg)
 	}
-	if got := c.M.Degraded.Value(); got != 1 {
+	if got := c.Metrics().Degraded.Value(); got != 1 {
 		t.Fatalf("Metrics.Degraded = %d, want 1", got)
 	}
 

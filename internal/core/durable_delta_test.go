@@ -22,7 +22,7 @@ func TestDeltaChainKillRecoverMatchesControl(t *testing.T) {
 		s := sim.New(171)
 		c := New[counterState](counterApp{}, nil,
 			WithSim(s), WithReplicas(3), WithDurability(dir),
-			WithSnapshotEvery(8), WithSnapshotChain(4))
+			WithSnapshotEvery(8), withSnapshotChain(4))
 		defer c.Close()
 		for i := 0; i < 40; i++ {
 			op := NewOp("credit", fmt.Sprintf("k%02d", i%7), int64(i))

@@ -494,7 +494,7 @@ func TestKillRecoverChurn(t *testing.T) {
 // ingest over the group-committing store must complete with far fewer
 // fsyncs than operations — staging is microseconds while an fsync is
 // not, so the bus fills while the disk is busy. (One fsync per op is
-// exactly what WithFsyncPerOp would pay.)
+// exactly what store.ModeEveryOp pays.)
 func TestGroupCommitAmortizes(t *testing.T) {
 	const n = 2000
 	c := New[counterState](counterApp{}, nil,
@@ -520,22 +520,4 @@ func TestGroupCommitAmortizes(t *testing.T) {
 	if st.Fsyncs == 0 || st.Fsyncs > n/10 {
 		t.Fatalf("group commit did not amortize: %d fsyncs for %d ops (want ≤ %d)", st.Fsyncs, n, n/10)
 	}
-}
-
-// TestEveryOpFsyncBaseline: the car-per-driver mode really pays one
-// flush per op, which is what the group-commit ratio is measured
-// against.
-func TestEveryOpFsyncBaseline(t *testing.T) {
-	const n = 50
-	c := New[counterState](counterApp{}, nil,
-		WithReplicas(1), WithDurability(t.TempDir()), WithFsyncPerOp())
-	defer c.Close()
-	ctx := context.Background()
-	for i := 0; i < n; i++ {
-		mustSubmit(t, c, 0, NewOp("credit", "k", 1))
-	}
-	if st := c.DurabilityStats(); st.Fsyncs < n {
-		t.Fatalf("every-op mode fsynced %d times for %d ops", st.Fsyncs, n)
-	}
-	_ = ctx
 }

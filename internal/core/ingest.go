@@ -281,14 +281,10 @@ func (r *Replica[S]) coordinate(one []ingestItem) {
 	r.submitSync(it.op, func(res Result) {
 		res.Latency = c.tr.Now().Sub(it.start)
 		if res.Accepted {
-			c.M.Accepted.Inc()
 			g.M.Accepted.Inc()
-			c.M.SyncAccepted.Inc()
 			g.M.SyncAccepted.Inc()
-			c.M.SyncLat.AddDur(res.Latency)
 			g.M.SyncLat.AddDur(res.Latency)
 		} else {
-			c.M.SyncDeclined.Inc()
 			g.M.SyncDeclined.Inc()
 		}
 		it.finish(res)
@@ -318,7 +314,6 @@ func (r *Replica[S]) ingestSegment(items []ingestItem) {
 		// gossiped until Rejoin heals the disk.
 		r.mu.Unlock()
 		for i := range items {
-			c.M.Declined.Inc()
 			g.M.Declined.Inc()
 			items[i].finish(Result{Op: items[i].op, Reason: ReasonDegraded, Retryable: true})
 		}
@@ -377,13 +372,11 @@ func (r *Replica[S]) ingestSegment(items []ingestItem) {
 	nDue := 0
 	if nAccepted > 0 {
 		snap = r.maybeSnapshotLocked()
-		if c.snapFn != nil {
-			// Fold the batch in, in place, while the lock is already held
-			// — but publish nothing: stageLocked bumped the version, which
-			// sends the first reader after this ack to the locked fallback,
-			// and only a reader taking the state makes the next fold clone.
-			r.foldLocked()
-		}
+		// Fold the batch in, in place, while the lock is already held — but
+		// publish nothing: stageLocked bumped the version, which sends the
+		// first reader after this ack to the locked fallback, and only a
+		// reader taking the state makes the next fold clone.
+		r.foldLocked()
 		if c.cfg.gossipEvery > 0 {
 			due, nDue = r.gossipDueLocked()
 		}
@@ -412,7 +405,6 @@ func (r *Replica[S]) ingestSegment(items []ingestItem) {
 			if it.outcome != outDeclined {
 				continue
 			}
-			c.M.Declined.Inc()
 			g.M.Declined.Inc()
 			if t := c.cfg.tracer; t != nil {
 				t.Declined(string(it.op.ID), it.op.Key, r.id, it.reason, int64(now))
@@ -457,7 +449,6 @@ func (r *Replica[S]) resolveSegment(items []ingestItem, nAccepted int, ok bool) 
 			if items[i].outcome == outDeclined {
 				continue
 			}
-			c.M.Declined.Inc()
 			g.M.Declined.Inc()
 			items[i].finish(Result{Op: items[i].op, Reason: reason, Retryable: retry})
 		}
@@ -483,12 +474,10 @@ func (r *Replica[S]) resolveSegment(items []ingestItem, nAccepted int, ok bool) 
 			continue
 		}
 		res := Result{Accepted: true, Op: it.op, Decision: policy.Async}
-		c.M.Accepted.Inc()
 		g.M.Accepted.Inc()
 		if it.outcome == outAccepted {
 			// Duplicates carry no latency and are not sampled.
 			res.Latency = now.Sub(it.start)
-			c.M.AsyncLat.AddDur(res.Latency)
 			g.M.AsyncLat.AddDur(res.Latency)
 		}
 		it.finish(res)

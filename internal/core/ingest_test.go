@@ -124,8 +124,12 @@ func TestIngestQueueGrows(t *testing.T) {
 
 // withIngestCap overrides the drain's batch cap, which production code
 // fixes at ingestBatchCap — the dial the batch-size-invariance
-// differential turns.
-func withIngestCap(n int) Option { return func(c *config) { c.ingestCap = n } }
+// differential turns. withFoldCheckpointEvery and withSnapshotChain lower
+// the other two fixed cadences the same way, so a test reaches a rewind
+// past a checkpoint, or a delta chain's full cut, in tens of ops.
+func withIngestCap(n int) Option           { return func(c *config) { c.ingestCap = n } }
+func withFoldCheckpointEvery(n int) Option { return func(c *config) { c.foldEvery = n } }
+func withSnapshotChain(k int) Option       { return func(c *config) { c.snapChain = k } }
 
 // writePathWorlds names the two transports every write-path test runs
 // on. settle lets in-flight events finish (a no-op for real goroutines).
@@ -197,7 +201,7 @@ func TestBatchSizeInvariance(t *testing.T) {
 
 	// The oracle.
 	rules := []Rule[counterState]{noOverdraft()}
-	app := snapshotApp{}
+	app := counterApp{}
 	type outcome struct {
 		accepted bool
 		reason   string
@@ -286,7 +290,7 @@ func TestBatchSizeInvariance(t *testing.T) {
 // against the fixed nominal capacity — and the next drain resolves them
 // all, in order, and returns the depth to zero.
 func TestIngestBacklogCountsParkedSubmits(t *testing.T) {
-	c := New[counterState](snapshotApp{}, nil, WithReplicas(1))
+	c := New[counterState](counterApp{}, nil, WithReplicas(1))
 	defer c.Close()
 	rep := c.Replica(0)
 	if d, capacity := c.IngestBacklog(0); d != 0 || capacity != ingestNominalCap {
@@ -329,7 +333,7 @@ func TestConcurrentSubmittersShareOneDrain(t *testing.T) {
 		}
 		return true
 	}}
-	c := New[counterState](snapshotApp{}, []Rule[counterState]{watch}, WithReplicas(1))
+	c := New[counterState](counterApp{}, []Rule[counterState]{watch}, WithReplicas(1))
 	defer c.Close()
 	rep = c.Replica(0)
 	ctx := context.Background()
@@ -380,7 +384,7 @@ func TestReentrantSubmitFromCompletion(t *testing.T) {
 	for _, w := range writePathWorlds {
 		t.Run(w.name, func(t *testing.T) {
 			opts, settle := w.opts()
-			c := New[counterState](snapshotApp{}, nil, append(opts, WithReplicas(1))...)
+			c := New[counterState](counterApp{}, nil, append(opts, WithReplicas(1))...)
 			defer c.Close()
 			var order []string
 			var lams []uint64
@@ -440,7 +444,7 @@ func TestWritePathStartsNoGoroutines(t *testing.T) {
 		}
 		return n - before
 	}
-	c := New[counterState](snapshotApp{}, nil, WithShards(4))
+	c := New[counterState](counterApp{}, nil, WithShards(4))
 	if n := extra(); n > 0 {
 		t.Fatalf("New started %d goroutine(s) with gossip off", n)
 	}

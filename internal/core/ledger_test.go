@@ -23,7 +23,7 @@ func TestLedgerDoesNotGrowWithOps(t *testing.T) {
 	t.Run("guesses and regrets", func(t *testing.T) {
 		const perBatch, batches = 500, 40 // 20 000 guesses
 		s := sim.New(18)
-		c := New[counterState](snapshotApp{}, []Rule[counterState]{noOverdraft()}, WithSim(s), WithReplicas(3))
+		c := New[counterState](counterApp{}, []Rule[counterState]{noOverdraft()}, WithSim(s), WithReplicas(3))
 		local := [3]int{}
 		for b := 0; b < batches; b++ {
 			ops := make([]Op, perBatch)
@@ -151,7 +151,7 @@ func TestLedgerDoesNotGrowWithOps(t *testing.T) {
 // per guess).
 func TestGuessAllocatesNoLedgerString(t *testing.T) {
 	s := sim.New(20)
-	c := New[counterState](snapshotApp{}, nil, WithSim(s), WithReplicas(1))
+	c := New[counterState](counterApp{}, nil, WithSim(s), WithReplicas(1))
 	op := NewOp("credit", "acct-17", 1)
 	done := func(Result) {}
 	for i := 0; i < 4096; i++ {

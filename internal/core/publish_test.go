@@ -18,20 +18,20 @@ import (
 	"repro/internal/sim"
 )
 
-// countingApp is snapshotApp with its Init and Snapshot calls counted.
+// countingApp is counterApp with its Init and Snapshot calls counted.
 type countingApp struct {
-	snapshotApp
+	counterApp
 	inits, snaps *atomic.Int64
 }
 
 func (a countingApp) Init() counterState {
 	a.inits.Add(1)
-	return a.snapshotApp.Init()
+	return a.counterApp.Init()
 }
 
 func (a countingApp) Snapshot(s counterState) counterState {
 	a.snaps.Add(1)
-	return a.snapshotApp.Snapshot(s)
+	return a.counterApp.Snapshot(s)
 }
 
 // TestWriteOnlyStreamNeverClones: with an Admit rule and a Violated sweep
@@ -47,13 +47,13 @@ func TestWriteOnlyStreamNeverClones(t *testing.T) {
 			s := sim.New(23)
 			c := New[counterState](countingApp{inits: &inits, snaps: &snaps},
 				[]Rule[counterState]{noOverdraft()},
-				WithSim(s), WithReplicas(replicas), WithFoldCheckpointEvery(64))
+				WithSim(s), WithReplicas(replicas), withFoldCheckpointEvery(64))
 			// Every Snapshot call the engine made that was neither a
 			// checkpoint nor a rewind restoring one (a rewind past the
 			// oldest checkpoint restarts from Init instead).
 			reader := func() int64 {
 				toGenesis := inits.Load() - replicas
-				return snaps.Load() - c.M.FoldCheckpoints.Value() - (c.M.FoldRewinds.Value() - toGenesis)
+				return snaps.Load() - c.Metrics().FoldCheckpoints.Value() - (c.Metrics().FoldRewinds.Value() - toGenesis)
 			}
 			for i := 0; i < n; i++ {
 				kind := "credit"
@@ -70,14 +70,14 @@ func TestWriteOnlyStreamNeverClones(t *testing.T) {
 				c.GossipRound()
 				s.Run()
 			}
-			if c.M.FoldCheckpoints.Value() == 0 || c.M.FoldRewinds.Value() == 0 {
+			if c.Metrics().FoldCheckpoints.Value() == 0 || c.Metrics().FoldRewinds.Value() == 0 {
 				t.Fatalf("schedule too tame: %d checkpoints, %d rewinds",
-					c.M.FoldCheckpoints.Value(), c.M.FoldRewinds.Value())
+					c.Metrics().FoldCheckpoints.Value(), c.Metrics().FoldRewinds.Value())
 			}
 			if got := reader(); got != 0 {
 				t.Fatalf("%d guesses with no State() call cloned the state %d times beyond checkpoints and rewinds", n, got)
 			}
-			if got := c.M.FoldClones.Value(); got != 0 {
+			if got := c.Metrics().FoldClones.Value(); got != 0 {
 				t.Fatalf("FoldClones = %d on a write-only stream", got)
 			}
 
@@ -88,11 +88,11 @@ func TestWriteOnlyStreamNeverClones(t *testing.T) {
 				t.Fatalf("State() itself cloned (%d); the next write owes the clone, not the read", got)
 			}
 			c.SubmitAsync(0, NewOp("credit", "k0", 1), nil)
-			if got, m := reader(), c.M.FoldClones.Value(); got != 1 || m != 1 {
+			if got, m := reader(), c.Metrics().FoldClones.Value(); got != 1 || m != 1 {
 				t.Fatalf("first write after State(): %d clones, FoldClones = %d; want 1 and 1", got, m)
 			}
 			c.SubmitAsync(0, NewOp("credit", "k0", 1), nil)
-			if got, m := reader(), c.M.FoldClones.Value(); got != 1 || m != 1 {
+			if got, m := reader(), c.Metrics().FoldClones.Value(); got != 1 || m != 1 {
 				t.Fatalf("second write after State(): %d clones, FoldClones = %d; want still 1 and 1", got, m)
 			}
 			if !maps.Equal(held, want) {
@@ -110,7 +110,7 @@ func TestWriteOnlyStreamNeverClones(t *testing.T) {
 // current — and in neither case makes a later write clone.
 func TestViewNeverShares(t *testing.T) {
 	s := sim.New(24)
-	c := New[counterState](snapshotApp{}, nil, WithSim(s), WithReplicas(1))
+	c := New[counterState](counterApp{}, nil, WithSim(s), WithReplicas(1))
 	rep := c.Replica(0)
 	for i := int64(1); i <= 3; i++ {
 		c.SubmitAsync(0, NewOp("credit", "a", 1), nil)
@@ -120,7 +120,7 @@ func TestViewNeverShares(t *testing.T) {
 			t.Fatalf("View after %d acknowledged credits saw a = %d", i, got)
 		}
 	}
-	if n := c.M.FoldClones.Value(); n != 0 {
+	if n := c.Metrics().FoldClones.Value(); n != 0 {
 		t.Fatalf("View made the writes clone %d times", n)
 	}
 	held := rep.State() // publishes; View now serves the publication
@@ -137,7 +137,7 @@ func TestViewNeverShares(t *testing.T) {
 // copy taken at hand-out — the engine never folds into a map a reader
 // holds, and the race detector would flag it if it did.
 func TestHeldSnapshotNeverChanges(t *testing.T) {
-	c := New[counterState](snapshotApp{}, []Rule[counterState]{noOverdraft()},
+	c := New[counterState](counterApp{}, []Rule[counterState]{noOverdraft()},
 		WithReplicas(3), WithDurability(t.TempDir()),
 		WithSnapshotEvery(64), WithGossipEvery(time.Millisecond))
 	defer c.Close()

@@ -311,11 +311,8 @@ func (r *Replica[S]) sameOps(o *Replica[S]) bool {
 	return r.ops.Equal(o.ops)
 }
 
-// State derives (and caches) the application state. The common case
-// advances the fold checkpoint by folding only the entries beyond the
-// watermark; a full replay happens only when the cluster runs without a
-// snapshot function (WithFullRefold, or an uncloneable S on an App
-// without Snapshot).
+// State derives (and caches) the application state, advancing the fold
+// checkpoint by folding only the entries beyond the watermark.
 //
 // The returned state is a stable snapshot — later operations never
 // change it — but it is read-only: the engine folds forward from it, so
@@ -409,14 +406,6 @@ func (r *Replica[S]) foldLocked() {
 		return
 	}
 	r.stateDirty = false
-	if r.c.snapFn == nil {
-		// Legacy path: re-derive from genesis. Correct for any App,
-		// O(set size) per derivation.
-		r.state = oplog.Fold(r.ops, r.c.app.Init(), r.c.app.Step)
-		r.c.M.FoldSteps.Addn(int64(r.ops.Len()))
-		r.g.M.FoldSteps.Addn(int64(r.ops.Len()))
-		return
-	}
 	pending := r.ops.ViewAfter(r.stateMark) // no copy: mu guards the set for the whole fold
 	if len(pending) == 0 {
 		return
@@ -427,19 +416,17 @@ func (r *Replica[S]) foldLocked() {
 		// call — and only here: a write nobody read between never clones.
 		r.state = r.c.snapFn(r.state)
 		r.stateShared = false
-		r.c.M.FoldClones.Inc()
 		r.g.M.FoldClones.Inc()
 	}
 	every := r.c.cfg.foldEvery
 	for _, e := range pending {
 		r.state = r.c.app.Step(r.state, e)
 		r.stateN++
-		if every > 0 && r.stateN%every == 0 {
+		if r.stateN%every == 0 {
 			r.checkpointLocked(e.Mark())
 		}
 	}
 	r.stateMark = pending[len(pending)-1].Mark()
-	r.c.M.FoldSteps.Addn(int64(len(pending)))
 	r.g.M.FoldSteps.Addn(int64(len(pending)))
 }
 
@@ -452,7 +439,6 @@ func (r *Replica[S]) checkpointLocked(mark oplog.Watermark) {
 		r.snaps[maxFoldSnaps] = foldSnap[S]{}
 		r.snaps = r.snaps[:maxFoldSnaps]
 	}
-	r.c.M.FoldCheckpoints.Inc()
 	r.g.M.FoldCheckpoints.Inc()
 }
 
@@ -477,7 +463,6 @@ func (r *Replica[S]) rewindLocked(m oplog.Watermark) {
 		r.stateN = 0
 	}
 	r.stateShared = false
-	r.c.M.FoldRewinds.Inc()
 	r.g.M.FoldRewinds.Inc()
 }
 
@@ -495,7 +480,7 @@ func (r *Replica[S]) addLocked(e oplog.Entry) bool {
 	if e.Lam > r.lamport {
 		r.lamport = e.Lam
 	}
-	if r.c.snapFn != nil && !r.stateMark.Before(e) {
+	if !r.stateMark.Before(e) {
 		// The newcomer sorts into the already-folded past: the
 		// checkpoint no longer covers a prefix of the canonical
 		// order. Ingress Lamport stamping makes this rare — only
@@ -551,7 +536,7 @@ func (r *Replica[S]) absorbLocked(entries []oplog.Entry, from string) (added []o
 		if e.Lam > r.lamport {
 			r.lamport = e.Lam
 		}
-		if r.c.snapFn != nil && !r.stateMark.Before(e) {
+		if !r.stateMark.Before(e) {
 			// The newcomer sorts into the already-folded past: the
 			// checkpoint no longer covers a prefix of the canonical order.
 			// One rewind to the earliest such position covers the whole
@@ -750,7 +735,6 @@ func (r *Replica[S]) degrade(st *store.Store) {
 	live := !st.InlineMode()
 	r.mu.Unlock()
 	st.Crash()
-	r.c.M.Degraded.Inc()
 	r.g.M.Degraded.Inc()
 	r.Ledger.Record(r.c.tr.Now(), apology.Memory, r.id,
 		fmt.Sprintf("entered degraded read-only mode: %v", err), "")
@@ -976,7 +960,6 @@ func (r *Replica[S]) pushTo(peer string) {
 	}
 	r.pushing[peer] = true
 	r.mu.Unlock()
-	r.c.M.OpsTransferred.Addn(int64(len(entries)))
 	r.g.M.OpsTransferred.Addn(int64(len(entries)))
 	r.node.Call(peer, "push", pushReq{Entries: entries}, func(resp any, ok bool) {
 		acked := ok && resp.(pushAck).OK

@@ -3,13 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/sim"
-	"repro/internal/simnet"
 )
 
 // LiveTransport runs a cluster on real goroutines and wall-clock time:
@@ -28,31 +25,18 @@ import (
 // not block waiting for another delivery to the same node (none of the
 // engine's do — every reply and follow-up call is asynchronous).
 type LiveTransport struct {
-	mu      sync.RWMutex // guards the node map; hot paths take it read-only
-	start   time.Time
-	nodes   map[string]*liveNode
-	latency atomic.Pointer[simnet.Latency] // optional artificial delivery delay; nil = none
+	mu    sync.RWMutex // guards the node map; hot paths take it read-only
+	start time.Time
+	nodes map[string]*liveNode
 }
 
 // NewLiveTransport returns an empty live transport. Messages are delivered
-// as fast as the scheduler allows unless a latency model is installed with
-// SetLatency.
+// as fast as the scheduler allows.
 func NewLiveTransport() *LiveTransport {
 	return &LiveTransport{
 		start: time.Now(),
 		nodes: make(map[string]*liveNode),
 	}
-}
-
-// SetLatency installs an artificial per-message delivery delay, so a live
-// cluster can approximate cross-site links while still running on real
-// goroutines. A nil model removes the delay.
-func (t *LiveTransport) SetLatency(l simnet.Latency) {
-	if l == nil {
-		t.latency.Store(nil)
-		return
-	}
-	t.latency.Store(&l)
 }
 
 // Now returns the wall-clock time elapsed since the transport was built.
@@ -70,9 +54,6 @@ func (t *LiveTransport) Node(id string, callTimeout time.Duration) Node {
 		id:       id,
 		timeout:  callTimeout,
 		handlers: make(map[string]Handler),
-		// Per-node RNG: latency sampling contends only with this node's
-		// own sends, never serializing the whole transport on one lock.
-		rng: rand.New(rand.NewSource(time.Now().UnixNano() ^ int64(len(t.nodes))<<32)),
 	}
 	t.nodes[id] = n
 	return n
@@ -167,9 +148,6 @@ type liveNode struct {
 	handlers map[string]Handler
 	down     bool
 
-	rngMu sync.Mutex
-	rng   *rand.Rand // latency sampling; guarded by rngMu, not the transport lock
-
 	inboxMu  sync.Mutex
 	inbox    []func()
 	draining bool
@@ -206,30 +184,6 @@ func (n *liveNode) handler(method string) Handler {
 		panic(fmt.Sprintf("quicksand: node %q has no handler for %q", n.id, method))
 	}
 	return h
-}
-
-// sampleLatency draws this send's artificial delay from the sender's own
-// RNG. The common no-model case is a single atomic load — no shared
-// lock, no RNG touch — so sends from different nodes share nothing.
-func (n *liveNode) sampleLatency() time.Duration {
-	l := n.t.latency.Load()
-	if l == nil {
-		return 0
-	}
-	n.rngMu.Lock()
-	d := (*l).Sample(n.rng)
-	n.rngMu.Unlock()
-	return d
-}
-
-// sendTo schedules fn on the receiver's delivery worker, after this
-// sender's sampled artificial latency if a model is installed.
-func (n *liveNode) sendTo(to *liveNode, fn func()) {
-	if d := n.sampleLatency(); d > 0 {
-		time.AfterFunc(d, func() { to.enqueue(fn) })
-		return
-	}
-	to.enqueue(fn)
 }
 
 // enqueue appends fn to the node's inbox and ensures a worker is
@@ -285,7 +239,7 @@ func (n *liveNode) Call(to string, method string, req any, done func(resp any, o
 		return // a stopped process sends nothing; the timer reports it
 	}
 	peer := n.t.node(to)
-	n.sendTo(peer, func() {
+	peer.enqueue(func() {
 		if peer.Crashed() {
 			return
 		}
@@ -298,7 +252,7 @@ func (n *liveNode) Call(to string, method string, req any, done func(resp any, o
 			if n.Crashed() {
 				return // response to a crashed caller is lost
 			}
-			peer.sendTo(n, func() {
+			n.enqueue(func() {
 				timer.Stop()
 				fire(resp, true)
 			})

@@ -43,9 +43,6 @@ func (t *SimTransport) Sim() *sim.Sim { return t.s }
 // Transport interface offers (loss, link latency, message counters).
 func (t *SimTransport) Net() *simnet.Network { return t.net }
 
-// SetLatency replaces the network's default link latency model.
-func (t *SimTransport) SetLatency(l simnet.Latency) { t.net.SetLatency(l) }
-
 // Now returns the current virtual time.
 func (t *SimTransport) Now() sim.Time { return t.s.Now() }
 

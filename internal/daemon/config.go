@@ -113,6 +113,9 @@ func (c Config) Validate() error {
 	if c.Shards < 1 {
 		return fmt.Errorf("daemon: shards must be >= 1, got %d", c.Shards)
 	}
+	if c.GossipEvery < 0 {
+		return fmt.Errorf("daemon: gossip_every must be positive, got %v", c.GossipEvery)
+	}
 	if c.ShedBacklog <= 0 || c.ShedBacklog > 1 {
 		return fmt.Errorf("daemon: shed_backlog must be in (0, 1], got %v", c.ShedBacklog)
 	}

@@ -24,16 +24,15 @@ import (
 // HTTP front end. Build with New (which binds both listeners), stop with
 // Close (which drains before it returns).
 type Daemon struct {
-	cfg        Config
-	tr         *netx.Transport
-	cluster    *core.Cluster[Accounts]
-	tracer     *trace.Tracer // nil when tracing is disabled
-	httpLn     net.Listener
-	srv        *http.Server
-	debugLn    net.Listener // pprof listener, nil unless DebugAddr set
-	debugSrv   *http.Server
-	stopGossip func()
-	started    time.Time
+	cfg      Config
+	tr       *netx.Transport
+	cluster  *core.Cluster[Accounts]
+	tracer   *trace.Tracer // nil when tracing is disabled
+	httpLn   net.Listener
+	srv      *http.Server
+	debugLn  net.Listener // pprof listener, nil unless DebugAddr set
+	debugSrv *http.Server
+	started  time.Time
 	// backlog reads the local replicas' ingest-ring depth against its
 	// nominal capacity — the load-shedding signal. A field so tests can
 	// present a saturated ring without racing a thousand callers into it.
@@ -71,6 +70,7 @@ func New(cfg Config) (*Daemon, error) {
 		core.WithReplicas(cfg.Replicas),
 		core.WithLocalReplicas(cfg.Node),
 		core.WithCallTimeout(cfg.CallTimeout),
+		core.WithGossipEvery(cfg.GossipEvery),
 	}
 	if cfg.Shards > 1 {
 		opts = append(opts, core.WithShards(cfg.Shards))
@@ -101,10 +101,8 @@ func New(cfg Config) (*Daemon, error) {
 		started: time.Now(),
 		backlog: func() (int, int) { return cluster.IngestBacklog(cfg.Node) },
 	}
-	d.stopGossip = cluster.StartGossip(cfg.GossipEvery)
 	ln, err := net.Listen("tcp", cfg.HTTPListen)
 	if err != nil {
-		d.stopGossip()
 		cluster.Close()
 		tr.Close()
 		return nil, fmt.Errorf("daemon: http listen %s: %w", cfg.HTTPListen, err)
@@ -175,7 +173,7 @@ func (d *Daemon) Cluster() *core.Cluster[Accounts] { return d.cluster }
 func (d *Daemon) PeerTransport() *netx.Transport { return d.tr }
 
 // Close shuts the daemon down in drain order: stop accepting HTTP work,
-// stop scheduling gossip, then close the cluster — which drains the
+// then close the cluster — which stops scheduling gossip, drains the
 // ingest ring and flushes + fsyncs every journal — and finally tear the
 // peer transport down. The returned error aggregates anything that
 // refused to close cleanly (a store flush failure here means durable
@@ -192,7 +190,6 @@ func (d *Daemon) Close() error {
 			errs = append(errs, fmt.Errorf("debug shutdown: %w", err))
 		}
 	}
-	d.stopGossip()
 	if err := d.cluster.Close(); err != nil {
 		errs = append(errs, fmt.Errorf("cluster close: %w", err))
 	}

@@ -79,6 +79,11 @@ func TestValidateCatchesBadTopology(t *testing.T) {
 	if err := (Config{Node: 0, Replicas: 2, Peers: map[int]string{1: "x:1", 7: "y:2"}}).withDefaults().Validate(); err == nil {
 		t.Error("out-of-range peer index accepted")
 	}
+	// WithGossipEvery takes a non-positive interval to mean "no schedule":
+	// a daemon must refuse one rather than run silently gossip-free.
+	if err := (Config{Node: 0, Replicas: 1, GossipEvery: -time.Second}).withDefaults().Validate(); err == nil {
+		t.Error("negative gossip_every accepted")
+	}
 }
 
 // soloDaemon boots a single-replica daemon on ephemeral ports.
@@ -321,7 +326,7 @@ func TestKeyedReadNeverMakesAWriteClone(t *testing.T) {
 			t.Fatalf("StateOf after %d acknowledged deposits = %d, %v, %v", i, v, ok, err)
 		}
 	}
-	if n := d.cluster.M.FoldClones.Value(); n != 0 {
+	if n := d.cluster.Metrics().FoldClones.Value(); n != 0 {
 		t.Fatalf("keyed reads between writes made the fold clone %d times", n)
 	}
 	if _, err := c.State(ctx); err != nil {
@@ -414,6 +419,52 @@ func TestTwoDaemonsConvergeInProcess(t *testing.T) {
 			t.Fatalf("no convergence: A=%v B=%v", sa.Keys, sb.Keys)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestDaemonIngestNudgesGossip: a daemon's cluster is built with
+// WithGossipEvery, so ingest that leaves a peer a full batch (256
+// entries) of unacknowledged suffix pushes it at once instead of waiting
+// for the ticker — here an hour away, so the nudge is the only thing that
+// can deliver. A batch is re-offered while the peer link is still coming
+// up: a push sent before it is may be lost, and only more ingest re-arms
+// the nudge.
+func TestDaemonIngestNudgesGossip(t *testing.T) {
+	ports := freePorts(t, 2)
+	peers := map[int]string{0: ports[0], 1: ports[1]}
+	mk := func(node int) *Daemon {
+		d, err := New(Config{
+			Node:        node,
+			Replicas:    2,
+			HTTPListen:  "127.0.0.1:0",
+			PeerListen:  ports[node],
+			Peers:       peers,
+			PeerToken:   "mesh",
+			GossipEvery: time.Hour,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { d.Close() })
+		return d
+	}
+	da, db := mk(0), mk(1)
+	ctx := context.Background()
+	deadline := time.Now().Add(10 * time.Second)
+	for round := 0; db.cluster.Replica(1).OpCount() == 0; round++ {
+		if time.Now().After(deadline) {
+			t.Fatalf("peer holds nothing after %d full batches and no tick: the ingest-side gossip nudge is off in daemons", round)
+		}
+		batch := make([]core.Op, 256)
+		for i := range batch {
+			batch[i] = core.NewOp("deposit", fmt.Sprintf("acct-%d", i%16), 1)
+		}
+		if _, err := da.cluster.SubmitBatch(ctx, 0, batch); err != nil {
+			t.Fatal(err)
+		}
+		for wait := 0; wait < 100 && db.cluster.Replica(1).OpCount() == 0; wait++ {
+			time.Sleep(5 * time.Millisecond)
+		}
 	}
 }
 

@@ -21,7 +21,7 @@ import (
 // exactly with LatHist octave boundaries so no sample is misattributed.
 func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var p promWriter
-	m := &d.cluster.M
+	m := d.cluster.Metrics()
 
 	p.counter("quicksand_submits_accepted_total", "Operations accepted (guessed or coordinated).", m.Accepted.Value())
 	p.counter("quicksand_submits_declined_total", "Operations declined by a local admission guess.", m.Declined.Value())

@@ -173,9 +173,9 @@ func E10RiskPolicy() Experiment {
 				stop()
 				s.Run()
 				// Combined latency view across both paths.
-				var merged stats.LatHist
-				merged.Merge(&b.C.M.AsyncLat)
-				merged.Merge(&b.C.M.SyncLat)
+				m := b.C.Metrics()
+				merged := &m.AsyncLat
+				merged.Merge(&m.SyncLat)
 				tab.AddRow(th.name,
 					stats.Pct(stats.Ratio(int64(syncCount), int64(total))),
 					stats.Dur(merged.P50()), stats.Dur(merged.P99()),

@@ -380,7 +380,7 @@ var DiskFull = register(&Scenario{
 		// recorded everywhere without ever being acknowledged. Declined-
 		// but-recorded surplus, bounded by the retryable declines; loss is
 		// never tolerated.
-		degradations := ct.C.M.Degraded.Value()
+		degradations := ct.C.Metrics().Degraded.Value()
 		checks := []Check{
 			{Name: "degraded-entered", OK: sawDegraded.Load() && degradations >= 1,
 				Detail: fmt.Sprintf("%d degradation(s) recorded", degradations)},

@@ -2,6 +2,7 @@ package netx
 
 import (
 	"context"
+	"maps"
 	"net"
 	"testing"
 	"time"
@@ -20,18 +21,16 @@ type counterState map[string]int64
 func (counterApp) Init() counterState { return counterState{} }
 
 func (counterApp) Step(s counterState, op oplog.Entry) counterState {
-	ns := make(counterState, len(s)+1)
-	for k, v := range s {
-		ns[k] = v
-	}
 	switch op.Kind {
 	case "credit":
-		ns[op.Key] += op.Arg
+		s[op.Key] += op.Arg
 	case "debit":
-		ns[op.Key] -= op.Arg
+		s[op.Key] -= op.Arg
 	}
-	return ns
+	return s
 }
+
+func (counterApp) Snapshot(s counterState) counterState { return maps.Clone(s) }
 
 // twoProcessCluster builds the two halves of one 2-replica cluster, each
 // half on its own TCP transport — the smallest honest model of two

@@ -38,19 +38,18 @@ func admitAll() quicksand.Rule[int64] {
 	}
 }
 
-// benchLiveFold pushes a 10k-op rule-checked workload through one replica
-// on the live transport. Every submit admission-checks against derived
-// state, so this measures exactly what the checkpointed fold engine
-// changes: O(new entries) vs O(ledger) derivation per submit.
-func benchLiveFold(b *testing.B, opts ...quicksand.Option) {
-	b.Helper()
+// BenchmarkLiveFold10kCheckpointed pushes a 10k-op rule-checked workload
+// through one replica on the live transport. Every submit
+// admission-checks against derived state, so this measures what the
+// checkpointed fold keeps cheap: admission advances the fold by the one
+// new entry per submit, O(new entries) rather than O(ledger).
+func BenchmarkLiveFold10kCheckpointed(b *testing.B) {
 	const n = 10_000
 	ctx := context.Background()
 	var finalState int64
 	var steps int64
 	for i := 0; i < b.N; i++ {
-		c := quicksand.New[int64](sumApp{}, []quicksand.Rule[int64]{admitAll()},
-			append([]quicksand.Option{quicksand.WithReplicas(1)}, opts...)...)
+		c := quicksand.New[int64](sumApp{}, []quicksand.Rule[int64]{admitAll()}, quicksand.WithReplicas(1))
 		ops := make([]quicksand.Op, n)
 		for j := range ops {
 			ops[j] = quicksand.NewOp("add", "k", 1)
@@ -59,7 +58,7 @@ func benchLiveFold(b *testing.B, opts ...quicksand.Option) {
 			b.Fatal(err)
 		}
 		finalState = c.Replica(0).State()
-		steps = c.M.FoldSteps.Value()
+		steps = c.Metrics().FoldSteps.Value()
 		c.Close()
 	}
 	b.StopTimer()
@@ -69,17 +68,6 @@ func benchLiveFold(b *testing.B, opts ...quicksand.Option) {
 	b.ReportMetric(float64(steps)/n, "steps/op")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/op-submitted")
 }
-
-// BenchmarkLiveFold10kCheckpointed is the engine as shipped: admission
-// advances the fold checkpoint by the one new entry per submit.
-func BenchmarkLiveFold10kCheckpointed(b *testing.B) { benchLiveFold(b) }
-
-// BenchmarkLiveFold10kFullRefold is the pre-checkpoint baseline: every
-// admission replays the whole ledger. Kept as the measured evidence that
-// the checkpointed engine is ≥10× faster on the same workload (both
-// derive the identical final state; see also TestFoldEnginesAgree in
-// api_test.go and experiment E13 for the sim-transport numbers).
-func BenchmarkLiveFold10kFullRefold(b *testing.B) { benchLiveFold(b, quicksand.WithFullRefold()) }
 
 // BenchmarkLiveSharded measures what sharding buys on real hardware:
 // rule-checked submits of many keys, all offered at replica index 0, so
