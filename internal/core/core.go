@@ -14,7 +14,7 @@
 // State derivation is checkpointed and incremental: each replica caches
 // the fold of its set up to a canonical-order watermark and advances it
 // by folding only the entries beyond the watermark (oplog.Set's
-// EntriesAfter). Ingress stamps every new operation with Lamport
+// After). Ingress stamps every new operation with Lamport
 // max(seen)+1, so local submits and in-order gossip are pure appends and
 // admission costs O(new entries), not O(ledger) — the DP2 move from
 // per-WRITE checkpoints to log-anchored ones (§3.3), applied to state

@@ -406,28 +406,27 @@ func (r *Replica[S]) foldLocked() {
 		return
 	}
 	r.stateDirty = false
-	pending := r.ops.ViewAfter(r.stateMark) // no copy: mu guards the set for the whole fold
-	if len(pending) == 0 {
-		return
-	}
-	if r.stateShared {
-		// A State() caller holds the accumulator; folding in place would
-		// mutate their snapshot. Clone once per fold batch, not per State
-		// call — and only here: a write nobody read between never clones.
-		r.state = r.c.snapFn(r.state)
-		r.stateShared = false
-		r.g.M.FoldClones.Inc()
-	}
-	every := r.c.cfg.foldEvery
-	for _, e := range pending {
+	every, mark, folded := r.c.cfg.foldEvery, r.stateMark, r.stateN
+	// Ranging materializes each entry from the set in place, copying
+	// nothing: mu guards the set for the whole fold.
+	for e := range r.ops.After(mark) {
+		if r.stateShared {
+			// A State() caller holds the accumulator; folding in place would
+			// mutate their snapshot. Clone once per fold batch, not per State
+			// call — and only here: a write nobody read between never clones.
+			r.state = r.c.snapFn(r.state)
+			r.stateShared = false
+			r.g.M.FoldClones.Inc()
+		}
 		r.state = r.c.app.Step(r.state, e)
 		r.stateN++
+		mark = e.Mark()
 		if r.stateN%every == 0 {
-			r.checkpointLocked(e.Mark())
+			r.checkpointLocked(mark)
 		}
 	}
-	r.stateMark = pending[len(pending)-1].Mark()
-	r.g.M.FoldSteps.Addn(int64(len(pending)))
+	r.stateMark = mark
+	r.g.M.FoldSteps.Addn(int64(r.stateN - folded))
 }
 
 // checkpointLocked stores a cloned snapshot of the fold at mark, keeping

@@ -160,21 +160,11 @@ func readBody(w http.ResponseWriter, r *http.Request, buf *client.Buffer, scan f
 }
 
 // toOp lifts an API op into an engine op. A scanned op's strings are
-// substrings of one copy of its whole request body, and the op set keeps
-// an op for good, so they are copied out first — into one allocation, cut
-// four ways — or every op would keep its body's JSON alive with it.
+// substrings of one copy of its whole request body, and stay so: the op
+// set copies what it keeps into its own arena, and what else holds an op —
+// the gossip journal, a store's staging — lets go of it again.
 func toOp(op client.Op) core.Op {
-	all := op.ID + op.Kind + op.Key + op.Note
-	cut := func(n int) (s string) {
-		s, all = all[:n], all[n:]
-		return s
-	}
-	out := core.Op{Arg: op.Arg}
-	out.ID = uniq.ID(cut(len(op.ID)))
-	out.Kind = cut(len(op.Kind))
-	out.Key = cut(len(op.Key))
-	out.Note = cut(len(op.Note))
-	return out
+	return core.Op{ID: uniq.ID(op.ID), Kind: op.Kind, Key: op.Key, Arg: op.Arg, Note: op.Note}
 }
 
 // toResult lowers an engine result into the API shape.

@@ -67,6 +67,65 @@ func TestDecodeEntryRejectsTruncationAndTrailing(t *testing.T) {
 	}
 }
 
+// checkDecode is FuzzDecodeEntry's contract on one input: DecodeEntry
+// returns an entry or an error, never panics; whatever it accepts, and the
+// entry cut straight out of the input's bytes, encode to exactly
+// EntrySize bytes that decode back to the same entry.
+func checkDecode(t *testing.T, b []byte) {
+	t.Helper()
+	roundTrip := func(e Entry) {
+		enc := AppendEntry(nil, e)
+		if len(enc) != EntrySize(e) {
+			t.Fatalf("EntrySize(%+v) = %d, AppendEntry wrote %d bytes", e, EntrySize(e), len(enc))
+		}
+		if back, err := DecodeEntry(enc); err != nil || back != e {
+			t.Fatalf("DecodeEntry(AppendEntry(%+v)) = %+v, %v", e, back, err)
+		}
+	}
+	if e, err := DecodeEntry(b); err == nil {
+		roundTrip(e)
+	} else if e != (Entry{}) {
+		t.Fatalf("DecodeEntry(%q) returned %+v beside the error %v", b, e, err)
+	}
+	q := len(b) / 4
+	e := Entry{ID: uniq.ID(b[:q]), Kind: string(b[q : 2*q]), Key: string(b[2*q : 3*q]), Note: string(b[3*q:])}
+	for i, c := range b {
+		e.Arg, e.Lam, e.At = e.Arg<<7^int64(c)-int64(i), e.Lam<<5^uint64(c), e.At<<3^sim.Time(c)
+	}
+	roundTrip(e)
+}
+
+// decodeSeeds start the fuzzer and are swept, every prefix of each, by
+// TestDecodeEntryContract.
+var decodeSeeds = [][]byte{
+	AppendEntry(nil, Entry{}),
+	AppendEntry(nil, Entry{ID: "r0-000001", Kind: "deposit", Key: "acct-007", Arg: 100_00, Lam: 1, At: 5_000_000}),
+	AppendEntry(nil, Entry{ID: "x", Arg: -42, At: -1, Note: "free-form\nnote \xff\xfe"}),
+	AppendEntry(nil, Entry{ID: uniq.ID(strings.Repeat("long", 40)), Kind: "k", Key: strings.Repeat("key", 50), Arg: 1 << 62, Lam: ^uint64(0), At: sim.Time(1 << 60)}),
+	{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}, // a length past 64 bits
+	{0xff, 0xff, 0xff, 0xff, 0x0f, 'i', 'd'},                           // a length past the input
+	{0x02, 'i', 'd', 0x00, 0x00, 0x00, 0x01, 0x02, 0x04, 0x00},         // trailing byte
+	{0x81, 0x00, 'a', 0x00, 0x00, 0x00, 0x00, 0x00, 0x00},              // a padded length: accepted, re-encoded shorter
+}
+
+func FuzzDecodeEntry(f *testing.F) {
+	for _, s := range decodeSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(checkDecode)
+}
+
+// TestDecodeEntryContract runs the fuzz target's contract in tier-1 over
+// every prefix of every seed, so truncation at each byte is covered
+// without the fuzzer.
+func TestDecodeEntryContract(t *testing.T) {
+	for _, s := range decodeSeeds {
+		for n := 0; n <= len(s); n++ {
+			checkDecode(t, s[:n])
+		}
+	}
+}
+
 func TestWatermarkCodecRoundTrip(t *testing.T) {
 	for _, want := range []Watermark{
 		{},

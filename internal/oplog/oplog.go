@@ -17,24 +17,55 @@
 // entry sorts after everything present (the common case: ingress stamps
 // Lamport max+1, so local submits and in-order gossip are pure appends),
 // an O(n) insertion only when gossip delivers an entry that sorts into
-// the past. Beside the entries sits only a set of their IDs, the §5.4
-// "have I seen this uniquifier" index.
+// the past.
 //
 // The maintained order makes state derivation incremental. A Watermark
-// names a position in the canonical order; EntriesAfter(w) returns only
-// the entries beyond it, so a consumer that remembers the watermark of
-// its last fold can advance its derived state by folding just the new
-// suffix instead of replaying the whole ledger. Consumers detect the rare
+// names a position in the canonical order; After(w) ranges over only the
+// entries beyond it, so a consumer that remembers the watermark of its
+// last fold can advance its derived state by folding just the new suffix
+// instead of replaying the whole ledger. Consumers detect the rare
 // sorts-into-the-past insertion by comparing the new entry's Mark against
 // their watermark (see Entry.Mark and Watermark.Before) and only then
 // fall back to replaying from an older checkpoint. internal/core's
 // Replica is the canonical consumer of this contract.
+//
+// # How a Set is stored
+//
+// The set is the one structure that grows with every operation ever seen,
+// so it is stored packed, in three parts the garbage collector never has
+// to look inside:
+//
+//   - a slab of fixed-size rows in canonical order — Lam, At and Arg inline
+//     and two 32-bit handles, 32 bytes in all. Keeping the order means
+//     moving rows, never strings;
+//   - an append-only byte arena holding each entry's ID, Key and Note once,
+//     length-prefixed as in the entry codec, and each distinct Kind once
+//     (operation names are a closed vocabulary; see maxKinds). Its chunks
+//     are never reallocated, and a record never straddles two;
+//   - the §5.4 "have I seen this uniquifier" index: open addressing over
+//     arena handles, one byte of hash beside each — five bytes a slot, and
+//     of the three parts the one that stable-prefix compaction will have to
+//     keep for good (with the ~11 arena bytes of the ID it points at).
+//
+// Entry remains the type at every API. Entries read out of a set are
+// materialized from its rows, and their strings are substrings of the
+// arena: valid, and unchanged, for as long as anything references them —
+// past the set's own life if need be — at the cost of keeping the chunk
+// they sit in alive, and read-only like every Go string. Nothing handed to
+// a set is retained: Add and AddAll copy the bytes they keep, so a caller's
+// strings may be cut from a request body or a network frame. One set holds
+// at most 4 GiB of such bytes.
 package oplog
 
 import (
+	"cmp"
 	"fmt"
+	"hash/maphash"
+	"iter"
+	"maps"
 	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/sim"
 	"repro/internal/uniq"
@@ -91,14 +122,52 @@ func (w Watermark) Before(e Entry) bool { return w.Less(e.Mark()) }
 
 // Set is a mergeable set of entries keyed by uniquifier, held once in
 // canonical order. The zero value is not usable; construct with NewSet.
+//
+// An entry is stored in three pointer-free parts: a fixed-size row in the
+// canonical-order slab, its variable-length bytes in the arena, and a slot
+// in the ID index. Entries read back out are materialized from the row;
+// their strings are substrings of the arena (see the package comment).
 type Set struct {
-	ordered []Entry              // the entries, in canonical (Lam, At, ID) order
-	byID    map[uniq.ID]struct{} // dedup index; keys share their bytes with ordered's IDs
+	rows  []row // canonical (Lam, At, ID) order
+	arena arena // every row's ID|Key|Note record, and each Kind
+	kinds map[string]uint32
+
+	// The dedup index: open addressing, linear probing, at most 7/8 full.
+	// A slot is one byte of the ID's hash (0 marks it empty) and the arena
+	// handle of the record whose ID it holds, in two parallel arrays so a
+	// probe scans bytes and touches the arena only on a tag match.
+	tags []uint8
+	refs []uint32
 }
+
+// row is the fixed-size part of one entry: the sort key and the numeric
+// payload inline, the strings by arena handle.
+type row struct {
+	lam  uint64
+	at   sim.Time
+	arg  int64
+	ref  uint32 // the record ID|Key|Note, each uvarint-length-prefixed
+	kind uint32 // one uvarint-length-prefixed string, shared by every row of that kind
+}
+
+// maxKinds bounds the kind table. Operation names are a closed vocabulary,
+// so a real application stays far below it and pays for each name once; a
+// stream of made-up kinds beyond it is stored per entry, like Key and Note,
+// and the table stops growing.
+const maxKinds = 256
+
+var idSeed = maphash.MakeSeed()
+
+func hashID(id uniq.ID) uint64 { return maphash.String(idSeed, string(id)) }
+
+// tagOf is the index byte of a hash: its top bits, which the slot position
+// (the low bits) does not use, and never the 0 that marks an empty slot.
+func tagOf(h uint64) uint8 { return uint8(h>>56) | 1 }
 
 // NewSet returns an empty set, optionally seeded with entries.
 func NewSet(entries ...Entry) *Set {
-	s := &Set{byID: make(map[uniq.ID]struct{})}
+	s := &Set{}
+	s.Grow(len(entries))
 	for _, e := range entries {
 		s.Add(e)
 	}
@@ -110,123 +179,234 @@ func NewSet(entries ...Entry) *Set {
 // processing "have the business impact of a single execution even as it is
 // processed at multiple replicas" (§5.4).
 //
-// Add maintains the canonical index: appending (an entry sorting after
+// Add maintains the canonical order: appending (an entry sorting after
 // everything present) is O(1) amortized; an entry sorting into the past
 // costs an O(n) insertion, which only out-of-order gossip pays.
 func (s *Set) Add(e Entry) bool {
-	if _, ok := s.byID[e.ID]; ok {
+	old := len(s.rows)
+	if !s.push(e) {
 		return false
 	}
-	s.byID[e.ID] = struct{}{}
-	if n := len(s.ordered); n == 0 || s.ordered[n-1].Mark().Before(e) {
-		s.ordered = append(s.ordered, e)
-	} else {
-		i := s.searchAfter(e.Mark())
-		s.ordered = append(s.ordered, Entry{})
-		copy(s.ordered[i+1:], s.ordered[i:])
-		s.ordered[i] = e
-	}
+	s.settle(old)
 	return true
 }
 
 // AddAll unions a batch of entries, returning the ones that were new in
 // their input (arrival) order. It is the vectorized sibling of Add: the
-// fresh entries are merged into the canonical index in ONE pass, so a
+// fresh entries are merged into the canonical order in ONE pass, so a
 // gossip push of K entries that sort into the past costs one tail move
 // instead of K of them — the difference between anti-entropy keeping up
 // with sustained ingest and falling quadratically behind it.
 func (s *Set) AddAll(entries []Entry) (added []Entry) {
+	old := len(s.rows)
 	for _, e := range entries {
-		if _, ok := s.byID[e.ID]; ok {
-			continue
+		if s.push(e) {
+			added = append(added, e)
 		}
-		s.byID[e.ID] = struct{}{}
-		added = append(added, e)
 	}
-	if len(added) == 0 {
-		return nil
-	}
-	// Fast path: the whole batch extends the tail in order (local submits,
-	// in-order gossip) — pure appends.
-	inOrder := true
-	last := Watermark{}
-	if n := len(s.ordered); n > 0 {
-		last = s.ordered[n-1].Mark()
-	}
-	for _, e := range added {
-		if !last.Less(e.Mark()) {
-			inOrder = false
-			break
-		}
-		last = e.Mark()
-	}
-	if inOrder {
-		s.ordered = append(s.ordered, added...)
-		return added
-	}
-	// Merge path: sort a copy of the newcomers canonically (added itself
-	// must keep arrival order for the caller), then merge from the back so
-	// every existing entry moves at most once.
-	fresh := append(make([]Entry, 0, len(added)), added...)
-	sort.Slice(fresh, func(i, j int) bool { return fresh[i].Mark().Less(fresh[j].Mark()) })
-	old := len(s.ordered)
-	s.ordered = append(s.ordered, fresh...)
-	i, j, w := old-1, len(fresh)-1, len(s.ordered)-1
-	for j >= 0 {
-		if i >= 0 && fresh[j].Mark().Less(s.ordered[i].Mark()) {
-			s.ordered[w] = s.ordered[i]
-			i--
-		} else {
-			s.ordered[w] = fresh[j]
-			j--
-		}
-		w--
-	}
+	s.settle(old)
 	return added
 }
 
-// searchAfter returns the index of the first ordered entry sorting
-// strictly after w (len(ordered) if none).
-func (s *Set) searchAfter(w Watermark) int {
-	return sort.Search(len(s.ordered), func(i int) bool {
-		return w.Less(s.ordered[i].Mark())
+// push stores e after the last row, wherever it sorts, unless its ID is
+// already present; settle then restores the order. A pushed row is indexed
+// at once, so duplicates inside one batch are caught like any other.
+func (s *Set) push(e Entry) bool {
+	h := hashID(e.ID)
+	if s.lookup(e.ID, h) {
+		return false
+	}
+	s.store(e, h)
+	return true
+}
+
+// store is push for an entry known to be absent, h the hash of its ID.
+func (s *Set) store(e Entry, h uint64) {
+	s.growIndex(1)
+	ref := s.arena.put(string(e.ID), e.Key, e.Note)
+	s.index(ref, h)
+	s.rows = append(s.rows, row{lam: e.Lam, at: e.At, arg: e.Arg, ref: ref, kind: s.kind(e.Kind)})
+}
+
+// kind returns the handle of k's bytes, writing them on first sight.
+func (s *Set) kind(k string) uint32 {
+	if h, ok := s.kinds[k]; ok {
+		return h
+	}
+	h := s.arena.put(k)
+	if len(s.kinds) < maxKinds {
+		if s.kinds == nil {
+			s.kinds = make(map[string]uint32)
+		}
+		own, _ := cutString(s.arena.at(h)) // the key must not pin the caller's string
+		s.kinds[own] = h
+	}
+	return h
+}
+
+// settle restores canonical order given that rows[:old] are in order and
+// rows[old:] were pushed as they arrived.
+func (s *Set) settle(old int) {
+	// Fast path: the batch extends the tail in order (local submits,
+	// in-order gossip) — the pushes were pure appends.
+	n := max(old, 1)
+	for n < len(s.rows) && s.cmp(s.rows[n-1], s.rows[n]) < 0 {
+		n++
+	}
+	if n == len(s.rows) {
+		return
+	}
+	fresh := s.rows[old:]
+	if len(fresh) == 1 {
+		// One row into the past: find its place and shift the tail over.
+		r := fresh[0]
+		i := sort.Search(old, func(i int) bool { return s.cmp(r, s.rows[i]) < 0 })
+		copy(s.rows[i+1:], s.rows[i:old])
+		s.rows[i] = r
+		return
+	}
+	// Merge path: sort a copy of the newcomers, then merge from the back so
+	// every existing row moves at most once.
+	fresh = slices.Clone(fresh)
+	slices.SortFunc(fresh, s.cmp)
+	i, j := old-1, len(fresh)-1
+	for w := len(s.rows) - 1; j >= 0; w-- {
+		if i >= 0 && s.cmp(fresh[j], s.rows[i]) < 0 {
+			s.rows[w] = s.rows[i]
+			i--
+		} else {
+			s.rows[w] = fresh[j]
+			j--
+		}
+	}
+}
+
+// cmp orders two rows canonically. The ID, the one part of the key that
+// lives in the arena, is read only to break a (Lam, At) tie.
+func (s *Set) cmp(a, b row) int {
+	if a.lam != b.lam {
+		return cmp.Compare(a.lam, b.lam)
+	}
+	if a.at != b.at {
+		return cmp.Compare(a.at, b.at)
+	}
+	return strings.Compare(s.id(a.ref), s.id(b.ref))
+}
+
+// startAfter returns the index of the first row sorting strictly after w
+// (len(rows) if none); the genesis watermark is before every row.
+func (s *Set) startAfter(w Watermark) int {
+	if w.IsZero() {
+		return 0
+	}
+	return sort.Search(len(s.rows), func(i int) bool {
+		r := s.rows[i]
+		if r.lam != w.Lam {
+			return r.lam > w.Lam
+		}
+		if r.at != w.At {
+			return r.at > w.At
+		}
+		return s.id(r.ref) > string(w.ID)
 	})
 }
 
-// Grow ensures the canonical index has spare capacity for n more entries
-// without reallocating. Callers that know a batch's size (the batched
-// ingest loop, recovery replay) call it once up front so the per-entry
-// Add is a pure append.
+// id reads the ID of the record at ref.
+func (s *Set) id(ref uint32) string {
+	id, _ := cutString(s.arena.at(ref))
+	return id
+}
+
+// entry materializes a row. The strings are substrings of the arena.
+func (s *Set) entry(r row) Entry {
+	id, rec := cutString(s.arena.at(r.ref))
+	key, rec := cutString(rec)
+	note, _ := cutString(rec)
+	kind, _ := cutString(s.arena.at(r.kind))
+	return Entry{ID: uniq.ID(id), Kind: kind, Key: key, Arg: r.arg, Lam: r.lam, At: r.at, Note: note}
+}
+
+// lookup reports whether id, whose hash is h, is in the index.
+func (s *Set) lookup(id uniq.ID, h uint64) bool {
+	if len(s.tags) == 0 {
+		return false
+	}
+	mask, tag := uint64(len(s.tags)-1), tagOf(h)
+	for i := h & mask; s.tags[i] != 0; i = (i + 1) & mask {
+		if s.tags[i] == tag && s.id(s.refs[i]) == string(id) {
+			return true
+		}
+	}
+	return false
+}
+
+// index records that the record at ref holds an ID hashing to h. The ID
+// must be absent and growIndex must have made room.
+func (s *Set) index(ref uint32, h uint64) {
+	mask := uint64(len(s.tags) - 1)
+	i := h & mask
+	for s.tags[i] != 0 {
+		i = (i + 1) & mask
+	}
+	s.tags[i], s.refs[i] = tagOf(h), ref
+}
+
+// growIndex makes room for n more IDs. A slot keeps one byte of its hash,
+// so growing rehashes — walking the rows, which reads the arena nearly in
+// the order it was written.
+func (s *Set) growIndex(n int) {
+	need := len(s.rows) + n
+	if need*8 <= len(s.tags)*7 {
+		return
+	}
+	size := max(8, len(s.tags))
+	for need*8 > size*7 {
+		size *= 2
+	}
+	s.tags, s.refs = make([]uint8, size), make([]uint32, size)
+	for _, r := range s.rows {
+		s.index(r.ref, hashID(uniq.ID(s.id(r.ref))))
+	}
+}
+
+// Grow ensures the set has room for n more entries' rows and index slots
+// without reallocating either. Callers that know a batch's size (the
+// batched ingest loop, recovery replay) call it once up front so the
+// per-entry Add is a pure append.
 func (s *Set) Grow(n int) {
 	if n <= 0 {
 		return
 	}
-	if free := cap(s.ordered) - len(s.ordered); free < n {
-		grown := make([]Entry, len(s.ordered), len(s.ordered)+n)
-		copy(grown, s.ordered)
-		s.ordered = grown
-	}
+	s.rows = slices.Grow(s.rows, n)
+	s.growIndex(n)
 }
 
 // Contains reports whether an entry with the given ID is present.
-func (s *Set) Contains(id uniq.ID) bool {
-	_, ok := s.byID[id]
-	return ok
-}
+func (s *Set) Contains(id uniq.ID) bool { return s.lookup(id, hashID(id)) }
 
 // Len reports the number of distinct operations.
-func (s *Set) Len() int { return len(s.ordered) }
+func (s *Set) Len() int { return len(s.rows) }
 
 // Union absorbs every entry of o into s, returning how many were new.
 // Union is the gossip primitive: "when the work flows together, a new,
 // more accurate answer is created" (§7.6).
-func (s *Set) Union(o *Set) int { return len(s.AddAll(o.ordered)) }
+func (s *Set) Union(o *Set) int {
+	old := len(s.rows)
+	for _, r := range o.rows {
+		id := uniq.ID(o.id(r.ref))
+		if h := hashID(id); !s.lookup(id, h) {
+			s.store(o.entry(r), h)
+		}
+	}
+	s.settle(old)
+	return len(s.rows) - old
+}
 
 // Diff returns the entries present in s but absent from o, in canonical
 // order. Replicas exchange diffs during anti-entropy.
 func (s *Set) Diff(o *Set) []Entry {
 	var out []Entry
-	for _, e := range s.ordered {
+	for e := range s.After(Watermark{}) {
 		if !o.Contains(e.ID) {
 			out = append(out, e)
 		}
@@ -234,22 +414,32 @@ func (s *Set) Diff(o *Set) []Entry {
 	return out
 }
 
-// Copy returns an independent copy.
+// Copy returns an independent copy. The bytes already in the arena are
+// immutable, so the two sets share them; each writes its own from here on.
 func (s *Set) Copy() *Set {
-	c := &Set{
-		ordered: append([]Entry(nil), s.ordered...),
-		byID:    make(map[uniq.ID]struct{}, len(s.ordered)),
+	return &Set{
+		rows:  slices.Clone(s.rows),
+		arena: arena{chunks: slices.Clone(s.arena.chunks)},
+		kinds: maps.Clone(s.kinds),
+		tags:  slices.Clone(s.tags),
+		refs:  slices.Clone(s.refs),
 	}
-	for i := range c.ordered {
-		c.byID[c.ordered[i].ID] = struct{}{}
-	}
-	return c
 }
 
 // Equal reports whether both sets hold exactly the same entries. Each
 // set's entries are in the one canonical order, so equal sets are equal
-// slices.
-func (s *Set) Equal(o *Set) bool { return slices.Equal(s.ordered, o.ordered) }
+// sequences.
+func (s *Set) Equal(o *Set) bool {
+	if len(s.rows) != len(o.rows) {
+		return false
+	}
+	for i, r := range s.rows {
+		if s.entry(r) != o.entry(o.rows[i]) {
+			return false
+		}
+	}
+	return true
+}
 
 // Entries returns all operations in canonical order: ascending Lamport
 // timestamp, then ingress time, ties broken by ID. Lamport assignment at
@@ -260,50 +450,58 @@ func (s *Set) Equal(o *Set) bool { return slices.Equal(s.ordered, o.ordered) }
 // set — the arrival order at this replica "is not the determining factor
 // in the outcome" (§7.6).
 //
-// The returned slice is a copy; callers may keep or mutate it. With the
-// index maintained by Add, this costs one O(n) copy, not a sort.
-func (s *Set) Entries() []Entry {
-	return append([]Entry(nil), s.ordered...)
-}
+// The returned slice is the caller's; its entries' strings are the set's.
+// With the order maintained by Add, this costs one O(n) pass, not a sort.
+func (s *Set) Entries() []Entry { return s.EntriesAfter(Watermark{}) }
 
 // EntriesAfter returns, in canonical order, only the entries sorting
 // strictly after watermark w — the suffix a checkpointed fold still has
 // to apply. The genesis (zero) watermark yields every entry. Cost is
-// O(log n) to locate the suffix plus a copy of just that suffix.
+// O(log n) to locate the suffix plus materializing just that suffix.
 func (s *Set) EntriesAfter(w Watermark) []Entry {
-	return append([]Entry(nil), s.ViewAfter(w)...)
+	tail := s.rows[s.startAfter(w):]
+	if len(tail) == 0 {
+		return nil
+	}
+	out := make([]Entry, len(tail))
+	for i, r := range tail {
+		out[i] = s.entry(r)
+	}
+	return out
 }
 
-// ViewAfter is EntriesAfter without the copy: a read-only window onto the
-// set's own storage, valid only until the next Add, AddAll or Grow. It is
-// for a caller that holds whatever lock guards the set for as long as it
-// reads the view.
-func (s *Set) ViewAfter(w Watermark) []Entry {
-	i := 0
-	if !w.IsZero() {
-		i = s.searchAfter(w)
+// After iterates, in canonical order and without allocating, over the
+// entries sorting strictly after w. The set must not change while the
+// iteration runs: it is for a caller that holds whatever lock guards the
+// set for as long as it ranges.
+func (s *Set) After(w Watermark) iter.Seq[Entry] {
+	return func(yield func(Entry) bool) {
+		for _, r := range s.rows[s.startAfter(w):] {
+			if !yield(s.entry(r)) {
+				return
+			}
+		}
 	}
-	return slices.Clip(s.ordered[i:]) // an append by the caller must not land in the set
 }
 
 // MaxLam returns the highest Lamport timestamp in the set (0 when empty).
 // An ingress point stamps new operations with max(seen)+1. The Lamport
-// stamp is the canonical order's primary key, so this reads the index
-// tail in O(1).
+// stamp is the canonical order's primary key, so this reads the last row
+// in O(1).
 func (s *Set) MaxLam() uint64 {
-	if n := len(s.ordered); n > 0 {
-		return s.ordered[n-1].Lam
+	if n := len(s.rows); n > 0 {
+		return s.rows[n-1].lam
 	}
 	return 0
 }
 
 // Fold applies fn to every entry in canonical order, threading an
 // accumulator. It is the generic "derive state from the ledger" helper —
-// the from-genesis replay; checkpointed consumers fold EntriesAfter
+// the from-genesis replay; checkpointed consumers range over After
 // instead.
 func Fold[S any](s *Set, init S, fn func(S, Entry) S) S {
 	acc := init
-	for _, e := range s.ordered {
+	for e := range s.After(Watermark{}) {
 		acc = fn(acc, e)
 	}
 	return acc

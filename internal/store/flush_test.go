@@ -2,6 +2,8 @@ package store
 
 import (
 	"io/fs"
+	"runtime/debug"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -94,5 +96,43 @@ func TestStaleFullTokenDoesNotCancelNextHold(t *testing.T) {
 	}
 	if got := time.Since(began); got < maxWait {
 		t.Fatalf("lone rider acknowledged after %v: the %v hold was cancelled by a stale early-departure token", got, maxWait)
+	}
+}
+
+// TestHoldAllocatesNoTimer pins the flusher's coalescing hold at no
+// allocation of its own: the loop re-arms one timer. A fresh timer per
+// flush was about three allocations on every commit that waited for
+// company. Counted process-wide, so the flusher's goroutine is included,
+// against the same commits with the hold switched off.
+func TestHoldAllocatesNoTimer(t *testing.T) {
+	if bi, _ := debug.ReadBuildInfo(); slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
+		t.Skip("allocation counts are pinned without -race: there sync.Pool drops Puts on purpose")
+	}
+	// A sync that takes a while is what teaches the store to hold at all.
+	fsys := gateFS{faultfs.OS, func() { time.Sleep(50 * time.Microsecond) }}
+	perCommit := func(mode Mode) float64 {
+		s, _ := mustOpen(t, t.TempDir(), Options{FS: fsys, Mode: mode})
+		defer s.Close()
+		batch := []oplog.Entry{entry(0)}
+		done := make(chan bool, 1)
+		fn := func(ok bool) { done <- ok }
+		commit := func() {
+			s.Commit(s.Stage(batch), fn)
+			if !<-done {
+				t.Fatal("commit failed")
+			}
+		}
+		for i := 0; i < 32; i++ { // the segment, the buffers and the fsync estimate first
+			commit()
+		}
+		if s.ewmaFsync.Load() == 0 {
+			t.Fatal("no fsync estimate after 32 commits: nothing would hold, and the test measures nothing")
+		}
+		return testing.AllocsPerRun(300, commit)
+	}
+	held, unheld := perCommit(ModeAdaptive), perCommit(ModeEveryOp)
+	t.Logf("allocations per commit: %.1f with the hold, %.1f without", held, unheld)
+	if held > unheld {
+		t.Errorf("a held commit allocates %.1f, one that never holds %.1f: the hold allocates", held, unheld)
 	}
 }

@@ -682,6 +682,7 @@ func signal(ch chan struct{}) {
 // the snapshot and ack watermarks have both passed.
 func (s *Store) flushLoop() {
 	defer s.wg.Done()
+	var timer *time.Timer // the hold's, re-armed for each one
 	for {
 		select {
 		case <-s.quit:
@@ -698,7 +699,11 @@ func (s *Store) flushLoop() {
 		default:
 		}
 		if hold := s.adaptiveHold(); hold > 0 {
-			timer := time.NewTimer(hold)
+			if timer == nil {
+				timer = time.NewTimer(hold)
+			} else {
+				timer.Reset(hold) // it fired or was stopped: nothing stale can arrive (go 1.23 timers)
+			}
 			select {
 			case <-timer.C:
 			case <-s.full:

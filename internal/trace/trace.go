@@ -24,6 +24,7 @@ package trace
 
 import (
 	"math/bits"
+	"strings"
 	"sync"
 	"time"
 
@@ -87,8 +88,12 @@ type ApologyRef struct {
 	At  int64  `json:"at_ns"`
 }
 
-// opState is the tracer's view of one sampled in-flight op.
+// opState is the tracer's view of one sampled in-flight op. It owns id
+// and key: a caller's strings may be cut from a request body or a gossip
+// frame, and holding one of those would hold all of it for as long as the
+// tracer remembers the op. Every event of the op carries these two.
 type opState struct {
+	id     string
 	key    string
 	submit int64
 	held   uint64 // bitmask of replica ids known to hold the op
@@ -226,15 +231,16 @@ func (t *Tracer) record(st *opState, ev Event) {
 func (t *Tracer) state(op, key string, at int64) *opState {
 	if st, ok := t.ops[op]; ok {
 		if st.key == "" {
-			st.key = key
+			st.key = strings.Clone(key)
 		}
 		return st
 	}
+	op = strings.Clone(op)
 	if len(t.ops) >= t.maxOps && len(t.opQueue) > 0 {
 		delete(t.ops, t.opQueue[0])
 		t.opQueue = t.opQueue[1:]
 	}
-	st := &opState{key: key, submit: at, events: make([]Event, 0, 8)}
+	st := &opState{id: op, key: strings.Clone(key), submit: at, events: make([]Event, 0, 8)}
 	t.ops[op] = st
 	t.opQueue = append(t.opQueue, op)
 	return st
@@ -266,7 +272,7 @@ func (t *Tracer) Submitted(op, key, replica string, at int64) {
 	t.mu.Lock()
 	st := t.state(op, key, at)
 	st.submit = at
-	t.record(st, Event{AtNs: at, Kind: kindNames[KindSubmitted], Op: op, Key: key, Replica: replica})
+	t.record(st, Event{AtNs: at, Kind: kindNames[KindSubmitted], Op: st.id, Key: st.key, Replica: replica})
 	t.mu.Unlock()
 }
 
@@ -279,9 +285,9 @@ func (t *Tracer) Admitted(op, key, replica string, at int64) {
 	t.mu.Lock()
 	st := t.state(op, key, at)
 	st.held |= t.bitFor(replica)
-	t.record(st, Event{AtNs: at, Kind: kindNames[KindAdmitted], Op: op, Key: st.key, Replica: replica})
-	t.guessLocked(st.key, op, st.submit)
-	t.checkTruthLocked(op, st, at)
+	t.record(st, Event{AtNs: at, Kind: kindNames[KindAdmitted], Op: st.id, Key: st.key, Replica: replica})
+	t.guessLocked(st.key, st.id, st.submit)
+	t.checkTruthLocked(st, at)
 	t.mu.Unlock()
 }
 
@@ -306,7 +312,7 @@ func (t *Tracer) Declined(op, key, replica, reason string, at int64) {
 	}
 	t.mu.Lock()
 	st := t.state(op, key, at)
-	t.record(st, Event{AtNs: at, Kind: kindNames[KindDeclined], Op: op, Key: st.key, Replica: replica, Note: reason})
+	t.record(st, Event{AtNs: at, Kind: kindNames[KindDeclined], Op: st.id, Key: st.key, Replica: replica, Note: reason})
 	t.mu.Unlock()
 }
 
@@ -318,7 +324,7 @@ func (t *Tracer) Durable(op, replica string, at int64) {
 	}
 	t.mu.Lock()
 	st := t.state(op, "", at)
-	t.record(st, Event{AtNs: at, Kind: kindNames[KindFsynced], Op: op, Key: st.key, Replica: replica})
+	t.record(st, Event{AtNs: at, Kind: kindNames[KindFsynced], Op: st.id, Key: st.key, Replica: replica})
 	if lag := at - st.submit; lag >= 0 {
 		t.durable.Record(lag)
 	}
@@ -332,7 +338,7 @@ func (t *Tracer) Folded(op, replica string, at int64) {
 	}
 	t.mu.Lock()
 	st := t.state(op, "", at)
-	t.record(st, Event{AtNs: at, Kind: kindNames[KindFolded], Op: op, Key: st.key, Replica: replica})
+	t.record(st, Event{AtNs: at, Kind: kindNames[KindFolded], Op: st.id, Key: st.key, Replica: replica})
 	t.mu.Unlock()
 }
 
@@ -344,8 +350,8 @@ func (t *Tracer) Absorbed(op, replica string, at int64) {
 	t.mu.Lock()
 	st := t.state(op, "", at)
 	st.held |= t.bitFor(replica)
-	t.record(st, Event{AtNs: at, Kind: kindNames[KindAbsorbed], Op: op, Key: st.key, Replica: replica})
-	t.checkTruthLocked(op, st, at)
+	t.record(st, Event{AtNs: at, Kind: kindNames[KindAbsorbed], Op: st.id, Key: st.key, Replica: replica})
+	t.checkTruthLocked(st, at)
 	t.mu.Unlock()
 }
 
@@ -362,22 +368,22 @@ func (t *Tracer) GossipAcked(op, origin, peer string, at int64) {
 	st := t.state(op, "", at)
 	st.held |= t.bitFor(origin)
 	st.held |= t.bitFor(peer)
-	t.record(st, Event{AtNs: at, Kind: kindNames[KindGossiped], Op: op, Key: st.key, Replica: origin, Peer: peer})
+	t.record(st, Event{AtNs: at, Kind: kindNames[KindGossiped], Op: st.id, Key: st.key, Replica: origin, Peer: peer})
 	if lag := at - st.submit; lag >= 0 {
 		t.gossip.Record(lag)
 	}
-	t.checkTruthLocked(op, st, at)
+	t.checkTruthLocked(st, at)
 	t.mu.Unlock()
 }
 
 // checkTruthLocked records guess-to-truth once every replica of the
 // op's shard is known to hold it. Caller holds t.mu.
-func (t *Tracer) checkTruthLocked(op string, st *opState, at int64) {
+func (t *Tracer) checkTruthLocked(st *opState, at int64) {
 	if st.truth || bits.OnesCount64(st.held) < t.replicas {
 		return
 	}
 	st.truth = true
-	t.record(st, Event{AtNs: at, Kind: kindNames[KindTruth], Op: op, Key: st.key})
+	t.record(st, Event{AtNs: at, Kind: kindNames[KindTruth], Op: st.id, Key: st.key})
 	if lag := at - st.submit; lag >= 0 {
 		t.truth.Record(lag)
 	}
@@ -392,6 +398,7 @@ func (t *Tracer) Apologized(key, apologyID, replica string, at int64) {
 	if t == nil {
 		return
 	}
+	key = strings.Clone(key) // kept in the ring and the apology list
 	t.mu.Lock()
 	g, ok := t.lastGuess[key]
 	var st *opState

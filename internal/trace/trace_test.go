@@ -2,7 +2,9 @@ package trace
 
 import (
 	"fmt"
+	"strings"
 	"testing"
+	"unsafe"
 )
 
 // fixed clock so assertions on lags are exact.
@@ -191,5 +193,40 @@ func TestRecentAndAnnotations(t *testing.T) {
 	}
 	if events[len(events)-1].Note != "a99" {
 		t.Errorf("newest event = %+v, want a99", events[len(events)-1])
+	}
+}
+
+// TestTracerOwnsItsStrings: an op's ID and key reach the tracer as cuts of
+// something larger — a request body at the HTTP edge, a gossip frame — and
+// the tracer may remember them long after; it must keep copies, or each
+// sampled op pins the whole of what it was cut from.
+func TestTracerOwnsItsStrings(t *testing.T) {
+	body := strings.Repeat("x", 1<<10) + "op-1" + "acct-1"
+	id, key := body[1<<10:][:4], body[1<<10+4:]
+	tr := New(Options{SampleEvery: 1})
+	tr.Submitted(id, key, "r0", 1)
+	tr.Admitted(id, key, "r0", 2)
+	tr.Folded(id, "r0", 2)
+	tr.Apologized(key, "apology-1", "r0", 3)
+	inBody := func(s string) bool {
+		p, lo := uintptr(unsafe.Pointer(unsafe.StringData(s))), uintptr(unsafe.Pointer(unsafe.StringData(body)))
+		return s != "" && p >= lo && p < lo+uintptr(len(body))
+	}
+	events, _ := tr.OpTimeline("op-1")
+	if len(events) != 5 { // the four above, and truth: one replica holds it
+		t.Fatalf("timeline has %d events, want 5", len(events))
+	}
+	for _, ev := range append(events, tr.Recent(16)...) {
+		if ev.Op != "op-1" || ev.Key != "acct-1" {
+			t.Fatalf("event %+v lost its op or key", ev)
+		}
+		if inBody(ev.Op) || inBody(ev.Key) {
+			t.Fatalf("%s event holds a cut of the caller's buffer", ev.Kind)
+		}
+	}
+	for _, ref := range tr.Apologies(4) {
+		if inBody(ref.Op) || inBody(ref.Key) {
+			t.Fatal("apology reference holds a cut of the caller's buffer")
+		}
 	}
 }
