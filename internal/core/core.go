@@ -373,6 +373,7 @@ type Cluster[S any] struct {
 	cfg        config
 	app        App[S]
 	rules      []Rule[S]
+	declined   []string  // declined[i] is the Result.Reason when rules[i] refuses, built once
 	hasAdmit   bool      // any rule has an Admit check
 	hasViolate bool      // any rule has a Violated sweep
 	snapFn     func(S) S // state clone for fold checkpoints, rewinds and read-then-write
@@ -556,6 +557,7 @@ func New[S any](app App[S], rules []Rule[S], opts ...Option) *Cluster[S] {
 		done:      make(chan struct{}),
 	}
 	for _, rule := range rules {
+		c.declined = append(c.declined, "declined by rule "+rule.Name)
 		c.hasAdmit = c.hasAdmit || rule.Admit != nil
 		c.hasViolate = c.hasViolate || rule.Violated != nil
 	}
@@ -840,15 +842,13 @@ func (c *Cluster[S]) Submit(ctx context.Context, replica int, op Op, opts ...Sub
 	if err := ctx.Err(); err != nil {
 		return Result{Op: op}, err
 	}
-	ready := make(chan struct{})
-	var res Result
-	c.dispatch(c.route(replica, op), op, c.submitConfig(opts), func(r Result) {
-		res = r
-		close(ready)
-	})
-	if err := c.tr.Await(ctx, ready); err != nil {
-		return Result{Op: op}, err
+	sink := takeSink(nil)
+	c.dispatch(c.route(replica, op), op, c.submitConfig(opts), nil, sink)
+	if err := c.tr.Await(ctx, sink.ready); err != nil {
+		return Result{Op: op}, err // the sink is abandoned, never recycled
 	}
+	res := sink.one[0]
+	sink.release()
 	return res, nil
 }
 
@@ -881,9 +881,7 @@ func (c *Cluster[S]) SubmitBatch(ctx context.Context, replica int, ops []Op, opt
 	}
 	sc := c.submitConfig(opts)
 	results := make([]Result, len(ops))
-	ready := make(chan struct{})
-	sink := &ingestSink{results: results, done: func() { close(ready) }}
-	sink.pending.Store(int64(len(ops)))
+	sink := takeSink(results)
 	if c.cfg.shards == 1 {
 		c.dispatchBatch(c.groups[0].reps[replica], ops, nil, sc, sink)
 	} else {
@@ -903,9 +901,10 @@ func (c *Cluster[S]) SubmitBatch(ctx context.Context, replica int, ops []Op, opt
 		}
 		c.scatter(thunks)
 	}
-	if err := c.tr.Await(ctx, ready); err != nil {
-		return nil, err
+	if err := c.tr.Await(ctx, sink.ready); err != nil {
+		return nil, err // the sink is abandoned, never recycled
 	}
+	sink.release()
 	return results, nil
 }
 
@@ -975,29 +974,30 @@ func (c *Cluster[S]) SubmitAsync(replica int, op Op, done func(Result), opts ...
 		done(Result{Op: op, Reason: fmt.Sprintf("no replica %d in a cluster of %d", replica, c.cfg.replicas)})
 		return
 	}
-	c.dispatch(c.route(replica, op), op, c.submitConfig(opts), done)
+	c.dispatch(c.route(replica, op), op, c.submitConfig(opts), done, nil)
 }
 
 // dispatch routes one operation at rep: fill in ingress identity, then
 // enqueue it for the drain, which processes in strict arrival order —
 // guesses absorbed in batches, coordinated ops initiated exactly where
-// they sat in the queue. done fires exactly once — on a durable replica,
-// only after the operation's journal record is fsynced (an accepted
-// result is a durable result). Metrics and latency are accounted
-// downstream.
-func (c *Cluster[S]) dispatch(rep *Replica[S], op Op, sc submitConfig, done func(Result)) {
+// they sat in the queue. The outcome goes to emit or to slot 0 of sink,
+// whichever is set, exactly once — on a durable replica, only after the
+// operation's journal record is fsynced (an accepted result is a durable
+// result). Metrics and latency are accounted downstream.
+func (c *Cluster[S]) dispatch(rep *Replica[S], op Op, sc submitConfig, emit func(Result), sink *ingestSink) {
+	it := ingestItem{emit: emit, sink: sink}
 	if rep.remote {
-		done(rep.notHosted(op))
+		it.finish(rep.notHosted(op))
 		return
 	}
 	op = c.stampIngress(rep, op)
 	if rep.node.Crashed() {
-		done(Result{Op: op, Reason: "replica down"})
+		it.finish(Result{Op: op, Reason: "replica down"})
 		return
 	}
-	it := ingestItem{op: op, emit: done, start: c.tr.Now(), sync: sc.pol.Decide(op) == policy.Sync}
+	it.op, it.start, it.sync = op, c.tr.Now(), sc.pol.Decide(op) == policy.Sync
 	if !rep.enqueueIngest(it) {
-		done(Result{Op: op, Reason: "replica shut down"})
+		it.finish(Result{Op: op, Reason: "replica shut down"})
 	}
 }
 

@@ -48,11 +48,12 @@ const (
 )
 
 // ingestItem is one queued submit: the operation (ingress identity
-// already assigned by dispatch) plus where its Result goes — either a
-// single-submit callback or a slot in a shared batch sink.
+// already assigned by dispatch) plus where its Result goes — SubmitAsync's
+// callback, or a slot in the sink a blocking Submit or SubmitBatch waits
+// on.
 type ingestItem struct {
 	op      oplog.Entry
-	emit    func(Result) // single-submit completion; nil when sink is set
+	emit    func(Result) // SubmitAsync's completion; nil when sink is set
 	sink    *ingestSink
 	idx     int32
 	start   sim.Time
@@ -89,14 +90,10 @@ type ingestQueue struct {
 // growLocked widens the ring to hold at least need items, preserving
 // order. Caller holds mu.
 func (q *ingestQueue) growLocked(need int) {
-	newCap := 2 * len(q.buf)
-	if newCap < need {
-		newCap = need
-	}
-	nb := make([]ingestItem, newCap)
-	for i := 0; i < q.n; i++ {
-		nb[i] = q.buf[(q.head+i)%len(q.buf)]
-	}
+	nb := make([]ingestItem, max(2*len(q.buf), need))
+	first := min(q.n, len(q.buf)-q.head)
+	copy(nb, q.buf[q.head:q.head+first])
+	copy(nb[first:], q.buf[:q.n-first])
 	q.buf = nb
 	q.head = 0
 }
@@ -110,13 +107,17 @@ func (q *ingestQueue) putAll(items []ingestItem) bool {
 	if q.closed {
 		return false
 	}
+	if len(items) == 0 {
+		return true
+	}
 	if q.n+len(items) > len(q.buf) {
 		q.growLocked(q.n + len(items))
 	}
-	for _, it := range items {
-		q.buf[(q.head+q.n)%len(q.buf)] = it
-		q.n++
-	}
+	// The free span runs from the tail to the end of the ring and, past
+	// the wrap, on from its start: two copies, no per-item modulo.
+	first := copy(q.buf[(q.head+q.n)%len(q.buf):], items)
+	copy(q.buf, items[first:])
+	q.n += len(items)
 	return true
 }
 
@@ -125,19 +126,17 @@ func (q *ingestQueue) putAll(items []ingestItem) bool {
 func (q *ingestQueue) popAll(dst []ingestItem, max int) []ingestItem {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	take := q.n
-	if take > max {
-		take = max
+	take := min(q.n, max)
+	if take == 0 {
+		return dst
 	}
-	for i := 0; i < take; i++ {
-		slot := &q.buf[(q.head+i)%len(q.buf)]
-		dst = append(dst, *slot)
-		*slot = ingestItem{} // release references
-	}
-	if take > 0 {
-		q.head = (q.head + take) % len(q.buf)
-		q.n -= take
-	}
+	head := q.buf[q.head:min(q.head+take, len(q.buf))]
+	wrap := q.buf[:take-len(head)]
+	dst = append(append(dst, head...), wrap...)
+	clear(head) // release references
+	clear(wrap)
+	q.head = (q.head + take) % len(q.buf)
+	q.n -= take
 	return dst
 }
 
@@ -156,23 +155,80 @@ func (q *ingestQueue) close() {
 	q.mu.Unlock()
 }
 
-// ingestSink fans one SubmitBatch's results into a shared slice with a
-// single completion — no per-operation closure, which is most of the
-// batch path's allocation savings. Items for different shard groups may
-// share one sink; their idx ranges are disjoint.
+// ingestSink is where a blocking submit waits: results land in slots of
+// a shared slice and the last one to land sends ready its one value — no
+// per-operation closure, no per-call channel. Items for different shard
+// groups may share one sink; their idx ranges are disjoint. Sinks are
+// pooled: takeSink readies one, release returns it once every result has
+// landed and been read. A sink whose waiter gave up first (its context
+// ended) is never released — the late completion has to land somewhere
+// nobody else is waiting — and is left to the collector.
 type ingestSink struct {
 	results []Result
 	pending atomic.Int64
-	done    func() // fires exactly once, when every result has landed
+	ready   chan struct{} // 1-buffered: one send per use, never blocking
+	one     [1]Result     // Submit's slot, so a lone submit brings no slice
 }
 
-// deliver lands one result in slot i and fires the completion when it is
-// the last one outstanding.
+var sinkPool = sync.Pool{New: func() any { return &ingestSink{ready: make(chan struct{}, 1)} }}
+
+// takeSink readies a pooled sink for len(results) outcomes; nil results
+// selects the sink's own single slot.
+func takeSink(results []Result) *ingestSink {
+	s := sinkPool.Get().(*ingestSink)
+	if results == nil {
+		results = s.one[:]
+	}
+	s.results = results
+	s.pending.Store(int64(len(results)))
+	return s
+}
+
+func (s *ingestSink) release() {
+	s.one[0] = Result{}
+	s.results = nil
+	sinkPool.Put(s)
+}
+
+// deliver lands one result in slot i and signals ready when it is the
+// last one outstanding.
 func (s *ingestSink) deliver(i int32, res Result) {
 	s.results[i] = res
-	if s.pending.Add(-1) == 0 {
-		s.done()
+	switch n := s.pending.Add(-1); {
+	case n == 0:
+		s.ready <- struct{}{}
+	case n < 0:
+		panic("quicksand: a submit was resolved twice")
 	}
+}
+
+// ingestSeg carries one durable segment from ingestSegment to the store's
+// commit callback: its own copy of the items — the drain reuses its batch
+// buffer long before the flush lands — and the func(bool) handed to
+// Store.Commit, bound once when the object is made. Pooled per replica:
+// resolve returns it after the last item is finished.
+type ingestSeg[S any] struct {
+	r         *Replica[S]
+	items     []ingestItem
+	nAccepted int
+	commit    func(ok bool) // seg.resolve
+}
+
+func (r *Replica[S]) takeSeg(items []ingestItem, nAccepted int) *ingestSeg[S] {
+	seg, _ := r.segPool.Get().(*ingestSeg[S])
+	if seg == nil {
+		seg = &ingestSeg[S]{r: r}
+		seg.commit = seg.resolve
+	}
+	seg.items = append(seg.items[:0], items...)
+	seg.nAccepted = nAccepted
+	return seg
+}
+
+func (seg *ingestSeg[S]) resolve(ok bool) {
+	seg.r.resolveSegment(seg.items, seg.nAccepted, ok)
+	clear(seg.items) // drop the callers' callbacks and sinks
+	seg.r.segPool.Put(seg)
 }
 
 // enqueueIngest hands stamped operations to the replica's ring, in
@@ -320,17 +376,10 @@ func (r *Replica[S]) ingestSegment(items []ingestItem) {
 		return
 	}
 	// accepted collects the entries this segment adds, for the journal and
-	// the store. A volatile replica reuses a scratch slice (drainMu guards
-	// it; the journal copies out of it). A store keeps the slice until its
-	// flush lands and runs the commit fan-out on its flusher after this
-	// call returns — while the drain reuses its buffers for the next batch
-	// — so a durable segment gets its own copy of both.
+	// the store, in a scratch slice drainMu guards: both copy out of it
+	// (the store encodes on Stage) before this call returns.
 	accepted := r.acceptBuf[:0]
 	st := r.store
-	if st != nil {
-		items = append([]ingestItem(nil), items...)
-		accepted = make([]oplog.Entry, 0, len(items))
-	}
 	dups, declined := false, false
 	for i := range items {
 		it := &items[i]
@@ -345,8 +394,8 @@ func (r *Replica[S]) ingestSegment(items []ingestItem) {
 			continue
 		}
 		// The guess: admission folds earlier batch acceptances in first.
-		if rule, ok := r.admitLocked(it.op); !ok {
-			it.outcome, it.reason = outDeclined, "declined by rule "+rule
+		if reason, ok := r.admitLocked(it.op); !ok {
+			it.outcome, it.reason = outDeclined, reason
 			declined = true
 			continue
 		}
@@ -381,9 +430,7 @@ func (r *Replica[S]) ingestSegment(items []ingestItem) {
 			due, nDue = r.gossipDueLocked()
 		}
 	}
-	if st == nil {
-		r.acceptBuf = accepted[:0] // keep the capacity the appends grew
-	}
+	r.acceptBuf = accepted[:0] // keep the capacity the appends grew
 	r.mu.Unlock()
 	if snap != nil {
 		snap()
@@ -418,7 +465,9 @@ func (r *Replica[S]) ingestSegment(items []ingestItem) {
 	if st == nil {
 		r.resolveSegment(items, nAccepted, true)
 	} else {
-		st.Commit(end, func(ok bool) { r.resolveSegment(items, nAccepted, ok) })
+		// The commit fan-out runs on the store's flusher after this call
+		// returns, while the drain reuses items for its next batch.
+		st.Commit(end, r.takeSeg(items, nAccepted).commit)
 	}
 	// Coalesced gossip wake: at most one nudge per batch, and only toward
 	// peers whose unacknowledged suffix has grown to a full batch — the

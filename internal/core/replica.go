@@ -112,12 +112,14 @@ type Replica[S any] struct {
 	// whichever submitter holds drainMu drains it — one drainer at a
 	// time, so concurrent enqueuers never interleave segments. drainMu
 	// also guards the drain's two reused buffers: the batch popped off the
-	// ring and the entries a volatile segment accepted. Nil ring on a
-	// remote stub.
+	// ring and the entries a segment accepted. segPool recycles the
+	// objects that carry durable segments to their commit callback. Nil
+	// ring on a remote stub.
 	ingest    *ingestQueue
 	drainMu   sync.Mutex
 	drainBuf  []ingestItem
 	acceptBuf []oplog.Entry
+	segPool   sync.Pool // *ingestSeg[S]
 
 	Ledger apology.Ledger // this replica's memories, guesses, apologies
 }
@@ -363,19 +365,20 @@ func (r *Replica[S]) stateLocked() S {
 
 // admitLocked is the one admission check: fold whatever is pending into
 // the accumulator and offer it, in place, to every rule's Admit. It
-// reports the first rule that declines. Nothing is shared or published —
-// the rules see the live accumulator for the duration of the call (the
-// contract Rule documents). The caller holds r.mu.
-func (r *Replica[S]) admitLocked(op oplog.Entry) (declinedBy string, ok bool) {
+// reports the first rule that declines, as the Result.Reason naming it.
+// Nothing is shared or published — the rules see the live accumulator for
+// the duration of the call (the contract Rule documents). The caller
+// holds r.mu.
+func (r *Replica[S]) admitLocked(op oplog.Entry) (reason string, ok bool) {
 	if !r.c.hasAdmit {
 		// Deriving state is the expensive part of admission; rule-free
 		// clusters skip it and ingest in O(1).
 		return "", true
 	}
 	r.foldLocked()
-	for _, rule := range r.c.rules {
+	for i, rule := range r.c.rules {
 		if rule.Admit != nil && !rule.Admit(r.state, op) {
-			return rule.Name, false
+			return r.c.declined[i], false
 		}
 	}
 	return "", true
@@ -730,13 +733,17 @@ func (r *Replica[S]) degrade(st *store.Store) {
 	r.store = nil
 	r.sinceSnap = 0
 	r.degradedErr = err
+	// Counted before the flag is visible, and recorded before the store is
+	// crashed: on the live path Crash waits out the flusher that is still
+	// delivering the failed commits, so a scrape arriving behind one of
+	// those declines must not find the shard degraded and the count at 0.
+	r.g.M.Degraded.Inc()
 	r.degraded.Store(true)
 	live := !st.InlineMode()
 	r.mu.Unlock()
-	st.Crash()
-	r.g.M.Degraded.Inc()
 	r.Ledger.Record(r.c.tr.Now(), apology.Memory, r.id,
 		fmt.Sprintf("entered degraded read-only mode: %v", err), "")
+	st.Crash()
 	if live {
 		go r.reprobeLoop()
 	}
@@ -883,10 +890,10 @@ func (r *Replica[S]) submitSync(op oplog.Entry, done func(Result)) {
 	}
 	// Local admission first.
 	r.mu.Lock()
-	rule, ok := r.admitLocked(op)
+	reason, ok := r.admitLocked(op)
 	r.mu.Unlock()
 	if !ok {
-		done(Result{Op: op, Reason: "declined by rule " + rule, Decision: policy.Sync})
+		done(Result{Op: op, Reason: reason, Decision: policy.Sync})
 		return
 	}
 	var peers []string

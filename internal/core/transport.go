@@ -49,11 +49,15 @@ type Transport interface {
 	// Every schedules fn to run every interval until the returned stop
 	// function is called.
 	Every(interval time.Duration, fn func()) (stop func())
-	// Await blocks until ready is closed or ctx is done, driving whatever
-	// machinery the transport needs to make progress (the simulator's
-	// event loop; nothing for real goroutines). It returns nil when ready
-	// closed, ctx.Err() on cancellation, or ErrStalled if the transport
-	// can prove no further progress is possible.
+	// Await blocks until ready is closed or receives one value, or ctx is
+	// done, driving whatever machinery the transport needs to make
+	// progress (the simulator's event loop; nothing for real goroutines).
+	// It returns nil at the first receive from ready — taking at most that
+	// one value, so a caller that reuses a buffered ready finds it empty
+	// again — ctx.Err() on cancellation, or ErrStalled if the transport
+	// can prove no further progress is possible. Submit and SubmitBatch
+	// rely on the single-receive half: their ready is a pooled 1-buffered
+	// channel that is sent to, never closed.
 	Await(ctx context.Context, ready <-chan struct{}) error
 	// SetUp marks a node alive or crashed, for fault injection.
 	SetUp(id string, up bool)

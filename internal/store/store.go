@@ -246,13 +246,24 @@ type Recovery struct {
 	TornBytes       int64           // bytes dropped from a torn final record
 }
 
-// chunk is one Stage call's worth of staged entries; ModeEveryOp fsyncs
-// chunk-at-a-time, ModeAdaptive drains every chunk into one flush.
-type chunk struct {
-	entries []oplog.Entry
-	end     int // position just past the last entry
-	bytes   int // framed size on disk
+// stageLog is one side of the double-buffered staging log: the framed
+// records of every Stage call since the sides last swapped — length and
+// payload in place, the CRC field left zero until the flusher knows which
+// segment (and so which seed) a record lands in — plus one mark per Stage
+// call, because segments rotate, and ModeEveryOp fsyncs, a call at a time.
+// Stage fills one side under mu while the flusher writes the other out.
+type stageLog struct {
+	buf   []byte
+	marks []stageMark
 }
+
+// stageMark closes one Stage call's records within a stageLog.
+type stageMark struct {
+	off int // buf[:off] holds everything up to and including this call
+	end int // position just past the call's last entry
+}
+
+func (l stageLog) reset() stageLog { return stageLog{buf: l.buf[:0], marks: l.marks[:0]} }
 
 type waiter struct {
 	end int
@@ -275,30 +286,34 @@ type Store struct {
 	opt Options
 	fs  faultfs.FS // == opt.FS; every disk call routes through it
 
-	mu           sync.Mutex
-	pending      []chunk
-	pendingBytes int // framed bytes staged but not flushed
-	waiters      []waiter
-	end          int // next position to assign
-	flushed      int // positions below this are fsynced
-	ackPos       int // min position every gossip peer has acknowledged
-	snapPos      int // position covered by the newest durable snapshot chain (the tip)
-	snapBase     int // position of the newest durable FULL snapshot — the compaction gate
-	deltasSince  int // delta cuts since the newest full snapshot
-	segs         []segment
-	freeSegs     []string // retired segment files awaiting recycling
-	freeSeq      int      // next free-pool filename ordinal
-	failed       error    // sticky I/O error: all later commits fail
-	closed       bool
+	mu          sync.Mutex
+	stage       stageLog // staged, not yet taken by a flush; len(stage.buf) is the backlog
+	spare       stageLog // the empty side; zero while a flush holds it
+	waiters     []waiter
+	fireBuf     []waiter // the drain's reused fan-out buffer; nil while a drain holds it
+	end         int      // next position to assign
+	flushed     int      // positions below this are fsynced
+	ackPos      int      // min position every gossip peer has acknowledged
+	snapPos     int      // position covered by the newest durable snapshot chain (the tip)
+	snapBase    int      // position of the newest durable FULL snapshot — the compaction gate
+	deltasSince int      // delta cuts since the newest full snapshot
+	segs        []segment
+	freeSegs    []string // retired segment files awaiting recycling
+	freeSeq     int      // next free-pool filename ordinal
+	failed      error    // sticky I/O error: all later commits fail
+	closed      bool
 
-	// deltaPend holds every staged entry not yet covered by a snapshot
-	// cut (chain mode only): positions [deltaBase, end), in stage order.
-	// A delta cut at pos persists the [snapPos, pos) prefix and drops it
-	// on success — a skipped or failed cut keeps it, so the next cut
-	// covers a superset and nothing ever silently leaves the chain.
-	deltaPend []oplog.Entry
+	// deltaBuf holds every staged entry not yet covered by a snapshot cut
+	// (chain mode only) as finished snapshot records — seed-0 CRCs, the
+	// bytes a delta file carries — in stage order: the entry at position
+	// deltaBase+i begins at deltaBuf[deltaOff[i]]. A delta cut at pos
+	// copies the [snapPos, pos) span out and drops it on success — a
+	// skipped or failed cut keeps it, so the next cut covers a superset
+	// and nothing ever silently leaves the chain.
+	deltaBuf  []byte
+	deltaOff  []int
 	deltaBase int
-	deltaOver bool // deltaPend overflowed and was dropped: next cut must be full
+	deltaOver bool // the buffer overflowed and was dropped: next cut must be full
 
 	// File handles are owned by whoever runs flushes: the background
 	// flusher goroutine, or the calling goroutine under flushMu when
@@ -307,7 +322,6 @@ type Store struct {
 	seg      faultfs.File
 	segBytes int64  // data bytes in the active segment (file size may exceed this when preallocated)
 	segSeed  uint32 // CRC seed of the active segment
-	scratch  []byte
 
 	kick     chan struct{} // wake the flusher (buffered, coalescing)
 	full     chan struct{} // early departure: 4× kneeBytes staged
@@ -368,7 +382,10 @@ func Open(dir string, opt Options) (*Store, Recovery, error) {
 		// must cover.
 		s.deltaBase = rec.SnapshotPos
 		if from := rec.SnapshotPos - rec.Base; from >= 0 && from <= len(rec.JournalEntries) {
-			s.deltaPend = append(s.deltaPend, rec.JournalEntries[from:]...)
+			for _, e := range rec.JournalEntries[from:] {
+				s.deltaOff = append(s.deltaOff, len(s.deltaBuf))
+				s.deltaBuf = appendRecord(s.deltaBuf, e)
+			}
 		} else {
 			s.deltaOver = true
 		}
@@ -440,7 +457,7 @@ func (s *Store) SnapshotCutHist() *stats.LatHist { return &s.snapHist }
 // carry the full ledger: always when chaining is disabled, when no full
 // snapshot exists yet, after a delta-buffer overflow, and every
 // Options.SnapshotChain-th cut. Owners consult it to decide whether to
-// pay the full-ledger copy; passing nil entries to WriteSnapshot selects
+// pay the full-ledger copy; passing a nil ledger to WriteSnapshot selects
 // a delta cut from the store's own staged buffer.
 func (s *Store) NextSnapshotIsFull() bool {
 	s.mu.Lock()
@@ -461,41 +478,51 @@ func (s *Store) nextFullLocked() bool {
 
 // Stage queues entries for the journal at the next positions and returns
 // the position just past the last one — the watermark to pass to Commit.
-// Staging is memory-only; durability arrives with the flush that covers
-// the returned position. After Close or Crash, staging is a no-op (the
+// Each entry is encoded here, once, into the staging log (and, in chain
+// mode, copied on as a finished snapshot record); nothing of batch is
+// retained, so the caller may reuse it as soon as Stage returns. Staging
+// is memory-only; durability arrives with the flush that covers the
+// returned position. After Close or Crash, staging is a no-op (the
 // process is gone; there is nowhere for the bytes to go).
-func (s *Store) Stage(entries []oplog.Entry) int {
-	var bytes int
-	for _, e := range entries {
-		bytes += recHdrLen + oplog.EntrySize(e)
-	}
+func (s *Store) Stage(batch []oplog.Entry) int {
 	s.mu.Lock()
-	if s.closed || len(entries) == 0 {
+	if s.closed || len(batch) == 0 {
 		end := s.end
 		s.mu.Unlock()
 		return end
 	}
-	if s.opt.SnapshotChain > 1 && !s.deltaOver {
-		if len(s.deltaPend) == 0 {
-			s.deltaBase = s.end
-		}
-		s.deltaPend = append(s.deltaPend, entries...)
-		if len(s.deltaPend) > maxDeltaPending {
-			s.deltaPend, s.deltaOver = nil, true
+	l := &s.stage
+	chain := s.opt.SnapshotChain > 1 && !s.deltaOver
+	if chain && len(s.deltaOff) == 0 {
+		s.deltaBase = s.end
+	}
+	for _, e := range batch {
+		hdr := len(l.buf)
+		l.buf = appendFrame(l.buf, e) // sealed by the flusher, under its segment's seed
+		if chain {
+			off := len(s.deltaBuf)
+			s.deltaOff = append(s.deltaOff, off)
+			s.deltaBuf = append(s.deltaBuf, l.buf[hdr:]...)
+			seal(s.deltaBuf[off:], 0)
 		}
 	}
-	s.end += len(entries)
+	if len(s.deltaOff) > maxDeltaPending {
+		s.deltaBuf, s.deltaOff, s.deltaOver = nil, nil, true
+	}
+	s.end += len(batch)
 	end := s.end
-	s.pending = append(s.pending, chunk{entries: entries, end: end, bytes: bytes})
-	s.pendingBytes += bytes
-	batchFull := s.pendingBytes >= 4*kneeBytes
+	l.marks = append(l.marks, stageMark{off: len(l.buf), end: end})
+	batchFull := len(l.buf) >= 4*kneeBytes
 	s.mu.Unlock()
-	s.appended.Add(int64(len(entries)))
+	s.appended.Add(int64(len(batch)))
 	if batchFull {
 		signal(s.full)
 	}
 	return end
 }
+
+// noCommitCallback stands in for a nil then.
+func noCommitCallback(bool) {}
 
 // Commit asks for durability of every position below end; then fires
 // exactly once — with ok=true after the flush that covers end, or
@@ -504,7 +531,7 @@ func (s *Store) Stage(entries []oplog.Entry) int {
 // it must not block on a future commit of this store.
 func (s *Store) Commit(end int, then func(ok bool)) {
 	if then == nil {
-		then = func(bool) {}
+		then = noCommitCallback
 	}
 	s.mu.Lock()
 	switch {
@@ -564,19 +591,19 @@ func (s *Store) AckTo(pos int) {
 // watermark stays put, so compaction stalls visibly rather than
 // silently losing data.
 //
-// With Options.SnapshotChain enabled, nil entries select a delta cut:
+// With Options.SnapshotChain enabled, a nil ledger selects a delta cut:
 // the store persists just its internally-buffered entries past the
 // previous cut, chained to it by a parent link, so the owner never pays
 // a full-ledger copy for an incremental cut. Owners consult
 // NextSnapshotIsFull to decide which to request.
-func (s *Store) WriteSnapshot(entries []oplog.Entry, pos int, mark oplog.Watermark) {
+func (s *Store) WriteSnapshot(ledger []oplog.Entry, pos int, mark oplog.Watermark) {
 	s.Commit(pos, func(ok bool) {
 		if !ok {
 			s.snapFails.Add(1)
 			return
 		}
-		job := func() { s.writeSnapshot(entries, pos, mark) }
-		if entries == nil {
+		job := func() { s.writeSnapshot(ledger, pos, mark) }
+		if ledger == nil {
 			job = func() { s.writeDelta(pos, mark) }
 		}
 		if s.opt.Inline {
@@ -644,8 +671,7 @@ func (s *Store) Close() error {
 func (s *Store) Crash() {
 	s.mu.Lock()
 	s.closed = true
-	s.pending = nil
-	s.pendingBytes = 0
+	s.stage = s.stage.reset()
 	dead := s.waiters
 	s.waiters = nil
 	s.mu.Unlock()
@@ -732,7 +758,7 @@ func (s *Store) flushLoop() {
 // cost estimate and no hold.
 func (s *Store) adaptiveHold() time.Duration {
 	s.mu.Lock()
-	backlog := s.pendingBytes
+	backlog := len(s.stage.buf)
 	s.mu.Unlock()
 	if backlog == 0 || backlog >= 4*kneeBytes || s.opt.Mode == ModeEveryOp {
 		return 0
@@ -754,71 +780,62 @@ func (s *Store) adaptiveHold() time.Duration {
 	return ceil * time.Duration(load) / kneeBytes
 }
 
-// drain flushes staged chunks until none remain: one fsync for the lot
-// in ModeAdaptive, one fsync per chunk in ModeEveryOp.
+// drain flushes what is staged until nothing remains: one fsync for the
+// lot in ModeAdaptive, one fsync per Stage call in ModeEveryOp. The
+// satisfied waiters fire from a buffer the store keeps between drains;
+// a drain nested inside one of those callbacks (an inline store's Commit)
+// finds it taken and brings its own.
 func (s *Store) drain() {
-	for {
-		limit := -1
-		if s.opt.Mode == ModeEveryOp {
-			limit = 1
-		}
-		fire, more := s.flushOnce(limit)
-		for _, w := range fire {
-			w.fn(w.end >= 0)
-		}
-		if !more {
-			return
+	limit := -1
+	if s.opt.Mode == ModeEveryOp {
+		limit = 1
+	}
+	s.mu.Lock()
+	fire := s.fireBuf
+	s.fireBuf = nil
+	s.mu.Unlock()
+	for more := true; more; {
+		fire, more = s.flushOnce(limit, fire[:0])
+		for i := range fire {
+			fire[i].fn(fire[i].end >= 0)
 		}
 	}
+	clear(fire) // drop the callbacks
+	s.mu.Lock()
+	s.fireBuf = fire[:0]
+	s.mu.Unlock()
 }
 
-// flushOnce writes up to limit staged chunks (-1 for all), fsyncs, and
-// returns the commit waiters now satisfied — a negative end marking
-// waiters being failed after an I/O error — plus whether chunks remain.
-func (s *Store) flushOnce(limit int) (fire []waiter, more bool) {
+// flushOnce writes up to limit staged Stage calls (-1 for all), fsyncs,
+// and appends to fire the commit waiters now satisfied — a negative end
+// marking waiters being failed after an I/O error — plus whether staged
+// records remain.
+func (s *Store) flushOnce(limit int, fire []waiter) (_ []waiter, more bool) {
 	s.flushMu.Lock()
 	defer s.flushMu.Unlock()
 
 	s.mu.Lock()
 	if s.failed != nil {
-		fire = failAll(s.waiters)
-		s.waiters = nil
-		s.pending = nil
-		s.pendingBytes = 0
+		fire = s.failAllLocked(fire)
 		s.mu.Unlock()
 		return fire, false
 	}
-	var take []chunk
-	if limit < 0 || limit >= len(s.pending) {
-		take, s.pending = s.pending, nil
-		s.pendingBytes = 0
-	} else {
-		take = s.pending[:limit:limit]
-		s.pending = s.pending[limit:]
-		for _, c := range take {
-			s.pendingBytes -= c.bytes
-		}
-	}
-	s.mu.Unlock()
-
-	if len(take) == 0 {
+	take, first := s.takeStagedLocked(limit), s.flushed // what is staged starts where the last flush ended
+	if len(take.marks) == 0 {
 		// Nothing staged; a waiter may still be satisfiable (its entries
 		// rode an earlier flush) or doomed (staged entries were dropped
 		// by Crash between its Stage and Commit).
-		s.mu.Lock()
-		fire = s.takeWaitersLocked()
+		s.spare = take
+		fire = s.takeWaitersLocked(fire)
 		if s.closed {
-			fire = append(fire, failAll(s.waiters)...)
-			s.waiters = nil
+			fire = s.failAllLocked(fire)
 		}
 		s.mu.Unlock()
 		return fire, false
 	}
+	s.mu.Unlock()
 
-	var tookBytes int64
-	for _, c := range take {
-		tookBytes += int64(c.bytes)
-	}
+	tookBytes := int64(len(take.buf))
 	if old := s.ewmaTook.Load(); old == 0 {
 		s.ewmaTook.Store(tookBytes)
 	} else {
@@ -826,7 +843,7 @@ func (s *Store) flushOnce(limit int) (fire []waiter, more bool) {
 	}
 
 	start := time.Now()
-	err := s.writeChunks(take)
+	err := s.writeStaged(take, first)
 	if err == nil {
 		err = s.syncSeg()
 	}
@@ -840,34 +857,56 @@ func (s *Store) flushOnce(limit int) (fire []waiter, more bool) {
 	}
 
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.spare = take.reset()
 	if err != nil {
 		s.failed = err
-		fire = failAll(s.waiters)
-		s.waiters = nil
-		s.pending = nil
-		s.pendingBytes = 0
-		s.mu.Unlock()
-		return fire, false
+		return s.failAllLocked(fire), false
 	}
-	s.flushed = take[len(take)-1].end
-	fire = s.takeWaitersLocked()
-	more = len(s.pending) > 0
-	s.mu.Unlock()
-	return fire, more
+	s.flushed = take.marks[len(take.marks)-1].end
+	return s.takeWaitersLocked(fire), len(s.stage.marks) > 0
 }
 
-func failAll(ws []waiter) []waiter {
-	out := make([]waiter, 0, len(ws))
-	for _, w := range ws {
-		out = append(out, waiter{end: -1, fn: w.fn})
+// takeStagedLocked hands the flusher the staged records of up to limit
+// Stage calls (-1 for all) and leaves Stage the other side to fill. Taking
+// everything is a swap. ModeEveryOp's call at a time is a copy out and a
+// shift down — the 1984 baseline pays for not riding the bus. Caller
+// holds mu and flushMu.
+func (s *Store) takeStagedLocked(limit int) stageLog {
+	take := s.spare
+	s.spare = stageLog{}
+	if limit < 0 || limit >= len(s.stage.marks) {
+		take, s.stage = s.stage, take
+		return take
 	}
-	return out
+	l := &s.stage
+	cut := l.marks[limit-1]
+	take.buf = append(take.buf, l.buf[:cut.off]...)
+	take.marks = append(take.marks, l.marks[:limit]...)
+	l.buf = l.buf[:copy(l.buf, l.buf[cut.off:])]
+	l.marks = l.marks[:copy(l.marks, l.marks[limit:])]
+	for i := range l.marks {
+		l.marks[i].off -= cut.off
+	}
+	return take
 }
 
-// takeWaitersLocked removes and returns the waiters covered by the
-// flushed watermark. Caller holds mu.
-func (s *Store) takeWaitersLocked() []waiter {
-	var fire []waiter
+// failAllLocked moves every waiter to fire, marked failed, and drops
+// whatever is staged: after a sticky error (or a crash) no flush will
+// ever cover it. Caller holds mu.
+func (s *Store) failAllLocked(fire []waiter) []waiter {
+	for _, w := range s.waiters {
+		fire = append(fire, waiter{end: -1, fn: w.fn})
+	}
+	clear(s.waiters)
+	s.waiters = s.waiters[:0]
+	s.stage = s.stage.reset()
+	return fire
+}
+
+// takeWaitersLocked moves the waiters covered by the flushed watermark to
+// fire. Caller holds mu.
+func (s *Store) takeWaitersLocked(fire []waiter) []waiter {
 	kept := s.waiters[:0]
 	for _, w := range s.waiters {
 		if w.end <= s.flushed {
@@ -876,54 +915,84 @@ func (s *Store) takeWaitersLocked() []waiter {
 			kept = append(kept, w)
 		}
 	}
+	clear(s.waiters[len(kept):]) // drop the fired callbacks
 	s.waiters = kept
 	return fire
 }
 
-// writeChunks appends the chunks' entries as framed records to the
-// active segment, rotating between chunks when the segment is over
-// size. Caller holds flushMu.
-func (s *Store) writeChunks(chunks []chunk) error {
+// writeStaged appends the taken records to the active segment, rotating
+// between Stage calls when the segment is over size. Everything bound for
+// one segment goes out in one write, its CRCs filled in under that
+// segment's seed just before. first is the position of l's first record.
+// Caller holds flushMu.
+func (s *Store) writeStaged(l stageLog, first int) error {
 	if s.seg == nil {
 		if err := s.openSegLocked(); err != nil {
 			return err
 		}
 	}
-	for _, c := range chunks {
-		if s.segBytes >= int64(s.opt.SegmentBytes) {
-			if err := s.rotateLocked(); err != nil {
-				return err
-			}
+	from, fromPos := 0, first // the run not yet written: l.buf[from:prev.off]
+	prev := stageMark{end: first}
+	writeRun := func() error {
+		run := l.buf[from:prev.off]
+		if len(run) == 0 {
+			return nil // the segment was already over size when the flush began
 		}
-		s.scratch = s.scratch[:0]
-		for _, e := range c.entries {
-			s.scratch = appendRecord(s.scratch, e, s.segSeed)
+		for off := 0; off < len(run); {
+			end := off + recHdrLen + int(binary.LittleEndian.Uint32(run[off:]))
+			seal(run[off:end], s.segSeed)
+			off = end
 		}
-		n, err := s.seg.Write(s.scratch)
+		n, err := s.seg.Write(run)
 		s.segBytes += int64(n)
 		if err != nil {
 			return err
 		}
 		s.mu.Lock()
-		s.segs[len(s.segs)-1].count += len(c.entries)
+		s.segs[len(s.segs)-1].count += prev.end - fromPos
 		s.mu.Unlock()
+		from, fromPos = prev.off, prev.end
+		return nil
 	}
-	return nil
+	for _, m := range l.marks {
+		if s.segBytes+int64(prev.off-from) >= int64(s.opt.SegmentBytes) {
+			if err := writeRun(); err != nil {
+				return err
+			}
+			if err := s.rotateLocked(); err != nil {
+				return err
+			}
+		}
+		prev = m
+	}
+	return writeRun()
 }
 
-// appendRecord frames one entry into buf: the payload is encoded directly
-// after a reserved header, then the header is filled in — no intermediate
-// per-entry allocation, so a reused scratch buffer makes the whole flush
-// path allocation-free at steady state. The CRC is salted with the
-// segment's seed (0 for snapshot records; crc32.Update with seed 0
-// equals plain crc32.Checksum).
-func appendRecord(buf []byte, e oplog.Entry, seed uint32) []byte {
+// appendFrame frames one entry into buf as [length][CRC, left zero]
+// [payload]: the payload is encoded directly after the reserved header,
+// so a reused buffer makes staging allocation-free at steady state.
+func appendFrame(buf []byte, e oplog.Entry) []byte {
 	hdr := len(buf)
-	buf = append(buf, make([]byte, recHdrLen)...) // header placeholder, backfilled below
+	buf = append(buf, zeroHdr[:]...)
 	buf = oplog.AppendEntry(buf, e)
-	payload := buf[hdr+recHdrLen:]
-	binary.LittleEndian.PutUint32(buf[hdr:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[hdr+4:], crc32.Update(seed, castagnoli, payload))
+	binary.LittleEndian.PutUint32(buf[hdr:], uint32(len(buf)-hdr-recHdrLen))
+	return buf
+}
+
+var zeroHdr [recHdrLen]byte
+
+// seal fills in the CRC of the one frame rec holds, salted with a
+// segment's seed — or 0 for a snapshot record (crc32.Update with seed 0
+// equals plain crc32.Checksum).
+func seal(rec []byte, seed uint32) {
+	binary.LittleEndian.PutUint32(rec[4:], crc32.Update(seed, castagnoli, rec[recHdrLen:]))
+}
+
+// appendRecord appends one entry to buf as a finished snapshot record.
+func appendRecord(buf []byte, e oplog.Entry) []byte {
+	hdr := len(buf)
+	buf = appendFrame(buf, e)
+	seal(buf[hdr:], 0)
 	return buf
 }
 
@@ -1160,7 +1229,7 @@ func (s *Store) retireSeg(path string) {
 
 // writeSnapshot does the actual temp-write + fsync + rename of a FULL
 // snapshot, and on success resets the delta chain to root here.
-func (s *Store) writeSnapshot(entries []oplog.Entry, pos int, mark oplog.Watermark) {
+func (s *Store) writeSnapshot(ledger []oplog.Entry, pos int, mark oplog.Watermark) {
 	began := time.Now()
 	s.mu.Lock()
 	if s.closed || s.failed != nil || pos <= s.snapPos {
@@ -1173,7 +1242,7 @@ func (s *Store) writeSnapshot(entries []oplog.Entry, pos int, mark oplog.Waterma
 	// borrow it from the shared pool: snapshots of a steady-state ledger
 	// are all about the same size, so successive writes reuse one array.
 	size := 64
-	for _, e := range entries {
+	for _, e := range ledger {
 		size += recHdrLen + oplog.EntrySize(e)
 	}
 	scratch := oplog.GetBuf()
@@ -1185,9 +1254,9 @@ func (s *Store) writeSnapshot(entries []oplog.Entry, pos int, mark oplog.Waterma
 	buf = append(buf, snapMagic...)
 	buf = binary.AppendUvarint(buf, uint64(pos))
 	buf = oplog.AppendWatermark(buf, mark)
-	buf = binary.AppendUvarint(buf, uint64(len(entries)))
-	for _, e := range entries {
-		buf = appendRecord(buf, e, 0)
+	buf = binary.AppendUvarint(buf, uint64(len(ledger)))
+	for _, e := range ledger {
+		buf = appendRecord(buf, e)
 	}
 	buf = append(buf, snapFooter...)
 	*scratch = buf[:0]
@@ -1220,7 +1289,7 @@ func (s *Store) writeSnapshot(entries []oplog.Entry, pos int, mark oplog.Waterma
 		if s.deltaOver && s.end == pos {
 			// The overflow's lost range is fully covered by this full cut:
 			// the buffer can re-anchor here.
-			s.deltaOver, s.deltaPend, s.deltaBase = false, nil, pos
+			s.deltaOver, s.deltaBuf, s.deltaOff, s.deltaBase = false, nil, nil, pos
 		}
 		if !s.deltaOver {
 			s.dropDeltaPrefixLocked(pos)
@@ -1231,35 +1300,50 @@ func (s *Store) writeSnapshot(entries []oplog.Entry, pos int, mark oplog.Waterma
 	s.compact()
 }
 
-// dropDeltaPrefixLocked discards buffered entries a successful cut at
-// pos now covers. Caller holds mu; the buffer must not be in overflow.
+// dropDeltaPrefixLocked discards buffered records a successful cut at
+// pos now covers, closing the gap so the buffer's capacity is reused.
+// Caller holds mu; the buffer must not be in overflow.
 func (s *Store) dropDeltaPrefixLocked(pos int) {
-	n := pos - s.deltaBase
+	n := min(pos-s.deltaBase, len(s.deltaOff))
 	if n <= 0 {
 		return
 	}
-	if n > len(s.deltaPend) {
-		n = len(s.deltaPend)
+	cut := s.deltaEndLocked(n)
+	s.deltaBuf = s.deltaBuf[:copy(s.deltaBuf, s.deltaBuf[cut:])]
+	s.deltaOff = s.deltaOff[:copy(s.deltaOff, s.deltaOff[n:])]
+	for i := range s.deltaOff {
+		s.deltaOff[i] -= cut
 	}
-	s.deltaPend = s.deltaPend[n:]
 	s.deltaBase = pos
 }
 
+// deltaEndLocked reports where the first n buffered records end within
+// deltaBuf. Caller holds mu.
+func (s *Store) deltaEndLocked(n int) int {
+	if n == len(s.deltaOff) {
+		return len(s.deltaBuf)
+	}
+	return s.deltaOff[n]
+}
+
 // writeDelta persists an incremental snapshot cut: just the buffered
-// entries spanning [snapPos, pos), stamped with the parent position so
-// recovery can fold the chain back to its full-snapshot root. The
-// covered prefix leaves the buffer only on success — a skipped or failed
-// cut keeps it, so the next cut covers a superset and no entry silently
-// drops out of the chain.
+// records spanning [snapPos, pos), stamped with the parent position so
+// recovery can fold the chain back to its full-snapshot root. The records
+// were finished when they were staged, so the file is a header, one copy
+// and a footer. The covered prefix leaves the buffer only on success — a
+// skipped or failed cut keeps it, so the next cut covers a superset and
+// no entry silently drops out of the chain.
 func (s *Store) writeDelta(pos int, mark oplog.Watermark) {
 	began := time.Now()
+	scratch := oplog.GetBuf()
+	defer oplog.PutBuf(scratch)
 	s.mu.Lock()
 	if s.closed || s.failed != nil || pos <= s.snapPos {
 		s.mu.Unlock()
 		return
 	}
 	parent := s.snapPos
-	if s.deltaOver || s.deltaBase > parent || pos-s.deltaBase > len(s.deltaPend) ||
+	if s.deltaOver || s.deltaBase > parent || pos-s.deltaBase > len(s.deltaOff) ||
 		(s.snapBase == 0 && s.snapPos == 0) {
 		// The buffer cannot produce [parent, pos) — overflow, or there is
 		// no full snapshot to chain from. Fail visibly; the owner's next
@@ -1268,27 +1352,16 @@ func (s *Store) writeDelta(pos int, mark oplog.Watermark) {
 		s.snapFails.Add(1)
 		return
 	}
-	ents := s.deltaPend[parent-s.deltaBase : pos-s.deltaBase]
-	s.mu.Unlock()
-
-	size := 64
-	for _, e := range ents {
-		size += recHdrLen + oplog.EntrySize(e)
-	}
-	scratch := oplog.GetBuf()
-	defer oplog.PutBuf(scratch)
-	if cap(*scratch) < size {
-		*scratch = make([]byte, 0, size)
-	}
 	buf := *scratch
 	buf = append(buf, deltaMagic...)
 	buf = binary.AppendUvarint(buf, uint64(pos))
 	buf = binary.AppendUvarint(buf, uint64(parent))
 	buf = oplog.AppendWatermark(buf, mark)
-	buf = binary.AppendUvarint(buf, uint64(len(ents)))
-	for _, e := range ents {
-		buf = appendRecord(buf, e, 0)
-	}
+	buf = binary.AppendUvarint(buf, uint64(pos-parent))
+	// Copied under mu: Stage appends to, and a finished cut shifts, the
+	// buffer this span lives in.
+	buf = append(buf, s.deltaBuf[s.deltaEndLocked(parent-s.deltaBase):s.deltaEndLocked(pos-s.deltaBase)]...)
+	s.mu.Unlock()
 	buf = append(buf, snapFooter...)
 	*scratch = buf[:0]
 
@@ -1480,14 +1553,14 @@ func segStart(name string) (int, error) {
 // [parent,pos)), and the owner set-unions them anyway.
 func (s *Store) resolveSnapChain(rec *Recovery, snapPaths, deltaPaths []string) {
 	type snapFile struct {
-		pos     int
-		full    bool
-		name    string
-		loaded  bool
-		bad     bool
-		entries []oplog.Entry
-		parent  int
-		mark    oplog.Watermark
+		pos    int
+		full   bool
+		name   string
+		loaded bool
+		bad    bool
+		ents   []oplog.Entry
+		parent int
+		mark   oplog.Watermark
 	}
 	var cands []*snapFile
 	for _, name := range snapPaths {
@@ -1509,11 +1582,11 @@ func (s *Store) resolveSnapChain(rec *Recovery, snapPaths, deltaPaths []string) 
 	load := func(c *snapFile) bool {
 		if !c.loaded {
 			c.loaded = true
-			entries, pos, parent, mark, full, err := loadSnapshotFile(s.fs, filepath.Join(s.dir, c.name))
+			ents, pos, parent, mark, full, err := loadSnapshotFile(s.fs, filepath.Join(s.dir, c.name))
 			if err != nil || pos != c.pos || full != c.full {
 				c.bad = true
 			} else {
-				c.entries, c.parent, c.mark = entries, parent, mark
+				c.ents, c.parent, c.mark = ents, parent, mark
 			}
 		}
 		return !c.bad
@@ -1550,7 +1623,7 @@ func (s *Store) resolveSnapChain(rec *Recovery, snapPaths, deltaPaths []string) 
 			continue
 		}
 		for i := len(chain) - 1; i >= 0; i-- {
-			rec.SnapshotEntries = append(rec.SnapshotEntries, chain[i].entries...)
+			rec.SnapshotEntries = append(rec.SnapshotEntries, chain[i].ents...)
 		}
 		rec.SnapshotPos = tip.pos
 		rec.SnapshotMark = tip.mark
@@ -1567,7 +1640,7 @@ func (s *Store) resolveSnapChain(rec *Recovery, snapPaths, deltaPaths []string) 
 // torn-tail rule also absorbs what preallocation and recycling leave
 // past the real end of a crashed final segment: zero fill and old-life
 // records alike fail their (new-seed) CRCs and truncate away.
-func (s *Store) scanSegment(path string, start int, final bool) (entries []oplog.Entry, torn int64, err error) {
+func (s *Store) scanSegment(path string, start int, final bool) (ents []oplog.Entry, torn int64, err error) {
 	data, err := s.fs.ReadFile(path)
 	if err != nil {
 		return nil, 0, err
@@ -1600,12 +1673,12 @@ func (s *Store) scanSegment(path string, start int, final bool) (entries []oplog
 				return nil, 0, fmt.Errorf("store: %s: record at offset %d: %w", filepath.Base(path), off, ErrCorrupt)
 			}
 			torn = int64(len(data) - off)
-			return entries, torn, s.truncateTo(path, int64(off))
+			return ents, torn, s.truncateTo(path, int64(off))
 		}
-		entries = append(entries, e)
+		ents = append(ents, e)
 		off += size
 	}
-	return entries, 0, nil
+	return ents, 0, nil
 }
 
 // parseRecord attempts one record at the front of b, reporting whether
@@ -1659,7 +1732,7 @@ func (s *Store) truncateTo(path string, size int64) error {
 // end; any shortfall (magic, a record CRC, the footer) invalidates the
 // whole file. Deltas carry one extra header field: the parent position
 // their chain link hangs from.
-func loadSnapshotFile(fsys faultfs.FS, path string) (entries []oplog.Entry, pos, parent int, mark oplog.Watermark, full bool, err error) {
+func loadSnapshotFile(fsys faultfs.FS, path string) (ents []oplog.Entry, pos, parent int, mark oplog.Watermark, full bool, err error) {
 	data, err := fsys.ReadFile(path)
 	if err != nil {
 		return nil, 0, 0, oplog.Watermark{}, false, err
@@ -1699,17 +1772,17 @@ func loadSnapshotFile(fsys faultfs.FS, path string) (entries []oplog.Entry, pos,
 		return fail("count")
 	}
 	b = b[n:]
-	entries = make([]oplog.Entry, 0, count)
+	ents = make([]oplog.Entry, 0, count)
 	for i := uint64(0); i < count; i++ {
 		ok, size, e := parseRecord(b, 0)
 		if !ok {
 			return fail(fmt.Sprintf("record %d", i))
 		}
-		entries = append(entries, e)
+		ents = append(ents, e)
 		b = b[size:]
 	}
 	if string(b) != snapFooter {
 		return fail("footer")
 	}
-	return entries, int(upos), parent, mark, full, nil
+	return ents, int(upos), parent, mark, full, nil
 }

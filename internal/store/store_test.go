@@ -468,7 +468,7 @@ func TestLegacySegmentRefusedUntouched(t *testing.T) {
 			// A v1 file: the old magic, then unsalted records.
 			legacy := []byte(segMagicV1)
 			for i := 0; i < 3; i++ {
-				legacy = appendRecord(legacy, entry(i), 0)
+				legacy = appendRecord(legacy, entry(i))
 			}
 			if err := os.WriteFile(path, legacy, 0o644); err != nil {
 				t.Fatal(err)

@@ -1,8 +1,8 @@
 package quicksand_test
 
-// Two rules about the shape of the repository itself, checked from its
-// source: what the live product may import, and what the public option
-// list may contain.
+// Three rules about the shape of the repository itself, checked from its
+// source: what the live product may import, what the public option list
+// may contain, and that every test the CI workflow names exists.
 
 import (
 	"go/ast"
@@ -134,5 +134,95 @@ func TestOptionsEarnTheirKeep(t *testing.T) {
 	}
 	if found == 0 {
 		t.Fatal("found no With… option in the docs; the extraction pattern has rotted")
+	}
+}
+
+var testFuncName = regexp.MustCompile(`^(Test|Fuzz|Example)`)
+
+// testFuncs returns the names of the top-level Test, Fuzz and Example
+// functions in one package directory's _test.go files.
+func testFuncs(t *testing.T, dir string) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, file := range files {
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if ok && fn.Recv == nil && testFuncName.MatchString(fn.Name.Name) {
+				names = append(names, fn.Name.Name)
+			}
+		}
+	}
+	return names
+}
+
+// TestCIRunNamesResolve reads .github/workflows/ci.yml the way the runner's
+// shell would and holds every `go test` line's -run and -fuzz names to the
+// source: each alternative of the pattern must match a Test, Fuzz or
+// Example function in one of the packages the line names. `go test -run`
+// of a name that matches nothing prints "no tests to run" and exits 0, so
+// a renamed or deleted test would otherwise leave its CI line green and
+// empty. Shell loops of the form `for v in A B; do` are expanded.
+func TestCIRunNamesResolve(t *testing.T) {
+	raw, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	forLoop := regexp.MustCompile(`\bfor (\w+) in ([^;]+); do`)
+	loops := map[string][]string{}
+	funcs := map[string][]string{} // package dir -> its test functions
+	checked := 0
+	for n, line := range strings.Split(string(raw), "\n") {
+		if m := forLoop.FindStringSubmatch(line); m != nil {
+			loops["$"+m[1]] = strings.Fields(m[2])
+		}
+		// Quotes only group here: no pattern in the file holds a space.
+		args := strings.Fields(strings.NewReplacer("'", "", `"`, "").Replace(line))
+		for len(args) >= 2 && (args[0] != "go" || args[1] != "test") {
+			args = args[1:]
+		}
+		var names, pkgs []string
+		for i, a := range args {
+			switch {
+			case (a == "-run" || a == "-fuzz") && i+1 < len(args):
+				if vals, ok := loops[args[i+1]]; ok {
+					names = append(names, vals...)
+				} else if args[i+1] != "^$" {
+					names = append(names, strings.Split(args[i+1], "|")...)
+				}
+			case a == "." || strings.HasPrefix(a, "./"):
+				pkgs = append(pkgs, a)
+			}
+		}
+		for _, name := range names {
+			re, err := regexp.Compile(name)
+			if err != nil {
+				t.Errorf("ci.yml:%d: -run %q: %v", n+1, name, err)
+				continue
+			}
+			found := false
+			for _, pkg := range pkgs {
+				if _, ok := funcs[pkg]; !ok {
+					funcs[pkg] = testFuncs(t, pkg)
+				}
+				for _, fn := range funcs[pkg] {
+					found = found || re.MatchString(fn)
+				}
+			}
+			if !found {
+				t.Errorf("ci.yml:%d: %q matches no Test, Fuzz or Example function in %v", n+1, name, pkgs)
+			}
+			checked++
+		}
+	}
+	if checked < 60 {
+		t.Fatalf("only %d names found in ci.yml's go test lines; the reader has rotted", checked)
 	}
 }
