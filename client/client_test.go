@@ -14,6 +14,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/testenv"
 )
 
 // TestSubmitRetriesAreIdempotent: the SDK assigns the op ID before the
@@ -202,7 +204,7 @@ func (cannedRT) RoundTrip(req *http.Request) (*http.Response, error) {
 // against this RoundTripper; the codec, the pooled buffers and the
 // hand-built request leave 15, and the pin allows 17.
 func TestSubmitAllocations(t *testing.T) {
-	skipUnderRace(t)
+	testenv.SkipUnderRace(t)
 	cl := New("http://stub", WithHTTPClient(&http.Client{Transport: cannedRT{}}))
 	op := Op{Kind: "deposit", Key: "acct-0001", Arg: 1}
 	ctx := context.Background()

@@ -9,9 +9,10 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"runtime/debug"
 	"strings"
 	"testing"
+
+	"repro/internal/testenv"
 )
 
 // ---- encoding: Append… is json.Marshal, byte for byte ----
@@ -414,23 +415,11 @@ func TestBufferReadAllStopsAtTheLimit(t *testing.T) {
 
 // ---- allocation pins ----
 
-// skipUnderRace skips an allocation pin in a -race build, where sync.Pool
-// drops a quarter of its Puts on purpose and the counts mean nothing.
-func skipUnderRace(t *testing.T) {
-	t.Helper()
-	bi, _ := debug.ReadBuildInfo()
-	for _, s := range bi.Settings {
-		if s.Key == "-race" && s.Value == "true" {
-			t.Skip("allocation counts are pinned without -race")
-		}
-	}
-}
-
 // TestStateCodecAllocations pins what the state codec is for: a 1 024-key
 // read used to cost some 2 100 allocations to decode (a string and a
 // reflect.New per key) and three per key to encode.
 func TestStateCodecAllocations(t *testing.T) {
-	skipUnderRace(t)
+	testenv.SkipUnderRace(t)
 	keys := make(map[string]int64, 1024)
 	for i := 0; i < 1024; i++ {
 		keys[fmt.Sprintf("acct-%04d", i)] = int64(i) << 20

@@ -575,9 +575,15 @@ func New[S any](app App[S], rules []Rule[S], opts ...Option) *Cluster[S] {
 		// The gossip peer set of a ring replica: its successor and
 		// predecessor, the only nodes ever sent this replica's journal.
 		// gossipRound pushes to this set and journal truncation waits for
-		// its acknowledgements (see Replica.gossipPeers).
+		// its acknowledgements (see Replica.gossipPeers). A coordinated
+		// submit asks every other replica (Replica.syncPeers).
 		n := len(g.reps)
 		for i, r := range g.reps {
+			for _, other := range g.reps {
+				if other != r {
+					r.syncPeers = append(r.syncPeers, other.id)
+				}
+			}
 			if n > 1 {
 				succ := g.reps[(i+1)%n]
 				pred := g.reps[(i-1+n)%n]

@@ -320,7 +320,6 @@ func (r *Replica[S]) ingestBatch(items []ingestItem) {
 // is re-accepted in place like any duplicate guess, by ingestSegment,
 // once the original's record is durable.
 func (r *Replica[S]) coordinate(one []ingestItem) {
-	c, g := r.c, r.g
 	r.mu.Lock()
 	if one[0].op.Lam == 0 {
 		// Lamport ingress stamp: the new op sorts after everything this
@@ -333,18 +332,7 @@ func (r *Replica[S]) coordinate(one []ingestItem) {
 		r.ingestSegment(one)
 		return
 	}
-	it := one[0] // the round outlives the drain's batch buffer
-	r.submitSync(it.op, func(res Result) {
-		res.Latency = c.tr.Now().Sub(it.start)
-		if res.Accepted {
-			g.M.Accepted.Inc()
-			g.M.SyncAccepted.Inc()
-			g.M.SyncLat.AddDur(res.Latency)
-		} else {
-			g.M.SyncDeclined.Inc()
-		}
-		it.finish(res)
-	})
+	r.submitSync(one[0]) // the round keeps its own copy: it outlives the drain's batch buffer
 }
 
 // ingestSegment absorbs one run of asynchronous submits under a single

@@ -5,21 +5,13 @@ package core
 
 import (
 	"context"
-	"runtime/debug"
 	"testing"
+	"time"
 
+	"repro/internal/policy"
 	"repro/internal/sim"
+	"repro/internal/testenv"
 )
-
-func skipUnderRace(t *testing.T) {
-	t.Helper()
-	bi, _ := debug.ReadBuildInfo()
-	for _, s := range bi.Settings {
-		if s.Key == "-race" && s.Value == "true" {
-			t.Skip("allocation counts are pinned without -race")
-		}
-	}
-}
 
 // TestPinSubmitAllocs pins what a blocking guess costs on a lone replica
 // with no tracer: the generated ID string, and nothing for the wait — no
@@ -28,7 +20,7 @@ func skipUnderRace(t *testing.T) {
 // object with its commit callback already bound, and the store encodes
 // into buffers it keeps. Each budget leaves one to spare.
 func TestPinSubmitAllocs(t *testing.T) {
-	skipUnderRace(t)
+	testenv.SkipUnderRace(t)
 	ctx := context.Background()
 	op := NewOp("credit", "acct-17", 1)
 	measure := func(t *testing.T, c *Cluster[counterState]) float64 {
@@ -61,4 +53,65 @@ func TestPinSubmitAllocs(t *testing.T) {
 			t.Fatalf("one durable blocking guess allocates %.0f times, want at most 3", got)
 		}
 	})
+}
+
+var syncSubmit = []SubmitOption{WithPolicy(policy.AlwaysSync())}
+
+// TestPinSyncSubmitAllocs pins what a blocking coordinated (§5.8) submit
+// costs on three live replicas with no tracer and no gossip: the generated
+// ID string and the admit and apply requests, each boxed once for both
+// peers — nothing for the round's bookkeeping. Its four calls ride pooled
+// records, its two fan-outs a pooled collector, the round a pooled carrier
+// whose steps are bound once, and the inboxes are reused slices. It cost 83
+// before calls became records; the budget leaves room for a worker
+// goroutine the runtime occasionally has to grow.
+func TestPinSyncSubmitAllocs(t *testing.T) {
+	testenv.SkipUnderRace(t)
+	c := New[counterState](counterApp{}, nil, WithReplicas(3), WithCallTimeout(500*time.Millisecond))
+	defer c.Close()
+	ctx := context.Background()
+	op := NewOp("credit", "acct-17", 1)
+	submit := func() {
+		if res, err := c.Submit(ctx, 0, op, syncSubmit...); err != nil || !res.Accepted {
+			t.Fatalf("sync submit: %+v, %v", res, err)
+		}
+	}
+	for i := 0; i < 4096; i++ {
+		submit() // grow the sets, journals, inboxes and pools first
+	}
+	got := testing.AllocsPerRun(2000, submit)
+	t.Logf("%.2f allocs per blocking coordinated submit", got)
+	if got > 10 {
+		t.Fatalf("one blocking coordinated submit allocates %.2f times, want at most 10", got)
+	}
+}
+
+// TestPinLiveCallAllocs: a steady-state Node.Call round trip between two
+// live nodes — the request queued at the callee, the handler's reply, the
+// response queued back, done — reuses one record and two inboxes.
+func TestPinLiveCallAllocs(t *testing.T) {
+	testenv.SkipUnderRace(t)
+	tr := NewLiveTransport()
+	a, b := tr.Node("a", time.Second), tr.Node("b", time.Second)
+	b.Handle("echo", func(_ string, req any, reply func(any)) { reply(req) })
+	landed := make(chan struct{}, 1)
+	done := func(_ any, ok bool) {
+		if !ok {
+			t.Error("a call between two live nodes timed out")
+		}
+		landed <- struct{}{}
+	}
+	var req any = pushAck{OK: true}
+	call := func() {
+		a.Call("b", "echo", req, done)
+		<-landed
+	}
+	for i := 0; i < 1000; i++ {
+		call()
+	}
+	got := testing.AllocsPerRun(5000, call)
+	t.Logf("%.3f allocs per round trip", got)
+	if got > 1 {
+		t.Fatalf("one live round trip allocates %.3f times, want at most 1", got)
+	}
 }

@@ -54,6 +54,10 @@ type Replica[S any] struct {
 	// elsewhere would let the two drift and either lose entries a peer
 	// still needs or leak the journal again.
 	gossipPeers []*Replica[S]
+	// syncPeers names every other replica of the shard group: the nodes a
+	// coordinated submit asks to admit and then to apply. Membership is
+	// fixed, so it is computed once, with gossipPeers.
+	syncPeers []string
 
 	mu      sync.Mutex
 	ops     *oplog.Set
@@ -120,6 +124,9 @@ type Replica[S any] struct {
 	drainBuf  []ingestItem
 	acceptBuf []oplog.Entry
 	segPool   sync.Pool // *ingestSeg[S]
+
+	roundPool  sync.Pool // *syncRound[S]: coordinated submits in flight
+	absorbPool sync.Pool // *absorbJob[S]: absorbs waiting for their commit
 
 	Ledger apology.Ledger // this replica's memories, guesses, apologies
 }
@@ -593,68 +600,90 @@ func (r *Replica[S]) maybeSnapshotLocked() func() {
 
 // absorb unions entries into the set and — once they are durable, on a
 // replica that owns a store — tallies them in the ledger, sweeps for newly
-// exposed rule violations, and fires then(added, ok). A false ok means
+// exposed rule violations, and replies pushAck{OK: ok}. A false OK means
 // the entries never became durable (the replica crashed mid-write) and
-// nothing was recorded: callers must not acknowledge the work. from
-// names the sending peer ("" for local work).
-func (r *Replica[S]) absorb(entries []oplog.Entry, how, from string, then func(added int, ok bool)) {
+// nothing was recorded: the sender must not count them as delivered. from
+// names the sending peer ("" for local work). reply is a handler's own
+// reply or a sync round's bound continuation, and the outcome rides a
+// pooled absorbJob to the store's commit: an absorb brings no closure.
+func (r *Replica[S]) absorb(entries []oplog.Entry, how, from string, reply func(any)) {
 	r.mu.Lock()
-	if r.node.Crashed() {
+	if r.node.Crashed() || r.degraded.Load() {
 		// A dead process absorbs nothing. The transports already drop
 		// deliveries to crashed nodes; this closes the in-process race
 		// where Kill wipes state between a liveness check and the absorb.
-		r.mu.Unlock()
-		if then != nil {
-			then(0, false)
-		}
-		return
-	}
-	if r.degraded.Load() {
 		// A degraded replica must not admit entries its disk cannot back —
 		// and must not acknowledge a gossip push it would lose on rejoin.
-		// ok=false keeps the peer's journal in place, exactly like a crash.
+		// OK=false keeps the peer's journal in place, exactly like a crash.
 		r.mu.Unlock()
-		if then != nil {
-			then(0, false)
-		}
+		reply(pushAck{OK: false})
 		return
 	}
+	job, _ := r.absorbPool.Get().(*absorbJob[S])
+	if job == nil {
+		job = &absorbJob[S]{r: r}
+		job.commit = job.resolve
+	}
+	job.reply = reply
 	added, end := r.absorbLocked(entries, from)
+	job.n = len(added)
+	if r.c.cfg.tracer != nil && how == "gossip" {
+		// added is the set's scratch, valid only under mu: keep the IDs.
+		for i := range added {
+			job.traced = append(job.traced, added[i].ID)
+		}
+	}
 	snap := r.maybeSnapshotLocked()
 	st := r.store
 	r.mu.Unlock()
 	if snap != nil {
 		snap()
 	}
-	finish := func(ok bool) {
-		if ok {
-			if t := r.c.cfg.tracer; t != nil && how == "gossip" {
-				now := int64(r.c.tr.Now())
-				for _, e := range added {
-					t.Absorbed(string(e.ID), r.id, now)
-				}
-			}
-			if len(added) > 0 {
-				// The added entries are in the op set; the ledger counts them.
-				r.Ledger.Tally(apology.Memory, len(added))
-				r.sweepViolations()
-			}
-		} else {
-			// The entries were admitted to RAM but will never be durable:
-			// a replica that kept serving them as accepted would gossip
-			// guesses its own disk cannot back. Crash (§2.2) or degrade —
-			// either way gossip pauses and nothing is acknowledged.
-			r.storeFailed()
-		}
-		if then != nil {
-			then(len(added), ok)
-		}
-	}
-	if st == nil || len(added) == 0 {
-		finish(true)
+	if st == nil || job.n == 0 {
+		job.resolve(true)
 		return
 	}
-	st.Commit(end, finish)
+	st.Commit(end, job.commit)
+}
+
+// absorbJob carries one absorb from the replica lock to its reply: how
+// many entries were new, the IDs a gossip trace reports once they are
+// durable, and where the acknowledgement goes. Pooled per replica, with
+// the func(bool) handed to Store.Commit bound once.
+type absorbJob[S any] struct {
+	r      *Replica[S]
+	n      int
+	traced []uniq.ID
+	reply  func(any)
+	commit func(ok bool) // job.resolve
+}
+
+func (job *absorbJob[S]) resolve(ok bool) {
+	r := job.r
+	if ok {
+		if t := r.c.cfg.tracer; t != nil && len(job.traced) > 0 {
+			now := int64(r.c.tr.Now())
+			for _, id := range job.traced {
+				t.Absorbed(string(id), r.id, now)
+			}
+		}
+		if job.n > 0 {
+			// The added entries are in the op set; the ledger counts them.
+			r.Ledger.Tally(apology.Memory, job.n)
+			r.sweepViolations()
+		}
+	} else {
+		// The entries were admitted to RAM but will never be durable: a
+		// replica that kept serving them as accepted would gossip guesses
+		// its own disk cannot back. Crash (§2.2) or degrade — either way
+		// gossip pauses and nothing is acknowledged.
+		r.storeFailed()
+	}
+	reply := job.reply
+	clear(job.traced)
+	job.traced, job.reply = job.traced[:0], nil
+	r.absorbPool.Put(job)
+	reply(pushAck{OK: ok})
 }
 
 // storeFailed reacts to the store reporting a commit failure while the
@@ -876,16 +905,38 @@ func (r *Replica[S]) sweepViolations() {
 	}
 }
 
+// syncRound carries one policy-coordinated submit through §5.8's round —
+// admit everywhere, absorb locally, apply everywhere — to its Result.
+// Pooled per replica: each step's callback is bound once and one backs
+// the local absorb, so a round allocates nothing beyond its two request
+// messages.
+type syncRound[S any] struct {
+	r   *Replica[S]
+	it  ingestItem     // the submit being coordinated
+	one [1]oplog.Entry // the local absorb's batch
+
+	admitted func(resps []any, oks int) // rd.onAdmit
+	absorbed func(resp any)             // rd.onAbsorb
+	applied  func(resps []any, oks int) // rd.onApply
+}
+
 // submitSync is the coordinated path of §5.8: ask every replica to admit
 // the operation against its state, and only accept when all of them —
 // reachable and willing — agree. Any silence or refusal declines the
 // operation; being conservative is the point of paying for coordination.
-func (r *Replica[S]) submitSync(op oplog.Entry, done func(Result)) {
+func (r *Replica[S]) submitSync(it ingestItem) {
+	rd, _ := r.roundPool.Get().(*syncRound[S])
+	if rd == nil {
+		rd = &syncRound[S]{r: r}
+		rd.admitted, rd.absorbed, rd.applied = rd.onAdmit, rd.onAbsorb, rd.onApply
+	}
+	rd.it = it
+	op := it.op
 	if r.degraded.Load() {
 		// The coordinator itself must durably apply the op after the
 		// round; a degraded one cannot, so decline before paying for
 		// the broadcast.
-		done(Result{Op: op, Reason: ReasonDegraded, Retryable: true, Decision: policy.Sync})
+		rd.finish(Result{Op: op, Reason: ReasonDegraded, Retryable: true, Decision: policy.Sync})
 		return
 	}
 	// Local admission first.
@@ -893,42 +944,64 @@ func (r *Replica[S]) submitSync(op oplog.Entry, done func(Result)) {
 	reason, ok := r.admitLocked(op)
 	r.mu.Unlock()
 	if !ok {
-		done(Result{Op: op, Reason: reason, Decision: policy.Sync})
+		rd.finish(Result{Op: op, Reason: reason, Decision: policy.Sync})
 		return
 	}
-	var peers []string
-	for _, other := range r.g.reps {
-		if other != r {
-			peers = append(peers, other.id)
-		}
+	r.node.Broadcast(r.syncPeers, "admit", admitReq{Op: op}, rd.admitted)
+}
+
+func (rd *syncRound[S]) onAdmit(resps []any, oks int) {
+	r, op := rd.r, rd.it.op
+	if oks != len(r.syncPeers) {
+		rd.finish(Result{Op: op, Reason: "coordination failed: replica unreachable", Decision: policy.Sync})
+		return
 	}
-	r.node.Broadcast(peers, "admit", admitReq{Op: op}, func(resps []any, oks int) {
-		if oks != len(peers) {
-			done(Result{Op: op, Reason: "coordination failed: replica unreachable", Decision: policy.Sync})
+	for _, resp := range resps {
+		if !resp.(admitAck).OK {
+			rd.finish(Result{Op: op, Reason: "declined by a remote replica", Decision: policy.Sync})
 			return
 		}
-		for _, resp := range resps {
-			if !resp.(admitAck).OK {
-				done(Result{Op: op, Reason: "declined by a remote replica", Decision: policy.Sync})
-				return
-			}
+	}
+	// All agreed: apply locally (durably, if a store is attached), then
+	// everywhere else, then ack.
+	rd.one[0] = op
+	r.absorb(rd.one[:], "sync", "", rd.absorbed)
+}
+
+func (rd *syncRound[S]) onAbsorb(resp any) {
+	r, op := rd.r, rd.it.op
+	if !resp.(pushAck).OK {
+		res := Result{Op: op, Reason: "replica crashed before the write was durable", Decision: policy.Sync}
+		if r.degraded.Load() {
+			res.Reason, res.Retryable = ReasonDegraded, true
 		}
-		// All agreed: apply locally (durably, if a store is attached),
-		// then everywhere else, then ack.
-		r.absorb([]oplog.Entry{op}, "sync", "", func(_ int, ok bool) {
-			if !ok {
-				res := Result{Op: op, Reason: "replica crashed before the write was durable", Decision: policy.Sync}
-				if r.degraded.Load() {
-					res.Reason, res.Retryable = ReasonDegraded, true
-				}
-				done(res)
-				return
-			}
-			r.node.Broadcast(peers, "apply", applyReq{Op: op}, func([]any, int) {
-				done(Result{Accepted: true, Op: op, Decision: policy.Sync})
-			})
-		})
-	})
+		rd.finish(res)
+		return
+	}
+	r.node.Broadcast(r.syncPeers, "apply", applyReq{Op: op}, rd.applied)
+}
+
+func (rd *syncRound[S]) onApply([]any, int) {
+	rd.finish(Result{Accepted: true, Op: rd.it.op, Decision: policy.Sync})
+}
+
+// finish counts and resolves the coordinated submit. The round is back in
+// the pool before the result lands: resolving may wake a submitter that
+// starts its next round at once.
+func (rd *syncRound[S]) finish(res Result) {
+	r, it := rd.r, rd.it
+	g := r.g
+	res.Latency = r.c.tr.Now().Sub(it.start)
+	if res.Accepted {
+		g.M.Accepted.Inc()
+		g.M.SyncAccepted.Inc()
+		g.M.SyncLat.AddDur(res.Latency)
+	} else {
+		g.M.SyncDeclined.Inc()
+	}
+	rd.it, rd.one[0] = ingestItem{}, oplog.Entry{}
+	r.roundPool.Put(rd)
+	it.finish(res)
 }
 
 // pushTo sends the journal suffix the peer has not acknowledged — one
@@ -1011,15 +1084,14 @@ func (r *Replica[S]) truncateJournalLocked() {
 	}
 }
 
+// The handlers hand reply straight on: absorb acknowledges with
+// pushAck{OK: ok} once the entries are durable. Acknowledging entries
+// that are not yet durable would let the peer truncate its journal while
+// this replica could still lose them to a crash — the gap nobody could
+// refill; OK=false keeps the peer's ack mark (and so its journal) where
+// it is.
 func (r *Replica[S]) handlePush(from string, req any, reply func(any)) {
-	p := req.(pushReq)
-	r.absorb(p.Entries, "gossip", from, func(_ int, ok bool) {
-		// Acknowledging entries that are not yet durable would let the
-		// peer truncate its journal while this replica could still lose
-		// them to a crash — the gap nobody could refill. OK=false keeps
-		// the peer's ack mark (and so its journal) where it is.
-		reply(pushAck{OK: ok})
-	})
+	r.absorb(req.(pushReq).Entries, "gossip", from, reply)
 }
 
 func (r *Replica[S]) handleAdmit(from string, req any, reply func(any)) {
@@ -1031,10 +1103,8 @@ func (r *Replica[S]) handleAdmit(from string, req any, reply func(any)) {
 }
 
 func (r *Replica[S]) handleApply(from string, req any, reply func(any)) {
-	a := req.(applyReq)
-	r.absorb([]oplog.Entry{a.Op}, "sync", from, func(_ int, ok bool) {
-		reply(pushAck{OK: ok})
-	})
+	one := [1]oplog.Entry{req.(applyReq).Op}
+	r.absorb(one[:], "sync", from, reply)
 }
 
 // Kill hard-crashes the replica: the node goes silent on the transport

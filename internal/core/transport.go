@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"sync"
 	"time"
 
 	"repro/internal/sim"
@@ -29,8 +30,62 @@ type Node interface {
 	// be nil for fire-and-forget notifications.
 	Call(to string, method string, req any, done func(resp any, ok bool))
 	// Broadcast calls method on every node in to, invoking done once with
-	// the responses that arrived in time after all calls resolve.
+	// the responses that arrived in time after all calls resolve. resps is
+	// valid only for the duration of done.
 	Broadcast(to []string, method string, req any, done func(resps []any, oks int))
+}
+
+// Broadcast is the fan-out behind Node.Broadcast on both wall-clock
+// transports — LiveTransport's nodes and internal/netx's: it calls method
+// on every node in to through n.Call and hands done the responses that
+// arrived in time, in arrival order, once every call has resolved. One
+// pooled collector carries the round, its resps slice and its per-call
+// callback reused, so resps is valid only for the duration of done.
+func Broadcast(n Node, to []string, method string, req any, done func(resps []any, oks int)) {
+	if len(to) == 0 {
+		done(nil, 0)
+		return
+	}
+	f, _ := fanoutPool.Get().(*fanout)
+	if f == nil {
+		f = &fanout{}
+		f.collect = f.add
+	}
+	f.done, f.remaining = done, len(to)
+	for _, peer := range to {
+		n.Call(peer, method, req, f.collect)
+	}
+}
+
+// fanout collects one Broadcast. It is back in the pool once done returns:
+// every call has resolved by then, and each resolves exactly once.
+type fanout struct {
+	mu        sync.Mutex
+	resps     []any
+	oks       int
+	remaining int
+	done      func(resps []any, oks int)
+	collect   func(resp any, ok bool) // f.add, bound once
+}
+
+var fanoutPool sync.Pool // *fanout
+
+func (f *fanout) add(resp any, ok bool) {
+	f.mu.Lock()
+	if ok {
+		f.resps = append(f.resps, resp)
+		f.oks++
+	}
+	f.remaining--
+	last := f.remaining == 0
+	f.mu.Unlock()
+	if !last {
+		return
+	}
+	f.done(f.resps, f.oks)
+	clear(f.resps)
+	f.resps, f.oks, f.done = f.resps[:0], 0, nil
+	fanoutPool.Put(f)
 }
 
 // Transport is the seam between the replication engine and the world that

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/sim"
@@ -24,6 +25,10 @@ import (
 // starts, and deliveries to one node run in arrival order. Handlers must
 // not block waiting for another delivery to the same node (none of the
 // engine's do — every reply and follow-up call is asynchronous).
+//
+// A call is one pooled record (liveCall) from Call to done: the request
+// rides the callee's inbox, the response rides the caller's, and one timer
+// reports the timeout, so a steady-state round trip allocates nothing.
 type LiveTransport struct {
 	mu    sync.RWMutex // guards the node map; hot paths take it read-only
 	start time.Time
@@ -55,6 +60,7 @@ func (t *LiveTransport) Node(id string, callTimeout time.Duration) Node {
 		timeout:  callTimeout,
 		handlers: make(map[string]Handler),
 	}
+	n.drain = n.drainInbox
 	t.nodes[id] = n
 	return n
 }
@@ -66,7 +72,7 @@ func (t *LiveTransport) Every(interval time.Duration, fn func()) (stop func()) {
 	}
 	ticker := time.NewTicker(interval)
 	quit := make(chan struct{})
-	var once sync.Once
+	var stopped atomic.Bool
 	go func() {
 		for {
 			select {
@@ -78,10 +84,10 @@ func (t *LiveTransport) Every(interval time.Duration, fn func()) (stop func()) {
 		}
 	}()
 	return func() {
-		once.Do(func() {
+		if stopped.CompareAndSwap(false, true) {
 			ticker.Stop()
 			close(quit)
-		})
+		}
 	}
 }
 
@@ -144,28 +150,25 @@ type liveNode struct {
 	t        *LiveTransport
 	id       string
 	timeout  time.Duration
+	down     atomic.Bool
 	mu       sync.Mutex
 	handlers map[string]Handler
-	down     bool
 
+	// The inbox is two slices the drain swaps: producers append to inbox
+	// while the worker runs the batch it took, and the emptied batch comes
+	// back as spare for the next swap.
 	inboxMu  sync.Mutex
-	inbox    []func()
+	inbox    []*liveCall
+	spare    []*liveCall
 	draining bool
+	drain    func() // n.drainInbox, bound once: starting the worker allocates nothing
 }
 
 func (n *liveNode) ID() string { return n.id }
 
-func (n *liveNode) Crashed() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.down
-}
+func (n *liveNode) Crashed() bool { return n.down.Load() }
 
-func (n *liveNode) setUp(up bool) {
-	n.mu.Lock()
-	n.down = !up
-	n.mu.Unlock()
-}
+func (n *liveNode) setUp(up bool) { n.down.Store(!up) }
 
 func (n *liveNode) Handle(method string, h Handler) {
 	n.mu.Lock()
@@ -186,37 +189,41 @@ func (n *liveNode) handler(method string) Handler {
 	return h
 }
 
-// enqueue appends fn to the node's inbox and ensures a worker is
-// draining it. The worker is coalescing: it exists only while the inbox
-// is non-empty, so idle nodes hold no goroutine and a burst of messages
+// enqueue appends c to the node's inbox and ensures a worker is draining
+// it. The worker is coalescing: it exists only while the inbox is
+// non-empty, so idle nodes hold no goroutine and a burst of messages
 // shares one.
-func (n *liveNode) enqueue(fn func()) {
+func (n *liveNode) enqueue(c *liveCall) {
 	n.inboxMu.Lock()
-	n.inbox = append(n.inbox, fn)
+	n.inbox = append(n.inbox, c)
 	if n.draining {
 		n.inboxMu.Unlock()
 		return
 	}
 	n.draining = true
 	n.inboxMu.Unlock()
-	go n.drainInbox()
+	go n.drain()
 }
 
-// drainInbox runs queued deliveries in arrival order until the inbox
+// drainInbox runs queued records in arrival order until the inbox
 // empties, then exits.
 func (n *liveNode) drainInbox() {
+	var batch []*liveCall
 	for {
 		n.inboxMu.Lock()
-		batch := n.inbox
-		if len(batch) == 0 {
+		if batch != nil {
+			n.spare = batch[:0]
+		}
+		if len(n.inbox) == 0 {
 			n.draining = false
 			n.inboxMu.Unlock()
 			return
 		}
-		n.inbox = nil
+		batch, n.inbox, n.spare = n.inbox, n.spare, nil
 		n.inboxMu.Unlock()
-		for _, fn := range batch {
-			fn()
+		for i, c := range batch {
+			batch[i] = nil
+			c.run()
 		}
 	}
 }
@@ -226,62 +233,126 @@ func (n *liveNode) drainInbox() {
 // receiver drops the message, and a reply landing after the deadline is
 // discarded.
 func (n *liveNode) Call(to string, method string, req any, done func(resp any, ok bool)) {
-	var once sync.Once
-	fire := func(resp any, ok bool) {
-		once.Do(func() {
-			if done != nil {
-				done(resp, ok)
-			}
-		})
+	c, _ := liveCallPool.Get().(*liveCall)
+	if c == nil {
+		c = &liveCall{}
+		c.reply = c.onReply
+		c.timer = time.AfterFunc(time.Hour, c.expire)
+		c.timer.Stop() // armed below, on every use alike
 	}
-	timer := time.AfterFunc(n.timeout, func() { fire(nil, false) })
+	c.from, c.method, c.req, c.done = n, method, req, done
+	c.state.Store(0)
+	c.timer.Reset(n.timeout)
 	if n.Crashed() {
 		return // a stopped process sends nothing; the timer reports it
 	}
-	peer := n.t.node(to)
-	peer.enqueue(func() {
-		if peer.Crashed() {
-			return
-		}
-		replied := false
-		peer.handler(method)(n.id, req, func(resp any) {
-			if replied {
-				panic(fmt.Sprintf("quicksand: double reply to %q on %q", method, peer.id))
-			}
-			replied = true
-			if n.Crashed() {
-				return // response to a crashed caller is lost
-			}
-			n.enqueue(func() {
-				timer.Stop()
-				fire(resp, true)
-			})
-		})
-	})
+	c.to = n.t.node(to)
+	c.h = c.to.handler(method)
+	c.to.enqueue(c)
 }
 
 func (n *liveNode) Broadcast(to []string, method string, req any, done func(resps []any, oks int)) {
-	if len(to) == 0 {
-		done(nil, 0)
+	Broadcast(n, to, method, req, done)
+}
+
+// A call record's state only ever gains bits.
+const (
+	callReplied  int32 = 1 << iota // the handler invoked reply
+	callReturned                   // the handler returned
+	callDone                       // done fired: with the response, or with a timeout
+)
+
+// liveCall is one call on a LiveTransport, from Call to done. It rides the
+// callee's inbox as a request and, once answered, the caller's inbox as a
+// response; its timer — created with the record, re-armed with Reset on
+// every reuse — reports a timeout if the response has not landed by then.
+//
+// Who owns a record, and until when: Call takes it from the pool and arms
+// the timer. The callee's worker runs the handler; the response is queued
+// to the caller by whichever of "the handler replied" and "the handler
+// returned" happens second, so a handler that replies twice before
+// returning always panics on its own record. The caller's worker stops
+// the timer and fires done. The record goes back to the pool only when
+// that response was delivered and timer.Stop returned true — then nothing
+// else can reach it. A record whose timer fired, whose request met a
+// crashed callee, or whose response was lost to a crashed caller is
+// abandoned to the garbage collector: a late reply, or a timer func
+// already running, may still touch it, so it is never reused. A handler
+// must not touch reply after its one call.
+type liveCall struct {
+	from, to *liveNode
+	h        Handler
+	method   string
+	req      any
+	done     func(resp any, ok bool)
+	resp     any
+	state    atomic.Int32
+
+	timer *time.Timer    // runs c.expire, bound once
+	reply func(resp any) // c.onReply, bound once
+}
+
+var liveCallPool sync.Pool // *liveCall
+
+// run is the record's turn on a worker: a request at the callee until the
+// handler has replied, the response at the caller after.
+func (c *liveCall) run() {
+	if c.state.Load()&callReplied != 0 {
+		c.complete()
 		return
 	}
-	var mu sync.Mutex
-	var resps []any
-	oks, remaining := 0, len(to)
-	for _, peer := range to {
-		n.Call(peer, method, req, func(resp any, ok bool) {
-			mu.Lock()
-			if ok {
-				resps = append(resps, resp)
-				oks++
-			}
-			remaining--
-			last := remaining == 0
-			r, o := resps, oks
-			mu.Unlock()
-			if last {
-				done(r, o)
-			}
-		})
+	if c.to.Crashed() {
+		return // dropped at a crashed receiver; the timer reports it
+	}
+	c.h(c.from.id, c.req, c.reply)
+	if c.state.Or(callReturned)&callReplied != 0 {
+		c.respond()
+	}
+}
+
+func (c *liveCall) onReply(resp any) {
+	if c.state.Load()&callReplied == 0 {
+		c.resp = resp // a second reply panics below and keeps the first's
+	}
+	old := c.state.Or(callReplied)
+	if old&callReplied != 0 {
+		panic(fmt.Sprintf("quicksand: double reply to %q on %q", c.method, c.to.id))
+	}
+	if old&callReturned != 0 {
+		c.respond() // replied after the handler returned
+	}
+}
+
+// respond queues the response at the caller — unless the call already
+// timed out, or the caller crashed: a response to a crashed caller is
+// lost.
+func (c *liveCall) respond() {
+	if c.state.Load()&callDone != 0 || c.from.Crashed() {
+		return
+	}
+	c.from.enqueue(c)
+}
+
+// complete delivers the response at the caller.
+func (c *liveCall) complete() {
+	stopped := c.timer.Stop()
+	if c.state.Or(callDone)&callDone != 0 {
+		return // the timer won and reported a timeout
+	}
+	done, resp := c.done, c.resp
+	if stopped {
+		c.from, c.to, c.h, c.method, c.req, c.done, c.resp = nil, nil, nil, "", nil, nil, nil
+		liveCallPool.Put(c)
+	}
+	if done != nil {
+		done(resp, true)
+	}
+}
+
+// expire is the timer's func: report the timeout unless the response
+// landed first.
+func (c *liveCall) expire() {
+	if c.state.Or(callDone)&callDone == 0 && c.done != nil {
+		c.done(nil, false)
 	}
 }

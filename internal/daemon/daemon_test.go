@@ -9,13 +9,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/client"
 	"repro/internal/core"
+	"repro/internal/testenv"
 )
 
 func TestParseConfig(t *testing.T) {
@@ -579,7 +579,7 @@ func (w *quietWriter) Write(b []byte) (int, error) { return len(b), nil }
 // cuts the op's strings from — the op set copies them into its arena, so
 // the edge no longer does), and the pin allows 3.
 func TestHandleSubmitAllocations(t *testing.T) {
-	skipUnderRace(t)
+	testenv.SkipUnderRace(t)
 	d := soloDaemon(t, func(c *Config) { c.TraceSample = -1 })
 	ctx := context.Background()
 	body := strings.NewReader("")
@@ -607,18 +607,6 @@ func TestHandleSubmitAllocations(t *testing.T) {
 	t.Logf("handleSubmit adds %.1f allocations to a guess", got)
 	if got > 3 {
 		t.Errorf("handleSubmit adds %.1f allocations to a guess, want at most 3", got)
-	}
-}
-
-// skipUnderRace skips an allocation pin in a -race build, where sync.Pool
-// drops a quarter of its Puts on purpose and the counts mean nothing.
-func skipUnderRace(t *testing.T) {
-	t.Helper()
-	bi, _ := debug.ReadBuildInfo()
-	for _, s := range bi.Settings {
-		if s.Key == "-race" && s.Value == "true" {
-			t.Skip("allocation counts are pinned without -race")
-		}
 	}
 }
 

@@ -114,7 +114,7 @@ type Transport struct {
 
 	seq    atomic.Uint64
 	callMu sync.Mutex
-	calls  map[uint64]func(resp any, ok bool)
+	calls  map[uint64]*remoteCall // remote calls awaiting their response frame
 
 	faults        atomic.Pointer[Faults] // current outbound fault schedule
 	corruptFrames atomic.Int64           // inbound frames rejected by the checksum
@@ -135,7 +135,7 @@ func New(cfg Config) (*Transport, error) {
 		peerOf:     make(map[string]*peer),
 		remoteDown: make(map[string]bool),
 		conns:      make(map[net.Conn]bool),
-		calls:      make(map[uint64]func(any, bool)),
+		calls:      make(map[uint64]*remoteCall),
 		closed:     make(chan struct{}),
 	}
 	f := t.cfg.Faults
@@ -392,18 +392,21 @@ func (t *Transport) peerFor(id string) (p *peer, markedDown bool) {
 	return t.peerOf[id], t.remoteDown[id]
 }
 
-func (t *Transport) addCall(seq uint64, cb func(any, bool)) {
+func (t *Transport) addCall(seq uint64, c *remoteCall) {
 	t.callMu.Lock()
-	t.calls[seq] = cb
+	t.calls[seq] = c
 	t.callMu.Unlock()
 }
 
-func (t *Transport) takeCall(seq uint64) func(any, bool) {
+// takeCall claims the call pending under seq: nil when its response
+// already landed, its send failed, or its timer fired. A seq is never
+// reused, so a late or duplicated response frame finds nothing.
+func (t *Transport) takeCall(seq uint64) *remoteCall {
 	t.callMu.Lock()
-	cb := t.calls[seq]
+	c := t.calls[seq]
 	delete(t.calls, seq)
 	t.callMu.Unlock()
-	return cb
+	return c
 }
 
 // --- the node ---
@@ -452,70 +455,92 @@ func (n *netNode) Call(to string, method string, req any, done func(resp any, ok
 		n.inner.Call(to, method, req, done)
 		return
 	}
-	var once sync.Once
-	fire := func(resp any, ok bool) {
-		once.Do(func() {
-			if done != nil {
-				done(resp, ok)
-			}
-		})
-	}
-	timer := time.AfterFunc(n.timeout, func() { fire(nil, false) })
-	if n.Crashed() {
-		return // a stopped process sends nothing; the timer reports it
-	}
 	p, markedDown := n.t.peerFor(to)
 	if p == nil {
-		timer.Stop()
 		panic(fmt.Sprintf("netx: node %q is neither local nor a configured peer", to))
 	}
-	if markedDown {
-		return // locally partitioned from the peer; the timer reports it
+	c, _ := remoteCallPool.Get().(*remoteCall)
+	if c == nil {
+		c = &remoteCall{}
+		c.timer = time.AfterFunc(time.Hour, c.expire)
+		c.timer.Stop() // armed below, on every use alike
 	}
-	seq := n.t.seq.Add(1)
-	frame, err := encodeReq(seq, n.id, to, method, req)
+	c.n, c.done, c.seq = n, done, 0
+	c.fired.Store(false)
+	if n.Crashed() || markedDown {
+		// A stopped process sends nothing, and a peer partitioned away
+		// locally receives nothing: the timer reports either.
+		c.timer.Reset(n.timeout)
+		return
+	}
+	c.seq = n.t.seq.Add(1)
+	frame, err := encodeReq(c.seq, n.id, to, method, req)
 	if err != nil {
-		timer.Stop()
 		panic(fmt.Sprintf("netx: %v", err)) // non-wire payload: a programming error
 	}
-	n.t.addCall(seq, func(resp any, ok bool) {
-		timer.Stop()
-		fire(resp, ok)
-	})
+	n.t.addCall(c.seq, c)
+	c.timer.Reset(n.timeout)
 	if !p.send(frame) {
 		// The frame is already lost (queue full, link down, transport
 		// closed): resolve now instead of waiting out the timer.
-		if cb := n.t.takeCall(seq); cb != nil {
-			cb(nil, false)
+		if n.t.takeCall(c.seq) == c {
+			c.resolve(nil, false)
 		}
 	}
 }
 
-// Broadcast fans Call out and collects the responses that arrived in
-// time, mirroring the in-process transports.
+// Broadcast fans Call out through the engine's one collector, the same
+// as the in-process transports.
 func (n *netNode) Broadcast(to []string, method string, req any, done func(resps []any, oks int)) {
-	if len(to) == 0 {
-		done(nil, 0)
+	core.Broadcast(n, to, method, req, done)
+}
+
+// remoteCall is one call to a node in another process, from Call to done:
+// the same record shape as core's live calls. Its timer is created with
+// the record and re-armed on every reuse; while the call is pending the
+// transport's calls map holds it under its seq. Whoever takes it out of
+// the map — the response frame, or a failed send — resolves it; the
+// timer resolves it otherwise. It goes back to the pool only when it was
+// resolved by its response (or its lost frame) and timer.Stop returned
+// true. A record whose timer fired, or whose response reached a crashed
+// caller, is abandoned to the garbage collector.
+type remoteCall struct {
+	n     *netNode // the caller
+	done  func(resp any, ok bool)
+	seq   uint64
+	fired atomic.Bool
+	timer *time.Timer // runs c.expire, bound once
+}
+
+var remoteCallPool sync.Pool // *remoteCall
+
+// resolve fires done with the call's outcome unless the timer already did.
+func (c *remoteCall) resolve(resp any, ok bool) {
+	stopped := c.timer.Stop()
+	if c.fired.Swap(true) {
 		return
 	}
-	var mu sync.Mutex
-	var resps []any
-	oks, remaining := 0, len(to)
-	for _, peer := range to {
-		n.Call(peer, method, req, func(resp any, ok bool) {
-			mu.Lock()
-			if ok {
-				resps = append(resps, resp)
-				oks++
-			}
-			remaining--
-			last := remaining == 0
-			r, o := resps, oks
-			mu.Unlock()
-			if last {
-				done(r, o)
-			}
-		})
+	done := c.done
+	if stopped {
+		c.n, c.done = nil, nil
+		remoteCallPool.Put(c)
+	}
+	if done != nil {
+		done(resp, ok)
+	}
+}
+
+// expire is the timer's func: report the timeout, and drop the pending
+// entry a response will now never claim.
+func (c *remoteCall) expire() {
+	if c.fired.Swap(true) {
+		return
+	}
+	if c.seq != 0 {
+		c.n.t.takeCall(c.seq)
+	}
+	if c.done != nil {
+		c.done(nil, false)
 	}
 }
 
@@ -622,9 +647,14 @@ func (t *Transport) handleFrame(payload []byte, w *connWriter) {
 			t.cfg.logf("netx: dropping bad response frame: %v", err)
 			return
 		}
-		if cb := t.takeCall(seq); cb != nil {
-			cb(msg, true)
+		c := t.takeCall(seq)
+		if c == nil {
+			return // late, or a duplicate: the call already resolved
 		}
+		if c.n.Crashed() {
+			return // a response to a crashed caller is lost; the timer reports it
+		}
+		c.resolve(msg, true)
 	case frameHello:
 		// Duplicate hello after authentication: harmless.
 	default:

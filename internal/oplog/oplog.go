@@ -138,6 +138,10 @@ type Set struct {
 	// probe scans bytes and touches the arena only on a tag match.
 	tags []uint8
 	refs []uint32
+
+	// Scratch AddAll reuses: its result, and settle's sorted newcomers.
+	added []Entry
+	fresh []row
 }
 
 // row is the fixed-size part of one entry: the sort key and the numeric
@@ -197,15 +201,21 @@ func (s *Set) Add(e Entry) bool {
 // gossip push of K entries that sort into the past costs one tail move
 // instead of K of them — the difference between anti-entropy keeping up
 // with sustained ingest and falling quadratically behind it.
+//
+// The result is the set's own scratch, materialized from the rows just
+// stored (its strings are the set's, like any entry read out of it): valid
+// until the next AddAll, and never to be written. Copy what must outlive
+// that.
 func (s *Set) AddAll(entries []Entry) (added []Entry) {
 	old := len(s.rows)
+	s.added = s.added[:0]
 	for _, e := range entries {
 		if s.push(e) {
-			added = append(added, e)
+			s.added = append(s.added, s.entry(s.rows[len(s.rows)-1]))
 		}
 	}
 	s.settle(old)
-	return added
+	return s.added
 }
 
 // push stores e after the last row, wherever it sorts, unless its ID is
@@ -267,7 +277,8 @@ func (s *Set) settle(old int) {
 	}
 	// Merge path: sort a copy of the newcomers, then merge from the back so
 	// every existing row moves at most once.
-	fresh = slices.Clone(fresh)
+	s.fresh = append(s.fresh[:0], fresh...)
+	fresh = s.fresh
 	slices.SortFunc(fresh, s.cmp)
 	i, j := old-1, len(fresh)-1
 	for w := len(s.rows) - 1; j >= 0; w-- {

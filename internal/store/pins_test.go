@@ -5,21 +5,11 @@ package store
 
 import (
 	"runtime"
-	"runtime/debug"
 	"testing"
 
 	"repro/internal/oplog"
+	"repro/internal/testenv"
 )
-
-func skipUnderRace(t *testing.T) {
-	t.Helper()
-	bi, _ := debug.ReadBuildInfo()
-	for _, s := range bi.Settings {
-		if s.Key == "-race" && s.Value == "true" {
-			t.Skip("allocation counts are pinned without -race")
-		}
-	}
-}
 
 // TestPinStageCommitAllocs: at steady state a Stage and its Commit — the
 // encode, the flush, the fsync, the waiter fan-out — allocate nothing,
@@ -27,7 +17,7 @@ func skipUnderRace(t *testing.T) {
 // and its callback. What the store keeps between Stage and disk is bytes
 // in buffers it owns.
 func TestPinStageCommitAllocs(t *testing.T) {
-	skipUnderRace(t)
+	testenv.SkipUnderRace(t)
 	s, _ := mustOpen(t, t.TempDir(), Options{Inline: true, SnapshotChain: 8})
 	defer s.Close()
 	batch := []oplog.Entry{entry(0)}
@@ -60,7 +50,7 @@ func TestPinStageCommitAllocs(t *testing.T) {
 // finished when they were staged, so what it allocates — paths, the file,
 // its closures — does not grow with the entries it covers.
 func TestPinDeltaCutAllocs(t *testing.T) {
-	skipUnderRace(t)
+	testenv.SkipUnderRace(t)
 	s, _ := mustOpen(t, t.TempDir(), Options{Inline: true, SnapshotChain: 1 << 20})
 	defer s.Close()
 	var all []oplog.Entry
