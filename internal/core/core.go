@@ -13,8 +13,8 @@
 //
 // State derivation is checkpointed and incremental: each replica caches
 // the fold of its set up to a canonical-order watermark and advances it
-// by folding only the entries beyond the watermark (oplog.Set's
-// After). Ingress stamps every new operation with Lamport
+// by folding only the entries beyond the watermark (oplog.Set's Start
+// and At). Ingress stamps every new operation with Lamport
 // max(seen)+1, so local submits and in-order gossip are pure appends and
 // admission costs O(new entries), not O(ledger) — the DP2 move from
 // per-WRITE checkpoints to log-anchored ones (§3.3), applied to state
@@ -70,6 +70,7 @@ import (
 	"repro/internal/stats"
 	"repro/internal/store"
 	"repro/internal/trace"
+	"repro/internal/uniq"
 )
 
 // Op is one typed business operation offered to a cluster. The zero Op is
@@ -151,7 +152,10 @@ type Violation struct {
 type Rule[S any] struct {
 	Name string
 	// Admit, if non-nil, gates an operation against the replica's local
-	// (guessed) state. Returning false declines the business.
+	// (guessed) state. Returning false declines the business. A guess
+	// whose uniquifier the engine assigns reaches Admit before its ID is
+	// minted — op.ID is empty there — because the ID is written straight
+	// into the op set once the op is admitted (Result.Op carries it).
 	Admit func(state S, op Op) bool
 	// Violated, if non-nil, inspects a (possibly newly merged) state and
 	// reports standing violations — the "Oh, crap!" moments of §5.7.
@@ -815,7 +819,9 @@ type submitConfig struct {
 type SubmitOption func(*submitConfig)
 
 // WithPolicy routes this submit with p instead of the cluster's default
-// risk policy — the per-operation "stomach for risk" dial of §5.5.
+// risk policy — the per-operation "stomach for risk" dial of §5.5. A
+// policy decides before an engine-assigned uniquifier exists: it sees
+// such an op with an empty ID.
 func WithPolicy(p policy.Policy) SubmitOption { return func(sc *submitConfig) { sc.pol = p } }
 
 func (c *Cluster[S]) submitConfig(opts []SubmitOption) submitConfig {
@@ -936,18 +942,17 @@ func (c *Cluster[S]) dispatchBatch(rep *Replica[S], ops []Op, idxs []int, sc sub
 	now := c.tr.Now()
 	for k := 0; k < n; k++ {
 		i := nth(k)
-		op := c.stampIngress(rep, ops[i])
-		it := ingestItem{op: op, sink: sink, idx: int32(i), start: now,
-			sync: sc.pol.Decide(op) == policy.Sync}
+		it := c.ingress(rep, ops[i], sc, now)
+		it.sink, it.idx = sink, int32(i)
 		if rep.node.Crashed() {
-			it.finish(Result{Op: op, Reason: "replica down"})
+			it.finish(Result{Op: rep.withID(&it), Reason: "replica down"})
 			continue
 		}
 		items = append(items, it)
 	}
 	if len(items) > 0 && !rep.enqueueIngest(items...) {
 		for j := range items {
-			items[j].finish(Result{Op: items[j].op, Reason: "replica shut down"})
+			items[j].finish(Result{Op: rep.withID(&items[j]), Reason: "replica shut down"})
 		}
 	}
 }
@@ -991,36 +996,58 @@ func (c *Cluster[S]) SubmitAsync(replica int, op Op, done func(Result), opts ...
 // operation's journal record is fsynced (an accepted result is a durable
 // result). Metrics and latency are accounted downstream.
 func (c *Cluster[S]) dispatch(rep *Replica[S], op Op, sc submitConfig, emit func(Result), sink *ingestSink) {
-	it := ingestItem{emit: emit, sink: sink}
 	if rep.remote {
+		it := ingestItem{emit: emit, sink: sink}
 		it.finish(rep.notHosted(op))
 		return
 	}
-	op = c.stampIngress(rep, op)
+	it := c.ingress(rep, op, sc, c.tr.Now())
+	it.emit, it.sink = emit, sink
 	if rep.node.Crashed() {
-		it.finish(Result{Op: op, Reason: "replica down"})
+		it.finish(Result{Op: rep.withID(&it), Reason: "replica down"})
 		return
 	}
-	it.op, it.start, it.sync = op, c.tr.Now(), sc.pol.Decide(op) == policy.Sync
 	if !rep.enqueueIngest(it) {
-		it.finish(Result{Op: op, Reason: "replica shut down"})
+		it.finish(Result{Op: rep.withID(&it), Reason: "replica shut down"})
 	}
 }
 
-// stampIngress fills an operation's ingress identity — the one place
-// both submit entry points (dispatch and dispatchBatch) assign
-// uniquifiers and timestamps, so the two can never drift.
-func (c *Cluster[S]) stampIngress(rep *Replica[S], op Op) Op {
+// ingress stamps op with its ingress identity at rep and returns it as a
+// queue item started at now — the one place both submit entry points
+// (dispatch and dispatchBatch) assign uniquifiers and timestamps, so the
+// two can never drift. An op without an ID takes the next sequence number
+// of rep's generator, but its ID string is built here only when something
+// needs it before the op set holds it: a coordinated submit ships the op
+// in its §5.8 round, and a traced one is reported to the tracer now (the
+// 1-in-N sample is decided on bytes rendered on the stack). Every other
+// guess has its ID minted straight into the set by ingestSegment, or
+// rendered by withID if it leaves before that. The risk policy therefore
+// sees such an op without its ID, as the caller offered it.
+func (c *Cluster[S]) ingress(rep *Replica[S], op Op, sc submitConfig, now sim.Time) ingestItem {
+	it := ingestItem{start: now}
 	if op.ID == "" {
-		op.ID = rep.gen.Next()
+		it.seq = rep.gen.Take()
 	}
 	if op.At == 0 {
 		op.At = c.tr.Now()
 	}
+	it.sync = sc.pol.Decide(op) == policy.Sync
 	if t := c.cfg.tracer; t != nil {
-		t.Submitted(string(op.ID), op.Key, rep.id, int64(op.At))
+		if op.ID == "" {
+			var buf [32]byte
+			if id := uniq.AppendID(buf[:0], rep.gen.Node(), it.seq); t.SampledID(id) {
+				op.ID = uniq.ID(id)
+			}
+		}
+		if op.ID != "" {
+			t.Submitted(string(op.ID), op.Key, rep.id, int64(op.At))
+		}
 	}
-	return op
+	if it.sync && op.ID == "" {
+		op.ID = rep.gen.ID(it.seq)
+	}
+	it.op = op
+	return it
 }
 
 // GossipRound runs one anti-entropy round on every shard: each live

@@ -5,11 +5,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/faultfs"
+	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/uniq"
 )
@@ -285,9 +288,72 @@ func TestColdRestart(t *testing.T) {
 	if !c2.Converged() {
 		t.Fatal("cold-started cluster should already be converged")
 	}
-	// And it keeps accepting work with fresh Lamport stamps past the old ones.
+	// And it keeps accepting work as new work: fresh Lamport stamps past
+	// the old ones, and a fresh ID — one an earlier life minted would be
+	// answered as a duplicate and the deposit silently dropped.
+	r0 := c2.Replica(0)
+	before := r0.State()["k0"]
 	mustSubmit(t, c2, 0, NewOp("credit", "k0", 1))
+	if got := r0.OpCount(); got != wantOps+1 {
+		t.Fatalf("after one more guess r0 holds %d ops, want %d", got, wantOps+1)
+	}
+	if got := r0.State()["k0"]; got != before+1 {
+		t.Fatalf("state[k0] = %d after crediting 1 to %d: the guess was taken for a duplicate", got, before)
+	}
 	convergeSim(t, s2, c2)
+}
+
+// TestColdRestartNeverReusesAnIDPeersHold: a coordinated op reaches its
+// peer but not the origin's disk (the origin's fsyncs lie, so a crash
+// loses what they claimed), and the origin cold-restarts. Its next guess
+// must get an ID the lost op did not have: with the counter restarted at
+// zero the peer would keep the lost op under that ID and the origin the
+// new one, and the two replicas would never converge.
+func TestColdRestartNeverReusesAnIDPeersHold(t *testing.T) {
+	dir := t.TempDir()
+	var lying atomic.Bool
+	marker := string(os.PathSeparator) + "r0" + string(os.PathSeparator)
+	inj := faultfs.New(faultfs.OS, 1, func(op faultfs.Op) faultfs.Decision {
+		return faultfs.Decision{LieSync: lying.Load() && op.Kind == faultfs.OpSync && strings.Contains(op.Path, marker)}
+	})
+	s := sim.New(31)
+	c := New[counterState](counterApp{}, nil, WithSim(s), WithReplicas(2), WithDurability(dir), WithStoreFS(inj))
+	lying.Store(true)
+	res, err := c.Submit(context.Background(), 0, NewOp("credit", "k", 5), WithPolicy(policy.AlwaysSync()))
+	if err != nil || !res.Accepted {
+		t.Fatalf("coordinated submit: %+v, %v", res, err)
+	}
+	lost := res.Op.ID
+	if c.Replica(1).OpCount() != 1 {
+		t.Fatal("the coordinated op did not reach the peer")
+	}
+	c.Kill(0)
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := inj.Tear(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := sim.New(32)
+	c2 := New[counterState](counterApp{}, nil, WithSim(s2), WithReplicas(2), WithDurability(dir))
+	defer c2.Close()
+	if n := c2.Replica(0).OpCount(); n != 0 {
+		t.Fatalf("r0 recovered %d ops; its lying disk should have lost the coordinated one", n)
+	}
+	res, err = c2.Submit(context.Background(), 0, NewOp("credit", "k", 7))
+	if err != nil || !res.Accepted {
+		t.Fatalf("guess after the restart: %+v, %v", res, err)
+	}
+	if res.Op.ID == lost {
+		t.Fatalf("the restarted origin reissued %s, which its peer holds for another op", lost)
+	}
+	convergeSim(t, s2, c2)
+	for i := 0; i < 2; i++ {
+		if got := c2.Replica(i).State()["k"]; got != 12 {
+			t.Fatalf("r%d state[k] = %d, want 12 (both ops)", i, got)
+		}
+	}
 }
 
 // TestColdRestartTornTail: a crash can tear the final journal record;

@@ -50,9 +50,12 @@ const (
 // ingestItem is one queued submit: the operation (ingress identity
 // already assigned by dispatch) plus where its Result goes — SubmitAsync's
 // callback, or a slot in the sink a blocking Submit or SubmitBatch waits
-// on.
+// on. An op whose ID the engine assigns carries its reserved sequence
+// number in seq and an empty ID until ingestSegment mints it into the set
+// (or withID renders it for an op that leaves before).
 type ingestItem struct {
 	op      oplog.Entry
+	seq     uint64       // the replica generator's number for an engine-assigned ID
 	emit    func(Result) // SubmitAsync's completion; nil when sink is set
 	sink    *ingestSink
 	idx     int32
@@ -60,6 +63,17 @@ type ingestItem struct {
 	sync    bool   // policy-coordinated: initiated in queue order, never batch-absorbed
 	outcome int8   // set by ingestSegment
 	reason  string // why, when outcome is outDeclined
+}
+
+// withID returns the item's op carrying its ID — rendered from the
+// reserved sequence number when the set never minted it: the heap string
+// a guess pays only when it leaves before admission.
+func (r *Replica[S]) withID(it *ingestItem) oplog.Entry {
+	op := it.op
+	if op.ID == "" {
+		op.ID = r.gen.ID(it.seq)
+	}
+	return op
 }
 
 // finish resolves the item with res, exactly once.
@@ -348,7 +362,7 @@ func (r *Replica[S]) ingestSegment(items []ingestItem) {
 		// A dead process absorbs nothing, and counts nothing.
 		r.mu.Unlock()
 		for i := range items {
-			items[i].finish(Result{Op: items[i].op, Reason: "replica down"})
+			items[i].finish(Result{Op: r.withID(&items[i]), Reason: "replica down"})
 		}
 		return
 	}
@@ -359,7 +373,7 @@ func (r *Replica[S]) ingestSegment(items []ingestItem) {
 		r.mu.Unlock()
 		for i := range items {
 			g.M.Declined.Inc()
-			items[i].finish(Result{Op: items[i].op, Reason: ReasonDegraded, Retryable: true})
+			items[i].finish(Result{Op: r.withID(&items[i]), Reason: ReasonDegraded, Retryable: true})
 		}
 		return
 	}
@@ -377,7 +391,7 @@ func (r *Replica[S]) ingestSegment(items []ingestItem) {
 			// this same batch — and the Result carries it.
 			it.op.Lam = r.lamport + 1
 		}
-		if r.ops.Contains(it.op.ID) {
+		if it.op.ID != "" && r.ops.Contains(it.op.ID) {
 			it.outcome, dups = outDup, true
 			continue
 		}
@@ -387,7 +401,22 @@ func (r *Replica[S]) ingestSegment(items []ingestItem) {
 			declined = true
 			continue
 		}
-		r.addLocked(it.op)
+		if it.op.ID == "" {
+			// Mint the ID where it will live: rendered and checked on the
+			// stack, written once into the set's arena. From here on the op
+			// carries the set's copy — to the journal, the store, the tracer
+			// and the Result. No life of this replica reuses a number (see
+			// newReplica); if one ever did, the set would call it the
+			// duplicate it is.
+			var fresh bool
+			if it.op, fresh = r.ops.Mint(it.op, r.gen.Node(), it.seq); !fresh {
+				it.outcome, dups = outDup, true
+				continue
+			}
+		} else {
+			r.ops.Add(it.op)
+		}
+		r.addedLocked(it.op)
 		accepted = append(accepted, it.op)
 	}
 	nAccepted := len(accepted)
@@ -441,10 +470,11 @@ func (r *Replica[S]) ingestSegment(items []ingestItem) {
 				continue
 			}
 			g.M.Declined.Inc()
+			op := r.withID(it)
 			if t := c.cfg.tracer; t != nil {
-				t.Declined(string(it.op.ID), it.op.Key, r.id, it.reason, int64(now))
+				t.Declined(string(op.ID), op.Key, r.id, it.reason, int64(now))
 			}
-			it.finish(Result{Op: it.op, Reason: it.reason, Latency: now.Sub(it.start)})
+			it.finish(Result{Op: op, Reason: it.reason, Latency: now.Sub(it.start)})
 		}
 	}
 	if nAccepted == 0 && !dups {

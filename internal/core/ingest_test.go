@@ -6,11 +6,13 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/oplog"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/uniq"
 )
 
@@ -470,5 +472,104 @@ func TestWritePathStartsNoGoroutines(t *testing.T) {
 	if bres, err := c.SubmitBatch(ctx, 0, []Op{NewOp("credit", "k", 1), NewOp("credit", "j", 1)}); err != nil ||
 		bres[0].Reason != "replica shut down" || bres[1].Reason != "replica shut down" {
 		t.Fatalf("batch after Close = %+v, %v; want two \"replica shut down\" declines", bres, err)
+	}
+}
+
+// TestResultCarriesItsIngressID: however a guess without an ID leaves —
+// accepted (volatile or durable), accepted as a duplicate, declined by a
+// rule, by a degraded or dead replica or a closed cluster, coordinated,
+// traced, or inside a batch — its Result carries exactly the ID fmt
+// renders for the sequence number it took at ingress, whether the set
+// minted it or it was built because the op left first. Each case's
+// results are its submits at r0 in order, so the n-th took number n.
+func TestResultCarriesItsIngressID(t *testing.T) {
+	ctx := context.Background()
+	credit, overdraw := NewOp("credit", "k", 1), NewOp("debit", "k", 1000)
+	submit := func(t *testing.T, c *Cluster[counterState], op Op, opts ...SubmitOption) Result {
+		t.Helper()
+		res, err := c.Submit(ctx, 0, op, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	var full atomic.Bool
+	type exit struct {
+		accepted bool
+		reason   string
+	}
+	ok, ruled := exit{accepted: true}, exit{reason: "declined by rule no-overdraft"}
+	for _, tc := range []struct {
+		name string
+		opts []Option
+		run  func(t *testing.T, c *Cluster[counterState]) []Result
+		want []exit
+	}{
+		{"accepted", nil, func(t *testing.T, c *Cluster[counterState]) []Result {
+			return []Result{submit(t, c, credit), submit(t, c, credit)}
+		}, []exit{ok, ok}},
+		{"accepted durable", []Option{WithDurability(t.TempDir())}, func(t *testing.T, c *Cluster[counterState]) []Result {
+			return []Result{submit(t, c, credit), submit(t, c, credit)}
+		}, []exit{ok, ok}},
+		{"duplicate", nil, func(t *testing.T, c *Cluster[counterState]) []Result {
+			taken := credit
+			taken.ID = "r0-000001" // a caller's ID takes no sequence number
+			submit(t, c, taken)
+			return []Result{submit(t, c, credit)}
+		}, []exit{ok}},
+		{"rule decline", nil, func(t *testing.T, c *Cluster[counterState]) []Result {
+			return []Result{submit(t, c, credit), submit(t, c, overdraw), submit(t, c, credit)}
+		}, []exit{ok, ruled, ok}},
+		{"degraded", []Option{WithDurability(t.TempDir()), WithStoreFS(replicaFS("r0", &full, syscall.ENOSPC))},
+			func(t *testing.T, c *Cluster[counterState]) []Result {
+				full.Store(true)
+				defer full.Store(false)
+				// The first fails its flush after the set minted its ID; the
+				// second meets the degraded replica before admission.
+				return []Result{submit(t, c, credit), submit(t, c, credit)}
+			}, []exit{{reason: ReasonDegraded}, {reason: ReasonDegraded}}},
+		{"replica down", nil, func(t *testing.T, c *Cluster[counterState]) []Result {
+			first := submit(t, c, credit)
+			c.Kill(0)
+			return []Result{first, submit(t, c, credit)}
+		}, []exit{ok, {reason: "replica down"}}},
+		{"shut down", nil, func(t *testing.T, c *Cluster[counterState]) []Result {
+			c.Close()
+			return []Result{submit(t, c, credit)}
+		}, []exit{{reason: "replica shut down"}}},
+		{"coordinated", nil, func(t *testing.T, c *Cluster[counterState]) []Result {
+			return []Result{submit(t, c, credit, syncSubmit...), submit(t, c, overdraw, syncSubmit...), submit(t, c, credit)}
+		}, []exit{ok, ruled, ok}},
+		{"traced", []Option{WithTracer(trace.New(trace.Options{SampleEvery: 2}))}, func(t *testing.T, c *Cluster[counterState]) []Result {
+			var out []Result
+			for i := 0; i < 8; i++ {
+				out = append(out, submit(t, c, credit))
+			}
+			return out
+		}, []exit{ok, ok, ok, ok, ok, ok, ok, ok}},
+		{"SubmitBatch", nil, func(t *testing.T, c *Cluster[counterState]) []Result {
+			res, err := c.SubmitBatch(ctx, 0, []Op{credit, overdraw, credit})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}, []exit{ok, ruled, ok}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := append([]Option{WithSim(sim.New(3)), WithReplicas(2)}, tc.opts...)
+			c := New[counterState](counterApp{}, []Rule[counterState]{noOverdraft()}, opts...)
+			defer c.Close()
+			got := tc.run(t, c)
+			if len(got) != len(tc.want) {
+				t.Fatalf("%d results, want %d", len(got), len(tc.want))
+			}
+			for i, res := range got {
+				id := uniq.ID(fmt.Sprintf("r0-%06d", i+1))
+				if res.Op.ID != id || res.Accepted != tc.want[i].accepted || res.Reason != tc.want[i].reason {
+					t.Errorf("submit %d: ID %q accepted %v reason %q; want %q, %v, %q",
+						i+1, res.Op.ID, res.Accepted, res.Reason, id, tc.want[i].accepted, tc.want[i].reason)
+				}
+			}
+		})
 	}
 }

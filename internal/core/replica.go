@@ -147,6 +147,10 @@ type foldSnap[S any] struct {
 	n     int
 }
 
+// incarnationBits is how many sequence numbers one life of a durable
+// replica may mint: 2^40, before it would run into the next life's base.
+const incarnationBits = 40
+
 // maxFoldSnaps bounds the checkpoint ring per replica. Dropping the
 // oldest snapshot only means a merge sorting *very* far into the past
 // replays from genesis — the pre-checkpoint cost, paid only then.
@@ -174,6 +178,15 @@ func newReplica[S any](c *Cluster[S], g *shardGroup[S], id string) *Replica[S] {
 			panic(fmt.Sprintf("quicksand: WithDurability(%s): %v", c.cfg.durableDir, err))
 		}
 		r.seedFromDisk(st, rec)
+		// A new process must not reissue an ID an earlier life minted —
+		// not even one its disk lost: §5.8's round and gossip hand an op to
+		// peers before the origin's fsync, and a peer holding the old op
+		// would take the new one for its duplicate. Each Open of the
+		// directory is a new incarnation, so each life counts from its own
+		// base, 2^40 numbers apart; a fresh directory's is 0, minting the
+		// IDs a volatile replica does. In-process Recover and Rejoin keep
+		// the running counter, which is already past everything issued.
+		r.gen = uniq.NewGenAfter(id, rec.Incarnation<<incarnationBits)
 	}
 	r.node = c.tr.Node(id, c.cfg.callTimeout)
 	r.node.Handle("push", r.handlePush)
@@ -417,9 +430,13 @@ func (r *Replica[S]) foldLocked() {
 	}
 	r.stateDirty = false
 	every, mark, folded := r.c.cfg.foldEvery, r.stateMark, r.stateN
-	// Ranging materializes each entry from the set in place, copying
-	// nothing: mu guards the set for the whole fold.
-	for e := range r.ops.After(mark) {
+	// The walk materializes each entry from the set in place, copying
+	// nothing: mu guards the set for the whole fold. It is a plain index
+	// loop, not a range over an iterator, so there is no loop-body closure
+	// for escape analysis to move to the heap in some instantiation of
+	// Replica — as it did for the daemon's, at a few allocations a fold.
+	for i, n := r.ops.Start(mark), r.ops.Len(); i < n; i++ {
+		e := r.ops.At(i)
 		if r.stateShared {
 			// A State() caller holds the accumulator; folding in place would
 			// mutate their snapshot. Clone once per fold batch, not per State
@@ -475,14 +492,11 @@ func (r *Replica[S]) rewindLocked(m oplog.Watermark) {
 	r.g.M.FoldRewinds.Inc()
 }
 
-// addLocked unions one entry into the set — Lamport clock, rewind
-// detection — without journaling or store staging; ingestSegment
-// batches those through Journal.AppendAll and stageLocked. It
-// reports whether the entry was new. The caller holds r.mu.
-func (r *Replica[S]) addLocked(e oplog.Entry) bool {
-	if !r.ops.Add(e) {
-		return false
-	}
+// addedLocked does the bookkeeping for one entry just added to the set —
+// Lamport clock, rewind detection — without journaling or store staging;
+// ingestSegment batches those through Journal.AppendAll and stageLocked.
+// The caller holds r.mu.
+func (r *Replica[S]) addedLocked(e oplog.Entry) {
 	// Dirty immediately, not at staging time: an admission check later in
 	// the same ingest batch must fold this entry in before it guesses.
 	r.stateDirty = true
@@ -496,7 +510,6 @@ func (r *Replica[S]) addLocked(e oplog.Entry) bool {
 		// gossip can deliver it.
 		r.rewindLocked(e.Mark())
 	}
-	return true
 }
 
 // stageLocked records the side effects of newly added entries: the fold

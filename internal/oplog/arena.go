@@ -39,12 +39,32 @@ func (a *arena) put(parts ...string) uint32 {
 	w, slot := a.room(n)
 	h := uint32(slot<<chunkBits | w.Len())
 	for _, p := range parts {
-		var size [binary.MaxVarintLen64]byte
-		w.Write(binary.AppendUvarint(size[:0], uint64(len(p))))
+		writeLen(w, len(p))
 		w.WriteString(p)
 	}
 	a.chunks[slot] = w.String()
 	return h
+}
+
+// putMinted is put(id, key, note) for an ID held as bytes: the record a
+// set mints, written once, where it will live.
+func (a *arena) putMinted(id []byte, key, note string) uint32 {
+	w, slot := a.room(stringSize(len(id)) + stringSize(len(key)) + stringSize(len(note)))
+	h := uint32(slot<<chunkBits | w.Len())
+	writeLen(w, len(id))
+	w.Write(id)
+	writeLen(w, len(key))
+	w.WriteString(key)
+	writeLen(w, len(note))
+	w.WriteString(note)
+	a.chunks[slot] = w.String()
+	return h
+}
+
+// writeLen writes a part's uvarint length prefix.
+func writeLen(w *strings.Builder, n int) {
+	var size [binary.MaxVarintLen64]byte
+	w.Write(binary.AppendUvarint(size[:0], uint64(n)))
 }
 
 // room returns the Builder of a chunk with n bytes to spare, and the

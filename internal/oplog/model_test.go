@@ -33,13 +33,25 @@ func (s *script) next() int {
 
 var modelKinds = []string{"deposit", "withdraw", "", "k\xff\xfe"}
 
+// modelMints are the (node, sequence number) pairs the mint step draws:
+// both sides of the six-digit boundary and an incarnation base, on an
+// unsharded and a sharded node name.
+var modelMints = []struct {
+	node string
+	seq  uint64
+}{{"r0", 1}, {"r0", 999_999}, {"s3/r1", 1_000_000}, {"r0", 1<<40 + 7}, {"s3/r1", 1}}
+
 // modelIDs is small, so scripts hit duplicates, and its IDs differ in
 // length and share prefixes, so an index that compared less than the whole
-// ID would show.
+// ID would show. The minted IDs are among them, so Add and Mint meet on
+// the same ID in both orders.
 var modelIDs = func() []uniq.ID {
 	ids := []uniq.ID{""}
 	for i := 0; i < 23; i++ {
 		ids = append(ids, uniq.ID(strings.Repeat("r", 1+i%3)+string(rune('a'+i))))
+	}
+	for _, m := range modelMints {
+		ids = append(ids, uniq.ID(fmt.Sprintf("%s-%06d", m.node, m.seq)))
 	}
 	return ids
 }()
@@ -82,7 +94,7 @@ func runModel(t *testing.T, b []byte) {
 	sc := &script{b: b}
 	s, ref := NewSet(), map[uniq.ID]Entry{}
 	for step := 0; len(sc.b) > 0; step++ {
-		switch op := sc.next() % 8; op {
+		switch op := sc.next() % 9; op {
 		case 0, 1: // one entry
 			e := sc.entry()
 			_, dup := ref[e.ID]
@@ -129,8 +141,12 @@ func runModel(t *testing.T, b []byte) {
 			if w.IsZero() {
 				i = 0
 			}
-			if got := slices.Collect(s.After(w)); !slices.Equal(got, want[i:]) {
-				t.Fatalf("step %d: After(%+v) = %s, want %s", step, w, brief(got), brief(want[i:]))
+			var got []Entry
+			for j := s.Start(w); j < s.Len(); j++ {
+				got = append(got, s.At(j))
+			}
+			if !slices.Equal(got, want[i:]) {
+				t.Fatalf("step %d: walking from Start(%+v) = %s, want %s", step, w, brief(got), brief(want[i:]))
 			}
 			if got := s.EntriesAfter(w); !slices.Equal(got, want[i:]) {
 				t.Fatalf("step %d: EntriesAfter(%+v) = %s, want %s", step, w, brief(got), brief(want[i:]))
@@ -145,6 +161,20 @@ func runModel(t *testing.T, b []byte) {
 			}
 			if !o.Equal(s) || !s.Equal(o) || s.Union(o) != 0 || len(s.Diff(o)) != 0 || len(o.Diff(s)) != 0 {
 				t.Fatalf("step %d: a set built from the same entries in another order differs", step)
+			}
+		case 8: // mint: Add of the rendered ID, which nobody built
+			m := modelMints[sc.next()%len(modelMints)]
+			e := sc.entry()
+			e.ID = uniq.ID(fmt.Sprintf("%s-%06d", m.node, m.seq))
+			_, dup := ref[e.ID]
+			minted := e
+			minted.ID = "ignored"
+			got, added := s.Mint(minted, m.node, m.seq)
+			if added == dup || got != e {
+				t.Fatalf("step %d: Mint(%s, %d) = %s, %v with the ID present: %v; want %s", step, m.node, m.seq, brief([]Entry{got}), added, dup, brief([]Entry{e}))
+			}
+			if !dup {
+				ref[e.ID] = e
 			}
 		}
 		want := canonical(ref)
@@ -168,7 +198,8 @@ func runModel(t *testing.T, b []byte) {
 
 // modelSeeds start the fuzzer and are swept, every prefix of each, by
 // TestSetMatchesModel: adds in order, a batch into the past, duplicates
-// inside one batch and across batches, copies, suffix reads and rebuilds.
+// inside one batch and across batches, copies, suffix reads, rebuilds and
+// mints.
 var modelSeeds = []string{
 	"\x00\x01\x04\x00\x00\x02\x08\x00\x00\x03\x0c\x00",                                 // three adds, ascending
 	"\x00\x03\x0f\x03\x00\x02\x00\x00\x00\x01\x00\x00",                                 // adds that sort into the past
@@ -178,6 +209,7 @@ var modelSeeds = []string{
 	"\x05\xff\x00\x00\x00\x00\x05\x00\x02\x08\x00\x00\x00\x01\x00\x00\x02\x00\x00\x17", // grow, the empty ID, a full batch
 	"\x04\x04\x00\x01\x01\x01\x04\x02\x02\x18\x33\x44\x19\x33\x44\x06\x00\x00\x00\x07\x00",
 	"\x06\x00\x00\x00\x07\x05\x00\x2f\x01\x01\x01\x30\x02\x02\x06\x2f\x01\x01\x06\x30\x02\x03",
+	"\x08\x00\x01\x02\x03\x08\x00\x05\x06\x07\x00\x18\x00\x00\x08\x03\x07\x08\x09\x04\x08\x04\x00\x00\x00", // mint, mint it again, Add it, mint into the past, copy
 }
 
 func FuzzSetMatchesModel(f *testing.F) {

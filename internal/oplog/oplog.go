@@ -20,14 +20,15 @@
 // the past.
 //
 // The maintained order makes state derivation incremental. A Watermark
-// names a position in the canonical order; After(w) ranges over only the
-// entries beyond it, so a consumer that remembers the watermark of its
-// last fold can advance its derived state by folding just the new suffix
-// instead of replaying the whole ledger. Consumers detect the rare
-// sorts-into-the-past insertion by comparing the new entry's Mark against
-// their watermark (see Entry.Mark and Watermark.Before) and only then
-// fall back to replaying from an older checkpoint. internal/core's
-// Replica is the canonical consumer of this contract.
+// names a position in the canonical order; Start(w) is where the entries
+// beyond it begin, and At walks them in place, so a consumer that
+// remembers the watermark of its last fold can advance its derived state
+// by folding just the new suffix instead of replaying the whole ledger.
+// Consumers detect the rare sorts-into-the-past insertion by comparing the
+// new entry's Mark against their watermark (see Entry.Mark and
+// Watermark.Before) and only then fall back to replaying from an older
+// checkpoint. internal/core's Replica is the canonical consumer of this
+// contract.
 //
 // # How a Set is stored
 //
@@ -55,13 +56,19 @@
 // a set is retained: Add and AddAll copy the bytes they keep, so a caller's
 // strings may be cut from a request body or a network frame. One set holds
 // at most 4 GiB of such bytes.
+//
+// An ingress ID need not exist as a string before its entry is stored:
+// Mint takes the node and sequence number instead, renders the ID on the
+// stack (uniq.AppendID, the formatter uniq.Gen uses), checks the index
+// from there and writes the bytes once, into the arena record — so a
+// guess's uniquifier is never a heap object of its own, and the entry
+// Mint returns carries the set's copy onward.
 package oplog
 
 import (
 	"cmp"
 	"fmt"
 	"hash/maphash"
-	"iter"
 	"maps"
 	"slices"
 	"sort"
@@ -218,12 +225,35 @@ func (s *Set) AddAll(entries []Entry) (added []Entry) {
 	return s.added
 }
 
+// Mint is Add for an entry whose ID is the ingress ID uniq.AppendID
+// renders for node and seq — e.ID is ignored — and which nobody has built
+// yet: the ID is rendered into a stack buffer, looked up from there, and
+// written once, into the arena record it lives in. It reports whether the
+// entry was new, and returns e carrying its ID: when stored, read back
+// from its row, so every string is the set's; on a duplicate, the present
+// record's ID.
+func (s *Set) Mint(e Entry, node string, seq uint64) (stored Entry, added bool) {
+	var buf [32]byte
+	id := uniq.AppendID(buf[:0], node, seq)
+	h := maphash.Bytes(idSeed, id)
+	if ref, ok := lookup(s, id, h); ok {
+		e.ID = uniq.ID(s.id(ref))
+		return e, false
+	}
+	old := len(s.rows)
+	s.growIndex(1)
+	s.place(e, s.arena.putMinted(id, e.Key, e.Note), h)
+	stored = s.entry(s.rows[old])
+	s.settle(old)
+	return stored, true
+}
+
 // push stores e after the last row, wherever it sorts, unless its ID is
 // already present; settle then restores the order. A pushed row is indexed
 // at once, so duplicates inside one batch are caught like any other.
 func (s *Set) push(e Entry) bool {
 	h := hashID(e.ID)
-	if s.lookup(e.ID, h) {
+	if _, ok := lookup(s, e.ID, h); ok {
 		return false
 	}
 	s.store(e, h)
@@ -233,7 +263,12 @@ func (s *Set) push(e Entry) bool {
 // store is push for an entry known to be absent, h the hash of its ID.
 func (s *Set) store(e Entry, h uint64) {
 	s.growIndex(1)
-	ref := s.arena.put(string(e.ID), e.Key, e.Note)
+	s.place(e, s.arena.put(string(e.ID), e.Key, e.Note), h)
+}
+
+// place indexes the record at ref, whose ID hashes to h, and appends e's
+// row for it. growIndex must have made room.
+func (s *Set) place(e Entry, ref uint32, h uint64) {
 	s.index(ref, h)
 	s.rows = append(s.rows, row{lam: e.Lam, at: e.At, arg: e.Arg, ref: ref, kind: s.kind(e.Kind)})
 }
@@ -304,9 +339,19 @@ func (s *Set) cmp(a, b row) int {
 	return strings.Compare(s.id(a.ref), s.id(b.ref))
 }
 
-// startAfter returns the index of the first row sorting strictly after w
-// (len(rows) if none); the genesis watermark is before every row.
-func (s *Set) startAfter(w Watermark) int {
+// Start returns the canonical-order position of the first entry sorting
+// strictly after w (Len() when none does); the genesis watermark is before
+// every entry. With At it walks a suffix in place —
+//
+//	for i := s.Start(w); i < s.Len(); i++ { e := s.At(i); ... }
+//
+// — without allocating. It is an index walk on purpose: a range-over-func
+// iterator's body is a closure, and whether that stays on the stack is
+// decided anew in every generic instantiation ranging over it (it did
+// not in quicksandd's fold). Positions hold only
+// while the set does not change: the walk is for a caller holding
+// whatever lock guards the set for as long as it walks.
+func (s *Set) Start(w Watermark) int {
 	if w.IsZero() {
 		return 0
 	}
@@ -337,18 +382,19 @@ func (s *Set) entry(r row) Entry {
 	return Entry{ID: uniq.ID(id), Kind: kind, Key: key, Arg: r.arg, Lam: r.lam, At: r.at, Note: note}
 }
 
-// lookup reports whether id, whose hash is h, is in the index.
-func (s *Set) lookup(id uniq.ID, h uint64) bool {
+// lookup finds the record holding id, whose hash is h, through the index.
+// The ID may be held as bytes; it is compared in place either way.
+func lookup[T ~string | ~[]byte](s *Set, id T, h uint64) (ref uint32, ok bool) {
 	if len(s.tags) == 0 {
-		return false
+		return 0, false
 	}
 	mask, tag := uint64(len(s.tags)-1), tagOf(h)
 	for i := h & mask; s.tags[i] != 0; i = (i + 1) & mask {
 		if s.tags[i] == tag && s.id(s.refs[i]) == string(id) {
-			return true
+			return s.refs[i], true
 		}
 	}
-	return false
+	return 0, false
 }
 
 // index records that the record at ref holds an ID hashing to h. The ID
@@ -393,7 +439,10 @@ func (s *Set) Grow(n int) {
 }
 
 // Contains reports whether an entry with the given ID is present.
-func (s *Set) Contains(id uniq.ID) bool { return s.lookup(id, hashID(id)) }
+func (s *Set) Contains(id uniq.ID) bool {
+	_, ok := lookup(s, id, hashID(id))
+	return ok
+}
 
 // Len reports the number of distinct operations.
 func (s *Set) Len() int { return len(s.rows) }
@@ -405,7 +454,8 @@ func (s *Set) Union(o *Set) int {
 	old := len(s.rows)
 	for _, r := range o.rows {
 		id := uniq.ID(o.id(r.ref))
-		if h := hashID(id); !s.lookup(id, h) {
+		h := hashID(id)
+		if _, ok := lookup(s, id, h); !ok {
 			s.store(o.entry(r), h)
 		}
 	}
@@ -417,9 +467,9 @@ func (s *Set) Union(o *Set) int {
 // order. Replicas exchange diffs during anti-entropy.
 func (s *Set) Diff(o *Set) []Entry {
 	var out []Entry
-	for e := range s.After(Watermark{}) {
-		if !o.Contains(e.ID) {
-			out = append(out, e)
+	for _, r := range s.rows {
+		if !o.Contains(uniq.ID(s.id(r.ref))) {
+			out = append(out, s.entry(r))
 		}
 	}
 	return out
@@ -470,7 +520,7 @@ func (s *Set) Entries() []Entry { return s.EntriesAfter(Watermark{}) }
 // to apply. The genesis (zero) watermark yields every entry. Cost is
 // O(log n) to locate the suffix plus materializing just that suffix.
 func (s *Set) EntriesAfter(w Watermark) []Entry {
-	tail := s.rows[s.startAfter(w):]
+	tail := s.rows[s.Start(w):]
 	if len(tail) == 0 {
 		return nil
 	}
@@ -481,19 +531,9 @@ func (s *Set) EntriesAfter(w Watermark) []Entry {
 	return out
 }
 
-// After iterates, in canonical order and without allocating, over the
-// entries sorting strictly after w. The set must not change while the
-// iteration runs: it is for a caller that holds whatever lock guards the
-// set for as long as it ranges.
-func (s *Set) After(w Watermark) iter.Seq[Entry] {
-	return func(yield func(Entry) bool) {
-		for _, r := range s.rows[s.startAfter(w):] {
-			if !yield(s.entry(r)) {
-				return
-			}
-		}
-	}
-}
+// At materializes the entry at canonical-order position i, 0 <= i < Len().
+// Its strings are substrings of the arena.
+func (s *Set) At(i int) Entry { return s.entry(s.rows[i]) }
 
 // MaxLam returns the highest Lamport timestamp in the set (0 when empty).
 // An ingress point stamps new operations with max(seen)+1. The Lamport
@@ -508,12 +548,12 @@ func (s *Set) MaxLam() uint64 {
 
 // Fold applies fn to every entry in canonical order, threading an
 // accumulator. It is the generic "derive state from the ledger" helper —
-// the from-genesis replay; checkpointed consumers range over After
+// the from-genesis replay; checkpointed consumers walk from Start(mark)
 // instead.
 func Fold[S any](s *Set, init S, fn func(S, Entry) S) S {
 	acc := init
-	for e := range s.After(Watermark{}) {
-		acc = fn(acc, e)
+	for _, r := range s.rows {
+		acc = fn(acc, s.entry(r))
 	}
 	return acc
 }

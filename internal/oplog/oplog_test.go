@@ -596,9 +596,10 @@ func TestSetBytesPerEntry(t *testing.T) {
 	}
 }
 
-// TestFoldIterationAllocatesNothing: ranging over After materializes each
-// entry on the stack from the row and the arena — folding 10 000 pending
-// entries costs no allocation, from genesis or from a mark.
+// TestFoldIterationAllocatesNothing: walking from Start with At
+// materializes each entry on the stack from the row and the arena —
+// folding 10 000 pending entries costs no allocation, from genesis or from
+// a mark.
 func TestFoldIterationAllocatesNothing(t *testing.T) {
 	s := NewSet()
 	for i := 0; i < 20000; i++ {
@@ -609,24 +610,27 @@ func TestFoldIterationAllocatesNothing(t *testing.T) {
 		var sum, n int64
 		allocs := testing.AllocsPerRun(10, func() {
 			sum, n = 0, 0
-			for e := range s.After(w) {
+			for i := s.Start(w); i < s.Len(); i++ {
+				e := s.At(i)
 				sum += e.Arg + int64(len(e.ID)+len(e.Kind)+len(e.Key))
 				n++
 			}
 		})
 		if want := int64(s.Len()); w == mid && n != want-10000 || w != mid && n != want {
-			t.Fatalf("After(%+v) yielded %d entries of %d", w, n, want)
+			t.Fatalf("walking from Start(%+v) yielded %d entries of %d", w, n, want)
 		}
 		if allocs != 0 {
-			t.Errorf("ranging over After(%+v) allocates %.0f times", w, allocs)
+			t.Errorf("walking from Start(%+v) allocates %.0f times", w, allocs)
 		}
 	}
 }
 
 // TestAddAndContainsAllocateNothingAfterGrow: with the rows and the index
-// reserved, an in-order Add writes a row, a few arena bytes and an index
-// slot — a chunk every few thousand entries is the only allocation, which
-// rounds to none per call — and Contains never allocates.
+// reserved, an in-order Add or Mint writes a row, a few arena bytes and an
+// index slot — a chunk every few thousand entries is the only allocation,
+// which rounds to none per call — and Contains never allocates. A Mint's
+// ID is rendered, looked up and written from the stack: it never exists
+// as a string of its own.
 func TestAddAndContainsAllocateNothingAfterGrow(t *testing.T) {
 	const n = 10000
 	entries := make([]Entry, n+1)
@@ -650,5 +654,20 @@ func TestAddAndContainsAllocateNothingAfterGrow(t *testing.T) {
 		i++
 	}); allocs != 0 {
 		t.Errorf("Contains allocates %.1f times per call", allocs)
+	}
+
+	m := NewSet()
+	m.Grow(n + 1)
+	seq := uint64(0)
+	if allocs := testing.AllocsPerRun(n, func() {
+		seq++
+		if _, added := m.Mint(Entry{Kind: "deposit", Key: "acct-1", Arg: 1, Lam: seq}, "s3/r1", seq); !added {
+			t.Fatal("Mint of a fresh ID reported a duplicate")
+		}
+	}); allocs != 0 {
+		t.Errorf("Mint after Grow allocates %.1f times per call", allocs)
+	}
+	if e, added := m.Mint(Entry{Kind: "deposit", Lam: 1}, "s3/r1", 1); added || e.ID != "s3/r1-000001" || !m.Contains("s3/r1-000001") {
+		t.Fatalf("re-Mint of sequence number 1 = %+v, %v; want the present ID, not added", e, added)
 	}
 }

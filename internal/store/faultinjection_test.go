@@ -254,7 +254,7 @@ func TestEIOFailsCommitAndSticks(t *testing.T) {
 // commits keep succeeding.
 func TestENOSPCOnSnapshotStallsWatermarkVisibly(t *testing.T) {
 	dir := t.TempDir()
-	inj := faultfs.New(faultfs.OS, 1, failOn(faultfs.OpCreate, ".tmp", 1, syscall.ENOSPC))
+	inj := faultfs.New(faultfs.OS, 1, failOn(faultfs.OpCreate, ".snap.tmp", 1, syscall.ENOSPC))
 	st, _ := mustOpen(t, dir, Options{Inline: true, FS: inj})
 	defer st.Close()
 	all := crashWorkloadEntries(8)

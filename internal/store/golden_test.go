@@ -20,7 +20,10 @@ import (
 // by goldenScript below. It holds every byte layout the store persists:
 // QSEG2 segments — three of them reborn from the free pool, their records
 // salted with a later seed than the files' first lives — a full snapshot,
-// and a two-link delta chain. The tests hold the current code to
+// a two-link delta chain, and the incarnation file one Open of a fresh
+// directory leaves (next incarnation 1; it was added after the rest, from
+// the format's definition rather than by an older commit). The tests hold
+// the current code to
 // those bytes in both directions: writing (the same script must produce
 // the same files) and reading (the committed directory must recover to
 // the expected set and watermark). A format change has to either keep
@@ -166,9 +169,9 @@ func TestGoldenDirectoryRecovers(t *testing.T) {
 	all := goldenEntries()
 	s, rec := mustOpen(t, dir, goldenOpts())
 	defer s.Close()
-	if rec.SnapshotPos != 75 || rec.SnapshotBase != 40 || rec.Deltas != 2 || rec.End != 96 || rec.TornBytes != 0 {
-		t.Fatalf("recovered pos=%d base=%d deltas=%d end=%d torn=%d; want 75, 40, 2, 96, 0",
-			rec.SnapshotPos, rec.SnapshotBase, rec.Deltas, rec.End, rec.TornBytes)
+	if rec.SnapshotPos != 75 || rec.SnapshotBase != 40 || rec.Deltas != 2 || rec.End != 96 || rec.TornBytes != 0 || rec.Incarnation != 1 {
+		t.Fatalf("recovered pos=%d base=%d deltas=%d end=%d torn=%d incarnation=%d; want 75, 40, 2, 96, 0, 1",
+			rec.SnapshotPos, rec.SnapshotBase, rec.Deltas, rec.End, rec.TornBytes, rec.Incarnation)
 	}
 	if rec.SnapshotMark != all[74].Mark() {
 		t.Fatalf("watermark %+v, want %+v", rec.SnapshotMark, all[74].Mark())

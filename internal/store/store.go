@@ -26,10 +26,13 @@
 //	free-0000000003.seg      retired segment awaiting recycling
 //	snap-0000012000.snap     full snapshot taken at journal position 12000
 //	delta-0000012400.snap    delta snapshot: entries [parent, 12400) + chain link
+//	incarnation              the next Open's incarnation number (Recovery.Incarnation)
 //
 // A segment header is the 6-byte magic "QSEG2\n" plus the segment's
 // start position (uint64 LE); a pre-salt "QSEG1\n" segment is refused
-// with ErrLegacySegment, never truncated.
+// with ErrLegacySegment, never truncated. The incarnation file is the
+// magic "QINC1\n", a uint64 LE and a CRC-32C of both; it is replaced
+// atomically, and anything else under its name is ErrBadIncarnation.
 // Every journal record is [uint32 length][uint32 CRC-32C][entry bytes]
 // (little-endian, oplog.AppendEntry payload), with the CRC salted by a
 // seed derived from the segment's start position — see seedFor. Appends
@@ -69,6 +72,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -90,8 +94,10 @@ const (
 	snapMagic  = "QSNP1\n" // full snapshot header
 	deltaMagic = "QSND1\n" // delta snapshot header: adds a parent-position chain link
 	snapFooter = "QEND\n"  // snapshot trailer: present iff the write completed
-	recHdrLen  = 8         // uint32 length + uint32 CRC-32C
-	maxRecord  = 16 << 20  // sanity bound on one record's payload
+	incMagic   = "QINC1\n" // incarnation file: magic + uint64 LE next incarnation + uint32 CRC-32C of both
+	incFile    = "incarnation"
+	recHdrLen  = 8        // uint32 length + uint32 CRC-32C
+	maxRecord  = 16 << 20 // sanity bound on one record's payload
 
 	segHdrV2 = len(segMagicV2) + 8 // v2 header: magic + start position
 
@@ -137,6 +143,13 @@ var ErrCorrupt = errors.New("store: corrupt journal record before the tail")
 // file byte-identical: treating it as a torn header would truncate
 // acknowledged records away.
 var ErrLegacySegment = errors.New("store: QSEG1 journal segment (unsalted record CRCs) is no longer readable")
+
+// ErrBadIncarnation reports an incarnation file that is not one a store
+// wrote: wrong size, magic or checksum. Open refuses rather than guess a
+// number, because an owner that bases its identifiers on the incarnation
+// (see Recovery.Incarnation) could otherwise reissue one an earlier life
+// already gave out.
+var ErrBadIncarnation = errors.New("store: malformed incarnation file")
 
 // Mode selects how commits reach the platter.
 type Mode int
@@ -244,6 +257,14 @@ type Recovery struct {
 	Base            int             // absolute position of the first retained journal entry
 	End             int             // next position to be appended
 	TornBytes       int64           // bytes dropped from a torn final record
+	// Incarnation numbers this Open among every Open of the directory: 0
+	// for a fresh directory, one more at each Open after — durably, so no
+	// two Opens ever read the same number whatever crashes between them. A
+	// directory that holds data but no incarnation file (written before the
+	// number was kept) counts as one earlier life. An owner can base
+	// identifiers it mints on it and never reissue one an earlier life
+	// gave out, even one that never reached this disk.
+	Incarnation uint64
 }
 
 // stageLog is one side of the double-buffered staging log: the framed
@@ -351,7 +372,9 @@ type Store struct {
 // Open replays dir (created if absent) and returns the store positioned
 // to append after everything recovered. Abandoned temp files are swept,
 // a torn final record is truncated away, and corruption before the tail
-// fails with ErrCorrupt.
+// fails with ErrCorrupt. Before it returns, Open durably counts itself in
+// the directory's incarnation file (Recovery.Incarnation); a malformed one
+// fails with ErrBadIncarnation.
 func Open(dir string, opt Options) (*Store, Recovery, error) {
 	opt = opt.withDefaults()
 	if err := opt.FS.MkdirAll(dir, 0o755); err != nil {
@@ -367,6 +390,9 @@ func Open(dir string, opt Options) (*Store, Recovery, error) {
 	}
 	rec, err := s.replay()
 	if err != nil {
+		return nil, Recovery{}, err
+	}
+	if rec.Incarnation, err = s.incarnate(len(s.segs) > 0 || rec.End > 0); err != nil {
 		return nil, Recovery{}, err
 	}
 	s.end = rec.End
@@ -1433,6 +1459,44 @@ func (s *Store) pruneSnapshots() {
 			s.fs.Remove(path)
 		}
 	}
+}
+
+// incarnate returns this Open's incarnation number, having durably
+// recorded the next one: temp file, fsync, rename, directory fsync. An
+// absent file reads 0 in a directory without data and 1 beside data.
+func (s *Store) incarnate(hasData bool) (uint64, error) {
+	path := filepath.Join(s.dir, incFile)
+	var n uint64
+	b, err := s.fs.ReadFile(path)
+	switch {
+	case err == nil:
+		if len(b) != len(incMagic)+8+4 || string(b[:len(incMagic)]) != incMagic ||
+			crc32.Checksum(b[:len(b)-4], castagnoli) != binary.LittleEndian.Uint32(b[len(b)-4:]) {
+			return 0, fmt.Errorf("store: %s: %w", path, ErrBadIncarnation)
+		}
+		n = binary.LittleEndian.Uint64(b[len(incMagic):])
+	case errors.Is(err, fs.ErrNotExist):
+		if hasData {
+			n = 1
+		}
+	default:
+		return 0, err
+	}
+	next := binary.LittleEndian.AppendUint64([]byte(incMagic), n+1)
+	next = binary.LittleEndian.AppendUint32(next, crc32.Checksum(next, castagnoli))
+	tmp := path + ".tmp"
+	if err := s.writeFileSync(tmp, next); err != nil {
+		s.fs.Remove(tmp)
+		return 0, fmt.Errorf("store: record incarnation: %w", err)
+	}
+	if err := s.fs.Rename(tmp, path); err != nil {
+		s.fs.Remove(tmp)
+		return 0, fmt.Errorf("store: record incarnation: %w", err)
+	}
+	if err := s.syncDir(); err != nil {
+		return 0, fmt.Errorf("store: record incarnation: %w", err)
+	}
+	return n, nil
 }
 
 // snapFilePos extracts the position encoded in a snapshot or delta

@@ -483,6 +483,60 @@ func TestLegacySegmentRefusedUntouched(t *testing.T) {
 	}
 }
 
+// TestIncarnationCountsOpens: a fresh directory is incarnation 0 and every
+// Open after counts one more — Inline or not, crashed or closed — and a
+// directory with data but no incarnation file (one written before the file
+// existed) reads as incarnation 1. A malformed file is refused with
+// ErrBadIncarnation and left as it was.
+func TestIncarnationCountsOpens(t *testing.T) {
+	dir := t.TempDir()
+	for want := uint64(0); want < 3; want++ {
+		s, rec := mustOpen(t, dir, Options{Inline: want != 1})
+		if rec.Incarnation != want {
+			t.Fatalf("Open #%d: incarnation %d, want %d", want+1, rec.Incarnation, want)
+		}
+		if want == 1 {
+			commitAll(t, s, []oplog.Entry{entry(0)})
+			s.Crash()
+		} else {
+			s.Close()
+		}
+	}
+	path := filepath.Join(dir, incFile)
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	s, rec := mustOpen(t, dir, inlineOpts())
+	s.Close()
+	if rec.Incarnation != 1 || rec.End != 1 {
+		t.Fatalf("data without an incarnation file: incarnation %d at end %d, want 1 at 1", rec.Incarnation, rec.End)
+	}
+
+	flipped := bytes.Clone(good)
+	flipped[len(incMagic)] ^= 1
+	for name, bad := range map[string][]byte{
+		"empty":     {},
+		"truncated": good[:len(good)-1],
+		"magic":     append([]byte("QINC2\n"), good[len(incMagic):]...),
+		"checksum":  flipped,
+		"trailing":  append(bytes.Clone(good), 0),
+	} {
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := Open(dir, inlineOpts()); !errors.Is(err, ErrBadIncarnation) {
+			t.Errorf("%s incarnation file: Open = %v, want ErrBadIncarnation", name, err)
+		}
+		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, bad) {
+			t.Errorf("%s incarnation file was rewritten by a refused Open", name)
+		}
+	}
+}
+
 // TestOptionsFieldsPinned makes the next store knob a conscious diff:
 // every field here multiplies the configurations the suites must cover.
 func TestOptionsFieldsPinned(t *testing.T) {

@@ -202,17 +202,20 @@ func (t *Tracer) SampleEvery() int {
 // Sampled reports whether ops with this ID are traced. The decision is
 // a hash of the ID, so every replica — in this process or another —
 // samples the same ops. It takes no lock and allocates nothing.
-func (t *Tracer) Sampled(op string) bool {
-	if t.sample <= 1 {
-		return true
-	}
-	// FNV-1a over the ID bytes, inlined to stay allocation-free.
+func (t *Tracer) Sampled(op string) bool { return t.sample <= 1 || fnv1a(op)%t.sample == 0 }
+
+// SampledID is Sampled for an ID held as bytes: the engine decides before
+// it builds an ID string, and builds one only for a sampled op.
+func (t *Tracer) SampledID(op []byte) bool { return t.sample <= 1 || fnv1a(op)%t.sample == 0 }
+
+// fnv1a hashes s with FNV-1a, allocation-free.
+func fnv1a[T string | []byte](s T) uint64 {
 	h := uint64(14695981039346656037)
-	for i := 0; i < len(op); i++ {
-		h ^= uint64(op[i])
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
 		h *= 1099511628211
 	}
-	return h%t.sample == 0
+	return h
 }
 
 // record appends ev to the ring and, when st is non-nil, to the op's
@@ -256,12 +259,7 @@ func (t *Tracer) bitFor(replica string) uint64 {
 	// holders and only delay a truth event, never fabricate one early —
 	// except in the astronomically unlikely 64-bit hash collision case,
 	// which we accept for a diagnostic.
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(replica); i++ {
-		h ^= uint64(replica[i])
-		h *= 1099511628211
-	}
-	return 1 << (h & 63)
+	return 1 << (fnv1a(replica) & 63)
 }
 
 // Submitted records an op entering the cluster.

@@ -84,6 +84,9 @@ func TestSamplingDeterministicAcrossTracers(t *testing.T) {
 		if a.Sampled(id) != b.Sampled(id) {
 			t.Fatalf("tracers disagree on %s", id)
 		}
+		if a.SampledID([]byte(id)) != a.Sampled(id) {
+			t.Fatalf("SampledID and Sampled disagree on %s", id)
+		}
 		if a.Sampled(id) {
 			sampled++
 		}
@@ -156,8 +159,9 @@ func TestDisabledTracerZeroAlloc(t *testing.T) {
 	}
 
 	live := New(Options{SampleEvery: 1 << 20}) // sample ~nothing
+	opBytes := []byte(op)
 	if allocs := testing.AllocsPerRun(1000, func() {
-		if !live.Sampled(op) {
+		if !live.Sampled(op) && !live.SampledID(opBytes) {
 			return
 		}
 		t.Fatal("op unexpectedly sampled")

@@ -16,7 +16,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"strconv"
-	"strings"
 	"sync/atomic"
 )
 
@@ -29,6 +28,11 @@ type ID string
 // coordination, exactly as the paper prescribes: the ID is "assigned at
 // the ingress to the system (i.e. whichever replica first handles the
 // work)". Gens are safe for concurrent use.
+//
+// An ID is a function of the node and a sequence number, so the two
+// halves of Next can be taken apart: Take reserves a number, and ID — or
+// AppendID, wherever the bytes are to live — renders it later. A reserved
+// number is never handed out again.
 type Gen struct {
 	node string
 	seq  uint64
@@ -37,27 +41,44 @@ type Gen struct {
 // NewGen returns a generator scoped to node.
 func NewGen(node string) *Gen { return &Gen{node: node} }
 
-// Next returns a fresh ID. The format is exactly fmt.Sprintf("%s-%06d",
-// node, seq), built by hand because Next sits on the ingest hot path:
-// one allocation per ID (the Builder's buffer, handed off without a
-// copy) instead of Sprintf's three.
-func (g *Gen) Next() ID {
-	n := atomic.AddUint64(&g.seq, 1)
-	var tmp [20]byte
-	digits := strconv.AppendUint(tmp[:0], n, 10)
-	var b strings.Builder
-	b.Grow(len(g.node) + 1 + max(6, len(digits)))
-	b.WriteString(g.node)
-	b.WriteByte('-')
-	for z := 6 - len(digits); z > 0; z-- {
-		b.WriteByte('0')
-	}
-	b.Write(digits)
-	return ID(b.String())
+// NewGenAfter returns a generator scoped to node whose first ID follows
+// sequence number seq — how a restarted node resumes above every number
+// an earlier life of it could have used.
+func NewGenAfter(node string, seq uint64) *Gen { return &Gen{node: node, seq: seq} }
+
+// Next returns a fresh ID: one allocation, the string itself.
+func (g *Gen) Next() ID { return g.ID(g.Take()) }
+
+// Take reserves the next sequence number without rendering its ID.
+func (g *Gen) Take() uint64 { return atomic.AddUint64(&g.seq, 1) }
+
+// ID renders the ID of sequence number seq, as Next would have.
+func (g *Gen) ID(seq uint64) ID {
+	var buf [32]byte
+	return ID(AppendID(buf[:0], g.node, seq))
 }
 
-// Count reports how many IDs the generator has issued.
+// Node reports the node the generator is scoped to.
+func (g *Gen) Node() string { return g.node }
+
+// Count reports the sequence number of the last ID issued — how many IDs
+// the generator has issued, when it started at zero.
 func (g *Gen) Count() uint64 { return atomic.LoadUint64(&g.seq) }
+
+// AppendID appends the ingress ID of sequence number seq at node to dst
+// and returns the extended slice. The format is exactly
+// fmt.Sprintf("%s-%06d", node, seq), built by hand because it sits on the
+// ingest hot path: it allocates nothing beyond what dst has to grow.
+func AppendID(dst []byte, node string, seq uint64) []byte {
+	var tmp [20]byte
+	digits := strconv.AppendUint(tmp[:0], seq, 10)
+	dst = append(dst, node...)
+	dst = append(dst, '-')
+	for z := 6 - len(digits); z > 0; z-- {
+		dst = append(dst, '0')
+	}
+	return append(dst, digits...)
+}
 
 // ContentID derives an ID from the request body itself — the MD5 trick of
 // §2.1. Retries of a byte-identical request map to the same ID, making the

@@ -116,3 +116,28 @@ func TestGenNextMatchesSprintf(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendIDMatchesSprintf: the one formatter behind Next, ID and the
+// op set's mint writes fmt's bytes at the six-digit boundary and at an
+// incarnation base, onto an empty or a used buffer, and Take/ID split
+// Next without changing what it issues.
+func TestAppendIDMatchesSprintf(t *testing.T) {
+	for _, node := range []string{"r0", "s3/r1"} {
+		for _, seq := range []uint64{1, 999_999, 1_000_000, 1<<40 + 7} {
+			want := fmt.Sprintf("%s-%06d", node, seq)
+			if got := string(AppendID(nil, node, seq)); got != want {
+				t.Errorf("AppendID(nil, %q, %d) = %q, want %q", node, seq, got, want)
+			}
+			if got := string(AppendID([]byte("x|"), node, seq)); got != "x|"+want {
+				t.Errorf("AppendID onto a prefix = %q, want %q", got, "x|"+want)
+			}
+			if got := NewGenAfter(node, seq-1).Next(); got != ID(want) {
+				t.Errorf("NewGenAfter(%q, %d).Next() = %q, want %q", node, seq-1, got, want)
+			}
+			g := NewGenAfter(node, seq-1)
+			if n := g.Take(); n != seq || g.ID(n) != ID(want) || g.Next() == ID(want) {
+				t.Errorf("Take = %d, ID(%d) = %q; want %d, %q, then a fresh Next", n, n, g.ID(n), seq, want)
+			}
+		}
+	}
+}
