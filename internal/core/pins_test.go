@@ -5,12 +5,15 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
+	"repro/internal/oplog"
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/testenv"
+	"repro/internal/uniq"
 )
 
 // TestPinSubmitAllocs pins what a blocking guess costs on a lone replica
@@ -115,5 +118,29 @@ func TestPinLiveCallAllocs(t *testing.T) {
 	t.Logf("%.3f allocs per round trip", got)
 	if got > 1 {
 		t.Fatalf("one live round trip allocates %.3f times, want at most 1", got)
+	}
+}
+
+// TestPinPushDecodeAllocs pins what decoding a 256-entry gossip push
+// costs: the one string copy its entries are cut from, the entry slice and
+// the boxed message. It cost 770 when each entry string was its own copy.
+func TestPinPushDecodeAllocs(t *testing.T) {
+	testenv.SkipUnderRace(t)
+	entries := make([]oplog.Entry, 256)
+	for i := range entries {
+		entries[i] = oplog.Entry{ID: uniq.ID(fmt.Sprintf("r1-%06d", i)), Kind: "credit", Key: fmt.Sprintf("acct-%d", i%17), Note: "n", Arg: int64(i), Lam: uint64(i)}
+	}
+	buf, err := AppendMessage(nil, pushReq{Entries: entries})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(200, func() {
+		if _, err := DecodeMessage(buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocs per 256-entry push decode", got)
+	if got > 4 {
+		t.Fatalf("decoding a 256-entry push allocates %.0f times, want at most 4", got)
 	}
 }

@@ -81,53 +81,96 @@ func MessageSize(msg any) int {
 
 // DecodeMessage decodes one wire message occupying the whole of b.
 // Trailing bytes are an error: a frame that decodes but does not consume
-// its payload is corrupt.
+// its payload is corrupt, and an error comes with a nil message.
+//
+// A message that carries entries is copied into one string, and every
+// entry string is a substring of it: b may be reused as soon as this
+// returns, and a push costs one copy however many entries it holds. Whoever
+// keeps an entry string keeps the whole copy, so a receiver keeps entries
+// only through the op set, which copies them into its arena.
 func DecodeMessage(b []byte) (any, error) {
 	if len(b) == 0 {
 		return nil, fmt.Errorf("core: empty wire message")
 	}
 	tag, b := b[0], b[1:]
 	switch tag {
-	case wireTagPush:
-		n, sz := binary.Uvarint(b)
-		if sz <= 0 {
-			return nil, fmt.Errorf("core: truncated push count")
+	case wireTagPushAck, wireTagAdmitAck:
+		if len(b) != 1 {
+			return nil, fmt.Errorf("core: bad ack length %d", len(b))
 		}
-		b = b[sz:]
-		// Cap the preallocation: n comes off the wire, and a corrupt count
-		// must not become a giant allocation before decode fails.
-		capHint := n
-		if capHint > 4096 {
-			capHint = 4096
+		if tag == wireTagPushAck {
+			return pushAck{OK: b[0] != 0}, nil
 		}
-		entries := make([]oplog.Entry, 0, capHint)
-		for i := uint64(0); i < n; i++ {
-			var e oplog.Entry
-			var err error
-			e, b, err = decodeSizedEntry(b)
-			if err != nil {
-				return nil, err
-			}
-			entries = append(entries, e)
-		}
-		if len(b) != 0 {
-			return nil, fmt.Errorf("core: %d trailing bytes after push", len(b))
-		}
-		return pushReq{Entries: entries}, nil
-	case wireTagPushAck:
-		ok, err := decodeBoolMsg(b, "push ack")
-		return pushAck{OK: ok}, err
-	case wireTagAdmit:
-		op, err := decodeEntryMsg(b, "admit")
-		return admitReq{Op: op}, err
-	case wireTagAdmitAck:
-		ok, err := decodeBoolMsg(b, "admit ack")
-		return admitAck{OK: ok}, err
-	case wireTagApply:
-		op, err := decodeEntryMsg(b, "apply")
-		return applyReq{Op: op}, err
+		return admitAck{OK: b[0] != 0}, nil
+	case wireTagPush, wireTagAdmit, wireTagApply:
+	default:
+		return nil, fmt.Errorf("core: unknown wire message tag %d", tag)
 	}
-	return nil, fmt.Errorf("core: unknown wire message tag %d", tag)
+	r := wireReader{b: b, s: string(b)}
+	if tag != wireTagPush {
+		op, err := r.entry()
+		if err == nil && len(r.b) != 0 {
+			err = fmt.Errorf("core: %d trailing bytes after entry", len(r.b))
+		}
+		if err != nil {
+			return nil, err
+		}
+		if tag == wireTagAdmit {
+			return admitReq{Op: op}, nil
+		}
+		return applyReq{Op: op}, nil
+	}
+	n, ok := r.uvarint()
+	if !ok {
+		return nil, fmt.Errorf("core: truncated push count")
+	}
+	// n comes off the wire: a corrupt count must not become a giant
+	// allocation before decode fails, and an entry takes at least
+	// minSizedEntry bytes.
+	entries := make([]oplog.Entry, 0, min(n, uint64(len(r.b)/minSizedEntry)))
+	for i := uint64(0); i < n; i++ {
+		e, err := r.entry()
+		if err != nil {
+			return nil, err
+		}
+		entries = append(entries, e)
+	}
+	if len(r.b) != 0 {
+		return nil, fmt.Errorf("core: %d trailing bytes after push", len(r.b))
+	}
+	return pushReq{Entries: entries}, nil
+}
+
+// minSizedEntry is the shortest length-prefixed entry: a one-byte
+// length, four empty strings and three one-byte varints.
+const minSizedEntry = 1 + 4 + 3
+
+// wireReader walks one message body held twice — b, the bytes it arrived
+// in, where the framing varints are read, and s, its one string copy,
+// which the entries are cut from.
+type wireReader struct {
+	b []byte
+	s string
+}
+
+func (r *wireReader) uvarint() (uint64, bool) {
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 {
+		return 0, false
+	}
+	r.b, r.s = r.b[n:], r.s[n:]
+	return v, true
+}
+
+// entry decodes one length-prefixed entry from the front of the body.
+func (r *wireReader) entry() (oplog.Entry, error) {
+	n, ok := r.uvarint()
+	if !ok || uint64(len(r.b)) < n {
+		return oplog.Entry{}, fmt.Errorf("core: truncated entry frame")
+	}
+	e, err := oplog.DecodeEntryString(r.s[:n])
+	r.b, r.s = r.b[n:], r.s[n:]
+	return e, err
 }
 
 func appendEntryMsg(buf []byte, tag byte, e oplog.Entry) []byte {
@@ -155,36 +198,4 @@ func encodeBool(v bool) byte {
 		return 1
 	}
 	return 0
-}
-
-// decodeSizedEntry decodes one length-prefixed entry from the front of
-// b, returning the remainder.
-func decodeSizedEntry(b []byte) (oplog.Entry, []byte, error) {
-	n, sz := binary.Uvarint(b)
-	if sz <= 0 || uint64(len(b)-sz) < n {
-		return oplog.Entry{}, nil, fmt.Errorf("core: truncated entry frame")
-	}
-	e, err := oplog.DecodeEntry(b[sz : sz+int(n)])
-	if err != nil {
-		return oplog.Entry{}, nil, err
-	}
-	return e, b[sz+int(n):], nil
-}
-
-func decodeEntryMsg(b []byte, what string) (oplog.Entry, error) {
-	e, rest, err := decodeSizedEntry(b)
-	if err != nil {
-		return oplog.Entry{}, err
-	}
-	if len(rest) != 0 {
-		return oplog.Entry{}, fmt.Errorf("core: %d trailing bytes after %s", len(rest), what)
-	}
-	return e, nil
-}
-
-func decodeBoolMsg(b []byte, what string) (bool, error) {
-	if len(b) != 1 {
-		return false, fmt.Errorf("core: bad %s length %d", what, len(b))
-	}
-	return b[0] != 0, nil
 }

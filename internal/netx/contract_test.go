@@ -373,8 +373,8 @@ func TestDuplicateResponseFrameIsDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.tr.handleFrame(resp[frameHeader:], nil)
-	w.tr.handleFrame(resp[frameHeader:], nil)
+	w.tr.handleFrame(nil, resp[frameHeader:], nil)
+	w.tr.handleFrame(nil, resp[frameHeader:], nil)
 	h.reply(0, req) // the real response: a third copy of the seq
 	time.Sleep(2 * contractTimeout)
 	if n, got, ok := o.get(); n != 1 || !ok || !sameMsg(got, enc) {

@@ -1,7 +1,6 @@
 package netx
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -15,15 +14,15 @@ import (
 // TestFrameChecksumDetectsBitFlip: a single flipped payload bit must be
 // rejected as errCorruptFrame, never decoded.
 func TestFrameChecksumDetectsBitFlip(t *testing.T) {
-	buf := frame(append([]byte{frameReq}, "some gossip payload worth protecting"...))
+	buf := seal(append(append(newFrame(0), frameReq), "some gossip payload worth protecting"...))
 	// Sanity: the pristine frame round-trips.
-	if _, err := readFrame(bufio.NewReader(bytes.NewReader(buf))); err != nil {
+	if _, err := newFrameReader(bytes.NewReader(buf)).read(maxFrame); err != nil {
 		t.Fatalf("pristine frame rejected: %v", err)
 	}
 	for bit := 0; bit < (len(buf)-frameHeader)*8; bit += 7 {
 		bad := append([]byte(nil), buf...)
 		bad[frameHeader+bit/8] ^= 1 << (bit % 8)
-		if _, err := readFrame(bufio.NewReader(bytes.NewReader(bad))); !errors.Is(err, errCorruptFrame) {
+		if _, err := newFrameReader(bytes.NewReader(bad)).read(maxFrame); !errors.Is(err, errCorruptFrame) {
 			t.Fatalf("flipping payload bit %d: err = %v, want errCorruptFrame", bit, err)
 		}
 	}
@@ -35,7 +34,7 @@ func TestFrameChecksumDetectsBitFlip(t *testing.T) {
 func TestManglerIsDeterministic(t *testing.T) {
 	f := Faults{Seed: 42, Drop: 0.3, Duplicate: 0.2, Reorder: 0.2, BitFlip: 0.3}
 	a, b := newMangler(f.Seed, "10.0.0.1:9000"), newMangler(f.Seed, "10.0.0.1:9000")
-	fr := frame([]byte{frameHello, 1, 2, 3, 4, 5, 6, 7})
+	fr := seal(append(newFrame(0), frameHello, 1, 2, 3, 4, 5, 6, 7))
 	for i := 0; i < 200; i++ {
 		oa, ma := a.apply(f, fr)
 		ob, mb := b.apply(f, fr)

@@ -25,7 +25,6 @@
 package netx
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -127,6 +126,9 @@ type Transport struct {
 // peer connections immediately (the bound address is Addr, so ":0"
 // works for tests).
 func New(cfg Config) (*Transport, error) {
+	if helloSize(cfg.Token) > maxHelloFrame {
+		return nil, fmt.Errorf("netx: a token of %d bytes does not fit a %d-byte hello", len(cfg.Token), maxHelloFrame)
+	}
 	t := &Transport{
 		cfg:        cfg.withDefaults(),
 		local:      core.NewLiveTransport(),
@@ -574,10 +576,12 @@ func (t *Transport) dropConn(conn net.Conn) {
 func (t *Transport) serveConn(conn net.Conn) {
 	defer t.wg.Done()
 	defer t.dropConn(conn)
-	br := bufio.NewReader(conn)
+	fr := newFrameReader(conn)
 	conn.SetReadDeadline(time.Now().Add(t.cfg.DialTimeout + t.cfg.WriteTimeout))
-	payload, err := readFrame(br)
-	if err != nil || len(payload) == 0 || payload[0] != frameHello {
+	// The hello is read before its sender has proven anything, so it
+	// gets the hello's bound, not a frame's.
+	payload, err := fr.read(maxHelloFrame)
+	if err != nil || payload[0] != frameHello {
 		t.cfg.logf("netx: %s: connection without hello rejected", conn.RemoteAddr())
 		return
 	}
@@ -589,12 +593,12 @@ func (t *Transport) serveConn(conn net.Conn) {
 	conn.SetReadDeadline(time.Time{})
 	w := &connWriter{conn: conn, timeout: t.cfg.WriteTimeout}
 	for {
-		payload, err := readFrame(br)
+		payload, err := fr.read(maxFrame)
 		if err != nil {
 			t.noteReadErr(conn, err)
 			return
 		}
-		t.handleFrame(payload, w)
+		t.handleFrame(fr, payload, w)
 	}
 }
 
@@ -602,15 +606,13 @@ func (t *Transport) serveConn(conn net.Conn) {
 // node's handler (whose asynchronous reply is written back on w),
 // responses resolve their pending call. Damaged frames and frames for
 // unknown or crashed nodes are dropped — the caller's timeout is the
-// error path, exactly as for an in-process crashed node.
-func (t *Transport) handleFrame(payload []byte, w *connWriter) {
-	if len(payload) == 0 {
-		return
-	}
+// error path, exactly as for an in-process crashed node. The payload is
+// fr's buffer: nothing decoded from it refers to it.
+func (t *Transport) handleFrame(fr *frameReader, payload []byte, w *connWriter) {
 	kind, body := payload[0], payload[1:]
 	switch kind {
 	case frameReq:
-		req, err := decodeReq(body)
+		req, err := fr.decodeReq(body)
 		if err != nil {
 			t.cfg.logf("netx: dropping bad request frame: %v", err)
 			return
@@ -836,13 +838,13 @@ func (p *peer) readLoop(conn net.Conn) {
 	defer p.t.wg.Done()
 	defer p.t.dropConn(conn)
 	w := &connWriter{conn: conn, timeout: p.t.cfg.WriteTimeout}
-	br := bufio.NewReader(conn)
+	fr := newFrameReader(conn)
 	for {
-		payload, err := readFrame(br)
+		payload, err := fr.read(maxFrame)
 		if err != nil {
 			p.t.noteReadErr(conn, err)
 			return
 		}
-		p.t.handleFrame(payload, w)
+		p.t.handleFrame(fr, payload, w)
 	}
 }

@@ -74,10 +74,20 @@ func PutBuf(b *[]byte) {
 
 // DecodeEntry decodes one entry occupying the whole of b — the framing
 // (record length, CRC) is the caller's job. Trailing bytes are an error:
-// a record that decodes but does not consume its payload is corrupt.
-func DecodeEntry(b []byte) (Entry, error) {
+// a record that decodes but does not consume its payload is corrupt. The
+// entry's strings are copies; b may be reused as soon as it returns.
+func DecodeEntry(b []byte) (Entry, error) { return decodeEntry(b) }
+
+// DecodeEntryString is DecodeEntry over bytes already held as a string:
+// the entry's strings are substrings of s, so decoding allocates nothing,
+// and whoever keeps one keeps all of s. A wire message is copied into one
+// string once and its entries cut from it; the op set copies what it
+// keeps into its arena.
+func DecodeEntryString(s string) (Entry, error) { return decodeEntry(s) }
+
+func decodeEntry[T ~string | ~[]byte](b T) (Entry, error) {
 	var e Entry
-	d := decoder{b: b}
+	d := decoder[T]{b: b}
 	e.ID = uniq.ID(d.string())
 	e.Kind = d.string()
 	e.Key = d.string()
@@ -108,7 +118,7 @@ func AppendWatermark(buf []byte, w Watermark) []byte {
 // remainder of the buffer.
 func DecodeWatermark(b []byte) (Watermark, []byte, error) {
 	var w Watermark
-	d := decoder{b: b}
+	d := decoder[[]byte]{b: b}
 	w.Lam = d.uvarint()
 	w.At = sim.Time(d.varint())
 	w.ID = uniq.ID(d.string())
@@ -124,23 +134,25 @@ func appendString(buf []byte, s string) []byte {
 }
 
 // decoder consumes a buffer front-to-back, latching the first error so
-// field reads can be written straight-line.
-type decoder struct {
-	b   []byte
+// field reads can be written straight-line. Over a string it cuts
+// substrings; over bytes it copies each string out.
+type decoder[T ~string | ~[]byte] struct {
+	b   T
 	err error
 }
 
-func (d *decoder) fail(what string) {
+func (d *decoder[T]) fail(what string) {
 	if d.err == nil {
 		d.err = fmt.Errorf("oplog: truncated entry: bad %s", what)
 	}
 }
 
-func (d *decoder) uvarint() uint64 {
+func (d *decoder[T]) uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
-	v, n := binary.Uvarint(d.b)
+	var tmp [binary.MaxVarintLen64]byte // binary reads bytes; d.b may be a string
+	v, n := binary.Uvarint(tmp[:copy(tmp[:], d.b)])
 	if n <= 0 {
 		d.fail("uvarint")
 		return 0
@@ -149,11 +161,12 @@ func (d *decoder) uvarint() uint64 {
 	return v
 }
 
-func (d *decoder) varint() int64 {
+func (d *decoder[T]) varint() int64 {
 	if d.err != nil {
 		return 0
 	}
-	v, n := binary.Varint(d.b)
+	var tmp [binary.MaxVarintLen64]byte // binary reads bytes; d.b may be a string
+	v, n := binary.Varint(tmp[:copy(tmp[:], d.b)])
 	if n <= 0 {
 		d.fail("varint")
 		return 0
@@ -162,7 +175,7 @@ func (d *decoder) varint() int64 {
 	return v
 }
 
-func (d *decoder) string() string {
+func (d *decoder[T]) string() string {
 	n := d.uvarint()
 	if d.err != nil {
 		return ""

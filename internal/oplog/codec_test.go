@@ -5,8 +5,10 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/sim"
+	"repro/internal/testenv"
 	"repro/internal/uniq"
 )
 
@@ -68,11 +70,24 @@ func TestDecodeEntryRejectsTruncationAndTrailing(t *testing.T) {
 }
 
 // checkDecode is FuzzDecodeEntry's contract on one input: DecodeEntry
-// returns an entry or an error, never panics; whatever it accepts, and the
-// entry cut straight out of the input's bytes, encode to exactly
-// EntrySize bytes that decode back to the same entry.
+// returns an entry or an error, never panics; DecodeEntryString agrees
+// with it on every input, and the strings it returns are cut from its
+// input; whatever they accept, and the entry cut straight out of the
+// input's bytes, encode to exactly EntrySize bytes that decode back to
+// the same entry.
 func checkDecode(t *testing.T, b []byte) {
 	t.Helper()
+	s := string(b)
+	fromString, serr := DecodeEntryString(s)
+	fromBytes, berr := DecodeEntry(b)
+	if fromString != fromBytes || (serr == nil) != (berr == nil) {
+		t.Fatalf("on %q: DecodeEntryString = %+v, %v; DecodeEntry = %+v, %v", b, fromString, serr, fromBytes, berr)
+	}
+	for _, f := range []string{string(fromString.ID), fromString.Kind, fromString.Key, fromString.Note} {
+		if f != "" && !within(f, s) {
+			t.Fatalf("DecodeEntryString(%q) returned %q, not a substring of its input", b, f)
+		}
+	}
 	roundTrip := func(e Entry) {
 		enc := AppendEntry(nil, e)
 		if len(enc) != EntrySize(e) {
@@ -123,6 +138,26 @@ func TestDecodeEntryContract(t *testing.T) {
 		for n := 0; n <= len(s); n++ {
 			checkDecode(t, s[:n])
 		}
+	}
+}
+
+// within reports whether the bytes of sub lie inside those of s.
+func within(sub, s string) bool {
+	p, lo := uintptr(unsafe.Pointer(unsafe.StringData(sub))), uintptr(unsafe.Pointer(unsafe.StringData(s)))
+	return p >= lo && p+uintptr(len(sub)) <= lo+uintptr(len(s))
+}
+
+// TestDecodeEntryStringAllocatesNothing pins the string form's point: its
+// fields are cuts of its input, so a decode costs no heap at all.
+func TestDecodeEntryStringAllocatesNothing(t *testing.T) {
+	testenv.SkipUnderRace(t)
+	s := string(AppendEntry(nil, Entry{ID: "r0-000042", Kind: "deposit", Key: "acct-007", Note: "n", Arg: 100_00, Lam: 42, At: 5_000_000}))
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := DecodeEntryString(s); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("DecodeEntryString allocates %.1f times per call, want 0", allocs)
 	}
 }
 
