@@ -9,7 +9,6 @@
 //	quicksand-bench -run E6      # one experiment
 //	quicksand-bench -list        # list experiments and claims
 //	quicksand-bench -seed 7      # change the deterministic seed
-//	quicksand-bench -shards 8    # shard count of E14's sharded arm
 package main
 
 import (
@@ -24,10 +23,9 @@ import (
 )
 
 type options struct {
-	run    string
-	list   bool
-	seed   int64
-	shards int
+	run  string
+	list bool
+	seed int64
 }
 
 // newFlagSet declares every flag the command accepts, bound to o.
@@ -36,7 +34,6 @@ func newFlagSet(o *options) *flag.FlagSet {
 	fs.StringVar(&o.run, "run", "", "run only the experiment with this ID (e.g. E6, A1)")
 	fs.BoolVar(&o.list, "list", false, "list experiments without running")
 	fs.Int64Var(&o.seed, "seed", 1, "deterministic seed for every experiment")
-	fs.IntVar(&o.shards, "shards", 4, "shard count of the sharded arm of E14")
 	return fs
 }
 
@@ -52,7 +49,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
-	experiment.SetShards(o.shards)
 
 	exps := experiment.All()
 	if o.run != "" {

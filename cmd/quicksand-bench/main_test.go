@@ -12,13 +12,14 @@ import (
 	"testing"
 
 	"repro/internal/experiment"
+	"repro/internal/testenv"
 )
 
 // TestFlagsPinned makes the next quicksand-bench flag a conscious diff.
 // The command prints the deterministic paper tables; anything that
 // measures a wall clock belongs in `go run ./bench`.
 func TestFlagsPinned(t *testing.T) {
-	want := []string{"list", "run", "seed", "shards"}
+	want := []string{"list", "run", "seed"}
 	var got []string
 	newFlagSet(new(options)).VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
 	if !reflect.DeepEqual(got, want) {
@@ -29,7 +30,7 @@ func TestFlagsPinned(t *testing.T) {
 // The measurement flags are gone, and asking for one is a usage error,
 // not a silently ignored request.
 func TestRemovedFlagsAreUsageErrors(t *testing.T) {
-	for _, name := range []string{"live", "liveduration", "durable", "net", "json"} {
+	for _, name := range []string{"live", "liveduration", "durable", "net", "json", "shards"} {
 		var stdout, stderr bytes.Buffer
 		if code := run([]string{"-" + name}, &stdout, &stderr); code != 2 {
 			t.Errorf("-%s: exit %d, want 2", name, code)
@@ -50,12 +51,52 @@ func TestListPrintsEveryExperiment(t *testing.T) {
 	}
 }
 
+// TestTablesMatchGolden runs every experiment at the default seed and
+// compares the output, less its wall-time lines, byte for byte with
+// testdata/tables.golden. The tables are the reproduction's results and
+// are deterministic per seed, so a change to any number is a diff the
+// change must explain. internal/experiment's shape tests run every
+// experiment in both passes; this comparison runs in the race-free one.
+func TestTablesMatchGolden(t *testing.T) {
+	testenv.SkipUnderRace(t)
+	want, err := os.ReadFile(filepath.Join("testdata", "tables.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run(nil, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr.String())
+	}
+	var got bytes.Buffer
+	for _, line := range strings.SplitAfter(stdout.String(), "\n") {
+		if !strings.HasSuffix(line, " wall time)\n") {
+			got.WriteString(line)
+		}
+	}
+	if bytes.Equal(got.Bytes(), want) {
+		return
+	}
+	g, w := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	i := 0
+	for i < len(g) && i < len(w) && g[i] == w[i] {
+		i++
+	}
+	line := func(lines []string) string {
+		if i < len(lines) {
+			return lines[i]
+		}
+		return "(end of output)"
+	}
+	t.Fatalf("tables differ from testdata/tables.golden at line %d:\n got %q\nwant %q", i+1, line(g), line(w))
+}
+
 // TestDocumentedCommandsParse extracts every `go run ./cmd/quicksand-bench …`
 // line from the repository's prose and parses it against the real
 // FlagSet, so a recipe that names a removed flag or experiment fails
-// here instead of in a reader's terminal.
+// here instead of in a reader's terminal. A pipe or a redirection ends
+// the command.
 func TestDocumentedCommandsParse(t *testing.T) {
-	invocation := regexp.MustCompile("go run (?:-race )?\\./cmd/quicksand-bench((?:[ \\t]+[^\\s#`]+)*)")
+	invocation := regexp.MustCompile("go run (?:-race )?\\./cmd/quicksand-bench((?:[ \\t]+[^\\s#`|>]+)*)")
 	root := filepath.Join("..", "..")
 	found := 0
 	for _, pattern := range []string{"README.md", "DESIGN.md", "docs/*.md", ".claude/skills/verify/SKILL.md"} {

@@ -559,8 +559,7 @@ func TestKillRecoverChurn(t *testing.T) {
 // TestGroupCommitAmortizes pins the durable throughput claim: a bulk
 // ingest over the group-committing store must complete with far fewer
 // fsyncs than operations — staging is microseconds while an fsync is
-// not, so the bus fills while the disk is busy. (One fsync per op is
-// exactly what store.ModeEveryOp pays.)
+// not, so the bus fills while the disk is busy.
 func TestGroupCommitAmortizes(t *testing.T) {
 	const n = 2000
 	c := New[counterState](counterApp{}, nil,

@@ -3,7 +3,6 @@ package daemon
 import (
 	"fmt"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -266,19 +265,4 @@ func parsePeers(val string) (map[int]string, error) {
 		out[idx] = strings.TrimSpace(addr)
 	}
 	return out, nil
-}
-
-// FormatPeers renders a Peers map back into the config syntax, indices
-// sorted — the inverse of parsePeers, for ops tooling output.
-func FormatPeers(peers map[int]string) string {
-	idxs := make([]int, 0, len(peers))
-	for i := range peers {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	parts := make([]string, len(idxs))
-	for j, i := range idxs {
-		parts[j] = fmt.Sprintf("%d=%s", i, peers[i])
-	}
-	return strings.Join(parts, ",")
 }

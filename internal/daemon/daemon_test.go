@@ -49,9 +49,6 @@ snapshot_every: 2048
 	if cfg.APIToken != "hunter2" || cfg.PeerToken != "s3cret" {
 		t.Fatalf("tokens misparsed: %+v", cfg)
 	}
-	if got := FormatPeers(cfg.Peers); got != "0=127.0.0.1:7000,1=127.0.0.1:7001" {
-		t.Fatalf("FormatPeers = %q", got)
-	}
 	if err := cfg.withDefaults().Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}

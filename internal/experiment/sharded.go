@@ -12,21 +12,8 @@ import (
 )
 
 // shardArm is the shard count the sharded arm of shard-aware experiments
-// (E14) compares against the unsharded baseline. cmd/quicksand-bench's
-// -shards flag overrides it so the scaling curve is reproducible from
-// the CLI.
-var shardArm = 4
-
-// SetShards overrides the sharded arm's shard count (values below 2 are
-// ignored — an arm of one shard is the baseline itself).
-func SetShards(n int) {
-	if n >= 2 {
-		shardArm = n
-	}
-}
-
-// Shards reports the configured sharded-arm shard count.
-func Shards() int { return shardArm }
+// (E14) compares against the unsharded baseline.
+const shardArm = 4
 
 // E14ShardedHotKey partitions the §6.2 bank across independent replica
 // groups and drives it with a hot-key skewed clearing workload: half of

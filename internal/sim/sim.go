@@ -83,7 +83,6 @@ type Sim struct {
 	seq    uint64
 	events eventHeap
 	rng    *rand.Rand
-	steps  uint64
 }
 
 // New returns a simulator whose random source is seeded with seed.
@@ -99,10 +98,6 @@ func (s *Sim) Now() Time { return s.now }
 // Rand returns the simulator's random source. All randomness in a
 // simulation must come from here to preserve determinism.
 func (s *Sim) Rand() *rand.Rand { return s.rng }
-
-// Steps reports how many events have executed so far. Useful as a crude
-// "work done" metric and in runaway-loop guards.
-func (s *Sim) Steps() uint64 { return s.steps }
 
 // Timer identifies a scheduled event and allows cancelling it.
 type Timer struct{ ev *event }
@@ -177,7 +172,6 @@ func (s *Sim) Step() bool {
 		}
 		e.dead = true // fired; Stop after this point reports false
 		s.now = e.at
-		s.steps++
 		e.fn()
 		return true
 	}

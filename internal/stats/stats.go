@@ -74,53 +74,6 @@ func (h *Histogram) meanLocked() float64 {
 	return h.sumLocked() / float64(len(h.samples))
 }
 
-// Stddev reports the population standard deviation, or 0 with fewer than
-// two samples.
-func (h *Histogram) Stddev() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	n := len(h.samples)
-	if n < 2 {
-		return 0
-	}
-	m := h.meanLocked()
-	ss := 0.0
-	for _, v := range h.samples {
-		d := v - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
-func (h *Histogram) sortLocked() {
-	if !h.sorted {
-		sort.Float64s(h.samples)
-		h.sorted = true
-	}
-}
-
-// Min reports the smallest sample, or 0 with no samples.
-func (h *Histogram) Min() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
-		return 0
-	}
-	h.sortLocked()
-	return h.samples[0]
-}
-
-// Max reports the largest sample, or 0 with no samples.
-func (h *Histogram) Max() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
-		return 0
-	}
-	h.sortLocked()
-	return h.samples[len(h.samples)-1]
-}
-
 // Quantile reports the q-quantile (0 <= q <= 1) using nearest-rank on the
 // sorted samples, or 0 with no samples.
 func (h *Histogram) Quantile(q float64) float64 {
@@ -130,7 +83,10 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if n == 0 {
 		return 0
 	}
-	h.sortLocked()
+	if !h.sorted {
+		sort.Float64s(h.samples)
+		h.sorted = true
+	}
 	if q <= 0 {
 		return h.samples[0]
 	}
@@ -149,9 +105,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 
 // P50 is Quantile(0.50).
 func (h *Histogram) P50() float64 { return h.Quantile(0.50) }
-
-// P95 is Quantile(0.95).
-func (h *Histogram) P95() float64 { return h.Quantile(0.95) }
 
 // P99 is Quantile(0.99).
 func (h *Histogram) P99() float64 { return h.Quantile(0.99) }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -84,21 +83,6 @@ func recoveredSeq(t *testing.T, rec Recovery) []oplog.Entry {
 	return seq
 }
 
-// crashSweepStride picks how densely the sweep samples k: every point
-// by default, sparser under -short or an explicit QS_CRASH_STRIDE (the
-// CI smoke lever).
-func crashSweepStride(t *testing.T) int {
-	if env := os.Getenv("QS_CRASH_STRIDE"); env != "" {
-		if n, err := strconv.Atoi(env); err == nil && n > 0 {
-			return n
-		}
-	}
-	if testing.Short() {
-		return 5
-	}
-	return 1
-}
-
 func TestCrashPointEnumeration(t *testing.T) {
 	configs := []struct {
 		name string
@@ -109,7 +93,10 @@ func TestCrashPointEnumeration(t *testing.T) {
 	}
 	const total, batch, snapEvery = 96, 3, 12
 	all := crashWorkloadEntries(total)
-	stride := crashSweepStride(t)
+	stride := 1 // every crash point; every fifth under -short
+	if testing.Short() {
+		stride = 5
+	}
 	for _, cfg := range configs {
 		cfg := cfg
 		t.Run(cfg.name, func(t *testing.T) {

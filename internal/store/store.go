@@ -46,7 +46,7 @@
 // delta snapshots carry only the entries past the previous cut plus a
 // parent-position link, and every k-th cut is full, resetting the
 // chain; recovery folds the newest intact chain root-first. Pruning
-// keeps the newest Options.KeepSnapshots full snapshots plus every
+// keeps the newest keepSnapshots full snapshots plus every
 // delta at or past the oldest retained full's position.
 //
 // # Recovery and the truncation invariant
@@ -151,35 +151,30 @@ var ErrLegacySegment = errors.New("store: QSEG1 journal segment (unsalted record
 // already gave out.
 var ErrBadIncarnation = errors.New("store: malformed incarnation file")
 
-// Mode selects how commits reach the platter.
+// Mode names how commits reach the platter. There is one.
 type Mode int
 
-const (
-	// ModeAdaptive (the default) is group commit with a load-shaped
-	// coalescing hold: when the staged backlog is shallow the flush departs
-	// immediately (the latency-optimal choice when the disk is keeping up),
-	// and as load grows the flusher holds the bus for up to min(maxWait,
-	// EWMA of recent fsync cost) — so saturated periods buy bigger batches
-	// and fewer fsyncs without taxing the idle path. Under Options.Inline
-	// there is no flusher to hold: each Commit drains at once.
-	ModeAdaptive Mode = iota
-	// ModeEveryOp is the car-per-driver baseline of 1984: one fsync per
-	// staged batch, no coalescing. Kept so benchmarks can measure what
-	// group commit saves.
-	ModeEveryOp
-)
+// ModeAdaptive (the default, and the only mode) is group commit with a
+// load-shaped coalescing hold: when the staged backlog is shallow the
+// flush departs immediately (the latency-optimal choice when the disk is
+// keeping up), and as load grows the flusher holds the bus for up to
+// min(maxWait, EWMA of recent fsync cost) — so saturated periods buy
+// bigger batches and fewer fsyncs without taxing the idle path. Under
+// Options.Inline there is no flusher to hold: each Commit drains at once.
+const ModeAdaptive Mode = 0
+
+// keepSnapshots is how many full snapshot files survive pruning: the
+// newest is recovery's source, the runner-up is insurance against a torn
+// newest.
+const keepSnapshots = 2
 
 // Options tunes a Store. The zero value selects the defaults.
 type Options struct {
 	// SegmentBytes rotates the active journal segment once it exceeds
 	// this size (default 4 MiB).
 	SegmentBytes int
-	// Mode picks the commit economics (default ModeAdaptive).
+	// Mode picks the commit economics; ModeAdaptive is the only one.
 	Mode Mode
-	// KeepSnapshots bounds how many snapshot files survive pruning
-	// (default 2; the newest is recovery's source, the runner-up is
-	// insurance against a torn newest).
-	KeepSnapshots int
 	// Inline runs every flush, snapshot, and compaction synchronously on
 	// the calling goroutine instead of the background flusher — the
 	// deterministic coupling the simulator transport needs. Group-commit
@@ -212,9 +207,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 4 << 20
-	}
-	if o.KeepSnapshots <= 0 {
-		o.KeepSnapshots = 2
 	}
 	if o.FS == nil {
 		o.FS = faultfs.OS
@@ -271,8 +263,8 @@ type Recovery struct {
 // records of every Stage call since the sides last swapped — length and
 // payload in place, the CRC field left zero until the flusher knows which
 // segment (and so which seed) a record lands in — plus one mark per Stage
-// call, because segments rotate, and ModeEveryOp fsyncs, a call at a time.
-// Stage fills one side under mu while the flusher writes the other out.
+// call, because segments rotate a call at a time. Stage fills one side
+// under mu while the flusher writes the other out.
 type stageLog struct {
 	buf   []byte
 	marks []stageMark
@@ -612,7 +604,7 @@ func (s *Store) AckTo(pos int) {
 // under Options.Inline). If a snapshot write is already running, this
 // one is skipped; the next trigger covers a superset. On success the
 // snapshot watermark advances, old snapshots are pruned to
-// Options.KeepSnapshots, and fully-covered journal segments become
+// keepSnapshots, and fully-covered journal segments become
 // compactable; a failed write counts in Stats.SnapshotFailures and the
 // watermark stays put, so compaction stalls visibly rather than
 // silently losing data.
@@ -771,9 +763,8 @@ func (s *Store) flushLoop() {
 }
 
 // adaptiveHold maps the store's load onto the coalescing-hold curve:
-// zero when nothing is staged (and in ModeEveryOp, which never waits for
-// company), rising linearly to min(maxWait, fsync-cost EWMA) at
-// kneeBytes — holding for about one fsync's cost doubles the batch a
+// zero when nothing is staged, rising linearly to min(maxWait,
+// fsync-cost EWMA) at kneeBytes — holding for about one fsync's cost doubles the batch a
 // saturated flusher boards while bounding the added latency to what the
 // disk was already charging — and zero again once 4× kneeBytes are
 // staged: the bus is full. Load is max(staged backlog, EWMA of recent
@@ -786,7 +777,7 @@ func (s *Store) adaptiveHold() time.Duration {
 	s.mu.Lock()
 	backlog := len(s.stage.buf)
 	s.mu.Unlock()
-	if backlog == 0 || backlog >= 4*kneeBytes || s.opt.Mode == ModeEveryOp {
+	if backlog == 0 || backlog >= 4*kneeBytes {
 		return 0
 	}
 	ceil := time.Duration(s.ewmaFsync.Load())
@@ -806,22 +797,17 @@ func (s *Store) adaptiveHold() time.Duration {
 	return ceil * time.Duration(load) / kneeBytes
 }
 
-// drain flushes what is staged until nothing remains: one fsync for the
-// lot in ModeAdaptive, one fsync per Stage call in ModeEveryOp. The
-// satisfied waiters fire from a buffer the store keeps between drains;
-// a drain nested inside one of those callbacks (an inline store's Commit)
-// finds it taken and brings its own.
+// drain flushes what is staged until nothing remains, one fsync for each
+// lot it takes. The satisfied waiters fire from a buffer the store keeps
+// between drains; a drain nested inside one of those callbacks (an inline
+// store's Commit) finds it taken and brings its own.
 func (s *Store) drain() {
-	limit := -1
-	if s.opt.Mode == ModeEveryOp {
-		limit = 1
-	}
 	s.mu.Lock()
 	fire := s.fireBuf
 	s.fireBuf = nil
 	s.mu.Unlock()
 	for more := true; more; {
-		fire, more = s.flushOnce(limit, fire[:0])
+		fire, more = s.flushOnce(fire[:0])
 		for i := range fire {
 			fire[i].fn(fire[i].end >= 0)
 		}
@@ -832,11 +818,10 @@ func (s *Store) drain() {
 	s.mu.Unlock()
 }
 
-// flushOnce writes up to limit staged Stage calls (-1 for all), fsyncs,
-// and appends to fire the commit waiters now satisfied — a negative end
-// marking waiters being failed after an I/O error — plus whether staged
-// records remain.
-func (s *Store) flushOnce(limit int, fire []waiter) (_ []waiter, more bool) {
+// flushOnce writes everything staged, fsyncs, and appends to fire the
+// commit waiters now satisfied — a negative end marking waiters being
+// failed after an I/O error — plus whether records were staged meanwhile.
+func (s *Store) flushOnce(fire []waiter) (_ []waiter, more bool) {
 	s.flushMu.Lock()
 	defer s.flushMu.Unlock()
 
@@ -846,7 +831,10 @@ func (s *Store) flushOnce(limit int, fire []waiter) (_ []waiter, more bool) {
 		s.mu.Unlock()
 		return fire, false
 	}
-	take, first := s.takeStagedLocked(limit), s.flushed // what is staged starts where the last flush ended
+	// Swap the staged side out for the spare; what is staged starts where
+	// the last flush ended.
+	take, first := s.stage, s.flushed
+	s.stage, s.spare = s.spare, stageLog{}
 	if len(take.marks) == 0 {
 		// Nothing staged; a waiter may still be satisfiable (its entries
 		// rode an earlier flush) or doomed (staged entries were dropped
@@ -891,30 +879,6 @@ func (s *Store) flushOnce(limit int, fire []waiter) (_ []waiter, more bool) {
 	}
 	s.flushed = take.marks[len(take.marks)-1].end
 	return s.takeWaitersLocked(fire), len(s.stage.marks) > 0
-}
-
-// takeStagedLocked hands the flusher the staged records of up to limit
-// Stage calls (-1 for all) and leaves Stage the other side to fill. Taking
-// everything is a swap. ModeEveryOp's call at a time is a copy out and a
-// shift down — the 1984 baseline pays for not riding the bus. Caller
-// holds mu and flushMu.
-func (s *Store) takeStagedLocked(limit int) stageLog {
-	take := s.spare
-	s.spare = stageLog{}
-	if limit < 0 || limit >= len(s.stage.marks) {
-		take, s.stage = s.stage, take
-		return take
-	}
-	l := &s.stage
-	cut := l.marks[limit-1]
-	take.buf = append(take.buf, l.buf[:cut.off]...)
-	take.marks = append(take.marks, l.marks[:limit]...)
-	l.buf = l.buf[:copy(l.buf, l.buf[cut.off:])]
-	l.marks = l.marks[:copy(l.marks, l.marks[limit:])]
-	for i := range l.marks {
-		l.marks[i].off -= cut.off
-	}
-	return take
 }
 
 // failAllLocked moves every waiter to fire, marked failed, and drops
@@ -1435,22 +1399,22 @@ func (s *Store) writeFileSync(path string, data []byte) error {
 	return f.Close()
 }
 
-// pruneSnapshots deletes all but the newest KeepSnapshots FULL snapshot
+// pruneSnapshots deletes all but the newest keepSnapshots FULL snapshot
 // files, plus every delta positioned below the oldest retained full —
 // those chain (directly or transitively) only to deleted roots. Deltas
 // above it chain to a retained full and stay: they are the fallback
 // prefixes recovery may need.
 func (s *Store) pruneSnapshots() {
 	fulls, err := s.fs.Glob(filepath.Join(s.dir, "snap-*.snap"))
-	if err != nil || len(fulls) <= s.opt.KeepSnapshots {
+	if err != nil || len(fulls) <= keepSnapshots {
 		return
 	}
 	sort.Strings(fulls) // position-padded names sort oldest first
-	cutoff, err := snapFilePos(fulls[len(fulls)-s.opt.KeepSnapshots])
+	cutoff, err := snapFilePos(fulls[len(fulls)-keepSnapshots])
 	if err != nil {
 		return
 	}
-	for _, path := range fulls[:len(fulls)-s.opt.KeepSnapshots] {
+	for _, path := range fulls[:len(fulls)-keepSnapshots] {
 		s.fs.Remove(path)
 	}
 	deltas, _ := s.fs.Glob(filepath.Join(s.dir, "delta-*.snap"))

@@ -160,7 +160,7 @@ func TestTornNewestDeltaFallsBackToChainPrefix(t *testing.T) {
 
 func TestRecycledSegmentsOldRecordsInvisible(t *testing.T) {
 	dir := t.TempDir()
-	opt := Options{Inline: true, Preallocate: true, SegmentBytes: 256, KeepSnapshots: 2}
+	opt := Options{Inline: true, Preallocate: true, SegmentBytes: 256}
 	s, _ := mustOpen(t, dir, opt)
 	var all []oplog.Entry
 	stage := func(n int) {

@@ -274,9 +274,7 @@ func TestSnapshotPlusReplayEqualsPureReplayOracle(t *testing.T) {
 
 func TestSnapshotsPruned(t *testing.T) {
 	dir := t.TempDir()
-	opt := inlineOpts()
-	opt.KeepSnapshots = 2
-	s, _ := mustOpen(t, dir, opt)
+	s, _ := mustOpen(t, dir, inlineOpts())
 	var all []oplog.Entry
 	for i := 0; i < 30; i++ {
 		e := entry(i)
@@ -411,10 +409,10 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	if st.Fsyncs >= n/10 {
 		t.Fatalf("group commit did not amortize: %d fsyncs for %d commits", st.Fsyncs, n)
 	}
-	// The zero-value policy is the adaptive one: it has learned an fsync
-	// cost to steer by, and with nothing staged it holds nobody.
-	if s.opt.Mode != ModeAdaptive || s.ewmaFsync.Load() <= 0 {
-		t.Fatalf("zero-value Options did not run the adaptive policy: mode %d, fsync EWMA %d", s.opt.Mode, s.ewmaFsync.Load())
+	// The adaptive policy has learned an fsync cost to steer by, and with
+	// nothing staged it holds nobody.
+	if s.ewmaFsync.Load() <= 0 {
+		t.Fatalf("zero-value Options did not run the adaptive policy: fsync EWMA %d", s.ewmaFsync.Load())
 	}
 	if hold := s.adaptiveHold(); hold != 0 {
 		t.Fatalf("idle store holds flushes for %v", hold)
@@ -422,24 +420,6 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestEveryOpModePaysPerCommit(t *testing.T) {
-	s, _ := mustOpen(t, t.TempDir(), Options{Mode: ModeEveryOp})
-	const n = 25
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		end := s.Stage([]oplog.Entry{entry(i)})
-		wg.Add(1)
-		s.Commit(end, func(bool) { wg.Done() })
-		wg.Wait() // serialize: each commit is its own car
-		wg = sync.WaitGroup{}
-	}
-	st := s.Stats()
-	if st.Fsyncs < n {
-		t.Fatalf("every-op mode must fsync per commit: %d fsyncs for %d commits", st.Fsyncs, n)
-	}
-	s.Close()
 }
 
 // TestLegacySegmentRefusedUntouched: a QSEG1 segment — final or sealed —
@@ -540,7 +520,7 @@ func TestIncarnationCountsOpens(t *testing.T) {
 // TestOptionsFieldsPinned makes the next store knob a conscious diff:
 // every field here multiplies the configurations the suites must cover.
 func TestOptionsFieldsPinned(t *testing.T) {
-	want := []string{"SegmentBytes", "Mode", "KeepSnapshots", "Inline", "Preallocate", "SnapshotChain", "FS"}
+	want := []string{"SegmentBytes", "Mode", "Inline", "Preallocate", "SnapshotChain", "FS"}
 	typ := reflect.TypeOf(Options{})
 	var got []string
 	for i := 0; i < typ.NumField(); i++ {

@@ -6,14 +6,16 @@ import (
 	"testing"
 )
 
-// SkipUnderRace skips an allocation pin in a -race build, where sync.Pool
-// drops a quarter of its Puts on purpose and the counts mean nothing.
+// SkipUnderRace skips a test in a -race build, so that it runs once, in
+// the race-free pass: an allocation pin, because there sync.Pool drops a
+// quarter of its Puts on purpose and the counts mean nothing, or a
+// deterministic comparison the -race pass would only repeat slower.
 func SkipUnderRace(t testing.TB) {
 	t.Helper()
 	bi, _ := debug.ReadBuildInfo()
 	for _, s := range bi.Settings {
 		if s.Key == "-race" && s.Value == "true" {
-			t.Skip("allocation counts are pinned without -race")
+			t.Skip("runs in the race-free pass only")
 		}
 	}
 }

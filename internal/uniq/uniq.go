@@ -107,12 +107,6 @@ type Dedup struct {
 // NewDedup returns an empty filter.
 func NewDedup() *Dedup { return &Dedup{seen: make(map[ID]struct{})} }
 
-// Seen reports whether id was already recorded.
-func (d *Dedup) Seen(id ID) bool {
-	_, ok := d.seen[id]
-	return ok
-}
-
 // Record marks id as seen. It reports true if the id was new (the caller
 // should perform the work) and false on a duplicate (the caller should
 // suppress it).

@@ -80,8 +80,3 @@ func LogNormalCents(r *rand.Rand, mu, sigma float64) func() int64 {
 		return int64(v)
 	}
 }
-
-// Bernoulli returns a generator of true with probability p.
-func Bernoulli(r *rand.Rand, p float64) func() bool {
-	return func() bool { return r.Float64() < p }
-}

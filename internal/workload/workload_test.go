@@ -96,17 +96,3 @@ func TestLogNormalCentsPositiveAndSkewed(t *testing.T) {
 		t.Fatalf("median off: %d below, %d above", below, above)
 	}
 }
-
-func TestBernoulli(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	gen := Bernoulli(r, 0.25)
-	hits := 0
-	for i := 0; i < 4000; i++ {
-		if gen() {
-			hits++
-		}
-	}
-	if hits < 800 || hits > 1200 {
-		t.Fatalf("p=0.25 hit %d/4000", hits)
-	}
-}
