@@ -640,10 +640,13 @@ func (r *Replica[S]) absorb(entries []oplog.Entry, how, from string, reply func(
 	job.reply = reply
 	added, end := r.absorbLocked(entries, from)
 	job.n = len(added)
-	if r.c.cfg.tracer != nil && how == "gossip" {
-		// added is the set's scratch, valid only under mu: keep the IDs.
+	if t := r.c.cfg.tracer; t != nil && how == "gossip" {
+		// added is the set's scratch, valid only under mu: keep the IDs
+		// the tracer samples.
 		for i := range added {
-			job.traced = append(job.traced, added[i].ID)
+			if t.Sampled(string(added[i].ID)) {
+				job.traced = append(job.traced, added[i].ID)
+			}
 		}
 	}
 	snap := r.maybeSnapshotLocked()
@@ -660,9 +663,9 @@ func (r *Replica[S]) absorb(entries []oplog.Entry, how, from string, reply func(
 }
 
 // absorbJob carries one absorb from the replica lock to its reply: how
-// many entries were new, the IDs a gossip trace reports once they are
-// durable, and where the acknowledgement goes. Pooled per replica, with
-// the func(bool) handed to Store.Commit bound once.
+// many entries were new, the sampled IDs a gossip trace reports once
+// they are durable, and where the acknowledgement goes. Pooled per
+// replica, with the func(bool) handed to Store.Commit bound once.
 type absorbJob[S any] struct {
 	r      *Replica[S]
 	n      int

@@ -122,7 +122,7 @@ func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		p.histogram("quicksand_guess_to_truth_seconds", "", truth)
 		p.family("quicksand_guess_to_apology_seconds", "histogram", "Sampled lifetime of a guess until a rule violation apologized for it.")
 		p.histogram("quicksand_guess_to_apology_seconds", "", apology)
-		p.family("quicksand_gossip_propagation_seconds", "histogram", "Sampled lag from submit to each peer's gossip ack.")
+		p.family("quicksand_gossip_propagation_seconds", "histogram", "Sampled lag from submit to each peer's first gossip ack of the op: one sample per op and acking peer.")
 		p.histogram("quicksand_gossip_propagation_seconds", "", gossip)
 		p.gauge("quicksand_trace_sample_every", "Tracing rate: 1-in-N ops by ID hash (0 = tracing off).", float64(tr.SampleEvery()))
 	} else {

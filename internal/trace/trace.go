@@ -17,16 +17,26 @@
 // zero allocations when tracing is off.
 //
 // Memory is bounded everywhere: the event ring wraps, per-op timelines
-// are capped, and the op-state and per-key guess maps evict their
-// oldest entry once full. A Tracer never grows past its configured
-// footprint no matter how long the process runs.
+// are capped, and once MaxOps op states are held the oldest is recycled
+// for each new one. A Tracer never grows past its configured footprint
+// no matter how long the process runs.
+//
+// Events are stored as 24-byte pointer-free records (rec); an Event is
+// built only when OpTimeline or Recent reads one. A record's op and key
+// are its op state's or its ring slot's, its replica and peer are
+// indexes into names interned once per tracer, and only the kinds that
+// carry a note keep one. Op states and timeline chunks are allocated a
+// block at a time and reused once recycled, so a sampled op allocates
+// nothing but the tracer's own copies of its ID and key.
 package trace
 
 import (
+	"math"
 	"math/bits"
 	"strings"
 	"sync"
 	"time"
+	"unsafe"
 
 	"repro/internal/stats"
 )
@@ -67,8 +77,8 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// Event is one recorded lifecycle step. Events are fixed-size values —
-// recording one copies a struct into a preallocated ring slot.
+// Event is one recorded lifecycle step as a reader sees it. The tracer
+// keeps events packed and builds an Event only when one is read.
 type Event struct {
 	Seq     uint64 `json:"seq"`
 	AtNs    int64  `json:"at_ns"`
@@ -88,22 +98,59 @@ type ApologyRef struct {
 	At  int64  `json:"at_ns"`
 }
 
+// rec is one event as the tracer stores it: 24 bytes, no pointers.
+// replica and peer index Tracer.names (0: none). note is 0 for an event
+// without one; otherwise, on a timeline, it is 1 + the note's position
+// in the op's notes, and in the ring the note is ringNotes[seq].
+type rec struct {
+	seq           uint64
+	at            int64
+	kind          Kind
+	replica, peer uint16
+	note          uint16
+}
+
+// slot is one entry of the recent-event ring.
+type slot struct {
+	rec
+	op, key string
+}
+
+const chunkLen = 8 // events per timeline chunk
+
+// Op states and timeline chunks are allocated a block of about 8 KiB at
+// a time: a size class of its own, so a block wastes under 3 % of itself.
+const (
+	statesPerBlock = 8192 / int32(unsafe.Sizeof(opState{}))
+	chunksPerBlock = 8192 / int32(unsafe.Sizeof(chunk{}))
+)
+
+// chunk is a piece of one op's timeline. next is the op's following
+// chunk, or, on the free list, the next free one (0: none).
+type chunk struct {
+	ev   [chunkLen]rec
+	next int32
+}
+
 // opState is the tracer's view of one sampled in-flight op. It owns id
 // and key: a caller's strings may be cut from a request body or a gossip
 // frame, and holding one of those would hold all of it for as long as the
-// tracer remembers the op. Every event of the op carries these two.
+// tracer remembers the op. Every event on the timeline is the op's, so
+// the timeline's records carry neither.
 type opState struct {
-	id     string
-	key    string
-	submit int64
-	held   uint64 // bitmask of replica ids known to hold the op
-	truth  bool
-	events []Event
+	id, key    string
+	submit     int64
+	held       uint64 // bits of the replicas known to hold the op
+	acked      uint64 // bits of the replicas whose ack is in the gossip histogram
+	head, tail int32  // the timeline's first and last chunk (0: none)
+	n          uint8  // events on the timeline
+	truth      bool
 }
 
-type guessRef struct {
-	op string
-	at int64
+// replicaName is an interned replica or peer name and its holder bit.
+type replicaName struct {
+	s   string
+	bit uint64
 }
 
 // Options configures a Tracer. Zero values pick the defaults noted on
@@ -125,28 +172,42 @@ const maxApologyRefs = 256
 type Tracer struct {
 	sample   uint64
 	replicas int
+	maxOps   int
 
 	mu        sync.Mutex
 	clock     func() int64
 	seq       uint64
-	ring      []Event
+	ring      []slot
 	mask      uint64
-	ops       map[string]*opState
-	opQueue   []string // FIFO eviction order for ops
-	lastGuess map[string]guessRef
-	keyQueue  []string // FIFO eviction order for lastGuess
-	maxOps    int
+	ringNotes map[uint64]string // by seq, while the event is in the ring
+
+	// Op states are numbered in creation order modulo maxOps: state
+	// created%maxOps is the next one used, and once all are in use it is
+	// also the oldest, recycled first.
+	states  []*[statesPerBlock]opState
+	created int
+	ops     index                 // op ID → its state
+	guesses index                 // key → the state of its latest sampled guess
+	notes   map[*opState][]string // the notes on an op's timeline, in order
+	chunks  []*[chunksPerBlock]chunk
+	nchunks int32 // chunks handed out of blocks; chunk c is chunks[(c-1)/chunksPerBlock]
+	free    int32 // head of the free chunk list
+
+	names   []replicaName // names[0] is the empty name
+	nameIdx map[string]uint16
+
 	apologies []ApologyRef
 	apoHead   int
 
 	durable stats.LatHist // guess-to-durable
 	truth   stats.LatHist // guess-to-truth
 	apology stats.LatHist // guess-to-apology
-	gossip  stats.LatHist // submit → peer ack, per acked peer
+	gossip  stats.LatHist // submit → each peer's first ack of the op
 }
 
 // New builds a Tracer. The zero Options value gives 1-in-64 sampling, a
-// 4096-slot ring, 4096 op states, and a wall clock.
+// 4096-slot ring, 4096 op states, and a wall clock. Only the ring is
+// allocated up front; op states and their timelines grow as ops arrive.
 func New(o Options) *Tracer {
 	if o.SampleEvery <= 0 {
 		o.SampleEvery = 64
@@ -171,12 +232,15 @@ func New(o Options) *Tracer {
 	return &Tracer{
 		sample:    uint64(o.SampleEvery),
 		replicas:  o.Replicas,
-		clock:     o.Now,
-		ring:      make([]Event, size),
-		mask:      uint64(size - 1),
-		ops:       make(map[string]*opState, o.MaxOps),
-		lastGuess: make(map[string]guessRef, o.MaxOps),
 		maxOps:    o.MaxOps,
+		clock:     o.Now,
+		ring:      make([]slot, size),
+		mask:      uint64(size - 1),
+		guesses:   index{byKey: true},
+		ringNotes: map[uint64]string{},
+		notes:     map[*opState][]string{},
+		names:     []replicaName{{}},
+		nameIdx:   map[string]uint16{},
 	}
 }
 
@@ -218,48 +282,128 @@ func fnv1a[T string | []byte](s T) uint64 {
 	return h
 }
 
-// record appends ev to the ring and, when st is non-nil, to the op's
-// bounded timeline. Caller holds t.mu.
-func (t *Tracer) record(st *opState, ev Event) {
+func (t *Tracer) state(num int32) *opState { return &t.states[num/statesPerBlock][num%statesPerBlock] }
+
+func (t *Tracer) chunk(c int32) *chunk { return &t.chunks[(c-1)/chunksPerBlock][(c-1)%chunksPerBlock] }
+
+// record stamps r with the next sequence number and puts it in the ring
+// with its op, key and note. Caller holds t.mu.
+func (t *Tracer) record(r rec, op, key, note string) rec {
 	t.seq++
-	ev.Seq = t.seq
-	t.ring[t.seq&t.mask] = ev
-	if st != nil && len(st.events) < maxTimeline {
-		st.events = append(st.events, ev)
+	r.seq = t.seq
+	s := &t.ring[t.seq&t.mask]
+	if s.note != 0 {
+		delete(t.ringNotes, s.seq)
 	}
+	*s = slot{rec: r, op: op, key: key}
+	if note != "" {
+		t.ringNotes[r.seq], s.note = note, 1
+	}
+	return r
 }
 
-// state returns the op's state, creating (and evicting the oldest, once
-// full) as needed. Caller holds t.mu.
-func (t *Tracer) state(op, key string, at int64) *opState {
-	if st, ok := t.ops[op]; ok {
-		if st.key == "" {
+// recordOp records r for the op st: in the ring, and on the op's
+// timeline while it is shorter than maxTimeline. Caller holds t.mu.
+func (t *Tracer) recordOp(st *opState, r rec, note string) {
+	r = t.record(r, st.id, st.key, note)
+	if st.n >= maxTimeline {
+		return
+	}
+	if note != "" {
+		t.notes[st] = append(t.notes[st], note)
+		r.note = uint16(len(t.notes[st]))
+	}
+	if st.n%chunkLen == 0 {
+		c := t.newChunk()
+		if st.head == 0 {
+			st.head = c
+		} else {
+			t.chunk(st.tail).next = c
+		}
+		st.tail = c
+	}
+	t.chunk(st.tail).ev[st.n%chunkLen] = r
+	st.n++
+}
+
+// newChunk takes a chunk off the free list, or the next one out of the
+// blocks. Caller holds t.mu.
+func (t *Tracer) newChunk() int32 {
+	if c := t.free; c != 0 {
+		t.free, t.chunk(c).next = t.chunk(c).next, 0
+		return c
+	}
+	if t.nchunks%chunksPerBlock == 0 {
+		t.chunks = append(t.chunks, new([chunksPerBlock]chunk))
+	}
+	t.nchunks++
+	return t.nchunks
+}
+
+// opFor returns the op's state, creating it — in place of the oldest,
+// once MaxOps are held — as needed. Caller holds t.mu.
+func (t *Tracer) opFor(op, key string, at int64) (int32, *opState) {
+	if i, ok := t.find(&t.ops, op); ok {
+		num := t.ops.slots[i] - 1
+		st := t.state(num)
+		if st.key == "" && key != "" {
 			st.key = strings.Clone(key)
 		}
-		return st
+		return num, st
 	}
-	op = strings.Clone(op)
-	if len(t.ops) >= t.maxOps && len(t.opQueue) > 0 {
-		delete(t.ops, t.opQueue[0])
-		t.opQueue = t.opQueue[1:]
+	num := int32(t.created % t.maxOps)
+	if t.created >= t.maxOps {
+		t.recycle(num)
+	} else if num%statesPerBlock == 0 {
+		t.states = append(t.states, new([statesPerBlock]opState))
 	}
-	st := &opState{id: op, key: strings.Clone(key), submit: at, events: make([]Event, 0, 8)}
-	t.ops[op] = st
-	t.opQueue = append(t.opQueue, op)
-	return st
+	t.created++
+	st := t.state(num)
+	*st = opState{id: strings.Clone(op), key: strings.Clone(key), submit: at}
+	t.insert(&t.ops, st.id, num)
+	return num, st
 }
 
-// bitFor assigns a stable bitmask bit to a replica id. Ops live in
-// exactly one shard, so an op's held mask only ever collects that
-// shard's replica bits and popcount-vs-replicas is the truth test
-// regardless of which global bits those are.
-func (t *Tracer) bitFor(replica string) uint64 {
-	// Replica ids are distinct short strings; hash them onto 64 bits.
-	// A collision between two replicas of one shard would undercount
-	// holders and only delay a truth event, never fabricate one early —
-	// except in the astronomically unlikely 64-bit hash collision case,
-	// which we accept for a diagnostic.
-	return 1 << (fnv1a(replica) & 63)
+// recycle forgets the op in state num: its index entries, its timeline
+// chunks (onto the free list) and its notes. Caller holds t.mu.
+func (t *Tracer) recycle(num int32) {
+	st := t.state(num)
+	if i, ok := t.find(&t.ops, st.id); ok {
+		t.remove(&t.ops, i)
+	}
+	if i, ok := t.find(&t.guesses, st.key); ok && t.guesses.slots[i]-1 == num {
+		t.remove(&t.guesses, i)
+	}
+	if st.head != 0 {
+		t.chunk(st.tail).next, t.free = t.free, st.head
+	}
+	delete(t.notes, st)
+}
+
+// intern returns name's index in t.names, adding it on first sight. A
+// new name's holder bit is the count of names of its shard interned
+// before it — a shard's names share the prefix up to the last '/', so
+// "s2/r0" and "s2/r1" are one shard and plain "r0", "r1" another — which
+// gives each replica of a shard its own bit, for up to 64 replicas per
+// shard. Past 65535 names a new one is recorded as none. Caller holds
+// t.mu.
+func (t *Tracer) intern(name string) uint16 {
+	if i, ok := t.nameIdx[name]; ok || name == "" {
+		return i
+	}
+	if len(t.names) > math.MaxUint16 {
+		return 0
+	}
+	shard, k := name[:strings.LastIndexByte(name, '/')+1], 0
+	for _, n := range t.names[1:] {
+		if n.s[:strings.LastIndexByte(n.s, '/')+1] == shard {
+			k++
+		}
+	}
+	i := uint16(len(t.names))
+	t.names = append(t.names, replicaName{s: strings.Clone(name), bit: 1 << min(k, 63)})
+	t.nameIdx[t.names[i].s] = i
+	return i
 }
 
 // Submitted records an op entering the cluster.
@@ -268,9 +412,9 @@ func (t *Tracer) Submitted(op, key, replica string, at int64) {
 		return
 	}
 	t.mu.Lock()
-	st := t.state(op, key, at)
+	_, st := t.opFor(op, key, at)
 	st.submit = at
-	t.record(st, Event{AtNs: at, Kind: kindNames[KindSubmitted], Op: st.id, Key: st.key, Replica: replica})
+	t.recordOp(st, rec{at: at, kind: KindSubmitted, replica: t.intern(replica)}, "")
 	t.mu.Unlock()
 }
 
@@ -281,26 +425,15 @@ func (t *Tracer) Admitted(op, key, replica string, at int64) {
 		return
 	}
 	t.mu.Lock()
-	st := t.state(op, key, at)
-	st.held |= t.bitFor(replica)
-	t.record(st, Event{AtNs: at, Kind: kindNames[KindAdmitted], Op: st.id, Key: st.key, Replica: replica})
-	t.guessLocked(st.key, st.id, st.submit)
+	num, st := t.opFor(op, key, at)
+	r := t.intern(replica)
+	st.held |= t.names[r].bit
+	t.recordOp(st, rec{at: at, kind: KindAdmitted, replica: r}, "")
+	if st.key != "" {
+		t.insert(&t.guesses, st.key, num)
+	}
 	t.checkTruthLocked(st, at)
 	t.mu.Unlock()
-}
-
-func (t *Tracer) guessLocked(key, op string, at int64) {
-	if key == "" {
-		return
-	}
-	if _, ok := t.lastGuess[key]; !ok {
-		if len(t.lastGuess) >= t.maxOps && len(t.keyQueue) > 0 {
-			delete(t.lastGuess, t.keyQueue[0])
-			t.keyQueue = t.keyQueue[1:]
-		}
-		t.keyQueue = append(t.keyQueue, key)
-	}
-	t.lastGuess[key] = guessRef{op: op, at: at}
 }
 
 // Declined records an ingress rejection.
@@ -309,8 +442,8 @@ func (t *Tracer) Declined(op, key, replica, reason string, at int64) {
 		return
 	}
 	t.mu.Lock()
-	st := t.state(op, key, at)
-	t.record(st, Event{AtNs: at, Kind: kindNames[KindDeclined], Op: st.id, Key: st.key, Replica: replica, Note: reason})
+	_, st := t.opFor(op, key, at)
+	t.recordOp(st, rec{at: at, kind: KindDeclined, replica: t.intern(replica)}, reason)
 	t.mu.Unlock()
 }
 
@@ -321,8 +454,8 @@ func (t *Tracer) Durable(op, replica string, at int64) {
 		return
 	}
 	t.mu.Lock()
-	st := t.state(op, "", at)
-	t.record(st, Event{AtNs: at, Kind: kindNames[KindFsynced], Op: st.id, Key: st.key, Replica: replica})
+	_, st := t.opFor(op, "", at)
+	t.recordOp(st, rec{at: at, kind: KindFsynced, replica: t.intern(replica)}, "")
 	if lag := at - st.submit; lag >= 0 {
 		t.durable.Record(lag)
 	}
@@ -335,8 +468,8 @@ func (t *Tracer) Folded(op, replica string, at int64) {
 		return
 	}
 	t.mu.Lock()
-	st := t.state(op, "", at)
-	t.record(st, Event{AtNs: at, Kind: kindNames[KindFolded], Op: st.id, Key: st.key, Replica: replica})
+	_, st := t.opFor(op, "", at)
+	t.recordOp(st, rec{at: at, kind: KindFolded, replica: t.intern(replica)}, "")
 	t.mu.Unlock()
 }
 
@@ -346,29 +479,33 @@ func (t *Tracer) Absorbed(op, replica string, at int64) {
 		return
 	}
 	t.mu.Lock()
-	st := t.state(op, "", at)
-	st.held |= t.bitFor(replica)
-	t.record(st, Event{AtNs: at, Kind: kindNames[KindAbsorbed], Op: st.id, Key: st.key, Replica: replica})
+	_, st := t.opFor(op, "", at)
+	r := t.intern(replica)
+	st.held |= t.names[r].bit
+	t.recordOp(st, rec{at: at, kind: KindAbsorbed, replica: r}, "")
 	t.checkTruthLocked(st, at)
 	t.mu.Unlock()
 }
 
 // GossipAcked records a peer's durable ack of a gossip push holding the
-// op: the peer now holds it, which both feeds the gossip-propagation
-// histogram and advances guess-to-truth. This is the cross-process
-// observation — a daemon never sees a remote replica's absorb, but it
-// does see the ack.
+// op: the peer now holds it, which advances guess-to-truth and, on the
+// peer's first ack of the op from any pusher, adds its sample to the
+// gossip-propagation histogram. This is the cross-process observation —
+// a daemon never sees a remote replica's absorb, but it does see the ack.
 func (t *Tracer) GossipAcked(op, origin, peer string, at int64) {
 	if !t.Sampled(op) {
 		return
 	}
 	t.mu.Lock()
-	st := t.state(op, "", at)
-	st.held |= t.bitFor(origin)
-	st.held |= t.bitFor(peer)
-	t.record(st, Event{AtNs: at, Kind: kindNames[KindGossiped], Op: st.id, Key: st.key, Replica: origin, Peer: peer})
-	if lag := at - st.submit; lag >= 0 {
-		t.gossip.Record(lag)
+	_, st := t.opFor(op, "", at)
+	o, p := t.intern(origin), t.intern(peer)
+	st.held |= t.names[o].bit | t.names[p].bit
+	t.recordOp(st, rec{at: at, kind: KindGossiped, replica: o, peer: p}, "")
+	if bit := t.names[p].bit; st.acked&bit == 0 {
+		st.acked |= bit
+		if lag := at - st.submit; lag >= 0 {
+			t.gossip.Record(lag)
+		}
 	}
 	t.checkTruthLocked(st, at)
 	t.mu.Unlock()
@@ -381,7 +518,7 @@ func (t *Tracer) checkTruthLocked(st *opState, at int64) {
 		return
 	}
 	st.truth = true
-	t.record(st, Event{AtNs: at, Kind: kindNames[KindTruth], Op: st.id, Key: st.key})
+	t.recordOp(st, rec{at: at, kind: KindTruth}, "")
 	if lag := at - st.submit; lag >= 0 {
 		t.truth.Record(lag)
 	}
@@ -391,32 +528,31 @@ func (t *Tracer) checkTruthLocked(st *opState, at int64) {
 // Apologies are always-on: the event enters the ring even when no
 // sampled guess exists for the key; when one does, the apology is
 // attached to that op's timeline and its guess-to-apology lifetime is
-// derived from the guess timestamp.
+// derived from the guess's submit timestamp. A guess is remembered for
+// as long as its op's state is held.
 func (t *Tracer) Apologized(key, apologyID, replica string, at int64) {
 	if t == nil {
 		return
 	}
-	key = strings.Clone(key) // kept in the ring and the apology list
 	t.mu.Lock()
-	g, ok := t.lastGuess[key]
-	var st *opState
-	op := ""
-	if ok {
-		op = g.op
-		st = t.ops[op]
-		if lag := at - g.at; lag >= 0 {
-			t.apology.Record(lag)
-		}
+	r := rec{at: at, kind: KindApologized, replica: t.intern(replica)}
+	i, ok := t.find(&t.guesses, key)
+	if !ok {
+		t.record(r, "", strings.Clone(key), apologyID) // the ring keeps the key
+		t.mu.Unlock()
+		return
 	}
-	t.record(st, Event{AtNs: at, Kind: kindNames[KindApologized], Op: op, Key: key, Replica: replica, Note: apologyID})
-	if op != "" {
-		ref := ApologyRef{Op: op, Key: key, At: at}
-		if len(t.apologies) < maxApologyRefs {
-			t.apologies = append(t.apologies, ref)
-		} else {
-			t.apologies[t.apoHead%maxApologyRefs] = ref
-			t.apoHead++
-		}
+	st := t.state(t.guesses.slots[i] - 1)
+	if lag := at - st.submit; lag >= 0 {
+		t.apology.Record(lag)
+	}
+	t.recordOp(st, r, apologyID)
+	ref := ApologyRef{Op: st.id, Key: st.key, At: at}
+	if len(t.apologies) < maxApologyRefs {
+		t.apologies = append(t.apologies, ref)
+	} else {
+		t.apologies[t.apoHead%maxApologyRefs] = ref
+		t.apoHead++
 	}
 	t.mu.Unlock()
 }
@@ -429,8 +565,23 @@ func (t *Tracer) Annotate(note string) {
 		return
 	}
 	t.mu.Lock()
-	t.record(nil, Event{AtNs: t.clock(), Kind: kindNames[KindAnnotation], Note: note})
+	t.record(rec{at: t.clock(), kind: KindAnnotation}, "", "", note)
 	t.mu.Unlock()
+}
+
+// event builds the Event a reader sees from a stored record. Caller
+// holds t.mu.
+func (t *Tracer) event(r rec, op, key, note string) Event {
+	return Event{
+		Seq:     r.seq,
+		AtNs:    r.at,
+		Kind:    kindNames[r.kind],
+		Op:      op,
+		Key:     key,
+		Replica: t.names[r.replica].s,
+		Peer:    t.names[r.peer].s,
+		Note:    note,
+	}
 }
 
 // OpTimeline returns a copy of the op's recorded lifecycle, oldest
@@ -441,12 +592,21 @@ func (t *Tracer) OpTimeline(op string) ([]Event, bool) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	st, ok := t.ops[op]
+	i, ok := t.find(&t.ops, op)
 	if !ok {
 		return nil, false
 	}
-	out := make([]Event, len(st.events))
-	copy(out, st.events)
+	st := t.state(t.ops.slots[i] - 1)
+	out := make([]Event, 0, st.n)
+	for c := st.head; c != 0; c = t.chunk(c).next {
+		for _, r := range t.chunk(c).ev[:min(chunkLen, int(st.n)-len(out))] {
+			note := ""
+			if r.note != 0 {
+				note = t.notes[st][r.note-1]
+			}
+			out = append(out, t.event(r, st.id, st.key, note))
+		}
+	}
 	return out, true
 }
 
@@ -466,9 +626,8 @@ func (t *Tracer) Recent(max int) []Event {
 	}
 	out := make([]Event, 0, n)
 	for i := t.seq - n + 1; i <= t.seq; i++ {
-		ev := t.ring[i&t.mask]
-		if ev.Kind != "" {
-			out = append(out, ev)
+		if s := &t.ring[i&t.mask]; s.kind != 0 {
+			out = append(out, t.event(s.rec, s.op, s.key, t.ringNotes[s.seq]))
 		}
 	}
 	return out
@@ -497,7 +656,8 @@ func (t *Tracer) Apologies(max int) []ApologyRef {
 
 // LagHists exposes the derived lifecycle histograms: guess-to-durable,
 // guess-to-truth, guess-to-apology, and gossip propagation (submit →
-// each peer ack). All nil-safe for the metrics renderer.
+// each peer's first ack of the op). All nil-safe for the metrics
+// renderer.
 func (t *Tracer) LagHists() (durable, truth, apology, gossip *stats.LatHist) {
 	if t == nil {
 		return nil, nil, nil, nil

@@ -118,11 +118,13 @@ func TestBoundedMemory(t *testing.T) {
 	}
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	if len(tr.ops) > maxOps {
-		t.Errorf("op states grew to %d, cap %d", len(tr.ops), maxOps)
+	if got := len(tr.states) * int(statesPerBlock); got > max(maxOps, int(statesPerBlock)) {
+		t.Errorf("op state blocks grew to %d states, cap %d", got, maxOps)
 	}
-	if len(tr.lastGuess) > maxOps {
-		t.Errorf("lastGuess grew to %d, cap %d", len(tr.lastGuess), maxOps)
+	for _, x := range []*index{&tr.ops, &tr.guesses} {
+		if x.n > maxOps || len(x.slots) > 4*maxOps {
+			t.Errorf("index (byKey %v) grew to %d entries in %d slots, cap %d entries", x.byKey, x.n, len(x.slots), maxOps)
+		}
 	}
 	if len(tr.ring) != 64 {
 		t.Errorf("ring resized to %d", len(tr.ring))
@@ -130,10 +132,90 @@ func TestBoundedMemory(t *testing.T) {
 	if len(tr.apologies) > maxApologyRefs {
 		t.Errorf("apology refs grew to %d, cap %d", len(tr.apologies), maxApologyRefs)
 	}
-	for op, st := range tr.ops {
-		if len(st.events) > maxTimeline {
-			t.Errorf("timeline for %s grew to %d, cap %d", op, len(st.events), maxTimeline)
+	if len(tr.notes) > maxOps {
+		t.Errorf("notes kept for %d ops, cap %d", len(tr.notes), maxOps)
+	}
+	if len(tr.ringNotes) > len(tr.ring) {
+		t.Errorf("ring notes grew to %d, ring %d", len(tr.ringNotes), len(tr.ring))
+	}
+	if len(tr.names) != 2 { // "" and r0
+		t.Errorf("interned %d names, want 2", len(tr.names))
+	}
+	// Every chunk handed out is on exactly one held timeline or on the
+	// free list, and no timeline passes maxTimeline.
+	used := 0
+	for num := int32(0); num < maxOps; num++ {
+		st := tr.state(num)
+		if st.n > maxTimeline {
+			t.Errorf("timeline for %s grew to %d, cap %d", st.id, st.n, maxTimeline)
 		}
+		chunks := 0
+		for c := st.head; c != 0; c = tr.chunk(c).next {
+			chunks++
+		}
+		if want := (int(st.n) + chunkLen - 1) / chunkLen; chunks != want {
+			t.Errorf("timeline for %s: %d events in %d chunks, want %d", st.id, st.n, chunks, want)
+		}
+		used += chunks
+	}
+	for c := tr.free; c != 0; c = tr.chunk(c).next {
+		used++
+	}
+	if used != int(tr.nchunks) {
+		t.Errorf("%d chunks handed out, %d on timelines or free", tr.nchunks, used)
+	}
+	if limit := maxOps * maxTimeline / chunkLen; int(tr.nchunks) > limit {
+		t.Errorf("timeline chunks grew to %d, cap %d", tr.nchunks, limit)
+	}
+}
+
+// TestTruthForLargeShards: each replica of a shard holds its own bit, so
+// truth is recorded for a 31-replica shard once r0…r30 all hold the op —
+// and not before — even where two names' hashes would share a bit.
+func TestTruthForLargeShards(t *testing.T) {
+	for _, prefix := range []string{"", "s3/"} {
+		tr := New(Options{SampleEvery: 1, Replicas: 31})
+		tr.Absorbed("op-1", prefix+"r0", 1) // another shard's names take no bit from this one
+		tr.Absorbed("op-2", "s9/r0", 1)
+		tr.Submitted("op-1", "k", prefix+"r0", 10)
+		tr.Admitted("op-1", "k", prefix+"r0", 10)
+		_, truth, _, _ := tr.LagHists()
+		for i := 1; i <= 30; i++ {
+			if truth.Count() != 0 {
+				t.Fatalf("%q: truth recorded with %d of 31 replicas", prefix, i)
+			}
+			tr.Absorbed("op-1", fmt.Sprintf("%sr%d", prefix, i), int64(10+i))
+		}
+		if truth.Count() != 1 || truth.Sum() != 30 {
+			t.Errorf("%q: truth count=%d sum=%d once r0…r30 hold the op, want 1 sample of 30ns", prefix, truth.Count(), truth.Sum())
+		}
+	}
+}
+
+// TestGossipAckedCountsEachPeerOnce: the propagation histogram has one
+// sample per op and acking peer: a peer acking the op again through a
+// second pusher adds none.
+func TestGossipAckedCountsEachPeerOnce(t *testing.T) {
+	tr := New(Options{SampleEvery: 1, Replicas: 3})
+	tr.Submitted("op-1", "k", "r0", 0)
+	tr.Admitted("op-1", "k", "r0", 0)
+	_, _, _, gossip := tr.LagHists()
+	for _, c := range []struct {
+		pusher, peer string
+		want         int64
+	}{
+		{"r0", "r1", 1},
+		{"r2", "r1", 1}, // r1 again, relayed through r2
+		{"r0", "r2", 2},
+		{"r1", "r2", 2},
+	} {
+		tr.GossipAcked("op-1", c.pusher, c.peer, 10)
+		if gossip.Count() != c.want {
+			t.Fatalf("after %s acked a push from %s: %d samples, want %d", c.peer, c.pusher, gossip.Count(), c.want)
+		}
+	}
+	if events, _ := tr.OpTimeline("op-1"); len(events) != 2+4+1 {
+		t.Errorf("timeline has %d events, want every ack on it (and truth)", len(events))
 	}
 }
 
