@@ -7,11 +7,13 @@ package quicksand
 // its contract restated. External callers never import internal/.
 
 import (
+	"time"
+
 	"repro/internal/core"
+	"repro/internal/rpc"
 	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/uniq"
-	"time"
 )
 
 // Engine types, re-exported from the core engine.
@@ -77,19 +79,15 @@ type (
 	Handler = core.Handler
 	// SimTransport runs replicas on the deterministic discrete-event
 	// simulator; fixed seeds reproduce runs bit-for-bit.
-	SimTransport = core.SimTransport
+	SimTransport = rpc.SimTransport
 	// LiveTransport runs replicas on real goroutines and wall-clock time.
 	LiveTransport = core.LiveTransport
 )
 
-// Simulation types, for configuring transports.
-type (
-	// Sim is the deterministic discrete-event simulator.
-	Sim = sim.Sim
-	// Time is a transport timestamp: virtual on the simulator, elapsed
-	// wall clock on the live transport.
-	Time = sim.Time
-)
+// Sim is the deterministic discrete-event simulator a SimTransport runs
+// on. Its timestamps, like every transport's, are time.Duration offsets:
+// virtual on the simulator, elapsed wall clock on the live transport.
+type Sim = sim.Sim
 
 // ErrStalled reports that a blocking Submit can never resolve because the
 // transport ran out of work to do.
@@ -98,7 +96,7 @@ var ErrStalled = core.ErrStalled
 // New builds a cluster of replicas named r0, r1, ... running app under
 // rules (which may be nil). By default the cluster runs three replicas on
 // a fresh live (goroutine) transport with the AlwaysAsync risk policy;
-// options select the simulator, tune timeouts, start background gossip,
+// options select the transport, tune timeouts, start background gossip,
 // and shard the key space across independent replica groups (WithShards).
 func New[S any](app App[S], rules []Rule[S], opts ...Option) *Cluster[S] {
 	return core.New[S](app, rules, opts...)
@@ -115,8 +113,9 @@ func NewOp(kind, key string, arg int64) Op { return core.NewOp(kind, key, arg) }
 func NewSim(seed int64) *Sim { return sim.New(seed) }
 
 // NewSimTransport binds a transport to simulator s with its own private
-// network.
-func NewSimTransport(s *Sim) *SimTransport { return core.NewSimTransport(s) }
+// network; WithTransport(NewSimTransport(s)) runs a cluster on it. Keep
+// the *SimTransport to partition, heal, or count messages (Net).
+func NewSimTransport(s *Sim) *SimTransport { return rpc.NewSimTransport(s) }
 
 // NewLiveTransport returns a transport backed by real goroutines and
 // wall-clock timers.
@@ -148,13 +147,9 @@ func WithGossipEvery(d time.Duration) Option { return core.WithGossipEvery(d) }
 // WithPolicy option (default AlwaysAsync — guess on everything).
 func WithDefaultPolicy(p Policy) Option { return core.WithDefaultPolicy(p) }
 
-// WithTransport runs the cluster on the given transport (mutually
-// exclusive with WithSim).
+// WithTransport runs the cluster on the given transport (default: a
+// fresh LiveTransport).
 func WithTransport(t Transport) Option { return core.WithTransport(t) }
-
-// WithSim runs the cluster on a fresh deterministic SimTransport bound to
-// simulator s.
-func WithSim(s *Sim) Option { return core.WithSim(s) }
 
 // WithLocalReplicas marks the given replica indices as the ones this
 // process hosts — the multi-process deployment mode, where each process

@@ -292,7 +292,7 @@ func TestSimSubmitCancelledMidSync(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if now := s.Now(); now != quicksand.Time(10*time.Millisecond) {
+	if now := s.Now(); now != 10*time.Millisecond {
 		t.Fatalf("cancellation observed at %v, want exactly 10ms of virtual time", now)
 	}
 }
@@ -334,7 +334,7 @@ func TestSimAwaitStalls(t *testing.T) {
 func TestSimBackgroundGossip(t *testing.T) {
 	s := quicksand.NewSim(3)
 	c := quicksand.New[balances](exampleApp{}, nil,
-		quicksand.WithSim(s), quicksand.WithGossipEvery(5*time.Millisecond))
+		quicksand.WithTransport(quicksand.NewSimTransport(s)), quicksand.WithGossipEvery(5*time.Millisecond))
 	defer c.Close()
 	ctx := context.Background()
 	for i := 0; i < c.Replicas(); i++ {

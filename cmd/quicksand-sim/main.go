@@ -124,10 +124,10 @@ func runTandem() {
 	}
 	launch(0)
 	s.Run()
-	fmt.Printf("tandem %s: %d/%d committed in %v virtual time\n", m, committed, *txns, time.Duration(s.Now()))
+	fmt.Printf("tandem %s: %d/%d committed in %v virtual time\n", m, committed, *txns, s.Now())
 	fmt.Printf("  write p50/p99: %v / %v\n", sys.M.WriteLat.QuantileDur(0.5), sys.M.WriteLat.QuantileDur(0.99))
 	fmt.Printf("  txn mean: %v   commits/virtual-sec: %.0f\n",
-		sys.M.TxnLat.MeanDur(), float64(committed)/time.Duration(s.Now()).Seconds())
+		sys.M.TxnLat.MeanDur(), float64(committed)/s.Now().Seconds())
 	fmt.Printf("  checkpoints: %d total, %d per-write   failover aborts: %d\n",
 		sys.M.CheckpointMsgs.Value(), sys.M.WriteCkptMsgs.Value(), sys.M.FailoverAborts.Value())
 }
@@ -157,7 +157,7 @@ func runBank() {
 		os.Exit(2)
 	}
 	s := sim.New(*seed)
-	b := bank.New(*fee, quicksand.WithSim(s), quicksand.WithReplicas(*replicas))
+	b := bank.New(*fee, quicksand.WithTransport(quicksand.NewSimTransport(s)), quicksand.WithReplicas(*replicas))
 	for a := 0; a < *accounts; a++ {
 		b.Deposit(0, fmt.Sprintf("acct-%04d", a), *opening, nil)
 	}
@@ -181,7 +181,7 @@ func runBank() {
 			}
 		})
 	})
-	s.RunUntil(sim.Time(horizon) + sim.Time(time.Second))
+	s.RunUntil(horizon + time.Second)
 	stop()
 	s.Run()
 	for i := 0; i < *replicas+2 && !b.C.Converged(); i++ {
@@ -219,8 +219,8 @@ func runCart() {
 		})
 	}
 	if *churn {
-		s.At(sim.Time(10*time.Millisecond), func() { cl.SetUp("n1", false) })
-		s.At(sim.Time(30*time.Millisecond), func() { cl.SetUp("n1", true) })
+		s.At(10*time.Millisecond, func() { cl.SetUp("n1", false) })
+		s.At(30*time.Millisecond, func() { cl.SetUp("n1", true) })
 	}
 	s.Run()
 	for i := 0; i < 4; i++ {

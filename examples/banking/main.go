@@ -168,7 +168,7 @@ func run(out io.Writer) {
 
 	fmt.Fprintln(out, "\nnow the same scenario with the $10,000-style rule (coordinate big checks):")
 	b2 := quicksand.New[*accounts](bankApp{}, []quicksand.Rule[*accounts]{noOverdraft()},
-		quicksand.WithSim(s), quicksand.WithReplicas(2),
+		quicksand.WithTransport(quicksand.NewSimTransport(s)), quicksand.WithReplicas(2),
 		quicksand.WithDefaultPolicy(quicksand.Threshold(50_00))) // coordinate anything >= $50
 	if _, err := b2.Submit(ctx, 0, quicksand.NewOp(kindDeposit, "acct-009", 100_00)); err != nil {
 		panic(err)
@@ -199,7 +199,7 @@ func run(out io.Writer) {
 	defer os.RemoveAll(dir)
 	s3 := quicksand.NewSim(23)
 	b3 := quicksand.New[*accounts](bankApp{}, []quicksand.Rule[*accounts]{noOverdraft()},
-		quicksand.WithSim(s3), quicksand.WithReplicas(2), quicksand.WithDurability(dir))
+		quicksand.WithTransport(quicksand.NewSimTransport(s3)), quicksand.WithReplicas(2), quicksand.WithDurability(dir))
 	defer b3.Close()
 	if _, err := b3.Submit(ctx, 0, quicksand.NewOp(kindDeposit, "acct-011", 100_00)); err != nil {
 		panic(err)

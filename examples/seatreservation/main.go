@@ -29,7 +29,7 @@ func sellOut(ttl time.Duration) (sold, turnedAway int, expired int64) {
 		for i := 0; i < prime; i++ {
 			v.Hold(i, "scalper-bot")
 		}
-		if s.Now() < sim.Time(90*time.Minute) {
+		if s.Now() < 90*time.Minute {
 			s.After(time.Minute, camp)
 		}
 	}
@@ -38,9 +38,9 @@ func sellOut(ttl time.Duration) (sold, turnedAway int, expired int64) {
 	// Real buyers arrive every 5 minutes and retry for 15 minutes.
 	for n := 0; n < 18; n++ {
 		n := n
-		s.At(sim.Time(time.Duration(n+1)*5*time.Minute), func() {
+		s.At(time.Duration(n+1)*5*time.Minute, func() {
 			who := fmt.Sprintf("buyer-%02d", n)
-			deadline := s.Now().Add(15 * time.Minute)
+			deadline := s.Now() + 15*time.Minute
 			var try func()
 			try = func() {
 				for i := 0; i < prime; i++ {
@@ -59,7 +59,7 @@ func sellOut(ttl time.Duration) (sold, turnedAway int, expired int64) {
 			try()
 		})
 	}
-	s.RunUntil(sim.Time(2 * time.Hour))
+	s.RunUntil(2 * time.Hour)
 	return sold, turnedAway, v.M.Expired.Value()
 }
 

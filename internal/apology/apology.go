@@ -14,8 +14,8 @@ package apology
 import (
 	"fmt"
 	"sync"
+	"time"
 
-	"repro/internal/sim"
 	"repro/internal/uniq"
 )
 
@@ -45,7 +45,7 @@ func (k Kind) String() string {
 // replica itself (degraded, rejoined, recovered) — the things the
 // operation set cannot reproduce.
 type Entry struct {
-	At   sim.Time
+	At   time.Duration
 	Kind Kind
 	Who  string  // replica that wrote the line
 	What string  // human-readable description
@@ -66,7 +66,7 @@ type Ledger struct {
 }
 
 // Record appends a line.
-func (l *Ledger) Record(at sim.Time, kind Kind, who, what string, ref uniq.ID) {
+func (l *Ledger) Record(at time.Duration, kind Kind, who, what string, ref uniq.ID) {
 	l.mu.Lock()
 	l.lines = append(l.lines, Entry{At: at, Kind: kind, Who: who, What: what, Ref: ref})
 	l.counts[kind]++

@@ -3,8 +3,7 @@ package apology
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/sim"
+	"time"
 )
 
 func TestLedgerCountsByKind(t *testing.T) {
@@ -20,7 +19,7 @@ func TestLedgerCountsByKind(t *testing.T) {
 		t.Fatalf("Len = %d", l.Len())
 	}
 	es := l.Entries()
-	if len(es) != 4 || es[0].What != "saw op" || es[2].At != sim.Time(2) {
+	if len(es) != 4 || es[0].What != "saw op" || es[2].At != time.Duration(2) {
 		t.Fatalf("entries = %+v", es)
 	}
 	// Tallied memories and guesses count like recorded ones and store no line.

@@ -21,12 +21,12 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"time"
 
 	"repro/internal/apology"
 	"repro/internal/core"
 	"repro/internal/oplog"
 	"repro/internal/policy"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/uniq"
 )
@@ -124,8 +124,8 @@ type Statement struct {
 	Opening  int64
 	Closing  int64
 	Lines    []oplog.Entry
-	CutoffAt sim.Time
-	IssuedAt sim.Time
+	CutoffAt time.Duration
+	IssuedAt time.Duration
 }
 
 // Bank wires a core.Cluster to banking semantics: check numbering,
@@ -191,7 +191,7 @@ func (b *Bank) NextCheckNo(account string) int {
 	return b.checkSeq[account]
 }
 
-func oplogEntry(account string, checkNo int, cents int64, at sim.Time) oplog.Entry {
+func oplogEntry(account string, checkNo int, cents int64, at time.Duration) oplog.Entry {
 	return oplog.Entry{
 		ID:   uniq.CheckNumber("quicksand-bank", account, checkNo),
 		Kind: KindClear,
@@ -212,7 +212,7 @@ func (b *Bank) Balance(rep int, account string) int64 {
 // previous statement, becomes one immutable statement. Late-arriving
 // operations — even ones dated inside an already-issued statement's
 // window — land on the next statement, never a reprint.
-func (b *Bank) IssueStatement(rep int, account string, cutoff sim.Time) Statement {
+func (b *Bank) IssueStatement(rep int, account string, cutoff time.Duration) Statement {
 	seen := b.onStmt[rep]
 	var lines []oplog.Entry
 	for _, e := range b.C.Replica(rep).Ops().Entries() {

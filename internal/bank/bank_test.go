@@ -8,12 +8,13 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/policy"
+	"repro/internal/rpc"
 	"repro/internal/sim"
 )
 
 func newBank(seed int64, replicas int) (*sim.Sim, *Bank) {
 	s := sim.New(seed)
-	return s, New(30_00, core.WithSim(s), core.WithReplicas(replicas)) // $30 bounce fee
+	return s, New(30_00, core.WithTransport(rpc.NewSimTransport(s)), core.WithReplicas(replicas)) // $30 bounce fee
 }
 
 func deposit(t *testing.T, s *sim.Sim, b *Bank, rep int, acct string, cents int64) {

@@ -43,7 +43,7 @@
 //
 // The package is re-exported by the module root as the public `quicksand`
 // API. Clusters are built with New plus functional options (WithReplicas,
-// WithSim, WithTransport, ...), operations are submitted synchronously
+// WithTransport, ...), operations are submitted synchronously
 // with Submit/SubmitBatch — context-aware calls that resolve to a typed
 // Result — or asynchronously with SubmitAsync for callers that live
 // inside a simulated event loop. The Transport seam lets the same cluster
@@ -65,8 +65,6 @@ import (
 	"repro/internal/oplog"
 	"repro/internal/policy"
 	"repro/internal/shard"
-	"repro/internal/sim"
-	"repro/internal/simnet"
 	"repro/internal/stats"
 	"repro/internal/store"
 	"repro/internal/trace"
@@ -170,7 +168,6 @@ type config struct {
 	gossipEvery time.Duration
 	defPolicy   policy.Policy
 	transport   Transport
-	s           *sim.Sim
 	foldEvery   int           // folded entries between periodic fold checkpoints (foldCheckpointEvery; tests lower it)
 	durableDir  string        // root of per-replica durable stores ("" = in-memory only)
 	snapEvery   int           // journaled entries between durable snapshots
@@ -227,15 +224,13 @@ func WithGossipEvery(d time.Duration) Option { return func(c *config) { c.gossip
 // everything).
 func WithDefaultPolicy(p policy.Policy) Option { return func(c *config) { c.defPolicy = p } }
 
-// WithTransport runs the cluster on the given transport. Mutually
-// exclusive with WithSim; without either, the cluster runs on a fresh
-// LiveTransport (real goroutines, wall-clock time).
+// WithTransport runs the cluster on the given transport: an
+// rpc.SimTransport for the deterministic simulator (one per cluster, so
+// several clusters can share one simulation without node-name
+// collisions), or a netx.Transport across processes. Without it, the
+// cluster runs on a fresh LiveTransport (real goroutines, wall-clock
+// time).
 func WithTransport(t Transport) Option { return func(c *config) { c.transport = t } }
-
-// WithSim runs the cluster on a fresh deterministic SimTransport bound to
-// simulator s — its own private network, so several clusters can share
-// one simulation without node-name collisions.
-func WithSim(s *sim.Sim) Option { return func(c *config) { c.s = s } }
 
 // WithDurability gives every replica a disk-backed store rooted under
 // dir: an append-only CRC-checked journal of its operations plus
@@ -513,7 +508,7 @@ func plainCopyable(t reflect.Type) bool {
 // New builds a cluster of replicas named r0, r1, ... sharing one apology
 // queue. rules may be nil. By default the cluster runs three replicas on
 // a fresh live (goroutine) transport with the AlwaysAsync risk policy;
-// options select the simulator, tune timeouts, and start background
+// options select the transport, tune timeouts, and start background
 // gossip. New panics on a configuration that cannot work: a durable
 // directory that cannot be opened, or an App whose state the engine
 // cannot clone (see Snapshotter).
@@ -541,11 +536,7 @@ func New[S any](app App[S], rules []Rule[S], opts ...Option) *Cluster[S] {
 	}
 	tr := cfg.transport
 	if tr == nil {
-		if cfg.s != nil {
-			tr = NewSimTransport(cfg.s)
-		} else {
-			tr = NewLiveTransport()
-		}
+		tr = NewLiveTransport()
 	}
 	if cfg.tracer != nil {
 		// Trace events and annotations share the transport's time axis.
@@ -611,13 +602,15 @@ func New[S any](app App[S], rules []Rule[S], opts ...Option) *Cluster[S] {
 }
 
 // storeOptions maps the cluster configuration onto internal/store
-// knobs. On the deterministic simulator every disk operation runs
-// inline on the calling goroutine — group-commit economics are a
-// wall-clock phenomenon the sim cannot observe, and background flusher
-// goroutines would break bit-for-bit reproducibility.
+// knobs. On a transport that cannot scatter — the deterministic
+// simulator, one event loop — every disk operation runs inline on the
+// calling goroutine: group-commit economics are a wall-clock phenomenon
+// the sim cannot observe, and background flusher goroutines would break
+// bit-for-bit reproducibility.
 func (c *Cluster[S]) storeOptions() store.Options {
 	opt := store.Options{}
-	_, opt.Inline = c.tr.(*SimTransport)
+	_, scatters := c.tr.(Scatterer)
+	opt.Inline = !scatters
 	// Preallocated (and recycled) segments trade exact file sizes for
 	// flush latency; the simulator keeps exact sizes — its tests poke at
 	// them, and inline runs are not latency-sensitive anyway.
@@ -762,17 +755,8 @@ func (c *Cluster[S]) Tracer() *trace.Tracer { return c.cfg.tracer }
 // Transport returns the transport the cluster runs on.
 func (c *Cluster[S]) Transport() Transport { return c.tr }
 
-// Net exposes the simulated network for fault injection and partitions
-// when the cluster runs on a SimTransport, and returns nil otherwise.
-func (c *Cluster[S]) Net() *simnet.Network {
-	if st, ok := c.tr.(*SimTransport); ok {
-		return st.Net()
-	}
-	return nil
-}
-
 // Now returns the transport's current time.
-func (c *Cluster[S]) Now() sim.Time { return c.tr.Now() }
+func (c *Cluster[S]) Now() time.Duration { return c.tr.Now() }
 
 // Replicas reports the replica count per shard.
 func (c *Cluster[S]) Replicas() int { return c.cfg.replicas }
@@ -844,7 +828,7 @@ func (c *Cluster[S]) submitConfig(opts []SubmitOption) submitConfig {
 // infrastructure failures only — context cancellation or a stalled
 // transport.
 //
-// On a SimTransport, Submit steps the event loop until the result
+// On an rpc.SimTransport, Submit steps the event loop until the result
 // resolves; it must not be called from inside a simulator callback (use
 // SubmitAsync there).
 func (c *Cluster[S]) Submit(ctx context.Context, replica int, op Op, opts ...SubmitOption) (Result, error) {
@@ -1023,7 +1007,7 @@ func (c *Cluster[S]) dispatch(rep *Replica[S], op Op, sc submitConfig, emit func
 // guess has its ID minted straight into the set by ingestSegment, or
 // rendered by withID if it leaves before that. The risk policy therefore
 // sees such an op without its ID, as the caller offered it.
-func (c *Cluster[S]) ingress(rep *Replica[S], op Op, sc submitConfig, now sim.Time) ingestItem {
+func (c *Cluster[S]) ingress(rep *Replica[S], op Op, sc submitConfig, now time.Duration) ingestItem {
 	it := ingestItem{start: now}
 	if op.ID == "" {
 		it.seq = rep.gen.Take()

@@ -13,8 +13,8 @@ import (
 
 	"repro/internal/oplog"
 	"repro/internal/policy"
+	"repro/internal/rpc"
 	"repro/internal/sim"
-	"repro/internal/simnet"
 	"repro/internal/stats"
 	"repro/internal/uniq"
 )
@@ -65,7 +65,7 @@ func noOverdraft() Rule[counterState] {
 
 func newTestCluster(seed int64, replicas int, rules ...Rule[counterState]) (*sim.Sim, *Cluster[counterState]) {
 	s := sim.New(seed)
-	c := New[counterState](counterApp{}, rules, WithSim(s), WithReplicas(replicas))
+	c := New[counterState](counterApp{}, rules, WithTransport(rpc.NewSimTransport(s)), WithReplicas(replicas))
 	return s, c
 }
 
@@ -114,7 +114,7 @@ func TestSyncSubmitReachesAllReplicas(t *testing.T) {
 
 func TestSyncSubmitFailsWhenReplicaDown(t *testing.T) {
 	s, c := newTestCluster(1, 3)
-	c.Net().SetUp("r2", false)
+	c.Transport().SetUp("r2", false)
 	res := submit(t, s, c, 0, "credit", "acct", 100, policy.AlwaysSync())
 	if res.Accepted {
 		t.Fatal("sync submit succeeded with a replica down; must be conservative")
@@ -266,8 +266,10 @@ func TestThresholdPolicyRoutesByAmount(t *testing.T) {
 }
 
 func TestPartitionedReplicasConvergeAfterHeal(t *testing.T) {
-	s, c := newTestCluster(8, 4)
-	c.Net().Partition([]simnet.NodeID{"r0", "r1"}, []simnet.NodeID{"r2", "r3"})
+	s := sim.New(8)
+	tr := rpc.NewSimTransport(s)
+	c := New[counterState](counterApp{}, nil, WithTransport(tr), WithReplicas(4))
+	tr.Partition([]string{"r0", "r1"}, []string{"r2", "r3"})
 	submit(t, s, c, 0, "credit", "a", 1, policy.AlwaysAsync())
 	submit(t, s, c, 2, "credit", "a", 2, policy.AlwaysAsync())
 	for r := 0; r < 4; r++ {
@@ -277,7 +279,7 @@ func TestPartitionedReplicasConvergeAfterHeal(t *testing.T) {
 	if c.Converged() {
 		t.Fatal("converged across a partition?")
 	}
-	c.Net().Heal()
+	tr.Heal()
 	for r := 0; r < 4 && !c.Converged(); r++ {
 		c.GossipRound()
 		s.Run()
@@ -292,7 +294,7 @@ func TestPartitionedReplicasConvergeAfterHeal(t *testing.T) {
 
 func TestCrashedReplicaRefusesSubmits(t *testing.T) {
 	s, c := newTestCluster(9, 2)
-	c.Net().SetUp("r0", false)
+	c.Transport().SetUp("r0", false)
 	res := submit(t, s, c, 0, "credit", "a", 1, policy.AlwaysAsync())
 	if res.Accepted {
 		t.Fatal("crashed replica accepted a submit")
@@ -304,11 +306,11 @@ func TestCrashedReplicaRefusesSubmits(t *testing.T) {
 
 func TestCrashedReplicaCatchesUpAfterRestart(t *testing.T) {
 	s, c := newTestCluster(10, 3)
-	c.Net().SetUp("r2", false)
+	c.Transport().SetUp("r2", false)
 	submit(t, s, c, 0, "credit", "a", 42, policy.AlwaysAsync())
 	c.GossipRound()
 	s.Run()
-	c.Net().SetUp("r2", true)
+	c.Transport().SetUp("r2", true)
 	for r := 0; r < 3 && !c.Converged(); r++ {
 		c.GossipRound()
 		s.Run()
@@ -560,7 +562,7 @@ func oracle(r *Replica[int64]) int64 {
 func TestFoldStepsLinearInNewEntries(t *testing.T) {
 	const n = 400
 	s := sim.New(1)
-	c := New[int64](hashApp{}, []Rule[int64]{admitAll[int64]()}, WithSim(s), WithReplicas(1))
+	c := New[int64](hashApp{}, []Rule[int64]{admitAll[int64]()}, WithTransport(rpc.NewSimTransport(s)), WithReplicas(1))
 	for i := 0; i < n; i++ {
 		if _, err := c.Submit(context.Background(), 0, NewOp("op", "k", int64(i))); err != nil {
 			t.Fatal(err)
@@ -581,7 +583,7 @@ func TestFoldStepsLinearInNewEntries(t *testing.T) {
 // re-derived state must equal a from-genesis fold.
 func TestRewindOnBehindWatermarkMerge(t *testing.T) {
 	s := sim.New(2)
-	c := New[int64](hashApp{}, nil, WithSim(s), WithReplicas(1))
+	c := New[int64](hashApp{}, nil, WithTransport(rpc.NewSimTransport(s)), WithReplicas(1))
 	rep := c.Replica(0)
 	c.SubmitAsync(0, oplog.Entry{ID: "late", Kind: "op", Arg: 7, Lam: 10}, nil, WithPolicy(policy.AlwaysAsync()))
 	s.Run()
@@ -609,7 +611,7 @@ func TestRewindOnBehindWatermarkMerge(t *testing.T) {
 func TestPeriodicCheckpointsBoundReplay(t *testing.T) {
 	const n = 100
 	s := sim.New(3)
-	c := New[int64](hashApp{}, nil, WithSim(s), WithReplicas(1), withFoldCheckpointEvery(10))
+	c := New[int64](hashApp{}, nil, WithTransport(rpc.NewSimTransport(s)), WithReplicas(1), withFoldCheckpointEvery(10))
 	rep := c.Replica(0)
 	for i := 0; i < n; i++ {
 		c.SubmitAsync(0, oplog.Entry{ID: uniq.ID(fmt.Sprintf("op-%03d", i)), Kind: "op", Arg: 1, Lam: uint64(10 + 2*i)}, nil, WithPolicy(policy.AlwaysAsync()))
@@ -638,7 +640,7 @@ func TestPeriodicCheckpointsBoundReplay(t *testing.T) {
 // later operations fold in.
 func TestSnapshotterKeepsReturnedStatesStable(t *testing.T) {
 	s := sim.New(4)
-	c := New[counterState](counterApp{}, nil, WithSim(s), WithReplicas(1))
+	c := New[counterState](counterApp{}, nil, WithTransport(rpc.NewSimTransport(s)), WithReplicas(1))
 	if _, err := c.Submit(context.Background(), 0, NewOp("credit", "a", 10)); err != nil {
 		t.Fatal(err)
 	}
@@ -696,15 +698,15 @@ func TestCloningContract(t *testing.T) {
 		}
 	}
 
-	New[counterState](counterApp{}, nil, WithSim(sim.New(1)), WithReplicas(1)) // Snapshotter
-	New[int64](hashApp{}, nil, WithSim(sim.New(1)), WithReplicas(1))           // plain value
+	New[counterState](counterApp{}, nil, WithTransport(rpc.NewSimTransport(sim.New(1))), WithReplicas(1)) // Snapshotter
+	New[int64](hashApp{}, nil, WithTransport(rpc.NewSimTransport(sim.New(1))), WithReplicas(1))           // plain value
 	defer func() {
 		msg := fmt.Sprint(recover())
 		if !strings.Contains(msg, "Snapshotter") || !strings.Contains(msg, "mapNoSnapshotApp") {
 			t.Fatalf("New on map state without Snapshot: recovered %q, want a panic naming the App and Snapshotter", msg)
 		}
 	}()
-	New[counterState](mapNoSnapshotApp{}, nil, WithSim(sim.New(1)), WithReplicas(1))
+	New[counterState](mapNoSnapshotApp{}, nil, WithTransport(rpc.NewSimTransport(sim.New(1))), WithReplicas(1))
 }
 
 // TestPropIncrementalFoldMatchesOracle is the engine's soundness
@@ -715,7 +717,7 @@ func TestPropIncrementalFoldMatchesOracle(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		s := sim.New(seed)
-		c := New[int64](hashApp{}, nil, WithSim(s), WithReplicas(3), withFoldCheckpointEvery(4))
+		c := New[int64](hashApp{}, nil, WithTransport(rpc.NewSimTransport(s)), WithReplicas(3), withFoldCheckpointEvery(4))
 		for i := 0; i < 60; i++ {
 			op := oplog.Entry{
 				ID:   uniq.ID(fmt.Sprintf("op-%02d", r.Intn(40))), // dup IDs happen
@@ -790,7 +792,7 @@ func TestJournalTruncatedAfterAcks(t *testing.T) {
 // peer must still catch up from them.
 func TestJournalHeldForCrashedPeer(t *testing.T) {
 	s, c := newTestCluster(41, 3)
-	c.Net().SetUp("r2", false)
+	c.Transport().SetUp("r2", false)
 	for i := 0; i < 30; i++ {
 		submit(t, s, c, 0, "credit", "a", 1, policy.AlwaysAsync())
 	}
@@ -803,7 +805,7 @@ func TestJournalHeldForCrashedPeer(t *testing.T) {
 	if got := c.Replica(1).JournalRetained(); got < 30 {
 		t.Fatalf("r1 retains %d journal entries with its peer down; prefix truncated too eagerly", got)
 	}
-	c.Net().SetUp("r2", true)
+	c.Transport().SetUp("r2", true)
 	for i := 0; i < 6 && !c.Converged(); i++ {
 		c.GossipRound()
 		s.Run()
@@ -830,7 +832,7 @@ func TestJournalHeldForCrashedPeer(t *testing.T) {
 // independently, and a sync submit coordinates only within its shard.
 func TestShardRoutingAndIsolation(t *testing.T) {
 	s := sim.New(42)
-	c := New[counterState](counterApp{}, nil, WithSim(s), WithShards(4), WithReplicas(2))
+	c := New[counterState](counterApp{}, nil, WithTransport(rpc.NewSimTransport(s)), WithShards(4), WithReplicas(2))
 	if c.Shards() != 4 || c.Replicas() != 2 {
 		t.Fatalf("Shards/Replicas = %d/%d", c.Shards(), c.Replicas())
 	}
@@ -897,7 +899,7 @@ func TestShardRoutingAndIsolation(t *testing.T) {
 // shards of every field Metrics declares — a counter or histogram added
 // to the struct and forgotten in merge shows up here as a zero.
 func TestClusterMetricsSumsEveryField(t *testing.T) {
-	c := New[counterState](counterApp{}, nil, WithSim(sim.New(1)), WithShards(3), WithReplicas(1))
+	c := New[counterState](counterApp{}, nil, WithTransport(rpc.NewSimTransport(sim.New(1))), WithShards(3), WithReplicas(1))
 	for sh := 0; sh < c.Shards(); sh++ {
 		m := reflect.ValueOf(c.ShardMetrics(sh)).Elem()
 		for i := 0; i < m.NumField(); i++ {
@@ -932,7 +934,7 @@ func TestClusterMetricsSumsEveryField(t *testing.T) {
 // record a second Guess for work that was only recorded once.
 func TestDuplicateLocalSubmitRecordsNoSecondGuess(t *testing.T) {
 	s := sim.New(5)
-	c := New[counterState](counterApp{}, nil, WithSim(s), WithReplicas(1))
+	c := New[counterState](counterApp{}, nil, WithTransport(rpc.NewSimTransport(s)), WithReplicas(1))
 	rep := c.Replica(0)
 	op := oplog.Entry{ID: "check-7", Kind: "credit", Key: "a", Arg: 1, Lam: 1}
 	for i := 0; i < 2; i++ {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/faultfs"
+	"repro/internal/rpc"
 	"repro/internal/sim"
 )
 
@@ -40,7 +41,7 @@ func TestDegradedReadOnlyMode(t *testing.T) {
 	dir := t.TempDir()
 	s := sim.New(7)
 	c := New[counterState](counterApp{}, nil,
-		WithSim(s), WithReplicas(3), WithDurability(dir),
+		WithTransport(rpc.NewSimTransport(s)), WithReplicas(3), WithDurability(dir),
 		WithStoreFS(replicaFS("r1", &full, syscall.ENOSPC)))
 	defer c.Close()
 
@@ -121,7 +122,7 @@ func TestUnknownStoreErrorStillFailsFast(t *testing.T) {
 	dir := t.TempDir()
 	s := sim.New(11)
 	c := New[counterState](counterApp{}, nil,
-		WithSim(s), WithReplicas(3), WithDurability(dir),
+		WithTransport(rpc.NewSimTransport(s)), WithReplicas(3), WithDurability(dir),
 		WithStoreFS(replicaFS("r1", &broken, errors.New("firmware exploded"))))
 	defer c.Close()
 	mustSubmit(t, c, 1, NewOp("credit", "k", 1))

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/rpc"
 	"repro/internal/sim"
 	"repro/internal/uniq"
 )
@@ -21,7 +22,7 @@ func TestDeltaChainKillRecoverMatchesControl(t *testing.T) {
 		dir := t.TempDir()
 		s := sim.New(171)
 		c := New[counterState](counterApp{}, nil,
-			WithSim(s), WithReplicas(3), WithDurability(dir),
+			WithTransport(rpc.NewSimTransport(s)), WithReplicas(3), WithDurability(dir),
 			WithSnapshotEvery(8), withSnapshotChain(4))
 		defer c.Close()
 		for i := 0; i < 40; i++ {

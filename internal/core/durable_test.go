@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/faultfs"
 	"repro/internal/policy"
+	"repro/internal/rpc"
 	"repro/internal/sim"
 	"repro/internal/uniq"
 )
@@ -23,7 +24,7 @@ func durableCluster(t *testing.T, seed int64, opts ...Option) (*sim.Sim, *Cluste
 	t.Helper()
 	dir := t.TempDir()
 	s := sim.New(seed)
-	all := append([]Option{WithSim(s), WithReplicas(3), WithDurability(dir)}, opts...)
+	all := append([]Option{WithTransport(rpc.NewSimTransport(s)), WithReplicas(3), WithDurability(dir)}, opts...)
 	c := New[counterState](counterApp{}, nil, all...)
 	return s, c, dir
 }
@@ -127,7 +128,7 @@ func TestKillRecoverMatchesControl(t *testing.T) {
 			c = New[counterState](counterApp{}, nil, WithReplicas(3), WithDurability(dir))
 		} else {
 			s = sim.New(77)
-			c = New[counterState](counterApp{}, nil, WithSim(s), WithReplicas(3), WithDurability(dir), WithSnapshotEvery(16))
+			c = New[counterState](counterApp{}, nil, WithTransport(rpc.NewSimTransport(s)), WithReplicas(3), WithDurability(dir), WithSnapshotEvery(16))
 		}
 		defer c.Close()
 		converge := func() {
@@ -196,7 +197,7 @@ func TestShardedRecoveryIsolated(t *testing.T) {
 	dir := t.TempDir()
 	s := sim.New(9)
 	c := New[counterState](counterApp{}, nil,
-		WithSim(s), WithReplicas(3), WithShards(4), WithDurability(dir))
+		WithTransport(rpc.NewSimTransport(s)), WithReplicas(3), WithShards(4), WithDurability(dir))
 	ctx := context.Background()
 	// Find keys living on two different shards.
 	var hot, cold string
@@ -260,7 +261,7 @@ func TestColdRestart(t *testing.T) {
 	dir := t.TempDir()
 	s := sim.New(11)
 	c := New[counterState](counterApp{}, nil,
-		WithSim(s), WithReplicas(3), WithDurability(dir), WithSnapshotEvery(8))
+		WithTransport(rpc.NewSimTransport(s)), WithReplicas(3), WithDurability(dir), WithSnapshotEvery(8))
 	for i := 0; i < 25; i++ {
 		mustSubmit(t, c, i%3, NewOp("credit", fmt.Sprintf("k%d", i%4), 2))
 	}
@@ -271,7 +272,7 @@ func TestColdRestart(t *testing.T) {
 
 	s2 := sim.New(12)
 	c2 := New[counterState](counterApp{}, nil,
-		WithSim(s2), WithReplicas(3), WithDurability(dir), WithSnapshotEvery(8))
+		WithTransport(rpc.NewSimTransport(s2)), WithReplicas(3), WithDurability(dir), WithSnapshotEvery(8))
 	defer c2.Close()
 	for i := 0; i < 3; i++ {
 		rep := c2.Replica(i)
@@ -317,7 +318,7 @@ func TestColdRestartNeverReusesAnIDPeersHold(t *testing.T) {
 		return faultfs.Decision{LieSync: lying.Load() && op.Kind == faultfs.OpSync && strings.Contains(op.Path, marker)}
 	})
 	s := sim.New(31)
-	c := New[counterState](counterApp{}, nil, WithSim(s), WithReplicas(2), WithDurability(dir), WithStoreFS(inj))
+	c := New[counterState](counterApp{}, nil, WithTransport(rpc.NewSimTransport(s)), WithReplicas(2), WithDurability(dir), WithStoreFS(inj))
 	lying.Store(true)
 	res, err := c.Submit(context.Background(), 0, NewOp("credit", "k", 5), WithPolicy(policy.AlwaysSync()))
 	if err != nil || !res.Accepted {
@@ -336,7 +337,7 @@ func TestColdRestartNeverReusesAnIDPeersHold(t *testing.T) {
 	}
 
 	s2 := sim.New(32)
-	c2 := New[counterState](counterApp{}, nil, WithSim(s2), WithReplicas(2), WithDurability(dir))
+	c2 := New[counterState](counterApp{}, nil, WithTransport(rpc.NewSimTransport(s2)), WithReplicas(2), WithDurability(dir))
 	defer c2.Close()
 	if n := c2.Replica(0).OpCount(); n != 0 {
 		t.Fatalf("r0 recovered %d ops; its lying disk should have lost the coordinated one", n)
@@ -361,7 +362,7 @@ func TestColdRestartNeverReusesAnIDPeersHold(t *testing.T) {
 func TestColdRestartTornTail(t *testing.T) {
 	dir := t.TempDir()
 	s := sim.New(13)
-	c := New[counterState](counterApp{}, nil, WithSim(s), WithReplicas(1), WithDurability(dir))
+	c := New[counterState](counterApp{}, nil, WithTransport(rpc.NewSimTransport(s)), WithReplicas(1), WithDurability(dir))
 	for i := 0; i < 5; i++ {
 		mustSubmit(t, c, 0, NewOp("credit", "k", 1))
 	}
@@ -375,7 +376,7 @@ func TestColdRestartTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2 := sim.New(14)
-	c2 := New[counterState](counterApp{}, nil, WithSim(s2), WithReplicas(1), WithDurability(dir))
+	c2 := New[counterState](counterApp{}, nil, WithTransport(rpc.NewSimTransport(s2)), WithReplicas(1), WithDurability(dir))
 	defer c2.Close()
 	if got := c2.Replica(0).OpCount(); got != 4 {
 		t.Fatalf("recovered %d ops from a torn journal, want 4", got)
@@ -410,7 +411,7 @@ func TestDurableSnapshotsCompactJournal(t *testing.T) {
 	dir := t.TempDir()
 	s := sim.New(17)
 	c := New[counterState](counterApp{}, nil,
-		WithSim(s), WithReplicas(3), WithDurability(dir), WithSnapshotEvery(16))
+		WithTransport(rpc.NewSimTransport(s)), WithReplicas(3), WithDurability(dir), WithSnapshotEvery(16))
 	for i := 0; i < 120; i++ {
 		mustSubmit(t, c, i%3, NewOp("credit", fmt.Sprintf("k%d", i%3), 1))
 		if i%10 == 9 {
@@ -426,7 +427,7 @@ func TestDurableSnapshotsCompactJournal(t *testing.T) {
 	c.Close()
 	s2 := sim.New(18)
 	c2 := New[counterState](counterApp{}, nil,
-		WithSim(s2), WithReplicas(3), WithDurability(dir), WithSnapshotEvery(16))
+		WithTransport(rpc.NewSimTransport(s2)), WithReplicas(3), WithDurability(dir), WithSnapshotEvery(16))
 	defer c2.Close()
 	for i := 0; i < 3; i++ {
 		if got := c2.Replica(i).OpCount(); got != wantOps {

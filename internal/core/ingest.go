@@ -22,11 +22,11 @@ package core
 import (
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/apology"
 	"repro/internal/oplog"
 	"repro/internal/policy"
-	"repro/internal/sim"
 )
 
 // ingestBatchCap is the most operations one drain pass absorbs under a
@@ -59,7 +59,7 @@ type ingestItem struct {
 	emit    func(Result) // SubmitAsync's completion; nil when sink is set
 	sink    *ingestSink
 	idx     int32
-	start   sim.Time
+	start   time.Duration
 	sync    bool   // policy-coordinated: initiated in queue order, never batch-absorbed
 	outcome int8   // set by ingestSegment
 	reason  string // why, when outcome is outDeclined
@@ -474,7 +474,7 @@ func (r *Replica[S]) ingestSegment(items []ingestItem) {
 			if t := c.cfg.tracer; t != nil {
 				t.Declined(string(op.ID), op.Key, r.id, it.reason, int64(now))
 			}
-			it.finish(Result{Op: op, Reason: it.reason, Latency: now.Sub(it.start)})
+			it.finish(Result{Op: op, Reason: it.reason, Latency: now - it.start})
 		}
 	}
 	if nAccepted == 0 && !dups {
@@ -544,7 +544,7 @@ func (r *Replica[S]) resolveSegment(items []ingestItem, nAccepted int, ok bool) 
 		g.M.Accepted.Inc()
 		if it.outcome == outAccepted {
 			// Duplicates carry no latency and are not sampled.
-			res.Latency = now.Sub(it.start)
+			res.Latency = now - it.start
 			g.M.AsyncLat.AddDur(res.Latency)
 		}
 		it.finish(res)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/oplog"
+	"repro/internal/rpc"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/uniq"
@@ -141,7 +142,7 @@ var writePathWorlds = []struct {
 }{
 	{"sim", func() ([]Option, func()) {
 		s := sim.New(11)
-		return []Option{WithSim(s)}, func() { s.Run() }
+		return []Option{WithTransport(rpc.NewSimTransport(s))}, func() { s.Run() }
 	}},
 	{"live", func() ([]Option, func()) { return nil, func() {} }},
 }
@@ -556,7 +557,7 @@ func TestResultCarriesItsIngressID(t *testing.T) {
 		}, []exit{ok, ruled, ok}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := append([]Option{WithSim(sim.New(3)), WithReplicas(2)}, tc.opts...)
+			opts := append([]Option{WithTransport(rpc.NewSimTransport(sim.New(3))), WithReplicas(2)}, tc.opts...)
 			c := New[counterState](counterApp{}, []Rule[counterState]{noOverdraft()}, opts...)
 			defer c.Close()
 			got := tc.run(t, c)

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/apology"
 	"repro/internal/policy"
+	"repro/internal/rpc"
 	"repro/internal/sim"
 )
 
@@ -23,7 +24,7 @@ func TestLedgerDoesNotGrowWithOps(t *testing.T) {
 	t.Run("guesses and regrets", func(t *testing.T) {
 		const perBatch, batches = 500, 40 // 20 000 guesses
 		s := sim.New(18)
-		c := New[counterState](counterApp{}, []Rule[counterState]{noOverdraft()}, WithSim(s), WithReplicas(3))
+		c := New[counterState](counterApp{}, []Rule[counterState]{noOverdraft()}, WithTransport(rpc.NewSimTransport(s)), WithReplicas(3))
 		local := [3]int{}
 		for b := 0; b < batches; b++ {
 			ops := make([]Op, perBatch)
@@ -101,7 +102,7 @@ func TestLedgerDoesNotGrowWithOps(t *testing.T) {
 		var full atomic.Bool
 		s := sim.New(19)
 		c := New[counterState](counterApp{}, nil,
-			WithSim(s), WithReplicas(3), WithDurability(t.TempDir()),
+			WithTransport(rpc.NewSimTransport(s)), WithReplicas(3), WithDurability(t.TempDir()),
 			WithStoreFS(replicaFS("r1", &full, syscall.ENOSPC)))
 		defer c.Close()
 		for i := 0; i < 6; i++ {
@@ -151,7 +152,7 @@ func TestLedgerDoesNotGrowWithOps(t *testing.T) {
 // per guess).
 func TestGuessAllocatesNoLedgerString(t *testing.T) {
 	s := sim.New(20)
-	c := New[counterState](counterApp{}, nil, WithSim(s), WithReplicas(1))
+	c := New[counterState](counterApp{}, nil, WithTransport(rpc.NewSimTransport(s)), WithReplicas(1))
 	op := NewOp("credit", "acct-17", 1)
 	done := func(Result) {}
 	for i := 0; i < 4096; i++ {

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/oplog"
 	"repro/internal/policy"
+	"repro/internal/rpc"
 	"repro/internal/sim"
 	"repro/internal/testenv"
 	"repro/internal/uniq"
@@ -52,7 +53,7 @@ func TestPinSubmitAllocs(t *testing.T) {
 		// On the simulator the store runs inline: the flush, the commit
 		// fan-out and the sink's release all happen inside Submit. The
 		// snapshot cadence is out of the measured window's way.
-		c := New[counterState](counterApp{}, nil, WithSim(sim.New(27)), WithReplicas(1),
+		c := New[counterState](counterApp{}, nil, WithTransport(rpc.NewSimTransport(sim.New(27))), WithReplicas(1),
 			WithDurability(t.TempDir()), WithSnapshotEvery(1<<20))
 		if got := measure(t, c); got > 2 {
 			t.Fatalf("one durable blocking guess allocates %.0f times, want at most 2", got)

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/rpc"
 	"repro/internal/sim"
 )
 
@@ -47,7 +48,7 @@ func TestWriteOnlyStreamNeverClones(t *testing.T) {
 			s := sim.New(23)
 			c := New[counterState](countingApp{inits: &inits, snaps: &snaps},
 				[]Rule[counterState]{noOverdraft()},
-				WithSim(s), WithReplicas(replicas), withFoldCheckpointEvery(64))
+				WithTransport(rpc.NewSimTransport(s)), WithReplicas(replicas), withFoldCheckpointEvery(64))
 			// Every Snapshot call the engine made that was neither a
 			// checkpoint nor a rewind restoring one (a rewind past the
 			// oldest checkpoint restarts from Init instead).
@@ -110,7 +111,7 @@ func TestWriteOnlyStreamNeverClones(t *testing.T) {
 // current — and in neither case makes a later write clone.
 func TestViewNeverShares(t *testing.T) {
 	s := sim.New(24)
-	c := New[counterState](counterApp{}, nil, WithSim(s), WithReplicas(1))
+	c := New[counterState](counterApp{}, nil, WithTransport(rpc.NewSimTransport(s)), WithReplicas(1))
 	rep := c.Replica(0)
 	for i := int64(1); i <= 3; i++ {
 		c.SubmitAsync(0, NewOp("credit", "a", 1), nil)
@@ -207,7 +208,7 @@ func TestHeldSnapshotNeverChanges(t *testing.T) {
 // config on the stack: applying options takes its address, which used to
 // cost every Submit and SubmitAsync one heap allocation.
 func TestSubmitWithoutOptionsAllocatesNoConfig(t *testing.T) {
-	c := New[int64](hashApp{}, nil, WithSim(sim.New(25)), WithReplicas(1))
+	c := New[int64](hashApp{}, nil, WithTransport(rpc.NewSimTransport(sim.New(25))), WithReplicas(1))
 	var sink submitConfig
 	if got := testing.AllocsPerRun(1000, func() { sink = c.submitConfig(nil) }); got != 0 {
 		t.Fatalf("submitConfig(nil) allocates %.0f times, want 0", got)

@@ -1007,7 +1007,7 @@ func (rd *syncRound[S]) onApply([]any, int) {
 func (rd *syncRound[S]) finish(res Result) {
 	r, it := rd.r, rd.it
 	g := r.g
-	res.Latency = r.c.tr.Now().Sub(it.start)
+	res.Latency = r.c.tr.Now() - it.start
 	if res.Accepted {
 		g.M.Accepted.Inc()
 		g.M.SyncAccepted.Inc()

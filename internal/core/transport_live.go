@@ -7,7 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/sim"
+	"repro/internal/transport"
 )
 
 // LiveTransport runs a cluster on real goroutines and wall-clock time:
@@ -45,7 +45,7 @@ func NewLiveTransport() *LiveTransport {
 }
 
 // Now returns the wall-clock time elapsed since the transport was built.
-func (t *LiveTransport) Now() sim.Time { return sim.Time(time.Since(t.start)) }
+func (t *LiveTransport) Now() time.Duration { return time.Since(t.start) }
 
 // Node registers a node. Registering the same id twice panics.
 func (t *LiveTransport) Node(id string, callTimeout time.Duration) Node {
@@ -252,7 +252,7 @@ func (n *liveNode) Call(to string, method string, req any, done func(resp any, o
 }
 
 func (n *liveNode) Broadcast(to []string, method string, req any, done func(resps []any, oks int)) {
-	Broadcast(n, to, method, req, done)
+	transport.Broadcast(n, to, method, req, done)
 }
 
 // A call record's state only ever gains bits.

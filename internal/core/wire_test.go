@@ -5,9 +5,11 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 	"unsafe"
 
 	"repro/internal/oplog"
+	"repro/internal/rpc"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/uniq"
@@ -20,7 +22,7 @@ func wireEntry(i int) oplog.Entry {
 		Key:  "acct-42",
 		Note: "wire test",
 		Lam:  uint64(100 + i),
-		At:   sim.Time(1e9 + int64(i)),
+		At:   time.Duration(1e9 + int64(i)),
 		Arg:  int64(-7 * i),
 	}
 }
@@ -131,7 +133,7 @@ func checkDecodeMessage(t *testing.T, b []byte) {
 	q := len(b) / 4
 	e := oplog.Entry{ID: uniq.ID(b[:q]), Kind: string(b[q : 2*q]), Key: string(b[2*q : 3*q]), Note: string(b[3*q:])}
 	for i, c := range b {
-		e.Arg, e.Lam, e.At = e.Arg<<7^int64(c)-int64(i), e.Lam<<5^uint64(c), e.At<<3^sim.Time(c)
+		e.Arg, e.Lam, e.At = e.Arg<<7^int64(c)-int64(i), e.Lam<<5^uint64(c), e.At<<3^time.Duration(c)
 	}
 	roundTrip(pushReq{Entries: []oplog.Entry{e, {}, e}})
 	roundTrip(applyReq{Op: e})
@@ -224,7 +226,7 @@ func TestDecodedPushIsNeverRetained(t *testing.T) {
 	for _, durable := range []bool{false, true} {
 		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
 			tr := trace.New(trace.Options{SampleEvery: 1})
-			opts := []Option{WithSim(sim.New(5)), WithReplicas(3), WithTracer(tr)}
+			opts := []Option{WithTransport(rpc.NewSimTransport(sim.New(5))), WithReplicas(3), WithTracer(tr)}
 			if durable {
 				opts = append(opts, WithDurability(t.TempDir()))
 			}

@@ -210,7 +210,7 @@ func (c *Cluster) Get(key string, done func(versions []Version, ctx vclock.VC, o
 			done(nil, nil, false)
 			return
 		}
-		c.M.GetLat.AddDur(c.s.Now().Sub(start))
+		c.M.GetLat.AddDur(c.s.Now() - start)
 		if len(versions) > 1 {
 			c.M.SiblingGets.Inc()
 		}
@@ -246,7 +246,7 @@ func (c *Cluster) Put(key, value string, ctx vclock.VC, actor string, done func(
 		if !ok {
 			c.M.PutFails.Inc()
 		} else {
-			c.M.PutLat.AddDur(c.s.Now().Sub(start))
+			c.M.PutLat.AddDur(c.s.Now() - start)
 		}
 		done(ok)
 	})

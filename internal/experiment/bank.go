@@ -8,6 +8,7 @@ import (
 	"repro/internal/bank"
 	"repro/internal/core"
 	"repro/internal/policy"
+	"repro/internal/rpc"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -40,7 +41,7 @@ func E6BankClearing() Experiment {
 			for _, replicas := range []int{2, 3, 5} {
 				for _, gossip := range []time.Duration{10 * time.Millisecond, 100 * time.Millisecond, time.Second} {
 					s := sim.New(seed)
-					b := bank.New(30_00, core.WithSim(s), core.WithReplicas(replicas))
+					b := bank.New(30_00, core.WithTransport(rpc.NewSimTransport(s)), core.WithReplicas(replicas))
 					seedAccounts(s, b, 20, 100_00)
 
 					r := s.Rand()
@@ -51,7 +52,7 @@ func E6BankClearing() Experiment {
 					// Once the last check lands, poll until every replica
 					// holds the same ledger: the configuration's
 					// time-to-consistency.
-					var lastAcceptedAt, convergedAt sim.Time
+					var lastAcceptedAt, convergedAt time.Duration
 					const total = 600
 					probe := func() {
 						var poll func()
@@ -60,7 +61,7 @@ func E6BankClearing() Experiment {
 								convergedAt = s.Now()
 								return
 							}
-							if s.Now() < lastAcceptedAt.Add(time.Minute) {
+							if s.Now() < lastAcceptedAt+time.Minute {
 								s.After(gossip/4, poll)
 							}
 						}
@@ -87,7 +88,7 @@ func E6BankClearing() Experiment {
 						}
 						b.ClearCheck(i%replicas, acct, i+1000, amounts(), policy.AlwaysAsync(), done)
 					})
-					s.RunUntil(sim.Time(10 * time.Second))
+					s.RunUntil(10 * time.Second)
 					stop()
 					s.Run()
 					for i := 0; i < replicas+2 && !b.C.Converged(); i++ {
@@ -97,7 +98,7 @@ func E6BankClearing() Experiment {
 					if !b.C.Converged() {
 						panic("E6: never converged")
 					}
-					lag := convergedAt.Sub(lastAcceptedAt)
+					lag := convergedAt - lastAcceptedAt
 					if convergedAt == 0 {
 						lag = -1 // converged only after the forced rounds
 					}
@@ -146,7 +147,7 @@ func E10RiskPolicy() Experiment {
 			}
 			for _, th := range thresholds {
 				s := sim.New(seed)
-				b := bank.New(30_00, core.WithSim(s), core.WithReplicas(3))
+				b := bank.New(30_00, core.WithTransport(rpc.NewSimTransport(s)), core.WithReplicas(3))
 				seedAccounts(s, b, 20, 50_000_00)
 				r := s.Rand()
 				keys := workload.UniformKeys(r, "acct", 20)
@@ -169,7 +170,7 @@ func E10RiskPolicy() Experiment {
 						}
 					})
 				})
-				s.RunUntil(sim.Time(6 * time.Second))
+				s.RunUntil(6 * time.Second)
 				stop()
 				s.Run()
 				// Combined latency view across both paths.

@@ -8,6 +8,7 @@ import (
 	"repro/internal/failure"
 	"repro/internal/oplog"
 	"repro/internal/policy"
+	"repro/internal/rpc"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/stats"
@@ -49,7 +50,7 @@ func E12CAPAvailability() Experiment {
 						}
 					})
 				})
-				s.RunUntil(sim.Time(8 * time.Second))
+				s.RunUntil(8 * time.Second)
 				inj.Stop()
 				s.Run()
 				tab.AddRow("2PC (classic ACID)", fmt.Sprint(ops), fmt.Sprint(ok),
@@ -59,10 +60,11 @@ func E12CAPAvailability() Experiment {
 			// ACID 2.0 gossip cluster.
 			{
 				s := sim.New(seed)
+				tr := rpc.NewSimTransport(s)
 				c := core.New[int64](capApp{}, nil,
-					core.WithSim(s), core.WithReplicas(3), core.WithCallTimeout(30*time.Millisecond))
+					core.WithTransport(tr), core.WithReplicas(3), core.WithCallTimeout(30*time.Millisecond))
 				nodes := []simnet.NodeID{"r0", "r1", "r2"}
-				inj := failure.NewInjector(s, c.Net(), nodes, mtbf, mttr, nil).Start()
+				inj := failure.NewInjector(s, tr.Net(), nodes, mtbf, mttr, nil).Start()
 				stop := c.StartGossip(50 * time.Millisecond)
 				ok := 0
 				workload.PoissonLoop(s, 10*time.Millisecond, ops, func(i int) {
@@ -70,7 +72,7 @@ func E12CAPAvailability() Experiment {
 					// clients do.
 					rep := i % 3
 					for probe := 0; probe < 3; probe++ {
-						if c.Net().IsUp(nodes[(rep+probe)%3]) {
+						if tr.Net().IsUp(nodes[(rep+probe)%3]) {
 							rep = (rep + probe) % 3
 							break
 						}
@@ -81,7 +83,7 @@ func E12CAPAvailability() Experiment {
 						}
 					}, core.WithPolicy(policy.AlwaysAsync()))
 				})
-				s.RunUntil(sim.Time(8 * time.Second))
+				s.RunUntil(8 * time.Second)
 				inj.Stop()
 				stop() // cancel the periodic gossip so the queue can drain
 				s.Run()

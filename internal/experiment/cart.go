@@ -63,10 +63,10 @@ func runCartScenario(seed int64, sessions, adds int, churn bool, mk func(cl *dyn
 	}
 	if churn {
 		// One node bounces mid-run; another bounces later.
-		s.At(sim.Time(10*time.Millisecond), func() { cl.SetUp("n1", false) })
-		s.At(sim.Time(30*time.Millisecond), func() { cl.SetUp("n1", true) })
-		s.At(sim.Time(40*time.Millisecond), func() { cl.SetUp("n3", false) })
-		s.At(sim.Time(70*time.Millisecond), func() { cl.SetUp("n3", true) })
+		s.At(10*time.Millisecond, func() { cl.SetUp("n1", false) })
+		s.At(30*time.Millisecond, func() { cl.SetUp("n1", true) })
+		s.At(40*time.Millisecond, func() { cl.SetUp("n3", false) })
+		s.At(70*time.Millisecond, func() { cl.SetUp("n3", true) })
 	}
 	s.Run()
 	for i := 0; i < 4; i++ {

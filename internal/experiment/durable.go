@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/bank"
 	"repro/internal/core"
+	"repro/internal/rpc"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -60,7 +61,7 @@ func E15DurableRecovery() Experiment {
 				}
 				s := sim.New(seed)
 				c := core.New[*bank.Accounts](bank.App{}, []core.Rule[*bank.Accounts]{bank.NoOverdraft()},
-					core.WithSim(s), core.WithReplicas(3),
+					core.WithTransport(rpc.NewSimTransport(s)), core.WithReplicas(3),
 					core.WithDurability(dir), core.WithSnapshotEvery(16))
 				ctx := context.Background()
 

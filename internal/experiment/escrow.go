@@ -55,7 +55,7 @@ func E7Escrow() Experiment {
 					if done != clients {
 						panic("E7: escrow clients incomplete")
 					}
-					makespan := time.Duration(s.Now())
+					makespan := s.Now()
 					tput := float64(clients*txnsPerClient) / makespan.Seconds()
 					tab.AddRow(fmt.Sprint(clients), "escrow", makespan.String(),
 						stats.F(tput, 0), fmt.Sprint(acct.Conflicts()))
@@ -91,7 +91,7 @@ func E7Escrow() Experiment {
 					if done != clients {
 						panic("E7: mutex clients incomplete")
 					}
-					makespan := time.Duration(s.Now())
+					makespan := s.Now()
 					tput := float64(clients*txnsPerClient) / makespan.Seconds()
 					tab.AddRow(fmt.Sprint(clients), "exclusive", makespan.String(),
 						stats.F(tput, 0), fmt.Sprint(mu.Waits()))
@@ -129,7 +129,7 @@ func A2GroupCommit() Experiment {
 					workload.PoissonLoop(s, arrival, 500, func(i int) {
 						log.Append(wal.Record{Txn: uint64(i), Kind: wal.KindCommit})
 						start := s.Now()
-						gc.Commit(func() { lat.AddDur(s.Now().Sub(start)) })
+						gc.Commit(func() { lat.AddDur(s.Now() - start) })
 					})
 					s.Run()
 					tab.AddRow(arrival.String(), p.name,

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/bank"
 	"repro/internal/core"
+	"repro/internal/rpc"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -30,7 +31,7 @@ func E13IncrementalFold() Experiment {
 				"ops", "engine", "Step calls", "steps/submit", "refold speedup", "states equal")
 			for _, n := range []int{1_000, 2_500, 5_000, 10_000} {
 				s := sim.New(seed)
-				b := bank.New(30_00, core.WithSim(s), core.WithReplicas(1))
+				b := bank.New(30_00, core.WithTransport(rpc.NewSimTransport(s)), core.WithReplicas(1))
 				ops := make([]core.Op, n)
 				for i := range ops {
 					ops[i] = core.NewOp(bank.KindDeposit, fmt.Sprintf("acct-%02d", i%20), 100)

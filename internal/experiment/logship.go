@@ -82,8 +82,8 @@ func E4LogShipLoss() Experiment {
 					workload.PoissonLoop(s, rate, 400, func(i int) {
 						sys.Commit(fmt.Sprintf("k%05d", i), "v", func(bool) {})
 					})
-					s.At(sim.Time(1500*time.Millisecond), func() { sys.CrashPrimary() })
-					s.RunUntil(sim.Time(3 * time.Second))
+					s.At(1500*time.Millisecond, func() { sys.CrashPrimary() })
+					s.RunUntil(3 * time.Second)
 					lost += sys.M.LostAtTakeover.Value()
 					audit += int64(sys.Audit())
 				}
@@ -99,8 +99,8 @@ func E4LogShipLoss() Experiment {
 			workload.PoissonLoop(s, rate, 400, func(i int) {
 				sys.Commit(fmt.Sprintf("k%05d", i), "v", func(bool) {})
 			})
-			s.At(sim.Time(1500*time.Millisecond), func() { sys.CrashPrimary() })
-			s.RunUntil(sim.Time(3 * time.Second))
+			s.At(1500*time.Millisecond, func() { sys.CrashPrimary() })
+			s.RunUntil(3 * time.Second)
 			tab.AddRow("-", "sync", fmt.Sprint(sys.M.LostAtTakeover.Value()), "0.0", fmt.Sprint(sys.Audit()))
 			return tab
 		},

@@ -80,7 +80,7 @@ func A3QuorumSweep() Experiment {
 					})
 				}
 				loop()
-				s.RunUntil(sim.Time(5 * time.Second))
+				s.RunUntil(5 * time.Second)
 				stopFlap()
 				cl.SetUp("n0", true)
 				s.Run()

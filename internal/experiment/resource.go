@@ -92,7 +92,7 @@ func E9Seats() Experiment {
 							scalperHolds++
 						}
 					}
-					if s.Now() < sim.Time(2*time.Hour) {
+					if s.Now() < 2*time.Hour {
 						s.After(time.Minute, camp)
 					}
 				}
@@ -105,7 +105,7 @@ func E9Seats() Experiment {
 				workload.PoissonLoop(s, 90*time.Second, 70, func(int) {
 					buyer++
 					who := fmt.Sprintf("buyer-%d", buyer)
-					deadline := s.Now().Add(10 * time.Minute)
+					deadline := s.Now() + 10*time.Minute
 					var try func()
 					try = func() {
 						for i := 0; i < prime; i++ {
@@ -123,7 +123,7 @@ func E9Seats() Experiment {
 					}
 					try()
 				})
-				s.RunUntil(sim.Time(3 * time.Hour))
+				s.RunUntil(3 * time.Hour)
 				ttlName := ttl.String()
 				if ttl == 0 {
 					ttlName = "unbounded"

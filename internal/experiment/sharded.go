@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/bank"
 	"repro/internal/core"
+	"repro/internal/rpc"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -54,7 +55,7 @@ func E14ShardedHotKey() Experiment {
 				rng := rand.New(rand.NewSource(seed))
 				s := sim.New(seed)
 				c := core.New[*bank.Accounts](bank.App{}, []core.Rule[*bank.Accounts]{bank.NoOverdraft()},
-					core.WithSim(s), core.WithReplicas(3), core.WithShards(shards))
+					core.WithTransport(rpc.NewSimTransport(s)), core.WithReplicas(3), core.WithShards(shards))
 				ctx := context.Background()
 
 				account := func(i int) string {

@@ -19,7 +19,7 @@ import (
 
 // Event is a single scheduled state change of one node.
 type Event struct {
-	At   sim.Time
+	At   time.Duration
 	Node simnet.NodeID
 	Up   bool
 }
@@ -28,18 +28,18 @@ type Event struct {
 type Script []Event
 
 // Crash appends a crash of node at t and returns the extended script.
-func (sc Script) Crash(node simnet.NodeID, at sim.Time) Script {
+func (sc Script) Crash(node simnet.NodeID, at time.Duration) Script {
 	return append(sc, Event{At: at, Node: node, Up: false})
 }
 
 // Restart appends a restart of node at t and returns the extended script.
-func (sc Script) Restart(node simnet.NodeID, at sim.Time) Script {
+func (sc Script) Restart(node simnet.NodeID, at time.Duration) Script {
 	return append(sc, Event{At: at, Node: node, Up: true})
 }
 
 // Outage appends a crash at from and a restart at from+downFor.
-func (sc Script) Outage(node simnet.NodeID, from sim.Time, downFor time.Duration) Script {
-	return sc.Crash(node, from).Restart(node, from.Add(downFor))
+func (sc Script) Outage(node simnet.NodeID, from time.Duration, downFor time.Duration) Script {
+	return sc.Crash(node, from).Restart(node, from+downFor)
 }
 
 // Apply schedules every event of the script on the simulator. onChange, if

@@ -21,11 +21,11 @@ func TestScriptCrashAndRestart(t *testing.T) {
 	s, n := newNet(1, "a")
 	var changes []Event
 	Script{}.
-		Crash("a", sim.Time(time.Second)).
-		Restart("a", sim.Time(2*time.Second)).
+		Crash("a", time.Second).
+		Restart("a", 2*time.Second).
 		Apply(s, n, func(e Event) { changes = append(changes, e) })
 
-	s.RunUntil(sim.Time(1500 * time.Millisecond))
+	s.RunUntil(1500 * time.Millisecond)
 	if n.IsUp("a") {
 		t.Fatal("node up during scripted outage")
 	}
@@ -40,8 +40,8 @@ func TestScriptCrashAndRestart(t *testing.T) {
 
 func TestScriptOutageHelper(t *testing.T) {
 	s, n := newNet(1, "a")
-	Script{}.Outage("a", sim.Time(time.Second), 500*time.Millisecond).Apply(s, n, nil)
-	s.RunUntil(sim.Time(1200 * time.Millisecond))
+	Script{}.Outage("a", time.Second, 500*time.Millisecond).Apply(s, n, nil)
+	s.RunUntil(1200 * time.Millisecond)
 	if n.IsUp("a") {
 		t.Fatal("node up mid-outage")
 	}
@@ -55,8 +55,8 @@ func TestScriptAppliesOutOfOrderEventsInTimeOrder(t *testing.T) {
 	s, n := newNet(1, "a")
 	// Build the script with the restart listed first; Apply must sort.
 	sc := Script{
-		{At: sim.Time(2 * time.Second), Node: "a", Up: true},
-		{At: sim.Time(time.Second), Node: "a", Up: false},
+		{At: 2 * time.Second, Node: "a", Up: true},
+		{At: time.Second, Node: "a", Up: false},
 	}
 	var order []bool
 	sc.Apply(s, n, func(e Event) { order = append(order, e.Up) })
@@ -69,7 +69,7 @@ func TestScriptAppliesOutOfOrderEventsInTimeOrder(t *testing.T) {
 func TestInjectorCrashesAndRepairs(t *testing.T) {
 	s, n := newNet(42, "a", "b", "c")
 	in := NewInjector(s, n, []simnet.NodeID{"a", "b", "c"}, 100*time.Millisecond, 20*time.Millisecond, nil).Start()
-	s.RunUntil(sim.Time(10 * time.Second))
+	s.RunUntil(10 * time.Second)
 	in.Stop()
 	s.Run() // drain pending repairs
 	if in.Crashes() == 0 {
@@ -85,10 +85,10 @@ func TestInjectorCrashesAndRepairs(t *testing.T) {
 func TestInjectorStopHaltsNewFaults(t *testing.T) {
 	s, n := newNet(42, "a")
 	in := NewInjector(s, n, []simnet.NodeID{"a"}, 10*time.Millisecond, time.Millisecond, nil).Start()
-	s.RunUntil(sim.Time(time.Second))
+	s.RunUntil(time.Second)
 	in.Stop()
 	before := in.Crashes()
-	s.RunUntil(sim.Time(10 * time.Second))
+	s.RunUntil(10 * time.Second)
 	if in.Crashes() != before {
 		t.Fatalf("crashes rose from %d to %d after Stop", before, in.Crashes())
 	}
@@ -104,7 +104,7 @@ func TestInjectorObserverSeesSymmetricEvents(t *testing.T) {
 			downs++
 		}
 	}).Start()
-	s.RunUntil(sim.Time(5 * time.Second))
+	s.RunUntil(5 * time.Second)
 	in.Stop()
 	s.Run()
 	if downs == 0 {
@@ -121,7 +121,7 @@ func TestInjectorSkipsWhenAllDown(t *testing.T) {
 	// With the only node already down and a huge MTTR, the injector must
 	// not panic or crash anything new.
 	in := NewInjector(s, n, []simnet.NodeID{"a"}, time.Millisecond, time.Hour, nil).Start()
-	s.RunUntil(sim.Time(100 * time.Millisecond))
+	s.RunUntil(100 * time.Millisecond)
 	in.Stop()
 	if in.Crashes() != 0 {
 		t.Fatalf("crashed %d nodes while all were down", in.Crashes())
@@ -132,7 +132,7 @@ func TestInjectorDeterminism(t *testing.T) {
 	run := func() int {
 		s, n := newNet(99, "a", "b", "c")
 		in := NewInjector(s, n, []simnet.NodeID{"a", "b", "c"}, 30*time.Millisecond, 5*time.Millisecond, nil).Start()
-		s.RunUntil(sim.Time(3 * time.Second))
+		s.RunUntil(3 * time.Second)
 		in.Stop()
 		s.Run()
 		return in.Crashes()

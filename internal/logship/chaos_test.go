@@ -28,14 +28,14 @@ func TestPropLossAccountingExactUnderChaos(t *testing.T) {
 			sys.Commit(fmt.Sprintf("k%05d", i), fmt.Sprintf("v%d", i), func(bool) {})
 		})
 		crashAt := time.Duration(r.Intn(900)+100) * time.Millisecond
-		s.At(sim.Time(crashAt), func() { sys.CrashPrimary() })
-		s.RunUntil(sim.Time(2 * time.Second))
+		s.At(crashAt, func() { sys.CrashPrimary() })
+		s.RunUntil(2 * time.Second)
 
 		// Post-takeover traffic at the backup.
 		workload.PoissonLoop(s, 5*time.Millisecond, 30, func(i int) {
 			sys.Commit(fmt.Sprintf("post%04d", i), "p", func(bool) {})
 		})
-		s.RunUntil(sim.Time(3 * time.Second))
+		s.RunUntil(3 * time.Second)
 
 		// Recover the failed primary with a random strategy.
 		strategy := RecoveryStrategy(r.Intn(3))

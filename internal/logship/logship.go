@@ -222,7 +222,7 @@ func (sys *System) Commit(key, val string, done func(ok bool)) {
 		node.touched[key] = true
 		ack := func() {
 			sys.M.Commits.Inc()
-			sys.M.CommitLat.AddDur(sys.s.Now().Sub(start))
+			sys.M.CommitLat.AddDur(sys.s.Now() - start)
 			sys.committed = append(sys.committed,
 				committedTxn{dc: string(node.ep.ID()), lsn: lsn, key: key, val: val})
 			done(true)

@@ -80,7 +80,7 @@ func TestTakeoverLosesUnshippedTail(t *testing.T) {
 	})
 	acked := commitN(s, sys, 5, "k")
 	// Crash before the first shipment departs (shipment at ~100ms).
-	s.At(sim.Time(50*time.Millisecond), func() { sys.CrashPrimary() })
+	s.At(50*time.Millisecond, func() { sys.CrashPrimary() })
 	s.Run()
 	if *acked != 5 {
 		t.Fatalf("acked %d of 5 before crash", *acked)
@@ -122,13 +122,13 @@ func TestFastShippingShrinksWindow(t *testing.T) {
 		loop = func() {
 			i++
 			sys.Commit(fmt.Sprintf("k%04d", i), "v", func(bool) {})
-			if s.Now() < sim.Time(400*time.Millisecond) {
+			if s.Now() < 400*time.Millisecond {
 				s.After(10*time.Millisecond, loop)
 			}
 		}
 		loop()
-		s.At(sim.Time(300*time.Millisecond), func() { sys.CrashPrimary() })
-		s.RunUntil(sim.Time(600 * time.Millisecond))
+		s.At(300*time.Millisecond, func() { sys.CrashPrimary() })
+		s.RunUntil(600 * time.Millisecond)
 		return sys.M.LostAtTakeover.Value()
 	}
 	slow, fast := lost(200*time.Millisecond), lost(10*time.Millisecond)
@@ -141,7 +141,7 @@ func TestSyncModeLosesNothing(t *testing.T) {
 	s := sim.New(1)
 	sys := New(s, Config{Sync: true, WANLatency: 5 * time.Millisecond, DetectDelay: time.Millisecond})
 	acked := commitN(s, sys, 5, "k")
-	s.At(sim.Time(200*time.Millisecond), func() { sys.CrashPrimary() })
+	s.At(200*time.Millisecond, func() { sys.CrashPrimary() })
 	s.Run()
 	if *acked != 5 {
 		t.Fatalf("acked %d of 5", *acked)
@@ -271,7 +271,7 @@ func TestCommitDuringCrashWindowNotAcked(t *testing.T) {
 	var acked, resolved bool
 	sys.Commit("k", "v", func(ok bool) { resolved = true; acked = ok })
 	// Crash before the group-commit flush completes.
-	s.At(sim.Time(2*time.Millisecond), func() { sys.CrashPrimary() })
+	s.At(2*time.Millisecond, func() { sys.CrashPrimary() })
 	s.Run()
 	if !resolved {
 		t.Fatal("commit callback never resolved")

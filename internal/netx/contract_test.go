@@ -18,8 +18,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/oplog"
+	"repro/internal/rpc"
 	"repro/internal/sim"
 	"repro/internal/simnet"
+	"repro/internal/transport"
 	"repro/internal/uniq"
 )
 
@@ -31,7 +33,7 @@ const contractTimeout = 150 * time.Millisecond
 // world is one transport under test: a caller a and a callee b, and the
 // controls a case needs, each expressed in the world's own time.
 type world struct {
-	a, b    core.Node
+	a, b    transport.Node
 	crash   func(id string)
 	settle  func(d time.Duration)       // let the world run for d
 	waitFor func(cond func() bool) bool // run until cond holds; false if it never does
@@ -44,7 +46,7 @@ var worlds = []struct {
 }{
 	{"sim", func(t *testing.T) *world {
 		s := sim.New(1)
-		tr := core.NewSimTransport(s, simnet.WithLatency(simnet.Fixed(time.Millisecond)))
+		tr := rpc.NewSimTransport(s, simnet.WithLatency(simnet.Fixed(time.Millisecond)))
 		return &world{
 			a: tr.Node("a", contractTimeout), b: tr.Node("b", contractTimeout),
 			crash:  func(id string) { tr.SetUp(id, false) },
@@ -96,7 +98,7 @@ func netxWorld(t *testing.T) *world {
 	return liveWorld(a, b, crash, trA)
 }
 
-func liveWorld(a, b core.Node, crash func(id string), tr *Transport) *world {
+func liveWorld(a, b transport.Node, crash func(id string), tr *Transport) *world {
 	return &world{
 		a: a, b: b, tr: tr,
 		crash:  crash,

@@ -35,7 +35,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/sim"
+	"repro/internal/transport"
 )
 
 // Config wires one process into the cluster.
@@ -95,8 +95,8 @@ func (c *Config) withDefaults() Config {
 }
 
 // Transport carries one process's slice of the cluster over TCP. It
-// implements core.Transport (and core.Scatterer); build it with New,
-// register the locally hosted nodes through the cluster as usual
+// implements transport.Transport (and transport.Scatterer); build it with
+// New, register the locally hosted nodes through the cluster as usual
 // (core.WithTransport + core.WithLocalReplicas), and Close it after the
 // cluster.
 type Transport struct {
@@ -274,14 +274,14 @@ func (t *Transport) Close() error {
 	return nil
 }
 
-// --- core.Transport ---
+// --- transport.Transport ---
 
 // Now returns wall-clock time elapsed since the transport was built.
-func (t *Transport) Now() sim.Time { return t.local.Now() }
+func (t *Transport) Now() time.Duration { return t.local.Now() }
 
 // Node registers a locally hosted node. Remote nodes are never
 // registered here — they are Peers configuration.
-func (t *Transport) Node(id string, callTimeout time.Duration) core.Node {
+func (t *Transport) Node(id string, callTimeout time.Duration) transport.Node {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if _, dup := t.nodes[id]; dup {
@@ -295,7 +295,7 @@ func (t *Transport) Node(id string, callTimeout time.Duration) core.Node {
 		id:       id,
 		timeout:  callTimeout,
 		inner:    t.local.Node(id, callTimeout),
-		handlers: make(map[string]core.Handler),
+		handlers: make(map[string]transport.Handler),
 	}
 	t.nodes[id] = n
 	return n
@@ -420,16 +420,16 @@ type netNode struct {
 	t       *Transport
 	id      string
 	timeout time.Duration
-	inner   core.Node
+	inner   transport.Node
 
 	hmu      sync.Mutex
-	handlers map[string]core.Handler
+	handlers map[string]transport.Handler
 }
 
 func (n *netNode) ID() string    { return n.id }
 func (n *netNode) Crashed() bool { return n.inner.Crashed() }
 
-func (n *netNode) Handle(method string, h core.Handler) {
+func (n *netNode) Handle(method string, h transport.Handler) {
 	// Register on the inner node (local callers) and in the transport's
 	// own registry (frames arriving from peers).
 	n.inner.Handle(method, h)
@@ -441,7 +441,7 @@ func (n *netNode) Handle(method string, h core.Handler) {
 	n.handlers[method] = h
 }
 
-func (n *netNode) handler(method string) core.Handler {
+func (n *netNode) handler(method string) transport.Handler {
 	n.hmu.Lock()
 	defer n.hmu.Unlock()
 	return n.handlers[method]
@@ -494,7 +494,7 @@ func (n *netNode) Call(to string, method string, req any, done func(resp any, ok
 // Broadcast fans Call out through the engine's one collector, the same
 // as the in-process transports.
 func (n *netNode) Broadcast(to []string, method string, req any, done func(resps []any, oks int)) {
-	core.Broadcast(n, to, method, req, done)
+	transport.Broadcast(n, to, method, req, done)
 }
 
 // remoteCall is one call to a node in another process, from Call to done:

@@ -17,8 +17,8 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
+	"time"
 
-	"repro/internal/sim"
 	"repro/internal/uniq"
 )
 
@@ -93,7 +93,7 @@ func decodeEntry[T ~string | ~[]byte](b T) (Entry, error) {
 	e.Key = d.string()
 	e.Note = d.string()
 	e.Lam = d.uvarint()
-	e.At = sim.Time(d.varint())
+	e.At = time.Duration(d.varint())
 	e.Arg = d.varint()
 	if d.err != nil {
 		return Entry{}, d.err
@@ -120,7 +120,7 @@ func DecodeWatermark(b []byte) (Watermark, []byte, error) {
 	var w Watermark
 	d := decoder[[]byte]{b: b}
 	w.Lam = d.uvarint()
-	w.At = sim.Time(d.varint())
+	w.At = time.Duration(d.varint())
 	w.ID = uniq.ID(d.string())
 	if d.err != nil {
 		return Watermark{}, nil, d.err

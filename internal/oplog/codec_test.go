@@ -5,9 +5,9 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 	"unsafe"
 
-	"repro/internal/sim"
 	"repro/internal/testenv"
 	"repro/internal/uniq"
 )
@@ -17,7 +17,7 @@ func TestEntryCodecRoundTrip(t *testing.T) {
 		{},
 		{ID: "r0-000001", Kind: "deposit", Key: "acct-007", Arg: 100_00, Lam: 1, At: 5_000_000},
 		{ID: "x", Kind: "", Key: "", Arg: -42, Lam: 0, At: -1, Note: "free-form\nnote"},
-		{ID: uniq.ID(strings.Repeat("long", 100)), Kind: "k", Key: strings.Repeat("key", 50), Arg: 1 << 62, Lam: ^uint64(0), At: sim.Time(1 << 60)},
+		{ID: uniq.ID(strings.Repeat("long", 100)), Kind: "k", Key: strings.Repeat("key", 50), Arg: 1 << 62, Lam: ^uint64(0), At: time.Duration(1 << 60)},
 	}
 	for _, want := range cases {
 		got, err := DecodeEntry(AppendEntry(nil, want))
@@ -45,7 +45,7 @@ func TestEntryCodecRandomized(t *testing.T) {
 			Note: str(40),
 			Arg:  rng.Int63() - rng.Int63(),
 			Lam:  rng.Uint64(),
-			At:   sim.Time(rng.Int63() - rng.Int63()),
+			At:   time.Duration(rng.Int63() - rng.Int63()),
 		}
 		got, err := DecodeEntry(AppendEntry(nil, want))
 		if err != nil {
@@ -105,7 +105,7 @@ func checkDecode(t *testing.T, b []byte) {
 	q := len(b) / 4
 	e := Entry{ID: uniq.ID(b[:q]), Kind: string(b[q : 2*q]), Key: string(b[2*q : 3*q]), Note: string(b[3*q:])}
 	for i, c := range b {
-		e.Arg, e.Lam, e.At = e.Arg<<7^int64(c)-int64(i), e.Lam<<5^uint64(c), e.At<<3^sim.Time(c)
+		e.Arg, e.Lam, e.At = e.Arg<<7^int64(c)-int64(i), e.Lam<<5^uint64(c), e.At<<3^time.Duration(c)
 	}
 	roundTrip(e)
 }
@@ -116,11 +116,11 @@ var decodeSeeds = [][]byte{
 	AppendEntry(nil, Entry{}),
 	AppendEntry(nil, Entry{ID: "r0-000001", Kind: "deposit", Key: "acct-007", Arg: 100_00, Lam: 1, At: 5_000_000}),
 	AppendEntry(nil, Entry{ID: "x", Arg: -42, At: -1, Note: "free-form\nnote \xff\xfe"}),
-	AppendEntry(nil, Entry{ID: uniq.ID(strings.Repeat("long", 40)), Kind: "k", Key: strings.Repeat("key", 50), Arg: 1 << 62, Lam: ^uint64(0), At: sim.Time(1 << 60)}),
+	AppendEntry(nil, Entry{ID: uniq.ID(strings.Repeat("long", 40)), Kind: "k", Key: strings.Repeat("key", 50), Arg: 1 << 62, Lam: ^uint64(0), At: time.Duration(1 << 60)}),
 	{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}, // a length past 64 bits
-	{0xff, 0xff, 0xff, 0xff, 0x0f, 'i', 'd'},                           // a length past the input
-	{0x02, 'i', 'd', 0x00, 0x00, 0x00, 0x01, 0x02, 0x04, 0x00},         // trailing byte
-	{0x81, 0x00, 'a', 0x00, 0x00, 0x00, 0x00, 0x00, 0x00},              // a padded length: accepted, re-encoded shorter
+	{0xff, 0xff, 0xff, 0xff, 0x0f, 'i', 'd'},                   // a length past the input
+	{0x02, 'i', 'd', 0x00, 0x00, 0x00, 0x01, 0x02, 0x04, 0x00}, // trailing byte
+	{0x81, 0x00, 'a', 0x00, 0x00, 0x00, 0x00, 0x00, 0x00},      // a padded length: accepted, re-encoded shorter
 }
 
 func FuzzDecodeEntry(f *testing.F) {
@@ -188,7 +188,7 @@ func TestEntrySizeExact(t *testing.T) {
 		{},
 		{ID: "r0-000001", Kind: "deposit", Key: "acct-007", Arg: 100_00, Lam: 1, At: 5_000_000},
 		{ID: "x", Arg: -42, At: -1, Note: "free-form\nnote"},
-		{ID: uniq.ID(strings.Repeat("long", 100)), Kind: "k", Key: strings.Repeat("key", 50), Arg: 1 << 62, Lam: ^uint64(0), At: sim.Time(1 << 60)},
+		{ID: uniq.ID(strings.Repeat("long", 100)), Kind: "k", Key: strings.Repeat("key", 50), Arg: 1 << 62, Lam: ^uint64(0), At: time.Duration(1 << 60)},
 		{Lam: 127}, {Lam: 128}, {Arg: 63}, {Arg: 64}, {Arg: -64}, {Arg: -65},
 	}
 	for _, e := range cases {

@@ -7,8 +7,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
-	"repro/internal/sim"
 	"repro/internal/uniq"
 )
 
@@ -69,7 +69,7 @@ func (s *script) entry() Entry {
 		Note: long(c),
 		Arg:  int64(b) - 128,
 		Lam:  uint64(b & 3),
-		At:   sim.Time(c&3) - 1,
+		At:   time.Duration(c&3) - 1,
 	}
 }
 

@@ -73,8 +73,8 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"time"
 
-	"repro/internal/sim"
 	"repro/internal/uniq"
 )
 
@@ -86,13 +86,13 @@ import (
 // Arg:qty}, a bank op is {Kind:"debit", Key:account, Arg:cents}, and so
 // on. Keeping the payload concrete keeps sets comparable and hashable.
 type Entry struct {
-	ID   uniq.ID  // uniquifier assigned at ingress
-	Kind string   // business operation name, e.g. "add-to-cart"
-	Key  string   // object the operation targets (item, account, ...)
-	Arg  int64    // numeric argument (quantity, cents, ...)
-	Lam  uint64   // Lamport timestamp: orders causally related operations
-	At   sim.Time // ingress wall-clock timestamp (statement cutoffs etc.)
-	Note string   // free-form annotation carried with the op
+	ID   uniq.ID       // uniquifier assigned at ingress
+	Kind string        // business operation name, e.g. "add-to-cart"
+	Key  string        // object the operation targets (item, account, ...)
+	Arg  int64         // numeric argument (quantity, cents, ...)
+	Lam  uint64        // Lamport timestamp: orders causally related operations
+	At   time.Duration // ingress wall-clock timestamp (statement cutoffs etc.)
+	Note string        // free-form annotation carried with the op
 }
 
 // Mark returns the entry's position in the canonical order.
@@ -103,7 +103,7 @@ func (e Entry) Mark() Watermark { return Watermark{Lam: e.Lam, At: e.At, ID: e.I
 // non-empty IDs), so it means "genesis: nothing folded yet".
 type Watermark struct {
 	Lam uint64
-	At  sim.Time
+	At  time.Duration
 	ID  uniq.ID
 }
 
@@ -155,7 +155,7 @@ type Set struct {
 // payload inline, the strings by arena handle.
 type row struct {
 	lam  uint64
-	at   sim.Time
+	at   time.Duration
 	arg  int64
 	ref  uint32 // the record ID|Key|Note, each uvarint-length-prefixed
 	kind uint32 // one uvarint-length-prefixed string, shared by every row of that kind

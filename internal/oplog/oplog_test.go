@@ -10,14 +10,14 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 	"unsafe"
 
-	"repro/internal/sim"
 	"repro/internal/uniq"
 )
 
 func e(id string, at int64) Entry {
-	return Entry{ID: uniq.ID(id), Kind: "op", Key: "k", Arg: 1, At: sim.Time(at)}
+	return Entry{ID: uniq.ID(id), Kind: "op", Key: "k", Arg: 1, At: time.Duration(at)}
 }
 
 func TestAddIdempotent(t *testing.T) {
@@ -125,7 +125,7 @@ func randomSet(r *rand.Rand) *Set {
 	n := r.Intn(8)
 	for i := 0; i < n; i++ {
 		c := rune('a' + r.Intn(10))
-		s.Add(Entry{ID: uniq.ID(string(c)), Kind: "k", At: sim.Time(int64(c) % 5)})
+		s.Add(Entry{ID: uniq.ID(string(c)), Kind: "k", At: time.Duration(int64(c) % 5)})
 	}
 	return s
 }
@@ -438,7 +438,7 @@ func TestUnionInterleavedStaysCanonical(t *testing.T) {
 	a, b := NewSet(), NewSet()
 	ref := map[uniq.ID]Entry{}
 	for i := 0; i < 2*n; i++ {
-		e := Entry{ID: uniq.ID(fmt.Sprintf("op-%06d", i)), Kind: "k", Lam: uint64(i / 3), At: sim.Time(i % 7)}
+		e := Entry{ID: uniq.ID(fmt.Sprintf("op-%06d", i)), Kind: "k", Lam: uint64(i / 3), At: time.Duration(i % 7)}
 		ref[e.ID] = e
 		if i%2 == 0 {
 			a.Add(e)
@@ -576,7 +576,7 @@ func TestSetBytesPerEntry(t *testing.T) {
 			Key:  fmt.Sprintf("acct-%d", i%1024),
 			Arg:  int64(1 + i%100),
 			Lam:  uint64(i + 1),
-			At:   sim.Time(i),
+			At:   time.Duration(i),
 		}
 	}); got > 88 {
 		t.Errorf("Set holds %.1f B/entry, budget 88", got)
@@ -589,7 +589,7 @@ func TestSetBytesPerEntry(t *testing.T) {
 			Note: fmt.Sprintf("memo %d", i),
 			Arg:  int64(1 + i%100),
 			Lam:  uint64(i + 1),
-			At:   sim.Time(i),
+			At:   time.Duration(i),
 		}
 	}); got > 112 {
 		t.Errorf("Set holds %.1f B/entry of unique strings, budget 112", got)

@@ -124,8 +124,8 @@ func (e *Endpoint) dispatch(m simnet.Message) {
 
 // Broadcast calls method on every node in to, invoking done once with the
 // responses that arrived in time (ok=false responses are dropped) after
-// all calls resolve. Order of responses matches the order of to for the
-// calls that succeeded.
+// all calls resolve. Responses are in arrival order, which differs from
+// the order of to whenever link latencies differ (Jitter).
 func (e *Endpoint) Broadcast(to []simnet.NodeID, method string, req any, done func(resps []any, oks int)) {
 	n := len(to)
 	if n == 0 {

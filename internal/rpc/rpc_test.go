@@ -35,7 +35,7 @@ func TestCallRoundTrip(t *testing.T) {
 	if got != "hi!" {
 		t.Fatalf("resp = %q", got)
 	}
-	if s.Now() != sim.Time(2*time.Millisecond) {
+	if s.Now() != 2*time.Millisecond {
 		t.Fatalf("round trip took %v, want 2ms", s.Now())
 	}
 }
@@ -55,7 +55,7 @@ func TestCallTimeoutOnCrashedNode(t *testing.T) {
 	if !failed {
 		t.Fatal("timeout callback never fired")
 	}
-	if s.Now() != sim.Time(100*time.Millisecond) {
+	if s.Now() != 100*time.Millisecond {
 		t.Fatalf("timed out at %v, want 100ms", s.Now())
 	}
 }

@@ -1,12 +1,12 @@
-package core
+package rpc
 
 import (
 	"context"
 	"time"
 
-	"repro/internal/rpc"
 	"repro/internal/sim"
 	"repro/internal/simnet"
+	"repro/internal/transport"
 )
 
 // SimTransport runs a cluster on the deterministic discrete-event
@@ -26,8 +26,7 @@ type SimTransport struct {
 
 // NewSimTransport binds a transport to simulator s with its own private
 // network. Links default to 5ms ± 2ms (cross-site latency); options
-// configure the network further (latency, loss, duplication) and win
-// over the default.
+// configure the network further (latency, loss) and win over the default.
 func NewSimTransport(s *sim.Sim, opts ...simnet.Option) *SimTransport {
 	defaults := []simnet.Option{
 		simnet.WithLatency(simnet.Jitter{Base: 5 * time.Millisecond, Spread: 2 * time.Millisecond}),
@@ -35,20 +34,16 @@ func NewSimTransport(s *sim.Sim, opts ...simnet.Option) *SimTransport {
 	return &SimTransport{s: s, net: simnet.New(s, append(defaults, opts...)...)}
 }
 
-// Sim returns the underlying simulator, for scheduling workload events and
-// driving virtual time.
-func (t *SimTransport) Sim() *sim.Sim { return t.s }
-
 // Net exposes the simulated network for fault injection beyond what the
-// Transport interface offers (loss, link latency, message counters).
+// Transport interface offers (loss, message counters).
 func (t *SimTransport) Net() *simnet.Network { return t.net }
 
 // Now returns the current virtual time.
-func (t *SimTransport) Now() sim.Time { return t.s.Now() }
+func (t *SimTransport) Now() time.Duration { return t.s.Now() }
 
 // Node registers a node on the simulated network.
-func (t *SimTransport) Node(id string, callTimeout time.Duration) Node {
-	return &simNode{ep: rpc.NewEndpoint(t.net, simnet.NodeID(id), callTimeout)}
+func (t *SimTransport) Node(id string, callTimeout time.Duration) transport.Node {
+	return &simNode{ep: NewEndpoint(t.net, simnet.NodeID(id), callTimeout)}
 }
 
 // Every schedules fn on the simulator's virtual clock.
@@ -59,7 +54,7 @@ func (t *SimTransport) Every(interval time.Duration, fn func()) (stop func()) {
 // Await steps the event loop until ready closes. Cancellation is checked
 // between events, so a context cancelled by a simulated event (or already
 // cancelled on entry) is honoured deterministically; if the event queue
-// drains with ready still open, Await reports ErrStalled.
+// drains with ready still open, Await reports transport.ErrStalled.
 func (t *SimTransport) Await(ctx context.Context, ready <-chan struct{}) error {
 	for {
 		select {
@@ -75,7 +70,7 @@ func (t *SimTransport) Await(ctx context.Context, ready <-chan struct{}) error {
 			case <-ready:
 				return nil
 			default:
-				return ErrStalled
+				return transport.ErrStalled
 			}
 		}
 	}
@@ -109,15 +104,15 @@ func (t *SimTransport) Partition(groups ...[]string) {
 // Heal removes any partition.
 func (t *SimTransport) Heal() { t.net.Heal() }
 
-// simNode adapts an rpc.Endpoint to the Node interface.
+// simNode adapts an Endpoint to the transport.Node interface.
 type simNode struct {
-	ep *rpc.Endpoint
+	ep *Endpoint
 }
 
 func (n *simNode) ID() string    { return string(n.ep.ID()) }
 func (n *simNode) Crashed() bool { return n.ep.Crashed() }
 
-func (n *simNode) Handle(method string, h Handler) {
+func (n *simNode) Handle(method string, h transport.Handler) {
 	n.ep.Handle(method, func(from simnet.NodeID, req any, reply func(any)) {
 		h(string(from), req, reply)
 	})
@@ -128,9 +123,5 @@ func (n *simNode) Call(to string, method string, req any, done func(resp any, ok
 }
 
 func (n *simNode) Broadcast(to []string, method string, req any, done func(resps []any, oks int)) {
-	ids := make([]simnet.NodeID, len(to))
-	for i, id := range to {
-		ids[i] = simnet.NodeID(id)
-	}
-	n.ep.Broadcast(ids, method, req, done)
+	transport.Broadcast(n, to, method, req, done)
 }

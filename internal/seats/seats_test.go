@@ -109,7 +109,7 @@ func TestReholdInvalidatesStaleCleanup(t *testing.T) {
 	v.Hold(0, "alice")
 	// Alice abandons; seat expires at 2m; bob holds at 3m. The stale
 	// cleanup entry from alice's hold must not reap bob's.
-	s.At(sim.Time(3*time.Minute), func() {
+	s.At(3*time.Minute, func() {
 		if !v.Hold(0, "bob") {
 			t.Error("re-hold refused after expiry")
 		}
@@ -156,12 +156,12 @@ func TestScalperStarvedByTTL(t *testing.T) {
 					bought = true
 				}
 			}
-			if !bought && s.Now() < sim.Time(time.Hour) {
+			if !bought && s.Now() < time.Hour {
 				s.After(time.Minute, attempt)
 			}
 		}
 		s.After(time.Minute, attempt)
-		s.RunUntil(sim.Time(2 * time.Hour))
+		s.RunUntil(2 * time.Hour)
 		return bought
 	}
 	if run(0) {

@@ -21,27 +21,9 @@ import (
 	"time"
 )
 
-// Time is a virtual timestamp, in nanoseconds since the start of the
-// simulation. It is deliberately not time.Time: simulated clocks share no
-// epoch with the host.
-type Time int64
-
-// Duration re-exports time.Duration for callers that want to avoid
-// importing time alongside sim.
-type Duration = time.Duration
-
-// Add returns the Time d after t.
-func (t Time) Add(d Duration) Time { return t + Time(d) }
-
-// Sub returns the Duration between t and earlier u.
-func (t Time) Sub(u Time) Duration { return Duration(t - u) }
-
-// String formats the timestamp as a duration offset, e.g. "1.5s".
-func (t Time) String() string { return Duration(t).String() }
-
 // event is a scheduled callback.
 type event struct {
-	at   Time
+	at   time.Duration
 	seq  uint64 // tiebreak so same-time events run in schedule order
 	fn   func()
 	dead bool // set by Timer.Stop
@@ -79,7 +61,7 @@ func (h *eventHeap) Pop() any {
 // Sim is a deterministic discrete-event simulator. The zero value is not
 // usable; construct with New.
 type Sim struct {
-	now    Time
+	now    time.Duration
 	seq    uint64
 	events eventHeap
 	rng    *rand.Rand
@@ -92,8 +74,10 @@ func New(seed int64) *Sim {
 	return &Sim{rng: rand.New(rand.NewSource(seed))}
 }
 
-// Now returns the current virtual time.
-func (s *Sim) Now() Time { return s.now }
+// Now returns the current virtual time: the offset since the start of the
+// simulation. Simulated clocks share no epoch with the host, so an offset
+// is all a virtual timestamp is.
+func (s *Sim) Now() time.Duration { return s.now }
 
 // Rand returns the simulator's random source. All randomness in a
 // simulation must come from here to preserve determinism.
@@ -116,7 +100,7 @@ func (t *Timer) Stop() bool {
 // At schedules fn to run at virtual time at. Scheduling in the past (or
 // at the present instant) runs the callback at the current time but after
 // all previously scheduled events for that time.
-func (s *Sim) At(at Time, fn func()) *Timer {
+func (s *Sim) At(at time.Duration, fn func()) *Timer {
 	if at < s.now {
 		at = s.now
 	}
@@ -127,18 +111,18 @@ func (s *Sim) At(at Time, fn func()) *Timer {
 }
 
 // After schedules fn to run d after the current time.
-func (s *Sim) After(d Duration, fn func()) *Timer {
+func (s *Sim) After(d time.Duration, fn func()) *Timer {
 	if d < 0 {
 		d = 0
 	}
-	return s.At(s.now.Add(d), fn)
+	return s.At(s.now+d, fn)
 }
 
 // Every schedules fn to run every interval, first firing after interval.
 // The returned stop function cancels future firings. interval must be
 // positive; Every panics otherwise, since a zero interval would wedge the
 // event loop at a single instant.
-func (s *Sim) Every(interval Duration, fn func()) (stop func()) {
+func (s *Sim) Every(interval time.Duration, fn func()) (stop func()) {
 	if interval <= 0 {
 		panic(fmt.Sprintf("sim: Every interval must be positive, got %v", interval))
 	}
@@ -187,7 +171,7 @@ func (s *Sim) Run() {
 // RunUntil executes events with timestamps <= t, then advances the clock
 // to t even if no event lands exactly there. Events scheduled later
 // remain queued.
-func (s *Sim) RunUntil(t Time) {
+func (s *Sim) RunUntil(t time.Duration) {
 	for s.events.Len() > 0 {
 		if s.peek().at > t {
 			break
@@ -200,10 +184,6 @@ func (s *Sim) RunUntil(t Time) {
 }
 
 // RunFor executes events within the next d of virtual time.
-func (s *Sim) RunFor(d Duration) { s.RunUntil(s.now.Add(d)) }
-
-// Pending reports how many events (including cancelled-but-unreaped ones)
-// remain queued.
-func (s *Sim) Pending() int { return s.events.Len() }
+func (s *Sim) RunFor(d time.Duration) { s.RunUntil(s.now + d) }
 
 func (s *Sim) peek() *event { return s.events[0] }

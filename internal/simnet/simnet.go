@@ -3,7 +3,7 @@
 //
 // It models exactly the failure domain the paper assumes (§2.2): fail-fast
 // nodes that are either functioning or stopped, connected by links with
-// configurable latency, loss, and duplication, and subject to partitions.
+// configurable latency and loss, and subject to partitions.
 // Message counts are tracked so experiments can charge protocols for their
 // chatter — the heart of the DP1-vs-DP2 comparison is how many messages sit
 // on the critical path of a WRITE.
@@ -24,7 +24,6 @@ type NodeID string
 type Message struct {
 	From, To NodeID
 	Payload  any
-	SentAt   sim.Time
 }
 
 // Handler consumes messages delivered to a node.
@@ -56,12 +55,11 @@ func (j Jitter) Sample(r *rand.Rand) time.Duration {
 
 // Counters aggregates network-wide message statistics.
 type Counters struct {
-	Sent       int64 // Send calls
-	Delivered  int64 // handler invocations
-	Lost       int64 // dropped by random loss
-	DownDrop   int64 // dropped because receiver was down at delivery
-	PartDrop   int64 // dropped because sender and receiver were partitioned
-	Duplicated int64 // extra deliveries injected by duplication
+	Sent      int64 // Send calls
+	Delivered int64 // handler invocations
+	Lost      int64 // dropped by random loss
+	DownDrop  int64 // dropped because receiver was down at delivery
+	PartDrop  int64 // dropped because sender and receiver were partitioned
 }
 
 type node struct {
@@ -75,9 +73,7 @@ type Network struct {
 	s        *sim.Sim
 	nodes    map[NodeID]*node
 	latency  Latency
-	links    map[[2]NodeID]Latency
 	lossProb float64
-	dupProb  float64
 	counters Counters
 }
 
@@ -90,16 +86,12 @@ func WithLatency(l Latency) Option { return func(n *Network) { n.latency = l } }
 // WithLoss sets the probability a message is silently dropped.
 func WithLoss(p float64) Option { return func(n *Network) { n.lossProb = p } }
 
-// WithDuplication sets the probability a message is delivered twice.
-func WithDuplication(p float64) Option { return func(n *Network) { n.dupProb = p } }
-
 // New builds a network bound to simulator s.
 func New(s *sim.Sim, opts ...Option) *Network {
 	n := &Network{
 		s:       s,
 		nodes:   make(map[NodeID]*node),
 		latency: Fixed(time.Millisecond),
-		links:   make(map[[2]NodeID]Latency),
 	}
 	for _, o := range opts {
 		o(n)
@@ -118,12 +110,6 @@ func (n *Network) AddNode(id NodeID, h Handler) {
 		panic(fmt.Sprintf("simnet: node %q already registered", id))
 	}
 	n.nodes[id] = &node{handler: h, up: true}
-}
-
-// SetHandler replaces the handler of an existing node, for components that
-// rebuild their state machine after a restart.
-func (n *Network) SetHandler(id NodeID, h Handler) {
-	n.mustNode(id).handler = h
 }
 
 // SetUp marks a node alive or crashed. Messages are not delivered to
@@ -164,35 +150,8 @@ func (n *Network) Reachable(a, b NodeID) bool {
 	return na.group == nb.group
 }
 
-// SetLatency replaces the default link latency model. A nil model is
-// ignored.
-func (n *Network) SetLatency(l Latency) {
-	if l != nil {
-		n.latency = l
-	}
-}
-
-// SetLinkLatency overrides latency on the (symmetric) link between a and b.
-func (n *Network) SetLinkLatency(a, b NodeID, l Latency) {
-	n.links[linkKey(a, b)] = l
-}
-
-func linkKey(a, b NodeID) [2]NodeID {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]NodeID{a, b}
-}
-
-func (n *Network) linkLatency(a, b NodeID) Latency {
-	if l, ok := n.links[linkKey(a, b)]; ok {
-		return l
-	}
-	return n.latency
-}
-
 // Send routes payload from one node to another, applying latency, loss,
-// duplication, partitions, and crash state. Sending from a crashed node is
+// partitions, and crash state. Sending from a crashed node is
 // a silent no-op (a stopped process sends nothing). Delivery happens on
 // the simulator event loop.
 func (n *Network) Send(from, to NodeID, payload any) {
@@ -210,42 +169,18 @@ func (n *Network) Send(from, to NodeID, payload any) {
 		n.counters.Lost++
 		return
 	}
-	n.deliverAfter(from, to, payload)
-	if n.dupProb > 0 && n.s.Rand().Float64() < n.dupProb {
-		n.counters.Duplicated++
-		n.deliverAfter(from, to, payload)
-	}
-}
-
-func (n *Network) deliverAfter(from, to NodeID, payload any) {
-	d := n.linkLatency(from, to).Sample(n.s.Rand())
-	sentAt := n.s.Now()
-	n.s.After(d, func() {
-		dst := n.mustNode(to)
+	n.s.After(n.latency.Sample(n.s.Rand()), func() {
 		if !dst.up {
 			n.counters.DownDrop++
 			return
 		}
 		n.counters.Delivered++
-		dst.handler(Message{From: from, To: to, Payload: payload, SentAt: sentAt})
+		dst.handler(Message{From: from, To: to, Payload: payload})
 	})
 }
 
 // Counters returns a snapshot of network-wide message statistics.
 func (n *Network) Counters() Counters { return n.counters }
-
-// ResetCounters zeroes the message statistics, for experiments that warm
-// up before measuring.
-func (n *Network) ResetCounters() { n.counters = Counters{} }
-
-// Nodes returns the registered node IDs in unspecified order.
-func (n *Network) Nodes() []NodeID {
-	ids := make([]NodeID, 0, len(n.nodes))
-	for id := range n.nodes {
-		ids = append(ids, id)
-	}
-	return ids
-}
 
 func (n *Network) mustNode(id NodeID) *node {
 	nd, ok := n.nodes[id]

@@ -8,9 +8,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/oplog"
-	"repro/internal/sim"
 	"repro/internal/uniq"
 )
 
@@ -45,7 +45,7 @@ func goldenEntries() []oplog.Entry {
 			Key:  fmt.Sprintf("acct-%03d", (i*7)%23),
 			Arg:  int64(i*i) - 500,
 			Lam:  uint64(2*i + 1),
-			At:   sim.Time(1_000_000 + 1_337*i),
+			At:   time.Duration(1_000_000 + 1_337*i),
 		}
 		switch {
 		case i%11 == 0:

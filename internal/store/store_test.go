@@ -9,10 +9,10 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/faultfs"
 	"repro/internal/oplog"
-	"repro/internal/sim"
 	"repro/internal/uniq"
 )
 
@@ -27,7 +27,7 @@ func entry(i int) oplog.Entry {
 		Key:  fmt.Sprintf("k%d", i%7),
 		Arg:  int64(i),
 		Lam:  uint64(i + 1),
-		At:   sim.Time(1000 + 17*i),
+		At:   time.Duration(1000 + 17*i),
 	}
 }
 

@@ -25,7 +25,7 @@ func TestPropCommittedNeverLostUnderRandomChaos(t *testing.T) {
 			// its hardware contract. The chaos schedule respects each
 			// pair's repair window, like the physical world the paper's
 			// §2.2 fail-fast model assumes.
-			downUntil := [2]sim.Time{}
+			downUntil := [2]time.Duration{}
 
 			const txns = 120
 			var launch func(i int)
@@ -49,10 +49,10 @@ func TestPropCommittedNeverLostUnderRandomChaos(t *testing.T) {
 				// the pair is still repairing the previous fault.
 				if r.Intn(12) == 0 {
 					pair := r.Intn(2)
-					crashAt := s.Now().Add(time.Duration(r.Intn(5)) * time.Millisecond)
+					crashAt := s.Now() + time.Duration(r.Intn(5))*time.Millisecond
 					if crashAt > downUntil[pair] {
-						repairAt := crashAt.Add(5*time.Millisecond + time.Duration(r.Intn(40))*time.Millisecond)
-						downUntil[pair] = repairAt.Add(5 * time.Millisecond)
+						repairAt := crashAt + 5*time.Millisecond + time.Duration(r.Intn(40))*time.Millisecond
+						downUntil[pair] = repairAt + 5*time.Millisecond
 						s.At(crashAt, func() { sys.CrashPrimary(pair) })
 						s.At(repairAt, func() { sys.RestartBackup(pair) })
 					}

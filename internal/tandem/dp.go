@@ -1,9 +1,10 @@
 package tandem
 
 import (
+	"time"
+
 	"repro/internal/btree"
 	"repro/internal/rpc"
-	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/uniq"
 	"repro/internal/wal"
@@ -364,7 +365,7 @@ type adpNode struct {
 	byTxn       map[uint64][]wal.Record
 	committed   map[uint64]bool
 	commitOrder []uint64
-	busyUntil   sim.Time
+	busyUntil   time.Duration
 }
 
 func newADP(sys *System) *adpNode {
@@ -378,14 +379,14 @@ func newADP(sys *System) *adpNode {
 
 // diskDelay serializes work behind the single audit disk and returns the
 // completion time for one more flush.
-func (a *adpNode) diskDelay() sim.Duration {
+func (a *adpNode) diskDelay() time.Duration {
 	now := a.sys.s.Now()
 	start := a.busyUntil
 	if start < now {
 		start = now
 	}
-	a.busyUntil = start.Add(a.sys.cfg.AdpFlushCost)
-	return a.busyUntil.Sub(now)
+	a.busyUntil = start + a.sys.cfg.AdpFlushCost
+	return a.busyUntil - now
 }
 
 func (a *adpNode) handleAppend(from simnet.NodeID, req any, reply func(any)) {

@@ -178,7 +178,7 @@ type Txn struct {
 	dirty    map[int]bool
 	doomed   bool // a DP2 primary carrying our writes failed
 	finished bool
-	begun    sim.Time
+	begun    time.Duration
 }
 
 // Begin starts a transaction.
@@ -206,7 +206,7 @@ func (t *Txn) Write(key, val string, done func(ok bool)) {
 	start := t.sys.s.Now()
 	t.tryWrite(pair, req, t.sys.cfg.WriteRetries, func(ok bool) {
 		if ok {
-			t.sys.M.WriteLat.AddDur(t.sys.s.Now().Sub(start))
+			t.sys.M.WriteLat.AddDur(t.sys.s.Now() - start)
 		}
 		done(ok)
 	})
@@ -298,8 +298,8 @@ func (t *Txn) Commit(done func(committed bool)) {
 			t.finished = true
 			delete(t.sys.inflight, t.id)
 			t.sys.M.Commits.Inc()
-			t.sys.M.CommitLat.AddDur(t.sys.s.Now().Sub(start))
-			t.sys.M.TxnLat.AddDur(t.sys.s.Now().Sub(t.begun))
+			t.sys.M.CommitLat.AddDur(t.sys.s.Now() - start)
+			t.sys.M.TxnLat.AddDur(t.sys.s.Now() - t.begun)
 			for _, p := range dirty {
 				t.sys.tmf.Call(t.sys.pairs[p].primary.ep.ID(), "apply", applyReq{Txn: t.id}, nil)
 			}

@@ -134,7 +134,7 @@ func (g *Group) Commit(done func(committed bool)) {
 		g.coord.Broadcast(targets, "decide", decideReq{Txn: txn, Commit: allYes}, func([]any, int) {
 			if allYes {
 				g.M.Committed.Inc()
-				g.M.TxnLat.AddDur(g.s.Now().Sub(start))
+				g.M.TxnLat.AddDur(g.s.Now() - start)
 			} else {
 				g.M.Aborted.Inc()
 			}

@@ -159,8 +159,8 @@ type GroupCommitter struct {
 	flushing   bool
 	timerArmed bool
 	flushes    int
-	batched    int      // total commits served, for mean batch size
-	busyUntil  sim.Time // device queue tail in NoCoalesce mode
+	batched    int           // total commits served, for mean batch size
+	busyUntil  time.Duration // device queue tail in NoCoalesce mode
 }
 
 // NewGroupCommitter wires a committer to a simulator and a log.
@@ -179,7 +179,7 @@ func (g *GroupCommitter) Commit(done func()) {
 		if start < now {
 			start = now
 		}
-		g.busyUntil = start.Add(g.cfg.FlushCost)
+		g.busyUntil = start + g.cfg.FlushCost
 		g.s.At(g.busyUntil, func() {
 			g.log.Flush()
 			g.flushes++

@@ -106,7 +106,7 @@ func TestGroupCommitImmediateMode(t *testing.T) {
 	s := sim.New(1)
 	l := New(nil)
 	g := NewGroupCommitter(s, l, Config{Interval: 0, FlushCost: time.Millisecond})
-	var doneAt []sim.Time
+	var doneAt []time.Duration
 	for i := 0; i < 3; i++ {
 		l.Append(Record{Kind: KindCommit})
 		g.Commit(func() { doneAt = append(doneAt, s.Now()) })
@@ -120,7 +120,7 @@ func TestGroupCommitImmediateMode(t *testing.T) {
 	if len(doneAt) != 3 {
 		t.Fatalf("done callbacks = %d", len(doneAt))
 	}
-	if doneAt[0] != sim.Time(time.Millisecond) || doneAt[2] != sim.Time(2*time.Millisecond) {
+	if doneAt[0] != time.Millisecond || doneAt[2] != 2*time.Millisecond {
 		t.Fatalf("doneAt = %v", doneAt)
 	}
 }
@@ -133,7 +133,7 @@ func TestGroupCommitTimerBatchesConcurrentCommits(t *testing.T) {
 	// Ten commits arrive over 2ms — all before the 5ms departure.
 	for i := 0; i < 10; i++ {
 		i := i
-		s.At(sim.Time(i*200*int(time.Microsecond)), func() {
+		s.At(time.Duration(i*200*int(time.Microsecond)), func() {
 			l.Append(Record{Kind: KindCommit})
 			g.Commit(func() { done++ })
 		})
@@ -154,16 +154,16 @@ func TestGroupCommitMaxBatchDepartsEarly(t *testing.T) {
 	s := sim.New(1)
 	l := New(nil)
 	g := NewGroupCommitter(s, l, Config{Interval: time.Hour, MaxBatch: 2, FlushCost: time.Millisecond})
-	var doneAt []sim.Time
+	var doneAt []time.Duration
 	for i := 0; i < 2; i++ {
 		l.Append(Record{Kind: KindCommit})
 		g.Commit(func() { doneAt = append(doneAt, s.Now()) })
 	}
-	s.RunUntil(sim.Time(time.Second))
+	s.RunUntil(time.Second)
 	if len(doneAt) != 2 {
 		t.Fatalf("batch of MaxBatch did not depart early: %v", doneAt)
 	}
-	if doneAt[0] != sim.Time(time.Millisecond) {
+	if doneAt[0] != time.Millisecond {
 		t.Fatalf("departed at %v, want 1ms", doneAt[0])
 	}
 }
@@ -186,11 +186,11 @@ func TestGroupCommitLoneCommitWaitsFullInterval(t *testing.T) {
 	s := sim.New(1)
 	l := New(nil)
 	g := NewGroupCommitter(s, l, Config{Interval: 5 * time.Millisecond, FlushCost: time.Millisecond})
-	var at sim.Time
+	var at time.Duration
 	l.Append(Record{Kind: KindCommit})
 	g.Commit(func() { at = s.Now() })
 	s.Run()
-	if at != sim.Time(6*time.Millisecond) {
+	if at != 6*time.Millisecond {
 		t.Fatalf("lone commit done at %v, want 6ms (5ms wait + 1ms flush)", at)
 	}
 }
@@ -199,14 +199,14 @@ func TestNoCoalesceSerializesOneFlushPerCommit(t *testing.T) {
 	s := sim.New(1)
 	l := New(nil)
 	g := NewGroupCommitter(s, l, Config{NoCoalesce: true, FlushCost: time.Millisecond})
-	var doneAt []sim.Time
+	var doneAt []time.Duration
 	for i := 0; i < 3; i++ {
 		l.Append(Record{Kind: KindCommit})
 		g.Commit(func() { doneAt = append(doneAt, s.Now()) })
 	}
 	s.Run()
 	// Three commits at t=0: each waits behind the previous flush.
-	want := []sim.Time{sim.Time(time.Millisecond), sim.Time(2 * time.Millisecond), sim.Time(3 * time.Millisecond)}
+	want := []time.Duration{time.Millisecond, 2 * time.Millisecond, 3 * time.Millisecond}
 	for i, w := range want {
 		if doneAt[i] != w {
 			t.Fatalf("doneAt = %v, want %v", doneAt, want)
@@ -226,16 +226,16 @@ func TestNoCoalesceQueueGrowsUnderOverload(t *testing.T) {
 	g := NewGroupCommitter(s, l, Config{NoCoalesce: true, FlushCost: time.Millisecond})
 	// 10 commits arrive every 0.5ms; the device does 1/ms: the last
 	// commit waits ~the whole backlog.
-	var last sim.Time
+	var last time.Duration
 	for i := 0; i < 10; i++ {
 		i := i
-		s.At(sim.Time(i)*sim.Time(500*time.Microsecond), func() {
+		s.At(time.Duration(i)*500*time.Microsecond, func() {
 			l.Append(Record{Kind: KindCommit})
 			g.Commit(func() { last = s.Now() })
 		})
 	}
 	s.Run()
-	if last != sim.Time(10*time.Millisecond) {
+	if last != 10*time.Millisecond {
 		t.Fatalf("last commit done at %v, want 10ms (full backlog)", last)
 	}
 }

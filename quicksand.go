@@ -31,7 +31,7 @@
 //
 // The paper's main contribution — the ACID 2.0 replication engine — is
 // exported directly from this package: build a Cluster with New and
-// functional options (WithReplicas, WithShards, WithSim,
+// functional options (WithReplicas, WithShards, WithTransport,
 // WithGossipEvery, ...), submit typed Ops synchronously with
 // Submit(ctx, ...) or in bulk with SubmitBatch, and pick risk per
 // operation with WithPolicy. WithShards partitions the key space across
@@ -41,10 +41,12 @@
 // fsyncs per §3.2's city-bus economics), enabling the hard-crash
 // lifecycle: Kill drops a replica's RAM, Recover rebuilds it from disk
 // and rejoins gossip, and New cold-starts from an earlier
-// incarnation's directory. The Transport seam runs the same cluster
-// code on the deterministic simulator (SimTransport) for experiments
-// or on real goroutines (LiveTransport) for wall-clock benchmarks. See
-// examples/quickstart and examples/banking for end-to-end use.
+// incarnation's directory. The Transport seam (internal/transport)
+// runs the same cluster code on the deterministic simulator
+// (WithTransport(NewSimTransport(s))) for experiments or on real
+// goroutines (LiveTransport, the default) for wall-clock benchmarks;
+// the engine itself links no simulator. See examples/quickstart and
+// examples/banking for end-to-end use.
 //
 // The derived evaluation lives in internal/experiment (19 experiments,
 // each pinned to a quoted claim); run it with cmd/quicksand-bench or
@@ -55,5 +57,8 @@ package quicksand
 // Version identifies this reproduction. 2.x is the public API: typed
 // ops, context-aware submits, functional options, pluggable transports;
 // 2.1 adds the durable storage engine (WithDurability, Kill/Recover)
-// and removes the deprecated SubmitOp shim.
-const Version = "2.1.0"
+// and removes the deprecated SubmitOp shim. 2.2 gives every transport
+// one way in: WithSim(s) becomes WithTransport(NewSimTransport(s)),
+// quicksand.Time becomes time.Duration, and Cluster.Net() becomes the
+// SimTransport's Net().
+const Version = "2.2.0"

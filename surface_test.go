@@ -17,28 +17,52 @@ import (
 	"testing"
 )
 
-// TestPaperSubstrateStaysBehindTheWall pins the one-way import rule
-// before any file moves: the live product — both daemons' commands, the
-// load driver, the SDK, the benchmark and the public package — reaches
-// none of the packages that reproduce the paper's older systems. Those
-// keep their own WAL, ring and RPC world; the experiments may import the
-// product, never the reverse.
+// TestPaperSubstrateStaysBehindTheWall pins two one-way import rules.
+// The live product — both daemons' commands, the load driver, the SDK,
+// the benchmark and the public package — reaches none of the packages
+// that reproduce the paper's older systems: those keep their own WAL,
+// ring and RPC world, and the experiments may import the product, never
+// the reverse. And the engine world — the daemon, the CLI, the SDK and
+// the benchmark, and the engine's own imports — links none of the
+// simulator (sim, simnet, and rpc, where SimTransport lives). The root
+// package, which re-exports the simulator for the examples, and the load
+// driver, whose workloads run on it, stay off that second list.
 func TestPaperSubstrateStaysBehindTheWall(t *testing.T) {
 	product := []string{"./cmd/quicksandd", "./cmd/quicksand", "./cmd/quicksand-load", "./client", "./bench", "."}
-	out, err := exec.Command("go", append([]string{"list", "-deps"}, product...)...).Output()
+	forbid(t, "reachable from the live product", listed(t, "repro/internal/core", append([]string{"-deps"}, product...)...),
+		"tandem dynamo logship btree cart escrow wal resource seats vclock merkle failure twopc bank experiment")
+	engine := []string{"./cmd/quicksandd", "./cmd/quicksand", "./client", "./bench"}
+	forbid(t, "reachable from the engine world", listed(t, "repro/internal/core", append([]string{"-deps"}, engine...)...),
+		"sim simnet rpc")
+	forbid(t, "imported by the engine", listed(t, "repro/internal/oplog", "-f", "{{join .Imports \" \"}}",
+		"./internal/core", "./internal/oplog", "./internal/apology", "./internal/netx"), "sim simnet rpc")
+}
+
+// listed runs go list with args and returns the package paths it prints,
+// failing unless sentinel is among them — the check against a list that
+// has silently gone empty.
+func listed(t *testing.T, sentinel string, args ...string) map[string]bool {
+	t.Helper()
+	out, err := exec.Command("go", append([]string{"list"}, args...)...).Output()
 	if err != nil {
-		t.Fatalf("go list -deps: %v", err)
+		t.Fatalf("go list %v: %v", args, err)
 	}
-	reached := make(map[string]bool)
+	pkgs := make(map[string]bool)
 	for _, pkg := range strings.Fields(string(out)) {
-		reached[pkg] = true
+		pkgs[pkg] = true
 	}
-	if !reached["repro/internal/core"] {
-		t.Fatalf("go list -deps did not even reach internal/core; the check has rotted:\n%s", out)
+	if !pkgs[sentinel] {
+		t.Fatalf("go list %v did not even name %s; the check has rotted:\n%s", args, sentinel, out)
 	}
-	for _, name := range strings.Fields("tandem dynamo logship btree cart escrow wal resource seats vclock merkle failure twopc bank experiment") {
-		if pkg := "repro/internal/" + name; reached[pkg] {
-			t.Errorf("%s is reachable from the live product (%v)", pkg, product)
+	return pkgs
+}
+
+// forbid reports every repro/internal package in names that pkgs holds.
+func forbid(t *testing.T, what string, pkgs map[string]bool, names string) {
+	t.Helper()
+	for _, name := range strings.Fields(names) {
+		if pkg := "repro/internal/" + name; pkgs[pkg] {
+			t.Errorf("%s is %s", pkg, what)
 		}
 	}
 }
