@@ -46,17 +46,13 @@ func (a *arena) put(parts ...string) uint32 {
 	return h
 }
 
-// putMinted is put(id, key, note) for an ID held as bytes: the record a
-// set mints, written once, where it will live.
-func (a *arena) putMinted(id []byte, key, note string) uint32 {
-	w, slot := a.room(stringSize(len(id)) + stringSize(len(key)) + stringSize(len(note)))
+// putMinted is put(id) for an ID held as bytes: the record a set mints,
+// written once, where it will live.
+func (a *arena) putMinted(id []byte) uint32 {
+	w, slot := a.room(stringSize(len(id)))
 	h := uint32(slot<<chunkBits | w.Len())
 	writeLen(w, len(id))
 	w.Write(id)
-	writeLen(w, len(key))
-	w.WriteString(key)
-	writeLen(w, len(note))
-	w.WriteString(note)
 	a.chunks[slot] = w.String()
 	return h
 }

@@ -13,11 +13,12 @@ import (
 )
 
 // The set against the obvious reference: a map keyed by ID (first write
-// wins) sorted from scratch on every read. A script is a byte string; each
-// step reads an opcode and its operands off the front, drives the set and
-// the map alike, and compares every read the set offers. Packed rows, the
-// byte arena and the ID index are all invisible at this surface — which is
-// the invariant every checkpointed fold, Converged and Copy depend on.
+// wins) and its entries in canonical order. A script is a byte string;
+// each step reads an opcode and its operands off the front, drives the set
+// and the reference alike, and compares every read the set offers. Row
+// chunks, the byte arena, the payload table and the ID index are all
+// invisible at this surface — which is the invariant every checkpointed
+// fold, Converged and Copy depend on.
 
 // script reads operands off a byte string, zeros once it runs dry.
 type script struct{ b []byte }
@@ -31,7 +32,9 @@ func (s *script) next() int {
 	return int(c)
 }
 
-var modelKinds = []string{"deposit", "withdraw", "", "k\xff\xfe"}
+// modelKinds include two whose payload record, with an empty key and
+// note, is exactly as long as the payload lookup buffer and one byte more.
+var modelKinds = []string{"deposit", "withdraw", "", "k\xff\xfe", strings.Repeat("f", payloadBuf-3), strings.Repeat("o", payloadBuf-2)}
 
 // modelMints are the (node, sequence number) pairs the mint step draws:
 // both sides of the six-digit boundary and an incarnation base, on an
@@ -78,11 +81,102 @@ func (s *script) mark() Watermark {
 	return e.Mark()
 }
 
+// runOp is the one opcode byte that adds a run, so that random scripts
+// draw one rarely: after it, every read compares thousands of entries.
+const runOp = 0xff
+
+// run draws rowChunk+1+mode%64 entries with fresh IDs, on the same few (Lam,
+// At) pairs as the rest, so that they interleave with what is there, in
+// canonical order or, with bit 0 of mode, shuffled. Their payloads repeat
+// a few keys; with bit 2 every note is its own, so the payload table stops
+// admitting them, and every 97th note is longer than its lookup buffer.
+func run(mode int) []Entry {
+	run := make([]Entry, rowChunk+1+mode%64)
+	for i := range run {
+		run[i] = Entry{
+			ID:   runIDs[i],
+			Kind: modelKinds[i%len(modelKinds)],
+			Key:  runKeys[i%len(runKeys)],
+			Arg:  int64(i),
+			Lam:  uint64(i % 4),
+			At:   time.Duration(i%3) - 1,
+		}
+		if mode&4 != 0 {
+			run[i].Note = runNotes[i]
+		}
+		if i%97 == 0 {
+			run[i].Note = strings.Repeat("n", payloadBuf)
+		}
+	}
+	if mode&1 != 0 {
+		rand.New(rand.NewSource(int64(mode))).Shuffle(len(run), func(i, j int) { run[i], run[j] = run[j], run[i] })
+	} else {
+		slices.SortFunc(run, byMark)
+	}
+	return run
+}
+
+// The strings runs are made of, formatted once.
+var (
+	runKeys          = []string{"k0", "k1", "k2", "k3", "k4"}
+	runIDs, runNotes = func() (ids []uniq.ID, notes []string) {
+		for i := range rowChunk + 64 {
+			ids = append(ids, uniq.ID(fmt.Sprintf("run-%05d", i)))
+			notes = append(notes, fmt.Sprint(i))
+		}
+		return ids, notes
+	}()
+)
+
+// byMark orders entries canonically.
+func byMark(a, b Entry) int {
+	switch {
+	case a.Mark().Less(b.Mark()):
+		return -1
+	case b.Mark().Less(a.Mark()):
+		return 1
+	}
+	return 0
+}
+
+// model is the reference: a map keyed by ID, first write wins, and the
+// same entries in canonical order, each put in place by a binary search.
+type model struct {
+	ref  map[uniq.ID]Entry
+	want []Entry
+}
+
+func (m *model) has(id uniq.ID) bool {
+	_, ok := m.ref[id]
+	return ok
+}
+
+// admit records the entries whose IDs are new and returns them in arrival
+// order. A run is appended and sorted, not placed one entry at a time.
+func (m *model) admit(es ...Entry) (fresh []Entry) {
+	for _, e := range es {
+		if !m.has(e.ID) {
+			m.ref[e.ID] = e
+			fresh = append(fresh, e)
+		}
+	}
+	if len(fresh) > rowChunk {
+		m.want = append(m.want, fresh...)
+		slices.SortFunc(m.want, byMark)
+		return fresh
+	}
+	for _, e := range fresh {
+		i := sort.Search(len(m.want), func(i int) bool { return e.Mark().Less(m.want[i].Mark()) })
+		m.want = slices.Insert(m.want, i, e)
+	}
+	return fresh
+}
+
 // brief prints entries with their long strings cut short.
 func brief(es []Entry) string {
 	var b strings.Builder
 	for _, e := range es {
-		fmt.Fprintf(&b, "{%q %q %.8q… %.8q… %d @%d/%d} ", e.ID, e.Kind, e.Key, e.Note, e.Arg, e.Lam, e.At)
+		fmt.Fprintf(&b, "{%q %.8q… %.8q… %.8q… %d @%d/%d} ", e.ID, e.Kind, e.Key, e.Note, e.Arg, e.Lam, e.At)
 	}
 	return b.String()
 }
@@ -92,29 +186,27 @@ func brief(es []Entry) string {
 func runModel(t *testing.T, b []byte) {
 	t.Helper()
 	sc := &script{b: b}
-	s, ref := NewSet(), map[uniq.ID]Entry{}
+	s, m := NewSet(), &model{ref: map[uniq.ID]Entry{}}
 	for step := 0; len(sc.b) > 0; step++ {
-		switch op := sc.next() % 9; op {
+		op := sc.next()
+		if op != runOp {
+			op %= 9
+		}
+		switch op {
 		case 0, 1: // one entry
 			e := sc.entry()
-			_, dup := ref[e.ID]
+			dup := m.has(e.ID)
 			if s.Add(e) == dup {
 				t.Fatalf("step %d: Add(%q) = %v with the ID present: %v", step, e.ID, !dup, dup)
 			}
-			if !dup {
-				ref[e.ID] = e
-			}
+			m.admit(e)
 		case 2, 3: // a batch: in order or not, duplicates inside it and of what is there
 			batch := make([]Entry, sc.next()%9)
-			var fresh []Entry
 			for i := range batch {
 				batch[i] = sc.entry()
-				if _, dup := ref[batch[i].ID]; !dup {
-					ref[batch[i].ID] = batch[i]
-					fresh = append(fresh, batch[i])
-				}
 			}
-			if added := s.AddAll(batch); !slices.Equal(added, fresh) {
+			added := s.AddAll(batch)
+			if fresh := m.admit(batch...); !slices.Equal(added, fresh) {
 				t.Fatalf("step %d: AddAll returned %s, want the new entries in arrival order %s", step, brief(added), brief(fresh))
 			}
 		case 4: // carry on with a copy; the original must not notice
@@ -124,62 +216,91 @@ func runModel(t *testing.T, b []byte) {
 			if !c.Equal(s) || !s.Equal(c) {
 				t.Fatalf("step %d: a copy is not Equal to its original", step)
 			}
-			_, had := ref[extra.ID]
+			had := m.has(extra.ID)
 			if c.Add(extra) == had || c.Add(extra) || s.Contains(extra.ID) != had || c.Equal(s) != had || !slices.Equal(s.Entries(), was) {
 				t.Fatalf("step %d: a copy's rows, bytes and index are not its own", step)
 			}
-			if !had {
-				ref[extra.ID] = extra
-			}
+			m.admit(extra)
 			s = c
 		case 5:
 			s.Grow(sc.next())
-		case 6: // suffixes: from a mark that may fall between entries, or on one
-			w := sc.mark()
-			want := canonical(ref)
-			i := sort.Search(len(want), func(i int) bool { return w.Less(want[i].Mark()) })
-			if w.IsZero() {
-				i = 0
+		case 6: // suffixes: from a mark that may fall between entries, and from one of the last 256 entries
+			marks := []Watermark{sc.mark()}
+			if k := sc.next(); k < len(m.want) {
+				marks = append(marks, m.want[len(m.want)-1-k].Mark())
 			}
-			var got []Entry
-			for j := s.Start(w); j < s.Len(); j++ {
-				got = append(got, s.At(j))
+			for _, w := range marks {
+				want := m.want
+				i := sort.Search(len(want), func(i int) bool { return w.Less(want[i].Mark()) })
+				if w.IsZero() {
+					i = 0
+				}
+				var got []Entry
+				for j := s.Start(w); j < s.Len(); j++ {
+					got = append(got, s.At(j))
+				}
+				if !slices.Equal(got, want[i:]) {
+					t.Fatalf("step %d: walking from Start(%+v) = %s, want %s", step, w, brief(got), brief(want[i:]))
+				}
+				if got := s.EntriesAfter(w); !slices.Equal(got, want[i:]) {
+					t.Fatalf("step %d: EntriesAfter(%+v) = %s, want %s", step, w, brief(got), brief(want[i:]))
+				}
 			}
-			if !slices.Equal(got, want[i:]) {
-				t.Fatalf("step %d: walking from Start(%+v) = %s, want %s", step, w, brief(got), brief(want[i:]))
-			}
-			if got := s.EntriesAfter(w); !slices.Equal(got, want[i:]) {
-				t.Fatalf("step %d: EntriesAfter(%+v) = %s, want %s", step, w, brief(got), brief(want[i:]))
+			if got := s.Entries(); !slices.Equal(got, m.want) {
+				t.Fatalf("step %d: Entries() = %s, want %s", step, brief(got), brief(m.want))
 			}
 		case 7: // the same entries arriving in another order make an Equal set
-			all := canonical(ref)
+			all := slices.Clone(m.want)
 			rand.New(rand.NewSource(int64(sc.next()))).Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
 			o := NewSet()
-			o.AddAll(all[:len(all)/2])
-			for _, e := range all[len(all)/2:] {
+			split := max(len(all)/2, len(all)-64) // the rest one at a time, each into the past as likely as not
+			o.AddAll(all[:split])
+			for _, e := range all[split:] {
 				o.Add(e)
 			}
 			if !o.Equal(s) || !s.Equal(o) || s.Union(o) != 0 || len(s.Diff(o)) != 0 || len(o.Diff(s)) != 0 {
 				t.Fatalf("step %d: a set built from the same entries in another order differs", step)
 			}
 		case 8: // mint: Add of the rendered ID, which nobody built
-			m := modelMints[sc.next()%len(modelMints)]
+			mt := modelMints[sc.next()%len(modelMints)]
 			e := sc.entry()
-			e.ID = uniq.ID(fmt.Sprintf("%s-%06d", m.node, m.seq))
-			_, dup := ref[e.ID]
+			e.ID = uniq.ID(fmt.Sprintf("%s-%06d", mt.node, mt.seq))
+			dup := m.has(e.ID)
 			minted := e
 			minted.ID = "ignored"
-			got, added := s.Mint(minted, m.node, m.seq)
+			got, added := s.Mint(minted, mt.node, mt.seq)
 			if added == dup || got != e {
-				t.Fatalf("step %d: Mint(%s, %d) = %s, %v with the ID present: %v; want %s", step, m.node, m.seq, brief([]Entry{got}), added, dup, brief([]Entry{e}))
+				t.Fatalf("step %d: Mint(%s, %d) = %s, %v with the ID present: %v; want %s", step, mt.node, mt.seq, brief([]Entry{got}), added, dup, brief([]Entry{e}))
 			}
-			if !dup {
-				ref[e.ID] = e
+			m.admit(e)
+		case runOp: // a run across a row chunk's end, one by one or, with bit 1 of mode, in one batch; once, as once is enough
+			mode := sc.next()
+			if len(m.want) >= rowChunk {
+				break
 			}
+			entries := run(mode)
+			if mode&2 != 0 {
+				added := s.AddAll(entries)
+				if fresh := m.admit(entries...); !slices.Equal(added, fresh) {
+					t.Fatalf("step %d: AddAll of a run returned %d entries, want %d", step, len(added), len(fresh))
+				}
+				break
+			}
+			for _, e := range entries {
+				if !s.Add(e) {
+					t.Fatalf("step %d: Add(%q) of a fresh ID in a run reported a duplicate", step, e.ID)
+				}
+			}
+			m.admit(entries...)
 		}
-		want := canonical(ref)
-		if got := s.Entries(); s.Len() != len(want) || !slices.Equal(got, want) {
-			t.Fatalf("step %d: Entries() = %s, want %s", step, brief(got), brief(want))
+		want := m.want
+		if s.Len() != len(want) {
+			t.Fatalf("step %d: Len() = %d, want %d", step, s.Len(), len(want))
+		}
+		for i, e := range want {
+			if got := s.At(i); got != e {
+				t.Fatalf("step %d: At(%d) = %s, want %s", step, i, brief([]Entry{got}), brief([]Entry{e}))
+			}
 		}
 		maxLam := uint64(0)
 		if len(want) > 0 {
@@ -188,8 +309,8 @@ func runModel(t *testing.T, b []byte) {
 		if s.MaxLam() != maxLam {
 			t.Fatalf("step %d: MaxLam() = %d, want %d", step, s.MaxLam(), maxLam)
 		}
-		for _, id := range append(modelIDs, "copy-only", "absent") {
-			if _, in := ref[id]; s.Contains(id) != in {
+		for _, id := range append(modelIDs, "copy-only", "absent", runIDs[0], runIDs[rowChunk]) {
+			if in := m.has(id); s.Contains(id) != in {
 				t.Fatalf("step %d: Contains(%q) = %v", step, id, !in)
 			}
 		}
@@ -198,18 +319,25 @@ func runModel(t *testing.T, b []byte) {
 
 // modelSeeds start the fuzzer and are swept, every prefix of each, by
 // TestSetMatchesModel: adds in order, a batch into the past, duplicates
-// inside one batch and across batches, copies, suffix reads, rebuilds and
-// mints.
+// inside one batch and across batches, copies, suffix reads, rebuilds,
+// mints, and runs that carry all of these across a row chunk's end.
 var modelSeeds = []string{
 	"\x00\x01\x04\x00\x00\x02\x08\x00\x00\x03\x0c\x00",                                 // three adds, ascending
 	"\x00\x03\x0f\x03\x00\x02\x00\x00\x00\x01\x00\x00",                                 // adds that sort into the past
 	"\x02\x05\x01\x03\x00\x01\x03\x00\x02\x01\x00\x02\x02\x00\x03\x00\x03",             // one batch, duplicates inside it
 	"\x02\x03\x05\x07\x01\x06\x02\x02\x07\x01\x03\x02\x03\x05\x07\x01\x08\x00\x00",     // two batches sharing an ID
-	"\x00\x01\xff\xff\x00\x02\xfe\xfe\x04\x00\x03\xfd\xfd\x06\x02\xfe\xfe\x07\x09",     // long strings, copy, suffix, rebuild
+	"\x00\x01\xff\xff\x00\x02\xfe\xfe\x04\x00\x03\xfd\xfd\x06\x02\xfe\xfe\x00\x07\x09", // long strings, copy, suffix, rebuild
 	"\x05\xff\x00\x00\x00\x00\x05\x00\x02\x08\x00\x00\x00\x01\x00\x00\x02\x00\x00\x17", // grow, the empty ID, a full batch
-	"\x04\x04\x00\x01\x01\x01\x04\x02\x02\x18\x33\x44\x19\x33\x44\x06\x00\x00\x00\x07\x00",
-	"\x06\x00\x00\x00\x07\x05\x00\x2f\x01\x01\x01\x30\x02\x02\x06\x2f\x01\x01\x06\x30\x02\x03",
+	"\x04\x04\x00\x01\x01\x01\x04\x02\x02\x18\x33\x44\x19\x33\x44\x06\x00\x00\x00\x00\x07\x00",
+	"\x06\x00\x00\x00\x00\x07\x05\x00\x2f\x01\x01\x01\x30\x02\x02\x06\x2f\x01\x01\x00\x06\x30\x02\x03\x00",
 	"\x08\x00\x01\x02\x03\x08\x00\x05\x06\x07\x00\x18\x00\x00\x08\x03\x07\x08\x09\x04\x08\x04\x00\x00\x00", // mint, mint it again, Add it, mint into the past, copy
+	// A run added in order, one by one, past a chunk's end; an Add and a
+	// batch into the past, moving rows across it; copy, suffix, rebuild, mint.
+	"\xff\x08\x00\x01\x00\x00\x02\x03\x02\x01\x01\x03\x02\x02\x04\x03\x03\x04\x06\x05\x03\x02\x05\x07\x09\x08\x00\x05\x03\x02",
+	// Two adds, then a shuffled run in one batch, every note its own; mint,
+	// a suffix, grow, an Add into the past, copy, rebuild.
+	"\x00\x05\x07\x02\x00\x06\x0b\x03\xff\x07\x08\x02\x01\x02\x03\x06\x00\x00\x00\x10\x05\x40\x00\x07\x01\x01\x04\x07\x03",
+	"\xff\x05\x00\x01\x00\x00\x03\x02\x05\x01\x01\x06\x01\x01", // a shuffled run one by one, then an Add and a batch into the past
 }
 
 func FuzzSetMatchesModel(f *testing.F) {

@@ -33,20 +33,28 @@
 // # How a Set is stored
 //
 // The set is the one structure that grows with every operation ever seen,
-// so it is stored packed, in three parts the garbage collector never has
-// to look inside:
+// so it is stored packed, in parts the garbage collector never has to look
+// inside:
 //
 //   - a slab of fixed-size rows in canonical order — Lam, At and Arg inline
-//     and two 32-bit handles, 32 bytes in all. Keeping the order means
-//     moving rows, never strings;
-//   - an append-only byte arena holding each entry's ID, Key and Note once,
-//     length-prefixed as in the entry codec, and each distinct Kind once
-//     (operation names are a closed vocabulary; see maxKinds). Its chunks
-//     are never reallocated, and a record never straddles two;
-//   - the §5.4 "have I seen this uniquifier" index: open addressing over
-//     arena handles, one byte of hash beside each — five bytes a slot, and
-//     of the three parts the one that stable-prefix compaction will have to
-//     keep for good (with the ~11 arena bytes of the ID it points at).
+//     and two 32-bit arena handles, 32 bytes in all. Keeping the order means
+//     moving rows, never strings. The slab is a list of chunks of rowChunk
+//     rows, every one full but the last, so growing it allocates a chunk and
+//     copies no row; only the first chunk grows by doubling, so that a small
+//     set stays small;
+//   - an append-only byte arena holding each entry's ID once, and each
+//     payload — Kind, Key and Note, length-prefixed as in the entry codec —
+//     once for every row that repeats it. Its chunks are never reallocated,
+//     and a record never straddles two;
+//   - two tables over arena handles, open-addressed, one byte of hash beside
+//     each handle — five bytes a slot. One is the §5.4 "have I seen this
+//     uniquifier" index, the part stable-prefix compaction will have to keep
+//     for good (with the ~11 arena bytes of the ID it points at). The other
+//     finds a payload's record when it repeats. It admits new payloads only
+//     while they number fewer than payloadFloor plus one per payloadShare
+//     rows, so input whose payloads never repeat costs it at most a fraction
+//     of a slot a row, and a payload longer than payloadBuf is never looked
+//     up: each entry writes its own record of it.
 //
 // Entry remains the type at every API. Entries read out of a set are
 // materialized from its rows, and their strings are substrings of the
@@ -69,7 +77,6 @@ import (
 	"cmp"
 	"fmt"
 	"hash/maphash"
-	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -130,21 +137,17 @@ func (w Watermark) Before(e Entry) bool { return w.Less(e.Mark()) }
 // Set is a mergeable set of entries keyed by uniquifier, held once in
 // canonical order. The zero value is not usable; construct with NewSet.
 //
-// An entry is stored in three pointer-free parts: a fixed-size row in the
-// canonical-order slab, its variable-length bytes in the arena, and a slot
-// in the ID index. Entries read back out are materialized from the row;
-// their strings are substrings of the arena (see the package comment).
+// An entry is stored in pointer-free parts: a fixed-size row in the
+// canonical-order slab, its ID's record in the arena and a slot in the ID
+// index, and its payload's record, which rows with equal payloads share.
+// Entries read back out are materialized from the row; their strings are
+// substrings of the arena (see the package comment).
 type Set struct {
-	rows  []row // canonical (Lam, At, ID) order
-	arena arena // every row's ID|Key|Note record, and each Kind
-	kinds map[string]uint32
-
-	// The dedup index: open addressing, linear probing, at most 7/8 full.
-	// A slot is one byte of the ID's hash (0 marks it empty) and the arena
-	// handle of the record whose ID it holds, in two parallel arrays so a
-	// probe scans bytes and touches the arena only on a tag match.
-	tags []uint8
-	refs []uint32
+	rows  [][]row // canonical (Lam, At, ID) order: position i is rows[i>>rowBits][i&rowMask]
+	n     int     // rows held
+	arena arena   // every row's ID record, and the payload records
+	ids   table   // every row's ID record, by ID
+	pays  table   // the interned payload records, by their bytes
 
 	// Scratch AddAll reuses: its result, and settle's sorted newcomers.
 	added []Entry
@@ -154,26 +157,33 @@ type Set struct {
 // row is the fixed-size part of one entry: the sort key and the numeric
 // payload inline, the strings by arena handle.
 type row struct {
-	lam  uint64
-	at   time.Duration
-	arg  int64
-	ref  uint32 // the record ID|Key|Note, each uvarint-length-prefixed
-	kind uint32 // one uvarint-length-prefixed string, shared by every row of that kind
+	lam uint64
+	at  time.Duration
+	arg int64
+	ref uint32 // the ID record: one uvarint-length-prefixed string
+	pay uint32 // the payload record: Kind, Key and Note, each uvarint-length-prefixed
 }
 
-// maxKinds bounds the kind table. Operation names are a closed vocabulary,
-// so a real application stays far below it and pays for each name once; a
-// stream of made-up kinds beyond it is stored per entry, like Key and Note,
-// and the table stops growing.
-const maxKinds = 256
+// The slab's chunks hold rowChunk rows, 128 KiB.
+const (
+	rowBits  = 12
+	rowChunk = 1 << rowBits
+	rowMask  = rowChunk - 1
+)
 
-var idSeed = maphash.MakeSeed()
+// The payload table's bounds. A lookup encodes the payload's record in a
+// stack buffer of payloadBuf bytes; a longer one is written per entry. A
+// new payload is admitted while the table holds fewer than payloadFloor
+// plus one per payloadShare rows: the payloads an application repeats (its
+// kinds × keys) are admitted early, and a stream that never repeats stops
+// growing the table at one payload per eight rows.
+const (
+	payloadBuf   = 64
+	payloadFloor = 256
+	payloadShare = 8
+)
 
-func hashID(id uniq.ID) uint64 { return maphash.String(idSeed, string(id)) }
-
-// tagOf is the index byte of a hash: its top bits, which the slot position
-// (the low bits) does not use, and never the 0 that marks an empty slot.
-func tagOf(h uint64) uint8 { return uint8(h>>56) | 1 }
+func hashID(id uniq.ID) uint64 { return maphash.String(hashSeed, string(id)) }
 
 // NewSet returns an empty set, optionally seeded with entries.
 func NewSet(entries ...Entry) *Set {
@@ -194,7 +204,7 @@ func NewSet(entries ...Entry) *Set {
 // everything present) is O(1) amortized; an entry sorting into the past
 // costs an O(n) insertion, which only out-of-order gossip pays.
 func (s *Set) Add(e Entry) bool {
-	old := len(s.rows)
+	old := s.n
 	if !s.push(e) {
 		return false
 	}
@@ -214,11 +224,11 @@ func (s *Set) Add(e Entry) bool {
 // until the next AddAll, and never to be written. Copy what must outlive
 // that.
 func (s *Set) AddAll(entries []Entry) (added []Entry) {
-	old := len(s.rows)
+	old := s.n
 	s.added = s.added[:0]
 	for _, e := range entries {
 		if s.push(e) {
-			s.added = append(s.added, s.entry(s.rows[len(s.rows)-1]))
+			s.added = append(s.added, s.At(s.n-1))
 		}
 	}
 	s.settle(old)
@@ -235,15 +245,15 @@ func (s *Set) AddAll(entries []Entry) (added []Entry) {
 func (s *Set) Mint(e Entry, node string, seq uint64) (stored Entry, added bool) {
 	var buf [32]byte
 	id := uniq.AppendID(buf[:0], node, seq)
-	h := maphash.Bytes(idSeed, id)
-	if ref, ok := lookup(s, id, h); ok {
+	h := maphash.Bytes(hashSeed, id)
+	if ref, ok := find(&s.ids, &s.arena, id, h, idKey); ok {
 		e.ID = uniq.ID(s.id(ref))
 		return e, false
 	}
-	old := len(s.rows)
-	s.growIndex(1)
-	s.place(e, s.arena.putMinted(id, e.Key, e.Note), h)
-	stored = s.entry(s.rows[old])
+	old := s.n
+	s.ids.reserve(&s.arena, 1, idKey)
+	s.place(e, s.arena.putMinted(id), h)
+	stored = s.At(old)
 	s.settle(old)
 	return stored, true
 }
@@ -253,7 +263,7 @@ func (s *Set) Mint(e Entry, node string, seq uint64) (stored Entry, added bool) 
 // at once, so duplicates inside one batch are caught like any other.
 func (s *Set) push(e Entry) bool {
 	h := hashID(e.ID)
-	if _, ok := lookup(s, e.ID, h); ok {
+	if _, ok := find(&s.ids, &s.arena, e.ID, h, idKey); ok {
 		return false
 	}
 	s.store(e, h)
@@ -262,68 +272,117 @@ func (s *Set) push(e Entry) bool {
 
 // store is push for an entry known to be absent, h the hash of its ID.
 func (s *Set) store(e Entry, h uint64) {
-	s.growIndex(1)
-	s.place(e, s.arena.put(string(e.ID), e.Key, e.Note), h)
+	s.ids.reserve(&s.arena, 1, idKey)
+	s.place(e, s.arena.put(string(e.ID)), h)
 }
 
-// place indexes the record at ref, whose ID hashes to h, and appends e's
-// row for it. growIndex must have made room.
+// place indexes the ID record at ref, whose ID hashes to h, and appends
+// e's row for it. The ID index must have room.
 func (s *Set) place(e Entry, ref uint32, h uint64) {
-	s.index(ref, h)
-	s.rows = append(s.rows, row{lam: e.Lam, at: e.At, arg: e.Arg, ref: ref, kind: s.kind(e.Kind)})
+	s.ids.insert(ref, h)
+	s.growRows(s.n + 1)
+	c := s.n >> rowBits
+	s.rows[c] = append(s.rows[c], row{lam: e.Lam, at: e.At, arg: e.Arg, ref: ref, pay: s.payload(e.Kind, e.Key, e.Note)})
+	s.n++
 }
 
-// kind returns the handle of k's bytes, writing them on first sight.
-func (s *Set) kind(k string) uint32 {
-	if h, ok := s.kinds[k]; ok {
-		return h
+// payload returns the handle of a record of kind, key and note: the
+// payload table's when it holds one, else a new record, which the table
+// admits while its bound allows. The record is encoded on the stack for
+// the lookup, so looking up allocates nothing.
+func (s *Set) payload(kind, key, note string) uint32 {
+	if stringSize(len(kind))+stringSize(len(key))+stringSize(len(note)) > payloadBuf {
+		return s.arena.put(kind, key, note)
 	}
-	h := s.arena.put(k)
-	if len(s.kinds) < maxKinds {
-		if s.kinds == nil {
-			s.kinds = make(map[string]uint32)
+	var buf [payloadBuf]byte
+	rec := appendString(appendString(appendString(buf[:0], kind), key), note)
+	h := maphash.Bytes(hashSeed, rec)
+	if ref, ok := find(&s.pays, &s.arena, rec, h, payloadKey); ok {
+		return ref
+	}
+	ref := s.arena.put(kind, key, note)
+	if s.pays.n < payloadFloor+s.n/payloadShare {
+		s.pays.reserve(&s.arena, 1, payloadKey)
+		s.pays.insert(ref, h)
+	}
+	return ref
+}
+
+// growRows makes room for need rows in all. A chunk past the first is
+// allocated whole, so growing copies no row; the first doubles until it is
+// whole, so that a small set stays small.
+func (s *Set) growRows(need int) {
+	for c := s.n >> rowBits; c<<rowBits < need; c++ {
+		if c == len(s.rows) {
+			s.rows = append(s.rows, nil)
 		}
-		own, _ := cutString(s.arena.at(h)) // the key must not pin the caller's string
-		s.kinds[own] = h
+		ch := s.rows[c]
+		if want := min(need-c<<rowBits, rowChunk); cap(ch) < want {
+			size := rowChunk
+			if c == 0 {
+				size = min(max(want, 2*cap(ch), 8), rowChunk)
+			}
+			s.rows[c] = append(make([]row, 0, size), ch...)
+		}
 	}
-	return h
 }
 
-// settle restores canonical order given that rows[:old] are in order and
-// rows[old:] were pushed as they arrived.
+// row returns the row at canonical-order position i.
+func (s *Set) row(i int) *row { return &s.rows[i>>rowBits][i&rowMask] }
+
+// settle restores canonical order given that the rows before position old
+// are in order and those from old on were pushed as they arrived.
 func (s *Set) settle(old int) {
 	// Fast path: the batch extends the tail in order (local submits,
 	// in-order gossip) — the pushes were pure appends.
 	n := max(old, 1)
-	for n < len(s.rows) && s.cmp(s.rows[n-1], s.rows[n]) < 0 {
+	for n < s.n && s.cmp(*s.row(n - 1), *s.row(n)) < 0 {
 		n++
 	}
-	if n == len(s.rows) {
+	if n >= s.n {
 		return
 	}
-	fresh := s.rows[old:]
-	if len(fresh) == 1 {
+	if s.n-old == 1 {
 		// One row into the past: find its place and shift the tail over.
-		r := fresh[0]
-		i := sort.Search(old, func(i int) bool { return s.cmp(r, s.rows[i]) < 0 })
-		copy(s.rows[i+1:], s.rows[i:old])
-		s.rows[i] = r
+		r := *s.row(old)
+		i := sort.Search(old, func(i int) bool { return s.cmp(r, *s.row(i)) < 0 })
+		s.shift(i, old)
+		*s.row(i) = r
 		return
 	}
 	// Merge path: sort a copy of the newcomers, then merge from the back so
 	// every existing row moves at most once.
-	s.fresh = append(s.fresh[:0], fresh...)
-	fresh = s.fresh
+	s.fresh = s.fresh[:0]
+	for i := old; i < s.n; i++ {
+		s.fresh = append(s.fresh, *s.row(i))
+	}
+	fresh := s.fresh
 	slices.SortFunc(fresh, s.cmp)
 	i, j := old-1, len(fresh)-1
-	for w := len(s.rows) - 1; j >= 0; w-- {
-		if i >= 0 && s.cmp(fresh[j], s.rows[i]) < 0 {
-			s.rows[w] = s.rows[i]
+	for w := s.n - 1; j >= 0; w-- {
+		if i >= 0 && s.cmp(fresh[j], *s.row(i)) < 0 {
+			*s.row(w) = *s.row(i)
 			i--
 		} else {
-			s.rows[w] = fresh[j]
+			*s.row(w) = fresh[j]
 			j--
 		}
+	}
+}
+
+// shift moves the rows at positions [i, j) up one place, to [i+1, j+1), a
+// chunk at a time from the back. Position j must exist.
+func (s *Set) shift(i, j int) {
+	for j > i {
+		if j&rowMask == 0 { // j begins a chunk: the row before it crosses over
+			*s.row(j) = *s.row(j - 1)
+			j--
+			continue
+		}
+		lo := max(i, j&^rowMask)
+		ch := s.rows[j>>rowBits]
+		copy(ch[lo&rowMask+1:j&rowMask+1], ch[lo&rowMask:j&rowMask])
+		j = lo
 	}
 }
 
@@ -355,8 +414,8 @@ func (s *Set) Start(w Watermark) int {
 	if w.IsZero() {
 		return 0
 	}
-	return sort.Search(len(s.rows), func(i int) bool {
-		r := s.rows[i]
+	return sort.Search(s.n, func(i int) bool {
+		r := s.row(i)
 		if r.lam != w.Lam {
 			return r.lam > w.Lam
 		}
@@ -368,134 +427,97 @@ func (s *Set) Start(w Watermark) int {
 }
 
 // id reads the ID of the record at ref.
-func (s *Set) id(ref uint32) string {
-	id, _ := cutString(s.arena.at(ref))
-	return id
-}
+func (s *Set) id(ref uint32) string { return idKey(s.arena.at(ref)) }
 
 // entry materializes a row. The strings are substrings of the arena.
 func (s *Set) entry(r row) Entry {
-	id, rec := cutString(s.arena.at(r.ref))
+	kind, rec := cutString(s.arena.at(r.pay))
 	key, rec := cutString(rec)
 	note, _ := cutString(rec)
-	kind, _ := cutString(s.arena.at(r.kind))
-	return Entry{ID: uniq.ID(id), Kind: kind, Key: key, Arg: r.arg, Lam: r.lam, At: r.at, Note: note}
+	return Entry{ID: uniq.ID(s.id(r.ref)), Kind: kind, Key: key, Arg: r.arg, Lam: r.lam, At: r.at, Note: note}
 }
 
-// lookup finds the record holding id, whose hash is h, through the index.
-// The ID may be held as bytes; it is compared in place either way.
-func lookup[T ~string | ~[]byte](s *Set, id T, h uint64) (ref uint32, ok bool) {
-	if len(s.tags) == 0 {
-		return 0, false
-	}
-	mask, tag := uint64(len(s.tags)-1), tagOf(h)
-	for i := h & mask; s.tags[i] != 0; i = (i + 1) & mask {
-		if s.tags[i] == tag && s.id(s.refs[i]) == string(id) {
-			return s.refs[i], true
-		}
-	}
-	return 0, false
-}
-
-// index records that the record at ref holds an ID hashing to h. The ID
-// must be absent and growIndex must have made room.
-func (s *Set) index(ref uint32, h uint64) {
-	mask := uint64(len(s.tags) - 1)
-	i := h & mask
-	for s.tags[i] != 0 {
-		i = (i + 1) & mask
-	}
-	s.tags[i], s.refs[i] = tagOf(h), ref
-}
-
-// growIndex makes room for n more IDs. A slot keeps one byte of its hash,
-// so growing rehashes — walking the rows, which reads the arena nearly in
-// the order it was written.
-func (s *Set) growIndex(n int) {
-	need := len(s.rows) + n
-	if need*8 <= len(s.tags)*7 {
-		return
-	}
-	size := max(8, len(s.tags))
-	for need*8 > size*7 {
-		size *= 2
-	}
-	s.tags, s.refs = make([]uint8, size), make([]uint32, size)
-	for _, r := range s.rows {
-		s.index(r.ref, hashID(uniq.ID(s.id(r.ref))))
-	}
-}
-
-// Grow ensures the set has room for n more entries' rows and index slots
-// without reallocating either. Callers that know a batch's size (the
-// batched ingest loop, recovery replay) call it once up front so the
-// per-entry Add is a pure append.
+// Grow makes room for n more entries: their rows, allocated now rather
+// than chunk by chunk as Adds arrive, and their ID index slots, which would
+// otherwise rehash as the index grows. Its callers (NewSet, and a replica
+// replaying its disk) know how many entries are coming but not how many
+// distinct payloads they bring, so the payload table grows as they arrive.
 func (s *Set) Grow(n int) {
 	if n <= 0 {
 		return
 	}
-	s.rows = slices.Grow(s.rows, n)
-	s.growIndex(n)
+	s.growRows(s.n + n)
+	s.ids.reserve(&s.arena, n, idKey)
 }
 
 // Contains reports whether an entry with the given ID is present.
 func (s *Set) Contains(id uniq.ID) bool {
-	_, ok := lookup(s, id, hashID(id))
+	_, ok := find(&s.ids, &s.arena, id, hashID(id), idKey)
 	return ok
 }
 
 // Len reports the number of distinct operations.
-func (s *Set) Len() int { return len(s.rows) }
+func (s *Set) Len() int { return s.n }
 
 // Union absorbs every entry of o into s, returning how many were new.
 // Union is the gossip primitive: "when the work flows together, a new,
 // more accurate answer is created" (§7.6).
 func (s *Set) Union(o *Set) int {
-	old := len(s.rows)
-	for _, r := range o.rows {
-		id := uniq.ID(o.id(r.ref))
-		h := hashID(id)
-		if _, ok := lookup(s, id, h); !ok {
-			s.store(o.entry(r), h)
+	old := s.n
+	for _, ch := range o.rows {
+		for _, r := range ch {
+			id := uniq.ID(o.id(r.ref))
+			h := hashID(id)
+			if _, ok := find(&s.ids, &s.arena, id, h, idKey); !ok {
+				s.store(o.entry(r), h)
+			}
 		}
 	}
 	s.settle(old)
-	return len(s.rows) - old
+	return s.n - old
 }
 
 // Diff returns the entries present in s but absent from o, in canonical
 // order. Replicas exchange diffs during anti-entropy.
 func (s *Set) Diff(o *Set) []Entry {
 	var out []Entry
-	for _, r := range s.rows {
-		if !o.Contains(uniq.ID(s.id(r.ref))) {
-			out = append(out, s.entry(r))
+	for _, ch := range s.rows {
+		for _, r := range ch {
+			if !o.Contains(uniq.ID(s.id(r.ref))) {
+				out = append(out, s.entry(r))
+			}
 		}
 	}
 	return out
 }
 
-// Copy returns an independent copy. The bytes already in the arena are
-// immutable, so the two sets share them; each writes its own from here on.
+// Copy returns an independent copy. Rows move in place, so each set has
+// chunks of its own. The bytes already in the arena are immutable, so the
+// two sets share them; each writes its own from here on.
 func (s *Set) Copy() *Set {
-	return &Set{
-		rows:  slices.Clone(s.rows),
+	c := &Set{
+		n:     s.n,
 		arena: arena{chunks: slices.Clone(s.arena.chunks)},
-		kinds: maps.Clone(s.kinds),
-		tags:  slices.Clone(s.tags),
-		refs:  slices.Clone(s.refs),
+		ids:   s.ids.clone(),
+		pays:  s.pays.clone(),
 	}
+	for _, ch := range s.rows {
+		if len(ch) > 0 {
+			c.rows = append(c.rows, slices.Clone(ch))
+		}
+	}
+	return c
 }
 
 // Equal reports whether both sets hold exactly the same entries. Each
 // set's entries are in the one canonical order, so equal sets are equal
 // sequences.
 func (s *Set) Equal(o *Set) bool {
-	if len(s.rows) != len(o.rows) {
+	if s.n != o.n {
 		return false
 	}
-	for i, r := range s.rows {
-		if s.entry(r) != o.entry(o.rows[i]) {
+	for i := range s.n {
+		if s.At(i) != o.At(i) {
 			return false
 		}
 	}
@@ -520,28 +542,28 @@ func (s *Set) Entries() []Entry { return s.EntriesAfter(Watermark{}) }
 // to apply. The genesis (zero) watermark yields every entry. Cost is
 // O(log n) to locate the suffix plus materializing just that suffix.
 func (s *Set) EntriesAfter(w Watermark) []Entry {
-	tail := s.rows[s.Start(w):]
-	if len(tail) == 0 {
+	start := s.Start(w)
+	if start == s.n {
 		return nil
 	}
-	out := make([]Entry, len(tail))
-	for i, r := range tail {
-		out[i] = s.entry(r)
+	out := make([]Entry, s.n-start)
+	for i := range out {
+		out[i] = s.At(start + i)
 	}
 	return out
 }
 
 // At materializes the entry at canonical-order position i, 0 <= i < Len().
 // Its strings are substrings of the arena.
-func (s *Set) At(i int) Entry { return s.entry(s.rows[i]) }
+func (s *Set) At(i int) Entry { return s.entry(*s.row(i)) }
 
 // MaxLam returns the highest Lamport timestamp in the set (0 when empty).
 // An ingress point stamps new operations with max(seen)+1. The Lamport
 // stamp is the canonical order's primary key, so this reads the last row
 // in O(1).
 func (s *Set) MaxLam() uint64 {
-	if n := len(s.rows); n > 0 {
-		return s.rows[n-1].lam
+	if s.n > 0 {
+		return s.row(s.n - 1).lam
 	}
 	return 0
 }
@@ -552,8 +574,10 @@ func (s *Set) MaxLam() uint64 {
 // instead.
 func Fold[S any](s *Set, init S, fn func(S, Entry) S) S {
 	acc := init
-	for _, r := range s.rows {
-		acc = fn(acc, s.entry(r))
+	for _, ch := range s.rows {
+		for _, r := range ch {
+			acc = fn(acc, s.entry(r))
+		}
 	}
 	return acc
 }

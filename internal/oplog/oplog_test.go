@@ -13,6 +13,7 @@ import (
 	"time"
 	"unsafe"
 
+	"repro/internal/testenv"
 	"repro/internal/uniq"
 )
 
@@ -485,8 +486,8 @@ func TestSetCarriesAnyStrings(t *testing.T) {
 	wantEarly := canonical(ref)
 	// Small records until several chunks are full, a record too long for
 	// what is left of the open chunk every so often (it must move whole to
-	// the next: a record never straddles two), and more kinds than the set
-	// keeps a table of.
+	// the next: a record never straddles two), and more distinct payloads
+	// than the payload table admits.
 	for i := 0; i <= 1<<16; i++ {
 		e := Entry{ID: uniq.ID(fmt.Sprintf("op-%d", i)), Kind: fmt.Sprintf("kind-%d", i), Key: fmt.Sprintf("acct-%d", i%1024)}
 		if i%1000 == 999 {
@@ -516,12 +517,14 @@ func TestSetCarriesAnyStrings(t *testing.T) {
 	}
 }
 
-// heapPerEntry reports the heap a Set of n entries holds per entry,
-// measured the way bench/micro.go measures oplog.set_bytes_per_entry —
-// HeapAlloc across NewSet — and the part of it the collector has to scan.
-// With kept false the entries and their strings are dropped before the
-// second reading: the set is then the only holder of anything it needs.
-func heapPerEntry(t *testing.T, n int, kept bool, mk func(i int) Entry) (bytes float64) {
+// heapPerEntry reports the heap a Set of n entries holds per entry, and
+// the part of it the collector has to scan. The set is built one Add at a
+// time, as a replica builds its own, and the heap read the way
+// bench/micro.go reads oplog.set_bytes_per_entry: HeapAlloc across the
+// build; payloads is the payload table's share of it. With kept false the
+// entries and their strings are dropped before the second reading: the set
+// is then the only holder of anything it needs.
+func heapPerEntry(t *testing.T, n int, kept bool, mk func(i int) Entry) (bytes, scannable, payloads float64) {
 	t.Helper()
 	scan := []metrics.Sample{{Name: "/gc/scan/heap:bytes"}}
 	read := func() (heap, scannable uint64) {
@@ -538,6 +541,13 @@ func heapPerEntry(t *testing.T, n int, kept bool, mk func(i int) Entry) (bytes f
 		}
 		return entries
 	}
+	build := func(entries []Entry) *Set {
+		s := NewSet()
+		for _, e := range entries {
+			s.Add(e)
+		}
+		return s
+	}
 	var entries []Entry
 	if kept {
 		entries = fill()
@@ -545,31 +555,36 @@ func heapPerEntry(t *testing.T, n int, kept bool, mk func(i int) Entry) (bytes f
 	heap0, scan0 := read()
 	var s *Set
 	if kept {
-		s = NewSet(entries...)
+		s = build(entries)
 	} else {
-		s = func() *Set { return NewSet(fill()...) }() // a frame of its own: nothing of it outlives the call
+		s = func() *Set { return build(fill()) }() // a frame of its own: nothing of it outlives the call
 	}
 	heap1, scan1 := read()
-	bytes = float64(heap1-heap0) / float64(s.Len())
 	per := func(n int) float64 { return float64(n) / float64(s.Len()) }
-	t.Logf("%.1f B/entry over %d entries (rows %.1f, ID index %.1f, the rest arena), %.1f B of it scannable",
-		bytes, s.Len(), per(cap(s.rows)*int(unsafe.Sizeof(row{}))), per(5*len(s.tags)), per(int(scan1-scan0)))
+	bytes, scannable, payloads = per(int(heap1-heap0)), per(int(scan1-scan0)), per(5*len(s.pays.tags))
+	rows := cap(s.rows) * int(unsafe.Sizeof(s.rows[0]))
+	for _, ch := range s.rows {
+		rows += cap(ch) * int(unsafe.Sizeof(row{}))
+	}
+	t.Logf("%.1f B/entry over %d entries (rows %.1f, ID index %.1f, payload table %.1f, the rest arena), %.1f B of it scannable",
+		bytes, s.Len(), per(rows), per(5*len(s.ids.tags)), payloads, scannable)
 	runtime.KeepAlive(entries)
-	return bytes
+	return bytes, scannable, payloads
 }
 
-// TestSetBytesPerEntry budgets the heap a Set holds per entry. A 32-byte
-// row, the ID and key bytes and a length byte for each string in the
-// arena, and five bytes of index slot at 7/16 to 7/8 load fit in 88 B with
-// room for the row slab's growth; a string header per entry anywhere, let
-// alone four, does not. The figure includes the strings: unlike the
-// slice-of-structs layout it replaced (142 B, strings extra), the set
-// holds its own copy. The second case is the daemon's shape — every
-// entry's strings its own allocation, nothing else keeping them — where
-// that layout cost ~195 B.
+// TestSetBytesPerEntry budgets the heap a Set holds per entry, strings
+// included: the set holds its own copy. A 32-byte row, the ID's bytes and
+// their length byte in the arena, five bytes of index slot at 7/16 to 7/8
+// load and the slack of the last row chunk fit in 52 B when payloads
+// repeat, as a kind × key vocabulary does; a string header per entry
+// anywhere does not. The second case is the daemon's shape with payloads
+// that never repeat — every entry's strings its own allocation, nothing
+// else keeping them — where each entry writes its own payload record, Kind
+// included, and the payload table, which such input never hits, stops
+// admitting at an eighth of the rows: it holds under 2 B an entry.
 func TestSetBytesPerEntry(t *testing.T) {
 	const n = 100000
-	if got := heapPerEntry(t, n, true, func(i int) Entry {
+	bytes, scannable, _ := heapPerEntry(t, n, true, func(i int) Entry {
 		return Entry{
 			ID:   uniq.ID(fmt.Sprintf("r%d-%06d", i%3, i)),
 			Kind: "deposit",
@@ -578,10 +593,11 @@ func TestSetBytesPerEntry(t *testing.T) {
 			Lam:  uint64(i + 1),
 			At:   time.Duration(i),
 		}
-	}); got > 88 {
-		t.Errorf("Set holds %.1f B/entry, budget 88", got)
+	})
+	if bytes > 52 || scannable > 1 {
+		t.Errorf("Set holds %.1f B/entry of repeated payloads, %.1f B of it scannable; budget 52 and 1", bytes, scannable)
 	}
-	if got := heapPerEntry(t, n, false, func(i int) Entry {
+	bytes, scannable, payloads := heapPerEntry(t, n, false, func(i int) Entry {
 		return Entry{
 			ID:   uniq.ID(fmt.Sprintf("r%d-%06d", i%3, i)),
 			Kind: strings.Clone("deposit"),
@@ -591,9 +607,49 @@ func TestSetBytesPerEntry(t *testing.T) {
 			Lam:  uint64(i + 1),
 			At:   time.Duration(i),
 		}
-	}); got > 112 {
-		t.Errorf("Set holds %.1f B/entry of unique strings, budget 112", got)
+	})
+	if bytes > 88 || scannable > 1 || payloads > 2 {
+		t.Errorf("Set holds %.1f B/entry of payloads that never repeat, %.1f B of it scannable and %.1f B the payload table; budget 88, 1 and 2", bytes, scannable, payloads)
 	}
+}
+
+// TestSetGrowth: a set built one Add at a time allocates little more than
+// it keeps. Row chunks are allocated whole and never copied, and arena
+// chunks are never reallocated; only the two tables double, leaving their
+// old arrays behind.
+func TestSetGrowth(t *testing.T) {
+	testenv.SkipUnderRace(t)
+	const n = 1_000_000
+	// Every ID is a substring of one string made up front, so the loop
+	// allocates nothing but what the set does.
+	const idLen = len("r0-000000")
+	b := make([]byte, 0, n*idLen)
+	for i := range n {
+		b = uniq.AppendID(b, fmt.Sprintf("r%d", i%3), uint64(i))
+	}
+	ids := string(b)
+	keys := make([]string, 1024)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("acct-%04d", i)
+	}
+	kinds := [...]string{"deposit", "withdraw"}
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	s := NewSet()
+	for i := range n {
+		s.Add(Entry{ID: uniq.ID(ids[i*idLen : (i+1)*idLen]), Kind: kinds[i%2], Key: keys[i%len(keys)], Arg: 1, Lam: uint64(i + 1), At: time.Duration(i)})
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&m1)
+	allocated, kept := float64(m1.TotalAlloc-m0.TotalAlloc), float64(m1.HeapAlloc-m0.HeapAlloc)
+	t.Logf("%.1f MiB allocated to keep %.1f MiB (%.2f×), %.1f B/entry over %d entries",
+		allocated/(1<<20), kept/(1<<20), allocated/kept, kept/float64(s.Len()), s.Len())
+	if allocated > 1.5*kept {
+		t.Errorf("building the set allocated %.2f× what it keeps, budget 1.5×", allocated/kept)
+	}
+	runtime.KeepAlive(ids)
+	runtime.KeepAlive(s)
 }
 
 // TestFoldIterationAllocatesNothing: walking from Start with At
@@ -627,10 +683,11 @@ func TestFoldIterationAllocatesNothing(t *testing.T) {
 
 // TestAddAndContainsAllocateNothingAfterGrow: with the rows and the index
 // reserved, an in-order Add or Mint writes a row, a few arena bytes and an
-// index slot — a chunk every few thousand entries is the only allocation,
-// which rounds to none per call — and Contains never allocates. A Mint's
-// ID is rendered, looked up and written from the stack: it never exists
-// as a string of its own.
+// index slot — an arena chunk every few thousand entries is the only
+// allocation, which rounds to none per call — and Contains never
+// allocates. A Mint's ID is rendered, looked up and written from the
+// stack: it never exists as a string of its own. A payload is looked up
+// from a stack buffer too.
 func TestAddAndContainsAllocateNothingAfterGrow(t *testing.T) {
 	const n = 10000
 	entries := make([]Entry, n+1)
