@@ -3,6 +3,8 @@ package oplog
 import (
 	"encoding/binary"
 	"strings"
+
+	"repro/internal/uniq"
 )
 
 // arena is an append-only byte store in chunks that are never reallocated,
@@ -94,6 +96,17 @@ func (a *arena) room(n int) (w *strings.Builder, slot int) {
 
 // at returns the chunk's bytes from handle h on.
 func (a *arena) at(h uint32) string { return a.chunks[h>>chunkBits][h&(chunkSpan-1):] }
+
+// id reads the ID of the record at ref.
+func (a *arena) id(ref uint32) string { return idKey(a.at(ref)) }
+
+// entry materializes a row. The strings are substrings of the arena.
+func (a *arena) entry(r row) Entry {
+	kind, rec := cutString(a.at(r.pay))
+	key, rec := cutString(rec)
+	note, _ := cutString(rec)
+	return Entry{ID: uniq.ID(a.id(r.ref)), Kind: kind, Key: key, Arg: r.arg, Lam: r.lam, At: r.at, Note: note}
+}
 
 // cutString reads one length-prefixed string off the front of rec.
 func cutString(rec string) (s, rest string) {

@@ -55,10 +55,11 @@ func varintSize(v int64) int {
 	return uvarintSize(uint64(v)<<1 ^ uint64(v>>63))
 }
 
-// bufPool recycles encode scratch buffers across journal flushes and
-// snapshot writes. Buffers start small and grow to the workload's natural
-// record size; pooling them keeps the steady-state encode path
-// allocation-free without pinning one large buffer per store forever.
+// bufPool recycles the scratch buffers delta snapshot cuts are assembled
+// in (a full cut streams through a fixed buffer of its own). Buffers start
+// small and grow to the size a cut needs; pooling them keeps successive
+// cuts from allocating one each without pinning one large buffer per
+// store forever.
 var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
 // GetBuf borrows a zero-length encode buffer from the shared pool. Return

@@ -2,6 +2,7 @@ package oplog
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"sort"
@@ -38,16 +39,22 @@ var modelKinds = []string{"deposit", "withdraw", "", "k\xff\xfe", strings.Repeat
 
 // modelMints are the (node, sequence number) pairs the mint step draws:
 // both sides of the six-digit boundary and an incarnation base, on an
-// unsharded and a sharded node name.
+// unsharded and a sharded node name, and the numbers the near-miss IDs
+// of modelIDs would alias if they parsed. One node's numbers arrive in
+// any order, so they open runs, extend them and, between two runs, take
+// the ID table.
 var modelMints = []struct {
 	node string
 	seq  uint64
-}{{"r0", 1}, {"r0", 999_999}, {"s3/r1", 1_000_000}, {"r0", 1<<40 + 7}, {"s3/r1", 1}}
+}{{"r0", 1}, {"r0", 999_999}, {"s3/r1", 1_000_000}, {"r0", 1<<40 + 7}, {"s3/r1", 1}, {"r0", 1234}, {"r0", 123}, {"r0", 12}, {"r0", 0}}
 
 // modelIDs is small, so scripts hit duplicates, and its IDs differ in
 // length and share prefixes, so an index that compared less than the whole
 // ID would show. The minted IDs are among them, so Add and Mint meet on
-// the same ID in both orders.
+// the same ID in both orders; so are IDs that look minted but are not —
+// padded past six digits, short of six, not all digits, beyond a uint64,
+// no '-' — which must stay in the ID table, never meeting the minted ID
+// they resemble.
 var modelIDs = func() []uniq.ID {
 	ids := []uniq.ID{""}
 	for i := 0; i < 23; i++ {
@@ -56,7 +63,7 @@ var modelIDs = func() []uniq.ID {
 	for _, m := range modelMints {
 		ids = append(ids, uniq.ID(fmt.Sprintf("%s-%06d", m.node, m.seq)))
 	}
-	return ids
+	return append(ids, "r0-0001234", "r0-00123", "r0-00012a", "r0-18446744073709551616", "r0000001")
 }()
 
 // entry draws one entry. Few distinct (Lam, At) pairs, so ties that only
@@ -87,44 +94,65 @@ const runOp = 0xff
 
 // run draws rowChunk+1+mode%64 entries with fresh IDs, on the same few (Lam,
 // At) pairs as the rest, so that they interleave with what is there, in
-// canonical order or, with bit 0 of mode, shuffled. Their payloads repeat
-// a few keys; with bit 2 every note is its own, so the payload table stops
-// admitting them, and every 97th note is longer than its lookup buffer.
+// canonical order or, with bit 0 of mode, shuffled. The IDs are minted
+// ones, node "run" numbered in canonical order, so in order they extend
+// one run at its tail; with bit 3 every fifth number is missing, leaving
+// holes, which with bit 4 arrive after the rest and refill them. With bit
+// 5 the IDs are spread over more nodes than the runs admit origins. Their
+// payloads repeat a few keys; with bit 2 every note is its own, so the
+// payload table stops admitting them, and every 97th note is longer than
+// its lookup buffer.
 func run(mode int) []Entry {
-	run := make([]Entry, rowChunk+1+mode%64)
-	for i := range run {
-		run[i] = Entry{
-			ID:   runIDs[i],
+	n := rowChunk + 1 + mode%64
+	ids := runIDs
+	if mode&32 != 0 {
+		ids = originIDs
+	}
+	var run, holes []Entry
+	for i := range n {
+		k := 12 * i / n // (Lam, At) never falls as i rises, so i's order is canonical
+		e := Entry{
+			ID:   ids[i],
 			Kind: modelKinds[i%len(modelKinds)],
 			Key:  runKeys[i%len(runKeys)],
 			Arg:  int64(i),
-			Lam:  uint64(i % 4),
-			At:   time.Duration(i%3) - 1,
+			Lam:  uint64(k / 3),
+			At:   time.Duration(k%3) - 1,
 		}
 		if mode&4 != 0 {
-			run[i].Note = runNotes[i]
+			e.Note = runNotes[i]
 		}
 		if i%97 == 0 {
-			run[i].Note = strings.Repeat("n", payloadBuf)
+			e.Note = strings.Repeat("n", payloadBuf)
 		}
+		if mode&8 != 0 && i%5 == 4 {
+			holes = append(holes, e)
+			continue
+		}
+		run = append(run, e)
 	}
 	if mode&1 != 0 {
 		rand.New(rand.NewSource(int64(mode))).Shuffle(len(run), func(i, j int) { run[i], run[j] = run[j], run[i] })
 	} else {
 		slices.SortFunc(run, byMark)
 	}
+	if mode&16 != 0 {
+		run = append(run, holes...)
+	}
 	return run
 }
 
-// The strings runs are made of, formatted once.
+// The strings runs are made of, formatted once. The nodes of originIDs
+// outnumber the origins the runs admit for a set of two row chunks.
 var (
-	runKeys          = []string{"k0", "k1", "k2", "k3", "k4"}
-	runIDs, runNotes = func() (ids []uniq.ID, notes []string) {
+	runKeys                     = []string{"k0", "k1", "k2", "k3", "k4"}
+	runIDs, originIDs, runNotes = func() (ids, spread []uniq.ID, notes []string) {
 		for i := range rowChunk + 64 {
-			ids = append(ids, uniq.ID(fmt.Sprintf("run-%05d", i)))
+			ids = append(ids, uniq.ID(fmt.Sprintf("run-%06d", i)))
+			spread = append(spread, uniq.ID(fmt.Sprintf("o%d-%06d", i%250, i/250)))
 			notes = append(notes, fmt.Sprint(i))
 		}
-		return ids, notes
+		return ids, spread, notes
 	}()
 )
 
@@ -151,6 +179,8 @@ func (m *model) has(id uniq.ID) bool {
 	return ok
 }
 
+func (m *model) clone() *model { return &model{ref: maps.Clone(m.ref), want: slices.Clone(m.want)} }
+
 // admit records the entries whose IDs are new and returns them in arrival
 // order. A run is appended and sorted, not placed one entry at a time.
 func (m *model) admit(es ...Entry) (fresh []Entry) {
@@ -160,7 +190,7 @@ func (m *model) admit(es ...Entry) (fresh []Entry) {
 			fresh = append(fresh, e)
 		}
 	}
-	if len(fresh) > rowChunk {
+	if len(fresh) > 64 {
 		m.want = append(m.want, fresh...)
 		slices.SortFunc(m.want, byMark)
 		return fresh
@@ -209,19 +239,37 @@ func runModel(t *testing.T, b []byte) {
 			if fresh := m.admit(batch...); !slices.Equal(added, fresh) {
 				t.Fatalf("step %d: AddAll returned %s, want the new entries in arrival order %s", step, brief(added), brief(fresh))
 			}
-		case 4: // carry on with a copy; the original must not notice
-			was := s.Entries()
-			c := s.Copy()
+		case 4: // a copy, then each side goes its own way: the numbers on either side of a mint's, and on the copy an ID for the table; carry on with either
+			mt := modelMints[sc.next()%len(modelMints)]
+			mine, theirs := sc.entry(), sc.entry()
+			mine.ID = uniq.ID(uniq.AppendID(nil, mt.node, mt.seq+1))
+			theirs.ID = uniq.ID(uniq.AppendID(nil, mt.node, mt.seq-1))
 			extra := Entry{ID: "copy-only", Kind: "deposit", Key: "k", Lam: 2}
+			c, cm := s.Copy(), m.clone()
 			if !c.Equal(s) || !s.Equal(c) {
 				t.Fatalf("step %d: a copy is not Equal to its original", step)
 			}
-			had := m.has(extra.ID)
-			if c.Add(extra) == had || c.Add(extra) || s.Contains(extra.ID) != had || c.Equal(s) != had || !slices.Equal(s.Entries(), was) {
-				t.Fatalf("step %d: a copy's rows, bytes and index are not its own", step)
+			for _, e := range []Entry{mine, mine} {
+				if s.Add(e) == m.has(e.ID) {
+					t.Fatalf("step %d: Add(%q) to an original = %v with the ID present: %v", step, e.ID, !m.has(e.ID), m.has(e.ID))
+				}
+				m.admit(e)
 			}
-			m.admit(extra)
-			s = c
+			for _, e := range []Entry{theirs, extra, theirs, extra} {
+				if c.Add(e) == cm.has(e.ID) {
+					t.Fatalf("step %d: Add(%q) to a copy = %v with the ID present: %v", step, e.ID, !cm.has(e.ID), cm.has(e.ID))
+				}
+				cm.admit(e)
+			}
+			for _, id := range []uniq.ID{mine.ID, theirs.ID, extra.ID} {
+				if s.Contains(id) != m.has(id) || c.Contains(id) != cm.has(id) {
+					t.Fatalf("step %d: %q is in a copy and its original %v and %v, want %v and %v: their runs or tables are shared", step, id, c.Contains(id), s.Contains(id), cm.has(id), m.has(id))
+				}
+			}
+			cm.check(t, step, c)
+			if sc.next()&1 != 0 {
+				s, m = c, cm
+			}
 		case 5:
 			s.Grow(sc.next())
 		case 6: // suffixes: from a mark that may fall between entries, and from one of the last 256 entries
@@ -293,26 +341,34 @@ func runModel(t *testing.T, b []byte) {
 			}
 			m.admit(entries...)
 		}
-		want := m.want
-		if s.Len() != len(want) {
-			t.Fatalf("step %d: Len() = %d, want %d", step, s.Len(), len(want))
+		m.check(t, step, s)
+	}
+}
+
+// check compares every read of s with the reference after a step: Len,
+// At, MaxLam and Contains — of modelIDs, and of runs' IDs at their ends
+// and around their first hole.
+func (m *model) check(t *testing.T, step int, s *Set) {
+	t.Helper()
+	want := m.want
+	if s.Len() != len(want) {
+		t.Fatalf("step %d: Len() = %d, want %d", step, s.Len(), len(want))
+	}
+	for i, e := range want {
+		if got := s.At(i); got != e {
+			t.Fatalf("step %d: At(%d) = %s, want %s", step, i, brief([]Entry{got}), brief([]Entry{e}))
 		}
-		for i, e := range want {
-			if got := s.At(i); got != e {
-				t.Fatalf("step %d: At(%d) = %s, want %s", step, i, brief([]Entry{got}), brief([]Entry{e}))
-			}
-		}
-		maxLam := uint64(0)
-		if len(want) > 0 {
-			maxLam = want[len(want)-1].Lam
-		}
-		if s.MaxLam() != maxLam {
-			t.Fatalf("step %d: MaxLam() = %d, want %d", step, s.MaxLam(), maxLam)
-		}
-		for _, id := range append(modelIDs, "copy-only", "absent", runIDs[0], runIDs[rowChunk]) {
-			if in := m.has(id); s.Contains(id) != in {
-				t.Fatalf("step %d: Contains(%q) = %v", step, id, !in)
-			}
+	}
+	maxLam := uint64(0)
+	if len(want) > 0 {
+		maxLam = want[len(want)-1].Lam
+	}
+	if s.MaxLam() != maxLam {
+		t.Fatalf("step %d: MaxLam() = %d, want %d", step, s.MaxLam(), maxLam)
+	}
+	for _, id := range slices.Concat(modelIDs, []uniq.ID{"copy-only", "absent", runIDs[0], runIDs[3], runIDs[4], runIDs[5], runIDs[rowChunk], originIDs[0], originIDs[rowChunk]}) {
+		if in := m.has(id); s.Contains(id) != in {
+			t.Fatalf("step %d: Contains(%q) = %v", step, id, !in)
 		}
 	}
 }
@@ -338,6 +394,19 @@ var modelSeeds = []string{
 	// a suffix, grow, an Add into the past, copy, rebuild.
 	"\x00\x05\x07\x02\x00\x06\x0b\x03\xff\x07\x08\x02\x01\x02\x03\x06\x00\x00\x00\x10\x05\x40\x00\x07\x01\x01\x04\x07\x03",
 	"\xff\x05\x00\x01\x00\x00\x03\x02\x05\x01\x01\x06\x01\x01", // a shuffled run one by one, then an Add and a batch into the past
+	// A run one by one in order with every fifth number held back until
+	// the rest are in; a copy that each side extends around a mint's
+	// number, carried on with; a suffix; a rebuild.
+	"\xff\x18\x04\x00\x01\x02\x03\x04\x05\x06\x01\x06\x00\x00\x00\x00\x07\x02",
+	// A shuffled run in one batch with its holes left open; mints that
+	// open a run and fall between two; a copy, carried on with the
+	// original; a batch of IDs that look minted and are not.
+	"\xff\x0b\x08\x05\x00\x01\x02\x08\x08\x03\x03\x03\x04\x06\x00\x00\x00\x01\x01\x01\x00\x02\x03\x21\x00\x00\x22\x00\x00\x23\x00\x00",
+	// A run over more nodes than the runs admit origins, in one batch; a
+	// copy; grow; a suffix.
+	"\xff\x22\x04\x01\x00\x00\x00\x00\x00\x00\x01\x05\x40\x06\x00\x00\x00\x05",
+	// The same shuffled, one by one; an Add that looks minted; a rebuild.
+	"\xff\x21\x00\x25\x00\x00\x07\x03",
 }
 
 func FuzzSetMatchesModel(f *testing.F) {

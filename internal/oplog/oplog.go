@@ -46,15 +46,21 @@
 //     payload — Kind, Key and Note, length-prefixed as in the entry codec —
 //     once for every row that repeats it. Its chunks are never reallocated,
 //     and a record never straddles two;
+//   - the §5.4 "have I seen this uniquifier" index, the part stable-prefix
+//     compaction will have to keep for good, in two parts that never hold
+//     the same ID. An ID an ingress minted — one uniq.ParseID takes apart
+//     into a node and a sequence number — is a number in its node's sorted
+//     runs of consecutive numbers (see runs), which a replica's IDs fill a
+//     run at a time; the map from node to runs, an entry per origin, is
+//     the one part holding pointers. Every other ID, and a minted one no
+//     run may take, is a slot in the ID table;
 //   - two tables over arena handles, open-addressed, one byte of hash beside
-//     each handle — five bytes a slot. One is the §5.4 "have I seen this
-//     uniquifier" index, the part stable-prefix compaction will have to keep
-//     for good (with the ~11 arena bytes of the ID it points at). The other
-//     finds a payload's record when it repeats. It admits new payloads only
-//     while they number fewer than payloadFloor plus one per payloadShare
-//     rows, so input whose payloads never repeat costs it at most a fraction
-//     of a slot a row, and a payload longer than payloadBuf is never looked
-//     up: each entry writes its own record of it.
+//     each handle — five bytes a slot. One is the ID table. The other finds
+//     a payload's record when it repeats. It admits new payloads only while
+//     they number fewer than payloadFloor plus one per payloadShare rows, so
+//     input whose payloads never repeat costs it at most a fraction of a
+//     slot a row, and a payload longer than payloadBuf is never looked up:
+//     each entry writes its own record of it.
 //
 // Entry remains the type at every API. Entries read out of a set are
 // materialized from its rows, and their strings are substrings of the
@@ -71,6 +77,10 @@
 // from there and writes the bytes once, into the arena record — so a
 // guess's uniquifier is never a heap object of its own, and the entry
 // Mint returns carries the set's copy onward.
+//
+// A full durable snapshot reads the set through a Cut: its rows copied
+// into one flat slab under the owner's lock, the arena shared, and each
+// entry materialized only as it is encoded.
 package oplog
 
 import (
@@ -138,15 +148,16 @@ func (w Watermark) Before(e Entry) bool { return w.Less(e.Mark()) }
 // canonical order. The zero value is not usable; construct with NewSet.
 //
 // An entry is stored in pointer-free parts: a fixed-size row in the
-// canonical-order slab, its ID's record in the arena and a slot in the ID
-// index, and its payload's record, which rows with equal payloads share.
-// Entries read back out are materialized from the row; their strings are
-// substrings of the arena (see the package comment).
+// canonical-order slab, its ID's record in the arena, its ID in a run or a
+// slot of the ID table, and its payload's record, which rows with equal
+// payloads share. Entries read back out are materialized from the row;
+// their strings are substrings of the arena (see the package comment).
 type Set struct {
 	rows  [][]row // canonical (Lam, At, ID) order: position i is rows[i>>rowBits][i&rowMask]
 	n     int     // rows held
 	arena arena   // every row's ID record, and the payload records
-	ids   table   // every row's ID record, by ID
+	runs  runs    // the ingress-form IDs, as numbers in their origin's runs
+	ids   table   // the other rows' ID records, by ID
 	pays  table   // the interned payload records, by their bytes
 
 	// Scratch AddAll reuses: its result, and settle's sorted newcomers.
@@ -182,8 +193,6 @@ const (
 	payloadFloor = 256
 	payloadShare = 8
 )
-
-func hashID(id uniq.ID) uint64 { return maphash.String(hashSeed, string(id)) }
 
 // NewSet returns an empty set, optionally seeded with entries.
 func NewSet(entries ...Entry) *Set {
@@ -237,22 +246,21 @@ func (s *Set) AddAll(entries []Entry) (added []Entry) {
 
 // Mint is Add for an entry whose ID is the ingress ID uniq.AppendID
 // renders for node and seq — e.ID is ignored — and which nobody has built
-// yet: the ID is rendered into a stack buffer, looked up from there, and
-// written once, into the arena record it lives in. It reports whether the
+// yet: seq is looked up in node's runs, the ID is rendered into a stack
+// buffer and looked up from there in the ID table, and it is written
+// once, into the arena record it lives in. It reports whether the
 // entry was new, and returns e carrying its ID: when stored, read back
-// from its row, so every string is the set's; on a duplicate, the present
-// record's ID.
+// from its row, so every string is the set's; on a duplicate, the ID
+// rendered.
 func (s *Set) Mint(e Entry, node string, seq uint64) (stored Entry, added bool) {
 	var buf [32]byte
 	id := uniq.AppendID(buf[:0], node, seq)
-	h := maphash.Bytes(hashSeed, id)
-	if ref, ok := find(&s.ids, &s.arena, id, h, idKey); ok {
-		e.ID = uniq.ID(s.id(ref))
+	if s.runs.has(node, seq) || s.ids.n > 0 && inTable(s, id, maphash.Bytes(hashSeed, id)) {
+		e.ID = uniq.ID(id)
 		return e, false
 	}
 	old := s.n
-	s.ids.reserve(&s.arena, 1, idKey)
-	s.place(e, s.arena.putMinted(id), h)
+	s.place(e, s.arena.putMinted(id), node, seq, true)
 	stored = s.At(old)
 	s.settle(old)
 	return stored, true
@@ -262,24 +270,39 @@ func (s *Set) Mint(e Entry, node string, seq uint64) (stored Entry, added bool) 
 // already present; settle then restores the order. A pushed row is indexed
 // at once, so duplicates inside one batch are caught like any other.
 func (s *Set) push(e Entry) bool {
-	h := hashID(e.ID)
-	if _, ok := find(&s.ids, &s.arena, e.ID, h, idKey); ok {
+	node, seq, ingress := uniq.ParseID(string(e.ID))
+	if s.holds(e.ID, node, seq, ingress) {
 		return false
 	}
-	s.store(e, h)
+	s.place(e, s.arena.put(string(e.ID)), node, seq, ingress)
 	return true
 }
 
-// store is push for an entry known to be absent, h the hash of its ID.
-func (s *Set) store(e Entry, h uint64) {
-	s.ids.reserve(&s.arena, 1, idKey)
-	s.place(e, s.arena.put(string(e.ID)), h)
+// holds reports whether the set holds id, which is node's number seq when
+// ingress: in node's runs, else in the ID table, which is not looked at
+// while it is empty.
+func (s *Set) holds(id uniq.ID, node string, seq uint64, ingress bool) bool {
+	if ingress && s.runs.has(node, seq) {
+		return true
+	}
+	return s.ids.n > 0 && inTable(s, id, maphash.String(hashSeed, string(id)))
 }
 
-// place indexes the ID record at ref, whose ID hashes to h, and appends
-// e's row for it. The ID index must have room.
-func (s *Set) place(e Entry, ref uint32, h uint64) {
-	s.ids.insert(ref, h)
+// inTable reports whether the ID table holds id, which hashes to h.
+func inTable[T ~string | ~[]byte](s *Set, id T, h uint64) bool {
+	_, ok := find(&s.ids, &s.arena, id, h, idKey)
+	return ok
+}
+
+// place indexes the ID record at ref and appends e's row for it. The ID,
+// absent from the set, is node's number seq when ingress; node is read for
+// its length only, since a run keeps the arena's copy. A run takes the
+// number if it can, the ID table the record otherwise.
+func (s *Set) place(e Entry, ref uint32, node string, seq uint64, ingress bool) {
+	if id := s.arena.id(ref); !ingress || !s.runs.add(id[:len(node)], seq, s.n) {
+		s.ids.reserve(&s.arena, idKey)
+		s.ids.insert(ref, maphash.String(hashSeed, id))
+	}
 	s.growRows(s.n + 1)
 	c := s.n >> rowBits
 	s.rows[c] = append(s.rows[c], row{lam: e.Lam, at: e.At, arg: e.Arg, ref: ref, pay: s.payload(e.Kind, e.Key, e.Note)})
@@ -302,7 +325,7 @@ func (s *Set) payload(kind, key, note string) uint32 {
 	}
 	ref := s.arena.put(kind, key, note)
 	if s.pays.n < payloadFloor+s.n/payloadShare {
-		s.pays.reserve(&s.arena, 1, payloadKey)
+		s.pays.reserve(&s.arena, payloadKey)
 		s.pays.insert(ref, h)
 	}
 	return ref
@@ -395,7 +418,7 @@ func (s *Set) cmp(a, b row) int {
 	if a.at != b.at {
 		return cmp.Compare(a.at, b.at)
 	}
-	return strings.Compare(s.id(a.ref), s.id(b.ref))
+	return strings.Compare(s.arena.id(a.ref), s.arena.id(b.ref))
 }
 
 // Start returns the canonical-order position of the first entry sorting
@@ -422,38 +445,25 @@ func (s *Set) Start(w Watermark) int {
 		if r.at != w.At {
 			return r.at > w.At
 		}
-		return s.id(r.ref) > string(w.ID)
+		return s.arena.id(r.ref) > string(w.ID)
 	})
 }
 
-// id reads the ID of the record at ref.
-func (s *Set) id(ref uint32) string { return idKey(s.arena.at(ref)) }
-
-// entry materializes a row. The strings are substrings of the arena.
-func (s *Set) entry(r row) Entry {
-	kind, rec := cutString(s.arena.at(r.pay))
-	key, rec := cutString(rec)
-	note, _ := cutString(rec)
-	return Entry{ID: uniq.ID(s.id(r.ref)), Kind: kind, Key: key, Arg: r.arg, Lam: r.lam, At: r.at, Note: note}
-}
-
-// Grow makes room for n more entries: their rows, allocated now rather
-// than chunk by chunk as Adds arrive, and their ID index slots, which would
-// otherwise rehash as the index grows. Its callers (NewSet, and a replica
-// replaying its disk) know how many entries are coming but not how many
-// distinct payloads they bring, so the payload table grows as they arrive.
+// Grow makes room for n more entries' rows, allocated now rather than
+// chunk by chunk as Adds arrive. Its callers (NewSet, and a replica
+// replaying its disk) know how many entries are coming, but not how many
+// of their IDs runs will take or how many distinct payloads they bring,
+// so the ID table and the payload table grow as the entries arrive.
 func (s *Set) Grow(n int) {
-	if n <= 0 {
-		return
+	if n > 0 {
+		s.growRows(s.n + n)
 	}
-	s.growRows(s.n + n)
-	s.ids.reserve(&s.arena, n, idKey)
 }
 
 // Contains reports whether an entry with the given ID is present.
 func (s *Set) Contains(id uniq.ID) bool {
-	_, ok := find(&s.ids, &s.arena, id, hashID(id), idKey)
-	return ok
+	node, seq, ingress := uniq.ParseID(string(id))
+	return s.holds(id, node, seq, ingress)
 }
 
 // Len reports the number of distinct operations.
@@ -466,11 +476,7 @@ func (s *Set) Union(o *Set) int {
 	old := s.n
 	for _, ch := range o.rows {
 		for _, r := range ch {
-			id := uniq.ID(o.id(r.ref))
-			h := hashID(id)
-			if _, ok := find(&s.ids, &s.arena, id, h, idKey); !ok {
-				s.store(o.entry(r), h)
-			}
+			s.push(o.arena.entry(r))
 		}
 	}
 	s.settle(old)
@@ -483,21 +489,23 @@ func (s *Set) Diff(o *Set) []Entry {
 	var out []Entry
 	for _, ch := range s.rows {
 		for _, r := range ch {
-			if !o.Contains(uniq.ID(s.id(r.ref))) {
-				out = append(out, s.entry(r))
+			if !o.Contains(uniq.ID(s.arena.id(r.ref))) {
+				out = append(out, s.arena.entry(r))
 			}
 		}
 	}
 	return out
 }
 
-// Copy returns an independent copy. Rows move in place, so each set has
-// chunks of its own. The bytes already in the arena are immutable, so the
-// two sets share them; each writes its own from here on.
+// Copy returns an independent copy. Rows move in place and runs grow in
+// place, so each set has chunks and runs of its own. The bytes already in
+// the arena are immutable, so the two sets share them; each writes its own
+// from here on.
 func (s *Set) Copy() *Set {
 	c := &Set{
 		n:     s.n,
 		arena: arena{chunks: slices.Clone(s.arena.chunks)},
+		runs:  s.runs.clone(),
 		ids:   s.ids.clone(),
 		pays:  s.pays.clone(),
 	}
@@ -555,7 +563,33 @@ func (s *Set) EntriesAfter(w Watermark) []Entry {
 
 // At materializes the entry at canonical-order position i, 0 <= i < Len().
 // Its strings are substrings of the arena.
-func (s *Set) At(i int) Entry { return s.entry(*s.row(i)) }
+func (s *Set) At(i int) Entry { return s.arena.entry(*s.row(i)) }
+
+// Cut is a set's entries in canonical order as of one moment: its rows
+// copied into one flat slab, 32 bytes an entry, beside the arena's chunk
+// list. The arena's bytes never change, so a cut taken under whatever
+// lock guards the set can be read after the lock is released, while the
+// set goes on changing — which is how a full durable snapshot is written.
+type Cut struct {
+	rows  []row
+	arena arena
+}
+
+// Cut returns a Cut of the set as it is now.
+func (s *Set) Cut() *Cut {
+	c := &Cut{rows: make([]row, 0, s.n), arena: arena{chunks: slices.Clone(s.arena.chunks)}}
+	for _, ch := range s.rows {
+		c.rows = append(c.rows, ch...)
+	}
+	return c
+}
+
+// Len reports the number of entries in the cut.
+func (c *Cut) Len() int { return len(c.rows) }
+
+// At materializes the entry at canonical-order position i, 0 <= i < Len(),
+// allocating nothing. Its strings are substrings of the set's arena.
+func (c *Cut) At(i int) Entry { return c.arena.entry(c.rows[i]) }
 
 // MaxLam returns the highest Lamport timestamp in the set (0 when empty).
 // An ingress point stamps new operations with max(seen)+1. The Lamport
@@ -576,7 +610,7 @@ func Fold[S any](s *Set, init S, fn func(S, Entry) S) S {
 	acc := init
 	for _, ch := range s.rows {
 		for _, r := range ch {
-			acc = fn(acc, s.entry(r))
+			acc = fn(acc, s.arena.entry(r))
 		}
 	}
 	return acc

@@ -566,36 +566,59 @@ func heapPerEntry(t *testing.T, n int, kept bool, mk func(i int) Entry) (bytes, 
 	for _, ch := range s.rows {
 		rows += cap(ch) * int(unsafe.Sizeof(row{}))
 	}
-	t.Logf("%.1f B/entry over %d entries (rows %.1f, ID index %.1f, payload table %.1f, the rest arena), %.1f B of it scannable",
-		bytes, s.Len(), per(rows), per(5*len(s.ids.tags)), payloads, scannable)
+	spans := 0
+	for _, sp := range s.runs.byNode {
+		spans += cap(sp) * int(unsafe.Sizeof(span{}))
+	}
+	t.Logf("%.1f B/entry over %d entries (rows %.1f, ID runs %.1f in %d runs of %d origins, ID table %.1f, payload table %.1f, the rest arena), %.1f B of it scannable",
+		bytes, s.Len(), per(rows), per(spans), s.runs.n, len(s.runs.byNode), per(5*len(s.ids.tags)), payloads, scannable)
 	runtime.KeepAlive(entries)
 	return bytes, scannable, payloads
 }
 
 // TestSetBytesPerEntry budgets the heap a Set holds per entry, strings
-// included: the set holds its own copy. A 32-byte row, the ID's bytes and
-// their length byte in the arena, five bytes of index slot at 7/16 to 7/8
-// load and the slack of the last row chunk fit in 52 B when payloads
-// repeat, as a kind × key vocabulary does; a string header per entry
-// anywhere does not. The second case is the daemon's shape with payloads
-// that never repeat — every entry's strings its own allocation, nothing
-// else keeping them — where each entry writes its own payload record, Kind
-// included, and the payload table, which such input never hits, stops
-// admitting at an eighth of the rows: it holds under 2 B an entry.
+// included: the set holds its own copy. When payloads repeat, as a kind ×
+// key vocabulary does, an entry is a 32-byte row, the ID's bytes and their
+// length byte in the arena, its share of the slack of the last row chunk,
+// and what indexes its ID — which depends on the IDs' shape:
+//   - consecutive numbers per node, as replicas mint them: a few runs for
+//     the whole set, so 45 B;
+//   - every node every third number, which never makes a run: the runs
+//     stop admitting at one per 32 rows, and the rest take a five-byte
+//     slot of the ID table at 7/16 to 7/8 load, so 52 B;
+//   - the SDK's IDs, "cli-" and 24 hex digits, which are not minted: the
+//     ID table and the longer ID, so 70 B.
+//
+// A string header per entry anywhere fits none of these. The last case is
+// the daemon's shape with payloads that never repeat — every entry's
+// strings its own allocation, nothing else keeping them — where each entry
+// writes its own payload record, Kind included, and the payload table,
+// which such input never hits, stops admitting at an eighth of the rows:
+// it holds under 2 B an entry.
 func TestSetBytesPerEntry(t *testing.T) {
 	const n = 100000
-	bytes, scannable, _ := heapPerEntry(t, n, true, func(i int) Entry {
-		return Entry{
-			ID:   uniq.ID(fmt.Sprintf("r%d-%06d", i%3, i)),
-			Kind: "deposit",
-			Key:  fmt.Sprintf("acct-%d", i%1024),
-			Arg:  int64(1 + i%100),
-			Lam:  uint64(i + 1),
-			At:   time.Duration(i),
+	for _, c := range []struct {
+		name   string
+		budget float64
+		id     func(i int) string
+	}{
+		{"consecutive numbers per node", 45, func(i int) string { return fmt.Sprintf("r%d-%06d", i%3, i/3) }},
+		{"every node every third number", 52, func(i int) string { return fmt.Sprintf("r%d-%06d", i%3, i) }},
+		{"SDK IDs", 70, func(i int) string { return fmt.Sprintf("cli-%024x", uint64(i)*0x9e3779b97f4a7c15) }},
+	} {
+		bytes, scannable, _ := heapPerEntry(t, n, true, func(i int) Entry {
+			return Entry{
+				ID:   uniq.ID(c.id(i)),
+				Kind: "deposit",
+				Key:  fmt.Sprintf("acct-%d", i%1024),
+				Arg:  int64(1 + i%100),
+				Lam:  uint64(i + 1),
+				At:   time.Duration(i),
+			}
+		})
+		if bytes > c.budget || scannable > 1 {
+			t.Errorf("Set holds %.1f B/entry of repeated payloads with %s, %.1f B of it scannable; budget %.0f and 1", bytes, c.name, scannable, c.budget)
 		}
-	})
-	if bytes > 52 || scannable > 1 {
-		t.Errorf("Set holds %.1f B/entry of repeated payloads, %.1f B of it scannable; budget 52 and 1", bytes, scannable)
 	}
 	bytes, scannable, payloads := heapPerEntry(t, n, false, func(i int) Entry {
 		return Entry{

@@ -9,9 +9,10 @@ import (
 // linear probing, at most 7/8 full. A slot is one byte of the key's hash
 // (0 marks it empty) and the record's arena handle, in two parallel
 // arrays, so a probe scans bytes and reads the arena only on a tag match,
-// and nothing in a table is a pointer. A set keeps two: the ID index,
-// keyed by the ID a record holds (idKey), and the payload table, keyed by
-// a Kind|Key|Note record's own bytes (payloadKey).
+// and nothing in a table is a pointer. A set keeps two: the ID table,
+// keyed by the ID a record holds (idKey), for the IDs its runs do not
+// hold, and the payload table, keyed by a Kind|Key|Note record's own
+// bytes (payloadKey).
 type table struct {
 	tags []uint8
 	refs []uint32
@@ -52,17 +53,14 @@ func (t *table) insert(ref uint32, h uint64) {
 	t.n++
 }
 
-// reserve makes room for n more records. A slot keeps one byte of its
-// hash, so growing rehashes every key, read back from the arena.
-func (t *table) reserve(a *arena, n int, keyOf func(rec string) string) {
-	need := t.n + n
-	if need*8 <= len(t.tags)*7 {
+// reserve makes room for one more record, doubling the table when it is
+// full. A slot keeps one byte of its hash, so growing rehashes every key,
+// read back from the arena.
+func (t *table) reserve(a *arena, keyOf func(rec string) string) {
+	if (t.n+1)*8 <= len(t.tags)*7 {
 		return
 	}
-	size := max(8, len(t.tags))
-	for need*8 > size*7 {
-		size *= 2
-	}
+	size := max(8, 2*len(t.tags))
 	tags, refs := t.tags, t.refs
 	*t = table{tags: make([]uint8, size), refs: make([]uint32, size)}
 	for i, tag := range tags {

@@ -53,7 +53,7 @@ func driveCrashWorkload(st *Store, all []oplog.Entry, from, batch, snapEvery int
 		pos = hi
 		if acked == pos && pos%snapEvery == 0 {
 			if st.NextSnapshotIsFull() {
-				st.WriteSnapshot(append([]oplog.Entry(nil), all[:pos]...), pos, all[pos-1].Mark())
+				st.WriteSnapshot(oplog.NewSet(all[:pos]...).Cut(), pos, all[pos-1].Mark())
 			} else {
 				st.WriteSnapshot(nil, pos, all[pos-1].Mark())
 			}
@@ -246,7 +246,7 @@ func TestENOSPCOnSnapshotStallsWatermarkVisibly(t *testing.T) {
 	defer st.Close()
 	all := crashWorkloadEntries(8)
 	commitAll(t, st, all)
-	st.WriteSnapshot(append([]oplog.Entry(nil), all...), len(all), all[len(all)-1].Mark())
+	st.WriteSnapshot(oplog.NewSet(all...).Cut(), len(all), all[len(all)-1].Mark())
 	if got := st.Stats().SnapshotFailures; got != 1 {
 		t.Fatalf("SnapshotFailures = %d, want 1", got)
 	}

@@ -475,8 +475,8 @@ func (s *Store) SnapshotCutHist() *stats.LatHist { return &s.snapHist }
 // carry the full ledger: always when chaining is disabled, when no full
 // snapshot exists yet, after a delta-buffer overflow, and every
 // Options.SnapshotChain-th cut. Owners consult it to decide whether to
-// pay the full-ledger copy; passing a nil ledger to WriteSnapshot selects
-// a delta cut from the store's own staged buffer.
+// take an oplog.Cut of their set, a copy of its rows; passing a nil cut to
+// WriteSnapshot selects a delta cut from the store's own staged buffer.
 func (s *Store) NextSnapshotIsFull() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -609,19 +609,20 @@ func (s *Store) AckTo(pos int) {
 // watermark stays put, so compaction stalls visibly rather than
 // silently losing data.
 //
-// With Options.SnapshotChain enabled, a nil ledger selects a delta cut:
+// A full cut writes cut's entries, streaming them to disk one record at a
+// time. With Options.SnapshotChain enabled, a nil cut selects a delta cut:
 // the store persists just its internally-buffered entries past the
-// previous cut, chained to it by a parent link, so the owner never pays
-// a full-ledger copy for an incremental cut. Owners consult
-// NextSnapshotIsFull to decide which to request.
-func (s *Store) WriteSnapshot(ledger []oplog.Entry, pos int, mark oplog.Watermark) {
+// previous cut, chained to it by a parent link, so the owner copies
+// nothing for an incremental cut. Owners consult NextSnapshotIsFull to
+// decide which to request.
+func (s *Store) WriteSnapshot(cut *oplog.Cut, pos int, mark oplog.Watermark) {
 	s.Commit(pos, func(ok bool) {
 		if !ok {
 			s.snapFails.Add(1)
 			return
 		}
-		job := func() { s.writeSnapshot(ledger, pos, mark) }
-		if ledger == nil {
+		job := func() { s.writeSnapshot(cut, pos, mark) }
+		if cut == nil {
 			job = func() { s.writeDelta(pos, mark) }
 		}
 		if s.opt.Inline {
@@ -1217,9 +1218,15 @@ func (s *Store) retireSeg(path string) {
 	s.fs.Remove(path)
 }
 
+// snapChunk is the size of the one buffer a full snapshot's records are
+// written through.
+const snapChunk = 64 << 10
+
 // writeSnapshot does the actual temp-write + fsync + rename of a FULL
-// snapshot, and on success resets the delta chain to root here.
-func (s *Store) writeSnapshot(ledger []oplog.Entry, pos int, mark oplog.Watermark) {
+// snapshot, and on success resets the delta chain to root here. The
+// records are encoded into one snapChunk buffer, written out each time it
+// fills: the file is never whole in memory.
+func (s *Store) writeSnapshot(cut *oplog.Cut, pos int, mark oplog.Watermark) {
 	began := time.Now()
 	s.mu.Lock()
 	if s.closed || s.failed != nil || pos <= s.snapPos {
@@ -1228,32 +1235,27 @@ func (s *Store) writeSnapshot(ledger []oplog.Entry, pos int, mark oplog.Watermar
 	}
 	s.mu.Unlock()
 
-	// Size the buffer exactly (EntrySize per record plus framing) and
-	// borrow it from the shared pool: snapshots of a steady-state ledger
-	// are all about the same size, so successive writes reuse one array.
-	size := 64
-	for _, e := range ledger {
-		size += recHdrLen + oplog.EntrySize(e)
-	}
-	scratch := oplog.GetBuf()
-	defer oplog.PutBuf(scratch)
-	if cap(*scratch) < size {
-		*scratch = make([]byte, 0, size)
-	}
-	buf := *scratch
-	buf = append(buf, snapMagic...)
-	buf = binary.AppendUvarint(buf, uint64(pos))
-	buf = oplog.AppendWatermark(buf, mark)
-	buf = binary.AppendUvarint(buf, uint64(len(ledger)))
-	for _, e := range ledger {
-		buf = appendRecord(buf, e)
-	}
-	buf = append(buf, snapFooter...)
-	*scratch = buf[:0]
-
 	final := s.snapPath(pos)
 	tmp := final + ".tmp"
-	if err := s.writeFileSync(tmp, buf); err != nil {
+	if err := s.createSync(tmp, func(f faultfs.File) error {
+		buf := make([]byte, 0, snapChunk)
+		buf = append(buf, snapMagic...)
+		buf = binary.AppendUvarint(buf, uint64(pos))
+		buf = oplog.AppendWatermark(buf, mark)
+		buf = binary.AppendUvarint(buf, uint64(cut.Len()))
+		for i := range cut.Len() {
+			e := cut.At(i)
+			if len(buf)+recHdrLen+oplog.EntrySize(e) > cap(buf) {
+				if _, err := f.Write(buf); err != nil {
+					return err
+				}
+				buf = buf[:0]
+			}
+			buf = appendRecord(buf, e)
+		}
+		_, err := f.Write(append(buf, snapFooter...))
+		return err
+	}); err != nil {
 		s.fs.Remove(tmp)
 		s.snapFails.Add(1)
 		return
@@ -1383,12 +1385,23 @@ func (s *Store) writeDelta(pos int, mark oplog.Watermark) {
 	s.compact()
 }
 
+// writeFileSync creates the file at path holding data, fsyncs it and
+// closes it.
 func (s *Store) writeFileSync(path string, data []byte) error {
+	return s.createSync(path, func(f faultfs.File) error {
+		_, err := f.Write(data)
+		return err
+	})
+}
+
+// createSync creates the file at path, lets write fill it, fsyncs it and
+// closes it.
+func (s *Store) createSync(path string, write func(faultfs.File) error) error {
 	f, err := s.fs.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}

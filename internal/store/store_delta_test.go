@@ -20,7 +20,7 @@ func chainOpts(k int) Options {
 // its internal buffer — exactly the owner-side protocol.
 func cut(s *Store, all []oplog.Entry, pos int) {
 	if s.NextSnapshotIsFull() {
-		s.WriteSnapshot(append([]oplog.Entry(nil), all[:pos]...), pos, all[pos-1].Mark())
+		s.WriteSnapshot(oplog.NewSet(all[:pos]...).Cut(), pos, all[pos-1].Mark())
 	} else {
 		s.WriteSnapshot(nil, pos, all[pos-1].Mark())
 	}
@@ -173,7 +173,7 @@ func TestRecycledSegmentsOldRecordsInvisible(t *testing.T) {
 	// Fill several segments, then cover them with a snapshot and full acks
 	// so compaction retires them into the free pool.
 	stage(40)
-	s.WriteSnapshot(append([]oplog.Entry(nil), all...), len(all), all[len(all)-1].Mark())
+	s.WriteSnapshot(oplog.NewSet(all...).Cut(), len(all), all[len(all)-1].Mark())
 	s.AckTo(len(all))
 	free, _ := filepath.Glob(filepath.Join(dir, "free-*.seg"))
 	if len(free) == 0 {

@@ -232,7 +232,7 @@ func TestSnapshotPlusReplayEqualsPureReplayOracle(t *testing.T) {
 			// Snapshot the full prefix and let both watermarks advance so
 			// compaction actually deletes segments under the test.
 			mark = all[len(all)-1].Mark()
-			s.WriteSnapshot(append([]oplog.Entry(nil), all...), i+1, mark)
+			s.WriteSnapshot(oplog.NewSet(all...).Cut(), i+1, mark)
 			s.AckTo(i + 1)
 		}
 	}
@@ -281,7 +281,7 @@ func TestSnapshotsPruned(t *testing.T) {
 		all = append(all, e)
 		commitAll(t, s, []oplog.Entry{e})
 		if (i+1)%10 == 0 {
-			s.WriteSnapshot(append([]oplog.Entry(nil), all...), i+1, e.Mark())
+			s.WriteSnapshot(oplog.NewSet(all...).Cut(), i+1, e.Mark())
 		}
 	}
 	s.Close()
@@ -304,7 +304,7 @@ func TestCompactionWaitsForBothWatermarks(t *testing.T) {
 	}
 	before, _ := filepath.Glob(filepath.Join(dir, "journal-*.seg"))
 	// Snapshot everything — but with no peer acks, nothing may go.
-	s.WriteSnapshot(append([]oplog.Entry(nil), all...), 30, all[29].Mark())
+	s.WriteSnapshot(oplog.NewSet(all...).Cut(), 30, all[29].Mark())
 	after, _ := filepath.Glob(filepath.Join(dir, "journal-*.seg"))
 	if len(after) != len(before) {
 		t.Fatalf("compaction ran on snapshot alone: %d -> %d segments", len(before), len(after))
@@ -336,8 +336,8 @@ func TestTornSnapshotFallsBackToOlder(t *testing.T) {
 		all = append(all, e)
 		commitAll(t, s, []oplog.Entry{e})
 	}
-	s.WriteSnapshot(all[:10], 10, all[9].Mark())
-	s.WriteSnapshot(all[:20], 20, all[19].Mark())
+	s.WriteSnapshot(oplog.NewSet(all[:10]...).Cut(), 10, all[9].Mark())
+	s.WriteSnapshot(oplog.NewSet(all[:20]...).Cut(), 20, all[19].Mark())
 	s.Close()
 	// Tear the newest snapshot (drop its footer).
 	path := filepath.Join(dir, "snap-0000000020.snap")
@@ -369,7 +369,7 @@ func TestSnapshotOutrunningJournalRejected(t *testing.T) {
 	five := []oplog.Entry{entry(0), entry(1), entry(2), entry(3), entry(4)}
 	rogue, _ := mustOpen(t, t.TempDir(), inlineOpts())
 	commitAll(t, rogue, five)
-	rogue.WriteSnapshot(five, 5, entry(4).Mark())
+	rogue.WriteSnapshot(oplog.NewSet(five...).Cut(), 5, entry(4).Mark())
 	rogue.Close()
 	data, err := os.ReadFile(filepath.Join(rogue.Dir(), "snap-0000000005.snap"))
 	if err != nil {

@@ -15,7 +15,9 @@ import (
 	"crypto/md5"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"strconv"
+	"strings"
 	"sync/atomic"
 )
 
@@ -78,6 +80,32 @@ func AppendID(dst []byte, node string, seq uint64) []byte {
 		dst = append(dst, '0')
 	}
 	return append(dst, digits...)
+}
+
+// ParseID is the inverse of AppendID: it reports the node and sequence
+// number AppendID renders as id, and ok false when there are none. The
+// node is everything before the last '-'; what follows must be at least
+// six decimal digits, zero-padded to six and no further, and fit a
+// uint64. So an ID an ingress minted parses, to the one pair that renders
+// it, and no other ID does — a client's, a content hash, a number padded
+// some other way. It allocates nothing.
+func ParseID(id string) (node string, seq uint64, ok bool) {
+	i := strings.LastIndexByte(id, '-')
+	if i < 0 {
+		return "", 0, false
+	}
+	digits := id[i+1:]
+	if len(digits) < 6 || len(digits) > 6 && digits[0] == '0' {
+		return "", 0, false
+	}
+	for j := 0; j < len(digits); j++ {
+		d := uint64(digits[j] - '0')
+		if d > 9 || seq > (math.MaxUint64-d)/10 {
+			return "", 0, false
+		}
+		seq = seq*10 + d
+	}
+	return id[:i], seq, true
 }
 
 // ContentID derives an ID from the request body itself — the MD5 trick of

@@ -111,6 +111,60 @@ func TestGenNextMatchesSprintf(t *testing.T) {
 	}
 }
 
+// parseSeeds are IDs ParseID must accept — both sides of the six-digit
+// boundary, a sharded node, an incarnation base, a node with a '-' — and
+// IDs it must refuse: padded past six digits, short of six, not all
+// digits, beyond a uint64, and no '-' at all.
+var parseSeeds = []struct {
+	id   string
+	node string
+	seq  uint64
+	ok   bool
+}{
+	{"r0-999999", "r0", 999_999, true},
+	{"s3/r1-1000000", "s3/r1", 1_000_000, true},
+	{"r0-1099511627783", "r0", 1<<40 + 7, true},
+	{"a-b-000000", "a-b", 0, true},
+	{"r0-0001234", "", 0, false},
+	{"r0-00123", "", 0, false},
+	{"r0-00012a", "", 0, false},
+	{"r0-18446744073709551616", "", 0, false},
+	{"r0000001", "", 0, false},
+}
+
+// FuzzParseID holds ParseID to AppendID in both directions: whatever
+// parses renders back to itself, and whatever AppendID renders parses
+// back to the node and number it came from.
+func FuzzParseID(f *testing.F) {
+	for _, s := range parseSeeds {
+		f.Add(s.id, s.node, s.seq)
+	}
+	f.Add("cli-0123456789abcdef01234567", "-", uint64(1<<64-1))
+	f.Fuzz(func(t *testing.T, id, node string, seq uint64) {
+		if n, q, ok := ParseID(id); ok {
+			if got := string(AppendID(nil, n, q)); got != id {
+				t.Fatalf("ParseID(%q) = %q, %d; AppendID renders that as %q", id, n, q, got)
+			}
+		}
+		rendered := string(AppendID(nil, node, seq))
+		if n, q, ok := ParseID(rendered); !ok || n != node || q != seq {
+			t.Fatalf("ParseID(AppendID(%q, %d) = %q) = %q, %d, %v", node, seq, rendered, n, q, ok)
+		}
+	})
+}
+
+func TestParseIDSeeds(t *testing.T) {
+	for _, s := range parseSeeds {
+		node, seq, ok := ParseID(s.id)
+		if ok != s.ok || node != s.node || seq != s.seq {
+			t.Errorf("ParseID(%q) = %q, %d, %v; want %q, %d, %v", s.id, node, seq, ok, s.node, s.seq, s.ok)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { ParseID("cli-0123456789abcdef01234567") }); allocs != 0 {
+		t.Errorf("ParseID allocates %.0f times", allocs)
+	}
+}
+
 // TestAppendIDMatchesSprintf: the one formatter behind Next, ID and the
 // op set's mint writes fmt's bytes at the six-digit boundary and at an
 // incarnation base, onto an empty or a used buffer, and Take/ID split
