@@ -120,8 +120,8 @@ type Cluster struct {
 	net  *simnet.Network
 	cfg  Config
 	ring *ring
-	node map[simnet.NodeID]*storeNode
-	ids  []simnet.NodeID
+	node map[string]*storeNode
+	ids  []string
 
 	M Metrics
 }
@@ -133,10 +133,10 @@ func New(s *sim.Sim, cfg Config) *Cluster {
 		s:    s,
 		net:  simnet.New(s, simnet.WithLatency(cfg.MsgLatency)),
 		cfg:  cfg,
-		node: make(map[simnet.NodeID]*storeNode),
+		node: make(map[string]*storeNode),
 	}
 	for i := 0; i < cfg.Nodes; i++ {
-		id := simnet.NodeID("n" + itoa(i))
+		id := "n" + itoa(i)
 		c.ids = append(c.ids, id)
 		c.node[id] = newStoreNode(c, id)
 	}
@@ -160,12 +160,12 @@ func itoa(i int) string {
 func (c *Cluster) Net() *simnet.Network { return c.net }
 
 // Nodes lists the physical node IDs.
-func (c *Cluster) Nodes() []simnet.NodeID { return append([]simnet.NodeID(nil), c.ids...) }
+func (c *Cluster) Nodes() []string { return append([]string(nil), c.ids...) }
 
 // SetUp crashes or revives a node. A revival nudges every hint holder to
 // retry delivery, standing in for the gossip-based failure detector that
 // announces recoveries in the real system.
-func (c *Cluster) SetUp(id simnet.NodeID, up bool) {
+func (c *Cluster) SetUp(id string, up bool) {
 	c.net.SetUp(id, up)
 	if up {
 		for _, nid := range c.ids {
@@ -181,7 +181,7 @@ func (c *Cluster) SetUp(id simnet.NodeID, up bool) {
 // client request, like Dynamo's partition-aware client routing.
 func (c *Cluster) coordinator(key string) *storeNode {
 	var coord *storeNode
-	c.ring.walk(key, func(id simnet.NodeID) bool {
+	c.ring.walk(key, func(id string) bool {
 		if c.net.IsUp(id) {
 			coord = c.node[id]
 			return false
@@ -239,7 +239,7 @@ func (c *Cluster) Put(key, value string, ctx vclock.VC, actor string, done func(
 		return
 	}
 	if actor == "" {
-		actor = string(coord.id)
+		actor = coord.id
 	}
 	clock := NextClock(ctx, actor)
 	coord.coordinatePut(key, Version{Clock: clock, Value: value}, func(ok bool) {
@@ -283,14 +283,14 @@ func (c *Cluster) AntiEntropyRound() {
 
 // ReplicaVersions reports the versions node id holds for key — test and
 // audit access, not part of the client API.
-func (c *Cluster) ReplicaVersions(id simnet.NodeID, key string) []Version {
+func (c *Cluster) ReplicaVersions(id string, key string) []Version {
 	return append([]Version(nil), c.node[id].store[key]...)
 }
 
 // ForgetKey erases a key from one replica's local store — a test and
 // experiment hook standing in for a lost disk block or bit rot, the kind
 // of silent divergence anti-entropy exists to repair.
-func (c *Cluster) ForgetKey(id simnet.NodeID, key string) {
+func (c *Cluster) ForgetKey(id string, key string) {
 	delete(c.node[id].store, key)
 }
 

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/sim"
-	"repro/internal/simnet"
 	"repro/internal/vclock"
 )
 
@@ -132,8 +131,8 @@ func TestStrictQuorumFailsWhenReplicasDown(t *testing.T) {
 func TestHintedHandoffDeliversAfterRecovery(t *testing.T) {
 	s, c := newCluster(3, Config{Nodes: 4, N: 3, R: 1, W: 2, HintRetry: 5 * time.Millisecond})
 	// Find the proper homes of the key, crash one of them, write, revive.
-	var homes []simnet.NodeID
-	c.ring.walk("k", func(id simnet.NodeID) bool {
+	var homes []string
+	c.ring.walk("k", func(id string) bool {
 		homes = append(homes, id)
 		return len(homes) < 3
 	})
@@ -159,8 +158,8 @@ func TestReadRepairHealsStaleReplica(t *testing.T) {
 	s, c := newCluster(4, Config{Nodes: 5, N: 3, R: 3, W: 2})
 	put(t, s, c, "k", "v1", nil, "alice")
 	// Manually blank one replica to fake staleness.
-	var homes []simnet.NodeID
-	c.ring.walk("k", func(id simnet.NodeID) bool {
+	var homes []string
+	c.ring.walk("k", func(id string) bool {
 		homes = append(homes, id)
 		return len(homes) < 3
 	})
@@ -181,7 +180,7 @@ func TestReadRepairHealsStaleReplica(t *testing.T) {
 func TestAntiEntropyConvergesPartitionedWrites(t *testing.T) {
 	s, c := newCluster(5, Config{Nodes: 4, N: 3, R: 1, W: 1})
 	// Split the cluster, write different keys on each side.
-	c.Net().Partition([]simnet.NodeID{"n0", "n1"}, []simnet.NodeID{"n2", "n3"})
+	c.Net().Partition([]string{"n0", "n1"}, []string{"n2", "n3"})
 	var okA, okB bool
 	c.Put("keyA", "a", nil, "alice", func(o bool) { okA = o })
 	c.Put("keyB", "b", nil, "bob", func(o bool) { okB = o })
@@ -212,7 +211,7 @@ func TestAvailabilityChoiceAlwaysAcceptsPut(t *testing.T) {
 	// result in an inconsistent GET later." With W=1 and any single node
 	// alive, puts keep succeeding.
 	s, c := newCluster(6, Config{Nodes: 5, N: 3, R: 1, W: 1})
-	for _, id := range []simnet.NodeID{"n0", "n1", "n2", "n3"} {
+	for _, id := range []string{"n0", "n1", "n2", "n3"} {
 		c.SetUp(id, false)
 	}
 	put(t, s, c, "k", "v", nil, "alice")
@@ -268,10 +267,10 @@ func TestMergeVersionsDedupesEqual(t *testing.T) {
 }
 
 func TestRingSpreadsKeysAndIsStable(t *testing.T) {
-	r := newRing([]simnet.NodeID{"a", "b", "c", "d"}, 16)
-	counts := map[simnet.NodeID]int{}
+	r := newRing([]string{"a", "b", "c", "d"}, 16)
+	counts := map[string]int{}
 	for i := 0; i < 400; i++ {
-		r.walk("key"+itoa(i), func(id simnet.NodeID) bool {
+		r.walk("key"+itoa(i), func(id string) bool {
 			counts[id]++
 			return false
 		})
@@ -295,10 +294,10 @@ func TestRingSpreadsKeysAndIsStable(t *testing.T) {
 }
 
 func TestPreferenceListSloppySubstitution(t *testing.T) {
-	r := newRing([]simnet.NodeID{"a", "b", "c", "d"}, 8)
+	r := newRing([]string{"a", "b", "c", "d"}, 8)
 	strict := r.preferenceList("k", 3, false, nil)
 	down := strict[0].Node
-	sloppy := r.preferenceList("k", 3, true, func(id simnet.NodeID) bool { return id != down })
+	sloppy := r.preferenceList("k", 3, true, func(id string) bool { return id != down })
 	if len(sloppy) != 3 {
 		t.Fatalf("sloppy list = %+v", sloppy)
 	}
@@ -348,7 +347,7 @@ func TestNextClockNilContext(t *testing.T) {
 func TestMerkleSyncConvergesLikeFullSync(t *testing.T) {
 	for _, useMerkle := range []bool{false, true} {
 		s, c := newCluster(9, Config{Nodes: 4, N: 3, R: 1, W: 1, MerkleSync: useMerkle})
-		c.Net().Partition([]simnet.NodeID{"n0", "n1"}, []simnet.NodeID{"n2", "n3"})
+		c.Net().Partition([]string{"n0", "n1"}, []string{"n2", "n3"})
 		var okA, okB bool
 		c.Put("keyA", "a", nil, "alice", func(o bool) { okA = o })
 		c.Put("keyB", "b", nil, "bob", func(o bool) { okB = o })

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/merkle"
-	"repro/internal/simnet"
 )
 
 // Merkle anti-entropy wire messages.
@@ -57,7 +56,7 @@ func (n *storeNode) leafStore(leaves []int) map[string][]Version {
 
 // syncWithMerkle performs one Merkle anti-entropy exchange: ship the
 // tree, learn which leaves diverge, swap only those leaves' versions.
-func (n *storeNode) syncWithMerkle(peer simnet.NodeID) {
+func (n *storeNode) syncWithMerkle(peer string) {
 	tree := n.merkleTree()
 	n.ep.Call(peer, "mtree", mtreeReq{Tree: tree}, func(resp any, ok bool) {
 		if !ok {
@@ -82,14 +81,14 @@ func (n *storeNode) syncWithMerkle(peer simnet.NodeID) {
 	})
 }
 
-func (n *storeNode) handleMTree(from simnet.NodeID, req any, reply func(any)) {
+func (n *storeNode) handleMTree(from string, req any, reply func(any)) {
 	r := req.(mtreeReq)
 	mine := n.merkleTree()
 	diff, compared := merkle.DiffLeaves(mine, r.Tree)
 	reply(mtreeResp{Diff: diff, Compared: compared, Store: n.leafStore(diff)})
 }
 
-func (n *storeNode) handleMPush(from simnet.NodeID, req any, reply func(any)) {
+func (n *storeNode) handleMPush(from string, req any, reply func(any)) {
 	r := req.(mpushReq)
 	for key, vs := range r.Store {
 		n.apply(key, vs...)

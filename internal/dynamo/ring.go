@@ -2,7 +2,6 @@ package dynamo
 
 import (
 	"repro/internal/shard"
-	"repro/internal/simnet"
 )
 
 // ring adapts the shared consistent-hash ring (internal/shard, lifted
@@ -11,26 +10,26 @@ import (
 // carved into uniquely keyed chunks that live on one node at a time
 // (Helland & Campbell §2.3, Dynamo §4.2).
 type ring struct {
-	r *shard.Ring[simnet.NodeID]
+	r *shard.Ring[string]
 }
 
-func newRing(nodes []simnet.NodeID, vnodes int) *ring {
+func newRing(nodes []string, vnodes int) *ring {
 	return &ring{r: shard.NewRing(nodes, vnodes)}
 }
 
 // walk visits distinct physical nodes clockwise from key's hash position
 // until fn returns false.
-func (r *ring) walk(key string, fn func(simnet.NodeID) bool) { r.r.Walk(key, fn) }
+func (r *ring) walk(key string, fn func(string) bool) { r.r.Walk(key, fn) }
 
 // preferenceList returns the first n distinct nodes for key. When sloppy
 // is true, nodes reported down by isUp are skipped and substituted by the
 // next nodes on the ring (each substitute paired with the down node it
 // stands in for — the hinted-handoff "intended recipient"). When sloppy is
 // false the list is the strict top-N, dead or alive.
-func (r *ring) preferenceList(key string, n int, sloppy bool, isUp func(simnet.NodeID) bool) []target {
+func (r *ring) preferenceList(key string, n int, sloppy bool, isUp func(string) bool) []target {
 	var prefs []target
-	var substitutesFor []simnet.NodeID
-	r.walk(key, func(node simnet.NodeID) bool {
+	var substitutesFor []string
+	r.walk(key, func(node string) bool {
 		if !sloppy {
 			prefs = append(prefs, target{Node: node})
 			return len(prefs) < n
@@ -54,6 +53,6 @@ func (r *ring) preferenceList(key string, n int, sloppy bool, isUp func(simnet.N
 // target is one destination for a read or write: the node to contact and,
 // for sloppy writes, the down node it is substituting for.
 type target struct {
-	Node    simnet.NodeID
-	HintFor simnet.NodeID // zero when writing to the proper home
+	Node    string
+	HintFor string // zero when writing to the proper home
 }

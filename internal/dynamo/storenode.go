@@ -2,7 +2,6 @@ package dynamo
 
 import (
 	"repro/internal/rpc"
-	"repro/internal/simnet"
 	"repro/internal/vclock"
 )
 
@@ -10,13 +9,13 @@ import (
 type (
 	sgetReq  struct{ Key string }
 	sgetResp struct {
-		From     simnet.NodeID
+		From     string
 		Versions []Version
 	}
 	sputReq struct {
 		Key     string
 		Version Version
-		HintFor simnet.NodeID // non-empty on a sloppy write for a down home
+		HintFor string // non-empty on a sloppy write for a down home
 	}
 	srepairReq struct {
 		Key      string
@@ -32,19 +31,19 @@ type (
 // revived.
 type storeNode struct {
 	c         *Cluster
-	id        simnet.NodeID
+	id        string
 	ep        *rpc.Endpoint
 	store     map[string][]Version
-	hints     map[simnet.NodeID]map[string][]Version
+	hints     map[string]map[string][]Version
 	armed     bool // hint-retry timer pending
 	hintTries int  // consecutive unproductive retries
 }
 
-func newStoreNode(c *Cluster, id simnet.NodeID) *storeNode {
+func newStoreNode(c *Cluster, id string) *storeNode {
 	n := &storeNode{
 		c: c, id: id,
 		store: make(map[string][]Version),
-		hints: make(map[simnet.NodeID]map[string][]Version),
+		hints: make(map[string]map[string][]Version),
 	}
 	n.ep = rpc.NewEndpoint(c.net, id, c.cfg.CallTimeout)
 	n.ep.Handle("sget", n.handleGet)
@@ -113,12 +112,12 @@ func sameVersions(a, b []Version) bool {
 	return true
 }
 
-func (n *storeNode) handleGet(from simnet.NodeID, req any, reply func(any)) {
+func (n *storeNode) handleGet(from string, req any, reply func(any)) {
 	r := req.(sgetReq)
 	reply(sgetResp{From: n.id, Versions: copyVersions(n.store[r.Key])})
 }
 
-func (n *storeNode) handlePut(from simnet.NodeID, req any, reply func(any)) {
+func (n *storeNode) handlePut(from string, req any, reply func(any)) {
 	r := req.(sputReq)
 	n.apply(r.Key, r.Version)
 	if r.HintFor != "" {
@@ -134,13 +133,13 @@ func (n *storeNode) handlePut(from simnet.NodeID, req any, reply func(any)) {
 	reply(ack{OK: true})
 }
 
-func (n *storeNode) handleRepair(from simnet.NodeID, req any, reply func(any)) {
+func (n *storeNode) handleRepair(from string, req any, reply func(any)) {
 	r := req.(srepairReq)
 	n.apply(r.Key, r.Versions...)
 	reply(ack{OK: true})
 }
 
-func (n *storeNode) handleSync(from simnet.NodeID, req any, reply func(any)) {
+func (n *storeNode) handleSync(from string, req any, reply func(any)) {
 	r := req.(syncReq)
 	for key, vs := range r.Store {
 		n.c.M.SyncVersions.Addn(int64(len(vs)))
@@ -271,7 +270,7 @@ func (n *storeNode) flushHints() {
 
 // syncWith performs one pairwise anti-entropy exchange, whole-store or
 // Merkle depending on configuration.
-func (n *storeNode) syncWith(peer simnet.NodeID) {
+func (n *storeNode) syncWith(peer string) {
 	n.c.M.AntiEntropy.Inc()
 	if n.c.cfg.MerkleSync {
 		n.syncWithMerkle(peer)

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/dynamo"
 	"repro/internal/sim"
-	"repro/internal/simnet"
 	"repro/internal/stats"
 	"repro/internal/vclock"
 )
@@ -42,7 +41,7 @@ func A4MerkleAntiEntropy() Experiment {
 						panic("A4: baseline never converged")
 					}
 					// Silent divergence: one replica loses D keys.
-					victim := simnet.NodeID("n0")
+					victim := "n0"
 					for i := 0; i < divergent; i++ {
 						cl.ForgetKey(victim, fmt.Sprintf("key-%04d", i))
 					}

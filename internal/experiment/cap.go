@@ -10,7 +10,6 @@ import (
 	"repro/internal/policy"
 	"repro/internal/rpc"
 	"repro/internal/sim"
-	"repro/internal/simnet"
 	"repro/internal/stats"
 	"repro/internal/twopc"
 	"repro/internal/workload"
@@ -63,7 +62,7 @@ func E12CAPAvailability() Experiment {
 				tr := rpc.NewSimTransport(s)
 				c := core.New[int64](capApp{}, nil,
 					core.WithTransport(tr), core.WithReplicas(3), core.WithCallTimeout(30*time.Millisecond))
-				nodes := []simnet.NodeID{"r0", "r1", "r2"}
+				nodes := []string{"r0", "r1", "r2"}
 				inj := failure.NewInjector(s, tr.Net(), nodes, mtbf, mttr, nil).Start()
 				stop := c.StartGossip(50 * time.Millisecond)
 				ok := 0

@@ -33,7 +33,7 @@ func E11Idempotence() Experiment {
 
 					shipped := 0
 					seen := uniq.NewDedup()
-					server.Handle("order", func(_ simnet.NodeID, req any, reply func(any)) {
+					server.Handle("order", func(_ string, req any, reply func(any)) {
 						id := req.(uniq.ID)
 						if !dedup || seen.Record(id) {
 							shipped++ // a book leaves the warehouse

@@ -2,15 +2,13 @@
 //
 // The paper's fault model (§2.2) is fail fast: "a component is either
 // functioning correctly or simply stops functioning." This package turns
-// that model into two tools: deterministic Scripts (crash node X at t1,
-// restart at t2) for reproducing specific takeover scenarios, and a
-// stochastic Injector driven by exponential MTBF/MTTR for endurance-style
-// experiments.
+// that model into a stochastic Injector driven by exponential MTBF/MTTR
+// for endurance-style experiments; a scenario that needs one specific
+// takeover schedules its SetUp calls on the simulator directly.
 package failure
 
 import (
 	"math"
-	"sort"
 	"time"
 
 	"repro/internal/sim"
@@ -20,44 +18,8 @@ import (
 // Event is a single scheduled state change of one node.
 type Event struct {
 	At   time.Duration
-	Node simnet.NodeID
+	Node string
 	Up   bool
-}
-
-// Script is a deterministic fault plan.
-type Script []Event
-
-// Crash appends a crash of node at t and returns the extended script.
-func (sc Script) Crash(node simnet.NodeID, at time.Duration) Script {
-	return append(sc, Event{At: at, Node: node, Up: false})
-}
-
-// Restart appends a restart of node at t and returns the extended script.
-func (sc Script) Restart(node simnet.NodeID, at time.Duration) Script {
-	return append(sc, Event{At: at, Node: node, Up: true})
-}
-
-// Outage appends a crash at from and a restart at from+downFor.
-func (sc Script) Outage(node simnet.NodeID, from time.Duration, downFor time.Duration) Script {
-	return sc.Crash(node, from).Restart(node, from+downFor)
-}
-
-// Apply schedules every event of the script on the simulator. onChange, if
-// non-nil, is invoked after each state flip so components can run takeover
-// or recovery logic.
-func (sc Script) Apply(s *sim.Sim, net *simnet.Network, onChange func(Event)) {
-	evs := make(Script, len(sc))
-	copy(evs, sc)
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
-	for _, e := range evs {
-		e := e
-		s.At(e.At, func() {
-			net.SetUp(e.Node, e.Up)
-			if onChange != nil {
-				onChange(e)
-			}
-		})
-	}
 }
 
 // Injector crashes and restarts a set of nodes at random, with
@@ -66,7 +28,7 @@ func (sc Script) Apply(s *sim.Sim, net *simnet.Network, onChange func(Event)) {
 type Injector struct {
 	s        *sim.Sim
 	net      *simnet.Network
-	nodes    []simnet.NodeID
+	nodes    []string
 	mtbf     time.Duration
 	mttr     time.Duration
 	onChange func(Event)
@@ -77,7 +39,7 @@ type Injector struct {
 // NewInjector builds an injector over the given nodes. mtbf is the mean
 // time between failures across the whole set (a failure picks a random up
 // node); mttr is the mean repair time. onChange may be nil.
-func NewInjector(s *sim.Sim, net *simnet.Network, nodes []simnet.NodeID, mtbf, mttr time.Duration, onChange func(Event)) *Injector {
+func NewInjector(s *sim.Sim, net *simnet.Network, nodes []string, mtbf, mttr time.Duration, onChange func(Event)) *Injector {
 	return &Injector{s: s, net: net, nodes: nodes, mtbf: mtbf, mttr: mttr, onChange: onChange}
 }
 
@@ -106,7 +68,7 @@ func (in *Injector) scheduleNext() {
 }
 
 func (in *Injector) crashOne() {
-	up := make([]simnet.NodeID, 0, len(in.nodes))
+	up := make([]string, 0, len(in.nodes))
 	for _, id := range in.nodes {
 		if in.net.IsUp(id) {
 			up = append(up, id)

@@ -8,7 +8,7 @@ import (
 	"repro/internal/simnet"
 )
 
-func newNet(seed int64, nodes ...simnet.NodeID) (*sim.Sim, *simnet.Network) {
+func newNet(seed int64, nodes ...string) (*sim.Sim, *simnet.Network) {
 	s := sim.New(seed)
 	n := simnet.New(s)
 	for _, id := range nodes {
@@ -17,65 +17,16 @@ func newNet(seed int64, nodes ...simnet.NodeID) (*sim.Sim, *simnet.Network) {
 	return s, n
 }
 
-func TestScriptCrashAndRestart(t *testing.T) {
-	s, n := newNet(1, "a")
-	var changes []Event
-	Script{}.
-		Crash("a", time.Second).
-		Restart("a", 2*time.Second).
-		Apply(s, n, func(e Event) { changes = append(changes, e) })
-
-	s.RunUntil(1500 * time.Millisecond)
-	if n.IsUp("a") {
-		t.Fatal("node up during scripted outage")
-	}
-	s.Run()
-	if !n.IsUp("a") {
-		t.Fatal("node down after scripted restart")
-	}
-	if len(changes) != 2 || changes[0].Up || !changes[1].Up {
-		t.Fatalf("changes = %+v", changes)
-	}
-}
-
-func TestScriptOutageHelper(t *testing.T) {
-	s, n := newNet(1, "a")
-	Script{}.Outage("a", time.Second, 500*time.Millisecond).Apply(s, n, nil)
-	s.RunUntil(1200 * time.Millisecond)
-	if n.IsUp("a") {
-		t.Fatal("node up mid-outage")
-	}
-	s.Run()
-	if !n.IsUp("a") {
-		t.Fatal("node not restarted after outage window")
-	}
-}
-
-func TestScriptAppliesOutOfOrderEventsInTimeOrder(t *testing.T) {
-	s, n := newNet(1, "a")
-	// Build the script with the restart listed first; Apply must sort.
-	sc := Script{
-		{At: 2 * time.Second, Node: "a", Up: true},
-		{At: time.Second, Node: "a", Up: false},
-	}
-	var order []bool
-	sc.Apply(s, n, func(e Event) { order = append(order, e.Up) })
-	s.Run()
-	if len(order) != 2 || order[0] || !order[1] {
-		t.Fatalf("events ran in order %v, want [down up]", order)
-	}
-}
-
 func TestInjectorCrashesAndRepairs(t *testing.T) {
 	s, n := newNet(42, "a", "b", "c")
-	in := NewInjector(s, n, []simnet.NodeID{"a", "b", "c"}, 100*time.Millisecond, 20*time.Millisecond, nil).Start()
+	in := NewInjector(s, n, []string{"a", "b", "c"}, 100*time.Millisecond, 20*time.Millisecond, nil).Start()
 	s.RunUntil(10 * time.Second)
 	in.Stop()
 	s.Run() // drain pending repairs
 	if in.Crashes() == 0 {
 		t.Fatal("injector never crashed anything over 10s with 100ms MTBF")
 	}
-	for _, id := range []simnet.NodeID{"a", "b", "c"} {
+	for _, id := range []string{"a", "b", "c"} {
 		if !n.IsUp(id) {
 			t.Fatalf("node %s still down after Stop + drain", id)
 		}
@@ -84,7 +35,7 @@ func TestInjectorCrashesAndRepairs(t *testing.T) {
 
 func TestInjectorStopHaltsNewFaults(t *testing.T) {
 	s, n := newNet(42, "a")
-	in := NewInjector(s, n, []simnet.NodeID{"a"}, 10*time.Millisecond, time.Millisecond, nil).Start()
+	in := NewInjector(s, n, []string{"a"}, 10*time.Millisecond, time.Millisecond, nil).Start()
 	s.RunUntil(time.Second)
 	in.Stop()
 	before := in.Crashes()
@@ -97,7 +48,7 @@ func TestInjectorStopHaltsNewFaults(t *testing.T) {
 func TestInjectorObserverSeesSymmetricEvents(t *testing.T) {
 	s, n := newNet(7, "a", "b")
 	downs, ups := 0, 0
-	in := NewInjector(s, n, []simnet.NodeID{"a", "b"}, 50*time.Millisecond, 10*time.Millisecond, func(e Event) {
+	in := NewInjector(s, n, []string{"a", "b"}, 50*time.Millisecond, 10*time.Millisecond, func(e Event) {
 		if e.Up {
 			ups++
 		} else {
@@ -120,7 +71,7 @@ func TestInjectorSkipsWhenAllDown(t *testing.T) {
 	n.SetUp("a", false)
 	// With the only node already down and a huge MTTR, the injector must
 	// not panic or crash anything new.
-	in := NewInjector(s, n, []simnet.NodeID{"a"}, time.Millisecond, time.Hour, nil).Start()
+	in := NewInjector(s, n, []string{"a"}, time.Millisecond, time.Hour, nil).Start()
 	s.RunUntil(100 * time.Millisecond)
 	in.Stop()
 	if in.Crashes() != 0 {
@@ -131,7 +82,7 @@ func TestInjectorSkipsWhenAllDown(t *testing.T) {
 func TestInjectorDeterminism(t *testing.T) {
 	run := func() int {
 		s, n := newNet(99, "a", "b", "c")
-		in := NewInjector(s, n, []simnet.NodeID{"a", "b", "c"}, 30*time.Millisecond, 5*time.Millisecond, nil).Start()
+		in := NewInjector(s, n, []string{"a", "b", "c"}, 30*time.Millisecond, 5*time.Millisecond, nil).Start()
 		s.RunUntil(3 * time.Second)
 		in.Stop()
 		s.Run()

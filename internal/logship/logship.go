@@ -25,7 +25,6 @@ package logship
 import (
 	"time"
 
-	"repro/internal/btree"
 	"repro/internal/rpc"
 	"repro/internal/sim"
 	"repro/internal/simnet"
@@ -137,7 +136,7 @@ type dbNode struct {
 	ep      *rpc.Endpoint
 	log     *wal.Log
 	gc      *wal.GroupCommitter
-	state   *btree.Tree
+	state   map[string]string
 	applied wal.LSN // highest remote LSN replayed (backup role)
 	touched map[string]bool
 	pending map[uint64][]wal.Record
@@ -180,9 +179,9 @@ func New(s *sim.Sim, cfg Config) *System {
 	return sys
 }
 
-func (sys *System) newNode(id simnet.NodeID) *dbNode {
+func (sys *System) newNode(id string) *dbNode {
 	n := &dbNode{
-		state:   btree.New(),
+		state:   make(map[string]string),
 		touched: make(map[string]bool),
 		pending: make(map[uint64][]wal.Record),
 	}
@@ -196,7 +195,7 @@ func (sys *System) newNode(id simnet.NodeID) *dbNode {
 }
 
 // Active reports which datacenter serves traffic ("dc1" or "dc2").
-func (sys *System) Active() string { return string(sys.active.ep.ID()) }
+func (sys *System) Active() string { return sys.active.ep.ID() }
 
 // Commit runs a one-write transaction key=val at the active datacenter.
 // done reports whether the client saw a commit acknowledgement.
@@ -218,13 +217,13 @@ func (sys *System) Commit(key, val string, done func(ok bool)) {
 			done(false)
 			return
 		}
-		node.state.Put(key, val)
+		node.state[key] = val
 		node.touched[key] = true
 		ack := func() {
 			sys.M.Commits.Inc()
 			sys.M.CommitLat.AddDur(sys.s.Now() - start)
 			sys.committed = append(sys.committed,
-				committedTxn{dc: string(node.ep.ID()), lsn: lsn, key: key, val: val})
+				committedTxn{dc: node.ep.ID(), lsn: lsn, key: key, val: val})
 			done(true)
 		}
 		if node != sys.primary || sys.backup.ep.Crashed() {
@@ -252,7 +251,7 @@ func (sys *System) Commit(key, val string, done func(ok bool)) {
 
 // Read returns the value of key at the active datacenter.
 func (sys *System) Read(key string, done func(val string, ok bool)) {
-	v, ok := sys.active.state.Get(key)
+	v, ok := sys.active.state[key]
 	done(v, ok)
 }
 
@@ -294,7 +293,7 @@ func (sys *System) noteShipped(lsn wal.LSN) {
 }
 
 // handleReplicate replays a log batch at the backup.
-func (sys *System) handleReplicate(from simnet.NodeID, req any, reply func(any)) {
+func (sys *System) handleReplicate(from string, req any, reply func(any)) {
 	r := req.(replicateReq)
 	b := sys.backup
 	for _, rec := range r.Records {
@@ -306,7 +305,7 @@ func (sys *System) handleReplicate(from simnet.NodeID, req any, reply func(any))
 			b.pending[rec.Txn] = append(b.pending[rec.Txn], rec)
 		case wal.KindCommit:
 			for _, w := range b.pending[rec.Txn] {
-				b.state.Put(w.Key, w.Value)
+				b.state[w.Key] = w.Value
 			}
 			delete(b.pending, rec.Txn)
 			sys.M.ShippedTxns.Inc()
@@ -364,7 +363,7 @@ func (sys *System) RestartPrimary(strategy RecoveryStrategy) RecoveryReport {
 				rep.Conflicts++
 				sys.lostWork = append(sys.lostWork, o)
 			} else {
-				sys.active.state.Put(o.key, o.val)
+				sys.active.state[o.key] = o.val
 				sys.active.touched[o.key] = true
 				rep.Replayed++
 			}
@@ -406,7 +405,7 @@ func (sys *System) Audit() int {
 	}
 	missing := 0
 	for key, c := range latest {
-		if v, ok := sys.active.state.Get(key); !ok || v != c.val {
+		if v, ok := sys.active.state[key]; !ok || v != c.val {
 			missing++
 		}
 	}

@@ -30,14 +30,15 @@ import (
 // timeout cases stay quick.
 const contractTimeout = 150 * time.Millisecond
 
-// world is one transport under test: a caller a and a callee b, and the
-// controls a case needs, each expressed in the world's own time.
+// world is one transport under test: a caller a and the callees b, c
+// and d, and the controls a case needs, each expressed in the world's own
+// time.
 type world struct {
-	a, b    transport.Node
-	crash   func(id string)
-	settle  func(d time.Duration)       // let the world run for d
-	waitFor func(cond func() bool) bool // run until cond holds; false if it never does
-	tr      *Transport                  // the caller's side, on the netx world
+	a, b, c, d transport.Node
+	crash      func(id string)
+	settle     func(d time.Duration)       // let the world run for d
+	waitFor    func(cond func() bool) bool // run until cond holds; false if it never does
+	tr         *Transport                  // the caller's side, on the netx world
 }
 
 var worlds = []struct {
@@ -49,6 +50,7 @@ var worlds = []struct {
 		tr := rpc.NewSimTransport(s, simnet.WithLatency(simnet.Fixed(time.Millisecond)))
 		return &world{
 			a: tr.Node("a", contractTimeout), b: tr.Node("b", contractTimeout),
+			c: tr.Node("c", contractTimeout), d: tr.Node("d", contractTimeout),
 			crash:  func(id string) { tr.SetUp(id, false) },
 			settle: func(d time.Duration) { s.RunFor(d) },
 			waitFor: func(cond func() bool) bool {
@@ -63,14 +65,17 @@ var worlds = []struct {
 	}},
 	{"live", func(t *testing.T) *world {
 		tr := core.NewLiveTransport()
-		crash := func(id string) { tr.SetUp(id, false) }
-		return liveWorld(tr.Node("a", contractTimeout), tr.Node("b", contractTimeout), crash, nil)
+		return liveWorld(&world{
+			a: tr.Node("a", contractTimeout), b: tr.Node("b", contractTimeout),
+			c: tr.Node("c", contractTimeout), d: tr.Node("d", contractTimeout),
+			crash: func(id string) { tr.SetUp(id, false) },
+		})
 	}},
 	{"netx", netxWorld},
 }
 
-// netxWorld puts a and b on two netx transports over loopback TCP; the
-// world's tr is a's.
+// netxWorld puts a on one netx transport and b, c and d on another, over
+// loopback TCP; the world's tr is a's.
 func netxWorld(t *testing.T) *world {
 	trA, err := New(Config{Listen: "127.0.0.1:0"})
 	if err != nil {
@@ -85,33 +90,36 @@ func netxWorld(t *testing.T) *world {
 		trA.Close()
 		trB.Close()
 	})
-	trA.AddPeer("b", trB.Addr())
-	trB.AddPeer("a", trA.Addr())
-	a, b := trA.Node("a", contractTimeout), trB.Node("b", contractTimeout)
-	crash := func(id string) {
-		if id == "a" {
-			trA.SetUp(id, false)
-		} else {
-			trB.SetUp(id, false)
-		}
+	for _, id := range []string{"b", "c", "d"} {
+		trA.AddPeer(id, trB.Addr())
 	}
-	return liveWorld(a, b, crash, trA)
+	trB.AddPeer("a", trA.Addr())
+	return liveWorld(&world{
+		a: trA.Node("a", contractTimeout), b: trB.Node("b", contractTimeout),
+		c: trB.Node("c", contractTimeout), d: trB.Node("d", contractTimeout),
+		crash: func(id string) {
+			if id == "a" {
+				trA.SetUp(id, false)
+			} else {
+				trB.SetUp(id, false)
+			}
+		},
+		tr: trA,
+	})
 }
 
-func liveWorld(a, b transport.Node, crash func(id string), tr *Transport) *world {
-	return &world{
-		a: a, b: b, tr: tr,
-		crash:  crash,
-		settle: time.Sleep,
-		waitFor: func(cond func() bool) bool {
-			for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
-				if time.Now().After(deadline) {
-					return false
-				}
+// liveWorld gives w the wall clock's settle and waitFor.
+func liveWorld(w *world) *world {
+	w.settle = time.Sleep
+	w.waitFor = func(cond func() bool) bool {
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				return false
 			}
-			return true
-		},
+		}
+		return true
 	}
+	return w
 }
 
 // pending counts the netx caller's calls still waiting for a response
@@ -195,15 +203,55 @@ func (h *held) reply(i int, resp any) {
 
 func echo(_ string, req any, reply func(any)) { reply(req) }
 
-// TestCallContract: one table of the call contract over SimTransport,
-// LiveTransport and a loopback netx pair.
+// fanIn counts one Broadcast's done: how often it fired, what it last saw,
+// and whether every response it was handed was one of want — read inside
+// done, the only time resps is valid.
+type fanIn struct {
+	mu      sync.Mutex
+	fired   int
+	n, oks  int
+	nilResp bool
+	same    bool
+}
+
+func (f *fanIn) done(want []byte) func(resps []any, oks int) {
+	return func(resps []any, oks int) {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		f.fired++
+		f.n, f.oks, f.nilResp, f.same = len(resps), oks, resps == nil, true
+		for _, r := range resps {
+			f.same = f.same && sameMsg(r, want)
+		}
+	}
+}
+
+func (f *fanIn) get() (fired, n, oks int, nilResp, same bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.fired, f.n, f.oks, f.nilResp, f.same
+}
+
+// panics reports whether fn panics.
+func panics(fn func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	fn()
+	return false
+}
+
+// TestCallContract: one table of the call contract over SimTransport
+// (whose nodes are rpc.Endpoints), LiveTransport and a loopback netx pair.
 func TestCallContract(t *testing.T) {
 	cases := []struct {
 		name string
 		run  func(t *testing.T, w *world)
 	}{
 		{"round trip fires done once", func(t *testing.T, w *world) {
-			w.b.Handle("echo", echo)
+			var from atomic.Value
+			w.b.Handle("echo", func(f string, req any, reply func(any)) {
+				from.Store(f)
+				reply(req)
+			})
 			req, enc := wireMsg(t, 1)
 			var o outcome
 			w.a.Call("b", "echo", req, o.done)
@@ -213,6 +261,56 @@ func TestCallContract(t *testing.T) {
 			w.settle(2 * contractTimeout) // the timer must not fire it again
 			if n, resp, ok := o.get(); n != 1 || !ok || !sameMsg(resp, enc) {
 				t.Fatalf("done fired %d times, last with ok=%v resp=%v", n, ok, resp)
+			}
+			if f := from.Load(); f != "a" {
+				t.Fatalf("the handler was told the call came from %v, want a", f)
+			}
+		}},
+		{"a fire-and-forget call is delivered and its reply goes nowhere", func(t *testing.T, w *world) {
+			var got atomic.Int32
+			w.b.Handle("note", func(_ string, req any, reply func(any)) {
+				got.Add(1)
+				reply(req) // a reply to a nil done must not crash anything
+			})
+			req, _ := wireMsg(t, 1)
+			w.a.Call("b", "note", req, nil)
+			if !w.waitFor(func() bool { return got.Load() > 0 }) {
+				t.Fatal("the notification was never delivered")
+			}
+			w.settle(2 * contractTimeout) // nor may its timer
+			if n := got.Load(); n != 1 {
+				t.Fatalf("the notification was delivered %d times", n)
+			}
+		}},
+		{"registering a handler twice panics", func(t *testing.T, w *world) {
+			w.b.Handle("m", echo)
+			if !panics(func() { w.b.Handle("m", echo) }) {
+				t.Fatal("a second Handle for one method did not panic")
+			}
+		}},
+		{"broadcast to three peers, one crashed, fires done once with two", func(t *testing.T, w *world) {
+			for _, n := range []transport.Node{w.b, w.c, w.d} {
+				n.Handle("echo", echo)
+			}
+			w.crash("c")
+			req, enc := wireMsg(t, 1)
+			var f fanIn
+			w.a.Broadcast([]string{"b", "c", "d"}, "echo", req, f.done(enc))
+			if !w.waitFor(func() bool { n, _, _, _, _ := f.get(); return n > 0 }) {
+				t.Fatal("done never fired")
+			}
+			w.settle(2 * contractTimeout)
+			if fired, n, oks, _, same := f.get(); fired != 1 || oks != 2 || n != 2 || !same {
+				t.Fatalf("done fired %d times, last with %d responses (oks=%d, all the request echoed: %v); want once with 2", fired, n, oks, same)
+			}
+		}},
+		{"broadcast to no peers fires done once with nothing", func(t *testing.T, w *world) {
+			req, enc := wireMsg(t, 1)
+			var f fanIn
+			w.a.Broadcast(nil, "echo", req, f.done(enc))
+			w.settle(contractTimeout)
+			if fired, n, oks, nilResp, _ := f.get(); fired != 1 || n != 0 || oks != 0 || !nilResp {
+				t.Fatalf("done fired %d times, last with %d responses (oks=%d, nil: %v); want once with nil, 0", fired, n, oks, nilResp)
 			}
 		}},
 		{"timeout on a crashed receiver", func(t *testing.T, w *world) {

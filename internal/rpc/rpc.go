@@ -1,11 +1,15 @@
-// Package rpc layers request/response calls with timeouts over the
-// simulated network.
+// Package rpc is the simulated world's one RPC layer: request/response
+// calls with timeouts over the simulated network, and SimTransport, which
+// runs an engine cluster on it.
 //
 // Every protocol in this repository — disk-process checkpoints, log
-// shipping, Dynamo quorum reads, two-phase commit — is written as RPCs
-// between simulated nodes. A call that receives no response within its
-// timeout fails, which is the only way a fail-fast world lets you observe
-// a crash (§2.2: a component "simply stops functioning").
+// shipping, Dynamo quorum reads, two-phase commit, and the engine itself
+// on SimTransport — talks through an Endpoint, and an Endpoint is a
+// transport.Node: one handler type, one call contract and one fan-out
+// (transport.Broadcast) for the paper's systems and the engine alike. A
+// call that receives no response within its timeout fails, which is the
+// only way a fail-fast world lets you observe a crash (§2.2: a component
+// "simply stops functioning").
 package rpc
 
 import (
@@ -14,7 +18,10 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/simnet"
+	"repro/internal/transport"
 )
+
+var _ transport.Node = (*Endpoint)(nil)
 
 // callMsg and respMsg are the wire envelopes.
 type callMsg struct {
@@ -28,18 +35,13 @@ type respMsg struct {
 	Resp any
 }
 
-// Handler serves one method. reply sends the response; it may be invoked
-// immediately or later (e.g. after a checkpoint round trip completes).
-// Invoking reply more than once panics.
-type Handler func(from simnet.NodeID, req any, reply func(resp any))
-
 // Endpoint is a node that can issue and serve RPCs. Construct with
 // NewEndpoint, which registers the node on the network.
 type Endpoint struct {
 	net      *simnet.Network
-	id       simnet.NodeID
+	id       string
 	timeout  time.Duration
-	handlers map[string]Handler
+	handlers map[string]transport.Handler
 	pending  map[uint64]*call
 	nextID   uint64
 }
@@ -51,12 +53,12 @@ type call struct {
 
 // NewEndpoint registers id on the network and returns its endpoint.
 // timeout bounds every outbound call.
-func NewEndpoint(net *simnet.Network, id simnet.NodeID, timeout time.Duration) *Endpoint {
+func NewEndpoint(net *simnet.Network, id string, timeout time.Duration) *Endpoint {
 	e := &Endpoint{
 		net:      net,
 		id:       id,
 		timeout:  timeout,
-		handlers: make(map[string]Handler),
+		handlers: make(map[string]transport.Handler),
 		pending:  make(map[uint64]*call),
 	}
 	net.AddNode(id, e.dispatch)
@@ -64,11 +66,13 @@ func NewEndpoint(net *simnet.Network, id simnet.NodeID, timeout time.Duration) *
 }
 
 // ID returns the endpoint's node ID.
-func (e *Endpoint) ID() simnet.NodeID { return e.id }
+func (e *Endpoint) ID() string { return e.id }
 
-// Handle registers the handler for method. Registering a method twice
-// panics: two state machines fighting over a method name is a bug.
-func (e *Endpoint) Handle(method string, h Handler) {
+// Handle registers the handler for method. reply may be invoked
+// immediately or later (e.g. after a checkpoint round trip completes);
+// invoking it twice panics. Registering a method twice panics: two state
+// machines fighting over a method name is a bug.
+func (e *Endpoint) Handle(method string, h transport.Handler) {
 	if _, dup := e.handlers[method]; dup {
 		panic(fmt.Sprintf("rpc: duplicate handler for %q on %q", method, e.id))
 	}
@@ -79,7 +83,7 @@ func (e *Endpoint) Handle(method string, h Handler) {
 // response and ok=true, or with nil and ok=false if the deadline passes
 // (crashed node, partition, lost message). done may be nil for
 // fire-and-forget notifications.
-func (e *Endpoint) Call(to simnet.NodeID, method string, req any, done func(resp any, ok bool)) {
+func (e *Endpoint) Call(to string, method string, req any, done func(resp any, ok bool)) {
 	e.nextID++
 	id := e.nextID
 	if done != nil {
@@ -91,6 +95,14 @@ func (e *Endpoint) Call(to simnet.NodeID, method string, req any, done func(resp
 		e.pending[id] = c
 	}
 	e.net.Send(e.id, to, callMsg{ID: id, Method: method, Req: req})
+}
+
+// Broadcast calls method on every node in to through the shared
+// transport.Broadcast: done fires once, after every call has resolved,
+// with the responses that arrived in time, in arrival order. resps is
+// valid only for the duration of done.
+func (e *Endpoint) Broadcast(to []string, method string, req any, done func(resps []any, oks int)) {
+	transport.Broadcast(e, to, method, req, done)
 }
 
 // Crashed reports whether this endpoint's node is currently down.
@@ -119,32 +131,5 @@ func (e *Endpoint) dispatch(m simnet.Message) {
 		delete(e.pending, msg.ID)
 		c.timer.Stop()
 		c.done(msg.Resp, true)
-	}
-}
-
-// Broadcast calls method on every node in to, invoking done once with the
-// responses that arrived in time (ok=false responses are dropped) after
-// all calls resolve. Responses are in arrival order, which differs from
-// the order of to whenever link latencies differ (Jitter).
-func (e *Endpoint) Broadcast(to []simnet.NodeID, method string, req any, done func(resps []any, oks int)) {
-	n := len(to)
-	if n == 0 {
-		done(nil, 0)
-		return
-	}
-	resps := make([]any, 0, n)
-	remaining := n
-	oks := 0
-	for _, node := range to {
-		e.Call(node, method, req, func(resp any, ok bool) {
-			if ok {
-				resps = append(resps, resp)
-				oks++
-			}
-			remaining--
-			if remaining == 0 {
-				done(resps, oks)
-			}
-		})
 	}
 }

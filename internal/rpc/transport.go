@@ -41,9 +41,10 @@ func (t *SimTransport) Net() *simnet.Network { return t.net }
 // Now returns the current virtual time.
 func (t *SimTransport) Now() time.Duration { return t.s.Now() }
 
-// Node registers a node on the simulated network.
+// Node registers a node on the simulated network. The node is the
+// *Endpoint itself, the one the paper's systems use.
 func (t *SimTransport) Node(id string, callTimeout time.Duration) transport.Node {
-	return &simNode{ep: NewEndpoint(t.net, simnet.NodeID(id), callTimeout)}
+	return NewEndpoint(t.net, id, callTimeout)
 }
 
 // Every schedules fn on the simulator's virtual clock.
@@ -77,51 +78,17 @@ func (t *SimTransport) Await(ctx context.Context, ready <-chan struct{}) error {
 }
 
 // SetUp marks a node alive or crashed.
-func (t *SimTransport) SetUp(id string, up bool) { t.net.SetUp(simnet.NodeID(id), up) }
+func (t *SimTransport) SetUp(id string, up bool) { t.net.SetUp(id, up) }
 
 // IsUp reports whether the node is alive.
-func (t *SimTransport) IsUp(id string) bool { return t.net.IsUp(simnet.NodeID(id)) }
+func (t *SimTransport) IsUp(id string) bool { return t.net.IsUp(id) }
 
 // Reachable reports whether a and b are in the same partition group.
-func (t *SimTransport) Reachable(a, b string) bool {
-	return t.net.Reachable(simnet.NodeID(a), simnet.NodeID(b))
-}
+func (t *SimTransport) Reachable(a, b string) bool { return t.net.Reachable(a, b) }
 
 // Partition splits the network into the given groups; nodes in different
 // groups cannot exchange messages.
-func (t *SimTransport) Partition(groups ...[]string) {
-	conv := make([][]simnet.NodeID, len(groups))
-	for i, g := range groups {
-		ids := make([]simnet.NodeID, len(g))
-		for j, id := range g {
-			ids[j] = simnet.NodeID(id)
-		}
-		conv[i] = ids
-	}
-	t.net.Partition(conv...)
-}
+func (t *SimTransport) Partition(groups ...[]string) { t.net.Partition(groups...) }
 
 // Heal removes any partition.
 func (t *SimTransport) Heal() { t.net.Heal() }
-
-// simNode adapts an Endpoint to the transport.Node interface.
-type simNode struct {
-	ep *Endpoint
-}
-
-func (n *simNode) ID() string    { return string(n.ep.ID()) }
-func (n *simNode) Crashed() bool { return n.ep.Crashed() }
-
-func (n *simNode) Handle(method string, h transport.Handler) {
-	n.ep.Handle(method, func(from simnet.NodeID, req any, reply func(any)) {
-		h(string(from), req, reply)
-	})
-}
-
-func (n *simNode) Call(to string, method string, req any, done func(resp any, ok bool)) {
-	n.ep.Call(simnet.NodeID(to), method, req, done)
-}
-
-func (n *simNode) Broadcast(to []string, method string, req any, done func(resps []any, oks int)) {
-	transport.Broadcast(n, to, method, req, done)
-}

@@ -17,12 +17,9 @@ import (
 	"repro/internal/sim"
 )
 
-// NodeID names a simulated node.
-type NodeID string
-
 // Message is a payload in flight between two nodes.
 type Message struct {
-	From, To NodeID
+	From, To string
 	Payload  any
 }
 
@@ -71,7 +68,7 @@ type node struct {
 // Network is a simulated message fabric. Construct with New.
 type Network struct {
 	s        *sim.Sim
-	nodes    map[NodeID]*node
+	nodes    map[string]*node
 	latency  Latency
 	lossProb float64
 	counters Counters
@@ -90,7 +87,7 @@ func WithLoss(p float64) Option { return func(n *Network) { n.lossProb = p } }
 func New(s *sim.Sim, opts ...Option) *Network {
 	n := &Network{
 		s:       s,
-		nodes:   make(map[NodeID]*node),
+		nodes:   make(map[string]*node),
 		latency: Fixed(time.Millisecond),
 	}
 	for _, o := range opts {
@@ -105,7 +102,7 @@ func (n *Network) Sim() *sim.Sim { return n.s }
 // AddNode registers a node and its message handler. Nodes start up (alive)
 // and unpartitioned. Re-adding an existing node panics: silently replacing
 // a live handler is always a test bug.
-func (n *Network) AddNode(id NodeID, h Handler) {
+func (n *Network) AddNode(id string, h Handler) {
 	if _, ok := n.nodes[id]; ok {
 		panic(fmt.Sprintf("simnet: node %q already registered", id))
 	}
@@ -115,16 +112,16 @@ func (n *Network) AddNode(id NodeID, h Handler) {
 // SetUp marks a node alive or crashed. Messages are not delivered to
 // crashed nodes; a message in flight when its receiver crashes is lost,
 // matching fail-fast semantics.
-func (n *Network) SetUp(id NodeID, up bool) { n.mustNode(id).up = up }
+func (n *Network) SetUp(id string, up bool) { n.mustNode(id).up = up }
 
 // IsUp reports whether the node is alive.
-func (n *Network) IsUp(id NodeID) bool { return n.mustNode(id).up }
+func (n *Network) IsUp(id string) bool { return n.mustNode(id).up }
 
 // Partition splits the network into the given groups. Nodes in different
 // groups cannot exchange messages; nodes not named in any group land in an
 // implicit extra group together. Calling Partition replaces any previous
 // partition.
-func (n *Network) Partition(groups ...[]NodeID) {
+func (n *Network) Partition(groups ...[]string) {
 	for _, nd := range n.nodes {
 		nd.group = 0 // implicit group for unnamed nodes
 	}
@@ -145,7 +142,7 @@ func (n *Network) Heal() {
 // Reachable reports whether a message from a to b would currently be
 // routed (both registered, not partitioned apart; says nothing about b
 // being up at delivery time).
-func (n *Network) Reachable(a, b NodeID) bool {
+func (n *Network) Reachable(a, b string) bool {
 	na, nb := n.mustNode(a), n.mustNode(b)
 	return na.group == nb.group
 }
@@ -154,7 +151,7 @@ func (n *Network) Reachable(a, b NodeID) bool {
 // partitions, and crash state. Sending from a crashed node is
 // a silent no-op (a stopped process sends nothing). Delivery happens on
 // the simulator event loop.
-func (n *Network) Send(from, to NodeID, payload any) {
+func (n *Network) Send(from, to string, payload any) {
 	src := n.mustNode(from)
 	dst := n.mustNode(to)
 	if !src.up {
@@ -182,7 +179,7 @@ func (n *Network) Send(from, to NodeID, payload any) {
 // Counters returns a snapshot of network-wide message statistics.
 func (n *Network) Counters() Counters { return n.counters }
 
-func (n *Network) mustNode(id NodeID) *node {
+func (n *Network) mustNode(id string) *node {
 	nd, ok := n.nodes[id]
 	if !ok {
 		panic(fmt.Sprintf("simnet: unknown node %q", id))

@@ -84,7 +84,7 @@ func TestRestartResumesDelivery(t *testing.T) {
 
 func TestPartitionBlocksAndHealRestores(t *testing.T) {
 	s, n, inbox := pair(t)
-	n.Partition([]NodeID{"a"}, []NodeID{"b"})
+	n.Partition([]string{"a"}, []string{"b"})
 	if n.Reachable("a", "b") {
 		t.Fatal("partitioned nodes report reachable")
 	}
@@ -114,7 +114,7 @@ func TestPartitionUnnamedNodesShareImplicitGroup(t *testing.T) {
 	n.AddNode("a", func(m Message) {})
 	n.AddNode("b", func(m Message) { got = append(got, m) })
 	n.AddNode("c", func(m Message) {})
-	n.Partition([]NodeID{"c"}) // a and b unnamed: stay together
+	n.Partition([]string{"c"}) // a and b unnamed: stay together
 	n.Send("a", "b", 1)
 	s.Run()
 	if len(got) != 1 {

@@ -3,9 +3,7 @@ package tandem
 import (
 	"time"
 
-	"repro/internal/btree"
 	"repro/internal/rpc"
-	"repro/internal/simnet"
 	"repro/internal/uniq"
 	"repro/internal/wal"
 )
@@ -99,7 +97,7 @@ type dpNode struct {
 	ep   *rpc.Endpoint
 	role role
 
-	state      *btree.Tree             // committed data
+	state      map[string]string       // committed data
 	pending    map[uint64][]wal.Record // per-txn staged writes
 	seenReq    map[uniq.ID]bool        // write idempotence, checkpointed under DP1
 	applied    map[uint64]bool         // committed txns already applied
@@ -127,7 +125,7 @@ func newDPNode(sys *System, pair *dpPair, side string) *dpNode {
 // reset clears volatile state, as a restart does.
 func (n *dpNode) reset() {
 	n.role = roleBackup
-	n.state = btree.New()
+	n.state = make(map[string]string)
 	n.pending = make(map[uint64][]wal.Record)
 	n.seenReq = make(map[uniq.ID]bool)
 	n.applied = make(map[uint64]bool)
@@ -179,7 +177,7 @@ func (n *dpNode) promote() {
 				continue
 			}
 			for _, rec := range rt.Records {
-				n.state.Put(rec.Key, rec.Value)
+				n.state[rec.Key] = rec.Value
 			}
 			n.applied[rt.Txn] = true
 			delete(n.pending, rt.Txn)
@@ -187,7 +185,7 @@ func (n *dpNode) promote() {
 	})
 }
 
-func (n *dpNode) handleWrite(from simnet.NodeID, req any, reply func(any)) {
+func (n *dpNode) handleWrite(from string, req any, reply func(any)) {
 	r := req.(writeReq)
 	if n.role != rolePrimary {
 		reply(writeAck{NotPrimary: true})
@@ -229,19 +227,19 @@ func (n *dpNode) handleWrite(from simnet.NodeID, req any, reply func(any)) {
 // peerDown reports whether this node's pair partner is crashed.
 func (n *dpNode) peerDown() bool { return n.peer().ep.Crashed() }
 
-func (n *dpNode) handleRead(from simnet.NodeID, req any, reply func(any)) {
+func (n *dpNode) handleRead(from string, req any, reply func(any)) {
 	r := req.(readReq)
 	if n.role != rolePrimary {
 		reply(readResp{})
 		return
 	}
-	v, ok := n.state.Get(r.Key)
+	v, ok := n.state[r.Key]
 	reply(readResp{Value: v, OK: ok})
 }
 
 // handleFlush makes the transaction's log durable; the commit point
 // cannot pass until every dirtied DP acks its flush.
-func (n *dpNode) handleFlush(from simnet.NodeID, req any, reply func(any)) {
+func (n *dpNode) handleFlush(from string, req any, reply func(any)) {
 	r := req.(flushReq)
 	if n.role != rolePrimary {
 		reply(flushAck{})
@@ -286,7 +284,7 @@ func (n *dpNode) flushLog(done func(ok bool)) {
 
 // handleApply applies a committed transaction's staged writes to the
 // primary's state and tells the backup to do the same.
-func (n *dpNode) handleApply(from simnet.NodeID, req any, reply func(any)) {
+func (n *dpNode) handleApply(from string, req any, reply func(any)) {
 	r := req.(applyReq)
 	if n.role != rolePrimary {
 		reply(genericAck{})
@@ -305,13 +303,13 @@ func (n *dpNode) applyTxn(txn uint64) {
 		return
 	}
 	for _, rec := range n.pending[txn] {
-		n.state.Put(rec.Key, rec.Value)
+		n.state[rec.Key] = rec.Value
 	}
 	n.applied[txn] = true
 	delete(n.pending, txn)
 }
 
-func (n *dpNode) handleAbort(from simnet.NodeID, req any, reply func(any)) {
+func (n *dpNode) handleAbort(from string, req any, reply func(any)) {
 	r := req.(abortReq)
 	delete(n.pending, r.Txn)
 	if n.role == rolePrimary {
@@ -320,7 +318,7 @@ func (n *dpNode) handleAbort(from simnet.NodeID, req any, reply func(any)) {
 	reply(genericAck{OK: true})
 }
 
-func (n *dpNode) handleCkptWrite(from simnet.NodeID, req any, reply func(any)) {
+func (n *dpNode) handleCkptWrite(from string, req any, reply func(any)) {
 	r := req.(ckptWrite)
 	if !n.seenReq[r.ReqID] {
 		n.seenReq[r.ReqID] = true
@@ -330,7 +328,7 @@ func (n *dpNode) handleCkptWrite(from simnet.NodeID, req any, reply func(any)) {
 	reply(genericAck{OK: true})
 }
 
-func (n *dpNode) handleCkptBatch(from simnet.NodeID, req any, reply func(any)) {
+func (n *dpNode) handleCkptBatch(from string, req any, reply func(any)) {
 	r := req.(ckptBatch)
 	for _, rec := range r.Records {
 		n.pending[rec.Txn] = append(n.pending[rec.Txn], rec)
@@ -338,7 +336,7 @@ func (n *dpNode) handleCkptBatch(from simnet.NodeID, req any, reply func(any)) {
 	reply(genericAck{OK: true})
 }
 
-func (n *dpNode) handleCkptCommit(from simnet.NodeID, req any, reply func(any)) {
+func (n *dpNode) handleCkptCommit(from string, req any, reply func(any)) {
 	r := req.(ckptCommit)
 	// Apply only if this node actually holds the transaction's staged
 	// writes. A backup that was down when the write checkpoints flowed
@@ -351,7 +349,7 @@ func (n *dpNode) handleCkptCommit(from simnet.NodeID, req any, reply func(any)) 
 	reply(genericAck{OK: true})
 }
 
-func (n *dpNode) handleCkptAbort(from simnet.NodeID, req any, reply func(any)) {
+func (n *dpNode) handleCkptAbort(from string, req any, reply func(any)) {
 	r := req.(ckptAbort)
 	delete(n.pending, r.Txn)
 	reply(genericAck{OK: true})
@@ -389,7 +387,7 @@ func (a *adpNode) diskDelay() time.Duration {
 	return a.busyUntil - now
 }
 
-func (a *adpNode) handleAppend(from simnet.NodeID, req any, reply func(any)) {
+func (a *adpNode) handleAppend(from string, req any, reply func(any)) {
 	r := req.(adpAppend)
 	a.sys.M.AdpAppends.Inc()
 	for _, rec := range r.Records {
@@ -398,7 +396,7 @@ func (a *adpNode) handleAppend(from simnet.NodeID, req any, reply func(any)) {
 	a.sys.s.After(a.diskDelay(), func() { reply(genericAck{OK: true}) })
 }
 
-func (a *adpNode) handleCommit(from simnet.NodeID, req any, reply func(any)) {
+func (a *adpNode) handleCommit(from string, req any, reply func(any)) {
 	r := req.(adpCommit)
 	a.sys.s.After(a.diskDelay(), func() {
 		if !a.committed[r.Txn] {
@@ -409,7 +407,7 @@ func (a *adpNode) handleCommit(from simnet.NodeID, req any, reply func(any)) {
 	})
 }
 
-func (a *adpNode) handleRedo(from simnet.NodeID, req any, reply func(any)) {
+func (a *adpNode) handleRedo(from string, req any, reply func(any)) {
 	r := req.(adpRedoReq)
 	var out []redoTxn
 	for _, txn := range a.commitOrder {

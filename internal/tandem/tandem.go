@@ -30,6 +30,7 @@ package tandem
 import (
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"time"
 
 	"repro/internal/rpc"
@@ -265,7 +266,7 @@ func (t *Txn) Commit(done func(committed bool)) {
 	}
 	start := t.sys.s.Now()
 	dirty := t.dirtyPairs()
-	primaries := make([]simnet.NodeID, len(dirty))
+	primaries := make([]string, len(dirty))
 	for i, p := range dirty {
 		primaries[i] = t.sys.pairs[p].primary.ep.ID()
 	}
@@ -356,7 +357,7 @@ func (sys *System) RestartBackup(i int) {
 	}
 	sys.net.SetUp(down.ep.ID(), true)
 	down.reset()
-	down.state = pair.primary.state.Clone()
+	down.state = maps.Clone(pair.primary.state)
 	for id := range pair.primary.applied {
 		down.applied[id] = true
 	}
@@ -391,6 +392,6 @@ func (sys *System) onFailover(pairIdx int) {
 	}
 }
 
-func dpNodeID(pair int, side string) simnet.NodeID {
-	return simnet.NodeID(fmt.Sprintf("dp%d%s", pair, side))
+func dpNodeID(pair int, side string) string {
+	return fmt.Sprintf("dp%d%s", pair, side)
 }

@@ -2,10 +2,11 @@
 // world that carries its messages and its clock. It names what a world
 // must offer — addressable nodes with timed calls, a clock, a schedule,
 // a way to wait — and nothing else, so it imports only the standard
-// library. Each world's adapter lives beside the world it adapts:
+// library. Each world's transport lives beside the world it carries:
 // core.LiveTransport (goroutines and wall-clock time), netx.Transport
 // (TCP between processes) and rpc.SimTransport (the deterministic
-// discrete-event simulator).
+// discrete-event simulator), whose nodes are the rpc.Endpoints the
+// paper's systems use, with no adapter between them and this Node.
 package transport
 
 import (

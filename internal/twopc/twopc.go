@@ -89,13 +89,13 @@ func New(s *sim.Sim, cfg Config) *Group {
 	g.coord = rpc.NewEndpoint(g.net, "coord", cfg.CallTimeout)
 	for i := 0; i < cfg.Participants; i++ {
 		p := &participant{prepared: make(map[uint64]bool), decided: make(map[uint64]bool)}
-		p.ep = rpc.NewEndpoint(g.net, simnet.NodeID(fmt.Sprintf("p%d", i)), cfg.CallTimeout)
-		p.ep.Handle("prepare", func(_ simnet.NodeID, req any, reply func(any)) {
+		p.ep = rpc.NewEndpoint(g.net, fmt.Sprintf("p%d", i), cfg.CallTimeout)
+		p.ep.Handle("prepare", func(_ string, req any, reply func(any)) {
 			r := req.(prepareReq)
 			p.prepared[r.Txn] = true
 			reply(voteResp{Yes: true})
 		})
-		p.ep.Handle("decide", func(_ simnet.NodeID, req any, reply func(any)) {
+		p.ep.Handle("decide", func(_ string, req any, reply func(any)) {
 			r := req.(decideReq)
 			p.decided[r.Txn] = r.Commit
 			reply(decideAck{})
@@ -109,8 +109,8 @@ func New(s *sim.Sim, cfg Config) *Group {
 func (g *Group) Net() *simnet.Network { return g.net }
 
 // ParticipantIDs lists the participant node IDs (for fault injectors).
-func (g *Group) ParticipantIDs() []simnet.NodeID {
-	out := make([]simnet.NodeID, len(g.parts))
+func (g *Group) ParticipantIDs() []string {
+	out := make([]string, len(g.parts))
 	for i, p := range g.parts {
 		out[i] = p.ep.ID()
 	}

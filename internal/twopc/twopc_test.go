@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/sim"
-	"repro/internal/simnet"
 )
 
 func TestCommitWithAllAlive(t *testing.T) {
@@ -48,7 +47,7 @@ func TestOneDeadParticipantAbortsEverything(t *testing.T) {
 func TestPartitionAbortsCommits(t *testing.T) {
 	s := sim.New(1)
 	g := New(s, Config{Participants: 3})
-	g.Net().Partition([]simnet.NodeID{"coord", "p0"}, []simnet.NodeID{"p1", "p2"})
+	g.Net().Partition([]string{"coord", "p0"}, []string{"p1", "p2"})
 	var ok, fired bool
 	g.Commit(func(c bool) { fired, ok = true, c })
 	s.Run()

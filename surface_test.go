@@ -20,9 +20,10 @@ import (
 // TestPaperSubstrateStaysBehindTheWall pins two one-way import rules.
 // The live product — both daemons' commands, the load driver, the SDK,
 // the benchmark and the public package — reaches none of the packages
-// that reproduce the paper's older systems: those keep their own WAL,
-// ring and RPC world, and the experiments may import the product, never
-// the reverse. And the engine world — the daemon, the CLI, the SDK and
+// that reproduce the paper's older systems: those keep their own WAL
+// and ring (their RPC is the simulator's rpc.Endpoint, a transport.Node
+// like every engine node), and the experiments may import the product,
+// never the reverse. And the engine world — the daemon, the CLI, the SDK and
 // the benchmark, and the engine's own imports — links none of the
 // simulator (sim, simnet, and rpc, where SimTransport lives). The root
 // package, which re-exports the simulator for the examples, and the load
@@ -30,7 +31,7 @@ import (
 func TestPaperSubstrateStaysBehindTheWall(t *testing.T) {
 	product := []string{"./cmd/quicksandd", "./cmd/quicksand", "./cmd/quicksand-load", "./client", "./bench", "."}
 	forbid(t, "reachable from the live product", listed(t, "repro/internal/core", append([]string{"-deps"}, product...)...),
-		"tandem dynamo logship btree cart escrow wal resource seats vclock merkle failure twopc bank experiment")
+		"tandem dynamo logship cart escrow wal resource seats vclock merkle failure twopc bank experiment")
 	engine := []string{"./cmd/quicksandd", "./cmd/quicksand", "./client", "./bench"}
 	forbid(t, "reachable from the engine world", listed(t, "repro/internal/core", append([]string{"-deps"}, engine...)...),
 		"sim simnet rpc")
