@@ -37,6 +37,11 @@ func TestDelayedReply(t *testing.T) {
 	if got != "late" {
 		t.Fatalf("delayed reply = %q", got)
 	}
+	// 1 ms there, 10 ms in the handler, 1 ms back; the answered call's
+	// timer is gone, so nothing runs on to the 100 ms deadline.
+	if s.Now() != 12*time.Millisecond {
+		t.Fatalf("the call ended at %v, want 12ms", s.Now())
+	}
 }
 
 func TestUnknownMethodPanics(t *testing.T) {
@@ -51,12 +56,23 @@ func TestUnknownMethodPanics(t *testing.T) {
 }
 
 func TestCrashedReflectsNetworkState(t *testing.T) {
-	_, n, a, _ := setup(1)
+	s, n, a, b := setup(1)
 	if a.Crashed() {
 		t.Fatal("fresh endpoint reports crashed")
 	}
 	n.SetUp("a", false)
 	if !a.Crashed() {
 		t.Fatal("down endpoint reports alive")
+	}
+	// A call to the crashed node fails exactly at its deadline.
+	var failedAt time.Duration
+	b.Call("a", "echo", nil, func(_ any, ok bool) {
+		if !ok {
+			failedAt = s.Now()
+		}
+	})
+	s.Run()
+	if failedAt != 100*time.Millisecond {
+		t.Fatalf("the call to a crashed node failed at %v, want 100ms", failedAt)
 	}
 }
