@@ -22,7 +22,9 @@ type Op struct {
 	Arg int64 `json:"arg"`
 	// ID, when set by the caller, makes retries idempotent: an op whose
 	// ID a replica has already recorded is accepted without re-recording.
-	// The SDK assigns one automatically before the first attempt.
+	// When it is empty, the SDK assigns one before the first attempt: its
+	// session's next number, uniq.AppendID(session, n), the form a
+	// replica keeps as a run of numbers rather than a string of its own.
 	ID string `json:"id,omitempty"`
 	// Note is a free-form annotation carried with the op.
 	Note string `json:"note,omitempty"`

@@ -3,8 +3,8 @@ package client
 import (
 	"context"
 	"crypto/rand"
+	"encoding/base64"
 	"encoding/binary"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,7 +14,10 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
+
+	"repro/internal/uniq"
 )
 
 // Client talks to one quicksandd daemon. It is safe for concurrent use.
@@ -24,6 +27,11 @@ type Client struct {
 	hc      *http.Client
 	retries int
 	backoff time.Duration
+
+	// The op IDs the client mints are its session's consecutive numbers,
+	// uniq.AppendID(session, n), so a replica keeps them as runs.
+	session string
+	seq     atomic.Uint64 // the last number minted
 
 	// Parsed once in New. A base that does not parse leaves them nil and
 	// every call returns urlErr.
@@ -53,11 +61,19 @@ func WithHTTPClient(hc *http.Client) Option { return func(c *Client) { c.hc = hc
 // WithRetries sets how many times a failed request is retried (default
 // 3). Submits are safe to retry: the SDK assigns every op an ID before
 // the first attempt, so a retry that lands twice is deduplicated by the
-// replica.
+// replica. The wait before a retry doubles from 50 ms up to 10 s.
 func WithRetries(n int) Option { return func(c *Client) { c.retries = n } }
 
 // New builds a client for the daemon at base, e.g.
 // "http://127.0.0.1:8080". A bare host:port gets the http scheme.
+//
+// Each client is a session: New draws a random 64-bit session name, and
+// the client names the ops it is not given an ID for with the session's
+// consecutive numbers, uniq.AppendID(session, n) — 11 base64url
+// characters, a '-' and n — the form a replica keeps as a run of numbers
+// rather than an ID apiece. A restarted client is a new session. For k
+// sessions, the chance that two draw the same name is at most k²/2⁶⁵,
+// about 2.7·10⁻⁸ at a million.
 func New(base string, opts ...Option) *Client {
 	if !strings.Contains(base, "://") {
 		base = "http://" + base
@@ -67,6 +83,7 @@ func New(base string, opts ...Option) *Client {
 		hc:      &http.Client{Timeout: 10 * time.Second},
 		retries: 3,
 		backoff: 50 * time.Millisecond,
+		session: newSession(),
 	}
 	for _, o := range opts {
 		o(c)
@@ -88,15 +105,13 @@ func (c *Client) at(path, rawQuery string) *url.URL {
 	return &u
 }
 
-// newOpID mints a client-side idempotency key.
-func newOpID() string {
-	var b [12]byte
+// newSession draws a session name: 64 random bits in base64url.
+func newSession() string {
+	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {
 		panic("client: crypto/rand unavailable: " + err.Error())
 	}
-	id := [4 + 2*len(b)]byte{'c', 'l', 'i', '-'}
-	hex.Encode(id[4:], b[:])
-	return string(id[:])
+	return base64.RawURLEncoding.EncodeToString(b[:])
 }
 
 // APIError is a non-2xx response decoded from the daemon's error
@@ -190,14 +205,23 @@ func (c *Client) doJSON(ctx context.Context, method, path, rawQuery string, in, 
 	return nil
 }
 
-// retryDelay is the wait before retry attempt n: exponential backoff
-// with full-range jitter (uniform in [base/2, base], so a fleet of
-// clients bounced by the same degraded shard does not retry in
-// lockstep), floored by the server's Retry-After hint when the previous
-// response carried one — the daemon knows when its disk might heal
-// better than our backoff curve does.
+// maxBackoff caps the backoff, which doubles with each retry: however many
+// retries a caller allows, none waits longer than this unless the server
+// asks it to.
+const maxBackoff = 10 * time.Second
+
+// retryDelay is the wait before retry attempt n: exponential backoff,
+// capped at maxBackoff, with full-range jitter (uniform in [base/2,
+// base], so a fleet of clients bounced by the same degraded shard does
+// not retry in lockstep), floored by the server's Retry-After hint when
+// the previous response carried one — the daemon knows when its disk
+// might heal better than our backoff curve does.
 func (c *Client) retryDelay(attempt int, lastErr error) time.Duration {
-	base := c.backoff << (attempt - 1)
+	base := c.backoff
+	for n := 1; n < attempt && base < maxBackoff; n++ {
+		base <<= 1
+	}
+	base = min(base, maxBackoff)
 	wait := base/2 + jitter(base/2)
 	var ae *APIError
 	if asAPIError(lastErr, &ae) && ae.RetryAfter > wait {
@@ -319,11 +343,13 @@ func parseRetryAfter(v string) time.Duration {
 }
 
 // Submit offers one operation. A missing op ID is filled in before the
-// first attempt, so transport-level retries cannot double-apply the
-// business. Accepted=false with a Reason is a decline, not an error.
+// first attempt — the session's next number — so transport-level retries,
+// which resend the same body, cannot double-apply the business.
+// Accepted=false with a Reason is a decline, not an error.
 func (c *Client) Submit(ctx context.Context, op Op, sync bool) (Result, error) {
 	if op.ID == "" {
-		op.ID = newOpID()
+		var buf [32]byte
+		op.ID = string(uniq.AppendID(buf[:0], c.session, c.seq.Add(1)))
 	}
 	body := GetBuffer()
 	defer body.Free()
@@ -346,12 +372,22 @@ func decoded(err error) error {
 }
 
 // SubmitBatch offers many operations in one request; results come back
-// in op order. IDs are assigned client-side exactly as in Submit.
+// in op order. IDs are assigned client-side as in Submit, the ops without
+// one taking a block of consecutive numbers in op order.
 func (c *Client) SubmitBatch(ctx context.Context, ops []Op, sync bool) ([]Result, error) {
+	missing := 0
+	for i := range ops {
+		if ops[i].ID == "" {
+			missing++
+		}
+	}
+	seq := c.seq.Add(uint64(missing)) - uint64(missing)
 	withIDs := make([]Op, len(ops))
+	var buf [32]byte
 	for i, op := range ops {
 		if op.ID == "" {
-			op.ID = newOpID()
+			seq++
+			op.ID = string(uniq.AppendID(buf[:0], c.session, seq))
 		}
 		withIDs[i] = op
 	}

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,6 +17,8 @@ import (
 	"time"
 
 	"repro/internal/testenv"
+	"repro/internal/trace"
+	"repro/internal/uniq"
 )
 
 // TestSubmitRetriesAreIdempotent: the SDK assigns the op ID before the
@@ -134,25 +137,40 @@ func TestClientRetries429WithRetryAfter(t *testing.T) {
 }
 
 // TestRetryDelayJitters: backoff delays are spread over [base/2, base]
-// so a fleet bounced together does not retry together, and a server
+// so a fleet bounced together does not retry together, the base doubles
+// up to maxBackoff and stays there — a shift that overflowed once made
+// attempt 39 wait a negative time and attempt 65 none — and a server
 // Retry-After floors the wait.
 func TestRetryDelayJitters(t *testing.T) {
 	c := New("127.0.0.1:1")
-	base := c.backoff << 1 // attempt 2
-	distinct := map[time.Duration]bool{}
-	for i := 0; i < 50; i++ {
-		d := c.retryDelay(2, nil)
-		if d < base/2 || d > base {
-			t.Fatalf("retryDelay = %v, want within [%v, %v]", d, base/2, base)
+	for _, row := range []struct {
+		attempt int
+		base    time.Duration
+	}{
+		{1, c.backoff},
+		{2, c.backoff << 1},
+		{30, maxBackoff},
+		{39, maxBackoff},
+		{64, maxBackoff},
+		{1000, maxBackoff},
+	} {
+		distinct := map[time.Duration]bool{}
+		for i := 0; i < 50; i++ {
+			d := c.retryDelay(row.attempt, nil)
+			if d < row.base/2 || d > row.base {
+				t.Fatalf("retryDelay(%d) = %v, want within [%v, %v]", row.attempt, d, row.base/2, row.base)
+			}
+			distinct[d] = true
 		}
-		distinct[d] = true
-	}
-	if len(distinct) < 2 {
-		t.Fatal("50 samples produced one delay; jitter is not jittering")
+		if len(distinct) < 2 {
+			t.Fatalf("50 samples of attempt %d produced one delay; jitter is not jittering", row.attempt)
+		}
 	}
 	ae := &APIError{Status: 503, Code: "degraded", RetryAfter: 42 * time.Second}
-	if d := c.retryDelay(1, ae); d != 42*time.Second {
-		t.Fatalf("Retry-After floor ignored: %v", d)
+	for _, attempt := range []int{1, 64} {
+		if d := c.retryDelay(attempt, ae); d != 42*time.Second {
+			t.Fatalf("Retry-After floor ignored at attempt %d: %v", attempt, d)
+		}
 	}
 }
 
@@ -202,7 +220,8 @@ func (cannedRT) RoundTrip(req *http.Request) (*http.Response, error) {
 // TestSubmitAllocations pins the SDK's own cost of one Submit. With
 // encoding/json on both halves, http.NewRequest and io.ReadAll it was 29
 // against this RoundTripper; the codec, the pooled buffers and the
-// hand-built request leave 15, and the pin allows 17.
+// hand-built request left 15, and an op ID minted on the stack 14, which
+// the pin allows.
 func TestSubmitAllocations(t *testing.T) {
 	testenv.SkipUnderRace(t)
 	cl := New("http://stub", WithHTTPClient(&http.Client{Transport: cannedRT{}}))
@@ -214,8 +233,122 @@ func TestSubmitAllocations(t *testing.T) {
 		}
 	})
 	t.Logf("client.Submit: %.0f allocations", got)
-	if got > 17 {
-		t.Errorf("client.Submit allocates %.0f times, want at most 17", got)
+	if got > 14 {
+		t.Errorf("client.Submit allocates %.0f times, want at most 14", got)
+	}
+}
+
+// echoRT answers a submit or a batch with every op accepted under the ID
+// it was sent with, and records those IDs in arrival order.
+type echoRT struct {
+	mu  sync.Mutex
+	ids []string
+}
+
+func (e *echoRT) RoundTrip(req *http.Request) (*http.Response, error) {
+	body, err := io.ReadAll(req.Body)
+	req.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	var ops []Op
+	var reply []byte
+	if req.URL.Path == "/v1/batch" {
+		var b BatchRequest
+		err = ScanBatchRequest(body, &b)
+		ops = b.Ops
+		res := BatchResponse{Results: make([]Result, len(ops))}
+		for i, op := range ops {
+			res.Results[i] = Result{Accepted: true, ID: op.ID}
+		}
+		reply = AppendBatchResponse(nil, &res)
+	} else {
+		var r SubmitRequest
+		err = ScanSubmitRequest(body, &r)
+		ops = []Op{r.Op}
+		reply = AppendResult(nil, &Result{Accepted: true, ID: r.ID})
+	}
+	if err != nil {
+		return nil, err
+	}
+	e.mu.Lock()
+	for _, op := range ops {
+		e.ids = append(e.ids, op.ID)
+	}
+	e.mu.Unlock()
+	return &http.Response{StatusCode: http.StatusOK, Body: io.NopCloser(bytes.NewReader(reply)), Request: req}, nil
+}
+
+// TestSessionIDsUnderConcurrentCallers: 16 goroutines share one Client.
+// Every op ID it mints is its session's, in the form uniq.ParseID takes
+// apart, and the numbers are 1..8000, each once, whatever order the
+// callers took them in. A batch then takes the next numbers as one block,
+// in op order, leaving a caller's own ID alone.
+func TestSessionIDsUnderConcurrentCallers(t *testing.T) {
+	const callers, each = 16, 500
+	rt := &echoRT{}
+	c := New("http://stub", WithHTTPClient(&http.Client{Transport: rt}))
+	if len(c.session) != 11 {
+		t.Fatalf("session %q: want 11 base64url characters", c.session)
+	}
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range each {
+				res, err := c.Submit(ctx, Op{Kind: "deposit", Key: "k", Arg: 1}, false)
+				if err != nil || !res.Accepted {
+					t.Errorf("Submit = %+v, %v", res, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	seen := make([]bool, callers*each+1)
+	for _, id := range rt.ids {
+		node, seq, ok := uniq.ParseID(id)
+		if !ok || node != c.session || seq == 0 || seq > callers*each || seen[seq] {
+			t.Fatalf("ID %q: want the session %q's numbers 1..%d, each once", id, c.session, callers*each)
+		}
+		seen[seq] = true
+	}
+	if len(rt.ids) != callers*each {
+		t.Fatalf("%d IDs minted, want %d", len(rt.ids), callers*each)
+	}
+
+	rt.ids = nil
+	res, err := c.SubmitBatch(ctx, []Op{{Kind: "deposit"}, {Kind: "deposit", ID: "mine"}, {Kind: "deposit"}}, false)
+	want := []string{
+		string(uniq.AppendID(nil, c.session, callers*each+1)),
+		"mine",
+		string(uniq.AppendID(nil, c.session, callers*each+2)),
+	}
+	if err != nil || len(res) != len(want) || !slices.Equal(rt.ids, want) {
+		t.Fatalf("SubmitBatch sent %q (%v), want %q", rt.ids, err, want)
+	}
+}
+
+// TestSessionIDsSampleEvenly: the tracer samples an op when FNV-1a of its
+// ID is 0 modulo the rate. Session IDs differ only in their sequential
+// suffix, so the share sampled must still be near the rate: at 1 in 64,
+// between 1/72 and 1/56 of 100 000 of them.
+func TestSessionIDsSampleEvenly(t *testing.T) {
+	const n = 100000
+	c := New("http://stub")
+	tr := trace.New(trace.Options{SampleEvery: 64})
+	sampled := 0
+	var buf [32]byte
+	for seq := uint64(1); seq <= n; seq++ {
+		if tr.Sampled(string(uniq.AppendID(buf[:0], c.session, seq))) {
+			sampled++
+		}
+	}
+	t.Logf("session %q: 1 in %.1f sampled", c.session, float64(n)/float64(sampled))
+	if sampled < n/72 || sampled > n/56 {
+		t.Errorf("session %q: %d of %d IDs sampled at 1 in 64, want %d..%d", c.session, sampled, n, n/72, n/56)
 	}
 }
 

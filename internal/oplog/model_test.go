@@ -94,11 +94,14 @@ const runOp = 0xff
 
 // run draws rowChunk+1+mode%64 entries with fresh IDs, on the same few (Lam,
 // At) pairs as the rest, so that they interleave with what is there, in
-// canonical order or, with bit 0 of mode, shuffled. The IDs are minted
-// ones, node "run" numbered in canonical order, so in order they extend
-// one run at its tail; with bit 3 every fifth number is missing, leaving
-// holes, which with bit 4 arrive after the rest and refill them. With bit
-// 5 the IDs are spread over more nodes than the runs admit origins. Their
+// canonical order or, with bit 0 of mode, shuffled, or, with bit 6, with
+// each 16 in a row shuffled among themselves, as callers sharing an SDK
+// session deliver them. The IDs are minted ones, node "run" numbered in
+// canonical order, so in order they extend one run at its tail, and out
+// of order they open runs between others, which merge as their gaps
+// close; with bit 3 every fifth number is missing, leaving holes, which
+// with bit 4 arrive after the rest and refill them. With bit 5 the IDs
+// are spread over more nodes than the runs admit origins. Their
 // payloads repeat a few keys; with bit 2 every note is its own, so the
 // payload table stops admitting them, and every 97th note is longer than
 // its lookup buffer.
@@ -131,9 +134,17 @@ func run(mode int) []Entry {
 		}
 		run = append(run, e)
 	}
-	if mode&1 != 0 {
-		rand.New(rand.NewSource(int64(mode))).Shuffle(len(run), func(i, j int) { run[i], run[j] = run[j], run[i] })
-	} else {
+	r := rand.New(rand.NewSource(int64(mode)))
+	switch {
+	case mode&1 != 0:
+		r.Shuffle(len(run), func(i, j int) { run[i], run[j] = run[j], run[i] })
+	case mode&64 != 0:
+		slices.SortFunc(run, byMark)
+		for w := 0; w < len(run); w += 16 {
+			win := run[w:min(w+16, len(run))]
+			r.Shuffle(len(win), func(i, j int) { win[i], win[j] = win[j], win[i] })
+		}
+	default:
 		slices.SortFunc(run, byMark)
 	}
 	if mode&16 != 0 {
@@ -321,7 +332,7 @@ func runModel(t *testing.T, b []byte) {
 				t.Fatalf("step %d: Mint(%s, %d) = %s, %v with the ID present: %v; want %s", step, mt.node, mt.seq, brief([]Entry{got}), added, dup, brief([]Entry{e}))
 			}
 			m.admit(e)
-		case runOp: // a run across a row chunk's end, one by one or, with bit 1 of mode, in one batch; once, as once is enough
+		case runOp: // a run across a row chunk's end, one by one or, with bit 1 of mode, in one batch; only while the set is under a chunk, which one run without holes fills
 			mode := sc.next()
 			if len(m.want) >= rowChunk {
 				break
@@ -334,9 +345,9 @@ func runModel(t *testing.T, b []byte) {
 				}
 				break
 			}
-			for _, e := range entries {
-				if !s.Add(e) {
-					t.Fatalf("step %d: Add(%q) of a fresh ID in a run reported a duplicate", step, e.ID)
+			for _, e := range entries { // a second run repeats the first's IDs, or fills its holes
+				if dup := m.has(e.ID); s.Add(e) == dup {
+					t.Fatalf("step %d: Add(%q) in a run = %v with the ID present: %v", step, e.ID, !dup, dup)
 				}
 			}
 			m.admit(entries...)
@@ -347,9 +358,10 @@ func runModel(t *testing.T, b []byte) {
 
 // check compares every read of s with the reference after a step: Len,
 // At, MaxLam and Contains — of modelIDs, and of runs' IDs at their ends
-// and around their first hole.
+// and around their first hole — and holds s's runs to their invariants.
 func (m *model) check(t *testing.T, step int, s *Set) {
 	t.Helper()
+	checkRuns(t, step, &s.runs)
 	want := m.want
 	if s.Len() != len(want) {
 		t.Fatalf("step %d: Len() = %d, want %d", step, s.Len(), len(want))
@@ -370,6 +382,25 @@ func (m *model) check(t *testing.T, step int, s *Set) {
 		if in := m.has(id); s.Contains(id) != in {
 			t.Fatalf("step %d: Contains(%q) = %v", step, id, !in)
 		}
+	}
+}
+
+// checkRuns fails t unless each origin's runs are sorted, disjoint and
+// never adjacent — two runs one number apart would be one — and the runs
+// counted are the runs held.
+func checkRuns(t *testing.T, step int, r *runs) {
+	t.Helper()
+	total := 0
+	for node, sp := range r.byNode {
+		for i, x := range sp {
+			if x.lo > x.hi || i > 0 && (x.lo <= sp[i-1].hi || x.lo-sp[i-1].hi == 1) {
+				t.Fatalf("step %d: node %q's runs %d and %d, %v and %v, are not sorted, disjoint and apart", step, node, i-1, i, sp[max(i-1, 0)], x)
+			}
+		}
+		total += len(sp)
+	}
+	if total != r.n {
+		t.Fatalf("step %d: the runs count %d runs, and hold %d", step, r.n, total)
 	}
 }
 
@@ -407,6 +438,18 @@ var modelSeeds = []string{
 	"\xff\x22\x04\x01\x00\x00\x00\x00\x00\x00\x01\x05\x40\x06\x00\x00\x00\x05",
 	// The same shuffled, one by one; an Add that looks minted; a rebuild.
 	"\xff\x21\x00\x25\x00\x00\x07\x03",
+	// Node r0's numbers 13 and, on a copy carried on with, 11 — two runs
+	// with a gap — then 12, which closes it; a copy; a suffix.
+	"\x04\x07\x00\x00\x00\x00\x00\x00\x00\x04\x07\x00\x00\x00\x00\x00\x00\x01\x08\x07\x00\x00\x00\x04\x07\x00\x00\x00\x00\x00\x00\x00\x06\x00\x00\x00\x00",
+	// Mints descending — each opens a run before the others, inside the
+	// window — then numbers beside two of them, on an original and a copy.
+	"\x08\x05\x00\x00\x00\x08\x06\x00\x00\x00\x08\x07\x00\x00\x00\x08\x08\x00\x00\x00\x04\x08\x00\x00\x00\x00\x00\x00\x00\x04\x07\x00\x00\x00\x00\x00\x00\x01",
+	// A run one by one in windows of 16, each shuffled, as 16 callers of one
+	// SDK session deliver it: runs open mid-window and merge; a suffix.
+	"\xff\x40\x06\x00\x00\x00\x00",
+	// The same in one batch with every fifth number held back until the
+	// rest are in; a copy; a rebuild.
+	"\xff\x5a\x04\x00\x00\x00\x00\x00\x00\x00\x00\x07\x01",
 }
 
 func FuzzSetMatchesModel(f *testing.F) {

@@ -586,8 +586,15 @@ func heapPerEntry(t *testing.T, n int, kept bool, mk func(i int) Entry) (bytes, 
 //   - every node every third number, which never makes a run: the runs
 //     stop admitting at one per 32 rows, and the rest take a five-byte
 //     slot of the ID table at 7/16 to 7/8 load, so 52 B;
-//   - the SDK's IDs, "cli-" and 24 hex digits, which are not minted: the
-//     ID table and the longer ID, so 70 B.
+//   - SDK sessions' IDs, an 11-character session name and its numbers,
+//     nine bytes longer than a replica's: two sessions in order, or one
+//     session whose 16 callers overtake one another inside every 16
+//     numbers, are a run each, so 53 B;
+//   - 5 000 short sessions of 20 ops, as CLI invocations leave them: only
+//     the first origins get runs (16 + rows/256 are admitted), and the rest
+//     take the ID table, so 60 B;
+//   - random IDs, "cli-" and 24 hex digits, which are not minted: the ID
+//     table and the longer ID, so 70 B.
 //
 // A string header per entry anywhere fits none of these. The last case is
 // the daemon's shape with payloads that never repeat — every entry's
@@ -597,6 +604,14 @@ func heapPerEntry(t *testing.T, n int, kept bool, mk func(i int) Entry) (bytes, 
 // it holds under 2 B an entry.
 func TestSetBytesPerEntry(t *testing.T) {
 	const n = 100000
+	session := func(k int) string { return fmt.Sprintf("%011x", uint64(k+1)*0x9e3779b97f4a7c15>>20) }
+	overtaken := make([]int, n) // 0..n-1, each window of 16 in a seeded random order
+	r := rand.New(rand.NewSource(16))
+	for w := 0; w < n; w += 16 {
+		for j, p := range r.Perm(min(16, n-w)) {
+			overtaken[w+j] = w + p
+		}
+	}
 	for _, c := range []struct {
 		name   string
 		budget float64
@@ -604,7 +619,10 @@ func TestSetBytesPerEntry(t *testing.T) {
 	}{
 		{"consecutive numbers per node", 45, func(i int) string { return fmt.Sprintf("r%d-%06d", i%3, i/3) }},
 		{"every node every third number", 52, func(i int) string { return fmt.Sprintf("r%d-%06d", i%3, i) }},
-		{"SDK IDs", 70, func(i int) string { return fmt.Sprintf("cli-%024x", uint64(i)*0x9e3779b97f4a7c15) }},
+		{"two SDK sessions in order", 53, func(i int) string { return string(uniq.AppendID(nil, session(i%2), uint64(i/2+1))) }},
+		{"one SDK session, 16 callers overtaking", 53, func(i int) string { return string(uniq.AppendID(nil, session(0), uint64(overtaken[i]+1))) }},
+		{"5000 SDK sessions of 20 ops", 60, func(i int) string { return string(uniq.AppendID(nil, session(i/20), uint64(i%20+1))) }},
+		{"random SDK IDs", 70, func(i int) string { return fmt.Sprintf("cli-%024x", uint64(i)*0x9e3779b97f4a7c15) }},
 	} {
 		bytes, scannable, _ := heapPerEntry(t, n, true, func(i int) Entry {
 			return Entry{
@@ -634,6 +652,60 @@ func TestSetBytesPerEntry(t *testing.T) {
 	if bytes > 88 || scannable > 1 || payloads > 2 {
 		t.Errorf("Set holds %.1f B/entry of payloads that never repeat, %.1f B of it scannable and %.1f B the payload table; budget 88, 1 and 2", bytes, scannable, payloads)
 	}
+}
+
+// TestRunsWindowBoundsHostileOrder: one node's numbers 1..100 000, the odd
+// ones descending and then the even ones ascending, is the order in which
+// every number would open a run before all the others, shifting the whole
+// array, and every even one would then join two. A number opens or joins
+// runs only among its node's last runWindow runs, so the node never holds
+// more than runWindow+1 runs — no Add moves more than runWindow of them —
+// the numbers below the window go to the ID table, and the even numbers
+// inside it join the window's runs into one. Another node's odd numbers
+// ascending are runWindow+11 runs; its even ones then leave the ten gaps
+// below the window open and join the rest of the runs into one.
+func TestRunsWindowBoundsHostileOrder(t *testing.T) {
+	const n = 100000
+	s := NewSet()
+	var buf [32]byte
+	add := func(node string, seq int) {
+		t.Helper()
+		if !s.Add(Entry{ID: uniq.ID(uniq.AppendID(buf[:0], node, uint64(seq))), Kind: "deposit", Key: "k", Lam: uint64(s.Len() + 1)}) {
+			t.Fatalf("Add of %s's number %d reported a duplicate", node, seq)
+		}
+	}
+	for seq := n - 1; seq > 0; seq -= 2 {
+		add("hostile", seq)
+		if held := len(s.runs.byNode["hostile"]); held > runWindow+1 {
+			t.Fatalf("after number %d the node holds %d runs, want at most %d", seq, held, runWindow+1)
+		}
+	}
+	if held := len(s.runs.byNode["hostile"]); held != runWindow+1 {
+		t.Fatalf("the odd numbers descending left %d runs, want the window's %d", held, runWindow+1)
+	}
+	for seq := 2; seq <= n; seq += 2 {
+		add("hostile", seq)
+	}
+	if lo := uint64(n - 2*runWindow - 2); !slices.Equal(s.runs.byNode["hostile"], []span{{lo, n}}) {
+		t.Fatalf("the even numbers left runs %v, want the window's joined into one, [%d, %d]", s.runs.byNode["hostile"], lo, n)
+	}
+	for seq := 1; seq <= n; seq++ {
+		if !s.Contains(uniq.ID(uniq.AppendID(buf[:0], "hostile", uint64(seq)))) {
+			t.Fatalf("number %d is missing", seq)
+		}
+	}
+
+	const climbed = runWindow + 11
+	for seq := 1; seq < 2*climbed; seq += 2 {
+		add("climber", seq)
+	}
+	for seq := 2; seq < 2*climbed; seq += 2 {
+		add("climber", seq)
+	}
+	if held := len(s.runs.byNode["climber"]); held != 11 {
+		t.Fatalf("the climber's runs are %v, want its first ten apart and the rest joined into one", s.runs.byNode["climber"])
+	}
+	checkRuns(t, 0, &s.runs)
 }
 
 // TestSetGrowth: a set built one Add at a time allocates little more than

@@ -7,17 +7,22 @@ import (
 
 // runs holds a set's ingress-form IDs — those uniq.ParseID takes apart
 // into the node that minted them and a sequence number — as each node's
-// sorted runs of consecutive numbers. A replica mints its numbers one after
-// another and gossip delivers them nearly in order, so a node's IDs are a
-// handful of runs, sixteen bytes each, where the ID table would spend a
-// slot on every one.
+// sorted runs of consecutive numbers. A replica, or an SDK session, mints
+// its numbers one after another and they arrive nearly in order, so a
+// node's IDs are a handful of runs, sixteen bytes each, where the ID table
+// would spend a slot on every one.
 //
-// A run only ever changes in place or is appended: a new number extends
-// the run just below or just above it, or opens a run after its node's
-// last. Anything else — a run between two others, or an origin or a run
-// beyond the bounds below — is refused, and the caller keeps that ID in
-// the table instead; so an update never shifts a run array, and input that
-// never runs costs a bounded number of runs.
+// A node's runs are sorted, disjoint and never adjacent. A new number
+// extends the run just below or just above it in place. One that closes
+// the gap between two runs joins them into one, and one beside neither
+// opens a run of its own where it sorts, but both only among the node's
+// last runWindow runs: so callers that share a session and overtake one
+// another by a few numbers leave one run once the stragglers land, and no
+// update moves more than runWindow runs, whatever order hostile input
+// takes. A number that would join or open a run below the window, and an
+// origin or a run beyond the bounds below, is refused, and the caller
+// keeps that ID in the table instead; so input that never runs costs a
+// bounded number of runs.
 type runs struct {
 	byNode map[string][]span // by origin, its runs in ascending order; a key is a substring of the arena
 	n      int               // runs held, over every origin
@@ -26,6 +31,11 @@ type runs struct {
 // span is one run: the sequence numbers lo through hi.
 type span struct{ lo, hi uint64 }
 
+// runWindow is how far from its node's last run a number may open a run
+// or join two: at most this many runs move to make room for it or to
+// close up behind it.
+const runWindow = 64
+
 // The runs' bounds, set from the rows the set holds: a new origin is
 // admitted while there are fewer than originFloor plus one per originShare
 // rows, and a new run while there are fewer than runFloor plus one per
@@ -33,7 +43,7 @@ type span struct{ lo, hi uint64 }
 // bytes, and a run 16: input whose IDs never run costs under a byte a row
 // more than the ID table alone would. The engine's replicas open a
 // run for about one ID in a hundred (a coordinated op's number arrives
-// after later guesses'), well inside the bound.
+// after later guesses'), and it merges away when that number lands.
 const (
 	originFloor = 16
 	originShare = 256
@@ -55,18 +65,25 @@ func (r *runs) has(node string, seq uint64) bool {
 func (r *runs) add(node string, seq uint64, rows int) bool {
 	sp, known := r.byNode[node]
 	i := search(sp, seq)
+	below, above := i > 0 && sp[i-1].hi+1 == seq, i < len(sp) && sp[i].lo-1 == seq
 	switch {
-	case i > 0 && sp[i-1].hi+1 == seq:
+	case below && !above:
 		sp[i-1].hi = seq
-	case i < len(sp) && sp[i].lo-1 == seq:
+	case above && !below:
 		sp[i].lo = seq
-	case i < len(sp) || r.n >= runFloor+rows/runShare || !known && len(r.byNode) >= originFloor+rows/originShare:
+	case len(sp)-i > runWindow:
+		return false
+	case below: // and above: the gap closes, and the two runs become one
+		sp[i-1].hi = sp[i].hi
+		r.byNode[node] = slices.Delete(sp, i, i+1)
+		r.n--
+	case r.n >= runFloor+rows/runShare || !known && len(r.byNode) >= originFloor+rows/originShare:
 		return false
 	default:
 		if r.byNode == nil {
 			r.byNode = make(map[string][]span)
 		}
-		r.byNode[node] = append(sp, span{seq, seq})
+		r.byNode[node] = slices.Insert(sp, i, span{seq, seq})
 		r.n++
 	}
 	return true
