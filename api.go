@@ -62,9 +62,9 @@ type (
 	// SubmitOption configures one submit call.
 	SubmitOption = core.SubmitOption
 	// StoreStats counts a durable cluster's disk work: fsyncs completed,
-	// entries journaled, snapshots (full and delta) written, segments
-	// recycled, torn bytes truncated at recovery, and the worst single
-	// writer stall. Cluster.DurabilityStats aggregates it across replicas.
+	// entries journaled, snapshots written, segments recycled, torn bytes
+	// truncated at recovery, and the worst single writer stall.
+	// Cluster.DurabilityStats aggregates it across replicas.
 	StoreStats = store.Stats
 )
 
@@ -136,7 +136,8 @@ func WithReplicas(n int) Option { return core.WithReplicas(n) }
 // same operations.
 func WithShards(n int) Option { return core.WithShards(n) }
 
-// WithCallTimeout bounds every replica-to-replica call (default 100ms).
+// WithCallTimeout bounds every replica-to-replica call (default 100ms;
+// 0 or less keeps the default).
 func WithCallTimeout(d time.Duration) Option { return core.WithCallTimeout(d) }
 
 // WithGossipEvery starts background anti-entropy gossip at the given
@@ -176,10 +177,10 @@ func NodeID(shards, s, rep int) string { return core.NodeID(shards, s, rep) }
 func WithDurability(dir string) Option { return core.WithDurability(dir) }
 
 // WithSnapshotEvery sets how many journaled operations separate durable
-// snapshots (default 4096) — the ledger prefix serialized at a
-// fold-checkpoint boundary, which bounds recovery replay and lets
-// journal segments below both the snapshot and every gossip peer's
-// acknowledgement be deleted. 0 disables snapshots.
+// snapshots (default 32768) — the whole ledger prefix serialized at a
+// fold-checkpoint boundary. The interval bounds recovery replay and the
+// retained journal: segments below both the newest snapshot and every
+// gossip peer's acknowledgement are deleted. 0 disables snapshots.
 func WithSnapshotEvery(n int) Option { return core.WithSnapshotEvery(n) }
 
 // WithPolicy routes one submit with p instead of the cluster's default

@@ -99,6 +99,18 @@ func TestOptionDefaults(t *testing.T) {
 		if got := c.CallTimeout(); got != 100*time.Millisecond {
 			t.Fatalf("default call timeout = %v, want 100ms", got)
 		}
+		// A call that expired at once would decline every coordinated
+		// submit: a timeout of 0 or less keeps the default.
+		for _, d := range []time.Duration{0, -time.Second} {
+			c, _ := h.newCluster(t, quicksand.WithCallTimeout(d))
+			if got := c.CallTimeout(); got != 100*time.Millisecond {
+				t.Fatalf("call timeout %v = %v, want the 100ms default", d, got)
+			}
+			res, err := c.Submit(context.Background(), 0, quicksand.NewOp("deposit", "acct", 1), quicksand.WithPolicy(quicksand.AlwaysSync()))
+			if err != nil || !res.Accepted {
+				t.Fatalf("coordinated submit with call timeout %v = %+v, %v", d, res, err)
+			}
+		}
 		// The default risk policy is AlwaysAsync: a submit with no options
 		// takes the guess path.
 		res, err := c.Submit(context.Background(), 0, quicksand.NewOp("deposit", "acct", 100))

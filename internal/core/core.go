@@ -171,25 +171,16 @@ type config struct {
 	foldEvery   int           // folded entries between periodic fold checkpoints (foldCheckpointEvery; tests lower it)
 	durableDir  string        // root of per-replica durable stores ("" = in-memory only)
 	snapEvery   int           // journaled entries between durable snapshots
-	snapChain   int           // snapshot cuts per full snapshot (snapshotChain; tests lower it)
 	ingestCap   int           // max ops per ingest drain pass (ingestBatchCap; tests lower and raise it)
 	local       map[int]bool  // replica indices hosted by this process (nil = all)
 	tracer      *trace.Tracer // sampled op-lifecycle tracing (nil = off, zero-cost)
 	storeFS     faultfs.FS    // durable-store filesystem seam (nil = the real disk)
 }
 
-// Two cadences the engine fixes rather than exposes. A fold checkpoint is
+// A cadence the engine fixes rather than exposes: a fold checkpoint is
 // cloned every foldCheckpointEvery folded entries; the ring of them bounds
-// the replay a gossip merge sorting behind the watermark forces. Of every
-// snapshotChain durable snapshot cuts one is a full ledger snapshot and
-// the rest are deltas holding the entries since the previous cut, chained
-// back to the full root — a cut costs the write rate, not the ledger
-// size; recovery folds the newest intact chain and a torn newest delta
-// falls back to the chain prefix losslessly.
-const (
-	foldCheckpointEvery = 1024
-	snapshotChain       = 8
-)
+// the replay a gossip merge sorting behind the watermark forces.
+const foldCheckpointEvery = 1024
 
 // Option configures a Cluster at construction.
 type Option func(*config)
@@ -209,7 +200,9 @@ func WithReplicas(n int) Option { return func(c *config) { c.replicas = n } }
 // replicas registers n×m transport nodes.
 func WithShards(n int) Option { return func(c *config) { c.shards = n } }
 
-// WithCallTimeout bounds every replica-to-replica call (default 100ms).
+// WithCallTimeout bounds every replica-to-replica call (default 100ms;
+// values of 0 or less fall back to the default, since a call that expires
+// at once would decline every coordinated submit).
 func WithCallTimeout(d time.Duration) Option { return func(c *config) { c.callTimeout = d } }
 
 // WithGossipEvery starts background anti-entropy gossip at the given
@@ -265,13 +258,13 @@ func WithLocalReplicas(idxs ...int) Option {
 }
 
 // WithSnapshotEvery sets how many journaled operations separate durable
-// snapshots (default 4096). A snapshot is the ledger prefix serialized
-// in canonical fold order at a fold-checkpoint boundary — the "log as
-// checkpoint" of §3.2 — and it bounds both recovery replay time and
-// journal disk growth: segments below the newest snapshot AND below
-// every gossip peer's acknowledgement are deleted. 0 disables snapshots
-// (the journal is then never compacted); values below 0 fall back to
-// the default.
+// snapshots (default 32768). A snapshot is the whole ledger prefix
+// serialized in canonical fold order at a fold-checkpoint boundary — the
+// "log as checkpoint" of §3.2 — and the interval bounds both recovery
+// replay and the retained journal: segments below the newest snapshot
+// AND below every gossip peer's acknowledgement are deleted. 0 disables
+// snapshots (the journal is then never compacted); values below 0 fall
+// back to the default.
 func WithSnapshotEvery(n int) Option { return func(c *config) { c.snapEvery = n } }
 
 // WithStoreFS routes every replica's durable-store file I/O through
@@ -518,8 +511,7 @@ func New[S any](app App[S], rules []Rule[S], opts ...Option) *Cluster[S] {
 		callTimeout: 100 * time.Millisecond,
 		defPolicy:   policy.AlwaysAsync(),
 		foldEvery:   foldCheckpointEvery,
-		snapEvery:   4096,
-		snapChain:   snapshotChain,
+		snapEvery:   32768,
 		ingestCap:   ingestBatchCap,
 	}
 	for _, o := range opts {
@@ -531,8 +523,11 @@ func New[S any](app App[S], rules []Rule[S], opts ...Option) *Cluster[S] {
 	if cfg.shards < 1 {
 		cfg.shards = 1
 	}
+	if cfg.callTimeout <= 0 {
+		cfg.callTimeout = 100 * time.Millisecond
+	}
 	if cfg.snapEvery < 0 {
-		cfg.snapEvery = 4096
+		cfg.snapEvery = 32768
 	}
 	tr := cfg.transport
 	if tr == nil {
@@ -615,7 +610,6 @@ func (c *Cluster[S]) storeOptions() store.Options {
 	// flush latency; the simulator keeps exact sizes — its tests poke at
 	// them, and inline runs are not latency-sensitive anyway.
 	opt.Preallocate = !opt.Inline
-	opt.SnapshotChain = c.cfg.snapChain
 	opt.FS = c.cfg.storeFS
 	return opt
 }
@@ -710,11 +704,10 @@ func (c *Cluster[S]) DegradedShards() []int {
 }
 
 // DurabilityStats sums the disk-work counters of every replica's live
-// store: fsyncs completed, entries journaled, snapshots (full and
-// delta) written or failed, segments recycled, torn bytes truncated at
-// recovery. MaxStallNs is the max, not the sum — the worst single
-// writer stall anywhere in the cluster. All zeros without
-// WithDurability.
+// store: fsyncs completed, entries journaled, snapshots written or
+// failed, segments recycled, torn bytes truncated at recovery.
+// MaxStallNs is the max, not the sum — the worst single writer stall
+// anywhere in the cluster. All zeros without WithDurability.
 func (c *Cluster[S]) DurabilityStats() store.Stats {
 	var out store.Stats
 	for _, g := range c.groups {
@@ -724,7 +717,6 @@ func (c *Cluster[S]) DurabilityStats() store.Stats {
 				out.Appended += st.Appended
 				out.Snapshots += st.Snapshots
 				out.SnapshotFailures += st.SnapshotFailures
-				out.DeltaSnapshots += st.DeltaSnapshots
 				out.Recycled += st.Recycled
 				out.TornBytes += st.TornBytes
 				if st.MaxStallNs > out.MaxStallNs {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -100,6 +101,53 @@ func TestKillRecoverFromDiskOnly(t *testing.T) {
 	}
 	if got := r1.ops.MaxLam(); got != wantLam {
 		t.Fatalf("recovered Lamport %d, want %d", got, wantLam)
+	}
+	for k, v := range want {
+		if got := r1.State()[k]; got != v {
+			t.Fatalf("recovered state[%s] = %d, want %d", k, got, v)
+		}
+	}
+	// And the recovered replica keeps serving.
+	mustSubmit(t, c, 1, NewOp("credit", "post", 7))
+	convergeSim(t, s, c)
+}
+
+// TestTornNewestSnapshotRecoversFromDiskOnly: tear the newest snapshot
+// of a killed replica, then recover from disk alone (no gossip runs in
+// between). Recovery falls back to the snapshot before it and replays the
+// journal past that one — the recovered replica must match its pre-kill
+// self exactly.
+func TestTornNewestSnapshotRecoversFromDiskOnly(t *testing.T) {
+	s, c, _ := durableCluster(t, 172, WithSnapshotEvery(8))
+	defer c.Close()
+	for i := 0; i < 60; i++ {
+		mustSubmit(t, c, i%3, NewOp("credit", fmt.Sprintf("k%d", i%5), 1))
+	}
+	convergeSim(t, s, c)
+	want := c.Replica(1).State()
+	wantOps := c.Replica(1).OpCount()
+
+	c.Kill(1)
+	snaps, err := filepath.Glob(filepath.Join(c.storeDir("r1"), "snap-*.snap"))
+	if err != nil || len(snaps) < 2 {
+		t.Fatalf("replica 1 has %d snapshot files, want two to fall back between (err %v)", len(snaps), err)
+	}
+	sort.Strings(snaps)
+	newest := snaps[len(snaps)-1]
+	info, err := os.Stat(newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(newest, info.Size()/2); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := c.Recover(context.Background(), 1); err != nil {
+		t.Fatal(err)
+	}
+	r1 := c.Replica(1)
+	if got := r1.OpCount(); got != wantOps {
+		t.Fatalf("recovered %d ops, want %d", got, wantOps)
 	}
 	for k, v := range want {
 		if got := r1.State()[k]; got != v {

@@ -127,12 +127,11 @@ func TestIngestQueueGrows(t *testing.T) {
 
 // withIngestCap overrides the drain's batch cap, which production code
 // fixes at ingestBatchCap — the dial the batch-size-invariance
-// differential turns. withFoldCheckpointEvery and withSnapshotChain lower
-// the other two fixed cadences the same way, so a test reaches a rewind
-// past a checkpoint, or a delta chain's full cut, in tens of ops.
+// differential turns. withFoldCheckpointEvery lowers the other fixed
+// cadence the same way, so a test reaches a rewind past a checkpoint in
+// tens of ops.
 func withIngestCap(n int) Option           { return func(c *config) { c.ingestCap = n } }
 func withFoldCheckpointEvery(n int) Option { return func(c *config) { c.foldEvery = n } }
-func withSnapshotChain(k int) Option       { return func(c *config) { c.snapChain = k } }
 
 // writePathWorlds names the two transports every write-path test runs
 // on. settle lets in-flight events finish (a no-op for real goroutines).

@@ -588,10 +588,9 @@ func (r *Replica[S]) absorbLocked(entries []oplog.Entry, from string) (added []o
 // maybeSnapshotLocked decides whether enough entries were journaled
 // since the last durable snapshot; if so it brings the fold checkpoint
 // current (snapshots are cut at fold-checkpoint boundaries), captures
-// the ledger in canonical order when the cut is full, and returns a
-// closure that hands the cut to the store — to be run after mu is
-// released, since the store writes it on its own schedule. The caller
-// holds r.mu.
+// the ledger in canonical order, and returns a closure that hands the cut
+// to the store — to be run after mu is released, since the store writes
+// it on its own schedule. The caller holds r.mu.
 func (r *Replica[S]) maybeSnapshotLocked() func() {
 	if r.store == nil || r.c.cfg.snapEvery <= 0 || r.sinceSnap < r.c.cfg.snapEvery {
 		return nil
@@ -599,15 +598,9 @@ func (r *Replica[S]) maybeSnapshotLocked() func() {
 	r.sinceSnap = 0
 	r.foldLocked()
 	st := r.store
-	// A delta cut needs no entries from us — the store buffers its own
-	// since-last-cut suffix — so only the occasional full cut copies
-	// anything under mu: the set's rows, 32 bytes an entry, which the
-	// store encodes and streams to disk after mu is released. Steady-state
-	// snapshot cuts cost the write rate, not the ledger size.
-	var cut *oplog.Cut
-	if st.NextSnapshotIsFull() {
-		cut = r.ops.Cut()
-	}
+	// All a cut copies under mu is the set's rows, 32 bytes an entry,
+	// which the store encodes and streams to disk after mu is released.
+	cut := r.ops.Cut()
 	pos := st.End()
 	mark := r.stateMark
 	return func() { st.WriteSnapshot(cut, pos, mark) }

@@ -115,6 +115,9 @@ func (c Config) Validate() error {
 	if c.GossipEvery < 0 {
 		return fmt.Errorf("daemon: gossip_every must be positive, got %v", c.GossipEvery)
 	}
+	if c.CallTimeout < 0 {
+		return fmt.Errorf("daemon: call_timeout must be positive, got %v", c.CallTimeout)
+	}
 	if c.ShedBacklog <= 0 || c.ShedBacklog > 1 {
 		return fmt.Errorf("daemon: shed_backlog must be in (0, 1], got %v", c.ShedBacklog)
 	}

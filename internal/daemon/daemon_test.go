@@ -81,6 +81,10 @@ func TestValidateCatchesBadTopology(t *testing.T) {
 	if err := (Config{Node: 0, Replicas: 1, GossipEvery: -time.Second}).withDefaults().Validate(); err == nil {
 		t.Error("negative gossip_every accepted")
 	}
+	// A call that expires at once would decline every coordinated submit.
+	if err := (Config{Node: 0, Replicas: 1, CallTimeout: -time.Second}).withDefaults().Validate(); err == nil {
+		t.Error("negative call_timeout accepted")
+	}
 }
 
 // soloDaemon boots a single-replica daemon on ephemeral ports.

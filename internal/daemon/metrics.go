@@ -86,9 +86,8 @@ func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	st := d.cluster.DurabilityStats()
 	p.counter("quicksand_journal_fsyncs_total", "Journal fsyncs completed (group commit).", st.Fsyncs)
 	p.counter("quicksand_journal_appends_total", "Entries staged for the journal.", st.Appended)
-	p.counter("quicksand_snapshots_total", "Durable snapshots written (full and delta).", st.Snapshots)
+	p.counter("quicksand_snapshots_total", "Durable snapshots written.", st.Snapshots)
 	p.counter("quicksand_snapshot_failures_total", "Snapshot attempts that could not reach disk.", st.SnapshotFailures)
-	p.counter("quicksand_delta_snapshots_total", "Incremental (delta) snapshot cuts written.", st.DeltaSnapshots)
 	p.counter("quicksand_segments_recycled_total", "Journal segments reborn from the free pool.", st.Recycled)
 	p.counter("quicksand_torn_bytes_total", "Bytes truncated from torn journal tails at recovery.", st.TornBytes)
 	p.gauge("quicksand_journal_max_stall_seconds", "Worst single journal flush (write+fsync) since start.",
@@ -105,7 +104,7 @@ func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for s := 0; s < shards; s++ {
 		p.histogram("quicksand_fsync_duration_seconds", shardLabel(s), fsyncByShard[s])
 	}
-	p.family("quicksand_snapshot_cut_duration_seconds", "histogram", "Snapshot cut duration (full and delta), by shard.")
+	p.family("quicksand_snapshot_cut_duration_seconds", "histogram", "Snapshot cut duration, by shard.")
 	for s := 0; s < shards; s++ {
 		p.histogram("quicksand_snapshot_cut_duration_seconds", shardLabel(s), snapByShard[s])
 	}

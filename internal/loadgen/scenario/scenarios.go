@@ -203,8 +203,8 @@ var SlowDisk = register(&Scenario{
 			st := ct.C.DurabilityStats()
 			checks = append(checks, Check{Name: "disk-was-exercised",
 				OK: st.Fsyncs > 0 && st.Appended > 0,
-				Detail: fmt.Sprintf("%d fsyncs, %d entries journaled, %d delta snapshots, %d segments recycled, max stall %v",
-					st.Fsyncs, st.Appended, st.DeltaSnapshots, st.Recycled, time.Duration(st.MaxStallNs))})
+				Detail: fmt.Sprintf("%d fsyncs, %d entries journaled, %d segments recycled, max stall %v",
+					st.Fsyncs, st.Appended, st.Recycled, time.Duration(st.MaxStallNs))})
 		}
 		return rep, checks, nil
 	},

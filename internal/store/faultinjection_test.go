@@ -52,11 +52,7 @@ func driveCrashWorkload(st *Store, all []oplog.Entry, from, batch, snapEvery int
 		}
 		pos = hi
 		if acked == pos && pos%snapEvery == 0 {
-			if st.NextSnapshotIsFull() {
-				st.WriteSnapshot(oplog.NewSet(all[:pos]...).Cut(), pos, all[pos-1].Mark())
-			} else {
-				st.WriteSnapshot(nil, pos, all[pos-1].Mark())
-			}
+			snapshotAt(st, all, pos)
 			st.AckTo(pos)
 		}
 	}
@@ -64,7 +60,7 @@ func driveCrashWorkload(st *Store, all []oplog.Entry, from, batch, snapEvery int
 }
 
 // recoveredSeq flattens a Recovery into the full position-ordered
-// entry sequence [0, End): the snapshot chain covers [0, SnapshotPos),
+// entry sequence [0, End): the snapshot covers [0, SnapshotPos),
 // the journal [Base, End), and replay guarantees Base <= SnapshotPos.
 func recoveredSeq(t *testing.T, rec Recovery) []oplog.Entry {
 	t.Helper()
@@ -89,7 +85,6 @@ func TestCrashPointEnumeration(t *testing.T) {
 		opt  Options
 	}{
 		{"full-snapshots", Options{Inline: true, SegmentBytes: 512}},
-		{"delta-chain", Options{Inline: true, SegmentBytes: 512, SnapshotChain: 3}},
 	}
 	const total, batch, snapEvery = 96, 3, 12
 	all := crashWorkloadEntries(total)

@@ -129,3 +129,76 @@ func TestHoldAllocatesNoTimer(t *testing.T) {
 		t.Errorf("a held commit allocates %.1f, budget %d: the hold allocates", got, budget)
 	}
 }
+
+func TestAdaptiveCommitCallbacksOrderedExactlyOnce(t *testing.T) {
+	// Clock-free pin on the adaptive mode's commit contract: callbacks
+	// fire exactly once, in commit order, and a post-crash commit fails —
+	// no assertion here depends on timing, only on ordering.
+	dir := t.TempDir()
+	opt := Options{Inline: true, Mode: ModeAdaptive}
+	s, _ := mustOpen(t, dir, opt)
+	const n = 100
+	var fired []int
+	counts := make(map[int]int)
+	for i := 0; i < n; i++ {
+		end := s.Stage([]oplog.Entry{entry(i)})
+		s.Commit(end, func(ok bool) {
+			if !ok {
+				t.Errorf("commit to %d failed", end)
+			}
+			fired = append(fired, end)
+			counts[end]++
+		})
+	}
+	if len(fired) != n {
+		t.Fatalf("%d callbacks fired, want %d", len(fired), n)
+	}
+	for i, end := range fired {
+		if end != i+1 {
+			t.Fatalf("callback %d fired for end %d: reordered", i, end)
+		}
+		if counts[end] != 1 {
+			t.Fatalf("end %d fired %d times", end, counts[end])
+		}
+	}
+	s.Crash()
+	got := make(chan bool, 1)
+	s.Commit(n+1, func(ok bool) { got <- ok })
+	if ok := <-got; ok {
+		t.Fatal("post-crash commit reported durable")
+	}
+}
+
+func TestAdaptiveBackgroundPreservesCommitOrder(t *testing.T) {
+	// Same contract under the background flusher, where adaptive holds and
+	// early departures actually run: whatever the flush timing, callbacks
+	// observe commit order and each fires exactly once.
+	dir := t.TempDir()
+	opt := Options{Mode: ModeAdaptive}
+	s, _ := mustOpen(t, dir, opt)
+	const n = 400
+	results := make(chan int, n)
+	for i := 0; i < n; i++ {
+		end := s.Stage([]oplog.Entry{entry(i)})
+		s.Commit(end, func(ok bool) {
+			if !ok {
+				t.Errorf("commit to %d failed", end)
+			}
+			results <- end
+		})
+	}
+	prev := 0
+	for i := 0; i < n; i++ {
+		end := <-results
+		if end <= prev {
+			t.Fatalf("callback for end %d fired after end %d", end, prev)
+		}
+		prev = end
+	}
+	if st := s.Stats(); st.Fsyncs >= n {
+		t.Fatalf("adaptive mode paid per-commit fsyncs: %d for %d commits", st.Fsyncs, n)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -19,15 +19,17 @@ import (
 // one []oplog.Entry chunk per Stage call, encoded by the flusher), driven
 // by goldenScript below. It holds every byte layout the store persists:
 // QSEG2 segments — three of them reborn from the free pool, their records
-// salted with a later seed than the files' first lives — a full snapshot,
-// a two-link delta chain, and the incarnation file one Open of a fresh
-// directory leaves (next incarnation 1; it was added after the rest, from
-// the format's definition rather than by an older commit). The tests hold
-// the current code to
-// those bytes in both directions: writing (the same script must produce
-// the same files) and reading (the committed directory must recover to
-// the expected set and watermark). A format change has to either keep
-// both green or replace the corpus on purpose.
+// salted with a later seed than the files' first lives — a snapshot, and
+// the incarnation file one Open of a fresh directory leaves (next
+// incarnation 1; it was added after the rest, from the format's
+// definition rather than by an older commit). It also holds two delta
+// files that the older build cut at 60 and 75: this store writes no
+// deltas and never reads them, so they are legacy input, to be left as
+// they are. The tests hold the current code to those bytes in both
+// directions: writing (the same script must produce the same files, the
+// deltas aside) and reading (the committed directory must recover to the
+// expected set and watermark). A format change has to either keep both
+// green or replace the corpus on purpose.
 
 const goldenDir = "testdata/golden"
 
@@ -64,7 +66,8 @@ func goldenEntries() []oplog.Entry {
 }
 
 // goldenOpts is the corpus's store shape: inline (deterministic), tiny
-// segments so the ledger spans many of them, recycling on, chain of four.
+// segments so the ledger spans many of them, recycling on, and the chain
+// of four the corpus was cut with, which is now ignored.
 func goldenOpts() Options {
 	return Options{Inline: true, Preallocate: true, SegmentBytes: 512, SnapshotChain: 4}
 }
@@ -87,14 +90,10 @@ func goldenScript(t *testing.T, dir string) {
 		}
 	}
 	stageTo(40)
-	cut(s, all, 40) // the chain's root: a full snapshot
-	s.AckTo(40)     // sealed segments below it retire into the free pool
-	stageTo(60)     // rotations are reborn from the pool
-	cut(s, all, 60) // delta, parent 40
-	stageTo(75)
-	cut(s, all, 75) // delta, parent 60
-	stageTo(96)     // a journal tail past the chain tip
-	if st := s.Stats(); st.Recycled == 0 || st.DeltaSnapshots != 2 || st.Snapshots != 3 || st.SnapshotFailures != 0 {
+	snapshotAt(s, all, 40)
+	s.AckTo(40) // sealed segments below it retire into the free pool
+	stageTo(96) // rotations are reborn from the pool
+	if st := s.Stats(); st.Recycled == 0 || st.Snapshots != 1 || st.SnapshotFailures != 0 {
 		t.Fatalf("the script no longer produces what the corpus claims to hold: %+v", st)
 	}
 	if err := s.Close(); err != nil {
@@ -120,9 +119,13 @@ func readDir(t *testing.T, dir string) map[string][]byte {
 	return out
 }
 
+// isDelta reports whether a store file is a delta snapshot, which only an
+// older build wrote.
+func isDelta(name string) bool { return strings.HasPrefix(name, "delta-") }
+
 // TestGoldenBytesWritten stages the corpus's entries through the current
 // write path and compares the directory with the committed one, file for
-// file and byte for byte.
+// file and byte for byte, the legacy delta files aside.
 func TestGoldenBytesWritten(t *testing.T) {
 	dir := t.TempDir()
 	goldenScript(t, dir)
@@ -130,6 +133,10 @@ func TestGoldenBytesWritten(t *testing.T) {
 	for name, w := range want {
 		g, ok := got[name]
 		switch {
+		case isDelta(name):
+			if ok {
+				t.Errorf("%s: a delta file written", name)
+			}
 		case !ok:
 			t.Errorf("%s: in the corpus, not written", name)
 		case !bytes.Equal(g, w):
@@ -150,16 +157,53 @@ func TestGoldenBytesWritten(t *testing.T) {
 		}
 	}
 	if kinds[0] < 2 || kinds[2] != 1 || kinds[3] != 2 {
-		t.Fatalf("corpus holds %d segments, %d pooled, %d full, %d delta files; want several, any, 1, 2", kinds[0], kinds[1], kinds[2], kinds[3])
+		t.Fatalf("corpus holds %d segments, %d pooled, %d snapshot, %d delta files; want several, any, 1, 2", kinds[0], kinds[1], kinds[2], kinds[3])
 	}
 }
 
 // TestGoldenDirectoryRecovers opens a copy of the committed directory —
-// bytes this code did not write — and checks what comes back: the chain
-// resolved root-first to its tip, the journal tail behind it, every entry
-// of the ledger exactly once past the overlap, and the fold watermark the
-// last cut recorded.
+// bytes this code did not write — and checks what comes back: the
+// snapshot at 40, the journal tail behind it, every entry of the ledger
+// exactly once past the overlap, and the fold watermark the snapshot
+// recorded. The legacy delta files are not read and stay as they were.
 func TestGoldenDirectoryRecovers(t *testing.T) {
+	dir := t.TempDir()
+	corpus := readDir(t, goldenDir)
+	for name, b := range corpus {
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	all := goldenEntries()
+	s, rec := mustOpen(t, dir, goldenOpts())
+	if rec.SnapshotPos != 40 || rec.End != 96 || rec.TornBytes != 0 || rec.Incarnation != 1 {
+		t.Fatalf("recovered pos=%d end=%d torn=%d incarnation=%d; want 40, 96, 0, 1",
+			rec.SnapshotPos, rec.End, rec.TornBytes, rec.Incarnation)
+	}
+	if rec.SnapshotMark != all[39].Mark() {
+		t.Fatalf("watermark %+v, want %+v", rec.SnapshotMark, all[39].Mark())
+	}
+	if !reflect.DeepEqual(rec.SnapshotEntries, all[:40]) {
+		t.Fatalf("the snapshot restored %d entries that are not the ledger's first 40", len(rec.SnapshotEntries))
+	}
+	if rec.Base > 40 || !reflect.DeepEqual(rec.JournalEntries, all[rec.Base:]) {
+		t.Fatalf("the journal restored %d entries from %d that are not the ledger's tail", len(rec.JournalEntries), rec.Base)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	after := readDir(t, dir)
+	for name, b := range corpus {
+		if isDelta(name) && !bytes.Equal(after[name], b) {
+			t.Errorf("%s: a legacy delta file was changed or removed", name)
+		}
+	}
+}
+
+// TestGoldenDeltasPrunedAfterTwoCuts: a directory an older build left
+// delta files in sheds them once two snapshots are cut past them, when
+// pruning drops the snapshot they sat above.
+func TestGoldenDeltasPrunedAfterTwoCuts(t *testing.T) {
 	dir := t.TempDir()
 	for name, b := range readDir(t, goldenDir) {
 		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
@@ -167,19 +211,25 @@ func TestGoldenDirectoryRecovers(t *testing.T) {
 		}
 	}
 	all := goldenEntries()
-	s, rec := mustOpen(t, dir, goldenOpts())
+	for i := len(all); i < 100; i++ {
+		all = append(all, entry(i))
+	}
+	s, _ := mustOpen(t, dir, goldenOpts())
 	defer s.Close()
-	if rec.SnapshotPos != 75 || rec.SnapshotBase != 40 || rec.Deltas != 2 || rec.End != 96 || rec.TornBytes != 0 || rec.Incarnation != 1 {
-		t.Fatalf("recovered pos=%d base=%d deltas=%d end=%d torn=%d incarnation=%d; want 75, 40, 2, 96, 0, 1",
-			rec.SnapshotPos, rec.SnapshotBase, rec.Deltas, rec.End, rec.TornBytes, rec.Incarnation)
+	deltas := func() []string {
+		names, _ := filepath.Glob(filepath.Join(dir, "delta-*.snap"))
+		return names
 	}
-	if rec.SnapshotMark != all[74].Mark() {
-		t.Fatalf("watermark %+v, want %+v", rec.SnapshotMark, all[74].Mark())
+	snapshotAt(s, all, 96)
+	if got := deltas(); len(got) != 2 {
+		t.Fatalf("after one cut: delta files %v, want both kept", got)
 	}
-	if !reflect.DeepEqual(rec.SnapshotEntries, all[:75]) {
-		t.Fatalf("the chain restored %d entries that are not the ledger's first 75", len(rec.SnapshotEntries))
+	commitAll(t, s, all[96:])
+	snapshotAt(s, all, 100)
+	if got := deltas(); len(got) != 0 {
+		t.Fatalf("after two cuts: delta files %v, want none", got)
 	}
-	if rec.Base > 40 || !reflect.DeepEqual(rec.JournalEntries, all[rec.Base:]) {
-		t.Fatalf("the journal restored %d entries from %d that are not the ledger's tail", len(rec.JournalEntries), rec.Base)
+	if st := s.Stats(); st.Snapshots != 2 || st.SnapshotFailures != 0 {
+		t.Fatalf("cuts: %+v", st)
 	}
 }

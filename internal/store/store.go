@@ -24,8 +24,8 @@
 //	journal-0000000000.seg   segment: header, then records
 //	journal-0000012345.seg   (filename = absolute position of first record)
 //	free-0000000003.seg      retired segment awaiting recycling
-//	snap-0000012000.snap     full snapshot taken at journal position 12000
-//	delta-0000012400.snap    delta snapshot: entries [parent, 12400) + chain link
+//	snap-0000012000.snap     snapshot taken at journal position 12000
+//	delta-0000012400.snap    left by an older build: never read, pruned in time
 //	incarnation              the next Open's incarnation number (Recovery.Incarnation)
 //
 // A segment header is the 6-byte magic "QSEG2\n" plus the segment's
@@ -40,14 +40,11 @@
 // sealed (fsynced, truncated to its data, closed) and a fresh segment
 // starts at the next position, popped from the free pool when one is
 // waiting and preallocated to SegmentBytes (Options.Preallocate) so
-// appends never pay allocate-and-extend at flush time. Snapshots are
-// written to a temp file, fsynced, and renamed into place — they are
-// atomic or absent. With Options.SnapshotChain = k, cuts alternate:
-// delta snapshots carry only the entries past the previous cut plus a
-// parent-position link, and every k-th cut is full, resetting the
-// chain; recovery folds the newest intact chain root-first. Pruning
-// keeps the newest keepSnapshots full snapshots plus every
-// delta at or past the oldest retained full's position.
+// appends never pay allocate-and-extend at flush time. A snapshot holds
+// the whole ledger prefix below its position; it is written to a temp
+// file, fsynced, and renamed into place — atomic or absent. Pruning keeps
+// the newest keepSnapshots of them, and deletes the delta files an older
+// build cut once they lie below the oldest one kept.
 //
 // # Recovery and the truncation invariant
 //
@@ -57,16 +54,19 @@
 // the "examine the work in the tail of the log and determine what the
 // heck to do" of §5.1; an invalid record anywhere *before* the tail is
 // corruption and fails Open loudly. Journal segments are retired only
-// when every position they hold is below BOTH the base of the newest
-// durable snapshot chain (Open could rebuild without them even if every
-// delta above the base is torn) and the position every gossip peer has
-// acknowledged (no peer will ever need them re-pushed): Compact takes
-// the min of the chain base and the watermark the owner feeds it.
+// when every position they hold is below BOTH the newest durable
+// snapshot (Open could rebuild without them) and the position every
+// gossip peer has acknowledged (no peer will ever need them re-pushed):
+// Compact takes the min of the snapshot position and the watermark the
+// owner feeds it. So the journal always holds every entry since the
+// newest snapshot, which is why one snapshot kind suffices: a cut that
+// copied only those entries would repeat records the journal keeps.
 // Retired segments join the free pool for recycling rather than being
 // unlinked, up to maxFreeSegs.
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -91,8 +91,7 @@ import (
 const (
 	segMagicV1 = "QSEG1\n" // pre-salt journal segment header: refused, see ErrLegacySegment
 	segMagicV2 = "QSEG2\n" // salted journal segment header: magic + uint64 LE start position
-	snapMagic  = "QSNP1\n" // full snapshot header
-	deltaMagic = "QSND1\n" // delta snapshot header: adds a parent-position chain link
+	snapMagic  = "QSNP1\n" // snapshot header
 	snapFooter = "QEND\n"  // snapshot trailer: present iff the write completed
 	incMagic   = "QINC1\n" // incarnation file: magic + uint64 LE next incarnation + uint32 CRC-32C of both
 	incFile    = "incarnation"
@@ -104,11 +103,6 @@ const (
 	// maxFreeSegs bounds the recycled-segment pool; retirements beyond it
 	// are deleted as before.
 	maxFreeSegs = 4
-	// maxDeltaPending bounds the staged-entry buffer feeding delta
-	// snapshot cuts. An owner that stages this much without ever cutting
-	// has effectively disabled snapshots; the buffer is dropped and the
-	// next cut is forced full rather than holding the memory hostage.
-	maxDeltaPending = 1 << 16
 
 	// The adaptive flush curve (see adaptiveHold). maxWait caps the
 	// coalescing hold regardless of fsync cost; kneeBytes is the load at
@@ -163,7 +157,7 @@ type Mode int
 // Options.Inline there is no flusher to hold: each Commit drains at once.
 const ModeAdaptive Mode = 0
 
-// keepSnapshots is how many full snapshot files survive pruning: the
+// keepSnapshots is how many snapshot files survive pruning: the
 // newest is recovery's source, the runner-up is insurance against a torn
 // newest.
 const keepSnapshots = 2
@@ -189,13 +183,9 @@ type Options struct {
 	// data length, which simulator-facing tests that compute offsets from
 	// file sizes must not see.
 	Preallocate bool
-	// SnapshotChain enables incremental snapshot cuts: only every K-th
-	// cut writes the full ledger; the K-1 cuts between write just the
-	// entries staged past the previous cut, chained to it by a parent
-	// link. Recovery folds the newest fully-valid chain; compaction gates
-	// on the chain's base (the newest full snapshot), so a torn newest
-	// delta falls back to the chain prefix losslessly. 0 or 1 disables
-	// deltas (every cut is full, the pre-chain behavior).
+	// SnapshotChain is ignored: every snapshot cut is full (see the
+	// package comment for why). The field stays so that callers setting
+	// it still build.
 	SnapshotChain int
 	// FS is the filesystem seam every disk operation goes through
 	// (default faultfs.OS, the passthrough). Fault-injection tests hand
@@ -218,13 +208,12 @@ func (o Options) withDefaults() Options {
 type Stats struct {
 	Fsyncs    int64 // journal fsyncs completed (the figure group commit minimizes)
 	Appended  int64 // entries staged for the journal
-	Snapshots int64 // snapshot files written (full and delta)
+	Snapshots int64 // snapshot files written
 	// SnapshotFailures counts snapshot attempts that could not reach
 	// disk. A non-zero, growing value means the snapshot watermark — and
 	// with it journal compaction — has stalled: durability maintenance
 	// is failing even though commits may still succeed.
 	SnapshotFailures int64
-	DeltaSnapshots   int64 // snapshot cuts written as chain deltas (subset of Snapshots)
 	Recycled         int64 // journal segments reborn from the free pool instead of created
 	TornBytes        int64 // bytes truncated from a torn tail at Open
 	// MaxStallNs is the longest single flush cycle (write + fsync) in
@@ -240,11 +229,9 @@ type Stats struct {
 // snapshot's fold stood), gossip journal = JournalEntries at absolute
 // positions [Base, End).
 type Recovery struct {
-	SnapshotEntries []oplog.Entry   // snapshot-chain union: full snapshot then each delta, oldest first
-	SnapshotPos     int             // journal position the resolved chain covers (the chain tip)
-	SnapshotBase    int             // position of the chain's full snapshot (== SnapshotPos without deltas)
-	SnapshotMark    oplog.Watermark // fold watermark at the chain tip
-	Deltas          int             // delta links in the resolved chain
+	SnapshotEntries []oplog.Entry   // the snapshot's ledger prefix, in canonical fold order
+	SnapshotPos     int             // journal position the snapshot covers
+	SnapshotMark    oplog.Watermark // fold watermark at the snapshot
 	JournalEntries  []oplog.Entry   // arrival order, positions [Base, End)
 	Base            int             // absolute position of the first retained journal entry
 	End             int             // next position to be appended
@@ -299,34 +286,20 @@ type Store struct {
 	opt Options
 	fs  faultfs.FS // == opt.FS; every disk call routes through it
 
-	mu          sync.Mutex
-	stage       stageLog // staged, not yet taken by a flush; len(stage.buf) is the backlog
-	spare       stageLog // the empty side; zero while a flush holds it
-	waiters     []waiter
-	fireBuf     []waiter // the drain's reused fan-out buffer; nil while a drain holds it
-	end         int      // next position to assign
-	flushed     int      // positions below this are fsynced
-	ackPos      int      // min position every gossip peer has acknowledged
-	snapPos     int      // position covered by the newest durable snapshot chain (the tip)
-	snapBase    int      // position of the newest durable FULL snapshot — the compaction gate
-	deltasSince int      // delta cuts since the newest full snapshot
-	segs        []segment
-	freeSegs    []string // retired segment files awaiting recycling
-	freeSeq     int      // next free-pool filename ordinal
-	failed      error    // sticky I/O error: all later commits fail
-	closed      bool
-
-	// deltaBuf holds every staged entry not yet covered by a snapshot cut
-	// (chain mode only) as finished snapshot records — seed-0 CRCs, the
-	// bytes a delta file carries — in stage order: the entry at position
-	// deltaBase+i begins at deltaBuf[deltaOff[i]]. A delta cut at pos
-	// copies the [snapPos, pos) span out and drops it on success — a
-	// skipped or failed cut keeps it, so the next cut covers a superset
-	// and nothing ever silently leaves the chain.
-	deltaBuf  []byte
-	deltaOff  []int
-	deltaBase int
-	deltaOver bool // the buffer overflowed and was dropped: next cut must be full
+	mu       sync.Mutex
+	stage    stageLog // staged, not yet taken by a flush; len(stage.buf) is the backlog
+	spare    stageLog // the empty side; zero while a flush holds it
+	waiters  []waiter
+	fireBuf  []waiter // the drain's reused fan-out buffer; nil while a drain holds it
+	end      int      // next position to assign
+	flushed  int      // positions below this are fsynced
+	ackPos   int      // min position every gossip peer has acknowledged
+	snapPos  int      // position covered by the newest durable snapshot — the compaction gate
+	segs     []segment
+	freeSegs []string // retired segment files awaiting recycling
+	freeSeq  int      // next free-pool filename ordinal
+	failed   error    // sticky I/O error: all later commits fail
+	closed   bool
 
 	// File handles are owned by whoever runs flushes: the background
 	// flusher goroutine, or the calling goroutine under flushMu when
@@ -343,20 +316,19 @@ type Store struct {
 	wg       sync.WaitGroup
 	snapBusy atomic.Bool
 
-	fsyncs     atomic.Int64
-	appended   atomic.Int64
-	snapshots  atomic.Int64
-	snapFails  atomic.Int64
-	deltaSnaps atomic.Int64
-	recycled   atomic.Int64
-	maxStall   atomic.Int64 // longest single flush (write+fsync), ns
-	ewmaFsync  atomic.Int64 // EWMA of recent fsync cost, ns (the adaptive hold's ceiling)
-	ewmaTook   atomic.Int64 // EWMA of framed bytes per flush (the adaptive hold's load signal)
-	tornBytes  int64
+	fsyncs    atomic.Int64
+	appended  atomic.Int64
+	snapshots atomic.Int64
+	snapFails atomic.Int64
+	recycled  atomic.Int64
+	maxStall  atomic.Int64 // longest single flush (write+fsync), ns
+	ewmaFsync atomic.Int64 // EWMA of recent fsync cost, ns (the adaptive hold's ceiling)
+	ewmaTook  atomic.Int64 // EWMA of framed bytes per flush (the adaptive hold's load signal)
+	tornBytes int64
 
 	// Log-bucketed distributions of every journal fsync and snapshot cut
-	// (serialize + write + fsync + rename, full and delta alike). Fixed
-	// memory, so a long-lived store records every event, not a sample.
+	// (serialize + write + fsync + rename). Fixed memory, so a long-lived
+	// store records every event, not a sample.
 	fsyncHist stats.LatHist
 	snapHist  stats.LatHist
 }
@@ -391,23 +363,7 @@ func Open(dir string, opt Options) (*Store, Recovery, error) {
 	s.flushed = rec.End
 	s.ackPos = rec.Base
 	s.snapPos = rec.SnapshotPos
-	s.snapBase = rec.SnapshotBase
-	s.deltasSince = rec.Deltas
 	s.tornBytes = rec.TornBytes
-	if opt.SnapshotChain > 1 {
-		// Re-seed the delta buffer: the journal retains exactly the
-		// positions past the chain tip, the entries the next delta cut
-		// must cover.
-		s.deltaBase = rec.SnapshotPos
-		if from := rec.SnapshotPos - rec.Base; from >= 0 && from <= len(rec.JournalEntries) {
-			for _, e := range rec.JournalEntries[from:] {
-				s.deltaOff = append(s.deltaOff, len(s.deltaBuf))
-				s.deltaBuf = appendRecord(s.deltaBuf, e)
-			}
-		} else {
-			s.deltaOver = true
-		}
-	}
 	if !opt.Inline {
 		s.wg.Add(1)
 		go s.flushLoop()
@@ -458,7 +414,6 @@ func (s *Store) Stats() Stats {
 		Appended:         s.appended.Load(),
 		Snapshots:        s.snapshots.Load(),
 		SnapshotFailures: s.snapFails.Load(),
-		DeltaSnapshots:   s.deltaSnaps.Load(),
 		Recycled:         s.recycled.Load(),
 		TornBytes:        s.tornBytes,
 		MaxStallNs:       s.maxStall.Load(),
@@ -471,36 +426,12 @@ func (s *Store) FsyncHist() *stats.LatHist { return &s.fsyncHist }
 // SnapshotCutHist exposes the log-bucketed snapshot-cut histogram.
 func (s *Store) SnapshotCutHist() *stats.LatHist { return &s.snapHist }
 
-// NextSnapshotIsFull reports whether the next WriteSnapshot cut must
-// carry the full ledger: always when chaining is disabled, when no full
-// snapshot exists yet, after a delta-buffer overflow, and every
-// Options.SnapshotChain-th cut. Owners consult it to decide whether to
-// take an oplog.Cut of their set, a copy of its rows; passing a nil cut to
-// WriteSnapshot selects a delta cut from the store's own staged buffer.
-func (s *Store) NextSnapshotIsFull() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.nextFullLocked()
-}
-
-func (s *Store) nextFullLocked() bool {
-	k := s.opt.SnapshotChain
-	if k <= 1 || s.deltaOver {
-		return true
-	}
-	if s.snapBase == 0 && s.snapPos == 0 {
-		return true // no chain to extend yet
-	}
-	return s.deltasSince >= k-1
-}
-
 // Stage queues entries for the journal at the next positions and returns
 // the position just past the last one — the watermark to pass to Commit.
-// Each entry is encoded here, once, into the staging log (and, in chain
-// mode, copied on as a finished snapshot record); nothing of batch is
-// retained, so the caller may reuse it as soon as Stage returns. Staging
-// is memory-only; durability arrives with the flush that covers the
-// returned position. After Close or Crash, staging is a no-op (the
+// Each entry is encoded here, once, into the staging log; nothing of
+// batch is retained, so the caller may reuse it as soon as Stage
+// returns. Staging is memory-only; durability arrives with the flush
+// that covers the returned position. After Close or Crash, staging is a no-op (the
 // process is gone; there is nowhere for the bytes to go).
 func (s *Store) Stage(batch []oplog.Entry) int {
 	s.mu.Lock()
@@ -510,22 +441,8 @@ func (s *Store) Stage(batch []oplog.Entry) int {
 		return end
 	}
 	l := &s.stage
-	chain := s.opt.SnapshotChain > 1 && !s.deltaOver
-	if chain && len(s.deltaOff) == 0 {
-		s.deltaBase = s.end
-	}
 	for _, e := range batch {
-		hdr := len(l.buf)
 		l.buf = appendFrame(l.buf, e) // sealed by the flusher, under its segment's seed
-		if chain {
-			off := len(s.deltaBuf)
-			s.deltaOff = append(s.deltaOff, off)
-			s.deltaBuf = append(s.deltaBuf, l.buf[hdr:]...)
-			seal(s.deltaBuf[off:], 0)
-		}
-	}
-	if len(s.deltaOff) > maxDeltaPending {
-		s.deltaBuf, s.deltaOff, s.deltaOver = nil, nil, true
 	}
 	s.end += len(batch)
 	end := s.end
@@ -595,8 +512,9 @@ func (s *Store) AckTo(pos int) {
 	}
 }
 
-// WriteSnapshot atomically persists the ledger prefix [0, pos): entries
-// in canonical fold order, stamped with the fold watermark they derive.
+// WriteSnapshot atomically persists the ledger prefix [0, pos) — cut's
+// entries, in canonical fold order, streamed to disk one record at a
+// time — stamped with the fold watermark they derive.
 // The write waits for the journal flush covering pos — a snapshot that
 // became durable ahead of the journal records it claims to cover would,
 // after a crash, let compaction delete segments holding entries that
@@ -608,25 +526,14 @@ func (s *Store) AckTo(pos int) {
 // compactable; a failed write counts in Stats.SnapshotFailures and the
 // watermark stays put, so compaction stalls visibly rather than
 // silently losing data.
-//
-// A full cut writes cut's entries, streaming them to disk one record at a
-// time. With Options.SnapshotChain enabled, a nil cut selects a delta cut:
-// the store persists just its internally-buffered entries past the
-// previous cut, chained to it by a parent link, so the owner copies
-// nothing for an incremental cut. Owners consult NextSnapshotIsFull to
-// decide which to request.
 func (s *Store) WriteSnapshot(cut *oplog.Cut, pos int, mark oplog.Watermark) {
 	s.Commit(pos, func(ok bool) {
 		if !ok {
 			s.snapFails.Add(1)
 			return
 		}
-		job := func() { s.writeSnapshot(cut, pos, mark) }
-		if cut == nil {
-			job = func() { s.writeDelta(pos, mark) }
-		}
 		if s.opt.Inline {
-			job()
+			s.writeSnapshot(cut, pos, mark)
 			return
 		}
 		if !s.snapBusy.CompareAndSwap(false, true) {
@@ -645,7 +552,7 @@ func (s *Store) WriteSnapshot(cut *oplog.Cut, pos int, mark oplog.Watermark) {
 		go func() {
 			defer s.wg.Done()
 			defer s.snapBusy.Store(false)
-			job()
+			s.writeSnapshot(cut, pos, mark)
 		}()
 	})
 }
@@ -1163,25 +1070,15 @@ func (s *Store) snapPath(pos int) string {
 	return filepath.Join(s.dir, fmt.Sprintf("snap-%010d.snap", pos))
 }
 
-func (s *Store) deltaPath(pos int) string {
-	return filepath.Join(s.dir, fmt.Sprintf("delta-%010d.snap", pos))
-}
-
 // compact retires sealed journal segments every position of which is
-// below both watermarks — durably covered by a FULL snapshot AND
-// acknowledged by every gossip peer. Either alone is not enough:
-// compacting on the snapshot only could strand a slow peer mid-catch-up
-// after a crash, compacting on acks only could leave Open with a journal
-// whose prefix is neither on disk nor reconstructible. The gate is the
-// chain base, not the chain tip: if the newest delta tears, recovery
-// falls back to a chain prefix, and the journal must still hold
-// everything past it.
+// below both watermarks — durably covered by a snapshot AND acknowledged
+// by every gossip peer. Either alone is not enough: compacting on the
+// snapshot only could strand a slow peer mid-catch-up after a crash,
+// compacting on acks only could leave Open with a journal whose prefix is
+// neither on disk nor reconstructible.
 func (s *Store) compact() {
 	s.mu.Lock()
-	keep := s.ackPos
-	if s.snapBase < keep {
-		keep = s.snapBase
-	}
+	keep := min(s.ackPos, s.snapPos)
 	var doomed []string
 	for len(s.segs) > 1 && s.segs[0].sealed && s.segs[0].start+s.segs[0].count <= keep {
 		doomed = append(doomed, s.segs[0].path)
@@ -1218,14 +1115,13 @@ func (s *Store) retireSeg(path string) {
 	s.fs.Remove(path)
 }
 
-// snapChunk is the size of the one buffer a full snapshot's records are
+// snapChunk is the size of the one buffer a snapshot's records are
 // written through.
 const snapChunk = 64 << 10
 
-// writeSnapshot does the actual temp-write + fsync + rename of a FULL
-// snapshot, and on success resets the delta chain to root here. The
-// records are encoded into one snapChunk buffer, written out each time it
-// fills: the file is never whole in memory.
+// writeSnapshot does the actual temp-write + fsync + rename of a
+// snapshot. The records are encoded into one snapChunk buffer, written
+// out each time it fills: the file is never whole in memory.
 func (s *Store) writeSnapshot(cut *oplog.Cut, pos int, mark oplog.Watermark) {
 	began := time.Now()
 	s.mu.Lock()
@@ -1273,113 +1169,6 @@ func (s *Store) writeSnapshot(cut *oplog.Cut, pos int, mark oplog.Watermark) {
 	if pos > s.snapPos {
 		s.snapPos = pos
 	}
-	if pos > s.snapBase {
-		s.snapBase = pos
-	}
-	if s.opt.SnapshotChain > 1 {
-		s.deltasSince = 0
-		if s.deltaOver && s.end == pos {
-			// The overflow's lost range is fully covered by this full cut:
-			// the buffer can re-anchor here.
-			s.deltaOver, s.deltaBuf, s.deltaOff, s.deltaBase = false, nil, nil, pos
-		}
-		if !s.deltaOver {
-			s.dropDeltaPrefixLocked(pos)
-		}
-	}
-	s.mu.Unlock()
-	s.pruneSnapshots()
-	s.compact()
-}
-
-// dropDeltaPrefixLocked discards buffered records a successful cut at
-// pos now covers, closing the gap so the buffer's capacity is reused.
-// Caller holds mu; the buffer must not be in overflow.
-func (s *Store) dropDeltaPrefixLocked(pos int) {
-	n := min(pos-s.deltaBase, len(s.deltaOff))
-	if n <= 0 {
-		return
-	}
-	cut := s.deltaEndLocked(n)
-	s.deltaBuf = s.deltaBuf[:copy(s.deltaBuf, s.deltaBuf[cut:])]
-	s.deltaOff = s.deltaOff[:copy(s.deltaOff, s.deltaOff[n:])]
-	for i := range s.deltaOff {
-		s.deltaOff[i] -= cut
-	}
-	s.deltaBase = pos
-}
-
-// deltaEndLocked reports where the first n buffered records end within
-// deltaBuf. Caller holds mu.
-func (s *Store) deltaEndLocked(n int) int {
-	if n == len(s.deltaOff) {
-		return len(s.deltaBuf)
-	}
-	return s.deltaOff[n]
-}
-
-// writeDelta persists an incremental snapshot cut: just the buffered
-// records spanning [snapPos, pos), stamped with the parent position so
-// recovery can fold the chain back to its full-snapshot root. The records
-// were finished when they were staged, so the file is a header, one copy
-// and a footer. The covered prefix leaves the buffer only on success — a
-// skipped or failed cut keeps it, so the next cut covers a superset and
-// no entry silently drops out of the chain.
-func (s *Store) writeDelta(pos int, mark oplog.Watermark) {
-	began := time.Now()
-	scratch := oplog.GetBuf()
-	defer oplog.PutBuf(scratch)
-	s.mu.Lock()
-	if s.closed || s.failed != nil || pos <= s.snapPos {
-		s.mu.Unlock()
-		return
-	}
-	parent := s.snapPos
-	if s.deltaOver || s.deltaBase > parent || pos-s.deltaBase > len(s.deltaOff) ||
-		(s.snapBase == 0 && s.snapPos == 0) {
-		// The buffer cannot produce [parent, pos) — overflow, or there is
-		// no full snapshot to chain from. Fail visibly; the owner's next
-		// cut will be full.
-		s.mu.Unlock()
-		s.snapFails.Add(1)
-		return
-	}
-	buf := *scratch
-	buf = append(buf, deltaMagic...)
-	buf = binary.AppendUvarint(buf, uint64(pos))
-	buf = binary.AppendUvarint(buf, uint64(parent))
-	buf = oplog.AppendWatermark(buf, mark)
-	buf = binary.AppendUvarint(buf, uint64(pos-parent))
-	// Copied under mu: Stage appends to, and a finished cut shifts, the
-	// buffer this span lives in.
-	buf = append(buf, s.deltaBuf[s.deltaEndLocked(parent-s.deltaBase):s.deltaEndLocked(pos-s.deltaBase)]...)
-	s.mu.Unlock()
-	buf = append(buf, snapFooter...)
-	*scratch = buf[:0]
-
-	final := s.deltaPath(pos)
-	tmp := final + ".tmp"
-	if err := s.writeFileSync(tmp, buf); err != nil {
-		s.fs.Remove(tmp)
-		s.snapFails.Add(1)
-		return
-	}
-	if err := s.fs.Rename(tmp, final); err != nil {
-		s.fs.Remove(tmp)
-		s.snapFails.Add(1)
-		return
-	}
-	s.syncDir()
-	s.snapshots.Add(1)
-	s.deltaSnaps.Add(1)
-	s.snapHist.AddDur(time.Since(began))
-
-	s.mu.Lock()
-	if pos > s.snapPos {
-		s.snapPos = pos
-		s.deltasSince++
-		s.dropDeltaPrefixLocked(pos)
-	}
 	s.mu.Unlock()
 	s.pruneSnapshots()
 	s.compact()
@@ -1412,11 +1201,10 @@ func (s *Store) createSync(path string, write func(faultfs.File) error) error {
 	return f.Close()
 }
 
-// pruneSnapshots deletes all but the newest keepSnapshots FULL snapshot
-// files, plus every delta positioned below the oldest retained full —
-// those chain (directly or transitively) only to deleted roots. Deltas
-// above it chain to a retained full and stay: they are the fallback
-// prefixes recovery may need.
+// pruneSnapshots deletes all but the newest keepSnapshots snapshot
+// files, plus every delta file an older build left positioned below the
+// oldest one kept. Open never reads those deltas — the journal still
+// holds their entries — so a directory sheds them after two cuts.
 func (s *Store) pruneSnapshots() {
 	fulls, err := s.fs.Glob(filepath.Join(s.dir, "snap-*.snap"))
 	if err != nil || len(fulls) <= keepSnapshots {
@@ -1476,8 +1264,8 @@ func (s *Store) incarnate(hasData bool) (uint64, error) {
 	return n, nil
 }
 
-// snapFilePos extracts the position encoded in a snapshot or delta
-// filename.
+// snapFilePos extracts the position encoded in a snapshot (or legacy
+// delta) filename.
 func snapFilePos(path string) (int, error) {
 	name := strings.TrimSuffix(filepath.Base(path), ".snap")
 	if i := strings.IndexByte(name, '-'); i >= 0 {
@@ -1504,7 +1292,7 @@ func (s *Store) replay() (Recovery, error) {
 	if err != nil {
 		return Recovery{}, err
 	}
-	var segPaths, snapPaths, deltaPaths []string
+	var segPaths, snapPaths []string
 	for _, de := range names {
 		name := de.Name()
 		switch {
@@ -1527,14 +1315,12 @@ func (s *Store) replay() (Recovery, error) {
 			}
 		case strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".snap"):
 			snapPaths = append(snapPaths, name)
-		case strings.HasPrefix(name, "delta-") && strings.HasSuffix(name, ".snap"):
-			deltaPaths = append(deltaPaths, name)
 		}
 	}
 	sort.Strings(segPaths)
 
 	rec := Recovery{}
-	s.resolveSnapChain(&rec, snapPaths, deltaPaths)
+	s.loadNewestSnapshot(&rec, snapPaths)
 
 	for i, name := range segPaths {
 		path := filepath.Join(s.dir, name)
@@ -1582,94 +1368,26 @@ func segStart(name string) (int, error) {
 	return strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, "journal-"), ".seg"))
 }
 
-// resolveSnapChain picks the snapshot state recovery starts from: the
-// newest candidate (full or delta) whose every chain link down to a full
-// snapshot verifies end to end. A torn or missing link disqualifies that
-// candidate and the walk restarts from the next-newest — the fallback to
-// a chain prefix (or an older chain). Compaction gates on the chain
-// base, so the journal still retains every position past any prefix tip:
-// the fallback is lossless, and the kill/recover differentials hold
-// byte-identical across it. Chain entries land in rec.SnapshotEntries
-// root-first; position ranges never overlap ([0,base) then each
-// [parent,pos)), and the owner set-unions them anyway.
-func (s *Store) resolveSnapChain(rec *Recovery, snapPaths, deltaPaths []string) {
-	type snapFile struct {
-		pos    int
-		full   bool
-		name   string
-		loaded bool
-		bad    bool
-		ents   []oplog.Entry
-		parent int
-		mark   oplog.Watermark
-	}
-	var cands []*snapFile
-	for _, name := range snapPaths {
-		if pos, err := snapFilePos(name); err == nil {
-			cands = append(cands, &snapFile{pos: pos, full: true, name: name})
-		}
-	}
-	for _, name := range deltaPaths {
-		if pos, err := snapFilePos(name); err == nil {
-			cands = append(cands, &snapFile{pos: pos, name: name})
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].pos != cands[j].pos {
-			return cands[i].pos > cands[j].pos
-		}
-		return cands[i].full && !cands[j].full
-	})
-	load := func(c *snapFile) bool {
-		if !c.loaded {
-			c.loaded = true
-			ents, pos, parent, mark, full, err := loadSnapshotFile(s.fs, filepath.Join(s.dir, c.name))
-			if err != nil || pos != c.pos || full != c.full {
-				c.bad = true
-			} else {
-				c.ents, c.parent, c.mark = ents, parent, mark
-			}
-		}
-		return !c.bad
-	}
-	byPos := func(pos int) *snapFile {
-		var best *snapFile
-		for _, c := range cands {
-			if c.pos == pos && !c.bad && (best == nil || c.full) {
-				best = c
-			}
-		}
-		return best
-	}
-	for _, tip := range cands {
-		var chain []*snapFile
-		ok := true
-		for cur := tip; ; {
-			if !load(cur) {
-				ok = false
-				break
-			}
-			chain = append(chain, cur)
-			if cur.full {
-				break
-			}
-			next := byPos(cur.parent)
-			if next == nil || len(chain) > len(cands) {
-				ok = false // missing link (or a parent cycle in a tampered dir)
-				break
-			}
-			cur = next
-		}
-		if !ok {
+// loadNewestSnapshot fills rec from the newest snapshot that parses end
+// to end and names its own position. A torn or damaged one is passed over
+// for the one before it — keepSnapshots leaves that one on disk. Names
+// are zero-padded, so they sort by position.
+func (s *Store) loadNewestSnapshot(rec *Recovery, names []string) {
+	sort.Sort(sort.Reverse(sort.StringSlice(names)))
+	for _, name := range names {
+		want, err := snapFilePos(name)
+		if err != nil {
 			continue
 		}
-		for i := len(chain) - 1; i >= 0; i-- {
-			rec.SnapshotEntries = append(rec.SnapshotEntries, chain[i].ents...)
+		data, err := s.fs.ReadFile(filepath.Join(s.dir, name))
+		if err != nil {
+			continue
 		}
-		rec.SnapshotPos = tip.pos
-		rec.SnapshotMark = tip.mark
-		rec.SnapshotBase = chain[len(chain)-1].pos
-		rec.Deltas = len(chain) - 1
+		ents, pos, mark, err := parseSnapshot(data)
+		if err != nil || pos != want {
+			continue
+		}
+		rec.SnapshotEntries, rec.SnapshotPos, rec.SnapshotMark = ents, pos, mark
 		return
 	}
 }
@@ -1769,26 +1487,18 @@ func (s *Store) truncateTo(path string, size int64) error {
 	return f.Sync()
 }
 
-// loadSnapshotFile parses one snapshot file — full or delta — end to
-// end; any shortfall (magic, a record CRC, the footer) invalidates the
-// whole file. Deltas carry one extra header field: the parent position
-// their chain link hangs from.
-func loadSnapshotFile(fsys faultfs.FS, path string) (ents []oplog.Entry, pos, parent int, mark oplog.Watermark, full bool, err error) {
-	data, err := fsys.ReadFile(path)
-	if err != nil {
-		return nil, 0, 0, oplog.Watermark{}, false, err
+// minSnapRecord is the shortest snapshot record: a header and an empty
+// entry (four empty strings and three one-byte varints).
+const minSnapRecord = recHdrLen + 4 + 3
+
+// parseSnapshot decodes a snapshot file's bytes end to end; any shortfall
+// (magic, a record CRC, the footer) invalidates the whole file.
+func parseSnapshot(data []byte) (ents []oplog.Entry, pos int, mark oplog.Watermark, err error) {
+	fail := func(what string) ([]oplog.Entry, int, oplog.Watermark, error) {
+		return nil, 0, oplog.Watermark{}, fmt.Errorf("store: snapshot: bad %s", what)
 	}
-	bad := func(what string) error { return fmt.Errorf("store: snapshot %s: bad %s", filepath.Base(path), what) }
-	fail := func(what string) ([]oplog.Entry, int, int, oplog.Watermark, bool, error) {
-		return nil, 0, 0, oplog.Watermark{}, false, bad(what)
-	}
-	var b []byte
-	switch {
-	case len(data) >= len(snapMagic) && string(data[:len(snapMagic)]) == snapMagic:
-		full, b = true, data[len(snapMagic):]
-	case len(data) >= len(deltaMagic) && string(data[:len(deltaMagic)]) == deltaMagic:
-		b = data[len(deltaMagic):]
-	default:
+	b, ok := bytes.CutPrefix(data, []byte(snapMagic))
+	if !ok {
 		return fail("magic")
 	}
 	upos, n := binary.Uvarint(b)
@@ -1796,14 +1506,6 @@ func loadSnapshotFile(fsys faultfs.FS, path string) (ents []oplog.Entry, pos, pa
 		return fail("position")
 	}
 	b = b[n:]
-	if !full {
-		uparent, n := binary.Uvarint(b)
-		if n <= 0 || uparent > upos {
-			return fail("parent")
-		}
-		parent = int(uparent)
-		b = b[n:]
-	}
 	mark, b, err = oplog.DecodeWatermark(b)
 	if err != nil {
 		return fail("watermark")
@@ -1813,7 +1515,9 @@ func loadSnapshotFile(fsys faultfs.FS, path string) (ents []oplog.Entry, pos, pa
 		return fail("count")
 	}
 	b = b[n:]
-	ents = make([]oplog.Entry, 0, count)
+	// The count is read from disk: a damaged one must not become a giant
+	// allocation before the records run out.
+	ents = make([]oplog.Entry, 0, min(count, uint64(len(b)/minSnapRecord)))
 	for i := uint64(0); i < count; i++ {
 		ok, size, e := parseRecord(b, 0)
 		if !ok {
@@ -1825,5 +1529,5 @@ func loadSnapshotFile(fsys faultfs.FS, path string) (ents []oplog.Entry, pos, pa
 	if string(b) != snapFooter {
 		return fail("footer")
 	}
-	return ents, int(upos), parent, mark, full, nil
+	return ents, int(upos), mark, nil
 }
