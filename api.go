@@ -62,8 +62,8 @@ type (
 	// SubmitOption configures one submit call.
 	SubmitOption = core.SubmitOption
 	// StoreStats counts a durable cluster's disk work: fsyncs completed,
-	// entries journaled, snapshots written, segments recycled, torn bytes
-	// truncated at recovery, and the worst single writer stall.
+	// entries journaled, torn bytes truncated at recovery, and the worst
+	// single writer stall (Snapshots, SnapshotFailures and Recycled stay 0).
 	// Cluster.DurabilityStats aggregates it across replicas.
 	StoreStats = store.Stats
 )
@@ -168,20 +168,13 @@ func WithLocalReplicas(idxs ...int) Option { return core.WithLocalReplicas(idxs.
 func NodeID(shards, s, rep int) string { return core.NodeID(shards, s, rep) }
 
 // WithDurability gives every replica a disk-backed store under dir: an
-// append-only CRC-checked journal of its operations plus periodic
-// atomic snapshot files. Submits and gossip pushes are acknowledged
-// only once group-committed to disk, so everything accepted survives a
-// hard crash: Cluster.Kill drops a replica's entire RAM,
+// append-only CRC-checked journal of its operations, which is the whole
+// ledger — never rewritten, never retired. Submits and gossip pushes are
+// acknowledged only once group-committed to disk, so everything accepted
+// survives a hard crash: Cluster.Kill drops a replica's entire RAM,
 // Cluster.Recover reloads it from disk and rejoins gossip, and New
 // itself cold-starts from whatever an earlier incarnation left in dir.
 func WithDurability(dir string) Option { return core.WithDurability(dir) }
-
-// WithSnapshotEvery sets how many journaled operations separate durable
-// snapshots (default 32768) — the whole ledger prefix serialized at a
-// fold-checkpoint boundary. The interval bounds recovery replay and the
-// retained journal: segments below both the newest snapshot and every
-// gossip peer's acknowledgement are deleted. 0 disables snapshots.
-func WithSnapshotEvery(n int) Option { return core.WithSnapshotEvery(n) }
 
 // WithPolicy routes one submit with p instead of the cluster's default
 // risk policy — the per-operation "stomach for risk" dial of §5.5.

@@ -182,8 +182,7 @@ func TestConcurrentReadersDuringIngest(t *testing.T) {
 	dir := t.TempDir()
 	c := quicksand.New[balances](exampleApp{}, nil,
 		quicksand.WithGossipEvery(time.Millisecond),
-		quicksand.WithDurability(dir),
-		quicksand.WithSnapshotEvery(256))
+		quicksand.WithDurability(dir))
 	defer c.Close()
 	ctx := context.Background()
 

@@ -170,7 +170,7 @@ type config struct {
 	transport   Transport
 	foldEvery   int           // folded entries between periodic fold checkpoints (foldCheckpointEvery; tests lower it)
 	durableDir  string        // root of per-replica durable stores ("" = in-memory only)
-	snapEvery   int           // journaled entries between durable snapshots
+	segBytes    int           // durable journal segment size (0 = the store's default; tests lower it)
 	ingestCap   int           // max ops per ingest drain pass (ingestBatchCap; tests lower and raise it)
 	local       map[int]bool  // replica indices hosted by this process (nil = all)
 	tracer      *trace.Tracer // sampled op-lifecycle tracing (nil = off, zero-cost)
@@ -226,16 +226,17 @@ func WithDefaultPolicy(p policy.Policy) Option { return func(c *config) { c.defP
 func WithTransport(t Transport) Option { return func(c *config) { c.transport = t } }
 
 // WithDurability gives every replica a disk-backed store rooted under
-// dir: an append-only CRC-checked journal of its operations plus
-// periodic snapshot files (internal/store). Each replica owns
-// dir/<node-id>; a submit or gossip push is acknowledged only after its
-// entries are fsynced (group-committed), so anything a caller or a peer
-// saw accepted survives a hard crash. With durability on, Kill/Recover
-// model real process death: Kill drops all of a replica's RAM, Recover
-// reloads snapshot + journal from disk and rejoins gossip to catch up —
-// and New itself cold-starts from whatever an earlier incarnation left
-// in dir. New panics if the stores cannot be opened (a configuration
-// error should be loud).
+// dir: an append-only CRC-checked journal of its operations
+// (internal/store), which is the whole ledger — nothing is ever
+// rewritten or retired. Each replica owns dir/<node-id>; a submit or
+// gossip push is acknowledged only after its entries are fsynced
+// (group-committed), so anything a caller or a peer saw accepted
+// survives a hard crash. With durability on, Kill/Recover model real
+// process death: Kill drops all of a replica's RAM, Recover replays the
+// journal from disk and rejoins gossip to catch up — and New itself
+// cold-starts from whatever an earlier incarnation left in dir. New
+// panics if the stores cannot be opened (a configuration error should
+// be loud).
 func WithDurability(dir string) Option { return func(c *config) { c.durableDir = dir } }
 
 // WithLocalReplicas declares that this process hosts only the given
@@ -256,16 +257,6 @@ func WithLocalReplicas(idxs ...int) Option {
 		}
 	}
 }
-
-// WithSnapshotEvery sets how many journaled operations separate durable
-// snapshots (default 32768). A snapshot is the whole ledger prefix
-// serialized in canonical fold order at a fold-checkpoint boundary — the
-// "log as checkpoint" of §3.2 — and the interval bounds both recovery
-// replay and the retained journal: segments below the newest snapshot
-// AND below every gossip peer's acknowledgement are deleted. 0 disables
-// snapshots (the journal is then never compacted); values below 0 fall
-// back to the default.
-func WithSnapshotEvery(n int) Option { return func(c *config) { c.snapEvery = n } }
 
 // WithStoreFS routes every replica's durable-store file I/O through
 // fsys — the syscall-level fault-injection seam (internal/faultfs)
@@ -511,7 +502,6 @@ func New[S any](app App[S], rules []Rule[S], opts ...Option) *Cluster[S] {
 		callTimeout: 100 * time.Millisecond,
 		defPolicy:   policy.AlwaysAsync(),
 		foldEvery:   foldCheckpointEvery,
-		snapEvery:   32768,
 		ingestCap:   ingestBatchCap,
 	}
 	for _, o := range opts {
@@ -525,9 +515,6 @@ func New[S any](app App[S], rules []Rule[S], opts ...Option) *Cluster[S] {
 	}
 	if cfg.callTimeout <= 0 {
 		cfg.callTimeout = 100 * time.Millisecond
-	}
-	if cfg.snapEvery < 0 {
-		cfg.snapEvery = 32768
 	}
 	tr := cfg.transport
 	if tr == nil {
@@ -603,12 +590,12 @@ func New[S any](app App[S], rules []Rule[S], opts ...Option) *Cluster[S] {
 // the sim cannot observe, and background flusher goroutines would break
 // bit-for-bit reproducibility.
 func (c *Cluster[S]) storeOptions() store.Options {
-	opt := store.Options{}
+	opt := store.Options{SegmentBytes: c.cfg.segBytes}
 	_, scatters := c.tr.(Scatterer)
 	opt.Inline = !scatters
-	// Preallocated (and recycled) segments trade exact file sizes for
-	// flush latency; the simulator keeps exact sizes — its tests poke at
-	// them, and inline runs are not latency-sensitive anyway.
+	// Preallocated segments trade exact file sizes for flush latency; the
+	// simulator keeps exact sizes — its tests poke at them, and inline
+	// runs are not latency-sensitive anyway.
 	opt.Preallocate = !opt.Inline
 	opt.FS = c.cfg.storeFS
 	return opt
@@ -635,9 +622,8 @@ func (c *Cluster[S]) Kill(i int) { c.groups[0].reps[i].Kill() }
 func (c *Cluster[S]) ShardKill(shard, i int) { c.groups[shard].reps[i].Kill() }
 
 // Recover restarts killed replica i of shard 0 from its durable store:
-// snapshot load, journal replay, torn-tail truncation, then the node
-// rejoins gossip to catch up on what it missed while dead. See
-// Replica.Recover.
+// journal replay, torn-tail truncation, then the node rejoins gossip to
+// catch up on what it missed while dead. See Replica.Recover.
 func (c *Cluster[S]) Recover(ctx context.Context, i int) error {
 	return c.groups[0].reps[i].Recover(ctx)
 }
@@ -704,8 +690,8 @@ func (c *Cluster[S]) DegradedShards() []int {
 }
 
 // DurabilityStats sums the disk-work counters of every replica's live
-// store: fsyncs completed, entries journaled, snapshots written or
-// failed, segments recycled, torn bytes truncated at recovery.
+// store: fsyncs completed, entries journaled, torn bytes truncated at
+// recovery (Snapshots, SnapshotFailures and Recycled stay 0).
 // MaxStallNs is the max, not the sum — the worst single writer stall
 // anywhere in the cluster. All zeros without WithDurability.
 func (c *Cluster[S]) DurabilityStats() store.Stats {
@@ -715,9 +701,6 @@ func (c *Cluster[S]) DurabilityStats() store.Stats {
 			if st, ok := r.StoreStats(); ok {
 				out.Fsyncs += st.Fsyncs
 				out.Appended += st.Appended
-				out.Snapshots += st.Snapshots
-				out.SnapshotFailures += st.SnapshotFailures
-				out.Recycled += st.Recycled
 				out.TornBytes += st.TornBytes
 				if st.MaxStallNs > out.MaxStallNs {
 					out.MaxStallNs = st.MaxStallNs
@@ -728,14 +711,15 @@ func (c *Cluster[S]) DurabilityStats() store.Stats {
 	return out
 }
 
-// ShardDurabilityHists merges the log-bucketed fsync and
-// snapshot-cut latency histograms of one shard's locally hosted
-// replicas — the per-shard durability series behind /metrics. Both are
-// empty without WithDurability.
+// ShardDurabilityHists merges the log-bucketed fsync latency histograms
+// of one shard's locally hosted replicas — the per-shard durability
+// series behind /metrics; empty without WithDurability. snapCut is
+// always empty: the store cuts no snapshots. It stays so that callers
+// reading it still build.
 func (c *Cluster[S]) ShardDurabilityHists(shard int) (fsync, snapCut *stats.LatHist) {
 	fsync, snapCut = &stats.LatHist{}, &stats.LatHist{}
 	for _, r := range c.groups[shard].reps {
-		r.MergeStoreHists(fsync, snapCut)
+		r.MergeFsyncHist(fsync)
 	}
 	return fsync, snapCut
 }

@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,6 +18,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/rpc"
 	"repro/internal/sim"
+	"repro/internal/testenv"
 	"repro/internal/uniq"
 )
 
@@ -82,7 +85,7 @@ func TestKillDropsAllState(t *testing.T) {
 // Lamport clock, and derived state from the store alone — before any
 // gossip runs.
 func TestKillRecoverFromDiskOnly(t *testing.T) {
-	s, c, _ := durableCluster(t, 42, WithSnapshotEvery(8))
+	s, c, _ := durableCluster(t, 42)
 	for i := 0; i < 30; i++ {
 		mustSubmit(t, c, i%3, NewOp("credit", fmt.Sprintf("k%d", i%5), 1))
 	}
@@ -112,53 +115,6 @@ func TestKillRecoverFromDiskOnly(t *testing.T) {
 	convergeSim(t, s, c)
 }
 
-// TestTornNewestSnapshotRecoversFromDiskOnly: tear the newest snapshot
-// of a killed replica, then recover from disk alone (no gossip runs in
-// between). Recovery falls back to the snapshot before it and replays the
-// journal past that one — the recovered replica must match its pre-kill
-// self exactly.
-func TestTornNewestSnapshotRecoversFromDiskOnly(t *testing.T) {
-	s, c, _ := durableCluster(t, 172, WithSnapshotEvery(8))
-	defer c.Close()
-	for i := 0; i < 60; i++ {
-		mustSubmit(t, c, i%3, NewOp("credit", fmt.Sprintf("k%d", i%5), 1))
-	}
-	convergeSim(t, s, c)
-	want := c.Replica(1).State()
-	wantOps := c.Replica(1).OpCount()
-
-	c.Kill(1)
-	snaps, err := filepath.Glob(filepath.Join(c.storeDir("r1"), "snap-*.snap"))
-	if err != nil || len(snaps) < 2 {
-		t.Fatalf("replica 1 has %d snapshot files, want two to fall back between (err %v)", len(snaps), err)
-	}
-	sort.Strings(snaps)
-	newest := snaps[len(snaps)-1]
-	info, err := os.Stat(newest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(newest, info.Size()/2); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := c.Recover(context.Background(), 1); err != nil {
-		t.Fatal(err)
-	}
-	r1 := c.Replica(1)
-	if got := r1.OpCount(); got != wantOps {
-		t.Fatalf("recovered %d ops, want %d", got, wantOps)
-	}
-	for k, v := range want {
-		if got := r1.State()[k]; got != v {
-			t.Fatalf("recovered state[%s] = %d, want %d", k, got, v)
-		}
-	}
-	// And the recovered replica keeps serving.
-	mustSubmit(t, c, 1, NewOp("credit", "post", 7))
-	convergeSim(t, s, c)
-}
-
 // TestKillRecoverMatchesControl is the acceptance differential: kill a
 // replica mid-workload, recover it from disk only, and every replica's
 // per-key state must exactly match a never-crashed control run of the
@@ -176,7 +132,7 @@ func TestKillRecoverMatchesControl(t *testing.T) {
 			c = New[counterState](counterApp{}, nil, WithReplicas(3), WithDurability(dir))
 		} else {
 			s = sim.New(77)
-			c = New[counterState](counterApp{}, nil, WithTransport(rpc.NewSimTransport(s)), WithReplicas(3), WithDurability(dir), WithSnapshotEvery(16))
+			c = New[counterState](counterApp{}, nil, WithTransport(rpc.NewSimTransport(s)), WithReplicas(3), WithDurability(dir))
 		}
 		defer c.Close()
 		converge := func() {
@@ -309,7 +265,7 @@ func TestColdRestart(t *testing.T) {
 	dir := t.TempDir()
 	s := sim.New(11)
 	c := New[counterState](counterApp{}, nil,
-		WithTransport(rpc.NewSimTransport(s)), WithReplicas(3), WithDurability(dir), WithSnapshotEvery(8))
+		WithTransport(rpc.NewSimTransport(s)), WithReplicas(3), WithDurability(dir))
 	for i := 0; i < 25; i++ {
 		mustSubmit(t, c, i%3, NewOp("credit", fmt.Sprintf("k%d", i%4), 2))
 	}
@@ -320,7 +276,7 @@ func TestColdRestart(t *testing.T) {
 
 	s2 := sim.New(12)
 	c2 := New[counterState](counterApp{}, nil,
-		WithTransport(rpc.NewSimTransport(s2)), WithReplicas(3), WithDurability(dir), WithSnapshotEvery(8))
+		WithTransport(rpc.NewSimTransport(s2)), WithReplicas(3), WithDurability(dir))
 	defer c2.Close()
 	for i := 0; i < 3; i++ {
 		rep := c2.Replica(i)
@@ -405,6 +361,121 @@ func TestColdRestartNeverReusesAnIDPeersHold(t *testing.T) {
 	}
 }
 
+// TestLivePeerRepushesWhatTheOriginLost: the peer of an origin whose
+// disk lost a coordinated op stays up through the origin's Kill and
+// Recover, and still hands the op back. It holds the op only because
+// the origin sent it, which is no durable acknowledgement, so a durable
+// replica's pushes to that origin start below it.
+func TestLivePeerRepushesWhatTheOriginLost(t *testing.T) {
+	dir := t.TempDir()
+	var lying atomic.Bool
+	marker := string(os.PathSeparator) + "r0" + string(os.PathSeparator)
+	inj := faultfs.New(faultfs.OS, 1, func(op faultfs.Op) faultfs.Decision {
+		return faultfs.Decision{LieSync: lying.Load() && op.Kind == faultfs.OpSync && strings.Contains(op.Path, marker)}
+	})
+	s := sim.New(33)
+	c := New[counterState](counterApp{}, nil, WithTransport(rpc.NewSimTransport(s)), WithReplicas(2), WithDurability(dir), WithStoreFS(inj))
+	defer c.Close()
+	lying.Store(true)
+	res, err := c.Submit(context.Background(), 0, NewOp("credit", "k", 5), WithPolicy(policy.AlwaysSync()))
+	if err != nil || !res.Accepted {
+		t.Fatalf("coordinated submit: %+v, %v", res, err)
+	}
+	c.Kill(0)
+	lying.Store(false)
+	if err := inj.Tear(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Recover(context.Background(), 0); err != nil {
+		t.Fatal(err)
+	}
+	if n := c.Replica(0).OpCount(); n != 0 {
+		t.Fatalf("r0 recovered %d ops; its lying disk should have lost the coordinated one", n)
+	}
+	convergeSim(t, s, c)
+	for i := 0; i < 2; i++ {
+		if got := c.Replica(i).State()["k"]; got != 5 {
+			t.Fatalf("r%d state[k] = %d, want 5", i, got)
+		}
+	}
+}
+
+// TestDuplicatePushAckWaitsForDisk: a push that brings a replica nothing
+// new is acknowledged only once the replica's own copy is durable. r1's
+// fsync of its op is slow; r0 gets the op by gossip and echoes it back,
+// and must not count r1 as durably holding it before that fsync returns.
+func TestDuplicatePushAckWaitsForDisk(t *testing.T) {
+	var slow, synced atomic.Bool
+	marker := string(os.PathSeparator) + "r1" + string(os.PathSeparator)
+	inj := faultfs.New(faultfs.OS, 1, func(op faultfs.Op) faultfs.Decision {
+		if slow.Load() && op.Kind == faultfs.OpSync && strings.Contains(op.Path, marker) {
+			return faultfs.Decision{Delay: 300 * time.Millisecond}
+		}
+		return faultfs.Decision{}
+	})
+	c := New[counterState](counterApp{}, nil, WithReplicas(2), WithDurability(t.TempDir()),
+		WithGossipEvery(2*time.Millisecond), WithStoreFS(syncWatchFS{inj, marker, &slow, &synced}))
+	defer c.Close()
+	r0, r1 := c.Replica(0), c.Replica(1).ID()
+	acked := func() int {
+		r0.mu.Lock()
+		defer r0.mu.Unlock()
+		return r0.ackedLocked(r1)
+	}
+	slow.Store(true)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c.Submit(context.Background(), 1, NewOp("credit", "k", 1))
+	}()
+	for waiting := true; waiting; {
+		select {
+		case <-done:
+			waiting = false
+		case <-time.After(time.Millisecond):
+		}
+		if acked() > 0 && !synced.Load() {
+			t.Fatal("r0 counts r1 as durably holding its op before r1's fsync returned")
+		}
+	}
+	slow.Store(false)
+	for deadline := time.Now().Add(5 * time.Second); acked() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("r0's echo never earned r1's durable acknowledgement")
+		}
+	}
+}
+
+// syncWatchFS sets synced once a file whose path holds marker returns
+// from a Sync begun while slow is set.
+type syncWatchFS struct {
+	faultfs.FS
+	marker       string
+	slow, synced *atomic.Bool
+}
+
+func (w syncWatchFS) OpenFile(name string, flag int, perm fs.FileMode) (faultfs.File, error) {
+	f, err := w.FS.OpenFile(name, flag, perm)
+	if err != nil || !strings.Contains(name, w.marker) {
+		return f, err
+	}
+	return syncWatchFile{f, w}, nil
+}
+
+type syncWatchFile struct {
+	faultfs.File
+	w syncWatchFS
+}
+
+func (f syncWatchFile) Sync() error {
+	slow := f.w.slow.Load()
+	err := f.File.Sync()
+	if slow {
+		f.w.synced.Store(true)
+	}
+	return err
+}
+
 // TestColdRestartTornTail: a crash can tear the final journal record;
 // the next cold start truncates it and recovers everything before it.
 func TestColdRestartTornTail(t *testing.T) {
@@ -452,35 +523,141 @@ func TestRecoverErrors(t *testing.T) {
 	c2.Close()
 }
 
-// TestDurableSnapshotsCompactJournal: with gossip acks flowing and a
-// tight snapshot cadence, old journal segments are actually deleted,
-// and a cold restart still reconstructs everything.
-func TestDurableSnapshotsCompactJournal(t *testing.T) {
-	dir := t.TempDir()
-	s := sim.New(17)
-	c := New[counterState](counterApp{}, nil,
-		WithTransport(rpc.NewSimTransport(s)), WithReplicas(3), WithDurability(dir), WithSnapshotEvery(16))
-	for i := 0; i < 120; i++ {
-		mustSubmit(t, c, i%3, NewOp("credit", fmt.Sprintf("k%d", i%3), 1))
-		if i%10 == 9 {
-			c.GossipRound()
+// withSegmentBytes shrinks every durable store's journal segments, so
+// that a test seals some.
+func withSegmentBytes(n int) Option { return func(c *config) { c.segBytes = n } }
+
+// TestRecoverSeedsJournalFromAcked: a replica recovered after its peers
+// acknowledged everything re-pushes only what it staged since its last
+// segment seal — where its store last recorded the acknowledged position
+// — and the round in flight then, not its whole history. That holds with
+// one writer and with writers on every replica, where each replica's
+// journal is mostly what its peers pushed it. A cold restart still
+// rebuilds every op.
+func TestRecoverSeedsJournalFromAcked(t *testing.T) {
+	const n = 5000
+	for _, tc := range []struct {
+		name    string
+		writers int
+		// inFlight is how far the acked position a seal records may
+		// trail the seal: what one gossip round carries, here one op
+		// when a peer wrote it.
+		inFlight int
+	}{{"one writer", 1, 0}, {"every replica writes", 3, 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := sim.New(17)
+			c := New[counterState](counterApp{}, nil,
+				WithTransport(rpc.NewSimTransport(s)), WithReplicas(3), WithDurability(dir), withSegmentBytes(4096))
+			for i := 0; i < n; i++ {
+				mustSubmit(t, c, i%tc.writers, NewOp("credit", fmt.Sprintf("k%d", i%3), 1))
+				c.GossipRound() // every peer acknowledges before the next submit
+				s.Run()
+			}
+			c.GossipRound() // r0 passes on what the last round brought it
 			s.Run()
-		}
+			if got := c.Replica(0).JournalRetained(); got != 0 {
+				t.Fatalf("r0 retains %d journal entries with every push acknowledged", got)
+			}
+			c.Kill(0)
+			segs, _ := filepath.Glob(filepath.Join(c.storeDir("r0"), "journal-*.seg"))
+			sort.Strings(segs)
+			last, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(filepath.Base(segs[len(segs)-1]), "journal-"), ".seg"))
+			if err != nil || len(segs) < 10 {
+				t.Fatalf("r0 sealed too few segments to test: %v (%v)", segs, err)
+			}
+			if err := c.Recover(context.Background(), 0); err != nil {
+				t.Fatal(err)
+			}
+			r0 := c.Replica(0)
+			if got := r0.OpCount(); got != n {
+				t.Fatalf("recovered %d ops, want %d", got, n)
+			}
+			got, bound := r0.JournalRetained(), n-last+tc.inFlight
+			t.Logf("recovered r0 retains %d journal entries of %d; %d staged since its last seal", got, n, n-last)
+			if got > bound {
+				t.Fatalf("recovered r0 holds %d journal entries to re-push; %d were staged since its last seal", got, n-last)
+			}
+			convergeSim(t, s, c)
+			c.Close()
+
+			s2 := sim.New(18)
+			c2 := New[counterState](counterApp{}, nil,
+				WithTransport(rpc.NewSimTransport(s2)), WithReplicas(3), WithDurability(dir))
+			defer c2.Close()
+			for i := 0; i < 3; i++ {
+				if got := c2.Replica(i).OpCount(); got != n {
+					t.Fatalf("r%d cold-started with %d of %d ops", i, got, n)
+				}
+			}
+		})
 	}
-	convergeSim(t, s, c)
-	if st := c.DurabilityStats(); st.Snapshots == 0 {
-		t.Fatalf("no snapshots written: %+v", st)
+}
+
+// byteCountFS counts the bytes written through it and makes fsync free:
+// what it measures is what a store writes, not how fast.
+type byteCountFS struct {
+	faultfs.FS
+	n *atomic.Int64
+}
+
+func (c byteCountFS) OpenFile(name string, flag int, perm fs.FileMode) (faultfs.File, error) {
+	f, err := c.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
 	}
-	wantOps := c.Replica(0).OpCount()
-	c.Close()
-	s2 := sim.New(18)
-	c2 := New[counterState](counterApp{}, nil,
-		WithTransport(rpc.NewSimTransport(s2)), WithReplicas(3), WithDurability(dir), WithSnapshotEvery(16))
-	defer c2.Close()
-	for i := 0; i < 3; i++ {
-		if got := c2.Replica(i).OpCount(); got != wantOps {
-			t.Fatalf("r%d recovered %d of %d ops after compaction", i, got, wantOps)
+	return byteCountFile{f, c.n}, nil
+}
+
+type byteCountFile struct {
+	faultfs.File
+	n *atomic.Int64
+}
+
+func (f byteCountFile) Write(p []byte) (int, error) {
+	n, err := f.File.Write(p)
+	f.n.Add(int64(n))
+	return n, err
+}
+
+func (f byteCountFile) WriteAt(p []byte, off int64) (int, error) {
+	n, err := f.File.WriteAt(p, off)
+	f.n.Add(int64(n))
+	return n, err
+}
+
+func (f byteCountFile) Sync() error { return nil }
+
+// TestHistoryCostsNoWrites: a durable replica writes the same bytes per
+// op after 500k ops as after 50k — the journal is the ledger, and no
+// cut rewrites the history it already holds.
+func TestHistoryCostsNoWrites(t *testing.T) {
+	testenv.SkipUnderRace(t) // one goroutine on the simulator: nothing for the detector, 550k ops to wait for
+	perOp := func(n int) float64 {
+		var written atomic.Int64
+		c := New[counterState](counterApp{}, nil, WithTransport(rpc.NewSimTransport(sim.New(5))), WithReplicas(1),
+			WithDurability(t.TempDir()), WithStoreFS(byteCountFS{faultfs.OS, &written}))
+		ops := make([]Op, 1000)
+		for i := range ops {
+			ops[i] = NewOp("credit", fmt.Sprintf("k%d", i%8), 1)
 		}
+		for done := 0; done < n; done += len(ops) {
+			if _, err := c.SubmitBatch(context.Background(), 0, ops); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := c.Replica(0).OpCount(); got != n {
+			t.Fatalf("%d of %d ops admitted", got, n)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return float64(written.Load()) / float64(n)
+	}
+	small, large := perOp(50_000), perOp(500_000)
+	t.Logf("bytes written per op: %.2f at 50k ops, %.2f at 500k", small, large)
+	if large > small*1.02 || large < small*0.98 {
+		t.Fatalf("bytes written per op moved from %.2f at 50k ops to %.2f at 500k: history costs writes", small, large)
 	}
 }
 
@@ -544,7 +721,7 @@ func TestKillRecoverChurn(t *testing.T) {
 	dir := t.TempDir()
 	c := New[counterState](counterApp{}, nil,
 		WithReplicas(3), WithDurability(dir),
-		WithSnapshotEvery(64), WithGossipEvery(time.Millisecond))
+		WithGossipEvery(time.Millisecond))
 	defer c.Close()
 	ctx := context.Background()
 	stop := make(chan struct{})

@@ -352,9 +352,9 @@ func (r *Replica[S]) coordinate(one []ingestItem) {
 // ingestSegment absorbs one run of asynchronous submits under a single
 // replica-lock acquisition: Lamport stamping, duplicate detection,
 // admission against the advancing fold, set/journal/store appends — the
-// store staged once for the whole segment — then one snapshot decision,
-// one in-place fold of the batch, and one commit fan-out resolving every
-// result. The caller holds drainMu.
+// store staged once for the whole segment — then one in-place fold of
+// the batch and one commit fan-out resolving every result. The caller
+// holds drainMu.
 func (r *Replica[S]) ingestSegment(items []ingestItem) {
 	c, g := r.c, r.g
 	r.mu.Lock()
@@ -433,11 +433,9 @@ func (r *Replica[S]) ingestSegment(items []ingestItem) {
 		// unlanded flush, so re-accept no earlier than the current tail.
 		end = st.End()
 	}
-	var snap func()
 	var due [2]string
 	nDue := 0
 	if nAccepted > 0 {
-		snap = r.maybeSnapshotLocked()
 		// Fold the batch in, in place, while the lock is already held — but
 		// publish nothing: stageLocked bumped the version, which sends the
 		// first reader after this ack to the locked fallback, and only a
@@ -449,9 +447,6 @@ func (r *Replica[S]) ingestSegment(items []ingestItem) {
 	}
 	r.acceptBuf = accepted[:0] // keep the capacity the appends grew
 	r.mu.Unlock()
-	if snap != nil {
-		snap()
-	}
 	if t := c.cfg.tracer; t != nil && nAccepted > 0 {
 		// The batch was admitted and folded above in one critical
 		// section; both stages share its exit timestamp.

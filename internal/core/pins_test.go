@@ -51,10 +51,9 @@ func TestPinSubmitAllocs(t *testing.T) {
 	})
 	t.Run("durable", func(t *testing.T) {
 		// On the simulator the store runs inline: the flush, the commit
-		// fan-out and the sink's release all happen inside Submit. The
-		// snapshot cadence is out of the measured window's way.
+		// fan-out and the sink's release all happen inside Submit.
 		c := New[counterState](counterApp{}, nil, WithTransport(rpc.NewSimTransport(sim.New(27))), WithReplicas(1),
-			WithDurability(t.TempDir()), WithSnapshotEvery(1<<20))
+			WithDurability(t.TempDir()))
 		if got := measure(t, c); got > 2 {
 			t.Fatalf("one durable blocking guess allocates %.0f times, want at most 2", got)
 		}

@@ -140,7 +140,7 @@ func TestViewNeverShares(t *testing.T) {
 func TestHeldSnapshotNeverChanges(t *testing.T) {
 	c := New[counterState](counterApp{}, []Rule[counterState]{noOverdraft()},
 		WithReplicas(3), WithDurability(t.TempDir()),
-		WithSnapshotEvery(64), WithGossipEvery(time.Millisecond))
+		WithGossipEvery(time.Millisecond))
 	defer c.Close()
 	ctx := context.Background()
 	stop := make(chan struct{})

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -62,17 +63,25 @@ type Replica[S any] struct {
 	mu      sync.Mutex
 	ops     *oplog.Set
 	journal oplog.Journal   // arrival order, for incremental gossip; prefix truncated once acked
-	sentTo  map[string]int  // journal prefix (absolute position) acked by each peer
+	sentTo  map[string]int  // journal prefix (absolute position) each peer holds, acked or inferred
 	pushing map[string]bool // peers with a push in flight, to keep rounds from resending the suffix
 	lamport uint64          // highest Lamport timestamp seen
+	// ackedTo is, per gossip peer, the journal prefix the peer holds by its
+	// own durable pushAck — never, unlike sentTo, because it sent us those
+	// entries itself: a sender may still lose them to a crash before its
+	// fsync. Below ackedFloor, where the journal was seeded from disk, a
+	// peer counts as holding everything. A durable replica pushes from
+	// here (pushFromLocked), so what a peer sent it comes back once and
+	// earns the durable ack; the store persists the minimum over peers
+	// (Recovery.Acked), and a recovered replica re-pushes from there.
+	ackedTo    map[string]int
+	ackedFloor int
 
 	// The durable tier (nil without WithDurability). Every absorbed entry
 	// is staged to the store's disk journal under mu — in the same order
 	// as the in-memory journal, so the two share absolute positions — and
 	// the absorb is acknowledged only once the store group-commits it.
-	// sinceSnap counts journaled entries toward the next durable snapshot.
-	store     *store.Store
-	sinceSnap int
+	store *store.Store
 
 	// Degraded read-only mode: set when the store failed with a
 	// recoverable disk error (ENOSPC, EIO — see recoverableDiskErr).
@@ -164,6 +173,7 @@ func newReplica[S any](c *Cluster[S], g *shardGroup[S], id string) *Replica[S] {
 		gen:     uniq.NewGen(id),
 		ops:     oplog.NewSet(),
 		sentTo:  make(map[string]int),
+		ackedTo: make(map[string]int),
 		pushing: make(map[string]bool),
 		state:   c.app.Init(),
 		ingest:  &ingestQueue{},
@@ -246,31 +256,52 @@ func (r *Replica[S]) notHosted(op Op) Result {
 
 // seedFromDisk rebuilds the replica's in-memory world from a store
 // recovery: operation set and Lamport clock from snapshot ∪ journal,
-// gossip journal re-seeded with the retained suffix (positions [Base,
-// End) — the entries some gossip peer may not have acknowledged yet;
-// peers that already hold them dedupe the re-push), fold checkpoint
-// rebuilt lazily by the next State call. Runs before the replica is
-// published (construction or under mu during Recover).
+// gossip journal re-seeded with the suffix some peer may not have
+// acknowledged (positions [Acked, End); peers that already hold some of
+// it dedupe the re-push), fold checkpoint rebuilt lazily by the next
+// State call. Runs before the replica is published (construction or
+// under mu during Recover).
 func (r *Replica[S]) seedFromDisk(st *store.Store, rec store.Recovery) {
 	r.store = st
 	r.ops.Grow(len(rec.SnapshotEntries) + len(rec.JournalEntries))
-	add := func(e oplog.Entry) {
-		if r.ops.Add(e) && e.Lam > r.lamport {
-			r.lamport = e.Lam
+	acked := rec.Acked - rec.Base
+	for _, e := range rec.SnapshotEntries {
+		r.ops.Add(e)
+	}
+	for _, e := range rec.JournalEntries[:acked] {
+		r.ops.Add(e)
+	}
+	// The journal keeps the set's copies of the suffix, read back from
+	// AddAll a bounded chunk at a time: the recovery's strings would pin
+	// whole segment files in memory. An entry an older build's snapshot
+	// already held is not new to the set; the journal copies it.
+	r.journal = oplog.JournalAt(rec.Acked)
+	r.ackedFloor = rec.Acked
+	for suffix := rec.JournalEntries[acked:]; len(suffix) > 0; {
+		chunk := suffix[:min(len(suffix), ingestBatchCap)]
+		suffix = suffix[len(chunk):]
+		added := r.ops.AddAll(chunk)
+		for _, e := range chunk {
+			if len(added) > 0 && added[0].ID == e.ID {
+				e, added = added[0], added[1:]
+			} else {
+				e = cloneEntry(e)
+			}
+			r.journal.Append(e)
 		}
 	}
-	for _, e := range rec.SnapshotEntries {
-		add(e)
-	}
-	r.journal = oplog.JournalAt(rec.Base)
-	for _, e := range rec.JournalEntries {
-		add(e)
-		r.journal.Append(e)
-	}
+	r.lamport = r.ops.MaxLam()
 	r.stateDirty = r.ops.Len() > 0
 	// Invalidate any published read snapshot from a previous incarnation;
 	// the next State call refolds from the recovered set and republishes.
 	r.version.Add(1)
+}
+
+// cloneEntry copies e's strings, so that keeping it keeps nothing else.
+func cloneEntry(e oplog.Entry) oplog.Entry {
+	e.ID = uniq.ID(strings.Clone(string(e.ID)))
+	e.Kind, e.Key, e.Note = strings.Clone(e.Kind), strings.Clone(e.Key), strings.Clone(e.Note)
+	return e
 }
 
 // ID returns the replica's name — its transport node id (r0, r1, ... on
@@ -524,14 +555,12 @@ func (r *Replica[S]) stageLocked(added []oplog.Entry) (end int) {
 	if r.store != nil {
 		// Stage to the disk journal in the same order, under the same
 		// lock, as the in-memory journal: the two streams share
-		// absolute positions, which is what lets peer acknowledgements
-		// (in-memory positions) gate disk compaction.
+		// absolute positions, which is what lets the store persist peer
+		// acknowledgements (in-memory positions) as its acked position.
 		end = r.store.Stage(added)
-		r.sinceSnap += len(added)
 		if len(r.gossipPeers) == 0 {
 			// No peers will ever need a re-push: the ack watermark is
-			// vacuously the journal tail, so only snapshots gate
-			// compaction.
+			// vacuously the journal tail.
 			r.store.AckTo(end)
 		}
 	}
@@ -585,27 +614,6 @@ func (r *Replica[S]) absorbLocked(entries []oplog.Entry, from string) (added []o
 	return added, end
 }
 
-// maybeSnapshotLocked decides whether enough entries were journaled
-// since the last durable snapshot; if so it brings the fold checkpoint
-// current (snapshots are cut at fold-checkpoint boundaries), captures
-// the ledger in canonical order, and returns a closure that hands the cut
-// to the store — to be run after mu is released, since the store writes
-// it on its own schedule. The caller holds r.mu.
-func (r *Replica[S]) maybeSnapshotLocked() func() {
-	if r.store == nil || r.c.cfg.snapEvery <= 0 || r.sinceSnap < r.c.cfg.snapEvery {
-		return nil
-	}
-	r.sinceSnap = 0
-	r.foldLocked()
-	st := r.store
-	// All a cut copies under mu is the set's rows, 32 bytes an entry,
-	// which the store encodes and streams to disk after mu is released.
-	cut := r.ops.Cut()
-	pos := st.End()
-	mark := r.stateMark
-	return func() { st.WriteSnapshot(cut, pos, mark) }
-}
-
 // absorb unions entries into the set and — once they are durable, on a
 // replica that owns a store — tallies them in the ledger, sweeps for newly
 // exposed rule violations, and replies pushAck{OK: ok}. A false OK means
@@ -644,13 +652,15 @@ func (r *Replica[S]) absorb(entries []oplog.Entry, how, from string, reply func(
 			}
 		}
 	}
-	snap := r.maybeSnapshotLocked()
 	st := r.store
-	r.mu.Unlock()
-	if snap != nil {
-		snap()
+	if st != nil && job.n == 0 {
+		// Nothing new, but the OK still promises the pushed entries are
+		// durable here: wait for everything staged so far, which holds
+		// them. Usually it is on disk already and the callback runs now.
+		end = st.End()
 	}
-	if st == nil || job.n == 0 {
+	r.mu.Unlock()
+	if st == nil {
 		job.resolve(true)
 		return
 	}
@@ -771,7 +781,6 @@ func (r *Replica[S]) degrade(st *store.Store) {
 		return
 	}
 	r.store = nil
-	r.sinceSnap = 0
 	r.degradedErr = err
 	// Counted before the flag is visible, and recorded before the store is
 	// crashed: on the live path Crash waits out the flusher that is still
@@ -1030,7 +1039,7 @@ func (r *Replica[S]) pushTo(peer string) {
 		r.mu.Unlock()
 		return
 	}
-	from := r.sentTo[peer]
+	from := r.pushFromLocked(peer)
 	if base := r.journal.Base(); from < base {
 		// The peer's recorded acknowledgement predates this incarnation's
 		// journal (a recovered replica re-seeds its journal at the disk
@@ -1055,8 +1064,11 @@ func (r *Replica[S]) pushTo(peer string) {
 		acked := ok && resp.(pushAck).OK
 		r.mu.Lock()
 		delete(r.pushing, peer)
-		if acked && end > r.sentTo[peer] {
-			r.sentTo[peer] = end
+		if acked {
+			if from <= r.ackedLocked(peer) {
+				r.ackedTo[peer] = max(r.ackedTo[peer], end)
+			}
+			r.sentTo[peer] = max(r.sentTo[peer], end)
 			r.truncateJournalLocked()
 		}
 		r.mu.Unlock()
@@ -1074,25 +1086,42 @@ func (r *Replica[S]) pushTo(peer string) {
 	})
 }
 
-// truncateJournalLocked drops the journal prefix acknowledged by every
-// gossip peer. Peers that have acked less (a crashed successor, a
+// truncateJournalLocked drops the journal prefix no gossip peer will be
+// pushed again. Peers that have acked less (a crashed successor, a
 // partitioned predecessor) hold the prefix in place, so anti-entropy
 // never loses an entry a peer still needs — but once all acks cover it,
 // a long-lived replica's journal no longer grows with total ops, only
-// with the entries absorbed since the slowest peer's last ack.
+// with the entries absorbed since the slowest peer's last ack. The store
+// is handed the prefix every peer acknowledged durably (ackedTo).
 func (r *Replica[S]) truncateJournalLocked() {
-	min := r.journal.Len()
+	keep, acked := r.journal.Len(), r.journal.Len()
 	for _, p := range r.gossipPeers {
-		if v := r.sentTo[p.id]; v < min {
-			min = v
-		}
+		keep = min(keep, r.pushFromLocked(p.id))
+		acked = min(acked, r.ackedLocked(p.id))
 	}
-	r.journal.TruncateTo(min)
+	r.journal.TruncateTo(keep)
 	if r.store != nil {
-		// The same watermark unlocks disk compaction — but only jointly
-		// with the snapshot watermark; the store takes the min.
-		r.store.AckTo(min)
+		r.store.AckTo(acked)
 	}
+}
+
+// pushFromLocked reports where the next push to peer starts. A volatile
+// replica skips what the contiguity inference says the peer holds; a
+// durable one starts at the peer's durable acknowledgement, because its
+// store persists only that, and an inferred range that never came back
+// would hold the acked position down for the rest of this life. The
+// caller holds r.mu.
+func (r *Replica[S]) pushFromLocked(peer string) int {
+	if r.store == nil {
+		return r.sentTo[peer]
+	}
+	return min(r.sentTo[peer], r.ackedLocked(peer))
+}
+
+// ackedLocked reports the journal prefix peer has durably acknowledged.
+// The caller holds r.mu.
+func (r *Replica[S]) ackedLocked(peer string) int {
+	return max(r.ackedTo[peer], r.ackedFloor)
 }
 
 // The handlers hand reply straight on: absorb acknowledges with
@@ -1150,10 +1179,11 @@ func (r *Replica[S]) Kill() {
 // incarnation's phantoms before reseeding from disk). The caller holds
 // mu and owns store shutdown, publication, and ledger cleanup.
 func (r *Replica[S]) wipeLocked() {
-	r.sinceSnap = 0
 	r.ops = oplog.NewSet()
 	r.journal = oplog.Journal{}
 	r.sentTo = make(map[string]int)
+	r.ackedTo = make(map[string]int)
+	r.ackedFloor = 0
 	r.pushing = make(map[string]bool)
 	r.lamport = 0
 	r.state = r.c.app.Init()
@@ -1165,12 +1195,12 @@ func (r *Replica[S]) wipeLocked() {
 }
 
 // Recover restarts a killed durable replica from disk alone: reopen the
-// store (which truncates any torn journal tail), load the newest
-// snapshot, replay the retained journal suffix, rebuild the operation
-// set and Lamport clock, and rejoin the transport. Gossip then fills in
-// everything admitted elsewhere while the replica was dead — peers held
-// their journals for it (an unacknowledged prefix is never truncated),
-// and it re-pushes its own retained suffix, which peers dedupe.
+// store (which truncates any torn journal tail), replay the journal,
+// rebuild the operation set and Lamport clock, and rejoin the transport.
+// Gossip then fills in everything admitted elsewhere while the replica
+// was dead — peers held their journals for it (an unacknowledged prefix
+// is never truncated), and it re-pushes its own unacknowledged suffix,
+// which peers dedupe.
 func (r *Replica[S]) Recover(ctx context.Context) error {
 	if r.remote {
 		return fmt.Errorf("quicksand: replica %s is hosted by another process; recover it there", r.id)
@@ -1236,16 +1266,13 @@ func (r *Replica[S]) StoreStats() (store.Stats, bool) {
 	return st.Stats(), true
 }
 
-// MergeStoreHists merges the replica's log-bucketed fsync and
-// snapshot-cut histograms into the given accumulators; a no-op when the
-// replica has no live store.
-func (r *Replica[S]) MergeStoreHists(fsync, snapCut *stats.LatHist) {
+// MergeFsyncHist merges the replica's log-bucketed fsync histogram into
+// fsync; a no-op when the replica has no live store.
+func (r *Replica[S]) MergeFsyncHist(fsync *stats.LatHist) {
 	r.mu.Lock()
 	st := r.store
 	r.mu.Unlock()
-	if st == nil {
-		return
+	if st != nil {
+		fsync.Merge(st.FsyncHist())
 	}
-	fsync.Merge(st.FsyncHist())
-	snapCut.Merge(st.SnapshotCutHist())
 }

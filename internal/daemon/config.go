@@ -41,9 +41,6 @@ type Config struct {
 	GossipEvery time.Duration
 	// CallTimeout bounds replica-to-replica calls (default 500ms).
 	CallTimeout time.Duration
-	// SnapshotEvery sets journaled entries between durable snapshots
-	// (0 = engine default).
-	SnapshotEvery int
 	// ShedBacklog is the ingest-ring occupancy fraction above which the
 	// HTTP edge sheds submits with 429 + Retry-After instead of parking
 	// more callers behind the drain (default 0.9; >= that fraction of the
@@ -202,8 +199,6 @@ func ParseConfig(text string) (Config, error) {
 			cfg.GossipEvery, err = time.ParseDuration(val)
 		case "call_timeout":
 			cfg.CallTimeout, err = time.ParseDuration(val)
-		case "snapshot_every":
-			cfg.SnapshotEvery, err = strconv.Atoi(val)
 		case "shed_backlog":
 			cfg.ShedBacklog, err = strconv.ParseFloat(val, 64)
 		case "min_free_disk":

@@ -77,9 +77,6 @@ func New(cfg Config) (*Daemon, error) {
 	}
 	if cfg.DataDir != "" {
 		opts = append(opts, core.WithDurability(cfg.DataDir))
-		if cfg.SnapshotEvery > 0 {
-			opts = append(opts, core.WithSnapshotEvery(cfg.SnapshotEvery))
-		}
 		if cfg.storeFS != nil {
 			opts = append(opts, core.WithStoreFS(cfg.storeFS))
 		}

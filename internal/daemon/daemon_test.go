@@ -32,7 +32,6 @@ api_token: hunter2
 data_dir: /var/lib/quicksand/n0
 gossip_every: 25ms
 call_timeout: 250ms
-snapshot_every: 2048
 `)
 	if err != nil {
 		t.Fatal(err)
@@ -56,10 +55,12 @@ snapshot_every: 2048
 
 func TestParseConfigRejectsGarbage(t *testing.T) {
 	for _, bad := range []string{
-		"node 0",     // missing colon
-		"nodes: 0",   // unknown key
-		"node: zero", // not an int
-		"gossip_every: fast" /* not a duration */} {
+		"node 0",               // missing colon
+		"nodes: 0",             // unknown key
+		"node: zero",           // not an int
+		"gossip_every: fast",   // not a duration
+		"snapshot_every: 2048", // no snapshots are cut any more: an unknown key
+	} {
 		if _, err := ParseConfig(bad); err == nil {
 			t.Errorf("ParseConfig(%q) succeeded", bad)
 		}

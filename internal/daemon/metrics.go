@@ -86,27 +86,15 @@ func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	st := d.cluster.DurabilityStats()
 	p.counter("quicksand_journal_fsyncs_total", "Journal fsyncs completed (group commit).", st.Fsyncs)
 	p.counter("quicksand_journal_appends_total", "Entries staged for the journal.", st.Appended)
-	p.counter("quicksand_snapshots_total", "Durable snapshots written.", st.Snapshots)
-	p.counter("quicksand_snapshot_failures_total", "Snapshot attempts that could not reach disk.", st.SnapshotFailures)
-	p.counter("quicksand_segments_recycled_total", "Journal segments reborn from the free pool.", st.Recycled)
 	p.counter("quicksand_torn_bytes_total", "Bytes truncated from torn journal tails at recovery.", st.TornBytes)
 	p.gauge("quicksand_journal_max_stall_seconds", "Worst single journal flush (write+fsync) since start.",
 		time.Duration(st.MaxStallNs).Seconds())
 
-	// Disk-latency distributions, per shard: what one fsync costs, and
-	// what one snapshot cut costs.
-	fsyncByShard := make([]*stats.LatHist, shards)
-	snapByShard := make([]*stats.LatHist, shards)
-	for s := 0; s < shards; s++ {
-		fsyncByShard[s], snapByShard[s] = d.cluster.ShardDurabilityHists(s)
-	}
+	// What one fsync costs, per shard.
 	p.family("quicksand_fsync_duration_seconds", "histogram", "Journal fsync duration, by shard.")
 	for s := 0; s < shards; s++ {
-		p.histogram("quicksand_fsync_duration_seconds", shardLabel(s), fsyncByShard[s])
-	}
-	p.family("quicksand_snapshot_cut_duration_seconds", "histogram", "Snapshot cut duration, by shard.")
-	for s := 0; s < shards; s++ {
-		p.histogram("quicksand_snapshot_cut_duration_seconds", shardLabel(s), snapByShard[s])
+		fsync, _ := d.cluster.ShardDurabilityHists(s)
+		p.histogram("quicksand_fsync_duration_seconds", shardLabel(s), fsync)
 	}
 
 	// Op-lifecycle lags derived by the tracer (absent when tracing is

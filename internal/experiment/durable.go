@@ -25,7 +25,7 @@ import (
 // its RAM, fold checkpoint, and gossip journal destroyed — and the rest
 // of the workload runs on the survivors in both arms, so the only
 // difference between the arms is the crash itself. r1 then recovers
-// from snapshot + journal replay and rejoins gossip.
+// from journal replay alone and rejoins gossip.
 //
 // The claim checked: a crash-and-recovery cycle changes *nothing* about
 // the business outcome. Ops, apologies, and every per-account balance
@@ -45,7 +45,7 @@ func E15DurableRecovery() Experiment {
 			)
 			tab := stats.NewTable(
 				"E15 — never-crashed control vs kill+recover of r1 after burst 2",
-				"3 replicas on the simulator, disk store per replica (inline fsync), snapshot every 16 ops. Bursts clear checks on local guesses with no gossip (concurrent clears overdraw the hot account), full convergence between bursts. r1 ops at recovery counts what snapshot+journal replay rebuilt before any gossip.",
+				"3 replicas on the simulator, disk store per replica (inline fsync), the journal the only copy of each ledger. Bursts clear checks on local guesses with no gossip (concurrent clears overdraw the hot account), full convergence between bursts. r1 ops at recovery counts what journal replay rebuilt before any gossip.",
 				"arm", "ops", "r1 ops at kill", "r1 ops at recovery", "apologies", "hot balance", "converged")
 
 			type armResult struct {
@@ -62,7 +62,7 @@ func E15DurableRecovery() Experiment {
 				s := sim.New(seed)
 				c := core.New[*bank.Accounts](bank.App{}, []core.Rule[*bank.Accounts]{bank.NoOverdraft()},
 					core.WithTransport(rpc.NewSimTransport(s)), core.WithReplicas(3),
-					core.WithDurability(dir), core.WithSnapshotEvery(16))
+					core.WithDurability(dir))
 				ctx := context.Background()
 
 				submit := func(rep int, kind string, cents int64) {

@@ -77,10 +77,6 @@
 // from there and writes the bytes once, into the arena record — so a
 // guess's uniquifier is never a heap object of its own, and the entry
 // Mint returns carries the set's copy onward.
-//
-// A full durable snapshot reads the set through a Cut: its rows copied
-// into one flat slab under the owner's lock, the arena shared, and each
-// entry materialized only as it is encoded.
 package oplog
 
 import (
@@ -564,32 +560,6 @@ func (s *Set) EntriesAfter(w Watermark) []Entry {
 // At materializes the entry at canonical-order position i, 0 <= i < Len().
 // Its strings are substrings of the arena.
 func (s *Set) At(i int) Entry { return s.arena.entry(*s.row(i)) }
-
-// Cut is a set's entries in canonical order as of one moment: its rows
-// copied into one flat slab, 32 bytes an entry, beside the arena's chunk
-// list. The arena's bytes never change, so a cut taken under whatever
-// lock guards the set can be read after the lock is released, while the
-// set goes on changing — which is how a full durable snapshot is written.
-type Cut struct {
-	rows  []row
-	arena arena
-}
-
-// Cut returns a Cut of the set as it is now.
-func (s *Set) Cut() *Cut {
-	c := &Cut{rows: make([]row, 0, s.n), arena: arena{chunks: slices.Clone(s.arena.chunks)}}
-	for _, ch := range s.rows {
-		c.rows = append(c.rows, ch...)
-	}
-	return c
-}
-
-// Len reports the number of entries in the cut.
-func (c *Cut) Len() int { return len(c.rows) }
-
-// At materializes the entry at canonical-order position i, 0 <= i < Len(),
-// allocating nothing. Its strings are substrings of the set's arena.
-func (c *Cut) At(i int) Entry { return c.arena.entry(c.rows[i]) }
 
 // MaxLam returns the highest Lamport timestamp in the set (0 when empty).
 // An ingress point stamps new operations with max(seen)+1. The Lamport

@@ -33,11 +33,11 @@ func crashWorkloadEntries(total int) []oplog.Entry {
 }
 
 // driveCrashWorkload stages/commits all[from:] in fixed batches,
-// cutting a snapshot and advancing the ack watermark on a fixed
-// cadence. It returns the highest position a Commit acknowledged.
-// Under an armed injector the later calls simply fail; the script is
-// identical at every k, which is what makes the sweep deterministic.
-func driveCrashWorkload(st *Store, all []oplog.Entry, from, batch, snapEvery int) (acked int) {
+// advancing the ack watermark on a fixed cadence. It returns the highest
+// position a Commit acknowledged. Under an armed injector the later calls
+// simply fail; the script is identical at every k, which is what makes
+// the sweep deterministic.
+func driveCrashWorkload(st *Store, all []oplog.Entry, from, batch, ackEvery int) (acked int) {
 	acked = from
 	for pos := from; pos < len(all); {
 		hi := pos + batch
@@ -51,8 +51,7 @@ func driveCrashWorkload(st *Store, all []oplog.Entry, from, batch, snapEvery int
 			acked = end
 		}
 		pos = hi
-		if acked == pos && pos%snapEvery == 0 {
-			snapshotAt(st, all, pos)
+		if acked == pos && pos%ackEvery == 0 {
 			st.AckTo(pos)
 		}
 	}
@@ -60,12 +59,16 @@ func driveCrashWorkload(st *Store, all []oplog.Entry, from, batch, snapEvery int
 }
 
 // recoveredSeq flattens a Recovery into the full position-ordered
-// entry sequence [0, End): the snapshot covers [0, SnapshotPos),
-// the journal [Base, End), and replay guarantees Base <= SnapshotPos.
+// entry sequence [0, End): the snapshot, if any, covers [0, SnapshotPos),
+// the journal [Base, End), and replay guarantees Base <= SnapshotPos. It
+// also holds Acked inside [Base, End].
 func recoveredSeq(t *testing.T, rec Recovery) []oplog.Entry {
 	t.Helper()
 	if rec.Base > rec.SnapshotPos {
 		t.Fatalf("recovery gap: journal base %d past snapshot pos %d", rec.Base, rec.SnapshotPos)
+	}
+	if rec.Acked < rec.Base || rec.Acked > rec.End {
+		t.Fatalf("acked %d outside the journal [%d, %d]", rec.Acked, rec.Base, rec.End)
 	}
 	seq := append([]oplog.Entry(nil), rec.SnapshotEntries...)
 	if skip := rec.SnapshotPos - rec.Base; skip <= len(rec.JournalEntries) {
@@ -84,9 +87,10 @@ func TestCrashPointEnumeration(t *testing.T) {
 		name string
 		opt  Options
 	}{
-		{"full-snapshots", Options{Inline: true, SegmentBytes: 512}},
+		{"journal", Options{Inline: true, SegmentBytes: 512}},
+		{"preallocated", Options{Inline: true, Preallocate: true, SegmentBytes: 512}},
 	}
-	const total, batch, snapEvery = 96, 3, 12
+	const total, batch, ackEvery = 96, 3, 12
 	all := crashWorkloadEntries(total)
 	stride := 1 // every crash point; every fifth under -short
 	if testing.Short() {
@@ -103,7 +107,7 @@ func TestCrashPointEnumeration(t *testing.T) {
 			opt := cfg.opt
 			opt.FS = inj
 			st, _ := mustOpen(t, ctlDir, opt)
-			if acked := driveCrashWorkload(st, all, 0, batch, snapEvery); acked != total {
+			if acked := driveCrashWorkload(st, all, 0, batch, ackEvery); acked != total {
 				t.Fatalf("control run acked %d of %d", acked, total)
 			}
 			if err := st.Close(); err != nil {
@@ -127,7 +131,7 @@ func TestCrashPointEnumeration(t *testing.T) {
 				var acked int
 				st, _, err := Open(dir, opt)
 				if err == nil {
-					acked = driveCrashWorkload(st, all, 0, batch, snapEvery)
+					acked = driveCrashWorkload(st, all, 0, batch, ackEvery)
 					st.Crash()
 				}
 				if err := inj.Tear(); err != nil {
@@ -152,7 +156,7 @@ func TestCrashPointEnumeration(t *testing.T) {
 
 				// Re-drive the lost suffix and the end state must be
 				// byte-identical to the never-crashed control.
-				if acked := driveCrashWorkload(st2, all, rec.End, batch, snapEvery); acked != total {
+				if acked := driveCrashWorkload(st2, all, rec.End, batch, ackEvery); acked != total {
 					t.Fatalf("k=%d: re-drive acked %d of %d", k, acked, total)
 				}
 				if err := st2.Close(); err != nil {
@@ -231,24 +235,42 @@ func TestEIOFailsCommitAndSticks(t *testing.T) {
 	}
 }
 
-// TestENOSPCOnSnapshotStallsWatermarkVisibly: a snapshot that cannot
-// reach disk counts in SnapshotFailures and leaves the watermark put;
-// commits keep succeeding.
-func TestENOSPCOnSnapshotStallsWatermarkVisibly(t *testing.T) {
+// TestENOSPCOnAckedFileLeavesOlderValue: an acked file that cannot reach
+// disk fails nothing — commits keep succeeding, since a stale value only
+// costs re-pushes — and after a crash Open reads the value written before.
+func TestENOSPCOnAckedFileLeavesOlderValue(t *testing.T) {
 	dir := t.TempDir()
-	inj := faultfs.New(faultfs.OS, 1, failOn(faultfs.OpCreate, ".snap.tmp", 1, syscall.ENOSPC))
-	st, _ := mustOpen(t, dir, Options{Inline: true, FS: inj})
-	defer st.Close()
-	all := crashWorkloadEntries(8)
-	commitAll(t, st, all)
-	st.WriteSnapshot(oplog.NewSet(all...).Cut(), len(all), all[len(all)-1].Mark())
-	if got := st.Stats().SnapshotFailures; got != 1 {
-		t.Fatalf("SnapshotFailures = %d, want 1", got)
+	failing, refused := false, 0
+	inj := faultfs.New(faultfs.OS, 1, func(op faultfs.Op) faultfs.Decision {
+		if failing && op.Kind == faultfs.OpCreate && strings.HasSuffix(op.Path, ackFile+".tmp") {
+			refused++
+			return faultfs.Decision{Err: syscall.ENOSPC}
+		}
+		return faultfs.Decision{}
+	})
+	st, _ := mustOpen(t, dir, Options{Inline: true, SegmentBytes: 64, FS: inj}) // two records a segment
+	for i := 0; i < 4; i++ {
+		commitAll(t, st, []oplog.Entry{entry(i)})
+		st.AckTo(i + 1)
 	}
-	if st.SnapshotPos() != 0 {
-		t.Fatalf("snapshot watermark advanced to %d on a failed write", st.SnapshotPos())
+	before, err := st.readCounter(ackFile, ackMagic)
+	if err != nil || before == 0 {
+		t.Fatalf("no seal recorded an acked position: %d, %v", before, err)
 	}
-	commitAll(t, st, []oplog.Entry{entry(100)}) // the journal is unharmed
+	failing = true
+	for i := 4; i < 8; i++ {
+		commitAll(t, st, []oplog.Entry{entry(i)}) // the journal is unharmed
+		st.AckTo(i + 1)
+	}
+	st.Crash()
+	if refused == 0 {
+		t.Fatal("no seal tried to record an acked position while the disk was full")
+	}
+	st2, rec := mustOpen(t, dir, inlineOpts())
+	defer st2.Close()
+	if rec.End != 8 || rec.Acked != int(before) {
+		t.Fatalf("recovered end %d acked %d, want 8 and %d", rec.End, rec.Acked, before)
+	}
 }
 
 // TestShortWritePlusTearRecovers: a write that lands only half its

@@ -6,30 +6,35 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/faultfs"
 	"repro/internal/oplog"
 	"repro/internal/uniq"
 )
 
 // The golden corpus under testdata/golden/ is one store directory written
-// by the commit *before* Stage started encoding on entry (PR 25's store,
-// one []oplog.Entry chunk per Stage call, encoded by the flusher), driven
-// by goldenScript below. It holds every byte layout the store persists:
-// QSEG2 segments — three of them reborn from the free pool, their records
-// salted with a later seed than the files' first lives — a snapshot, and
-// the incarnation file one Open of a fresh directory leaves (next
-// incarnation 1; it was added after the rest, from the format's
-// definition rather than by an older commit). It also holds two delta
-// files that the older build cut at 60 and 75: this store writes no
-// deltas and never reads them, so they are legacy input, to be left as
-// they are. The tests hold the current code to those bytes in both
-// directions: writing (the same script must produce the same files, the
-// deltas aside) and reading (the committed directory must recover to the
-// expected set and watermark). A format change has to either keep both
-// green or replace the corpus on purpose.
+// by the commit *before* Stage started encoding on entry (a store that
+// kept one []oplog.Entry chunk per Stage call, encoded by the flusher), driven
+// by that commit's version of goldenScript below. It holds every byte
+// layout the store persists: QSEG2 segments — three of them reborn from
+// a free pool that build kept, their records salted with a later seed
+// than the files' first lives — and the incarnation file one Open of a
+// fresh directory leaves (next incarnation 1; it was added after the
+// rest, from the format's definition rather than by an older commit).
+// That build also cut a snapshot at 40 and retired the segments below
+// position 37, so snap-0000000040.snap holds the only copy of positions
+// 0–36, and it left two delta files cut at 60 and 75. This store writes
+// neither kind: the snapshot is legacy input it must still read, the
+// deltas legacy input it leaves as they are. The tests hold the current
+// code to those bytes in both directions: writing (the same script must
+// produce the same segments, byte for byte, plus the segments below 37
+// and an acked file, which the corpus lacks) and reading (the committed
+// directory must recover to the expected set and watermark). A format
+// change has to either keep both green or replace the corpus on purpose.
 
 const goldenDir = "testdata/golden"
 
@@ -66,8 +71,8 @@ func goldenEntries() []oplog.Entry {
 }
 
 // goldenOpts is the corpus's store shape: inline (deterministic), tiny
-// segments so the ledger spans many of them, recycling on, and the chain
-// of four the corpus was cut with, which is now ignored.
+// segments so the ledger spans many of them, preallocation on, and the
+// chain of four the corpus was cut with, which is now ignored.
 func goldenOpts() Options {
 	return Options{Inline: true, Preallocate: true, SegmentBytes: 512, SnapshotChain: 4}
 }
@@ -90,12 +95,8 @@ func goldenScript(t *testing.T, dir string) {
 		}
 	}
 	stageTo(40)
-	snapshotAt(s, all, 40)
-	s.AckTo(40) // sealed segments below it retire into the free pool
-	stageTo(96) // rotations are reborn from the pool
-	if st := s.Stats(); st.Recycled == 0 || st.Snapshots != 1 || st.SnapshotFailures != 0 {
-		t.Fatalf("the script no longer produces what the corpus claims to hold: %+v", st)
-	}
+	s.AckTo(40) // the acked file records it from the next seal on
+	stageTo(96)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -119,45 +120,86 @@ func readDir(t *testing.T, dir string) map[string][]byte {
 	return out
 }
 
-// isDelta reports whether a store file is a delta snapshot, which only an
-// older build wrote.
-func isDelta(name string) bool { return strings.HasPrefix(name, "delta-") }
+// isSnapshot reports whether a store file is a snapshot or a delta, which
+// only an older build wrote.
+func isSnapshot(name string) bool {
+	return strings.HasPrefix(name, "snap-") || strings.HasPrefix(name, "delta-")
+}
 
 // TestGoldenBytesWritten stages the corpus's entries through the current
 // write path and compares the directory with the committed one, file for
-// file and byte for byte, the legacy delta files aside.
+// file and byte for byte, the legacy snapshot and deltas aside. The files
+// the corpus lacks are checked exactly too: the segments below its first,
+// which must hold the ledger's first entries, and the acked file.
 func TestGoldenBytesWritten(t *testing.T) {
 	dir := t.TempDir()
 	goldenScript(t, dir)
 	got, want := readDir(t, dir), readDir(t, goldenDir)
+	first := len(goldenEntries()) // the corpus's first segment start
 	for name, w := range want {
 		g, ok := got[name]
 		switch {
-		case isDelta(name):
+		case isSnapshot(name):
 			if ok {
-				t.Errorf("%s: a delta file written", name)
+				t.Errorf("%s: a snapshot file written", name)
 			}
 		case !ok:
 			t.Errorf("%s: in the corpus, not written", name)
 		case !bytes.Equal(g, w):
 			t.Errorf("%s: %d bytes written differ from the corpus's %d", name, len(g), len(w))
 		}
+		if start, err := segStart(name); err == nil && strings.HasPrefix(name, "journal-") {
+			first = min(first, start)
+		}
 	}
+	// The reader's tests build snapshots with snapshotBytes: it must write
+	// what the snapshotting build wrote.
+	if !bytes.Equal(snapshotBytes(goldenEntries(), 40), want["snap-0000000040.snap"]) {
+		t.Error("snapshotBytes differs from the corpus's snap-0000000040.snap")
+	}
+
+	reader := &Store{dir: dir, fs: faultfs.OS}
+	var below []oplog.Entry // what the segments the corpus lacks hold, in order
+	var names []string
 	for name := range got {
 		if _, ok := want[name]; !ok {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		start, err := segStart(name)
+		switch {
+		case name == ackFile:
+			if n, err := reader.readCounter(ackFile, ackMagic); err != nil || n != 40 {
+				t.Errorf("acked file holds %d (%v), want the 40 the script acked", n, err)
+			}
+		case strings.HasPrefix(name, "journal-") && err == nil && start < first:
+			if start != len(below) {
+				t.Errorf("%s starts at %d, want %d", name, start, len(below))
+			}
+			b := got[name]
+			if below, _, err = reader.scanSegment(segData{name: name, start: start, b: b, str: string(b)}, false, below); err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+		default:
 			t.Errorf("%s: written, not in the corpus", name)
 		}
 	}
-	var kinds [4]int // journal, free, snap, delta
+	if !reflect.DeepEqual(below, goldenEntries()[:first]) {
+		t.Errorf("the segments below %d hold %d entries that are not the ledger's first %d", first, len(below), first)
+	}
+
+	var kinds [3]int // journal, snap, delta
 	for name := range want {
-		for i, prefix := range []string{"journal-", "free-", "snap-", "delta-"} {
+		for i, prefix := range []string{"journal-", "snap-", "delta-"} {
 			if strings.HasPrefix(name, prefix) {
 				kinds[i]++
 			}
 		}
 	}
-	if kinds[0] < 2 || kinds[2] != 1 || kinds[3] != 2 {
-		t.Fatalf("corpus holds %d segments, %d pooled, %d snapshot, %d delta files; want several, any, 1, 2", kinds[0], kinds[1], kinds[2], kinds[3])
+	if first != 37 || kinds[0] < 2 || kinds[1] != 1 || kinds[2] != 2 {
+		t.Fatalf("corpus holds %d segments from %d, %d snapshot, %d delta files; want several from 37, 1, 2", kinds[0], first, kinds[1], kinds[2])
 	}
 }
 
@@ -176,9 +218,9 @@ func TestGoldenDirectoryRecovers(t *testing.T) {
 	}
 	all := goldenEntries()
 	s, rec := mustOpen(t, dir, goldenOpts())
-	if rec.SnapshotPos != 40 || rec.End != 96 || rec.TornBytes != 0 || rec.Incarnation != 1 {
-		t.Fatalf("recovered pos=%d end=%d torn=%d incarnation=%d; want 40, 96, 0, 1",
-			rec.SnapshotPos, rec.End, rec.TornBytes, rec.Incarnation)
+	if rec.SnapshotPos != 40 || rec.Base != 37 || rec.Acked != 37 || rec.End != 96 || rec.TornBytes != 0 || rec.Incarnation != 1 {
+		t.Fatalf("recovered pos=%d base=%d acked=%d end=%d torn=%d incarnation=%d; want 40, 37, 37, 96, 0, 1",
+			rec.SnapshotPos, rec.Base, rec.Acked, rec.End, rec.TornBytes, rec.Incarnation)
 	}
 	if rec.SnapshotMark != all[39].Mark() {
 		t.Fatalf("watermark %+v, want %+v", rec.SnapshotMark, all[39].Mark())
@@ -186,7 +228,7 @@ func TestGoldenDirectoryRecovers(t *testing.T) {
 	if !reflect.DeepEqual(rec.SnapshotEntries, all[:40]) {
 		t.Fatalf("the snapshot restored %d entries that are not the ledger's first 40", len(rec.SnapshotEntries))
 	}
-	if rec.Base > 40 || !reflect.DeepEqual(rec.JournalEntries, all[rec.Base:]) {
+	if !reflect.DeepEqual(rec.JournalEntries, all[rec.Base:]) {
 		t.Fatalf("the journal restored %d entries from %d that are not the ledger's tail", len(rec.JournalEntries), rec.Base)
 	}
 	if err := s.Close(); err != nil {
@@ -194,42 +236,8 @@ func TestGoldenDirectoryRecovers(t *testing.T) {
 	}
 	after := readDir(t, dir)
 	for name, b := range corpus {
-		if isDelta(name) && !bytes.Equal(after[name], b) {
-			t.Errorf("%s: a legacy delta file was changed or removed", name)
+		if isSnapshot(name) && !bytes.Equal(after[name], b) {
+			t.Errorf("%s: a legacy snapshot or delta file was changed or removed", name)
 		}
-	}
-}
-
-// TestGoldenDeltasPrunedAfterTwoCuts: a directory an older build left
-// delta files in sheds them once two snapshots are cut past them, when
-// pruning drops the snapshot they sat above.
-func TestGoldenDeltasPrunedAfterTwoCuts(t *testing.T) {
-	dir := t.TempDir()
-	for name, b := range readDir(t, goldenDir) {
-		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	all := goldenEntries()
-	for i := len(all); i < 100; i++ {
-		all = append(all, entry(i))
-	}
-	s, _ := mustOpen(t, dir, goldenOpts())
-	defer s.Close()
-	deltas := func() []string {
-		names, _ := filepath.Glob(filepath.Join(dir, "delta-*.snap"))
-		return names
-	}
-	snapshotAt(s, all, 96)
-	if got := deltas(); len(got) != 2 {
-		t.Fatalf("after one cut: delta files %v, want both kept", got)
-	}
-	commitAll(t, s, all[96:])
-	snapshotAt(s, all, 100)
-	if got := deltas(); len(got) != 0 {
-		t.Fatalf("after two cuts: delta files %v, want none", got)
-	}
-	if st := s.Stats(); st.Snapshots != 2 || st.SnapshotFailures != 0 {
-		t.Fatalf("cuts: %+v", st)
 	}
 }

@@ -3,12 +3,47 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/oplog"
 )
+
+// The store reads snapshot files but no longer writes them. These helpers
+// write one as the builds that cut snapshots did, so that the reader's
+// tests have input; TestGoldenBytesWritten holds them to the corpus's
+// snapshot byte for byte.
+
+// appendRecord appends one entry to buf as a finished snapshot record.
+func appendRecord(buf []byte, e oplog.Entry) []byte {
+	hdr := len(buf)
+	buf = appendFrame(buf, e)
+	seal(buf[hdr:], 0)
+	return buf
+}
+
+// snapshotBytes is the snapshot file of the ledger prefix all[:pos],
+// which must be in canonical order, stamped with its last entry's mark.
+func snapshotBytes(all []oplog.Entry, pos int) []byte {
+	buf := binary.AppendUvarint([]byte(snapMagic), uint64(pos))
+	buf = oplog.AppendWatermark(buf, all[pos-1].Mark())
+	buf = binary.AppendUvarint(buf, uint64(pos))
+	for _, e := range all[:pos] {
+		buf = appendRecord(buf, e)
+	}
+	return append(buf, snapFooter...)
+}
+
+// snapshotAt writes the snapshot of all[:pos] into dir under its name.
+func snapshotAt(t testing.TB, dir string, all []oplog.Entry, pos int) {
+	t.Helper()
+	name := filepath.Join(dir, fmt.Sprintf("snap-%010d.snap", pos))
+	if err := os.WriteFile(name, snapshotBytes(all, pos), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // countAt reports where a snapshot file's record count begins and where
 // its records begin. The header must be well formed.
@@ -42,11 +77,11 @@ func TestHugeSnapshotCountFallsBackToOlder(t *testing.T) {
 		all = append(all, entry(i))
 	}
 	commitAll(t, s, all)
-	snapshotAt(s, all, 10)
-	snapshotAt(s, all, 20)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	snapshotAt(t, dir, all, 10)
+	snapshotAt(t, dir, all, 20)
 	path := filepath.Join(dir, "snap-0000000020.snap")
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -1,21 +1,20 @@
 // Package store is the durable tier of a replica: a disk-backed,
-// append-only, segmented journal of oplog entries plus atomic ledger
-// snapshots, glued together by a group-commit fsync loop.
+// append-only, segmented journal of oplog entries, glued together by a
+// group-commit fsync loop.
 //
 // §3.2 of Building on Quicksand is the design brief. The transaction log
 // "describing the changes to the state on disk" is also the stream that
 // carries state across the failure boundary — checkpointing and logging
 // are one mechanism, so this store persists the *operations* (the ledger
-// the ACID 2.0 engine already gossips), never derived state. A snapshot
-// here is not a memory image: it is the checkpointed prefix of the
-// ledger itself, serialized in canonical fold order, from which recovery
-// re-derives the fold checkpoint by replaying — the log *is* the
-// checkpoint. And commits board a shared fsync the way §3.2's riders
-// board a city bus [Group Commit Timers, Helland et al. 1987]: a flush
-// departs after a load-shaped hold or when full, so N concurrent commits
-// cost far fewer than N disk flushes (internal/wal models the same
-// economics on the simulator; this package pays them against real
-// files).
+// the ACID 2.0 engine already gossips), never derived state, and never
+// twice: the journal is the ledger. It is only appended to, never
+// rewritten or retired [Immutability Changes Everything, Helland 2015],
+// and recovery re-derives everything else from it. Commits board a
+// shared fsync the way §3.2's riders board a city bus [Group Commit
+// Timers, Helland et al. 1987]: a flush departs after a load-shaped hold
+// or when full, so N concurrent commits cost far fewer than N disk
+// flushes (internal/wal models the same economics on the simulator; this
+// package pays them against real files).
 //
 // # On-disk layout
 //
@@ -23,46 +22,44 @@
 //
 //	journal-0000000000.seg   segment: header, then records
 //	journal-0000012345.seg   (filename = absolute position of first record)
-//	free-0000000003.seg      retired segment awaiting recycling
-//	snap-0000012000.snap     snapshot taken at journal position 12000
-//	delta-0000012400.snap    left by an older build: never read, pruned in time
 //	incarnation              the next Open's incarnation number (Recovery.Incarnation)
+//	acked                    a position every gossip peer had acknowledged (Recovery.Acked)
+//	snap-0000012000.snap     left by an older build: read, never written
+//	delta-0000012400.snap    left by an older build: never read
+//	free-0000000003.seg      left by an older build: removed by Open
 //
 // A segment header is the 6-byte magic "QSEG2\n" plus the segment's
 // start position (uint64 LE); a pre-salt "QSEG1\n" segment is refused
-// with ErrLegacySegment, never truncated. The incarnation file is the
-// magic "QINC1\n", a uint64 LE and a CRC-32C of both; it is replaced
-// atomically, and anything else under its name is ErrBadIncarnation.
-// Every journal record is [uint32 length][uint32 CRC-32C][entry bytes]
-// (little-endian, oplog.AppendEntry payload), with the CRC salted by a
-// seed derived from the segment's start position — see seedFor. Appends
-// go to the last segment; once it exceeds Options.SegmentBytes it is
-// sealed (fsynced, truncated to its data, closed) and a fresh segment
-// starts at the next position, popped from the free pool when one is
-// waiting and preallocated to SegmentBytes (Options.Preallocate) so
-// appends never pay allocate-and-extend at flush time. A snapshot holds
-// the whole ledger prefix below its position; it is written to a temp
-// file, fsynced, and renamed into place — atomic or absent. Pruning keeps
-// the newest keepSnapshots of them, and deletes the delta files an older
-// build cut once they lie below the oldest one kept.
+// with ErrLegacySegment, never truncated. Every journal record is
+// [uint32 length][uint32 CRC-32C][entry bytes] (little-endian,
+// oplog.AppendEntry payload), with the CRC salted by a seed derived from
+// the segment's start position — see seedFor. Appends go to the last
+// segment; once it exceeds Options.SegmentBytes it is sealed (fsynced,
+// truncated to its data, closed) and a fresh segment starts at the next
+// position, preallocated to SegmentBytes (Options.Preallocate) so appends
+// never pay allocate-and-extend at flush time.
+//
+// The incarnation and acked files are each a magic ("QINC1\n",
+// "QACK1\n"), a uint64 LE and a CRC-32C of both, replaced atomically:
+// temp file, fsync, rename, directory fsync. A malformed incarnation file
+// is ErrBadIncarnation. The acked file is rewritten at each segment seal
+// and at Close; it only ever lags the truth, which is safe, so a missing
+// or malformed one reads as the journal's first position.
+//
+// Older builds also cut snapshots — the whole ledger prefix below a
+// position, in canonical order — and retired the segments beneath them.
+// Open still reads the newest snapshot that parses, because in such a
+// directory it may hold the only copy of the positions below the first
+// retained segment. Nothing writes or removes one any more.
 //
 // # Recovery and the truncation invariant
 //
-// Open replays the directory back into memory: newest parseable
-// snapshot, then every retained journal record after it. A torn final
-// record — a crash mid-append — is truncated away and counted, exactly
-// the "examine the work in the tail of the log and determine what the
-// heck to do" of §5.1; an invalid record anywhere *before* the tail is
-// corruption and fails Open loudly. Journal segments are retired only
-// when every position they hold is below BOTH the newest durable
-// snapshot (Open could rebuild without them) and the position every
-// gossip peer has acknowledged (no peer will ever need them re-pushed):
-// Compact takes the min of the snapshot position and the watermark the
-// owner feeds it. So the journal always holds every entry since the
-// newest snapshot, which is why one snapshot kind suffices: a cut that
-// copied only those entries would repeat records the journal keeps.
-// Retired segments join the free pool for recycling rather than being
-// unlinked, up to maxFreeSegs.
+// Open replays the directory back into memory: the newest parseable
+// snapshot, if an older build left one, then every journal record. A
+// torn final record — a crash mid-append — is truncated away and counted,
+// exactly the "examine the work in the tail of the log and determine what
+// the heck to do" of §5.1; an invalid record anywhere *before* the tail
+// is corruption and fails Open loudly.
 package store
 
 import (
@@ -95,14 +92,12 @@ const (
 	snapFooter = "QEND\n"  // snapshot trailer: present iff the write completed
 	incMagic   = "QINC1\n" // incarnation file: magic + uint64 LE next incarnation + uint32 CRC-32C of both
 	incFile    = "incarnation"
+	ackMagic   = "QACK1\n" // acked file: magic + uint64 LE acknowledged position + uint32 CRC-32C of both
+	ackFile    = "acked"
 	recHdrLen  = 8        // uint32 length + uint32 CRC-32C
 	maxRecord  = 16 << 20 // sanity bound on one record's payload
 
 	segHdrV2 = len(segMagicV2) + 8 // v2 header: magic + start position
-
-	// maxFreeSegs bounds the recycled-segment pool; retirements beyond it
-	// are deleted as before.
-	maxFreeSegs = 4
 
 	// The adaptive flush curve (see adaptiveHold). maxWait caps the
 	// coalescing hold regardless of fsync cost; kneeBytes is the load at
@@ -117,10 +112,10 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // seedFor derives a segment's CRC seed from its absolute start position.
 // Every record CRC is salted with its segment's seed, and positions are
-// never reused across a store's lifetime — so when a retired segment file
-// is recycled as a new segment, the old life's records (valid CRCs under
-// the old seed) can never verify under the new one. Recovery sees them as
-// a torn tail, exactly like any other stale bytes past the real end.
+// never reused across a store's lifetime — so a record can verify only in
+// the segment, and at the position, it was written for. Stale bytes past
+// a segment's real end (an older build recycled retired segment files)
+// fail their CRCs and read as a torn tail.
 func seedFor(start int) uint32 {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], uint64(start))
@@ -157,11 +152,6 @@ type Mode int
 // Options.Inline there is no flusher to hold: each Commit drains at once.
 const ModeAdaptive Mode = 0
 
-// keepSnapshots is how many snapshot files survive pruning: the
-// newest is recovery's source, the runner-up is insurance against a torn
-// newest.
-const keepSnapshots = 2
-
 // Options tunes a Store. The zero value selects the defaults.
 type Options struct {
 	// SegmentBytes rotates the active journal segment once it exceeds
@@ -169,23 +159,21 @@ type Options struct {
 	SegmentBytes int
 	// Mode picks the commit economics; ModeAdaptive is the only one.
 	Mode Mode
-	// Inline runs every flush, snapshot, and compaction synchronously on
-	// the calling goroutine instead of the background flusher — the
-	// deterministic coupling the simulator transport needs. Group-commit
-	// economics disappear (each Commit pays its own fsync); correctness
-	// is identical.
+	// Inline runs every flush synchronously on the calling goroutine
+	// instead of the background flusher — the deterministic coupling the
+	// simulator transport needs. Group-commit economics disappear (each
+	// Commit pays its own fsync); correctness is identical.
 	Inline bool
 	// Preallocate reserves each journal segment's full SegmentBytes when
-	// the segment is created and recycles retired segments through a free
-	// pool instead of deleting them, so steady-state appends never pay
+	// the segment is created, so steady-state appends never pay
 	// allocate-and-extend metadata fsyncs at segment boundaries. Off by
 	// default: preallocated files make a segment's size diverge from its
 	// data length, which simulator-facing tests that compute offsets from
 	// file sizes must not see.
 	Preallocate bool
-	// SnapshotChain is ignored: every snapshot cut is full (see the
-	// package comment for why). The field stays so that callers setting
-	// it still build.
+	// SnapshotChain is ignored: the store writes no snapshots (see the
+	// package comment). The field stays so that callers setting it still
+	// build.
 	SnapshotChain int
 	// FS is the filesystem seam every disk operation goes through
 	// (default faultfs.OS, the passthrough). Fault-injection tests hand
@@ -206,15 +194,14 @@ func (o Options) withDefaults() Options {
 
 // Stats counts the store's disk work.
 type Stats struct {
-	Fsyncs    int64 // journal fsyncs completed (the figure group commit minimizes)
-	Appended  int64 // entries staged for the journal
-	Snapshots int64 // snapshot files written
-	// SnapshotFailures counts snapshot attempts that could not reach
-	// disk. A non-zero, growing value means the snapshot watermark — and
-	// with it journal compaction — has stalled: durability maintenance
-	// is failing even though commits may still succeed.
+	Fsyncs   int64 // journal fsyncs completed (the figure group commit minimizes)
+	Appended int64 // entries staged for the journal
+	// Snapshots, SnapshotFailures and Recycled are always 0: the store
+	// cuts no snapshots and recycles no segments. They stay so that
+	// callers reading them still build.
+	Snapshots        int64
 	SnapshotFailures int64
-	Recycled         int64 // journal segments reborn from the free pool instead of created
+	Recycled         int64
 	TornBytes        int64 // bytes truncated from a torn tail at Open
 	// MaxStallNs is the longest single flush cycle (write + fsync) in
 	// nanoseconds — the worst case a commit waited on the disk itself,
@@ -225,17 +212,26 @@ type Stats struct {
 // Recovery is everything Open rebuilt from disk. The owner re-derives
 // its in-memory structures from it: operation set = SnapshotEntries ∪
 // JournalEntries (set union dedupes the overlap), Lamport clock = max
-// over both, fold checkpoint = refold (SnapshotMark names where the
-// snapshot's fold stood), gossip journal = JournalEntries at absolute
-// positions [Base, End).
+// over both, fold checkpoint = refold, gossip journal = the
+// JournalEntries at absolute positions [Acked, End).
+//
+// The entries' strings are substrings of the files they were read from —
+// one string per segment — so keeping one entry keeps its whole segment
+// in memory: copy what must outlive recovery (an oplog.Set does).
 type Recovery struct {
-	SnapshotEntries []oplog.Entry   // the snapshot's ledger prefix, in canonical fold order
+	SnapshotEntries []oplog.Entry   // an older build's snapshot: the ledger prefix in canonical fold order (usually none)
 	SnapshotPos     int             // journal position the snapshot covers
 	SnapshotMark    oplog.Watermark // fold watermark at the snapshot
 	JournalEntries  []oplog.Entry   // arrival order, positions [Base, End)
-	Base            int             // absolute position of the first retained journal entry
+	Base            int             // absolute position of the first journal entry (0 unless an older build retired segments)
 	End             int             // next position to be appended
-	TornBytes       int64           // bytes dropped from a torn final record
+	// Acked is the position below which every gossip peer had
+	// acknowledged the journal when the acked file was last written, in
+	// [Base, End]. It may lag the truth, never lead it: an owner need
+	// re-push only [Acked, End), and peers dedupe what they already hold.
+	// Base when the file is absent, malformed or out of range.
+	Acked     int
+	TornBytes int64 // bytes dropped from a torn final record
 	// Incarnation numbers this Open among every Open of the directory: 0
 	// for a fresh directory, one more at each Open after — durably, so no
 	// two Opens ever read the same number whatever crashes between them. A
@@ -270,41 +266,37 @@ type waiter struct {
 	fn  func(ok bool)
 }
 
-// segment is one journal file's metadata.
+// segment is the active journal file's metadata.
 type segment struct {
-	path   string
-	start  int // absolute position of its first record
-	count  int // records it holds
-	sealed bool
+	path  string
+	start int // absolute position of its first record
+	count int // records it holds
 }
 
-// Store is one replica's durable tier. Stage/Commit/AckTo/WriteSnapshot
-// are safe for concurrent use; Stage calls must be externally serialized
-// in position order (the owning replica stages under its own mutex).
+// Store is one replica's durable tier. Stage/Commit/AckTo are safe for
+// concurrent use; Stage calls must be externally serialized in position
+// order (the owning replica stages under its own mutex).
 type Store struct {
 	dir string
 	opt Options
 	fs  faultfs.FS // == opt.FS; every disk call routes through it
 
-	mu       sync.Mutex
-	stage    stageLog // staged, not yet taken by a flush; len(stage.buf) is the backlog
-	spare    stageLog // the empty side; zero while a flush holds it
-	waiters  []waiter
-	fireBuf  []waiter // the drain's reused fan-out buffer; nil while a drain holds it
-	end      int      // next position to assign
-	flushed  int      // positions below this are fsynced
-	ackPos   int      // min position every gossip peer has acknowledged
-	snapPos  int      // position covered by the newest durable snapshot — the compaction gate
-	segs     []segment
-	freeSegs []string // retired segment files awaiting recycling
-	freeSeq  int      // next free-pool filename ordinal
-	failed   error    // sticky I/O error: all later commits fail
-	closed   bool
+	mu      sync.Mutex
+	stage   stageLog // staged, not yet taken by a flush; len(stage.buf) is the backlog
+	spare   stageLog // the empty side; zero while a flush holds it
+	waiters []waiter
+	fireBuf []waiter // the drain's reused fan-out buffer; nil while a drain holds it
+	end     int      // next position to assign
+	flushed int      // positions below this are fsynced
+	ackPos  int      // min position every gossip peer has acknowledged
+	failed  error    // sticky I/O error: all later commits fail
+	closed  bool
 
 	// File handles are owned by whoever runs flushes: the background
 	// flusher goroutine, or the calling goroutine under flushMu when
 	// Inline. Never touched with mu held — fsync must not block staging.
 	flushMu  sync.Mutex
+	active   segment // the segment appends go to; zero until the first exists
 	seg      faultfs.File
 	segBytes int64  // data bytes in the active segment (file size may exceed this when preallocated)
 	segSeed  uint32 // CRC seed of the active segment
@@ -314,23 +306,17 @@ type Store struct {
 	quit     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
-	snapBusy atomic.Bool
 
 	fsyncs    atomic.Int64
 	appended  atomic.Int64
-	snapshots atomic.Int64
-	snapFails atomic.Int64
-	recycled  atomic.Int64
 	maxStall  atomic.Int64 // longest single flush (write+fsync), ns
 	ewmaFsync atomic.Int64 // EWMA of recent fsync cost, ns (the adaptive hold's ceiling)
 	ewmaTook  atomic.Int64 // EWMA of framed bytes per flush (the adaptive hold's load signal)
 	tornBytes int64
 
-	// Log-bucketed distributions of every journal fsync and snapshot cut
-	// (serialize + write + fsync + rename). Fixed memory, so a long-lived
-	// store records every event, not a sample.
+	// Log-bucketed distribution of every journal fsync. Fixed memory, so a
+	// long-lived store records every event, not a sample.
 	fsyncHist stats.LatHist
-	snapHist  stats.LatHist
 }
 
 // Open replays dir (created if absent) and returns the store positioned
@@ -356,13 +342,12 @@ func Open(dir string, opt Options) (*Store, Recovery, error) {
 	if err != nil {
 		return nil, Recovery{}, err
 	}
-	if rec.Incarnation, err = s.incarnate(len(s.segs) > 0 || rec.End > 0); err != nil {
+	if rec.Incarnation, err = s.incarnate(s.active.path != "" || rec.End > 0); err != nil {
 		return nil, Recovery{}, err
 	}
 	s.end = rec.End
 	s.flushed = rec.End
-	s.ackPos = rec.Base
-	s.snapPos = rec.SnapshotPos
+	s.ackPos = rec.Acked
 	s.tornBytes = rec.TornBytes
 	if !opt.Inline {
 		s.wg.Add(1)
@@ -370,9 +355,6 @@ func Open(dir string, opt Options) (*Store, Recovery, error) {
 	}
 	return s, rec, nil
 }
-
-// Dir reports the directory the store lives in.
-func (s *Store) Dir() string { return s.dir }
 
 // InlineMode reports whether all disk work runs synchronously on the
 // calling goroutine (Options.Inline) rather than on background
@@ -399,32 +381,18 @@ func (s *Store) FailErr() error {
 	return s.failed
 }
 
-// SnapshotPos reports the journal position covered by the newest durable
-// snapshot.
-func (s *Store) SnapshotPos() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.snapPos
-}
-
 // Stats returns the disk-work counters.
 func (s *Store) Stats() Stats {
 	return Stats{
-		Fsyncs:           s.fsyncs.Load(),
-		Appended:         s.appended.Load(),
-		Snapshots:        s.snapshots.Load(),
-		SnapshotFailures: s.snapFails.Load(),
-		Recycled:         s.recycled.Load(),
-		TornBytes:        s.tornBytes,
-		MaxStallNs:       s.maxStall.Load(),
+		Fsyncs:     s.fsyncs.Load(),
+		Appended:   s.appended.Load(),
+		TornBytes:  s.tornBytes,
+		MaxStallNs: s.maxStall.Load(),
 	}
 }
 
 // FsyncHist exposes the log-bucketed journal fsync-cost histogram.
 func (s *Store) FsyncHist() *stats.LatHist { return &s.fsyncHist }
-
-// SnapshotCutHist exposes the log-bucketed snapshot-cut histogram.
-func (s *Store) SnapshotCutHist() *stats.LatHist { return &s.snapHist }
 
 // Stage queues entries for the journal at the next positions and returns
 // the position just past the last one — the watermark to pass to Commit.
@@ -494,71 +462,17 @@ func (s *Store) Commit(end int, then func(ok bool)) {
 }
 
 // AckTo records that every gossip peer has acknowledged positions below
-// pos, unlocking compaction of segments the peers will never need again.
+// pos. The acked file carries it across a restart (Recovery.Acked),
+// rewritten at the next segment seal or Close.
 func (s *Store) AckTo(pos int) {
 	s.mu.Lock()
-	changed := pos > s.ackPos
-	if changed {
-		s.ackPos = pos
-	}
+	s.ackPos = max(s.ackPos, pos)
 	s.mu.Unlock()
-	if !changed {
-		return
-	}
-	if s.opt.Inline {
-		s.compact()
-	} else {
-		signal(s.kick) // the flusher compacts after its next pass
-	}
 }
 
-// WriteSnapshot atomically persists the ledger prefix [0, pos) — cut's
-// entries, in canonical fold order, streamed to disk one record at a
-// time — stamped with the fold watermark they derive.
-// The write waits for the journal flush covering pos — a snapshot that
-// became durable ahead of the journal records it claims to cover would,
-// after a crash, let compaction delete segments holding entries that
-// are in no snapshot — and then happens off the caller's path (inline
-// under Options.Inline). If a snapshot write is already running, this
-// one is skipped; the next trigger covers a superset. On success the
-// snapshot watermark advances, old snapshots are pruned to
-// keepSnapshots, and fully-covered journal segments become
-// compactable; a failed write counts in Stats.SnapshotFailures and the
-// watermark stays put, so compaction stalls visibly rather than
-// silently losing data.
-func (s *Store) WriteSnapshot(cut *oplog.Cut, pos int, mark oplog.Watermark) {
-	s.Commit(pos, func(ok bool) {
-		if !ok {
-			s.snapFails.Add(1)
-			return
-		}
-		if s.opt.Inline {
-			s.writeSnapshot(cut, pos, mark)
-			return
-		}
-		if !s.snapBusy.CompareAndSwap(false, true) {
-			return
-		}
-		// closed and the Add must be decided under one lock: stop() only
-		// waits for goroutines added before closed became visible.
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			s.snapBusy.Store(false)
-			return
-		}
-		s.wg.Add(1)
-		s.mu.Unlock()
-		go func() {
-			defer s.wg.Done()
-			defer s.snapBusy.Store(false)
-			s.writeSnapshot(cut, pos, mark)
-		}()
-	})
-}
-
-// Close flushes everything staged, fsyncs, and closes the files — the
-// graceful shutdown. It reports the sticky I/O error, if any.
+// Close flushes everything staged, fsyncs, closes the files and records
+// the acknowledged position — the graceful shutdown. It reports the
+// sticky I/O error, if any.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -585,8 +499,12 @@ func (s *Store) Close() error {
 	}
 	s.flushMu.Unlock()
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.failed
+	err, flushed := s.failed, s.flushed
+	s.mu.Unlock()
+	if err == nil {
+		s.persistAcked(flushed)
+	}
+	return err
 }
 
 // Crash simulates the process dying: staged-but-unflushed entries are
@@ -630,8 +548,7 @@ func signal(ch chan struct{}) {
 
 // flushLoop is the city bus: kicked, it waits out the adaptive hold (or
 // departs early on a full backlog), flushes everything aboard with one
-// fsync, fires the satisfied commit waiters, and compacts any segment
-// the snapshot and ack watermarks have both passed.
+// fsync and fires the satisfied commit waiters.
 func (s *Store) flushLoop() {
 	defer s.wg.Done()
 	var timer *time.Timer // the hold's, re-armed for each one
@@ -666,7 +583,6 @@ func (s *Store) flushLoop() {
 			}
 		}
 		s.drain()
-		s.compact()
 	}
 }
 
@@ -846,9 +762,7 @@ func (s *Store) writeStaged(l stageLog, first int) error {
 		if err != nil {
 			return err
 		}
-		s.mu.Lock()
-		s.segs[len(s.segs)-1].count += prev.end - fromPos
-		s.mu.Unlock()
+		s.active.count += prev.end - fromPos
 		from, fromPos = prev.off, prev.end
 		return nil
 	}
@@ -880,18 +794,10 @@ func appendFrame(buf []byte, e oplog.Entry) []byte {
 var zeroHdr [recHdrLen]byte
 
 // seal fills in the CRC of the one frame rec holds, salted with a
-// segment's seed — or 0 for a snapshot record (crc32.Update with seed 0
+// segment's seed (a snapshot record's is 0: crc32.Update with seed 0
 // equals plain crc32.Checksum).
 func seal(rec []byte, seed uint32) {
 	binary.LittleEndian.PutUint32(rec[4:], crc32.Update(seed, castagnoli, rec[recHdrLen:]))
-}
-
-// appendRecord appends one entry to buf as a finished snapshot record.
-func appendRecord(buf []byte, e oplog.Entry) []byte {
-	hdr := len(buf)
-	buf = appendFrame(buf, e)
-	seal(buf[hdr:], 0)
-	return buf
 }
 
 func (s *Store) syncSeg() error {
@@ -916,14 +822,15 @@ func (s *Store) syncSeg() error {
 // openSegLocked opens (or creates) the active segment for appending.
 // Caller holds flushMu.
 func (s *Store) openSegLocked() error {
-	s.mu.Lock()
-	if len(s.segs) == 0 {
+	if s.active.path == "" {
 		// The first record written lands at the flushed watermark — never
 		// at end, which counts staged-but-unwritten entries too.
-		s.segs = append(s.segs, segment{path: s.segPath(s.flushed), start: s.flushed})
+		s.mu.Lock()
+		first := s.flushed
+		s.mu.Unlock()
+		s.active = segment{path: s.segPath(first), start: first}
 	}
-	active := s.segs[len(s.segs)-1]
-	s.mu.Unlock()
+	active := s.active
 	f, err := s.fs.OpenFile(active.path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return err
@@ -982,11 +889,11 @@ func writeSegHeader(f faultfs.File, start int) error {
 	return err
 }
 
-// rotateLocked seals the active segment and starts the next one at the
-// current end of the flushed+pending stream. Sealed segments are trimmed
-// to their data length (recovery demands every byte of a sealed segment
-// verify; the reservation moves to the new segment), and the new segment
-// comes from the free pool when recycling is on. Caller holds flushMu.
+// rotateLocked seals the active segment, records the acknowledged
+// position, and starts the next segment at the current end of the
+// flushed+pending stream. Sealed segments are trimmed to their data
+// length (recovery demands every byte of a sealed segment verify; the
+// reservation moves to the new segment). Caller holds flushMu.
 func (s *Store) rotateLocked() error {
 	if err := s.syncSeg(); err != nil {
 		return err
@@ -1003,43 +910,18 @@ func (s *Store) rotateLocked() error {
 		return err
 	}
 	s.seg = nil
-	s.mu.Lock()
-	last := &s.segs[len(s.segs)-1]
-	last.sealed = true
-	next := last.start + last.count
-	s.segs = append(s.segs, segment{path: s.segPath(next), start: next})
-	s.mu.Unlock()
-	return s.newSegLocked(s.segPath(next), next)
+	next := s.active.start + s.active.count
+	s.active = segment{path: s.segPath(next), start: next}
+	s.persistAcked(next)
+	return s.newSegLocked(s.active.path, next)
 }
 
-// newSegLocked opens the next active segment at path: reborn from the
-// free pool when a retired file is waiting (its blocks already
-// allocated; its old records invisible under the new CRC seed), freshly
-// created and preallocated otherwise. Caller holds flushMu.
+// newSegLocked creates (and preallocates) the next active segment at
+// path. Caller holds flushMu.
 func (s *Store) newSegLocked(path string, start int) error {
-	var free string
-	s.mu.Lock()
-	if n := len(s.freeSegs); n > 0 {
-		free, s.freeSegs = s.freeSegs[n-1], s.freeSegs[:n-1]
-	}
-	s.mu.Unlock()
-	var f faultfs.File
-	if free != "" {
-		if err := s.fs.Rename(free, path); err != nil {
-			s.fs.Remove(free)
-		} else if g, err := s.fs.OpenFile(path, os.O_RDWR, 0o644); err != nil {
-			s.fs.Remove(path)
-		} else {
-			f = g
-			s.recycled.Add(1)
-		}
-	}
-	if f == nil {
-		g, err := s.fs.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
-		if err != nil {
-			return err
-		}
-		f = g
+	f, err := s.fs.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
+	if err != nil {
+		return err
 	}
 	if err := writeSegHeader(f, start); err != nil {
 		f.Close()
@@ -1066,131 +948,14 @@ func (s *Store) segPath(start int) string {
 	return filepath.Join(s.dir, fmt.Sprintf("journal-%010d.seg", start))
 }
 
-func (s *Store) snapPath(pos int) string {
-	return filepath.Join(s.dir, fmt.Sprintf("snap-%010d.snap", pos))
-}
-
-// compact retires sealed journal segments every position of which is
-// below both watermarks — durably covered by a snapshot AND acknowledged
-// by every gossip peer. Either alone is not enough: compacting on the
-// snapshot only could strand a slow peer mid-catch-up after a crash,
-// compacting on acks only could leave Open with a journal whose prefix is
-// neither on disk nor reconstructible.
-func (s *Store) compact() {
-	s.mu.Lock()
-	keep := min(s.ackPos, s.snapPos)
-	var doomed []string
-	for len(s.segs) > 1 && s.segs[0].sealed && s.segs[0].start+s.segs[0].count <= keep {
-		doomed = append(doomed, s.segs[0].path)
-		s.segs = s.segs[1:]
-	}
-	s.mu.Unlock()
-	for _, path := range doomed {
-		s.retireSeg(path)
-	}
-	if len(doomed) > 0 {
-		s.syncDir()
-	}
-}
-
-// retireSeg disposes of a fully-compacted segment file: with recycling
-// on it is renamed into the free pool for the next rotation to reuse,
-// otherwise (or when the pool is full) deleted.
-func (s *Store) retireSeg(path string) {
-	if s.opt.Preallocate {
-		s.mu.Lock()
-		var free string
-		if len(s.freeSegs) < maxFreeSegs {
-			free = filepath.Join(s.dir, fmt.Sprintf("free-%010d.seg", s.freeSeq))
-			s.freeSeq++
-		}
-		s.mu.Unlock()
-		if free != "" && s.fs.Rename(path, free) == nil {
-			s.mu.Lock()
-			s.freeSegs = append(s.freeSegs, free)
-			s.mu.Unlock()
-			return
-		}
-	}
-	s.fs.Remove(path)
-}
-
-// snapChunk is the size of the one buffer a snapshot's records are
-// written through.
-const snapChunk = 64 << 10
-
-// writeSnapshot does the actual temp-write + fsync + rename of a
-// snapshot. The records are encoded into one snapChunk buffer, written
-// out each time it fills: the file is never whole in memory.
-func (s *Store) writeSnapshot(cut *oplog.Cut, pos int, mark oplog.Watermark) {
-	began := time.Now()
-	s.mu.Lock()
-	if s.closed || s.failed != nil || pos <= s.snapPos {
-		s.mu.Unlock()
-		return
-	}
-	s.mu.Unlock()
-
-	final := s.snapPath(pos)
-	tmp := final + ".tmp"
-	if err := s.createSync(tmp, func(f faultfs.File) error {
-		buf := make([]byte, 0, snapChunk)
-		buf = append(buf, snapMagic...)
-		buf = binary.AppendUvarint(buf, uint64(pos))
-		buf = oplog.AppendWatermark(buf, mark)
-		buf = binary.AppendUvarint(buf, uint64(cut.Len()))
-		for i := range cut.Len() {
-			e := cut.At(i)
-			if len(buf)+recHdrLen+oplog.EntrySize(e) > cap(buf) {
-				if _, err := f.Write(buf); err != nil {
-					return err
-				}
-				buf = buf[:0]
-			}
-			buf = appendRecord(buf, e)
-		}
-		_, err := f.Write(append(buf, snapFooter...))
-		return err
-	}); err != nil {
-		s.fs.Remove(tmp)
-		s.snapFails.Add(1)
-		return
-	}
-	if err := s.fs.Rename(tmp, final); err != nil {
-		s.fs.Remove(tmp)
-		s.snapFails.Add(1)
-		return
-	}
-	s.syncDir()
-	s.snapshots.Add(1)
-	s.snapHist.AddDur(time.Since(began))
-
-	s.mu.Lock()
-	if pos > s.snapPos {
-		s.snapPos = pos
-	}
-	s.mu.Unlock()
-	s.pruneSnapshots()
-	s.compact()
-}
-
 // writeFileSync creates the file at path holding data, fsyncs it and
 // closes it.
 func (s *Store) writeFileSync(path string, data []byte) error {
-	return s.createSync(path, func(f faultfs.File) error {
-		_, err := f.Write(data)
-		return err
-	})
-}
-
-// createSync creates the file at path, lets write fill it, fsyncs it and
-// closes it.
-func (s *Store) createSync(path string, write func(faultfs.File) error) error {
 	f, err := s.fs.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	if err := write(f); err != nil {
+	if _, err := f.Write(data); err != nil {
 		f.Close()
 		return err
 	}
@@ -1201,77 +966,78 @@ func (s *Store) createSync(path string, write func(faultfs.File) error) error {
 	return f.Close()
 }
 
-// pruneSnapshots deletes all but the newest keepSnapshots snapshot
-// files, plus every delta file an older build left positioned below the
-// oldest one kept. Open never reads those deltas — the journal still
-// holds their entries — so a directory sheds them after two cuts.
-func (s *Store) pruneSnapshots() {
-	fulls, err := s.fs.Glob(filepath.Join(s.dir, "snap-*.snap"))
-	if err != nil || len(fulls) <= keepSnapshots {
-		return
-	}
-	sort.Strings(fulls) // position-padded names sort oldest first
-	cutoff, err := snapFilePos(fulls[len(fulls)-keepSnapshots])
-	if err != nil {
-		return
-	}
-	for _, path := range fulls[:len(fulls)-keepSnapshots] {
-		s.fs.Remove(path)
-	}
-	deltas, _ := s.fs.Glob(filepath.Join(s.dir, "delta-*.snap"))
-	for _, path := range deltas {
-		if pos, err := snapFilePos(path); err == nil && pos < cutoff {
-			s.fs.Remove(path)
-		}
-	}
-}
-
 // incarnate returns this Open's incarnation number, having durably
-// recorded the next one: temp file, fsync, rename, directory fsync. An
-// absent file reads 0 in a directory without data and 1 beside data.
+// recorded the next one. An absent file reads 0 in a directory without
+// data and 1 beside data.
 func (s *Store) incarnate(hasData bool) (uint64, error) {
-	path := filepath.Join(s.dir, incFile)
-	var n uint64
-	b, err := s.fs.ReadFile(path)
+	n, err := s.readCounter(incFile, incMagic)
 	switch {
-	case err == nil:
-		if len(b) != len(incMagic)+8+4 || string(b[:len(incMagic)]) != incMagic ||
-			crc32.Checksum(b[:len(b)-4], castagnoli) != binary.LittleEndian.Uint32(b[len(b)-4:]) {
-			return 0, fmt.Errorf("store: %s: %w", path, ErrBadIncarnation)
-		}
-		n = binary.LittleEndian.Uint64(b[len(incMagic):])
 	case errors.Is(err, fs.ErrNotExist):
 		if hasData {
 			n = 1
 		}
-	default:
+	case errors.Is(err, errMalformed):
+		return 0, fmt.Errorf("store: %s: %w", filepath.Join(s.dir, incFile), ErrBadIncarnation)
+	case err != nil:
 		return 0, err
 	}
-	next := binary.LittleEndian.AppendUint64([]byte(incMagic), n+1)
-	next = binary.LittleEndian.AppendUint32(next, crc32.Checksum(next, castagnoli))
-	tmp := path + ".tmp"
-	if err := s.writeFileSync(tmp, next); err != nil {
-		s.fs.Remove(tmp)
-		return 0, fmt.Errorf("store: record incarnation: %w", err)
-	}
-	if err := s.fs.Rename(tmp, path); err != nil {
-		s.fs.Remove(tmp)
-		return 0, fmt.Errorf("store: record incarnation: %w", err)
-	}
-	if err := s.syncDir(); err != nil {
+	if err := s.writeCounter(incFile, incMagic, n+1); err != nil {
 		return 0, fmt.Errorf("store: record incarnation: %w", err)
 	}
 	return n, nil
 }
 
-// snapFilePos extracts the position encoded in a snapshot (or legacy
-// delta) filename.
-func snapFilePos(path string) (int, error) {
-	name := strings.TrimSuffix(filepath.Base(path), ".snap")
-	if i := strings.IndexByte(name, '-'); i >= 0 {
-		name = name[i+1:]
+// persistAcked records min(ackPos, durable) in the acked file, where
+// every position below durable is on disk. Best effort: a failed write
+// leaves the older, lower value in place, which costs a recovered owner
+// only some re-pushes that peers dedupe.
+func (s *Store) persistAcked(durable int) {
+	s.mu.Lock()
+	pos := min(s.ackPos, durable)
+	s.mu.Unlock()
+	s.writeCounter(ackFile, ackMagic, uint64(pos))
+}
+
+// errMalformed reports a counter file that is not one writeCounter wrote.
+var errMalformed = errors.New("store: malformed counter file")
+
+// readCounter reads the number in the counter file name: fs.ErrNotExist
+// when there is none, errMalformed when its size, magic or checksum is
+// wrong.
+func (s *Store) readCounter(name, magic string) (uint64, error) {
+	b, err := s.fs.ReadFile(filepath.Join(s.dir, name))
+	if err != nil {
+		return 0, err
 	}
-	return strconv.Atoi(name)
+	if len(b) != len(magic)+8+4 || string(b[:len(magic)]) != magic ||
+		crc32.Checksum(b[:len(b)-4], castagnoli) != binary.LittleEndian.Uint32(b[len(b)-4:]) {
+		return 0, errMalformed
+	}
+	return binary.LittleEndian.Uint64(b[len(magic):]), nil
+}
+
+// writeCounter durably replaces the counter file name with magic, n
+// (uint64 LE) and a CRC-32C of both: temp file, fsync, rename, directory
+// fsync. A crash leaves the old file or the new one, never a mix.
+func (s *Store) writeCounter(name, magic string, n uint64) error {
+	b := binary.LittleEndian.AppendUint64([]byte(magic), n)
+	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
+	path := filepath.Join(s.dir, name)
+	tmp := path + ".tmp"
+	if err := s.writeFileSync(tmp, b); err != nil {
+		s.fs.Remove(tmp)
+		return err
+	}
+	if err := s.fs.Rename(tmp, path); err != nil {
+		s.fs.Remove(tmp)
+		return err
+	}
+	return s.syncDir()
+}
+
+// snapFilePos extracts the position encoded in a snapshot filename.
+func snapFilePos(name string) (int, error) {
+	return strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, "snap-"), ".snap"))
 }
 
 // syncDir fsyncs the store directory so renames and removals inside it
@@ -1287,6 +1053,15 @@ func (s *Store) syncDir() error {
 
 // ---- Open-time replay ----------------------------------------------------
 
+// segData is one journal segment file as replay reads it: its bytes, and
+// the same bytes as one string the recovered entries are substrings of.
+type segData struct {
+	name  string
+	start int
+	b     []byte
+	str   string
+}
+
 func (s *Store) replay() (Recovery, error) {
 	names, err := s.fs.ReadDir(s.dir)
 	if err != nil {
@@ -1296,23 +1071,13 @@ func (s *Store) replay() (Recovery, error) {
 	for _, de := range names {
 		name := de.Name()
 		switch {
-		case strings.HasSuffix(name, ".tmp"):
-			// An abandoned atomic write: never renamed, never valid.
+		case strings.HasSuffix(name, ".tmp"),
+			strings.HasPrefix(name, "free-") && strings.HasSuffix(name, ".seg"):
+			// An abandoned atomic write, never renamed, or a retired segment
+			// an older build pooled for reuse: neither holds a record.
 			s.fs.Remove(filepath.Join(s.dir, name))
 		case strings.HasPrefix(name, "journal-") && strings.HasSuffix(name, ".seg"):
 			segPaths = append(segPaths, name)
-		case strings.HasPrefix(name, "free-") && strings.HasSuffix(name, ".seg"):
-			// A pooled segment from the previous life: rejoin the pool, or
-			// sweep it when recycling is off.
-			path := filepath.Join(s.dir, name)
-			if !s.opt.Preallocate {
-				s.fs.Remove(path)
-				break
-			}
-			s.freeSegs = append(s.freeSegs, path)
-			if n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, "free-"), ".seg")); err == nil && n >= s.freeSeq {
-				s.freeSeq = n + 1
-			}
 		case strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".snap"):
 			snapPaths = append(snapPaths, name)
 		}
@@ -1322,44 +1087,62 @@ func (s *Store) replay() (Recovery, error) {
 	rec := Recovery{}
 	s.loadNewestSnapshot(&rec, snapPaths)
 
+	// Read every segment first, so that one slice sized to the records
+	// they hold takes every entry.
+	segs := make([]segData, len(segPaths))
+	records := 0
 	for i, name := range segPaths {
-		path := filepath.Join(s.dir, name)
 		start, err := segStart(name)
 		if err != nil {
 			return Recovery{}, fmt.Errorf("store: bad segment name %q: %w", name, err)
 		}
-		if i == 0 {
-			rec.Base = start
-			rec.End = start
-		} else if start != rec.End {
-			return Recovery{}, fmt.Errorf("store: journal gap: segment %q starts at %d, want %d", name, start, rec.End)
-		}
-		final := i == len(segPaths)-1
-		entries, torn, err := s.scanSegment(path, start, final)
+		b, err := s.fs.ReadFile(filepath.Join(s.dir, name))
 		if err != nil {
 			return Recovery{}, err
 		}
-		rec.TornBytes += torn
-		rec.JournalEntries = append(rec.JournalEntries, entries...)
-		rec.End += len(entries)
-		s.segs = append(s.segs, segment{path: path, start: start, count: len(entries), sealed: !final})
+		segs[i] = segData{name: name, start: start, b: b, str: string(b)}
+		records += countRecords(b)
 	}
-	if len(segPaths) == 0 {
-		// Fresh directory, or every segment compacted away before a
-		// crash: the journal resumes just past the snapshot.
+	rec.JournalEntries = make([]oplog.Entry, 0, records)
+	for i, sd := range segs {
+		if i == 0 {
+			rec.Base = sd.start
+			rec.End = sd.start
+		} else if sd.start != rec.End {
+			return Recovery{}, fmt.Errorf("store: journal gap: segment %q starts at %d, want %d", sd.name, sd.start, rec.End)
+		}
+		final := i == len(segs)-1
+		n := len(rec.JournalEntries)
+		var torn int64
+		rec.JournalEntries, torn, err = s.scanSegment(sd, final, rec.JournalEntries)
+		if err != nil {
+			return Recovery{}, err
+		}
+		count := len(rec.JournalEntries) - n
+		rec.TornBytes += torn
+		rec.End += count
+		s.active = segment{path: filepath.Join(s.dir, sd.name), start: sd.start, count: count}
+	}
+	if len(segs) == 0 {
+		// Fresh directory, or an older build retired every segment before
+		// a crash: the journal resumes just past the snapshot.
 		rec.Base = rec.SnapshotPos
 		rec.End = rec.SnapshotPos
 	}
 	if rec.Base > rec.SnapshotPos && rec.Base > 0 {
-		return Recovery{}, fmt.Errorf("store: positions [%d, %d) are on no snapshot and no retained segment", rec.SnapshotPos, rec.Base)
+		return Recovery{}, fmt.Errorf("store: positions [%d, %d) are on no snapshot and no journal segment", rec.SnapshotPos, rec.Base)
 	}
 	if rec.SnapshotPos > rec.End {
 		// A snapshot claiming positions the journal never durably held:
-		// WriteSnapshot gates on the covering flush precisely so this
-		// state cannot arise, so finding it means the directory was
-		// tampered with or mixes incarnations — resuming would assign
-		// fresh entries to positions the snapshot already claims.
+		// the builds that cut snapshots gated each on the flush covering
+		// it precisely so this state cannot arise, so finding it means the
+		// directory was tampered with or mixes incarnations — resuming
+		// would assign fresh entries to positions the snapshot claims.
 		return Recovery{}, fmt.Errorf("store: snapshot covers [0, %d) but the journal ends at %d", rec.SnapshotPos, rec.End)
+	}
+	rec.Acked = rec.Base
+	if n, err := s.readCounter(ackFile, ackMagic); err == nil && n >= uint64(rec.Base) && n <= uint64(rec.End) {
+		rec.Acked = int(n)
 	}
 	return rec, nil
 }
@@ -1368,10 +1151,25 @@ func segStart(name string) (int, error) {
 	return strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, "journal-"), ".seg"))
 }
 
+// countRecords counts the records a segment's length fields chain
+// through, up to the first that cannot be one — at least as many as
+// scanSegment accepts, and exactly as many in a sound segment.
+func countRecords(b []byte) int {
+	n := 0
+	for off := segHdrV2; off+recHdrLen <= len(b); n++ {
+		size := int(binary.LittleEndian.Uint32(b[off:]))
+		if size <= 0 || size > maxRecord {
+			break
+		}
+		off += recHdrLen + size
+	}
+	return n
+}
+
 // loadNewestSnapshot fills rec from the newest snapshot that parses end
-// to end and names its own position. A torn or damaged one is passed over
-// for the one before it — keepSnapshots leaves that one on disk. Names
-// are zero-padded, so they sort by position.
+// to end and names its own position; a torn or damaged one is passed
+// over for the one before it. Names are zero-padded, so they sort by
+// position.
 func (s *Store) loadNewestSnapshot(rec *Recovery, names []string) {
 	sort.Sort(sort.Reverse(sort.StringSlice(names)))
 	for _, name := range names {
@@ -1392,47 +1190,43 @@ func (s *Store) loadNewestSnapshot(rec *Recovery, names []string) {
 	}
 }
 
-// scanSegment replays one segment file. In a sealed (non-final) segment
-// every record must verify; in the final segment an invalid record is a
-// torn tail — truncated away and durably forgotten — unless valid-looking
-// bytes follow it, which no torn write produces: that is ErrCorrupt. The
-// torn-tail rule also absorbs what preallocation and recycling leave
-// past the real end of a crashed final segment: zero fill and old-life
-// records alike fail their (new-seed) CRCs and truncate away.
-func (s *Store) scanSegment(path string, start int, final bool) (ents []oplog.Entry, torn int64, err error) {
-	data, err := s.fs.ReadFile(path)
-	if err != nil {
-		return nil, 0, err
-	}
+// scanSegment replays one segment file, appending its entries to ents.
+// In a sealed (non-final) segment every record must verify; in the final
+// segment an invalid record is a torn tail — truncated away and durably
+// forgotten — unless valid-looking bytes follow it, which no torn write
+// produces: that is ErrCorrupt. The torn-tail rule also absorbs what
+// preallocation leaves past the real end of a crashed final segment:
+// zero fill fails its length or CRC check and truncates away.
+func (s *Store) scanSegment(sd segData, final bool, ents []oplog.Entry) (_ []oplog.Entry, torn int64, err error) {
+	path := filepath.Join(s.dir, sd.name)
+	data := sd.b
 	switch {
 	case len(data) >= segHdrV2 && string(data[:len(segMagicV2)]) == segMagicV2:
 	case len(data) >= len(segMagicV1) && string(data[:len(segMagicV1)]) == segMagicV1:
 		// Not a torn header: falling through to the truncation below would
 		// destroy a journal an older build acknowledged.
-		return nil, 0, fmt.Errorf("store: %s: %w", filepath.Base(path), ErrLegacySegment)
+		return ents, 0, fmt.Errorf("store: %s: %w", sd.name, ErrLegacySegment)
 	default:
 		if final {
 			// A crash before the header finished; openSegLocked rewrites it.
-			return nil, int64(len(data)), s.truncateTo(path, 0)
+			return ents, int64(len(data)), s.truncateTo(path, 0)
 		}
-		return nil, 0, fmt.Errorf("store: %s: %w", filepath.Base(path), ErrCorrupt)
+		return ents, 0, fmt.Errorf("store: %s: %w", sd.name, ErrCorrupt)
 	}
-	off, seed := segHdrV2, seedFor(start)
+	off, seed := segHdrV2, seedFor(sd.start)
 	for off < len(data) {
-		rest := data[off:]
-		ok, size, e := parseRecord(rest, seed)
+		ok, size, e := parseRecord(data[off:], sd.str[off:], seed)
 		if !ok {
 			if !final {
-				return nil, 0, fmt.Errorf("store: %s: record at offset %d: %w", filepath.Base(path), off, ErrCorrupt)
+				return ents, 0, fmt.Errorf("store: %s: record at offset %d: %w", sd.name, off, ErrCorrupt)
 			}
-			if trailingRecords(rest, seed) {
+			if trailingRecords(data[off:], sd.str[off:], seed) {
 				// The bytes beyond the bad record still parse as records:
 				// a torn write cannot leave valid data after the tear, so
 				// this is mid-journal damage, not a crash artifact.
-				return nil, 0, fmt.Errorf("store: %s: record at offset %d: %w", filepath.Base(path), off, ErrCorrupt)
+				return ents, 0, fmt.Errorf("store: %s: record at offset %d: %w", sd.name, off, ErrCorrupt)
 			}
-			torn = int64(len(data) - off)
-			return ents, torn, s.truncateTo(path, int64(off))
+			return ents, int64(len(data) - off), s.truncateTo(path, int64(off))
 		}
 		ents = append(ents, e)
 		off += size
@@ -1440,10 +1234,10 @@ func (s *Store) scanSegment(path string, start int, final bool) (ents []oplog.En
 	return ents, 0, nil
 }
 
-// parseRecord attempts one record at the front of b, reporting whether
-// it verified under the segment's CRC seed, how many bytes it spanned,
-// and the decoded entry.
-func parseRecord(b []byte, seed uint32) (ok bool, size int, e oplog.Entry) {
+// parseRecord attempts one record at the front of b — str holds the same
+// bytes — reporting whether it verified under the CRC seed, how many
+// bytes it spanned, and the entry, whose strings are substrings of str.
+func parseRecord(b []byte, str string, seed uint32) (ok bool, size int, e oplog.Entry) {
 	if len(b) < recHdrLen {
 		return false, 0, oplog.Entry{}
 	}
@@ -1452,11 +1246,10 @@ func parseRecord(b []byte, seed uint32) (ok bool, size int, e oplog.Entry) {
 	if n <= 0 || n > maxRecord || recHdrLen+n > len(b) {
 		return false, 0, oplog.Entry{}
 	}
-	payload := b[recHdrLen : recHdrLen+n]
-	if crc32.Update(seed, castagnoli, payload) != sum {
+	if crc32.Update(seed, castagnoli, b[recHdrLen:recHdrLen+n]) != sum {
 		return false, recHdrLen + n, oplog.Entry{}
 	}
-	e, err := oplog.DecodeEntry(payload)
+	e, err := oplog.DecodeEntryString(str[recHdrLen : recHdrLen+n])
 	if err != nil {
 		return false, recHdrLen + n, oplog.Entry{}
 	}
@@ -1466,12 +1259,12 @@ func parseRecord(b []byte, seed uint32) (ok bool, size int, e oplog.Entry) {
 // trailingRecords reports whether bytes beyond the (invalid) record at
 // the front of b parse as at least one valid record — the signature of
 // mid-journal corruption rather than a torn tail.
-func trailingRecords(b []byte, seed uint32) bool {
-	_, size, _ := parseRecord(b, seed)
+func trailingRecords(b []byte, str string, seed uint32) bool {
+	_, size, _ := parseRecord(b, str, seed)
 	if size == 0 || size >= len(b) {
 		return false
 	}
-	ok, _, _ := parseRecord(b[size:], seed)
+	ok, _, _ := parseRecord(b[size:], str[size:], seed)
 	return ok
 }
 
@@ -1492,7 +1285,8 @@ func (s *Store) truncateTo(path string, size int64) error {
 const minSnapRecord = recHdrLen + 4 + 3
 
 // parseSnapshot decodes a snapshot file's bytes end to end; any shortfall
-// (magic, a record CRC, the footer) invalidates the whole file.
+// (magic, a record CRC, the footer) invalidates the whole file. The
+// entries' strings are substrings of one copy of data.
 func parseSnapshot(data []byte) (ents []oplog.Entry, pos int, mark oplog.Watermark, err error) {
 	fail := func(what string) ([]oplog.Entry, int, oplog.Watermark, error) {
 		return nil, 0, oplog.Watermark{}, fmt.Errorf("store: snapshot: bad %s", what)
@@ -1515,18 +1309,20 @@ func parseSnapshot(data []byte) (ents []oplog.Entry, pos int, mark oplog.Waterma
 		return fail("count")
 	}
 	b = b[n:]
+	str := string(b)
 	// The count is read from disk: a damaged one must not become a giant
 	// allocation before the records run out.
 	ents = make([]oplog.Entry, 0, min(count, uint64(len(b)/minSnapRecord)))
+	off := 0
 	for i := uint64(0); i < count; i++ {
-		ok, size, e := parseRecord(b, 0)
+		ok, size, e := parseRecord(b[off:], str[off:], 0)
 		if !ok {
 			return fail(fmt.Sprintf("record %d", i))
 		}
 		ents = append(ents, e)
-		b = b[size:]
+		off += size
 	}
-	if string(b) != snapFooter {
+	if string(b[off:]) != snapFooter {
 		return fail("footer")
 	}
 	return ents, int(upos), mark, nil

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -215,42 +216,41 @@ func TestCorruptSealedSegmentRejected(t *testing.T) {
 	}
 }
 
+// TestSnapshotPlusReplayEqualsPureReplayOracle opens the directory shape
+// an older build left — a snapshot at 100 and the journal segments wholly
+// below it retired — and must recover the set a journal that was never
+// snapshotted recovers.
 func TestSnapshotPlusReplayEqualsPureReplayOracle(t *testing.T) {
 	oracleDir, dir := t.TempDir(), t.TempDir()
 	opt := inlineOpts()
 	opt.SegmentBytes = 512
-	oracle, _ := mustOpen(t, oracleDir, inlineOpts()) // journal only, never snapshotted or compacted
+	oracle, _ := mustOpen(t, oracleDir, inlineOpts())
 	s, _ := mustOpen(t, dir, opt)
-
-	var mark oplog.Watermark
-	all := []oplog.Entry{}
+	var all []oplog.Entry
 	for i := 0; i < 120; i++ {
 		e := entry(i)
 		all = append(all, e)
 		commitAll(t, s, []oplog.Entry{e})
 		commitAll(t, oracle, []oplog.Entry{e})
-		if (i+1)%25 == 0 {
-			// Snapshot the full prefix and let both watermarks advance so
-			// compaction actually deletes segments under the test.
-			mark = all[len(all)-1].Mark()
-			s.WriteSnapshot(oplog.NewSet(all...).Cut(), i+1, mark)
-			s.AckTo(i + 1)
-		}
 	}
 	s.Close()
 	oracle.Close()
-
-	// Compaction must have removed early segments; recovery must not care.
-	if segs, _ := filepath.Glob(filepath.Join(dir, "journal-*.seg")); len(segs) == 0 {
-		t.Fatal("no segments left at all")
+	snapshotAt(t, dir, all, 100)
+	segs, _ := filepath.Glob(filepath.Join(dir, "journal-*.seg"))
+	sort.Strings(segs)
+	for i := 0; i+1 < len(segs); i++ {
+		if next, err := segStart(filepath.Base(segs[i+1])); err == nil && next <= 100 {
+			os.Remove(segs[i]) // every record it holds is below the snapshot
+		}
 	}
+
 	_, recO := mustOpen(t, oracleDir, inlineOpts())
 	s2, rec := mustOpen(t, dir, opt)
 	defer s2.Close()
 	if rec.Base == 0 {
-		t.Fatalf("expected a compacted journal (base > 0), got base=0 with snapshot at %d", rec.SnapshotPos)
+		t.Fatalf("expected a retired journal prefix (base > 0), got base=0 with snapshot at %d", rec.SnapshotPos)
 	}
-	if rec.SnapshotPos != 100 || rec.SnapshotMark != mark {
+	if rec.SnapshotPos != 100 || rec.SnapshotMark != all[99].Mark() {
 		t.Fatalf("snapshot meta: pos=%d mark=%+v", rec.SnapshotPos, rec.SnapshotMark)
 	}
 
@@ -273,61 +273,6 @@ func TestSnapshotPlusReplayEqualsPureReplayOracle(t *testing.T) {
 	}
 }
 
-func TestSnapshotsPruned(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := mustOpen(t, dir, inlineOpts())
-	var all []oplog.Entry
-	for i := 0; i < 30; i++ {
-		e := entry(i)
-		all = append(all, e)
-		commitAll(t, s, []oplog.Entry{e})
-		if (i+1)%10 == 0 {
-			s.WriteSnapshot(oplog.NewSet(all...).Cut(), i+1, e.Mark())
-		}
-	}
-	s.Close()
-	snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
-	if len(snaps) != 2 {
-		t.Fatalf("want 2 snapshots kept, got %d: %v", len(snaps), snaps)
-	}
-}
-
-func TestCompactionWaitsForBothWatermarks(t *testing.T) {
-	dir := t.TempDir()
-	opt := inlineOpts()
-	opt.SegmentBytes = 128
-	s, _ := mustOpen(t, dir, opt)
-	var all []oplog.Entry
-	for i := 0; i < 30; i++ {
-		e := entry(i)
-		all = append(all, e)
-		commitAll(t, s, []oplog.Entry{e})
-	}
-	before, _ := filepath.Glob(filepath.Join(dir, "journal-*.seg"))
-	// Snapshot everything — but with no peer acks, nothing may go.
-	s.WriteSnapshot(oplog.NewSet(all...).Cut(), 30, all[29].Mark())
-	after, _ := filepath.Glob(filepath.Join(dir, "journal-*.seg"))
-	if len(after) != len(before) {
-		t.Fatalf("compaction ran on snapshot alone: %d -> %d segments", len(before), len(after))
-	}
-	// Acks alone (already recorded snapshot) now release the prefix.
-	s.AckTo(30)
-	after, _ = filepath.Glob(filepath.Join(dir, "journal-*.seg"))
-	if len(after) >= len(before) {
-		t.Fatalf("compaction did not run with both watermarks: still %d segments", len(after))
-	}
-	s.Close()
-	// And recovery still reconstructs the full set.
-	_, rec := mustOpen(t, dir, opt)
-	set := oplog.NewSet(rec.SnapshotEntries...)
-	for _, e := range rec.JournalEntries {
-		set.Add(e)
-	}
-	if set.Len() != 30 {
-		t.Fatalf("recovered %d of 30 after compaction", set.Len())
-	}
-}
-
 func TestTornSnapshotFallsBackToOlder(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := mustOpen(t, dir, inlineOpts())
@@ -337,9 +282,9 @@ func TestTornSnapshotFallsBackToOlder(t *testing.T) {
 		all = append(all, e)
 		commitAll(t, s, []oplog.Entry{e})
 	}
-	s.WriteSnapshot(oplog.NewSet(all[:10]...).Cut(), 10, all[9].Mark())
-	s.WriteSnapshot(oplog.NewSet(all[:20]...).Cut(), 20, all[19].Mark())
 	s.Close()
+	snapshotAt(t, dir, all, 10)
+	snapshotAt(t, dir, all, 20)
 	// Tear the newest snapshot (drop its footer).
 	path := filepath.Join(dir, "snap-0000000020.snap")
 	sz := fileSize(t, path)
@@ -364,21 +309,9 @@ func TestSnapshotOutrunningJournalRejected(t *testing.T) {
 	commitAll(t, s, all)
 	s.Close()
 	// Forge a snapshot claiming positions the journal never held — the
-	// state WriteSnapshot's commit gate exists to make impossible — by
-	// taking a legitimate 5-entry snapshot elsewhere and dropping it
-	// into the 2-entry store's directory.
-	five := []oplog.Entry{entry(0), entry(1), entry(2), entry(3), entry(4)}
-	rogue, _ := mustOpen(t, t.TempDir(), inlineOpts())
-	commitAll(t, rogue, five)
-	rogue.WriteSnapshot(oplog.NewSet(five...).Cut(), 5, entry(4).Mark())
-	rogue.Close()
-	data, err := os.ReadFile(filepath.Join(rogue.Dir(), "snap-0000000005.snap"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "snap-0000000005.snap"), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// state the snapshotting builds gated each cut on the covering flush
+	// to make impossible.
+	snapshotAt(t, dir, []oplog.Entry{entry(0), entry(1), entry(2), entry(3), entry(4)}, 5)
 	if _, _, err := Open(dir, inlineOpts()); err == nil {
 		t.Fatal("Open accepted a snapshot covering positions beyond the journal end")
 	}
@@ -518,6 +451,92 @@ func TestIncarnationCountsOpens(t *testing.T) {
 	}
 }
 
+// TestAckedFileRoundTrip: the acknowledged position survives a Close;
+// an absent file reads as the journal's first position, and a malformed
+// or out-of-range one is ignored the same way rather than failing Open.
+func TestAckedFileRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := mustOpen(t, dir, inlineOpts())
+	commitAll(t, s, crashWorkloadEntries(10))
+	s.AckTo(7)
+	s.AckTo(5) // a lower acknowledgement never moves it back
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	acked := func() int {
+		t.Helper()
+		s, rec := mustOpen(t, dir, inlineOpts())
+		s.Crash() // Close would rewrite the file
+		if rec.Base != 0 || rec.End != 10 {
+			t.Fatalf("recovered [%d, %d), want [0, 10)", rec.Base, rec.End)
+		}
+		return rec.Acked
+	}
+	if got := acked(); got != 7 {
+		t.Fatalf("acked %d after Close, want 7", got)
+	}
+	path := filepath.Join(dir, ackFile)
+	writer := &Store{dir: dir, fs: faultfs.OS}
+	for _, c := range []struct {
+		name  string
+		bytes func() []byte
+	}{
+		{"absent", nil},
+		{"garbage", func() []byte { return []byte("not a counter") }},
+		{"past the end", func() []byte {
+			if err := writer.writeCounter(ackFile, ackMagic, 11); err != nil {
+				t.Fatal(err)
+			}
+			b, _ := os.ReadFile(path)
+			return b
+		}},
+		{"bad checksum", func() []byte {
+			writer.writeCounter(ackFile, ackMagic, 3)
+			b, _ := os.ReadFile(path)
+			b[len(b)-1] ^= 1
+			return b
+		}},
+	} {
+		os.Remove(path)
+		if c.bytes != nil {
+			if err := os.WriteFile(path, c.bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := acked(); got != 0 {
+			t.Fatalf("%s acked file: recovered acked %d, want the base 0", c.name, got)
+		}
+	}
+}
+
+// TestPooledSegmentsRemoved: a free-*.seg file is a retired segment an
+// older build kept for reuse. Nothing reuses one now, so Open removes it,
+// and the journal beside it recovers untouched.
+func TestPooledSegmentsRemoved(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := mustOpen(t, dir, inlineOpts())
+	commitAll(t, s, crashWorkloadEntries(10))
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := os.ReadFile(filepath.Join(dir, "journal-0000000000.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	free := filepath.Join(dir, "free-0000000003.seg")
+	if err := os.WriteFile(free, seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, rec := mustOpen(t, dir, inlineOpts())
+	defer s.Close()
+	if rec.Base != 0 || rec.End != 10 || len(rec.JournalEntries) != 10 {
+		t.Fatalf("recovered [%d, %d) with %d entries, want [0, 10) with 10", rec.Base, rec.End, len(rec.JournalEntries))
+	}
+	if _, err := os.Stat(free); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("pooled segment still on disk after Open: %v", err)
+	}
+}
+
 // TestOptionsFieldsPinned makes the next store knob a conscious diff:
 // every field here multiplies the configurations the suites must cover.
 func TestOptionsFieldsPinned(t *testing.T) {
@@ -541,77 +560,36 @@ func fileSize(t *testing.T, path string) int64 {
 	return info.Size()
 }
 
-// snapshotAt cuts a snapshot of the ledger prefix all[:pos], as an owner
-// does: a cut of its set, stamped with the watermark of its last entry.
-func snapshotAt(s *Store, all []oplog.Entry, pos int) {
-	s.WriteSnapshot(oplog.NewSet(all[:pos]...).Cut(), pos, all[pos-1].Mark())
-}
-
-// recoveredSet flattens a Recovery into the sorted encoded bytes of every
-// entry it restores — the byte-identical comparison the differentials use.
-func recoveredSet(rec Recovery) []string {
-	var out []string
-	for _, e := range append(append([]oplog.Entry(nil), rec.SnapshotEntries...), rec.JournalEntries...) {
-		out = append(out, string(oplog.AppendEntry(nil, e)))
-	}
-	sort.Strings(out)
-	return out
-}
-
-func dedupe(in []string) []string {
-	out := in[:0]
-	for i, v := range in {
-		if i == 0 || v != in[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
+// TestRecycledSegmentsOldRecordsInvisible: an older build recycled
+// retired segment files, so a final segment it crashed in can hold, past
+// its real end, records from the file's first life — valid under that
+// life's CRC seed. Replay must read them as a torn tail, never as entries.
 func TestRecycledSegmentsOldRecordsInvisible(t *testing.T) {
 	dir := t.TempDir()
-	opt := Options{Inline: true, Preallocate: true, SegmentBytes: 256}
-	s, _ := mustOpen(t, dir, opt)
-	var all []oplog.Entry
-	stage := func(n int) {
-		for i := 0; i < n; i++ {
-			e := entry(len(all))
-			all = append(all, e)
-			commitAll(t, s, []oplog.Entry{e})
+	frames := func(buf []byte, from, to, start int) []byte {
+		for i := from; i < to; i++ {
+			at := len(buf)
+			buf = appendFrame(buf, entry(i))
+			seal(buf[at:], seedFor(start))
 		}
+		return buf
 	}
-	// Fill several segments, then cover them with a snapshot and full acks
-	// so compaction retires them into the free pool.
-	stage(40)
-	s.WriteSnapshot(oplog.NewSet(all...).Cut(), len(all), all[len(all)-1].Mark())
-	s.AckTo(len(all))
-	free, _ := filepath.Glob(filepath.Join(dir, "free-*.seg"))
-	if len(free) == 0 {
-		t.Fatal("compaction pooled no retired segments")
+	data := binary.LittleEndian.AppendUint64([]byte(segMagicV2), 0)
+	data = frames(data, 0, 5, 0)       // this life, which starts at 0
+	oldLife := len(data)               // the crash came here
+	data = frames(data, 100, 120, 100) // the first life, which started at 100
+	if err := os.WriteFile(filepath.Join(dir, "journal-0000000000.seg"), data, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	// Keep writing: rotations must now be reborn from the pool.
-	stage(40)
-	if got := s.Stats().Recycled; got == 0 {
-		t.Fatal("rotation recycled no pooled segments")
+	s, rec := mustOpen(t, dir, inlineOpts())
+	defer s.Close()
+	if rec.End != 5 || rec.TornBytes != int64(len(data)-oldLife) {
+		t.Fatalf("recovered end %d with %d torn bytes, want 5 and %d", rec.End, rec.TornBytes, len(data)-oldLife)
 	}
-	s.Crash()
-
-	// The recycled files carried valid-under-the-old-seed records from
-	// their first life. Recovery must never resurrect them: every
-	// recovered entry is one we committed, and all committed entries
-	// survive.
-	s2, rec := mustOpen(t, dir, opt)
-	defer s2.Close()
-	var want []string
-	for _, e := range all {
-		want = append(want, string(oplog.AppendEntry(nil, e)))
-	}
-	sort.Strings(want)
-	if got := dedupe(recoveredSet(rec)); !reflect.DeepEqual(got, dedupe(want)) {
-		t.Fatalf("recycled-segment recovery diverged: got %d entries want %d", len(got), len(want))
-	}
-	if rec.End != len(all) {
-		t.Fatalf("recovered end %d, want %d", rec.End, len(all))
+	for i, e := range rec.JournalEntries {
+		if e != entry(i) {
+			t.Fatalf("entry %d = %+v, want %+v", i, e, entry(i))
+		}
 	}
 }
 

@@ -136,6 +136,10 @@ func TestOptionsEarnTheirKeep(t *testing.T) {
 			declared[name] = true
 		}
 	}
+	// The counts make the next option a conscious diff.
+	if root, eng := len(declaredOptions(t, "api.go")), len(declaredOptions(t, "internal/core/core.go")); root != 9 || eng != 11 {
+		t.Errorf("%d With* options at the root and %d in core, want 9 and 11", root, eng)
+	}
 
 	mention := regexp.MustCompile(`\bWith[A-Z][A-Za-z]*`)
 	found := 0
