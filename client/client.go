@@ -13,7 +13,6 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -23,8 +22,8 @@ import (
 // Client talks to one quicksandd daemon. It is safe for concurrent use.
 type Client struct {
 	base    string
-	auth    []string // the Authorization header's value, nil without a token
-	hc      *http.Client
+	auth    []string     // the Authorization header's value, nil without a token
+	hc      *http.Client // the caller's, copied without its Jar
 	retries int
 	backoff time.Duration
 
@@ -37,6 +36,10 @@ type Client struct {
 	// every call returns urlErr.
 	root, submitURL, batchURL, stateURL *url.URL
 	urlErr                              error
+
+	// The header sets every GET and every POST shares, built once in New.
+	// Without a cookie Jar nothing in net/http writes a request's Header.
+	getHeader, postHeader http.Header
 }
 
 // maxReply bounds a response body, as the daemon bounds a request's.
@@ -55,7 +58,16 @@ func WithToken(token string) Option {
 }
 
 // WithHTTPClient substitutes the underlying http.Client (timeouts,
-// transports, test doubles).
+// transports, test doubles). The client keeps a copy of it and honours
+// its Transport, Timeout and CheckRedirect, but not its Jar: the SDK
+// authenticates by bearer token, the daemon sets no cookies, and the
+// requests share their header sets, which a Jar would write to. A
+// RoundTripper must not modify a request, as net/http already requires.
+//
+// Every request carries Authorization (with WithToken),
+// Accept-Encoding: identity and no User-Agent; a POST adds
+// Content-Type: application/json. net/http adds Host, and Content-Length
+// on a POST.
 func WithHTTPClient(hc *http.Client) Option { return func(c *Client) { c.hc = hc } }
 
 // WithRetries sets how many times a failed request is retried (default
@@ -88,6 +100,15 @@ func New(base string, opts ...Option) *Client {
 	for _, o := range opts {
 		o(c)
 	}
+	hc := *c.hc
+	hc.Jar = nil
+	c.hc = &hc
+	c.getHeader = http.Header{"Accept-Encoding": {"identity"}, "User-Agent": {""}}
+	if c.auth != nil {
+		c.getHeader["Authorization"] = c.auth
+	}
+	c.postHeader = c.getHeader.Clone()
+	c.postHeader["Content-Type"] = []string{"application/json"}
 	c.root, c.urlErr = url.Parse(c.base)
 	c.submitURL, c.batchURL, c.stateURL = c.at("/v1/submit", ""), c.at("/v1/batch", ""), c.at("/v1/state", "")
 	return c
@@ -151,9 +172,10 @@ func asAPIError(err error, out **APIError) bool {
 }
 
 // do runs one request with retries and returns the 2xx reply's body in a
-// pooled buffer the caller must Free. Idempotency is the caller's
-// contract: every retried body must carry the same op IDs.
-func (c *Client) do(ctx context.Context, method string, u *url.URL, body []byte) (*Buffer, error) {
+// pooled buffer the caller must Free. An empty body sends none.
+// Idempotency is the caller's contract: every retried body must carry the
+// same op IDs.
+func (c *Client) do(ctx context.Context, method string, u *url.URL, body string) (*Buffer, error) {
 	if c.urlErr != nil {
 		return nil, c.urlErr
 	}
@@ -191,7 +213,7 @@ func (c *Client) doJSON(ctx context.Context, method, path, rawQuery string, in, 
 			return fmt.Errorf("client: encode request: %w", err)
 		}
 	}
-	reply, err := c.do(ctx, method, c.at(path, rawQuery), body)
+	reply, err := c.do(ctx, method, c.at(path, rawQuery), string(body))
 	if err != nil {
 		return err
 	}
@@ -242,67 +264,26 @@ func jitter(max time.Duration) time.Duration {
 	return time.Duration(binary.LittleEndian.Uint64(b[:]) % uint64(max+1))
 }
 
-// reqBytes is one attempt's request body: bytes their owner will reuse.
-// net/http's write loop can still be reading a request's body after Do
-// has returned — the server answered before it had read it all, or the
-// call was cancelled — so the bytes are only touched under mu, and detach
-// cuts every reader off before the owner recycles them.
-type reqBytes struct {
-	mu    sync.Mutex
-	b     []byte
-	first reqReader // the request's Body, in the same allocation
-}
-
-// reqReader is one pass over a reqBytes.
-type reqReader struct {
-	src *reqBytes
-	off int
-}
-
-func (r *reqReader) Read(p []byte) (int, error) {
-	r.src.mu.Lock()
-	defer r.src.mu.Unlock()
-	if r.off >= len(r.src.b) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.src.b[r.off:])
-	r.off += n
-	return n, nil
-}
-
-func (r *reqReader) Close() error { return nil }
-
-// reader is the request's GetBody: a redirect, or a kept-alive connection
-// that turns out dead before anything was sent, makes net/http send the
-// body again.
-func (b *reqBytes) reader() (io.ReadCloser, error) { return &reqReader{src: b}, nil }
-
-func (b *reqBytes) detach() {
-	b.mu.Lock()
-	b.b = nil
-	b.mu.Unlock()
-}
-
-var jsonContentType = []string{"application/json"}
-
 // once makes one attempt and reads the reply into reply. The body is read
 // to EOF whatever length the response declares, and a body over maxReply
 // is an error before any decoding.
-func (c *Client) once(ctx context.Context, method string, u *url.URL, body []byte, reply *Buffer) error {
+//
+// The request's body is a strings.Reader over a string the request owns,
+// a reader net/http knows is in memory: it writes the headers and the body
+// in one write, and the body stays intact for as long as the transport
+// reads it, which can be after Do returns. GetBody gives a redirect, or a
+// kept-alive connection that turns out dead before anything was sent, a
+// fresh pass over it.
+func (c *Client) once(ctx context.Context, method string, u *url.URL, body string, reply *Buffer) error {
 	req := (&http.Request{
 		Method: method, URL: u, Host: u.Host,
 		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+		Header: c.getHeader,
 	}).WithContext(ctx)
-	req.Header = make(http.Header, 2)
-	if body != nil {
-		rb := &reqBytes{b: body}
-		rb.first.src = rb
-		defer rb.detach()
-		req.Body, req.GetBody, req.ContentLength = &rb.first, rb.reader, int64(len(body))
-		req.Header["Content-Type"] = jsonContentType
-	}
-	if c.auth != nil {
-		req.Header["Authorization"] = c.auth
+	if body != "" {
+		req.Header, req.ContentLength = c.postHeader, int64(len(body))
+		req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(strings.NewReader(body)), nil }
+		req.Body, _ = req.GetBody()
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
@@ -355,7 +336,7 @@ func (c *Client) Submit(ctx context.Context, op Op, sync bool) (Result, error) {
 	defer body.Free()
 	body.B = AppendSubmitRequest(body.B, &SubmitRequest{Op: op, Sync: sync})
 	var res Result
-	reply, err := c.do(ctx, http.MethodPost, c.submitURL, body.B)
+	reply, err := c.do(ctx, http.MethodPost, c.submitURL, string(body.B))
 	if err != nil {
 		return res, err
 	}
@@ -394,7 +375,7 @@ func (c *Client) SubmitBatch(ctx context.Context, ops []Op, sync bool) ([]Result
 	body := GetBuffer()
 	defer body.Free()
 	body.B = AppendBatchRequest(body.B, &BatchRequest{Ops: withIDs, Sync: sync})
-	reply, err := c.do(ctx, http.MethodPost, c.batchURL, body.B)
+	reply, err := c.do(ctx, http.MethodPost, c.batchURL, string(body.B))
 	if err != nil {
 		return nil, err
 	}
@@ -411,7 +392,7 @@ func (c *Client) State(ctx context.Context) (StateResponse, error) {
 
 func (c *Client) state(ctx context.Context, u *url.URL) (StateResponse, error) {
 	var res StateResponse
-	reply, err := c.do(ctx, http.MethodGet, u, nil)
+	reply, err := c.do(ctx, http.MethodGet, u, "")
 	if err != nil {
 		return res, err
 	}

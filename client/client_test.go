@@ -7,8 +7,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"net/http/cookiejar"
 	"net/http/httptest"
+	"net/url"
 	"slices"
 	"strings"
 	"sync"
@@ -217,11 +220,13 @@ func (cannedRT) RoundTrip(req *http.Request) (*http.Response, error) {
 	return &http.Response{StatusCode: http.StatusOK, Body: io.NopCloser(bytes.NewReader(cannedBody)), Request: req}, nil
 }
 
-// TestSubmitAllocations pins the SDK's own cost of one Submit. With
-// encoding/json on both halves, http.NewRequest and io.ReadAll it was 29
-// against this RoundTripper; the codec, the pooled buffers and the
-// hand-built request left 15, and an op ID minted on the stack 14, which
-// the pin allows.
+// TestSubmitAllocations pins the SDK's own cost of one Submit against
+// this RoundTripper. With encoding/json on both halves, http.NewRequest
+// and io.ReadAll it was 29. The codec, the pooled buffers and the
+// hand-built request left 15, and an op ID minted on the stack 14. A body
+// net/http knows is in memory (the body's string, its reader, the reader's
+// closer and GetBody) and header sets shared by every request hold it at
+// 14, which the pin allows, while net/http below it does less.
 func TestSubmitAllocations(t *testing.T) {
 	testenv.SkipUnderRace(t)
 	cl := New("http://stub", WithHTTPClient(&http.Client{Transport: cannedRT{}}))
@@ -439,5 +444,117 @@ func TestBadBaseURLIsAnError(t *testing.T) {
 	}
 	if _, err := c.Health(ctx); err == nil {
 		t.Error("Health on an unparsable base succeeded")
+	}
+}
+
+// countingConn counts the writes made on a connection.
+type countingConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c countingConn) Write(b []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(b)
+}
+
+// TestSubmitIsOneWrite: a request's body is a reader net/http knows is in
+// memory, so the headers and the body leave in one socket write — one per
+// Submit and one per SubmitBatch.
+func TestSubmitIsOneWrite(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		if r.URL.Path == "/v1/batch" {
+			var req BatchRequest
+			if err := ScanBatchRequest(body, &req); err != nil {
+				t.Errorf("batch body %q: %v", body, err)
+			}
+			res := BatchResponse{Results: make([]Result, len(req.Ops))}
+			for i, op := range req.Ops {
+				res.Results[i] = Result{Accepted: true, ID: op.ID}
+			}
+			w.Write(AppendBatchResponse(nil, &res))
+			return
+		}
+		var req SubmitRequest
+		if err := ScanSubmitRequest(body, &req); err != nil {
+			t.Errorf("submit body %q: %v", body, err)
+		}
+		w.Write(AppendResult(nil, &Result{Accepted: true, ID: req.ID}))
+	}))
+	defer srv.Close()
+	var writes atomic.Int64
+	var d net.Dialer
+	tr := &http.Transport{DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+		conn, err := d.DialContext(ctx, network, addr)
+		return countingConn{Conn: conn, writes: &writes}, err
+	}}
+	defer tr.CloseIdleConnections()
+	c := New(srv.URL, WithHTTPClient(&http.Client{Transport: tr}), WithToken("tok"))
+	ctx := context.Background()
+	ops := []Op{{Kind: "deposit", Key: "a", Arg: 1}, {Kind: "deposit", Key: "b", Arg: 2}}
+	for i := 0; i < 5; i++ {
+		before := writes.Load()
+		if res, err := c.Submit(ctx, Op{Kind: "deposit", Key: "k", Arg: 1}, false); err != nil || !res.Accepted {
+			t.Fatalf("Submit = %+v, %v", res, err)
+		}
+		if n := writes.Load() - before; n != 1 {
+			t.Errorf("Submit %d made %d conn writes, want 1", i, n)
+		}
+		before = writes.Load()
+		if res, err := c.SubmitBatch(ctx, ops, false); err != nil || len(res) != len(ops) {
+			t.Fatalf("SubmitBatch = %+v, %v", res, err)
+		}
+		if n := writes.Load() - before; n != 1 {
+			t.Errorf("SubmitBatch %d made %d conn writes, want 1", i, n)
+		}
+	}
+}
+
+// TestCookieJarIsNotUsed: every request shares its client's header sets,
+// and a cookie Jar is the one thing in net/http that writes a request's
+// Header, so the client drops the Jar of the http.Client it is given.
+// Under -race, 16 concurrent callers show the shared sets are only read;
+// the server shows no Cookie header was sent.
+func TestCookieJarIsNotUsed(t *testing.T) {
+	var cookies atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Header.Get("Cookie") != "" {
+			cookies.Add(1)
+		}
+		if got := r.Header.Get("Authorization"); got != "Bearer tok" {
+			t.Errorf("Authorization = %q", got)
+		}
+		body, _ := io.ReadAll(r.Body)
+		var req SubmitRequest
+		if err := ScanSubmitRequest(body, &req); err != nil {
+			t.Errorf("submit body %q: %v", body, err)
+		}
+		w.Write(AppendResult(nil, &Result{Accepted: true, ID: req.ID}))
+	}))
+	defer srv.Close()
+	jar, err := cookiejar.New(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, _ := url.Parse(srv.URL)
+	jar.SetCookies(u, []*http.Cookie{{Name: "session", Value: "s3cret"}})
+	c := New(srv.URL, WithHTTPClient(&http.Client{Jar: jar}), WithToken("tok"))
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if res, err := c.Submit(ctx, Op{Kind: "deposit", Key: "k", Arg: 1}, false); err != nil || !res.Accepted {
+					t.Errorf("Submit = %+v, %v", res, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := cookies.Load(); n != 0 {
+		t.Fatalf("%d requests carried the jar's cookie", n)
 	}
 }

@@ -827,6 +827,77 @@ func TestJournalHeldForCrashedPeer(t *testing.T) {
 	}
 }
 
+// pushRecorder passes a replica's calls through and records the encoded
+// entry bytes of every gossip push it sends, by destination.
+type pushRecorder struct {
+	Node
+	sent map[string][]int
+}
+
+func (p pushRecorder) Call(to, method string, req any, done func(resp any, ok bool)) {
+	if m, ok := req.(pushReq); ok {
+		n := 0
+		for _, e := range m.Entries {
+			n += oplog.EntrySize(e)
+		}
+		p.sent[to] = append(p.sent[to], n)
+	}
+	p.Node.Call(to, method, req, done)
+}
+
+// TestCatchUpIsPushedInBudgetedParts: a peer that fell behind by more
+// than one push may carry is caught up over several pushes, each at most
+// maxPushBytes of entries, and converges.
+func TestCatchUpIsPushedInBudgetedParts(t *testing.T) {
+	s, c := newTestCluster(43, 3)
+	sent := map[string][]int{}
+	for i := 0; i < 3; i++ {
+		r := c.Replica(i)
+		r.node = pushRecorder{Node: r.node, sent: sent}
+	}
+	c.Transport().SetUp("r2", false)
+	note := strings.Repeat("n", 64<<10)
+	const ops = 3 * maxPushBytes / (128 << 10) // 1.5 budgets of notes
+	for i := 0; i < ops; i++ {
+		op := NewOp("credit", "a", 1)
+		op.Note = note
+		if _, err := c.Submit(context.Background(), 0, op, WithPolicy(policy.AlwaysAsync())); err != nil {
+			t.Fatal(err)
+		}
+		s.Run()
+	}
+	for i := 0; i < 4; i++ {
+		c.GossipRound()
+		s.Run()
+	}
+	c.Transport().SetUp("r2", true)
+	clear(sent)
+	for i := 0; i < 10 && !c.Converged(); i++ {
+		c.GossipRound()
+		s.Run()
+	}
+	if !c.Converged() {
+		t.Fatal("the lagging peer never caught up")
+	}
+	if got := c.Replica(2).State()["a"]; got != ops {
+		t.Fatalf("caught-up replica state = %d, want %d", got, ops)
+	}
+	carried := 0
+	for to, sizes := range sent {
+		for _, n := range sizes {
+			if n > maxPushBytes {
+				t.Errorf("a push to %s carried %d entry bytes, over the %d budget", to, n, maxPushBytes)
+			}
+			if to == "r2" && n > 0 {
+				carried++
+			}
+		}
+	}
+	if carried < 2 {
+		t.Fatalf("the catch-up took %d pushes, want it split over at least 2", carried)
+	}
+}
+
 // TestShardRoutingAndIsolation exercises the sharded engine on the
 // simulator: ops route to the shard owning their key, groups converge
 // independently, and a sync submit coordinates only within its shard.

@@ -1024,10 +1024,16 @@ func (rd *syncRound[S]) finish(res Result) {
 	it.finish(res)
 }
 
-// pushTo sends the journal suffix the peer has not acknowledged — one
-// directed edge of an anti-entropy round. An acknowledgement may let the
-// replica truncate the journal prefix that every gossip peer has now
-// seen.
+// maxPushBytes caps the encoded entries of one gossip push, well under
+// the 64 MiB a netx frame may carry: a peer that fell far behind catches
+// up over several rounds instead of being sent a frame it must refuse.
+const maxPushBytes = 4 << 20
+
+// pushTo sends the start of the journal suffix the peer has not
+// acknowledged, at most maxPushBytes of it — one directed edge of an
+// anti-entropy round; the next round continues where this one ended. An
+// acknowledgement may let the replica truncate the journal prefix that
+// every gossip peer has now seen.
 func (r *Replica[S]) pushTo(peer string) {
 	r.mu.Lock()
 	if r.pushing[peer] {
@@ -1047,8 +1053,8 @@ func (r *Replica[S]) pushTo(peer string) {
 		// safe: the peer dedupes what it already holds.
 		from = base
 	}
-	entries := r.journal.Since(from)
-	end := r.journal.Len()
+	entries := r.journal.Since(from, maxPushBytes)
+	end := from + len(entries)
 	if len(entries) == 0 {
 		// Nothing the peer hasn't acknowledged. Skipping the call costs
 		// only reciprocation speed — the peer still pushes its own news

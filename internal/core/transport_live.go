@@ -107,8 +107,15 @@ func (t *LiveTransport) Scatter(fns []func()) {
 }
 
 // Await blocks until ready closes or ctx is done. Real goroutines make
-// their own progress, so there is nothing to drive.
+// their own progress, so there is nothing to drive. A result already in
+// returns before ctx.Done is asked for, which a fresh cancelable context
+// would allocate.
 func (t *LiveTransport) Await(ctx context.Context, ready <-chan struct{}) error {
+	select {
+	case <-ready:
+		return nil
+	default:
+	}
 	select {
 	case <-ready:
 		return nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -272,7 +273,7 @@ func TestDecodedPushIsNeverRetained(t *testing.T) {
 				check("the op set", entryStrings(e)...)
 			}
 			r.mu.Lock()
-			journaled := r.journal.Since(r.journal.Base())
+			journaled := r.journal.Since(r.journal.Base(), math.MaxInt)
 			r.mu.Unlock()
 			if len(journaled) != len(sent) {
 				t.Fatalf("journal holds %d entries, want %d", len(journaled), len(sent))

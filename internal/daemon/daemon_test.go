@@ -650,3 +650,29 @@ func TestDaemonStateAcrossShards(t *testing.T) {
 		}
 	}
 }
+
+// TestSubmitRoundTripAllocations pins one SDK Submit against a live
+// daemon over loopback HTTP: the client, net/http on both ends, the edge
+// and the guess, everything the process allocates for one acknowledged op.
+// The SDK's own request — a body net/http knows is in memory, shared
+// header sets that ask for no gzip and send no User-Agent — costs 87.
+func TestSubmitRoundTripAllocations(t *testing.T) {
+	testenv.SkipUnderRace(t)
+	d := soloDaemon(t, func(c *Config) { c.TraceSample = -1 })
+	c := client.New("http://" + d.HTTPAddr())
+	ctx := context.Background()
+	op := client.Op{Kind: "deposit", Key: "acct-0001", Arg: 1}
+	submit := func() {
+		if res, err := c.Submit(ctx, op, false); err != nil || !res.Accepted {
+			t.Fatalf("Submit = %+v, %v", res, err)
+		}
+	}
+	for i := 0; i < 2000; i++ { // grow the op set and warm the pools and the connection
+		submit()
+	}
+	got := testing.AllocsPerRun(1000, submit)
+	t.Logf("one SDK Submit round trip: %.0f allocations", got)
+	if got > 88 {
+		t.Errorf("one SDK Submit round trip allocates %.0f times, want at most 88", got)
+	}
+}

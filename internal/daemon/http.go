@@ -180,9 +180,12 @@ func toResult(res core.Result) client.Result {
 	}
 }
 
+// syncOptions coordinates a submit; every sync request shares the slice.
+var syncOptions = []core.SubmitOption{core.WithPolicy(policy.AlwaysSync())}
+
 func submitOptions(sync bool) []core.SubmitOption {
 	if sync {
-		return []core.SubmitOption{core.WithPolicy(policy.AlwaysSync())}
+		return syncOptions
 	}
 	return nil
 }

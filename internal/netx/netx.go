@@ -310,15 +310,9 @@ func (t *Transport) Every(interval time.Duration, fn func()) (stop func()) {
 // of the Scatterer capability, same as LiveTransport.
 func (t *Transport) Scatter(fns []func()) { t.local.Scatter(fns) }
 
-// Await blocks until ready closes or ctx is done; real goroutines make
-// their own progress.
+// Await is the LiveTransport's: real goroutines make their own progress.
 func (t *Transport) Await(ctx context.Context, ready <-chan struct{}) error {
-	select {
-	case <-ready:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return t.local.Await(ctx, ready)
 }
 
 // SetUp marks a node alive or crashed. For a locally hosted node this is

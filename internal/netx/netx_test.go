@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/oplog"
 	"repro/internal/policy"
+	"repro/internal/testenv"
 )
 
 // counterApp mirrors the engine's canonical test application: per-key
@@ -175,5 +176,42 @@ func TestHelloAuthRejectsBadToken(t *testing.T) {
 func TestEncodeReqRejectsNonWirePayload(t *testing.T) {
 	if buf, err := encodeReq(42, "s0/r0", "s0/r2", "push", struct{ X int }{1}); err == nil {
 		t.Fatalf("encoding a non-wire payload succeeded: %x", buf)
+	}
+}
+
+// TestAwaitReadyAllocatesNothing: a result already in returns before
+// Await asks the caller's context for its Done channel, which a fresh
+// context.WithCancel — what net/http hands every request — would
+// allocate. Both live worlds share the rule.
+func TestAwaitReadyAllocatesNothing(t *testing.T) {
+	testenv.SkipUnderRace(t)
+	tr, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	ready := make(chan struct{})
+	close(ready)
+	for _, w := range []struct {
+		name  string
+		await func(context.Context, <-chan struct{}) error
+	}{
+		{"LiveTransport", core.NewLiveTransport().Await},
+		{"netx", tr.Await},
+	} {
+		base := testing.AllocsPerRun(1000, func() {
+			_, cancel := context.WithCancel(context.Background())
+			cancel()
+		})
+		got := testing.AllocsPerRun(1000, func() {
+			ctx, cancel := context.WithCancel(context.Background())
+			if err := w.await(ctx, ready); err != nil {
+				t.Fatalf("%s: Await on a closed ready = %v", w.name, err)
+			}
+			cancel()
+		})
+		if got != base {
+			t.Errorf("%s: Await on a closed ready allocates %.0f times beyond context.WithCancel's %.0f", w.name, got-base, base)
+		}
 	}
 }

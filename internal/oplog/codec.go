@@ -16,7 +16,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"sync"
 	"time"
 
 	"repro/internal/uniq"
@@ -25,7 +24,7 @@ import (
 // AppendEntry appends the binary encoding of e to buf and returns the
 // extended slice, in the style of strconv.AppendInt. With a buffer of at
 // least EntrySize(e) spare capacity the call performs no allocation —
-// the contract the batched journal writer and snapshot writer rely on
+// the contract the batched journal writer relies on
 // (and the alloc assertions in codec_test.go pin).
 func AppendEntry(buf []byte, e Entry) []byte {
 	buf = appendString(buf, string(e.ID))
@@ -53,24 +52,6 @@ func uvarintSize(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 func varintSize(v int64) int {
 	// Varint zigzags before writing, exactly as binary.AppendVarint does.
 	return uvarintSize(uint64(v)<<1 ^ uint64(v>>63))
-}
-
-// bufPool recycles the scratch buffers delta snapshot cuts are assembled
-// in (a full cut streams through a fixed buffer of its own). Buffers start
-// small and grow to the size a cut needs; pooling them keeps successive
-// cuts from allocating one each without pinning one large buffer per
-// store forever.
-var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
-
-// GetBuf borrows a zero-length encode buffer from the shared pool. Return
-// it with PutBuf when the encoded bytes have been written out; the buffer
-// must not be referenced afterwards.
-func GetBuf() *[]byte { return bufPool.Get().(*[]byte) }
-
-// PutBuf returns a borrowed buffer to the pool, keeping its grown capacity.
-func PutBuf(b *[]byte) {
-	*b = (*b)[:0]
-	bufPool.Put(b)
 }
 
 // DecodeEntry decodes one entry occupying the whole of b — the framing

@@ -625,18 +625,27 @@ func (j *Journal) Base() int { return j.base }
 // figure journal truncation exists to bound.
 func (j *Journal) Retained() int { return len(j.entries) }
 
-// Since returns a copy of the entries at absolute positions [from, Len()).
-// Asking for a position inside the truncated prefix panics: those entries
-// are gone, and silently serving a shorter suffix would break the
-// anti-entropy invariant that a peer receives every entry past its ack.
-func (j *Journal) Since(from int) []Entry {
+// Since returns a copy of the entries from absolute position from on, as
+// many as fit in maxBytes of EntrySize but always at least one: a prefix
+// of [from, Len()) that the caller ships and continues after. Asking for a
+// position inside the truncated prefix panics: those entries are gone, and
+// silently serving a shorter suffix would break the anti-entropy invariant
+// that a peer receives every entry past its ack.
+func (j *Journal) Since(from, maxBytes int) []Entry {
 	if from < j.base {
 		panic(fmt.Sprintf("oplog: journal suffix from %d requested but prefix truncated to %d", from, j.base))
 	}
 	if from >= j.Len() {
 		return nil
 	}
-	return append([]Entry(nil), j.entries[from-j.base:]...)
+	suffix := j.entries[from-j.base:]
+	n, size := 1, EntrySize(suffix[0])
+	for ; n < len(suffix); n++ {
+		if size += EntrySize(suffix[n]); size > maxBytes {
+			break
+		}
+	}
+	return append([]Entry(nil), suffix[:n]...)
 }
 
 // TruncateTo drops every entry before absolute position n. The common

@@ -101,20 +101,6 @@ func BenchmarkAppendEntryReused(b *testing.B) {
 	}
 }
 
-// BenchmarkAppendEntryPooled is the same encode through the shared buffer
-// pool — what the snapshot writer pays per file, amortized to zero after
-// the pool warms up.
-func BenchmarkAppendEntryPooled(b *testing.B) {
-	b.ReportAllocs()
-	e := Entry{ID: "r0-000042", Kind: "deposit", Key: "acct-007", Note: "n", Arg: 100_00, Lam: 42, At: 5_000_000}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf := GetBuf()
-		*buf = AppendEntry(*buf, e)
-		PutBuf(buf)
-	}
-}
-
 func BenchmarkDecodeEntry(b *testing.B) {
 	b.ReportAllocs()
 	enc := AppendEntry(nil, Entry{ID: "r0-000042", Kind: "deposit", Key: "acct-007", Note: "n", Arg: 100_00, Lam: 42, At: 5_000_000})

@@ -2,6 +2,7 @@ package oplog
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"runtime/metrics"
@@ -354,7 +355,7 @@ func TestJournalAppendSinceLen(t *testing.T) {
 	if j.Len() != 0 || j.Retained() != 0 || j.Base() != 0 {
 		t.Fatal("zero journal not empty")
 	}
-	if got := j.Since(0); got != nil {
+	if got := j.Since(0, math.MaxInt); got != nil {
 		t.Fatalf("Since on empty journal = %+v", got)
 	}
 	for i := 0; i < 5; i++ {
@@ -363,14 +364,37 @@ func TestJournalAppendSinceLen(t *testing.T) {
 	if j.Len() != 5 || j.Retained() != 5 {
 		t.Fatalf("Len/Retained = %d/%d, want 5/5", j.Len(), j.Retained())
 	}
-	got := j.Since(2)
+	got := j.Since(2, math.MaxInt)
 	if len(got) != 3 || got[0].ID != "c" || got[2].ID != "e" {
 		t.Fatalf("Since(2) = %+v", got)
 	}
 	// Since returns a copy, not a window into the journal.
 	got[0].Kind = "mutated"
-	if j.Since(2)[0].Kind != "op" {
+	if j.Since(2, math.MaxInt)[0].Kind != "op" {
 		t.Fatal("Since exposed internal storage")
+	}
+}
+
+// TestJournalSinceBudget: Since serves the longest prefix of the suffix
+// whose EntrySize sum fits the budget, and one entry however large.
+func TestJournalSinceBudget(t *testing.T) {
+	var j Journal
+	for i := 0; i < 6; i++ {
+		j.Append(e(string(rune('a'+i)), int64(i)))
+	}
+	size := EntrySize(j.Since(0, 0)[0])
+	for _, c := range []struct{ from, budget, want int }{
+		{0, 0, 1},
+		{0, size - 1, 1},
+		{0, size, 1},
+		{0, 3*size + size/2, 3},
+		{2, 2 * size, 2},
+		{4, 100 * size, 2},
+	} {
+		got := j.Since(c.from, c.budget)
+		if len(got) != c.want || string(got[0].ID) != string(rune('a'+c.from)) {
+			t.Errorf("Since(%d, %d) = %d entries from %q, want %d from %q", c.from, c.budget, len(got), got[0].ID, c.want, string(rune('a'+c.from)))
+		}
 	}
 }
 
@@ -383,12 +407,12 @@ func TestJournalTruncate(t *testing.T) {
 	if j.Base() != 4 || j.Retained() != 2 || j.Len() != 6 {
 		t.Fatalf("after TruncateTo(4): base=%d retained=%d len=%d", j.Base(), j.Retained(), j.Len())
 	}
-	if got := j.Since(4); len(got) != 2 || got[0].ID != "e" {
+	if got := j.Since(4, math.MaxInt); len(got) != 2 || got[0].ID != "e" {
 		t.Fatalf("Since(4) after truncation = %+v", got)
 	}
 	// Absolute positions keep counting across the truncation.
 	j.Append(e("g", 6))
-	if j.Len() != 7 || j.Since(6)[0].ID != "g" {
+	if j.Len() != 7 || j.Since(6, math.MaxInt)[0].ID != "g" {
 		t.Fatalf("append after truncation broke positions: len=%d", j.Len())
 	}
 	// Truncating backwards or to the current base is a no-op.
@@ -415,7 +439,7 @@ func TestJournalSinceTruncatedPanics(t *testing.T) {
 			t.Fatal("Since inside the truncated prefix must panic, not serve a short suffix")
 		}
 	}()
-	j.Since(1)
+	j.Since(1, math.MaxInt)
 }
 
 func TestCanonicalOrderLamportFirst(t *testing.T) {
