@@ -397,14 +397,15 @@ func (g *shardGroup[S]) gossipRound() {
 			// accepted — pushing those would spread guesses nobody can back.
 			continue
 		}
-		for _, peer := range rep.gossipPeers {
-			if peer.node.Crashed() || peer.degraded.Load() {
+		for i := range rep.gossipPeers {
+			p := &rep.gossipPeers[i]
+			if p.rep.node.Crashed() || p.rep.degraded.Load() {
 				// A degraded peer declines every push anyway (it would lose
 				// the entries on rejoin); skipping saves the wasted round.
 				continue
 			}
-			if g.c.tr.Reachable(rep.id, peer.id) {
-				rep.pushTo(peer.id)
+			if g.c.tr.Reachable(rep.id, p.rep.id) {
+				rep.pushTo(p)
 			}
 		}
 	}
@@ -564,9 +565,9 @@ func New[S any](app App[S], rules []Rule[S], opts ...Option) *Cluster[S] {
 			if n > 1 {
 				succ := g.reps[(i+1)%n]
 				pred := g.reps[(i-1+n)%n]
-				r.gossipPeers = append(r.gossipPeers, succ)
+				r.gossipPeers = append(r.gossipPeers, gossipPeer[S]{rep: succ})
 				if pred != succ {
-					r.gossipPeers = append(r.gossipPeers, pred)
+					r.gossipPeers = append(r.gossipPeers, gossipPeer[S]{rep: pred})
 				}
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -344,17 +345,37 @@ func TestLedgerRecordsGuessesAndMemories(t *testing.T) {
 	}
 }
 
+// TestGossipIncrementalTransfer pins both gossip rules on two replicas
+// after one submit, as OpsTransferred after each of four rounds. A
+// volatile replica counts what its peer sent it as held, so the op
+// travels once. A durable one does not (the sender may still lose it
+// before its fsync), so the op comes back once, as the echo the ack
+// answers, and never again.
 func TestGossipIncrementalTransfer(t *testing.T) {
-	s, c := newTestCluster(12, 2)
-	submit(t, s, c, 0, "credit", "a", 1, policy.AlwaysAsync())
-	c.GossipRound()
-	s.Run()
-	moved := c.Metrics().OpsTransferred.Value()
-	// A second round with nothing new must not resend the op.
-	c.GossipRound()
-	s.Run()
-	if c.Metrics().OpsTransferred.Value() != moved {
-		t.Fatalf("idle gossip re-transferred ops: %d -> %d", moved, c.Metrics().OpsTransferred.Value())
+	for _, tc := range []struct {
+		name string
+		opts []Option
+		want []int64
+	}{
+		{"volatile", nil, []int64{1, 1, 1, 1}},
+		{"durable", []Option{WithDurability(t.TempDir())}, []int64{1, 2, 2, 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := sim.New(12)
+			opts := append([]Option{WithTransport(rpc.NewSimTransport(s)), WithReplicas(2)}, tc.opts...)
+			c := New[counterState](counterApp{}, nil, opts...)
+			defer c.Close()
+			submit(t, s, c, 0, "credit", "a", 1, policy.AlwaysAsync())
+			var moved []int64
+			for range tc.want {
+				c.GossipRound()
+				s.Run()
+				moved = append(moved, c.Metrics().OpsTransferred.Value())
+			}
+			if !slices.Equal(moved, tc.want) {
+				t.Fatalf("OpsTransferred after each round = %v, want %v", moved, tc.want)
+			}
+		})
 	}
 }
 

@@ -416,11 +416,11 @@ func TestDuplicatePushAckWaitsForDisk(t *testing.T) {
 	c := New[counterState](counterApp{}, nil, WithReplicas(2), WithDurability(t.TempDir()),
 		WithGossipEvery(2*time.Millisecond), WithStoreFS(syncWatchFS{inj, marker, &slow, &synced}))
 	defer c.Close()
-	r0, r1 := c.Replica(0), c.Replica(1).ID()
+	r0 := c.Replica(0)
 	acked := func() int {
 		r0.mu.Lock()
 		defer r0.mu.Unlock()
-		return r0.ackedLocked(r1)
+		return r0.gossipPeers[0].held
 	}
 	slow.Store(true)
 	done := make(chan struct{})

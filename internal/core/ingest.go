@@ -433,7 +433,7 @@ func (r *Replica[S]) ingestSegment(items []ingestItem) {
 		// unlanded flush, so re-accept no earlier than the current tail.
 		end = st.End()
 	}
-	var due [2]string
+	var due [2]*gossipPeer[S]
 	nDue := 0
 	if nAccepted > 0 {
 		// Fold the batch in, in place, while the lock is already held — but
@@ -487,9 +487,9 @@ func (r *Replica[S]) ingestSegment(items []ingestItem) {
 	// nudge is a backlog limiter, not a latency path. Light load leaves
 	// gossip entirely to the ticker; heavy ingest ships a batch-sized
 	// suffix as soon as one exists.
-	for _, id := range due[:nDue] {
-		if c.tr.Reachable(r.id, id) {
-			r.pushTo(id)
+	for _, p := range due[:nDue] {
+		if c.tr.Reachable(r.id, p.rep.id) {
+			r.pushTo(p)
 		}
 	}
 }
@@ -546,21 +546,16 @@ func (r *Replica[S]) resolveSegment(items []ingestItem, nAccepted int, ok bool) 
 	}
 }
 
-// gossipDueLocked lists the ring peers whose unacknowledged journal
-// suffix has reached a full ingest batch and that have no push in flight
+// gossipDueLocked lists the ring peers whose journal suffix they do not
+// hold has reached a full ingest batch and that have no push in flight
 // — the ones ingest pushes to without waiting for the next scheduled
 // round. Everyone else is left to the ticker. A ring replica has at most
 // two gossip peers. The caller holds r.mu.
-func (r *Replica[S]) gossipDueLocked() (due [2]string, n int) {
-	jlen := r.journal.Len()
-	base := r.journal.Base()
-	for _, peer := range r.gossipPeers {
-		from := r.sentTo[peer.id]
-		if from < base {
-			from = base
-		}
-		if jlen-from >= r.c.cfg.ingestCap && !r.pushing[peer.id] {
-			due[n] = peer.id
+func (r *Replica[S]) gossipDueLocked() (due [2]*gossipPeer[S], n int) {
+	for i := range r.gossipPeers {
+		p := &r.gossipPeers[i]
+		if r.journal.Len()-r.startLocked(p) >= r.c.cfg.ingestCap && !p.pushing {
+			due[n] = p
 			n++
 		}
 	}

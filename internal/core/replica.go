@@ -48,13 +48,12 @@ type Replica[S any] struct {
 	remote bool // hosted by another process (WithLocalReplicas): an addressing stub
 
 	// gossipPeers is the fixed set of peers this replica ever pushes its
-	// journal to: its ring successor and predecessor within the shard
-	// group. It is the single source of truth for that relationship —
-	// gossipRound pushes to exactly these peers, and journal truncation
-	// waits for acknowledgements from exactly them; deriving either side
-	// elsewhere would let the two drift and either lose entries a peer
-	// still needs or leak the journal again.
-	gossipPeers []*Replica[S]
+	// journal to — its ring successor and predecessor within the shard
+	// group — and what each holds of it. It is the single source of truth
+	// for that relationship: gossipRound pushes to exactly these peers,
+	// and journal truncation waits for exactly them. Built once with the
+	// cluster, so a record's address is stable; records change under mu.
+	gossipPeers []gossipPeer[S]
 	// syncPeers names every other replica of the shard group: the nodes a
 	// coordinated submit asks to admit and then to apply. Membership is
 	// fixed, so it is computed once, with gossipPeers.
@@ -62,20 +61,8 @@ type Replica[S any] struct {
 
 	mu      sync.Mutex
 	ops     *oplog.Set
-	journal oplog.Journal   // arrival order, for incremental gossip; prefix truncated once acked
-	sentTo  map[string]int  // journal prefix (absolute position) each peer holds, acked or inferred
-	pushing map[string]bool // peers with a push in flight, to keep rounds from resending the suffix
-	lamport uint64          // highest Lamport timestamp seen
-	// ackedTo is, per gossip peer, the journal prefix the peer holds by its
-	// own durable pushAck — never, unlike sentTo, because it sent us those
-	// entries itself: a sender may still lose them to a crash before its
-	// fsync. Below ackedFloor, where the journal was seeded from disk, a
-	// peer counts as holding everything. A durable replica pushes from
-	// here (pushFromLocked), so what a peer sent it comes back once and
-	// earns the durable ack; the store persists the minimum over peers
-	// (Recovery.Acked), and a recovered replica re-pushes from there.
-	ackedTo    map[string]int
-	ackedFloor int
+	journal oplog.Journal // arrival order, for incremental gossip; prefix truncated once every peer holds it
+	lamport uint64        // highest Lamport timestamp seen
 
 	// The durable tier (nil without WithDurability). Every absorbed entry
 	// is staged to the store's disk journal under mu — in the same order
@@ -140,6 +127,21 @@ type Replica[S any] struct {
 	Ledger apology.Ledger // this replica's memories, guesses, apologies
 }
 
+// gossipPeer is a replica's record of one ring neighbour. held is the
+// journal position (absolute) below which the neighbour holds every
+// entry: an OK pushAck advances it over what the push carried, and on a
+// volatile replica so does a push from the neighbour that lands at the
+// journal tail — it evidently holds what it sent. A durable replica
+// never counts what a neighbour sent it, because the sender may still
+// lose those entries to a crash before its own fsync: it echoes them
+// once, and the ack (given once the copy is on disk) advances held.
+// pushing marks a push in flight, so rounds do not resend the suffix.
+type gossipPeer[S any] struct {
+	rep     *Replica[S]
+	held    int
+	pushing bool
+}
+
 // foldPub is one published fold snapshot: the immutable state derived
 // from all n entries of the set at the given version.
 type foldPub[S any] struct {
@@ -167,16 +169,13 @@ const maxFoldSnaps = 8
 
 func newReplica[S any](c *Cluster[S], g *shardGroup[S], id string) *Replica[S] {
 	r := &Replica[S]{
-		c:       c,
-		g:       g,
-		id:      id,
-		gen:     uniq.NewGen(id),
-		ops:     oplog.NewSet(),
-		sentTo:  make(map[string]int),
-		ackedTo: make(map[string]int),
-		pushing: make(map[string]bool),
-		state:   c.app.Init(),
-		ingest:  &ingestQueue{},
+		c:      c,
+		g:      g,
+		id:     id,
+		gen:    uniq.NewGen(id),
+		ops:    oplog.NewSet(),
+		state:  c.app.Init(),
+		ingest: &ingestQueue{},
 	}
 	if c.cfg.durableDir != "" {
 		// Cold start: open (or create) the durable store and replay
@@ -220,7 +219,6 @@ func newRemoteReplica[S any](c *Cluster[S], g *shardGroup[S], id string) *Replic
 		remote: true,
 		gen:    uniq.NewGen(id),
 		ops:    oplog.NewSet(),
-		sentTo: make(map[string]int),
 		node:   &remoteNode{tr: c.tr, id: id},
 	}
 }
@@ -276,7 +274,6 @@ func (r *Replica[S]) seedFromDisk(st *store.Store, rec store.Recovery) {
 	// whole segment files in memory. An entry an older build's snapshot
 	// already held is not new to the set; the journal copies it.
 	r.journal = oplog.JournalAt(rec.Acked)
-	r.ackedFloor = rec.Acked
 	for suffix := rec.JournalEntries[acked:]; len(suffix) > 0; {
 		chunk := suffix[:min(len(suffix), ingestBatchCap)]
 		suffix = suffix[len(chunk):]
@@ -570,12 +567,17 @@ func (r *Replica[S]) stageLocked(added []oplog.Entry) (end int) {
 // absorbLocked unions entries into the set, returning the ones that
 // were new plus the durable-store position covering them (0 when the
 // replica has no store). from names the peer the entries arrived from
-// ("" for local submits): when the new entries land contiguously at the
-// journal tail, the sender's acknowledgement mark advances over them —
-// it evidently holds them already, so pushing them back would only be
-// deduplicated echo. The caller holds r.mu.
+// ("" for local submits): on a volatile replica, when that ring peer
+// holds the whole journal, the new entries land at its tail and the
+// peer's held position advances over them (see gossipPeer). The caller
+// holds r.mu.
 func (r *Replica[S]) absorbLocked(entries []oplog.Entry, from string) (added []oplog.Entry, end int) {
-	contiguous := from != "" && r.sentTo[from] == r.journal.Len()
+	var sender *gossipPeer[S]
+	for i := range r.gossipPeers {
+		if p := &r.gossipPeers[i]; r.store == nil && p.rep.id == from && r.startLocked(p) == r.journal.Len() {
+			sender = p
+		}
+	}
 	added = r.ops.AddAll(entries)
 	if len(added) == 0 {
 		return nil, 0
@@ -607,8 +609,8 @@ func (r *Replica[S]) absorbLocked(entries []oplog.Entry, from string) (added []o
 		r.journal.AppendAll(added)
 	}
 	end = r.stageLocked(added)
-	if contiguous {
-		r.sentTo[from] = r.journal.Len()
+	if sender != nil {
+		sender.held = r.journal.Len()
 		r.truncateJournalLocked()
 	}
 	return added, end
@@ -1029,14 +1031,14 @@ func (rd *syncRound[S]) finish(res Result) {
 // up over several rounds instead of being sent a frame it must refuse.
 const maxPushBytes = 4 << 20
 
-// pushTo sends the start of the journal suffix the peer has not
-// acknowledged, at most maxPushBytes of it — one directed edge of an
-// anti-entropy round; the next round continues where this one ended. An
-// acknowledgement may let the replica truncate the journal prefix that
-// every gossip peer has now seen.
-func (r *Replica[S]) pushTo(peer string) {
+// pushTo sends p the start of the journal suffix it does not hold, at
+// most maxPushBytes of it — one directed edge of an anti-entropy round;
+// the next round continues where this one ended. An acknowledgement
+// advances p.held and may let the replica truncate the journal prefix
+// every gossip peer now holds.
+func (r *Replica[S]) pushTo(p *gossipPeer[S]) {
 	r.mu.Lock()
-	if r.pushing[peer] {
+	if p.pushing {
 		// A push to this peer is still in flight. Sending again would
 		// retransmit the same unacknowledged suffix — under ingest load
 		// that compounds into a resend storm, each round re-shipping and
@@ -1045,36 +1047,27 @@ func (r *Replica[S]) pushTo(peer string) {
 		r.mu.Unlock()
 		return
 	}
-	from := r.pushFromLocked(peer)
-	if base := r.journal.Base(); from < base {
-		// The peer's recorded acknowledgement predates this incarnation's
-		// journal (a recovered replica re-seeds its journal at the disk
-		// base and forgets per-peer acks). Re-pushing from the base is
-		// safe: the peer dedupes what it already holds.
-		from = base
-	}
+	from := r.startLocked(p)
 	entries := r.journal.Since(from, maxPushBytes)
 	end := from + len(entries)
 	if len(entries) == 0 {
-		// Nothing the peer hasn't acknowledged. Skipping the call costs
-		// only reciprocation speed — the peer still pushes its own news
+		// Nothing the peer doesn't hold. Skipping the call costs only
+		// reciprocation speed — the peer still pushes its own news
 		// forward around the ring every round — and makes idle gossip
 		// free, which matters when many shards each run their own rounds.
 		r.mu.Unlock()
 		return
 	}
-	r.pushing[peer] = true
+	p.pushing = true
 	r.mu.Unlock()
 	r.g.M.OpsTransferred.Addn(int64(len(entries)))
+	peer := p.rep.id
 	r.node.Call(peer, "push", pushReq{Entries: entries}, func(resp any, ok bool) {
 		acked := ok && resp.(pushAck).OK
 		r.mu.Lock()
-		delete(r.pushing, peer)
+		p.pushing = false
 		if acked {
-			if from <= r.ackedLocked(peer) {
-				r.ackedTo[peer] = max(r.ackedTo[peer], end)
-			}
-			r.sentTo[peer] = max(r.sentTo[peer], end)
+			p.held = max(p.held, end)
 			r.truncateJournalLocked()
 		}
 		r.mu.Unlock()
@@ -1092,50 +1085,37 @@ func (r *Replica[S]) pushTo(peer string) {
 	})
 }
 
-// truncateJournalLocked drops the journal prefix no gossip peer will be
-// pushed again. Peers that have acked less (a crashed successor, a
-// partitioned predecessor) hold the prefix in place, so anti-entropy
-// never loses an entry a peer still needs — but once all acks cover it,
-// a long-lived replica's journal no longer grows with total ops, only
-// with the entries absorbed since the slowest peer's last ack. The store
-// is handed the prefix every peer acknowledged durably (ackedTo).
+// truncateJournalLocked drops the journal prefix every gossip peer
+// holds, and hands the same position to the store as its acked one.
+// Peers that hold less (a crashed successor, a partitioned predecessor)
+// keep the prefix in place, so anti-entropy never loses an entry a peer
+// still needs — but once every peer holds it, a long-lived replica's
+// journal no longer grows with total ops, only with the entries absorbed
+// since the slowest peer's last ack.
 func (r *Replica[S]) truncateJournalLocked() {
-	keep, acked := r.journal.Len(), r.journal.Len()
-	for _, p := range r.gossipPeers {
-		keep = min(keep, r.pushFromLocked(p.id))
-		acked = min(acked, r.ackedLocked(p.id))
+	keep := r.journal.Len()
+	for i := range r.gossipPeers {
+		keep = min(keep, r.startLocked(&r.gossipPeers[i]))
 	}
 	r.journal.TruncateTo(keep)
 	if r.store != nil {
-		r.store.AckTo(acked)
+		r.store.AckTo(keep)
 	}
 }
 
-// pushFromLocked reports where the next push to peer starts. A volatile
-// replica skips what the contiguity inference says the peer holds; a
-// durable one starts at the peer's durable acknowledgement, because its
-// store persists only that, and an inferred range that never came back
-// would hold the acked position down for the rest of this life. The
-// caller holds r.mu.
-func (r *Replica[S]) pushFromLocked(peer string) int {
-	if r.store == nil {
-		return r.sentTo[peer]
-	}
-	return min(r.sentTo[peer], r.ackedLocked(peer))
-}
-
-// ackedLocked reports the journal prefix peer has durably acknowledged.
-// The caller holds r.mu.
-func (r *Replica[S]) ackedLocked(peer string) int {
-	return max(r.ackedTo[peer], r.ackedFloor)
+// startLocked reports where the next push to p starts: what p holds,
+// or the journal base — below it every peer holds everything (it was
+// truncated, or seeded from the store's acked position). Holds r.mu.
+func (r *Replica[S]) startLocked(p *gossipPeer[S]) int {
+	return max(p.held, r.journal.Base())
 }
 
 // The handlers hand reply straight on: absorb acknowledges with
 // pushAck{OK: ok} once the entries are durable. Acknowledging entries
 // that are not yet durable would let the peer truncate its journal while
 // this replica could still lose them to a crash — the gap nobody could
-// refill; OK=false keeps the peer's ack mark (and so its journal) where
-// it is.
+// refill; OK=false keeps the peer's held position (and so its journal)
+// where it is.
 func (r *Replica[S]) handlePush(from string, req any, reply func(any)) {
 	r.absorb(req.(pushReq).Entries, "gossip", from, reply)
 }
@@ -1187,10 +1167,9 @@ func (r *Replica[S]) Kill() {
 func (r *Replica[S]) wipeLocked() {
 	r.ops = oplog.NewSet()
 	r.journal = oplog.Journal{}
-	r.sentTo = make(map[string]int)
-	r.ackedTo = make(map[string]int)
-	r.ackedFloor = 0
-	r.pushing = make(map[string]bool)
+	for i := range r.gossipPeers {
+		r.gossipPeers[i].held, r.gossipPeers[i].pushing = 0, false
+	}
 	r.lamport = 0
 	r.state = r.c.app.Init()
 	r.stateMark = oplog.Watermark{}

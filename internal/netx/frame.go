@@ -147,17 +147,14 @@ func (fr *frameReader) name(b []byte) string {
 // deadline, so a stalled peer fails the write instead of wedging every
 // goroutine that has a response to send.
 type connWriter struct {
-	mu      sync.Mutex
-	conn    net.Conn
-	timeout time.Duration
+	mu   sync.Mutex
+	conn net.Conn
 }
 
 func (w *connWriter) write(frame []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.timeout > 0 {
-		w.conn.SetWriteDeadline(time.Now().Add(w.timeout))
-	}
+	w.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	_, err := w.conn.Write(frame)
 	return err
 }

@@ -50,18 +50,6 @@ type Config struct {
 	// Token authenticates peer connections: both ends must present the
 	// same value in their hello frame. Empty disables authentication.
 	Token string
-	// DialTimeout bounds one connection attempt (default 2s).
-	DialTimeout time.Duration
-	// WriteTimeout bounds every frame write (default 2s): a peer that
-	// accepts the connection but stops reading fails fast.
-	WriteTimeout time.Duration
-	// MaxBackoff caps the reconnect backoff (default 2s; it starts at
-	// 50ms and doubles per failed dial).
-	MaxBackoff time.Duration
-	// SendQueue bounds the per-peer outbound frame queue (default 1024).
-	// When it fills — a dead or slow peer — further frames are dropped,
-	// exactly like packets to a partitioned machine.
-	SendQueue int
 	// Logf, when set, receives connection lifecycle events (dials,
 	// drops, auth failures). Nil means silent.
 	Logf func(format string, args ...any)
@@ -77,22 +65,20 @@ func (c *Config) logf(format string, args ...any) {
 	}
 }
 
-func (c *Config) withDefaults() Config {
-	out := *c
-	if out.DialTimeout <= 0 {
-		out.DialTimeout = 2 * time.Second
-	}
-	if out.WriteTimeout <= 0 {
-		out.WriteTimeout = 2 * time.Second
-	}
-	if out.MaxBackoff <= 0 {
-		out.MaxBackoff = 2 * time.Second
-	}
-	if out.SendQueue <= 0 {
-		out.SendQueue = 1024
-	}
-	return out
-}
+const (
+	// dialTimeout bounds one connection attempt.
+	dialTimeout = 2 * time.Second
+	// writeTimeout bounds every frame write: a peer that accepts the
+	// connection but stops reading fails fast.
+	writeTimeout = 2 * time.Second
+	// maxBackoff caps the reconnect backoff, which starts at 50ms and
+	// doubles per failed dial.
+	maxBackoff = 2 * time.Second
+	// sendQueue bounds the per-peer outbound frame queue. When it fills —
+	// a dead or slow peer — further frames are dropped, exactly like
+	// packets to a partitioned machine.
+	sendQueue = 1024
+)
 
 // Transport carries one process's slice of the cluster over TCP. It
 // implements transport.Transport (and transport.Scatterer); build it with
@@ -130,7 +116,7 @@ func New(cfg Config) (*Transport, error) {
 		return nil, fmt.Errorf("netx: a token of %d bytes does not fit a %d-byte hello", len(cfg.Token), maxHelloFrame)
 	}
 	t := &Transport{
-		cfg:        cfg.withDefaults(),
+		cfg:        cfg,
 		local:      core.NewLiveTransport(),
 		nodes:      make(map[string]*netNode),
 		peers:      make(map[string]*peer),
@@ -571,7 +557,7 @@ func (t *Transport) serveConn(conn net.Conn) {
 	defer t.wg.Done()
 	defer t.dropConn(conn)
 	fr := newFrameReader(conn)
-	conn.SetReadDeadline(time.Now().Add(t.cfg.DialTimeout + t.cfg.WriteTimeout))
+	conn.SetReadDeadline(time.Now().Add(dialTimeout + writeTimeout))
 	// The hello is read before its sender has proven anything, so it
 	// gets the hello's bound, not a frame's.
 	payload, err := fr.read(maxHelloFrame)
@@ -585,7 +571,7 @@ func (t *Transport) serveConn(conn net.Conn) {
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
-	w := &connWriter{conn: conn, timeout: t.cfg.WriteTimeout}
+	w := &connWriter{conn: conn}
 	for {
 		payload, err := fr.read(maxFrame)
 		if err != nil {
@@ -686,7 +672,7 @@ func newPeer(t *Transport, addr string) *peer {
 	return &peer{
 		t:      t,
 		addr:   addr,
-		sendq:  make(chan []byte, t.cfg.SendQueue),
+		sendq:  make(chan []byte, sendQueue),
 		mangle: newMangler(t.cfg.Faults.Seed, addr),
 	}
 }
@@ -745,10 +731,7 @@ func (p *peer) run() {
 			c, err := p.dial()
 			if err != nil {
 				p.down.Store(true)
-				backoff *= 2
-				if backoff > p.t.cfg.MaxBackoff {
-					backoff = p.t.cfg.MaxBackoff
-				}
+				backoff = min(2*backoff, maxBackoff)
 				p.t.cfg.logf("netx: dial %s failed (retry in %v): %v", p.addr, backoff, err)
 				continue // the frame, if any, is dropped — a lossy link
 			}
@@ -785,9 +768,7 @@ func (p *peer) run() {
 			}
 		}
 		for _, fr := range frames {
-			if p.t.cfg.WriteTimeout > 0 {
-				conn.SetWriteDeadline(time.Now().Add(p.t.cfg.WriteTimeout))
-			}
+			conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 			if _, err := conn.Write(fr); err != nil {
 				p.t.cfg.logf("netx: write to %s failed: %v", p.addr, err)
 				conn.Close()
@@ -806,13 +787,11 @@ func (p *peer) run() {
 // dial establishes and authenticates one outbound connection, and
 // starts its response reader.
 func (p *peer) dial() (net.Conn, error) {
-	conn, err := net.DialTimeout("tcp", p.addr, p.t.cfg.DialTimeout)
+	conn, err := net.DialTimeout("tcp", p.addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}
-	if p.t.cfg.WriteTimeout > 0 {
-		conn.SetWriteDeadline(time.Now().Add(p.t.cfg.WriteTimeout))
-	}
+	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	if _, err := conn.Write(encodeHello(p.t.cfg.Token)); err != nil {
 		conn.Close()
 		return nil, err
@@ -831,7 +810,7 @@ func (p *peer) dial() (net.Conn, error) {
 func (p *peer) readLoop(conn net.Conn) {
 	defer p.t.wg.Done()
 	defer p.t.dropConn(conn)
-	w := &connWriter{conn: conn, timeout: p.t.cfg.WriteTimeout}
+	w := &connWriter{conn: conn}
 	fr := newFrameReader(conn)
 	for {
 		payload, err := fr.read(maxFrame)

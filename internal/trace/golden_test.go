@@ -13,7 +13,8 @@ import (
 // an apology with no sampled guess behind it, and annotations.
 func goldenTracer() *Tracer {
 	now := int64(5000)
-	tr := New(Options{SampleEvery: 1, Replicas: 3, Now: func() int64 { return now }})
+	tr := New(Options{SampleEvery: 1, Replicas: 3})
+	tr.SetClock(func() int64 { return now })
 	tr.Annotate("phase one: load")
 	tr.Submitted("r0-000001", "acct-1", "r0", 100)
 	tr.Admitted("r0-000001", "acct-1", "r0", 110)

@@ -156,11 +156,10 @@ type replicaName struct {
 // Options configures a Tracer. Zero values pick the defaults noted on
 // each field.
 type Options struct {
-	SampleEvery int          // trace 1-in-N ops by ID hash; <=0 → 64, 1 → every op
-	RingSize    int          // recent-event ring slots (rounded up to a power of two); <=0 → 4096
-	MaxOps      int          // in-flight sampled op states kept; <=0 → 4096
-	Replicas    int          // replicas per shard — the guess-to-truth popcount target; <=0 → 1
-	Now         func() int64 // clock for events recorded without a caller timestamp
+	SampleEvery int // trace 1-in-N ops by ID hash; <=0 → 64, 1 → every op
+	RingSize    int // recent-event ring slots (rounded up to a power of two); <=0 → 4096
+	MaxOps      int // in-flight sampled op states kept; <=0 → 4096
+	Replicas    int // replicas per shard — the guess-to-truth popcount target; <=0 → 1
 }
 
 const maxTimeline = 48 // events kept per sampled op
@@ -225,15 +224,12 @@ func New(o Options) *Tracer {
 	if o.Replicas <= 0 {
 		o.Replicas = 1
 	}
-	if o.Now == nil {
-		start := time.Now()
-		o.Now = func() int64 { return int64(time.Since(start)) }
-	}
+	start := time.Now()
 	return &Tracer{
 		sample:    uint64(o.SampleEvery),
 		replicas:  o.Replicas,
 		maxOps:    o.MaxOps,
-		clock:     o.Now,
+		clock:     func() int64 { return int64(time.Since(start)) },
 		ring:      make([]slot, size),
 		mask:      uint64(size - 1),
 		guesses:   index{byKey: true},

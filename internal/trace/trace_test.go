@@ -12,7 +12,8 @@ func clockAt(ns *int64) func() int64 { return func() int64 { return *ns } }
 
 func TestLifecycleAndLags(t *testing.T) {
 	var now int64
-	tr := New(Options{SampleEvery: 1, Replicas: 2, Now: clockAt(&now)})
+	tr := New(Options{SampleEvery: 1, Replicas: 2})
+	tr.SetClock(clockAt(&now))
 
 	tr.Submitted("op-1", "acct-1", "r0", 100)
 	tr.Admitted("op-1", "acct-1", "r0", 150)
