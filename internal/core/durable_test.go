@@ -400,6 +400,48 @@ func TestLivePeerRepushesWhatTheOriginLost(t *testing.T) {
 	}
 }
 
+// TestAckFromAnEarlierLifeIsDropped: r0 pushes an op its lying disk
+// never kept, dies and recovers while the push is in flight, and only
+// then hears the peer's ack. That ack counts positions of the dead
+// journal; taken by the new life it would cover the positions new ops
+// reuse, and r0 would never push those ops to the peer.
+func TestAckFromAnEarlierLifeIsDropped(t *testing.T) {
+	dir := t.TempDir()
+	var lying atomic.Bool
+	marker := string(os.PathSeparator) + "r0" + string(os.PathSeparator)
+	inj := faultfs.New(faultfs.OS, 1, func(op faultfs.Op) faultfs.Decision {
+		return faultfs.Decision{LieSync: lying.Load() && op.Kind == faultfs.OpSync && strings.Contains(op.Path, marker)}
+	})
+	s := sim.New(35)
+	c := New[counterState](counterApp{}, nil, WithTransport(rpc.NewSimTransport(s)), WithReplicas(2), WithDurability(dir), WithStoreFS(inj))
+	defer c.Close()
+	lying.Store(true)
+	mustSubmit(t, c, 0, NewOp("credit", "k", 5))
+	c.GossipRound() // r0's push to r1 is in flight until s.Run
+	c.Kill(0)
+	lying.Store(false)
+	if err := inj.Tear(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Recover(context.Background(), 0); err != nil {
+		t.Fatal(err)
+	}
+	if n := c.Replica(0).OpCount(); n != 0 {
+		t.Fatalf("r0 recovered %d ops; its lying disk should have lost the first one", n)
+	}
+	s.Run() // r1 takes the push and acks it to the recovered r0
+	if c.Replica(1).OpCount() != 1 {
+		t.Fatal("the in-flight push did not reach r1")
+	}
+	mustSubmit(t, c, 0, NewOp("credit", "k", 7))
+	convergeSim(t, s, c)
+	for i := 0; i < 2; i++ {
+		if got := c.Replica(i).State()["k"]; got != 12 {
+			t.Fatalf("r%d state[k] = %d, want 12 (both ops)", i, got)
+		}
+	}
+}
+
 // TestDuplicatePushAckWaitsForDisk: a push that brings a replica nothing
 // new is acknowledged only once the replica's own copy is durable. r1's
 // fsync of its op is slow; r0 gets the op by gossip and echoes it back,

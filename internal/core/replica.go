@@ -63,6 +63,11 @@ type Replica[S any] struct {
 	ops     *oplog.Set
 	journal oplog.Journal // arrival order, for incremental gossip; prefix truncated once every peer holds it
 	lamport uint64        // highest Lamport timestamp seen
+	// life counts wipes (Kill, Rejoin). A push's ack counts positions of
+	// the journal it was cut from, so one that lands in a later life
+	// changes nothing: the rebuilt journal may reuse those positions for
+	// entries the peer never got.
+	life int
 
 	// The durable tier (nil without WithDurability). Every absorbed entry
 	// is staged to the store's disk journal under mu — in the same order
@@ -573,9 +578,11 @@ func (r *Replica[S]) stageLocked(added []oplog.Entry) (end int) {
 // holds r.mu.
 func (r *Replica[S]) absorbLocked(entries []oplog.Entry, from string) (added []oplog.Entry, end int) {
 	var sender *gossipPeer[S]
-	for i := range r.gossipPeers {
-		if p := &r.gossipPeers[i]; r.store == nil && p.rep.id == from && r.startLocked(p) == r.journal.Len() {
-			sender = p
+	if r.store == nil {
+		for i := range r.gossipPeers {
+			if p := &r.gossipPeers[i]; p.rep.id == from && r.startLocked(p) == r.journal.Len() {
+				sender = p
+			}
 		}
 	}
 	added = r.ops.AddAll(entries)
@@ -1059,16 +1066,19 @@ func (r *Replica[S]) pushTo(p *gossipPeer[S]) {
 		return
 	}
 	p.pushing = true
+	life := r.life
 	r.mu.Unlock()
 	r.g.M.OpsTransferred.Addn(int64(len(entries)))
 	peer := p.rep.id
 	r.node.Call(peer, "push", pushReq{Entries: entries}, func(resp any, ok bool) {
 		acked := ok && resp.(pushAck).OK
 		r.mu.Lock()
-		p.pushing = false
-		if acked {
-			p.held = max(p.held, end)
-			r.truncateJournalLocked()
+		if r.life == life {
+			p.pushing = false
+			if acked {
+				p.held = max(p.held, end)
+				r.truncateJournalLocked()
+			}
 		}
 		r.mu.Unlock()
 		if acked {
@@ -1167,6 +1177,7 @@ func (r *Replica[S]) Kill() {
 func (r *Replica[S]) wipeLocked() {
 	r.ops = oplog.NewSet()
 	r.journal = oplog.Journal{}
+	r.life++
 	for i := range r.gossipPeers {
 		r.gossipPeers[i].held, r.gossipPeers[i].pushing = 0, false
 	}
