@@ -390,21 +390,17 @@ type shardGroup[S any] struct {
 func (g *shardGroup[S]) gossipRound() {
 	g.M.GossipRounds.Inc()
 	for _, rep := range g.reps {
-		if rep.remote || rep.node.Crashed() || rep.degraded.Load() {
-			// Remote replicas push from their own process; this one only
-			// pushes *to* them (below, as somebody's ring neighbour).
-			// Degraded replicas hold phantom entries their disk never
-			// accepted — pushing those would spread guesses nobody can back.
+		// Remote replicas push from their own process; this one only
+		// pushes *to* them (below, as somebody's ring neighbour). A down
+		// replica pushes nothing, and a degraded one holds phantom entries
+		// its disk never accepted — pushing those would spread guesses
+		// nobody can back. Either kind of peer would decline the push.
+		if _, _, ok := rep.lc.fence(rep.lc.stamp(), rep.node.Crashed()); rep.remote || !ok {
 			continue
 		}
 		for i := range rep.gossipPeers {
 			p := &rep.gossipPeers[i]
-			if p.rep.node.Crashed() || p.rep.degraded.Load() {
-				// A degraded peer declines every push anyway (it would lose
-				// the entries on rejoin); skipping saves the wasted round.
-				continue
-			}
-			if g.c.tr.Reachable(rep.id, p.rep.id) {
+			if _, _, ok := p.rep.lc.fence(p.rep.lc.stamp(), p.rep.node.Crashed()); ok && g.c.tr.Reachable(rep.id, p.rep.id) {
 				rep.pushTo(p)
 			}
 		}
@@ -613,9 +609,12 @@ func (c *Cluster[S]) storeDir(id string) string {
 // operation set, fold checkpoints, Lamport clock, gossip journal,
 // ledger — and any disk write that was not yet group-committed. This is
 // a stronger failure than Transport.SetUp(id, false), which merely
-// silences a node while its RAM survives. A killed durable replica
-// comes back with Recover; a killed non-durable replica is gone for
-// good (its unique entries survive only if gossip already spread them).
+// silences a node while its RAM survives. The kill ends the replica's
+// life: work it had queued or in flight resolves declined ("replica
+// down"), even once the replica is back, and is retried by its ID. A
+// killed durable replica comes back with Recover; a killed non-durable
+// replica is gone for good (its unique entries survive only if gossip
+// already spread them).
 func (c *Cluster[S]) Kill(i int) { c.groups[0].reps[i].Kill() }
 
 // ShardKill hard-crashes replica i of the given shard. Shards share no
@@ -905,13 +904,9 @@ func (c *Cluster[S]) dispatchBatch(rep *Replica[S], ops []Op, idxs []int, sc sub
 		i := nth(k)
 		it := c.ingress(rep, ops[i], sc, now)
 		it.sink, it.idx = sink, int32(i)
-		if rep.node.Crashed() {
-			it.finish(Result{Op: rep.withID(&it), Reason: "replica down"})
-			continue
-		}
 		items = append(items, it)
 	}
-	if len(items) > 0 && !rep.enqueueIngest(items...) {
+	if !rep.enqueueIngest(items...) {
 		for j := range items {
 			items[j].finish(Result{Op: rep.withID(&items[j]), Reason: "replica shut down"})
 		}
@@ -964,10 +959,6 @@ func (c *Cluster[S]) dispatch(rep *Replica[S], op Op, sc submitConfig, emit func
 	}
 	it := c.ingress(rep, op, sc, c.tr.Now())
 	it.emit, it.sink = emit, sink
-	if rep.node.Crashed() {
-		it.finish(Result{Op: rep.withID(&it), Reason: "replica down"})
-		return
-	}
 	if !rep.enqueueIngest(it) {
 		it.finish(Result{Op: rep.withID(&it), Reason: "replica shut down"})
 	}
@@ -985,7 +976,7 @@ func (c *Cluster[S]) dispatch(rep *Replica[S], op Op, sc submitConfig, emit func
 // rendered by withID if it leaves before that. The risk policy therefore
 // sees such an op without its ID, as the caller offered it.
 func (c *Cluster[S]) ingress(rep *Replica[S], op Op, sc submitConfig, now time.Duration) ingestItem {
-	it := ingestItem{start: now}
+	it := ingestItem{start: now, life: rep.lc.stamp()}
 	if op.ID == "" {
 		it.seq = rep.gen.Take()
 	}

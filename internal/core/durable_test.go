@@ -589,8 +589,12 @@ func TestRecoverSeedsJournalFromAcked(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			s := sim.New(17)
+			// Kill is the store's in-process Crash, not a power cut, so what
+			// this test reads is what reached the files, synced or not: the
+			// free-fsync FS loses nothing it needs.
 			c := New[counterState](counterApp{}, nil,
-				WithTransport(rpc.NewSimTransport(s)), WithReplicas(3), WithDurability(dir), withSegmentBytes(4096))
+				WithTransport(rpc.NewSimTransport(s)), WithReplicas(3), WithDurability(dir), withSegmentBytes(4096),
+				WithStoreFS(byteCountFS{faultfs.OS, new(atomic.Int64)}))
 			for i := 0; i < n; i++ {
 				mustSubmit(t, c, i%tc.writers, NewOp("credit", fmt.Sprintf("k%d", i%3), 1))
 				c.GossipRound() // every peer acknowledges before the next submit

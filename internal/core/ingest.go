@@ -48,20 +48,23 @@ const (
 )
 
 // ingestItem is one queued submit: the operation (ingress identity
-// already assigned by dispatch) plus where its Result goes — SubmitAsync's
-// callback, or a slot in the sink a blocking Submit or SubmitBatch waits
-// on. An op whose ID the engine assigns carries its reserved sequence
-// number in seq and an empty ID until ingestSegment mints it into the set
-// (or withID renders it for an op that leaves before).
+// already assigned by dispatch), the replica's life at ingress, plus where
+// its Result goes — SubmitAsync's callback, or a slot in the sink a
+// blocking Submit or SubmitBatch waits on. An op whose ID the engine
+// assigns carries its reserved sequence number in seq and an empty ID
+// until ingestSegment mints it into the set (or withID renders it for an
+// op that leaves before).
 type ingestItem struct {
 	op      oplog.Entry
 	seq     uint64       // the replica generator's number for an engine-assigned ID
 	emit    func(Result) // SubmitAsync's completion; nil when sink is set
 	sink    *ingestSink
 	idx     int32
+	life    uint32 // the replica's life at ingress; see lifecycle
 	start   time.Duration
 	sync    bool   // policy-coordinated: initiated in queue order, never batch-absorbed
 	outcome int8   // set by ingestSegment
+	retry   bool   // a retry may succeed, when outcome is outDeclined
 	reason  string // why, when outcome is outDeclined
 }
 
@@ -225,22 +228,23 @@ type ingestSeg[S any] struct {
 	r         *Replica[S]
 	items     []ingestItem
 	nAccepted int
+	life      uint32        // the life that staged the segment
 	commit    func(ok bool) // seg.resolve
 }
 
-func (r *Replica[S]) takeSeg(items []ingestItem, nAccepted int) *ingestSeg[S] {
+func (r *Replica[S]) takeSeg(items []ingestItem, nAccepted int, life uint32) *ingestSeg[S] {
 	seg, _ := r.segPool.Get().(*ingestSeg[S])
 	if seg == nil {
 		seg = &ingestSeg[S]{r: r}
 		seg.commit = seg.resolve
 	}
 	seg.items = append(seg.items[:0], items...)
-	seg.nAccepted = nAccepted
+	seg.nAccepted, seg.life = nAccepted, life
 	return seg
 }
 
 func (seg *ingestSeg[S]) resolve(ok bool) {
-	seg.r.resolveSegment(seg.items, seg.nAccepted, ok)
+	seg.r.resolveSegment(seg.items, seg.nAccepted, seg.life, ok)
 	clear(seg.items) // drop the callers' callbacks and sinks
 	seg.r.segPool.Put(seg)
 }
@@ -358,33 +362,21 @@ func (r *Replica[S]) coordinate(one []ingestItem) {
 func (r *Replica[S]) ingestSegment(items []ingestItem) {
 	c, g := r.c, r.g
 	r.mu.Lock()
-	if r.node.Crashed() {
-		// A dead process absorbs nothing, and counts nothing.
-		r.mu.Unlock()
-		for i := range items {
-			items[i].finish(Result{Op: r.withID(&items[i]), Reason: "replica down"})
-		}
-		return
-	}
-	if r.degraded.Load() {
-		// Read-only: decline the whole segment with the typed retryable
-		// reason. Reads keep serving; nothing is admitted, staged, or
-		// gossiped until Rejoin heals the disk.
-		r.mu.Unlock()
-		for i := range items {
-			g.M.Declined.Inc()
-			items[i].finish(Result{Op: r.withID(&items[i]), Reason: ReasonDegraded, Retryable: true})
-		}
-		return
-	}
 	// accepted collects the entries this segment adds, for the journal and
 	// the store, in a scratch slice drainMu guards: both copy out of it
 	// (the store encodes on Stage) before this call returns.
 	accepted := r.acceptBuf[:0]
-	st := r.store
+	st, life, down := r.store, r.lc.stamp(), r.node.Crashed()
 	dups, declined := false, false
 	for i := range items {
 		it := &items[i]
+		if reason, retry, ok := r.lc.fence(it.life, down); !ok {
+			// Queued in a life that has ended, or at a replica that is down
+			// or read-only: nothing is admitted, staged, or gossiped.
+			it.outcome, it.reason, it.retry = outDeclined, reason, retry
+			declined = true
+			continue
+		}
 		if it.op.Lam == 0 {
 			// Lamport ingress stamp: the new op sorts after everything this
 			// replica has seen — including the entries accepted earlier in
@@ -469,18 +461,18 @@ func (r *Replica[S]) ingestSegment(items []ingestItem) {
 			if t := c.cfg.tracer; t != nil {
 				t.Declined(string(op.ID), op.Key, r.id, it.reason, int64(now))
 			}
-			it.finish(Result{Op: op, Reason: it.reason, Latency: now - it.start})
+			it.finish(Result{Op: op, Reason: it.reason, Retryable: it.retry, Latency: now - it.start})
 		}
 	}
 	if nAccepted == 0 && !dups {
 		return // every item was declined; nothing awaits durability
 	}
 	if st == nil {
-		r.resolveSegment(items, nAccepted, true)
+		r.resolveSegment(items, nAccepted, life, true)
 	} else {
 		// The commit fan-out runs on the store's flusher after this call
 		// returns, while the drain reuses items for its next batch.
-		st.Commit(end, r.takeSeg(items, nAccepted).commit)
+		st.Commit(end, r.takeSeg(items, nAccepted, life).commit)
 	}
 	// Coalesced gossip wake: at most one nudge per batch, and only toward
 	// peers whose unacknowledged suffix has grown to a full batch — the
@@ -499,12 +491,13 @@ func (r *Replica[S]) ingestSegment(items []ingestItem) {
 // them in the ledger, sweeps for violations, and resolves every accepted
 // and duplicate item. ok=false means the batch never became durable —
 // the replica crashed, or its disk broke the durability contract, first:
-// nothing was recorded and nothing may be acknowledged.
-func (r *Replica[S]) resolveSegment(items []ingestItem, nAccepted int, ok bool) {
+// nothing was recorded and nothing may be acknowledged. life is the life
+// that staged the segment.
+func (r *Replica[S]) resolveSegment(items []ingestItem, nAccepted int, life uint32, ok bool) {
 	c, g := r.c, r.g
 	if !ok {
 		reason, retry := "replica crashed before the write was durable", false
-		if r.storeFailed() {
+		if r.storeFailed(life) {
 			reason, retry = ReasonDegraded, true
 		}
 		for i := range items {

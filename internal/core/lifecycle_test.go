@@ -1,0 +1,493 @@
+package core
+
+// One life per replica. Every asynchronous continuation a replica issues
+// carries the life it was issued in, and acts only in that life. These
+// tables cross each continuation kind with each transition that ends or
+// changes a life — Kill, Kill→Recover (a volatile replica: Kill→revive by
+// SetUp), degrade, degrade→Rejoin — and hold every submit involved to
+// three things: it resolves exactly once; declined, it is absent from
+// every replica once the cluster is quiet; accepted, it is present on
+// every replica. Each row also names the decline it expects.
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"os"
+	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"syscall"
+	"testing"
+	"time"
+
+	"repro/internal/faultfs"
+	"repro/internal/policy"
+	"repro/internal/rpc"
+	"repro/internal/sim"
+	"repro/internal/uniq"
+)
+
+type transition int
+
+const (
+	tKill transition = iota
+	tKillRevive
+	tDegrade
+	tDegradeRejoin
+)
+
+// lifeEnv is one row's world: two replicas on the simulator — two, so r0
+// hears from r1 alone and nothing reaches it by a detour — r0's disk
+// failing writes with fault while it is set, and the submits the row
+// checks.
+type lifeEnv struct {
+	t       *testing.T
+	s       *sim.Sim
+	c       *Cluster[counterState]
+	durable bool
+	fault   error
+	subs    []*lifeSub
+}
+
+// lifeSub is one checked submit: the outcome it must reach (want "" for
+// accepted; free for a submit whose fate the row does not pin, such as
+// one a volatile replica lost with its RAM), whether it must resolve in
+// place — at the simulated instant it was offered, no round trip spent —
+// and every Result it got.
+type lifeSub struct {
+	id      uniq.ID
+	want    string
+	free    bool
+	inPlace bool
+	got     []Result
+}
+
+func newLifeEnv(t *testing.T, durable bool) *lifeEnv {
+	e := &lifeEnv{t: t, s: sim.New(61), durable: durable}
+	opts := []Option{WithTransport(rpc.NewSimTransport(e.s)), WithReplicas(2)}
+	if durable {
+		marker := string(os.PathSeparator) + "r0" + string(os.PathSeparator)
+		fs := faultfs.New(faultfs.OS, 1, func(op faultfs.Op) faultfs.Decision {
+			if e.fault != nil && strings.Contains(op.Path, marker) && (op.Kind == faultfs.OpWrite || op.Kind == faultfs.OpWriteAt) {
+				return faultfs.Decision{Err: e.fault}
+			}
+			return faultfs.Decision{}
+		})
+		opts = append(opts, WithDurability(t.TempDir()), WithStoreFS(fs))
+	}
+	e.c = New[counterState](counterApp{}, nil, opts...)
+	t.Cleanup(func() { e.c.Close() })
+	return e
+}
+
+// submit offers a credit at replica rep — coordinated when sync — that
+// must end as want; then, if set, runs inside its completion.
+func (e *lifeEnv) submit(rep int, sync bool, want string, then func()) *lifeSub {
+	sub := &lifeSub{id: uniq.ID(fmt.Sprintf("x%d", len(e.subs))), want: want}
+	e.subs = append(e.subs, sub)
+	op := NewOp("credit", "k", 1)
+	op.ID = sub.id
+	pol := policy.AlwaysAsync()
+	if sync {
+		pol = policy.AlwaysSync()
+	}
+	e.c.SubmitAsync(rep, op, func(res Result) {
+		sub.got = append(sub.got, res)
+		if then != nil {
+			then()
+		}
+	}, WithPolicy(pol))
+	return sub
+}
+
+// setup is submit for work the row needs but whose fate only a durable
+// replica pins: a volatile r0 loses it with its RAM, and r1, which holds
+// it, counts r0 as holding it too.
+func (e *lifeEnv) setup(rep int, then func()) {
+	sub := e.submit(rep, false, "", then)
+	sub.free = !e.durable && rep == 0
+}
+
+func (e *lifeEnv) revive() {
+	if !e.durable {
+		e.c.Transport().SetUp("r0", true)
+		return
+	}
+	if err := e.c.Recover(context.Background(), 0); err != nil {
+		e.t.Fatal(err)
+	}
+}
+
+func (e *lifeEnv) rejoin() {
+	if err := e.c.Rejoin(context.Background(), 0); err != nil {
+		e.t.Fatal(err)
+	}
+}
+
+// degradeBySubmit fills r0's disk under a submit of its own: the commit
+// fails and r0 degrades on the spot, declining that submit.
+func (e *lifeEnv) degradeBySubmit() {
+	e.fault = syscall.ENOSPC
+	e.submit(0, false, ReasonDegraded, nil)
+	e.fault = nil
+	if !e.c.Replica(0).Degraded() {
+		e.t.Fatal("r0 did not degrade")
+	}
+}
+
+// degradeByPush fills r0's disk under a push from r1, for rows whose own
+// submits queue behind the drain: r1 must hold something r0 lacks.
+func (e *lifeEnv) degradeByPush() {
+	e.fault = syscall.ENOSPC
+	e.c.GossipRound()
+	e.s.Run()
+	e.fault = nil
+	if !e.c.Replica(0).Degraded() {
+		e.t.Fatal("r0 did not degrade")
+	}
+}
+
+// apply runs the transition at r0, degrading it with degrade.
+func (e *lifeEnv) apply(tr transition, degrade func()) {
+	switch tr {
+	case tKill, tKillRevive:
+		e.c.Kill(0)
+		if tr == tKillRevive {
+			e.revive()
+		}
+	case tDegrade, tDegradeRejoin:
+		degrade()
+		if tr == tDegradeRejoin {
+			e.rejoin()
+		}
+	}
+}
+
+// heal brings a down r0 back and rejoins a degraded one.
+func (e *lifeEnv) heal() {
+	switch r0 := e.c.Replica(0); {
+	case r0.node.Crashed():
+		e.revive()
+	case r0.Degraded():
+		e.rejoin()
+	}
+}
+
+// settle runs the cluster quiet and checks every submit. While r0 is down
+// or degraded one gossip round runs first, and must move nothing: r1's
+// only peer is r0, which neither takes a push nor may spread its
+// phantoms. Then r0 heals and gossip runs until the replicas agree — a
+// durable pair always does; a volatile r0 that lost ops r1 counts it as
+// holding never gets them back (no state transfer), so there a fixed
+// number of rounds is quiet enough.
+func (e *lifeEnv) settle() {
+	e.s.Run()
+	r0 := e.c.Replica(0)
+	moved := e.c.Metrics().OpsTransferred.Value()
+	e.c.GossipRound()
+	e.s.Run()
+	if n := e.c.Metrics().OpsTransferred.Value() - moved; n > 0 && (r0.node.Crashed() || r0.Degraded()) {
+		e.t.Errorf("a gossip round moved %d entries to or from r0 while it was down or degraded", n)
+	}
+	e.heal()
+	if e.durable {
+		convergeSim(e.t, e.s, e.c)
+	}
+	for i := 0; i < 16; i++ {
+		e.c.GossipRound()
+		e.s.Run()
+	}
+	for _, sub := range e.subs {
+		if len(sub.got) != 1 {
+			e.t.Errorf("%s resolved %d times", sub.id, len(sub.got))
+			continue
+		}
+		res := sub.got[0]
+		if res.Op.ID != sub.id {
+			e.t.Errorf("%s resolved with %s", sub.id, res.Op.ID)
+		}
+		if sub.free {
+			continue
+		}
+		if res.Accepted != (sub.want == "") || res.Reason != sub.want || res.Retryable != (sub.want == ReasonDegraded) {
+			e.t.Errorf("%s = accepted %v, reason %q, retryable %v; want reason %q", sub.id, res.Accepted, res.Reason, res.Retryable, sub.want)
+		}
+		if sub.inPlace && res.Latency != 0 {
+			e.t.Errorf("%s resolved after %v: the drain should decline it where it sat, before any round", sub.id, res.Latency)
+		}
+		for i := 0; i < 2; i++ {
+			if held := e.c.Replica(i).Ops().Contains(sub.id); held != res.Accepted {
+				e.t.Errorf("%s (accepted %v) held by r%d: %v", sub.id, res.Accepted, i, held)
+			}
+		}
+	}
+}
+
+// wantFor is the decline a transition gives work stamped before it:
+// "replica down" once the life has ended or the node is down, the
+// retryable ReasonDegraded while the life goes on degraded.
+func wantFor(tr transition) string {
+	if tr == tDegrade {
+		return ReasonDegraded
+	}
+	return "replica down"
+}
+
+// lifeKinds are the continuations, each a scenario that issues its work
+// at r0, runs the transition where the work is in flight, and leaves the
+// rest to settle.
+var lifeKinds = []struct {
+	name    string
+	durable bool // only durable rows: the kind's transitions need r0's disk
+	run     func(e *lifeEnv, tr transition)
+}{
+	// r0's push is in flight when r0 transitions; its ack lands after.
+	// An ack from an ended life counts positions of the dead journal, which
+	// the next life reuses for ops r1 has never seen.
+	{"push ack", false, func(e *lifeEnv, tr transition) {
+		e.setup(0, nil)
+		e.c.GossipRound()
+		e.apply(tr, e.degradeBySubmit)
+		e.s.Run()
+		if tr == tKillRevive || tr == tDegradeRejoin {
+			e.submit(0, false, "", nil) // must reach r1: the new life pushes from position 0
+		}
+	}},
+	// r1's push is in flight to r0 when r0 transitions; r0 absorbs it (or
+	// refuses it) in whatever life it lands in.
+	{"absorb commit", false, func(e *lifeEnv, tr transition) {
+		e.submit(1, false, "", nil)
+		e.c.GossipRound()
+		e.apply(tr, e.degradeBySubmit)
+		e.s.Run()
+	}},
+	// r0 coordinates a round; the admits are out when r0 transitions.
+	{"sync admit", false, func(e *lifeEnv, tr transition) {
+		e.submit(0, true, wantFor(tr), nil)
+		e.apply(tr, e.degradeBySubmit)
+		e.s.Run()
+	}},
+	// r0's disk fails the round's own absorb: fatally (Kill) or with
+	// ENOSPC (degrade). The round learns of it in the life that follows.
+	{"sync absorb", true, func(e *lifeEnv, tr transition) {
+		want := "replica down"
+		e.fault = errors.New("disk on fire")
+		if tr == tDegrade || tr == tDegradeRejoin {
+			want, e.fault = ReasonDegraded, syscall.ENOSPC
+		}
+		e.submit(0, true, want, nil)
+		e.s.Run()
+		e.fault = nil
+		if tr == tKillRevive || tr == tDegradeRejoin {
+			e.heal()
+			e.submit(0, true, "", nil)
+		}
+	}},
+	// A submit's completion submits twice more — a guess and a coordinated
+	// op, queued behind the drain that runs the completion — and then r0
+	// transitions, before the drain reaches them.
+	{"queued ingest item", false, func(e *lifeEnv, tr transition) {
+		e.submit(1, false, "", nil) // what r1 pushes when degradeByPush fills r0's disk
+		e.setup(0, func() {
+			// degradeByPush runs the simulator, so only a Kill leaves the
+			// clock where the two were offered.
+			inPlace := tr == tKill || tr == tKillRevive
+			e.submit(0, false, wantFor(tr), nil).inPlace = inPlace
+			e.submit(0, true, wantFor(tr), nil).inPlace = inPlace
+			e.apply(tr, e.degradeByPush)
+		})
+	}},
+}
+
+// TestLifeFencesEveryContinuation is the table: each continuation kind
+// crossed with each transition, durable, and the Kill transitions on a
+// volatile replica too.
+func TestLifeFencesEveryContinuation(t *testing.T) {
+	for _, kind := range lifeKinds {
+		for _, tr := range []transition{tKill, tKillRevive, tDegrade, tDegradeRejoin} {
+			for _, durable := range []bool{true, false} {
+				if !durable && (kind.durable || tr == tDegrade || tr == tDegradeRejoin) {
+					continue
+				}
+				name := []string{"Kill", "Kill→Recover", "degrade", "degrade→Rejoin"}[tr]
+				if !durable {
+					name = map[transition]string{tKill: "Kill (volatile)", tKillRevive: "Kill→revive"}[tr]
+				}
+				t.Run(kind.name+" × "+name, func(t *testing.T) {
+					e := newLifeEnv(t, durable)
+					kind.run(e, tr)
+					e.settle()
+				})
+			}
+		}
+	}
+}
+
+// reprobing reports whether a degraded re-probe loop is running.
+func reprobing() bool {
+	buf := make([]byte, 1<<20)
+	return strings.Contains(string(buf[:runtime.Stack(buf, true)]), ".reprobeLoop(")
+}
+
+// waitNoReprobe fails the test unless every re-probe loop ends within a
+// few of its backoff steps.
+func waitNoReprobe(t *testing.T) {
+	t.Helper()
+	for deadline := time.Now().Add(3 * time.Second); reprobing(); time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the re-probe loop outlived the degraded life it was started in")
+		}
+	}
+}
+
+// liveLifeFS is r0's disk on the live transport: writes fail with ENOSPC
+// while full is set, and the next sync under r0 after hold is set takes
+// 300 ms, announcing itself on held.
+type liveLifeFS struct {
+	full, hold atomic.Bool
+	held       chan struct{}
+}
+
+func (f *liveLifeFS) fs() faultfs.FS {
+	marker := string(os.PathSeparator) + "r0" + string(os.PathSeparator)
+	return faultfs.New(faultfs.OS, 1, func(op faultfs.Op) faultfs.Decision {
+		switch {
+		case !strings.Contains(op.Path, marker):
+		case f.full.Load() && (op.Kind == faultfs.OpWrite || op.Kind == faultfs.OpWriteAt):
+			return faultfs.Decision{Err: syscall.ENOSPC}
+		case op.Kind == faultfs.OpSync && f.hold.CompareAndSwap(true, false):
+			f.held <- struct{}{}
+			return faultfs.Decision{Delay: 300 * time.Millisecond}
+		}
+		return faultfs.Decision{}
+	})
+}
+
+// TestLifeFencesTheReprobeLoop is the re-probe loop's row on the live
+// transport, where the loop runs: whatever ends the degraded life — a
+// Kill, a Kill and Recover that overtake the loop's own Rejoin mid-open,
+// an operator's Rejoin — ends the loop, and the loop's Rejoin never
+// clobbers the life that overtook it.
+func TestLifeFencesTheReprobeLoop(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tr   func(t *testing.T, c *Cluster[counterState], f *liveLifeFS)
+	}{
+		{"re-probe loop × Kill", func(t *testing.T, c *Cluster[counterState], f *liveLifeFS) {
+			c.Kill(0)
+			waitNoReprobe(t)
+		}},
+		{"re-probe loop × Kill→Recover", func(t *testing.T, c *Cluster[counterState], f *liveLifeFS) {
+			f.hold.Store(true)
+			f.full.Store(false)
+			<-f.held // the loop's Rejoin is opening the store
+			c.Kill(0)
+			waitNoReprobe(t)
+		}},
+		{"re-probe loop × degrade→Rejoin", func(t *testing.T, c *Cluster[counterState], f *liveLifeFS) {
+			f.full.Store(false)
+			if err := c.Rejoin(context.Background(), 0); err != nil {
+				t.Fatal(err)
+			}
+			waitNoReprobe(t)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := &liveLifeFS{held: make(chan struct{}, 1)}
+			c := New[counterState](counterApp{}, nil, WithReplicas(2), WithDurability(t.TempDir()), WithStoreFS(f.fs()))
+			defer c.Close()
+			f.full.Store(true)
+			res, err := c.Submit(context.Background(), 0, NewOp("credit", "k", 1))
+			if err != nil || res.Reason != ReasonDegraded || !res.Retryable {
+				t.Fatalf("submit on a full disk = %+v, %v; want the retryable degraded decline", res, err)
+			}
+			for deadline := time.Now().Add(5 * time.Second); !c.Replica(0).Degraded(); time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("r0 never degraded")
+				}
+			}
+			tc.tr(t, c, f)
+			f.full.Store(false)
+			if c.Replica(0).node.Crashed() {
+				if err := c.Recover(context.Background(), 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mustSubmit(t, c, 0, NewOp("credit", "k", 1))
+			if c.Replica(0).Degraded() {
+				t.Fatal("r0 is still degraded")
+			}
+		})
+	}
+}
+
+// TestLifeFencesCommitFailures: r0 is killed with commits pending behind a
+// slow fsync and recovered while the dying store still holds them — the
+// store fails them only once its flusher lets go, after the new life has
+// begun. A failure from the old life must not touch the new one: taken
+// for the new store's, it would crash the replica that just recovered.
+// The pending commit is a submit's segment, or an absorb of r1's push.
+func TestLifeFencesCommitFailures(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		pending func(t *testing.T, c *Cluster[counterState], done func(Result))
+	}{
+		{"ingest commit × Kill→Recover", func(t *testing.T, c *Cluster[counterState], done func(Result)) {
+			c.SubmitAsync(0, NewOp("credit", "k", 1), done)
+		}},
+		{"absorb commit × Kill→Recover", func(t *testing.T, c *Cluster[counterState], done func(Result)) {
+			done(Result{}) // r1's submit is not r0's to resolve
+			mustSubmit(t, c, 1, NewOp("credit", "k", 1))
+			c.GossipRound()
+			for deadline := time.Now().Add(5 * time.Second); c.Replica(0).OpCount() < 2; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("r0 never absorbed r1's push")
+				}
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := &liveLifeFS{held: make(chan struct{}, 1)}
+			c := New[counterState](counterApp{}, nil, WithReplicas(2), WithDurability(t.TempDir()), WithStoreFS(f.fs()))
+			defer c.Close()
+			var counts [2]atomic.Int32
+			var resolved sync.WaitGroup
+			resolved.Add(2)
+			track := func(i int) func(Result) {
+				return func(Result) {
+					if counts[i].Add(1) == 1 {
+						resolved.Done()
+					}
+				}
+			}
+			f.hold.Store(true)
+			c.SubmitAsync(0, NewOp("credit", "k", 1), track(0))
+			<-f.held // its flush is in the slow fsync; the next commit waits behind it
+			tc.pending(t, c, track(1))
+			killed := make(chan struct{})
+			go func() { c.Kill(0); close(killed) }()
+			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+				if c.Recover(context.Background(), 0) == nil {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("r0 never recovered")
+				}
+			}
+			<-killed
+			resolved.Wait()
+			time.Sleep(50 * time.Millisecond) // what the old life's failures set off
+			for i := range counts {
+				if n := counts[i].Load(); n != 1 {
+					t.Fatalf("submit %d resolved %d times", i, n)
+				}
+			}
+			if c.Replica(0).node.Crashed() {
+				t.Fatal("a commit failure of the killed life crashed the recovered one")
+			}
+			mustSubmit(t, c, 0, NewOp("credit", "k", 1))
+		})
+	}
+}

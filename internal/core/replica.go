@@ -63,28 +63,13 @@ type Replica[S any] struct {
 	ops     *oplog.Set
 	journal oplog.Journal // arrival order, for incremental gossip; prefix truncated once every peer holds it
 	lamport uint64        // highest Lamport timestamp seen
-	// life counts wipes (Kill, Rejoin). A push's ack counts positions of
-	// the journal it was cut from, so one that lands in a later life
-	// changes nothing: the rebuilt journal may reuse those positions for
-	// entries the peer never got.
-	life int
+	lc      lifecycle     // which life this is, and whether it is degraded
 
 	// The durable tier (nil without WithDurability). Every absorbed entry
 	// is staged to the store's disk journal under mu — in the same order
 	// as the in-memory journal, so the two share absolute positions — and
 	// the absorb is acknowledged only once the store group-commits it.
 	store *store.Store
-
-	// Degraded read-only mode: set when the store failed with a
-	// recoverable disk error (ENOSPC, EIO — see recoverableDiskErr).
-	// While degraded the replica keeps serving reads from the published
-	// fold snapshot, declines every write with the retryable
-	// ReasonDegraded, and pauses gossip in both directions — phantom
-	// guesses its disk never accepted must not spread, and a push it
-	// acknowledged would be lost on rejoin. Rejoin re-probes the store
-	// and clears the flag. degradedErr (under mu) records the failure.
-	degraded    atomic.Bool
-	degradedErr error
 
 	// The fold checkpoint: state is the fold of every entry at or before
 	// stateMark (stateN of them); stateDirty records that entries beyond
@@ -130,6 +115,63 @@ type Replica[S any] struct {
 	absorbPool sync.Pool // *absorbJob[S]: absorbs waiting for their commit
 
 	Ledger apology.Ledger // this replica's memories, guesses, apologies
+}
+
+// lifecycle is a replica's one life and its phase within it. life
+// counts wipes (Kill, Rejoin). Every asynchronous continuation — a push's
+// ack, an absorb's commit, a sync round's admit and absorb steps, a
+// queued submit, the degraded re-probe loop — carries the life it was
+// issued in and acts only in that life: work queued or in flight at a
+// wipe resolves declined. degraded is the phase a recoverable disk error
+// (ENOSPC, EIO — see recoverableDiskErr) starts: the replica keeps
+// serving reads from the published fold snapshot, declines every write
+// with the retryable ReasonDegraded, and pauses gossip in both
+// directions — phantom guesses its disk never accepted must not spread,
+// and a push it acknowledged would be lost on rejoin. Only a wipe ends
+// it. Down is not here: the transport holds it (Node.Crashed), the one
+// copy a SetUp revive flips. Transitions hold the replica's mu; life and
+// degraded are atomic so ingress and gossip read them without it.
+type lifecycle struct {
+	life     atomic.Uint32
+	degraded atomic.Bool
+	err      error // what degraded the replica; under mu
+}
+
+// stamp is the current life, for a continuation to carry.
+func (l *lifecycle) stamp() uint32 { return l.life.Load() }
+
+// in reports whether the life stamped is still the current one: all a
+// continuation that keeps only per-life books needs to know.
+func (l *lifecycle) in(stamp uint32) bool { return l.life.Load() == stamp }
+
+// fence answers whether work issued in the life stamped may still act:
+// that life is current, the node is not down (the transport's word,
+// Node.Crashed), and the replica serves writes. Otherwise it returns
+// the decline the work resolves with, and whether a retry may succeed.
+func (l *lifecycle) fence(stamp uint32, down bool) (reason string, retry, ok bool) {
+	switch {
+	case down || !l.in(stamp):
+		return "replica down", false, false
+	case l.degraded.Load():
+		return ReasonDegraded, true, false
+	}
+	return "", false, true
+}
+
+func (l *lifecycle) isDegraded() bool { return l.degraded.Load() }
+
+func (l *lifecycle) degrade(err error) {
+	l.err = err
+	l.degraded.Store(true)
+}
+
+// wipe ends the life, fencing out everything stamped in it. The next
+// life serves: a killed replica is down, not degraded — Recover, not
+// Rejoin, is its way back — and a rejoined one has healed.
+func (l *lifecycle) wipe() {
+	l.life.Add(1)
+	l.err = nil
+	l.degraded.Store(false)
 }
 
 // gossipPeer is a replica's record of one ring neighbour. held is the
@@ -627,19 +669,18 @@ func (r *Replica[S]) absorbLocked(entries []oplog.Entry, from string) (added []o
 // replica that owns a store — tallies them in the ledger, sweeps for newly
 // exposed rule violations, and replies pushAck{OK: ok}. A false OK means
 // the entries never became durable (the replica crashed mid-write) and
-// nothing was recorded: the sender must not count them as delivered. from
-// names the sending peer ("" for local work). reply is a handler's own
-// reply or a sync round's bound continuation, and the outcome rides a
+// nothing was recorded: the sender must not count them as delivered.
+// life is the life the work belongs to: a delivery's, or a sync round's.
+// from names the sending peer ("" for local work). reply is a handler's
+// own reply or a sync round's bound continuation, and the outcome rides a
 // pooled absorbJob to the store's commit: an absorb brings no closure.
-func (r *Replica[S]) absorb(entries []oplog.Entry, how, from string, reply func(any)) {
+func (r *Replica[S]) absorb(entries []oplog.Entry, life uint32, how, from string, reply func(any)) {
 	r.mu.Lock()
-	if r.node.Crashed() || r.degraded.Load() {
-		// A dead process absorbs nothing. The transports already drop
-		// deliveries to crashed nodes; this closes the in-process race
-		// where Kill wipes state between a liveness check and the absorb.
-		// A degraded replica must not admit entries its disk cannot back —
-		// and must not acknowledge a gossip push it would lose on rejoin.
-		// OK=false keeps the peer's journal in place, exactly like a crash.
+	if _, _, ok := r.lc.fence(life, r.node.Crashed()); !ok {
+		// An ended life, or a dead process, absorbs nothing; a degraded
+		// replica must not admit entries its disk cannot back, nor
+		// acknowledge a push it would lose on rejoin. OK=false keeps the
+		// peer's journal in place, exactly like a crash.
 		r.mu.Unlock()
 		reply(pushAck{OK: false})
 		return
@@ -649,7 +690,7 @@ func (r *Replica[S]) absorb(entries []oplog.Entry, how, from string, reply func(
 		job = &absorbJob[S]{r: r}
 		job.commit = job.resolve
 	}
-	job.reply = reply
+	job.reply, job.life = reply, life
 	added, end := r.absorbLocked(entries, from)
 	job.n = len(added)
 	if t := r.c.cfg.tracer; t != nil && how == "gossip" {
@@ -676,12 +717,13 @@ func (r *Replica[S]) absorb(entries []oplog.Entry, how, from string, reply func(
 	st.Commit(end, job.commit)
 }
 
-// absorbJob carries one absorb from the replica lock to its reply: how
-// many entries were new, the sampled IDs a gossip trace reports once
-// they are durable, and where the acknowledgement goes. Pooled per
+// absorbJob carries one absorb from the replica lock to its reply: its
+// life, how many entries were new, the sampled IDs a gossip trace reports
+// once they are durable, and where the acknowledgement goes. Pooled per
 // replica, with the func(bool) handed to Store.Commit bound once.
 type absorbJob[S any] struct {
 	r      *Replica[S]
+	life   uint32
 	n      int
 	traced []uniq.ID
 	reply  func(any)
@@ -707,7 +749,7 @@ func (job *absorbJob[S]) resolve(ok bool) {
 		// replica that kept serving them as accepted would gossip guesses
 		// its own disk cannot back. Crash (§2.2) or degrade — either way
 		// gossip pauses and nothing is acknowledged.
-		r.storeFailed()
+		r.storeFailed(job.life)
 	}
 	reply := job.reply
 	clear(job.traced)
@@ -731,28 +773,25 @@ func (job *absorbJob[S]) resolve(ok bool) {
 // On the live transport both paths hop to a fresh goroutine: the
 // failure callback runs on the store's own flusher, which Crash would
 // otherwise deadlock waiting for.
-func (r *Replica[S]) storeFailed() (degraded bool) {
+func (r *Replica[S]) storeFailed(life uint32) (degraded bool) {
 	r.mu.Lock()
-	st := r.store
+	st, ended := r.store, !r.lc.in(life)
 	r.mu.Unlock()
-	if st == nil {
-		// Already killed or already degraded; report which.
-		return r.degraded.Load()
+	if st == nil || ended {
+		// Already killed or degraded — or the failed commit belongs to a
+		// life a wipe ended, whose store this one is not. Report the phase.
+		return r.lc.isDegraded()
 	}
-	if !recoverableDiskErr(st.FailErr()) {
-		if st.InlineMode() {
-			r.Kill()
-		} else {
-			go r.Kill()
-		}
-		return false
+	react := r.Kill
+	if degraded = recoverableDiskErr(st.FailErr()); degraded {
+		react = func() { r.degrade(st) }
 	}
 	if st.InlineMode() {
-		r.degrade(st)
+		react()
 	} else {
-		go r.degrade(st)
+		go react()
 	}
-	return true
+	return degraded
 }
 
 // recoverableDiskErr classifies a store failure: true for conditions
@@ -790,29 +829,29 @@ func (r *Replica[S]) degrade(st *store.Store) {
 		return
 	}
 	r.store = nil
-	r.degradedErr = err
 	// Counted before the flag is visible, and recorded before the store is
 	// crashed: on the live path Crash waits out the flusher that is still
 	// delivering the failed commits, so a scrape arriving behind one of
 	// those declines must not find the shard degraded and the count at 0.
 	r.g.M.Degraded.Inc()
-	r.degraded.Store(true)
-	live := !st.InlineMode()
+	r.lc.degrade(err)
+	live, life := !st.InlineMode(), r.lc.stamp()
 	r.mu.Unlock()
 	r.Ledger.Record(r.c.tr.Now(), apology.Memory, r.id,
 		fmt.Sprintf("entered degraded read-only mode: %v", err), "")
 	st.Crash()
 	if live {
-		go r.reprobeLoop()
+		go r.reprobeLoop(life)
 	}
 }
 
 // reprobeLoop retries Rejoin with capped exponential backoff until the
-// replica heals, is killed, or the cluster closes. Live transports
-// only; the deterministic simulator rejoins explicitly.
-func (r *Replica[S]) reprobeLoop() {
+// degraded life ends — the replica heals or is killed — or the cluster
+// closes. Live transports only; the deterministic simulator rejoins
+// explicitly.
+func (r *Replica[S]) reprobeLoop(life uint32) {
 	backoff := 100 * time.Millisecond
-	for r.degraded.Load() {
+	for r.lc.in(life) {
 		select {
 		case <-r.c.done:
 			return
@@ -821,9 +860,9 @@ func (r *Replica[S]) reprobeLoop() {
 		if backoff *= 2; backoff > 2*time.Second {
 			backoff = 2 * time.Second
 		}
-		if err := r.Rejoin(context.Background()); err == nil {
-			return
-		}
+		// A failure leaves the life degraded, to retry after the backoff;
+		// success ends it, and with it the loop.
+		_ = r.Rejoin(context.Background())
 	}
 }
 
@@ -831,7 +870,7 @@ func (r *Replica[S]) reprobeLoop() {
 // its disk stopped accepting writes, reads still serve the published
 // fold snapshot, and writes decline with ReasonDegraded until Rejoin
 // succeeds.
-func (r *Replica[S]) Degraded() bool { return r.degraded.Load() }
+func (r *Replica[S]) Degraded() bool { return r.lc.isDegraded() }
 
 // IngestBacklog reports how many submits are queued on the replica's
 // ingest ring right now, against its fixed nominal capacity ((0, 0) for
@@ -852,10 +891,10 @@ func (r *Replica[S]) IngestBacklog() (depth, capacity int) {
 func (r *Replica[S]) DegradedReason() string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.degradedErr == nil {
+	if r.lc.err == nil {
 		return ""
 	}
-	return r.degradedErr.Error()
+	return r.lc.err.Error()
 }
 
 // Rejoin re-probes a degraded replica's durable store and, when the
@@ -868,7 +907,10 @@ func (r *Replica[S]) Rejoin(ctx context.Context) error {
 	if r.remote {
 		return fmt.Errorf("quicksand: replica %s is hosted by another process; rejoin it there", r.id)
 	}
-	if !r.degraded.Load() {
+	// The life first: a life stays degraded until it ends, so a degraded
+	// phase seen after the stamp is the stamped life's.
+	life := r.lc.stamp()
+	if !r.lc.isDegraded() {
 		return fmt.Errorf("quicksand: replica %s is not degraded", r.id)
 	}
 	if err := ctx.Err(); err != nil {
@@ -879,17 +921,16 @@ func (r *Replica[S]) Rejoin(ctx context.Context) error {
 		return fmt.Errorf("quicksand: rejoin %s: %w", r.id, err)
 	}
 	r.mu.Lock()
-	if r.store != nil || !r.degraded.Load() {
-		// Lost a race with a concurrent Rejoin or a Kill; this handle is
-		// surplus and the winner's state must not be clobbered.
+	if !r.lc.in(life) {
+		// A concurrent Rejoin or a Kill ended the degraded life while the
+		// store reopened; this handle is surplus and the winner's state
+		// must not be clobbered.
 		r.mu.Unlock()
 		st.Close()
 		return fmt.Errorf("quicksand: replica %s already rejoined (or was killed)", r.id)
 	}
 	r.wipeLocked()
 	r.seedFromDisk(st, rec)
-	r.degradedErr = nil
-	r.degraded.Store(false)
 	n := r.ops.Len()
 	r.mu.Unlock()
 	r.Ledger.Record(r.c.tr.Now(), apology.Memory, r.id,
@@ -960,67 +1001,71 @@ func (r *Replica[S]) submitSync(it ingestItem) {
 		rd.admitted, rd.absorbed, rd.applied = rd.onAdmit, rd.onAbsorb, rd.onApply
 	}
 	rd.it = it
-	op := it.op
-	if r.degraded.Load() {
-		// The coordinator itself must durably apply the op after the
-		// round; a degraded one cannot, so decline before paying for
-		// the broadcast.
-		rd.finish(Result{Op: op, Reason: ReasonDegraded, Retryable: true, Decision: policy.Sync})
-		return
+	// The coordinator must still live the life the submit was queued in,
+	// and must durably apply the op after the round: decline before
+	// paying for the broadcast if it cannot. Then local admission.
+	reason, retry, ok := r.lc.fence(it.life, r.node.Crashed())
+	if ok {
+		r.mu.Lock()
+		reason, ok = r.admitLocked(it.op)
+		r.mu.Unlock()
 	}
-	// Local admission first.
-	r.mu.Lock()
-	reason, ok := r.admitLocked(op)
-	r.mu.Unlock()
 	if !ok {
-		rd.finish(Result{Op: op, Reason: reason, Decision: policy.Sync})
+		rd.finish(reason, retry)
 		return
 	}
-	r.node.Broadcast(r.syncPeers, "admit", admitReq{Op: op}, rd.admitted)
+	r.node.Broadcast(r.syncPeers, "admit", admitReq{Op: it.op}, rd.admitted)
 }
 
 func (rd *syncRound[S]) onAdmit(resps []any, oks int) {
-	r, op := rd.r, rd.it.op
-	if oks != len(r.syncPeers) {
-		rd.finish(Result{Op: op, Reason: "coordination failed: replica unreachable", Decision: policy.Sync})
+	if oks != len(rd.r.syncPeers) {
+		rd.decline("coordination failed: replica unreachable")
 		return
 	}
 	for _, resp := range resps {
 		if !resp.(admitAck).OK {
-			rd.finish(Result{Op: op, Reason: "declined by a remote replica", Decision: policy.Sync})
+			rd.decline("declined by a remote replica")
 			return
 		}
 	}
-	// All agreed: apply locally (durably, if a store is attached), then
-	// everywhere else, then ack.
-	rd.one[0] = op
-	r.absorb(rd.one[:], "sync", "", rd.absorbed)
+	// All agreed: apply locally (durably, if a store is attached) — in the
+	// life the submit was queued in, or not at all — then everywhere else,
+	// then ack.
+	rd.one[0] = rd.it.op
+	rd.r.absorb(rd.one[:], rd.it.life, "sync", "", rd.absorbed)
 }
 
 func (rd *syncRound[S]) onAbsorb(resp any) {
-	r, op := rd.r, rd.it.op
 	if !resp.(pushAck).OK {
-		res := Result{Op: op, Reason: "replica crashed before the write was durable", Decision: policy.Sync}
-		if r.degraded.Load() {
-			res.Reason, res.Retryable = ReasonDegraded, true
-		}
-		rd.finish(res)
+		rd.decline("replica crashed before the write was durable")
 		return
 	}
-	r.node.Broadcast(r.syncPeers, "apply", applyReq{Op: op}, rd.applied)
+	rd.r.node.Broadcast(rd.r.syncPeers, "apply", applyReq{Op: rd.it.op}, rd.applied)
+}
+
+// decline resolves the round declined for reason — unless the coordinator
+// has left the life the submit was queued in, or stopped serving, since:
+// then for the fence's reason, which names the coordinator, not its peers.
+func (rd *syncRound[S]) decline(reason string) {
+	retry := false
+	if why, again, ok := rd.r.lc.fence(rd.it.life, rd.r.node.Crashed()); !ok {
+		reason, retry = why, again
+	}
+	rd.finish(reason, retry)
 }
 
 func (rd *syncRound[S]) onApply([]any, int) {
-	rd.finish(Result{Accepted: true, Op: rd.it.op, Decision: policy.Sync})
+	rd.finish("", false)
 }
 
-// finish counts and resolves the coordinated submit. The round is back in
-// the pool before the result lands: resolving may wake a submitter that
+// finish counts and resolves the coordinated submit: accepted without a
+// reason, declined with one (retryable or not). The round is back in the
+// pool before the result lands: resolving may wake a submitter that
 // starts its next round at once.
-func (rd *syncRound[S]) finish(res Result) {
+func (rd *syncRound[S]) finish(reason string, retry bool) {
 	r, it := rd.r, rd.it
 	g := r.g
-	res.Latency = r.c.tr.Now() - it.start
+	res := Result{Accepted: reason == "", Op: it.op, Reason: reason, Retryable: retry, Decision: policy.Sync, Latency: r.c.tr.Now() - it.start}
 	if res.Accepted {
 		g.M.Accepted.Inc()
 		g.M.SyncAccepted.Inc()
@@ -1066,14 +1111,14 @@ func (r *Replica[S]) pushTo(p *gossipPeer[S]) {
 		return
 	}
 	p.pushing = true
-	life := r.life
+	life := r.lc.stamp()
 	r.mu.Unlock()
 	r.g.M.OpsTransferred.Addn(int64(len(entries)))
 	peer := p.rep.id
 	r.node.Call(peer, "push", pushReq{Entries: entries}, func(resp any, ok bool) {
 		acked := ok && resp.(pushAck).OK
 		r.mu.Lock()
-		if r.life == life {
+		if r.lc.in(life) { // the rebuilt journal of a later life may reuse these positions
 			p.pushing = false
 			if acked {
 				p.held = max(p.held, end)
@@ -1127,7 +1172,7 @@ func (r *Replica[S]) startLocked(p *gossipPeer[S]) int {
 // refill; OK=false keeps the peer's held position (and so its journal)
 // where it is.
 func (r *Replica[S]) handlePush(from string, req any, reply func(any)) {
-	r.absorb(req.(pushReq).Entries, "gossip", from, reply)
+	r.absorb(req.(pushReq).Entries, r.lc.stamp(), "gossip", from, reply)
 }
 
 func (r *Replica[S]) handleAdmit(from string, req any, reply func(any)) {
@@ -1140,14 +1185,17 @@ func (r *Replica[S]) handleAdmit(from string, req any, reply func(any)) {
 
 func (r *Replica[S]) handleApply(from string, req any, reply func(any)) {
 	one := [1]oplog.Entry{req.(applyReq).Op}
-	r.absorb(one[:], "sync", from, reply)
+	r.absorb(one[:], r.lc.stamp(), "sync", from, reply)
 }
 
 // Kill hard-crashes the replica: the node goes silent on the transport
 // and every bit of in-memory state — operation set, gossip journal,
 // Lamport clock, fold checkpoints, ledger — is destroyed, along with
-// any disk write that was not yet group-committed (in-flight submits
-// resolve as declined). What survives is exactly the durable store's
+// any disk write that was not yet group-committed. The wipe ends the
+// replica's life, and work issued in a life acts only in it: a submit
+// queued behind the drain or a coordinated round in flight resolves
+// declined ("replica down") even if the replica is back by then, and
+// is retried by its ID. What survives is exactly the durable store's
 // contents; a replica without one loses everything it uniquely held.
 func (r *Replica[S]) Kill() {
 	r.c.tr.SetUp(r.id, false)
@@ -1155,10 +1203,6 @@ func (r *Replica[S]) Kill() {
 	st := r.store
 	r.store = nil
 	r.wipeLocked()
-	// A killed replica is down, not degraded: Recover (not Rejoin) is
-	// the way back, and the re-probe loop, if any, must stop.
-	r.degradedErr = nil
-	r.degraded.Store(false)
 	// Lock-free readers must not keep serving the dead incarnation's
 	// snapshot: bump the version and publish the wiped state.
 	r.version.Add(1)
@@ -1171,13 +1215,15 @@ func (r *Replica[S]) Kill() {
 }
 
 // wipeLocked destroys every bit of in-memory state, as a process death
-// would — shared by Kill and by Rejoin (which discards the degraded
-// incarnation's phantoms before reseeding from disk). The caller holds
-// mu and owns store shutdown, publication, and ledger cleanup.
+// would, and ends the life — shared by Kill and by Rejoin (which discards
+// the degraded incarnation's phantoms before reseeding from disk). The
+// ingest ring is not drained here: its items carry the life they were
+// queued in, and the drain declines each one it fences out. The caller
+// holds mu and owns store shutdown, publication, and ledger cleanup.
 func (r *Replica[S]) wipeLocked() {
 	r.ops = oplog.NewSet()
 	r.journal = oplog.Journal{}
-	r.life++
+	r.lc.wipe()
 	for i := range r.gossipPeers {
 		r.gossipPeers[i].held, r.gossipPeers[i].pushing = 0, false
 	}
