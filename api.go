@@ -21,17 +21,27 @@ type (
 	// Cluster is a set of eventually consistent replicas plus the shared
 	// apology queue. Build one with New.
 	Cluster[S any] = core.Cluster[S]
-	// App folds operations into application state; Step must tolerate any
-	// canonical fold order (the operations must commute).
+	// App folds operations into application state. Replicas fold in one
+	// canonical order, so an App whose operations commute only by their
+	// position in it still converges; see Commutative for one whose
+	// operations commute outright.
 	App[S any] = core.App[S]
 	// Snapshotter is the App extension every reference-typed state needs:
 	// Snapshot must return a deep copy. Value-typed states (no pointers,
 	// maps, slices, channels, funcs, or interfaces reachable) are cloned
 	// by assignment and need none; New panics on an App with a
 	// reference-typed state and no Snapshot. Writes fold in place: the
-	// engine takes a Snapshot for checkpoints, rewinds, and the first
-	// write after a Replica.State read — not per write.
+	// engine takes a Snapshot for the first write after a Replica.State
+	// read — not per write — and, for an App that needs canonical order,
+	// for fold checkpoints and rewinds. An order-free (Commutative) App
+	// pays clones only after a read.
 	Snapshotter[S any] = core.Snapshotter[S]
+	// Commutative is the optional App extension that declares the App
+	// order-free: any order of the same operations folds to the same
+	// state. A replica then folds an operation gossip delivers late in
+	// place, with no rewind and no fold checkpoint. Declaring it for an
+	// App whose result depends on order makes replicas diverge.
+	Commutative = core.Commutative
 	// Rule is a probabilistically enforced business rule: Admit gates
 	// submits against the local guess, Violated sweeps merged state.
 	// Both see the live fold in place under the replica lock: valid only

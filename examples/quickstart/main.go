@@ -25,6 +25,10 @@ type ledgerApp struct{}
 
 func (ledgerApp) Init() int64 { return 0 }
 
+// Commutes declares the App order-free: credits and debits add up the
+// same in any order, so a replica folds a late one in where it lands.
+func (ledgerApp) Commutes() {}
+
 func (ledgerApp) Step(bal int64, op quicksand.Op) int64 {
 	if op.Kind == "credit" {
 		return bal + op.Arg

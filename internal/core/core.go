@@ -19,8 +19,10 @@
 // admission costs O(new entries), not O(ledger) — the DP2 move from
 // per-WRITE checkpoints to log-anchored ones (§3.3), applied to state
 // derivation. Only a gossip merge that sorts behind the watermark forces
-// a replay, and periodic fold snapshots bound how far back it reaches.
-// See App and Snapshotter for the state-cloning contract this rests on.
+// a replay, and periodic fold snapshots bound how far back it reaches —
+// unless the App declares its operations order-free (Commutative), and
+// the late entry is folded in where it lands. See App and Snapshotter for
+// the state-cloning contract this rests on.
 //
 // Scale-out follows §6's consequence of per-entity consistency: a
 // Cluster is a set of shards, each an independent replica group with its
@@ -85,10 +87,20 @@ func NewOp(kind, key string, arg int64) Op {
 	return Op{Kind: kind, Key: key, Arg: arg}
 }
 
-// App folds operations into application state. Step must be insensitive
-// to the canonical fold order produced by oplog.Set — in ACID 2.0 terms,
-// the operations must commute (or the App must make them commute, e.g. by
-// last-ingress-wins tie-breaks, which canonical order makes deterministic).
+// App folds operations into application state. Every replica folds its
+// operation set in the canonical order oplog.Set produces, so replicas
+// holding the same set derive the same state, whatever order the work
+// arrived in. Apps come in two kinds:
+//
+//   - An order-free App's operations commute outright — deposits and
+//     withdrawals do — and it says so by implementing Commutative. An
+//     operation gossip delivers behind what the replica has already
+//     folded is stepped into the state where it lands.
+//   - Any other App needs the canonical order: it makes its operations
+//     commute only by their position in it — last-ingress-wins
+//     tie-breaks, or a state that records order, like internal/bank's
+//     list of uncovered checks. For such an operation the engine rewinds
+//     to a fold checkpoint and replays forward from there.
 //
 // Step may mutate and return the accumulator in place; states returned
 // by Replica.State remain valid snapshots regardless, forever. The
@@ -102,8 +114,9 @@ func NewOp(kind, key string, arg int64) Op {
 // something only a reader causes: the
 // write path — admission, the fold, the violation sweep — works on the
 // accumulator in place and never hands it out, so a stream of writes
-// nobody reads between pays no Snapshot beyond fold checkpoints and
-// rewinds (Metrics.FoldClones counts the rest).
+// nobody reads between pays no Snapshot beyond an order-dependent App's
+// fold checkpoints and rewinds, and an order-free App's pays none
+// (Metrics.FoldClones counts the clones reads cause).
 //
 // The guarantee is one-directional: callers must treat states returned
 // by Replica.State as read-only. The engine folds forward from the
@@ -123,11 +136,26 @@ type App[S any] interface {
 // must return a deep copy: folding further operations into the original
 // must never be observable through the copy, and vice versa — an App
 // whose Step never mutates its argument may return the state itself. The
-// engine calls it for fold checkpoints, for rewinds, and once per write
-// that follows a Replica.State read — never for a write nobody read
-// before.
+// engine calls it once per write that follows a Replica.State read —
+// never for a write nobody read before — and, for an App that needs the
+// canonical order, for fold checkpoints and rewinds. An order-free
+// (Commutative) App pays clones only after a read.
 type Snapshotter[S any] interface {
 	Snapshot(state S) S
+}
+
+// Commutative is the optional App extension that declares the App
+// order-free (§8's ACID 2.0): Step(Step(s, a), b) equals
+// Step(Step(s, b), a) for every state s and operations a and b, so every
+// order of one operation set folds to the same state. The engine then
+// folds an operation that sorts behind the fold watermark in place, as it
+// arrives, instead of rewinding to a checkpoint and replaying — and takes
+// no checkpoints. Commutes is a marker; the engine never calls it. An App
+// whose result depends on order must not declare it, or its replicas
+// diverge: hold the declaration to a test that folds an operation list
+// and a rotation of it to equal states.
+type Commutative interface {
+	Commutes()
 }
 
 // Violation is one discovered breach of a business rule.
@@ -179,7 +207,8 @@ type config struct {
 
 // A cadence the engine fixes rather than exposes: a fold checkpoint is
 // cloned every foldCheckpointEvery folded entries; the ring of them bounds
-// the replay a gossip merge sorting behind the watermark forces.
+// the replay a gossip merge sorting behind the watermark forces. An
+// order-free (Commutative) App replays nothing and takes none.
 const foldCheckpointEvery = 1024
 
 // Option configures a Cluster at construction.
@@ -312,7 +341,8 @@ type Metrics struct {
 	// across all replicas — the true cost of state derivation, O(new
 	// entries) per submit plus what rewinds replay. FoldRewinds counts
 	// checkpoint rewinds forced by gossip merges sorting behind a watermark,
-	// FoldCheckpoints the periodic snapshots taken, and FoldClones the
+	// FoldCheckpoints the periodic snapshots taken (both stay 0 for a
+	// Commutative App, which folds such merges in place), and FoldClones the
 	// whole-state clones a write paid because a reader had taken the
 	// accumulator through State() since the previous write — zero on a
 	// write-only stream; about one per write means something polls
@@ -360,6 +390,7 @@ type Cluster[S any] struct {
 	hasAdmit   bool      // any rule has an Admit check
 	hasViolate bool      // any rule has a Violated sweep
 	snapFn     func(S) S // state clone for fold checkpoints, rewinds and read-then-write
+	commutes   bool      // the App is Commutative: late entries step in place, no checkpoints or rewinds
 	smap       *shard.Map
 	groups     []*shardGroup[S]
 	stopGossip []func()
@@ -392,10 +423,9 @@ func (g *shardGroup[S]) gossipRound() {
 	for _, rep := range g.reps {
 		// Remote replicas push from their own process; this one only
 		// pushes *to* them (below, as somebody's ring neighbour). A down
-		// replica pushes nothing, and a degraded one holds phantom entries
-		// its disk never accepted — pushing those would spread guesses
-		// nobody can back. Either kind of peer would decline the push.
-		if _, _, ok := rep.lc.fence(rep.lc.stamp(), rep.node.Crashed()); rep.remote || !ok {
+		// or degraded replica is fenced inside pushTo; a down or degraded
+		// peer would decline the push.
+		if rep.remote {
 			continue
 		}
 		for i := range rep.gossipPeers {
@@ -530,6 +560,7 @@ func New[S any](app App[S], rules []Rule[S], opts ...Option) *Cluster[S] {
 		Apologies: apology.NewQueue(),
 		done:      make(chan struct{}),
 	}
+	_, c.commutes = app.(Commutative)
 	for _, rule := range rules {
 		c.declined = append(c.declined, "declined by rule "+rule.Name)
 		c.hasAdmit = c.hasAdmit || rule.Admit != nil

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -40,6 +41,14 @@ func (counterApp) Step(s counterState, op oplog.Entry) counterState {
 }
 
 func (counterApp) Snapshot(s counterState) counterState { return maps.Clone(s) }
+
+// orderFreeApp is counterApp declaring what it is: its credits and debits
+// commute, so a replica steps a late entry into the fold where it lands.
+// counterApp itself keeps the canonical-order path, rewinds included,
+// under test.
+type orderFreeApp struct{ counterApp }
+
+func (orderFreeApp) Commutes() {}
 
 // noOverdraft declines debits the local guess can't cover and reports
 // accounts below zero after merges.
@@ -656,30 +665,153 @@ func TestPeriodicCheckpointsBoundReplay(t *testing.T) {
 	}
 }
 
+// TestOrderFreeAppFoldsLateGossipInPlace: an order-free App holding 1024
+// keys takes 1000 entries that gossip delivers behind its fold watermark
+// with no rewind, no checkpoint and no clone — each is one Step at each
+// replica — and a State() read before a late entry costs that entry's
+// write exactly one clone.
+func TestOrderFreeAppFoldsLateGossipInPlace(t *testing.T) {
+	const keys, late = 1024, 1000
+	s := sim.New(7)
+	c := New[counterState](orderFreeApp{}, nil, WithTransport(rpc.NewSimTransport(s)), WithReplicas(2))
+	r0 := c.Replica(0)
+	for k := 0; k < keys; k++ {
+		c.SubmitAsync(0, NewOp("credit", fmt.Sprintf("k%04d", k), 1), nil)
+	}
+	s.Run()
+	// r1's entries carry stamps below the 1024 r0 has folded, so each
+	// sorts behind r0's watermark when gossip brings it.
+	lateEntry := func(i int) {
+		op := NewOp("credit", fmt.Sprintf("k%04d", i%keys), 2)
+		op.ID, op.Lam = uniq.ID(fmt.Sprintf("late-%04d", i)), uint64(1+i%late)
+		c.SubmitAsync(1, op, nil)
+		c.GossipRound()
+		s.Run()
+	}
+	steps := c.Metrics().FoldSteps.Value()
+	for i := 0; i < late; i++ {
+		lateEntry(i)
+	}
+	m := c.Metrics()
+	if m.FoldRewinds.Value() != 0 || m.FoldCheckpoints.Value() != 0 || m.FoldClones.Value() != 0 {
+		t.Fatalf("%d late entries: %d rewinds, %d checkpoints, %d clones; want 0, 0, 0",
+			late, m.FoldRewinds.Value(), m.FoldCheckpoints.Value(), m.FoldClones.Value())
+	}
+	// One step per late entry at each replica, and r1 folds r0's keys once.
+	if got, want := m.FoldSteps.Value()-steps, int64(2*late+keys); got != want {
+		t.Fatalf("FoldSteps moved %d, want %d", got, want)
+	}
+	for i := late; i < 2*late; i++ {
+		r0.State()
+		lateEntry(i)
+	}
+	m = c.Metrics()
+	if m.FoldRewinds.Value() != 0 || m.FoldCheckpoints.Value() != 0 || m.FoldClones.Value() != late {
+		t.Fatalf("%d late entries, each after a State() read: %d rewinds, %d checkpoints, %d clones; want 0, 0, %d",
+			late, m.FoldRewinds.Value(), m.FoldCheckpoints.Value(), m.FoldClones.Value(), late)
+	}
+	if got, want := r0.State(), oplog.Fold(r0.Ops(), counterApp{}.Init(), counterApp{}.Step); !maps.Equal(got, want) {
+		t.Fatal("r0's in-place fold differs from a canonical-order refold of its set")
+	}
+	if !c.Converged() || !maps.Equal(r0.State(), c.Replica(1).State()) {
+		t.Fatal("replicas holding the same set derived different states")
+	}
+}
+
 // TestSnapshotterKeepsReturnedStatesStable: with an in-place-mutating
 // Step and a Snapshotter, states handed out by State() must not change as
-// later operations fold in.
+// later operations fold in — through the canonical-order fold, and
+// through an order-free App's in-place steps of late entries while other
+// goroutines read (the -race half).
 func TestSnapshotterKeepsReturnedStatesStable(t *testing.T) {
-	s := sim.New(4)
-	c := New[counterState](counterApp{}, nil, WithTransport(rpc.NewSimTransport(s)), WithReplicas(1))
-	if _, err := c.Submit(context.Background(), 0, NewOp("credit", "a", 10)); err != nil {
-		t.Fatal(err)
-	}
-	s.Run()
-	snap := c.Replica(0).State()
-	if snap["a"] != 10 {
-		t.Fatalf("state = %v", snap)
-	}
-	if _, err := c.Submit(context.Background(), 0, NewOp("credit", "a", 5)); err != nil {
-		t.Fatal(err)
-	}
-	s.Run()
-	if now := c.Replica(0).State(); now["a"] != 15 {
-		t.Fatalf("live state = %v", now)
-	}
-	if snap["a"] != 10 {
-		t.Fatalf("previously returned state mutated in place: %v", snap)
-	}
+	t.Run("canonical order", func(t *testing.T) {
+		s := sim.New(4)
+		c := New[counterState](counterApp{}, nil, WithTransport(rpc.NewSimTransport(s)), WithReplicas(1))
+		if _, err := c.Submit(context.Background(), 0, NewOp("credit", "a", 10)); err != nil {
+			t.Fatal(err)
+		}
+		s.Run()
+		snap := c.Replica(0).State()
+		if snap["a"] != 10 {
+			t.Fatalf("state = %v", snap)
+		}
+		if _, err := c.Submit(context.Background(), 0, NewOp("credit", "a", 5)); err != nil {
+			t.Fatal(err)
+		}
+		s.Run()
+		if now := c.Replica(0).State(); now["a"] != 15 {
+			t.Fatalf("live state = %v", now)
+		}
+		if snap["a"] != 10 {
+			t.Fatalf("previously returned state mutated in place: %v", snap)
+		}
+	})
+	t.Run("order-free, late entries, concurrent readers", func(t *testing.T) {
+		const keys, ahead, late = 16, 256, 300
+		c := New[counterState](orderFreeApp{}, nil, WithReplicas(2))
+		defer c.Close()
+		r0 := c.Replica(0)
+		for i := 0; i < ahead; i++ {
+			mustSubmit(t, c, 0, NewOp("credit", fmt.Sprintf("k%d", i%keys), 1))
+		}
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		type heldState struct{ live, want counterState }
+		held := make([][]heldState, 2)
+		for rd := range held {
+			wg.Add(1)
+			go func(rd int) {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					st := r0.State()
+					if len(held[rd]) < 512 {
+						held[rd] = append(held[rd], heldState{st, maps.Clone(st)})
+					}
+					r0.View(func(v counterState) { _ = v["k0"] })
+					time.Sleep(20 * time.Microsecond)
+				}
+			}(rd)
+		}
+		// Stamps below r0's: every entry r1 takes sorts behind r0's
+		// watermark and is stepped in place while the readers run.
+		for i := 0; i < late; i++ {
+			op := NewOp("credit", fmt.Sprintf("k%d", i%keys), 1)
+			op.ID, op.Lam = uniq.ID(fmt.Sprintf("late-%03d", i)), uint64(1+i%(ahead-1))
+			mustSubmit(t, c, 1, op)
+			for deadline := time.Now().Add(5 * time.Second); r0.OpCount() < ahead+i+1; time.Sleep(20 * time.Microsecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("r0 never absorbed late entry %d", i)
+				}
+				c.GossipRound() // a round that finds the last push unacked sends nothing
+			}
+		}
+		close(stop)
+		wg.Wait()
+		n := 0
+		for _, hs := range held {
+			for _, h := range hs {
+				n++
+				if !maps.Equal(h.live, h.want) {
+					t.Fatalf("a held State() changed after hand-out: %v, was %v", h.live, h.want)
+				}
+			}
+		}
+		if n == 0 {
+			t.Fatal("no snapshots held")
+		}
+		if m := c.Metrics(); m.FoldRewinds.Value() != 0 || m.FoldCheckpoints.Value() != 0 || m.FoldClones.Value() == 0 {
+			t.Fatalf("order-free App: %d rewinds, %d checkpoints, %d clones; want 0, 0 and a late step on a state a reader held",
+				m.FoldRewinds.Value(), m.FoldCheckpoints.Value(), m.FoldClones.Value())
+		}
+		if got := r0.State(); got["k0"] != (ahead+late+keys-1)/keys {
+			t.Fatalf("k0 = %d after %d credits of 1", got["k0"], (ahead+late+keys-1)/keys)
+		}
+	})
 }
 
 // mapNoSnapshotApp folds into a map and offers no Snapshot: the one shape

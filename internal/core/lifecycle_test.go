@@ -64,9 +64,16 @@ type lifeSub struct {
 	got     []Result
 }
 
-func newLifeEnv(t *testing.T, durable bool) *lifeEnv {
+// newLifeEnv builds a row's world. With nudge, the ingest drain nudges
+// gossip: WithGossipEvery arms the nudge, its ticker is stopped at once so
+// that rounds stay the row's to run, and a batch cap of 1 makes a single
+// unheld entry due.
+func newLifeEnv(t *testing.T, durable, nudge bool) *lifeEnv {
 	e := &lifeEnv{t: t, s: sim.New(61), durable: durable}
 	opts := []Option{WithTransport(rpc.NewSimTransport(e.s)), WithReplicas(2)}
+	if nudge {
+		opts = append(opts, WithGossipEvery(time.Hour), withIngestCap(1))
+	}
 	if durable {
 		marker := string(os.PathSeparator) + "r0" + string(os.PathSeparator)
 		fs := faultfs.New(faultfs.OS, 1, func(op faultfs.Op) faultfs.Decision {
@@ -78,6 +85,11 @@ func newLifeEnv(t *testing.T, durable bool) *lifeEnv {
 		opts = append(opts, WithDurability(t.TempDir()), WithStoreFS(fs))
 	}
 	e.c = New[counterState](counterApp{}, nil, opts...)
+	if nudge {
+		for _, stop := range e.c.stopGossip {
+			stop()
+		}
+	}
 	t.Cleanup(func() { e.c.Close() })
 	return e
 }
@@ -241,12 +253,13 @@ func wantFor(tr transition) string {
 var lifeKinds = []struct {
 	name    string
 	durable bool // only durable rows: the kind's transitions need r0's disk
+	nudge   bool // r0's drain nudges gossip (see newLifeEnv)
 	run     func(e *lifeEnv, tr transition)
 }{
 	// r0's push is in flight when r0 transitions; its ack lands after.
 	// An ack from an ended life counts positions of the dead journal, which
 	// the next life reuses for ops r1 has never seen.
-	{"push ack", false, func(e *lifeEnv, tr transition) {
+	{"push ack", false, false, func(e *lifeEnv, tr transition) {
 		e.setup(0, nil)
 		e.c.GossipRound()
 		e.apply(tr, e.degradeBySubmit)
@@ -257,21 +270,21 @@ var lifeKinds = []struct {
 	}},
 	// r1's push is in flight to r0 when r0 transitions; r0 absorbs it (or
 	// refuses it) in whatever life it lands in.
-	{"absorb commit", false, func(e *lifeEnv, tr transition) {
+	{"absorb commit", false, false, func(e *lifeEnv, tr transition) {
 		e.submit(1, false, "", nil)
 		e.c.GossipRound()
 		e.apply(tr, e.degradeBySubmit)
 		e.s.Run()
 	}},
 	// r0 coordinates a round; the admits are out when r0 transitions.
-	{"sync admit", false, func(e *lifeEnv, tr transition) {
+	{"sync admit", false, false, func(e *lifeEnv, tr transition) {
 		e.submit(0, true, wantFor(tr), nil)
 		e.apply(tr, e.degradeBySubmit)
 		e.s.Run()
 	}},
 	// r0's disk fails the round's own absorb: fatally (Kill) or with
 	// ENOSPC (degrade). The round learns of it in the life that follows.
-	{"sync absorb", true, func(e *lifeEnv, tr transition) {
+	{"sync absorb", true, false, func(e *lifeEnv, tr transition) {
 		want := "replica down"
 		e.fault = errors.New("disk on fire")
 		if tr == tDegrade || tr == tDegradeRejoin {
@@ -288,7 +301,7 @@ var lifeKinds = []struct {
 	// A submit's completion submits twice more — a guess and a coordinated
 	// op, queued behind the drain that runs the completion — and then r0
 	// transitions, before the drain reaches them.
-	{"queued ingest item", false, func(e *lifeEnv, tr transition) {
+	{"queued ingest item", false, false, func(e *lifeEnv, tr transition) {
 		e.submit(1, false, "", nil) // what r1 pushes when degradeByPush fills r0's disk
 		e.setup(0, func() {
 			// degradeByPush runs the simulator, so only a Kill leaves the
@@ -298,6 +311,17 @@ var lifeKinds = []struct {
 			e.submit(0, true, wantFor(tr), nil).inPlace = inPlace
 			e.apply(tr, e.degradeByPush)
 		})
+	}},
+	// r0's drain nudges r1 right after queuing a segment's commit, and the
+	// transition lands before the nudge: in the segment's completion for a
+	// Kill, in the segment's own failed commit for a degrade — whose
+	// declined guess the nudge must not ship.
+	{"ingest nudge", false, true, func(e *lifeEnv, tr transition) {
+		if tr == tDegrade || tr == tDegradeRejoin {
+			e.apply(tr, e.degradeBySubmit)
+			return
+		}
+		e.setup(0, func() { e.apply(tr, nil) })
 	}},
 }
 
@@ -316,12 +340,33 @@ func TestLifeFencesEveryContinuation(t *testing.T) {
 					name = map[transition]string{tKill: "Kill (volatile)", tKillRevive: "Kill→revive"}[tr]
 				}
 				t.Run(kind.name+" × "+name, func(t *testing.T) {
-					e := newLifeEnv(t, durable)
+					e := newLifeEnv(t, durable, kind.nudge)
 					kind.run(e, tr)
 					e.settle()
 				})
 			}
 		}
+	}
+}
+
+// TestIngestNudgeShipsNoDeclinedGuess: r0's disk is full, so the commit
+// of a guess fails, r0 degrades and declines the guess. The drain then
+// nudges gossip toward r1, and the push must not carry the guess: a
+// degraded replica pushes nothing.
+func TestIngestNudgeShipsNoDeclinedGuess(t *testing.T) {
+	e := newLifeEnv(t, true, true)
+	e.fault = syscall.ENOSPC
+	sub := e.submit(0, false, ReasonDegraded, nil)
+	e.fault = nil
+	e.s.Run()
+	if len(sub.got) != 1 || sub.got[0].Accepted || sub.got[0].Reason != ReasonDegraded {
+		t.Fatalf("guess on a full disk resolved %+v; want one degraded decline", sub.got)
+	}
+	if n := e.c.Replica(1).OpCount(); n != 0 {
+		t.Fatalf("r1 holds %d ops: the ingest nudge shipped the guess r0 declined", n)
+	}
+	if n := e.c.Metrics().OpsTransferred.Value(); n != 0 {
+		t.Fatalf("gossip moved %d entries from a degraded replica", n)
 	}
 }
 

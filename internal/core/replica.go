@@ -76,7 +76,8 @@ type Replica[S any] struct {
 	// the watermark are waiting to be folded in. snaps holds periodic
 	// checkpoint snapshots (ascending mark) so a gossip merge that sorts
 	// behind the watermark rewinds to a recent checkpoint instead of
-	// genesis. See stateLocked and rewindLocked.
+	// genesis. An order-free App steps such an entry in place instead and
+	// keeps no snapshots. See stateLocked, stepLateLocked and rewindLocked.
 	state       S
 	stateMark   oplog.Watermark
 	stateN      int
@@ -512,23 +513,45 @@ func (r *Replica[S]) foldLocked() {
 	// Replica — as it did for the daemon's, at a few allocations a fold.
 	for i, n := r.ops.Start(mark), r.ops.Len(); i < n; i++ {
 		e := r.ops.At(i)
-		if r.stateShared {
-			// A State() caller holds the accumulator; folding in place would
-			// mutate their snapshot. Clone once per fold batch, not per State
-			// call — and only here: a write nobody read between never clones.
-			r.state = r.c.snapFn(r.state)
-			r.stateShared = false
-			r.g.M.FoldClones.Inc()
-		}
+		r.ownStateLocked()
 		r.state = r.c.app.Step(r.state, e)
 		r.stateN++
 		mark = e.Mark()
-		if r.stateN%every == 0 {
+		if r.stateN%every == 0 && !r.c.commutes {
+			// Checkpoints exist to rewind to; an order-free App never rewinds.
 			r.checkpointLocked(mark)
 		}
 	}
 	r.stateMark = mark
 	r.g.M.FoldSteps.Addn(int64(r.stateN - folded))
+}
+
+// ownStateLocked readies the accumulator for an in-place Step: when a
+// State() caller holds it, folding in place would mutate their snapshot,
+// so clone it first — once per write after a read, not per State call,
+// and a write nobody read before never clones.
+func (r *Replica[S]) ownStateLocked() {
+	if r.stateShared {
+		r.state = r.c.snapFn(r.state)
+		r.stateShared = false
+		r.g.M.FoldClones.Inc()
+	}
+}
+
+// stepLateLocked folds in an entry that sorts at or behind the fold
+// watermark, in place, when the App is order-free (Commutative): its
+// fold of the set does not depend on where the entry sorts, and the
+// watermark still bounds what is left to fold. It reports false for any
+// other App, which must rewind instead (rewindLocked).
+func (r *Replica[S]) stepLateLocked(e oplog.Entry) bool {
+	if !r.c.commutes {
+		return false
+	}
+	r.ownStateLocked()
+	r.state = r.c.app.Step(r.state, e)
+	r.stateN++
+	r.g.M.FoldSteps.Inc()
+	return true
 }
 
 // checkpointLocked stores a cloned snapshot of the fold at mark, keeping
@@ -578,7 +601,7 @@ func (r *Replica[S]) addedLocked(e oplog.Entry) {
 	if e.Lam > r.lamport {
 		r.lamport = e.Lam
 	}
-	if !r.stateMark.Before(e) {
+	if !r.stateMark.Before(e) && !r.stepLateLocked(e) {
 		// The newcomer sorts into the already-folded past: the
 		// checkpoint no longer covers a prefix of the canonical
 		// order. Ingress Lamport stamping makes this rare — only
@@ -638,7 +661,7 @@ func (r *Replica[S]) absorbLocked(entries []oplog.Entry, from string) (added []o
 		if e.Lam > r.lamport {
 			r.lamport = e.Lam
 		}
-		if !r.stateMark.Before(e) {
+		if !r.stateMark.Before(e) && !r.stepLateLocked(e) {
 			// The newcomer sorts into the already-folded past: the
 			// checkpoint no longer covers a prefix of the canonical order.
 			// One rewind to the earliest such position covers the whole
@@ -1087,15 +1110,20 @@ const maxPushBytes = 4 << 20
 // most maxPushBytes of it — one directed edge of an anti-entropy round;
 // the next round continues where this one ended. An acknowledgement
 // advances p.held and may let the replica truncate the journal prefix
-// every gossip peer now holds.
+// every gossip peer now holds. A replica that is down or degraded pushes
+// nothing: a degraded one holds phantom entries its disk never accepted —
+// guesses it declined — and pushing those would spread work nobody can
+// back. Both callers, the gossip round and the ingest drain's nudge, rely
+// on this one fence.
 func (r *Replica[S]) pushTo(p *gossipPeer[S]) {
 	r.mu.Lock()
-	if p.pushing {
-		// A push to this peer is still in flight. Sending again would
-		// retransmit the same unacknowledged suffix — under ingest load
-		// that compounds into a resend storm, each round re-shipping and
-		// re-deduplicating an ever-growing window. The next round (or the
-		// ack) picks up whatever is new.
+	life := r.lc.stamp()
+	if _, _, ok := r.lc.fence(life, r.node.Crashed()); !ok || p.pushing {
+		// Fenced out, or a push to this peer is still in flight. Sending
+		// again would retransmit the same unacknowledged suffix — under
+		// ingest load that compounds into a resend storm, each round
+		// re-shipping and re-deduplicating an ever-growing window. The next
+		// round (or the ack) picks up whatever is new.
 		r.mu.Unlock()
 		return
 	}
@@ -1111,7 +1139,6 @@ func (r *Replica[S]) pushTo(p *gossipPeer[S]) {
 		return
 	}
 	p.pushing = true
-	life := r.lc.stamp()
 	r.mu.Unlock()
 	r.g.M.OpsTransferred.Addn(int64(len(entries)))
 	peer := p.rep.id

@@ -12,7 +12,11 @@ type Accounts map[string]int64
 
 // AccountsApp folds deposit/withdraw operations. Step mutates the
 // accumulator in place; the Snapshotter implementation keeps states the
-// engine has handed out stable regardless.
+// engine has handed out stable regardless. Its operations commute — each
+// adds to one balance, in wrapping int64 arithmetic, and every other kind
+// folds as nothing — so it declares itself order-free (core.Commutative)
+// and a replica folds late gossip in place, with no rewind and no
+// checkpoint. FuzzAccountsCommute holds it to that declaration.
 type AccountsApp struct{}
 
 // Init returns the empty ledger.
@@ -29,6 +33,9 @@ func (AccountsApp) Step(s Accounts, op core.Op) Accounts {
 	}
 	return s
 }
+
+// Commutes declares the operations order-free (core.Commutative).
+func (AccountsApp) Commutes() {}
 
 // Snapshot deep-copies the ledger (Snapshotter contract).
 func (AccountsApp) Snapshot(s Accounts) Accounts {
