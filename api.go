@@ -73,7 +73,7 @@ type (
 	SubmitOption = core.SubmitOption
 	// StoreStats counts a durable cluster's disk work: fsyncs completed,
 	// entries journaled, torn bytes truncated at recovery, and the worst
-	// single writer stall (Snapshots, SnapshotFailures and Recycled stay 0).
+	// single writer stall (Snapshots and Recycled stay 0).
 	// Cluster.DurabilityStats aggregates it across replicas.
 	StoreStats = store.Stats
 )

@@ -722,7 +722,7 @@ func (c *Cluster[S]) DegradedShards() []int {
 
 // DurabilityStats sums the disk-work counters of every replica's live
 // store: fsyncs completed, entries journaled, torn bytes truncated at
-// recovery (Snapshots, SnapshotFailures and Recycled stay 0).
+// recovery (Snapshots and Recycled stay 0).
 // MaxStallNs is the max, not the sum — the worst single writer stall
 // anywhere in the cluster. All zeros without WithDurability.
 func (c *Cluster[S]) DurabilityStats() store.Stats {

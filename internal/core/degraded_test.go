@@ -114,6 +114,57 @@ func TestDegradedReadOnlyMode(t *testing.T) {
 	}
 }
 
+// TestRecoverRefusesDegradedReplica: a degraded replica that was downed
+// but never killed still holds its RAM, the op its failed commit declined
+// included, and no store. Recover refuses it and opens no store (one
+// opened here would never be closed, and a later Rejoin would open a
+// second on the same directory); Rejoin is its way back, and the
+// declined op ends up nowhere.
+func TestRecoverRefusesDegradedReplica(t *testing.T) {
+	var full atomic.Bool
+	s := sim.New(7)
+	c := New[counterState](counterApp{}, nil,
+		WithTransport(rpc.NewSimTransport(s)), WithReplicas(3), WithDurability(t.TempDir()),
+		WithStoreFS(replicaFS("r1", &full, syscall.ENOSPC)))
+	defer c.Close()
+	for i := 0; i < 6; i++ {
+		mustSubmit(t, c, i%3, NewOp("credit", "k", 1))
+	}
+	convergeSim(t, s, c)
+	full.Store(true)
+	res, err := c.Submit(context.Background(), 1, NewOp("credit", "k", 1))
+	if err != nil || res.Accepted || res.Reason != ReasonDegraded {
+		t.Fatalf("submit on full disk = %+v err=%v, want a ReasonDegraded decline", res, err)
+	}
+	r1 := c.Replica(1)
+	if !r1.Degraded() || r1.OpCount() != 7 {
+		t.Fatalf("degraded=%v holding %d ops, want degraded holding 7 (the declined op in RAM)", r1.Degraded(), r1.OpCount())
+	}
+
+	full.Store(false)
+	c.Transport().SetUp("r1", false)
+	if err := c.Recover(context.Background(), 1); err == nil {
+		t.Fatal("Recover reseeded a degraded replica that was never killed")
+	}
+	if _, ok := r1.StoreStats(); ok {
+		t.Fatal("a refused Recover left a store open")
+	}
+	if !r1.Degraded() {
+		t.Fatal("a refused Recover ended the degraded phase")
+	}
+
+	c.Transport().SetUp("r1", true)
+	if err := c.Rejoin(context.Background(), 1); err != nil {
+		t.Fatal(err)
+	}
+	convergeSim(t, s, c)
+	for i := 0; i < 3; i++ {
+		if n := c.Replica(i).OpCount(); n != 6 {
+			t.Fatalf("r%d holds %d ops after Rejoin, want the 6 accepted", i, n)
+		}
+	}
+}
+
 // TestUnknownStoreErrorStillFailsFast: only recoverable disk errors
 // degrade; damage this code cannot classify keeps the old §2.2
 // discipline — crash, wiping the phantoms.

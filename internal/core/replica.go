@@ -301,28 +301,25 @@ func (r *Replica[S]) notHosted(op Op) Result {
 }
 
 // seedFromDisk rebuilds the replica's in-memory world from a store
-// recovery: operation set and Lamport clock from snapshot ∪ journal,
-// gossip journal re-seeded with the suffix some peer may not have
+// recovery: operation set and Lamport clock from the journal, gossip
+// journal re-seeded with the suffix some peer may not have
 // acknowledged (positions [Acked, End); peers that already hold some of
 // it dedupe the re-push), fold checkpoint rebuilt lazily by the next
 // State call. Runs before the replica is published (construction or
 // under mu during Recover).
 func (r *Replica[S]) seedFromDisk(st *store.Store, rec store.Recovery) {
 	r.store = st
-	r.ops.Grow(len(rec.SnapshotEntries) + len(rec.JournalEntries))
-	acked := rec.Acked - rec.Base
-	for _, e := range rec.SnapshotEntries {
-		r.ops.Add(e)
-	}
-	for _, e := range rec.JournalEntries[:acked] {
+	r.ops.Grow(len(rec.JournalEntries))
+	for _, e := range rec.JournalEntries[:rec.Acked] {
 		r.ops.Add(e)
 	}
 	// The journal keeps the set's copies of the suffix, read back from
-	// AddAll a bounded chunk at a time: the recovery's strings would pin
-	// whole segment files in memory. An entry an older build's snapshot
-	// already held is not new to the set; the journal copies it.
+	// AddAll a bounded chunk at a time, as recovered strings pin whole
+	// segments. An ID journaled twice (as a join replacing a row would
+	// journal it) is not new to the set the second time; a copy of it
+	// keeps the gossip journal's positions aligned with the store's.
 	r.journal = oplog.JournalAt(rec.Acked)
-	for suffix := rec.JournalEntries[acked:]; len(suffix) > 0; {
+	for suffix := rec.JournalEntries[rec.Acked:]; len(suffix) > 0; {
 		chunk := suffix[:min(len(suffix), ingestBatchCap)]
 		suffix = suffix[len(chunk):]
 		added := r.ops.AddAll(chunk)
@@ -1269,7 +1266,8 @@ func (r *Replica[S]) wipeLocked() {
 // Gossip then fills in everything admitted elsewhere while the replica
 // was dead — peers held their journals for it (an unacknowledged prefix
 // is never truncated), and it re-pushes its own unacknowledged suffix,
-// which peers dedupe.
+// which peers dedupe. Recover follows Kill; a degraded replica heals
+// with Rejoin.
 func (r *Replica[S]) Recover(ctx context.Context) error {
 	if r.remote {
 		return fmt.Errorf("quicksand: replica %s is hosted by another process; recover it there", r.id)
@@ -1280,6 +1278,9 @@ func (r *Replica[S]) Recover(ctx context.Context) error {
 	if !r.node.Crashed() {
 		return fmt.Errorf("quicksand: replica %s is alive; Recover follows Kill", r.id)
 	}
+	if r.lc.isDegraded() {
+		return fmt.Errorf("quicksand: replica %s is degraded; Rejoin heals it, Recover follows Kill", r.id)
+	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -1288,20 +1289,19 @@ func (r *Replica[S]) Recover(ctx context.Context) error {
 		return fmt.Errorf("quicksand: recover %s: %w", r.id, err)
 	}
 	r.mu.Lock()
-	if r.store != nil {
-		// The replica still holds a store: either a concurrent Recover won
-		// the race, or the node was merely SetUp(false) — downed with its
-		// RAM intact — rather than killed. Either way this handle is
-		// surplus and the state must not be clobbered.
+	if r.store != nil || r.lc.isDegraded() {
+		// The replica kept its RAM: a concurrent Recover won the race, or
+		// the node was only SetUp(false), and may have degraded since.
+		// This handle is surplus; the state must not be clobbered.
 		r.mu.Unlock()
 		st.Close()
-		return fmt.Errorf("quicksand: replica %s still holds its state (already recovered, or downed without Kill)", r.id)
+		return fmt.Errorf("quicksand: replica %s still holds its state (already recovered, degraded, or downed without Kill)", r.id)
 	}
 	r.seedFromDisk(st, rec)
-	n, snapN, journalN := r.ops.Len(), len(rec.SnapshotEntries), len(rec.JournalEntries)
+	n := r.ops.Len()
 	r.mu.Unlock()
 	r.Ledger.Record(r.c.tr.Now(), apology.Memory, r.id,
-		fmt.Sprintf("recovered %d ops from disk (snapshot %d + journal %d)", n, snapN, journalN), "")
+		fmt.Sprintf("recovered %d ops from disk (journal %d)", n, len(rec.JournalEntries)), "")
 	r.c.tr.SetUp(r.id, true)
 	return nil
 }

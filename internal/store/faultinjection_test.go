@@ -58,28 +58,17 @@ func driveCrashWorkload(st *Store, all []oplog.Entry, from, batch, ackEvery int)
 	return acked
 }
 
-// recoveredSeq flattens a Recovery into the full position-ordered
-// entry sequence [0, End): the snapshot, if any, covers [0, SnapshotPos),
-// the journal [Base, End), and replay guarantees Base <= SnapshotPos. It
-// also holds Acked inside [Base, End].
+// recoveredSeq is a Recovery's position-ordered entry sequence [0, End),
+// which the journal holds whole. It also holds Acked inside [0, End].
 func recoveredSeq(t *testing.T, rec Recovery) []oplog.Entry {
 	t.Helper()
-	if rec.Base > rec.SnapshotPos {
-		t.Fatalf("recovery gap: journal base %d past snapshot pos %d", rec.Base, rec.SnapshotPos)
+	if rec.Acked > rec.End {
+		t.Fatalf("acked %d outside the journal [0, %d]", rec.Acked, rec.End)
 	}
-	if rec.Acked < rec.Base || rec.Acked > rec.End {
-		t.Fatalf("acked %d outside the journal [%d, %d]", rec.Acked, rec.Base, rec.End)
+	if len(rec.JournalEntries) != rec.End {
+		t.Fatalf("recovered %d entries, End says %d", len(rec.JournalEntries), rec.End)
 	}
-	seq := append([]oplog.Entry(nil), rec.SnapshotEntries...)
-	if skip := rec.SnapshotPos - rec.Base; skip <= len(rec.JournalEntries) {
-		seq = append(seq, rec.JournalEntries[skip:]...)
-	} else {
-		t.Fatalf("recovery: journal [%d,%d) cannot reach snapshot pos %d", rec.Base, rec.End, rec.SnapshotPos)
-	}
-	if len(seq) != rec.End {
-		t.Fatalf("recovered %d entries, End says %d", len(seq), rec.End)
-	}
-	return seq
+	return rec.JournalEntries
 }
 
 func TestCrashPointEnumeration(t *testing.T) {

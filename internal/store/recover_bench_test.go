@@ -71,10 +71,7 @@ func BenchmarkRecoverJournal400k(b *testing.B) {
 		}
 		opened := time.Now()
 		set := oplog.NewSet()
-		set.Grow(len(rec.SnapshotEntries) + len(rec.JournalEntries))
-		for _, e := range rec.SnapshotEntries {
-			set.Add(e)
-		}
+		set.Grow(len(rec.JournalEntries))
 		for _, e := range rec.JournalEntries {
 			set.Add(e)
 		}

@@ -18,19 +18,15 @@
 //
 // # On-disk layout
 //
-// A store owns one directory:
+// A store owns one directory, and reads only the files it writes:
 //
 //	journal-0000000000.seg   segment: header, then records
 //	journal-0000012345.seg   (filename = absolute position of first record)
 //	incarnation              the next Open's incarnation number (Recovery.Incarnation)
 //	acked                    a position every gossip peer had acknowledged (Recovery.Acked)
-//	snap-0000012000.snap     left by an older build: read, never written
-//	delta-0000012400.snap    left by an older build: never read
-//	free-0000000003.seg      left by an older build: removed by Open
 //
 // A segment header is the 6-byte magic "QSEG2\n" plus the segment's
-// start position (uint64 LE); a pre-salt "QSEG1\n" segment is refused
-// with ErrLegacySegment, never truncated. Every journal record is
+// start position (uint64 LE). Every journal record is
 // [uint32 length][uint32 CRC-32C][entry bytes] (little-endian,
 // oplog.AppendEntry payload), with the CRC salted by a seed derived from
 // the segment's start position — see seedFor. Appends go to the last
@@ -44,18 +40,19 @@
 // temp file, fsync, rename, directory fsync. A malformed incarnation file
 // is ErrBadIncarnation. The acked file is rewritten at each segment seal
 // and at Close; it only ever lags the truth, which is safe, so a missing
-// or malformed one reads as the journal's first position.
+// or malformed one reads as position 0.
 //
-// Older builds also cut snapshots — the whole ledger prefix below a
-// position, in canonical order — and retired the segments beneath them.
-// Open still reads the newest snapshot that parses, because in such a
-// directory it may hold the only copy of the positions below the first
-// retained segment. Nothing writes or removes one any more.
+// Older builds also wrote snapshots (snap-*), snapshot deltas (delta-*),
+// pooled segments (free-*) and pre-salt "QSEG1\n" segments, and retired
+// the segments beneath a snapshot. Open refuses such a directory with
+// ErrLegacyDirectory, naming the file, before it changes a byte: a
+// snapshot may hold the only copy of positions no segment holds, so
+// skipping one could open a shorter ledger.
 //
 // # Recovery and the truncation invariant
 //
-// Open replays the directory back into memory: the newest parseable
-// snapshot, if an older build left one, then every journal record. A
+// Open replays the directory back into memory: every journal record,
+// from position 0 with no gap between segments. A
 // torn final record — a crash mid-append — is truncated away and counted,
 // exactly the "examine the work in the tail of the log and determine what
 // the heck to do" of §5.1; an invalid record anywhere *before* the tail
@@ -86,10 +83,8 @@ import (
 
 // Filenames and framing constants.
 const (
-	segMagicV1 = "QSEG1\n" // pre-salt journal segment header: refused, see ErrLegacySegment
+	segMagicV1 = "QSEG1\n" // pre-salt journal segment header: refused, see ErrLegacyDirectory
 	segMagicV2 = "QSEG2\n" // salted journal segment header: magic + uint64 LE start position
-	snapMagic  = "QSNP1\n" // snapshot header
-	snapFooter = "QEND\n"  // snapshot trailer: present iff the write completed
 	incMagic   = "QINC1\n" // incarnation file: magic + uint64 LE next incarnation + uint32 CRC-32C of both
 	incFile    = "incarnation"
 	ackMagic   = "QACK1\n" // acked file: magic + uint64 LE acknowledged position + uint32 CRC-32C of both
@@ -127,11 +122,13 @@ func seedFor(start int) uint32 {
 // torn write cannot explain, which recovery must not paper over.
 var ErrCorrupt = errors.New("store: corrupt journal record before the tail")
 
-// ErrLegacySegment reports a journal segment in the pre-salt "QSEG1\n"
-// format, which this store no longer reads. Open fails and leaves the
-// file byte-identical: treating it as a torn header would truncate
-// acknowledged records away.
-var ErrLegacySegment = errors.New("store: QSEG1 journal segment (unsalted record CRCs) is no longer readable")
+// ErrLegacyDirectory reports a file only an older build wrote: a
+// snapshot (snap-*), a snapshot delta (delta-*), a pooled segment
+// (free-*) or a pre-salt "QSEG1\n" journal segment. This store reads
+// none of them, and skipping one could lose positions only it holds —
+// while a QSEG1 segment taken for a torn header would be truncated away —
+// so Open fails, naming the file, and changes no byte of the directory.
+var ErrLegacyDirectory = errors.New("store: directory written by an older build (snapshot, delta, pooled or QSEG1 segment) is not readable")
 
 // ErrBadIncarnation reports an incarnation file that is not one a store
 // wrote: wrong size, magic or checksum. Open refuses rather than guess a
@@ -196,13 +193,12 @@ func (o Options) withDefaults() Options {
 type Stats struct {
 	Fsyncs   int64 // journal fsyncs completed (the figure group commit minimizes)
 	Appended int64 // entries staged for the journal
-	// Snapshots, SnapshotFailures and Recycled are always 0: the store
-	// cuts no snapshots and recycles no segments. They stay so that
-	// callers reading them still build.
-	Snapshots        int64
-	SnapshotFailures int64
-	Recycled         int64
-	TornBytes        int64 // bytes truncated from a torn tail at Open
+	// Snapshots and Recycled are always 0: the store cuts no snapshots
+	// and recycles no segments. They stay so that callers reading them
+	// still build.
+	Snapshots int64
+	Recycled  int64
+	TornBytes int64 // bytes truncated from a torn tail at Open
 	// MaxStallNs is the longest single flush cycle (write + fsync) in
 	// nanoseconds — the worst case a commit waited on the disk itself,
 	// the writer-stall figure the tail-latency work minimizes.
@@ -210,26 +206,21 @@ type Stats struct {
 }
 
 // Recovery is everything Open rebuilt from disk. The owner re-derives
-// its in-memory structures from it: operation set = SnapshotEntries ∪
-// JournalEntries (set union dedupes the overlap), Lamport clock = max
-// over both, fold checkpoint = refold, gossip journal = the
-// JournalEntries at absolute positions [Acked, End).
+// its in-memory structures from it: operation set = JournalEntries,
+// Lamport clock = their max, fold checkpoint = refold, gossip journal =
+// the JournalEntries at positions [Acked, End).
 //
 // The entries' strings are substrings of the files they were read from —
 // one string per segment — so keeping one entry keeps its whole segment
 // in memory: copy what must outlive recovery (an oplog.Set does).
 type Recovery struct {
-	SnapshotEntries []oplog.Entry   // an older build's snapshot: the ledger prefix in canonical fold order (usually none)
-	SnapshotPos     int             // journal position the snapshot covers
-	SnapshotMark    oplog.Watermark // fold watermark at the snapshot
-	JournalEntries  []oplog.Entry   // arrival order, positions [Base, End)
-	Base            int             // absolute position of the first journal entry (0 unless an older build retired segments)
-	End             int             // next position to be appended
+	JournalEntries []oplog.Entry // arrival order, positions [0, End)
+	End            int           // next position to be appended
 	// Acked is the position below which every gossip peer had
 	// acknowledged the journal when the acked file was last written, in
-	// [Base, End]. It may lag the truth, never lead it: an owner need
+	// [0, End]. It may lag the truth, never lead it: an owner need
 	// re-push only [Acked, End), and peers dedupe what they already hold.
-	// Base when the file is absent, malformed or out of range.
+	// 0 when the file is absent, malformed or out of range.
 	Acked     int
 	TornBytes int64 // bytes dropped from a torn final record
 	// Incarnation numbers this Open among every Open of the directory: 0
@@ -322,7 +313,9 @@ type Store struct {
 // Open replays dir (created if absent) and returns the store positioned
 // to append after everything recovered. Abandoned temp files are swept,
 // a torn final record is truncated away, and corruption before the tail
-// fails with ErrCorrupt. Before it returns, Open durably counts itself in
+// fails with ErrCorrupt. A directory an older build wrote fails with
+// ErrLegacyDirectory, and a journal with a gap fails too; both leave
+// every byte as it was. Before it returns, Open durably counts itself in
 // the directory's incarnation file (Recovery.Incarnation); a malformed one
 // fails with ErrBadIncarnation.
 func Open(dir string, opt Options) (*Store, Recovery, error) {
@@ -794,8 +787,7 @@ func appendFrame(buf []byte, e oplog.Entry) []byte {
 var zeroHdr [recHdrLen]byte
 
 // seal fills in the CRC of the one frame rec holds, salted with a
-// segment's seed (a snapshot record's is 0: crc32.Update with seed 0
-// equals plain crc32.Checksum).
+// segment's seed.
 func seal(rec []byte, seed uint32) {
 	binary.LittleEndian.PutUint32(rec[4:], crc32.Update(seed, castagnoli, rec[recHdrLen:]))
 }
@@ -1035,11 +1027,6 @@ func (s *Store) writeCounter(name, magic string, n uint64) error {
 	return s.syncDir()
 }
 
-// snapFilePos extracts the position encoded in a snapshot filename.
-func snapFilePos(name string) (int, error) {
-	return strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, "snap-"), ".snap"))
-}
-
 // syncDir fsyncs the store directory so renames and removals inside it
 // are durable before we depend on them.
 func (s *Store) syncDir() error {
@@ -1067,31 +1054,27 @@ func (s *Store) replay() (Recovery, error) {
 	if err != nil {
 		return Recovery{}, err
 	}
-	var segPaths, snapPaths []string
+	// Every name, and every segment's magic, is looked at before anything
+	// is removed or truncated: a refused directory keeps every byte.
+	var segNames, tmpNames []string
 	for _, de := range names {
 		name := de.Name()
 		switch {
-		case strings.HasSuffix(name, ".tmp"),
-			strings.HasPrefix(name, "free-") && strings.HasSuffix(name, ".seg"):
-			// An abandoned atomic write, never renamed, or a retired segment
-			// an older build pooled for reuse: neither holds a record.
-			s.fs.Remove(filepath.Join(s.dir, name))
+		case strings.HasPrefix(name, "snap-"), strings.HasPrefix(name, "delta-"), strings.HasPrefix(name, "free-"):
+			return Recovery{}, fmt.Errorf("store: %s: %w", name, ErrLegacyDirectory)
+		case strings.HasSuffix(name, ".tmp"):
+			tmpNames = append(tmpNames, name) // an abandoned atomic write, never renamed
 		case strings.HasPrefix(name, "journal-") && strings.HasSuffix(name, ".seg"):
-			segPaths = append(segPaths, name)
-		case strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".snap"):
-			snapPaths = append(snapPaths, name)
+			segNames = append(segNames, name)
 		}
 	}
-	sort.Strings(segPaths)
-
-	rec := Recovery{}
-	s.loadNewestSnapshot(&rec, snapPaths)
+	sort.Strings(segNames)
 
 	// Read every segment first, so that one slice sized to the records
 	// they hold takes every entry.
-	segs := make([]segData, len(segPaths))
+	segs := make([]segData, len(segNames))
 	records := 0
-	for i, name := range segPaths {
+	for i, name := range segNames {
 		start, err := segStart(name)
 		if err != nil {
 			return Recovery{}, fmt.Errorf("store: bad segment name %q: %w", name, err)
@@ -1100,16 +1083,21 @@ func (s *Store) replay() (Recovery, error) {
 		if err != nil {
 			return Recovery{}, err
 		}
+		if bytes.HasPrefix(b, []byte(segMagicV1)) {
+			return Recovery{}, fmt.Errorf("store: %s: %w", name, ErrLegacyDirectory)
+		}
 		segs[i] = segData{name: name, start: start, b: b, str: string(b)}
 		records += countRecords(b)
 	}
-	rec.JournalEntries = make([]oplog.Entry, 0, records)
+	rec := Recovery{JournalEntries: make([]oplog.Entry, 0, records)}
 	for i, sd := range segs {
-		if i == 0 {
-			rec.Base = sd.start
-			rec.End = sd.start
-		} else if sd.start != rec.End {
-			return Recovery{}, fmt.Errorf("store: journal gap: segment %q starts at %d, want %d", sd.name, sd.start, rec.End)
+		// A lost segment must not open as a shorter ledger, nor let fresh
+		// entries take positions it held.
+		switch {
+		case sd.start > rec.End:
+			return Recovery{}, fmt.Errorf("store: journal gap: positions [%d, %d) are on no segment (%s starts at %d)", rec.End, sd.start, sd.name, sd.start)
+		case sd.start < rec.End:
+			return Recovery{}, fmt.Errorf("store: journal overlap: %s starts at %d, inside positions [0, %d) earlier segments hold", sd.name, sd.start, rec.End)
 		}
 		final := i == len(segs)-1
 		n := len(rec.JournalEntries)
@@ -1123,25 +1111,10 @@ func (s *Store) replay() (Recovery, error) {
 		rec.End += count
 		s.active = segment{path: filepath.Join(s.dir, sd.name), start: sd.start, count: count}
 	}
-	if len(segs) == 0 {
-		// Fresh directory, or an older build retired every segment before
-		// a crash: the journal resumes just past the snapshot.
-		rec.Base = rec.SnapshotPos
-		rec.End = rec.SnapshotPos
+	for _, name := range tmpNames {
+		s.fs.Remove(filepath.Join(s.dir, name))
 	}
-	if rec.Base > rec.SnapshotPos && rec.Base > 0 {
-		return Recovery{}, fmt.Errorf("store: positions [%d, %d) are on no snapshot and no journal segment", rec.SnapshotPos, rec.Base)
-	}
-	if rec.SnapshotPos > rec.End {
-		// A snapshot claiming positions the journal never durably held:
-		// the builds that cut snapshots gated each on the flush covering
-		// it precisely so this state cannot arise, so finding it means the
-		// directory was tampered with or mixes incarnations — resuming
-		// would assign fresh entries to positions the snapshot claims.
-		return Recovery{}, fmt.Errorf("store: snapshot covers [0, %d) but the journal ends at %d", rec.SnapshotPos, rec.End)
-	}
-	rec.Acked = rec.Base
-	if n, err := s.readCounter(ackFile, ackMagic); err == nil && n >= uint64(rec.Base) && n <= uint64(rec.End) {
+	if n, err := s.readCounter(ackFile, ackMagic); err == nil && n <= uint64(rec.End) {
 		rec.Acked = int(n)
 	}
 	return rec, nil
@@ -1166,30 +1139,6 @@ func countRecords(b []byte) int {
 	return n
 }
 
-// loadNewestSnapshot fills rec from the newest snapshot that parses end
-// to end and names its own position; a torn or damaged one is passed
-// over for the one before it. Names are zero-padded, so they sort by
-// position.
-func (s *Store) loadNewestSnapshot(rec *Recovery, names []string) {
-	sort.Sort(sort.Reverse(sort.StringSlice(names)))
-	for _, name := range names {
-		want, err := snapFilePos(name)
-		if err != nil {
-			continue
-		}
-		data, err := s.fs.ReadFile(filepath.Join(s.dir, name))
-		if err != nil {
-			continue
-		}
-		ents, pos, mark, err := parseSnapshot(data)
-		if err != nil || pos != want {
-			continue
-		}
-		rec.SnapshotEntries, rec.SnapshotPos, rec.SnapshotMark = ents, pos, mark
-		return
-	}
-}
-
 // scanSegment replays one segment file, appending its entries to ents.
 // In a sealed (non-final) segment every record must verify; in the final
 // segment an invalid record is a torn tail — truncated away and durably
@@ -1200,13 +1149,7 @@ func (s *Store) loadNewestSnapshot(rec *Recovery, names []string) {
 func (s *Store) scanSegment(sd segData, final bool, ents []oplog.Entry) (_ []oplog.Entry, torn int64, err error) {
 	path := filepath.Join(s.dir, sd.name)
 	data := sd.b
-	switch {
-	case len(data) >= segHdrV2 && string(data[:len(segMagicV2)]) == segMagicV2:
-	case len(data) >= len(segMagicV1) && string(data[:len(segMagicV1)]) == segMagicV1:
-		// Not a torn header: falling through to the truncation below would
-		// destroy a journal an older build acknowledged.
-		return ents, 0, fmt.Errorf("store: %s: %w", sd.name, ErrLegacySegment)
-	default:
+	if len(data) < segHdrV2 || string(data[:len(segMagicV2)]) != segMagicV2 {
 		if final {
 			// A crash before the header finished; openSegLocked rewrites it.
 			return ents, int64(len(data)), s.truncateTo(path, 0)
@@ -1278,52 +1221,4 @@ func (s *Store) truncateTo(path string, size int64) error {
 	}
 	defer f.Close()
 	return f.Sync()
-}
-
-// minSnapRecord is the shortest snapshot record: a header and an empty
-// entry (four empty strings and three one-byte varints).
-const minSnapRecord = recHdrLen + 4 + 3
-
-// parseSnapshot decodes a snapshot file's bytes end to end; any shortfall
-// (magic, a record CRC, the footer) invalidates the whole file. The
-// entries' strings are substrings of one copy of data.
-func parseSnapshot(data []byte) (ents []oplog.Entry, pos int, mark oplog.Watermark, err error) {
-	fail := func(what string) ([]oplog.Entry, int, oplog.Watermark, error) {
-		return nil, 0, oplog.Watermark{}, fmt.Errorf("store: snapshot: bad %s", what)
-	}
-	b, ok := bytes.CutPrefix(data, []byte(snapMagic))
-	if !ok {
-		return fail("magic")
-	}
-	upos, n := binary.Uvarint(b)
-	if n <= 0 {
-		return fail("position")
-	}
-	b = b[n:]
-	mark, b, err = oplog.DecodeWatermark(b)
-	if err != nil {
-		return fail("watermark")
-	}
-	count, n := binary.Uvarint(b)
-	if n <= 0 {
-		return fail("count")
-	}
-	b = b[n:]
-	str := string(b)
-	// The count is read from disk: a damaged one must not become a giant
-	// allocation before the records run out.
-	ents = make([]oplog.Entry, 0, min(count, uint64(len(b)/minSnapRecord)))
-	off := 0
-	for i := uint64(0); i < count; i++ {
-		ok, size, e := parseRecord(b[off:], str[off:], 0)
-		if !ok {
-			return fail(fmt.Sprintf("record %d", i))
-		}
-		ents = append(ents, e)
-		off += size
-	}
-	if string(b[off:]) != snapFooter {
-		return fail("footer")
-	}
-	return ents, int(upos), mark, nil
 }

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -57,7 +58,7 @@ func commitAll(t *testing.T, s *Store, entries []oplog.Entry) {
 func TestEmptyDirColdStart(t *testing.T) {
 	dir := t.TempDir()
 	s, rec := mustOpen(t, dir, inlineOpts())
-	if rec.Base != 0 || rec.End != 0 || len(rec.JournalEntries) != 0 || len(rec.SnapshotEntries) != 0 {
+	if rec.End != 0 || len(rec.JournalEntries) != 0 {
 		t.Fatalf("cold start recovered something: %+v", rec)
 	}
 	commitAll(t, s, []oplog.Entry{entry(0), entry(1)})
@@ -67,7 +68,7 @@ func TestEmptyDirColdStart(t *testing.T) {
 	// A second cold start sees exactly what was committed.
 	s2, rec2 := mustOpen(t, dir, inlineOpts())
 	defer s2.Close()
-	if rec2.Base != 0 || rec2.End != 2 || len(rec2.JournalEntries) != 2 {
+	if rec2.End != 2 || len(rec2.JournalEntries) != 2 {
 		t.Fatalf("restart: %+v", rec2)
 	}
 	if rec2.JournalEntries[0] != entry(0) || rec2.JournalEntries[1] != entry(1) {
@@ -216,107 +217,6 @@ func TestCorruptSealedSegmentRejected(t *testing.T) {
 	}
 }
 
-// TestSnapshotPlusReplayEqualsPureReplayOracle opens the directory shape
-// an older build left — a snapshot at 100 and the journal segments wholly
-// below it retired — and must recover the set a journal that was never
-// snapshotted recovers.
-func TestSnapshotPlusReplayEqualsPureReplayOracle(t *testing.T) {
-	oracleDir, dir := t.TempDir(), t.TempDir()
-	opt := inlineOpts()
-	opt.SegmentBytes = 512
-	oracle, _ := mustOpen(t, oracleDir, inlineOpts())
-	s, _ := mustOpen(t, dir, opt)
-	var all []oplog.Entry
-	for i := 0; i < 120; i++ {
-		e := entry(i)
-		all = append(all, e)
-		commitAll(t, s, []oplog.Entry{e})
-		commitAll(t, oracle, []oplog.Entry{e})
-	}
-	s.Close()
-	oracle.Close()
-	snapshotAt(t, dir, all, 100)
-	segs, _ := filepath.Glob(filepath.Join(dir, "journal-*.seg"))
-	sort.Strings(segs)
-	for i := 0; i+1 < len(segs); i++ {
-		if next, err := segStart(filepath.Base(segs[i+1])); err == nil && next <= 100 {
-			os.Remove(segs[i]) // every record it holds is below the snapshot
-		}
-	}
-
-	_, recO := mustOpen(t, oracleDir, inlineOpts())
-	s2, rec := mustOpen(t, dir, opt)
-	defer s2.Close()
-	if rec.Base == 0 {
-		t.Fatalf("expected a retired journal prefix (base > 0), got base=0 with snapshot at %d", rec.SnapshotPos)
-	}
-	if rec.SnapshotPos != 100 || rec.SnapshotMark != all[99].Mark() {
-		t.Fatalf("snapshot meta: pos=%d mark=%+v", rec.SnapshotPos, rec.SnapshotMark)
-	}
-
-	union := func(r Recovery) *oplog.Set {
-		set := oplog.NewSet()
-		for _, e := range r.SnapshotEntries {
-			set.Add(e)
-		}
-		for _, e := range r.JournalEntries {
-			set.Add(e)
-		}
-		return set
-	}
-	got, want := union(rec), union(recO)
-	if !got.Equal(want) {
-		t.Fatalf("snapshot+replay set (%d ops) differs from pure-replay oracle (%d ops)", got.Len(), want.Len())
-	}
-	if got.Len() != len(all) {
-		t.Fatalf("recovered %d of %d ops", got.Len(), len(all))
-	}
-}
-
-func TestTornSnapshotFallsBackToOlder(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := mustOpen(t, dir, inlineOpts())
-	var all []oplog.Entry
-	for i := 0; i < 20; i++ {
-		e := entry(i)
-		all = append(all, e)
-		commitAll(t, s, []oplog.Entry{e})
-	}
-	s.Close()
-	snapshotAt(t, dir, all, 10)
-	snapshotAt(t, dir, all, 20)
-	// Tear the newest snapshot (drop its footer).
-	path := filepath.Join(dir, "snap-0000000020.snap")
-	sz := fileSize(t, path)
-	if err := os.Truncate(path, sz-3); err != nil {
-		t.Fatal(err)
-	}
-	s2, rec := mustOpen(t, dir, inlineOpts())
-	defer s2.Close()
-	if rec.SnapshotPos != 10 || len(rec.SnapshotEntries) != 10 {
-		t.Fatalf("want fallback to snapshot 10, got pos=%d n=%d", rec.SnapshotPos, len(rec.SnapshotEntries))
-	}
-	// The journal still holds everything, so no data was lost.
-	if len(rec.JournalEntries) != 20 {
-		t.Fatalf("journal replay: %d of 20", len(rec.JournalEntries))
-	}
-}
-
-func TestSnapshotOutrunningJournalRejected(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := mustOpen(t, dir, inlineOpts())
-	all := []oplog.Entry{entry(0), entry(1)}
-	commitAll(t, s, all)
-	s.Close()
-	// Forge a snapshot claiming positions the journal never held — the
-	// state the snapshotting builds gated each cut on the covering flush
-	// to make impossible.
-	snapshotAt(t, dir, []oplog.Entry{entry(0), entry(1), entry(2), entry(3), entry(4)}, 5)
-	if _, _, err := Open(dir, inlineOpts()); err == nil {
-		t.Fatal("Open accepted a snapshot covering positions beyond the journal end")
-	}
-}
-
 func TestGroupCommitCoalesces(t *testing.T) {
 	s, _ := mustOpen(t, t.TempDir(), Options{}) // the zero value: adaptive, background flusher
 	const n = 400
@@ -356,45 +256,160 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	}
 }
 
-// TestLegacySegmentRefusedUntouched: a QSEG1 segment — final or sealed —
-// fails Open with ErrLegacySegment and keeps every byte. The final
-// position is the dangerous one: an unrecognized header there reads as a
-// torn creation and is truncated to nothing.
-func TestLegacySegmentRefusedUntouched(t *testing.T) {
-	opt := inlineOpts()
-	opt.SegmentBytes = 128
-	for _, pos := range []string{"final", "sealed"} {
-		t.Run(pos, func(t *testing.T) {
-			dir := t.TempDir()
-			s, _ := mustOpen(t, dir, opt)
-			for i := 0; i < 20; i++ {
-				commitAll(t, s, []oplog.Entry{entry(i)})
-			}
-			s.Close()
-			segs, _ := filepath.Glob(filepath.Join(dir, "journal-*.seg"))
-			if len(segs) < 2 {
-				t.Fatalf("need ≥2 segments, got %d", len(segs))
-			}
-			path := segs[0]
-			if pos == "final" {
-				path = segs[len(segs)-1]
-			}
-			// A v1 file: the old magic, then unsalted records.
-			legacy := []byte(segMagicV1)
-			for i := 0; i < 3; i++ {
-				legacy = appendRecord(legacy, entry(i))
-			}
-			if err := os.WriteFile(path, legacy, 0o644); err != nil {
+// TestRefusedDirectoryUntouched: Open refuses a directory it cannot read
+// whole and changes no byte of it — no incarnation written, no .tmp
+// swept, no torn tail truncated. Each row damages a copy of the golden
+// corpus, beside which lie a leftover acked.tmp and a final segment with
+// a zero-filled tail, as a crash leaves them. A file only an older build
+// wrote is ErrLegacyDirectory, naming the file; a lost segment is a
+// journal gap, naming the positions no segment holds. The sound row
+// opens, which shows that the damage alone is what each refusal sees.
+func TestRefusedDirectoryUntouched(t *testing.T) {
+	// A QSEG1 segment: the old magic, then unsalted records.
+	qseg1 := []byte(segMagicV1)
+	for i := 0; i < 3; i++ {
+		at := len(qseg1)
+		qseg1 = appendFrame(qseg1, entry(i))
+		seal(qseg1[at:], 0)
+	}
+	const final = "journal-0000000092.seg"
+	write := func(name string, b []byte) func(t *testing.T, dir string) {
+		return func(t *testing.T, dir string) {
+			if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := Open(dir, opt); !errors.Is(err, ErrLegacySegment) {
-				t.Fatalf("Open on a QSEG1 %s segment: want ErrLegacySegment, got %v", pos, err)
+		}
+	}
+	remove := func(names ...string) func(t *testing.T, dir string) {
+		return func(t *testing.T, dir string) {
+			for _, name := range names {
+				if err := os.Remove(filepath.Join(dir, name)); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, legacy) {
-				t.Fatalf("refused segment was modified: %d bytes before, %d after (err %v)", len(legacy), len(after), err)
+		}
+	}
+	for _, c := range []struct {
+		name   string
+		damage func(t *testing.T, dir string)
+		names  string // what the error names; "" when Open must succeed
+		legacy bool   // the error is ErrLegacyDirectory
+	}{
+		{"sound", func(*testing.T, string) {}, "", false},
+		{"snapshot", write("snap-0000000040.snap", []byte("QSNP1\n")), "snap-0000000040.snap", true},
+		{"delta", write("delta-0000000060.snap", []byte("QSNP1\n")), "delta-0000000060.snap", true},
+		{"pooled segment", write("free-0000000003.seg", qseg1), "free-0000000003.seg", true},
+		{"QSEG1 final", write(final, qseg1), final, true},
+		{"QSEG1 sealed", write("journal-0000000014.seg", qseg1), "journal-0000000014.seg", true},
+		{"middle segment lost", remove("journal-0000000041.seg"), "positions [41, 58)", false},
+		{"first segments lost", remove("journal-0000000000.seg", "journal-0000000014.seg", "journal-0000000026.seg"), "positions [0, 37)", false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			for name, b := range readDir(t, goldenDir) {
+				if name == final {
+					b = append(b, make([]byte, 64)...)
+				}
+				write(name, b)(t, dir)
+			}
+			write(ackFile+".tmp", []byte("half a counter"))(t, dir)
+			c.damage(t, dir)
+			before := readDir(t, dir)
+			s, _, err := Open(dir, goldenOpts())
+			if c.names == "" {
+				if err != nil {
+					t.Fatalf("Open on the sound directory: %v", err)
+				}
+				s.Close()
+				after := readDir(t, dir)
+				if _, ok := after[ackFile+".tmp"]; ok || len(after[final]) != len(before[final])-64 {
+					t.Fatalf("a sound Open left the .tmp file (%v) or kept %d of the final segment's %d bytes, 64 of them torn", ok, len(after[final]), len(before[final]))
+				}
+				return
+			}
+			if err == nil {
+				s.Close()
+				t.Fatal("Open succeeded")
+			}
+			if errors.Is(err, ErrLegacyDirectory) != c.legacy || !strings.Contains(err.Error(), c.names) {
+				t.Fatalf("Open = %v; want an error naming %q, ErrLegacyDirectory %v", err, c.names, c.legacy)
+			}
+			if after := readDir(t, dir); !reflect.DeepEqual(after, before) {
+				t.Fatal("a refused Open changed the directory")
 			}
 		})
 	}
+}
+
+// FuzzSegmentFile holds the segment reader — the store's only parser of
+// on-disk bytes — to its contract on any bytes and any start position.
+// Run as the final segment, on a file of its own, it never panics; the
+// entries it accepts re-encode under the segment's seed to exactly the
+// bytes it kept, and the torn count is what it cut from the file. Run as
+// a sealed segment, the same bytes are accepted whole or ErrCorrupt.
+func FuzzSegmentFile(f *testing.F) {
+	segs, err := filepath.Glob(filepath.Join(goldenDir, "journal-*.seg"))
+	if err != nil || len(segs) == 0 {
+		f.Fatalf("no corpus segments (%v)", err)
+	}
+	sort.Strings(segs)
+	var first []byte
+	for i, path := range segs {
+		b, err := os.ReadFile(path)
+		start, serr := segStart(filepath.Base(path))
+		if err != nil || serr != nil {
+			f.Fatal(err, serr)
+		}
+		f.Add(uint64(start), b)
+		if i == 0 {
+			first = b
+		}
+	}
+	f.Add(uint64(0), first[:len(first)-3])                                   // torn
+	f.Add(uint64(0), append(bytes.Clone(first), make([]byte, 64)...))        // preallocated tail
+	f.Add(uint64(0), append([]byte(segMagicV1), first[len(segMagicV1):]...)) // QSEG1 header
+	f.Fuzz(func(t *testing.T, start uint64, data []byte) {
+		s := &Store{dir: t.TempDir(), fs: faultfs.OS}
+		sd := segData{name: fmt.Sprintf("journal-%010d.seg", start), start: int(start), b: data, str: string(data)}
+		path := filepath.Join(s.dir, sd.name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sealed, _, sealedErr := s.scanSegment(sd, false, nil)
+		if sealedErr != nil && !errors.Is(sealedErr, ErrCorrupt) {
+			t.Fatalf("sealed run: %v, want nil or ErrCorrupt", sealedErr)
+		}
+		ents, torn, err := s.scanSegment(sd, true, nil)
+		onDisk, rerr := os.ReadFile(path)
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) || sealedErr == nil || !bytes.Equal(onDisk, data) {
+				t.Fatalf("final run: %v (sealed run: %v), file changed %v", err, sealedErr, !bytes.Equal(onDisk, data))
+			}
+			return
+		}
+		kept := data[:len(data)-int(torn)]
+		if !bytes.Equal(onDisk, kept) {
+			t.Fatalf("reported %d torn bytes of %d, but the file holds %d", torn, len(data), len(onDisk))
+		}
+		var want []byte
+		if len(kept) > 0 {
+			want = append(want, kept[:segHdrV2]...)
+		}
+		for _, e := range ents {
+			at := len(want)
+			want = appendFrame(want, e)
+			seal(want[at:], seedFor(sd.start))
+		}
+		if !bytes.Equal(want, kept) {
+			t.Fatalf("accepted %d entries that do not re-encode to the %d bytes kept", len(ents), len(kept))
+		}
+		if sealedErr == nil && (torn != 0 || !reflect.DeepEqual(sealed, ents)) {
+			t.Fatalf("sealed run accepted %d entries, final run %d with %d torn bytes", len(sealed), len(ents), torn)
+		}
+	})
 }
 
 // TestIncarnationCountsOpens: a fresh directory is incarnation 0 and every
@@ -467,8 +482,8 @@ func TestAckedFileRoundTrip(t *testing.T) {
 		t.Helper()
 		s, rec := mustOpen(t, dir, inlineOpts())
 		s.Crash() // Close would rewrite the file
-		if rec.Base != 0 || rec.End != 10 {
-			t.Fatalf("recovered [%d, %d), want [0, 10)", rec.Base, rec.End)
+		if rec.End != 10 {
+			t.Fatalf("recovered [0, %d), want [0, 10)", rec.End)
 		}
 		return rec.Acked
 	}
@@ -504,36 +519,8 @@ func TestAckedFileRoundTrip(t *testing.T) {
 			}
 		}
 		if got := acked(); got != 0 {
-			t.Fatalf("%s acked file: recovered acked %d, want the base 0", c.name, got)
+			t.Fatalf("%s acked file: recovered acked %d, want 0", c.name, got)
 		}
-	}
-}
-
-// TestPooledSegmentsRemoved: a free-*.seg file is a retired segment an
-// older build kept for reuse. Nothing reuses one now, so Open removes it,
-// and the journal beside it recovers untouched.
-func TestPooledSegmentsRemoved(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := mustOpen(t, dir, inlineOpts())
-	commitAll(t, s, crashWorkloadEntries(10))
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	seg, err := os.ReadFile(filepath.Join(dir, "journal-0000000000.seg"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	free := filepath.Join(dir, "free-0000000003.seg")
-	if err := os.WriteFile(free, seg, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, rec := mustOpen(t, dir, inlineOpts())
-	defer s.Close()
-	if rec.Base != 0 || rec.End != 10 || len(rec.JournalEntries) != 10 {
-		t.Fatalf("recovered [%d, %d) with %d entries, want [0, 10) with 10", rec.Base, rec.End, len(rec.JournalEntries))
-	}
-	if _, err := os.Stat(free); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("pooled segment still on disk after Open: %v", err)
 	}
 }
 

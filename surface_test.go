@@ -1,8 +1,8 @@
 package quicksand_test
 
-// Two rules about the shape of the repository itself, checked from its
-// source: what the live product may import, and what the public option
-// list may contain.
+// Three rules about the shape of the repository itself, checked from its
+// source: what the live product may import, what the public option list
+// may contain, and which fuzz targets CI runs.
 
 import (
 	"go/ast"
@@ -13,6 +13,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -163,5 +164,35 @@ func TestOptionsEarnTheirKeep(t *testing.T) {
 	}
 	if found == 0 {
 		t.Fatal("found no With… option in the docs; the extraction pattern has rotted")
+	}
+}
+
+// TestFuzzTargetsPinned makes a lost fuzz target a conscious diff. CI
+// finds the targets it fuzzes by grepping every *_test.go for this
+// pattern, so a deleted or renamed one would otherwise drop out of the
+// fuzz step with nothing to show for it.
+func TestFuzzTargetsPinned(t *testing.T) {
+	want := []string{
+		"FuzzAccountsCommute", "FuzzDecodeEntry", "FuzzDecodeMessage", "FuzzParseID", "FuzzReadFrame",
+		"FuzzScanResult", "FuzzScanState", "FuzzScanSubmitRequest", "FuzzSegmentFile", "FuzzSetMatchesModel",
+	}
+	target := regexp.MustCompile(`(?m)^func Fuzz[A-Za-z0-9_]*`)
+	var got []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		text, err := os.ReadFile(path)
+		for _, fn := range target.FindAll(text, -1) {
+			got = append(got, strings.TrimPrefix(string(fn), "func "))
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Fatalf("fuzz targets changed:\n got %v\nwant %v", got, want)
 	}
 }
