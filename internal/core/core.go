@@ -59,7 +59,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/apology"
@@ -394,8 +394,7 @@ type Cluster[S any] struct {
 	smap       *shard.Map
 	groups     []*shardGroup[S]
 	stopGossip []func()
-	done       chan struct{} // closed by Close; stops degraded re-probe loops
-	closeOnce  sync.Once
+	closed     atomic.Bool // set by Close; ends degraded re-probes
 
 	Apologies *apology.Queue
 }
@@ -558,7 +557,6 @@ func New[S any](app App[S], rules []Rule[S], opts ...Option) *Cluster[S] {
 		rules:     rules,
 		snapFn:    snapshotFn(app),
 		Apologies: apology.NewQueue(),
-		done:      make(chan struct{}),
 	}
 	_, c.commutes = app.(Commutative)
 	for _, rule := range rules {
@@ -612,21 +610,11 @@ func New[S any](app App[S], rules []Rule[S], opts ...Option) *Cluster[S] {
 }
 
 // storeOptions maps the cluster configuration onto internal/store
-// knobs. On a transport that cannot scatter — the deterministic
-// simulator, one event loop — every disk operation runs inline on the
-// calling goroutine: group-commit economics are a wall-clock phenomenon
-// the sim cannot observe, and background flusher goroutines would break
-// bit-for-bit reproducibility.
+// knobs. Every store flushes on the transport's clock — real timers live,
+// events of the deterministic loop on the simulator — and preallocates
+// its segments, which trades exact file sizes for flush latency.
 func (c *Cluster[S]) storeOptions() store.Options {
-	opt := store.Options{SegmentBytes: c.cfg.segBytes}
-	_, scatters := c.tr.(Scatterer)
-	opt.Inline = !scatters
-	// Preallocated segments trade exact file sizes for flush latency; the
-	// simulator keeps exact sizes — its tests poke at them, and inline
-	// runs are not latency-sensitive anyway.
-	opt.Preallocate = !opt.Inline
-	opt.FS = c.cfg.storeFS
-	return opt
+	return store.Options{SegmentBytes: c.cfg.segBytes, Clock: c.tr, Preallocate: true, FS: c.cfg.storeFS}
 }
 
 // storeDir names the durable directory of the replica with the given
@@ -1011,7 +999,9 @@ func (c *Cluster[S]) ingress(rep *Replica[S], op Op, sc submitConfig, now time.D
 	if op.ID == "" {
 		it.seq = rep.gen.Take()
 	}
-	if op.At == 0 {
+	if op.At == 0 && op.Lam == 0 {
+		// Unstamped. An op a replica already accepted carries its Lamport
+		// stamp, and keeps its At even when that is the simulator's 0.
 		op.At = c.tr.Now()
 	}
 	it.sync = sc.pol.Decide(op) == policy.Sync
@@ -1075,7 +1065,7 @@ func (c *Cluster[S]) StartGossip(interval time.Duration) (stop func()) {
 // that was acknowledged, and a graceful shutdown (the daemon's drain
 // path) must be able to report that instead of silently losing it.
 func (c *Cluster[S]) Close() error {
-	c.closeOnce.Do(func() { close(c.done) })
+	c.closed.Store(true)
 	for _, stop := range c.stopGossip {
 		stop()
 	}

@@ -469,6 +469,34 @@ func TestSubmitAsyncIdempotentRetry(t *testing.T) {
 	}
 }
 
+// TestResubmitAcceptedAtTimeZeroKeepsItsStamp: an op a replica accepted
+// at simulator time 0 carries At 0 and a Lamport stamp. Offered again at
+// another replica later — a client retrying with the Result's Op — it
+// must keep that At: restamped, the two replicas would hold one ID with
+// two payloads, and gossip would never reconcile them.
+func TestResubmitAcceptedAtTimeZeroKeepsItsStamp(t *testing.T) {
+	s, c := newTestCluster(22, 2)
+	res, err := c.Submit(context.Background(), 1, NewOp("credit", "acct", 5))
+	if err != nil || !res.Accepted || res.Op.At != 0 || res.Op.Lam == 0 {
+		t.Fatalf("first submit = %+v, %v; want accepted at t=0 with a Lamport stamp", res, err)
+	}
+	s.RunFor(6 * time.Millisecond)
+	again, err := c.Submit(context.Background(), 0, res.Op)
+	if err != nil || !again.Accepted {
+		t.Fatalf("resubmit = %+v, %v", again, err)
+	}
+	if again.Op.At != 0 {
+		t.Fatalf("the resubmitted op was restamped At %v", again.Op.At)
+	}
+	for i := 0; i < 20 && !c.Converged(); i++ {
+		c.GossipRound()
+		s.Run()
+	}
+	if !c.Converged() {
+		t.Fatal("replicas holding one op under two stamps never converge")
+	}
+}
+
 func TestLamportOrderMakesCausesFoldFirst(t *testing.T) {
 	// A replica that sees a credit and then accepts a debit must fold the
 	// credit first at EVERY replica, even one that receives them in the

@@ -87,10 +87,15 @@ func TestDegradedReadOnlyMode(t *testing.T) {
 		t.Fatalf("second submit = %+v err=%v, want immediate retryable decline", res, err)
 	}
 	// Healthy peers keep accepting, and gossip must neither wedge nor
-	// push phantoms into (or out of) the degraded replica.
+	// push phantoms into (or out of) the degraded replica. The run is
+	// bounded: the re-probe keeps failing on the full disk, so the event
+	// queue never empties.
 	mustSubmit(t, c, 0, NewOp("credit", "k", 1))
 	c.GossipRound()
-	s.Run()
+	s.RunFor(time.Second)
+	if !r1.Degraded() {
+		t.Fatal("the re-probe rejoined a replica whose disk is still full")
+	}
 
 	full.Store(false)
 	if err := c.Rejoin(context.Background(), 1); err != nil {
@@ -197,8 +202,10 @@ func TestUnknownStoreErrorStillFailsFast(t *testing.T) {
 
 // TestDegradedLiveReprobeRejoins: on the live transport a degraded
 // replica re-probes its store with backoff and rejoins by itself once
-// the disk heals — no operator Rejoin call.
+// the disk heals — no operator Rejoin call. Its /sim twin pins the
+// backoff on virtual time.
 func TestDegradedLiveReprobeRejoins(t *testing.T) {
+	t.Run("sim", testDegradedSimReprobeRejoins)
 	var full atomic.Bool
 	dir := t.TempDir()
 	c := New[counterState](counterApp{}, nil,
@@ -234,4 +241,39 @@ func TestDegradedLiveReprobeRejoins(t *testing.T) {
 	if c.Replica(1).Degraded() {
 		t.Fatal("replica accepted a write while still flagged degraded")
 	}
+}
+
+// testDegradedSimReprobeRejoins: the re-probe runs on the simulator's
+// clock too. Its steps come 100 ms, 200 ms, 400 ms and 800 ms apart, so
+// a disk that heals one second after the failure is found at 1.5 s, and
+// not before.
+func testDegradedSimReprobeRejoins(t *testing.T) {
+	var full atomic.Bool
+	s := sim.New(13)
+	c := New[counterState](counterApp{}, nil,
+		WithTransport(rpc.NewSimTransport(s)), WithReplicas(3), WithDurability(t.TempDir()),
+		WithStoreFS(replicaFS("r1", &full, syscall.ENOSPC)))
+	defer c.Close()
+	mustSubmit(t, c, 1, NewOp("credit", "k", 1))
+
+	full.Store(true)
+	res, err := c.Submit(context.Background(), 1, NewOp("credit", "k", 1))
+	if err != nil || res.Accepted || res.Reason != ReasonDegraded || !res.Retryable {
+		t.Fatalf("submit on a full disk = %+v, %v; want the retryable degraded decline", res, err)
+	}
+	r1, failed := c.Replica(1), s.Now()
+	s.RunUntil(failed + time.Second)
+	full.Store(false)
+	s.RunUntil(failed + 1499*time.Millisecond)
+	if !r1.Degraded() {
+		t.Fatal("rejoined before the re-probe step at 1.5 s")
+	}
+	s.RunUntil(failed + 1500*time.Millisecond)
+	if r1.Degraded() {
+		t.Fatal("the re-probe step at 1.5 s did not rejoin the healed replica")
+	}
+	if r1.reprobes.Load() != 0 {
+		t.Fatal("the re-probe outlived the degraded life")
+	}
+	mustSubmit(t, c, 1, NewOp("credit", "k", 1))
 }

@@ -446,7 +446,32 @@ func TestAckFromAnEarlierLifeIsDropped(t *testing.T) {
 // new is acknowledged only once the replica's own copy is durable. r1's
 // fsync of its op is slow; r0 gets the op by gossip and echoes it back,
 // and must not count r1 as durably holding it before that fsync returns.
+// The /sim twin lands the echo between r1's Commit and its flush event.
 func TestDuplicatePushAckWaitsForDisk(t *testing.T) {
+	t.Run("sim", func(t *testing.T) {
+		s := sim.New(47)
+		c := New[counterState](counterApp{}, nil, WithTransport(rpc.NewSimTransport(s)), WithReplicas(2),
+			WithDurability(t.TempDir()))
+		defer c.Close()
+		durable := false
+		c.SubmitAsync(1, NewOp("credit", "k", 1), func(res Result) { durable = res.Accepted })
+		r1 := c.Replica(1)
+		echo := r1.Ops().Entries() // staged, its flush the next event
+		acked := false
+		r1.handlePush(c.Replica(0).ID(), pushReq{Entries: echo}, func(resp any) {
+			if !durable {
+				t.Error("r1 acknowledged the echo before its own copy's flush")
+			}
+			acked = resp.(pushAck).OK
+		})
+		if acked || durable {
+			t.Fatal("the flush ran inside the submit: no window to land the echo in")
+		}
+		s.Run()
+		if !acked {
+			t.Fatal("the echo was never acknowledged")
+		}
+	})
 	var slow, synced atomic.Bool
 	marker := string(os.PathSeparator) + "r1" + string(os.PathSeparator)
 	inj := faultfs.New(faultfs.OS, 1, func(op faultfs.Op) faultfs.Decision {

@@ -43,7 +43,7 @@ func TestCancelledSubmitNeverCrossesResults(t *testing.T) {
 			opts := []Option{WithReplicas(1)}
 			liveEvery := 1
 			if durable {
-				// A durable ack waits for the flusher, so the cancelled
+				// A durable ack waits for the flush, so the cancelled
 				// caller is long gone when its completion lands. Live
 				// submits each wait out an fsync: fewer of them.
 				opts = append(opts, WithDurability(t.TempDir()))
@@ -94,7 +94,7 @@ func TestCancelledSubmitNeverCrossesResults(t *testing.T) {
 			case <-time.After(2 * time.Minute):
 				// What a completion landing in a sink somebody else now owns
 				// looks like: its ready is already full, and the send parks
-				// the drain — or the store's flusher — for good.
+				// the drain — or the store's flush — for good.
 				t.Fatal("submits hung: a completion is parked on a sink it does not own")
 			}
 			t.Logf("%d cancelled, %d resolved before the cancel was seen, %d live", cancelled.Load(), raced.Load(), live.Load())
@@ -121,8 +121,8 @@ func TestCancelledSubmitNeverCrossesResults(t *testing.T) {
 }
 
 // TestReentrantSubmitFromDurableCompletion: on a durable replica a
-// completion runs inside the pooled segment's resolve — on the store's
-// flusher, or inline on the simulator. Callbacks that submit again from
+// completion runs inside the pooled segment's resolve — in the store's
+// flush, a timer's callback live and an event on the simulator. Callbacks that submit again from
 // there must each fire once, with their own op, and the carrier that is
 // being resolved must not be handed to the segments they start.
 func TestReentrantSubmitFromDurableCompletion(t *testing.T) {
@@ -212,7 +212,7 @@ func inFlight(t *testing.T, c *Cluster[counterState], n int) (counts []atomic.In
 
 func checkResolvedOnce(t *testing.T, counts []atomic.Int32) {
 	t.Helper()
-	time.Sleep(20 * time.Millisecond) // a second resolution, if any, is a flusher's breath behind
+	time.Sleep(20 * time.Millisecond) // a second resolution, if any, is a flush's breath behind
 	for i := range counts {
 		if n := counts[i].Load(); n != 1 {
 			t.Fatalf("op %d resolved %d times", i, n)

@@ -221,18 +221,20 @@ func (s *ingestSink) deliver(i int32, res Result) {
 
 // ingestSeg carries one durable segment from ingestSegment to the store's
 // commit callback: its own copy of the items — the drain reuses its batch
-// buffer long before the flush lands — and the func(bool) handed to
-// Store.Commit, bound once when the object is made. Pooled per replica:
-// resolve returns it after the last item is finished.
+// buffer long before the flush lands — the gossip peers due a nudge, and
+// the func(bool) handed to Store.Commit, bound once when the object is
+// made. Pooled per replica: resolve returns it after the last item is
+// finished.
 type ingestSeg[S any] struct {
 	r         *Replica[S]
 	items     []ingestItem
 	nAccepted int
-	life      uint32        // the life that staged the segment
-	commit    func(ok bool) // seg.resolve
+	life      uint32           // the life that staged the segment
+	due       []*gossipPeer[S] // capacity 2, reused
+	commit    func(ok bool)    // seg.resolve
 }
 
-func (r *Replica[S]) takeSeg(items []ingestItem, nAccepted int, life uint32) *ingestSeg[S] {
+func (r *Replica[S]) takeSeg(items []ingestItem, nAccepted int, life uint32, due []*gossipPeer[S]) *ingestSeg[S] {
 	seg, _ := r.segPool.Get().(*ingestSeg[S])
 	if seg == nil {
 		seg = &ingestSeg[S]{r: r}
@@ -240,21 +242,22 @@ func (r *Replica[S]) takeSeg(items []ingestItem, nAccepted int, life uint32) *in
 	}
 	seg.items = append(seg.items[:0], items...)
 	seg.nAccepted, seg.life = nAccepted, life
+	seg.due = append(seg.due[:0], due...)
 	return seg
 }
 
 func (seg *ingestSeg[S]) resolve(ok bool) {
-	seg.r.resolveSegment(seg.items, seg.nAccepted, seg.life, ok)
+	seg.r.resolveSegment(seg.items, seg.nAccepted, seg.life, seg.due, ok)
 	clear(seg.items) // drop the callers' callbacks and sinks
 	seg.r.segPool.Put(seg)
 }
 
 // enqueueIngest hands stamped operations to the replica's ring, in
 // order, and then drains it on the calling goroutine — so on the
-// simulator the submit's effects (and, with an inline store, its
-// completion) happen before enqueueIngest returns, keeping runs
-// deterministic. It reports false, having taken nothing, when the ring
-// has been closed (the cluster shut down).
+// simulator the submit's effects happen before enqueueIngest returns,
+// keeping runs deterministic (a durable completion is the store's flush,
+// an event of its own). It reports false, having taken nothing, when the
+// ring has been closed (the cluster shut down).
 func (r *Replica[S]) enqueueIngest(items ...ingestItem) bool {
 	if !r.ingest.putAll(items) {
 		return false
@@ -468,32 +471,23 @@ func (r *Replica[S]) ingestSegment(items []ingestItem) {
 		return // every item was declined; nothing awaits durability
 	}
 	if st == nil {
-		r.resolveSegment(items, nAccepted, life, true)
+		r.resolveSegment(items, nAccepted, life, due[:nDue], true)
 	} else {
-		// The commit fan-out runs on the store's flusher after this call
+		// The commit fan-out runs in the store's flush after this call
 		// returns, while the drain reuses items for its next batch.
-		st.Commit(end, r.takeSeg(items, nAccepted, life).commit)
-	}
-	// Coalesced gossip wake: at most one nudge per batch, and only toward
-	// peers whose unacknowledged suffix has grown to a full batch — the
-	// nudge is a backlog limiter, not a latency path. Light load leaves
-	// gossip entirely to the ticker; heavy ingest ships a batch-sized
-	// suffix as soon as one exists.
-	for _, p := range due[:nDue] {
-		if c.tr.Reachable(r.id, p.rep.id) {
-			r.pushTo(p)
-		}
+		st.Commit(end, r.takeSeg(items, nAccepted, life, due[:nDue]).commit)
 	}
 }
 
 // resolveSegment is the commit fan-out of one segment: once its accepted
 // entries are durable (ok; immediately on a volatile replica) it tallies
 // them in the ledger, sweeps for violations, and resolves every accepted
-// and duplicate item. ok=false means the batch never became durable —
-// the replica crashed, or its disk broke the durability contract, first:
-// nothing was recorded and nothing may be acknowledged. life is the life
+// and duplicate item, then nudges gossip toward the due peers. ok=false
+// means the batch never became durable — the replica crashed, or its
+// disk broke the durability contract, first: nothing was recorded,
+// nothing may be acknowledged, and nothing is pushed. life is the life
 // that staged the segment.
-func (r *Replica[S]) resolveSegment(items []ingestItem, nAccepted int, life uint32, ok bool) {
+func (r *Replica[S]) resolveSegment(items []ingestItem, nAccepted int, life uint32, due []*gossipPeer[S], ok bool) {
 	c, g := r.c, r.g
 	if !ok {
 		reason, retry := "replica crashed before the write was durable", false
@@ -536,6 +530,16 @@ func (r *Replica[S]) resolveSegment(items []ingestItem, nAccepted int, life uint
 			g.M.AsyncLat.AddDur(res.Latency)
 		}
 		it.finish(res)
+	}
+	// Coalesced gossip wake: at most one nudge per batch, and only toward
+	// peers whose unacknowledged suffix has grown to a full batch — the
+	// nudge is a backlog limiter, not a latency path. Light load leaves
+	// gossip entirely to the ticker; heavy ingest ships a batch-sized
+	// suffix as soon as it is on disk (§4: nothing the log lacks).
+	for _, p := range due {
+		if c.tr.Reachable(r.id, p.rep.id) {
+			r.pushTo(p)
+		}
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -41,7 +40,9 @@ const (
 // lifeEnv is one row's world: two replicas on the simulator — two, so r0
 // hears from r1 alone and nothing reaches it by a detour — r0's disk
 // failing writes with fault while it is set, and the submits the row
-// checks.
+// checks. A fault stays set until heal, revive or rejoin clears it: a
+// degraded r0 stays degraded, its re-probe failing, until the row heals
+// it.
 type lifeEnv struct {
 	t       *testing.T
 	s       *sim.Sim
@@ -71,6 +72,7 @@ type lifeSub struct {
 func newLifeEnv(t *testing.T, durable, nudge bool) *lifeEnv {
 	e := &lifeEnv{t: t, s: sim.New(61), durable: durable}
 	opts := []Option{WithTransport(rpc.NewSimTransport(e.s)), WithReplicas(2)}
+	rules := []Rule[counterState]{noOverdraft()} // only overdraw's debit meets it
 	if nudge {
 		opts = append(opts, WithGossipEvery(time.Hour), withIngestCap(1))
 	}
@@ -84,7 +86,7 @@ func newLifeEnv(t *testing.T, durable, nudge bool) *lifeEnv {
 		})
 		opts = append(opts, WithDurability(t.TempDir()), WithStoreFS(fs))
 	}
-	e.c = New[counterState](counterApp{}, nil, opts...)
+	e.c = New[counterState](counterApp{}, rules, opts...)
 	if nudge {
 		for _, stop := range e.c.stopGossip {
 			stop()
@@ -94,12 +96,37 @@ func newLifeEnv(t *testing.T, durable, nudge bool) *lifeEnv {
 	return e
 }
 
+// run runs the simulator until it is quiet — bounded, because a degraded
+// r0 on a disk still full keeps a re-probe queued, so the queue never
+// empties while it lasts.
+func (e *lifeEnv) run() { e.s.RunFor(time.Minute) }
+
+// resolve steps the simulator until sub has resolved: on a durable
+// replica, until the flush that commits it has run.
+func (e *lifeEnv) resolve(sub *lifeSub) *lifeSub {
+	for len(sub.got) == 0 && e.s.Step() {
+	}
+	return sub
+}
+
 // submit offers a credit at replica rep — coordinated when sync — that
 // must end as want; then, if set, runs inside its completion.
 func (e *lifeEnv) submit(rep int, sync bool, want string, then func()) *lifeSub {
+	return e.offer(rep, "credit", sync, want, then)
+}
+
+// overdraw offers r0 a debit of the credit's key, which r0 holds none
+// of: the drain declines it where it sits and runs then inside the
+// completion, while the drain still holds the ring — so submits then
+// makes queue behind it.
+func (e *lifeEnv) overdraw(then func()) *lifeSub {
+	return e.offer(0, "debit", false, "declined by rule no-overdraft", then)
+}
+
+func (e *lifeEnv) offer(rep int, kind string, sync bool, want string, then func()) *lifeSub {
 	sub := &lifeSub{id: uniq.ID(fmt.Sprintf("x%d", len(e.subs))), want: want}
 	e.subs = append(e.subs, sub)
-	op := NewOp("credit", "k", 1)
+	op := NewOp(kind, "k", 1)
 	op.ID = sub.id
 	pol := policy.AlwaysAsync()
 	if sync {
@@ -116,13 +143,14 @@ func (e *lifeEnv) submit(rep int, sync bool, want string, then func()) *lifeSub 
 
 // setup is submit for work the row needs but whose fate only a durable
 // replica pins: a volatile r0 loses it with its RAM, and r1, which holds
-// it, counts r0 as holding it too.
+// it, counts r0 as holding it too. It returns once the submit resolved.
 func (e *lifeEnv) setup(rep int, then func()) {
-	sub := e.submit(rep, false, "", then)
+	sub := e.resolve(e.submit(rep, false, "", then))
 	sub.free = !e.durable && rep == 0
 }
 
 func (e *lifeEnv) revive() {
+	e.fault = nil
 	if !e.durable {
 		e.c.Transport().SetUp("r0", true)
 		return
@@ -133,17 +161,17 @@ func (e *lifeEnv) revive() {
 }
 
 func (e *lifeEnv) rejoin() {
+	e.fault = nil
 	if err := e.c.Rejoin(context.Background(), 0); err != nil {
 		e.t.Fatal(err)
 	}
 }
 
 // degradeBySubmit fills r0's disk under a submit of its own: the commit
-// fails and r0 degrades on the spot, declining that submit.
+// fails and r0 degrades at the flush, declining that submit.
 func (e *lifeEnv) degradeBySubmit() {
 	e.fault = syscall.ENOSPC
-	e.submit(0, false, ReasonDegraded, nil)
-	e.fault = nil
+	e.resolve(e.submit(0, false, ReasonDegraded, nil))
 	if !e.c.Replica(0).Degraded() {
 		e.t.Fatal("r0 did not degrade")
 	}
@@ -154,8 +182,7 @@ func (e *lifeEnv) degradeBySubmit() {
 func (e *lifeEnv) degradeByPush() {
 	e.fault = syscall.ENOSPC
 	e.c.GossipRound()
-	e.s.Run()
-	e.fault = nil
+	e.run()
 	if !e.c.Replica(0).Degraded() {
 		e.t.Fatal("r0 did not degrade")
 	}
@@ -177,7 +204,8 @@ func (e *lifeEnv) apply(tr transition, degrade func()) {
 	}
 }
 
-// heal brings a down r0 back and rejoins a degraded one.
+// heal brings a down r0 back and rejoins a degraded one, healing its
+// disk.
 func (e *lifeEnv) heal() {
 	switch r0 := e.c.Replica(0); {
 	case r0.node.Crashed():
@@ -195,11 +223,11 @@ func (e *lifeEnv) heal() {
 // holding never gets them back (no state transfer), so there a fixed
 // number of rounds is quiet enough.
 func (e *lifeEnv) settle() {
-	e.s.Run()
+	e.run()
 	r0 := e.c.Replica(0)
 	moved := e.c.Metrics().OpsTransferred.Value()
 	e.c.GossipRound()
-	e.s.Run()
+	e.run()
 	if n := e.c.Metrics().OpsTransferred.Value() - moved; n > 0 && (r0.node.Crashed() || r0.Degraded()) {
 		e.t.Errorf("a gossip round moved %d entries to or from r0 while it was down or degraded", n)
 	}
@@ -209,7 +237,7 @@ func (e *lifeEnv) settle() {
 	}
 	for i := 0; i < 16; i++ {
 		e.c.GossipRound()
-		e.s.Run()
+		e.run()
 	}
 	for _, sub := range e.subs {
 		if len(sub.got) != 1 {
@@ -263,7 +291,7 @@ var lifeKinds = []struct {
 		e.setup(0, nil)
 		e.c.GossipRound()
 		e.apply(tr, e.degradeBySubmit)
-		e.s.Run()
+		e.run()
 		if tr == tKillRevive || tr == tDegradeRejoin {
 			e.submit(0, false, "", nil) // must reach r1: the new life pushes from position 0
 		}
@@ -271,16 +299,16 @@ var lifeKinds = []struct {
 	// r1's push is in flight to r0 when r0 transitions; r0 absorbs it (or
 	// refuses it) in whatever life it lands in.
 	{"absorb commit", false, false, func(e *lifeEnv, tr transition) {
-		e.submit(1, false, "", nil)
+		e.resolve(e.submit(1, false, "", nil))
 		e.c.GossipRound()
 		e.apply(tr, e.degradeBySubmit)
-		e.s.Run()
+		e.run()
 	}},
 	// r0 coordinates a round; the admits are out when r0 transitions.
 	{"sync admit", false, false, func(e *lifeEnv, tr transition) {
 		e.submit(0, true, wantFor(tr), nil)
 		e.apply(tr, e.degradeBySubmit)
-		e.s.Run()
+		e.run()
 	}},
 	// r0's disk fails the round's own absorb: fatally (Kill) or with
 	// ENOSPC (degrade). The round learns of it in the life that follows.
@@ -291,8 +319,7 @@ var lifeKinds = []struct {
 			want, e.fault = ReasonDegraded, syscall.ENOSPC
 		}
 		e.submit(0, true, want, nil)
-		e.s.Run()
-		e.fault = nil
+		e.run()
 		if tr == tKillRevive || tr == tDegradeRejoin {
 			e.heal()
 			e.submit(0, true, "", nil)
@@ -300,10 +327,12 @@ var lifeKinds = []struct {
 	}},
 	// A submit's completion submits twice more — a guess and a coordinated
 	// op, queued behind the drain that runs the completion — and then r0
-	// transitions, before the drain reaches them.
+	// transitions, before the drain reaches them. The completion is a
+	// declined one's: a durable replica's accepted completions run in its
+	// store's flush, after the drain.
 	{"queued ingest item", false, false, func(e *lifeEnv, tr transition) {
-		e.submit(1, false, "", nil) // what r1 pushes when degradeByPush fills r0's disk
-		e.setup(0, func() {
+		e.resolve(e.submit(1, false, "", nil)) // what r1 pushes when degradeByPush fills r0's disk
+		e.overdraw(func() {
 			// degradeByPush runs the simulator, so only a Kill leaves the
 			// clock where the two were offered.
 			inPlace := tr == tKill || tr == tKillRevive
@@ -312,7 +341,7 @@ var lifeKinds = []struct {
 			e.apply(tr, e.degradeByPush)
 		})
 	}},
-	// r0's drain nudges r1 right after queuing a segment's commit, and the
+	// r0's drain hands a segment's commit the nudge toward r1, and the
 	// transition lands before the nudge: in the segment's completion for a
 	// Kill, in the segment's own failed commit for a degrade — whose
 	// declined guess the nudge must not ship.
@@ -357,8 +386,7 @@ func TestIngestNudgeShipsNoDeclinedGuess(t *testing.T) {
 	e := newLifeEnv(t, true, true)
 	e.fault = syscall.ENOSPC
 	sub := e.submit(0, false, ReasonDegraded, nil)
-	e.fault = nil
-	e.s.Run()
+	e.run()
 	if len(sub.got) != 1 || sub.got[0].Accepted || sub.got[0].Reason != ReasonDegraded {
 		t.Fatalf("guess on a full disk resolved %+v; want one degraded decline", sub.got)
 	}
@@ -370,19 +398,24 @@ func TestIngestNudgeShipsNoDeclinedGuess(t *testing.T) {
 	}
 }
 
-// reprobing reports whether a degraded re-probe loop is running.
-func reprobing() bool {
-	buf := make([]byte, 1<<20)
-	return strings.Contains(string(buf[:runtime.Stack(buf, true)]), ".reprobeLoop(")
+// reprobing reports whether a replica of c has a degraded re-probe armed
+// or running.
+func reprobing(c *Cluster[counterState]) bool {
+	for i := 0; i < c.Replicas(); i++ {
+		if c.Replica(i).reprobes.Load() > 0 {
+			return true
+		}
+	}
+	return false
 }
 
-// waitNoReprobe fails the test unless every re-probe loop ends within a
-// few of its backoff steps.
-func waitNoReprobe(t *testing.T) {
+// waitNoReprobe fails the test unless every re-probe ends within a few of
+// its backoff steps.
+func waitNoReprobe(t *testing.T, c *Cluster[counterState]) {
 	t.Helper()
-	for deadline := time.Now().Add(3 * time.Second); reprobing(); time.Sleep(10 * time.Millisecond) {
+	for deadline := time.Now().Add(3 * time.Second); reprobing(c); time.Sleep(10 * time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatal("the re-probe loop outlived the degraded life it was started in")
+			t.Fatal("the re-probe outlived the degraded life it was started in")
 		}
 	}
 }
@@ -410,36 +443,46 @@ func (f *liveLifeFS) fs() faultfs.FS {
 	})
 }
 
-// TestLifeFencesTheReprobeLoop is the re-probe loop's row on the live
-// transport, where the loop runs: whatever ends the degraded life — a
-// Kill, a Kill and Recover that overtake the loop's own Rejoin mid-open,
-// an operator's Rejoin — ends the loop, and the loop's Rejoin never
-// clobbers the life that overtook it.
+// TestLifeFencesTheReprobeLoop is the re-probe's row: whatever ends the
+// degraded life — a Kill, a Kill and Recover that overtake the re-probe's
+// own Rejoin mid-open, an operator's Rejoin — ends the re-probe, and its
+// Rejoin never clobbers the life that overtook it. Each row runs live,
+// and its /sim twin runs the same transition on the simulator, where the
+// re-probe's timer is an event. A flush is one event there, so no Rejoin
+// can be caught mid-open: Kill→Recover has no twin.
 func TestLifeFencesTheReprobeLoop(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		tr   func(t *testing.T, c *Cluster[counterState], f *liveLifeFS)
+		sim  func(t *testing.T, c *Cluster[counterState])
 	}{
 		{"re-probe loop × Kill", func(t *testing.T, c *Cluster[counterState], f *liveLifeFS) {
 			c.Kill(0)
-			waitNoReprobe(t)
-		}},
+			waitNoReprobe(t, c)
+		}, func(t *testing.T, c *Cluster[counterState]) { c.Kill(0) }},
 		{"re-probe loop × Kill→Recover", func(t *testing.T, c *Cluster[counterState], f *liveLifeFS) {
 			f.hold.Store(true)
 			f.full.Store(false)
-			<-f.held // the loop's Rejoin is opening the store
+			<-f.held // the re-probe's Rejoin is opening the store
 			c.Kill(0)
-			waitNoReprobe(t)
-		}},
+			waitNoReprobe(t, c)
+		}, nil},
 		{"re-probe loop × degrade→Rejoin", func(t *testing.T, c *Cluster[counterState], f *liveLifeFS) {
 			f.full.Store(false)
 			if err := c.Rejoin(context.Background(), 0); err != nil {
 				t.Fatal(err)
 			}
-			waitNoReprobe(t)
+			waitNoReprobe(t, c)
+		}, func(t *testing.T, c *Cluster[counterState]) {
+			if err := c.Rejoin(context.Background(), 0); err != nil {
+				t.Fatal(err)
+			}
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.sim != nil {
+				t.Run("sim", func(t *testing.T) { reprobeTwin(t, tc.sim) })
+			}
 			f := &liveLifeFS{held: make(chan struct{}, 1)}
 			c := New[counterState](counterApp{}, nil, WithReplicas(2), WithDurability(t.TempDir()), WithStoreFS(f.fs()))
 			defer c.Close()
@@ -468,10 +511,46 @@ func TestLifeFencesTheReprobeLoop(t *testing.T) {
 	}
 }
 
+// reprobeTwin is a re-probe row on the simulator: r0 degrades on a full
+// disk and keeps its re-probe armed while the disk stays full; then the
+// disk heals, tr ends the degraded life before the re-probe's next step,
+// and the re-probe must end with it.
+func reprobeTwin(t *testing.T, tr func(t *testing.T, c *Cluster[counterState])) {
+	var full atomic.Bool
+	s := sim.New(12)
+	c := New[counterState](counterApp{}, nil, WithTransport(rpc.NewSimTransport(s)), WithReplicas(2),
+		WithDurability(t.TempDir()), WithStoreFS(replicaFS("r0", &full, syscall.ENOSPC)))
+	defer c.Close()
+	full.Store(true)
+	res, err := c.Submit(context.Background(), 0, NewOp("credit", "k", 1))
+	if err != nil || res.Reason != ReasonDegraded || !res.Retryable || !c.Replica(0).Degraded() {
+		t.Fatalf("submit on a full disk = %+v, %v; want the retryable degraded decline", res, err)
+	}
+	s.RunFor(time.Second) // the re-probe fails on the full disk, and stays armed
+	if !reprobing(c) || !c.Replica(0).Degraded() {
+		t.Fatalf("after a second on a full disk: re-probe armed %v, degraded %v; want both", reprobing(c), c.Replica(0).Degraded())
+	}
+	full.Store(false)
+	tr(t, c)
+	s.RunFor(5 * time.Second) // past the re-probe's next step
+	if reprobing(c) {
+		t.Fatal("the re-probe outlived the degraded life it was started in")
+	}
+	if c.Replica(0).node.Crashed() {
+		if err := c.Recover(context.Background(), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustSubmit(t, c, 0, NewOp("credit", "k", 1))
+	if c.Replica(0).Degraded() {
+		t.Fatal("r0 is still degraded")
+	}
+}
+
 // TestLifeFencesCommitFailures: r0 is killed with commits pending behind a
 // slow fsync and recovered while the dying store still holds them — the
-// store fails them only once its flusher lets go, after the new life has
-// begun. A failure from the old life must not touch the new one: taken
+// store fails them only once its flush lets go of the disk, after the new
+// life has begun. A failure from the old life must not touch the new one: taken
 // for the new store's, it would crash the replica that just recovered.
 // The pending commit is a submit's segment, or an absorb of r1's push.
 func TestLifeFencesCommitFailures(t *testing.T) {

@@ -50,8 +50,10 @@ func TestPinSubmitAllocs(t *testing.T) {
 		}
 	})
 	t.Run("durable", func(t *testing.T) {
-		// On the simulator the store runs inline: the flush, the commit
-		// fan-out and the sink's release all happen inside Submit.
+		// On the simulator the store's flush is the next event, which
+		// Submit's wait runs: the flush, the commit fan-out and the sink's
+		// release all happen inside Submit, and re-arming the flush timer
+		// allocates nothing.
 		c := New[counterState](counterApp{}, nil, WithTransport(rpc.NewSimTransport(sim.New(27))), WithReplicas(1),
 			WithDurability(t.TempDir()))
 		if got := measure(t, c); got > 2 {

@@ -15,6 +15,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/stats"
 	"repro/internal/store"
+	"repro/internal/transport"
 	"repro/internal/uniq"
 )
 
@@ -112,8 +113,9 @@ type Replica[S any] struct {
 	acceptBuf []oplog.Entry
 	segPool   sync.Pool // *ingestSeg[S]
 
-	roundPool  sync.Pool // *syncRound[S]: coordinated submits in flight
-	absorbPool sync.Pool // *absorbJob[S]: absorbs waiting for their commit
+	roundPool  sync.Pool    // *syncRound[S]: coordinated submits in flight
+	absorbPool sync.Pool    // *absorbJob[S]: absorbs waiting for their commit
+	reprobes   atomic.Int32 // degraded re-probe chains armed or running
 
 	Ledger apology.Ledger // this replica's memories, guesses, apologies
 }
@@ -121,7 +123,7 @@ type Replica[S any] struct {
 // lifecycle is a replica's one life and its phase within it. life
 // counts wipes (Kill, Rejoin). Every asynchronous continuation — a push's
 // ack, an absorb's commit, a sync round's admit and absorb steps, a
-// queued submit, the degraded re-probe loop — carries the life it was
+// queued submit, the degraded re-probe — carries the life it was
 // issued in and acts only in that life: work queued or in flight at a
 // wipe resolves declined. degraded is the phase a recoverable disk error
 // (ENOSPC, EIO — see recoverableDiskErr) starts: the replica keeps
@@ -788,11 +790,9 @@ func (job *absorbJob[S]) resolve(ok bool) {
 // device settles, and killing the replica turns an operational hiccup
 // into an outage. Those failures enter degraded read-only mode instead;
 // the return value reports which path was taken so callers can attach
-// the retryable ReasonDegraded to their declines.
-//
-// On the live transport both paths hop to a fresh goroutine: the
-// failure callback runs on the store's own flusher, which Crash would
-// otherwise deadlock waiting for.
+// the retryable ReasonDegraded to their declines. Either runs here, on
+// the failed commit's callback: the store's Crash does not wait for the
+// flush delivering it.
 func (r *Replica[S]) storeFailed(life uint32) (degraded bool) {
 	r.mu.Lock()
 	st, ended := r.store, !r.lc.in(life)
@@ -802,14 +802,10 @@ func (r *Replica[S]) storeFailed(life uint32) (degraded bool) {
 		// life a wipe ended, whose store this one is not. Report the phase.
 		return r.lc.isDegraded()
 	}
-	react := r.Kill
 	if degraded = recoverableDiskErr(st.FailErr()); degraded {
-		react = func() { r.degrade(st) }
-	}
-	if st.InlineMode() {
-		react()
+		r.degrade(st)
 	} else {
-		go react()
+		r.Kill()
 	}
 	return degraded
 }
@@ -836,9 +832,9 @@ func recoverableDiskErr(err error) bool {
 // in-memory world keeps serving reads — including entries the disk
 // never accepted, whose submitters were declined with a retryable
 // reason — and every write path refuses with ReasonDegraded until
-// Rejoin reopens the store. On the live transport a re-probe loop
-// retries Rejoin with backoff, so a disk-full shard heals itself once
-// space frees; the simulator rejoins explicitly to stay deterministic.
+// Rejoin reopens the store. A re-probe retries Rejoin with backoff on
+// the transport's clock, so a disk-full shard heals itself once space
+// frees — on the simulator too, in virtual time.
 func (r *Replica[S]) degrade(st *store.Store) {
 	err := st.FailErr()
 	r.mu.Lock()
@@ -849,41 +845,41 @@ func (r *Replica[S]) degrade(st *store.Store) {
 		return
 	}
 	r.store = nil
-	// Counted before the flag is visible, and recorded before the store is
-	// crashed: on the live path Crash waits out the flusher that is still
-	// delivering the failed commits, so a scrape arriving behind one of
-	// those declines must not find the shard degraded and the count at 0.
+	// Counted before the flag is visible: a scrape that finds the shard
+	// degraded finds it counted.
 	r.g.M.Degraded.Inc()
 	r.lc.degrade(err)
-	live, life := !st.InlineMode(), r.lc.stamp()
+	life := r.lc.stamp()
 	r.mu.Unlock()
 	r.Ledger.Record(r.c.tr.Now(), apology.Memory, r.id,
 		fmt.Sprintf("entered degraded read-only mode: %v", err), "")
 	st.Crash()
-	if live {
-		go r.reprobeLoop(life)
-	}
+	r.reprobe(life)
 }
 
-// reprobeLoop retries Rejoin with capped exponential backoff until the
-// degraded life ends — the replica heals or is killed — or the cluster
-// closes. Live transports only; the deterministic simulator rejoins
-// explicitly.
-func (r *Replica[S]) reprobeLoop(life uint32) {
+// reprobe retries Rejoin with capped exponential backoff, 100 ms
+// doubling to 2 s, until the degraded life ends — the replica heals or
+// is killed — or the cluster closes: a one-shot timer on the transport's
+// clock that re-arms itself. r.reprobes counts the chains armed or
+// running.
+func (r *Replica[S]) reprobe(life uint32) {
 	backoff := 100 * time.Millisecond
-	for r.lc.in(life) {
-		select {
-		case <-r.c.done:
-			return
-		case <-time.After(backoff):
-		}
-		if backoff *= 2; backoff > 2*time.Second {
-			backoff = 2 * time.Second
-		}
+	var t transport.Timer
+	t = r.c.tr.NewTimer(func() {
 		// A failure leaves the life degraded, to retry after the backoff;
-		// success ends it, and with it the loop.
-		_ = r.Rejoin(context.Background())
-	}
+		// success ends it, and with it the chain.
+		if !r.c.closed.Load() && r.lc.in(life) {
+			_ = r.Rejoin(context.Background())
+			if r.lc.in(life) {
+				backoff = min(2*backoff, 2*time.Second)
+				t.Reset(backoff)
+				return
+			}
+		}
+		r.reprobes.Add(-1)
+	})
+	r.reprobes.Add(1)
+	t.Reset(backoff)
 }
 
 // Degraded reports whether the replica is in degraded read-only mode:

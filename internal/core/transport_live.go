@@ -30,22 +30,19 @@ import (
 // rides the callee's inbox, the response rides the caller's, and one timer
 // reports the timeout, so a steady-state round trip allocates nothing.
 type LiveTransport struct {
-	mu    sync.RWMutex // guards the node map; hot paths take it read-only
-	start time.Time
-	nodes map[string]*liveNode
+	transport.Wall              // Now and NewTimer: real time since the transport was built
+	mu             sync.RWMutex // guards the node map; hot paths take it read-only
+	nodes          map[string]*liveNode
 }
 
 // NewLiveTransport returns an empty live transport. Messages are delivered
 // as fast as the scheduler allows.
 func NewLiveTransport() *LiveTransport {
 	return &LiveTransport{
-		start: time.Now(),
+		Wall:  transport.Wall{Epoch: time.Now()},
 		nodes: make(map[string]*liveNode),
 	}
 }
-
-// Now returns the wall-clock time elapsed since the transport was built.
-func (t *LiveTransport) Now() time.Duration { return time.Since(t.start) }
 
 // Node registers a node. Registering the same id twice panics.
 func (t *LiveTransport) Node(id string, callTimeout time.Duration) Node {

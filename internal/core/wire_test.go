@@ -227,7 +227,8 @@ func TestDecodedPushIsNeverRetained(t *testing.T) {
 	for _, durable := range []bool{false, true} {
 		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
 			tr := trace.New(trace.Options{SampleEvery: 1})
-			opts := []Option{WithTransport(rpc.NewSimTransport(sim.New(5))), WithReplicas(3), WithTracer(tr)}
+			s := sim.New(5)
+			opts := []Option{WithTransport(rpc.NewSimTransport(s)), WithReplicas(3), WithTracer(tr)}
 			if durable {
 				opts = append(opts, WithDurability(t.TempDir()))
 			}
@@ -254,6 +255,8 @@ func TestDecodedPushIsNeverRetained(t *testing.T) {
 			r := c.Replica(0)
 			acked := false
 			r.handlePush(c.Replica(1).ID(), msg, func(resp any) { acked = resp.(pushAck).OK })
+			for !acked && s.Step() { // a durable replica acks from its flush, the next event
+			}
 			if !acked {
 				t.Fatal("push not acknowledged")
 			}

@@ -45,7 +45,7 @@ func E15DurableRecovery() Experiment {
 			)
 			tab := stats.NewTable(
 				"E15 — never-crashed control vs kill+recover of r1 after burst 2",
-				"3 replicas on the simulator, disk store per replica (inline fsync), the journal the only copy of each ledger. Bursts clear checks on local guesses with no gossip (concurrent clears overdraw the hot account), full convergence between bursts. r1 ops at recovery counts what journal replay rebuilt before any gossip.",
+				"3 replicas on the simulator, disk store per replica (its flush an event of the simulator), the journal the only copy of each ledger. Bursts clear checks on local guesses with no gossip (concurrent clears overdraw the hot account), full convergence between bursts. r1 ops at recovery counts what journal replay rebuilt before any gossip.",
 				"arm", "ops", "r1 ops at kill", "r1 ops at recovery", "apologies", "hot balance", "converged")
 
 			type armResult struct {

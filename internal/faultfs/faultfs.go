@@ -36,8 +36,9 @@
 // atomic at the moment they return: the store already orders them
 // behind explicit directory fsyncs, and rename atomicity is the
 // contract snapshots are built on. A sync the script chose to lie
-// about does not advance the mirror, so data the caller was told is
-// durable still vanishes at the next tear — the fsync-lies fault.
+// about does not advance the mirror, and the tear keeps none of the file's
+// unsynced bytes (preallocated or not) until an honored sync follows, so
+// data the caller was told is durable vanishes — the fsync-lies fault.
 package faultfs
 
 import (
@@ -185,10 +186,11 @@ var ErrCrashed = errors.New("faultfs: crashed (injected)")
 
 // mirror tracks one writable file's two images: mem is the content the
 // process believes in, synced the content the last honored fsync made
-// durable.
+// durable. lied marks a sync the script lied about since then.
 type mirror struct {
 	mem    []byte
 	synced []byte
+	lied   bool
 }
 
 // Injector wraps an FS with a deterministic fault plan. Zero value is
@@ -437,7 +439,7 @@ func (i *Injector) Tear() error {
 	for _, p := range paths {
 		m := i.files[p]
 		survivor := append([]byte(nil), m.synced...)
-		if tail := len(m.mem) - len(m.synced); tail > 0 {
+		if tail := len(m.mem) - len(m.synced); tail > 0 && !m.lied {
 			keep := i.rng.Intn(tail + 1)
 			survivor = append(survivor, m.mem[len(m.synced):len(m.synced)+keep]...)
 		}
@@ -555,7 +557,12 @@ func (f *faultFile) Sync() error {
 	time.Sleep(d.Delay)
 	if d.LieSync {
 		// Report success, honor nothing: the durable image stays where
-		// it was, so these bytes still vanish at the next Tear.
+		// it was, so these bytes vanish at the next Tear.
+		if f.m != nil {
+			f.inj.mu.Lock()
+			f.m.lied = true
+			f.inj.mu.Unlock()
+		}
 		return nil
 	}
 	if err := f.f.Sync(); err != nil {
@@ -563,7 +570,7 @@ func (f *faultFile) Sync() error {
 	}
 	if f.m != nil {
 		f.inj.mu.Lock()
-		f.m.synced = append(f.m.synced[:0], f.m.mem...)
+		f.m.synced, f.m.lied = append(f.m.synced[:0], f.m.mem...), false
 		f.inj.mu.Unlock()
 	}
 	return nil

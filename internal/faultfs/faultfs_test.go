@@ -155,11 +155,10 @@ func TestLyingSyncNeverAdvancesDurability(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, _ := os.ReadFile(path)
-	if len(got) == len("gone") {
-		// The seeded tail-keep may legitimately preserve a prefix, but a
-		// lying sync must never guarantee the full content survives.
-		// With seed 99 the first draw keeps less than everything.
-		t.Fatalf("lying fsync preserved all %q", got)
+	if len(got) != 0 {
+		// What a lying sync claimed is gone whole: no seeded tail-keep
+		// applies to it.
+		t.Fatalf("lying fsync preserved %q", got)
 	}
 }
 

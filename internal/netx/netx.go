@@ -292,6 +292,9 @@ func (t *Transport) Every(interval time.Duration, fn func()) (stop func()) {
 	return t.local.Every(interval, fn)
 }
 
+// NewTimer is the LiveTransport's: a real timer.
+func (t *Transport) NewTimer(fn func()) transport.Timer { return t.local.NewTimer(fn) }
+
 // Scatter runs every fn on its own goroutine and waits — the live half
 // of the Scatterer capability, same as LiveTransport.
 func (t *Transport) Scatter(fns []func()) { t.local.Scatter(fns) }

@@ -52,6 +52,9 @@ func (t *SimTransport) Every(interval time.Duration, fn func()) (stop func()) {
 	return t.s.Every(interval, fn)
 }
 
+// NewTimer returns a timer that fires as an event of the simulator.
+func (t *SimTransport) NewTimer(fn func()) transport.Timer { return t.s.NewTimer(fn) }
+
 // Await steps the event loop until ready closes. Cancellation is checked
 // between events, so a context cancelled by a simulated event (or already
 // cancelled on entry) is honoured deterministically; if the event queue

@@ -23,11 +23,10 @@ import (
 
 // event is a scheduled callback.
 type event struct {
-	at   time.Duration
-	seq  uint64 // tiebreak so same-time events run in schedule order
-	fn   func()
-	dead bool // set by Timer.Stop
-	idx  int  // heap index
+	at  time.Duration
+	seq uint64 // tiebreak so same-time events run in schedule order
+	fn  func()
+	idx int // heap index; -1 while not queued
 }
 
 type eventHeap []*event
@@ -54,6 +53,7 @@ func (h *eventHeap) Pop() any {
 	n := len(old)
 	e := old[n-1]
 	old[n-1] = nil
+	e.idx = -1
 	*h = old[:n-1]
 	return e
 }
@@ -83,39 +83,50 @@ func (s *Sim) Now() time.Duration { return s.now }
 // simulation must come from here to preserve determinism.
 func (s *Sim) Rand() *rand.Rand { return s.rng }
 
-// Timer identifies a scheduled event and allows cancelling it.
-type Timer struct{ ev *event }
+// Timer is a scheduled callback that can be cancelled and re-armed: the
+// event it queues is its own, so re-arming one allocates nothing.
+type Timer struct {
+	s  *Sim
+	ev event
+}
 
-// Stop cancels the timer. It reports whether the callback had not yet run
-// (and therefore will never run). Stopping an already-fired or
-// already-stopped timer is a no-op.
+// NewTimer returns an unarmed timer that runs fn each time it fires.
+func (s *Sim) NewTimer(fn func()) *Timer {
+	return &Timer{s: s, ev: event{fn: fn, idx: -1}}
+}
+
+// Stop cancels the timer. It reports whether the callback was pending
+// (and therefore will now not run). Stopping a fired or stopped timer is
+// a no-op.
 func (t *Timer) Stop() bool {
-	if t == nil || t.ev == nil || t.ev.dead {
+	if t == nil || t.ev.idx < 0 {
 		return false
 	}
-	t.ev.dead = true
+	heap.Remove(&t.s.events, t.ev.idx)
 	return true
+}
+
+// Reset arms the timer to fire d after the current time (now, if d is
+// negative), after every event already scheduled for that instant,
+// cancelling a pending firing. It reports whether one was pending.
+func (t *Timer) Reset(d time.Duration) bool {
+	pending, s := t.Stop(), t.s
+	t.ev.at, t.ev.seq = s.now+max(d, 0), s.seq
+	s.seq++
+	heap.Push(&s.events, &t.ev)
+	return pending
 }
 
 // At schedules fn to run at virtual time at. Scheduling in the past (or
 // at the present instant) runs the callback at the current time but after
 // all previously scheduled events for that time.
-func (s *Sim) At(at time.Duration, fn func()) *Timer {
-	if at < s.now {
-		at = s.now
-	}
-	e := &event{at: at, seq: s.seq, fn: fn}
-	s.seq++
-	heap.Push(&s.events, e)
-	return &Timer{ev: e}
-}
+func (s *Sim) At(at time.Duration, fn func()) *Timer { return s.After(at-s.now, fn) }
 
 // After schedules fn to run d after the current time.
 func (s *Sim) After(d time.Duration, fn func()) *Timer {
-	if d < 0 {
-		d = 0
-	}
-	return s.At(s.now+d, fn)
+	t := s.NewTimer(fn)
+	t.Reset(d)
+	return t
 }
 
 // Every schedules fn to run every interval, first firing after interval.
@@ -127,18 +138,14 @@ func (s *Sim) Every(interval time.Duration, fn func()) (stop func()) {
 		panic(fmt.Sprintf("sim: Every interval must be positive, got %v", interval))
 	}
 	stopped := false
-	var tick func()
 	var timer *Timer
-	tick = func() {
-		if stopped {
-			return
-		}
+	timer = s.NewTimer(func() {
 		fn()
 		if !stopped {
-			timer = s.After(interval, tick)
+			timer.Reset(interval)
 		}
-	}
-	timer = s.After(interval, tick)
+	})
+	timer.Reset(interval)
 	return func() {
 		stopped = true
 		timer.Stop()
@@ -149,17 +156,13 @@ func (s *Sim) Every(interval time.Duration, fn func()) (stop func()) {
 // timestamp. It reports whether an event was executed (false when the
 // queue is empty).
 func (s *Sim) Step() bool {
-	for s.events.Len() > 0 {
-		e := heap.Pop(&s.events).(*event)
-		if e.dead {
-			continue
-		}
-		e.dead = true // fired; Stop after this point reports false
-		s.now = e.at
-		e.fn()
-		return true
+	if s.events.Len() == 0 {
+		return false
 	}
-	return false
+	e := heap.Pop(&s.events).(*event) // fired: Stop after this reports false
+	s.now = e.at
+	e.fn()
+	return true
 }
 
 // Run executes events until the queue is empty.

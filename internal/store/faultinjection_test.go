@@ -44,10 +44,7 @@ func driveCrashWorkload(st *Store, all []oplog.Entry, from, batch, ackEvery int)
 		if hi > len(all) {
 			hi = len(all)
 		}
-		end := st.Stage(all[pos:hi])
-		done := make(chan bool, 1)
-		st.Commit(end, func(ok bool) { done <- ok })
-		if <-done {
+		if end := st.Stage(all[pos:hi]); commitWait(st, end) {
 			acked = end
 		}
 		pos = hi
@@ -76,8 +73,8 @@ func TestCrashPointEnumeration(t *testing.T) {
 		name string
 		opt  Options
 	}{
-		{"journal", Options{Inline: true, SegmentBytes: 512}},
-		{"preallocated", Options{Inline: true, Preallocate: true, SegmentBytes: 512}},
+		{"journal", stepped(Options{SegmentBytes: 512})},
+		{"preallocated", stepped(Options{Preallocate: true, SegmentBytes: 512})},
 	}
 	const total, batch, ackEvery = 96, 3, 12
 	all := crashWorkloadEntries(total)
@@ -194,27 +191,22 @@ func failOn(kind faultfs.OpKind, substr string, nth int, err error) faultfs.Scri
 func TestEIOFailsCommitAndSticks(t *testing.T) {
 	dir := t.TempDir()
 	inj := faultfs.New(faultfs.OS, 1, failOn(faultfs.OpWrite, "journal-", 3, syscall.EIO))
-	opt := Options{Inline: true, FS: inj}
+	opt := stepped(Options{FS: inj})
 	st, _ := mustOpen(t, dir, opt)
 	commitAll(t, st, []oplog.Entry{entry(0), entry(1)})
 	commitAll(t, st, []oplog.Entry{entry(2)})
 
-	end := st.Stage([]oplog.Entry{entry(3)})
-	done := make(chan bool, 1)
-	st.Commit(end, func(ok bool) { done <- ok })
-	if <-done {
+	if commitWait(st, st.Stage([]oplog.Entry{entry(3)})) {
 		t.Fatal("commit reported durable across an injected EIO")
 	}
-	end = st.Stage([]oplog.Entry{entry(4)})
-	st.Commit(end, func(ok bool) { done <- ok })
-	if <-done {
+	if commitWait(st, st.Stage([]oplog.Entry{entry(4)})) {
 		t.Fatal("commit after a sticky I/O error must fail")
 	}
 	if err := st.Close(); err == nil || !errors.Is(err, syscall.EIO) {
 		t.Fatalf("Close after EIO = %v, want the sticky EIO", err)
 	}
 
-	st2, rec, err := Open(dir, Options{Inline: true})
+	st2, rec, err := Open(dir, stepped(Options{}))
 	if err != nil {
 		t.Fatalf("recovery after EIO: %v", err)
 	}
@@ -237,7 +229,7 @@ func TestENOSPCOnAckedFileLeavesOlderValue(t *testing.T) {
 		}
 		return faultfs.Decision{}
 	})
-	st, _ := mustOpen(t, dir, Options{Inline: true, SegmentBytes: 64, FS: inj}) // two records a segment
+	st, _ := mustOpen(t, dir, stepped(Options{SegmentBytes: 64, FS: inj})) // two records a segment
 	for i := 0; i < 4; i++ {
 		commitAll(t, st, []oplog.Entry{entry(i)})
 		st.AckTo(i + 1)
@@ -255,7 +247,7 @@ func TestENOSPCOnAckedFileLeavesOlderValue(t *testing.T) {
 	if refused == 0 {
 		t.Fatal("no seal tried to record an acked position while the disk was full")
 	}
-	st2, rec := mustOpen(t, dir, inlineOpts())
+	st2, rec := mustOpen(t, dir, stepped(Options{}))
 	defer st2.Close()
 	if rec.End != 8 || rec.Acked != int(before) {
 		t.Fatalf("recovered end %d acked %d, want 8 and %d", rec.End, rec.Acked, before)
@@ -278,19 +270,16 @@ func TestShortWritePlusTearRecovers(t *testing.T) {
 		}
 		return faultfs.Decision{}
 	})
-	st, _ := mustOpen(t, dir, Options{Inline: true, FS: inj})
+	st, _ := mustOpen(t, dir, stepped(Options{FS: inj}))
 	commitAll(t, st, []oplog.Entry{entry(0), entry(1)})
-	end := st.Stage([]oplog.Entry{entry(2), entry(3)})
-	done := make(chan bool, 1)
-	st.Commit(end, func(ok bool) { done <- ok })
-	if <-done {
+	if commitWait(st, st.Stage([]oplog.Entry{entry(2), entry(3)})) {
 		t.Fatal("commit over a short write reported durable")
 	}
 	st.Crash()
 	if err := inj.Tear(); err != nil {
 		t.Fatal(err)
 	}
-	st2, rec, err := Open(dir, Options{Inline: true})
+	st2, rec, err := Open(dir, stepped(Options{}))
 	if err != nil {
 		t.Fatalf("recovery after short write: %v", err)
 	}
@@ -319,7 +308,7 @@ func TestLyingFsyncLosesOnlyTheLie(t *testing.T) {
 		}
 		return faultfs.Decision{}
 	})
-	st, _ := mustOpen(t, dir, Options{Inline: true, FS: inj})
+	st, _ := mustOpen(t, dir, stepped(Options{FS: inj}))
 	commitAll(t, st, []oplog.Entry{entry(0), entry(1)}) // honest
 	lying = true
 	commitAll(t, st, []oplog.Entry{entry(2), entry(3)}) // "durable", dropped
@@ -327,7 +316,7 @@ func TestLyingFsyncLosesOnlyTheLie(t *testing.T) {
 	if err := inj.Tear(); err != nil {
 		t.Fatal(err)
 	}
-	st2, rec, err := Open(dir, Options{Inline: true})
+	st2, rec, err := Open(dir, stepped(Options{}))
 	if err != nil {
 		t.Fatalf("recovery after lying fsync: %v", err)
 	}
@@ -349,7 +338,7 @@ func TestLyingFsyncLosesOnlyTheLie(t *testing.T) {
 // ErrCorrupt and name the offending segment — never silently truncate.
 func TestSealedSegmentBitRotIsErrCorrupt(t *testing.T) {
 	dir := t.TempDir()
-	opt := Options{Inline: true, SegmentBytes: 256}
+	opt := stepped(Options{SegmentBytes: 256})
 	st, _ := mustOpen(t, dir, opt)
 	for i := 0; i < 40; i++ {
 		commitAll(t, st, []oplog.Entry{entry(i)})

@@ -37,12 +37,11 @@ func (f gateFile) Sync() error {
 	return f.File.Sync()
 }
 
-// TestStaleFullTokenDoesNotCancelNextHold: an early-departure token
-// deposited by a burst that staged while a flush was already at the
-// device is spent — the drain loop flushes that burst without consulting
-// it. It must not survive to cancel the coalescing hold of the next,
-// shallow, flush.
-func TestStaleFullTokenDoesNotCancelNextHold(t *testing.T) {
+// TestBurstBehindFlushDoesNotCancelNextHold: a full bus staged while a
+// flush is already at the device rides that flush's drain loop, with no
+// hold and no timer of its own. The early departure it earned must not
+// survive to cancel the coalescing hold of the next, shallow, flush.
+func TestBurstBehindFlushDoesNotCancelNextHold(t *testing.T) {
 	var armed atomic.Bool
 	entered, release := make(chan struct{}), make(chan struct{})
 	fsys := gateFS{faultfs.OS, func() {
@@ -69,15 +68,18 @@ func TestStaleFullTokenDoesNotCancelNextHold(t *testing.T) {
 		burst = append(burst, entry(2+len(burst)))
 	}
 	s.Stage(burst)
-	if len(s.full) != 1 {
-		t.Error("a full bus staged behind an in-flight flush left no early-departure token: the test exercises nothing")
+	s.mu.Lock()
+	full := len(s.stage.buf) >= 4*kneeBytes
+	s.mu.Unlock()
+	if !full {
+		t.Error("the burst staged behind the in-flight flush does not fill the bus: the test exercises nothing")
 	}
 	release <- struct{}{}
 	if !<-first {
 		t.Fatal("first commit failed")
 	}
-	// The drain loop flushes the burst next, with no hold and no kick;
-	// once that flush lets go of flushMu the flusher can only go idle.
+	// The drain loop flushes the burst next, with no hold and no commit
+	// waiting on it; once that flush lets go of flushMu, nothing re-arms.
 	<-entered
 	armed.Store(false)
 	release <- struct{}{}
@@ -98,11 +100,11 @@ func TestStaleFullTokenDoesNotCancelNextHold(t *testing.T) {
 	}
 }
 
-// TestHoldAllocatesNoTimer pins the flusher's coalescing hold at no
-// allocation of its own: the loop re-arms one timer. A fresh timer per
+// TestHoldAllocatesNoTimer pins the flush's coalescing hold at no
+// allocation of its own: the store re-arms one timer. A fresh timer per
 // flush was about three allocations on every commit that waited for
-// company. Counted process-wide, so the flusher's goroutine is included;
-// a held commit measured 2.0, the same as one that never held.
+// company. Counted process-wide, so the timer's goroutine is included; a
+// held commit measured 2.0, the same as one that never held.
 func TestHoldAllocatesNoTimer(t *testing.T) {
 	testenv.SkipUnderRace(t)
 	// A sync that takes a while is what teaches the store to hold at all.
@@ -131,11 +133,13 @@ func TestHoldAllocatesNoTimer(t *testing.T) {
 }
 
 func TestAdaptiveCommitCallbacksOrderedExactlyOnce(t *testing.T) {
-	// Clock-free pin on the adaptive mode's commit contract: callbacks
-	// fire exactly once, in commit order, and a post-crash commit fails —
-	// no assertion here depends on timing, only on ordering.
+	// Stepped pin on the adaptive mode's commit contract: callbacks fire
+	// exactly once, in commit order, whether a flush carries one commit or
+	// several, and a post-crash commit fails — no assertion here depends
+	// on timing, only on ordering.
 	dir := t.TempDir()
-	opt := Options{Inline: true, Mode: ModeAdaptive}
+	opt := stepped(Options{Mode: ModeAdaptive})
+	clock := opt.Clock.(simClock)
 	s, _ := mustOpen(t, dir, opt)
 	const n = 100
 	var fired []int
@@ -149,7 +153,11 @@ func TestAdaptiveCommitCallbacksOrderedExactlyOnce(t *testing.T) {
 			fired = append(fired, end)
 			counts[end]++
 		})
+		if i%3 == 0 {
+			clock.Run()
+		}
 	}
+	clock.Run()
 	if len(fired) != n {
 		t.Fatalf("%d callbacks fired, want %d", len(fired), n)
 	}
@@ -170,8 +178,8 @@ func TestAdaptiveCommitCallbacksOrderedExactlyOnce(t *testing.T) {
 }
 
 func TestAdaptiveBackgroundPreservesCommitOrder(t *testing.T) {
-	// Same contract under the background flusher, where adaptive holds and
-	// early departures actually run: whatever the flush timing, callbacks
+	// Same contract on the wall clock, where adaptive holds and early
+	// departures actually run: whatever the flush timing, callbacks
 	// observe commit order and each fires exactly once.
 	dir := t.TempDir()
 	opt := Options{Mode: ModeAdaptive}

@@ -64,10 +64,10 @@ func goldenEntries() []oplog.Entry {
 	return out
 }
 
-// goldenOpts is the corpus's store shape: inline (deterministic), tiny
+// goldenOpts is the corpus's store shape: stepped (deterministic), tiny
 // segments so the ledger spans many of them, and preallocation on.
 func goldenOpts() Options {
-	return Options{Inline: true, Preallocate: true, SegmentBytes: 512}
+	return stepped(Options{Preallocate: true, SegmentBytes: 512})
 }
 
 // goldenScript drives a fresh store in dir through the corpus's life and

@@ -11,12 +11,15 @@ import (
 )
 
 // TestPinStageCommitAllocs: at steady state a Stage and its Commit — the
-// encode, the flush, the fsync, the waiter fan-out — allocate nothing
-// when the caller reuses its batch and its callback. What the store keeps between Stage and disk is bytes
-// in buffers it owns.
+// encode, the flush timer, the fsync, the waiter fan-out — allocate
+// nothing when the caller reuses its batch and its callback. What the
+// store keeps between Stage and disk is bytes in buffers it owns, and one
+// timer it re-arms.
 func TestPinStageCommitAllocs(t *testing.T) {
 	testenv.SkipUnderRace(t)
-	s, _ := mustOpen(t, t.TempDir(), Options{Inline: true})
+	opt := stepped(Options{})
+	clock := opt.Clock.(simClock)
+	s, _ := mustOpen(t, t.TempDir(), opt)
 	defer s.Close()
 	batch := []oplog.Entry{entry(0)}
 	var oks int
@@ -28,6 +31,7 @@ func TestPinStageCommitAllocs(t *testing.T) {
 	commit := func() {
 		batch[0].Lam++
 		s.Commit(s.Stage(batch), then)
+		clock.Run()
 	}
 	for i := 0; i < 4096; i++ {
 		commit() // grow both sides of the staging log and the waiter slices

@@ -51,9 +51,7 @@ func BenchmarkRecoverJournal400k(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < n; i += 1000 {
-		done := make(chan bool, 1)
-		s.Commit(s.Stage(all[i:min(i+1000, n)]), func(ok bool) { done <- ok })
-		if !<-done {
+		if !commitWait(s, s.Stage(all[i:min(i+1000, n)])) {
 			b.Fatal("commit failed")
 		}
 	}
@@ -65,7 +63,7 @@ func BenchmarkRecoverJournal400k(b *testing.B) {
 	b.ResetTimer()
 	for range b.N {
 		start := time.Now()
-		s, rec, err := Open(dir, Options{Inline: true})
+		s, rec, err := Open(dir, Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,6 +1,6 @@
 // Package store is the durable tier of a replica: a disk-backed,
 // append-only, segmented journal of oplog entries, glued together by a
-// group-commit fsync loop.
+// group-commit flush timer.
 //
 // §3.2 of Building on Quicksand is the design brief. The transaction log
 // "describing the changes to the state on disk" is also the stream that
@@ -15,6 +15,11 @@
 // or when full, so N concurrent commits cost far fewer than N disk
 // flushes (internal/wal models the same economics on the simulator; this
 // package pays them against real files).
+//
+// The bus runs on Options.Clock: Commit arms a one-shot timer for the
+// hold, and the flush is its callback — a real timer on the wall clock,
+// an event of the deterministic loop on a simulator's, where a commit's
+// window between staging and fsync exists too.
 //
 // # On-disk layout
 //
@@ -79,6 +84,7 @@ import (
 	"repro/internal/faultfs"
 	"repro/internal/oplog"
 	"repro/internal/stats"
+	"repro/internal/transport"
 )
 
 // Filenames and framing constants.
@@ -94,11 +100,11 @@ const (
 
 	segHdrV2 = len(segMagicV2) + 8 // v2 header: magic + start position
 
-	// The adaptive flush curve (see adaptiveHold). maxWait caps the
+	// The adaptive flush curve (see adaptiveHoldLocked). maxWait caps the
 	// coalescing hold regardless of fsync cost; kneeBytes is the load at
 	// which the hold saturates — roughly a hundred typical entries, enough
 	// riders that the fsync is well amortized. At 4× kneeBytes of staged
-	// backlog the flusher departs early.
+	// backlog the flush departs early.
 	maxWait   = 2 * time.Millisecond
 	kneeBytes = 8 << 10
 )
@@ -143,10 +149,11 @@ type Mode int
 // ModeAdaptive (the default, and the only mode) is group commit with a
 // load-shaped coalescing hold: when the staged backlog is shallow the
 // flush departs immediately (the latency-optimal choice when the disk is
-// keeping up), and as load grows the flusher holds the bus for up to
+// keeping up), and as load grows the flush holds the bus for up to
 // min(maxWait, EWMA of recent fsync cost) — so saturated periods buy
-// bigger batches and fewer fsyncs without taxing the idle path. Under
-// Options.Inline there is no flusher to hold: each Commit drains at once.
+// bigger batches and fewer fsyncs without taxing the idle path. The cost
+// is measured on Options.Clock, so on a simulator's clock, where an
+// fsync costs no virtual time, the hold is always zero.
 const ModeAdaptive Mode = 0
 
 // Options tunes a Store. The zero value selects the defaults.
@@ -156,17 +163,16 @@ type Options struct {
 	SegmentBytes int
 	// Mode picks the commit economics; ModeAdaptive is the only one.
 	Mode Mode
-	// Inline runs every flush synchronously on the calling goroutine
-	// instead of the background flusher — the deterministic coupling the
-	// simulator transport needs. Group-commit economics disappear (each
-	// Commit pays its own fsync); correctness is identical.
-	Inline bool
+	// Clock runs the flush driver (default: the wall clock): the flush is
+	// a timer from it, and the hold's fsync-cost estimate is read on it.
+	// A cluster passes its transport.
+	Clock Clock
 	// Preallocate reserves each journal segment's full SegmentBytes when
 	// the segment is created, so steady-state appends never pay
 	// allocate-and-extend metadata fsyncs at segment boundaries. Off by
 	// default: preallocated files make a segment's size diverge from its
-	// data length, which simulator-facing tests that compute offsets from
-	// file sizes must not see.
+	// data length, which tests that compute offsets from file sizes must
+	// not see.
 	Preallocate bool
 	// SnapshotChain is ignored: the store writes no snapshots (see the
 	// package comment). The field stays so that callers setting it still
@@ -179,9 +185,19 @@ type Options struct {
 	FS faultfs.FS
 }
 
+// Clock is what the flush driver runs on: a time source and a factory of
+// re-armable one-shot timers. Every transport.Transport is one.
+type Clock interface {
+	Now() time.Duration
+	NewTimer(fn func()) transport.Timer
+}
+
 func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 4 << 20
+	}
+	if o.Clock == nil {
+		o.Clock = transport.Wall{Epoch: time.Now()}
 	}
 	if o.FS == nil {
 		o.FS = faultfs.OS
@@ -235,10 +251,10 @@ type Recovery struct {
 
 // stageLog is one side of the double-buffered staging log: the framed
 // records of every Stage call since the sides last swapped — length and
-// payload in place, the CRC field left zero until the flusher knows which
+// payload in place, the CRC field left zero until the flush knows which
 // segment (and so which seed) a record lands in — plus one mark per Stage
 // call, because segments rotate a call at a time. Stage fills one side
-// under mu while the flusher writes the other out.
+// under mu while the flush writes the other out.
 type stageLog struct {
 	buf   []byte
 	marks []stageMark
@@ -276,27 +292,28 @@ type Store struct {
 	stage   stageLog // staged, not yet taken by a flush; len(stage.buf) is the backlog
 	spare   stageLog // the empty side; zero while a flush holds it
 	waiters []waiter
-	fireBuf []waiter // the drain's reused fan-out buffer; nil while a drain holds it
-	end     int      // next position to assign
-	flushed int      // positions below this are fsynced
-	ackPos  int      // min position every gossip peer has acknowledged
-	failed  error    // sticky I/O error: all later commits fail
+	end     int   // next position to assign
+	flushed int   // positions below this are fsynced
+	ackPos  int   // min position every gossip peer has acknowledged
+	failed  error // sticky I/O error: all later commits fail
 	closed  bool
 
-	// File handles are owned by whoever runs flushes: the background
-	// flusher goroutine, or the calling goroutine under flushMu when
-	// Inline. Never touched with mu held — fsync must not block staging.
+	// The flush driver: timer runs flush. At most one flush is armed or
+	// running; Close waits on idle for a running one to finish.
+	timer   transport.Timer
+	armed   bool          // timer is armed,
+	hold    time.Duration // for this long
+	running bool          // flush is running
+	idle    sync.Cond
+	fireBuf []waiter // the drain's reused fan-out buffer
+
+	// File handles are owned by whoever runs the flush, under flushMu.
+	// Never touched with mu held — fsync must not block staging.
 	flushMu  sync.Mutex
 	active   segment // the segment appends go to; zero until the first exists
 	seg      faultfs.File
 	segBytes int64  // data bytes in the active segment (file size may exceed this when preallocated)
 	segSeed  uint32 // CRC seed of the active segment
-
-	kick     chan struct{} // wake the flusher (buffered, coalescing)
-	full     chan struct{} // early departure: 4× kneeBytes staged
-	quit     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
 
 	fsyncs    atomic.Int64
 	appended  atomic.Int64
@@ -323,14 +340,9 @@ func Open(dir string, opt Options) (*Store, Recovery, error) {
 	if err := opt.FS.MkdirAll(dir, 0o755); err != nil {
 		return nil, Recovery{}, err
 	}
-	s := &Store{
-		dir:  dir,
-		opt:  opt,
-		fs:   opt.FS,
-		kick: make(chan struct{}, 1),
-		full: make(chan struct{}, 1),
-		quit: make(chan struct{}),
-	}
+	s := &Store{dir: dir, opt: opt, fs: opt.FS}
+	s.timer = opt.Clock.NewTimer(s.flush)
+	s.idle.L = &s.mu
 	rec, err := s.replay()
 	if err != nil {
 		return nil, Recovery{}, err
@@ -342,19 +354,8 @@ func Open(dir string, opt Options) (*Store, Recovery, error) {
 	s.flushed = rec.End
 	s.ackPos = rec.Acked
 	s.tornBytes = rec.TornBytes
-	if !opt.Inline {
-		s.wg.Add(1)
-		go s.flushLoop()
-	}
 	return s, rec, nil
 }
-
-// InlineMode reports whether all disk work runs synchronously on the
-// calling goroutine (Options.Inline) rather than on background
-// goroutines. Callers that must react to a commit failure from inside
-// its callback use this to decide whether spawning is safe — and, on
-// the deterministic simulator, forbidden.
-func (s *Store) InlineMode() bool { return s.opt.Inline }
 
 // End reports the next journal position to be assigned.
 func (s *Store) End() int {
@@ -403,17 +404,17 @@ func (s *Store) Stage(batch []oplog.Entry) int {
 	}
 	l := &s.stage
 	for _, e := range batch {
-		l.buf = appendFrame(l.buf, e) // sealed by the flusher, under its segment's seed
+		l.buf = appendFrame(l.buf, e) // sealed by the flush, under its segment's seed
 	}
 	s.end += len(batch)
 	end := s.end
 	l.marks = append(l.marks, stageMark{off: len(l.buf), end: end})
-	batchFull := len(l.buf) >= 4*kneeBytes
+	if len(l.buf) >= 4*kneeBytes && s.armed && s.hold > 0 && s.timer.Stop() {
+		s.hold = 0 // early departure: the bus is full
+		s.timer.Reset(0)
+	}
 	s.mu.Unlock()
 	s.appended.Add(int64(len(batch)))
-	if batchFull {
-		signal(s.full)
-	}
 	return end
 }
 
@@ -422,9 +423,10 @@ func noCommitCallback(bool) {}
 
 // Commit asks for durability of every position below end; then fires
 // exactly once — with ok=true after the flush that covers end, or
-// ok=false if the store crashed or hit an I/O error first. then runs on
-// the flusher goroutine (inline on the caller when Options.Inline), so
-// it must not block on a future commit of this store.
+// ok=false if the store crashed or hit an I/O error first. Unless it
+// fires at once, then runs in the flush — the callback of a timer on
+// Options.Clock, armed here for the adaptive hold — so it must not block
+// on a future commit of this store.
 func (s *Store) Commit(end int, then func(ok bool)) {
 	if then == nil {
 		then = noCommitCallback
@@ -446,12 +448,10 @@ func (s *Store) Commit(end int, then func(ok bool)) {
 		return
 	}
 	s.waiters = append(s.waiters, waiter{end: end, fn: then})
-	s.mu.Unlock()
-	if s.opt.Inline {
-		s.drain()
-		return
+	if !s.armed && !s.running {
+		s.arm()
 	}
-	signal(s.kick)
+	s.mu.Unlock()
 }
 
 // AckTo records that every gossip peer has acknowledged positions below
@@ -465,7 +465,8 @@ func (s *Store) AckTo(pos int) {
 
 // Close flushes everything staged, fsyncs, closes the files and records
 // the acknowledged position — the graceful shutdown. It reports the
-// sticky I/O error, if any.
+// sticky I/O error, if any. A flush already under way finishes first, so
+// Close must not be called from a commit callback.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -474,8 +475,13 @@ func (s *Store) Close() error {
 		return err
 	}
 	s.closed = true
+	if s.armed && s.timer.Stop() {
+		s.armed = false
+	}
+	for s.armed || s.running {
+		s.idle.Wait() // a flush that already fired: let it finish
+	}
 	s.mu.Unlock()
-	s.stop()
 	s.drain()
 	s.flushMu.Lock()
 	if s.seg != nil {
@@ -504,15 +510,18 @@ func (s *Store) Close() error {
 // dropped, every pending commit fails with ok=false, and the files are
 // closed with no final fsync. What Open finds afterwards is exactly what
 // earlier flushes made durable — the volatile tail is gone, as §2.2's
-// fail-fast discipline demands.
+// fail-fast discipline demands. Crash does not wait for a flush under
+// way beyond its write, so a commit callback may call it.
 func (s *Store) Crash() {
 	s.mu.Lock()
 	s.closed = true
 	s.stage = s.stage.reset()
 	dead := s.waiters
 	s.waiters = nil
+	if s.armed && s.timer.Stop() {
+		s.armed = false
+	}
 	s.mu.Unlock()
-	s.stop()
 	s.flushMu.Lock()
 	if s.seg != nil {
 		s.seg.Close()
@@ -524,76 +533,43 @@ func (s *Store) Crash() {
 	}
 }
 
-// stop halts the background goroutines and waits for them.
-func (s *Store) stop() {
-	s.stopOnce.Do(func() { close(s.quit) })
-	if !s.opt.Inline {
-		s.wg.Wait()
+// flush is the timer's callback, the city bus departing: it flushes
+// everything aboard, one fsync a lot, fires the satisfied commit waiters,
+// and re-arms for the hold if a commit boarded while it fired them.
+func (s *Store) flush() {
+	s.mu.Lock()
+	s.armed, s.running = false, true
+	s.mu.Unlock()
+	s.drain()
+	s.mu.Lock()
+	s.running = false
+	if len(s.waiters) > 0 && !s.closed {
+		s.arm()
 	}
+	s.idle.Broadcast()
+	s.mu.Unlock()
 }
 
-func signal(ch chan struct{}) {
-	select {
-	case ch <- struct{}{}:
-	default:
-	}
+// arm starts the flush timer on the adaptive hold. Caller holds mu, and
+// no flush is armed or running.
+func (s *Store) arm() {
+	s.armed, s.hold = true, s.adaptiveHoldLocked()
+	s.timer.Reset(s.hold)
 }
 
-// flushLoop is the city bus: kicked, it waits out the adaptive hold (or
-// departs early on a full backlog), flushes everything aboard with one
-// fsync and fires the satisfied commit waiters.
-func (s *Store) flushLoop() {
-	defer s.wg.Done()
-	var timer *time.Timer // the hold's, re-armed for each one
-	for {
-		select {
-		case <-s.quit:
-			return
-		case <-s.kick:
-		}
-		// An early-departure token left by a burst that boarded while the
-		// previous flush was already under way is spent: the drain loop
-		// took those riders without a hold. Discard it before reading the
-		// backlog — a bus that is full now zeroes the hold by itself, and
-		// one that fills during the hold deposits a fresh token.
-		select {
-		case <-s.full:
-		default:
-		}
-		if hold := s.adaptiveHold(); hold > 0 {
-			if timer == nil {
-				timer = time.NewTimer(hold)
-			} else {
-				timer.Reset(hold) // it fired or was stopped: nothing stale can arrive (go 1.23 timers)
-			}
-			select {
-			case <-timer.C:
-			case <-s.full:
-				timer.Stop()
-			case <-s.quit:
-				timer.Stop()
-				return
-			}
-		}
-		s.drain()
-	}
-}
-
-// adaptiveHold maps the store's load onto the coalescing-hold curve:
-// zero when nothing is staged, rising linearly to min(maxWait,
+// adaptiveHoldLocked maps the store's load onto the coalescing-hold
+// curve: zero when nothing is staged, rising linearly to min(maxWait,
 // fsync-cost EWMA) at kneeBytes — holding for about one fsync's cost doubles the batch a
-// saturated flusher boards while bounding the added latency to what the
+// saturated flush boards while bounding the added latency to what the
 // disk was already charging — and zero again once 4× kneeBytes are
 // staged: the bus is full. Load is max(staged backlog, EWMA of recent
-// flush size): the flusher usually wakes on the FIRST rider of a burst,
+// flush size): the flush is usually armed by the FIRST rider of a burst,
 // when the instantaneous backlog still looks shallow, so the
 // recent-flush EWMA is what keeps the bus at the stop while the rest of
 // a sustained stream boards. Until the first fsync lands there is no
-// cost estimate and no hold.
-func (s *Store) adaptiveHold() time.Duration {
-	s.mu.Lock()
+// cost estimate and no hold. Caller holds mu.
+func (s *Store) adaptiveHoldLocked() time.Duration {
 	backlog := len(s.stage.buf)
-	s.mu.Unlock()
 	if backlog == 0 || backlog >= 4*kneeBytes {
 		return 0
 	}
@@ -615,14 +591,11 @@ func (s *Store) adaptiveHold() time.Duration {
 }
 
 // drain flushes what is staged until nothing remains, one fsync for each
-// lot it takes. The satisfied waiters fire from a buffer the store keeps
-// between drains; a drain nested inside one of those callbacks (an inline
-// store's Commit) finds it taken and brings its own.
+// lot it takes, and fires the satisfied waiters outside every lock from a
+// buffer the store keeps between drains. Only the flush, or Close once no
+// flush is armed or running, drains — never two at once.
 func (s *Store) drain() {
-	s.mu.Lock()
 	fire := s.fireBuf
-	s.fireBuf = nil
-	s.mu.Unlock()
 	for more := true; more; {
 		fire, more = s.flushOnce(fire[:0])
 		for i := range fire {
@@ -630,9 +603,7 @@ func (s *Store) drain() {
 		}
 	}
 	clear(fire) // drop the callbacks
-	s.mu.Lock()
 	s.fireBuf = fire[:0]
-	s.mu.Unlock()
 }
 
 // flushOnce writes everything staged, fsyncs, and appends to fire the
@@ -793,15 +764,16 @@ func seal(rec []byte, seed uint32) {
 }
 
 func (s *Store) syncSeg() error {
-	start := time.Now()
+	start, began := time.Now(), s.opt.Clock.Now()
 	if err := s.seg.Sync(); err != nil {
 		return err
 	}
-	cost := time.Since(start)
 	s.fsyncs.Add(1)
-	s.fsyncHist.AddDur(cost)
-	// EWMA (α = 1/8) of fsync cost: the adaptive hold's estimate of what
-	// one more flush would charge, i.e. what coalescing is worth.
+	s.fsyncHist.AddDur(time.Since(start))
+	// EWMA (α = 1/8) of fsync cost on the driver's clock: the adaptive
+	// hold's estimate of what one more flush would charge, i.e. what
+	// coalescing is worth.
+	cost := s.opt.Clock.Now() - began
 	old := s.ewmaFsync.Load()
 	if old == 0 {
 		s.ewmaFsync.Store(int64(cost))

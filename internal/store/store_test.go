@@ -16,12 +16,34 @@ import (
 
 	"repro/internal/faultfs"
 	"repro/internal/oplog"
+	"repro/internal/sim"
+	"repro/internal/transport"
 	"repro/internal/uniq"
 )
 
-// inlineOpts keeps tests deterministic: every Commit pays its own flush
-// on the calling goroutine.
-func inlineOpts() Options { return Options{Inline: true} }
+// simClock runs a store's flush driver on a discrete-event simulator: a
+// commit's flush is an event, which runs when the test runs the loop.
+type simClock struct{ *sim.Sim }
+
+func (c simClock) NewTimer(fn func()) transport.Timer { return c.Sim.NewTimer(fn) }
+
+// stepped keeps tests deterministic: opt's flushes run on a simulator's
+// clock, where no hold is ever earned, and only when the test steps it.
+func stepped(opt Options) Options {
+	opt.Clock = simClock{sim.New(1)}
+	return opt
+}
+
+// commitWait commits every position below end and reports the outcome,
+// first running a stepped store's simulator so that its flush happens.
+func commitWait(s *Store, end int) bool {
+	done := make(chan bool, 1)
+	s.Commit(end, func(ok bool) { done <- ok })
+	if c, ok := s.opt.Clock.(simClock); ok {
+		c.Run()
+	}
+	return <-done
+}
 
 func entry(i int) oplog.Entry {
 	return oplog.Entry{
@@ -44,20 +66,17 @@ func mustOpen(t *testing.T, dir string, opt Options) (*Store, Recovery) {
 	return s, rec
 }
 
-// commitAll stages entries and commits them synchronously.
+// commitAll stages entries and waits for their commit.
 func commitAll(t *testing.T, s *Store, entries []oplog.Entry) {
 	t.Helper()
-	end := s.Stage(entries)
-	done := make(chan bool, 1)
-	s.Commit(end, func(ok bool) { done <- ok })
-	if !<-done {
+	if end := s.Stage(entries); !commitWait(s, end) {
 		t.Fatalf("commit to %d failed", end)
 	}
 }
 
 func TestEmptyDirColdStart(t *testing.T) {
 	dir := t.TempDir()
-	s, rec := mustOpen(t, dir, inlineOpts())
+	s, rec := mustOpen(t, dir, stepped(Options{}))
 	if rec.End != 0 || len(rec.JournalEntries) != 0 {
 		t.Fatalf("cold start recovered something: %+v", rec)
 	}
@@ -66,7 +85,7 @@ func TestEmptyDirColdStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A second cold start sees exactly what was committed.
-	s2, rec2 := mustOpen(t, dir, inlineOpts())
+	s2, rec2 := mustOpen(t, dir, stepped(Options{}))
 	defer s2.Close()
 	if rec2.End != 2 || len(rec2.JournalEntries) != 2 {
 		t.Fatalf("restart: %+v", rec2)
@@ -78,12 +97,12 @@ func TestEmptyDirColdStart(t *testing.T) {
 
 func TestCrashDropsVolatileTailOnly(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := mustOpen(t, dir, Options{}) // background flusher: staging is volatile until committed
+	s, _ := mustOpen(t, dir, Options{}) // wall clock: staging is volatile until committed
 	commitAll(t, s, []oplog.Entry{entry(0), entry(1), entry(2)})
 	// Staged but never committed: the in-memory tail a crash destroys.
 	s.Stage([]oplog.Entry{entry(3), entry(4)})
 	s.Crash()
-	s2, rec := mustOpen(t, dir, inlineOpts())
+	s2, rec := mustOpen(t, dir, stepped(Options{}))
 	defer s2.Close()
 	if len(rec.JournalEntries) != 3 || rec.End != 3 {
 		t.Fatalf("after crash want the 3 committed entries, got %d (end %d)", len(rec.JournalEntries), rec.End)
@@ -94,7 +113,16 @@ func TestCrashFailsPendingCommits(t *testing.T) {
 	// The journal fsync is held at the device until the crash is under
 	// way, so the commit's only way out is the crash failing it.
 	var s *Store
-	s, _ = mustOpen(t, t.TempDir(), Options{FS: gateFS{faultfs.OS, func() { <-s.quit }}})
+	crashing := func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.closed
+	}
+	s, _ = mustOpen(t, t.TempDir(), Options{FS: gateFS{faultfs.OS, func() {
+		for !crashing() {
+			time.Sleep(time.Millisecond)
+		}
+	}}})
 	end := s.Stage([]oplog.Entry{entry(0)})
 	got := make(chan bool, 1)
 	s.Commit(end, func(ok bool) { got <- ok })
@@ -106,7 +134,7 @@ func TestCrashFailsPendingCommits(t *testing.T) {
 
 func TestSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
-	opt := inlineOpts()
+	opt := stepped(Options{})
 	opt.SegmentBytes = 256 // force rotation every few records
 	s, _ := mustOpen(t, dir, opt)
 	var all []oplog.Entry
@@ -137,7 +165,7 @@ func TestSegmentRotation(t *testing.T) {
 func TestTornFinalRecordTruncated(t *testing.T) {
 	for _, cut := range []int{1, 5, 9} { // bytes to keep of the final record's area, torn at several depths
 		dir := t.TempDir()
-		s, _ := mustOpen(t, dir, inlineOpts())
+		s, _ := mustOpen(t, dir, stepped(Options{}))
 		commitAll(t, s, []oplog.Entry{entry(0), entry(1)})
 		size2 := fileSize(t, filepath.Join(dir, "journal-0000000000.seg"))
 		commitAll(t, s, []oplog.Entry{entry(2)})
@@ -147,7 +175,7 @@ func TestTornFinalRecordTruncated(t *testing.T) {
 		if err := os.Truncate(path, size2+int64(cut)); err != nil {
 			t.Fatal(err)
 		}
-		s2, rec, err := Open(dir, inlineOpts())
+		s2, rec, err := Open(dir, stepped(Options{}))
 		if err != nil {
 			t.Fatalf("torn tail must recover, got %v", err)
 		}
@@ -158,7 +186,7 @@ func TestTornFinalRecordTruncated(t *testing.T) {
 		// journal that replays cleanly.
 		commitAll(t, s2, []oplog.Entry{entry(9)})
 		s2.Close()
-		s3, rec3 := mustOpen(t, dir, inlineOpts())
+		s3, rec3 := mustOpen(t, dir, stepped(Options{}))
 		s3.Close()
 		if len(rec3.JournalEntries) != 3 || rec3.JournalEntries[2] != entry(9) {
 			t.Fatalf("cut=%d: append-after-tear replay got %d entries", cut, len(rec3.JournalEntries))
@@ -168,7 +196,7 @@ func TestTornFinalRecordTruncated(t *testing.T) {
 
 func TestCRCCorruptMiddleRecordRejected(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := mustOpen(t, dir, inlineOpts())
+	s, _ := mustOpen(t, dir, stepped(Options{}))
 	commitAll(t, s, []oplog.Entry{entry(0)})
 	size1 := fileSize(t, filepath.Join(dir, "journal-0000000000.seg"))
 	commitAll(t, s, []oplog.Entry{entry(1), entry(2)})
@@ -183,14 +211,14 @@ func TestCRCCorruptMiddleRecordRejected(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Open(dir, inlineOpts()); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := Open(dir, stepped(Options{})); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("middle-record corruption must fail Open with ErrCorrupt, got %v", err)
 	}
 }
 
 func TestCorruptSealedSegmentRejected(t *testing.T) {
 	dir := t.TempDir()
-	opt := inlineOpts()
+	opt := stepped(Options{})
 	opt.SegmentBytes = 128
 	s, _ := mustOpen(t, dir, opt)
 	for i := 0; i < 20; i++ {
@@ -218,7 +246,7 @@ func TestCorruptSealedSegmentRejected(t *testing.T) {
 }
 
 func TestGroupCommitCoalesces(t *testing.T) {
-	s, _ := mustOpen(t, t.TempDir(), Options{}) // the zero value: adaptive, background flusher
+	s, _ := mustOpen(t, t.TempDir(), Options{}) // the zero value: adaptive, on the wall clock
 	const n = 400
 	var wg sync.WaitGroup
 	var mu sync.Mutex
@@ -248,7 +276,10 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	if s.ewmaFsync.Load() <= 0 {
 		t.Fatalf("zero-value Options did not run the adaptive policy: fsync EWMA %d", s.ewmaFsync.Load())
 	}
-	if hold := s.adaptiveHold(); hold != 0 {
+	s.mu.Lock()
+	hold := s.adaptiveHoldLocked()
+	s.mu.Unlock()
+	if hold != 0 {
 		t.Fatalf("idle store holds flushes for %v", hold)
 	}
 	if err := s.Close(); err != nil {
@@ -413,14 +444,18 @@ func FuzzSegmentFile(f *testing.F) {
 }
 
 // TestIncarnationCountsOpens: a fresh directory is incarnation 0 and every
-// Open after counts one more — Inline or not, crashed or closed — and a
+// Open after counts one more — on either clock, crashed or closed — and a
 // directory with data but no incarnation file (one written before the file
 // existed) reads as incarnation 1. A malformed file is refused with
 // ErrBadIncarnation and left as it was.
 func TestIncarnationCountsOpens(t *testing.T) {
 	dir := t.TempDir()
 	for want := uint64(0); want < 3; want++ {
-		s, rec := mustOpen(t, dir, Options{Inline: want != 1})
+		opt := Options{}
+		if want != 1 {
+			opt = stepped(opt)
+		}
+		s, rec := mustOpen(t, dir, opt)
 		if rec.Incarnation != want {
 			t.Fatalf("Open #%d: incarnation %d, want %d", want+1, rec.Incarnation, want)
 		}
@@ -439,7 +474,7 @@ func TestIncarnationCountsOpens(t *testing.T) {
 	if err := os.Remove(path); err != nil {
 		t.Fatal(err)
 	}
-	s, rec := mustOpen(t, dir, inlineOpts())
+	s, rec := mustOpen(t, dir, stepped(Options{}))
 	s.Close()
 	if rec.Incarnation != 1 || rec.End != 1 {
 		t.Fatalf("data without an incarnation file: incarnation %d at end %d, want 1 at 1", rec.Incarnation, rec.End)
@@ -457,7 +492,7 @@ func TestIncarnationCountsOpens(t *testing.T) {
 		if err := os.WriteFile(path, bad, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := Open(dir, inlineOpts()); !errors.Is(err, ErrBadIncarnation) {
+		if _, _, err := Open(dir, stepped(Options{})); !errors.Is(err, ErrBadIncarnation) {
 			t.Errorf("%s incarnation file: Open = %v, want ErrBadIncarnation", name, err)
 		}
 		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, bad) {
@@ -471,7 +506,7 @@ func TestIncarnationCountsOpens(t *testing.T) {
 // or out-of-range one is ignored the same way rather than failing Open.
 func TestAckedFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := mustOpen(t, dir, inlineOpts())
+	s, _ := mustOpen(t, dir, stepped(Options{}))
 	commitAll(t, s, crashWorkloadEntries(10))
 	s.AckTo(7)
 	s.AckTo(5) // a lower acknowledgement never moves it back
@@ -480,7 +515,7 @@ func TestAckedFileRoundTrip(t *testing.T) {
 	}
 	acked := func() int {
 		t.Helper()
-		s, rec := mustOpen(t, dir, inlineOpts())
+		s, rec := mustOpen(t, dir, stepped(Options{}))
 		s.Crash() // Close would rewrite the file
 		if rec.End != 10 {
 			t.Fatalf("recovered [0, %d), want [0, 10)", rec.End)
@@ -527,7 +562,7 @@ func TestAckedFileRoundTrip(t *testing.T) {
 // TestOptionsFieldsPinned makes the next store knob a conscious diff:
 // every field here multiplies the configurations the suites must cover.
 func TestOptionsFieldsPinned(t *testing.T) {
-	want := []string{"SegmentBytes", "Mode", "Inline", "Preallocate", "SnapshotChain", "FS"}
+	want := []string{"SegmentBytes", "Mode", "Clock", "Preallocate", "SnapshotChain", "FS"}
 	typ := reflect.TypeOf(Options{})
 	var got []string
 	for i := 0; i < typ.NumField(); i++ {
@@ -568,7 +603,7 @@ func TestRecycledSegmentsOldRecordsInvisible(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "journal-0000000000.seg"), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, rec := mustOpen(t, dir, inlineOpts())
+	s, rec := mustOpen(t, dir, stepped(Options{}))
 	defer s.Close()
 	if rec.End != 5 || rec.TornBytes != int64(len(data)-oldLife) {
 		t.Fatalf("recovered end %d with %d torn bytes, want 5 and %d", rec.End, rec.TornBytes, len(data)-oldLife)
@@ -585,7 +620,7 @@ func TestPreallocatedTailTruncatesCleanOnCrash(t *testing.T) {
 	// zero fill must read as a torn tail, not corruption, and a clean
 	// reopen must append where the data really ends.
 	dir := t.TempDir()
-	opt := Options{Inline: true, Preallocate: true, SegmentBytes: 1 << 16}
+	opt := stepped(Options{Preallocate: true, SegmentBytes: 1 << 16})
 	s, _ := mustOpen(t, dir, opt)
 	commitAll(t, s, []oplog.Entry{entry(0), entry(1), entry(2)})
 	s.Crash()

@@ -108,6 +108,10 @@ type Transport interface {
 	// Every schedules fn to run every interval until the returned stop
 	// function is called.
 	Every(interval time.Duration, fn func()) (stop func())
+	// NewTimer returns an unarmed one-shot timer that runs fn on the
+	// transport's clock each time it fires: on a goroutine of its own for
+	// real time, as an event of the simulator's loop for virtual time.
+	NewTimer(fn func()) Timer
 	// Await blocks until ready is closed or receives one value, or ctx is
 	// done, driving whatever machinery the transport needs to make
 	// progress (the simulator's event loop; nothing for real goroutines).
@@ -127,14 +131,33 @@ type Transport interface {
 	Reachable(a, b string) bool
 }
 
+// Timer is a re-armable one-shot timer, as time.AfterFunc makes: Reset
+// arms it to fire once, d from now, Stop disarms it, and each reports
+// whether it was armed. One that fired stays unarmed until Reset.
+type Timer interface {
+	Reset(d time.Duration) bool
+	Stop() bool
+}
+
+// Wall is real time, the clock of the transports that run on it: Now is
+// the time elapsed since Epoch, and a timer is time.AfterFunc's.
+type Wall struct{ Epoch time.Time }
+
+func (w Wall) Now() time.Duration { return time.Since(w.Epoch) }
+
+// NewTimer returns an unarmed timer that runs fn on its own goroutine.
+func (Wall) NewTimer(fn func()) Timer {
+	t := time.AfterFunc(time.Hour, fn)
+	t.Stop()
+	return t
+}
+
 // Scatterer is an optional Transport capability: run independent work
 // functions to completion, in parallel when the transport's world allows
 // it. The sharded SubmitBatch uses it to fan a batch out across shards —
 // the live transport runs one goroutine per function so shard groups
 // ingest concurrently; the simulator deliberately does not implement it
-// and falls back to sequential dispatch, keeping runs deterministic. A
-// transport without it is one event loop, so a cluster on it also runs
-// its durable stores' disk work inline rather than on flusher goroutines.
+// and falls back to sequential dispatch, keeping runs deterministic.
 type Scatterer interface {
 	Scatter(fns []func())
 }
