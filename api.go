@@ -182,7 +182,8 @@ func NodeID(shards, s, rep int) string { return core.NodeID(shards, s, rep) }
 // ledger — never rewritten, never retired. Submits and gossip pushes are
 // acknowledged only once group-committed to disk, so everything accepted
 // survives a hard crash: Cluster.Kill drops a replica's entire RAM,
-// Cluster.Recover reloads it from disk and rejoins gossip, and New
+// Cluster.Recover reloads it from disk and rejoins gossip (a replica a
+// full disk left degraded comes back the same way), and New
 // itself cold-starts from whatever an earlier incarnation left in dir.
 func WithDurability(dir string) Option { return core.WithDurability(dir) }
 

@@ -21,7 +21,7 @@ type (
 	// apologies. Memories and guesses are tallied, not stored — the
 	// operation set holds every one of them — so Count and Len include
 	// them while Entries returns only the lines: regrets and lifecycle
-	// events (degraded, rejoined, recovered).
+	// events (degraded, recovered).
 	Ledger = apology.Ledger
 	// LedgerEntry is one ledger line: a regret or a lifecycle event.
 	LedgerEntry = apology.Entry

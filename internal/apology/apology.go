@@ -42,7 +42,7 @@ func (k Kind) String() string {
 }
 
 // Entry is one ledger line: a regret, or a lifecycle event of the
-// replica itself (degraded, rejoined, recovered) — the things the
+// replica itself (degraded, recovered) — the things the
 // operation set cannot reproduce.
 type Entry struct {
 	At   time.Duration

@@ -305,7 +305,7 @@ func WithTracer(t *trace.Tracer) Option { return func(c *config) { c.tracer = t 
 // ReasonDegraded is the Reason a degraded read-only shard attaches to
 // every declined write: the replica's disk stopped accepting writes
 // (full, or transiently failing), reads keep serving the published
-// fold snapshot, and the shard rejoins once the disk heals. A decline
+// fold snapshot, and the shard recovers once the disk heals. A decline
 // carrying it has Retryable set — back off and resubmit rather than
 // treating the operation as refused.
 const ReasonDegraded = "shard degraded: store unwritable, read-only until the disk heals"
@@ -354,7 +354,7 @@ type Metrics struct {
 
 	// Degraded counts replicas entering degraded read-only mode — a
 	// recoverable disk failure (ENOSPC, EIO) that paused writes without
-	// killing the replica. Rejoins do not decrement it; it is a
+	// killing the replica. Recover does not decrement it; it is a
 	// how-often-has-this-happened counter, not a gauge (the live gauge
 	// is ShardDegraded).
 	Degraded stats.Counter
@@ -636,28 +636,13 @@ func (c *Cluster[S]) storeDir(id string) string {
 // already spread them).
 func (c *Cluster[S]) Kill(i int) { c.groups[0].reps[i].Kill() }
 
-// ShardKill hard-crashes replica i of the given shard. Shards share no
-// state, so a kill touches one group only.
-func (c *Cluster[S]) ShardKill(shard, i int) { c.groups[shard].reps[i].Kill() }
-
-// Recover restarts killed replica i of shard 0 from its durable store:
-// journal replay, torn-tail truncation, then the node rejoins gossip to
-// catch up on what it missed while dead. See Replica.Recover.
+// Recover brings replica i of shard 0 back from its durable store after
+// a Kill or a degraded disk: journal replay, torn-tail truncation, then
+// the node rejoins gossip to catch up on what it missed. Another shard's
+// replica comes back with ShardReplica(shard, i).Recover. See
+// Replica.Recover.
 func (c *Cluster[S]) Recover(ctx context.Context, i int) error {
 	return c.groups[0].reps[i].Recover(ctx)
-}
-
-// ShardRecover restarts killed replica i of the given shard from disk,
-// without touching any other shard's group.
-func (c *Cluster[S]) ShardRecover(ctx context.Context, shard, i int) error {
-	return c.groups[shard].reps[i].Recover(ctx)
-}
-
-// Rejoin re-probes the degraded replica i of shard 0 and, when its disk
-// has healed, reseeds it from the store and resumes writes. See
-// Replica.Rejoin.
-func (c *Cluster[S]) Rejoin(ctx context.Context, i int) error {
-	return c.groups[0].reps[i].Rejoin(ctx)
 }
 
 // ShardDegraded reports whether any locally hosted replica of the given

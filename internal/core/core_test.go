@@ -932,6 +932,15 @@ func TestPropIncrementalFoldMatchesOracle(t *testing.T) {
 	}
 }
 
+// journalOf reads a replica's gossip journal: how many entries it still
+// holds, and how many it has truncated away once every gossip peer
+// acknowledged them.
+func journalOf[S any](r *Replica[S]) (retained, truncated int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.journal.Retained(), r.journal.Base()
+}
+
 // TestJournalTruncatedAfterAcks pins the journal memory bound: once every
 // gossip peer has acknowledged a prefix, the replica releases it, so a
 // long-lived replica's journal tracks the gossip lag, not the total op
@@ -959,11 +968,12 @@ func TestJournalTruncatedAfterAcks(t *testing.T) {
 		if rep.OpCount() != n {
 			t.Fatalf("replica %d holds %d ops, want %d", i, rep.OpCount(), n)
 		}
-		if got := rep.JournalRetained(); got != 0 {
-			t.Fatalf("replica %d retains %d journal entries after full acknowledgement, want 0", i, got)
+		retained, truncated := journalOf(rep)
+		if retained != 0 {
+			t.Fatalf("replica %d retains %d journal entries after full acknowledgement, want 0", i, retained)
 		}
-		if rep.JournalTruncated() < n {
-			t.Fatalf("replica %d truncated only %d journal entries", i, rep.JournalTruncated())
+		if truncated < n {
+			t.Fatalf("replica %d truncated only %d journal entries", i, truncated)
 		}
 	}
 }
@@ -983,7 +993,7 @@ func TestJournalHeldForCrashedPeer(t *testing.T) {
 	}
 	// r1's journal: its successor r2 is down and has acked nothing, so the
 	// 30 gossiped entries must all still be retained.
-	if got := c.Replica(1).JournalRetained(); got < 30 {
+	if got, _ := journalOf(c.Replica(1)); got < 30 {
 		t.Fatalf("r1 retains %d journal entries with its peer down; prefix truncated too eagerly", got)
 	}
 	c.Transport().SetUp("r2", true)
@@ -1002,7 +1012,7 @@ func TestJournalHeldForCrashedPeer(t *testing.T) {
 		s.Run()
 	}
 	for i := 0; i < 3; i++ {
-		if got := c.Replica(i).JournalRetained(); got != 0 {
+		if got, _ := journalOf(c.Replica(i)); got != 0 {
 			t.Fatalf("replica %d retains %d entries after the heal quiesced", i, got)
 		}
 	}

@@ -34,7 +34,7 @@ func replicaFS(rep string, flag *atomic.Bool, err error) faultfs.FS {
 // TestDegradedReadOnlyMode: an ENOSPC commit failure must not kill the
 // replica (the old fail-fast). It enters degraded read-only mode —
 // writes decline with the typed retryable reason, reads keep serving
-// the published fold snapshot, gossip pauses — and Rejoin brings it
+// the published fold snapshot, gossip pauses — and Recover brings it
 // back once the disk heals, with no accepted operation lost.
 func TestDegradedReadOnlyMode(t *testing.T) {
 	var full atomic.Bool
@@ -94,79 +94,120 @@ func TestDegradedReadOnlyMode(t *testing.T) {
 	c.GossipRound()
 	s.RunFor(time.Second)
 	if !r1.Degraded() {
-		t.Fatal("the re-probe rejoined a replica whose disk is still full")
+		t.Fatal("the re-probe recovered a replica whose disk is still full")
 	}
 
 	full.Store(false)
-	if err := c.Rejoin(context.Background(), 1); err != nil {
+	if err := c.Recover(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
 	if r1.Degraded() {
-		t.Fatal("replica still degraded after Rejoin")
+		t.Fatal("replica still degraded after Recover")
 	}
 	if _, deg := c.ShardDegraded(0); deg {
-		t.Fatal("shard still reports degraded after Rejoin")
+		t.Fatal("shard still reports degraded after Recover")
 	}
 	mustSubmit(t, c, 1, NewOp("credit", "k", 1))
 	convergeSim(t, s, c)
-	// 6 pre-fault + 1 at r0 during degradation + 1 post-rejoin; the two
-	// declined phantoms must be gone everywhere.
+	// 6 pre-fault + 1 at r0 during degradation + 1 post-recovery; the
+	// two declined phantoms must be gone everywhere.
 	if n := r1.OpCount(); n != 8 {
-		t.Fatalf("ops after rejoin = %d, want 8", n)
+		t.Fatalf("ops after Recover = %d, want 8", n)
 	}
 	if got := r1.State()["k"]; got != 8 {
-		t.Fatalf("state after rejoin = %d, want 8", got)
+		t.Fatalf("state after Recover = %d, want 8", got)
 	}
 }
 
-// TestRecoverRefusesDegradedReplica: a degraded replica that was downed
-// but never killed still holds its RAM, the op its failed commit declined
-// included, and no store. Recover refuses it and opens no store (one
-// opened here would never be closed, and a later Rejoin would open a
-// second on the same directory); Rejoin is its way back, and the
-// declined op ends up nowhere.
-func TestRecoverRefusesDegradedReplica(t *testing.T) {
-	var full atomic.Bool
-	s := sim.New(7)
-	c := New[counterState](counterApp{}, nil,
-		WithTransport(rpc.NewSimTransport(s)), WithReplicas(3), WithDurability(t.TempDir()),
-		WithStoreFS(replicaFS("r1", &full, syscall.ENOSPC)))
-	defer c.Close()
-	for i := 0; i < 6; i++ {
-		mustSubmit(t, c, i%3, NewOp("credit", "k", 1))
-	}
-	convergeSim(t, s, c)
-	full.Store(true)
-	res, err := c.Submit(context.Background(), 1, NewOp("credit", "k", 1))
-	if err != nil || res.Accepted || res.Reason != ReasonDegraded {
-		t.Fatalf("submit on full disk = %+v err=%v, want a ReasonDegraded decline", res, err)
-	}
-	r1 := c.Replica(1)
-	if !r1.Degraded() || r1.OpCount() != 7 {
-		t.Fatalf("degraded=%v holding %d ops, want degraded holding 7 (the declined op in RAM)", r1.Degraded(), r1.OpCount())
-	}
+// TestRecoverHealsADegradedReplica: a degraded replica — up, or downed
+// by SetUp(false) — still holds its RAM, the op its failed commit
+// declined included, and no store. Recover is its way back, as it is a
+// killed one's: it reopens the store, ends the degraded life with the
+// wipe Kill makes and reseeds from disk, so the declined op ends up
+// nowhere. Before that, a replica that holds its store — healthy, or
+// only downed — is refused and no store is opened; a Recover the full
+// disk fails leaves none open; the one that succeeds opens exactly one.
+func TestRecoverHealsADegradedReplica(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		down bool
+	}{{"degraded and up", false}, {"degraded and downed", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var full atomic.Bool
+			var opens atomic.Int32 // store.Open calls on r1's directory: each makes it first
+			dir := string(os.PathSeparator) + "r1"
+			disk := replicaFS("r1", &full, syscall.ENOSPC)
+			s := sim.New(7)
+			c := New[counterState](counterApp{}, nil,
+				WithTransport(rpc.NewSimTransport(s)), WithReplicas(3), WithDurability(t.TempDir()),
+				WithStoreFS(faultfs.New(disk, 1, func(op faultfs.Op) faultfs.Decision {
+					if op.Kind == faultfs.OpMkdir && strings.HasSuffix(op.Path, dir) {
+						opens.Add(1)
+					}
+					return faultfs.Decision{}
+				})))
+			defer c.Close()
+			for i := 0; i < 6; i++ {
+				mustSubmit(t, c, i%3, NewOp("credit", "k", 1))
+			}
+			convergeSim(t, s, c)
+			r1 := c.Replica(1)
+			refused := func(what string) {
+				t.Helper()
+				before := opens.Load()
+				if err := c.Recover(context.Background(), 1); err == nil {
+					t.Fatalf("Recover reseeded a %s replica", what)
+				}
+				if opens.Load() != before {
+					t.Fatalf("a refused Recover of a %s replica opened a store", what)
+				}
+			}
+			refused("healthy")
+			c.Transport().SetUp("r1", false)
+			refused("downed")
+			c.Transport().SetUp("r1", true)
 
-	full.Store(false)
-	c.Transport().SetUp("r1", false)
-	if err := c.Recover(context.Background(), 1); err == nil {
-		t.Fatal("Recover reseeded a degraded replica that was never killed")
-	}
-	if _, ok := r1.StoreStats(); ok {
-		t.Fatal("a refused Recover left a store open")
-	}
-	if !r1.Degraded() {
-		t.Fatal("a refused Recover ended the degraded phase")
-	}
+			full.Store(true)
+			phantom := NewOp("credit", "k", 1)
+			phantom.ID = "phantom"
+			res, err := c.Submit(context.Background(), 1, phantom)
+			if err != nil || res.Accepted || res.Reason != ReasonDegraded {
+				t.Fatalf("submit on full disk = %+v err=%v, want a ReasonDegraded decline", res, err)
+			}
+			if !r1.Degraded() || r1.OpCount() != 7 {
+				t.Fatalf("degraded=%v holding %d ops, want degraded holding 7 (the declined op in RAM)", r1.Degraded(), r1.OpCount())
+			}
+			if err := c.Recover(context.Background(), 1); err == nil {
+				t.Fatal("Recover reopened a store on a disk still full")
+			}
+			if _, ok := r1.StoreStats(); ok {
+				t.Fatal("a failed Recover left a store open")
+			}
 
-	c.Transport().SetUp("r1", true)
-	if err := c.Rejoin(context.Background(), 1); err != nil {
-		t.Fatal(err)
-	}
-	convergeSim(t, s, c)
-	for i := 0; i < 3; i++ {
-		if n := c.Replica(i).OpCount(); n != 6 {
-			t.Fatalf("r%d holds %d ops after Rejoin, want the 6 accepted", i, n)
-		}
+			full.Store(false)
+			if tc.down {
+				c.Transport().SetUp("r1", false)
+			}
+			before := opens.Load()
+			if err := c.Recover(context.Background(), 1); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := r1.StoreStats(); !ok || opens.Load() != before+1 {
+				t.Fatalf("after Recover: store attached %v, %d stores opened; want one", ok, opens.Load()-before)
+			}
+			if r1.Degraded() || r1.node.Crashed() {
+				t.Fatalf("after Recover: degraded %v, down %v; want neither", r1.Degraded(), r1.node.Crashed())
+			}
+			convergeSim(t, s, c)
+			for i := 0; i < 3; i++ {
+				if n := c.Replica(i).OpCount(); n != 6 {
+					t.Fatalf("r%d holds %d ops after Recover, want the 6 accepted", i, n)
+				}
+				if c.Replica(i).Ops().Contains(phantom.ID) {
+					t.Fatalf("r%d holds the op the failed commit declined", i)
+				}
+			}
+		})
 	}
 }
 
@@ -201,8 +242,8 @@ func TestUnknownStoreErrorStillFailsFast(t *testing.T) {
 }
 
 // TestDegradedLiveReprobeRejoins: on the live transport a degraded
-// replica re-probes its store with backoff and rejoins by itself once
-// the disk heals — no operator Rejoin call. Its /sim twin pins the
+// replica re-probes its store with backoff and recovers by itself once
+// the disk heals — no operator Recover call. Its /sim twin pins the
 // backoff on virtual time.
 func TestDegradedLiveReprobeRejoins(t *testing.T) {
 	t.Run("sim", testDegradedSimReprobeRejoins)
@@ -234,7 +275,7 @@ func TestDegradedLiveReprobeRejoins(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("replica never rejoined: last result %+v err=%v", res, err)
+			t.Fatalf("replica never recovered: last result %+v err=%v", res, err)
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
@@ -266,11 +307,11 @@ func testDegradedSimReprobeRejoins(t *testing.T) {
 	full.Store(false)
 	s.RunUntil(failed + 1499*time.Millisecond)
 	if !r1.Degraded() {
-		t.Fatal("rejoined before the re-probe step at 1.5 s")
+		t.Fatal("recovered before the re-probe step at 1.5 s")
 	}
 	s.RunUntil(failed + 1500*time.Millisecond)
 	if r1.Degraded() {
-		t.Fatal("the re-probe step at 1.5 s did not rejoin the healed replica")
+		t.Fatal("the re-probe step at 1.5 s did not recover the healed replica")
 	}
 	if r1.reprobes.Load() != 0 {
 		t.Fatal("the re-probe outlived the degraded life")

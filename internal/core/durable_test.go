@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io/fs"
 	"os"
@@ -228,7 +229,7 @@ func TestShardedRecoveryIsolated(t *testing.T) {
 	}
 	otherOps := c.ShardReplica(c.ShardOf(cold), 1).OpCount()
 
-	c.ShardKill(victim, 1)
+	c.ShardReplica(victim, 1).Kill()
 	// The victim's shard survives on its other replicas...
 	if res, err := c.Submit(ctx, 0, NewOp("credit", hot, 1)); err != nil || !res.Accepted {
 		t.Fatalf("victim shard's live replica refused work: %+v err=%v", res, err)
@@ -240,7 +241,7 @@ func TestShardedRecoveryIsolated(t *testing.T) {
 	if got := c.ShardReplica(c.ShardOf(cold), 1).OpCount(); got != otherOps+1 {
 		t.Fatalf("unrelated shard op count moved unexpectedly: %d -> %d", otherOps, got)
 	}
-	if err := c.ShardRecover(ctx, victim, 1); err != nil {
+	if err := c.ShardReplica(victim, 1).Recover(ctx); err != nil {
 		t.Fatal(err)
 	}
 	s.Run()
@@ -572,7 +573,9 @@ func TestColdRestartTornTail(t *testing.T) {
 	}
 }
 
-// TestRecoverErrors pins the misuse cases.
+// TestRecoverErrors pins the misuse cases: Recover refuses a replica
+// that still holds its store, one with no store to recover from, and
+// one another process hosts.
 func TestRecoverErrors(t *testing.T) {
 	ctx := context.Background()
 	// No durability configured.
@@ -582,12 +585,25 @@ func TestRecoverErrors(t *testing.T) {
 	if err := c.Recover(ctx, 1); err == nil {
 		t.Fatal("Recover without WithDurability must fail")
 	}
-	// Alive replica.
+	// Alive replica, and one only silenced: both still hold their store.
 	_, c2, _ := durableCluster(t, 16)
 	if err := c2.Recover(ctx, 0); err == nil {
 		t.Fatal("Recover of a live replica must fail")
 	}
+	c2.Transport().SetUp("r0", false)
+	if err := c2.Recover(ctx, 0); err == nil || !c2.Replica(0).node.Crashed() {
+		t.Fatalf("Recover of a replica only downed by SetUp = %v, down %v; want refused, still down", err, c2.Replica(0).node.Crashed())
+	}
 	c2.Close()
+	// A remote stub: its store is another process's, and none opens here.
+	_, c3, dir := durableCluster(t, 17, WithLocalReplicas(0))
+	defer c3.Close()
+	if err := c3.Recover(ctx, 1); err == nil {
+		t.Fatal("Recover of a remote replica must fail")
+	}
+	if _, err := os.Stat(c3.storeDir("r1")); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("Recover of a remote replica touched its directory under %s: %v", dir, err)
+	}
 }
 
 // withSegmentBytes shrinks every durable store's journal segments, so
@@ -627,7 +643,7 @@ func TestRecoverSeedsJournalFromAcked(t *testing.T) {
 			}
 			c.GossipRound() // r0 passes on what the last round brought it
 			s.Run()
-			if got := c.Replica(0).JournalRetained(); got != 0 {
+			if got, _ := journalOf(c.Replica(0)); got != 0 {
 				t.Fatalf("r0 retains %d journal entries with every push acknowledged", got)
 			}
 			c.Kill(0)
@@ -644,7 +660,8 @@ func TestRecoverSeedsJournalFromAcked(t *testing.T) {
 			if got := r0.OpCount(); got != n {
 				t.Fatalf("recovered %d ops, want %d", got, n)
 			}
-			got, bound := r0.JournalRetained(), n-last+tc.inFlight
+			got, _ := journalOf(r0)
+			bound := n - last + tc.inFlight
 			t.Logf("recovered r0 retains %d journal entries of %d; %d staged since its last seal", got, n, n-last)
 			if got > bound {
 				t.Fatalf("recovered r0 holds %d journal entries to re-push; %d were staged since its last seal", got, n-last)

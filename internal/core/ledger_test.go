@@ -18,8 +18,8 @@ import (
 // counts per-op memories and guesses and stores lines only for what the
 // op set cannot reproduce — regrets and lifecycle events. Twenty thousand
 // guesses leave every count right and not one line; an overdraft still
-// leaves exactly one attributed Regret line, and degrade, Rejoin and
-// Recover each still leave theirs.
+// leaves exactly one attributed Regret line, and degrade and Recover —
+// from a degraded disk and from a Kill — each still leave theirs.
 func TestLedgerDoesNotGrowWithOps(t *testing.T) {
 	t.Run("guesses and regrets", func(t *testing.T) {
 		const perBatch, batches = 500, 40 // 20 000 guesses
@@ -130,10 +130,10 @@ func TestLedgerDoesNotGrowWithOps(t *testing.T) {
 		}
 		wantLines("degraded")
 		full.Store(false)
-		if err := c.Rejoin(context.Background(), 1); err != nil {
+		if err := c.Recover(context.Background(), 1); err != nil {
 			t.Fatal(err)
 		}
-		wantLines("degraded", "rejoined")
+		wantLines("degraded", "recovered")
 
 		c.Kill(1) // the ledger is RAM: the crash takes it
 		if err := c.Recover(context.Background(), 1); err != nil {

@@ -4,7 +4,7 @@ package core
 // carries the life it was issued in, and acts only in that life. These
 // tables cross each continuation kind with each transition that ends or
 // changes a life — Kill, Kill→Recover (a volatile replica: Kill→revive by
-// SetUp), degrade, degrade→Rejoin — and hold every submit involved to
+// SetUp), degrade, degrade→Recover — and hold every submit involved to
 // three things: it resolves exactly once; declined, it is absent from
 // every replica once the cluster is quiet; accepted, it is present on
 // every replica. Each row also names the decline it expects.
@@ -34,15 +34,14 @@ const (
 	tKill transition = iota
 	tKillRevive
 	tDegrade
-	tDegradeRejoin
+	tDegradeRecover
 )
 
 // lifeEnv is one row's world: two replicas on the simulator — two, so r0
 // hears from r1 alone and nothing reaches it by a detour — r0's disk
 // failing writes with fault while it is set, and the submits the row
-// checks. A fault stays set until heal, revive or rejoin clears it: a
-// degraded r0 stays degraded, its re-probe failing, until the row heals
-// it.
+// checks. A fault stays set until revive clears it: a degraded r0 stays
+// degraded, its re-probe failing, until the row heals it.
 type lifeEnv struct {
 	t       *testing.T
 	s       *sim.Sim
@@ -149,6 +148,8 @@ func (e *lifeEnv) setup(rep int, then func()) {
 	sub.free = !e.durable && rep == 0
 }
 
+// revive heals r0's disk and brings r0 back: a durable r0, killed or
+// degraded, by Recover; a volatile one by SetUp.
 func (e *lifeEnv) revive() {
 	e.fault = nil
 	if !e.durable {
@@ -156,13 +157,6 @@ func (e *lifeEnv) revive() {
 		return
 	}
 	if err := e.c.Recover(context.Background(), 0); err != nil {
-		e.t.Fatal(err)
-	}
-}
-
-func (e *lifeEnv) rejoin() {
-	e.fault = nil
-	if err := e.c.Rejoin(context.Background(), 0); err != nil {
 		e.t.Fatal(err)
 	}
 }
@@ -196,22 +190,18 @@ func (e *lifeEnv) apply(tr transition, degrade func()) {
 		if tr == tKillRevive {
 			e.revive()
 		}
-	case tDegrade, tDegradeRejoin:
+	case tDegrade, tDegradeRecover:
 		degrade()
-		if tr == tDegradeRejoin {
-			e.rejoin()
+		if tr == tDegradeRecover {
+			e.revive()
 		}
 	}
 }
 
-// heal brings a down r0 back and rejoins a degraded one, healing its
-// disk.
+// heal brings a down or degraded r0 back, healing its disk.
 func (e *lifeEnv) heal() {
-	switch r0 := e.c.Replica(0); {
-	case r0.node.Crashed():
+	if r0 := e.c.Replica(0); r0.node.Crashed() || r0.Degraded() {
 		e.revive()
-	case r0.Degraded():
-		e.rejoin()
 	}
 }
 
@@ -292,7 +282,7 @@ var lifeKinds = []struct {
 		e.c.GossipRound()
 		e.apply(tr, e.degradeBySubmit)
 		e.run()
-		if tr == tKillRevive || tr == tDegradeRejoin {
+		if tr == tKillRevive || tr == tDegradeRecover {
 			e.submit(0, false, "", nil) // must reach r1: the new life pushes from position 0
 		}
 	}},
@@ -315,12 +305,12 @@ var lifeKinds = []struct {
 	{"sync absorb", true, false, func(e *lifeEnv, tr transition) {
 		want := "replica down"
 		e.fault = errors.New("disk on fire")
-		if tr == tDegrade || tr == tDegradeRejoin {
+		if tr == tDegrade || tr == tDegradeRecover {
 			want, e.fault = ReasonDegraded, syscall.ENOSPC
 		}
 		e.submit(0, true, want, nil)
 		e.run()
-		if tr == tKillRevive || tr == tDegradeRejoin {
+		if tr == tKillRevive || tr == tDegradeRecover {
 			e.heal()
 			e.submit(0, true, "", nil)
 		}
@@ -346,7 +336,7 @@ var lifeKinds = []struct {
 	// Kill, in the segment's own failed commit for a degrade — whose
 	// declined guess the nudge must not ship.
 	{"ingest nudge", false, true, func(e *lifeEnv, tr transition) {
-		if tr == tDegrade || tr == tDegradeRejoin {
+		if tr == tDegrade || tr == tDegradeRecover {
 			e.apply(tr, e.degradeBySubmit)
 			return
 		}
@@ -359,12 +349,12 @@ var lifeKinds = []struct {
 // volatile replica too.
 func TestLifeFencesEveryContinuation(t *testing.T) {
 	for _, kind := range lifeKinds {
-		for _, tr := range []transition{tKill, tKillRevive, tDegrade, tDegradeRejoin} {
+		for _, tr := range []transition{tKill, tKillRevive, tDegrade, tDegradeRecover} {
 			for _, durable := range []bool{true, false} {
-				if !durable && (kind.durable || tr == tDegrade || tr == tDegradeRejoin) {
+				if !durable && (kind.durable || tr == tDegrade || tr == tDegradeRecover) {
 					continue
 				}
-				name := []string{"Kill", "Kill→Recover", "degrade", "degrade→Rejoin"}[tr]
+				name := []string{"Kill", "Kill→Recover", "degrade", "degrade→Recover"}[tr]
 				if !durable {
 					name = map[transition]string{tKill: "Kill (volatile)", tKillRevive: "Kill→revive"}[tr]
 				}
@@ -444,44 +434,47 @@ func (f *liveLifeFS) fs() faultfs.FS {
 }
 
 // TestLifeFencesTheReprobeLoop is the re-probe's row: whatever ends the
-// degraded life — a Kill, a Kill and Recover that overtake the re-probe's
-// own Rejoin mid-open, an operator's Rejoin — ends the re-probe, and its
-// Rejoin never clobbers the life that overtook it. Each row runs live,
-// and its /sim twin runs the same transition on the simulator, where the
-// re-probe's timer is an event. A flush is one event there, so no Rejoin
-// can be caught mid-open: Kill→Recover has no twin.
+// degraded life — a Kill, a Kill and Recover that overtake the
+// re-probe's own reseed mid-open, an operator's Recover — ends the
+// re-probe, and its reseed never clobbers the life that overtook it: a
+// killed r0 is still down, with no store, once the re-probe has ended.
+// Each row runs live, and its /sim twin runs the same transition on the
+// simulator, where the re-probe's timer is an event. A flush is one
+// event there, so no reseed can be caught mid-open: Kill→Recover has no
+// twin.
 func TestLifeFencesTheReprobeLoop(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		tr   func(t *testing.T, c *Cluster[counterState], f *liveLifeFS)
-		sim  func(t *testing.T, c *Cluster[counterState])
+		name   string
+		killed bool // the transition kills r0
+		tr     func(t *testing.T, c *Cluster[counterState], f *liveLifeFS)
+		sim    func(t *testing.T, c *Cluster[counterState])
 	}{
-		{"re-probe loop × Kill", func(t *testing.T, c *Cluster[counterState], f *liveLifeFS) {
+		{"re-probe loop × Kill", true, func(t *testing.T, c *Cluster[counterState], f *liveLifeFS) {
 			c.Kill(0)
 			waitNoReprobe(t, c)
 		}, func(t *testing.T, c *Cluster[counterState]) { c.Kill(0) }},
-		{"re-probe loop × Kill→Recover", func(t *testing.T, c *Cluster[counterState], f *liveLifeFS) {
+		{"re-probe loop × Kill→Recover", true, func(t *testing.T, c *Cluster[counterState], f *liveLifeFS) {
 			f.hold.Store(true)
 			f.full.Store(false)
-			<-f.held // the re-probe's Rejoin is opening the store
+			<-f.held // the re-probe's reseed is opening the store
 			c.Kill(0)
 			waitNoReprobe(t, c)
 		}, nil},
-		{"re-probe loop × degrade→Rejoin", func(t *testing.T, c *Cluster[counterState], f *liveLifeFS) {
+		{"re-probe loop × degrade→Recover", false, func(t *testing.T, c *Cluster[counterState], f *liveLifeFS) {
 			f.full.Store(false)
-			if err := c.Rejoin(context.Background(), 0); err != nil {
+			if err := c.Recover(context.Background(), 0); err != nil {
 				t.Fatal(err)
 			}
 			waitNoReprobe(t, c)
 		}, func(t *testing.T, c *Cluster[counterState]) {
-			if err := c.Rejoin(context.Background(), 0); err != nil {
+			if err := c.Recover(context.Background(), 0); err != nil {
 				t.Fatal(err)
 			}
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.sim != nil {
-				t.Run("sim", func(t *testing.T) { reprobeTwin(t, tc.sim) })
+				t.Run("sim", func(t *testing.T) { reprobeTwin(t, tc.killed, tc.sim) })
 			}
 			f := &liveLifeFS{held: make(chan struct{}, 1)}
 			c := New[counterState](counterApp{}, nil, WithReplicas(2), WithDurability(t.TempDir()), WithStoreFS(f.fs()))
@@ -497,6 +490,9 @@ func TestLifeFencesTheReprobeLoop(t *testing.T) {
 				}
 			}
 			tc.tr(t, c, f)
+			if tc.killed {
+				stillKilled(t, c)
+			}
 			f.full.Store(false)
 			if c.Replica(0).node.Crashed() {
 				if err := c.Recover(context.Background(), 0); err != nil {
@@ -511,11 +507,21 @@ func TestLifeFencesTheReprobeLoop(t *testing.T) {
 	}
 }
 
+// stillKilled fails the test unless r0 is down and holds no store: a
+// re-probe never reseeds or revives a killed replica.
+func stillKilled(t *testing.T, c *Cluster[counterState]) {
+	t.Helper()
+	r0 := c.Replica(0)
+	if _, open := r0.StoreStats(); open || !r0.node.Crashed() {
+		t.Fatalf("once the re-probe ended: r0 down %v, store open %v; want a killed r0 down, with no store, until Recover", r0.node.Crashed(), open)
+	}
+}
+
 // reprobeTwin is a re-probe row on the simulator: r0 degrades on a full
 // disk and keeps its re-probe armed while the disk stays full; then the
 // disk heals, tr ends the degraded life before the re-probe's next step,
-// and the re-probe must end with it.
-func reprobeTwin(t *testing.T, tr func(t *testing.T, c *Cluster[counterState])) {
+// and the re-probe must end with it — leaving r0 down if tr killed it.
+func reprobeTwin(t *testing.T, killed bool, tr func(t *testing.T, c *Cluster[counterState])) {
 	var full atomic.Bool
 	s := sim.New(12)
 	c := New[counterState](counterApp{}, nil, WithTransport(rpc.NewSimTransport(s)), WithReplicas(2),
@@ -535,6 +541,9 @@ func reprobeTwin(t *testing.T, tr func(t *testing.T, c *Cluster[counterState])) 
 	s.RunFor(5 * time.Second) // past the re-probe's next step
 	if reprobing(c) {
 		t.Fatal("the re-probe outlived the degraded life it was started in")
+	}
+	if killed {
+		stillKilled(t, c)
 	}
 	if c.Replica(0).node.Crashed() {
 		if err := c.Recover(context.Background(), 0); err != nil {

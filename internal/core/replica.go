@@ -121,18 +121,19 @@ type Replica[S any] struct {
 }
 
 // lifecycle is a replica's one life and its phase within it. life
-// counts wipes (Kill, Rejoin). Every asynchronous continuation — a push's
-// ack, an absorb's commit, a sync round's admit and absorb steps, a
-// queued submit, the degraded re-probe — carries the life it was
-// issued in and acts only in that life: work queued or in flight at a
-// wipe resolves declined. degraded is the phase a recoverable disk error
-// (ENOSPC, EIO — see recoverableDiskErr) starts: the replica keeps
-// serving reads from the published fold snapshot, declines every write
-// with the retryable ReasonDegraded, and pauses gossip in both
-// directions — phantom guesses its disk never accepted must not spread,
-// and a push it acknowledged would be lost on rejoin. Only a wipe ends
-// it. Down is not here: the transport holds it (Node.Crashed), the one
-// copy a SetUp revive flips. Transitions hold the replica's mu; life and
+// counts wipes: Kill and Recover wipe and advance it; degrade changes
+// only the phase. Every asynchronous continuation — a push's ack, an
+// absorb's commit, a sync round's admit and absorb steps, a queued
+// submit, the degraded re-probe — carries the life it was issued in and
+// acts only in that life: work queued or in flight at a wipe resolves
+// declined. degraded is the phase a recoverable disk error (ENOSPC, EIO
+// — see recoverableDiskErr) starts: the replica keeps serving reads from
+// the published fold snapshot, declines every write with the retryable
+// ReasonDegraded, and pauses gossip in both directions — phantom guesses
+// its disk never accepted must not spread, and a push it acknowledged
+// would be lost to the wipe that ends the phase. Only a wipe ends it.
+// Down is not here: the transport holds it (Node.Crashed), the one copy
+// a SetUp revive flips. Transitions hold the replica's mu; life and
 // degraded are atomic so ingress and gossip read them without it.
 type lifecycle struct {
 	life     atomic.Uint32
@@ -169,8 +170,8 @@ func (l *lifecycle) degrade(err error) {
 }
 
 // wipe ends the life, fencing out everything stamped in it. The next
-// life serves: a killed replica is down, not degraded — Recover, not
-// Rejoin, is its way back — and a rejoined one has healed.
+// life is never degraded: a killed replica is down until Recover, and a
+// recovered one has healed.
 func (l *lifecycle) wipe() {
 	l.life.Add(1)
 	l.err = nil
@@ -243,8 +244,8 @@ func newReplica[S any](c *Cluster[S], g *shardGroup[S], id string) *Replica[S] {
 		// would take the new one for its duplicate. Each Open of the
 		// directory is a new incarnation, so each life counts from its own
 		// base, 2^40 numbers apart; a fresh directory's is 0, minting the
-		// IDs a volatile replica does. In-process Recover and Rejoin keep
-		// the running counter, which is already past everything issued.
+		// IDs a volatile replica does. An in-process Recover keeps the
+		// running counter, which is already past everything issued.
 		r.gen = uniq.NewGenAfter(id, rec.Incarnation<<incarnationBits)
 	}
 	r.node = c.tr.Node(id, c.cfg.callTimeout)
@@ -354,25 +355,6 @@ func (r *Replica[S]) ID() string { return r.id }
 
 // Shard reports which shard this replica serves.
 func (r *Replica[S]) Shard() int { return r.g.idx }
-
-// JournalRetained reports how many gossip-journal entries this replica
-// still holds in memory. Once every gossip peer has acknowledged a
-// prefix it is truncated, so on a healthy cluster this stays bounded by
-// the entries absorbed since the last full gossip cycle rather than
-// growing with the ledger.
-func (r *Replica[S]) JournalRetained() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.journal.Retained()
-}
-
-// JournalTruncated reports how many journal entries have been truncated
-// away after acknowledgement by every gossip peer.
-func (r *Replica[S]) JournalTruncated() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.journal.Base()
-}
 
 // OpCount reports how many distinct operations this replica has seen.
 // Like State, it serves from the published fold snapshot when that is
@@ -701,8 +683,8 @@ func (r *Replica[S]) absorb(entries []oplog.Entry, life uint32, how, from string
 	if _, _, ok := r.lc.fence(life, r.node.Crashed()); !ok {
 		// An ended life, or a dead process, absorbs nothing; a degraded
 		// replica must not admit entries its disk cannot back, nor
-		// acknowledge a push it would lose on rejoin. OK=false keeps the
-		// peer's journal in place, exactly like a crash.
+		// acknowledge a push it would lose to Recover's wipe. OK=false
+		// keeps the peer's journal in place, exactly like a crash.
 		r.mu.Unlock()
 		reply(pushAck{OK: false})
 		return
@@ -788,11 +770,12 @@ func (job *absorbJob[S]) resolve(ok bool) {
 // failures retrying cannot fix (corruption, unknown errors) — but a
 // full or transiently failing disk heals when space frees or the
 // device settles, and killing the replica turns an operational hiccup
-// into an outage. Those failures enter degraded read-only mode instead;
-// the return value reports which path was taken so callers can attach
-// the retryable ReasonDegraded to their declines. Either runs here, on
-// the failed commit's callback: the store's Crash does not wait for the
-// flush delivering it.
+// into an outage. Those failures enter degraded read-only mode instead,
+// which Recover ends — the re-probe calls it — with the same wipe Kill
+// makes; the return value reports which path was taken so callers can
+// attach the retryable ReasonDegraded to their declines. Either runs
+// here, on the failed commit's callback: the store's Crash does not wait
+// for the flush delivering it.
 func (r *Replica[S]) storeFailed(life uint32) (degraded bool) {
 	r.mu.Lock()
 	st, ended := r.store, !r.lc.in(life)
@@ -827,14 +810,15 @@ func recoverableDiskErr(err error) bool {
 	return false
 }
 
-// degrade moves the replica into degraded read-only mode: the failed
-// store is detached and crashed (dropping its staged tail), the
-// in-memory world keeps serving reads — including entries the disk
-// never accepted, whose submitters were declined with a retryable
-// reason — and every write path refuses with ReasonDegraded until
-// Rejoin reopens the store. A re-probe retries Rejoin with backoff on
-// the transport's clock, so a disk-full shard heals itself once space
-// frees — on the simulator too, in virtual time.
+// degrade moves the replica into degraded read-only mode, changing only
+// the phase, not the life: the failed store is detached and crashed
+// (dropping its staged tail), the in-memory world keeps serving reads —
+// including entries the disk never accepted, whose submitters were
+// declined with a retryable reason — and every write path refuses with
+// ReasonDegraded until Recover reopens the store. A re-probe retries
+// that reopen with backoff on the transport's clock, so a disk-full
+// shard heals itself once space frees — on the simulator too, in
+// virtual time.
 func (r *Replica[S]) degrade(st *store.Store) {
 	err := st.FailErr()
 	r.mu.Lock()
@@ -857,11 +841,14 @@ func (r *Replica[S]) degrade(st *store.Store) {
 	r.reprobe(life)
 }
 
-// reprobe retries Rejoin with capped exponential backoff, 100 ms
-// doubling to 2 s, until the degraded life ends — the replica heals or
-// is killed — or the cluster closes: a one-shot timer on the transport's
-// clock that re-arms itself. r.reprobes counts the chains armed or
-// running.
+// reprobe retries Recover's reseed in the degraded life, with capped
+// exponential backoff, 100 ms doubling to 2 s, until that life ends —
+// the replica heals, or a Kill or an operator's Recover lands, even while
+// the re-probe's own open is in flight — or the cluster closes: a
+// one-shot timer on the transport's clock that re-arms itself. It never
+// changes the transport's up/down: a degraded replica an operator
+// silenced stays silent until Recover or SetUp. r.reprobes counts the
+// chains armed or running.
 func (r *Replica[S]) reprobe(life uint32) {
 	backoff := 100 * time.Millisecond
 	var t transport.Timer
@@ -869,7 +856,7 @@ func (r *Replica[S]) reprobe(life uint32) {
 		// A failure leaves the life degraded, to retry after the backoff;
 		// success ends it, and with it the chain.
 		if !r.c.closed.Load() && r.lc.in(life) {
-			_ = r.Rejoin(context.Background())
+			_ = r.reseed(life)
 			if r.lc.in(life) {
 				backoff = min(2*backoff, 2*time.Second)
 				t.Reset(backoff)
@@ -884,7 +871,7 @@ func (r *Replica[S]) reprobe(life uint32) {
 
 // Degraded reports whether the replica is in degraded read-only mode:
 // its disk stopped accepting writes, reads still serve the published
-// fold snapshot, and writes decline with ReasonDegraded until Rejoin
+// fold snapshot, and writes decline with ReasonDegraded until Recover
 // succeeds.
 func (r *Replica[S]) Degraded() bool { return r.lc.isDegraded() }
 
@@ -911,47 +898,6 @@ func (r *Replica[S]) DegradedReason() string {
 		return ""
 	}
 	return r.lc.err.Error()
-}
-
-// Rejoin re-probes a degraded replica's durable store and, when the
-// disk has healed, rebuilds the in-memory world from it — discarding
-// the phantom entries the degraded incarnation kept serving reads from
-// (their submitters were declined; gossip re-fills anything peers hold)
-// — then resumes writes and gossip. It fails, leaving the replica
-// degraded, while the store still cannot be reopened.
-func (r *Replica[S]) Rejoin(ctx context.Context) error {
-	if r.remote {
-		return fmt.Errorf("quicksand: replica %s is hosted by another process; rejoin it there", r.id)
-	}
-	// The life first: a life stays degraded until it ends, so a degraded
-	// phase seen after the stamp is the stamped life's.
-	life := r.lc.stamp()
-	if !r.lc.isDegraded() {
-		return fmt.Errorf("quicksand: replica %s is not degraded", r.id)
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	st, rec, err := store.Open(r.c.storeDir(r.id), r.c.storeOptions())
-	if err != nil {
-		return fmt.Errorf("quicksand: rejoin %s: %w", r.id, err)
-	}
-	r.mu.Lock()
-	if !r.lc.in(life) {
-		// A concurrent Rejoin or a Kill ended the degraded life while the
-		// store reopened; this handle is surplus and the winner's state
-		// must not be clobbered.
-		r.mu.Unlock()
-		st.Close()
-		return fmt.Errorf("quicksand: replica %s already rejoined (or was killed)", r.id)
-	}
-	r.wipeLocked()
-	r.seedFromDisk(st, rec)
-	n := r.ops.Len()
-	r.mu.Unlock()
-	r.Ledger.Record(r.c.tr.Now(), apology.Memory, r.id,
-		fmt.Sprintf("rejoined after degraded mode with %d ops from disk", n), "")
-	return nil
 }
 
 // sweepViolations evaluates every rule's Violated check against the
@@ -1212,11 +1158,12 @@ func (r *Replica[S]) handleApply(from string, req any, reply func(any)) {
 // and every bit of in-memory state — operation set, gossip journal,
 // Lamport clock, fold checkpoints, ledger — is destroyed, along with
 // any disk write that was not yet group-committed. The wipe ends the
-// replica's life, and work issued in a life acts only in it: a submit
-// queued behind the drain or a coordinated round in flight resolves
-// declined ("replica down") even if the replica is back by then, and
-// is retried by its ID. What survives is exactly the durable store's
-// contents; a replica without one loses everything it uniquely held.
+// replica's life, as Recover's does, and work issued in a life acts only
+// in it: a submit queued behind the drain or a coordinated round in
+// flight resolves declined ("replica down") even if the replica is back
+// by then, and is retried by its ID. What survives is exactly the
+// durable store's contents; a replica without one loses everything it
+// uniquely held.
 func (r *Replica[S]) Kill() {
 	r.c.tr.SetUp(r.id, false)
 	r.mu.Lock()
@@ -1235,8 +1182,8 @@ func (r *Replica[S]) Kill() {
 }
 
 // wipeLocked destroys every bit of in-memory state, as a process death
-// would, and ends the life — shared by Kill and by Rejoin (which discards
-// the degraded incarnation's phantoms before reseeding from disk). The
+// would, and ends the life — shared by Kill and by Recover (which
+// discards a degraded incarnation's phantoms before reseeding). The
 // ingest ring is not drained here: its items carry the life they were
 // queued in, and the drain declines each one it fences out. The caller
 // holds mu and owns store shutdown, publication, and ledger cleanup.
@@ -1256,14 +1203,17 @@ func (r *Replica[S]) wipeLocked() {
 	r.snaps = nil
 }
 
-// Recover restarts a killed durable replica from disk alone: reopen the
-// store (which truncates any torn journal tail), replay the journal,
-// rebuild the operation set and Lamport clock, and rejoin the transport.
-// Gossip then fills in everything admitted elsewhere while the replica
-// was dead — peers held their journals for it (an unacknowledged prefix
+// Recover is a durable replica's one way back from losing its store,
+// killed (down, RAM wiped) or degraded (up or downed, RAM kept for
+// reads): reopen the store (which truncates any torn journal tail), end
+// the life with the wipe Kill makes — discarding a degraded
+// incarnation's phantoms, whose submitters were declined — replay the
+// journal into the operation set and Lamport clock, and come up on the
+// transport. Gossip then fills in everything admitted elsewhere
+// meanwhile — peers held their journals for it (an unacknowledged prefix
 // is never truncated), and it re-pushes its own unacknowledged suffix,
-// which peers dedupe. Recover follows Kill; a degraded replica heals
-// with Rejoin.
+// which peers dedupe. A replica that still holds its store — healthy, or
+// only SetUp(false) — is refused, and no store is opened.
 func (r *Replica[S]) Recover(ctx context.Context) error {
 	if r.remote {
 		return fmt.Errorf("quicksand: replica %s is hosted by another process; recover it there", r.id)
@@ -1271,34 +1221,45 @@ func (r *Replica[S]) Recover(ctx context.Context) error {
 	if r.c.cfg.durableDir == "" {
 		return fmt.Errorf("quicksand: replica %s has no durable store to recover from (use WithDurability)", r.id)
 	}
-	if !r.node.Crashed() {
-		return fmt.Errorf("quicksand: replica %s is alive; Recover follows Kill", r.id)
-	}
-	if r.lc.isDegraded() {
-		return fmt.Errorf("quicksand: replica %s is degraded; Rejoin heals it, Recover follows Kill", r.id)
+	r.mu.Lock()
+	held, life := r.store != nil, r.lc.stamp()
+	r.mu.Unlock()
+	if held {
+		return fmt.Errorf("quicksand: replica %s still holds its store; Recover follows Kill or a degraded disk", r.id)
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	if err := r.reseed(life); err != nil {
+		return err
+	}
+	r.c.tr.SetUp(r.id, true)
+	return nil
+}
+
+// reseed reopens the store and rebuilds the replica from it, acting only
+// in the life stamped: a Kill or another reseed that lands while the
+// store opens ends that life, and this handle is then surplus. The wipe
+// ends the life, discarding a degraded incarnation's RAM; after a Kill,
+// which wiped already, it wipes nothing new and only advances the life,
+// which nothing stamped while the node was down could act in anyway.
+func (r *Replica[S]) reseed(life uint32) error {
 	st, rec, err := store.Open(r.c.storeDir(r.id), r.c.storeOptions())
 	if err != nil {
 		return fmt.Errorf("quicksand: recover %s: %w", r.id, err)
 	}
 	r.mu.Lock()
-	if r.store != nil || r.lc.isDegraded() {
-		// The replica kept its RAM: a concurrent Recover won the race, or
-		// the node was only SetUp(false), and may have degraded since.
-		// This handle is surplus; the state must not be clobbered.
+	if !r.lc.in(life) || r.store != nil {
 		r.mu.Unlock()
 		st.Close()
-		return fmt.Errorf("quicksand: replica %s still holds its state (already recovered, degraded, or downed without Kill)", r.id)
+		return fmt.Errorf("quicksand: replica %s was killed or recovered while its store reopened", r.id)
 	}
+	r.wipeLocked()
 	r.seedFromDisk(st, rec)
 	n := r.ops.Len()
 	r.mu.Unlock()
 	r.Ledger.Record(r.c.tr.Now(), apology.Memory, r.id,
 		fmt.Sprintf("recovered %d ops from disk (journal %d)", n, len(rec.JournalEntries)), "")
-	r.c.tr.SetUp(r.id, true)
 	return nil
 }
 

@@ -89,7 +89,7 @@ func TestDaemonDegradedSurface(t *testing.T) {
 		t.Fatalf("degraded read: %+v, %v", st, err)
 	}
 
-	// Space returns; the replica re-probes and rejoins on its own, and
+	// Space returns; the replica re-probes and recovers on its own, and
 	// the surface flips back.
 	full.Store(false)
 	deadline := time.Now().Add(10 * time.Second)

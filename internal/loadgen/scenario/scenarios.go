@@ -359,13 +359,14 @@ var DiskFull = register(&Scenario{
 			return nil, nil, err
 		}
 
-		// The degraded replica re-probes its store on its own; give it a
-		// deadline to rejoin before demanding convergence.
-		healed := Check{Name: "self-healed", Detail: "replica never rejoined after space returned"}
+		// The degraded replica re-probes its store on its own, and the
+		// re-probe recovers it through a wipe; give it a deadline to
+		// recover before demanding convergence.
+		healed := Check{Name: "self-healed", Detail: "replica never recovered after space returned"}
 		for deadline := time.Now().Add(20 * time.Second); ; {
 			if !anyDegraded() {
 				healed = Check{Name: "self-healed", OK: true,
-					Detail: "degraded replica rejoined without operator action"}
+					Detail: "degraded replica recovered without operator action"}
 				break
 			}
 			if time.Now().After(deadline) || ctx.Err() != nil {

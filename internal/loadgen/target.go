@@ -191,13 +191,13 @@ func (t *ClusterTarget) Silence(entry int, down bool) {
 
 func (t *ClusterTarget) Kill(entry int) {
 	for s := 0; s < t.C.Shards(); s++ {
-		t.C.ShardKill(s, entry)
+		t.C.ShardReplica(s, entry).Kill()
 	}
 }
 
 func (t *ClusterTarget) Recover(ctx context.Context, entry int) error {
 	for s := 0; s < t.C.Shards(); s++ {
-		if err := t.C.ShardRecover(ctx, s, entry); err != nil {
+		if err := t.C.ShardReplica(s, entry).Recover(ctx); err != nil {
 			return err
 		}
 	}
@@ -451,14 +451,14 @@ func (t *NetTarget) Silence(entry int, down bool) {
 func (t *NetTarget) Kill(entry int) {
 	c := t.daemons[entry].Cluster()
 	for s := 0; s < c.Shards(); s++ {
-		c.ShardKill(s, entry)
+		c.ShardReplica(s, entry).Kill()
 	}
 }
 
 func (t *NetTarget) Recover(ctx context.Context, entry int) error {
 	c := t.daemons[entry].Cluster()
 	for s := 0; s < c.Shards(); s++ {
-		if err := c.ShardRecover(ctx, s, entry); err != nil {
+		if err := c.ShardReplica(s, entry).Recover(ctx); err != nil {
 			return err
 		}
 	}

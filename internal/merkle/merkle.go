@@ -44,9 +44,8 @@ func LeafIndex(depth int, key string) int {
 
 // Tree is a Merkle tree over a key→value-digest map. Construct with Build.
 type Tree struct {
-	depth  int
-	leaves []Digest // 2^depth leaf hashes
-	nodes  []Digest // heap layout: nodes[1] is the root
+	depth int
+	nodes []Digest // heap layout: nodes[1] is the root, nodes[n+i] leaf i
 }
 
 // Build constructs a tree of the given depth (1..16) over items, where
@@ -64,7 +63,7 @@ func Build(depth int, items map[string]string) *Tree {
 		i := LeafIndex(depth, k)
 		byLeaf[i] = append(byLeaf[i], kv{k, v})
 	}
-	t := &Tree{depth: depth, leaves: make([]Digest, n), nodes: make([]Digest, 2*n)}
+	t := &Tree{depth: depth, nodes: make([]Digest, 2*n)}
 	for i, members := range byLeaf {
 		if len(members) == 0 {
 			continue // zero digest
@@ -77,12 +76,9 @@ func Build(depth int, items map[string]string) *Tree {
 			h.Write([]byte(m.v))
 			h.Write([]byte{0})
 		}
-		copy(t.leaves[i][:], h.Sum(nil))
+		copy(t.nodes[n+i][:], h.Sum(nil))
 	}
-	// Internal nodes: nodes[n+i] = leaf i; nodes[j] = H(nodes[2j], nodes[2j+1]).
-	for i := 0; i < n; i++ {
-		t.nodes[n+i] = t.leaves[i]
-	}
+	// Internal nodes: nodes[j] = H(nodes[2j], nodes[2j+1]).
 	for j := n - 1; j >= 1; j-- {
 		left, right := t.nodes[2*j], t.nodes[2*j+1]
 		if left == zeroDigest && right == zeroDigest {
@@ -96,18 +92,8 @@ func Build(depth int, items map[string]string) *Tree {
 	return t
 }
 
-// Depth reports the tree depth.
-func (t *Tree) Depth() int { return t.depth }
-
 // Root returns the root digest; equal roots mean equal contents.
 func (t *Tree) Root() Digest { return t.nodes[1] }
-
-// Leaf returns leaf i's digest.
-func (t *Tree) Leaf(i int) Digest { return t.leaves[i] }
-
-// Leaves returns a copy of all leaf digests (what a sync exchange ships
-// when roots differ and the parties choose a flat comparison).
-func (t *Tree) Leaves() []Digest { return append([]Digest(nil), t.leaves...) }
 
 // DiffLeaves compares two trees of equal depth and returns the indexes of
 // leaves that differ, walking the tree so matching subtrees are skipped.

@@ -86,30 +86,6 @@ func decodeEntry[T ~string | ~[]byte](b T) (Entry, error) {
 	return e, nil
 }
 
-// AppendWatermark appends the binary encoding of w to buf. Snapshot files
-// record the fold watermark they were taken at so recovery can rebuild
-// the fold checkpoint at exactly that position.
-func AppendWatermark(buf []byte, w Watermark) []byte {
-	buf = binary.AppendUvarint(buf, w.Lam)
-	buf = binary.AppendVarint(buf, int64(w.At))
-	buf = appendString(buf, string(w.ID))
-	return buf
-}
-
-// DecodeWatermark decodes a watermark from the front of b, returning the
-// remainder of the buffer.
-func DecodeWatermark(b []byte) (Watermark, []byte, error) {
-	var w Watermark
-	d := decoder[[]byte]{b: b}
-	w.Lam = d.uvarint()
-	w.At = time.Duration(d.varint())
-	w.ID = uniq.ID(d.string())
-	if d.err != nil {
-		return Watermark{}, nil, d.err
-	}
-	return w, d.b, nil
-}
-
 func appendString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)

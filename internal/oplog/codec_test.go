@@ -162,28 +162,6 @@ func TestDecodeEntryStringAllocatesNothing(t *testing.T) {
 	}
 }
 
-func TestWatermarkCodecRoundTrip(t *testing.T) {
-	for _, want := range []Watermark{
-		{},
-		{Lam: 42, At: 1_000_000, ID: "r1-000007"},
-	} {
-		got, rest, err := DecodeWatermark(AppendWatermark(nil, want))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want || len(rest) != 0 {
-			t.Fatalf("got %+v (rest %d) want %+v", got, len(rest), want)
-		}
-	}
-	// A watermark at the front of a longer buffer hands back the tail.
-	buf := AppendWatermark(nil, Watermark{Lam: 3})
-	buf = append(buf, 0xAA, 0xBB)
-	_, rest, err := DecodeWatermark(buf)
-	if err != nil || len(rest) != 2 {
-		t.Fatalf("tail: rest=%d err=%v", len(rest), err)
-	}
-}
-
 func TestEntrySizeExact(t *testing.T) {
 	cases := []Entry{
 		{},

@@ -37,10 +37,10 @@
 // operation with WithPolicy. WithShards partitions the key space across
 // independent replica groups — §6's scale-out move — and
 // WithDurability puts a disk under every replica (internal/store: a
-// CRC-checked segmented journal plus atomic snapshots, group-commit
-// fsyncs per §3.2's city-bus economics), enabling the hard-crash
-// lifecycle: Kill drops a replica's RAM, Recover rebuilds it from disk
-// and rejoins gossip, and New cold-starts from an earlier
+// CRC-checked segmented journal, group-commit fsyncs per §3.2's
+// city-bus economics), enabling the hard-crash lifecycle: Kill drops a
+// replica's RAM, Recover rebuilds it (or a degraded one) from disk and
+// rejoins gossip, and New cold-starts from an earlier
 // incarnation's directory. The Transport seam (internal/transport)
 // runs the same cluster code on the deterministic simulator
 // (WithTransport(NewSimTransport(s))) for experiments or on real

@@ -1,8 +1,9 @@
 package quicksand_test
 
-// Three rules about the shape of the repository itself, checked from its
+// Four rules about the shape of the repository itself, checked from its
 // source: what the live product may import, what the public option list
-// may contain, and which fuzz targets CI runs.
+// may contain, how many methods the engine's two types export, and which
+// fuzz targets CI runs.
 
 import (
 	"go/ast"
@@ -164,6 +165,47 @@ func TestOptionsEarnTheirKeep(t *testing.T) {
 	}
 	if found == 0 {
 		t.Fatal("found no With… option in the docs; the extraction pattern has rotted")
+	}
+}
+
+// TestEngineSurfacePinned counts the exported methods internal/core
+// declares on Cluster and Replica, which the root package re-exports
+// whole. As with the option counts, the pin makes the next method a
+// conscious diff: one more way to do what a method already does is the
+// duplication ROADMAP aim 2 removes.
+func TestEngineSurfacePinned(t *testing.T) {
+	files, err := filepath.Glob("internal/core/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	methods := make(map[string]int)
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Recv == nil || !fn.Name.IsExported() {
+				continue
+			}
+			recv := fn.Recv.List[0].Type
+			if star, ok := recv.(*ast.StarExpr); ok {
+				recv = star.X
+			}
+			if idx, ok := recv.(*ast.IndexExpr); ok {
+				recv = idx.X
+			}
+			if id, ok := recv.(*ast.Ident); ok {
+				methods[id.Name]++
+			}
+		}
+	}
+	if methods["Cluster"] != 28 || methods["Replica"] != 13 {
+		t.Errorf("core.Cluster exports %d methods and core.Replica %d, want 28 and 13", methods["Cluster"], methods["Replica"])
 	}
 }
 
