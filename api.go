@@ -140,10 +140,9 @@ func WithReplicas(n int) Option { return core.WithReplicas(n) }
 // shard runs its own operation sets, fold checkpoints, journals, and
 // gossip schedule, so operations on different shards share no lock and
 // proceed in parallel on the live transport. Cluster.ShardOf reports the
-// routing; ShardStates, ShardConverged, ShardReplica, and ShardMetrics
-// observe one group. Per-key semantics are unchanged: a sharded run
-// derives states that, merged per key, match the unsharded run of the
-// same operations.
+// routing; ShardReplica and ShardMetrics observe one group. Per-key
+// semantics are unchanged: a sharded run derives states that, merged per
+// key, match the unsharded run of the same operations.
 func WithShards(n int) Option { return core.WithShards(n) }
 
 // WithCallTimeout bounds every replica-to-replica call (default 100ms;

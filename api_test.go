@@ -473,15 +473,16 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 			// off its home shard.
 			merged := balances{}
 			for s := 0; s < c.Shards(); s++ {
-				states := c.ShardStates(s)
-				for i := 1; i < len(states); i++ {
-					for acct, bal := range states[0] {
-						if states[i][acct] != bal {
-							t.Fatalf("shard %d replicas diverge on %s: %d vs %d", s, acct, bal, states[i][acct])
+				first := c.ShardReplica(s, 0).State()
+				for i := 1; i < c.Replicas(); i++ {
+					st := c.ShardReplica(s, i).State()
+					for acct, bal := range first {
+						if st[acct] != bal {
+							t.Fatalf("shard %d replicas diverge on %s: %d vs %d", s, acct, bal, st[acct])
 						}
 					}
 				}
-				for acct, bal := range states[0] {
+				for acct, bal := range first {
 					if c.ShardOf(acct) != s {
 						t.Fatalf("key %s leaked onto shard %d (home %d)", acct, s, c.ShardOf(acct))
 					}

@@ -1,6 +1,5 @@
 // Command quicksand is the ops CLI for quicksandd daemons.
 //
-//	quicksand serve  -config node0.yaml           # run a daemon (same flags as quicksandd)
 //	quicksand doctor -config node0.yaml           # preflight: dirs, fsync, ports, peers
 //	quicksand ps     -addr http://127.0.0.1:8080,http://127.0.0.1:8081
 //	quicksand submit -addr http://127.0.0.1:8080 deposit acct-1 500
@@ -15,9 +14,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"net/http"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -28,45 +27,42 @@ import (
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes one command and returns the process's exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 {
+		usage(stderr)
+		return 2
 	}
-	var err error
-	switch cmd := os.Args[1]; cmd {
-	case "serve":
-		err = cmdServe(os.Args[2:])
-	case "doctor":
-		err = cmdDoctor(os.Args[2:])
-	case "ps":
-		err = cmdPS(os.Args[2:])
-	case "submit":
-		err = cmdSubmit(os.Args[2:])
-	case "state":
-		err = cmdState(os.Args[2:])
-	case "scrape":
-		err = cmdScrape(os.Args[2:])
-	case "-h", "-help", "--help", "help":
-		usage()
+	cmd, ok := map[string]func(cli, []string) error{
+		"doctor": cli.doctor, "ps": cli.ps, "submit": cli.submit, "state": cli.state, "scrape": cli.scrape,
+	}[args[0]]
+	switch {
+	case slices.Contains([]string{"-h", "-help", "--help", "help"}, args[0]):
+		usage(stderr)
+		return 0
+	case !ok:
+		fmt.Fprintf(stderr, "quicksand: unknown command %q\n\n", args[0])
+		usage(stderr)
+		return 2
+	}
+	switch err := cmd(cli{stdout, stderr}, args[1:]); {
+	case err == nil:
+		return 0
+	case errors.Is(err, flag.ErrHelp):
+		return 2
 	default:
-		fmt.Fprintf(os.Stderr, "quicksand: unknown command %q\n\n", cmd)
-		usage()
-		os.Exit(2)
-	}
-	if err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			os.Exit(2)
-		}
-		fmt.Fprintln(os.Stderr, "quicksand:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "quicksand:", err)
+		return 1
 	}
 }
 
-func usage() {
-	fmt.Fprint(os.Stderr, `quicksand — ops CLI for quicksandd daemons
+func usage(w io.Writer) {
+	fmt.Fprint(w, `quicksand — ops CLI for quicksandd daemons
 
 commands:
-  serve    run a daemon in the foreground (same flags as quicksandd)
   doctor   preflight a config: data dir, fsync, ports, peer reachability
   ps       show status of running daemons over their HTTP APIs
   submit   submit one operation through a daemon
@@ -77,74 +73,50 @@ run "quicksand <command> -h" for the command's flags.
 `)
 }
 
-func cmdServe(args []string) error {
-	cfg, err := daemon.ParseServeFlags(args)
-	if err != nil {
-		return err
-	}
-	return daemon.Serve(cfg, log.New(os.Stderr, "", log.LstdFlags).Printf)
-}
+// cli is where a command writes: its output, and its errors and usage.
+type cli struct{ out, errOut io.Writer }
 
-func cmdDoctor(args []string) error {
+func (c cli) doctor(args []string) error {
 	cfg, err := daemon.ParseServeFlags(args)
 	if err != nil {
 		return err
 	}
 	checks := daemon.Doctor(cfg)
 	failed := 0
-	for _, c := range checks {
+	for _, ch := range checks {
 		mark := "ok  "
 		switch {
-		case c.OK:
-		case c.Advisory:
+		case ch.OK:
+		case ch.Advisory:
 			mark = "warn"
 		default:
 			mark = "FAIL"
 			failed++
 		}
-		fmt.Printf("%s  %-18s %s\n", mark, c.Name, c.Detail)
+		fmt.Fprintf(c.out, "%s  %-18s %s\n", mark, ch.Name, ch.Detail)
 	}
 	if failed > 0 {
 		return fmt.Errorf("%d of %d checks failed", failed, len(checks))
 	}
-	fmt.Printf("all %d checks passed\n", len(checks))
+	fmt.Fprintf(c.out, "all %d checks passed\n", len(checks))
 	return nil
 }
 
-func cmdPS(args []string) error {
+func (c cli) ps(args []string) error {
 	fs := flag.NewFlagSet("ps", flag.ContinueOnError)
+	fs.SetOutput(c.errOut)
 	addrs := fs.String("addr", "http://127.0.0.1:8080", "comma-separated daemon base URLs")
 	token := fs.String("token", "", "API bearer token (enables the keys/apologies columns)")
 	timeout := fs.Duration("timeout", 3*time.Second, "per-daemon probe timeout")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
-	defer cancel()
-	fmt.Printf("%-28s %-6s %-5s %-7s %-7s %-6s %-10s\n", "ADDR", "STATE", "NODE", "SHARDS", "REPLICAS", "KEYS", "APOLOGIES")
+	fmt.Fprintf(c.out, "%-28s %-8s %-5s %-7s %-7s %-6s %-10s\n", "ADDR", "STATE", "NODE", "SHARDS", "REPLICAS", "KEYS", "APOLOGIES")
 	var down int
 	for _, addr := range strings.Split(*addrs, ",") {
-		addr = strings.TrimSpace(addr)
-		if addr == "" {
-			continue
-		}
-		c := client.New(addr, client.WithToken(*token), client.WithRetries(0))
-		h, err := c.Health(ctx)
-		if err != nil {
-			fmt.Printf("%-28s %-6s %v\n", addr, "down", err)
+		if addr = strings.TrimSpace(addr); addr != "" && !c.psRow(addr, *token, *timeout) {
 			down++
-			continue
 		}
-		// The /v1 columns need a valid token (or a tokenless daemon);
-		// degrade to "-" rather than failing the whole row.
-		keys, apologies := "-", "-"
-		if st, err := c.State(ctx); err == nil {
-			keys = strconv.Itoa(len(st.Keys))
-		}
-		if ap, err := c.Apologies(ctx); err == nil {
-			apologies = strconv.Itoa(ap.Total)
-		}
-		fmt.Printf("%-28s %-6s %-5d %-7d %-7d %-6s %-10s\n", addr, "up", h.Node, h.Shards, h.Replicas, keys, apologies)
 	}
 	if down > 0 {
 		return fmt.Errorf("%d daemon(s) unreachable", down)
@@ -152,13 +124,45 @@ func cmdPS(args []string) error {
 	return nil
 }
 
-// cmdScrape is the CI/ops metrics audit: fetch one daemon's /metrics,
+// psRow prints one daemon's row, and a line per degraded shard, within
+// a timeout of its own; it reports whether the daemon answered.
+func (c cli) psRow(addr, token string, timeout time.Duration) bool {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	cl := client.New(addr, client.WithToken(token), client.WithRetries(0))
+	h, err := cl.Health(ctx)
+	if err != nil {
+		fmt.Fprintf(c.out, "%-28s %-8s %v\n", addr, "down", err)
+		return false
+	}
+	// The /v1 columns need a valid token (or a tokenless daemon);
+	// degrade to "-" rather than failing the whole row.
+	keys, apologies := "-", "-"
+	if st, err := cl.State(ctx); err == nil {
+		keys = strconv.Itoa(len(st.Keys))
+	}
+	if ap, err := cl.Apologies(ctx); err == nil {
+		apologies = strconv.Itoa(ap.Total)
+	}
+	state := "up"
+	if !h.OK {
+		state = "degraded"
+	}
+	fmt.Fprintf(c.out, "%-28s %-8s %-5d %-7d %-7d %-6s %-10s\n", addr, state, h.Node, h.Shards, h.Replicas, keys, apologies)
+	for _, reason := range h.Degraded {
+		fmt.Fprintf(c.out, "  %s\n", reason)
+	}
+	return true
+}
+
+// scrape is the CI/ops metrics audit: fetch one daemon's /metrics,
 // run it through the strict exposition parser and the semantic
 // validator (histogram bucket monotonicity, +Inf vs _count, ...), and
 // report scrape size and duration. -require fails unless the named
 // families are present with at least one sample.
-func cmdScrape(args []string) error {
+func (c cli) scrape(args []string) error {
 	fs := flag.NewFlagSet("scrape", flag.ContinueOnError)
+	fs.SetOutput(c.errOut)
 	addr := fs.String("addr", "http://127.0.0.1:8080", "daemon base URL")
 	require := fs.String("require", "", "comma-separated metric families that must be present")
 	timeout := fs.Duration("timeout", 5*time.Second, "scrape timeout")
@@ -208,19 +212,20 @@ func cmdScrape(args []string) error {
 			return fmt.Errorf("required family %s has no samples", name)
 		}
 	}
-	fmt.Printf("ok: %d families, %d samples, %d bytes in %v\n", len(fams), samples, len(body), took.Round(time.Microsecond))
+	fmt.Fprintf(c.out, "ok: %d families, %d samples, %d bytes in %v\n", len(fams), samples, len(body), took.Round(time.Microsecond))
 	return nil
 }
 
-func cmdSubmit(args []string) error {
+func (c cli) submit(args []string) error {
 	fs := flag.NewFlagSet("submit", flag.ContinueOnError)
+	fs.SetOutput(c.errOut)
 	addr := fs.String("addr", "http://127.0.0.1:8080", "daemon base URL")
 	token := fs.String("token", "", "API bearer token")
 	sync := fs.Bool("sync", false, "require classic coordination across replicas")
 	id := fs.String("id", "", "idempotency key (defaults to a random one)")
 	note := fs.String("note", "", "free-form annotation carried with the op")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: quicksand submit [flags] <kind> <key> <arg>\nexample: quicksand submit -sync withdraw acct-1 200")
+		fmt.Fprintln(c.errOut, "usage: quicksand submit [flags] <kind> <key> <arg>\nexample: quicksand submit -sync withdraw acct-1 200")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -235,30 +240,31 @@ func cmdSubmit(args []string) error {
 	if err != nil {
 		return fmt.Errorf("arg %q is not an integer: %v", rest[2], err)
 	}
-	c := client.New(*addr, client.WithToken(*token))
+	cl := client.New(*addr, client.WithToken(*token))
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	res, err := c.Submit(ctx, client.Op{Kind: rest[0], Key: rest[1], Arg: arg, ID: *id, Note: *note}, *sync)
+	res, err := cl.Submit(ctx, client.Op{Kind: rest[0], Key: rest[1], Arg: arg, ID: *id, Note: *note}, *sync)
 	if err != nil {
 		return err
 	}
 	out, _ := json.MarshalIndent(res, "", "  ")
-	fmt.Println(string(out))
+	fmt.Fprintln(c.out, string(out))
 	if !res.Accepted {
 		return fmt.Errorf("declined: %s", res.Reason)
 	}
 	return nil
 }
 
-// cmdState prints the daemon's locally derived state — a guess, not a
+// state prints the daemon's locally derived state — a guess, not a
 // global truth. With a key it asks for that key alone, which costs the
 // same however large the state is.
-func cmdState(args []string) error {
+func (c cli) state(args []string) error {
 	fs := flag.NewFlagSet("state", flag.ContinueOnError)
+	fs.SetOutput(c.errOut)
 	addr := fs.String("addr", "http://127.0.0.1:8080", "daemon base URL")
 	token := fs.String("token", "", "API bearer token")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: quicksand state [flags] [key]\nexample: quicksand state acct-1")
+		fmt.Fprintln(c.errOut, "usage: quicksand state [flags] [key]\nexample: quicksand state acct-1")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -269,25 +275,25 @@ func cmdState(args []string) error {
 		fs.Usage()
 		return fmt.Errorf("want at most one key, got %d arguments", len(rest))
 	}
-	c := client.New(*addr, client.WithToken(*token))
+	cl := client.New(*addr, client.WithToken(*token))
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if len(rest) == 1 {
-		v, ok, err := c.StateOf(ctx, rest[0])
+		v, ok, err := cl.StateOf(ctx, rest[0])
 		if err != nil {
 			return err
 		}
 		if !ok {
 			return fmt.Errorf("no key %q at this replica", rest[0])
 		}
-		fmt.Println(v)
+		fmt.Fprintln(c.out, v)
 		return nil
 	}
-	st, err := c.State(ctx)
+	st, err := cl.State(ctx)
 	if err != nil {
 		return err
 	}
 	out, _ := json.MarshalIndent(st, "", "  ")
-	fmt.Println(string(out))
+	fmt.Fprintln(c.out, string(out))
 	return nil
 }

@@ -120,7 +120,7 @@ func ingestWorkload(t *testing.T, h harness) int {
 	// guess, so both are accepted everywhere and the merged truth goes
 	// negative — a standing violation discovered at convergence.
 	for _, k := range []int{0, 1} {
-		bal := c.ShardStates(c.ShardOf(key(k)))[0][key(k)]
+		bal := c.ShardReplica(c.ShardOf(key(k)), 0).State()[key(k)]
 		half := bal/2 + 100 // covered alone, overdrawn together
 		for r := 0; r < 2; r++ {
 			op := quicksand.NewOp("clear-check", key(k), half)
@@ -170,8 +170,7 @@ func TestFoldEnginesAgreeUnderBatchedIngest(t *testing.T) {
 }
 
 // TestConcurrentReadersDuringIngest is the lock-free read acceptance
-// test, meant for -race: reader goroutines hammer State, ShardStates,
-// and OpCount while batched writers ingest and one replica is
+// test, meant for -race: reader goroutines hammer State and OpCount while batched writers ingest and one replica is
 // kill/recover churned. Readers must never observe a torn fold snapshot
 // (the race detector would flag a map read racing a fold) and never
 // observe a state the engine later mutates in place — every snapshot
@@ -205,7 +204,7 @@ func TestConcurrentReadersDuringIngest(t *testing.T) {
 			defer readWG.Done()
 			for !stop.Load() {
 				for i := 0; i < c.Replicas(); i++ {
-					st := c.Replica(i).State()
+					st := c.ShardReplica(0, i).State()
 					for acct, bal := range st {
 						if bal < 0 {
 							t.Errorf("negative balance %d for %s in a deposit-only workload", bal, acct)
@@ -214,7 +213,6 @@ func TestConcurrentReadersDuringIngest(t *testing.T) {
 					}
 					_ = c.Replica(i).OpCount()
 				}
-				_ = c.ShardStates(0)
 			}
 		}()
 	}

@@ -681,18 +681,6 @@ func (c *Cluster[S]) IngestBacklog(i int) (depth, capacity int) {
 	return depth, capacity
 }
 
-// DegradedShards lists the shards with at least one locally hosted
-// replica in degraded read-only mode (empty on a healthy cluster).
-func (c *Cluster[S]) DegradedShards() []int {
-	var out []int
-	for s := range c.groups {
-		if _, deg := c.ShardDegraded(s); deg {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // DurabilityStats sums the disk-work counters of every replica's live
 // store: fsyncs completed, entries journaled, torn bytes truncated at
 // recovery (Snapshots and Recycled stay 0).
@@ -1086,10 +1074,6 @@ func (c *Cluster[S]) Converged() bool {
 	return true
 }
 
-// ShardConverged reports whether one shard's replica group has
-// converged, independently of the others.
-func (c *Cluster[S]) ShardConverged(shard int) bool { return c.groups[shard].converged() }
-
 // States returns every replica's current derived state, shard-major:
 // shard 0's replicas first, then shard 1's, and so on — len is
 // Shards()×Replicas(). On the default single shard this is exactly the
@@ -1106,19 +1090,6 @@ func (c *Cluster[S]) States() []S {
 			if !r.remote {
 				out = append(out, r.State())
 			}
-		}
-	}
-	return out
-}
-
-// ShardStates returns the derived state of each replica in one shard's
-// group.
-func (c *Cluster[S]) ShardStates(shard int) []S {
-	g := c.groups[shard]
-	out := make([]S, 0, len(g.reps))
-	for _, r := range g.reps {
-		if !r.remote {
-			out = append(out, r.State())
 		}
 	}
 	return out

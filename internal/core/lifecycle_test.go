@@ -412,10 +412,12 @@ func waitNoReprobe(t *testing.T, c *Cluster[counterState]) {
 
 // liveLifeFS is r0's disk on the live transport: writes fail with ENOSPC
 // while full is set, and the next sync under r0 after hold is set takes
-// 300 ms, announcing itself on held.
+// 300 ms, announcing itself on held. denied counts the writes refused,
+// and opens the store opens that got past recording their incarnation.
 type liveLifeFS struct {
-	full, hold atomic.Bool
-	held       chan struct{}
+	full, hold    atomic.Bool
+	held          chan struct{}
+	denied, opens atomic.Int32
 }
 
 func (f *liveLifeFS) fs() faultfs.FS {
@@ -424,7 +426,10 @@ func (f *liveLifeFS) fs() faultfs.FS {
 		switch {
 		case !strings.Contains(op.Path, marker):
 		case f.full.Load() && (op.Kind == faultfs.OpWrite || op.Kind == faultfs.OpWriteAt):
+			f.denied.Add(1)
 			return faultfs.Decision{Err: syscall.ENOSPC}
+		case op.Kind == faultfs.OpRename && strings.HasSuffix(op.Path, "incarnation.tmp"):
+			f.opens.Add(1)
 		case op.Kind == faultfs.OpSync && f.hold.CompareAndSwap(true, false):
 			f.held <- struct{}{}
 			return faultfs.Decision{Delay: 300 * time.Millisecond}
@@ -441,7 +446,9 @@ func (f *liveLifeFS) fs() faultfs.FS {
 // Each row runs live, and its /sim twin runs the same transition on the
 // simulator, where the re-probe's timer is an event. A flush is one
 // event there, so no reseed can be caught mid-open: Kill→Recover has no
-// twin.
+// twin. In the last row the re-probe fires while an operator's Recover of
+// a downed r0 is mid-open: it waits for that open, finds the store
+// attached and opens nothing, so Recover brings r0 up; no /sim twin yet.
 func TestLifeFencesTheReprobeLoop(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -471,6 +478,26 @@ func TestLifeFencesTheReprobeLoop(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
+		{"re-probe loop × Recover mid-open", false, func(t *testing.T, c *Cluster[counterState], f *liveLifeFS) {
+			c.Transport().SetUp("r0", false)
+			// Right after a re-probe fails on the full disk its next try is
+			// 200 ms away: inside the 300 ms that Recover's open is held.
+			for n, deadline := f.denied.Load(), time.Now().Add(5*time.Second); f.denied.Load() == n; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("the re-probe never retried")
+				}
+			}
+			f.hold.Store(true)
+			f.full.Store(false)
+			opens := f.opens.Load()
+			if err := c.Recover(context.Background(), 0); err != nil {
+				t.Fatalf("Recover with the re-probe firing mid-open: %v", err)
+			}
+			waitNoReprobe(t, c)
+			if _, open := c.Replica(0).StoreStats(); !open || c.Replica(0).node.Crashed() || f.opens.Load()-opens != 1 {
+				t.Fatalf("after Recover: store open %v, down %v, stores opened %d; want one store, up", open, c.Replica(0).node.Crashed(), f.opens.Load()-opens)
+			}
+		}, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.sim != nil {

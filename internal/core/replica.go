@@ -71,6 +71,9 @@ type Replica[S any] struct {
 	// as the in-memory journal, so the two share absolute positions — and
 	// the absorb is acknowledged only once the store group-commits it.
 	store *store.Store
+	// openMu admits one reseed at a time to the store directory, which
+	// store.Open repairs as it opens it.
+	openMu sync.Mutex
 
 	// The fold checkpoint: state is the fold of every entry at or before
 	// stateMark (stateN of them); stateDirty records that entries beyond
@@ -1238,21 +1241,35 @@ func (r *Replica[S]) Recover(ctx context.Context) error {
 }
 
 // reseed reopens the store and rebuilds the replica from it, acting only
-// in the life stamped: a Kill or another reseed that lands while the
-// store opens ends that life, and this handle is then surplus. The wipe
-// ends the life, discarding a degraded incarnation's RAM; after a Kill,
-// which wiped already, it wipes nothing new and only advances the life,
-// which nothing stamped while the node was down could act in anyway.
+// in the life stamped. Reseeds take turns at the directory: one that
+// waited and finds a store attached has been overtaken by one that
+// healed the replica, and opens nothing. A Kill that lands while the
+// store opens ends the life, and the new handle is then surplus. The
+// wipe ends the life, discarding a degraded incarnation's RAM; after a
+// Kill, which wiped already, it wipes nothing new and only advances the
+// life, which nothing stamped while the node was down could act in
+// anyway.
 func (r *Replica[S]) reseed(life uint32) error {
+	r.openMu.Lock()
+	defer r.openMu.Unlock()
+	r.mu.Lock()
+	healed, in := r.store != nil, r.lc.in(life)
+	r.mu.Unlock()
+	if healed {
+		return nil
+	}
+	if !in {
+		return fmt.Errorf("quicksand: replica %s was killed while its store reopened", r.id)
+	}
 	st, rec, err := store.Open(r.c.storeDir(r.id), r.c.storeOptions())
 	if err != nil {
 		return fmt.Errorf("quicksand: recover %s: %w", r.id, err)
 	}
 	r.mu.Lock()
-	if !r.lc.in(life) || r.store != nil {
+	if !r.lc.in(life) {
 		r.mu.Unlock()
 		st.Close()
-		return fmt.Errorf("quicksand: replica %s was killed or recovered while its store reopened", r.id)
+		return fmt.Errorf("quicksand: replica %s was killed while its store reopened", r.id)
 	}
 	r.wipeLocked()
 	r.seedFromDisk(st, rec)

@@ -1,8 +1,11 @@
 package daemon
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -11,21 +14,22 @@ import (
 )
 
 // Config is everything a quicksandd process needs to join a cluster.
-// Zero values take the defaults noted per field; Validate reports
-// anything incoherent before a socket is opened.
+// Zero values take the defaults withDefaults fills in (quicksandd -h
+// lists them); Validate reports anything incoherent before a socket is
+// opened. The settable fields are the rows of settings.
 type Config struct {
 	// Node is the replica index (0-based) this daemon hosts — of every
 	// shard: daemon i runs replica i of each shard's group.
 	Node int
-	// Replicas is the cluster-wide replica count per shard (default 2).
+	// Replicas is the cluster-wide replica count per shard.
 	Replicas int
-	// Shards partitions the key space (default 1).
+	// Shards partitions the key space.
 	Shards int
-	// HTTPListen is the client-facing HTTP address (default
-	// 127.0.0.1:8080; ":0" picks a free port, see Daemon.HTTPAddr).
+	// HTTPListen is the client-facing HTTP address (":0" picks a free
+	// port, see Daemon.HTTPAddr).
 	HTTPListen string
-	// PeerListen is the TCP address replica traffic arrives on (default
-	// 127.0.0.1:7000; ":0" works for tests).
+	// PeerListen is the TCP address replica traffic arrives on (":0"
+	// works for tests).
 	PeerListen string
 	// Peers maps the other daemons' replica indices to their PeerListen
 	// addresses. The daemon's own index is ignored if present.
@@ -37,24 +41,14 @@ type Config struct {
 	APIToken string
 	// DataDir roots the per-replica durable stores ("" = memory only).
 	DataDir string
-	// GossipEvery is the anti-entropy interval (default 50ms).
+	// GossipEvery is the anti-entropy interval.
 	GossipEvery time.Duration
-	// CallTimeout bounds replica-to-replica calls (default 500ms).
+	// CallTimeout bounds replica-to-replica calls.
 	CallTimeout time.Duration
-	// ShedBacklog is the ingest-ring occupancy fraction above which the
-	// HTTP edge sheds submits with 429 + Retry-After instead of parking
-	// more callers behind the drain (default 0.9; >= that fraction of the
-	// ring's nominal capacity queued means overloaded).
-	ShedBacklog float64
-	// MinFreeDisk is the free-space floor (bytes) the doctor requires on
-	// the data dir's filesystem (default 256 MiB). A disk below it will
-	// degrade the daemon to read-only soon after start; better to fail
-	// preflight. The config key accepts size suffixes: min_free_disk: 1GB.
-	MinFreeDisk int64
 	// TraceSample is the op-lifecycle tracing rate: trace 1-in-N ops
-	// (plus every apology). 0 takes the default of 64, 1 traces every
-	// op, and a negative value disables tracing entirely — the engine
-	// hooks then cost a single nil check.
+	// (plus every apology). 0 takes the default, 1 traces every op, and
+	// a negative value disables tracing entirely — the engine hooks then
+	// cost a single nil check.
 	TraceSample int
 	// DebugAddr, when set, serves net/http/pprof on its own listener
 	// (e.g. "127.0.0.1:6060"). It is never multiplexed onto HTTPListen,
@@ -70,34 +64,16 @@ type Config struct {
 	storeFS faultfs.FS
 }
 
+// withDefaults fills in every zero setting that has a default: the one
+// place a default is written.
 func (c Config) withDefaults() Config {
-	if c.Replicas == 0 {
-		c.Replicas = 2
-	}
-	if c.Shards == 0 {
-		c.Shards = 1
-	}
-	if c.HTTPListen == "" {
-		c.HTTPListen = "127.0.0.1:8080"
-	}
-	if c.PeerListen == "" {
-		c.PeerListen = "127.0.0.1:7000"
-	}
-	if c.GossipEvery == 0 {
-		c.GossipEvery = 50 * time.Millisecond
-	}
-	if c.CallTimeout == 0 {
-		c.CallTimeout = 500 * time.Millisecond
-	}
-	if c.TraceSample == 0 {
-		c.TraceSample = 64
-	}
-	if c.ShedBacklog == 0 {
-		c.ShedBacklog = 0.9
-	}
-	if c.MinFreeDisk == 0 {
-		c.MinFreeDisk = 256 << 20
-	}
+	c.Replicas = cmp.Or(c.Replicas, 2)
+	c.Shards = cmp.Or(c.Shards, 1)
+	c.HTTPListen = cmp.Or(c.HTTPListen, "127.0.0.1:8080")
+	c.PeerListen = cmp.Or(c.PeerListen, "127.0.0.1:7000")
+	c.GossipEvery = cmp.Or(c.GossipEvery, 50*time.Millisecond)
+	c.CallTimeout = cmp.Or(c.CallTimeout, 500*time.Millisecond)
+	c.TraceSample = cmp.Or(c.TraceSample, 64)
 	return c
 }
 
@@ -115,9 +91,6 @@ func (c Config) Validate() error {
 	if c.CallTimeout < 0 {
 		return fmt.Errorf("daemon: call_timeout must be positive, got %v", c.CallTimeout)
 	}
-	if c.ShedBacklog <= 0 || c.ShedBacklog > 1 {
-		return fmt.Errorf("daemon: shed_backlog must be in (0, 1], got %v", c.ShedBacklog)
-	}
 	for i := range c.Replicas {
 		if i == c.Node {
 			continue
@@ -134,19 +107,67 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// A setting is one settable Config field: its quicksandd flag, its
+// config-file key, and how to write it from text and read it back.
+type setting struct {
+	flag, key, usage string
+	set              func(*Config, string) error
+	get              func(Config) string
+}
+
+// settings is every daemon setting, each declared once: ParseConfig
+// finds its keys here, and ParseServeFlags its flags and help text.
+var settings = []setting{
+	intSetting("node", "node", "replica `index` this daemon hosts", func(c *Config) *int { return &c.Node }),
+	intSetting("replicas", "replicas", "cluster-wide replica `count` per shard", func(c *Config) *int { return &c.Replicas }),
+	intSetting("shards", "shards", "shard `count` partitioning the key space", func(c *Config) *int { return &c.Shards }),
+	strSetting("http", "http_listen", "client-facing HTTP listen `address`", func(c *Config) *string { return &c.HTTPListen }),
+	strSetting("peer-listen", "peer_listen", "replica-traffic TCP listen `address`", func(c *Config) *string { return &c.PeerListen }),
+	newSetting("peers", "peers", "peer addresses as `index=host:port,...` (own index ignored)",
+		func(c *Config) *map[int]string { return &c.Peers }, parsePeers, formatPeers),
+	strSetting("peer-token", "peer_token", "shared `secret` authenticating replica connections", func(c *Config) *string { return &c.PeerToken }),
+	strSetting("api-token", "api_token", "bearer `token` required on /v1 endpoints (empty = none)", func(c *Config) *string { return &c.APIToken }),
+	strSetting("data", "data_dir", "durable store `directory` (empty = memory only)", func(c *Config) *string { return &c.DataDir }),
+	durSetting("gossip-every", "gossip_every", "anti-entropy `interval`", func(c *Config) *time.Duration { return &c.GossipEvery }),
+	durSetting("call-timeout", "call_timeout", "replica-to-replica call `timeout`", func(c *Config) *time.Duration { return &c.CallTimeout }),
+	intSetting("trace-sample", "trace_sample", "trace 1-in-`N` op lifecycles (negative = off)", func(c *Config) *int { return &c.TraceSample }),
+	strSetting("debug-addr", "debug_addr", "serve net/http/pprof on this private `address` (empty = off)", func(c *Config) *string { return &c.DebugAddr }),
+}
+
+// newSetting builds a row from the field it addresses and the field
+// type's text form.
+func newSetting[T any](flag, key, usage string, field func(*Config) *T, parse func(string) (T, error), format func(T) string) setting {
+	set := func(c *Config, text string) error {
+		v, err := parse(text)
+		if err == nil {
+			*field(c) = v
+		}
+		return err
+	}
+	return setting{flag, key, usage, set, func(c Config) string { return format(*field(&c)) }}
+}
+
+func intSetting(flag, key, usage string, field func(*Config) *int) setting {
+	return newSetting(flag, key, usage, field, strconv.Atoi, strconv.Itoa)
+}
+
+func strSetting(flag, key, usage string, field func(*Config) *string) setting {
+	return newSetting(flag, key, usage, field, func(s string) (string, error) { return s, nil }, func(s string) string { return s })
+}
+
+func durSetting(flag, key, usage string, field func(*Config) *time.Duration) setting {
+	return newSetting(flag, key, usage, field, time.ParseDuration, time.Duration.String)
+}
+
 // ParseConfigFile reads a flat YAML-subset config: one "key: value" per
 // line, '#' comments, blank lines ignored. It covers exactly the keys a
 // daemon needs — no nesting, no quoting, no anchors — so a config stays
 // greppable and the parser stays auditable.
 //
 //	node: 0
-//	replicas: 2
-//	http_listen: 127.0.0.1:8080
-//	peer_listen: 127.0.0.1:7000
 //	peers: 0=127.0.0.1:7000,1=127.0.0.1:7001
-//	peer_token: s3cret
+//	peer_token: s3cret # a '#' after a space starts a comment
 //	data_dir: /var/lib/quicksand/n0
-//	gossip_every: 50ms
 func ParseConfigFile(path string) (Config, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -159,89 +180,37 @@ func ParseConfigFile(path string) (Config, error) {
 	return cfg, nil
 }
 
-// ParseConfig parses the config text format (see ParseConfigFile).
+// ParseConfig parses the config text format (see ParseConfigFile). As
+// in YAML, '#' starts a comment only at the start of a line or a value,
+// or after a space or tab, so "peer_token: abc#123" keeps its '#'.
 func ParseConfig(text string) (Config, error) {
 	var cfg Config
 	for ln, line := range strings.Split(text, "\n") {
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
-		}
 		line = strings.TrimSpace(line)
-		if line == "" {
+		if line == "" || line[0] == '#' {
 			continue
 		}
 		key, val, ok := strings.Cut(line, ":")
 		if !ok {
 			return cfg, fmt.Errorf("line %d: want \"key: value\", got %q", ln+1, line)
 		}
-		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
-		var err error
-		switch key {
-		case "node":
-			cfg.Node, err = strconv.Atoi(val)
-		case "replicas":
-			cfg.Replicas, err = strconv.Atoi(val)
-		case "shards":
-			cfg.Shards, err = strconv.Atoi(val)
-		case "http_listen":
-			cfg.HTTPListen = val
-		case "peer_listen":
-			cfg.PeerListen = val
-		case "peers":
-			cfg.Peers, err = parsePeers(val)
-		case "peer_token":
-			cfg.PeerToken = val
-		case "api_token":
-			cfg.APIToken = val
-		case "data_dir":
-			cfg.DataDir = val
-		case "gossip_every":
-			cfg.GossipEvery, err = time.ParseDuration(val)
-		case "call_timeout":
-			cfg.CallTimeout, err = time.ParseDuration(val)
-		case "shed_backlog":
-			cfg.ShedBacklog, err = strconv.ParseFloat(val, 64)
-		case "min_free_disk":
-			cfg.MinFreeDisk, err = parseSize(val)
-		case "trace_sample":
-			cfg.TraceSample, err = strconv.Atoi(val)
-		case "debug_addr":
-			cfg.DebugAddr = val
-		default:
+		key = strings.TrimSpace(key)
+		i := slices.IndexFunc(settings, func(s setting) bool { return s.key == key })
+		if i < 0 {
 			return cfg, fmt.Errorf("line %d: unknown key %q", ln+1, key)
 		}
-		if err != nil {
+		val = strings.TrimSpace(val)
+		for c := range len(val) {
+			if val[c] == '#' && (c == 0 || val[c-1] == ' ' || val[c-1] == '\t') {
+				val = strings.TrimSpace(val[:c])
+				break
+			}
+		}
+		if err := settings[i].set(&cfg, val); err != nil {
 			return cfg, fmt.Errorf("line %d: %s: %v", ln+1, key, err)
 		}
 	}
 	return cfg, nil
-}
-
-// parseSize parses a byte size: a plain integer, or one with a binary
-// suffix K/M/G/T (an optional trailing "B" and any case are tolerated,
-// so "256MB", "1g", and "1048576" all work).
-func parseSize(val string) (int64, error) {
-	s := strings.TrimSpace(strings.ToUpper(val))
-	s = strings.TrimSuffix(s, "B")
-	shift := 0
-	switch {
-	case strings.HasSuffix(s, "K"):
-		shift, s = 10, strings.TrimSuffix(s, "K")
-	case strings.HasSuffix(s, "M"):
-		shift, s = 20, strings.TrimSuffix(s, "M")
-	case strings.HasSuffix(s, "G"):
-		shift, s = 30, strings.TrimSuffix(s, "G")
-	case strings.HasSuffix(s, "T"):
-		shift, s = 40, strings.TrimSuffix(s, "T")
-	}
-	n, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("size %q: %v", val, err)
-	}
-	if n < 0 || n > (1<<62)>>shift {
-		return 0, fmt.Errorf("size %q out of range", val)
-	}
-	return n << shift, nil
 }
 
 // parsePeers parses "0=host:port,1=host:port".
@@ -263,4 +232,13 @@ func parsePeers(val string) (map[int]string, error) {
 		out[idx] = strings.TrimSpace(addr)
 	}
 	return out, nil
+}
+
+// formatPeers renders peers as parsePeers reads them, by index.
+func formatPeers(peers map[int]string) string {
+	parts := make([]string, 0, len(peers))
+	for _, i := range slices.Sorted(maps.Keys(peers)) {
+		parts = append(parts, strconv.Itoa(i)+"="+peers[i])
+	}
+	return strings.Join(parts, ",")
 }

@@ -51,6 +51,13 @@ call_timeout: 250ms
 	if err := cfg.withDefaults().Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
+
+	// As in YAML, '#' opens a comment only after whitespace, so a token
+	// keeps its '#' as the -peer-token flag does.
+	cfg, err = ParseConfig("node: 0 # zero\nreplicas: 3\t# three\npeer_token: abc#123\n")
+	if err != nil || cfg.Node != 0 || cfg.Replicas != 3 || cfg.PeerToken != "abc#123" {
+		t.Fatalf("comments misparsed: %+v, %v", cfg, err)
+	}
 }
 
 func TestParseConfigRejectsGarbage(t *testing.T) {
@@ -60,6 +67,8 @@ func TestParseConfigRejectsGarbage(t *testing.T) {
 		"node: zero",           // not an int
 		"gossip_every: fast",   // not a duration
 		"snapshot_every: 2048", // no snapshots are cut any more: an unknown key
+		"shed_backlog: 0.5",    // a constant now: an unknown key
+		"min_free_disk: 1G",    // a constant now: an unknown key
 	} {
 		if _, err := ParseConfig(bad); err == nil {
 			t.Errorf("ParseConfig(%q) succeeded", bad)

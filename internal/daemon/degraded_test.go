@@ -108,31 +108,9 @@ func TestDaemonDegradedSurface(t *testing.T) {
 	}
 }
 
-// TestParseSize covers the config size parser the free-disk floor uses.
-func TestParseSize(t *testing.T) {
-	for in, want := range map[string]int64{
-		"1048576": 1 << 20,
-		"256M":    256 << 20,
-		"256MB":   256 << 20,
-		"1g":      1 << 30,
-		"2K":      2 << 10,
-		"1T":      1 << 40,
-	} {
-		got, err := parseSize(in)
-		if err != nil || got != want {
-			t.Errorf("parseSize(%q) = %d, %v; want %d", in, got, err, want)
-		}
-	}
-	for _, bad := range []string{"", "fast", "-1", "99999999T"} {
-		if _, err := parseSize(bad); err == nil {
-			t.Errorf("parseSize(%q) succeeded", bad)
-		}
-	}
-}
-
 // TestDaemonShedsOnSaturatedIngestRing: a default-config daemon has an
 // ingest ring, so the overload surface is live — while the ring reports
-// saturation past shed_backlog, POST /v1/submit and /v1/batch answer 429
+// saturation past shedBacklog, POST /v1/submit and /v1/batch answer 429
 // with a Retry-After hint and touch nothing, reads keep serving, and the
 // moment the ring drains the same requests are admitted.
 func TestDaemonShedsOnSaturatedIngestRing(t *testing.T) {
@@ -152,7 +130,7 @@ func TestDaemonShedsOnSaturatedIngestRing(t *testing.T) {
 
 	// Saturate: one op short of the threshold still admits, at it sheds.
 	drained := d.backlog
-	threshold := int(d.cfg.ShedBacklog * float64(capacity))
+	threshold := int(shedBacklog * float64(capacity))
 	queued := threshold - 1
 	d.backlog = func() (int, int) { return queued, capacity }
 	if res, err := c.Submit(ctx, client.Op{Kind: "deposit", Key: "acct", Arg: 1}, false); err != nil || !res.Accepted {

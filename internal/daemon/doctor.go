@@ -41,7 +41,7 @@ func Doctor(cfg Config) []Check {
 		out = append(out, Check{Name: "data-dir", OK: true, Detail: "no data_dir configured: running memory-only (no durability)"})
 	} else {
 		out = append(out, checkDataDir(cfg.DataDir), checkFsync(cfg.DataDir),
-			checkFreeDisk(cfg.DataDir, cfg.MinFreeDisk))
+			checkFreeDisk(cfg.DataDir, minFreeDisk))
 	}
 
 	out = append(out, checkBind("http-port", cfg.HTTPListen))
@@ -127,11 +127,15 @@ func checkFsync(dir string) Check {
 	return Check{Name: "fsync", OK: true, Detail: fmt.Sprintf("fsync on %s took %v", dir, time.Since(start).Round(time.Microsecond))}
 }
 
+// minFreeDisk is the free-space floor the doctor requires on the data
+// dir's filesystem.
+const minFreeDisk = 256 << 20
+
 // checkFreeDisk verifies the data dir's filesystem has at least min
 // bytes available. Starting a daemon on a nearly full disk just defers
 // the ENOSPC to the first busy minute — the shard then degrades to
 // read-only (by design), but preflight is the cheaper place to hear
-// about it. The threshold is Config.MinFreeDisk (min_free_disk).
+// about it.
 func checkFreeDisk(dir string, min int64) Check {
 	const name = "free-disk"
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -144,7 +148,7 @@ func checkFreeDisk(dir string, min int64) Check {
 	detail := fmt.Sprintf("%s free of %s on %s (floor %s)",
 		fmtBytes(int64(free)), fmtBytes(int64(total)), dir, fmtBytes(min))
 	if free < uint64(min) {
-		return Check{Name: name, Detail: detail + " — journals will hit ENOSPC and degrade the shard to read-only; free space or lower min_free_disk"}
+		return Check{Name: name, Detail: detail + " — journals will hit ENOSPC and degrade the shard to read-only; free space first"}
 	}
 	return Check{Name: name, OK: true, Detail: detail}
 }

@@ -103,14 +103,18 @@ func writeRetryError(w http.ResponseWriter, status int, code, msg string, retryA
 	writeError(w, status, code, msg)
 }
 
-// shedding reports whether the ingest ring is saturated past the
-// configured threshold. The ring never refuses a submit, so refusing at
+// shedBacklog is the ingest-ring occupancy, as a fraction of the ring's
+// nominal capacity, at which the HTTP edge starts shedding submits.
+const shedBacklog = 0.9
+
+// shedding reports whether the ingest ring is saturated past
+// shedBacklog. The ring never refuses a submit, so refusing at
 // the HTTP edge with a 429 is what keeps overload from silently turning
 // every caller into a goroutine parked behind the drain: fail the
 // request fast and let the client's jittered backoff spread the load out.
 func (d *Daemon) shedding() bool {
 	depth, capacity := d.backlog()
-	return capacity > 0 && float64(depth) >= d.cfg.ShedBacklog*float64(capacity)
+	return capacity > 0 && float64(depth) >= shedBacklog*float64(capacity)
 }
 
 // degradedDecline reports whether every result is a retryable decline —
@@ -336,9 +340,10 @@ func (d *Daemon) handleGossip(w http.ResponseWriter, r *http.Request) {
 
 func (d *Daemon) handleHealth(w http.ResponseWriter, r *http.Request) {
 	var degraded []string
-	for _, s := range d.cluster.DegradedShards() {
-		detail, _ := d.cluster.ShardDegraded(s)
-		degraded = append(degraded, fmt.Sprintf("shard %d: %s", s, detail))
+	for s := range d.cluster.Shards() {
+		if detail, deg := d.cluster.ShardDegraded(s); deg {
+			degraded = append(degraded, fmt.Sprintf("shard %d: %s", s, detail))
+		}
 	}
 	writeJSON(w, http.StatusOK, client.Health{
 		OK:       len(degraded) == 0,

@@ -318,7 +318,14 @@ var DiskFull = register(&Scenario{
 		if !ok {
 			return nil, nil, fmt.Errorf("disk-full runs on the in-process durable stack")
 		}
-		anyDegraded := func() bool { return len(ct.C.DegradedShards()) > 0 }
+		anyDegraded := func() bool {
+			for s := range ct.C.Shards() {
+				if _, deg := ct.C.ShardDegraded(s); deg {
+					return true
+				}
+			}
+			return false
+		}
 
 		// Middle third of the window: r1's disk is full. The probe submit
 		// below pins the shape of the decline while it is.
