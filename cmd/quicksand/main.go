@@ -77,7 +77,7 @@ run "quicksand <command> -h" for the command's flags.
 type cli struct{ out, errOut io.Writer }
 
 func (c cli) doctor(args []string) error {
-	cfg, err := daemon.ParseServeFlags(args)
+	cfg, err := daemon.ParseServeFlags(args, c.errOut)
 	if err != nil {
 		return err
 	}

@@ -97,6 +97,28 @@ func TestPS(t *testing.T) {
 	})
 }
 
+// TestDoctorFlagsWriteToStderr: doctor's usage, and with a malformed flag
+// its message and the usage, go to run's stderr, not the process's, and
+// nothing to stdout.
+func TestDoctorFlagsWriteToStderr(t *testing.T) {
+	for _, row := range []struct {
+		args []string
+		code int
+		want []string
+	}{
+		{[]string{"doctor", "-h"}, 2, []string{"-peers"}},
+		{[]string{"doctor", "-bogus"}, 1, []string{"flag provided but not defined: -bogus", "-peers"}},
+	} {
+		var out, errOut bytes.Buffer
+		code := run(row.args, &out, &errOut)
+		for _, want := range row.want {
+			if code != row.code || out.Len() != 0 || !strings.Contains(errOut.String(), want) {
+				t.Errorf("run(%q) = %d, stdout %q, stderr %q; want %d and %q on stderr", row.args, code, out.String(), errOut.String(), row.code, want)
+			}
+		}
+	}
+}
+
 func TestRunRejectsUnknownCommands(t *testing.T) {
 	for _, args := range [][]string{nil, {"serve", "-config", "node0.yaml"}, {"nope"}} {
 		var out, errOut bytes.Buffer

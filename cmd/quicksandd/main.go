@@ -27,7 +27,7 @@ import (
 )
 
 func main() {
-	cfg, err := daemon.ParseServeFlags(os.Args[1:])
+	cfg, err := daemon.ParseServeFlags(os.Args[1:], os.Stderr)
 	if err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			os.Exit(2)

@@ -491,12 +491,12 @@ func (r *Replica[S]) foldLocked() {
 	r.stateDirty = false
 	every, mark, folded := r.c.cfg.foldEvery, r.stateMark, r.stateN
 	// The walk materializes each entry from the set in place, copying
-	// nothing: mu guards the set for the whole fold. It is a plain index
-	// loop, not a range over an iterator, so there is no loop-body closure
-	// for escape analysis to move to the heap in some instantiation of
-	// Replica — as it did for the daemon's, at a few allocations a fold.
-	for i, n := r.ops.Start(mark), r.ops.Len(); i < n; i++ {
-		e := r.ops.At(i)
+	// nothing: mu guards the set for the whole fold. It is a cursor, not a
+	// range over an iterator, so there is no loop-body closure for escape
+	// analysis to move to the heap in some instantiation of Replica — as
+	// it did for the daemon's, at a few allocations a fold.
+	var e oplog.Entry
+	for c := r.ops.Cursor(r.ops.Start(mark)); c.Next(&e); {
 		r.ownStateLocked()
 		r.state = r.c.app.Step(r.state, e)
 		r.stateN++

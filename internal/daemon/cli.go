@@ -3,6 +3,7 @@ package daemon
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -11,9 +12,10 @@ import (
 // ParseServeFlags parses quicksandd's flags, one per row of settings: a
 // -config file first, then the flags the user set, in command-line
 // order, each overriding its key. It fills in no defaults; New and
-// Doctor do.
-func ParseServeFlags(args []string) (Config, error) {
+// Doctor do. The usage, and a malformed flag's message, go to output.
+func ParseServeFlags(args []string, output io.Writer) (Config, error) {
 	fs := flag.NewFlagSet("quicksandd", flag.ContinueOnError)
+	fs.SetOutput(output)
 	configPath := fs.String("config", "", "YAML config `file` (flat key: value; flags override)")
 	defaults := Config{}.withDefaults()
 	var given []func(*Config)

@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -55,7 +56,7 @@ func TestServeFlagsOverrideConfigFile(t *testing.T) {
 			{"both", []string{"-config", path, "-" + s.flag, s.byFlag}, s.byFlag},
 			{"neither", nil, s.def},
 		} {
-			cfg, err := ParseServeFlags(row.args)
+			cfg, err := ParseServeFlags(row.args, io.Discard)
 			if err != nil {
 				t.Errorf("%s/%s: %v", s.flag, row.name, err)
 				continue
@@ -79,7 +80,7 @@ func TestServeFlagsOverrideConfigFile(t *testing.T) {
 		{[]string{"-config", path, "-data", ""}, func(c Config) any { return c.DataDir }, ""},
 		{[]string{"-config", path, "-trace-sample", "0"}, func(c Config) any { return c.TraceSample }, "64"},
 	} {
-		cfg, err := ParseServeFlags(row.args)
+		cfg, err := ParseServeFlags(row.args, io.Discard)
 		if err != nil {
 			t.Errorf("%q: %v", row.args, err)
 			continue

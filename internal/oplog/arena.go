@@ -100,12 +100,13 @@ func (a *arena) at(h uint32) string { return a.chunks[h>>chunkBits][h&(chunkSpan
 // id reads the ID of the record at ref.
 func (a *arena) id(ref uint32) string { return idKey(a.at(ref)) }
 
-// entry materializes a row. The strings are substrings of the arena.
-func (a *arena) entry(r row) Entry {
+// fill materializes a row into e, in place. The strings are substrings of
+// the arena.
+func (a *arena) fill(e *Entry, r *row) {
 	kind, rec := cutString(a.at(r.pay))
 	key, rec := cutString(rec)
 	note, _ := cutString(rec)
-	return Entry{ID: uniq.ID(a.id(r.ref)), Kind: kind, Key: key, Arg: r.arg, Lam: r.lam, At: r.at, Note: note}
+	*e = Entry{ID: uniq.ID(a.id(r.ref)), Kind: kind, Key: key, Arg: r.arg, Lam: r.lam, At: r.at, Note: note}
 }
 
 // cutString reads one length-prefixed string off the front of rec.

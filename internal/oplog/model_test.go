@@ -17,9 +17,43 @@ import (
 // wins) and its entries in canonical order. A script is a byte string;
 // each step reads an opcode and its operands off the front, drives the set
 // and the reference alike, and compares every read the set offers. Row
-// chunks, the byte arena, the payload table and the ID index are all
-// invisible at this surface — which is the invariant every checkpointed
-// fold, Converged and Copy depend on.
+// chunks, sealed blocks, the byte arena, the payload table and the ID
+// index are all invisible at this surface — which is the invariant every
+// checkpointed fold, Converged and Copy depend on.
+//
+// A script may start from a copy of one set of seedRows entries, half of
+// them sealed in blocks, all on the first (Lam, At) pair the script's own
+// entries draw, with IDs on either side of nearly all of theirs: so a
+// script's entry on that pair lands among sealed rows, thaws a block or
+// two and is sealed again, and the blocks the copies share must never
+// change. Its entries on any other pair sort after the seed's, as most
+// gossip does.
+
+// seedRows is past the hot tail: the seed set holds two blocks.
+const seedRows = (hotChunks + 2) * rowChunk
+
+// seed is the set and the reference a seeded script starts from a copy of.
+// No script draws an ID of the seed's shape, so the reference's map, which
+// answers for the IDs scripts draw, leaves them out.
+var seed = func() (m *model) {
+	m = &model{ref: map[uniq.ID]Entry{}}
+	for i := range seedRows {
+		prefix := "a" // below every ID a script draws but the empty one, for the first 6 144; above them after
+		if i >= 3*seedRows/8 {
+			prefix = "z"
+		}
+		m.want = append(m.want, Entry{
+			ID:   uniq.ID(fmt.Sprintf("%s-%06d", prefix, i)),
+			Kind: modelKinds[i%len(modelKinds)],
+			Key:  runKeys[i%len(runKeys)],
+			Arg:  int64(i%7 - 3),
+			At:   -1,
+		})
+	}
+	return m
+}()
+
+var seedSet = NewSet(seed.want...)
 
 // script reads operands off a byte string, zeros once it runs dry.
 type script struct{ b []byte }
@@ -223,11 +257,16 @@ func brief(es []Entry) string {
 }
 
 // runModel plays script against a set and the reference, failing t at the
-// first read on which they differ.
-func runModel(t *testing.T, b []byte) {
+// first read on which they differ. The set starts empty, or when seeded
+// from a copy of the seed set.
+func runModel(t *testing.T, b []byte, seeded bool) {
 	t.Helper()
 	sc := &script{b: b}
 	s, m := NewSet(), &model{ref: map[uniq.ID]Entry{}}
+	if seeded {
+		s, m = seedSet.Copy(), seed.clone()
+	}
+	base := len(m.want)
 	for step := 0; len(sc.b) > 0; step++ {
 		op := sc.next()
 		if op != runOp {
@@ -278,15 +317,19 @@ func runModel(t *testing.T, b []byte) {
 				}
 			}
 			cm.check(t, step, c)
+			m.check(t, step, s)
 			if sc.next()&1 != 0 {
 				s, m = c, cm
 			}
 		case 5:
 			s.Grow(sc.next())
-		case 6: // suffixes: from a mark that may fall between entries, and from one of the last 256 entries
+		case 6: // suffixes: from a mark that may fall between entries, from one of the last 256 entries, and from one anywhere
 			marks := []Watermark{sc.mark()}
 			if k := sc.next(); k < len(m.want) {
 				marks = append(marks, m.want[len(m.want)-1-k].Mark())
+			}
+			if k := sc.next(); len(m.want) > 0 {
+				marks = append(marks, m.want[k*len(m.want)/256].Mark())
 			}
 			for _, w := range marks {
 				want := m.want
@@ -295,8 +338,9 @@ func runModel(t *testing.T, b []byte) {
 					i = 0
 				}
 				var got []Entry
-				for j := s.Start(w); j < s.Len(); j++ {
-					got = append(got, s.At(j))
+				var e Entry
+				for c := s.Cursor(s.Start(w)); c.Next(&e); {
+					got = append(got, e)
 				}
 				if !slices.Equal(got, want[i:]) {
 					t.Fatalf("step %d: walking from Start(%+v) = %s, want %s", step, w, brief(got), brief(want[i:]))
@@ -308,7 +352,7 @@ func runModel(t *testing.T, b []byte) {
 			if got := s.Entries(); !slices.Equal(got, m.want) {
 				t.Fatalf("step %d: Entries() = %s, want %s", step, brief(got), brief(m.want))
 			}
-		case 7: // the same entries arriving in another order make an Equal set
+		case 7: // the same entries arriving in another order make an Equal set; less a few, a set s differs from by exactly those
 			all := slices.Clone(m.want)
 			rand.New(rand.NewSource(int64(sc.next()))).Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
 			o := NewSet()
@@ -319,6 +363,18 @@ func runModel(t *testing.T, b []byte) {
 			}
 			if !o.Equal(s) || !s.Equal(o) || s.Union(o) != 0 || len(s.Diff(o)) != 0 || len(o.Diff(s)) != 0 {
 				t.Fatalf("step %d: a set built from the same entries in another order differs", step)
+			}
+			missing := all[:min(len(all), 1+sc.next()%8)]
+			o = NewSet(all[len(missing):]...)
+			slices.SortFunc(missing, byMark)
+			if len(all) > 0 && (o.Equal(s) || s.Equal(o)) {
+				t.Fatalf("step %d: a set missing %d entries is Equal to the whole", step, len(missing))
+			}
+			if got := s.Diff(o); !slices.Equal(got, missing) || len(o.Diff(s)) != 0 {
+				t.Fatalf("step %d: Diff of a set missing %s = %s", step, brief(missing), brief(got))
+			}
+			if n := o.Union(s); n != len(missing) || !o.Equal(s) {
+				t.Fatalf("step %d: Union into a set missing %d entries added %d, or left it unequal", step, len(missing), n)
 			}
 		case 8: // mint: Add of the rendered ID, which nobody built
 			mt := modelMints[sc.next()%len(modelMints)]
@@ -332,9 +388,9 @@ func runModel(t *testing.T, b []byte) {
 				t.Fatalf("step %d: Mint(%s, %d) = %s, %v with the ID present: %v; want %s", step, mt.node, mt.seq, brief([]Entry{got}), added, dup, brief([]Entry{e}))
 			}
 			m.admit(e)
-		case runOp: // a run across a row chunk's end, one by one or, with bit 1 of mode, in one batch; only while the set is under a chunk, which one run without holes fills
+		case runOp: // a run across a row chunk's end, one by one or, with bit 1 of mode, in one batch; only while the script has added under a chunk, which one run without holes fills
 			mode := sc.next()
-			if len(m.want) >= rowChunk {
+			if len(m.want)-base >= rowChunk {
 				break
 			}
 			entries := run(mode)
@@ -357,8 +413,10 @@ func runModel(t *testing.T, b []byte) {
 }
 
 // check compares every read of s with the reference after a step: Len,
-// At, MaxLam and Contains — of modelIDs, and of runs' IDs at their ends
-// and around their first hole — and holds s's runs to their invariants.
+// a Cursor's walk, At — at each block's ends and inside it, and through
+// the tail — MaxLam and Contains — of modelIDs, and of runs' IDs at their
+// ends and around their first hole — and holds s's runs to their
+// invariants.
 func (m *model) check(t *testing.T, step int, s *Set) {
 	t.Helper()
 	checkRuns(t, step, &s.runs)
@@ -366,9 +424,21 @@ func (m *model) check(t *testing.T, step int, s *Set) {
 	if s.Len() != len(want) {
 		t.Fatalf("step %d: Len() = %d, want %d", step, s.Len(), len(want))
 	}
+	c := s.Cursor(0)
+	var got Entry
 	for i, e := range want {
-		if got := s.At(i); got != e {
-			t.Fatalf("step %d: At(%d) = %s, want %s", step, i, brief([]Entry{got}), brief([]Entry{e}))
+		if !c.Next(&got) || got != e {
+			t.Fatalf("step %d: a Cursor's entry %d = %s, want %s", step, i, brief([]Entry{got}), brief([]Entry{e}))
+		}
+	}
+	if c.Next(&got) {
+		t.Fatalf("step %d: a Cursor walks past the last entry to %s", step, brief([]Entry{got}))
+	}
+	for i := range want {
+		if i >= s.sealed() || i&rowMask <= 1 || i&rowMask == rowMask || i&rowMask == 1+step*131%(rowChunk-2) {
+			if got := s.At(i); got != want[i] {
+				t.Fatalf("step %d: At(%d) = %s, want %s", step, i, brief([]Entry{got}), brief([]Entry{want[i]}))
+			}
 		}
 	}
 	maxLam := uint64(0)
@@ -456,21 +526,25 @@ func FuzzSetMatchesModel(f *testing.F) {
 	for _, s := range modelSeeds {
 		f.Add([]byte(s))
 	}
-	f.Fuzz(runModel)
+	f.Fuzz(func(t *testing.T, b []byte) { runModel(t, b, true) })
 }
 
 // TestSetMatchesModel runs the fuzz target's contract in tier-1: every
-// prefix of every seed, then scripts drawn at random.
+// prefix of every seed on an empty set and every seed on the seed set,
+// then scripts drawn at random, one in sixteen on the seed set — a step
+// on it reads some 16 000 entries, where most steps on an empty set read
+// a few dozen.
 func TestSetMatchesModel(t *testing.T) {
 	for _, s := range modelSeeds {
 		for n := 0; n <= len(s); n++ {
-			runModel(t, []byte(s[:n]))
+			runModel(t, []byte(s[:n]), false)
 		}
+		runModel(t, []byte(s), true)
 	}
 	r := rand.New(rand.NewSource(25))
 	for i := 0; i < 400; i++ {
 		b := make([]byte, r.Intn(96))
 		r.Read(b)
-		runModel(t, b)
+		runModel(t, b, i%16 == 0)
 	}
 }

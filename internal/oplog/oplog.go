@@ -21,9 +21,10 @@
 //
 // The maintained order makes state derivation incremental. A Watermark
 // names a position in the canonical order; Start(w) is where the entries
-// beyond it begin, and At walks them in place, so a consumer that
-// remembers the watermark of its last fold can advance its derived state
-// by folding just the new suffix instead of replaying the whole ledger.
+// beyond it begin, and a Cursor from there walks them in place, so a
+// consumer that remembers the watermark of its last fold can advance its
+// derived state by folding just the new suffix instead of replaying the
+// whole ledger.
 // Consumers detect the rare sorts-into-the-past insertion by comparing the
 // new entry's Mark against their watermark (see Entry.Mark and
 // Watermark.Before) and only then fall back to replaying from an older
@@ -36,12 +37,21 @@
 // so it is stored packed, in parts the garbage collector never has to look
 // inside:
 //
-//   - a slab of fixed-size rows in canonical order — Lam, At and Arg inline
-//     and two 32-bit arena handles, 32 bytes in all. Keeping the order means
-//     moving rows, never strings. The slab is a list of chunks of rowChunk
-//     rows, every one full but the last, so growing it allocates a chunk and
-//     copies no row; only the first chunk grows by doubling, so that a small
-//     set stays small;
+//   - one row per entry, in canonical order — Lam, At and Arg and two 32-bit
+//     arena handles. The newest rows are the tail: fixed-size rows, 32
+//     bytes each, in chunks of rowChunk rows, every one full but the last,
+//     so growing it allocates a chunk and copies no row (only the first
+//     chunk grows by doubling, so that a small set stays small), and
+//     keeping the order means moving rows, never strings. Once the tail
+//     holds more than hotChunks full chunks, its oldest is sealed into a
+//     block: the chunk's first row whole, and every other row as varint
+//     deltas from the row before it, some 6 bytes where the tail spends 32.
+//     Ingest, in-order and late gossip alike, lands in the tail, since late
+//     gossip lands within a thousand rows of the end; a row sorting below
+//     the tail thaws the blocks from its place on back into it, and they
+//     are sealed anew. Blocks are immutable, so copies share them. A walk
+//     decodes each block once (Cursor); At on a sealed row decodes its
+//     block from the start;
 //   - an append-only byte arena holding each entry's ID once, and each
 //     payload — Kind, Key and Note, length-prefixed as in the entry codec —
 //     once for every row that repeats it. Its chunks are never reallocated,
@@ -51,8 +61,9 @@
 //     the same ID. An ID an ingress minted — one uniq.ParseID takes apart
 //     into a node and a sequence number — is a number in its node's sorted
 //     runs of consecutive numbers (see runs), which a replica's IDs fill a
-//     run at a time; the map from node to runs, an entry per origin, is
-//     the one part holding pointers. Every other ID, and a minted one no
+//     run at a time; the map from node to runs, an entry per origin, is,
+//     with the list of blocks, one entry per rowChunk rows, the only part
+//     holding pointers. Every other ID, and a minted one no
 //     run may take, is a slot in the ID table;
 //   - two tables over arena handles, open-addressed, one byte of hash beside
 //     each handle — five bytes a slot. One is the ID table. The other finds
@@ -143,20 +154,24 @@ func (w Watermark) Before(e Entry) bool { return w.Less(e.Mark()) }
 // Set is a mergeable set of entries keyed by uniquifier, held once in
 // canonical order. The zero value is not usable; construct with NewSet.
 //
-// An entry is stored in pointer-free parts: a fixed-size row in the
-// canonical-order slab, its ID's record in the arena, its ID in a run or a
-// slot of the ID table, and its payload's record, which rows with equal
-// payloads share. Entries read back out are materialized from the row;
-// their strings are substrings of the arena (see the package comment).
+// An entry is stored in pointer-free parts: a row in canonical order, in
+// the tail or packed in a block, its ID's record in the arena, its ID in
+// a run or a slot of the ID table, and its payload's record, which rows
+// with equal payloads share. Entries read back out are materialized from
+// the row; their strings are substrings of the arena (see the package
+// comment).
 type Set struct {
-	rows  [][]row // canonical (Lam, At, ID) order: position i is rows[i>>rowBits][i&rowMask]
-	n     int     // rows held
-	arena arena   // every row's ID record, and the payload records
-	runs  runs    // the ingress-form IDs, as numbers in their origin's runs
-	ids   table   // the other rows' ID records, by ID
-	pays  table   // the interned payload records, by their bytes
+	// Canonical (Lam, At, ID) order: position i is in blocks[i>>rowBits]
+	// while i < sealed(), and rows[i>>rowBits-len(blocks)][i&rowMask] after.
+	blocks []block // the older rows, sealed rowChunk to a block
+	rows   [][]row // the tail: the newest rows, every chunk full but the last
+	n      int     // rows held
+	arena  arena   // every row's ID record, and the payload records
+	runs   runs    // the ingress-form IDs, as numbers in their origin's runs
+	ids    table   // the other rows' ID records, by ID
+	pays   table   // the interned payload records, by their bytes
 
-	// Scratch AddAll reuses: its result, and settle's sorted newcomers.
+	// Scratch AddAll reuses: its result, and order's sorted newcomers.
 	added []Entry
 	fresh []row
 }
@@ -190,13 +205,15 @@ const (
 	payloadShare = 8
 )
 
-// NewSet returns an empty set, optionally seeded with entries.
+// NewSet returns an empty set, optionally seeded with entries, in any
+// order: they are put in canonical order once, as AddAll's are.
 func NewSet(entries ...Entry) *Set {
 	s := &Set{}
 	s.Grow(len(entries))
 	for _, e := range entries {
-		s.Add(e)
+		s.push(e)
 	}
+	s.settle(0)
 	return s
 }
 
@@ -300,7 +317,7 @@ func (s *Set) place(e Entry, ref uint32, node string, seq uint64, ingress bool) 
 		s.ids.insert(ref, maphash.String(hashSeed, id))
 	}
 	s.growRows(s.n + 1)
-	c := s.n >> rowBits
+	c := s.n>>rowBits - len(s.blocks)
 	s.rows[c] = append(s.rows[c], row{lam: e.Lam, at: e.At, arg: e.Arg, ref: ref, pay: s.payload(e.Kind, e.Key, e.Note)})
 	s.n++
 }
@@ -327,11 +344,12 @@ func (s *Set) payload(kind, key, note string) uint32 {
 	return ref
 }
 
-// growRows makes room for need rows in all. A chunk past the first is
-// allocated whole, so growing copies no row; the first doubles until it is
-// whole, so that a small set stays small.
+// growRows makes room in the tail for need rows in all. A chunk past the
+// first is allocated whole, so growing copies no row; the first doubles
+// until it is whole, so that a small set stays small.
 func (s *Set) growRows(need int) {
-	for c := s.n >> rowBits; c<<rowBits < need; c++ {
+	need -= s.sealed()
+	for c := s.n>>rowBits - len(s.blocks); c<<rowBits < need; c++ {
 		if c == len(s.rows) {
 			s.rows = append(s.rows, nil)
 		}
@@ -346,12 +364,21 @@ func (s *Set) growRows(need int) {
 	}
 }
 
-// row returns the row at canonical-order position i.
-func (s *Set) row(i int) *row { return &s.rows[i>>rowBits][i&rowMask] }
+// row returns the tail's row at canonical-order position i, i >= sealed().
+func (s *Set) row(i int) *row { return &s.rows[i>>rowBits-len(s.blocks)][i&rowMask] }
 
 // settle restores canonical order given that the rows before position old
-// are in order and those from old on were pushed as they arrived.
+// are in order and those from old on were pushed as they arrived, then
+// seals what the tail has outgrown.
 func (s *Set) settle(old int) {
+	s.order(old)
+	s.seal()
+}
+
+// order is settle's first half. A set with blocks keeps hotChunks full
+// chunks in its tail, so old is a tail position; a newcomer sorting below
+// the tail's first row thaws the blocks its place falls in.
+func (s *Set) order(old int) {
 	// Fast path: the batch extends the tail in order (local submits,
 	// in-order gossip) — the pushes were pure appends.
 	n := max(old, 1)
@@ -361,10 +388,22 @@ func (s *Set) settle(old int) {
 	if n >= s.n {
 		return
 	}
+	if len(s.blocks) > 0 {
+		low := *s.row(old)
+		for i := old + 1; i < s.n; i++ {
+			if s.cmp(*s.row(i), low) < 0 {
+				low = *s.row(i)
+			}
+		}
+		if s.cmp(low, *s.row(s.sealed())) < 0 {
+			s.thaw(low)
+		}
+	}
+	base := s.sealed()
 	if s.n-old == 1 {
 		// One row into the past: find its place and shift the tail over.
 		r := *s.row(old)
-		i := sort.Search(old, func(i int) bool { return s.cmp(r, *s.row(i)) < 0 })
+		i := base + sort.Search(old-base, func(i int) bool { return s.cmp(r, *s.row(base + i)) < 0 })
 		s.shift(i, old)
 		*s.row(i) = r
 		return
@@ -379,7 +418,7 @@ func (s *Set) settle(old int) {
 	slices.SortFunc(fresh, s.cmp)
 	i, j := old-1, len(fresh)-1
 	for w := s.n - 1; j >= 0; w-- {
-		if i >= 0 && s.cmp(fresh[j], *s.row(i)) < 0 {
+		if i >= base && s.cmp(fresh[j], *s.row(i)) < 0 {
 			*s.row(w) = *s.row(i)
 			i--
 		} else {
@@ -399,7 +438,7 @@ func (s *Set) shift(i, j int) {
 			continue
 		}
 		lo := max(i, j&^rowMask)
-		ch := s.rows[j>>rowBits]
+		ch := s.rows[j>>rowBits-len(s.blocks)]
 		copy(ch[lo&rowMask+1:j&rowMask+1], ch[lo&rowMask:j&rowMask])
 		j = lo
 	}
@@ -419,40 +458,51 @@ func (s *Set) cmp(a, b row) int {
 
 // Start returns the canonical-order position of the first entry sorting
 // strictly after w (Len() when none does); the genesis watermark is before
-// every entry. With At it walks a suffix in place —
-//
-//	for i := s.Start(w); i < s.Len(); i++ { e := s.At(i); ... }
-//
-// — without allocating. It is an index walk on purpose: a range-over-func
-// iterator's body is a closure, and whether that stays on the stack is
-// decided anew in every generic instantiation ranging over it (it did
-// not in quicksandd's fold). Positions hold only
-// while the set does not change: the walk is for a caller holding
-// whatever lock guards the set for as long as it walks.
+// every entry. A Cursor from it walks the suffix in place. Positions hold
+// only while the set does not change. Start searches the tail, or the
+// blocks' first rows and then one block.
 func (s *Set) Start(w Watermark) int {
 	if w.IsZero() {
 		return 0
 	}
-	return sort.Search(s.n, func(i int) bool {
-		r := s.row(i)
-		if r.lam != w.Lam {
-			return r.lam > w.Lam
+	base := s.sealed()
+	if base == 0 || !s.after(*s.row(base), w) {
+		return base + sort.Search(s.n-base, func(i int) bool { return s.after(*s.row(base + i), w) })
+	}
+	b := sort.Search(len(s.blocks), func(k int) bool { return s.after(s.blocks[k].first, w) })
+	if b == 0 {
+		return 0
+	}
+	d := s.blocks[b-1].open()
+	for k := 1; k < rowChunk; k++ {
+		if d.next(); s.after(d.r, w) {
+			return (b-1)<<rowBits + k
 		}
-		if r.at != w.At {
-			return r.at > w.At
-		}
-		return s.arena.id(r.ref) > string(w.ID)
-	})
+	}
+	return b << rowBits
 }
 
-// Grow makes room for n more entries' rows, allocated now rather than
-// chunk by chunk as Adds arrive. Its callers (NewSet, and a replica
-// replaying its disk) know how many entries are coming, but not how many
-// of their IDs runs will take or how many distinct payloads they bring,
-// so the ID table and the payload table grow as the entries arrive.
+// after reports whether r sorts strictly after w.
+func (s *Set) after(r row, w Watermark) bool {
+	if r.lam != w.Lam {
+		return r.lam > w.Lam
+	}
+	if r.at != w.At {
+		return r.at > w.At
+	}
+	return s.arena.id(r.ref) > string(w.ID)
+}
+
+// Grow makes room for n more entries' rows in the tail, allocated now
+// rather than chunk by chunk as Adds arrive — no more than the tail holds
+// before it seals, so replaying a long journal does not allocate a row for
+// every entry up front. Its callers (NewSet, and a replica replaying its
+// disk) know how many entries are coming, but not how many of their IDs
+// runs will take or how many distinct payloads they bring, so the ID table
+// and the payload table grow as the entries arrive.
 func (s *Set) Grow(n int) {
 	if n > 0 {
-		s.growRows(s.n + n)
+		s.growRows(min(s.n+n, s.sealed()+(hotChunks+1)*rowChunk))
 	}
 }
 
@@ -470,10 +520,9 @@ func (s *Set) Len() int { return s.n }
 // more accurate answer is created" (§7.6).
 func (s *Set) Union(o *Set) int {
 	old := s.n
-	for _, ch := range o.rows {
-		for _, r := range ch {
-			s.push(o.arena.entry(r))
-		}
+	var e Entry
+	for c := o.Cursor(0); c.Next(&e); {
+		s.push(e)
 	}
 	s.settle(old)
 	return s.n - old
@@ -483,27 +532,28 @@ func (s *Set) Union(o *Set) int {
 // order. Replicas exchange diffs during anti-entropy.
 func (s *Set) Diff(o *Set) []Entry {
 	var out []Entry
-	for _, ch := range s.rows {
-		for _, r := range ch {
-			if !o.Contains(uniq.ID(s.arena.id(r.ref))) {
-				out = append(out, s.arena.entry(r))
-			}
+	var e Entry
+	for c := s.Cursor(0); c.Next(&e); {
+		if !o.Contains(e.ID) {
+			out = append(out, e)
 		}
 	}
 	return out
 }
 
-// Copy returns an independent copy. Rows move in place and runs grow in
-// place, so each set has chunks and runs of its own. The bytes already in
-// the arena are immutable, so the two sets share them; each writes its own
+// Copy returns an independent copy. Tail rows move in place and runs grow
+// in place, so each set has tail chunks and runs of its own. Blocks, and
+// the bytes already in the arena, are immutable, so the two sets share
+// them — a copy costs its tail, not its length — and each writes its own
 // from here on.
 func (s *Set) Copy() *Set {
 	c := &Set{
-		n:     s.n,
-		arena: arena{chunks: slices.Clone(s.arena.chunks)},
-		runs:  s.runs.clone(),
-		ids:   s.ids.clone(),
-		pays:  s.pays.clone(),
+		blocks: slices.Clone(s.blocks),
+		n:      s.n,
+		arena:  arena{chunks: slices.Clone(s.arena.chunks)},
+		runs:   s.runs.clone(),
+		ids:    s.ids.clone(),
+		pays:   s.pays.clone(),
 	}
 	for _, ch := range s.rows {
 		if len(ch) > 0 {
@@ -520,8 +570,9 @@ func (s *Set) Equal(o *Set) bool {
 	if s.n != o.n {
 		return false
 	}
-	for i := range s.n {
-		if s.At(i) != o.At(i) {
+	var e, f Entry
+	for a, b := s.Cursor(0), o.Cursor(0); a.Next(&e) && b.Next(&f); {
+		if e != f {
 			return false
 		}
 	}
@@ -551,20 +602,26 @@ func (s *Set) EntriesAfter(w Watermark) []Entry {
 		return nil
 	}
 	out := make([]Entry, s.n-start)
+	c := s.Cursor(start)
 	for i := range out {
-		out[i] = s.At(start + i)
+		c.Next(&out[i])
 	}
 	return out
 }
 
 // At materializes the entry at canonical-order position i, 0 <= i < Len().
-// Its strings are substrings of the arena.
-func (s *Set) At(i int) Entry { return s.arena.entry(*s.row(i)) }
+// Its strings are substrings of the arena. A sealed row is decoded from
+// its block's first row on: a walk takes a Cursor instead.
+func (s *Set) At(i int) (e Entry) {
+	c := s.Cursor(i)
+	c.Next(&e)
+	return e
+}
 
 // MaxLam returns the highest Lamport timestamp in the set (0 when empty).
 // An ingress point stamps new operations with max(seen)+1. The Lamport
-// stamp is the canonical order's primary key, so this reads the last row
-// in O(1).
+// stamp is the canonical order's primary key, so this reads the last row,
+// which the tail holds, in O(1).
 func (s *Set) MaxLam() uint64 {
 	if s.n > 0 {
 		return s.row(s.n - 1).lam
@@ -578,10 +635,9 @@ func (s *Set) MaxLam() uint64 {
 // instead.
 func Fold[S any](s *Set, init S, fn func(S, Entry) S) S {
 	acc := init
-	for _, ch := range s.rows {
-		for _, r := range ch {
-			acc = fn(acc, s.arena.entry(r))
-		}
+	var e Entry
+	for c := s.Cursor(0); c.Next(&e); {
+		acc = fn(acc, e)
 	}
 	return acc
 }

@@ -3,6 +3,7 @@ package oplog
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/uniq"
 )
@@ -128,4 +129,48 @@ func BenchmarkJournalAppendAll(b *testing.B) {
 			b.Fatal("lost entries")
 		}
 	}
+}
+
+// BenchmarkReads200k is the sequential reads over a set of 200 000
+// entries shaped as three replicas mint them, nearly all sealed in
+// blocks: Equal against a copy (Converged's comparison), EntriesAfter
+// from genesis (a whole-set read) and Fold (a refold from genesis). Each
+// decodes every block once.
+func BenchmarkReads200k(b *testing.B) {
+	const n = 200_000
+	s := NewSet()
+	clocks := [3]time.Duration{0, -5 * time.Microsecond, 3 * time.Microsecond}
+	for i := range n {
+		s.Add(Entry{
+			ID:   uniq.ID(fmt.Sprintf("r%d-%06d", i%3, i/3+1)),
+			Kind: "deposit",
+			Key:  fmt.Sprintf("acct-%d", i%1024),
+			Arg:  int64(1 + i%100),
+			Lam:  uint64(i + 1),
+			At:   time.Duration(i)*time.Microsecond + clocks[i%3],
+		})
+	}
+	c := s.Copy()
+	b.Run("Equal", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if !s.Equal(c) {
+				b.Fatal("a copy is not Equal")
+			}
+		}
+	})
+	b.Run("EntriesAfter", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if len(s.EntriesAfter(Watermark{})) != n {
+				b.Fatal("EntriesAfter(genesis) missed entries")
+			}
+		}
+	})
+	b.Run("Fold", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			Fold(s, int64(0), func(acc int64, e Entry) int64 { return acc + e.Arg })
+		}
+	})
 }

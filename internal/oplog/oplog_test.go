@@ -586,46 +586,54 @@ func heapPerEntry(t *testing.T, n int, kept bool, mk func(i int) Entry) (bytes, 
 	heap1, scan1 := read()
 	per := func(n int) float64 { return float64(n) / float64(s.Len()) }
 	bytes, scannable, payloads = per(int(heap1-heap0)), per(int(scan1-scan0)), per(5*len(s.pays.tags))
-	rows := cap(s.rows) * int(unsafe.Sizeof(s.rows[0]))
+	rows := cap(s.rows)*int(unsafe.Sizeof(s.rows[0])) + cap(s.blocks)*int(unsafe.Sizeof(block{}))
 	for _, ch := range s.rows {
 		rows += cap(ch) * int(unsafe.Sizeof(row{}))
+	}
+	sealed := 0
+	for _, b := range s.blocks {
+		sealed += cap(b.data)
 	}
 	spans := 0
 	for _, sp := range s.runs.byNode {
 		spans += cap(sp) * int(unsafe.Sizeof(span{}))
 	}
-	t.Logf("%.1f B/entry over %d entries (rows %.1f, ID runs %.1f in %d runs of %d origins, ID table %.1f, payload table %.1f, the rest arena), %.1f B of it scannable",
-		bytes, s.Len(), per(rows), per(spans), s.runs.n, len(s.runs.byNode), per(5*len(s.ids.tags)), payloads, scannable)
+	t.Logf("%.1f B/entry over %d entries (tail rows %.1f, blocks %.1f, ID runs %.1f in %d runs of %d origins, ID table %.1f, payload table %.1f, the rest arena), %.1f B of it scannable",
+		bytes, s.Len(), per(rows), per(sealed), per(spans), s.runs.n, len(s.runs.byNode), per(5*len(s.ids.tags)), payloads, scannable)
 	runtime.KeepAlive(entries)
 	return bytes, scannable, payloads
 }
 
 // TestSetBytesPerEntry budgets the heap a Set holds per entry, strings
 // included: the set holds its own copy. When payloads repeat, as a kind ×
-// key vocabulary does, an entry is a 32-byte row, the ID's bytes and their
-// length byte in the arena, its share of the slack of the last row chunk,
-// and what indexes its ID — which depends on the IDs' shape:
-//   - consecutive numbers per node, as replicas mint them: a few runs for
-//     the whole set, so 45 B;
+// key vocabulary does, an entry is its row — sealed into a block, some 6
+// bytes of deltas, unless it is among the newest, whose three 128 KiB
+// chunks of 32-byte rows cost about 4 B an entry over these 100 000 — the
+// ID's bytes and their length byte in the arena, and what indexes its ID,
+// which depends on the IDs' shape:
+//   - consecutive numbers per node, as replicas mint them, stamped by
+//     three replica clocks a few ops apart, so that At falls from one row
+//     to the next two times in three: a few runs for the whole set, so
+//     24 B;
 //   - every node every third number, which never makes a run: the runs
 //     stop admitting at one per 32 rows, and the rest take a five-byte
-//     slot of the ID table at 7/16 to 7/8 load, so 52 B;
+//     slot of the ID table at 7/16 to 7/8 load, so 29 B;
 //   - SDK sessions' IDs, an 11-character session name and its numbers,
 //     nine bytes longer than a replica's: two sessions in order, or one
 //     session whose 16 callers overtake one another inside every 16
-//     numbers, are a run each, so 53 B;
+//     numbers, are a run each, so 31 B;
 //   - 5 000 short sessions of 20 ops, as CLI invocations leave them: only
 //     the first origins get runs (16 + rows/256 are admitted), and the rest
-//     take the ID table, so 60 B;
+//     take the ID table, so 38 B;
 //   - random IDs, "cli-" and 24 hex digits, which are not minted: the ID
-//     table and the longer ID, so 70 B.
+//     table and the longer ID, so 48 B.
 //
 // A string header per entry anywhere fits none of these. The last case is
 // the daemon's shape with payloads that never repeat — every entry's
 // strings its own allocation, nothing else keeping them — where each entry
 // writes its own payload record, Kind included, and the payload table,
 // which such input never hits, stops admitting at an eighth of the rows:
-// it holds under 2 B an entry.
+// it holds under 2 B an entry, and the whole set under 60 B.
 func TestSetBytesPerEntry(t *testing.T) {
 	const n = 100000
 	session := func(k int) string { return fmt.Sprintf("%011x", uint64(k+1)*0x9e3779b97f4a7c15>>20) }
@@ -636,20 +644,22 @@ func TestSetBytesPerEntry(t *testing.T) {
 			overtaken[w+j] = w + p
 		}
 	}
+	clocks := [3]time.Duration{0, -5 * time.Microsecond, 3 * time.Microsecond} // three replicas' clocks, a few ops apart
 	for _, c := range []struct {
 		name   string
 		budget float64
 		id     func(i int) string
+		at     func(i int) time.Duration
 	}{
-		{"consecutive numbers per node", 45, func(i int) string { return fmt.Sprintf("r%d-%06d", i%3, i/3) }},
-		{"every node every third number", 52, func(i int) string { return fmt.Sprintf("r%d-%06d", i%3, i) }},
-		{"two SDK sessions in order", 53, func(i int) string { return string(uniq.AppendID(nil, session(i%2), uint64(i/2+1))) }},
-		{"one SDK session, 16 callers overtaking", 53, func(i int) string { return string(uniq.AppendID(nil, session(0), uint64(overtaken[i]+1))) }},
-		{"5000 SDK sessions of 20 ops", 60, func(i int) string { return string(uniq.AppendID(nil, session(i/20), uint64(i%20+1))) }},
-		{"random SDK IDs", 70, func(i int) string { return fmt.Sprintf("cli-%024x", uint64(i)*0x9e3779b97f4a7c15) }},
+		{"consecutive numbers per node", 24, func(i int) string { return fmt.Sprintf("r%d-%06d", i%3, i/3) }, func(i int) time.Duration { return time.Duration(i)*time.Microsecond + clocks[i%3] }},
+		{"every node every third number", 29, func(i int) string { return fmt.Sprintf("r%d-%06d", i%3, i) }, nil},
+		{"two SDK sessions in order", 31, func(i int) string { return string(uniq.AppendID(nil, session(i%2), uint64(i/2+1))) }, nil},
+		{"one SDK session, 16 callers overtaking", 31, func(i int) string { return string(uniq.AppendID(nil, session(0), uint64(overtaken[i]+1))) }, nil},
+		{"5000 SDK sessions of 20 ops", 38, func(i int) string { return string(uniq.AppendID(nil, session(i/20), uint64(i%20+1))) }, nil},
+		{"random SDK IDs", 48, func(i int) string { return fmt.Sprintf("cli-%024x", uint64(i)*0x9e3779b97f4a7c15) }, nil},
 	} {
 		bytes, scannable, _ := heapPerEntry(t, n, true, func(i int) Entry {
-			return Entry{
+			e := Entry{
 				ID:   uniq.ID(c.id(i)),
 				Kind: "deposit",
 				Key:  fmt.Sprintf("acct-%d", i%1024),
@@ -657,6 +667,10 @@ func TestSetBytesPerEntry(t *testing.T) {
 				Lam:  uint64(i + 1),
 				At:   time.Duration(i),
 			}
+			if c.at != nil {
+				e.At = c.at(i)
+			}
+			return e
 		})
 		if bytes > c.budget || scannable > 1 {
 			t.Errorf("Set holds %.1f B/entry of repeated payloads with %s, %.1f B of it scannable; budget %.0f and 1", bytes, c.name, scannable, c.budget)
@@ -673,8 +687,8 @@ func TestSetBytesPerEntry(t *testing.T) {
 			At:   time.Duration(i),
 		}
 	})
-	if bytes > 88 || scannable > 1 || payloads > 2 {
-		t.Errorf("Set holds %.1f B/entry of payloads that never repeat, %.1f B of it scannable and %.1f B the payload table; budget 88, 1 and 2", bytes, scannable, payloads)
+	if bytes > 60 || scannable > 1 || payloads > 2 {
+		t.Errorf("Set holds %.1f B/entry of payloads that never repeat, %.1f B of it scannable and %.1f B the payload table; budget 60, 1 and 2", bytes, scannable, payloads)
 	}
 }
 
@@ -771,33 +785,99 @@ func TestSetGrowth(t *testing.T) {
 	runtime.KeepAlive(s)
 }
 
-// TestFoldIterationAllocatesNothing: walking from Start with At
-// materializes each entry on the stack from the row and the arena —
-// folding 10 000 pending entries costs no allocation, from genesis or from
-// a mark.
+// TestFoldIterationAllocatesNothing: a Cursor from Start materializes
+// each entry on the stack from its row, or its block's deltas, and the
+// arena — a walk costs no allocation, from genesis or from a mark, over a
+// set all in its tail and over one mostly sealed.
 func TestFoldIterationAllocatesNothing(t *testing.T) {
-	s := NewSet()
-	for i := 0; i < 20000; i++ {
-		s.Add(Entry{ID: uniq.ID(fmt.Sprintf("op-%06d", i)), Kind: "deposit", Key: "acct-1", Arg: 1, Lam: uint64(i + 1)})
-	}
-	mid := s.Entries()[9999].Mark()
-	for _, w := range []Watermark{{}, mid} {
-		var sum, n int64
-		allocs := testing.AllocsPerRun(10, func() {
-			sum, n = 0, 0
-			for i := s.Start(w); i < s.Len(); i++ {
-				e := s.At(i)
-				sum += e.Arg + int64(len(e.ID)+len(e.Kind)+len(e.Key))
-				n++
+	for _, size := range []int{10000, 50000} {
+		s := NewSet()
+		for i := range size {
+			s.Add(Entry{ID: uniq.ID(fmt.Sprintf("op-%06d", i)), Kind: "deposit", Key: "acct-1", Arg: int64(i % 7), Lam: uint64(i + 1), At: time.Duration(i % 5)})
+		}
+		all := s.Entries()
+		for _, from := range []int{0, 4999, size - 4097} { // genesis; mid-block in the larger set; in the tail
+			var w Watermark
+			if from > 0 {
+				w = all[from-1].Mark()
 			}
-		})
-		if want := int64(s.Len()); w == mid && n != want-10000 || w != mid && n != want {
-			t.Fatalf("walking from Start(%+v) yielded %d entries of %d", w, n, want)
-		}
-		if allocs != 0 {
-			t.Errorf("walking from Start(%+v) allocates %.0f times", w, allocs)
+			var sum, n int64
+			allocs := testing.AllocsPerRun(10, func() {
+				sum, n = 0, 0
+				var e Entry
+				for c := s.Cursor(s.Start(w)); c.Next(&e); {
+					sum += e.Arg + int64(len(e.ID)+len(e.Kind)+len(e.Key))
+					n++
+				}
+			})
+			if n != int64(size-from) {
+				t.Fatalf("%d entries, %d blocks: walking from Start(%+v) yielded %d entries, want %d", size, len(s.blocks), w, n, size-from)
+			}
+			if allocs != 0 {
+				t.Errorf("%d entries, %d blocks: walking from Start(%+v) allocates %.0f times", size, len(s.blocks), w, allocs)
+			}
 		}
 	}
+}
+
+// TestSealedRowsRoundTrip: a row sealed into a block reads back exactly,
+// whatever its fields: Lam jumping by nearly 2^64, At and Arg swinging
+// between the ends of int64 (deltas that wrap), and arena handles jumping
+// to records of their own chunk. The set is built one Add at a time and
+// all at once; then a copy is taken, and an entry sorting before every
+// other thaws every block of the original, which must leave the copy's
+// blocks as they were.
+func TestSealedRowsRoundTrip(t *testing.T) {
+	const n = 5*rowChunk + 17
+	ats := [4]time.Duration{math.MinInt64, math.MaxInt64, -1, 0}
+	args := [4]int64{math.MaxInt64, math.MinInt64, 0, -1}
+	want := make([]Entry, n)
+	for i := range want {
+		e := Entry{ID: uniq.ID(fmt.Sprintf("x%d", i)), Kind: "k", Key: fmt.Sprint(i % 3), Lam: uint64(i + 1), At: ats[i%4] + time.Duration(i%4/2*i), Arg: args[i%4] - int64(i%4/2*i)}
+		if i >= n/2 {
+			e.Lam = math.MaxUint64 - uint64(n-i)
+		}
+		if i%997 == 0 {
+			e.Note = strings.Repeat("n", chunkSpan+i%5)
+		}
+		want[i] = e
+	}
+	one := NewSet()
+	for _, e := range want {
+		one.Add(e)
+	}
+	shuffled := slices.Clone(want)
+	rand.New(rand.NewSource(3)).Shuffle(n, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	check := func(name string, s *Set, want []Entry) {
+		t.Helper()
+		if len(s.blocks) == 0 {
+			t.Fatalf("%s: no row is sealed", name)
+		}
+		if got := s.Entries(); !slices.Equal(got, want) {
+			t.Fatalf("%s: Entries() differs from what was added", name)
+		}
+		for _, i := range []int{0, 1, rowChunk - 1, rowChunk, rowChunk + 1, 2*rowChunk + 7, len(want) - 1} {
+			if got := s.At(i); got != want[i] {
+				t.Fatalf("%s: At(%d) = %+v, want %+v", name, i, got, want[i])
+			}
+			if got := s.Start(want[i].Mark()); got != i+1 {
+				t.Fatalf("%s: Start(entry %d's mark) = %d", name, i, got)
+			}
+		}
+		if s.MaxLam() != want[len(want)-1].Lam {
+			t.Fatalf("%s: MaxLam() = %d", name, s.MaxLam())
+		}
+	}
+	check("one Add at a time", one, want)
+	check("all at once", NewSet(shuffled...), want)
+
+	c := one.Copy()
+	first := Entry{ID: "first", Kind: "k", At: math.MinInt64}
+	if !one.Add(first) {
+		t.Fatal("Add of an entry sorting before every other reported a duplicate")
+	}
+	check("after an Add sorting first", one, append([]Entry{first}, want...))
+	check("a copy taken before it", c, want)
 }
 
 // TestAddAndContainsAllocateNothingAfterGrow: with the rows and the index
