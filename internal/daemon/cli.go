@@ -50,17 +50,35 @@ func ParseServeFlags(args []string, output io.Writer) (Config, error) {
 
 // Serve runs one daemon until SIGINT or SIGTERM, then drains. The
 // returned error covers startup failures and unclean shutdown (a
-// journal flush that could not land).
+// journal flush that could not land). Only the first signal is caught: a
+// second ends the process at once, as it ends any program that does not
+// catch it, so a startup or a drain that hangs can still be cut short.
 func Serve(cfg Config, logf func(format string, args ...any)) error {
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	stop := make(chan os.Signal, 1)
+	done := make(chan struct{})
+	defer close(done)
+	go func() {
+		select {
+		case s := <-sig:
+			signal.Stop(sig)
+			stop <- s
+		case <-done:
+			signal.Stop(sig)
+		}
+	}()
+	return serve(cfg, logf, stop)
+}
+
+// serve is Serve with the signal that ends the daemon read from stop.
+func serve(cfg Config, logf func(format string, args ...any), stop <-chan os.Signal) error {
 	cfg.Logf = logf
 	d, err := New(cfg)
 	if err != nil {
 		return err
 	}
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	s := <-sig
-	signal.Stop(sig)
+	s := <-stop
 	if logf != nil {
 		logf("quicksandd: caught %v, draining", s)
 	}

@@ -1,14 +1,85 @@
 package daemon
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
+	"time"
+
+	"repro/client"
 )
+
+// TestServeDrainsOnInterrupt runs serve as quicksandd does, on free
+// ports and a data dir of its own: it takes the HTTP address from the
+// "serving http on" line, submits one op through the SDK, and sends an
+// interrupt. serve must log that it drains, return nil, and leave the op
+// on disk for a daemon reopened on the same data dir.
+func TestServeDrainsOnInterrupt(t *testing.T) {
+	cfg := Config{Node: 0, Replicas: 1, HTTPListen: "127.0.0.1:0", PeerListen: "127.0.0.1:0", DataDir: t.TempDir()}
+	var mu sync.Mutex
+	var lines []string
+	addr := make(chan string, 1)
+	logf := func(format string, args ...any) {
+		line := fmt.Sprintf(format, args...)
+		mu.Lock()
+		lines = append(lines, line)
+		mu.Unlock()
+		if _, rest, ok := strings.Cut(line, "serving http on "); ok {
+			addr <- strings.TrimSuffix(strings.Fields(rest)[0], ",")
+		}
+	}
+	stop := make(chan os.Signal, 1)
+	done := make(chan error, 1)
+	go func() { done <- serve(cfg, logf, stop) }()
+	var httpAddr string
+	select {
+	case httpAddr = <-addr:
+	case err := <-done:
+		t.Fatalf("serve returned before serving: %v", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("serve logged no \"serving http on\" line")
+	}
+	ctx := context.Background()
+	if _, err := client.New("http://"+httpAddr).Submit(ctx, client.Op{Kind: "deposit", Key: "k", Arg: 41}, false); err != nil {
+		t.Fatal(err)
+	}
+	stop <- os.Interrupt
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("serve returned %v after an interrupt, want nil", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("serve did not return after an interrupt")
+	}
+	mu.Lock()
+	drained := slices.ContainsFunc(lines, func(l string) bool { return strings.Contains(l, "caught interrupt, draining") })
+	mu.Unlock()
+	if !drained {
+		t.Errorf("serve logged %q, no \"caught interrupt, draining\"", lines)
+	}
+
+	cfg.Logf = nil
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	st, err := client.New("http://" + d.HTTPAddr()).State(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Keys["k"] != 41 {
+		t.Fatalf("a daemon reopened on the data dir holds %v, want k=41", st.Keys)
+	}
+}
 
 // TestServeFlagsOverrideConfigFile pins the precedence of every daemon
 // setting: a value set in the -config file only, by flag only, by both

@@ -135,14 +135,22 @@ const runOp = 0xff
 // of order they open runs between others, which merge as their gaps
 // close; with bit 3 every fifth number is missing, leaving holes, which
 // with bit 4 arrive after the rest and refill them. With bit 5 the IDs
-// are spread over more nodes than the runs admit origins. Their
+// are spread over more nodes than the runs admit origins, and with bit 7
+// they are the shapes sealedIDs draws, every one a sealed row may keep,
+// interleaved inside one block: IDs never minted, minted IDs the runs
+// refuse, and minted IDs they hold, from origins whose names contain '-'
+// or are empty, more of them than an ID word's lanes, at numbers where the
+// rendered ID grows a digit or a delta wraps. Their
 // payloads repeat a few keys; with bit 2 every note is its own, so the
 // payload table stops admitting them, and every 97th note is longer than
 // its lookup buffer.
 func run(mode int) []Entry {
 	n := rowChunk + 1 + mode%64
 	ids := runIDs
-	if mode&32 != 0 {
+	switch {
+	case mode&128 != 0:
+		ids = shapedIDs
+	case mode&32 != 0:
 		ids = originIDs
 	}
 	var run, holes []Entry
@@ -190,6 +198,7 @@ func run(mode int) []Entry {
 // The strings runs are made of, formatted once. The nodes of originIDs
 // outnumber the origins the runs admit for a set of two row chunks.
 var (
+	shapedIDs                   = sealedIDs(rowChunk + 64)
 	runKeys                     = []string{"k0", "k1", "k2", "k3", "k4"}
 	runIDs, originIDs, runNotes = func() (ids, spread []uniq.ID, notes []string) {
 		for i := range rowChunk + 64 {
@@ -448,7 +457,7 @@ func (m *model) check(t *testing.T, step int, s *Set) {
 	if s.MaxLam() != maxLam {
 		t.Fatalf("step %d: MaxLam() = %d, want %d", step, s.MaxLam(), maxLam)
 	}
-	for _, id := range slices.Concat(modelIDs, []uniq.ID{"copy-only", "absent", runIDs[0], runIDs[3], runIDs[4], runIDs[5], runIDs[rowChunk], originIDs[0], originIDs[rowChunk]}) {
+	for _, id := range slices.Concat(modelIDs, []uniq.ID{"copy-only", "absent", runIDs[0], runIDs[3], runIDs[4], runIDs[5], runIDs[rowChunk], originIDs[0], originIDs[rowChunk]}, shapedIDs[:8], shapedIDs[rowChunk:rowChunk+4]) {
 		if in := m.has(id); s.Contains(id) != in {
 			t.Fatalf("step %d: Contains(%q) = %v", step, id, !in)
 		}
@@ -461,7 +470,8 @@ func (m *model) check(t *testing.T, step int, s *Set) {
 func checkRuns(t *testing.T, step int, r *runs) {
 	t.Helper()
 	total := 0
-	for node, sp := range r.byNode {
+	for node, o := range r.byNode {
+		sp := o.spans
 		for i, x := range sp {
 			if x.lo > x.hi || i > 0 && (x.lo <= sp[i-1].hi || x.lo-sp[i-1].hi == 1) {
 				t.Fatalf("step %d: node %q's runs %d and %d, %v and %v, are not sorted, disjoint and apart", step, node, i-1, i, sp[max(i-1, 0)], x)
@@ -520,6 +530,12 @@ var modelSeeds = []string{
 	// The same in one batch with every fifth number held back until the
 	// rest are in; a copy; a rebuild.
 	"\xff\x5a\x04\x00\x00\x00\x00\x00\x00\x00\x00\x07\x01",
+	// Every shape of ID a sealed row keeps, one by one in order; a suffix;
+	// a rebuild.
+	"\xff\x80\x06\x00\x00\x00\x00\x07\x05",
+	// The same shuffled in one batch, every note its own; a copy carried
+	// on with.
+	"\xff\x87\x04\x02\x00\x00\x00\x00\x00\x00\x01",
 }
 
 func FuzzSetMatchesModel(f *testing.F) {

@@ -45,52 +45,71 @@
 //     keeping the order means moving rows, never strings. Once the tail
 //     holds more than hotChunks full chunks, its oldest is sealed into a
 //     block: the chunk's first row whole, and every other row as varint
-//     deltas from the row before it, some 6 bytes where the tail spends 32.
-//     Ingest, in-order and late gossip alike, lands in the tail, since late
-//     gossip lands within a thousand rows of the end; a row sorting below
-//     the tail thaws the blocks from its place on back into it, and they
-//     are sealed anew. Blocks are immutable, so copies share them. A walk
-//     decodes each block once (Cursor); At on a sealed row decodes its
-//     block from the start;
-//   - an append-only byte arena holding each entry's ID once, and each
-//     payload — Kind, Key and Note, length-prefixed as in the entry codec —
-//     once for every row that repeats it. Its chunks are never reallocated,
-//     and a record never straddles two;
+//     deltas from the row before it, some 6 or 7 bytes where the tail
+//     spends 32. An ID the runs hold is kept there as its origin's
+//     ordinal and its number, a byte for a replica's (see block), so a
+//     sealed row's ID costs no arena bytes. Ingest, in-order and late
+//     gossip alike, lands in the tail, since late gossip lands within a
+//     thousand rows of the end; a row sorting below the tail thaws the
+//     blocks from its place on back into it, and they are sealed anew.
+//     Blocks are immutable, so copies share them. A walk decodes each
+//     block once (Cursor), and renders the held IDs of a block it enters
+//     into one buffer, which a weak pointer keeps for the next walk until
+//     the collector frees it; Equal compares rows, a held ID as its
+//     origin and number, and renders none; At on a sealed row decodes its
+//     block from the start, and renders that row's ID;
+//   - append-only byte arenas, their chunks never reallocated, a record
+//     never straddling two. The kept arena never lets go of a byte: it
+//     holds each payload — Kind, Key and Note, length-prefixed as in the
+//     entry codec — once for every row that repeats it, each ID the ID
+//     table indexes, each block's first ID, which searches compare, and
+//     the origins' names. The ids arena holds the IDs of tail rows that
+//     the runs hold; once sealing has moved every row that reads a chunk
+//     into blocks, the chunk is retired and its slot reused, so a set
+//     keeps the bytes of its newest IDs only. A thaw keeps the numbers of
+//     the held IDs it decodes in a third, dropped once they are sealed
+//     again;
 //   - the §5.4 "have I seen this uniquifier" index, the part stable-prefix
 //     compaction will have to keep for good, in two parts that never hold
 //     the same ID. An ID an ingress minted — one uniq.ParseID takes apart
 //     into a node and a sequence number — is a number in its node's sorted
 //     runs of consecutive numbers (see runs), which a replica's IDs fill a
 //     run at a time; the map from node to runs, an entry per origin, is,
-//     with the list of blocks, one entry per rowChunk rows, the only part
-//     holding pointers. Every other ID, and a minted one no
-//     run may take, is a slot in the ID table;
-//   - two tables over arena handles, open-addressed, one byte of hash beside
-//     each handle — five bytes a slot. One is the ID table. The other finds
-//     a payload's record when it repeats. It admits new payloads only while
-//     they number fewer than payloadFloor plus one per payloadShare rows, so
-//     input whose payloads never repeat costs it at most a fraction of a
-//     slot a row, and a payload longer than payloadBuf is never looked up:
-//     each entry writes its own record of it.
+//     with the list of blocks, one entry per rowChunk rows, and the list
+//     of origins, the only part holding pointers. Every other ID, and a
+//     minted one no run may take, is a slot in the ID table;
+//   - two tables over kept-arena handles, open-addressed, one byte of hash
+//     beside each handle — five bytes a slot. One is the ID table. The
+//     other finds a payload's record when it repeats. It admits new
+//     payloads only while they number fewer than payloadFloor plus one per
+//     payloadShare rows, so input whose payloads never repeat costs it at
+//     most a fraction of a slot a row, and a payload longer than
+//     payloadBuf is never looked up: each entry writes its own record of
+//     it.
 //
 // Entry remains the type at every API. Entries read out of a set are
 // materialized from its rows, and their strings are substrings of the
-// arena: valid, and unchanged, for as long as anything references them —
-// past the set's own life if need be — at the cost of keeping the chunk
-// they sit in alive, and read-only like every Go string. Nothing handed to
-// a set is retained: Add and AddAll copy the bytes they keep, so a caller's
-// strings may be cut from a request body or a network frame. One set holds
-// at most 4 GiB of such bytes.
+// arenas, or of the string a sealed row's ID was rendered into: valid, and
+// unchanged, for as long as anything references them — past the set's own
+// life, or the retirement of their chunk, if need be — at the cost of
+// keeping the chunk they sit in alive, and read-only like every Go string.
+// Nothing handed to a set is retained: Add and AddAll copy the bytes they
+// keep, so a caller's strings may be cut from a request body or a network
+// frame. The kept arena holds at most 3.5 GiB; the ids arena 256 MiB of
+// IDs at once — the tail's, and every ID one batch pushes until it is
+// sealed — and the thaws arena 256 MiB of one thaw's numbers, a few bytes
+// a held row.
 //
 // An ingress ID need not exist as a string before its entry is stored:
 // Mint takes the node and sequence number instead, renders the ID on the
 // stack (uniq.AppendID, the formatter uniq.Gen uses), checks the index
-// from there and writes the bytes once, into the arena record — so a
-// guess's uniquifier is never a heap object of its own, and the entry
-// Mint returns carries the set's copy onward.
+// from there and writes the bytes once, into the record of the arena that
+// keeps it — so a guess's uniquifier is never a heap object of its own,
+// and the entry Mint returns carries the set's copy onward.
 package oplog
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"hash/maphash"
@@ -155,21 +174,24 @@ func (w Watermark) Before(e Entry) bool { return w.Less(e.Mark()) }
 // canonical order. The zero value is not usable; construct with NewSet.
 //
 // An entry is stored in pointer-free parts: a row in canonical order, in
-// the tail or packed in a block, its ID's record in the arena, its ID in
-// a run or a slot of the ID table, and its payload's record, which rows
-// with equal payloads share. Entries read back out are materialized from
-// the row; their strings are substrings of the arena (see the package
-// comment).
+// the tail or packed in a block, its ID's record in an arena — unless it
+// is sealed and its ID is in a run, which the block keeps as its origin
+// and number — its ID in a run or a slot of the ID table, and its
+// payload's record, which rows with equal payloads share. Entries read
+// back out are materialized from the row; their strings are substrings of
+// the arenas or of a rendering (see the package comment).
 type Set struct {
 	// Canonical (Lam, At, ID) order: position i is in blocks[i>>rowBits]
 	// while i < sealed(), and rows[i>>rowBits-len(blocks)][i&rowMask] after.
-	blocks []block // the older rows, sealed rowChunk to a block
-	rows   [][]row // the tail: the newest rows, every chunk full but the last
-	n      int     // rows held
-	arena  arena   // every row's ID record, and the payload records
-	runs   runs    // the ingress-form IDs, as numbers in their origin's runs
-	ids    table   // the other rows' ID records, by ID
-	pays   table   // the interned payload records, by their bytes
+	blocks  []block // the older rows, sealed rowChunk to a block
+	rows    [][]row // the tail: the newest rows, every chunk full but the last
+	n       int     // rows held
+	arena   arena   // kept: payload records, the ID table's IDs, blocks' first IDs and origin names
+	ids     arena   // the held IDs of tail rows; retires chunks as their rows seal
+	thaws   arena   // a thaw's held numbers until they are sealed or written out to ids
+	runs    runs    // the ingress-form IDs, as numbers in their origin's runs
+	idTable table   // the other rows' ID records, by ID
+	pays    table   // the interned payload records, by their bytes
 
 	// Scratch AddAll reuses: its result, and order's sorted newcomers.
 	added []Entry
@@ -182,8 +204,56 @@ type row struct {
 	lam uint64
 	at  time.Duration
 	arg int64
-	ref uint32 // the ID record: one uvarint-length-prefixed string
+	ref uint32 // the ID record, one uvarint-length-prefixed string: in ids when held, else in the kept arena
 	pay uint32 // the payload record: Kind, Key and Note, each uvarint-length-prefixed
+}
+
+// A row's ID handle says where its ID is. One below idsBase is a handle
+// into the kept arena. One from idsBase on is held — the runs hold the ID,
+// and a sealed block keeps it as its origin and number: idsBase plus a
+// handle into the ids arena, or, while a thaw is being settled, thawBase
+// plus one into the thaws arena. So the kept arena, which never lets go
+// of a byte, has 3.5 GiB of handle space, and the ids arena, which holds
+// the tail's IDs, and the thaws arena, which holds one thaw's numbers,
+// 256 MiB each.
+const (
+	idsBase   = 0xE000_0000
+	thawBase  = 0xF000_0000
+	keptSlots = idsBase >> chunkBits
+	idsSlots  = (thawBase - idsBase) >> chunkBits
+	thawSlots = (1<<32 - thawBase) >> chunkBits
+)
+
+// isHeld reports whether the ID handle ref is a held ID's.
+func isHeld(ref uint32) bool { return ref >= idsBase }
+
+// idOf reads the ID of a tail row's record at ref.
+func (s *Set) idOf(ref uint32) string {
+	if isHeld(ref) {
+		return s.ids.id(ref - idsBase)
+	}
+	return s.arena.id(ref)
+}
+
+// payload returns the payload record at ref in a, its three strings with
+// their length prefixes.
+func payload(a *arena, ref uint32) string {
+	rec := a.at(ref)
+	_, rest := cutString(rec)
+	_, rest = cutString(rest)
+	_, rest = cutString(rest)
+	return rec[:len(rec)-len(rest)]
+}
+
+// fill materializes a row whose ID is id into e, in place. The payload's
+// strings are substrings of the kept arena.
+func (s *Set) fill(e *Entry, r *row, id string) {
+	kind, rec := cutString(s.arena.at(r.pay))
+	key, rec := cutString(rec)
+	note, _ := cutString(rec)
+	// Field by field: building an Entry and copying it over *e made a walk
+	// over sealed rows a tenth slower.
+	e.ID, e.Kind, e.Key, e.Arg, e.Lam, e.At, e.Note = uniq.ID(id), kind, key, r.arg, r.lam, r.at, note
 }
 
 // The slab's chunks hold rowChunk rows, 128 KiB.
@@ -208,7 +278,7 @@ const (
 // NewSet returns an empty set, optionally seeded with entries, in any
 // order: they are put in canonical order once, as AddAll's are.
 func NewSet(entries ...Entry) *Set {
-	s := &Set{}
+	s := &Set{arena: arena{slots: keptSlots}, ids: arena{slots: idsSlots}, thaws: arena{slots: thawSlots}}
 	s.Grow(len(entries))
 	for _, e := range entries {
 		s.push(e)
@@ -261,19 +331,24 @@ func (s *Set) AddAll(entries []Entry) (added []Entry) {
 // renders for node and seq — e.ID is ignored — and which nobody has built
 // yet: seq is looked up in node's runs, the ID is rendered into a stack
 // buffer and looked up from there in the ID table, and it is written
-// once, into the arena record it lives in. It reports whether the
+// once, into the record of the arena that keeps it: ids when a run takes
+// the number, else the kept arena, for the ID table. It reports whether the
 // entry was new, and returns e carrying its ID: when stored, read back
 // from its row, so every string is the set's; on a duplicate, the ID
 // rendered.
 func (s *Set) Mint(e Entry, node string, seq uint64) (stored Entry, added bool) {
 	var buf [32]byte
 	id := uniq.AppendID(buf[:0], node, seq)
-	if s.runs.has(node, seq) || s.ids.n > 0 && inTable(s, id, maphash.Bytes(hashSeed, id)) {
+	if s.runs.has(node, seq) || s.idTable.n > 0 && inTable(s, id, maphash.Bytes(hashSeed, id)) {
 		e.ID = uniq.ID(id)
 		return e, false
 	}
 	old := s.n
-	s.place(e, s.arena.putMinted(id), node, seq, true)
+	if s.runs.add(&s.arena, node, seq, s.n) {
+		s.place(e, idsBase+s.ids.putMinted(id))
+	} else {
+		s.place(e, s.index(s.arena.putMinted(id)))
+	}
 	stored = s.At(old)
 	s.settle(old)
 	return stored, true
@@ -282,12 +357,17 @@ func (s *Set) Mint(e Entry, node string, seq uint64) (stored Entry, added bool) 
 // push stores e after the last row, wherever it sorts, unless its ID is
 // already present; settle then restores the order. A pushed row is indexed
 // at once, so duplicates inside one batch are caught like any other.
+// Whether a run takes the ID decides which arena it is written to, once.
 func (s *Set) push(e Entry) bool {
 	node, seq, ingress := uniq.ParseID(string(e.ID))
 	if s.holds(e.ID, node, seq, ingress) {
 		return false
 	}
-	s.place(e, s.arena.put(string(e.ID)), node, seq, ingress)
+	if ingress && s.runs.add(&s.arena, node, seq, s.n) {
+		s.place(e, idsBase+s.ids.put(string(e.ID)))
+	} else {
+		s.place(e, s.index(s.arena.put(string(e.ID))))
+	}
 	return true
 }
 
@@ -298,24 +378,25 @@ func (s *Set) holds(id uniq.ID, node string, seq uint64, ingress bool) bool {
 	if ingress && s.runs.has(node, seq) {
 		return true
 	}
-	return s.ids.n > 0 && inTable(s, id, maphash.String(hashSeed, string(id)))
+	return s.idTable.n > 0 && inTable(s, id, maphash.String(hashSeed, string(id)))
 }
 
 // inTable reports whether the ID table holds id, which hashes to h.
 func inTable[T ~string | ~[]byte](s *Set, id T, h uint64) bool {
-	_, ok := find(&s.ids, &s.arena, id, h, idKey)
+	_, ok := find(&s.idTable, &s.arena, id, h, idKey)
 	return ok
 }
 
-// place indexes the ID record at ref and appends e's row for it. The ID,
-// absent from the set, is node's number seq when ingress; node is read for
-// its length only, since a run keeps the arena's copy. A run takes the
-// number if it can, the ID table the record otherwise.
-func (s *Set) place(e Entry, ref uint32, node string, seq uint64, ingress bool) {
-	if id := s.arena.id(ref); !ingress || !s.runs.add(id[:len(node)], seq, s.n) {
-		s.ids.reserve(&s.arena, idKey)
-		s.ids.insert(ref, maphash.String(hashSeed, id))
-	}
+// index puts the kept arena's ID record at ref in the ID table, and
+// returns ref.
+func (s *Set) index(ref uint32) uint32 {
+	s.idTable.reserve(&s.arena, idKey)
+	s.idTable.insert(ref, maphash.String(hashSeed, s.arena.id(ref)))
+	return ref
+}
+
+// place appends e's row, its ID the record at ref.
+func (s *Set) place(e Entry, ref uint32) {
 	s.growRows(s.n + 1)
 	c := s.n>>rowBits - len(s.blocks)
 	s.rows[c] = append(s.rows[c], row{lam: e.Lam, at: e.At, arg: e.Arg, ref: ref, pay: s.payload(e.Kind, e.Key, e.Note)})
@@ -444,8 +525,8 @@ func (s *Set) shift(i, j int) {
 	}
 }
 
-// cmp orders two rows canonically. The ID, the one part of the key that
-// lives in the arena, is read only to break a (Lam, At) tie.
+// cmp orders two tail rows canonically. The ID, the one part of the key
+// that lives in an arena, is read only to break a (Lam, At) tie.
 func (s *Set) cmp(a, b row) int {
 	if a.lam != b.lam {
 		return cmp.Compare(a.lam, b.lam)
@@ -453,7 +534,19 @@ func (s *Set) cmp(a, b row) int {
 	if a.at != b.at {
 		return cmp.Compare(a.at, b.at)
 	}
-	return strings.Compare(s.arena.id(a.ref), s.arena.id(b.ref))
+	if a.ref >= thawBase || b.ref >= thawBase { // a thawed row's ID is rendered on the stack
+		var bx, by [64]byte
+		return bytes.Compare(s.appendID(bx[:0], a.ref), s.appendID(by[:0], b.ref))
+	}
+	return strings.Compare(s.idOf(a.ref), s.idOf(b.ref))
+}
+
+// appendID appends the ID of the tail row whose ID record is at ref to b.
+func (s *Set) appendID(b []byte, ref uint32) []byte {
+	if ord, seq, ok := s.thawed(ref); ok {
+		return uniq.AppendID(b, s.runs.origins[ord], seq)
+	}
+	return append(b, s.idOf(ref)...)
 }
 
 // Start returns the canonical-order position of the first entry sorting
@@ -475,14 +568,15 @@ func (s *Set) Start(w Watermark) int {
 	}
 	d := s.blocks[b-1].open()
 	for k := 1; k < rowChunk; k++ {
-		if d.next(); s.after(d.r, w) {
+		if d.next(); s.readAfter(&d, w) {
 			return (b-1)<<rowBits + k
 		}
 	}
 	return b << rowBits
 }
 
-// after reports whether r sorts strictly after w.
+// after reports whether r, a tail row or a block's first, sorts strictly
+// after w.
 func (s *Set) after(r row, w Watermark) bool {
 	if r.lam != w.Lam {
 		return r.lam > w.Lam
@@ -490,7 +584,17 @@ func (s *Set) after(r row, w Watermark) bool {
 	if r.at != w.At {
 		return r.at > w.At
 	}
-	return s.arena.id(r.ref) > string(w.ID)
+	return s.idOf(r.ref) > string(w.ID)
+}
+
+// readAfter is after for the row d last read. A held ID that a tie leaves
+// to compare is rendered on the stack.
+func (s *Set) readAfter(d *rowReader, w Watermark) bool {
+	if !d.held || d.r.lam != w.Lam || d.r.at != w.At {
+		return s.after(d.r, w)
+	}
+	var buf [64]byte
+	return string(d.renderID(s, buf[:0])) > string(w.ID)
 }
 
 // Grow makes room for n more entries' rows in the tail, allocated now
@@ -543,17 +647,20 @@ func (s *Set) Diff(o *Set) []Entry {
 
 // Copy returns an independent copy. Tail rows move in place and runs grow
 // in place, so each set has tail chunks and runs of its own. Blocks, and
-// the bytes already in the arena, are immutable, so the two sets share
+// the bytes already in the arenas, are immutable, so the two sets share
 // them — a copy costs its tail, not its length — and each writes its own
-// from here on.
+// from here on. Each has its own list of each arena's chunks, so one
+// retiring a chunk never empties the other's slot.
 func (s *Set) Copy() *Set {
 	c := &Set{
-		blocks: slices.Clone(s.blocks),
-		n:      s.n,
-		arena:  arena{chunks: slices.Clone(s.arena.chunks)},
-		runs:   s.runs.clone(),
-		ids:    s.ids.clone(),
-		pays:   s.pays.clone(),
+		blocks:  slices.Clone(s.blocks),
+		n:       s.n,
+		arena:   s.arena.clone(),
+		ids:     s.ids.clone(),
+		thaws:   arena{slots: thawSlots},
+		runs:    s.runs.clone(),
+		idTable: s.idTable.clone(),
+		pays:    s.pays.clone(),
 	}
 	for _, ch := range s.rows {
 		if len(ch) > 0 {
@@ -565,14 +672,14 @@ func (s *Set) Copy() *Set {
 
 // Equal reports whether both sets hold exactly the same entries. Each
 // set's entries are in the one canonical order, so equal sets are equal
-// sequences.
+// sequences. The rows are compared, not entries read from them, so a
+// sealed row's ID is never rendered.
 func (s *Set) Equal(o *Set) bool {
 	if s.n != o.n {
 		return false
 	}
-	var e, f Entry
-	for a, b := s.Cursor(0), o.Cursor(0); a.Next(&e) && b.Next(&f); {
-		if e != f {
+	for a, b := s.Cursor(0), o.Cursor(0); a.step() && b.step(); {
+		if !sameRow(&a, &b) {
 			return false
 		}
 	}
@@ -610,11 +717,25 @@ func (s *Set) EntriesAfter(w Watermark) []Entry {
 }
 
 // At materializes the entry at canonical-order position i, 0 <= i < Len().
-// Its strings are substrings of the arena. A sealed row is decoded from
-// its block's first row on: a walk takes a Cursor instead.
+// Its strings are substrings of the set's arenas, but for a sealed row's
+// held ID, which is rendered anew. A sealed row is decoded from its
+// block's first row on: a walk takes a Cursor instead.
 func (s *Set) At(i int) (e Entry) {
-	c := s.Cursor(i)
-	c.Next(&e)
+	if i >= s.sealed() {
+		r := s.row(i)
+		s.fill(&e, r, s.idOf(r.ref))
+		return e
+	}
+	d := s.blocks[i>>rowBits].open()
+	for range i & rowMask {
+		d.next()
+	}
+	if !d.held {
+		s.fill(&e, &d.r, s.arena.id(d.r.ref))
+		return e
+	}
+	var buf [64]byte
+	s.fill(&e, &d.r, string(d.renderID(s, buf[:0])))
 	return e
 }
 

@@ -138,18 +138,7 @@ func BenchmarkJournalAppendAll(b *testing.B) {
 // decodes every block once.
 func BenchmarkReads200k(b *testing.B) {
 	const n = 200_000
-	s := NewSet()
-	clocks := [3]time.Duration{0, -5 * time.Microsecond, 3 * time.Microsecond}
-	for i := range n {
-		s.Add(Entry{
-			ID:   uniq.ID(fmt.Sprintf("r%d-%06d", i%3, i/3+1)),
-			Kind: "deposit",
-			Key:  fmt.Sprintf("acct-%d", i%1024),
-			Arg:  int64(1 + i%100),
-			Lam:  uint64(i + 1),
-			At:   time.Duration(i)*time.Microsecond + clocks[i%3],
-		})
-	}
+	s := replicaSet(n)
 	c := s.Copy()
 	b.Run("Equal", func(b *testing.B) {
 		b.ReportAllocs()
@@ -173,4 +162,51 @@ func BenchmarkReads200k(b *testing.B) {
 			Fold(s, int64(0), func(acc int64, e Entry) int64 { return acc + e.Arg })
 		}
 	})
+}
+
+// replicaSet is n entries shaped as three replicas mint them, added in
+// canonical order: each replica's numbers consecutive, its clock a few
+// microseconds off the others'.
+func replicaSet(n int) *Set {
+	s := NewSet()
+	clocks := [3]time.Duration{0, -5 * time.Microsecond, 3 * time.Microsecond}
+	for i := range n {
+		s.Add(Entry{
+			ID:   uniq.ID(fmt.Sprintf("r%d-%06d", i%3, i/3+1)),
+			Kind: "deposit",
+			Key:  fmt.Sprintf("acct-%d", i%1024),
+			Arg:  int64(1 + i%100),
+			Lam:  uint64(i + 1),
+			At:   time.Duration(i)*time.Microsecond + clocks[i%3],
+		})
+	}
+	return s
+}
+
+// BenchmarkLateAddDeep is the deep thaw: a replica-shaped set of 200 000
+// entries, nearly all sealed, takes 64 single Adds from a fourth replica,
+// each sorting just below an entry spread across the blocks, so each
+// thaws the blocks from its place on and seals them anew. An op is the 64
+// Adds on a fresh copy of the set; the copy is not timed.
+func BenchmarkLateAddDeep(b *testing.B) {
+	const n, late = 200_000, 64
+	s := replicaSet(n)
+	sealed := s.sealed()
+	marks := make([]Entry, late)
+	for k := range marks {
+		at := s.At(k * sealed / late)
+		marks[k] = Entry{ID: uniq.ID(fmt.Sprintf("r3-%06d", k+1)), Kind: "deposit", Key: "acct-late", Arg: 1, Lam: at.Lam, At: at.At - 1}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		b.StopTimer()
+		c := s.Copy()
+		b.StartTimer()
+		for _, e := range marks {
+			if !c.Add(e) {
+				b.Fatal("a late entry was reported a duplicate")
+			}
+		}
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -595,11 +596,11 @@ func heapPerEntry(t *testing.T, n int, kept bool, mk func(i int) Entry) (bytes, 
 		sealed += cap(b.data)
 	}
 	spans := 0
-	for _, sp := range s.runs.byNode {
-		spans += cap(sp) * int(unsafe.Sizeof(span{}))
+	for _, o := range s.runs.byNode {
+		spans += cap(o.spans) * int(unsafe.Sizeof(span{}))
 	}
 	t.Logf("%.1f B/entry over %d entries (tail rows %.1f, blocks %.1f, ID runs %.1f in %d runs of %d origins, ID table %.1f, payload table %.1f, the rest arena), %.1f B of it scannable",
-		bytes, s.Len(), per(rows), per(sealed), per(spans), s.runs.n, len(s.runs.byNode), per(5*len(s.ids.tags)), payloads, scannable)
+		bytes, s.Len(), per(rows), per(sealed), per(spans), s.runs.n, len(s.runs.byNode), per(5*len(s.idTable.tags)), payloads, scannable)
 	runtime.KeepAlive(entries)
 	return bytes, scannable, payloads
 }
@@ -607,21 +608,27 @@ func heapPerEntry(t *testing.T, n int, kept bool, mk func(i int) Entry) (bytes, 
 // TestSetBytesPerEntry budgets the heap a Set holds per entry, strings
 // included: the set holds its own copy. When payloads repeat, as a kind ×
 // key vocabulary does, an entry is its row — sealed into a block, some 6
-// bytes of deltas, unless it is among the newest, whose three 128 KiB
-// chunks of 32-byte rows cost about 4 B an entry over these 100 000 — the
-// ID's bytes and their length byte in the arena, and what indexes its ID,
-// which depends on the IDs' shape:
+// to 7 bytes of deltas, in an allocation the heap rounds up to its size
+// class, unless it is among the newest, whose three 128 KiB chunks of
+// 32-byte rows cost about 4 B an entry over these 100 000 — and its ID,
+// whose cost depends on the IDs' shape. An ID the runs hold costs a
+// sealed row a byte or two of its block, the ordinal of its origin and
+// its number, and nothing in an arena: only the newest rows' IDs are
+// bytes, in the ids arena's two or three live 64 KiB chunks, about 2 B an
+// entry here. Any other ID is bytes for good, with their length byte, in
+// the kept arena, and a slot of the ID table:
 //   - consecutive numbers per node, as replicas mint them, stamped by
 //     three replica clocks a few ops apart, so that At falls from one row
-//     to the next two times in three: a few runs for the whole set, so
-//     24 B;
+//     to the next two times in three: a few runs for the whole set, and a
+//     byte of block a row, so 14 B;
 //   - every node every third number, which never makes a run: the runs
 //     stop admitting at one per 32 rows, and the rest take a five-byte
 //     slot of the ID table at 7/16 to 7/8 load, so 29 B;
 //   - SDK sessions' IDs, an 11-character session name and its numbers,
-//     nine bytes longer than a replica's: two sessions in order, or one
-//     session whose 16 callers overtake one another inside every 16
-//     numbers, are a run each, so 31 B;
+//     nine bytes longer than a replica's, which a sealed row no longer
+//     spends: two sessions in order, or one session whose 16 callers
+//     overtake one another inside every 16 numbers — a number up to 15
+//     from the last, two bytes of block — are a run each, so 15 B;
 //   - 5 000 short sessions of 20 ops, as CLI invocations leave them: only
 //     the first origins get runs (16 + rows/256 are admitted), and the rest
 //     take the ID table, so 38 B;
@@ -651,10 +658,10 @@ func TestSetBytesPerEntry(t *testing.T) {
 		id     func(i int) string
 		at     func(i int) time.Duration
 	}{
-		{"consecutive numbers per node", 24, func(i int) string { return fmt.Sprintf("r%d-%06d", i%3, i/3) }, func(i int) time.Duration { return time.Duration(i)*time.Microsecond + clocks[i%3] }},
+		{"consecutive numbers per node", 14, func(i int) string { return fmt.Sprintf("r%d-%06d", i%3, i/3) }, func(i int) time.Duration { return time.Duration(i)*time.Microsecond + clocks[i%3] }},
 		{"every node every third number", 29, func(i int) string { return fmt.Sprintf("r%d-%06d", i%3, i) }, nil},
-		{"two SDK sessions in order", 31, func(i int) string { return string(uniq.AppendID(nil, session(i%2), uint64(i/2+1))) }, nil},
-		{"one SDK session, 16 callers overtaking", 31, func(i int) string { return string(uniq.AppendID(nil, session(0), uint64(overtaken[i]+1))) }, nil},
+		{"two SDK sessions in order", 15, func(i int) string { return string(uniq.AppendID(nil, session(i%2), uint64(i/2+1))) }, nil},
+		{"one SDK session, 16 callers overtaking", 15, func(i int) string { return string(uniq.AppendID(nil, session(0), uint64(overtaken[i]+1))) }, nil},
 		{"5000 SDK sessions of 20 ops", 38, func(i int) string { return string(uniq.AppendID(nil, session(i/20), uint64(i%20+1))) }, nil},
 		{"random SDK IDs", 48, func(i int) string { return fmt.Sprintf("cli-%024x", uint64(i)*0x9e3779b97f4a7c15) }, nil},
 	} {
@@ -714,18 +721,18 @@ func TestRunsWindowBoundsHostileOrder(t *testing.T) {
 	}
 	for seq := n - 1; seq > 0; seq -= 2 {
 		add("hostile", seq)
-		if held := len(s.runs.byNode["hostile"]); held > runWindow+1 {
+		if held := len(s.runs.byNode["hostile"].spans); held > runWindow+1 {
 			t.Fatalf("after number %d the node holds %d runs, want at most %d", seq, held, runWindow+1)
 		}
 	}
-	if held := len(s.runs.byNode["hostile"]); held != runWindow+1 {
+	if held := len(s.runs.byNode["hostile"].spans); held != runWindow+1 {
 		t.Fatalf("the odd numbers descending left %d runs, want the window's %d", held, runWindow+1)
 	}
 	for seq := 2; seq <= n; seq += 2 {
 		add("hostile", seq)
 	}
-	if lo := uint64(n - 2*runWindow - 2); !slices.Equal(s.runs.byNode["hostile"], []span{{lo, n}}) {
-		t.Fatalf("the even numbers left runs %v, want the window's joined into one, [%d, %d]", s.runs.byNode["hostile"], lo, n)
+	if lo := uint64(n - 2*runWindow - 2); !slices.Equal(s.runs.byNode["hostile"].spans, []span{{lo, n}}) {
+		t.Fatalf("the even numbers left runs %v, want the window's joined into one, [%d, %d]", s.runs.byNode["hostile"].spans, lo, n)
 	}
 	for seq := 1; seq <= n; seq++ {
 		if !s.Contains(uniq.ID(uniq.AppendID(buf[:0], "hostile", uint64(seq)))) {
@@ -740,8 +747,8 @@ func TestRunsWindowBoundsHostileOrder(t *testing.T) {
 	for seq := 2; seq < 2*climbed; seq += 2 {
 		add("climber", seq)
 	}
-	if held := len(s.runs.byNode["climber"]); held != 11 {
-		t.Fatalf("the climber's runs are %v, want its first ten apart and the rest joined into one", s.runs.byNode["climber"])
+	if held := len(s.runs.byNode["climber"].spans); held != 11 {
+		t.Fatalf("the climber's runs are %v, want its first ten apart and the rest joined into one", s.runs.byNode["climber"].spans)
 	}
 	checkRuns(t, 0, &s.runs)
 }
@@ -787,8 +794,13 @@ func TestSetGrowth(t *testing.T) {
 
 // TestFoldIterationAllocatesNothing: a Cursor from Start materializes
 // each entry on the stack from its row, or its block's deltas, and the
-// arena — a walk costs no allocation, from genesis or from a mark, over a
-// set all in its tail and over one mostly sealed.
+// arenas — a walk inside the tail costs no allocation, from genesis or
+// from a mark. The IDs here are minted ones the runs hold, so a sealed
+// row's ID is rendered: a walk entering a block whose rendering the
+// collector has freed allocates exactly twice for it, the buffer its IDs
+// are rendered into and the weak pointer that keeps them for the next
+// walk, and one entering a block whose rendering is alive allocates
+// nothing.
 func TestFoldIterationAllocatesNothing(t *testing.T) {
 	for _, size := range []int{10000, 50000} {
 		s := NewSet()
@@ -796,67 +808,181 @@ func TestFoldIterationAllocatesNothing(t *testing.T) {
 			s.Add(Entry{ID: uniq.ID(fmt.Sprintf("op-%06d", i)), Kind: "deposit", Key: "acct-1", Arg: int64(i % 7), Lam: uint64(i + 1), At: time.Duration(i % 5)})
 		}
 		all := s.Entries()
+		var marks []Watermark
 		for _, from := range []int{0, 4999, size - 4097} { // genesis; mid-block in the larger set; in the tail
 			var w Watermark
 			if from > 0 {
 				w = all[from-1].Mark()
+				w.ID = uniq.ID(strings.Clone(string(w.ID))) // not a substring of a rendering
 			}
+			marks = append(marks, w)
+		}
+		all = nil
+		for _, w := range marks {
 			var sum, n int64
-			allocs := testing.AllocsPerRun(10, func() {
+			walk := func() {
 				sum, n = 0, 0
 				var e Entry
 				for c := s.Cursor(s.Start(w)); c.Next(&e); {
 					sum += e.Arg + int64(len(e.ID)+len(e.Kind)+len(e.Key))
 					n++
 				}
-			})
+			}
+			// As testing.AllocsPerRun counts, an average over a few walks,
+			// rounded down, so that an allocation of another goroutine's
+			// during one walk does not count; a collection before each.
+			const walks = 5
+			var cold uint64
+			for range walks {
+				var m0, m1 runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&m0)
+				walk()
+				runtime.ReadMemStats(&m1)
+				cold += m1.Mallocs - m0.Mallocs
+			}
+			cold /= walks
+			from := s.Start(w)
 			if n != int64(size-from) {
 				t.Fatalf("%d entries, %d blocks: walking from Start(%+v) yielded %d entries, want %d", size, len(s.blocks), w, n, size-from)
 			}
-			if allocs != 0 {
-				t.Errorf("%d entries, %d blocks: walking from Start(%+v) allocates %.0f times", size, len(s.blocks), w, allocs)
+			entered := max(len(s.blocks)-from>>rowBits, 0)
+			if cold != uint64(2*entered) {
+				t.Errorf("%d entries, %d blocks: walking from Start(%+v) after a collection allocates %d times, want two for each of the %d blocks it enters", size, len(s.blocks), w, cold, entered)
 			}
+			all = s.Entries() // keeps every block's rendering alive
+			if warm := testing.AllocsPerRun(10, walk); warm != 0 {
+				t.Errorf("%d entries, %d blocks: walking from Start(%+v) while the renderings are alive allocates %.0f times, want none", size, len(s.blocks), w, warm)
+			}
+			runtime.KeepAlive(all)
+			all = nil
 		}
 	}
 }
 
+// TestEqualTellsSealedOrigins: Equal compares a sealed row's held ID as
+// its origin and number, so two sets whose sealed rows differ only in
+// their IDs' origins, the runs holding both origins' numbers, are not
+// Equal.
+func TestEqualTellsSealedOrigins(t *testing.T) {
+	const pair = rowChunk + 10 // two sealed rows whose origins trade places
+	build := func(swap bool) *Set {
+		s := NewSet()
+		for i := range 5 * rowChunk {
+			node := [2]string{"aa", "bb"}[i%2]
+			if swap && i/2 == pair/2 {
+				node = [2]string{"bb", "aa"}[i%2]
+			}
+			s.Add(Entry{ID: uniq.ID(uniq.AppendID(nil, node, uint64(i/2+1))), Kind: "k", Lam: uint64(i + 1)})
+		}
+		return s
+	}
+	a, b := build(false), build(true)
+	if b.sealed() <= pair || b.runs.n != 2 {
+		t.Fatalf("%d rows sealed and %d runs: the pair is not sealed, or runs do not hold every ID", b.sealed(), b.runs.n)
+	}
+	if a.Equal(b) || b.Equal(a) {
+		t.Fatal("sets whose sealed rows trade origins are Equal")
+	}
+	if !a.Equal(build(false)) {
+		t.Fatal("sets built alike are not Equal")
+	}
+}
+
+// TestConcurrentWalksShareRenderings: a walk publishes a block's rendering
+// for the walks after it, and a set and its copy share blocks, so walks of
+// either, each under its own set's lock, meet at the same rendering: they
+// must read the same entries whichever of them renders it.
+func TestConcurrentWalksShareRenderings(t *testing.T) {
+	s := replicaSet(6 * rowChunk)
+	c := s.Copy()
+	want := s.Entries()
+	for i := range want {
+		want[i].ID = uniq.ID(strings.Clone(string(want[i].ID))) // not a substring of a rendering
+	}
+	runtime.GC() // the renderings are freed
+	var wg sync.WaitGroup
+	for g := range 4 {
+		set := []*Set{s, c}[g%2]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 2 {
+				k := 0
+				var e Entry
+				for cur := set.Cursor(0); cur.Next(&e); k++ {
+					if e != want[k] {
+						t.Errorf("walker %d read %+v at %d, want %+v", g, e, k, want[k])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestSealedRowsRoundTrip: a row sealed into a block reads back exactly,
 // whatever its fields: Lam jumping by nearly 2^64, At and Arg swinging
-// between the ends of int64 (deltas that wrap), and arena handles jumping
-// to records of their own chunk. The set is built one Add at a time and
-// all at once; then a copy is taken, and an entry sorting before every
-// other thaws every block of the original, which must leave the copy's
-// blocks as they were.
+// between the ends of int64 (deltas that wrap), arena handles jumping to
+// records of their own chunk, and (Lam, At) ties that only the ID breaks.
+// Its ID may be any of the shapes sealedIDs draws, interleaved: minted
+// IDs the runs hold, from more origins than fit an ID word's lanes, or a
+// block's first 64 rows; minted IDs the runs refuse; and IDs never
+// minted. The set is built one Add at a time, which seals rows and
+// retires ids chunks as it goes, and all at once. A copy taken before the
+// original retires the chunks its tail reads must read them still. An
+// entry sorting into the middle thaws the blocks from there, and one
+// sorting before every other thaws them all; both are sealed anew, and a
+// copy taken before must keep its blocks as they were.
 func TestSealedRowsRoundTrip(t *testing.T) {
 	const n = 5*rowChunk + 17
 	ats := [4]time.Duration{math.MinInt64, math.MaxInt64, -1, 0}
 	args := [4]int64{math.MaxInt64, math.MinInt64, 0, -1}
+	ids := sealedIDs(n)
 	want := make([]Entry, n)
 	for i := range want {
-		e := Entry{ID: uniq.ID(fmt.Sprintf("x%d", i)), Kind: "k", Key: fmt.Sprint(i % 3), Lam: uint64(i + 1), At: ats[i%4] + time.Duration(i%4/2*i), Arg: args[i%4] - int64(i%4/2*i)}
+		e := Entry{ID: ids[i], Kind: "k", Key: fmt.Sprint(i % 3), Lam: uint64(i + 1), At: ats[i%4] + time.Duration(i%4/2*i), Arg: args[i%4] - int64(i%4/2*i)}
 		if i >= n/2 {
 			e.Lam = math.MaxUint64 - uint64(n-i)
+		}
+		if i%6 == 1 { // the (Lam, At) of the entry before: a tie the ID breaks
+			e.Lam, e.At = want[i-1].Lam, want[i-1].At
 		}
 		if i%997 == 0 {
 			e.Note = strings.Repeat("n", chunkSpan+i%5)
 		}
 		want[i] = e
 	}
-	one := NewSet()
-	for _, e := range want {
-		one.Add(e)
-	}
-	shuffled := slices.Clone(want)
-	rand.New(rand.NewSource(3)).Shuffle(n, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	slices.SortFunc(want, byMark)
 	check := func(name string, s *Set, want []Entry) {
 		t.Helper()
 		if len(s.blocks) == 0 {
 			t.Fatalf("%s: no row is sealed", name)
 		}
-		if got := s.Entries(); !slices.Equal(got, want) {
+		got := s.Entries()
+		if !slices.Equal(got, want) {
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s: Entries()[%d] = %+v, want %+v", name, i, got[i], want[i])
+				}
+			}
 			t.Fatalf("%s: Entries() differs from what was added", name)
 		}
-		for _, i := range []int{0, 1, rowChunk - 1, rowChunk, rowChunk + 1, 2*rowChunk + 7, len(want) - 1} {
+		// got keeps the blocks' renderings alive, so these walks read them.
+		if again := s.Entries(); !slices.Equal(again, want) {
+			t.Fatalf("%s: Entries() read again from the renderings differs from what was added", name)
+		}
+		for _, i := range []int{1, rowChunk + 5, 2*rowChunk + 7} {
+			var e Entry
+			for c, k := s.Cursor(i), i; k < i+3*rowChunk/2 && c.Next(&e); k++ {
+				if e != want[k] {
+					t.Fatalf("%s: a Cursor from %d read %+v at %d, want %+v", name, i, e, k, want[k])
+				}
+			}
+		}
+		runtime.KeepAlive(got)
+		for _, i := range []int{0, 1, 2, 3, rowChunk - 1, rowChunk, rowChunk + 1, 2*rowChunk + 7, 2*rowChunk + 8, 3*rowChunk + 1, len(want) - 1} {
 			if got := s.At(i); got != want[i] {
 				t.Fatalf("%s: At(%d) = %+v, want %+v", name, i, got, want[i])
 			}
@@ -864,20 +990,178 @@ func TestSealedRowsRoundTrip(t *testing.T) {
 				t.Fatalf("%s: Start(entry %d's mark) = %d", name, i, got)
 			}
 		}
+		for i := 0; i < len(want); i += 7 {
+			if !s.Contains(want[i].ID) {
+				t.Fatalf("%s: Contains(%q) = false", name, want[i].ID)
+			}
+		}
 		if s.MaxLam() != want[len(want)-1].Lam {
 			t.Fatalf("%s: MaxLam() = %d", name, s.MaxLam())
 		}
+		for _, ch := range s.rows {
+			for _, r := range ch {
+				if !isHeld(r.ref) {
+					continue
+				}
+				if _, _, ok := s.thawed(r.ref); ok {
+					t.Fatalf("%s: a tail row's ID is still a thawed row's record", name)
+				}
+			}
+		}
+	}
+
+	one := NewSet()
+	var early *Set
+	for i, e := range want {
+		if i == 4*rowChunk+8 {
+			early = one.Copy()
+		}
+		one.Add(e)
+	}
+	if !slices.ContainsFunc(early.ids.chunks, func(ch string) bool { return ch != "" && !slices.Contains(one.ids.chunks, ch) }) {
+		t.Fatal("the original retired no ids chunk the copy taken before reads")
+	}
+	if len(one.runs.origins) <= 64 || one.idTable.n <= n/4 {
+		t.Fatalf("the runs hold %d origins and the ID table %d IDs; want more than 64, and the minted IDs the runs refuse beside the %d never minted", len(one.runs.origins), one.idTable.n, n/4)
 	}
 	check("one Add at a time", one, want)
-	check("all at once", NewSet(shuffled...), want)
+	check("a copy taken before the original retired the chunks its tail reads", early, want[:4*rowChunk+8])
+	shuffled := slices.Clone(want)
+	rand.New(rand.NewSource(3)).Shuffle(n, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	all := NewSet(shuffled...)
+	check("all at once", all, want)
+	// Built in other orders, the two sets' runs refuse different IDs, so
+	// Equal meets held IDs against IDs in the ID table, sealed and not.
+	if !one.Equal(all) || !all.Equal(one) {
+		t.Fatal("the set built one Add at a time and the one built at once are not Equal")
+	}
+	for k := 1; k < len(want)-1; k += 293 {
+		if want[k-1].Lam == want[k].Lam || want[k+1].Lam == want[k].Lam {
+			continue // a tie the ID breaks: another ID may sort elsewhere
+		}
+		other := slices.Clone(want)
+		switch node, seq, ok := uniq.ParseID(string(want[k].ID)); {
+		case ok && seq < 1<<60 && k%2 == 0:
+			other[k].ID = uniq.ID(uniq.AppendID(nil, node, seq+1<<60)) // another number
+		case ok:
+			other[k].ID = uniq.ID(uniq.AppendID(nil, node+"'", seq)) // another origin
+		default:
+			other[k].ID += "'"
+		}
+		if o := NewSet(other...); one.Equal(o) || o.Equal(all) {
+			t.Fatalf("a set whose entry %d has ID %q for %q is Equal to the one added", k, other[k].ID, want[k].ID)
+		}
+	}
 
 	c := one.Copy()
+	mid := Entry{ID: "", Kind: "k", Lam: want[2*rowChunk+5].Lam, At: want[2*rowChunk+5].At} // the empty ID sorts first in its tie
+	k, _ := slices.BinarySearchFunc(want, mid, byMark)
+	if !one.Add(mid) {
+		t.Fatal("Add of an entry sorting into the middle reported a duplicate")
+	}
+	want = slices.Insert(slices.Clone(want), k, mid)
+	check("after an Add sorting into the middle", one, want)
 	first := Entry{ID: "first", Kind: "k", At: math.MinInt64}
 	if !one.Add(first) {
 		t.Fatal("Add of an entry sorting before every other reported a duplicate")
 	}
 	check("after an Add sorting first", one, append([]Entry{first}, want...))
-	check("a copy taken before it", c, want)
+	check("a copy taken before them", c, slices.Delete(want, k, k+1))
+}
+
+// sealedIDs draws n IDs of the shapes a sealed row keeps, interleaved.
+// One in four is never minted, and the ID table keeps it. The others are
+// minted by 130 origins in turn — among them names containing '-', one
+// that is all '-' and the empty name — each origin's first numbers 0,
+// 999 999, 1 000 000 and 2^64-1, where the rendered ID grows a digit or
+// the number's delta wraps, and 1 000 004 on. The runs admit a new origin
+// only as the set grows, so an origin's first IDs are kept in the ID
+// table, and those after in its runs.
+func sealedIDs(n int) []uniq.ID {
+	origins := []string{"a-b", "", "-", "x-y-z", "r0", "s3/r1"}
+	for k := range 124 {
+		origins = append(origins, fmt.Sprintf("o%d", k))
+	}
+	special := []uint64{0, 999_999, 1_000_000, math.MaxUint64}
+	seen := make(map[string]int)
+	ids := make([]uniq.ID, n)
+	for i := range ids {
+		if i%4 == 0 {
+			ids[i] = uniq.ID(fmt.Sprintf("x%d", i))
+			continue
+		}
+		o := origins[i%len(origins)]
+		j := seen[o]
+		seen[o]++
+		seq := 1_000_000 + uint64(j)
+		if j < len(special) {
+			seq = special[j]
+		}
+		ids[i] = uniq.ID(uniq.AppendID(nil, o, seq))
+	}
+	return ids
+}
+
+// TestRunsRetainNoCallerString: the runs' keys are the set's own copies
+// of the origins' names. An ID added is a cut of the caller's buffer — a
+// gossip frame, a journal segment — and storing a map entry under a key
+// equal to one present replaces the key with the new string, so a run
+// opened or joined under the caller's would keep its whole buffer alive.
+func TestRunsRetainNoCallerString(t *testing.T) {
+	var b []byte
+	var cuts [][2]int
+	for _, seq := range []uint64{1, 3, 2, 7, 5, 6, 4, 9} { // runs opened and gaps closed
+		for _, node := range []string{"r0", "s3/r1"} {
+			k := len(b)
+			b = uniq.AppendID(b, node, seq)
+			cuts = append(cuts, [2]int{k, len(b)})
+		}
+	}
+	frame := string(b)
+	s := NewSet()
+	for i, c := range cuts {
+		s.Add(Entry{ID: uniq.ID(frame[c[0]:c[1]]), Lam: uint64(i + 1)})
+	}
+	for seq := uint64(12); seq < 20; seq += 2 {
+		node, _, _ := uniq.ParseID(frame[cuts[0][0]:cuts[0][1]])
+		s.Mint(Entry{Lam: seq}, node, seq)
+	}
+	if len(s.runs.byNode) != 2 {
+		t.Fatalf("the runs hold %d origins, want 2", len(s.runs.byNode))
+	}
+	for node := range s.runs.byNode {
+		if within(node, frame) {
+			t.Fatalf("the runs' key %q is a cut of the caller's buffer", node)
+		}
+	}
+}
+
+// TestDeepAddsKeepIDsBounded: a thaw writes a record of each held ID it
+// decodes to the thaws arena, which the seal after it drops, and the ids
+// arena reuses the slots of the chunks it retires. A stream of single Adds
+// each landing deep in the past — a journal replayed one entry at a time,
+// or a heal — then keeps the ids arena at the tail's IDs however long it
+// runs.
+func TestDeepAddsKeepIDsBounded(t *testing.T) {
+	const adds = 400
+	s := replicaSet(8 * rowChunk)
+	want := s.Entries()
+	sealed := s.sealed()
+	for k := range adds {
+		at := want[k*7919%sealed]
+		e := Entry{ID: uniq.ID(fmt.Sprintf("r3-%06d", k+1)), Kind: "deposit", Key: "acct-late", Arg: 1, Lam: at.Lam, At: at.At - 1}
+		if !s.Add(e) {
+			t.Fatalf("late entry %d was reported a duplicate", k)
+		}
+		want = append(want, e)
+		if len(s.ids.chunks) > 16 || len(s.thaws.chunks) > 0 {
+			t.Fatalf("after %d deep Adds the ids arena spans %d slots, %d of them free, and the thaws arena %d", k+1, len(s.ids.chunks), len(s.ids.free), len(s.thaws.chunks))
+		}
+	}
+	slices.SortFunc(want, byMark)
+	if !slices.Equal(s.Entries(), want) {
+		t.Fatal("the set's entries differ from those added")
+	}
 }
 
 // TestAddAndContainsAllocateNothingAfterGrow: with the rows and the index
