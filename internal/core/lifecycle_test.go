@@ -534,13 +534,14 @@ func TestLifeFencesTheReprobeLoop(t *testing.T) {
 	}
 }
 
-// stillKilled fails the test unless r0 is down and holds no store: a
-// re-probe never reseeds or revives a killed replica.
+// stillKilled fails the test unless r0 is down and holds no store and no
+// op: a re-probe never reseeds or revives a killed replica, and a reseed
+// a Kill overtook throws away what it replayed.
 func stillKilled(t *testing.T, c *Cluster[counterState]) {
 	t.Helper()
 	r0 := c.Replica(0)
-	if _, open := r0.StoreStats(); open || !r0.node.Crashed() {
-		t.Fatalf("once the re-probe ended: r0 down %v, store open %v; want a killed r0 down, with no store, until Recover", r0.node.Crashed(), open)
+	if _, open := r0.StoreStats(); open || !r0.node.Crashed() || r0.OpCount() != 0 {
+		t.Fatalf("once the re-probe ended: r0 down %v, store open %v, %d ops; want a killed r0 down, with no store and no op, until Recover", r0.node.Crashed(), open, r0.OpCount())
 	}
 }
 

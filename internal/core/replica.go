@@ -240,7 +240,9 @@ func newReplica[S any](c *Cluster[S], g *shardGroup[S], id string) *Replica[S] {
 		if err != nil {
 			panic(fmt.Sprintf("quicksand: WithDurability(%s): %v", c.cfg.durableDir, err))
 		}
-		r.seedFromDisk(st, rec)
+		// A durable replica's first life begins as a reseed's does.
+		r.store = st
+		r.wipeLocked(seedFromDisk(rec))
 		// A new process must not reissue an ID an earlier life minted —
 		// not even one its disk lost: §5.8's round and gossip hand an op to
 		// peers before the origin's fsync, and a peer holding the old op
@@ -306,43 +308,19 @@ func (r *Replica[S]) notHosted(op Op) Result {
 	return Result{Op: op, Reason: "replica " + r.id + " is not hosted by this process"}
 }
 
-// seedFromDisk rebuilds the replica's in-memory world from a store
-// recovery: operation set and Lamport clock from the journal, gossip
-// journal re-seeded with the suffix some peer may not have
-// acknowledged (positions [Acked, End); peers that already hold some of
-// it dedupe the re-push), fold checkpoint rebuilt lazily by the next
-// State call. Runs before the replica is published (construction or
-// under mu during Recover).
-func (r *Replica[S]) seedFromDisk(st *store.Store, rec store.Recovery) {
-	r.store = st
-	r.ops.Grow(len(rec.JournalEntries))
-	for _, e := range rec.JournalEntries[:rec.Acked] {
-		r.ops.Add(e)
+// seedFromDisk builds what a store recovery holds: the operation set, by
+// one NewSet of the whole journal, and the gossip journal, of copies of
+// the suffix some peer may not have acknowledged, positions [Acked, End)
+// (peers that hold some of it dedupe the re-push). A copy keeps no
+// recovered segment alive, and an ID journaled twice is copied twice, so
+// positions stay the store's. It touches no replica, so a reseed builds
+// outside mu.
+func seedFromDisk(rec store.Recovery) (*oplog.Set, oplog.Journal) {
+	journal := oplog.JournalAt(rec.Acked)
+	for _, e := range rec.JournalEntries[rec.Acked:] {
+		journal.Append(cloneEntry(e))
 	}
-	// The journal keeps the set's copies of the suffix, read back from
-	// AddAll a bounded chunk at a time, as recovered strings pin whole
-	// segments. An ID journaled twice (as a join replacing a row would
-	// journal it) is not new to the set the second time; a copy of it
-	// keeps the gossip journal's positions aligned with the store's.
-	r.journal = oplog.JournalAt(rec.Acked)
-	for suffix := rec.JournalEntries[rec.Acked:]; len(suffix) > 0; {
-		chunk := suffix[:min(len(suffix), ingestBatchCap)]
-		suffix = suffix[len(chunk):]
-		added := r.ops.AddAll(chunk)
-		for _, e := range chunk {
-			if len(added) > 0 && added[0].ID == e.ID {
-				e, added = added[0], added[1:]
-			} else {
-				e = cloneEntry(e)
-			}
-			r.journal.Append(e)
-		}
-	}
-	r.lamport = r.ops.MaxLam()
-	r.stateDirty = r.ops.Len() > 0
-	// Invalidate any published read snapshot from a previous incarnation;
-	// the next State call refolds from the recovered set and republishes.
-	r.version.Add(1)
+	return oplog.NewSet(rec.JournalEntries...), journal
 }
 
 // cloneEntry copies e's strings, so that keeping it keeps nothing else.
@@ -1172,10 +1150,7 @@ func (r *Replica[S]) Kill() {
 	r.mu.Lock()
 	st := r.store
 	r.store = nil
-	r.wipeLocked()
-	// Lock-free readers must not keep serving the dead incarnation's
-	// snapshot: bump the version and publish the wiped state.
-	r.version.Add(1)
+	r.wipeLocked(oplog.NewSet(), oplog.Journal{})
 	r.publishLocked()
 	r.mu.Unlock()
 	r.Ledger.Reset()
@@ -1185,25 +1160,29 @@ func (r *Replica[S]) Kill() {
 }
 
 // wipeLocked destroys every bit of in-memory state, as a process death
-// would, and ends the life — shared by Kill and by Recover (which
-// discards a degraded incarnation's phantoms before reseeding). The
-// ingest ring is not drained here: its items carry the life they were
-// queued in, and the drain declines each one it fences out. The caller
-// holds mu and owns store shutdown, publication, and ledger cleanup.
-func (r *Replica[S]) wipeLocked() {
-	r.ops = oplog.NewSet()
-	r.journal = oplog.Journal{}
+// would, and ends the life, leaving ops and journal in its place: empty
+// for Kill, seedFromDisk's replay for a reseed (which discards a degraded
+// incarnation's phantoms) and a cold start. The Lamport clock is the
+// set's, and the fold checkpoint is rebuilt lazily by the next State
+// call. The ingest ring is not drained here: its items carry the life
+// they were queued in, and the drain declines each one it fences out. The
+// caller holds mu and owns the store, publication, and ledger cleanup.
+func (r *Replica[S]) wipeLocked(ops *oplog.Set, journal oplog.Journal) {
+	r.ops, r.journal = ops, journal
 	r.lc.wipe()
 	for i := range r.gossipPeers {
 		r.gossipPeers[i].held, r.gossipPeers[i].pushing = 0, false
 	}
-	r.lamport = 0
+	r.lamport = ops.MaxLam()
 	r.state = r.c.app.Init()
 	r.stateMark = oplog.Watermark{}
 	r.stateN = 0
 	r.stateShared = false
-	r.stateDirty = false
+	r.stateDirty = ops.Len() > 0
 	r.snaps = nil
+	// Lock-free readers must not keep serving the ended life's snapshot:
+	// the next State call, or Kill's publish, replaces it.
+	r.version.Add(1)
 }
 
 // Recover is a durable replica's one way back from losing its store,
@@ -1243,12 +1222,13 @@ func (r *Replica[S]) Recover(ctx context.Context) error {
 // reseed reopens the store and rebuilds the replica from it, acting only
 // in the life stamped. Reseeds take turns at the directory: one that
 // waited and finds a store attached has been overtaken by one that
-// healed the replica, and opens nothing. A Kill that lands while the
-// store opens ends the life, and the new handle is then surplus. The
-// wipe ends the life, discarding a degraded incarnation's RAM; after a
-// Kill, which wiped already, it wipes nothing new and only advances the
-// life, which nothing stamped while the node was down could act in
-// anyway.
+// healed the replica, and opens nothing. The journal replays before mu
+// is taken, so nothing waits on the lock behind it. A Kill that lands
+// while the store opens or the journal replays ends the life, and the
+// new handle and the replay are then thrown away. The wipe ends the
+// life, discarding a degraded incarnation's RAM; after a Kill, which
+// wiped already, it wipes nothing new and only advances the life, which
+// nothing stamped while the node was down could act in anyway.
 func (r *Replica[S]) reseed(life uint32) error {
 	r.openMu.Lock()
 	defer r.openMu.Unlock()
@@ -1265,15 +1245,16 @@ func (r *Replica[S]) reseed(life uint32) error {
 	if err != nil {
 		return fmt.Errorf("quicksand: recover %s: %w", r.id, err)
 	}
+	ops, journal := seedFromDisk(rec)
 	r.mu.Lock()
 	if !r.lc.in(life) {
 		r.mu.Unlock()
 		st.Close()
 		return fmt.Errorf("quicksand: replica %s was killed while its store reopened", r.id)
 	}
-	r.wipeLocked()
-	r.seedFromDisk(st, rec)
-	n := r.ops.Len()
+	r.wipeLocked(ops, journal)
+	r.store = st
+	n := ops.Len()
 	r.mu.Unlock()
 	r.Ledger.Record(r.c.tr.Now(), apology.Memory, r.id,
 		fmt.Sprintf("recovered %d ops from disk (journal %d)", n, len(rec.JournalEntries)), "")

@@ -271,19 +271,19 @@ func TestAddAllMatchesSequentialAdd(t *testing.T) {
 
 func TestSetGrow(t *testing.T) {
 	s := NewSet()
-	s.Grow(100)
-	s.Grow(-1) // no-op
+	s.grow(100)
+	s.grow(-1) // no-op
 	for i := 0; i < 100; i++ {
 		s.Add(Entry{ID: uniq.ID(strings.Repeat("x", 1) + string(rune('0'+i%10))), Lam: uint64(i)})
 	}
 	// Growing a populated set keeps its contents and order.
 	s2 := NewSet(Entry{ID: "a", Lam: 1}, Entry{ID: "b", Lam: 2})
-	s2.Grow(50)
+	s2.grow(50)
 	if s2.Len() != 2 || s2.Entries()[0].ID != "a" || s2.Entries()[1].ID != "b" {
-		t.Fatalf("Grow disturbed the set: %v", s2.Entries())
+		t.Fatalf("grow disturbed the set: %v", s2.Entries())
 	}
 	s2.Add(Entry{ID: "c", Lam: 3})
 	if s2.Entries()[2].ID != "c" {
-		t.Fatal("append after Grow lost order")
+		t.Fatal("append after grow lost order")
 	}
 }

@@ -331,7 +331,7 @@ func runModel(t *testing.T, b []byte, seeded bool) {
 				s, m = c, cm
 			}
 		case 5:
-			s.Grow(sc.next())
+			s.grow(sc.next())
 		case 6: // suffixes: from a mark that may fall between entries, from one of the last 256 entries, and from one anywhere
 			marks := []Watermark{sc.mark()}
 			if k := sc.next(); k < len(m.want) {
@@ -346,16 +346,8 @@ func runModel(t *testing.T, b []byte, seeded bool) {
 				if w.IsZero() {
 					i = 0
 				}
-				var got []Entry
-				var e Entry
-				for c := s.Cursor(s.Start(w)); c.Next(&e); {
-					got = append(got, e)
-				}
-				if !slices.Equal(got, want[i:]) {
+				if got := entriesAfter(s, w); !slices.Equal(got, want[i:]) {
 					t.Fatalf("step %d: walking from Start(%+v) = %s, want %s", step, w, brief(got), brief(want[i:]))
-				}
-				if got := s.EntriesAfter(w); !slices.Equal(got, want[i:]) {
-					t.Fatalf("step %d: EntriesAfter(%+v) = %s, want %s", step, w, brief(got), brief(want[i:]))
 				}
 			}
 			if got := s.Entries(); !slices.Equal(got, m.want) {
@@ -370,7 +362,7 @@ func runModel(t *testing.T, b []byte, seeded bool) {
 			for _, e := range all[split:] {
 				o.Add(e)
 			}
-			if !o.Equal(s) || !s.Equal(o) || s.Union(o) != 0 || len(s.Diff(o)) != 0 || len(o.Diff(s)) != 0 {
+			if !o.Equal(s) || !s.Equal(o) || s.Union(o) != 0 {
 				t.Fatalf("step %d: a set built from the same entries in another order differs", step)
 			}
 			missing := all[:min(len(all), 1+sc.next()%8)]
@@ -378,9 +370,6 @@ func runModel(t *testing.T, b []byte, seeded bool) {
 			slices.SortFunc(missing, byMark)
 			if len(all) > 0 && (o.Equal(s) || s.Equal(o)) {
 				t.Fatalf("step %d: a set missing %d entries is Equal to the whole", step, len(missing))
-			}
-			if got := s.Diff(o); !slices.Equal(got, missing) || len(o.Diff(s)) != 0 {
-				t.Fatalf("step %d: Diff of a set missing %s = %s", step, brief(missing), brief(got))
 			}
 			if n := o.Union(s); n != len(missing) || !o.Equal(s) {
 				t.Fatalf("step %d: Union into a set missing %d entries added %d, or left it unequal", step, len(missing), n)
@@ -422,9 +411,9 @@ func runModel(t *testing.T, b []byte, seeded bool) {
 }
 
 // check compares every read of s with the reference after a step: Len,
-// a Cursor's walk, At — at each block's ends and inside it, and through
-// the tail — MaxLam and Contains — of modelIDs, and of runs' IDs at their
-// ends and around their first hole — and holds s's runs to their
+// a Cursor's walk, and one started at each block's ends, inside it and
+// through the tail, MaxLam and Contains — of modelIDs, and of runs' IDs at
+// their ends and around their first hole — and holds s's runs to their
 // invariants.
 func (m *model) check(t *testing.T, step int, s *Set) {
 	t.Helper()
@@ -445,8 +434,8 @@ func (m *model) check(t *testing.T, step int, s *Set) {
 	}
 	for i := range want {
 		if i >= s.sealed() || i&rowMask <= 1 || i&rowMask == rowMask || i&rowMask == 1+step*131%(rowChunk-2) {
-			if got := s.At(i); got != want[i] {
-				t.Fatalf("step %d: At(%d) = %s, want %s", step, i, brief([]Entry{got}), brief([]Entry{want[i]}))
+			if got := entryAt(s, i); got != want[i] {
+				t.Fatalf("step %d: a Cursor at %d read %s, want %s", step, i, brief([]Entry{got}), brief([]Entry{want[i]}))
 			}
 		}
 	}

@@ -17,7 +17,9 @@
 // entry sorts after everything present (the common case: ingress stamps
 // Lamport max+1, so local submits and in-order gossip are pure appends),
 // an O(n) insertion only when gossip delivers an entry that sorts into
-// the past.
+// the past. A journal replays through NewSet, the one bulk load, which
+// settles what lands near the end as Add does and merges the rest in
+// once.
 //
 // The maintained order makes state derivation incremental. A Watermark
 // names a position in the canonical order; Start(w) is where the entries
@@ -56,8 +58,8 @@
 //     block once (Cursor), and renders the held IDs of a block it enters
 //     into one buffer, which a weak pointer keeps for the next walk until
 //     the collector frees it; Equal compares rows, a held ID as its
-//     origin and number, and renders none; At on a sealed row decodes its
-//     block from the start, and renders that row's ID;
+//     origin and number, and renders none. A Cursor is the one read of
+//     sealed rows;
 //   - append-only byte arenas, their chunks never reallocated, a record
 //     never straddling two. The kept arena never lets go of a byte: it
 //     holds each payload — Kind, Key and Note, length-prefixed as in the
@@ -276,14 +278,32 @@ const (
 )
 
 // NewSet returns an empty set, optionally seeded with entries, in any
-// order: they are put in canonical order once, as AddAll's are.
+// order: the bulk load every replay of a journal goes through. It pushes
+// them in input order, so the first copy of an ID wins. Each that lands
+// within the last rowChunk rows is settled at once, as Add settles it, so
+// the tail seals as it fills and an ordered journal is never held
+// unsealed. From the first that lands deeper on, the rest are pushed
+// unsettled and merged in once at the end, with one thaw: a journal whose
+// origins arrive one after another, as after a partition heals, costs
+// one merge, not a thaw per entry. The merge's scratch is dropped, so the
+// set keeps none sized by its input.
 func NewSet(entries ...Entry) *Set {
 	s := &Set{arena: arena{slots: keptSlots}, ids: arena{slots: idsSlots}, thaws: arena{slots: thawSlots}}
-	s.Grow(len(entries))
+	s.grow(len(entries))
+	deep := -1 // the first position pushed and not settled
 	for _, e := range entries {
-		s.push(e)
+		switch old := s.n; {
+		case !s.push(e) || deep >= 0: // a duplicate, or one the merge at the end takes
+		case old >= rowChunk && s.cmp(*s.row(old), *s.row(old - rowChunk)) < 0:
+			deep = old
+		default:
+			s.settle(old)
+		}
 	}
-	s.settle(0)
+	if deep >= 0 {
+		s.settle(deep)
+	}
+	s.fresh = nil
 	return s
 }
 
@@ -309,7 +329,9 @@ func (s *Set) Add(e Entry) bool {
 // fresh entries are merged into the canonical order in ONE pass, so a
 // gossip push of K entries that sort into the past costs one tail move
 // instead of K of them — the difference between anti-entropy keeping up
-// with sustained ingest and falling quadratically behind it.
+// with sustained ingest and falling quadratically behind it. A journal
+// replays through NewSet instead, which settles as it goes and
+// materializes nothing.
 //
 // The result is the set's own scratch, materialized from the rows just
 // stored (its strings are the set's, like any entry read out of it): valid
@@ -320,7 +342,7 @@ func (s *Set) AddAll(entries []Entry) (added []Entry) {
 	s.added = s.added[:0]
 	for _, e := range entries {
 		if s.push(e) {
-			s.added = append(s.added, s.At(s.n-1))
+			s.added = append(s.added, s.at(s.n-1))
 		}
 	}
 	s.settle(old)
@@ -349,7 +371,7 @@ func (s *Set) Mint(e Entry, node string, seq uint64) (stored Entry, added bool) 
 	} else {
 		s.place(e, s.index(s.arena.putMinted(id)))
 	}
-	stored = s.At(old)
+	stored = s.at(old)
 	s.settle(old)
 	return stored, true
 }
@@ -597,14 +619,11 @@ func (s *Set) readAfter(d *rowReader, w Watermark) bool {
 	return string(d.renderID(s, buf[:0])) > string(w.ID)
 }
 
-// Grow makes room for n more entries' rows in the tail, allocated now
-// rather than chunk by chunk as Adds arrive — no more than the tail holds
-// before it seals, so replaying a long journal does not allocate a row for
-// every entry up front. Its callers (NewSet, and a replica replaying its
-// disk) know how many entries are coming, but not how many of their IDs
-// runs will take or how many distinct payloads they bring, so the ID table
-// and the payload table grow as the entries arrive.
-func (s *Set) Grow(n int) {
+// grow makes room for n more entries' rows in the tail, allocated now
+// rather than chunk by chunk, but no more than the tail holds before it
+// seals, so a long journal does not allocate a row for every entry up
+// front. The tables grow as the entries arrive.
+func (s *Set) grow(n int) {
 	if n > 0 {
 		s.growRows(min(s.n+n, s.sealed()+(hotChunks+1)*rowChunk))
 	}
@@ -630,19 +649,6 @@ func (s *Set) Union(o *Set) int {
 	}
 	s.settle(old)
 	return s.n - old
-}
-
-// Diff returns the entries present in s but absent from o, in canonical
-// order. Replicas exchange diffs during anti-entropy.
-func (s *Set) Diff(o *Set) []Entry {
-	var out []Entry
-	var e Entry
-	for c := s.Cursor(0); c.Next(&e); {
-		if !o.Contains(e.ID) {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 // Copy returns an independent copy. Tail rows move in place and runs grow
@@ -697,45 +703,24 @@ func (s *Set) Equal(o *Set) bool {
 //
 // The returned slice is the caller's; its entries' strings are the set's.
 // With the order maintained by Add, this costs one O(n) pass, not a sort.
-func (s *Set) Entries() []Entry { return s.EntriesAfter(Watermark{}) }
-
-// EntriesAfter returns, in canonical order, only the entries sorting
-// strictly after watermark w — the suffix a checkpointed fold still has
-// to apply. The genesis (zero) watermark yields every entry. Cost is
-// O(log n) to locate the suffix plus materializing just that suffix.
-func (s *Set) EntriesAfter(w Watermark) []Entry {
-	start := s.Start(w)
-	if start == s.n {
+func (s *Set) Entries() []Entry {
+	if s.n == 0 {
 		return nil
 	}
-	out := make([]Entry, s.n-start)
-	c := s.Cursor(start)
+	out := make([]Entry, s.n)
+	c := s.Cursor(0)
 	for i := range out {
 		c.Next(&out[i])
 	}
 	return out
 }
 
-// At materializes the entry at canonical-order position i, 0 <= i < Len().
-// Its strings are substrings of the set's arenas, but for a sealed row's
-// held ID, which is rendered anew. A sealed row is decoded from its
-// block's first row on: a walk takes a Cursor instead.
-func (s *Set) At(i int) (e Entry) {
-	if i >= s.sealed() {
-		r := s.row(i)
-		s.fill(&e, r, s.idOf(r.ref))
-		return e
-	}
-	d := s.blocks[i>>rowBits].open()
-	for range i & rowMask {
-		d.next()
-	}
-	if !d.held {
-		s.fill(&e, &d.r, s.arena.id(d.r.ref))
-		return e
-	}
-	var buf [64]byte
-	s.fill(&e, &d.r, string(d.renderID(s, buf[:0])))
+// at materializes the tail's entry at canonical-order position i,
+// sealed() <= i < Len(): the row AddAll or Mint just wrote. Its strings
+// are substrings of the set's arenas.
+func (s *Set) at(i int) (e Entry) {
+	r := s.row(i)
+	s.fill(&e, r, s.idOf(r.ref))
 	return e
 }
 

@@ -57,12 +57,12 @@ func BenchmarkEntriesCanonicalSort1k(b *testing.B) {
 	}
 }
 
-func BenchmarkEntriesAfterTail1k(b *testing.B) {
+func BenchmarkWalkFromStartTail1k(b *testing.B) {
 	s := benchSet(1000)
 	w := Entry{ID: uniq.ID(fmt.Sprintf("op-%08d", 989)), Kind: "k", Arg: 1, Lam: 989}.Mark()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = s.EntriesAfter(w) // last 10 entries: the checkpointed-fold steady state
+		_ = entriesAfter(s, w) // last 10 entries: the checkpointed-fold steady state
 	}
 }
 
@@ -133,9 +133,8 @@ func BenchmarkJournalAppendAll(b *testing.B) {
 
 // BenchmarkReads200k is the sequential reads over a set of 200 000
 // entries shaped as three replicas mint them, nearly all sealed in
-// blocks: Equal against a copy (Converged's comparison), EntriesAfter
-// from genesis (a whole-set read) and Fold (a refold from genesis). Each
-// decodes every block once.
+// blocks: Equal against a copy (Converged's comparison) and Fold (a
+// refold from genesis). Each decodes every block once.
 func BenchmarkReads200k(b *testing.B) {
 	const n = 200_000
 	s := replicaSet(n)
@@ -145,14 +144,6 @@ func BenchmarkReads200k(b *testing.B) {
 		for b.Loop() {
 			if !s.Equal(c) {
 				b.Fatal("a copy is not Equal")
-			}
-		}
-	})
-	b.Run("EntriesAfter", func(b *testing.B) {
-		b.ReportAllocs()
-		for b.Loop() {
-			if len(s.EntriesAfter(Watermark{})) != n {
-				b.Fatal("EntriesAfter(genesis) missed entries")
 			}
 		}
 	})
@@ -194,7 +185,7 @@ func BenchmarkLateAddDeep(b *testing.B) {
 	sealed := s.sealed()
 	marks := make([]Entry, late)
 	for k := range marks {
-		at := s.At(k * sealed / late)
+		at := entryAt(s, k*sealed/late)
 		marks[k] = Entry{ID: uniq.ID(fmt.Sprintf("r3-%06d", k+1)), Kind: "deposit", Key: "acct-late", Arg: 1, Lam: at.Lam, At: at.At - 1}
 	}
 	b.ReportAllocs()
